@@ -205,9 +205,15 @@ let run () =
     | Json.Float w -> w
     | _ -> nan
   in
-  let speedup_4 = wall 1 /. wall 4 in
-  Printf.printf "4-domain speedup    %.2fx (host has %d core(s))\n%!" speedup_4
-    cores;
+  (* On fewer than 4 cores the 4-domain wall time measures
+     oversubscription, not scaling: the speedup is recorded as null. *)
+  let speedup_4 = if cores >= 4 then Some (wall 1 /. wall 4) else None in
+  (match speedup_4 with
+  | Some s ->
+      Printf.printf "4-domain speedup    %.2fx (host has %d core(s))\n%!" s cores
+  | None ->
+      Printf.printf
+        "4-domain speedup    n/a: not measurable on %d core(s)\n%!" cores);
   let doc =
     Json.Obj
       [
@@ -236,7 +242,8 @@ let run () =
             [
               ("points", Json.Int (List.length (Sweep.points sweep_spec)));
               ("wall_s", Json.Obj walls);
-              ("speedup_4", Json.Float speedup_4);
+              ( "speedup_4",
+                match speedup_4 with Some s -> Json.Float s | None -> Json.Null );
             ] );
       ]
   in

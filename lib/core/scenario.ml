@@ -314,10 +314,13 @@ let bootstrap ?(stagger = 0.5) t =
       if not (t.params.with_dns && n.index = 0) then begin
         let delay = stagger *. float_of_int n.index in
         Engine.schedule t.engine ~label:"dad" ~delay (fun () ->
-            Dad.start n.dad
-              ~dn:(Printf.sprintf "node%d" n.index)
-              ~on_complete:(fun _ -> ())
-              ())
+            (* A fault-plan restart may have run DAD before this slot;
+               that bootstrap stands. *)
+            if not (Dad.is_pending n.dad || Dad.is_configured n.dad) then
+              Dad.start n.dad
+                ~dn:(Printf.sprintf "node%d" n.index)
+                ~on_complete:(fun _ -> ())
+                ())
       end)
     t.nodes;
   (* Let DAD, registration commits and warnings settle. *)

@@ -121,7 +121,9 @@ val address_of : t -> int -> Address.t
 val bootstrap : ?stagger:float -> t -> unit
 (** Run secure DAD for every non-DNS node, started [stagger] seconds
     apart (default 0.5), then run the engine until the network is quiet.
-    Also starts mobility and adversary timers. *)
+    A node whose DAD is already pending or configured when its slot
+    comes (an injected restart landed first) is skipped.  Also starts
+    mobility and adversary timers. *)
 
 (* manetsem: allow dead-export — public API: documented lifecycle
    entry point for experiments that skip bootstrap. *)

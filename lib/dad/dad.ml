@@ -86,6 +86,7 @@ let create ?(config = default_config) ?(dns_address = Address.dns_server_1)
 let identity t = t.ctx.Ctx.identity
 let address t = (identity t).Identity.address
 let is_configured t = t.configured
+let is_pending t = Option.is_some t.pending
 
 let set_areq_observer t f = t.areq_observer <- f
 let set_warning_sink t f = t.warning_sink <- f

@@ -79,6 +79,10 @@ val handle : t -> src:int -> Messages.t -> unit
 
 val is_configured : t -> bool
 
+val is_pending : t -> bool
+(** An attempt is in flight: {!start} would raise until it resolves or
+    is {!abort}ed. *)
+
 (* manetsem: allow dead-export — uniform agent accessor; every protocol
    agent (Dad, Dsr, Srp, Secure_routing) exposes [address]. *)
 val address : t -> Address.t

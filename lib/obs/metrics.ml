@@ -1,5 +1,7 @@
 module Engine = Manet_sim.Engine
 module Stats = Manet_sim.Stats
+module Stbl = Hashtbl.Make (String)
+module Itbl = Hashtbl.Make (Int)
 
 let global_node = -1
 
@@ -10,15 +12,24 @@ type series = {
   mutable s_max : float;
 }
 
-(* Cells are keyed by (metric name, node, window index). *)
-type key = string * int * int
+(* Cells are keyed by metric name, then by (node, window index) packed
+   into one int, so recording builds no key tuple. *)
+let node_bits = 24
+
+let pack ~node w =
+  if node < global_node || node + 1 >= 1 lsl node_bits then
+    invalid_arg "Metrics: node index out of range";
+  (w lsl node_bits) lor (node + 1)
+
+let node_of k = (k land ((1 lsl node_bits) - 1)) - 1
+let window_of k = k lsr node_bits
 
 type t = {
   engine : Engine.t;
   win : float;
   mutable enabled : bool;
-  counters : (key, int ref) Hashtbl.t;
-  series : (key, series) Hashtbl.t;
+  counters : int ref Itbl.t Stbl.t;
+  series : series Itbl.t Stbl.t;
 }
 
 let create ?(window = 1.0) engine =
@@ -27,8 +38,8 @@ let create ?(window = 1.0) engine =
     engine;
     win = window;
     enabled = false;
-    counters = Hashtbl.create 256;
-    series = Hashtbl.create 64;
+    counters = Stbl.create 64;
+    series = Stbl.create 16;
   }
 
 let window t = t.win
@@ -37,48 +48,62 @@ let enabled t = t.enabled
 
 let widx t = int_of_float (Engine.now t.engine /. t.win)
 
+(* The cells of one metric name, created on the name's first record. *)
+let cells_of tbl name =
+  match Stbl.find tbl name with
+  | cells -> cells
+  | exception Not_found ->
+      let cells = Itbl.create 16 in
+      Stbl.add tbl name cells;
+      cells
+
+let bump cells key by =
+  match Itbl.find cells key with
+  | r -> r := !r + by
+  | exception Not_found ->
+      (* manethot: allow hot-alloc — one cell per (name, node, window),
+         made on that cell's first bump only. *)
+      Itbl.add cells key (ref by)
+
 let record t ~node ?(by = 1) name =
   if t.enabled then begin
     let w = widx t in
-    let bump node =
-      let key = (name, node, w) in
-      match Hashtbl.find_opt t.counters key with
-      | Some r -> r := !r + by
-      | None -> Hashtbl.add t.counters key (ref by)
-    in
-    bump node;
-    if node <> global_node then bump global_node
+    let cells = cells_of t.counters name in
+    bump cells (pack ~node w) by;
+    if node <> global_node then bump cells (pack ~node:global_node w) by
   end
+
+let add_sample cells key x =
+  let s =
+    match Itbl.find cells key with
+    | s -> s
+    | exception Not_found ->
+        let s =
+          { s_count = 0; s_sum = 0.0; s_min = infinity; s_max = neg_infinity }
+        in
+        Itbl.add cells key s;
+        s
+  in
+  s.s_count <- s.s_count + 1;
+  s.s_sum <- s.s_sum +. x;
+  if x < s.s_min then s.s_min <- x;
+  if x > s.s_max then s.s_max <- x
 
 let observe t ~node name x =
   if t.enabled then begin
     let w = widx t in
-    let add node =
-      let key = (name, node, w) in
-      let s =
-        match Hashtbl.find_opt t.series key with
-        | Some s -> s
-        | None ->
-            let s =
-              { s_count = 0; s_sum = 0.0; s_min = infinity; s_max = neg_infinity }
-            in
-            Hashtbl.add t.series key s;
-            s
-      in
-      s.s_count <- s.s_count + 1;
-      s.s_sum <- s.s_sum +. x;
-      if x < s.s_min then s.s_min <- x;
-      if x > s.s_max then s.s_max <- x
-    in
-    add node;
-    if node <> global_node then add global_node
+    let cells = cells_of t.series name in
+    add_sample cells (pack ~node w) x;
+    if node <> global_node then add_sample cells (pack ~node:global_node w) x
   end
 
 let counter_total t ~node name =
-  Hashtbl.fold
-    (fun (n, nd, _) r acc ->
-      if String.equal n name && nd = node then acc + !r else acc)
-    t.counters 0
+  match Stbl.find_opt t.counters name with
+  | None -> 0
+  | Some cells ->
+      Itbl.fold
+        (fun k r acc -> if node_of k = node then acc + !r else acc)
+        cells 0
 
 (* --- export -------------------------------------------------------------- *)
 
@@ -88,7 +113,12 @@ let compare_key (na, ia, wa) (nb, ib, wb) =
   | c -> c
 
 let sorted_cells tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+  Stbl.fold
+    (fun name cells acc ->
+      Itbl.fold
+        (fun k v acc -> ((name, node_of k, window_of k), v) :: acc)
+        cells acc)
+    tbl []
   |> List.sort (fun (a, _) (b, _) -> compare_key a b)
 
 let window_start t w = Json.float_str (float_of_int w *. t.win)

@@ -130,6 +130,9 @@ let lookup t key = Hashtbl.find_opt t.corr key
 
 let set_capture t on = t.capture <- on
 
+let wants_events t =
+  t.capture || Manet_sim.Trace.is_enabled (Engine.trace t.engine)
+
 let log t ~node ~event ~detail =
   (* The ring-buffer Trace stays one sink (honouring its own enable
      switch); capture adds the JSONL sink on top. *)

@@ -114,6 +114,12 @@ val log : t -> node:int -> event:string -> detail:string -> unit
 val set_capture : t -> bool -> unit
 (** JSONL event capture; default off (spans are always recorded). *)
 
+val wants_events : t -> bool
+(** Whether a {!log} call would be recorded anywhere: capture is on, or
+    the engine's trace ring is enabled.  Per-packet callers test it
+    before formatting an event's detail, so a run with both sinks off
+    builds no detail strings. *)
+
 val events : t -> event list
 val events_dropped : t -> int
 

@@ -5,8 +5,14 @@ module M = Messages
 
 let put_u8 buf v = Buffer.add_char buf (Char.chr (v land 0xFF))
 
-let put_u16 buf v =
+(* The one u16 range check, shared by [encode] and [encoded_size] so
+   both reject an over-long field with the same exception. *)
+let u16_checked v =
   if v < 0 || v > 0xFFFF then invalid_arg "Binary: u16 out of range";
+  v
+
+let put_u16 buf v =
+  let v = u16_checked v in
   put_u8 buf (v lsr 8);
   put_u8 buf v
 
@@ -217,6 +223,83 @@ let encode msg =
       put_bool buf accepted;
       put_route buf remaining);
   Buffer.contents buf
+
+(* --- encoded size -------------------------------------------------------- *)
+
+(* [String.length (encode msg)], summed from field lengths without
+   building the encoding.  Each helper mirrors its [put_*] twin above
+   and runs the same [u16_checked] on length and count prefixes. *)
+
+let addr_bytes = 16
+
+let string_size s = 2 + u16_checked (String.length s)
+let opt_string_size = function None -> 1 | Some s -> 1 + string_size s
+let opt_addr_size = function None -> 1 | Some _ -> 1 + addr_bytes
+
+let rec count n = function [] -> n | _ :: tl -> count (n + 1) tl
+
+let route_size route = 2 + (addr_bytes * u16_checked (count 0 route))
+
+let rec srr_entries_size acc = function
+  | [] -> acc
+  | e :: tl ->
+      srr_entries_size
+        (acc + addr_bytes + string_size e.M.sig_ + string_size e.M.pk + 8)
+        tl
+
+let srr_size srr =
+  ignore (u16_checked (count 0 srr));
+  srr_entries_size 2 srr
+
+let tag_byte = 1
+
+let encoded_size msg =
+  tag_byte
+  +
+  match msg with
+  | M.Areq m -> addr_bytes + 4 + opt_string_size m.dn + 8 + route_size m.rr
+  | M.Arep m ->
+      addr_bytes + route_size m.rr + route_size m.remaining
+      + string_size m.sig_ + string_size m.pk + 8
+  | M.Drep m ->
+      addr_bytes + string_size m.dn + route_size m.rr
+      + route_size m.remaining + string_size m.sig_
+  | M.Rreq m ->
+      (2 * addr_bytes) + 4 + srr_size m.srr + string_size m.sig_
+      + string_size m.spk + 8
+  | M.Rrep m ->
+      (2 * addr_bytes) + route_size m.rr + route_size m.remaining
+      + string_size m.sig_ + string_size m.dpk + 8
+  | M.Crep m ->
+      (3 * addr_bytes) + 4 + 4 + route_size m.rr_to_cacher
+      + route_size m.rr_to_dest + route_size m.remaining
+      + string_size m.sig_cacher + string_size m.cacher_pk + 8
+      + string_size m.sig_dest + string_size m.dest_pk + 8
+  | M.Rerr m ->
+      (3 * addr_bytes) + route_size m.remaining + string_size m.sig_
+      + string_size m.pk + 8
+  | M.Data m ->
+      (2 * addr_bytes) + 4 + route_size m.route + route_size m.remaining + 4 + 8
+  | M.Ack m ->
+      (2 * addr_bytes) + 4 + route_size m.route + route_size m.remaining + 8
+  | M.Probe m ->
+      (2 * addr_bytes) + 4 + route_size m.route + route_size m.remaining
+  | M.Probe_reply m ->
+      (2 * addr_bytes) + 4 + route_size m.remaining + string_size m.sig_
+      + string_size m.pk + 8
+  | M.Name_query m ->
+      addr_bytes + string_size m.name + 8 + route_size m.route
+      + route_size m.remaining
+  | M.Name_reply m ->
+      addr_bytes + string_size m.name + opt_addr_size m.result + 8
+      + route_size m.remaining + string_size m.sig_
+  | M.Ip_change_request m ->
+      (2 * addr_bytes) + route_size m.route + route_size m.remaining
+  | M.Ip_change_challenge m -> (2 * addr_bytes) + 8 + route_size m.remaining
+  | M.Ip_change_proof m ->
+      (2 * addr_bytes) + 8 + 8 + string_size m.pk + string_size m.sig_
+      + route_size m.route + route_size m.remaining
+  | M.Ip_change_ack m -> (2 * addr_bytes) + 1 + route_size m.remaining
 
 (* --- decoding ------------------------------------------------------------ *)
 

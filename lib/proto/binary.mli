@@ -19,6 +19,13 @@
     out-of-range counts. *)
 
 val encode : Messages.t -> string
+(** Raises [Invalid_argument] when a string or list is too long for its
+    u16 length prefix (more than 0xFFFF bytes or elements). *)
+
+val encoded_size : Messages.t -> int
+(** [String.length (encode m)], summed from the field lengths without
+    building the encoding, so it allocates nothing.  Raises the same
+    [Invalid_argument] as {!encode} on an over-long field. *)
 
 val decode : string -> (Messages.t, string) result
 

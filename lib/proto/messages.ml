@@ -1,3 +1,8 @@
+(* manethot: allow-file hot-alloc — messages are immutable values, so
+   [with_remaining] builds the forwarded copy of a source-routed message
+   on every send; that copy is the transmission itself.  Everything else
+   this file puts on the send path returns constants. *)
+
 module Address = Manet_ipv6.Address
 
 type srr_entry = { ip : Address.t; sig_ : string; pk : string; rn : int64 }
@@ -163,6 +168,46 @@ let tag = function
   | Ip_change_challenge _ -> "ip_change_challenge"
   | Ip_change_proof _ -> "ip_change_proof"
   | Ip_change_ack _ -> "ip_change_ack"
+
+(* Counter keys, one constant per constructor, so a send bumps its
+   counters without building a string. *)
+let tx_key = function
+  | Areq _ -> "tx.areq"
+  | Arep _ -> "tx.arep"
+  | Drep _ -> "tx.drep"
+  | Rreq _ -> "tx.rreq"
+  | Rrep _ -> "tx.rrep"
+  | Crep _ -> "tx.crep"
+  | Rerr _ -> "tx.rerr"
+  | Data _ -> "tx.data"
+  | Ack _ -> "tx.ack"
+  | Probe _ -> "tx.probe"
+  | Probe_reply _ -> "tx.probe_reply"
+  | Name_query _ -> "tx.name_query"
+  | Name_reply _ -> "tx.name_reply"
+  | Ip_change_request _ -> "tx.ip_change_request"
+  | Ip_change_challenge _ -> "tx.ip_change_challenge"
+  | Ip_change_proof _ -> "tx.ip_change_proof"
+  | Ip_change_ack _ -> "tx.ip_change_ack"
+
+let txbytes_key = function
+  | Areq _ -> "txbytes.areq"
+  | Arep _ -> "txbytes.arep"
+  | Drep _ -> "txbytes.drep"
+  | Rreq _ -> "txbytes.rreq"
+  | Rrep _ -> "txbytes.rrep"
+  | Crep _ -> "txbytes.crep"
+  | Rerr _ -> "txbytes.rerr"
+  | Data _ -> "txbytes.data"
+  | Ack _ -> "txbytes.ack"
+  | Probe _ -> "txbytes.probe"
+  | Probe_reply _ -> "txbytes.probe_reply"
+  | Name_query _ -> "txbytes.name_query"
+  | Name_reply _ -> "txbytes.name_reply"
+  | Ip_change_request _ -> "txbytes.ip_change_request"
+  | Ip_change_challenge _ -> "txbytes.ip_change_challenge"
+  | Ip_change_proof _ -> "txbytes.ip_change_proof"
+  | Ip_change_ack _ -> "txbytes.ip_change_ack"
 
 let remaining = function
   | Areq _ -> None

@@ -169,6 +169,14 @@ type t =
 val tag : t -> string
 (** Short lowercase tag ("areq", "rrep", ...) for stats and traces. *)
 
+val tx_key : t -> string
+(** ["tx." ^ tag m], as a per-constructor constant: the transmission
+    counter's key. *)
+
+val txbytes_key : t -> string
+(** ["txbytes." ^ tag m], as a per-constructor constant: the transmitted
+    byte counter's key. *)
+
 val remaining : t -> Address.t list option
 (** The source-route hops left, or [None] for flooded messages (AREQ). *)
 

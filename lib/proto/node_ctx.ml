@@ -56,36 +56,45 @@ let audit t ~kind ?subject ?subject_node ?(stats = []) ~cause () =
   Audit.emit (Obs.audit t.obs) ~kind ~node:(node_id t) ?subject_node
     ?subject_addr ~cause ()
 
+let count_tx t msg size =
+  stat t (Messages.tx_key msg);
+  stat_by t (Messages.txbytes_key msg) size
+
 let broadcast t msg =
-  let tag = Messages.tag msg in
-  let size = size_of t msg in
-  stat t ("tx." ^ tag);
-  stat_by t ("txbytes." ^ tag) size;
-  log t ~event:("tx." ^ tag) ~detail:(Format.asprintf "broadcast %a" Messages.pp msg);
+  let size = Wire.size_of msg in
+  count_tx t msg size;
+  if Obs.wants_events t.obs then
+    (* manethot: cold — the detail is formatted only for a listening
+       sink (capture or the trace ring); runs with both off skip it. *)
+    log t ~event:(Messages.tx_key msg)
+      ~detail:(Format.asprintf "broadcast %a" Messages.pp msg);
   Net.broadcast t.net ~src:(node_id t) ~size msg
+
+let rec unicast_all t ~size ~on_fail msg = function
+  | [] -> ()
+  | dst :: rest ->
+      Net.unicast t.net ~src:(node_id t) ~dst ~size ~on_fail msg;
+      unicast_all t ~size ~on_fail msg rest
 
 let send_along t ~path ?(on_fail = fun () -> ()) msg =
   match path with
   | [] -> invalid_arg "Node_ctx.send_along: empty path"
   | next :: _ -> (
       let msg = Messages.with_remaining msg path in
-      let tag = Messages.tag msg in
-      stat t ("tx." ^ tag);
-      stat_by t ("txbytes." ^ tag) (size_of t msg);
-      log t ~event:("tx." ^ tag)
-        ~detail:(Format.asprintf "to %a: %a" Address.pp next Messages.pp msg);
+      let size = Wire.size_of msg in
+      count_tx t msg size;
+      if Obs.wants_events t.obs then
+        (* manethot: cold — the detail is formatted only for a listening
+           sink (capture or the trace ring); runs with both off skip it. *)
+        log t ~event:(Messages.tx_key msg)
+          ~detail:(Format.asprintf "to %a: %a" Address.pp next Messages.pp msg);
       match Directory.lookup_all t.directory next with
       | [] ->
           (* The next-hop address resolves to nobody: the neighbour is
              gone (address changed or node left).  Behaves like a MAC
              failure after the retries' worth of time. *)
           Engine.schedule t.engine ~label:"net" ~delay:0.01 on_fail
-      | claimants ->
-          let size = size_of t msg in
-          List.iter
-            (fun dst ->
-              Net.unicast t.net ~src:(node_id t) ~dst ~size ~on_fail msg)
-            claimants)
+      | claimants -> unicast_all t ~size ~on_fail msg claimants)
 
 let rec forward_transit t ~src msg =
   deliver_up t ~src msg

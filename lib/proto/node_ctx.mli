@@ -54,7 +54,10 @@ val stat : t -> string -> unit
 val observe : t -> string -> float -> unit
 val log : t -> event:string -> detail:string -> unit
 (** Telemetry event for this node, fanned out through {!Obs.log} (ring
-    trace always; JSONL sink when capture is on). *)
+    trace always; JSONL sink when capture is on).  The caller has
+    already built [detail]; a per-packet caller should build it only
+    when {!Obs.wants_events} is true, as {!broadcast} and {!send_along}
+    do. *)
 
 val audit :
   t ->
@@ -74,14 +77,19 @@ val audit :
     radio-level transmitter). *)
 
 val broadcast : t -> Messages.t -> unit
-(** One radio broadcast from this node, size-accounted. *)
+(** One radio broadcast from this node, size-accounted under
+    [tx.<tag>] and [txbytes.<tag>].  The [tx.<tag>] event and its
+    detail (the message summary) are formatted only when
+    {!Obs.wants_events} is true. *)
 
 val send_along :
   t -> path:Address.t list -> ?on_fail:(unit -> unit) -> Messages.t -> unit
 (** Transmit toward the head of [path] with [remaining = path].  The
     head must resolve in the directory; if it does not (stale route),
     [on_fail] fires after a MAC-timeout's worth of delay.  Delivery goes
-    to every claimant of the head address. *)
+    to every claimant of the head address.  Counted like {!broadcast};
+    the [tx.<tag>] detail is likewise formatted only when
+    {!Obs.wants_events} is true. *)
 
 val forward_transit : t -> src:int -> Messages.t -> unit
 (** Pure transit behaviour: pop this node from the source route and pass

@@ -20,5 +20,6 @@ let size_of msg =
   (* The modelled wire size is exactly what the binary codec emits (so
      the overhead experiments charge precisely the bytes a deployment
      would send), plus a 40-byte IPv6 header, minus simulation-only
-     metadata. *)
-  ipv6_header + String.length (Binary.encode msg) - sim_metadata_bytes msg
+     metadata.  The codec length comes from field lengths, not from an
+     encoding. *)
+  ipv6_header + Binary.encoded_size msg - sim_metadata_bytes msg

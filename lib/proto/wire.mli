@@ -4,6 +4,9 @@
     transmission is charged the exact number of bytes the {!Binary} codec
     produces for that message, plus a 40-byte IPv6 header and minus the
     simulation-only metadata (the [sent_at] float of Data/Ack).  The
+    codec length is derived from field lengths ({!Binary.encoded_size})
+    and pinned to [String.length (Binary.encode m)] by a property test
+    over every message variant.  The
     overhead experiment (E2) and the Table 1 regeneration therefore
     report precisely the bytes a deployment of this codec would put on
     the air — including the fact that protocols carrying empty signature

@@ -34,28 +34,30 @@ type summary = {
   max : float;
 }
 
-type t = {
-  counters : (string, int ref) Hashtbl.t;
-  accs : (string, acc) Hashtbl.t;
-}
+module Stbl = Hashtbl.Make (String)
 
-let create () = { counters = Hashtbl.create 32; accs = Hashtbl.create 32 }
+type t = { counters : int ref Stbl.t; accs : acc Stbl.t }
+
+let create () = { counters = Stbl.create 32; accs = Stbl.create 32 }
 
 let incr ?(by = 1) t name =
-  match Hashtbl.find_opt t.counters name with
-  | Some r -> r := !r + by
-  | None -> Hashtbl.add t.counters name (ref by)
+  match Stbl.find t.counters name with
+  | r -> r := !r + by
+  | exception Not_found ->
+      (* manethot: allow hot-alloc — one cell per counter name, made on
+         the name's first bump only. *)
+      Stbl.add t.counters name (ref by)
 
 let get t name =
-  match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
+  match Stbl.find t.counters name with r -> !r | exception Not_found -> 0
 
 let counters t =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.counters []
+  Stbl.fold (fun k r acc -> (k, !r) :: acc) t.counters []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let observe t name x =
   let acc =
-    match Hashtbl.find_opt t.accs name with
+    match Stbl.find_opt t.accs name with
     | Some a -> a
     | None ->
         let a =
@@ -70,7 +72,7 @@ let observe t name x =
             lcg = 0x2545F491 + (fnv1a name land 0xFFFF);
           }
         in
-        Hashtbl.add t.accs name a;
+        Stbl.add t.accs name a;
         a
   in
   acc.count <- acc.count + 1;
@@ -100,17 +102,17 @@ let summary_of_acc (a : acc) =
   }
 
 let summary t name =
-  match Hashtbl.find_opt t.accs name with
+  match Stbl.find_opt t.accs name with
   | Some a when a.count > 0 -> Some (summary_of_acc a)
   | _ -> None
 
 let summaries t =
-  Hashtbl.fold (fun k a acc -> (k, summary_of_acc a) :: acc) t.accs []
+  Stbl.fold (fun k a acc -> (k, summary_of_acc a) :: acc) t.accs []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let percentile t name q =
   if q < 0.0 || q > 1.0 then invalid_arg "Stats.percentile: q outside [0,1]";
-  match Hashtbl.find_opt t.accs name with
+  match Stbl.find_opt t.accs name with
   | Some a when a.stored > 0 ->
       let sorted = Array.sub a.reservoir 0 a.stored in
       Array.sort Float.compare sorted;
@@ -136,5 +138,5 @@ let delta ~(before : snapshot) ~(after : snapshot) : snapshot =
     after
 
 let clear t =
-  Hashtbl.reset t.counters;
-  Hashtbl.reset t.accs
+  Stbl.reset t.counters;
+  Stbl.reset t.accs

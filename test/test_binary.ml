@@ -182,6 +182,43 @@ let test_wire_tags_distinct () =
 let prop_roundtrip =
   qtest "binary: decode (encode m) = m" arb_message roundtrips
 
+let prop_encoded_size =
+  qtest "binary: encoded_size m = length (encode m)" arb_message (fun m ->
+      Binary.encoded_size m = String.length (Binary.encode m))
+
+let test_encoded_size_overflow () =
+  (* A field past its u16 length prefix makes both functions raise the
+     same exception: a string, a route and a secure route record. *)
+  let a = Address.of_string_exn "fec0::1" in
+  let long_string =
+    Messages.Drep { sip = a; dn = String.make 0x10000 'd'; rr = []; remaining = []; sig_ = "" }
+  in
+  let long_route =
+    Messages.Probe
+      { origin = a; target = a; seq = 1; route = List.init 0x10000 (fun _ -> a); remaining = [] }
+  in
+  let long_srr =
+    Messages.Rreq
+      { sip = a; dip = a; seq = 1;
+        srr = List.init 0x10000 (fun _ -> { Messages.ip = a; sig_ = ""; pk = ""; rn = 0L });
+        sig_ = ""; spk = ""; srn = 0L }
+  in
+  let overflow = Invalid_argument "Binary: u16 out of range" in
+  List.iter
+    (fun (name, m) ->
+      Alcotest.check_raises (name ^ ": encode") overflow (fun () ->
+          ignore (Binary.encode m));
+      Alcotest.check_raises (name ^ ": encoded_size") overflow (fun () ->
+          ignore (Binary.encoded_size m)))
+    [ ("string", long_string); ("route", long_route); ("srr", long_srr) ];
+  (* At the limit itself both still succeed and agree. *)
+  let at_limit =
+    Messages.Drep { sip = a; dn = String.make 0xFFFF 'd'; rr = []; remaining = []; sig_ = "" }
+  in
+  Alcotest.(check int) "0xFFFF-byte field fits"
+    (String.length (Binary.encode at_limit))
+    (Binary.encoded_size at_limit)
+
 let prop_truncation_rejected =
   qtest ~count:200 "binary: every strict prefix is rejected"
     QCheck.(pair arb_message (float_bound_exclusive 1.0))
@@ -266,6 +303,8 @@ let suites =
       @ [
           Alcotest.test_case "wire tags distinct" `Quick test_wire_tags_distinct;
           prop_roundtrip;
+          prop_encoded_size;
+          Alcotest.test_case "encoded_size overflow" `Quick test_encoded_size_overflow;
           prop_truncation_rejected;
           prop_trailing_garbage_rejected;
           prop_random_bytes_never_crash;

@@ -166,6 +166,36 @@ let test_crash_restart_redad () =
     (stat s "dad.duplicate_detected")
 
 (* ------------------------------------------------------------------ *)
+(* A restart that lands before the node's bootstrap slot              *)
+(* ------------------------------------------------------------------ *)
+
+(* Node 4's staggered slot is at 4 * 0.5 = 2.0 s.  The restart at 1.9 s
+   starts its DAD first, and that attempt is still waiting for AREPs
+   (arep_wait 2 s) when the slot comes. *)
+let restart_before_slot_run () =
+  let s = Scenario.create (chain_params ~n:5 ~seed:5) in
+  Scenario.inject s (Faults.restart ~at:1.9 4);
+  Scenario.bootstrap s;
+  s
+
+let test_restart_before_bootstrap_slot () =
+  let s = restart_before_slot_run () in
+  Alcotest.(check int) "the restart fired" 1 (stat s "fault.restart");
+  for i = 1 to 4 do
+    Alcotest.(check bool)
+      (Printf.sprintf "node %d configured" i)
+      true
+      (Dad.is_configured (Scenario.node s i).Scenario.dad)
+  done;
+  Alcotest.(check int) "node 4 bootstrapped once, by the restart" 4
+    (stat s "dad.configured");
+  let again = restart_before_slot_run () in
+  Alcotest.(check (list (pair string int)))
+    "same-seed stats replay identically"
+    (Stats.snapshot (Scenario.stats s))
+    (Stats.snapshot (Scenario.stats again))
+
+(* ------------------------------------------------------------------ *)
 (* Partition -> heal: RERR, credit penalties, re-discovery            *)
 (* ------------------------------------------------------------------ *)
 
@@ -243,6 +273,8 @@ let suites =
         Alcotest.test_case "churn is pure" `Quick test_churn_pure;
         Alcotest.test_case "faulted run is deterministic" `Quick test_determinism;
         Alcotest.test_case "crash/restart re-runs DAD" `Quick test_crash_restart_redad;
+        Alcotest.test_case "restart before bootstrap slot" `Quick
+          test_restart_before_bootstrap_slot;
         Alcotest.test_case "partition/heal recovery" `Quick test_partition_heal_recovery;
         Alcotest.test_case "inject guard rails" `Quick test_inject_guards;
       ] );

@@ -161,6 +161,81 @@ let test_roster_errors () =
     ~roster:("tools/manethot/hotpaths.sexp", "; seeds\n\n(M hot)\n")
     [ ("lib/x/m.ml", "let hot x = x + 1\n") ]
 
+(* --- cold branches ------------------------------------------------------- *)
+
+let sink_fixture ~directive =
+  [
+    ( "lib/x/m.ml",
+      "let detail x = Printf.sprintf \"%d\" x\n\
+       let hot on x =\n\
+      \  if on then\n"
+      ^ directive
+      ^ "    print_string (detail x);\n\
+        \  x + 1\n" );
+  ]
+
+let test_cold_branch () =
+  let warm = sink_fixture ~directive:"" in
+  let cold =
+    sink_fixture
+      ~directive:"    (* manethot: cold — only a listening sink wants this. *)\n"
+  in
+  (* Without the directive the branch is hot, and so is its callee. *)
+  fires "unmarked branch reaches the formatter" "hot-alloc" warm;
+  Alcotest.(check (list (pair string string)))
+    "callee of an unmarked branch is hot"
+    [ ("M", "detail"); ("M", "hot") ]
+    (Hot.hot_set ~roster:"(M hot)\n" warm);
+  (* The directive cuts both the rules and the propagation. *)
+  clean "cold branch is not analyzed" "hot-alloc" cold;
+  Alcotest.(check (list (pair string string)))
+    "callee of a cold branch stays cold"
+    [ ("M", "hot") ]
+    (Hot.hot_set ~roster:"(M hot)\n" cold);
+  clean "a placed directive is no annotation finding" "annotation" cold;
+  (* Only the marked arm is cut: the other arm and the condition stay
+     hot. *)
+  fires "the unmarked arm is still hot" "hot-alloc"
+    [
+      ( "lib/x/m.ml",
+        "let hot on x =\n\
+        \  if on then\n\
+        \    (* manethot: cold — only a listening sink wants this. *)\n\
+        \    ignore (Printf.sprintf \"%d\" x)\n\
+        \  else ignore (x, x)\n" );
+    ];
+  fires "match case bodies can be marked too" "hot-alloc"
+    [
+      ( "lib/x/m.ml",
+        "let hot k x =\n\
+        \  match k with\n\
+        \  | 0 ->\n\
+        \      (* manethot: cold — error path, reached once per run. *)\n\
+        \      ignore (Printf.sprintf \"%d\" x)\n\
+        \  | _ -> ignore (x, x)\n" );
+    ];
+  clean "a marked match case is cut" "hot-alloc"
+    [
+      ( "lib/x/m.ml",
+        "let hot k x =\n\
+        \  match k with\n\
+        \  | 0 ->\n\
+        \      (* manethot: cold — error path, reached once per run. *)\n\
+        \      ignore (Printf.sprintf \"%d\" x)\n\
+        \  | _ -> x\n" );
+    ]
+
+let test_cold_directive_grammar () =
+  let bare = sink_fixture ~directive:"    (* manethot: cold *)\n" in
+  fires "cold without a rationale is an annotation finding" "annotation" bare;
+  fires "cold without a rationale cuts nothing" "hot-alloc" bare;
+  fires "cold directive that marks no branch" "annotation"
+    [
+      ( "lib/x/m.ml",
+        "(* manethot: cold — nothing below is a branch. *)\n\n\
+         let hot x = x + 1\n" );
+    ]
+
 (* --- annotations --------------------------------------------------------- *)
 
 let test_annotation_suppresses () =
@@ -234,6 +309,9 @@ let suites =
         Alcotest.test_case "hot-partial" `Quick test_hot_partial;
         Alcotest.test_case "roster propagation" `Quick test_roster_propagation;
         Alcotest.test_case "roster errors" `Quick test_roster_errors;
+        Alcotest.test_case "cold branches" `Quick test_cold_branch;
+        Alcotest.test_case "cold directive grammar" `Quick
+          test_cold_directive_grammar;
         Alcotest.test_case "annotations suppress" `Quick
           test_annotation_suppresses;
         Alcotest.test_case "annotations need rationale" `Quick

@@ -9,6 +9,9 @@ module Cga = Manet_ipv6.Cga
 module Engine = Manet_sim.Engine
 module Topology = Manet_sim.Topology
 module Net = Manet_sim.Net
+module Stats = Manet_sim.Stats
+module Trace = Manet_sim.Trace
+module Obs = Manet_obs.Obs
 module Messages = Manet_proto.Messages
 module Codec = Manet_proto.Codec
 module Wire = Manet_proto.Wire
@@ -136,29 +139,46 @@ let test_wire_matches_binary_codec () =
     (Wire.ipv6_header + String.length (Manet_proto.Binary.encode msg) - 8)
     (Wire.size_of msg)
 
+(* One value of every message variant. *)
+let one_of_each =
+  [
+    Messages.Areq { sip = a1; seq = 1; dn = None; ch = 1L; rr = [] };
+    Messages.Arep { sip = a1; rr = []; remaining = []; sig_ = ""; pk = ""; rn = 0L };
+    Messages.Drep { sip = a1; dn = "d"; rr = []; remaining = []; sig_ = "" };
+    Messages.Rreq { sip = a1; dip = a2; seq = 1; srr = []; sig_ = ""; spk = ""; srn = 0L };
+    Messages.Rrep { sip = a1; dip = a2; rr = []; remaining = []; sig_ = ""; dpk = ""; drn = 0L };
+    Messages.Crep
+      { requester = a1; cacher = a2; dip = a3; requester_seq = 1; cacher_seq = 2;
+        rr_to_cacher = []; rr_to_dest = []; remaining = []; sig_cacher = ""; cacher_pk = "";
+        cacher_rn = 0L; sig_dest = ""; dest_pk = ""; dest_rn = 0L };
+    Messages.Rerr { reporter = a1; broken_next = a2; dst = a3; remaining = []; sig_ = ""; pk = ""; rn = 0L };
+    Messages.Data { src = a1; dst = a2; seq = 1; route = []; remaining = []; payload_size = 64; sent_at = 0.0 };
+    Messages.Ack { src = a1; dst = a2; data_seq = 1; route = []; remaining = []; sent_at = 0.0 };
+    Messages.Probe { origin = a1; target = a2; seq = 1; route = []; remaining = [] };
+    Messages.Probe_reply { responder = a1; origin = a2; seq = 1; remaining = []; sig_ = ""; pk = ""; rn = 0L };
+    Messages.Name_query { requester = a1; name = "n"; ch = 1L; route = []; remaining = [] };
+    Messages.Name_reply { requester = a1; name = "n"; result = None; ch = 1L; remaining = []; sig_ = "" };
+    Messages.Ip_change_request { old_ip = a1; new_ip = a2; route = []; remaining = [] };
+    Messages.Ip_change_challenge { old_ip = a1; new_ip = a2; ch = 1L; remaining = [] };
+    Messages.Ip_change_proof { old_ip = a1; new_ip = a2; old_rn = 0L; new_rn = 0L; pk = ""; sig_ = ""; route = []; remaining = [] };
+    Messages.Ip_change_ack { old_ip = a1; new_ip = a2; accepted = true; remaining = [] };
+  ]
+
 let test_wire_all_messages_positive () =
   List.iter
     (fun msg ->
       let size = Wire.size_of msg in
       Alcotest.(check bool) (Messages.tag msg) true (size > Wire.ipv6_header))
-    [
-      Messages.Areq { sip = a1; seq = 1; dn = None; ch = 1L; rr = [] };
-      Messages.Arep { sip = a1; rr = []; remaining = []; sig_ = ""; pk = ""; rn = 0L };
-      Messages.Drep { sip = a1; dn = "d"; rr = []; remaining = []; sig_ = "" };
-      Messages.Rreq { sip = a1; dip = a2; seq = 1; srr = []; sig_ = ""; spk = ""; srn = 0L };
-      Messages.Rrep { sip = a1; dip = a2; rr = []; remaining = []; sig_ = ""; dpk = ""; drn = 0L };
-      Messages.Rerr { reporter = a1; broken_next = a2; dst = a3; remaining = []; sig_ = ""; pk = ""; rn = 0L };
-      Messages.Data { src = a1; dst = a2; seq = 1; route = []; remaining = []; payload_size = 64; sent_at = 0.0 };
-      Messages.Ack { src = a1; dst = a2; data_seq = 1; route = []; remaining = []; sent_at = 0.0 };
-      Messages.Probe { origin = a1; target = a2; seq = 1; route = []; remaining = [] };
-      Messages.Probe_reply { responder = a1; origin = a2; seq = 1; remaining = []; sig_ = ""; pk = ""; rn = 0L };
-      Messages.Name_query { requester = a1; name = "n"; ch = 1L; route = []; remaining = [] };
-      Messages.Name_reply { requester = a1; name = "n"; result = None; ch = 1L; remaining = []; sig_ = "" };
-      Messages.Ip_change_request { old_ip = a1; new_ip = a2; route = []; remaining = [] };
-      Messages.Ip_change_challenge { old_ip = a1; new_ip = a2; ch = 1L; remaining = [] };
-      Messages.Ip_change_proof { old_ip = a1; new_ip = a2; old_rn = 0L; new_rn = 0L; pk = ""; sig_ = ""; route = []; remaining = [] };
-      Messages.Ip_change_ack { old_ip = a1; new_ip = a2; accepted = true; remaining = [] };
-    ]
+    one_of_each
+
+let test_messages_counter_keys () =
+  List.iter
+    (fun msg ->
+      let tag = Messages.tag msg in
+      Alcotest.(check string) ("tx key of " ^ tag) ("tx." ^ tag) (Messages.tx_key msg);
+      Alcotest.(check string) ("txbytes key of " ^ tag) ("txbytes." ^ tag)
+        (Messages.txbytes_key msg))
+    one_of_each
 
 let test_messages_with_remaining () =
   let msg = Messages.Data { src = a1; dst = a2; seq = 1; route = [ a3 ]; remaining = [ a3; a2 ]; payload_size = 0; sent_at = 0.0 } in
@@ -292,6 +312,70 @@ let test_ctx_byte_accounting () =
     (Manet_sim.Stats.get st "txbytes.probe")
 
 (* ------------------------------------------------------------------ *)
+(* Send-path telemetry: details only for a listening sink             *)
+(* ------------------------------------------------------------------ *)
+
+(* Node 0 sends one broadcast and one source-routed unicast; [fec0::2]
+   resolves to node 1.  Returns the engine and the shared telemetry
+   handle after [setup] has switched sinks on or off. *)
+let sink_run setup =
+  let engine = Engine.create ~seed:7 () in
+  let topo = Topology.chain ~n:2 ~spacing:100.0 in
+  let net = Net.create ~config:{ Net.default_config with range = 150.0 } engine topo in
+  let directory = Directory.create () in
+  Directory.register directory a2 1;
+  let suite = Suite.mock (Prng.create ~seed:8) in
+  let id = Identity.create suite (Prng.create ~seed:9) ~node_id:0 in
+  let obs = Obs.create engine in
+  let ctx = Ctx.create ~obs net directory id (Prng.create ~seed:10) in
+  setup engine obs;
+  Ctx.broadcast ctx
+    (Messages.Areq { sip = a1; seq = 3; dn = Some "node1"; ch = 9L; rr = [ a3 ] });
+  Ctx.send_along ctx ~path:[ a2 ]
+    (Messages.Data
+       { src = a1; dst = a2; seq = 4; route = [ a3 ]; remaining = []; payload_size = 64;
+         sent_at = 0.5 });
+  (engine, obs)
+
+(* The details as rendered before formatting became sink-gated. *)
+let golden_details =
+  [
+    ("tx.areq", "broadcast AREQ(sip=fec0::1, seq=3, dn=node1, rr=[fec0::3])");
+    ("tx.data", "to fec0::2: DATA(src=fec0::1, dst=fec0::2, seq=4)");
+  ]
+
+let details = Alcotest.(list (pair string string))
+
+let test_send_details_trace_ring () =
+  let engine, obs =
+    sink_run (fun engine _ -> Trace.enable (Engine.trace engine))
+  in
+  Alcotest.check details "ring details" golden_details
+    (List.map
+       (fun e -> (e.Trace.event, e.Trace.detail))
+       (Trace.entries (Engine.trace engine)));
+  Alcotest.(check int) "capture stays off" 0 (List.length (Obs.events obs))
+
+let test_send_details_capture () =
+  let engine, obs = sink_run (fun _ obs -> Obs.set_capture obs true) in
+  Alcotest.check details "captured details" golden_details
+    (List.map
+       (fun e -> (e.Obs.name, e.Obs.detail))
+       (Obs.events obs));
+  Alcotest.(check int) "ring stays off" 0
+    (Trace.length (Engine.trace engine))
+
+let test_send_details_sinks_off () =
+  let engine, obs = sink_run (fun _ _ -> ()) in
+  Alcotest.(check bool) "no sink wants events" false (Obs.wants_events obs);
+  Alcotest.(check int) "ring empty" 0 (Trace.length (Engine.trace engine));
+  Alcotest.(check int) "no captured events" 0 (List.length (Obs.events obs));
+  (* The counters do not depend on the sinks. *)
+  let st = Engine.stats engine in
+  Alcotest.(check int) "tx.areq counted" 1 (Stats.get st "tx.areq");
+  Alcotest.(check int) "tx.data counted" 1 (Stats.get st "tx.data")
+
+(* ------------------------------------------------------------------ *)
 (* BSAR ablation: verify_at_destination = false                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -353,6 +437,7 @@ let suites =
         Alcotest.test_case "crypto fields scale" `Quick test_wire_crypto_fields_scale;
         Alcotest.test_case "matches binary codec" `Quick test_wire_matches_binary_codec;
         Alcotest.test_case "all messages sized" `Quick test_wire_all_messages_positive;
+        Alcotest.test_case "counter keys" `Quick test_messages_counter_keys;
         Alcotest.test_case "with_remaining" `Quick test_messages_with_remaining;
       ] );
     ( "proto.directory",
@@ -371,6 +456,9 @@ let suites =
         Alcotest.test_case "unresolvable next hop" `Quick test_ctx_send_along_unresolvable;
         Alcotest.test_case "empty path rejected" `Quick test_ctx_empty_path_rejected;
         Alcotest.test_case "byte accounting" `Quick test_ctx_byte_accounting;
+        Alcotest.test_case "send details: trace ring" `Quick test_send_details_trace_ring;
+        Alcotest.test_case "send details: capture" `Quick test_send_details_capture;
+        Alcotest.test_case "send details: sinks off" `Quick test_send_details_sinks_off;
       ] );
     ( "secure.ablation",
       [

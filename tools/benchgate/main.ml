@@ -40,6 +40,17 @@ let int_field path doc name =
   | Some (Some i) -> i
   | _ -> die "%s: missing integer field %s" path name
 
+(* The 4-domain sweep speedup, shown but never gated: JSON null means
+   the host had fewer than 4 cores, so it was not measurable. *)
+let speedup_4 path doc =
+  match Option.bind (Json.member "sweep" doc) (Json.member "speedup_4") with
+  | None -> "-"
+  | Some Json.Null -> "n/a"
+  | Some v -> (
+      match Json.to_float_opt v with
+      | Some f -> Printf.sprintf "%.2fx" f
+      | None -> die "%s: sweep.speedup_4 is neither a number nor null" path)
+
 let hot_paths path doc =
   match Json.member "hot_paths" doc with
   | Some (Json.Obj fields) ->
@@ -108,6 +119,8 @@ let () =
       | Some cur_v -> check name ~prev_v ~cur_v ~worse_when_lower:false
       | None -> Printf.printf "%-22s dropped from current snapshot\n" name)
     prev_hot;
+  Printf.printf "%-22s prev %14s  cur %14s  (not gated)\n" "speedup_4"
+    (speedup_4 prev_path prev) (speedup_4 cur_path cur);
   match (!regressions, comparable, !strict) with
   | [], _, _ ->
       Printf.printf "benchgate: ok (threshold %.0f%%)\n" (!threshold *. 100.0)

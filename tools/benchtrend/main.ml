@@ -39,6 +39,15 @@ let hot doc name =
   | Some h -> Option.bind (Json.member name h) Json.to_float_opt
   | None -> None
 
+(* The 4-domain sweep speedup.  JSON null (a host with fewer than 4
+   cores) is carried as nan and rendered "n/a"; a snapshot without the
+   field renders as missing. *)
+let speedup_4 doc =
+  match Option.bind (Json.member "sweep" doc) (Json.member "speedup_4") with
+  | Some Json.Null -> Some Float.nan
+  | Some v -> Json.to_float_opt v
+  | None -> None
+
 (* One row per snapshot: (label, value-extractor, CSV formatter, text
    formatter).  Formatters must agree on units so the trend reads off
    either form. *)
@@ -64,16 +73,21 @@ let columns =
     ( "duplicate_verifies_per_flood",
       fun d -> fopt d "duplicate_verifies_per_flood" );
     ("flood_redundancy_ratio", fun d -> fopt d "flood_redundancy_ratio");
+    ("speedup_4", speedup_4);
   ]
 
 let render_value = function
   | None -> "-"
+  | Some f when Float.is_nan f -> "n/a"
   | Some f ->
       if Float.is_integer f && Float.abs f < 1e15 then
         Printf.sprintf "%.0f" f
       else Printf.sprintf "%.3f" f
 
-let csv_value = function None -> "" | Some f -> Printf.sprintf "%.6g" f
+let csv_value = function
+  | None -> ""
+  | Some f when Float.is_nan f -> "n/a"
+  | Some f -> Printf.sprintf "%.6g" f
 
 let () =
   let csv = ref false in

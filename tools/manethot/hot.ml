@@ -103,6 +103,105 @@ let parse_roster text =
   (List.rev !entries, List.rev !errors)
 
 (* ------------------------------------------------------------------ *)
+(* Cold directives: (* manethot: cold — rationale *) marks the branches
+   (an [if] arm, or a [match]/[function]/[try] case body) that start on
+   the comment's lines or on the line below it as off the hot path.
+   The rules skip such a branch and hotness does not propagate through
+   it.  Like an allow, the directive needs a rationale; one without, or
+   one that marks no branch, is an unsuppressible "annotation"
+   finding. *)
+
+let marker = "manethot:"
+
+type cold = { c_ranges : (int * int) list; c_bad : int list }
+
+let scan_cold src =
+  let prose ws =
+    List.exists
+      (String.exists (function 'a' .. 'z' | 'A' .. 'Z' -> true | _ -> false))
+      ws
+  in
+  let rec rationale acc = function
+    | w :: _ when w = marker -> List.rev acc
+    | w :: rest -> rationale (w :: acc) rest
+    | [] -> List.rev acc
+  in
+  List.fold_left
+    (fun acc (text, l0, l1) ->
+      let rec go acc = function
+        | w :: "cold" :: rest when w = marker ->
+            let acc =
+              if prose (rationale [] rest) then
+                { acc with c_ranges = (l0, l1) :: acc.c_ranges }
+              else { acc with c_bad = l0 :: acc.c_bad }
+            in
+            go acc rest
+        | _ :: rest -> go acc rest
+        | [] -> acc
+      in
+      go acc (words_of text))
+    { c_ranges = []; c_bad = [] } (scan_comments src)
+
+let start_line e = e.pexp_loc.Location.loc_start.Lexing.pos_lnum
+
+let marks_line (l0, l1) s = l0 <= s && s <= l1 + 1
+let marks r e = marks_line r (start_line e)
+
+(* One-level children of [e] minus the branches a cold directive marks. *)
+let live_children ranges e =
+  let live x = not (List.exists (fun r -> marks r x) ranges) in
+  let cases cs =
+    List.concat_map
+      (fun c -> Option.to_list c.pc_guard @ List.filter live [ c.pc_rhs ])
+      cs
+  in
+  match e.pexp_desc with
+  | Pexp_ifthenelse (c, a, b) -> c :: List.filter live (a :: Option.to_list b)
+  | Pexp_match (s, cs) | Pexp_try (s, cs) -> s :: cases cs
+  | Pexp_function cs -> cases cs
+  | _ -> sub_expressions e
+
+(* Every branch start line of a unit, to find directives that mark
+   nothing. *)
+let branch_lines u =
+  let out = ref [] in
+  let add e = out := start_line e :: !out in
+  let it =
+    {
+      Ast_iterator.default_iterator with
+      expr =
+        (fun self e ->
+          (match e.pexp_desc with
+          | Pexp_ifthenelse (_, a, b) ->
+              add a;
+              Option.iter add b
+          | Pexp_match (_, cs) | Pexp_try (_, cs) | Pexp_function cs ->
+              List.iter (fun c -> add c.pc_rhs) cs
+          | _ -> ());
+          Ast_iterator.default_iterator.expr self e);
+    }
+  in
+  (match u.u_parsed with Impl str -> it.structure it str | _ -> ());
+  !out
+
+let cold_findings u cold =
+  let lines = branch_lines u in
+  let finding line msg = { file = u.u_path; line; rule = "annotation"; msg } in
+  List.map
+    (fun l ->
+      finding l "manethot cold directive needs a rationale (prose after cold)")
+    cold.c_bad
+  @ List.filter_map
+      (fun ((l0, _) as r) ->
+        if List.exists (marks_line r) lines then None
+        else
+          Some
+            (finding l0
+               "manethot cold directive marks no branch; put it on the line \
+                before an if arm or a match case body"))
+      cold.c_ranges
+
+(* ------------------------------------------------------------------ *)
 (* Hot set: roster seeds plus transitive callees.  A reference from a
    hot function to another analyzed top-level function makes the callee
    hot too — calls, but also closures installed as callbacks, which is
@@ -121,29 +220,25 @@ let rec peel_params e =
   | Pexp_constraint (x, _) -> peel_params x
   | _ -> e
 
-let referenced_fns fn_tbl b =
+let referenced_fns fn_tbl ~cold b =
   let out = ref [] in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun self e ->
-          (match e.pexp_desc with
-          | Pexp_ident { txt; _ } ->
-              let key =
-                match resolve b.b_unit.u_aliases txt with
-                | Some m, x -> (m, x)
-                | None, x -> (b.b_mod, x)
-              in
-              if Hashtbl.mem fn_tbl key then out := key :: !out
-          | _ -> ());
-          Ast_iterator.default_iterator.expr self e);
-    }
+  let ranges = cold b in
+  let rec go e =
+    (match e.pexp_desc with
+    | Pexp_ident { txt; _ } ->
+        let key =
+          match resolve b.b_unit.u_aliases txt with
+          | Some m, x -> (m, x)
+          | None, x -> (b.b_mod, x)
+        in
+        if Hashtbl.mem fn_tbl key then out := key :: !out
+    | _ -> ());
+    List.iter go (live_children ranges e)
   in
-  it.expr it b.b_expr;
+  go b.b_expr;
   !out
 
-let hot_fixpoint fn_tbl bindings seeds =
+let hot_fixpoint fn_tbl ~cold bindings seeds =
   let hot = Hashtbl.create 64 in
   List.iter (fun k -> Hashtbl.replace hot k ()) seeds;
   let changed = ref true in
@@ -158,7 +253,7 @@ let hot_fixpoint fn_tbl bindings seeds =
                 Hashtbl.replace hot k ();
                 changed := true
               end)
-            (referenced_fns fn_tbl b))
+            (referenced_fns fn_tbl ~cold b))
       bindings
   done;
   hot
@@ -226,7 +321,7 @@ let nolabel_args args =
       match lbl with Asttypes.Nolabel -> Some a | _ -> None)
     args
 
-let analyze_binding ~emit b =
+let analyze_binding ~emit ~ranges b =
   let who = b.b_mod ^ "." ^ b.b_name in
   let aliases = b.b_unit.u_aliases in
   let line_of loc = loc.Location.loc_start.Lexing.pos_lnum in
@@ -353,22 +448,11 @@ let analyze_binding ~emit b =
     check e;
     match e.pexp_desc with
     | Pexp_fun _ | Pexp_newtype _ -> walk (peel_params e)
-    | Pexp_function cases ->
-        List.iter
-          (fun c ->
-            (match c.pc_guard with Some g -> walk g | None -> ());
-            walk c.pc_rhs)
-          cases
-    | _ -> List.iter walk (sub_expressions e)
+    | _ -> List.iter walk (live_children ranges e)
   in
   let body = peel_params b.b_expr in
   match body.pexp_desc with
-  | Pexp_function cases ->
-      List.iter
-        (fun c ->
-          (match c.pc_guard with Some g -> walk g | None -> ());
-          walk c.pc_rhs)
-        cases
+  | Pexp_function _ -> List.iter walk (live_children ranges body)
   | _ -> walk body
 
 (* ------------------------------------------------------------------ *)
@@ -388,11 +472,24 @@ let seeds_of fn_tbl entries =
     (fun (m, f, _) -> if Hashtbl.mem fn_tbl (m, f) then Some (m, f) else None)
     entries
 
+(* Cold directives per file, and the lookup the walks take. *)
+let cold_table files =
+  let tbl = Hashtbl.create 64 in
+  List.iter (fun (path, src) -> Hashtbl.replace tbl path (scan_cold src)) files;
+  tbl
+
+let cold_ranges tbl b =
+  match Hashtbl.find_opt tbl b.b_unit.u_path with
+  | Some c -> c.c_ranges
+  | None -> []
+
 let analyze ~roster files =
   let roster_path, roster_text = roster in
   let units = List.map mk_unit files in
   let bindings = List.concat_map collect_bindings units in
   let fn_tbl = fn_table bindings in
+  let colds = cold_table files in
+  let cold = cold_ranges colds in
   let entries, roster_errors = parse_roster roster_text in
   let roster_findings =
     List.map
@@ -416,7 +513,7 @@ let analyze ~roster files =
               })
         entries
   in
-  let hot = hot_fixpoint fn_tbl bindings (seeds_of fn_tbl entries) in
+  let hot = hot_fixpoint fn_tbl ~cold bindings (seeds_of fn_tbl entries) in
   let out = ref [] in
   List.iter
     (fun b ->
@@ -424,13 +521,20 @@ let analyze ~roster files =
         let emit line rule msg =
           out := { file = b.b_unit.u_path; line; rule; msg } :: !out
         in
-        analyze_binding ~emit b)
+        analyze_binding ~emit ~ranges:(cold b) b)
     bindings;
   let findings =
     parse_failures units
     @ roster_findings
     @ !out
     @ annotation_findings ~tool:"manethot" units
+    @ List.concat_map
+        (fun u ->
+          (* An interface has no branches to mark. *)
+          match u.u_parsed with
+          | Impl _ -> cold_findings u (Hashtbl.find colds u.u_path)
+          | Intf _ | Fail _ -> [])
+        units
   in
   filter_suppressed ~protect:[ "annotation" ] units findings
 
@@ -439,6 +543,7 @@ let hot_set ~roster files =
   let bindings = List.concat_map collect_bindings units in
   let fn_tbl = fn_table bindings in
   let entries, _ = parse_roster roster in
-  let hot = hot_fixpoint fn_tbl bindings (seeds_of fn_tbl entries) in
+  let cold = cold_ranges (cold_table files) in
+  let hot = hot_fixpoint fn_tbl ~cold bindings (seeds_of fn_tbl entries) in
   Hashtbl.fold (fun k () acc -> k :: acc) hot []
   |> List.sort compare

@@ -38,7 +38,18 @@
     directive [(* manethot: allow <rules> — rationale *)] may sit
     anywhere in a comment and {e must} carry a prose rationale after
     the rule names; a bare directive is itself an unsuppressible
-    ["annotation"] finding. *)
+    ["annotation"] finding.
+
+    One directive cuts propagation instead of suppressing a finding:
+    [(* manethot: cold — rationale *)] marks the branches (an [if] arm,
+    or the body of a [match], [function] or [try] case) that start on
+    the comment's lines or on the line below it.  A marked branch is off
+    the hot path: the rules do not walk it and the functions it
+    references do not become hot through it.  It is meant for code that
+    runs only when someone listens, such as formatting an event detail
+    for an enabled telemetry sink.  The rationale is mandatory, and a
+    cold directive that marks no branch is an ["annotation"] finding
+    too. *)
 
 type finding = Analyzer_common.Common.finding = {
   file : string;
