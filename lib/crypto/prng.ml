@@ -1,19 +1,20 @@
 (* xoshiro256** by Blackman & Vigna, seeded via splitmix64.  Both are
-   public-domain reference algorithms, transcribed for OCaml's boxed
-   int64. *)
+   public-domain reference algorithms.
 
-type t = {
-  mutable s0 : int64;
-  mutable s1 : int64;
-  mutable s2 : int64;
-  mutable s3 : int64;
-}
+   The 256-bit state lives in one 32-byte [Bytes.t], words s0..s3 at
+   byte offsets 0, 8, 16 and 24.  [Bytes.get_int64_ne]/[set_int64_ne]
+   are compiler primitives, so a draw reads, mixes and writes the state
+   in registers: unlike [mutable int64] record fields, whose every
+   store allocates a fresh box, a draw allocates nothing of its own. *)
+
+type t = Bytes.t
 
 let ( +% ) = Int64.add
 let ( *% ) = Int64.mul
 let ( ^% ) = Int64.logxor
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k =
+  Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
 (* splitmix64: a one-off mixer used only to spread a small seed over the
    256-bit xoshiro state. *)
@@ -24,34 +25,33 @@ let splitmix64 state =
   let z = (z ^% Int64.shift_right_logical z 27) *% 0x94D049BB133111EBL in
   z ^% Int64.shift_right_logical z 31
 
-let create ~seed =
-  let st = ref (Int64.of_int seed) in
-  let s0 = splitmix64 st in
-  let s1 = splitmix64 st in
-  let s2 = splitmix64 st in
-  let s3 = splitmix64 st in
-  { s0; s1; s2; s3 }
+let of_splitmix seed =
+  let st = ref seed in
+  let g = Bytes.create 32 in
+  for w = 0 to 3 do
+    Bytes.set_int64_ne g (8 * w) (splitmix64 st)
+  done;
+  g
 
-let copy g = { s0 = g.s0; s1 = g.s1; s2 = g.s2; s3 = g.s3 }
+let create ~seed = of_splitmix (Int64.of_int seed)
+let copy = Bytes.copy
 
-let bits64 g =
-  let result = rotl (g.s1 *% 5L) 7 *% 9L in
-  let t = Int64.shift_left g.s1 17 in
-  g.s2 <- g.s2 ^% g.s0;
-  g.s3 <- g.s3 ^% g.s1;
-  g.s1 <- g.s1 ^% g.s2;
-  g.s0 <- g.s0 ^% g.s3;
-  g.s2 <- g.s2 ^% t;
-  g.s3 <- rotl g.s3 45;
+let[@inline] bits64 g =
+  let s0 = Bytes.get_int64_ne g 0
+  and s1 = Bytes.get_int64_ne g 8
+  and s2 = Bytes.get_int64_ne g 16
+  and s3 = Bytes.get_int64_ne g 24 in
+  let result = rotl (s1 *% 5L) 7 *% 9L in
+  let t = Int64.shift_left s1 17 in
+  let s2 = s2 ^% s0 in
+  let s3 = s3 ^% s1 in
+  Bytes.set_int64_ne g 8 (s1 ^% s2);
+  Bytes.set_int64_ne g 0 (s0 ^% s3);
+  Bytes.set_int64_ne g 16 (s2 ^% t);
+  Bytes.set_int64_ne g 24 (rotl s3 45);
   result
 
-let split g =
-  let st = ref (bits64 g) in
-  let s0 = splitmix64 st in
-  let s1 = splitmix64 st in
-  let s2 = splitmix64 st in
-  let s3 = splitmix64 st in
-  { s0; s1; s2; s3 }
+let split g = of_splitmix (bits64 g)
 
 let int64 g bound =
   if Int64.compare bound 0L <= 0 then invalid_arg "Prng.int64: bound <= 0";
@@ -69,7 +69,7 @@ let int g bound =
   if bound <= 0 then invalid_arg "Prng.int: bound <= 0";
   Int64.to_int (int64 g (Int64.of_int bound))
 
-let float g bound =
+let[@inline] float g bound =
   (* 53 random bits scaled into [0, 1). *)
   let raw = Int64.shift_right_logical (bits64 g) 11 in
   Int64.to_float raw /. 9007199254740992.0 *. bound

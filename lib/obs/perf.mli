@@ -6,8 +6,10 @@
 
     - per-event-label counts (from the engine's always-on accounting)
       and the sampled scheduler-occupancy series;
-    - net-layer cost: neighbour-scan lengths per transmission, delivery
-      fan-out and MAC retry counts (from {!Manet_sim.Net});
+    - net-layer cost: neighbour-scan lengths per transmission (the
+      candidates the radio's neighbour index examined, which follow
+      node degree), delivery fan-out and MAC retry counts (from
+      {!Manet_sim.Net});
     - crypto-op cost: sign/verify counts and SHA-256 compression blocks,
       attributed per message kind and per node via {!with_attribution}
       around the reception dispatch and a {!Manet_crypto.Suite.set_on_op}

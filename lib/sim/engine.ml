@@ -2,7 +2,9 @@ module Prng = Manet_crypto.Prng
 
 type profile_entry = { p_count : int; p_wall_s : float }
 
-type prof_cell = { mutable c_count : int; mutable c_wall_s : float }
+(* All-float, so OCaml stores it flat and charging an event allocates
+   nothing; the count is exact in a float far beyond any run's length. *)
+type prof_cell = { mutable c_count : float; mutable c_wall_s : float }
 
 (* Label-keyed side tables use a monomorphic string hash: the generic
    [Hashtbl] would hash and compare labels through the polymorphic
@@ -134,11 +136,11 @@ let charge t label dt =
     | exception Not_found ->
         (* manethot: allow hot-alloc — one cell per distinct label over
            the whole profiled run, not per event. *)
-        let c = { c_count = 0; c_wall_s = 0.0 } in
+        let c = { c_count = 0.0; c_wall_s = 0.0 } in
         Stbl.add t.prof label c;
         c
   in
-  cell.c_count <- cell.c_count + 1;
+  cell.c_count <- cell.c_count +. 1.0;
   cell.c_wall_s <- cell.c_wall_s +. dt
 
 (* The event loop proper, as a top-level tail recursion so a run
@@ -151,11 +153,16 @@ let rec run_loop t until budget =
     | Some limit when time > limit ->
         (* Leave future events queued; advance the clock to the
            horizon so repeated bounded runs make progress. *)
+        (* manethot: allow hot-boxed-store — [limit] is the caller's
+           float, already boxed; the store copies the pointer. *)
         t.now <- limit
     | _ ->
         let label = Heap.min_fst t.queue in
         let f = Heap.min_snd t.queue in
         Heap.drop_min t.queue;
+        (* manethot: allow hot-boxed-store — [time] is the box
+           Heap.min_prio returned; the store copies the pointer and
+           allocates nothing. *)
         t.now <- time;
         (match t.on_event with Some hook -> hook time | None -> ());
         t.processed <- t.processed + 1;
@@ -174,6 +181,8 @@ let run ?until ?max_events t =
   let run_t0 = if t.profiling then Mono_clock.now_s () else 0.0 in
   run_loop t until (match max_events with Some n -> n | None -> max_int);
   if t.profiling then
+    (* manethot: allow hot-boxed-store — one box per profiled call of
+       run, not per event. *)
     t.wall_in_run <- t.wall_in_run +. (Mono_clock.now_s () -. run_t0)
 
 let pending t = Heap.size t.queue
@@ -196,14 +205,14 @@ let set_on_event t hook = t.on_event <- hook
 let profile t =
   Stbl.fold
     (fun label c acc ->
-      (label, { p_count = c.c_count; p_wall_s = c.c_wall_s }) :: acc)
+      (label, { p_count = int_of_float c.c_count; p_wall_s = c.c_wall_s }) :: acc)
     t.prof []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let wall_in_run t = t.wall_in_run
 
 let events_per_sec t =
-  let profiled = Stbl.fold (fun _ c acc -> acc + c.c_count) t.prof 0 in
+  let profiled = Stbl.fold (fun _ c acc -> acc + int_of_float c.c_count) t.prof 0 in
   if t.wall_in_run > 0.0 && profiled > 0 then
     float_of_int profiled /. t.wall_in_run
   else 0.0

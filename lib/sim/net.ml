@@ -60,14 +60,15 @@ type 'msg t = {
   mutable deliveries : int;
   mutable unicast_failures : int;
   (* Deterministic cost accounting for the perf registry: how many
-     candidate positions each neighbour lookup examined (today O(N) —
-     the histogram quantifies exactly the cost a spatial index would
-     remove), how many deliveries each broadcast fanned out to, and how
-     many MAC-level retries unicast needed. *)
+     candidates each neighbour lookup examined (the nodes of the 3x3
+     index block around the sender, so it follows node degree), how
+     many deliveries each broadcast fanned out to, and how many
+     MAC-level retries unicast needed. *)
   scan_hist : Hist.t;
   fanout_hist : Hist.t;
   mutable retries : int;
   mutable fanout_tmp : int; (* scratch counter for the broadcast loop *)
+  scan : int array; (* candidate buffer of one lookup, [size] entries *)
 }
 
 let create ?(config = default_config) engine topo =
@@ -91,6 +92,7 @@ let create ?(config = default_config) engine topo =
     fanout_hist = Hist.create ();
     retries = 0;
     fanout_tmp = 0;
+    scan = Array.make n 0;
   }
 
 let topology t = t.topo
@@ -159,21 +161,27 @@ let deliver t ~src ~dst msg delay =
         t.handlers.(dst) ~src msg
       end)
 
-(* One neighbour lookup: record how many candidate positions it
-   examined.  The scan itself walks every node index in ascending
-   order without materializing a neighbour list, so its cost is the
-   topology size; the histogram quantifies exactly the cost a spatial
-   index would remove. *)
-let note_scan t = Hist.add t.scan_hist (Topology.size t.topo)
+(* One neighbour lookup: record how many candidates it examined. *)
+let note_scan t m = Hist.add t.scan_hist m
+
+(* Fill [t.scan] with the index candidates around [src], in ascending
+   id order, and return how many there are.  Every node in radio range
+   is among them and the loops below test them in ascending id order,
+   so each loss and jitter draw lands on the same frame as in a scan
+   over all N ids, at the cost of the sender's degree. *)
+let scan t src =
+  let m = Topology.candidates t.topo ~range:t.cfg.range src t.scan in
+  note_scan t m;
+  m
 
 let broadcast t ~src ~size msg =
   if not t.down.(src) then begin
     t.bytes_sent <- t.bytes_sent + size;
     t.transmissions <- t.transmissions + 1;
     let base = tx_time t size +. t.cfg.prop_delay in
-    note_scan t;
     t.fanout_tmp <- 0;
-    for dst = 0 to Topology.size t.topo - 1 do
+    for k = 0 to scan t src - 1 do
+      let dst = t.scan.(k) in
       if
         Topology.in_range t.topo ~range:t.cfg.range src dst
         && (not t.down.(dst))
@@ -221,9 +229,9 @@ let unicast t ~src ~dst ~size ?(on_fail = no_fail) msg =
         deliver t ~src ~dst msg delay;
         (* Promiscuous radios overhear unicast frames addressed to
            others (each overhearing subject to its own channel draw). *)
-        if t.cfg.promiscuous then begin
-          note_scan t;
-          for other = 0 to Topology.size t.topo - 1 do
+        if t.cfg.promiscuous then
+          for c = 0 to scan t src - 1 do
+            let other = t.scan.(c) in
             if
               other <> dst
               && Topology.in_range t.topo ~range:t.cfg.range src other
@@ -234,7 +242,6 @@ let unicast t ~src ~dst ~size ?(on_fail = no_fail) msg =
               deliver t ~src ~dst:other msg
                 (delay +. Prng.float t.rng t.cfg.jitter)
           done
-        end
       end
       else if k + 1 < attempts then begin
         t.retries <- t.retries + 1;

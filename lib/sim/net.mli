@@ -111,10 +111,11 @@ val deliveries : 'msg t -> int
 val unicast_failures : 'msg t -> int
 
 val scan_hist : 'msg t -> Hist.t
-(** Candidate positions examined per neighbour lookup (one sample per
-    broadcast or promiscuous overhear scan).  Today the lookup walks the
-    whole topology, so the samples quantify the O(N) cost a spatial
-    index would remove.  Deterministic; read by the perf registry. *)
+(** Candidates examined per neighbour lookup (one sample per broadcast
+    or promiscuous overhear scan): the nodes of the 3x3 block of
+    {!Topology.candidates} cells around the sender, so the samples
+    follow node degree, not N.  Deterministic; read by the perf
+    registry. *)
 
 val fanout_hist : 'msg t -> Hist.t
 (** Deliveries actually scheduled per broadcast (after down/link/loss

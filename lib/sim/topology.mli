@@ -2,7 +2,9 @@
 
     Positions are mutable (mobility models update them); neighbourhood is
     the unit-disk model: two nodes hear each other iff their distance is
-    at most the radio range. *)
+    at most the radio range.  Neighbour queries go through a uniform
+    grid of range-sized cells (see {!candidates}), so they cost
+    O(degree), not O(N). *)
 
 type t
 
@@ -30,9 +32,24 @@ val distance : t -> int -> int -> float
 
 val neighbors : t -> range:float -> int -> int list
 (** Nodes within [range] of the given node (excluding itself), in
-    ascending id order. *)
+    ascending id order.  Allocates the list; the per-frame radio path
+    uses {!candidates} instead. *)
 
 val in_range : t -> range:float -> int -> int -> bool
+(** [in_range t ~range i j]: [i <> j] and [distance t i j <= range],
+    computed without allocating. *)
+
+val candidates : t -> range:float -> int -> int array -> int
+(** [candidates t ~range src buf] writes into [buf] every node of the
+    3x3 block of neighbour-index cells around [src] ([src] included),
+    in ascending id order, and returns how many it wrote.  Every node
+    within [range] of [src] is among them, so filtering them through
+    {!in_range} yields exactly {!neighbors}, in the same order.  [buf]
+    needs room for {!size} entries.  Cells are at least [range] wide;
+    the index is built at the first query and rebuilt at the first
+    query after {!set_position} or a change of [range], so the call
+    costs O(nodes in the block) and allocates nothing between
+    rebuilds.  A negative or NaN [range] yields no candidates. *)
 
 val is_connected : t -> range:float -> bool
 (** Whether the unit-disk graph over all nodes is a single component. *)

@@ -108,6 +108,93 @@ let test_hot_partial () =
   clean "literal lambda is hot-alloc, not hot-partial" "hot-partial"
     [ ("lib/x/m.ml", "let hot xs = List.iter (fun x -> print_int x) xs\n") ]
 
+(* --- hot-boxed-store ------------------------------------------------------ *)
+
+let prng_roster = ("tools/manethot/hotpaths.sexp", "(Prng bits64)\n")
+
+(* The generator as it was: four mutable int64 fields, each store a
+   fresh box. *)
+let boxed_prng =
+  "type t = {\n\
+  \  mutable s0 : int64;\n\
+  \  mutable s1 : int64;\n\
+  \  mutable s2 : int64;\n\
+  \  mutable s3 : int64;\n\
+   }\n\n\
+   let bits64 g =\n\
+  \  let result = Int64.mul g.s1 9L in\n\
+  \  let t = Int64.shift_left g.s1 17 in\n\
+  \  g.s2 <- Int64.logxor g.s2 g.s0;\n\
+  \  g.s3 <- Int64.logxor g.s3 g.s1;\n\
+  \  g.s1 <- Int64.logxor g.s1 g.s2;\n\
+  \  g.s0 <- Int64.logxor g.s0 g.s3;\n\
+  \  g.s2 <- Int64.logxor g.s2 t;\n\
+  \  result\n"
+
+(* The same step over a flat 32-byte buffer. *)
+let flat_prng =
+  "type t = Bytes.t\n\n\
+   let bits64 g =\n\
+  \  let s0 = Bytes.get_int64_ne g 0 and s1 = Bytes.get_int64_ne g 8 in\n\
+  \  let s2 = Int64.logxor (Bytes.get_int64_ne g 16) s0 in\n\
+  \  let s3 = Int64.logxor (Bytes.get_int64_ne g 24) s1 in\n\
+  \  Bytes.set_int64_ne g 8 (Int64.logxor s1 s2);\n\
+  \  Bytes.set_int64_ne g 0 (Int64.logxor s0 s3);\n\
+  \  Bytes.set_int64_ne g 16 (Int64.logxor s2 (Int64.shift_left s1 17));\n\
+  \  Bytes.set_int64_ne g 24 s3;\n\
+  \  Int64.mul s1 9L\n"
+
+let test_hot_boxed_store () =
+  let files src = [ ("lib/crypto/prng.ml", src) ] in
+  Alcotest.(check int)
+    "every int64 store of the record generator fires" 5
+    (count ~roster:prng_roster "hot-boxed-store" (files boxed_prng));
+  clean ~roster:prng_roster "the Bytes-backed generator is clean" "hot-boxed-store"
+    (files flat_prng);
+  fires "float field of a mixed record" "hot-boxed-store"
+    [
+      ( "lib/x/m.ml",
+        "type t = { mutable now : float; mutable n : int }\n\
+         let hot t x = t.now <- x +. 1.0\n" );
+    ];
+  fires "inline records are never flat" "hot-boxed-store"
+    [
+      ( "lib/x/m.ml",
+        "type s = Wp of { mutable tx : float; mutable ty : float } | Still\n\
+         let hot s x = match s with Wp w -> w.tx <- x | Still -> ()\n" );
+    ];
+  fires "field qualified through its module" "hot-boxed-store"
+    [
+      ("lib/x/clock.ml", "type t = { mutable at : float; name : string }\n");
+      ("lib/x/m.ml", "let hot c x = c.Clock.at <- x\n");
+    ];
+  clean "an all-float record is stored flat" "hot-boxed-store"
+    [
+      ( "lib/x/m.ml",
+        "type t = { mutable x0 : float; mutable x1 : float }\n\
+         let hot t x = t.x0 <- x; t.x1 <- x +. 1.0\n" );
+    ];
+  clean "int and immutable fields never box" "hot-boxed-store"
+    [
+      ( "lib/x/m.ml",
+        "type t = { mutable n : int; w : float }\nlet hot t = t.n <- t.n + 1\n" );
+    ];
+  clean "the same store off the hot path" "hot-boxed-store"
+    [
+      ( "lib/x/m.ml",
+        "type t = { mutable now : float; mutable n : int }\n\
+         let cold t x = t.now <- x\nlet hot x = x + 1\n" );
+    ];
+  clean "allow with rationale suppresses" "hot-boxed-store"
+    [
+      ( "lib/x/m.ml",
+        "type t = { mutable now : float; mutable n : int }\n\
+         let hot t x =\n\
+        \  (* manethot: allow hot-boxed-store — x arrives boxed; the store \
+         copies the pointer. *)\n\
+        \  t.now <- x\n" );
+    ]
+
 (* --- roster propagation -------------------------------------------------- *)
 
 let test_roster_propagation () =
@@ -307,6 +394,7 @@ let suites =
         Alcotest.test_case "hot-poly" `Quick test_hot_poly;
         Alcotest.test_case "hot-list" `Quick test_hot_list;
         Alcotest.test_case "hot-partial" `Quick test_hot_partial;
+        Alcotest.test_case "hot-boxed-store" `Quick test_hot_boxed_store;
         Alcotest.test_case "roster propagation" `Quick test_roster_propagation;
         Alcotest.test_case "roster errors" `Quick test_roster_errors;
         Alcotest.test_case "cold branches" `Quick test_cold_branch;

@@ -14,6 +14,8 @@ module Obs = Manetsec.Obs
 module Json = Manetsec.Obs_json
 module Audit = Manetsec.Audit
 module Merge = Manetsec.Merge
+module Metrics = Manetsec.Metrics
+module Sha256 = Manetsec.Crypto.Sha256
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -185,6 +187,73 @@ let test_examples_validate () =
           Alcotest.failf "%s:%d:%d: %s" file pos.Sexp.line pos.Sexp.col msg)
     files
 
+(* Golden exports: every committed scenario, run at its own seed, must
+   reproduce the SHA-256 of each deterministic export pinned in
+   test/golden/scenario_exports.txt.  This holds a speed-only change to
+   byte-identity with the code that recorded the digests, not just with
+   a replay of itself. *)
+let golden_path =
+  if Sys.file_exists "golden" then Filename.concat "golden" "scenario_exports.txt"
+  else Filename.concat (Filename.concat "test" "golden") "scenario_exports.txt"
+
+let export_digests file =
+  let scn = Scn.parse (read_scenario file) in
+  let seed = scn.Scn.seed in
+  let s = Scn.execute scn in
+  let meta = Scn.meta scn ~seed in
+  let obs = Scenario.obs s in
+  let fixed =
+    [
+      ("stats", Scn.stats_csv s);
+      ("spans", Obs.to_jsonl ~meta obs);
+      ("audit", Audit.to_jsonl ~meta (Obs.audit obs));
+      ("metrics", Metrics.to_csv ~stats:(Scenario.stats s) (Obs.metrics obs));
+      ("timeline", Scenario.timeline_jsonl ~meta s);
+    ]
+  in
+  let requested =
+    List.map
+      (fun (_, filename, contents) -> (filename, contents))
+      (Scn.render_exports scn ~seed s)
+  in
+  List.map
+    (fun (stream, text) -> (file, stream, Sha256.digest_hex text))
+    (fixed @ requested)
+
+let test_golden_exports () =
+  let golden =
+    In_channel.with_open_bin golden_path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun line ->
+           match String.split_on_char ' ' line with
+           | [ file; stream; digest ] when not (String.starts_with ~prefix:"#" line)
+             ->
+               Some ((file, stream), digest)
+           | _ -> None)
+  in
+  let files =
+    Sys.readdir scenarios_dir |> Array.to_list
+    |> List.filter (String.ends_with ~suffix:".scn")
+    |> List.sort String.compare
+  in
+  let actual = List.concat_map export_digests files in
+  List.iter
+    (fun (file, stream, digest) ->
+      match List.assoc_opt (file, stream) golden with
+      | Some want when String.equal want digest -> ()
+      | Some want ->
+          Alcotest.failf "%s: the %s export changed (golden %s, now %s)" file
+            stream want digest
+      | None ->
+          Alcotest.failf "%s: the %s export has no golden digest; add \"%s %s %s\""
+            file stream file stream digest)
+    actual;
+  List.iter
+    (fun ((file, stream), _) ->
+      if not (List.exists (fun (f, s, _) -> f = file && s = stream) actual) then
+        Alcotest.failf "%s: golden digest for %s matches no export" file stream)
+    golden
+
 (* The acceptance property: running blackhole_e1.scn produces exports
    byte-identical to the equivalent configuration written directly
    against the Manetsec API. *)
@@ -277,6 +346,7 @@ let suites =
         Alcotest.test_case "vocabulary decode" `Quick test_vocabulary;
         Alcotest.test_case "defaults" `Quick test_defaults;
         Alcotest.test_case "examples validate" `Quick test_examples_validate;
+        Alcotest.test_case "golden exports" `Quick test_golden_exports;
         Alcotest.test_case "file run equals hand-coded run" `Slow
           test_file_equals_hand_coded;
         Alcotest.test_case "sweep domain-invariant" `Slow

@@ -489,6 +489,113 @@ let test_topology_set_position () =
   Alcotest.(check bool) "in range" true (Topology.in_range t ~range:5.0 0 1);
   Alcotest.(check bool) "self never in range" false (Topology.in_range t ~range:5.0 0 0)
 
+(* Neighbour index.  Random placements on a lattice whose step divides
+   the candidate ranges, so the generator hits the edge cases on
+   purpose: coincident nodes, nodes on cell borders, pairs at exactly
+   [range] (on an axis and on 3-4-5 diagonals), points outside the
+   field, ranges <= 0 and ranges wider than the field.  Moves between
+   queries exercise the rebuild. *)
+
+type world = {
+  pts : (float * float) array;
+  ranges : float list;  (* queried in turn, so the index is rebuilt *)
+  moves : (int * (float * float)) list;
+}
+
+let gen_coord =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun k -> 25.0 *. float_of_int k) (int_range (-4) 24));
+        (1, float_range (-150.0) 650.0);
+      ])
+
+let gen_range =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, oneofl [ 25.0; 50.0; 75.0; 125.0 ]);
+        (1, oneofl [ -10.0; 0.0; 1e6; infinity ]);
+        (2, float_range 0.5 300.0);
+      ])
+
+let gen_world =
+  QCheck.Gen.(
+    int_range 1 40 >>= fun n ->
+    array_repeat n (pair gen_coord gen_coord) >>= fun pts ->
+    list_size (int_range 1 3) gen_range >>= fun ranges ->
+    list_size (int_range 0 6) (pair (int_bound (n - 1)) (pair gen_coord gen_coord))
+    >>= fun moves -> return { pts; ranges; moves })
+
+let print_world w =
+  let pt (x, y) = Printf.sprintf "(%g, %g)" x y in
+  Printf.sprintf "pts = [%s]; ranges = [%s]; moves = [%s]"
+    (String.concat "; " (Array.to_list (Array.map pt w.pts)))
+    (String.concat "; " (List.map string_of_float w.ranges))
+    (String.concat "; "
+       (List.map (fun (i, p) -> Printf.sprintf "%d -> %s" i (pt p)) w.moves))
+
+let arb_world = QCheck.make ~print:print_world gen_world
+
+let topology_of w =
+  let t = Topology.create ~n:(Array.length w.pts) ~width:500.0 ~height:500.0 in
+  Array.iteri (Topology.set_position t) w.pts;
+  t
+
+let rec strictly_ascending = function
+  | a :: (b :: _ as rest) -> a < b && strictly_ascending rest
+  | _ -> true
+
+(* Every source, every range: the candidates are ascending, and
+   filtering them through [in_range] gives exactly the brute-force
+   neighbour set. *)
+let index_agrees t ranges =
+  let n = Topology.size t in
+  let buf = Array.make n 0 in
+  List.for_all
+    (fun range ->
+      List.for_all
+        (fun src ->
+          let m = Topology.candidates t ~range src buf in
+          let cands = Array.to_list (Array.sub buf 0 m) in
+          let brute =
+            List.filter (Topology.in_range t ~range src) (List.init n Fun.id)
+          in
+          strictly_ascending cands
+          && List.filter (Topology.in_range t ~range src) cands = brute
+          && Topology.neighbors t ~range src = brute)
+        (List.init n Fun.id))
+    ranges
+
+let prop_index_matches_brute_force =
+  qtest ~count:300 "neighbour index = brute force" arb_world (fun w ->
+      let t = topology_of w in
+      index_agrees t w.ranges
+      && List.for_all
+           (fun (i, p) ->
+             Topology.set_position t i p;
+             index_agrees t w.ranges)
+           w.moves)
+
+let prop_is_connected_matches_brute_force =
+  qtest ~count:200 "is_connected = brute-force search" arb_world (fun w ->
+      let t = topology_of w in
+      let n = Topology.size t in
+      List.for_all
+        (fun range ->
+          let seen = Array.make n false in
+          let rec visit i =
+            if not seen.(i) then begin
+              seen.(i) <- true;
+              for j = 0 to n - 1 do
+                if Topology.in_range t ~range i j then visit j
+              done
+            end
+          in
+          visit 0;
+          Topology.is_connected t ~range = Array.for_all Fun.id seen)
+        w.ranges)
+
 (* ------------------------------------------------------------------ *)
 (* Mobility                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -828,6 +935,117 @@ let test_net_gilbert_elliott () =
   Engine.run e;
   Alcotest.(check int) "uniform zero-loss delivers" (before + 1) !delivered
 
+(* The radio against a reference: the loops [Net.broadcast] and the
+   promiscuous [Net.unicast] ran before the neighbour index, walking
+   every node id in ascending order and drawing from a copy of the
+   radio's stream.  Each operation runs to completion before the next,
+   so a delivery's time is the engine clock plus the delay the radio
+   drew.  The whole (dst, time) sequence must match, and since every
+   later draw depends on how many numbers the earlier frames consumed,
+   so must the stream position after each frame. *)
+
+type ref_radio = {
+  topo : Topology.t;
+  cfg : Net.config;
+  rng : Prng.t;
+  down : bool array;
+  blocked : int * int;  (* the one severed link, smaller id first *)
+  mutable log : (int * float) list;  (* (dst, delivery time), newest first *)
+}
+
+let ref_hears r src dst =
+  Topology.in_range r.topo ~range:r.cfg.Net.range src dst
+  && (not r.down.(dst))
+  && (min src dst, max src dst) <> r.blocked
+  && Prng.float r.rng 1.0 >= r.cfg.Net.loss
+
+let ref_broadcast r ~now ~src ~size =
+  if not r.down.(src) then begin
+    let base = (float_of_int (size * 8) /. r.cfg.Net.bit_rate) +. r.cfg.Net.prop_delay in
+    for dst = 0 to Topology.size r.topo - 1 do
+      if ref_hears r src dst then
+        r.log <- (dst, now +. (base +. Prng.float r.rng r.cfg.Net.jitter)) :: r.log
+    done
+  end
+
+let ref_unicast r ~now ~src ~dst ~size =
+  let cfg = r.cfg in
+  let tx = float_of_int (size * 8) /. cfg.Net.bit_rate in
+  let ack_wait = tx +. (2.0 *. cfg.Net.prop_delay) in
+  let rec attempt k now =
+    if not r.down.(src) then
+      if ref_hears r src dst then begin
+        let delay = tx +. cfg.Net.prop_delay +. Prng.float r.rng cfg.Net.jitter in
+        r.log <- (dst, now +. delay) :: r.log;
+        for other = 0 to Topology.size r.topo - 1 do
+          if other <> dst && ref_hears r src other then
+            r.log <-
+              (other, now +. (delay +. Prng.float r.rng cfg.Net.jitter)) :: r.log
+        done
+      end
+      else if k + 1 < 1 + cfg.Net.mac_retries then attempt (k + 1) (now +. ack_wait)
+      else ignore (Prng.float r.rng cfg.Net.jitter)
+  in
+  attempt 0 now
+
+let prop_net_matches_reference =
+  qtest ~count:150 "radio = brute-force reference" arb_world (fun w ->
+      let range = List.hd w.ranges in
+      let cfg =
+        { Net.default_config with range; loss = 0.3; mac_retries = 2; promiscuous = true }
+      in
+      let e = Engine.create ~seed:(Array.length w.pts) () in
+      let topo = topology_of w in
+      let n = Topology.size topo in
+      let r =
+        {
+          topo;
+          cfg;
+          rng = Prng.split (Prng.copy (Engine.rng e));
+          down = Array.init n (fun i -> i mod 5 = 4);
+          blocked = (0, 1);
+          log = [];
+        }
+      in
+      let net = Net.create ~config:cfg e topo in
+      Array.iteri (fun i d -> Net.set_down net i d) r.down;
+      if n > 1 then Net.set_link net 0 1 ~up:false;
+      let heard = ref [] in
+      for i = 0 to n - 1 do
+        Net.set_handler net i (fun ~src:_ () -> heard := (i, Engine.now e) :: !heard)
+      done;
+      let by_time l =
+        List.stable_sort (fun (_, a) (_, b) -> Float.compare a b) (List.rev l)
+      in
+      let step op reference =
+        heard := [];
+        r.log <- [];
+        reference ~now:(Engine.now e);
+        op ();
+        Engine.run e;
+        List.rev !heard = by_time r.log
+      in
+      let round () =
+        List.for_all
+          (fun src ->
+            step
+              (fun () -> Net.broadcast net ~src ~size:64 ())
+              (fun ~now -> ref_broadcast r ~now ~src ~size:64)
+            &&
+            let dst = ((src * 7) + 3) mod n in
+            dst = src
+            || step
+                 (fun () -> Net.unicast net ~src ~dst ~size:128 ())
+                 (fun ~now -> ref_unicast r ~now ~src ~dst ~size:128))
+          (List.init n Fun.id)
+      in
+      round ()
+      && List.for_all
+           (fun (i, p) ->
+             Topology.set_position topo i p;
+             round ())
+           w.moves)
+
 let suites =
   [
     ( "sim.heap",
@@ -883,6 +1101,8 @@ let suites =
         Alcotest.test_case "grid" `Quick test_topology_grid;
         Alcotest.test_case "random connected" `Quick test_topology_random_connected;
         Alcotest.test_case "set position" `Quick test_topology_set_position;
+        prop_index_matches_brute_force;
+        prop_is_connected_matches_brute_force;
       ] );
     ( "sim.mobility",
       [
@@ -905,5 +1125,6 @@ let suites =
         Alcotest.test_case "link fault" `Quick test_net_link_fault;
         Alcotest.test_case "partition" `Quick test_net_partition;
         Alcotest.test_case "gilbert-elliott" `Quick test_net_gilbert_elliott;
+        prop_net_matches_reference;
       ] );
   ]

@@ -18,7 +18,10 @@ type finding = C.finding = {
 }
 
 let rules =
-  [ "hot-alloc"; "hot-poly"; "hot-list"; "hot-partial"; "roster"; "parse" ]
+  [
+    "hot-alloc"; "hot-poly"; "hot-list"; "hot-partial"; "hot-boxed-store";
+    "roster"; "parse";
+  ]
 
 (* Strict allow grammar, like manetdom: the directive may sit anywhere
    inside a comment and the rationale after the rule names is
@@ -321,7 +324,74 @@ let nolabel_args args =
       match lbl with Asttypes.Nolabel -> Some a | _ -> None)
     args
 
-let analyze_binding ~emit ~ranges b =
+(* ------------------------------------------------------------------ *)
+(* Boxed stores.  A record whose fields are all [float] is stored flat,
+   one unboxed double per field.  Any other record -- and every inline
+   record of a constructor -- holds a [float], [int64], [int32] or
+   [nativeint] field as a pointer to a box, so storing a freshly
+   computed value into it allocates the box. *)
+
+let boxed_scalars = [ "float"; "int64"; "int32"; "nativeint" ]
+
+let scalar_type (t : core_type) =
+  match t.ptyp_desc with
+  | Ptyp_constr ({ txt = Longident.Lident s; _ }, []) when List.mem s boxed_scalars
+    ->
+      Some s
+  | Ptyp_constr ({ txt = Longident.Ldot (Longident.Lident m, "t"); _ }, [])
+    when List.mem (String.uncapitalize_ascii m) boxed_scalars ->
+      Some (String.uncapitalize_ascii m)
+  | _ -> None
+
+(* (declaring module, field) -> scalar type of every mutable field whose
+   store boxes.  A field name that the same module also declares
+   unboxed somewhere is left out rather than guessed at. *)
+let boxed_fields units =
+  let boxed = Hashtbl.create 16 and flat = Hashtbl.create 16 in
+  let record m ~inline labels =
+    let all_float =
+      (not inline)
+      && List.for_all (fun l -> scalar_type l.pld_type = Some "float") labels
+    in
+    List.iter
+      (fun l ->
+        let key = (m, l.pld_name.txt) in
+        match (l.pld_mutable, scalar_type l.pld_type) with
+        | Asttypes.Mutable, Some ty when not all_float -> Hashtbl.replace boxed key ty
+        | _ -> Hashtbl.replace flat key ())
+      labels
+  in
+  let decl m d =
+    match d.ptype_kind with
+    | Ptype_record labels -> record m ~inline:false labels
+    | Ptype_variant cs ->
+        List.iter
+          (fun c ->
+            match c.pcd_args with
+            | Pcstr_record labels -> record m ~inline:true labels
+            | Pcstr_tuple _ -> ())
+          cs
+    | _ -> ()
+  in
+  let rec go m items =
+    List.iter
+      (fun item ->
+        match item.pstr_desc with
+        | Pstr_type (_, decls) -> List.iter (decl m) decls
+        | Pstr_module { pmb_expr = { pmod_desc = Pmod_structure str; _ }; _ } ->
+            go m str
+        | _ -> ())
+      items
+  in
+  List.iter
+    (fun u -> match u.u_parsed with Impl str -> go u.u_mod str | _ -> ())
+    units;
+  Hashtbl.filter_map_inplace
+    (fun key ty -> if Hashtbl.mem flat key then None else Some ty)
+    boxed;
+  boxed
+
+let analyze_binding ~emit ~ranges ~boxed b =
   let who = b.b_mod ^ "." ^ b.b_name in
   let aliases = b.b_unit.u_aliases in
   let line_of loc = loc.Location.loc_start.Lexing.pos_lnum in
@@ -349,6 +419,22 @@ let analyze_binding ~emit ~ranges b =
           "iterate the source directly instead of materializing a list"
     | Pexp_lazy _ ->
         alloc e.pexp_loc "a lazy block" "evaluate eagerly or precompute"
+    | Pexp_setfield (_, { txt; _ }, _) -> (
+        let key =
+          match resolve aliases txt with
+          | Some m, f -> (m, f)
+          | None, f -> (b.b_unit.u_mod, f)
+        in
+        match Hashtbl.find_opt boxed key with
+        | Some ty ->
+            emit (line_of e.pexp_loc) "hot-boxed-store"
+              (Printf.sprintf
+                 "%s stores into mutable %s field %s of a record that is not \
+                  all-float, so a store of a computed value allocates a box \
+                  on the hot path; keep the value in an all-float record, a \
+                  float array or a Bytes buffer"
+                 who ty (snd key))
+        | None -> ())
     | Pexp_apply (head, args) -> (
         match head.pexp_desc with
         | Pexp_ident { txt; _ } -> (
@@ -514,6 +600,7 @@ let analyze ~roster files =
         entries
   in
   let hot = hot_fixpoint fn_tbl ~cold bindings (seeds_of fn_tbl entries) in
+  let boxed = boxed_fields units in
   let out = ref [] in
   List.iter
     (fun b ->
@@ -521,7 +608,7 @@ let analyze ~roster files =
         let emit line rule msg =
           out := { file = b.b_unit.u_path; line; rule; msg } :: !out
         in
-        analyze_binding ~emit ~ranges:(cold b) b)
+        analyze_binding ~emit ~ranges:(cold b) ~boxed b)
     bindings;
   let findings =
     parse_failures units

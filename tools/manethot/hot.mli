@@ -29,6 +29,12 @@
     - ["hot-partial"] — a partially-applied callback passed to a known
       higher-order sink ([Engine.schedule], [List.iter], …): the
       closure is rebuilt at every call site execution.
+    - ["hot-boxed-store"] — an assignment [r.f <- e] in a hot body where
+      [f] is declared [mutable f : float | int64 | int32 | nativeint] in
+      a record that is not all-float (or in a constructor's inline
+      record).  Such a field holds a pointer to a box, so every store of
+      a computed value allocates one; an all-float record, a float
+      array or a [Bytes] buffer stores the value flat.
     - ["roster"] — the hotpaths roster itself is malformed or names a
       function that no longer exists; the roster can never silently
       rot.
