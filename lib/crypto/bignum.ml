@@ -3,13 +3,13 @@
    double-limb dividends of Knuth division well inside OCaml's 63-bit
    native integers.
 
-   manethot: allow-file hot-alloc hot-poly — arbitrary-precision
-   arithmetic allocates a fresh limb array per result by design (values
-   are immutable, and the working refs/loops below are the limb-school
-   algorithms themselves); the verify path pays for one modular
-   exponentiation per signature, which the perf registry accounts as a
-   single crypto op, so per-limb allocation here is not a per-event
-   cost. *)
+   manethot: allow-file hot-alloc hot-poly — values are immutable, so
+   each arithmetic result gets a fresh limb array by design.  The
+   Montgomery kernel on the sign and verify paths allocates no limb
+   array per multiply or square, only per exponentiation (its odd-power
+   table, two scratch buffers and the result); the perf registry
+   accounts an exponentiation as a single crypto op, so that is not a
+   per-event cost. *)
 
 let base_bits = 26
 let base = 1 lsl base_bits
@@ -161,14 +161,17 @@ let rec mul_mag a b =
     let z1 = sub_mag z1 z2 in
     let r = Array.make (la + lb + 1) 0 in
     let accumulate dst off src =
+      (* [src] may carry zero high limbs past the end of [dst] (z1 of
+         unbalanced operands); only its significant limbs are added. *)
+      let len = ref (Array.length src) in
+      while !len > 0 && src.(!len - 1) = 0 do decr len done;
       let carry = ref 0 in
-      Array.iteri
-        (fun i v ->
-          let s = dst.(off + i) + v + !carry in
-          dst.(off + i) <- s land limb_mask;
-          carry := s lsr base_bits)
-        src;
-      let k = ref (off + Array.length src) in
+      for i = 0 to !len - 1 do
+        let s = dst.(off + i) + src.(i) + !carry in
+        dst.(off + i) <- s land limb_mask;
+        carry := s lsr base_bits
+      done;
+      let k = ref (off + !len) in
       while !carry <> 0 do
         let s = dst.(!k) + !carry in
         dst.(!k) <- s land limb_mask;
@@ -359,12 +362,32 @@ let testbit n i =
 
 (* --- conversions ------------------------------------------------------ *)
 
+(* Packs the bytes straight into limbs, least significant byte first;
+   leading zero bytes are skipped so the magnitude has no zero top limb. *)
 let of_bytes_be s =
-  let acc = ref zero in
-  String.iter
-    (fun c -> acc := add (shift_left !acc 8) (of_int (Char.code c)))
-    s;
-  !acc
+  let len = String.length s in
+  let first = ref 0 in
+  while !first < len && s.[!first] = '\000' do incr first done;
+  if !first = len then zero
+  else begin
+    let bits =
+      ((len - !first - 1) * 8) + numbits_of_limb (Char.code s.[!first])
+    in
+    let mag = Array.make ((bits + base_bits - 1) / base_bits) 0 in
+    let acc = ref 0 and acc_bits = ref 0 and limb = ref 0 in
+    for i = len - 1 downto !first do
+      acc := !acc lor (Char.code (String.unsafe_get s i) lsl !acc_bits);
+      acc_bits := !acc_bits + 8;
+      if !acc_bits >= base_bits then begin
+        mag.(!limb) <- !acc land limb_mask;
+        incr limb;
+        acc := !acc lsr base_bits;
+        acc_bits := !acc_bits - base_bits
+      end
+    done;
+    if !acc_bits > 0 && !limb < Array.length mag then mag.(!limb) <- !acc;
+    { sign = 1; mag }
+  end
 
 let to_bytes_be ?(pad = 0) n =
   let nb = numbits n in
@@ -494,9 +517,11 @@ let mod_pow_generic b e m =
     !result
   end
 
-(* Montgomery exponentiation (CIOS), used for odd moduli — the RSA case.
-   Operands live as little-endian limb arrays of the modulus's width; the
-   accumulator never exceeds 2^52 + 2^27, well inside a 63-bit int. *)
+(* Montgomery exponentiation for odd moduli of 2 to [Mont.max_limbs]
+   limbs — the RSA case.  Operands are little-endian limb arrays of the
+   modulus's width, written into caller-owned buffers: an exponentiation
+   allocates its odd-power table and two scratch buffers, and no
+   Montgomery operation allocates anything. *)
 module Mont = struct
   type ctx = {
     n_limbs : int array;
@@ -506,10 +531,11 @@ module Mont = struct
     modulus : t;
   }
 
-  let limbs_of k v =
-    let a = Array.make k 0 in
-    Array.blit v.mag 0 a 0 (Array.length v.mag);
-    a
+  (* Product scanning sums one column of at most 2k limb products
+     (< 2^52 each) plus the previous column's carry in a single native
+     int, which stays below 2^62 up to 512 limbs; 500 leaves margin.
+     Wider moduli take the division path. *)
+  let max_limbs = 500
 
   let inv_limb n0 =
     (* Hensel lifting: x <- x * (2 - n0 * x) doubles correct low bits. *)
@@ -519,100 +545,231 @@ module Mont = struct
     done;
     !x land limb_mask
 
-  let create m =
-    if m.sign <= 0 || not (testbit m 0) then None
-    else begin
-      let k = Array.length m.mag in
-      let n_limbs = limbs_of k m in
-      let n0' = base - inv_limb n_limbs.(0) in
-      let r2 = mod_ (shift_left one (2 * k * base_bits)) m in
-      Some { n_limbs; k; n0'; r2 = limbs_of k r2; modulus = m }
-    end
+  (* [dst] := the k low limbs of [v]'s magnitude, zero-extended. *)
+  let load k v dst =
+    let len = Array.length v.mag in
+    Array.blit v.mag 0 dst 0 len;
+    Array.fill dst len (k - len) 0
 
-  (* acc := MontMul(a, b) — both k-limb arrays; result k limbs. *)
-  let mont_mul ctx a b =
-    let k = ctx.k in
-    let n = ctx.n_limbs in
-    let acc = Array.make (k + 2) 0 in
-    for i = 0 to k - 1 do
-      let ai = a.(i) in
-      let c = ref 0 in
-      for j = 0 to k - 1 do
-        let t = acc.(j) + (ai * b.(j)) + !c in
-        acc.(j) <- t land limb_mask;
-        c := t lsr base_bits
-      done;
-      let t = acc.(k) + !c in
-      acc.(k) <- t land limb_mask;
-      acc.(k + 1) <- acc.(k + 1) + (t lsr base_bits);
-      let m0 = acc.(0) * ctx.n0' land limb_mask in
-      let c = ref ((acc.(0) + (m0 * n.(0))) lsr base_bits) in
-      for j = 1 to k - 1 do
-        let t = acc.(j) + (m0 * n.(j)) + !c in
-        acc.(j - 1) <- t land limb_mask;
-        c := t lsr base_bits
-      done;
-      let t = acc.(k) + !c in
-      acc.(k - 1) <- t land limb_mask;
-      acc.(k) <- acc.(k + 1) + (t lsr base_bits);
-      acc.(k + 1) <- 0
-    done;
-    let out = Array.sub acc 0 k in
-    (* Conditional subtraction: the result is < 2n. *)
-    let ge =
-      acc.(k) > 0
-      ||
-      let rec cmp i =
-        if i < 0 then true
-        else if out.(i) <> n.(i) then out.(i) > n.(i)
-        else cmp (i - 1)
-      in
-      cmp (k - 1)
-    in
-    if ge then begin
+  let create m =
+    let k = Array.length m.mag in
+    let n_limbs = Array.make k 0 and r2 = Array.make k 0 in
+    load k m n_limbs;
+    load k (mod_ (shift_left one (2 * k * base_bits)) m) r2;
+    { n_limbs; k; n0' = base - inv_limb n_limbs.(0); r2; modulus = m }
+
+  (* Whether the limbs of a from i down are >= those of b. *)
+  let rec geq_from a b i =
+    if i < 0 then true
+    else
+      let x = Array.unsafe_get a i and y = Array.unsafe_get b i in
+      if x <> y then x > y else geq_from a b (i - 1)
+
+  (* The Montgomery reduction's final step: [out] holds all but the top
+     column of t / R, and [carry] is that column, t / R being below 2n;
+     subtract n at most once. *)
+  let finish ctx out carry =
+    let k = ctx.k and n = ctx.n_limbs in
+    Array.unsafe_set out (k - 1) (carry land limb_mask);
+    let top = carry lsr base_bits in
+    if top <> 0 || geq_from out n (k - 1) then begin
       let borrow = ref 0 in
       for i = 0 to k - 1 do
-        let d = out.(i) - n.(i) - !borrow in
-        if d < 0 then begin
-          out.(i) <- d + base;
-          borrow := 1
-        end
-        else begin
-          out.(i) <- d;
-          borrow := 0
-        end
+        let d = Array.unsafe_get out i - Array.unsafe_get n i - !borrow in
+        Array.unsafe_set out i (d land limb_mask);
+        borrow := -(d asr base_bits)
       done
-    end;
-    out
+    end
 
+  (* out := a * b * R^-1 mod n, by product scanning (the FIPS ordering of
+     Koc, Acar and Kaliski): column i of the product a*b and of the
+     reduction multiple q*n is summed in one accumulator, q_i is fixed
+     when its column is complete, and each column costs one mask and one
+     shift.  The low half of [out] holds q's digits until the high-half
+     columns overwrite them, each after its last use.  a, b < n; [out]
+     must not alias either. *)
+  let mont_mul ctx a b out =
+    let k = ctx.k and n = ctx.n_limbs and n0' = ctx.n0' in
+    let carry = ref 0 in
+    for i = 0 to k - 1 do
+      let t = ref !carry in
+      for j = 0 to i - 1 do
+        t :=
+          !t
+          + (Array.unsafe_get a j * Array.unsafe_get b (i - j))
+          + (Array.unsafe_get out j * Array.unsafe_get n (i - j))
+      done;
+      t := !t + (Array.unsafe_get a i * Array.unsafe_get b 0);
+      let q = (!t land limb_mask) * n0' land limb_mask in
+      Array.unsafe_set out i q;
+      carry := (!t + (q * Array.unsafe_get n 0)) lsr base_bits
+    done;
+    for i = k to (2 * k) - 2 do
+      let t = ref !carry in
+      for j = i - k + 1 to k - 1 do
+        t :=
+          !t
+          + (Array.unsafe_get a j * Array.unsafe_get b (i - j))
+          + (Array.unsafe_get out j * Array.unsafe_get n (i - j))
+      done;
+      Array.unsafe_set out (i - k) (!t land limb_mask);
+      carry := !t lsr base_bits
+    done;
+    finish ctx out !carry
+
+  (* out := a^2 * R^-1 mod n.  As [mont_mul], but each column adds its
+     cross products a_j*a_(i-j), j < i-j, once and doubles them, so the
+     square half costs k(k+1)/2 products instead of k^2. *)
+  let mont_sqr ctx a out =
+    let k = ctx.k and n = ctx.n_limbs and n0' = ctx.n0' in
+    let carry = ref 0 in
+    for i = 0 to k - 1 do
+      let cross = ref 0 in
+      for j = 0 to (i - 1) asr 1 do
+        cross := !cross + (Array.unsafe_get a j * Array.unsafe_get a (i - j))
+      done;
+      let t = ref (!carry + (!cross lsl 1)) in
+      if i land 1 = 0 then begin
+        let h = Array.unsafe_get a (i lsr 1) in
+        t := !t + (h * h)
+      end;
+      for j = 0 to i - 1 do
+        t := !t + (Array.unsafe_get out j * Array.unsafe_get n (i - j))
+      done;
+      let q = (!t land limb_mask) * n0' land limb_mask in
+      Array.unsafe_set out i q;
+      carry := (!t + (q * Array.unsafe_get n 0)) lsr base_bits
+    done;
+    for i = k to (2 * k) - 2 do
+      let cross = ref 0 in
+      for j = i - k + 1 to (i - 1) asr 1 do
+        cross := !cross + (Array.unsafe_get a j * Array.unsafe_get a (i - j))
+      done;
+      let t = ref (!carry + (!cross lsl 1)) in
+      if i land 1 = 0 then begin
+        let h = Array.unsafe_get a (i lsr 1) in
+        t := !t + (h * h)
+      end;
+      for j = i - k + 1 to k - 1 do
+        t := !t + (Array.unsafe_get out j * Array.unsafe_get n (i - j))
+      done;
+      Array.unsafe_set out (i - k) (!t land limb_mask);
+      carry := !t lsr base_bits
+    done;
+    finish ctx out !carry
+
+  let window = 4
+
+  let bit e i =
+    (Array.unsafe_get e.mag (i / base_bits) lsr (i mod base_bits)) land 1 = 1
+
+  (* For a set bit i of e, the low end l of the window starting there: the
+     lowest set bit within [window] bits. *)
+  let window_low e i =
+    let l = ref (max 0 (i - window + 1)) in
+    while not (bit e !l) do incr l done;
+    !l
+
+  let window_value e i l =
+    let v = ref 0 in
+    for j = i downto l do
+      v := (!v lsl 1) lor (if bit e j then 1 else 0)
+    done;
+    !v
+
+  (* The largest window value a left-to-right scan of e meets, which
+     sizes the odd-power table: a short exponent such as 65537 needs g
+     alone. *)
+  let max_window e =
+    let i = ref (numbits e - 1) and best = ref 1 in
+    while !i >= 0 do
+      if bit e !i then begin
+        let l = window_low e !i in
+        best := max !best (window_value e !i l);
+        i := l - 1
+      end
+      else decr i
+    done;
+    !best
+
+  (* b^e mod n, e > 0, by a left-to-right sliding window over the odd
+     powers g, g^3, ..., in Montgomery form.  The running value lives in
+     [!x]; each operation writes [!spare] and the two swap. *)
   let mod_pow ctx b e =
     let k = ctx.k in
-    let b = mod_ b ctx.modulus in
-    let b_mont = mont_mul ctx (limbs_of k b) ctx.r2 in
-    (* 1 in Montgomery form: R mod n = MontMul(1, R^2). *)
-    let one_limbs = Array.make k 0 in
-    one_limbs.(0) <- 1;
-    let result = ref (mont_mul ctx one_limbs ctx.r2) in
-    let acc = ref b_mont in
-    let bits = numbits e in
-    for i = 0 to bits - 1 do
-      if testbit e i then result := mont_mul ctx !result !acc;
-      if i < bits - 1 then acc := mont_mul ctx !acc !acc
+    let b =
+      if b.sign >= 0 && compare_mag b.mag ctx.modulus.mag < 0 then b
+      else mod_ b ctx.modulus
+    in
+    let x = ref (Array.make k 0) and spare = ref (Array.make k 0) in
+    let table = Array.make ((max_window e + 1) / 2) [||] in
+    for t = 0 to Array.length table - 1 do
+      table.(t) <- Array.make k 0
     done;
-    let plain = mont_mul ctx !result one_limbs in
-    normalize 1 plain
+    load k b !x;
+    mont_mul ctx !x ctx.r2 table.(0);
+    if Array.length table > 1 then begin
+      mont_sqr ctx table.(0) !spare;
+      for t = 1 to Array.length table - 1 do
+        mont_mul ctx table.(t - 1) !spare table.(t)
+      done
+    end;
+    let i = ref (numbits e - 1) in
+    let l = window_low e !i in
+    Array.blit table.(window_value e !i l / 2) 0 !x 0 k;
+    i := l - 1;
+    while !i >= 0 do
+      let l = if bit e !i then window_low e !i else !i in
+      for _ = l to !i do
+        mont_sqr ctx !x !spare;
+        let y = !x in
+        x := !spare;
+        spare := y
+      done;
+      if bit e !i then begin
+        mont_mul ctx !x table.(window_value e !i l / 2) !spare;
+        let y = !x in
+        x := !spare;
+        spare := y
+      end;
+      i := l - 1
+    done;
+    (* Leave Montgomery form: multiply by plain 1. *)
+    let one_limbs = table.(0) in
+    Array.fill one_limbs 0 k 0;
+    one_limbs.(0) <- 1;
+    mont_mul ctx !x one_limbs !spare;
+    normalize 1 !spare
 end
+
+type mod_ctx = Montgomery of Mont.ctx | Division of t
+
+let mod_ctx m =
+  if m.sign <= 0 then invalid_arg "Bignum.mod_ctx: modulus must be positive";
+  let k = Array.length m.mag in
+  if testbit m 0 && k >= 2 && k <= Mont.max_limbs then Montgomery (Mont.create m)
+  else Division m
+
+let mod_pow_ctx c b e =
+  if e.sign < 0 then invalid_arg "Bignum.mod_pow: negative exponent";
+  match c with
+  | Montgomery ctx -> if e.sign = 0 then one else Mont.mod_pow ctx b e
+  | Division m -> mod_pow_generic b e m
 
 let mod_pow b e m =
   if m.sign <= 0 then invalid_arg "Bignum.mod_pow: modulus must be positive";
-  if e.sign < 0 then invalid_arg "Bignum.mod_pow: negative exponent";
-  if equal m one then zero
-  else if testbit m 0 && Array.length m.mag >= 2 then begin
-    match Mont.create m with
-    | Some ctx -> Mont.mod_pow ctx b e
-    | None -> mod_pow_generic b e m
-  end
-  else mod_pow_generic b e m
+  mod_pow_ctx (mod_ctx m) b e
+
+let mont_sqr_and_mul m x =
+  match mod_ctx m with
+  | Division _ -> invalid_arg "Bignum.mont_sqr_and_mul: not a Montgomery modulus"
+  | Montgomery ctx ->
+      let k = ctx.Mont.k in
+      let a = Array.make k 0 and s = Array.make k 0 and p = Array.make k 0 in
+      Mont.load k (mod_ x m) a;
+      Mont.mont_sqr ctx a s;
+      Mont.mont_mul ctx a a p;
+      (normalize 1 s, normalize 1 p)
 
 let random g ~bits =
   if bits <= 0 then invalid_arg "Bignum.random: bits <= 0";
@@ -659,6 +816,15 @@ let small_primes =
   done;
   Array.of_list !out
 
+(* |n| mod d for 0 < d <= 2^36, by Horner's rule over the limbs: the
+   running value stays below d * base <= 2^62, and nothing allocates. *)
+let rem_int n d =
+  let r = ref 0 in
+  for i = Array.length n.mag - 1 downto 0 do
+    r := ((!r lsl base_bits) lor Array.unsafe_get n.mag i) mod d
+  done;
+  !r
+
 let is_probable_prime ?(rounds = 24) g n =
   let n = abs n in
   match to_int_opt n with
@@ -666,14 +832,7 @@ let is_probable_prime ?(rounds = 24) g n =
   | Some v when v <= small_primes.(Array.length small_primes - 1) ->
       Array.exists (fun p -> p = v) small_primes
   | _ ->
-      let divisible_by_small =
-        Array.exists
-          (fun p ->
-            let r = rem n (of_int p) in
-            r.sign = 0)
-          small_primes
-      in
-      if divisible_by_small then false
+      if Array.exists (fun p -> rem_int n p = 0) small_primes then false
       else begin
         (* n - 1 = d * 2^s with d odd *)
         let n1 = sub n one in
@@ -683,8 +842,9 @@ let is_probable_prime ?(rounds = 24) g n =
           d := shift_right !d 1;
           incr s
         done;
+        let ctx = mod_ctx n in
         let witness a =
-          let x = ref (mod_pow a !d n) in
+          let x = ref (mod_pow_ctx ctx a !d) in
           if equal !x one || equal !x n1 then false
           else begin
             let composite = ref true in

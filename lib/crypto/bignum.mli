@@ -79,13 +79,40 @@ val mod_inverse : t -> t -> t option
 
 val mod_pow : t -> t -> t -> t
 (** [mod_pow b e m] is [b^e mod m] for non-negative [e] and positive [m].
-    Odd multi-limb moduli (the RSA case) take a Montgomery (CIOS) fast
-    path; everything else uses square-and-multiply with division. *)
+    Odd moduli of 2 to 500 limbs (the RSA case) take a Montgomery path: a
+    left-to-right sliding window of width 4 over a table of odd powers,
+    with product-scanning Montgomery multiplication and a dedicated
+    squaring that write into per-call scratch buffers.  Everything else
+    uses square-and-multiply with division. *)
+
+type mod_ctx
+(** A modulus with its reduction constants precomputed, for callers that
+    exponentiate modulo the same number many times (an RSA key's primes,
+    a Miller-Rabin candidate). *)
+
+val mod_ctx : t -> mod_ctx
+(** [mod_ctx m] prepares the positive modulus [m]; for a Montgomery
+    modulus this is one division to find [R^2 mod m].  Raises
+    [Invalid_argument] when [m <= 0]. *)
+
+val mod_pow_ctx : mod_ctx -> t -> t -> t
+(** [mod_pow_ctx (mod_ctx m) b e = mod_pow b e m]. *)
+
+val mont_sqr_and_mul : t -> t -> t * t
+(** [mont_sqr_and_mul m x] is [x^2 * R^-1 mod m], [R = 2^(26k)] for the
+    [k] limbs of [m], computed by the dedicated Montgomery squaring and by
+    the general Montgomery multiply, in that order; exposed so tests can
+    check that the two kernels agree.  [x] is reduced modulo [m] first.
+    Raises [Invalid_argument] unless [m] is odd and 2 to 500 limbs wide. *)
 
 val mod_pow_generic : t -> t -> t -> t
 (** The division-based path, exposed so tests and benchmarks can compare
     it against the Montgomery implementation.  Same contract as
     {!mod_pow} except that the modulus checks are the caller's job. *)
+
+val rem_int : t -> int -> int
+(** [rem_int n d] is [|n| mod d] for [0 < d <= 2^36], without
+    allocating. *)
 
 val random : Prng.t -> bits:int -> t
 (** Uniform non-negative integer of at most [bits] bits. *)

@@ -11,6 +11,8 @@ type private_key = {
   crt_dp : Bignum.t; (* d mod (p-1) *)
   crt_dq : Bignum.t; (* d mod (q-1) *)
   crt_qinv : Bignum.t; (* q^-1 mod p *)
+  ctx_p : Bignum.mod_ctx; (* reduction constants, built once per key *)
+  ctx_q : Bignum.mod_ctx;
 }
 
 (* manetdom: allow toplevel-state — F4 public-exponent constant; bignum
@@ -41,6 +43,8 @@ let generate g ~bits =
               crt_dp = Bignum.mod_ d (Bignum.sub p Bignum.one);
               crt_dq = Bignum.mod_ d (Bignum.sub q Bignum.one);
               crt_qinv = qinv;
+              ctx_p = Bignum.mod_ctx p;
+              ctx_q = Bignum.mod_ctx q;
             } )
       | _ -> attempt ()
     end
@@ -50,11 +54,10 @@ let generate g ~bits =
 (* m^d mod n via the CRT: s_p = m^dp mod p, s_q = m^dq mod q,
    s = s_q + q * (qinv * (s_p - s_q) mod p). *)
 let private_exp sk m =
-  let sp = Bignum.mod_pow m sk.crt_dp sk.crt_p in
-  let sq = Bignum.mod_pow m sk.crt_dq sk.crt_q in
+  let sp = Bignum.mod_pow_ctx sk.ctx_p m sk.crt_dp in
+  let sq = Bignum.mod_pow_ctx sk.ctx_q m sk.crt_dq in
   let h = Bignum.mod_ (Bignum.mul sk.crt_qinv (Bignum.sub sp sq)) sk.crt_p in
   Bignum.add sq (Bignum.mul sk.crt_q h)
-
 
 let modulus_bytes pk = (Bignum.numbits pk.n + 7) / 8
 

@@ -271,6 +271,25 @@ let test_bignum_bytes_be () =
     (Bignum.of_bytes_be (Bignum.to_bytes_be v));
   Alcotest.(check int) "padded" 16 (String.length (Bignum.to_bytes_be ~pad:16 v))
 
+(* The quadratic shift-and-add fold [of_bytes_be] replaced, kept as the
+   reference for the limb-packing version. *)
+let of_bytes_be_fold s =
+  let acc = ref Bignum.zero in
+  String.iter
+    (fun c ->
+      acc := Bignum.add (Bignum.shift_left !acc 8) (bn (Char.code c)))
+    s;
+  !acc
+
+let prop_of_bytes_be_matches_fold =
+  qtest "bignum: of_bytes_be = shift-and-add fold"
+    QCheck.(pair (int_bound 4) (string_of_size QCheck.Gen.(int_bound 80)))
+    (fun (zeros, s) ->
+      let s = String.make zeros '\000' ^ s in
+      let x = Bignum.of_bytes_be s in
+      Bignum.equal x (of_bytes_be_fold s)
+      && Bignum.equal (Bignum.of_bytes_be (Bignum.to_bytes_be ~pad:(String.length s) x)) x)
+
 let prop_add_commutes =
   qtest "bignum: a+b = b+a"
     QCheck.(pair (arb_bignum ()) (arb_bignum ()))
@@ -302,9 +321,13 @@ let prop_karatsuba_matches_school =
     (fun (a, b) ->
       let a = Bignum.abs a and b = Bignum.abs b in
       QCheck.assume (Bignum.sign a > 0);
-      let p = Bignum.mul a b in
-      let q, r = Bignum.divmod p a in
-      Bignum.equal q b && Bignum.equal r Bignum.zero)
+      let exact b =
+        let q, r = Bignum.divmod (Bignum.mul a b) a in
+        Bignum.equal q b && Bignum.equal r Bignum.zero
+      in
+      (* Also an unbalanced pair (~77 x ~33 limbs), whose middle product
+         carries zero high limbs past the end of the result. *)
+      exact b && exact (Bignum.shift_right b 940))
 
 let prop_divmod_invariant =
   qtest "bignum: a = b*q + r with |r| < |b|"
@@ -397,18 +420,65 @@ let prop_mod_pow_matches_naive =
       QCheck.assume (Bignum.sign m > 0);
       Bignum.equal (Bignum.mod_pow b (bn e) m) (naive_mod_pow b e m))
 
+(* An odd modulus of exactly [limbs] 26-bit limbs, and a base drawn from
+   the edge cases the Montgomery kernel must get right: 0, m - 1, values
+   at or above m (and negative), and uniform residues. *)
+let gen_mont_case =
+  QCheck.Gen.(
+    map
+      (fun (seed, limbs, base_kind, exp_kind) ->
+        let g = Prng.create ~seed in
+        let bits = (26 * (limbs - 1)) + 1 + Prng.int g 26 in
+        let m =
+          Bignum.add
+            (Bignum.random g ~bits:(bits - 1))
+            (Bignum.shift_left Bignum.one (bits - 1))
+        in
+        let m = if Bignum.testbit m 0 then m else Bignum.add m Bignum.one in
+        let b =
+          match base_kind with
+          | 0 -> Bignum.zero
+          | 1 -> Bignum.sub m Bignum.one
+          | 2 -> Bignum.add m (Bignum.random g ~bits:(bits + 40))
+          | 3 -> Bignum.neg (Bignum.random g ~bits)
+          | _ -> Bignum.random_below g m
+        in
+        let e =
+          match exp_kind with
+          | 0 -> Bignum.zero
+          | 1 -> Bignum.one
+          | 2 -> Bignum.sub (Bignum.shift_left Bignum.one (1 + Prng.int g 300)) Bignum.one
+          | _ -> Bignum.random g ~bits:(1 + Prng.int g 300)
+        in
+        (m, b, e))
+      (quad int (int_range 2 40) (int_bound 4) (int_bound 3)))
+
+let arb_mont_case =
+  QCheck.make
+    ~print:(fun (m, b, e) ->
+      Printf.sprintf "m=%s b=%s e=%s" (Bignum.to_hex m) (Bignum.to_string b) (Bignum.to_hex e))
+    gen_mont_case
+
 let prop_mod_pow_montgomery_matches_generic =
   (* Odd multi-limb moduli take the Montgomery path in mod_pow; it must
-     agree with the division-based implementation bit for bit. *)
-  qtest ~count:100 "bignum: montgomery mod_pow = generic mod_pow"
-    QCheck.(triple (arb_bignum ~bits:300 ()) (arb_bignum ~bits:120 ()) (arb_bignum ~bits:260 ()))
-    (fun (b, e, m) ->
-      let e = Bignum.abs e in
-      let m = Bignum.abs m in
-      (* force odd, multi-limb *)
-      let m = Bignum.add m (Bignum.shift_left Bignum.one 200) in
-      let m = if Bignum.testbit m 0 then m else Bignum.add m Bignum.one in
-      Bignum.equal (Bignum.mod_pow b e m) (Bignum.mod_pow_generic b e m))
+     agree with the division-based implementation bit for bit, with or
+     without a prebuilt context. *)
+  qtest ~count:300 "bignum: montgomery mod_pow = generic mod_pow" arb_mont_case
+    (fun (m, b, e) ->
+      let want = Bignum.mod_pow_generic b e m in
+      Bignum.equal (Bignum.mod_pow b e m) want
+      && Bignum.equal (Bignum.mod_pow_ctx (Bignum.mod_ctx m) b e) want)
+
+let prop_mont_sqr_matches_mul =
+  qtest ~count:300 "bignum: mont_sqr x = mont_mul x x" arb_mont_case
+    (fun (m, x, _) ->
+      let sqr, mul = Bignum.mont_sqr_and_mul m x in
+      (* x^2 * R^-1 mod m, R = 2^(26k), computed by division. *)
+      let limbs = (Bignum.numbits m + 25) / 26 in
+      let r = Bignum.shift_left Bignum.one (26 * limbs) in
+      let r_inv = Option.get (Bignum.mod_inverse r m) in
+      let want = Bignum.mod_ (Bignum.mul (Bignum.mul x x) r_inv) m in
+      Bignum.equal sqr mul && Bignum.equal sqr want)
 
 let test_mod_pow_even_modulus () =
   (* Even moduli must still work (generic path). *)
@@ -463,6 +533,40 @@ let test_random_below () =
     Alcotest.(check bool) "in range" true
       (Bignum.sign v >= 0 && Bignum.compare v n < 0)
   done
+
+let test_mod_pow_allocation () =
+  (* A 256-bit odd modulus is k = 10 limbs, the size of each RSA-512 CRT
+     half.  An exponentiation may allocate its table of 8 odd powers,
+     two scratch buffers and the result, each k + 1 words with its
+     header, and small change: no Montgomery operation allocates. *)
+  let g = Prng.create ~seed:83 in
+  let top = Bignum.shift_left Bignum.one 255 in
+  let m = Bignum.add (Bignum.random g ~bits:255) top in
+  let m = if Bignum.testbit m 0 then m else Bignum.add m Bignum.one in
+  let e = Bignum.add (Bignum.random g ~bits:255) top in
+  let b = Bignum.random_below g m in
+  let k = 10 in
+  let ctx = Bignum.mod_ctx m in
+  Alcotest.check bn_testable "agrees with division" (Bignum.mod_pow_generic b e m)
+    (Bignum.mod_pow_ctx ctx b e);
+  let per_call =
+    minor_words_per_call 100 (fun () ->
+        ignore (Sys.opaque_identity (Bignum.mod_pow_ctx ctx b e)))
+  in
+  let budget = float_of_int (12 * (k + 1)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "mod_pow: %.1f minor words per call <= %.0f" per_call budget)
+    true (per_call <= budget);
+  (* Trial division runs this for 168 primes on every odd keygen
+     candidate. *)
+  let per_rem =
+    minor_words_per_call 10_000 (fun () ->
+        ignore (Sys.opaque_identity (Bignum.rem_int m 997)))
+  in
+  Alcotest.(check (float 0.0)) "rem_int allocates nothing" 0.0 per_rem;
+  Alcotest.(check int) "rem_int value"
+    (Option.get (Bignum.to_int_opt (Bignum.mod_ m (bn 997))))
+    (Bignum.rem_int m 997)
 
 (* ------------------------------------------------------------------ *)
 (* SHA-256 (FIPS 180-4 vectors)                                       *)
@@ -628,6 +732,61 @@ let test_rsa_crt_matches_direct () =
     Alcotest.(check string) msg (Rsa.sign_no_crt priv msg) (Rsa.sign priv msg)
   done
 
+(* Golden RSA-512 streams, recorded from the CIOS / right-to-left binary
+   exponentiation this kernel replaced.  The moduli pin keygen's PRNG
+   draw order (every candidate, Miller-Rabin base and retry), and the
+   signatures pin the CRT signing path bit for bit. *)
+let rsa_golden_moduli =
+  [
+    ( 1,
+      "d56496a9abffc759a6389efb28c8265563ab69083ccb38d401a29769f61e5584\
+       df5d259949a63c1fe61a845e2f1f8a5caed711289cdb762b48736055084bb69d" );
+    ( 2,
+      "bee5a6eefacfca0cb72ecc969df690c930d3ba732c720d8067e64e7307b2c367\
+       55a92d1aee406f2e9a0b574505ecbb3e190fe9302aaa3ea75d56a4c3c256c7c5" );
+    ( 42,
+      "758c31a19decb402af4a7efab280a3b0d6bb76c10e045e2c913ea9eca142e89c\
+       b274168f423705de3fb4367fbead115d67104c9d93acac6768eaa06f1561a2ff" );
+  ]
+
+let rsa_golden_signatures =
+  [
+    ( "",
+      "8bba18e73cc042f89ef5da192176fdebd95b4761fc27a414fd2462f893b2f668\
+       11cedd35cdc2c0a5a8503eab213430e8f042832752f14608388ff55a80ec237e" );
+    ( "abc",
+      "749ef55826627709299404ce0a9528f6a9ce61240d208b8a96f12be6e991a96a\
+       4c0de60201a71d8946b6e627417e820a37184b4443e99056a7e1f8c074da01a6" );
+    ( "route request 42",
+      "9f6d1a87b9c92781d9a515b85b2df6229ae1ef119de774e616f4e4909361d4ae\
+       b1bb48302b6bac467ddae15c529f1c525946ff94485d1acf742585f384323f65" );
+    ( "AREQ|fe80::1|7",
+      "696dfcf4db929904bc192a72b6d706917a992f28c24bf0a648c36d3ea86444e8\
+       4c28562532be31d8341cddee5fefe4f2e2afaac0fed643faa0823c28f97f2794" );
+    ( String.make 200 'x',
+      "4d02441783ae3da0096b6d5c82d7d7592e1b2ad7d6b379d62801c60bf1555093\
+       362e94bd75848e969efa5bda395818463991e2993568f24ba110382e76d8d74e" );
+  ]
+
+let test_rsa_golden () =
+  List.iter
+    (fun (seed, want) ->
+      let pub, _ = Rsa.generate (Prng.create ~seed) ~bits:512 in
+      Alcotest.(check string) (Printf.sprintf "seed %d modulus" seed) want
+        (Bignum.to_hex pub.Rsa.n))
+    rsa_golden_moduli;
+  let pub, priv = Rsa.generate (Prng.create ~seed:1) ~bits:512 in
+  List.iter
+    (fun (msg, want) ->
+      let signature = Rsa.sign priv msg in
+      let label = Printf.sprintf "sign %S" msg in
+      Alcotest.(check string) label want (Sha256.hex signature);
+      Alcotest.(check string) (label ^ " = sign_no_crt") signature
+        (Rsa.sign_no_crt priv msg);
+      Alcotest.(check bool) (label ^ " verifies") true
+        (Rsa.verify pub ~msg ~signature))
+    rsa_golden_signatures
+
 let test_rsa_determinism () =
   (* Same PRNG seed must give the same key pair: experiments rely on it. *)
   let gen seed =
@@ -730,6 +889,9 @@ let suites =
         prop_mod_inverse;
         prop_mod_pow_matches_naive;
         prop_mod_pow_montgomery_matches_generic;
+        prop_mont_sqr_matches_mul;
+        prop_of_bytes_be_matches_fold;
+        Alcotest.test_case "mod_pow allocation budget" `Quick test_mod_pow_allocation;
         Alcotest.test_case "mod_pow even modulus" `Quick test_mod_pow_even_modulus;
         Alcotest.test_case "fermat" `Quick test_mod_pow_fermat;
         Alcotest.test_case "primality known" `Quick test_primality_known;
@@ -756,6 +918,7 @@ let suites =
         Alcotest.test_case "pk serialization" `Quick test_rsa_pk_serialization;
         Alcotest.test_case "crt matches direct" `Quick test_rsa_crt_matches_direct;
         Alcotest.test_case "determinism" `Quick test_rsa_determinism;
+        Alcotest.test_case "golden streams" `Quick test_rsa_golden;
       ] );
     ( "crypto.suite",
       [
