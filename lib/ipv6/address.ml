@@ -28,16 +28,12 @@ let of_groups g =
   in
   { hi = pack g.(0) g.(1) g.(2) g.(3); lo = pack g.(4) g.(5) g.(6) g.(7) }
 
-let to_groups a =
-  let unpack v =
-    [|
-      Int64.to_int (Int64.logand (Int64.shift_right_logical v 48) 0xFFFFL);
-      Int64.to_int (Int64.logand (Int64.shift_right_logical v 32) 0xFFFFL);
-      Int64.to_int (Int64.logand (Int64.shift_right_logical v 16) 0xFFFFL);
-      Int64.to_int (Int64.logand v 0xFFFFL);
-    |]
-  in
-  Array.append (unpack a.hi) (unpack a.lo)
+(* Group [i] (0-7) of the eight 16-bit groups, most significant first. *)
+let group a i =
+  let w = if i < 4 then a.hi else a.lo in
+  Int64.to_int (Int64.shift_right_logical w (48 - (16 * (i land 3)))) land 0xFFFF
+
+let to_groups a = Array.init 8 (group a)
 
 let of_bytes s =
   if String.length s <> 16 then invalid_arg "Address.of_bytes: need 16 bytes";
@@ -160,15 +156,23 @@ let of_string_exn s =
 
 (* --- printing (RFC 5952) ---------------------------------------------- *)
 
-let to_string a =
-  let g = to_groups a in
+let hex_digits = "0123456789abcdef"
+
+(* [v] in lower-case hex without leading zeros, as [%x] prints it. *)
+let add_hex buf v =
+  if v >= 0x1000 then Buffer.add_char buf hex_digits.[v lsr 12];
+  if v >= 0x100 then Buffer.add_char buf hex_digits.[(v lsr 8) land 0xF];
+  if v >= 0x10 then Buffer.add_char buf hex_digits.[(v lsr 4) land 0xF];
+  Buffer.add_char buf hex_digits.[v land 0xF]
+
+let add_to_buffer buf a =
   (* Longest run of >= 2 zero groups, leftmost on ties. *)
   let best_start = ref (-1) and best_len = ref 0 in
   let i = ref 0 in
   while !i < 8 do
-    if g.(!i) = 0 then begin
-      let j = ref !i in
-      while !j < 8 && g.(!j) = 0 do incr j done;
+    if group a !i = 0 then begin
+      let j = ref (!i + 1) in
+      while !j < 8 && group a !j = 0 do incr j done;
       let len = !j - !i in
       if len >= 2 && len > !best_len then begin
         best_start := !i;
@@ -178,25 +182,19 @@ let to_string a =
     end
     else incr i
   done;
+  (* With no run, [resume] is -1 and every group prints. *)
+  let stop = !best_start and resume = !best_start + !best_len in
+  for i = 0 to 7 do
+    if i = stop then Buffer.add_string buf "::"
+    else if i < stop || i >= resume then begin
+      if i > 0 && i <> resume then Buffer.add_char buf ':';
+      add_hex buf (group a i)
+    end
+  done
+
+let to_string a =
   let buf = Buffer.create 39 in
-  if !best_start = -1 then begin
-    Array.iteri
-      (fun i v ->
-        if i > 0 then Buffer.add_char buf ':';
-        Buffer.add_string buf (Printf.sprintf "%x" v))
-      g
-  end
-  else begin
-    for i = 0 to !best_start - 1 do
-      if i > 0 then Buffer.add_char buf ':';
-      Buffer.add_string buf (Printf.sprintf "%x" g.(i))
-    done;
-    Buffer.add_string buf "::";
-    for i = !best_start + !best_len to 7 do
-      if i > !best_start + !best_len then Buffer.add_char buf ':';
-      Buffer.add_string buf (Printf.sprintf "%x" g.(i))
-    done
-  end;
+  add_to_buffer buf a;
   Buffer.contents buf
 
 let pp fmt a = Format.pp_print_string fmt (to_string a)

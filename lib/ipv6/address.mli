@@ -1,8 +1,12 @@
 (** 128-bit IPv6 addresses.
 
-    Stored as two 64-bit halves.  Textual forms follow RFC 4291 syntax and
-    RFC 5952 canonical output (longest zero-run compression, leftmost on
-    ties, lower-case hex, IPv4-mapped tail rendered dotted-quad).  The
+    Stored as two 64-bit halves.  Textual forms follow RFC 4291 syntax
+    (an IPv4 dotted-quad tail is accepted on input) and RFC 5952
+    canonical output: longest run of two or more zero groups compressed
+    to [::], leftmost on ties, lower-case hex without leading zeros.
+    Output is always eight hex groups (or fewer around [::]); an
+    IPv4-mapped address prints its last 32 bits as two hex groups, never
+    dotted-quad.  The
     module also carries the protocol's well-known constants: the
     [fec0::/10] site-local prefix the paper builds CGAs under and the
     three reserved DNS-discovery addresses of §2.4. *)
@@ -45,7 +49,11 @@ val of_string_exn : string -> t
 (** Like {!of_string}; raises [Invalid_argument]. *)
 
 val to_string : t -> string
-(** RFC 5952 canonical form. *)
+(** RFC 5952 canonical form, as described above. *)
+
+val add_to_buffer : Buffer.t -> t -> unit
+(** Appends {!to_string}'s text without building an intermediate
+    string; the renderer behind {!to_string} and {!pp}. *)
 
 val pp : Format.formatter -> t -> unit
 

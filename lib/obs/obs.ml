@@ -209,8 +209,14 @@ let json_of_event (e : event) =
       ("detail", Json.String e.detail);
     ]
 
+(* Typical bytes per JSONL line: event lines carry a rendered message
+   detail (~180 bytes), span lines run a little longer.  Sizing the
+   buffer up front spares a large export its doubling copies. *)
+let jsonl_line_bytes = 192
+
 let to_jsonl ?(meta = []) t =
-  let buf = Buffer.create 4096 in
+  let lines = span_count t + Queue.length t.events in
+  let buf = Buffer.create (256 + (jsonl_line_bytes * lines)) in
   let line v =
     Json.to_buffer buf v;
     Buffer.add_char buf '\n'

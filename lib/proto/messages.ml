@@ -248,53 +248,104 @@ let with_remaining msg hops =
   | Ip_change_proof m -> Ip_change_proof { m with remaining = hops }
   | Ip_change_ack m -> Ip_change_ack { m with remaining = hops }
 
-let pp_route fmt route =
-  Format.fprintf fmt "[%s]" (String.concat ";" (List.map Address.to_string route))
+(* --- rendering ---------------------------------------------------------
+
+   The one text renderer for messages: trace and capture details and
+   [pp] all go through it.  Each helper appends a field label and its
+   value; every constructor closes with ')'. *)
+
+let add_addr buf label a =
+  Buffer.add_string buf label;
+  Address.add_to_buffer buf a
+
+let add_int buf label n =
+  Buffer.add_string buf label;
+  Buffer.add_string buf (string_of_int n)
+
+let add_str buf label s =
+  Buffer.add_string buf label;
+  Buffer.add_string buf s
+
+let rec add_hops buf = function
+  | [] -> ()
+  | a :: rest ->
+      Buffer.add_char buf ';';
+      Address.add_to_buffer buf a;
+      add_hops buf rest
+
+(* [a;b;c] *)
+let add_route buf label route =
+  Buffer.add_string buf label;
+  Buffer.add_char buf '[';
+  (match route with
+  | [] -> ()
+  | a :: rest ->
+      Address.add_to_buffer buf a;
+      add_hops buf rest);
+  Buffer.add_char buf ']'
+
+let add_to_buffer buf msg =
+  (match msg with
+  | Areq m ->
+      add_addr buf "AREQ(sip=" m.sip;
+      add_int buf ", seq=" m.seq;
+      add_str buf ", dn=" (Option.value ~default:"-" m.dn);
+      add_route buf ", rr=" m.rr
+  | Arep m ->
+      add_addr buf "AREP(sip=" m.sip;
+      add_route buf ", rr=" m.rr
+  | Drep m ->
+      add_addr buf "DREP(sip=" m.sip;
+      add_str buf ", dn=" m.dn
+  | Rreq m ->
+      add_addr buf "RREQ(sip=" m.sip;
+      add_addr buf ", dip=" m.dip;
+      add_int buf ", seq=" m.seq;
+      add_int buf ", hops=" (List.length m.srr)
+  | Rrep m ->
+      add_addr buf "RREP(sip=" m.sip;
+      add_addr buf ", dip=" m.dip;
+      add_route buf ", rr=" m.rr
+  | Crep m ->
+      add_addr buf "CREP(req=" m.requester;
+      add_addr buf ", cacher=" m.cacher;
+      add_addr buf ", dip=" m.dip
+  | Rerr m ->
+      add_addr buf "RERR(reporter=" m.reporter;
+      add_addr buf ", broken=" m.broken_next;
+      add_addr buf ", dst=" m.dst
+  | Data m ->
+      add_addr buf "DATA(src=" m.src;
+      add_addr buf ", dst=" m.dst;
+      add_int buf ", seq=" m.seq
+  | Ack m ->
+      add_addr buf "ACK(src=" m.src;
+      add_addr buf ", dst=" m.dst;
+      add_int buf ", seq=" m.data_seq
+  | Probe m ->
+      add_addr buf "PROBE(origin=" m.origin;
+      add_addr buf ", target=" m.target;
+      add_int buf ", seq=" m.seq
+  | Probe_reply m ->
+      add_addr buf "PROBE_REPLY(responder=" m.responder;
+      add_int buf ", seq=" m.seq
+  | Name_query m -> add_str buf "NAME_QUERY(name=" m.name
+  | Name_reply m -> (
+      add_str buf "NAME_REPLY(name=" m.name;
+      match m.result with
+      | Some a -> add_addr buf ", result=" a
+      | None -> add_str buf ", result=" "-")
+  | Ip_change_request m ->
+      add_addr buf "IP_CHANGE_REQUEST(old=" m.old_ip;
+      add_addr buf ", new=" m.new_ip
+  | Ip_change_challenge m -> add_addr buf "IP_CHANGE_CHALLENGE(old=" m.old_ip
+  | Ip_change_proof m ->
+      add_addr buf "IP_CHANGE_PROOF(old=" m.old_ip;
+      add_addr buf ", new=" m.new_ip
+  | Ip_change_ack m -> add_str buf "IP_CHANGE_ACK(accepted=" (Bool.to_string m.accepted));
+  Buffer.add_char buf ')'
 
 let pp fmt msg =
-  match msg with
-  | Areq m ->
-      Format.fprintf fmt "AREQ(sip=%a, seq=%d, dn=%s, rr=%a)" Address.pp m.sip
-        m.seq
-        (Option.value ~default:"-" m.dn)
-        pp_route m.rr
-  | Arep m -> Format.fprintf fmt "AREP(sip=%a, rr=%a)" Address.pp m.sip pp_route m.rr
-  | Drep m -> Format.fprintf fmt "DREP(sip=%a, dn=%s)" Address.pp m.sip m.dn
-  | Rreq m ->
-      Format.fprintf fmt "RREQ(sip=%a, dip=%a, seq=%d, hops=%d)" Address.pp m.sip
-        Address.pp m.dip m.seq (List.length m.srr)
-  | Rrep m ->
-      Format.fprintf fmt "RREP(sip=%a, dip=%a, rr=%a)" Address.pp m.sip Address.pp
-        m.dip pp_route m.rr
-  | Crep m ->
-      Format.fprintf fmt "CREP(req=%a, cacher=%a, dip=%a)" Address.pp m.requester
-        Address.pp m.cacher Address.pp m.dip
-  | Rerr m ->
-      Format.fprintf fmt "RERR(reporter=%a, broken=%a, dst=%a)" Address.pp
-        m.reporter Address.pp m.broken_next Address.pp m.dst
-  | Data m ->
-      Format.fprintf fmt "DATA(src=%a, dst=%a, seq=%d)" Address.pp m.src Address.pp
-        m.dst m.seq
-  | Ack m ->
-      Format.fprintf fmt "ACK(src=%a, dst=%a, seq=%d)" Address.pp m.src Address.pp
-        m.dst m.data_seq
-  | Probe m ->
-      Format.fprintf fmt "PROBE(origin=%a, target=%a, seq=%d)" Address.pp m.origin
-        Address.pp m.target m.seq
-  | Probe_reply m ->
-      Format.fprintf fmt "PROBE_REPLY(responder=%a, seq=%d)" Address.pp m.responder
-        m.seq
-  | Name_query m -> Format.fprintf fmt "NAME_QUERY(name=%s)" m.name
-  | Name_reply m ->
-      Format.fprintf fmt "NAME_REPLY(name=%s, result=%s)" m.name
-        (match m.result with Some a -> Address.to_string a | None -> "-")
-  | Ip_change_request m ->
-      Format.fprintf fmt "IP_CHANGE_REQUEST(old=%a, new=%a)" Address.pp m.old_ip
-        Address.pp m.new_ip
-  | Ip_change_challenge m ->
-      Format.fprintf fmt "IP_CHANGE_CHALLENGE(old=%a)" Address.pp m.old_ip
-  | Ip_change_proof m ->
-      Format.fprintf fmt "IP_CHANGE_PROOF(old=%a, new=%a)" Address.pp m.old_ip
-        Address.pp m.new_ip
-  | Ip_change_ack m ->
-      Format.fprintf fmt "IP_CHANGE_ACK(accepted=%b)" m.accepted
+  let buf = Buffer.create 128 in
+  add_to_buffer buf msg;
+  Format.pp_print_string fmt (Buffer.contents buf)

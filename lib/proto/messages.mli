@@ -183,5 +183,10 @@ val remaining : t -> Address.t list option
 val with_remaining : t -> Address.t list -> t
 (** Replace the [remaining] field (identity on AREQ). *)
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Appends the one-line summary used in trace and capture details,
+    e.g. [DATA(src=fec0::1, dst=fec0::2, seq=3)]; source routes render
+    as [[a;b;c]]. *)
+
 val pp : Format.formatter -> t -> unit
-(** One-line summary for traces and debugging. *)
+(** The {!add_to_buffer} summary, for traces and debugging. *)

@@ -60,14 +60,31 @@ let count_tx t msg size =
   stat t (Messages.tx_key msg);
   stat_by t (Messages.txbytes_key msg) size
 
+(* Transmission details, rendered into one buffer sized for a typical
+   message so most never grow it. *)
+let detail_size = 160
+
+let broadcast_detail msg =
+  let buf = Buffer.create detail_size in
+  Buffer.add_string buf "broadcast ";
+  Messages.add_to_buffer buf msg;
+  Buffer.contents buf
+
+let unicast_detail next msg =
+  let buf = Buffer.create detail_size in
+  Buffer.add_string buf "to ";
+  Address.add_to_buffer buf next;
+  Buffer.add_string buf ": ";
+  Messages.add_to_buffer buf msg;
+  Buffer.contents buf
+
 let broadcast t msg =
   let size = Wire.size_of msg in
   count_tx t msg size;
   if Obs.wants_events t.obs then
-    (* manethot: cold — the detail is formatted only for a listening
+    (* manethot: cold — the detail is rendered only for a listening
        sink (capture or the trace ring); runs with both off skip it. *)
-    log t ~event:(Messages.tx_key msg)
-      ~detail:(Format.asprintf "broadcast %a" Messages.pp msg);
+    log t ~event:(Messages.tx_key msg) ~detail:(broadcast_detail msg);
   Net.broadcast t.net ~src:(node_id t) ~size msg
 
 let rec unicast_all t ~size ~on_fail msg = function
@@ -84,10 +101,9 @@ let send_along t ~path ?(on_fail = fun () -> ()) msg =
       let size = Wire.size_of msg in
       count_tx t msg size;
       if Obs.wants_events t.obs then
-        (* manethot: cold — the detail is formatted only for a listening
+        (* manethot: cold — the detail is rendered only for a listening
            sink (capture or the trace ring); runs with both off skip it. *)
-        log t ~event:(Messages.tx_key msg)
-          ~detail:(Format.asprintf "to %a: %a" Address.pp next Messages.pp msg);
+        log t ~event:(Messages.tx_key msg) ~detail:(unicast_detail next msg);
       match Directory.lookup_all t.directory next with
       | [] ->
           (* The next-hop address resolves to nobody: the neighbour is

@@ -1,5 +1,7 @@
 type entry = { time : float; node : int; event : string; detail : string }
 
+module Stbl = Hashtbl.Make (String)
+
 type t = {
   mutable enabled : bool;
   capacity : int;
@@ -7,7 +9,7 @@ type t = {
   (* Per-event-tag index mirroring [buf]: each tag maps to its entries in
      insertion order, so [find] costs O(matches) instead of rescanning
      the whole ring per query.  Maintained on every push and drop. *)
-  index : (string, entry Queue.t) Hashtbl.t;
+  index : entry Queue.t Stbl.t;
   mutable dropped : int;
 }
 
@@ -16,7 +18,7 @@ let create ?(capacity = 100_000) () =
     enabled = false;
     capacity;
     buf = Queue.create ();
-    index = Hashtbl.create 64;
+    index = Stbl.create 64;
     dropped = 0;
   }
 
@@ -25,11 +27,11 @@ let disable t = t.enabled <- false
 let is_enabled t = t.enabled
 
 let index_queue t event =
-  match Hashtbl.find_opt t.index event with
+  match Stbl.find_opt t.index event with
   | Some q -> q
   | None ->
       let q = Queue.create () in
-      Hashtbl.add t.index event q;
+      Stbl.add t.index event q;
       q
 
 let log t ~time ~node ~event ~detail =
@@ -38,7 +40,7 @@ let log t ~time ~node ~event ~detail =
       let oldest = Queue.pop t.buf in
       (* The index queue for the dropped entry's tag is non-empty and its
          front is that same entry: both structures grow in push order. *)
-      (match Hashtbl.find_opt t.index oldest.event with
+      (match Stbl.find_opt t.index oldest.event with
       | Some q -> ignore (Queue.pop q)
       | None -> ());
       t.dropped <- t.dropped + 1
@@ -51,7 +53,7 @@ let log t ~time ~node ~event ~detail =
 let entries t = List.of_seq (Queue.to_seq t.buf)
 
 let find t ~event =
-  match Hashtbl.find_opt t.index event with
+  match Stbl.find_opt t.index event with
   | None -> []
   | Some q -> List.of_seq (Queue.to_seq q)
 
@@ -59,7 +61,7 @@ let fold t ~init ~f = Queue.fold f init t.buf
 
 let clear t =
   Queue.clear t.buf;
-  Hashtbl.reset t.index;
+  Stbl.reset t.index;
   t.dropped <- 0
 
 let length t = Queue.length t.buf

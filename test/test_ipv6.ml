@@ -109,6 +109,72 @@ let prop_groups_roundtrip =
   qtest "address: of_groups (to_groups a) = a" arb_addr (fun a ->
       Address.equal a (Address.of_groups (Address.to_groups a)))
 
+(* The [to_groups]/[Printf]-based [to_string] the Buffer renderer
+   replaced, kept verbatim as the oracle: addresses appear in every
+   export, so the text must not change by a byte. *)
+let ref_to_string a =
+  let g = Address.to_groups a in
+  let best_start = ref (-1) and best_len = ref 0 in
+  let i = ref 0 in
+  while !i < 8 do
+    if g.(!i) = 0 then begin
+      let j = ref !i in
+      while !j < 8 && g.(!j) = 0 do incr j done;
+      let len = !j - !i in
+      if len >= 2 && len > !best_len then begin
+        best_start := !i;
+        best_len := len
+      end;
+      i := !j
+    end
+    else incr i
+  done;
+  let buf = Buffer.create 39 in
+  if !best_start = -1 then begin
+    Array.iteri
+      (fun i v ->
+        if i > 0 then Buffer.add_char buf ':';
+        Buffer.add_string buf (Printf.sprintf "%x" v))
+      g
+  end
+  else begin
+    for i = 0 to !best_start - 1 do
+      if i > 0 then Buffer.add_char buf ':';
+      Buffer.add_string buf (Printf.sprintf "%x" g.(i))
+    done;
+    Buffer.add_string buf "::";
+    for i = !best_start + !best_len to 7 do
+      if i > !best_start + !best_len then Buffer.add_char buf ':';
+      Buffer.add_string buf (Printf.sprintf "%x" g.(i))
+    done
+  end;
+  Buffer.contents buf
+
+let prop_to_string_matches_oracle =
+  qtest ~count:1000 "address: to_string matches the Printf oracle" arb_addr (fun a ->
+      String.equal (Address.to_string a) (ref_to_string a))
+
+let test_print_edge_cases () =
+  List.iter
+    (fun (groups, expected) ->
+      let a = Address.of_groups groups in
+      Alcotest.(check string) expected expected (Address.to_string a);
+      Alcotest.(check string) (expected ^ " (oracle)") (ref_to_string a) (Address.to_string a))
+    [
+      ([| 0; 0; 0; 0; 0; 0; 0; 0 |], "::");
+      ([| 0; 0; 0; 0; 0; 0; 0; 1 |], "::1");
+      ([| 1; 0; 0; 0; 0; 0; 0; 0 |], "1::");
+      (* Two runs of equal length: the leftmost is compressed. *)
+      ([| 1; 0; 0; 2; 3; 0; 0; 4 |], "1::2:3:0:0:4");
+      (* A lone zero group is never compressed. *)
+      ([| 1; 0; 2; 3; 4; 5; 6; 7 |], "1:0:2:3:4:5:6:7");
+      ([| 0xffff; 0xabc; 0xde; 0xf; 0x1000; 0x100; 0x10; 0 |],
+        "ffff:abc:de:f:1000:100:10:0");
+      ([| 1; 2; 3; 4; 5; 6; 0; 0 |], "1:2:3:4:5:6::");
+      (* IPv4-mapped addresses print their tail in hex, not dotted-quad. *)
+      ([| 0; 0; 0; 0; 0; 0xffff; 0xc0a8; 0x0102 |], "::ffff:c0a8:102");
+    ]
+
 let prop_compare_consistent =
   qtest "address: compare consistent with equal"
     QCheck.(pair arb_addr arb_addr)
@@ -241,6 +307,8 @@ let suites =
         Alcotest.test_case "parse ipv4 mapped" `Quick test_parse_ipv4_mapped;
         Alcotest.test_case "parse errors" `Quick test_parse_errors;
         Alcotest.test_case "print canonical" `Quick test_print_canonical;
+        Alcotest.test_case "print edge cases" `Quick test_print_edge_cases;
+        prop_to_string_matches_oracle;
         prop_string_roundtrip;
         prop_bytes_roundtrip;
         prop_groups_roundtrip;

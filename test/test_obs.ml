@@ -149,6 +149,35 @@ let test_json_float_pinned () =
       (1e18, "1e+18");
     ]
 
+(* Exact-byte pins for string escaping: the two-character escapes and
+   the \u00XX form for other control bytes. *)
+let test_json_escape_pinned () =
+  List.iter
+    (fun (s, expect) ->
+      Alcotest.(check string) expect expect (Json.to_string (Json.String s)))
+    [
+      ("a\"b", {|"a\"b"|});
+      ("a\\b", {|"a\\b"|});
+      ("\n\t", {|"\n\t"|});
+      ("\001", {|"\u0001"|});
+      ("\"mid\r\\", {|"\"mid\r\\"|});
+      ("clean \xc3\xa9 text", "\"clean \xc3\xa9 text\"");
+      ("", {|""|});
+    ]
+
+(* Arbitrary byte strings reach the escaping path; strings with no byte
+   to escape reach the clean fast path.  Both must parse back. *)
+let prop_json_string_roundtrip =
+  let clean_char c = if c = '"' || c = '\\' || Char.code c < 0x20 then 'x' else c in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"json: parse (to_string (String s)) = String s"
+       QCheck.(
+         make ~print:(Printf.sprintf "%S")
+           Gen.(
+             oneof
+               [ string_size (int_bound 64); string_size ~gen:(map clean_char char) (int_bound 64) ]))
+       (fun s -> Json.parse (Json.to_string (Json.String s)) = Json.String s))
+
 (* ------------------------------------------------------------------ *)
 (* Scenario-level: parenting, determinism, report                      *)
 (* ------------------------------------------------------------------ *)
@@ -388,6 +417,8 @@ let suites =
         tc "json float canonical" test_json_float_canonical;
         tc "json non-finite rejected" test_json_nonfinite_rejected;
         tc "json float pinned bytes" test_json_float_pinned;
+        tc "json escape pinned bytes" test_json_escape_pinned;
+        prop_json_string_roundtrip;
         tc "jsonl byte determinism" test_jsonl_byte_determinism;
         tc "causal parenting" test_causal_parenting;
         tc "arep on collision" test_arep_on_collision;

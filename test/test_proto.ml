@@ -191,6 +191,169 @@ let test_messages_with_remaining () =
   Alcotest.(check bool) "areq has no remaining" true (Messages.remaining areq = None)
 
 (* ------------------------------------------------------------------ *)
+(* Message rendering: the Buffer renderer against the Format oracle    *)
+(* ------------------------------------------------------------------ *)
+
+(* The Format-based [Messages.pp] and [pp_route] the Buffer renderer
+   replaced, kept verbatim: every trace and capture detail must match
+   them byte for byte. *)
+let ref_pp_route fmt route =
+  Format.fprintf fmt "[%s]" (String.concat ";" (List.map Address.to_string route))
+
+let ref_pp fmt msg =
+  match msg with
+  | Messages.Areq m ->
+      Format.fprintf fmt "AREQ(sip=%a, seq=%d, dn=%s, rr=%a)" Address.pp m.sip
+        m.seq
+        (Option.value ~default:"-" m.dn)
+        ref_pp_route m.rr
+  | Arep m -> Format.fprintf fmt "AREP(sip=%a, rr=%a)" Address.pp m.sip ref_pp_route m.rr
+  | Drep m -> Format.fprintf fmt "DREP(sip=%a, dn=%s)" Address.pp m.sip m.dn
+  | Rreq m ->
+      Format.fprintf fmt "RREQ(sip=%a, dip=%a, seq=%d, hops=%d)" Address.pp m.sip
+        Address.pp m.dip m.seq (List.length m.srr)
+  | Rrep m ->
+      Format.fprintf fmt "RREP(sip=%a, dip=%a, rr=%a)" Address.pp m.sip Address.pp
+        m.dip ref_pp_route m.rr
+  | Crep m ->
+      Format.fprintf fmt "CREP(req=%a, cacher=%a, dip=%a)" Address.pp m.requester
+        Address.pp m.cacher Address.pp m.dip
+  | Rerr m ->
+      Format.fprintf fmt "RERR(reporter=%a, broken=%a, dst=%a)" Address.pp
+        m.reporter Address.pp m.broken_next Address.pp m.dst
+  | Data m ->
+      Format.fprintf fmt "DATA(src=%a, dst=%a, seq=%d)" Address.pp m.src Address.pp
+        m.dst m.seq
+  | Ack m ->
+      Format.fprintf fmt "ACK(src=%a, dst=%a, seq=%d)" Address.pp m.src Address.pp
+        m.dst m.data_seq
+  | Probe m ->
+      Format.fprintf fmt "PROBE(origin=%a, target=%a, seq=%d)" Address.pp m.origin
+        Address.pp m.target m.seq
+  | Probe_reply m ->
+      Format.fprintf fmt "PROBE_REPLY(responder=%a, seq=%d)" Address.pp m.responder
+        m.seq
+  | Name_query m -> Format.fprintf fmt "NAME_QUERY(name=%s)" m.name
+  | Name_reply m ->
+      Format.fprintf fmt "NAME_REPLY(name=%s, result=%s)" m.name
+        (match m.result with Some a -> Address.to_string a | None -> "-")
+  | Ip_change_request m ->
+      Format.fprintf fmt "IP_CHANGE_REQUEST(old=%a, new=%a)" Address.pp m.old_ip
+        Address.pp m.new_ip
+  | Ip_change_challenge m ->
+      Format.fprintf fmt "IP_CHANGE_CHALLENGE(old=%a)" Address.pp m.old_ip
+  | Ip_change_proof m ->
+      Format.fprintf fmt "IP_CHANGE_PROOF(old=%a, new=%a)" Address.pp m.old_ip
+        Address.pp m.new_ip
+  | Ip_change_ack m ->
+      Format.fprintf fmt "IP_CHANGE_ACK(accepted=%b)" m.accepted
+
+(* One message of every constructor per sample.  Addresses are sparse
+   (zero runs, so '::' in every position) or dense; routes are empty,
+   short or long; strings are arbitrary bytes, control characters
+   included; optional fields and [accepted] take both values. *)
+let every_message g =
+  let addr g =
+    if Prng.bool g then
+      Address.of_groups
+        (Array.init 8 (fun _ -> if Prng.int g 3 = 0 then Prng.int g 0x10000 else 0))
+    else Address.of_bytes (Prng.bytes g 16)
+  in
+  let route g =
+    let n =
+      match Prng.int g 3 with 0 -> 0 | 1 -> 1 + Prng.int g 4 | _ -> 20 + Prng.int g 20
+    in
+    List.init n (fun _ -> addr g)
+  in
+  let str g = Prng.bytes g (Prng.int g 40) in
+  let int g = Prng.int g 2_000_000 - 1_000_000 in
+  let opt g f = if Prng.bool g then Some (f g) else None in
+  let srr g =
+    List.init (Prng.int g 6) (fun _ ->
+        { Messages.ip = addr g; sig_ = str g; pk = str g; rn = Prng.bits64 g })
+  in
+  let r64 = Prng.bits64 and fl g = Prng.float g 1000.0 in
+  [
+    Messages.Areq { sip = addr g; seq = int g; dn = opt g str; ch = r64 g; rr = route g };
+    Arep
+      { sip = addr g; rr = route g; remaining = route g; sig_ = str g; pk = str g;
+        rn = r64 g };
+    Drep { sip = addr g; dn = str g; rr = route g; remaining = route g; sig_ = str g };
+    Rreq
+      { sip = addr g; dip = addr g; seq = int g; srr = srr g; sig_ = str g;
+        spk = str g; srn = r64 g };
+    Rrep
+      { sip = addr g; dip = addr g; rr = route g; remaining = route g; sig_ = str g;
+        dpk = str g; drn = r64 g };
+    Crep
+      { requester = addr g; cacher = addr g; dip = addr g; requester_seq = int g;
+        cacher_seq = int g; rr_to_cacher = route g; rr_to_dest = route g;
+        remaining = route g; sig_cacher = str g; cacher_pk = str g;
+        cacher_rn = r64 g; sig_dest = str g; dest_pk = str g; dest_rn = r64 g };
+    Rerr
+      { reporter = addr g; broken_next = addr g; dst = addr g; remaining = route g;
+        sig_ = str g; pk = str g; rn = r64 g };
+    Data
+      { src = addr g; dst = addr g; seq = int g; route = route g;
+        remaining = route g; payload_size = int g; sent_at = fl g };
+    Ack
+      { src = addr g; dst = addr g; data_seq = int g; route = route g;
+        remaining = route g; sent_at = fl g };
+    Probe
+      { origin = addr g; target = addr g; seq = int g; route = route g;
+        remaining = route g };
+    Probe_reply
+      { responder = addr g; origin = addr g; seq = int g; remaining = route g;
+        sig_ = str g; pk = str g; rn = r64 g };
+    Name_query
+      { requester = addr g; name = str g; ch = r64 g; route = route g;
+        remaining = route g };
+    Name_reply
+      { requester = addr g; name = str g; result = opt g addr; ch = r64 g;
+        remaining = route g; sig_ = str g };
+    Ip_change_request
+      { old_ip = addr g; new_ip = addr g; route = route g; remaining = route g };
+    Ip_change_challenge
+      { old_ip = addr g; new_ip = addr g; ch = r64 g; remaining = route g };
+    Ip_change_proof
+      { old_ip = addr g; new_ip = addr g; old_rn = r64 g; new_rn = r64 g;
+        pk = str g; sig_ = str g; route = route g; remaining = route g };
+    Ip_change_ack
+      { old_ip = addr g; new_ip = addr g; accepted = Prng.bool g; remaining = route g };
+  ]
+
+let prop_pp_matches_format_oracle =
+  qtest ~count:300 "messages: pp matches the Format oracle, every constructor"
+    QCheck.(
+      make
+        ~print:(fun ms -> String.concat "\n" (List.map (Format.asprintf "%a" ref_pp) ms))
+        Gen.(map (fun seed -> every_message (Prng.create ~seed)) int))
+    (List.for_all (fun m ->
+         String.equal (Format.asprintf "%a" Messages.pp m) (Format.asprintf "%a" ref_pp m)))
+
+let test_pp_pinned () =
+  let render m = Format.asprintf "%a" Messages.pp m in
+  Alcotest.(check string) "empty route, dn = None"
+    "AREQ(sip=fec0::1, seq=7, dn=-, rr=[])"
+    (render (Messages.Areq { sip = a1; seq = 7; dn = None; ch = 0L; rr = [] }));
+  Alcotest.(check string) "route list"
+    "AREP(sip=fec0::1, rr=[fec0::2;fec0::3;fec0::1])"
+    (render
+       (Messages.Arep
+          { sip = a1; rr = [ a2; a3; a1 ]; remaining = []; sig_ = ""; pk = ""; rn = 0L }));
+  Alcotest.(check string) "result = None" "NAME_REPLY(name=n, result=-)"
+    (render
+       (Messages.Name_reply
+          { requester = a1; name = "n"; result = None; ch = 0L; remaining = []; sig_ = "" }));
+  List.iter
+    (fun accepted ->
+      Alcotest.(check string) "accepted"
+        (Printf.sprintf "IP_CHANGE_ACK(accepted=%b)" accepted)
+        (render
+           (Messages.Ip_change_ack { old_ip = a1; new_ip = a2; accepted; remaining = [] })))
+    [ true; false ]
+
+(* ------------------------------------------------------------------ *)
 (* Directory                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -439,6 +602,8 @@ let suites =
         Alcotest.test_case "all messages sized" `Quick test_wire_all_messages_positive;
         Alcotest.test_case "counter keys" `Quick test_messages_counter_keys;
         Alcotest.test_case "with_remaining" `Quick test_messages_with_remaining;
+        Alcotest.test_case "pp pinned details" `Quick test_pp_pinned;
+        prop_pp_matches_format_oracle;
       ] );
     ( "proto.directory",
       [
