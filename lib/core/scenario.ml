@@ -236,36 +236,39 @@ let create params =
           adversary;
         })
   in
-  (* Per-node reception dispatch.  This closure is the one place that
-     knows both the receiving node and the message kind, so it carries
-     the perf registry's crypto attribution: every sign/verify/hash the
-     handlers perform below is charged to (kind, node). *)
+  (* Per-node reception dispatch, built once per node here.  The installed
+     handler is the one place that knows both the receiving node and the
+     message kind, so it carries the perf registry's crypto attribution:
+     every sign/verify/hash the handlers perform below is charged to
+     (kind, node), and a delivery allocates nothing for it. *)
   let perf = Obs.perf obs in
   Array.iter
     (fun node ->
       let i = node.index in
+      let dispatch_i ~src msg =
+        match msg with
+        | Messages.Areq _ | Messages.Arep _ | Messages.Drep _ ->
+            Dad.handle node.dad ~src msg
+        | Messages.Name_query _ | Messages.Ip_change_request _
+        | Messages.Ip_change_proof _ -> (
+            match (i, dns) with
+            | 0, Some server -> Dns.handle server ~src msg
+            | _ -> Ctx.forward_transit node.ctx ~src msg)
+        | Messages.Name_reply _ | Messages.Ip_change_challenge _
+        | Messages.Ip_change_ack _ ->
+            Dns_client.handle node.dns_client ~src msg
+        | _ -> (
+            match node.adversary with
+            | Some adv -> Adversary.handle adv ~src msg
+            | None -> (
+                match node.routing with
+                | Dsr_agent a -> Dsr.handle a ~src msg
+                | Secure_agent a -> Secure.handle a ~src msg
+                | Srp_agent a -> Srp.handle a ~src msg))
+      in
       Net.set_handler net i (fun ~src msg ->
-          Perf.with_attribution perf ~kind:(Messages.tag msg) ~node:i
-          @@ fun () ->
-          match msg with
-          | Messages.Areq _ | Messages.Arep _ | Messages.Drep _ ->
-              Dad.handle node.dad ~src msg
-          | Messages.Name_query _ | Messages.Ip_change_request _
-          | Messages.Ip_change_proof _ -> (
-              match (i, dns) with
-              | 0, Some server -> Dns.handle server ~src msg
-              | _ -> Ctx.forward_transit node.ctx ~src msg)
-          | Messages.Name_reply _ | Messages.Ip_change_challenge _
-          | Messages.Ip_change_ack _ ->
-              Dns_client.handle node.dns_client ~src msg
-          | _ -> (
-              match node.adversary with
-              | Some adv -> Adversary.handle adv ~src msg
-              | None -> (
-                  match node.routing with
-                  | Dsr_agent a -> Dsr.handle a ~src msg
-                  | Secure_agent a -> Secure.handle a ~src msg
-                  | Srp_agent a -> Srp.handle a ~src msg))))
+          Perf.dispatch perf ~kind:(Messages.tag msg) ~node:i dispatch_i ~src
+            msg))
     nodes;
   let mobility = Mobility.create engine topo (Prng.split root) params.mobility in
   {

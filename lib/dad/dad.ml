@@ -44,9 +44,10 @@ type t = {
   mutable seq : int;
   mutable on_complete : outcome -> unit;
   (* Flood dedup.  AREQ key: (sip, seq, ch) — seq alone can collide when
-     two initiators contest the same address.  Warning-AREP key: the
-     signature bytes, unique per (signer, sip, ch). *)
-  seen_areq : (string, unit) Hashtbl.t;
+     two initiators contest the same address — mapped to the flood's
+     provenance handle.  Warning-AREP key: the signature bytes, unique
+     per (signer, sip, ch). *)
+  seen_areq : Flood.handle Flood.Ktbl.t;
   seen_warning : (string, unit) Hashtbl.t;
   mutable areq_observer : Messages.t -> unit;
   mutable warning_sink : Messages.t -> unit;
@@ -75,7 +76,7 @@ let create ?(config = default_config) ?(dns_address = Address.dns_server_1)
     configured = false;
     seq = 0;
     on_complete = (fun _ -> ());
-    seen_areq = Hashtbl.create 64;
+    seen_areq = Flood.Ktbl.create 64;
     seen_warning = Hashtbl.create 16;
     areq_observer = (fun _ -> ());
     warning_sink = (fun _ -> ());
@@ -91,12 +92,15 @@ let is_pending t = Option.is_some t.pending
 let set_areq_observer t f = t.areq_observer <- f
 let set_warning_sink t f = t.warning_sink <- f
 
-let areq_key ~sip ~seq ~ch = Codec.addr sip ^ Codec.u32 seq ^ Codec.u64 ch
+(* The AREQ dedup key doubles as the flood-provenance key: both are pure
+   functions of (sip, seq, ch), so the registry needs no wire change. *)
+let areq_key ~sip ~seq ~ch =
+  (* manethot: allow hot-alloc — the 6-word lookup key (its int64 fields
+     point at the message's own boxes) is the one allocation a duplicate
+     copy makes. *)
+  { Flood.kind = Flood.Areq; hi = sip.Address.hi; lo = sip.Address.lo; seq; ch }
 
 let obs t = t.ctx.Ctx.obs
-
-(* The AREQ dedup key doubles as the flood-provenance id: both are pure
-   functions of (sip, seq, ch), so the registry needs no wire change. *)
 let floods t = Obs.flood (obs t)
 
 let finish_flood t outcome =
@@ -133,15 +137,15 @@ let rec begin_attempt t ~attempt ~dn =
   t.span_flood <- Some fl;
   Obs.correlate (obs t) (flood_key ~sip ~ch) fl;
   (* Ignore echoes of our own flood. *)
-  let fkey = areq_key ~sip ~seq:t.seq ~ch in
-  Hashtbl.replace t.seen_areq fkey ();
+  let key = areq_key ~sip ~seq:t.seq ~ch in
+  let flood = Flood.handle (floods t) ~key ~origin:(Ctx.node_id ctx) in
+  Flood.Ktbl.replace t.seen_areq key flood;
   Ctx.log ctx ~event:"dad.start"
     ~detail:
       (Printf.sprintf "sip=%s dn=%s attempt=%d" (Address.to_string sip)
          (Option.value ~default:"-" dn)
          attempt);
-  Flood.originate (floods t) ~kind:Flood.Areq ~key:fkey ~node:(Ctx.node_id ctx);
-  Flood.sent (floods t) ~kind:Flood.Areq ~key:fkey ~node:(Ctx.node_id ctx);
+  Flood.sent (floods t) flood;
   Ctx.broadcast ctx (Messages.Areq { sip; seq = t.seq; dn; ch; rr = [] });
   Engine.schedule ctx.Ctx.engine ~label:"dad" ~delay:t.config.arep_wait (fun () ->
       match t.pending with
@@ -279,29 +283,40 @@ let answer_duplicate t (m : (* areq fields *) Address.t * int64 * Address.t list
      address/route request storms only (§3.1). *)
   Ctx.broadcast ctx warning
 
+(* First copy of a flood at this node: remember the flood, then relay.
+   Every host rebroadcasts once (§3.1) — including a duplicate owner,
+   which may sit on the only path to the DNS — with our address appended
+   to RR, after a small jitter to de-synchronize the flood. *)
+let first_areq t ~src ~key ~hops msg ~sip ~seq ~dn ~ch ~rr =
+  let ctx = t.ctx in
+  let flood = Flood.handle (floods t) ~key ~origin:src in
+  Flood.received (floods t) flood ~node:(Ctx.node_id ctx) ~src ~hops;
+  Flood.Ktbl.replace t.seen_areq key flood;
+  t.areq_observer msg;
+  if Address.equal sip (address t) then answer_duplicate t (sip, ch, rr);
+  let rr' = rr @ [ address t ] in
+  let delay = Prng.float ctx.Ctx.rng t.config.flood_jitter in
+  Engine.schedule ctx.Ctx.engine ~label:"dad" ~delay (fun () ->
+      Flood.sent (floods t) flood;
+      Ctx.broadcast ctx (Messages.Areq { sip; seq; dn; ch; rr = rr' }))
+
+(* Every copy of every AREQ lands here, so a duplicate — the common
+   case — does one seen-table lookup and two counter updates, building
+   no string. *)
 let handle_areq t ~src msg =
   match msg with
-  | Messages.Areq { sip; seq; dn; ch; rr } ->
-      let ctx = t.ctx in
+  | Messages.Areq { sip; seq; dn; ch; rr } -> (
       let key = areq_key ~sip ~seq ~ch in
-      Flood.received (floods t) ~kind:Flood.Areq ~key ~node:(Ctx.node_id ctx)
-        ~src ~hops:(List.length rr);
-      if not (Hashtbl.mem t.seen_areq key) then begin
-        Hashtbl.replace t.seen_areq key ();
-        t.areq_observer msg;
-        if Address.equal sip (address t) then answer_duplicate t (sip, ch, rr);
-        (* Relay: every host rebroadcasts once (§3.1) — including a
-           duplicate owner, which may sit on the only path to the DNS —
-           with our address appended to RR, after a small jitter to
-           de-synchronize the flood. *)
-        let rr' = rr @ [ address t ] in
-        let delay = Prng.float ctx.Ctx.rng t.config.flood_jitter in
-        Engine.schedule ctx.Ctx.engine ~label:"dad" ~delay (fun () ->
-            Flood.sent (floods t) ~kind:Flood.Areq ~key
-              ~node:(Ctx.node_id ctx);
-            Ctx.broadcast ctx (Messages.Areq { sip; seq; dn; ch; rr = rr' }))
-      end
-      else Flood.duplicate (floods t) ~kind:Flood.Areq ~key
+      (* manethot: allow hot-list — the route record is as long as the
+         copy's hop count, bounded by the flood's hop radius. *)
+      let hops = List.length rr in
+      match Flood.Ktbl.find t.seen_areq key with
+      | flood ->
+          Flood.received (floods t) flood ~node:(Ctx.node_id t.ctx) ~src ~hops;
+          Flood.duplicate (floods t) flood
+      | exception Not_found ->
+          (* manethot: cold — at most once per (flood, node) *)
+          first_areq t ~src ~key ~hops msg ~sip ~seq ~dn ~ch ~rr)
   | _ -> ()
 
 (* --- initiator verification ------------------------------------------- *)

@@ -62,8 +62,8 @@ type t = {
   pending : (string, pending_discovery) Hashtbl.t; (* by dst *)
   queue : (string, packet Queue.t) Hashtbl.t; (* packets awaiting a route *)
   waiters : (string, (Address.t list option -> unit) list ref) Hashtbl.t;
-  seen_rreq : (string, unit) Hashtbl.t; (* sip + seq *)
-  reply_counts : (string, int) Hashtbl.t; (* replies sent per request, for route diversity *)
+  seen_rreq : unit Flood.Ktbl.t; (* sip + seq *)
+  reply_counts : int Flood.Ktbl.t; (* replies sent per request, for route diversity *)
   in_flight : (string, packet) Hashtbl.t; (* dst + seq *)
   seen_data : (string, unit) Hashtbl.t; (* delivered (src, seq): retries must not double-count *)
 }
@@ -75,6 +75,20 @@ let fkey dst seq = akey dst ^ Codec.u32 seq
    attempt is (source, seq); replies are identified by the fields both
    the responder and the consumer can see. *)
 let rreq_corr ~sip ~seq = "rreq:" ^ akey sip ^ Codec.u32 seq
+
+(* The RREQ dedup key (sip, seq), shared with [Manet_secure], doubles as
+   the flood-provenance key. *)
+let rreq_key sip seq =
+  (* manethot: allow hot-alloc — the 6-word lookup key (its int64 fields
+     point at the address's own boxes) is the one allocation a duplicate
+     copy makes. *)
+  {
+    Flood.kind = Flood.Rreq;
+    hi = sip.Address.hi;
+    lo = sip.Address.lo;
+    seq;
+    ch = 0L;
+  }
 
 let rrep_corr ~sip ~dip ~rr =
   "rrep:" ^ akey sip ^ akey dip ^ String.concat "" (List.map akey rr)
@@ -91,8 +105,8 @@ let create ?(config = default_config) ctx =
     pending = Hashtbl.create 16;
     queue = Hashtbl.create 16;
     waiters = Hashtbl.create 8;
-    seen_rreq = Hashtbl.create 256;
-    reply_counts = Hashtbl.create 64;
+    seen_rreq = Flood.Ktbl.create 256;
+    reply_counts = Flood.Ktbl.create 64;
     in_flight = Hashtbl.create 32;
     seen_data = Hashtbl.create 64;
   }
@@ -101,7 +115,6 @@ let address t = Ctx.address t.ctx
 let now t = Ctx.now t.ctx
 let obs t = t.ctx.Ctx.obs
 
-(* The RREQ dedup key (sip, seq) doubles as the flood-provenance id. *)
 let floods t = Obs.flood (obs t)
 
 let cached_route t ~dst =
@@ -221,11 +234,10 @@ and send_rreq t d =
   Obs.correlate (obs t) (rreq_corr ~sip:(address t) ~seq) fl;
   (* Plain DSR: route record carried in the SRR field with empty
      authentication. *)
-  let fk = fkey (address t) seq in
-  Hashtbl.replace t.seen_rreq fk ();
-  Flood.originate (floods t) ~kind:Flood.Rreq ~key:fk
-    ~node:(Ctx.node_id t.ctx);
-  Flood.sent (floods t) ~kind:Flood.Rreq ~key:fk ~node:(Ctx.node_id t.ctx);
+  let key = rreq_key (address t) seq in
+  Flood.Ktbl.replace t.seen_rreq key ();
+  Flood.sent (floods t)
+    (Flood.handle (floods t) ~key ~origin:(Ctx.node_id t.ctx));
   Ctx.broadcast t.ctx
     (Messages.Rreq
        { sip = address t; dip = d.d_dst; seq; srr = []; sig_ = ""; spk = ""; srn = 0L });
@@ -370,6 +382,51 @@ let answer_from_cache t ~sip ~seq ~dip ~rr cached =
    arrives over a different path), giving the source route diversity. *)
 let max_replies_per_request = 3
 
+(* Every copy that reaches the destination is considered, up to the
+   diversity bound. *)
+let rreq_at_destination t ~key ~sip ~seq ~srr =
+  let me = address t in
+  let rr = srr_ips srr in
+  if not (Address.equal sip me || List.exists (Address.equal me) rr) then begin
+    let sent = Option.value ~default:0 (Flood.Ktbl.find_opt t.reply_counts key) in
+    if sent < max_replies_per_request then begin
+      Flood.Ktbl.replace t.reply_counts key (sent + 1);
+      answer_as_destination t ~sip ~seq ~rr
+    end
+  end
+
+(* First copy of a flood at a relay: answer from the route cache or
+   rebroadcast with our address appended. *)
+let rreq_first_copy t ~flood ~key ~sip ~dip ~seq ~srr =
+  Flood.Ktbl.replace t.seen_rreq key ();
+  let me = address t in
+  let rr = srr_ips srr in
+  if Address.equal sip me || List.exists (Address.equal me) rr then ()
+  else begin
+    match
+      if t.config.use_cache_replies then cached_route t ~dst:dip else None
+    with
+    | Some cached
+      when (not (List.exists (Address.equal sip) cached))
+           && not (List.exists (fun a -> List.exists (Address.equal a) rr) cached) ->
+        answer_from_cache t ~sip ~seq ~dip ~rr cached
+    | _ ->
+        (match Obs.lookup (obs t) (rreq_corr ~sip ~seq) with
+        | Some id ->
+            Obs.note (obs t) id ~node:(Ctx.node_id t.ctx)
+              ("relay " ^ Address.to_string me)
+        | None -> ());
+        let entry = { Messages.ip = me; sig_ = ""; pk = ""; rn = 0L } in
+        let relayed =
+          Messages.Rreq
+            { sip; dip; seq; srr = srr @ [ entry ]; sig_ = ""; spk = ""; srn = 0L }
+        in
+        let delay = Prng.float t.ctx.Ctx.rng t.config.flood_jitter in
+        Engine.schedule t.ctx.Ctx.engine ~label:"dsr" ~delay (fun () ->
+            Flood.sent (floods t) flood;
+            Ctx.broadcast t.ctx relayed)
+  end
+
 let handle_rreq t ~src msg =
   match msg with
   (* Plain DSR is the deliberately unauthenticated baseline (§3.3 uses
@@ -377,51 +434,20 @@ let handle_rreq t ~src msg =
      the wire but this layer never checks them. *)
   (* manetlint: allow security *)
   | Messages.Rreq { sip; dip; seq; srr; _ } ->
-      let key = fkey sip seq in
-      let me = address t in
-      let rr = srr_ips srr in
-      Flood.received (floods t) ~kind:Flood.Rreq ~key ~node:(Ctx.node_id t.ctx)
-        ~src ~hops:(List.length srr);
-      if Address.equal dip me then begin
-        if not (Address.equal sip me || List.exists (Address.equal me) rr) then begin
-          let sent = Option.value ~default:0 (Hashtbl.find_opt t.reply_counts key) in
-          if sent < max_replies_per_request then begin
-            Hashtbl.replace t.reply_counts key (sent + 1);
-            answer_as_destination t ~sip ~seq ~rr
-          end
-        end
-      end
-      else if Hashtbl.mem t.seen_rreq key then
-        Flood.duplicate (floods t) ~kind:Flood.Rreq ~key
-      else begin
-        Hashtbl.replace t.seen_rreq key ();
-        if Address.equal sip me || List.exists (Address.equal me) rr then ()
-        else begin
-          match
-            if t.config.use_cache_replies then cached_route t ~dst:dip else None
-          with
-          | Some cached
-            when (not (List.exists (Address.equal sip) cached))
-                 && not (List.exists (fun a -> List.exists (Address.equal a) rr) cached) ->
-              answer_from_cache t ~sip ~seq ~dip ~rr cached
-          | _ ->
-              (match Obs.lookup (obs t) (rreq_corr ~sip ~seq) with
-              | Some id ->
-                  Obs.note (obs t) id ~node:(Ctx.node_id t.ctx)
-                    ("relay " ^ Address.to_string me)
-              | None -> ());
-              let entry = { Messages.ip = me; sig_ = ""; pk = ""; rn = 0L } in
-              let relayed =
-                Messages.Rreq
-                  { sip; dip; seq; srr = srr @ [ entry ]; sig_ = ""; spk = ""; srn = 0L }
-              in
-              let delay = Prng.float t.ctx.Ctx.rng t.config.flood_jitter in
-              Engine.schedule t.ctx.Ctx.engine ~label:"dsr" ~delay (fun () ->
-                  Flood.sent (floods t) ~kind:Flood.Rreq ~key
-                    ~node:(Ctx.node_id t.ctx);
-                  Ctx.broadcast t.ctx relayed)
-        end
-      end
+      let key = rreq_key sip seq in
+      let flood = Flood.handle (floods t) ~key ~origin:src in
+      (* manethot: allow hot-list — the route record is as long as the
+         copy's hop count, bounded by the flood's hop radius. *)
+      let hops = List.length srr in
+      Flood.received (floods t) flood ~node:(Ctx.node_id t.ctx) ~src ~hops;
+      let at_dest = Address.equal dip (address t) in
+      if (not at_dest) && Flood.Ktbl.mem t.seen_rreq key then
+        Flood.duplicate (floods t) flood
+      else
+        (* manethot: cold — at most once per (flood, node) /
+           max_replies_per_request answers *)
+        if at_dest then rreq_at_destination t ~key ~sip ~seq ~srr
+        else rreq_first_copy t ~flood ~key ~sip ~dip ~seq ~srr
   | _ -> ()
 
 (* --- source-routed message handling ------------------------------------ *)

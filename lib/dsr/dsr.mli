@@ -94,3 +94,7 @@ val address : t -> Address.t
 val rreq_corr : sip:Address.t -> seq:int -> string
 val rrep_corr : sip:Address.t -> dip:Address.t -> rr:Address.t list -> string
 val crep_corr : cacher:Address.t -> seq:int -> string
+
+val rreq_key : Address.t -> int -> Manet_obs.Flood.key
+(** [rreq_key sip seq] is the RREQ dedup key, shared by every routing
+    agent's seen-table and by the flood-provenance registry. *)

@@ -1,15 +1,35 @@
 module Engine = Manet_sim.Engine
 
-(* Flood keys are the protocols' own dedup keys (AREQ: sip ^ seq ^ ch;
-   RREQ: sip ^ seq) prefixed by a kind tag so the two key spaces cannot
-   collide.  Ids are assigned densely in first-origination order, which
-   is a pure function of the event sequence — deterministic across
-   replays and domain counts. *)
-module Stbl = Hashtbl.Make (struct
-  type t = string
+(* Flood keys are the protocols' own dedup keys as typed records: AREQ
+   (sip, seq, ch), RREQ (sip, seq) with [ch = 0L].  [kind] is part of
+   the key, so the two key spaces cannot collide.  Ids are assigned
+   densely in first-origination order, which is a pure function of the
+   event sequence — deterministic across replays and domain counts. *)
+type kind = Areq | Rreq
 
-  let equal = String.equal
-  let hash = String.hash
+let kind_str = function Areq -> "areq" | Rreq -> "rreq"
+
+let kind_code = function Areq -> 1 | Rreq -> 2
+
+type key = { kind : kind; hi : int64; lo : int64; seq : int; ch : int64 }
+
+(* Monomorphic equality and hash: no polymorphic primitive and no
+   allocation per lookup.  The final shift folds the multiplied high
+   bits into the low bits the table indexes by. *)
+module Ktbl = Hashtbl.Make (struct
+  type t = key
+
+  let equal (a : key) (b : key) =
+    Int.equal a.seq b.seq && Int64.equal a.lo b.lo && Int64.equal a.ch b.ch
+    && Int64.equal a.hi b.hi
+    && Int.equal (kind_code a.kind) (kind_code b.kind)
+
+  let mix h x = (h lxor x) * 0x100000001b3
+
+  let hash (k : key) =
+    let h = mix (kind_code k.kind) (Int64.to_int k.hi) in
+    let h = mix (mix (mix h (Int64.to_int k.lo)) k.seq) (Int64.to_int k.ch) in
+    (h lxor (h lsr 31)) land max_int
 end)
 
 module Itbl = Hashtbl.Make (struct
@@ -18,11 +38,6 @@ module Itbl = Hashtbl.Make (struct
   let equal = Int.equal
   let hash x = x land max_int
 end)
-
-type kind = Areq | Rreq
-
-let kind_str = function Areq -> "areq" | Rreq -> "rreq"
-let tag = function Areq -> "A:" | Rreq -> "R:"
 
 (* One cell per (flood, node) that received at least one copy: the
    propagation-tree edge.  [nc_parent] is the sender of the first copy
@@ -34,12 +49,16 @@ type node_cell = {
   mutable nc_verifies : int;
 }
 
+(* The last-activity time lives in an all-float record, stored flat, so
+   touching a flood on every copy stores an unboxed double. *)
+type last = { mutable last : float }
+
 type flood = {
   f_id : int;
   f_kind : kind;
   f_origin : int;
   f_start : float;
-  mutable f_last : float;
+  f_last : last;
   mutable f_sent : int;
   mutable f_received : int;
   mutable f_dup_suppressed : int;
@@ -49,30 +68,31 @@ type flood = {
   f_nodes : node_cell Itbl.t;
 }
 
+type handle = flood
+
 type t = {
   engine : Engine.t;
-  by_key : flood Stbl.t;
+  by_key : flood Ktbl.t;
   mutable rev_order : flood list; (* newest first; reversed at export *)
   mutable count : int;
 }
 
 let create engine =
-  { engine; by_key = Stbl.create 64; rev_order = []; count = 0 }
+  { engine; by_key = Ktbl.create 64; rev_order = []; count = 0 }
 
-let find_or_create t ~kind ~key ~origin =
-  let k = tag kind ^ key in
-  match Stbl.find t.by_key k with
+let handle t ~key ~origin =
+  match Ktbl.find t.by_key key with
   | f -> f
   | exception Not_found ->
-      (* manethot: allow hot-alloc — one record per distinct flood over
-         the whole run, not per copy handled. *)
+      (* manethot: cold — one registration per distinct flood over the
+         whole run, not per copy handled. *)
       let f =
         {
           f_id = t.count;
-          f_kind = kind;
+          f_kind = key.kind;
           f_origin = origin;
           f_start = Engine.now t.engine;
-          f_last = Engine.now t.engine;
+          f_last = { last = Engine.now t.engine };
           f_sent = 0;
           f_received = 0;
           f_dup_suppressed = 0;
@@ -82,30 +102,25 @@ let find_or_create t ~kind ~key ~origin =
           f_nodes = Itbl.create 8;
         }
       in
-      Stbl.add t.by_key k f;
+      Ktbl.add t.by_key key f;
       t.rev_order <- f :: t.rev_order;
       t.count <- t.count + 1;
       f
 
-let touch t f = f.f_last <- Engine.now t.engine
+let touch t f = f.f_last.last <- Engine.now t.engine
 
-let originate t ~kind ~key ~node =
-  ignore (find_or_create t ~kind ~key ~origin:node)
-
-let sent t ~kind ~key ~node =
-  let f = find_or_create t ~kind ~key ~origin:node in
+let sent t f =
   f.f_sent <- f.f_sent + 1;
   touch t f
 
-let received t ~kind ~key ~node ~src ~hops =
-  let f = find_or_create t ~kind ~key ~origin:src in
+let received t f ~node ~src ~hops =
   f.f_received <- f.f_received + 1;
   if hops > f.f_hop_radius then f.f_hop_radius <- hops;
   touch t f;
   if not (Itbl.mem f.f_nodes node) then
-    (* manethot: allow hot-alloc — one cell per (flood, node) reached,
-       not per copy received. *)
     Itbl.add f.f_nodes node
+      (* manethot: allow hot-alloc — one cell per (flood, node) reached,
+         not per copy received. *)
       {
         nc_first_seen = Engine.now t.engine;
         nc_parent = src;
@@ -113,16 +128,11 @@ let received t ~kind ~key ~node ~src ~hops =
         nc_verifies = 0;
       }
 
-let duplicate t ~kind ~key =
-  let k = tag kind ^ key in
-  match Stbl.find t.by_key k with
-  | f ->
-      f.f_dup_suppressed <- f.f_dup_suppressed + 1;
-      touch t f
-  | exception Not_found -> ()
+let duplicate t f =
+  f.f_dup_suppressed <- f.f_dup_suppressed + 1;
+  touch t f
 
-let verified t ~kind ~key ~node =
-  let f = find_or_create t ~kind ~key ~origin:node in
+let verified t f ~node =
   f.f_verifies <- f.f_verifies + 1;
   touch t f;
   match Itbl.find f.f_nodes node with
@@ -164,7 +174,7 @@ let summary_of f =
     kind = f.f_kind;
     origin = f.f_origin;
     start = f.f_start;
-    last = f.f_last;
+    last = f.f_last.last;
     sent = f.f_sent;
     received = f.f_received;
     duplicates = f.f_dup_suppressed;

@@ -2,12 +2,19 @@
     RREQ broadcasts.
 
     Every flood origin (a DAD address request or a route request, plain
-    or secured) registers under the protocol's own dedup key — AREQ:
-    [sip ^ seq ^ ch], RREQ: [sip ^ seq] — prefixed by a kind tag, and is
+    or secured) registers under the protocol's own dedup key, a typed
+    {!key} record — AREQ: (sip, seq, ch), RREQ: (sip, seq) with
+    [ch = 0L] — whose [kind] keeps the two key spaces apart, and is
     assigned a dense id in first-origination order.  Both the key and
     the order are pure functions of the seeded event sequence, so ids,
     counters and the exports below are byte-identical across same-seed
     replays and sweep domain counts without any wire-format change.
+
+    Registration ({!handle}) returns the flood's {!handle}; the four
+    recording points ({!sent}, {!received}, {!duplicate}, {!verified})
+    take it, so a protocol that keeps the handle in its own seen-table
+    records a duplicate copy without a second registry lookup, and no
+    recording point builds a string.
 
     Per flood the registry accounts the propagation tree: copies sent
     (origin + rebroadcasts), copies received, duplicates suppressed by
@@ -36,31 +43,43 @@ type kind = Areq | Rreq
 
 val kind_str : kind -> string
 
+type key = { kind : kind; hi : int64; lo : int64; seq : int; ch : int64 }
+(** A flood's dedup key: the source address's two halves ([hi], [lo]),
+    its sequence number and, for an AREQ, the attempt's challenge
+    (RREQ keys use [ch = 0L]).  Keys of different kinds never compare
+    equal. *)
+
+module Ktbl : Hashtbl.S with type key = key
+(** Tables over flood keys with a monomorphic, allocation-free equality
+    and hash; the protocols' seen-tables use it too. *)
+
 val create : Engine.t -> t
 (** Fresh registry; sim times are read from the engine's clock. *)
 
-(** {1 Recording}
+(** {1 Recording} *)
 
-    All of these take the protocol's raw dedup key; tagging by [kind]
-    is internal.  Unknown keys are registered lazily (with the acting
-    node as presumed origin) so accounting never raises. *)
+type handle
+(** One registered flood. *)
 
-val originate : t -> kind:kind -> key:string -> node:int -> unit
-(** Register a flood at its origination site, before the first copy is
-    sent.  Idempotent for an already-known key. *)
+val handle : t -> key:key -> origin:int -> handle
+(** The flood registered under [key], registering it first — with
+    [origin] as its origin node and the current sim time as its start —
+    when the key is new.  The originator calls it before the first copy
+    is sent; a receiver of a copy of an unknown flood passes the sender,
+    so accounting never raises. *)
 
-val sent : t -> kind:kind -> key:string -> node:int -> unit
-(** One copy broadcast (origination or rebroadcast) by [node]. *)
+val sent : t -> handle -> unit
+(** One copy broadcast (origination or rebroadcast). *)
 
-val received : t -> kind:kind -> key:string -> node:int -> src:int -> hops:int -> unit
+val received : t -> handle -> node:int -> src:int -> hops:int -> unit
 (** One copy delivered to [node] from [src] at hop distance [hops],
     counted before any dedup decision.  The first copy per node records
     the propagation-tree edge (first-seen time, parent, hops). *)
 
-val duplicate : t -> kind:kind -> key:string -> unit
+val duplicate : t -> handle -> unit
 (** The protocol's seen-table suppressed a received copy. *)
 
-val verified : t -> kind:kind -> key:string -> node:int -> unit
+val verified : t -> handle -> node:int -> unit
 (** [node] cryptographically verified one received copy. *)
 
 (** {1 Read side} *)

@@ -29,11 +29,17 @@ type span = {
 
 type event = { time : float; node : int; name : string; detail : string }
 
+(* Monomorphic tables: [lookup]/[note] run on every RREQ first-copy
+   relay, so neither may hash through the polymorphic primitive.  No
+   iteration order reaches an export ([spans] is read by id). *)
+module Itbl = Hashtbl.Make (Int)
+module Stbl = Hashtbl.Make (String)
+
 type t = {
   engine : Engine.t;
-  spans : (int, span) Hashtbl.t;
+  spans : span Itbl.t;
   mutable next_id : int;
-  corr : (string, int) Hashtbl.t;
+  corr : int Stbl.t;
   mutable capture : bool;
   events : event Queue.t;
   event_capacity : int;
@@ -59,9 +65,9 @@ let create ?(event_capacity = 200_000) engine =
       | None -> ());
   {
     engine;
-    spans = Hashtbl.create 256;
+    spans = Itbl.create 256;
     next_id = 1;
-    corr = Hashtbl.create 256;
+    corr = Stbl.create 256;
     capture = false;
     events = Queue.create ();
     event_capacity;
@@ -98,33 +104,33 @@ let start t ?parent ~kind ~node ?(detail = "") () =
       notes = [];
     }
   in
-  Hashtbl.replace t.spans id span;
+  Itbl.replace t.spans id span;
   id
 
 
 let finish t id outcome =
-  match Hashtbl.find_opt t.spans id with
+  match Itbl.find_opt t.spans id with
   | Some span when span.outcome = None ->
       span.end_time <- Some (Engine.now t.engine);
       span.outcome <- Some outcome
   | Some _ | None -> () (* double finish / unknown id: first verdict wins *)
 
 let note t id ~node text =
-  match Hashtbl.find_opt t.spans id with
+  match Itbl.find_opt t.spans id with
   | Some span -> span.notes <- (Engine.now t.engine, node, text) :: span.notes
   | None -> ()
 
 let span_count t = t.next_id - 1
 
 let spans t =
-  List.filter_map (fun id -> Hashtbl.find_opt t.spans id)
+  List.filter_map (fun id -> Itbl.find_opt t.spans id)
     (List.init (span_count t) (fun i -> i + 1))
 
 (* --- correlation registry ----------------------------------------------- *)
 
-let correlate t key id = Hashtbl.replace t.corr key id
+let correlate t key id = Stbl.replace t.corr key id
 
-let lookup t key = Hashtbl.find_opt t.corr key
+let lookup t key = Stbl.find_opt t.corr key
 
 (* --- event sink --------------------------------------------------------- *)
 

@@ -117,15 +117,21 @@ let crypto_op t ~op ~bytes =
       end
   | Suite.Hash -> ()
 
-let with_attribution t ~kind ~node f =
+(* Runs once per delivery, so the previous attribution is kept in
+   locals and restored by a plain match rather than [Fun.protect]: no
+   closure is built per call. *)
+let dispatch t ~kind ~node handler ~src msg =
   let saved_kind = t.cur_kind and saved_node = t.cur_node in
   t.cur_kind <- kind;
   t.cur_node <- node;
-  Fun.protect
-    ~finally:(fun () ->
+  match handler ~src msg with
+  | () ->
       t.cur_kind <- saved_kind;
-      t.cur_node <- saved_node)
-    f
+      t.cur_node <- saved_node
+  | exception e ->
+      t.cur_kind <- saved_kind;
+      t.cur_node <- saved_node;
+      raise e
 
 let subscribe t suite =
   Suite.set_on_op suite (Some (fun ~op ~bytes -> crypto_op t ~op ~bytes))

@@ -11,7 +11,7 @@
       node degree), delivery fan-out and MAC retry counts (from
       {!Manet_sim.Net});
     - crypto-op cost: sign/verify counts and SHA-256 compression blocks,
-      attributed per message kind and per node via {!with_attribution}
+      attributed per message kind and per node via {!dispatch}
       around the reception dispatch and a {!Manet_crypto.Suite.set_on_op}
       subscription;
     - GC/alloc telemetry: [Gc.quick_stat] deltas per named phase.
@@ -46,7 +46,7 @@ val schema_version : int
 
 val no_kind : string
 (** The message-kind bucket charged for crypto ops performed outside any
-    {!with_attribution} scope (node-initiated sends, timer work). *)
+    {!dispatch} scope (node-initiated sends, timer work). *)
 
 type t
 
@@ -62,11 +62,13 @@ val counters : t -> (string * int) list
 
 (** {1 Crypto attribution} *)
 
-val with_attribution : t -> kind:string -> node:int -> (unit -> 'a) -> 'a
-(** [with_attribution t ~kind ~node f] runs [f] with crypto ops
-    attributed to message kind [kind] on node [node] (exception-safe,
-    restores the previous attribution).  The scenario wraps its per-node
-    reception dispatch in this. *)
+val dispatch :
+  t -> kind:string -> node:int -> (src:int -> 'm -> unit) -> src:int -> 'm -> unit
+(** [dispatch t ~kind ~node handler ~src msg] runs [handler ~src msg]
+    with crypto ops attributed to message kind [kind] on node [node],
+    then restores the previous attribution, also when [handler] raises.
+    It allocates nothing.  The scenario routes every delivery through
+    it, with a per-node handler built once at set-up. *)
 
 val crypto_op : t -> op:Suite.op -> bytes:int -> unit
 (** Record one suite operation under the current attribution.  Normally

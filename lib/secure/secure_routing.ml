@@ -88,8 +88,8 @@ type t = {
   pending : (string, pending_discovery) Hashtbl.t;
   queue : (string, packet Queue.t) Hashtbl.t;
   waiters : (string, (Address.t list option -> unit) list ref) Hashtbl.t;
-  seen_rreq : (string, unit) Hashtbl.t;
-  reply_counts : (string, int) Hashtbl.t; (* replies per request, for route diversity *)
+  seen_rreq : unit Flood.Ktbl.t;
+  reply_counts : int Flood.Ktbl.t; (* replies per request, for route diversity *)
   in_flight : (string, packet) Hashtbl.t;
   seen_data : (string, unit) Hashtbl.t; (* delivered (src, seq): retries must not double-count *)
   last_rreq_seq : (string, int) Hashtbl.t; (* per-source replay window *)
@@ -126,8 +126,8 @@ let create ?(config = default_config) ?(trusted = []) ctx =
     pending = Hashtbl.create 16;
     queue = Hashtbl.create 16;
     waiters = Hashtbl.create 8;
-    seen_rreq = Hashtbl.create 256;
-    reply_counts = Hashtbl.create 64;
+    seen_rreq = Flood.Ktbl.create 256;
+    reply_counts = Flood.Ktbl.create 64;
     in_flight = Hashtbl.create 32;
     seen_data = Hashtbl.create 64;
     last_rreq_seq = Hashtbl.create 32;
@@ -433,11 +433,10 @@ and send_rreq t d =
   d.d_flood <- Some fl;
   Obs.correlate (obs t) (Dsr.rreq_corr ~sip ~seq) fl;
   let sig_ = Identity.sign id (Codec.rreq_source_payload ~sip ~seq) in
-  let fk = fkey sip seq in
-  Hashtbl.replace t.seen_rreq fk ();
-  Flood.originate (floods t) ~kind:Flood.Rreq ~key:fk
-    ~node:(Ctx.node_id t.ctx);
-  Flood.sent (floods t) ~kind:Flood.Rreq ~key:fk ~node:(Ctx.node_id t.ctx);
+  let key = Dsr.rreq_key sip seq in
+  Flood.Ktbl.replace t.seen_rreq key ();
+  Flood.sent (floods t)
+    (Flood.handle (floods t) ~key ~origin:(Ctx.node_id t.ctx));
   Ctx.broadcast t.ctx
     (Messages.Rreq
        {
@@ -641,89 +640,101 @@ let note_rreq_seq t ~sip ~seq =
      to burn a victim's sequence space with junk requests. *)
   Hashtbl.replace t.last_rreq_seq (akey sip) seq
 
+(* Destination: every copy is considered (up to the diversity bound),
+   each verified independently — a rushed poisoned copy must not mask an
+   honest one. *)
+let rreq_at_destination t ~flood ~key ~sip ~seq ~srr ~sig_ ~spk ~srn =
+  let me = address t in
+  let rr = srr_ips srr in
+  if not (Address.equal sip me || List.exists (Address.equal me) rr) then begin
+    let sent = Option.value ~default:0 (Flood.Ktbl.find_opt t.reply_counts key) in
+    if sent < max_replies_per_request && fresh_rreq_for_destination t ~sip ~seq
+    then begin
+      (* Each verified copy — including duplicates of a flood the
+         destination already answered — is charged to the flood's
+         provenance: this is the duplicate-verification work the
+         item-3 cache is meant to eliminate. *)
+      Flood.verified (floods t) flood ~node:(Ctx.node_id t.ctx);
+      if verify_rreq t ~sip ~seq ~srr ~sig_ ~spk ~srn then begin
+        note_rreq_seq t ~sip ~seq;
+        Flood.Ktbl.replace t.reply_counts key (sent + 1);
+        answer_as_destination t ~sip ~seq ~rr
+      end
+      else
+        (* The broken link of the signature chain is not
+           localizable from here (any relay may have tampered or
+           appended a forged entry), so no subject. *)
+        Ctx.audit t.ctx ~kind:Audit.Sig_verify_fail
+          ~stats:[ "secure.rreq_rejected" ]
+          ~cause:"rreq source or route-record signature chain" ()
+    end
+  end
+
+(* First copy of a flood at a relay: answer from an endorsed cache
+   entry, or sign our route-record entry and rebroadcast. *)
+let rreq_first_copy t ~flood ~key ~sip ~dip ~seq ~srr ~sig_ ~spk ~srn =
+  Flood.Ktbl.replace t.seen_rreq key ();
+  let me = address t in
+  let rr = srr_ips srr in
+  if Address.equal sip me || List.exists (Address.equal me) rr then ()
+  else begin
+    let cache_answer =
+      if t.config.use_cache_replies then
+        match cached_entry t ~dst:dip with
+        | Some ({ Route_cache.meta = Some endo; _ } as entry)
+          when (not (List.exists (Address.equal sip) entry.Route_cache.route))
+               && not
+                    (List.exists
+                       (fun a -> List.exists (Address.equal a) rr)
+                       entry.Route_cache.route) ->
+            Some (entry, endo)
+        | _ -> None
+      else None
+    in
+    match cache_answer with
+    | Some (entry, endo) -> answer_from_cache t ~sip ~seq ~dip ~rr entry endo
+    | None ->
+        (match Obs.lookup (obs t) (Dsr.rreq_corr ~sip ~seq) with
+        | Some sid ->
+            Obs.note (obs t) sid ~node:(Ctx.node_id t.ctx)
+              ("relay " ^ Address.to_string me)
+        | None -> ());
+        let id = identity t in
+        let entry =
+          {
+            Messages.ip = me;
+            sig_ = Identity.sign id (Codec.srr_entry_payload ~iip:me ~seq);
+            pk = Identity.pk_bytes id;
+            rn = id.Identity.rn;
+          }
+        in
+        let relayed =
+          Messages.Rreq { sip; dip; seq; srr = srr @ [ entry ]; sig_; spk; srn }
+        in
+        let delay = Prng.float t.ctx.Ctx.rng t.config.flood_jitter in
+        Engine.schedule t.ctx.Ctx.engine ~label:"secure" ~delay (fun () ->
+            Flood.sent (floods t) flood;
+            Ctx.broadcast t.ctx relayed)
+  end
+
 let handle_rreq t ~src msg =
   match msg with
   | Messages.Rreq { sip; dip; seq; srr; sig_; spk; srn } ->
-      let key = fkey sip seq in
-      let me = address t in
-      let rr = srr_ips srr in
-      Flood.received (floods t) ~kind:Flood.Rreq ~key ~node:(Ctx.node_id t.ctx)
-        ~src ~hops:(List.length srr);
-      if Address.equal dip me then begin
-        (* Destination: every copy is considered (up to the diversity
-           bound), each verified independently — a rushed poisoned copy
-           must not mask an honest one. *)
-        if not (Address.equal sip me || List.exists (Address.equal me) rr) then begin
-          let sent = Option.value ~default:0 (Hashtbl.find_opt t.reply_counts key) in
-          if sent < max_replies_per_request && fresh_rreq_for_destination t ~sip ~seq
-          then begin
-            (* Each verified copy — including duplicates of a flood the
-               destination already answered — is charged to the flood's
-               provenance: this is the duplicate-verification work the
-               item-3 cache is meant to eliminate. *)
-            Flood.verified (floods t) ~kind:Flood.Rreq ~key
-              ~node:(Ctx.node_id t.ctx);
-            if verify_rreq t ~sip ~seq ~srr ~sig_ ~spk ~srn then begin
-              note_rreq_seq t ~sip ~seq;
-              Hashtbl.replace t.reply_counts key (sent + 1);
-              answer_as_destination t ~sip ~seq ~rr
-            end
-            else
-              (* The broken link of the signature chain is not
-                 localizable from here (any relay may have tampered or
-                 appended a forged entry), so no subject. *)
-              Ctx.audit t.ctx ~kind:Audit.Sig_verify_fail
-                ~stats:[ "secure.rreq_rejected" ]
-                ~cause:"rreq source or route-record signature chain" ()
-          end
-        end
-      end
-      else if Hashtbl.mem t.seen_rreq key then
-        Flood.duplicate (floods t) ~kind:Flood.Rreq ~key
-      else begin
-        Hashtbl.replace t.seen_rreq key ();
-        if Address.equal sip me || List.exists (Address.equal me) rr then ()
-        else begin
-          let cache_answer =
-            if t.config.use_cache_replies then
-              match cached_entry t ~dst:dip with
-              | Some ({ Route_cache.meta = Some endo; _ } as entry)
-                when (not (List.exists (Address.equal sip) entry.Route_cache.route))
-                     && not
-                          (List.exists
-                             (fun a -> List.exists (Address.equal a) rr)
-                             entry.Route_cache.route) ->
-                  Some (entry, endo)
-              | _ -> None
-            else None
-          in
-          match cache_answer with
-          | Some (entry, endo) -> answer_from_cache t ~sip ~seq ~dip ~rr entry endo
-          | None ->
-              (match Obs.lookup (obs t) (Dsr.rreq_corr ~sip ~seq) with
-              | Some sid ->
-                  Obs.note (obs t) sid ~node:(Ctx.node_id t.ctx)
-                    ("relay " ^ Address.to_string me)
-              | None -> ());
-              let id = identity t in
-              let entry =
-                {
-                  Messages.ip = me;
-                  sig_ = Identity.sign id (Codec.srr_entry_payload ~iip:me ~seq);
-                  pk = Identity.pk_bytes id;
-                  rn = id.Identity.rn;
-                }
-              in
-              let relayed =
-                Messages.Rreq { sip; dip; seq; srr = srr @ [ entry ]; sig_; spk; srn }
-              in
-              let delay = Prng.float t.ctx.Ctx.rng t.config.flood_jitter in
-              Engine.schedule t.ctx.Ctx.engine ~label:"secure" ~delay (fun () ->
-                  Flood.sent (floods t) ~kind:Flood.Rreq ~key
-                    ~node:(Ctx.node_id t.ctx);
-                  Ctx.broadcast t.ctx relayed)
-        end
-      end
+      let key = Dsr.rreq_key sip seq in
+      let flood = Flood.handle (floods t) ~key ~origin:src in
+      (* manethot: allow hot-list — the route record is as long as the
+         copy's hop count, bounded by the flood's hop radius. *)
+      let hops = List.length srr in
+      Flood.received (floods t) flood ~node:(Ctx.node_id t.ctx) ~src ~hops;
+      let at_dest = Address.equal dip (address t) in
+      if (not at_dest) && Flood.Ktbl.mem t.seen_rreq key then
+        Flood.duplicate (floods t) flood
+      else
+        (* manethot: cold — at most once per (flood, node) /
+           max_replies_per_request answers *)
+        if at_dest then
+          rreq_at_destination t ~flood ~key ~sip ~seq ~srr ~sig_ ~spk ~srn
+        else rreq_first_copy t ~flood ~key ~sip ~dip ~seq ~srr ~sig_ ~spk ~srn
   | _ -> ()
 
 (* --- replies ------------------------------------------------------------ *)

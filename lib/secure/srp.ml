@@ -9,6 +9,7 @@ module Obs = Manet_obs.Obs
 module Flood = Manet_obs.Flood
 module Engine = Manet_sim.Engine
 module Route_cache = Manet_dsr.Route_cache
+module Dsr = Manet_dsr.Dsr
 
 type config = {
   discovery_timeout : float;
@@ -66,8 +67,8 @@ type t = {
   pending : (string, pending_discovery) Hashtbl.t;
   queue : (string, packet Queue.t) Hashtbl.t;
   waiters : (string, (Address.t list option -> unit) list ref) Hashtbl.t;
-  seen_rreq : (string, unit) Hashtbl.t;
-  reply_counts : (string, int) Hashtbl.t;
+  seen_rreq : unit Flood.Ktbl.t;
+  reply_counts : int Flood.Ktbl.t;
   in_flight : (string, packet) Hashtbl.t;
   seen_data : (string, unit) Hashtbl.t;
 }
@@ -86,8 +87,8 @@ let create ?(config = default_config) ~master ctx =
     pending = Hashtbl.create 16;
     queue = Hashtbl.create 16;
     waiters = Hashtbl.create 8;
-    seen_rreq = Hashtbl.create 256;
-    reply_counts = Hashtbl.create 64;
+    seen_rreq = Flood.Ktbl.create 256;
+    reply_counts = Flood.Ktbl.create 64;
     in_flight = Hashtbl.create 32;
     seen_data = Hashtbl.create 64;
   }
@@ -175,11 +176,10 @@ and send_rreq t d =
   (* The end-to-end MAC rides in the message's signature field; no key
      material travels (both ends already share the association). *)
   let mac = rreq_mac ~key:(key_with t d.d_dst) ~sip ~dip:d.d_dst ~seq in
-  let fk = fkey sip seq in
-  Hashtbl.replace t.seen_rreq fk ();
+  let key = Dsr.rreq_key sip seq in
+  Flood.Ktbl.replace t.seen_rreq key ();
   let fl = Obs.flood t.ctx.Ctx.obs in
-  Flood.originate fl ~kind:Flood.Rreq ~key:fk ~node:(Ctx.node_id t.ctx);
-  Flood.sent fl ~kind:Flood.Rreq ~key:fk ~node:(Ctx.node_id t.ctx);
+  Flood.sent fl (Flood.handle fl ~key ~origin:(Ctx.node_id t.ctx));
   Ctx.broadcast t.ctx
     (Messages.Rreq { sip; dip = d.d_dst; seq; srr = []; sig_ = mac; spk = ""; srn = 0L });
   Engine.schedule t.ctx.Ctx.engine ~label:"srp"
@@ -249,67 +249,79 @@ let discover t ~dst ~on_route =
 let srr_ips srr = List.map (fun e -> e.Messages.ip) srr
 let max_replies_per_request = 3
 
+let rreq_at_destination t ~flood ~key ~sip ~dip ~seq ~srr ~sig_ =
+  let me = address t in
+  let rr = srr_ips srr in
+  if not (Address.equal sip me || List.exists (Address.equal me) rr) then begin
+    let sent = Option.value ~default:0 (Flood.Ktbl.find_opt t.reply_counts key) in
+    if sent < max_replies_per_request then begin
+      (* End-to-end verification only: the pair MAC proves the
+         request's origin; the collected hops are taken on faith —
+         SRP's deliberate trade-off. *)
+      Flood.verified (Obs.flood t.ctx.Ctx.obs) flood ~node:(Ctx.node_id t.ctx);
+      let k_sd = key_with t sip in
+      if String.equal sig_ (rreq_mac ~key:k_sd ~sip ~dip ~seq) then begin
+        Flood.Ktbl.replace t.reply_counts key (sent + 1);
+        Ctx.stat t.ctx "route.replies";
+        let back = List.rev rr @ [ sip ] in
+        Ctx.send_along t.ctx ~path:back
+          (Messages.Rrep
+             {
+               sip;
+               dip = me;
+               rr;
+               remaining = back;
+               sig_ = rrep_mac ~key:k_sd ~sip ~seq ~rr;
+               dpk = "";
+               drn = 0L;
+             })
+      end
+      else
+        Ctx.audit t.ctx ~kind:Audit.Sig_verify_fail
+          ~stats:[ "srp.rreq_rejected" ]
+          ~cause:"rreq end-to-end MAC" ()
+    end
+  end
+
+let rreq_first_copy t ~flood ~key ~sip ~dip ~seq ~srr ~sig_ =
+  Flood.Ktbl.replace t.seen_rreq key ();
+  let me = address t in
+  let rr = srr_ips srr in
+  if Address.equal sip me || List.exists (Address.equal me) rr then ()
+  else begin
+    (* Relay with a bare address record: intermediates neither sign
+       nor verify anything under SRP — this is a designated
+       unsigned site, not a forgotten signature. *)
+    (* manetlint: allow placeholder-sig *)
+    let entry = { Messages.ip = me; sig_ = ""; pk = ""; rn = 0L } in
+    let relayed =
+      Messages.Rreq { sip; dip; seq; srr = srr @ [ entry ]; sig_; spk = ""; srn = 0L }
+    in
+    let delay = Prng.float t.ctx.Ctx.rng t.config.flood_jitter in
+    Engine.schedule t.ctx.Ctx.engine ~label:"srp" ~delay (fun () ->
+        Flood.sent (Obs.flood t.ctx.Ctx.obs) flood;
+        Ctx.broadcast t.ctx relayed)
+  end
+
 let handle_rreq t ~src msg =
   match msg with
   | Messages.Rreq { sip; dip; seq; srr; sig_; _ } ->
-      let key = fkey sip seq in
-      let me = address t in
-      let rr = srr_ips srr in
+      let key = Dsr.rreq_key sip seq in
       let fl = Obs.flood t.ctx.Ctx.obs in
-      Flood.received fl ~kind:Flood.Rreq ~key ~node:(Ctx.node_id t.ctx) ~src
-        ~hops:(List.length srr);
-      if Address.equal dip me then begin
-        if not (Address.equal sip me || List.exists (Address.equal me) rr) then begin
-          let sent = Option.value ~default:0 (Hashtbl.find_opt t.reply_counts key) in
-          if sent < max_replies_per_request then begin
-            (* End-to-end verification only: the pair MAC proves the
-               request's origin; the collected hops are taken on faith —
-               SRP's deliberate trade-off. *)
-            Flood.verified fl ~kind:Flood.Rreq ~key ~node:(Ctx.node_id t.ctx);
-            let k_sd = key_with t sip in
-            if String.equal sig_ (rreq_mac ~key:k_sd ~sip ~dip ~seq) then begin
-              Hashtbl.replace t.reply_counts key (sent + 1);
-              Ctx.stat t.ctx "route.replies";
-              let back = List.rev rr @ [ sip ] in
-              Ctx.send_along t.ctx ~path:back
-                (Messages.Rrep
-                   {
-                     sip;
-                     dip = me;
-                     rr;
-                     remaining = back;
-                     sig_ = rrep_mac ~key:k_sd ~sip ~seq ~rr;
-                     dpk = "";
-                     drn = 0L;
-                   })
-            end
-            else
-              Ctx.audit t.ctx ~kind:Audit.Sig_verify_fail
-                ~stats:[ "srp.rreq_rejected" ]
-                ~cause:"rreq end-to-end MAC" ()
-          end
-        end
-      end
-      else if Hashtbl.mem t.seen_rreq key then
-        Flood.duplicate fl ~kind:Flood.Rreq ~key
-      else begin
-        Hashtbl.replace t.seen_rreq key ();
-        if Address.equal sip me || List.exists (Address.equal me) rr then ()
-        else begin
-          (* Relay with a bare address record: intermediates neither sign
-             nor verify anything under SRP — this is a designated
-             unsigned site, not a forgotten signature. *)
-          (* manetlint: allow placeholder-sig *)
-          let entry = { Messages.ip = me; sig_ = ""; pk = ""; rn = 0L } in
-          let relayed =
-            Messages.Rreq { sip; dip; seq; srr = srr @ [ entry ]; sig_; spk = ""; srn = 0L }
-          in
-          let delay = Prng.float t.ctx.Ctx.rng t.config.flood_jitter in
-          Engine.schedule t.ctx.Ctx.engine ~label:"srp" ~delay (fun () ->
-              Flood.sent fl ~kind:Flood.Rreq ~key ~node:(Ctx.node_id t.ctx);
-              Ctx.broadcast t.ctx relayed)
-        end
-      end
+      let flood = Flood.handle fl ~key ~origin:src in
+      (* manethot: allow hot-list — the route record is as long as the
+         copy's hop count, bounded by the flood's hop radius. *)
+      let hops = List.length srr in
+      Flood.received fl flood ~node:(Ctx.node_id t.ctx) ~src ~hops;
+      let at_dest = Address.equal dip (address t) in
+      if (not at_dest) && Flood.Ktbl.mem t.seen_rreq key then
+        Flood.duplicate fl flood
+      else
+        (* manethot: cold — at most once per (flood, node) /
+           max_replies_per_request answers *)
+        if at_dest then
+          rreq_at_destination t ~flood ~key ~sip ~dip ~seq ~srr ~sig_
+        else rreq_first_copy t ~flood ~key ~sip ~dip ~seq ~srr ~sig_
   | _ -> ()
 
 let consume_rrep t msg =

@@ -16,6 +16,8 @@ module Identity = Manet_proto.Identity
 module Dad = Manet_dad.Dad
 module Dns = Manet_dns.Dns
 module Dns_client = Manet_dns.Client
+module Obs = Manet_obs.Obs
+module Flood = Manet_obs.Flood
 
 (* A small world: node 0 is the DNS server, nodes 1..n-1 are hosts, laid
    out in a chain with 100-unit spacing and 150-unit radio range (so only
@@ -295,6 +297,39 @@ let test_dad_flood_is_duplicate_suppressed () =
     true
     (areq_tx >= 3 && areq_tx <= 8)
 
+(* Every host hears every AREQ copy its neighbours relay and drops all
+   but the first, so a duplicate copy must stay cheap: one seen-table
+   lookup and the flood counters, building no string.  The 6-word
+   lookup key is the only allocation left. *)
+let test_dad_duplicate_areq_allocation () =
+  let w = make_world ~n:3 () in
+  let sip = Address.of_string_exn "fec0::1234" in
+  let msg =
+    Messages.Areq
+      {
+        sip;
+        seq = 1;
+        dn = None;
+        ch = 0x5eedL;
+        rr = [ w.identities.(1).Identity.address ];
+      }
+  in
+  Dad.handle w.dads.(2) ~src:1 msg;
+  let per_copy =
+    Test_crypto.minor_words_per_call 10_000 (fun () ->
+        Dad.handle w.dads.(2) ~src:1 msg)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "duplicate AREQ copy: %.2f minor words <= 8" per_copy)
+    true (per_copy <= 8.0);
+  match Flood.summaries (Obs.flood w.ctxs.(2).Ctx.obs) with
+  | [ s ] ->
+      Alcotest.(check int) "every copy received" 10_001 s.Flood.received;
+      Alcotest.(check int) "all but the first suppressed" 10_000
+        s.Flood.duplicates;
+      Alcotest.(check int) "one node reached" 1 s.Flood.reached
+  | l -> Alcotest.failf "expected one flood, got %d" (List.length l)
+
 (* ------------------------------------------------------------------ *)
 (* DNS client services                                                *)
 (* ------------------------------------------------------------------ *)
@@ -448,6 +483,8 @@ let suites =
         Alcotest.test_case "forged arep rejected" `Quick test_dad_forged_arep_rejected;
         Alcotest.test_case "forged drep rejected" `Quick test_dad_forged_drep_rejected;
         Alcotest.test_case "flood dedup" `Quick test_dad_flood_is_duplicate_suppressed;
+        Alcotest.test_case "duplicate AREQ allocation budget" `Quick
+          test_dad_duplicate_areq_allocation;
       ] );
     ( "dns",
       [

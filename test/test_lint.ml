@@ -600,17 +600,17 @@ let test_flood_origin_label_clean () =
     [
       ( "lib/dad/dad.ml",
         {|let send t key msg =
-  Flood.originate (floods t) ~kind:Flood.Areq ~key ~node:0;
-  Flood.sent (floods t) ~kind:Flood.Areq ~key ~node:0;
+  let flood = Flood.handle (floods t) ~key ~origin:0 in
+  Flood.sent (floods t) flood;
   Ctx.broadcast t.ctx msg|}
       );
     ];
   clean "recorded relay inside the closure" "flood-origin-label"
     [
       ( "lib/secure/secure_routing.ml",
-        {|let relay t key msg =
+        {|let relay t flood msg =
   Engine.schedule t.engine ~label:"secure" ~delay:0.01 (fun () ->
-      Flood.sent (floods t) ~kind:Flood.Rreq ~key ~node:0;
+      Flood.sent (floods t) flood;
       Ctx.broadcast t.ctx msg)|}
       );
     ];

@@ -159,9 +159,11 @@ let test_counters_and_attribution () =
     "counters sorted"
     [ ("cache_hit", 3); ("cache_miss", 2) ]
     (Perf.counters p);
-  Perf.with_attribution p ~kind:"rreq" ~node:2 (fun () ->
+  Perf.dispatch p ~kind:"rreq" ~node:2
+    (fun ~src:_ () ->
       Perf.crypto_op p ~op:Suite.Verify ~bytes:100;
-      Perf.crypto_op p ~op:Suite.Hash ~bytes:64);
+      Perf.crypto_op p ~op:Suite.Hash ~bytes:64)
+    ~src:1 ();
   Perf.crypto_op p ~op:Suite.Sign ~bytes:10;
   (* Render through a real (tiny, idle) scenario's engine/net/suite so
      the export paths are exercised directly. *)
@@ -258,6 +260,49 @@ let test_det_jsonl_domain_invariant () =
         base (export domains))
     [ 2; 4 ]
 
+(* A handler that raises must not leak its attribution: the previous
+   (kind, node) is back in force for the ops that follow. *)
+let test_dispatch_restores_on_raise () =
+  let p = Perf.create () in
+  let verifies kind =
+    match List.assoc_opt kind (Perf.kind_totals p) with
+    | Some (_, v, _) -> v
+    | None -> 0
+  in
+  Perf.dispatch p ~kind:"rrep" ~node:3
+    (fun ~src:_ () ->
+      (match
+         Perf.dispatch p ~kind:"rreq" ~node:4
+           (fun ~src:_ () ->
+             Perf.crypto_op p ~op:Suite.Verify ~bytes:10;
+             failwith "handler failed")
+           ~src:0 ()
+       with
+      | () -> Alcotest.fail "the handler's exception was swallowed"
+      | exception Failure msg ->
+          Alcotest.(check string) "exception re-raised" "handler failed" msg);
+      Perf.crypto_op p ~op:Suite.Verify ~bytes:10)
+    ~src:0 ();
+  Perf.crypto_op p ~op:Suite.Verify ~bytes:10;
+  Alcotest.(check int) "inner op under rreq" 1 (verifies "rreq");
+  Alcotest.(check int) "op after the raise back under rrep" 1 (verifies "rrep");
+  Alcotest.(check int) "op outside any dispatch under none" 1
+    (verifies Perf.no_kind)
+
+(* Every delivery goes through dispatch, so the attribution itself must
+   not allocate. *)
+let test_dispatch_allocation () =
+  let p = Perf.create () in
+  let calls = ref 0 in
+  let handler ~src:_ (_ : int) = incr calls in
+  Perf.dispatch p ~kind:"areq" ~node:1 handler ~src:0 0;
+  let per_call =
+    Test_crypto.minor_words_per_call 10_000 (fun () ->
+        Perf.dispatch p ~kind:"areq" ~node:1 handler ~src:0 0)
+  in
+  Alcotest.(check (float 0.0)) "Perf.dispatch allocates nothing" 0.0 per_call;
+  Alcotest.(check int) "handler ran every time" 10_001 !calls
+
 let suites =
   [
     ( "perf",
@@ -275,6 +320,10 @@ let suites =
           test_engine_occupancy;
         Alcotest.test_case "counters and crypto attribution" `Quick
           test_counters_and_attribution;
+        Alcotest.test_case "dispatch restores attribution on raise" `Quick
+          test_dispatch_restores_on_raise;
+        Alcotest.test_case "dispatch allocates nothing" `Quick
+          test_dispatch_allocation;
         Alcotest.test_case "det export replay-identical" `Quick
           test_det_jsonl_replay_identical;
         Alcotest.test_case "det export domain-invariant" `Quick

@@ -145,35 +145,35 @@ let prop_bucket_aggregation =
    verify?). *)
 let origin_node = 1000
 
+let rreq_key k =
+  { Flood.kind = Flood.Rreq; hi = 0L; lo = Int64.of_int k; seq = k; ch = 0L }
+
 let apply_flood_ops ops =
   let e = Engine.create ~seed:1 () in
   let fl = Flood.create e in
-  let holders : (string, (int, unit) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 8
-  in
+  let holders : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun (ticks, k, node, src0, hops, dup, verify) ->
       Engine.schedule_at e
         ~time:(float_of_int ticks /. 10.0)
         (fun () ->
-          let key = Printf.sprintf "k%d" k in
+          let key = rreq_key k in
           let nodes =
-            match Hashtbl.find_opt holders key with
+            match Hashtbl.find_opt holders k with
             | Some s -> s
             | None ->
                 let s = Hashtbl.create 8 in
                 Hashtbl.replace s origin_node ();
-                Hashtbl.replace holders key s;
-                Flood.originate fl ~kind:Flood.Rreq ~key ~node:origin_node;
-                Flood.sent fl ~kind:Flood.Rreq ~key ~node:origin_node;
+                Hashtbl.replace holders k s;
+                Flood.sent fl (Flood.handle fl ~key ~origin:origin_node);
                 s
           in
           let src = if Hashtbl.mem nodes src0 then src0 else origin_node in
-          Flood.received fl ~kind:Flood.Rreq ~key ~node ~src ~hops;
+          let h = Flood.handle fl ~key ~origin:src in
+          Flood.received fl h ~node ~src ~hops;
           Hashtbl.replace nodes node ();
-          if dup then Flood.duplicate fl ~kind:Flood.Rreq ~key
-          else Flood.sent fl ~kind:Flood.Rreq ~key ~node;
-          if verify then Flood.verified fl ~kind:Flood.Rreq ~key ~node))
+          if dup then Flood.duplicate fl h else Flood.sent fl h;
+          if verify then Flood.verified fl h ~node))
     ops;
   Engine.run e;
   (fl, ops)
@@ -266,6 +266,64 @@ let prop_flood_tree_invariants =
            (Flood.flood_redundancy_ratio fl)
            (if reached = 0 then 0.0
             else float_of_int recv /. float_of_int reached))
+
+(* Typed keys: equal fields name the same flood, any differing field a
+   new one, and kind separates AREQ from RREQ keys with equal sip/seq
+   (the string keys' "A:"/"R:" prefix used to guarantee that). *)
+let key_gen =
+  QCheck.(
+    map
+      (fun (areq, (hi, (lo, (seq, ch)))) ->
+        {
+          Flood.kind = (if areq then Flood.Areq else Flood.Rreq);
+          hi;
+          lo;
+          seq;
+          ch = (if areq then ch else 0L);
+        })
+      (pair bool (pair int64 (pair int64 (pair small_nat int64)))))
+
+(* One field changed at a time, so the variant always differs. *)
+let variants (k : Flood.key) =
+  [
+    {
+      k with
+      kind = (match k.kind with Flood.Areq -> Flood.Rreq | Flood.Rreq -> Flood.Areq);
+    };
+    { k with hi = Int64.succ k.hi };
+    { k with lo = Int64.succ k.lo };
+    { k with seq = k.seq + 1 };
+    { k with ch = Int64.succ k.ch };
+  ]
+
+let prop_flood_key_identity =
+  qtest ~count:300 "flood keys: equal fields share an id, any change is new"
+    (QCheck.pair key_gen (QCheck.int_bound 4)) (fun (k, which) ->
+      let fl = Flood.create (Engine.create ~seed:1 ()) in
+      let id_of key =
+        ignore (Flood.handle fl ~key ~origin:0);
+        (List.nth (List.rev (Flood.summaries fl)) 0).Flood.id
+      in
+      let a = id_of k in
+      let copy x = Int64.of_string (Int64.to_string x) in
+      let a' = id_of { k with hi = copy k.hi; lo = copy k.lo; ch = copy k.ch } in
+      let b = id_of (List.nth (variants k) which) in
+      a = a' && b <> a && Flood.flood_count fl = 2)
+
+let prop_areq_rreq_disjoint =
+  qtest ~count:300 "flood keys: an AREQ and an RREQ never share a flood"
+    (QCheck.pair QCheck.int64 (QCheck.pair QCheck.int64 QCheck.small_nat))
+    (fun (hi, (lo, seq)) ->
+      let fl = Flood.create (Engine.create ~seed:1 ()) in
+      let key kind = { Flood.kind; hi; lo; seq; ch = 0L } in
+      Flood.sent fl (Flood.handle fl ~key:(key Flood.Areq) ~origin:1);
+      Flood.sent fl (Flood.handle fl ~key:(key Flood.Rreq) ~origin:2);
+      match Flood.summaries fl with
+      | [ a; r ] ->
+          Flood.flood_count fl = 2
+          && a.Flood.kind = Flood.Areq && a.Flood.origin = 1 && a.Flood.sent = 1
+          && r.Flood.kind = Flood.Rreq && r.Flood.origin = 2 && r.Flood.sent = 1
+      | _ -> false)
 
 (* --- end-to-end through a real scenario --------------------------------- *)
 
@@ -401,6 +459,8 @@ let suites =
     ( "flood",
       [
         prop_flood_tree_invariants;
+        prop_flood_key_identity;
+        prop_areq_rreq_disjoint;
         Alcotest.test_case "scenario flood trees respect causality" `Slow
           test_scenario_flood_trees;
       ] );

@@ -745,7 +745,7 @@ let check_flood_origin_label add src =
         add src src.line_at.(p) "flood-origin-label"
           "Ctx.broadcast without a preceding Flood. recording call: this \
            copy is invisible to the flood provenance accounting; record it \
-           (Flood.originate/sent) or allow with a rationale")
+           (Flood.handle/sent) or allow with a rationale")
     (occurrences code "Ctx.broadcast")
 
 (* A counter whose name says "rejected", "replayed", "suspected", ...
