@@ -2,32 +2,27 @@ module Prng = Manet_crypto.Prng
 
 type profile_entry = { p_count : int; p_wall_s : float }
 
-(* All-float, so OCaml stores it flat and charging an event allocates
-   nothing; the count is exact in a float far beyond any run's length. *)
-type prof_cell = { mutable c_count : float; mutable c_wall_s : float }
-
-(* Label-keyed side tables use a monomorphic string hash: the generic
-   [Hashtbl] would hash and compare labels through the polymorphic
-   primitives on every processed event. *)
-module Stbl = Hashtbl.Make (struct
-  type t = string
-
-  let equal = String.equal
-  let hash = String.hash
-end)
-
 (* The occupancy series decimates itself to stay bounded: samples are
    taken every [occ_stride] processed events, and when the buffer would
    exceed [occ_capacity] every other sample is dropped and the stride
    doubles.  Both operations depend only on the processed-event count,
    so the series is a pure function of the run — byte-identical across
    replays and domain counts.  Samples live in two parallel int arrays
-   (index, pending) so sampling allocates nothing. *)
+   (index, pending) so sampling allocates nothing, and the next sample
+   point is kept as a threshold ([occ_next], always the next multiple
+   of the stride) so the per-event check is one comparison. *)
 let occ_capacity = 512
+
+(* Labels are interned per engine to small ints: [names.(id)] spells
+   label [id], and the queue, the per-label counts and the profiler
+   cells all carry the id, so processing an event hashes and compares
+   no string.  The tables start with room for [label_capacity] labels
+   and double when full. *)
+let label_capacity = 8
 
 type t = {
   mutable now : float;
-  queue : (string, unit -> unit) Heap.t;
+  queue : (int, unit -> unit) Heap.t; (* label id, event closure *)
   rng : Prng.t;
   stats : Stats.t;
   trace : Trace.t;
@@ -36,18 +31,22 @@ type t = {
      event counts, queue high-water mark, and the sampled occupancy
      series.  All are pure functions of the event sequence — they read
      no clock and draw no randomness — so keeping them on costs a few
-     table updates per event and perturbs nothing. *)
-  counts : int ref Stbl.t;
+     array updates per event and perturbs nothing. *)
+  mutable names : string array; (* label of id i *)
+  mutable n_labels : int;
+  mutable counts : int array; (* processed events of label id i *)
   mutable max_pending : int;
   occ_idx : int array; (* processed index of sample i, oldest first *)
   occ_pend : int array; (* pending depth of sample i *)
   mutable occ_len : int;
   mutable occ_stride : int;
+  mutable occ_next : int; (* processed index of the next sample *)
   (* Wall-clock profiling (opt-in).  Lives entirely outside the
      deterministic domain: enabling it changes no event order, no PRNG
      draw and no trace byte. *)
   mutable profiling : bool;
-  prof : prof_cell Stbl.t;
+  mutable prof_count : int array; (* profiled events of label id i *)
+  mutable prof_wall : float array; (* their wall seconds *)
   mutable wall_in_run : float;
   (* Per-event observer (opt-in), called with the event's timestamp
      immediately after the clock advances and before the event is
@@ -64,14 +63,18 @@ let create ~seed () =
     stats = Stats.create ();
     trace = Trace.create ();
     processed = 0;
-    counts = Stbl.create 32;
+    names = Array.make label_capacity "";
+    n_labels = 0;
+    counts = Array.make label_capacity 0;
     max_pending = 0;
     occ_idx = Array.make (occ_capacity + 1) 0;
     occ_pend = Array.make (occ_capacity + 1) 0;
     occ_len = 0;
     occ_stride = 1;
+    occ_next = 1;
     profiling = false;
-    prof = Stbl.create 32;
+    prof_count = Array.make label_capacity 0;
+    prof_wall = Array.make label_capacity 0.0;
     wall_in_run = 0.0;
     on_event = None;
   }
@@ -87,23 +90,64 @@ let note_push t =
   let depth = Heap.size t.queue in
   if depth > t.max_pending then t.max_pending <- depth
 
+let rec find_phys names label n i =
+  if i >= n then -1
+  else if Array.unsafe_get names i == label then i
+  else find_phys names label n (i + 1)
+
+let rec find_equal names label n i =
+  if i >= n then -1
+  else if String.equal (Array.unsafe_get names i) label then i
+  else find_equal names label n (i + 1)
+
+let extend a fill =
+  (* manethot: allow hot-alloc — the label tables double O(log labels)
+     times over a run, not per event. *)
+  let b = Array.make (2 * Array.length a) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let grow_labels t =
+  t.names <- extend t.names "";
+  t.counts <- extend t.counts 0;
+  t.prof_count <- extend t.prof_count 0;
+  t.prof_wall <- extend t.prof_wall 0.0
+
+(* Call sites pass string literals, so the physical-equality scan finds
+   the label among the few distinct ones.  A label spelled elsewhere —
+   another module's literal, or a string built at run time — falls
+   back to [String.equal] and then becomes the stored spelling, so the
+   next event from the same site hits by [==] again; only a new name
+   is appended. *)
+let intern t label =
+  let n = t.n_labels in
+  let id = find_phys t.names label n 0 in
+  if id >= 0 then id
+  else begin
+    let id = find_equal t.names label n 0 in
+    if id >= 0 then begin
+      t.names.(id) <- label;
+      id
+    end
+    else begin
+      if n = Array.length t.names then grow_labels t;
+      t.names.(n) <- label;
+      t.n_labels <- n + 1;
+      n
+    end
+  end
+
+(* Both guards are written so that a NaN time fails them too: a NaN
+   priority would break the heap order for every later sift. *)
 let schedule t ?(label = default_label) ~delay f =
-  if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
-  Heap.push t.queue (t.now +. delay) label f;
+  if not (delay >= 0.0) then invalid_arg "Engine.schedule: negative delay";
+  Heap.push t.queue (t.now +. delay) (intern t label) f;
   note_push t
 
 let schedule_at t ?(label = default_label) ~time f =
-  if time < t.now then invalid_arg "Engine.schedule_at: time in the past";
-  Heap.push t.queue time label f;
+  if not (time >= t.now) then invalid_arg "Engine.schedule_at: time in the past";
+  Heap.push t.queue time (intern t label) f;
   note_push t
-
-let count_label t label =
-  match Stbl.find t.counts label with
-  | r -> incr r
-  | exception Not_found ->
-      (* manethot: allow hot-alloc — one ref per distinct label over the
-         whole run, not per event. *)
-      Stbl.add t.counts label (ref 1)
 
 (* In-place decimation: keep samples whose processed index is a
    multiple of the doubled stride, preserving order.  Returns the new
@@ -117,31 +161,21 @@ let rec occ_compact t stride r w =
   end
   else occ_compact t stride (r + 1) w
 
+(* Called when [processed] reaches [occ_next], a multiple of the
+   stride; the threshold then moves to the next multiple of the
+   (possibly doubled) stride.  Only a decimation divides. *)
 let sample_occupancy t =
-  if t.processed mod t.occ_stride = 0 then begin
-    t.occ_idx.(t.occ_len) <- t.processed;
-    t.occ_pend.(t.occ_len) <- Heap.size t.queue;
-    t.occ_len <- t.occ_len + 1;
-    if t.occ_len > occ_capacity then begin
-      let stride = t.occ_stride * 2 in
-      t.occ_stride <- stride;
-      t.occ_len <- occ_compact t stride 0 0
-    end
+  let p = t.processed in
+  t.occ_idx.(t.occ_len) <- p;
+  t.occ_pend.(t.occ_len) <- Heap.size t.queue;
+  t.occ_len <- t.occ_len + 1;
+  if t.occ_len > occ_capacity then begin
+    let stride = t.occ_stride * 2 in
+    t.occ_stride <- stride;
+    t.occ_len <- occ_compact t stride 0 0;
+    t.occ_next <- ((p / stride) + 1) * stride
   end
-
-let charge t label dt =
-  let cell =
-    match Stbl.find t.prof label with
-    | c -> c
-    | exception Not_found ->
-        (* manethot: allow hot-alloc — one cell per distinct label over
-           the whole profiled run, not per event. *)
-        let c = { c_count = 0.0; c_wall_s = 0.0 } in
-        Stbl.add t.prof label c;
-        c
-  in
-  cell.c_count <- cell.c_count +. 1.0;
-  cell.c_wall_s <- cell.c_wall_s +. dt
+  else t.occ_next <- p + t.occ_stride
 
 (* The event loop proper, as a top-level tail recursion so a run
    allocates nothing of its own: the budget rides in an argument and
@@ -157,7 +191,7 @@ let rec run_loop t until budget =
            float, already boxed; the store copies the pointer. *)
         t.now <- limit
     | _ ->
-        let label = Heap.min_fst t.queue in
+        let id = Heap.min_fst t.queue in
         let f = Heap.min_snd t.queue in
         Heap.drop_min t.queue;
         (* manethot: allow hot-boxed-store — [time] is the box
@@ -166,12 +200,13 @@ let rec run_loop t until budget =
         t.now <- time;
         (match t.on_event with Some hook -> hook time | None -> ());
         t.processed <- t.processed + 1;
-        count_label t label;
-        sample_occupancy t;
+        t.counts.(id) <- t.counts.(id) + 1;
+        if t.processed = t.occ_next then sample_occupancy t;
         if t.profiling then begin
           let t0 = Mono_clock.now_s () in
           f ();
-          charge t label (Mono_clock.now_s () -. t0)
+          t.prof_count.(id) <- t.prof_count.(id) + 1;
+          t.prof_wall.(id) <- t.prof_wall.(id) +. (Mono_clock.now_s () -. t0)
         end
         else f ();
         run_loop t until (budget - 1)
@@ -188,9 +223,15 @@ let run ?until ?max_events t =
 let pending t = Heap.size t.queue
 let events_processed t = t.processed
 
-let label_counts t =
-  Stbl.fold (fun label r acc -> (label, !r) :: acc) t.counts []
+(* The labels with a nonzero [counts] cell, as [(name, cell)] sorted
+   by name; names are unique, so the order is total. *)
+let by_label t counts cell =
+  List.init t.n_labels Fun.id
+  |> List.filter (fun id -> counts.(id) > 0)
+  |> List.map (fun id -> (t.names.(id), cell id))
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let label_counts t = by_label t t.counts (fun id -> t.counts.(id))
 
 let occupancy t =
   List.init t.occ_len (fun i -> (t.occ_idx.(i), t.occ_pend.(i)))
@@ -203,16 +244,13 @@ let profiling t = t.profiling
 let set_on_event t hook = t.on_event <- hook
 
 let profile t =
-  Stbl.fold
-    (fun label c acc ->
-      (label, { p_count = int_of_float c.c_count; p_wall_s = c.c_wall_s }) :: acc)
-    t.prof []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  by_label t t.prof_count (fun id ->
+      { p_count = t.prof_count.(id); p_wall_s = t.prof_wall.(id) })
 
 let wall_in_run t = t.wall_in_run
 
 let events_per_sec t =
-  let profiled = Stbl.fold (fun _ c acc -> acc + int_of_float c.c_count) t.prof 0 in
+  let profiled = Array.fold_left ( + ) 0 t.prof_count in
   if t.wall_in_run > 0.0 && profiled > 0 then
     float_of_int profiled /. t.wall_in_run
   else 0.0

@@ -20,12 +20,16 @@ val trace : t -> Trace.t
 
 val schedule : t -> ?label:string -> delay:float -> (unit -> unit) -> unit
 (** [schedule t ~delay f] runs [f] at [now t +. delay].
-    Raises [Invalid_argument] on negative delay.  [label] names the
-    event class for the wall-clock profiler (default ["other"]); it has
-    no effect on event ordering. *)
+    Raises [Invalid_argument] on a negative or NaN delay.  [label]
+    names the event class for the per-label counts and the wall-clock
+    profiler (default ["other"]); it has no effect on event ordering.
+    Each engine interns its labels to small ints, so processing an
+    event touches no string; pass a string literal, which the intern
+    table finds by physical equality.  Labels equal as strings are one
+    label, however they were built. *)
 
 val schedule_at : t -> ?label:string -> time:float -> (unit -> unit) -> unit
-(** Absolute-time variant; [time] must not be in the past. *)
+(** Absolute-time variant; [time] must not be in the past or NaN. *)
 
 val run : ?until:float -> ?max_events:int -> t -> unit
 (** Process events in order until the queue is empty, simulated time
@@ -46,7 +50,9 @@ val events_processed : t -> int
     on perturbs nothing. *)
 
 val label_counts : t -> (string * int) list
-(** Processed events per schedule label, sorted by label. *)
+(** Processed events per schedule label, sorted by label.  Only labels
+    with at least one processed event appear; interning changes
+    nothing here. *)
 
 val occupancy : t -> (int * int) list
 (** The sampled scheduler occupancy series, oldest first:
@@ -88,7 +94,8 @@ val profiling : t -> bool
 
 val profile : t -> (string * profile_entry) list
 (** Per-label event count and accumulated wall seconds, sorted by
-    label.  Empty unless profiling was on during a {!run}. *)
+    label, for the labels that processed an event while profiling.
+    Empty unless profiling was on during a {!run}. *)
 
 val wall_in_run : t -> float
 (** Total wall seconds spent inside {!run} while profiling was on. *)

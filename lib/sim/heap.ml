@@ -1,105 +1,114 @@
-(* Structure-of-arrays layout: priorities live in an unboxed float
-   array and the two payload halves in their own arrays, so a push
-   allocates nothing (no entry record, no payload tuple) and a pop
-   returns nothing the caller must destructure.  The event loop reads
-   the top entry field by field ([min_prio]/[min_fst]/[min_snd]) and
-   then [drop_min]s it — zero allocation per event. *)
+(* Slot-indexed layout.  The heap order lives in three unboxed arrays
+   indexed by heap position -- [prios], [seqs] and [slots] -- and the
+   sifts move only those, so no sift level stores a pointer or goes
+   through the write barrier.  The payload halves live in [fsts]/[snds]
+   indexed by slot: [push] writes them once into a free slot and the
+   caller reads them once at pop ([min_fst]/[min_snd] follow
+   [slots.(0)]).
+
+   The free slots are the tail of [slots]: positions [len .. capacity)
+   hold the slots no live entry owns, with the top of that LIFO stack
+   at position [len].  [push] takes [slots.(len)]; [drop_min] parks the
+   popped entry's slot at the position the shrink just vacated and
+   overwrites its payload with [blank], so a popped event closure is
+   not kept alive until its slot is reused.  Growth happens only when
+   every slot is live; it doubles every array and lays the new slots
+   out in the new tail.
+
+   Both sifts are [while] loops over locals that carry the migrating
+   entry in a hole: each level shifts one entry into the hole and the
+   migrating entry is written once at its final position, so neither
+   [push] nor [drop_min] allocates.  Indices are bounded by [len]
+   (itself bounded by capacity), so the accesses use the unsafe
+   primitives. *)
 
 type ('a, 'b) t = {
-  mutable prios : float array;
-  mutable seqs : int array;
-  mutable fsts : 'a array;
-  mutable snds : 'b array;
+  mutable prios : float array; (* by heap position *)
+  mutable seqs : int array; (* by heap position: FIFO tie-break *)
+  mutable slots : int array; (* by heap position; free stack past [len] *)
+  mutable fsts : 'a array; (* by slot *)
+  mutable snds : 'b array; (* by slot *)
   mutable len : int;
   mutable next_seq : int;
+  (* The payload of the first push, kept to fill free slots: the
+     payload arrays need some value of each type. *)
+  mutable blank : ('a * 'b) option;
 }
 
 let create () =
-  { prios = [||]; seqs = [||]; fsts = [||]; snds = [||]; len = 0; next_seq = 0 }
+  {
+    prios = [||];
+    seqs = [||];
+    slots = [||];
+    fsts = [||];
+    snds = [||];
+    len = 0;
+    next_seq = 0;
+    blank = None;
+  }
 
 let is_empty h = h.len = 0
 let size h = h.len
 
-(* Both sifts carry the migrating element in locals (a hole): each
-   level shifts one entry into the hole instead of 4-array-swapping,
-   halving the stores per level, and the element is written exactly
-   once at its final slot.  Indices are bounded by [len] (itself
-   bounded by capacity), so the accesses use the unsafe primitives. *)
-let place h i prio seq a b =
-  Array.unsafe_set h.prios i prio;
-  Array.unsafe_set h.seqs i seq;
-  Array.unsafe_set h.fsts i a;
-  Array.unsafe_set h.snds i b
-
-let shift h i j =
-  Array.unsafe_set h.prios i (Array.unsafe_get h.prios j);
-  Array.unsafe_set h.seqs i (Array.unsafe_get h.seqs j);
-  Array.unsafe_set h.fsts i (Array.unsafe_get h.fsts j);
-  Array.unsafe_set h.snds i (Array.unsafe_get h.snds j)
-
-let rec sift_up h i prio seq a b =
-  if i = 0 then place h 0 prio seq a b
-  else begin
-    let parent = (i - 1) / 2 in
-    let pp = Array.unsafe_get h.prios parent in
-    if prio < pp || (prio = pp && seq < Array.unsafe_get h.seqs parent)
-    then begin
-      shift h i parent;
-      sift_up h parent prio seq a b
-    end
-    else place h i prio seq a b
-  end
-
-let rec sift_down h i prio seq a b =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  if l >= h.len then place h i prio seq a b
-  else begin
-    let c =
-      if r < h.len then begin
-        let pl = Array.unsafe_get h.prios l
-        and pr = Array.unsafe_get h.prios r in
-        if
-          pr < pl
-          || (pr = pl && Array.unsafe_get h.seqs r < Array.unsafe_get h.seqs l)
-        then r
-        else l
-      end
-      else l
-    in
-    let pc = Array.unsafe_get h.prios c in
-    if pc < prio || (pc = prio && Array.unsafe_get h.seqs c < seq) then begin
-      shift h i c;
-      sift_down h c prio seq a b
-    end
-    else place h i prio seq a b
-  end
-
+(* Called only when [len] = capacity, so every old slot is live and
+   the new slots [cap .. ncap) form the whole free stack. *)
 let grow h a b =
-  let cap = Array.length h.prios in
+  let cap = h.len in
   let ncap = if cap = 0 then 16 else cap * 2 in
   (* manethot: allow hot-alloc — capacity doubling: the backing arrays
      are reallocated O(log n) times over a run, amortized to nothing
      per push. *)
   let prios = Array.make ncap 0.0 and seqs = Array.make ncap 0 in
-  (* manethot: allow hot-alloc — payload halves of the same amortized
-     capacity doubling. *)
-  let fsts = Array.make ncap a and snds = Array.make ncap b in
-  Array.blit h.prios 0 prios 0 h.len;
-  Array.blit h.seqs 0 seqs 0 h.len;
-  Array.blit h.fsts 0 fsts 0 h.len;
-  Array.blit h.snds 0 snds 0 h.len;
+  (* manethot: allow hot-alloc — slot and payload arrays of the same
+     amortized capacity doubling. *)
+  let slots = Array.make ncap 0 and fsts = Array.make ncap a and snds = Array.make ncap b in
+  Array.blit h.prios 0 prios 0 cap;
+  Array.blit h.seqs 0 seqs 0 cap;
+  Array.blit h.slots 0 slots 0 cap;
+  Array.blit h.fsts 0 fsts 0 cap;
+  Array.blit h.snds 0 snds 0 cap;
+  (* manethot: allow hot-alloc — one pair per heap, on its first
+     growth. *)
+  if cap = 0 then h.blank <- Some (a, b);
+  for s = cap to ncap - 1 do
+    slots.(s) <- s
+  done;
   h.prios <- prios;
   h.seqs <- seqs;
+  h.slots <- slots;
   h.fsts <- fsts;
   h.snds <- snds
 
 let push h prio a b =
   if h.len = Array.length h.prios then grow h a b;
-  let i = h.len in
+  let prios = h.prios and seqs = h.seqs and slots = h.slots in
+  let n = h.len in
+  let slot = Array.unsafe_get slots n in
+  Array.unsafe_set h.fsts slot a;
+  Array.unsafe_set h.snds slot b;
   let seq = h.next_seq in
   h.next_seq <- seq + 1;
-  h.len <- i + 1;
-  sift_up h i prio seq a b
+  h.len <- n + 1;
+  (* [seq] is the largest sequence number in the heap, so an equal
+     priority never moves the new entry above an older one: comparing
+     priorities alone keeps ties FIFO. *)
+  (* manethot: allow hot-alloc — the refs never escape the loop, so
+     ocamlopt turns them into mutable locals; nothing is allocated. *)
+  let i = ref n and moving = ref true in
+  while !moving && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    let pp = Array.unsafe_get prios parent in
+    if prio < pp then begin
+      Array.unsafe_set prios !i pp;
+      Array.unsafe_set seqs !i (Array.unsafe_get seqs parent);
+      Array.unsafe_set slots !i (Array.unsafe_get slots parent);
+      i := parent
+    end
+    else moving := false
+  done;
+  Array.unsafe_set prios !i prio;
+  Array.unsafe_set seqs !i seq;
+  Array.unsafe_set slots !i slot
 
 let min_prio h =
   if h.len = 0 then invalid_arg "Heap.min_prio: empty heap";
@@ -107,14 +116,60 @@ let min_prio h =
 
 let min_fst h =
   if h.len = 0 then invalid_arg "Heap.min_fst: empty heap";
-  h.fsts.(0)
+  h.fsts.(h.slots.(0))
 
 let min_snd h =
   if h.len = 0 then invalid_arg "Heap.min_snd: empty heap";
-  h.snds.(0)
+  h.snds.(h.slots.(0))
 
 let drop_min h =
   if h.len = 0 then invalid_arg "Heap.drop_min: empty heap";
+  let prios = h.prios and seqs = h.seqs and slots = h.slots in
   let n = h.len - 1 in
   h.len <- n;
-  if n > 0 then sift_down h 0 h.prios.(n) h.seqs.(n) h.fsts.(n) h.snds.(n)
+  let freed = Array.unsafe_get slots 0 in
+  if n > 0 then begin
+    (* The last entry fills the root's hole and sifts down over the
+       remaining [n] positions. *)
+    let prio = Array.unsafe_get prios n
+    and seq = Array.unsafe_get seqs n
+    and slot = Array.unsafe_get slots n in
+    (* manethot: allow hot-alloc — the refs never escape the loop, so
+       ocamlopt turns them into mutable locals; nothing is allocated. *)
+    let i = ref 0 and moving = ref true in
+    while !moving do
+      let l = (2 * !i) + 1 in
+      if l >= n then moving := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < n then begin
+            let pl = Array.unsafe_get prios l and pr = Array.unsafe_get prios r in
+            if
+              pr < pl
+              || (pr = pl && Array.unsafe_get seqs r < Array.unsafe_get seqs l)
+            then r
+            else l
+          end
+          else l
+        in
+        let pc = Array.unsafe_get prios c in
+        if pc < prio || (pc = prio && Array.unsafe_get seqs c < seq) then begin
+          Array.unsafe_set prios !i pc;
+          Array.unsafe_set seqs !i (Array.unsafe_get seqs c);
+          Array.unsafe_set slots !i (Array.unsafe_get slots c);
+          i := c
+        end
+        else moving := false
+      end
+    done;
+    Array.unsafe_set prios !i prio;
+    Array.unsafe_set seqs !i seq;
+    Array.unsafe_set slots !i slot
+  end;
+  Array.unsafe_set slots n freed;
+  match h.blank with
+  | Some (a, b) ->
+      Array.unsafe_set h.fsts freed a;
+      Array.unsafe_set h.snds freed b
+  | None -> ()

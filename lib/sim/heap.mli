@@ -4,11 +4,16 @@
     priority pop in insertion order (a monotone sequence number breaks
     ties), which keeps simulations deterministic.
 
-    The layout is allocation-free on the hot path: priorities live in
-    an unboxed float array, and each entry carries two payload halves
-    in parallel arrays — for the engine, the label and the event
-    closure — so neither push nor pop boxes a tuple or an entry
-    record.  The minimum entry is read field by field ({!min_prio},
+    The layout is slot-indexed.  The heap order is kept in three
+    unboxed arrays indexed by heap position — priority, sequence
+    number and payload slot — and the sifts move only those.  Each
+    entry's two payload halves (for the engine, the label id and the
+    event closure) sit in arrays indexed by its slot: {!push} writes
+    them once into a recycled slot and the pop reads them once, so
+    neither {!push} nor {!drop_min} allocates or stores a pointer
+    while sifting.  {!drop_min} overwrites the freed slot with the
+    first payload ever pushed, so popped payloads are not kept alive.
+    The minimum entry is read field by field ({!min_prio},
     {!min_fst}, {!min_snd}) and removed with {!drop_min}; callers
     check {!is_empty} first, and the accessors raise
     [Invalid_argument] on an empty heap. *)

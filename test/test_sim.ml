@@ -80,6 +80,75 @@ let test_heap_interleaved () =
     end
   done
 
+(* A model of the queue: entries ordered by (priority, insertion
+   index).  Few distinct priorities make ties common, and push-biased
+   runs of up to 600 operations grow the heap through several capacity
+   doublings while pops keep freeing slots for reuse.  Each payload
+   half names its entry's insertion index, so a slot mix-up between
+   [min_fst] and [min_snd] shows. *)
+let prop_heap_model =
+  qtest ~count:300 "heap: push/drop_min match a (prio, insertion) model"
+    QCheck.(list_of_size Gen.(int_range 0 600) (int_bound 5))
+    (fun ops ->
+      let h = Heap.create () in
+      let rec insert e = function
+        | [] -> [ e ]
+        | x :: rest as l -> if compare e x < 0 then e :: l else x :: insert e rest
+      in
+      let agrees model =
+        Heap.size h = List.length model
+        &&
+        match model with
+        | [] -> Heap.is_empty h
+        | (p, i) :: _ ->
+            Heap.min_prio h = p && Heap.min_fst h = i
+            && Heap.min_snd h = string_of_int i
+      in
+      let step (model, next) op =
+        if op < 4 then begin
+          let p = float_of_int op in
+          Heap.push h p next (string_of_int next);
+          (insert (p, next) model, next + 1)
+        end
+        else
+          match model with
+          | [] -> (model, next)
+          | _ :: rest ->
+              Heap.drop_min h;
+              (rest, next)
+      in
+      let drain = List.init (List.length ops) (fun _ -> 5) in
+      let rec go state = function
+        | [] -> true
+        | op :: rest ->
+            let state = step state op in
+            agrees (fst state) && go state rest
+      in
+      go ([], 0) (ops @ drain))
+
+(* A popped payload must not stay reachable from its free slot until a
+   later push reuses it: the engine's closures hold whole messages.
+   (The first payload ever pushed stays, as the free-slot filler.) *)
+let test_heap_releases_popped () =
+  let h = Heap.create () in
+  let w = Weak.create 2 in
+  let push_tracked i prio =
+    let v = ref i in
+    Weak.set w i (Some v);
+    Heap.push h prio () v
+  in
+  Heap.push h 0.0 () (ref (-1));
+  push_tracked 0 1.0;
+  push_tracked 1 2.0;
+  Heap.push h 3.0 () (ref 2);
+  for _ = 1 to 3 do
+    Heap.drop_min h
+  done;
+  Gc.full_major ();
+  Alcotest.(check (list bool)) "popped payloads collected" [ false; false ]
+    [ Weak.check w 0; Weak.check w 1 ];
+  Alcotest.(check int) "live entry kept" 2 !(Heap.min_snd h)
+
 (* ------------------------------------------------------------------ *)
 (* Stats                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -431,7 +500,14 @@ let test_engine_profiling () =
   Alcotest.(check (list (pair string int))) "per-class counts"
     [ ("alpha", 2); ("other", 1) ]
     (List.map (fun (l, p) -> (l, p.Engine.p_count)) (Engine.profile e));
-  Alcotest.(check bool) "wall clock accumulated" true (Engine.wall_in_run e >= 0.0);
+  (* Three no-op events can finish inside one tick of the microsecond
+     wall clock, so the throughput check profiles a run long enough to
+     register on it. *)
+  for i = 1 to 10_000 do
+    Engine.schedule e ~delay:(float_of_int i) ignore
+  done;
+  Engine.run e;
+  Alcotest.(check bool) "wall clock accumulated" true (Engine.wall_in_run e > 0.0);
   Alcotest.(check bool) "throughput positive" true (Engine.events_per_sec e > 0.0)
 
 let test_engine_profiling_no_perturbation () =
@@ -450,6 +526,87 @@ let test_engine_profiling_no_perturbation () =
     List.rev !log
   in
   Alcotest.(check bool) "identical schedule" true (observe false = observe true)
+
+let test_engine_rejects_nan () =
+  let e = Engine.create ~seed:1 () in
+  Alcotest.check_raises "NaN delay"
+    (Invalid_argument "Engine.schedule: negative delay") (fun () ->
+      Engine.schedule e ~delay:Float.nan ignore);
+  Alcotest.check_raises "NaN time"
+    (Invalid_argument "Engine.schedule_at: time in the past") (fun () ->
+      Engine.schedule_at e ~time:Float.nan ignore);
+  Alcotest.(check int) "nothing queued" 0 (Engine.pending e)
+
+(* The dispatch loop's only allocations are the boxed clock value
+   [Heap.min_prio] returns and the boxed [now +. delay] handed to
+   [Heap.push]: 2 words each. *)
+let test_engine_dispatch_allocation () =
+  let e = Engine.create ~seed:1 () in
+  let rec tick () = Engine.schedule e ~label:"tick" ~delay:1.0 tick in
+  for _ = 1 to 40 do
+    tick ()
+  done;
+  Engine.run ~max_events:1000 e;
+  let per_event =
+    Test_crypto.minor_words_per_call 10_000 (fun () -> Engine.run ~max_events:1 e)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "self-rescheduling event: %.2f minor words <= 4" per_event)
+    true (per_event <= 4.0);
+  Alcotest.(check int) "every event ran" 11_000 (Engine.events_processed e)
+
+let test_engine_label_interning () =
+  let e = Engine.create ~seed:1 () in
+  Engine.set_profiling e true;
+  let built = String.concat "" [ "n"; "et" ] in
+  Engine.schedule e ~label:"net" ~delay:1.0 ignore;
+  Engine.schedule e ~label:built ~delay:2.0 ignore;
+  Engine.schedule e ~label:"net" ~delay:3.0 ignore;
+  Engine.schedule e ~label:"late" ~delay:10.0 ignore;
+  Engine.run ~until:5.0 e;
+  Alcotest.(check (list (pair string int))) "run-time label merges with the literal"
+    [ ("net", 3) ] (Engine.label_counts e);
+  Alcotest.(check (list (pair string int))) "profile merges it too" [ ("net", 3) ]
+    (List.map (fun (l, p) -> (l, p.Engine.p_count)) (Engine.profile e));
+  (* 100 labels outgrow the initial tables several times over. *)
+  let e = Engine.create ~seed:1 () in
+  Engine.set_profiling e true;
+  let name i = Printf.sprintf "l%03d" i in
+  for i = 0 to 99 do
+    for _ = 0 to i mod 3 do
+      Engine.schedule e ~label:(name i) ~delay:(float_of_int (99 - i)) ignore
+    done
+  done;
+  Engine.run e;
+  let expected = List.init 100 (fun i -> (name i, (i mod 3) + 1)) in
+  Alcotest.(check (list (pair string int))) "100 labels counted exactly" expected
+    (Engine.label_counts e);
+  Alcotest.(check (list (pair string int))) "and profiled exactly" expected
+    (List.map (fun (l, p) -> (l, p.Engine.p_count)) (Engine.profile e))
+
+(* The occupancy series against the definition it samples: every
+   processed index that is a multiple of the current stride, with the
+   buffer halved and the stride doubled when it overflows 512. *)
+let test_engine_occupancy_reference () =
+  let n = 20_000 in
+  let e = Engine.create ~seed:1 () in
+  for i = 1 to n do
+    Engine.schedule e ~delay:(float_of_int i) ignore
+  done;
+  Engine.run e;
+  let stride = ref 1 and samples = ref [] in
+  for p = 1 to n do
+    if p mod !stride = 0 then begin
+      samples := (p, n - p) :: !samples;
+      if List.length !samples > 512 then begin
+        stride := !stride * 2;
+        samples := List.filter (fun (i, _) -> i mod !stride = 0) !samples
+      end
+    end
+  done;
+  Alcotest.(check int) "stride" !stride (Engine.occupancy_stride e);
+  Alcotest.(check (list (pair int int))) "series" (List.rev !samples)
+    (Engine.occupancy e)
 
 (* ------------------------------------------------------------------ *)
 (* Topology                                                           *)
@@ -1053,7 +1210,10 @@ let suites =
         Alcotest.test_case "basic" `Quick test_heap_basic;
         Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
         prop_heap_sorts;
+        prop_heap_model;
         Alcotest.test_case "interleaved" `Quick test_heap_interleaved;
+        Alcotest.test_case "drop_min releases payloads" `Quick
+          test_heap_releases_popped;
       ] );
     ( "sim.stats",
       [
@@ -1094,6 +1254,12 @@ let suites =
         Alcotest.test_case "profiling" `Quick test_engine_profiling;
         Alcotest.test_case "profiling no perturbation" `Quick
           test_engine_profiling_no_perturbation;
+        Alcotest.test_case "rejects NaN times" `Quick test_engine_rejects_nan;
+        Alcotest.test_case "dispatch allocation" `Quick
+          test_engine_dispatch_allocation;
+        Alcotest.test_case "label interning" `Quick test_engine_label_interning;
+        Alcotest.test_case "occupancy reference" `Quick
+          test_engine_occupancy_reference;
       ] );
     ( "sim.topology",
       [
