@@ -135,19 +135,16 @@ type t = {
   identity : Identity.t;
   rng : Prng.t;
   engine : Engine.t;
-  table : (string, route_entry) Hashtbl.t;
+  table : route_entry Address.Tbl.t;
   mutable own_seq : int;
   mutable bcast_id : int;
   mutable data_seq : int;
-  seen_rreq : (string, unit) Hashtbl.t;
-  pending : (string, pending_discovery) Hashtbl.t;
-  queue : (string, packet Queue.t) Hashtbl.t;
-  in_flight : (string, packet) Hashtbl.t;
-  seen_data : (string, unit) Hashtbl.t;
+  seen_rreq : unit Address.Seq_tbl.t; (* (origin, bcast_id) *)
+  pending : pending_discovery Address.Tbl.t;
+  queue : packet Queue.t Address.Tbl.t;
+  in_flight : packet Address.Seq_tbl.t; (* (dst, seq) *)
+  seen_data : unit Address.Seq_tbl.t; (* (src, seq) *)
 }
-
-let akey = Address.to_bytes
-let fkey a n = akey a ^ string_of_int n
 
 let create ?(config = default_config) ~net ~directory ~identity ~rng () =
   {
@@ -157,15 +154,15 @@ let create ?(config = default_config) ~net ~directory ~identity ~rng () =
     identity;
     rng;
     engine = Net.engine net;
-    table = Hashtbl.create 32;
+    table = Address.Tbl.create 32;
     own_seq = 0;
     bcast_id = 0;
     data_seq = 0;
-    seen_rreq = Hashtbl.create 256;
-    pending = Hashtbl.create 16;
-    queue = Hashtbl.create 16;
-    in_flight = Hashtbl.create 32;
-    seen_data = Hashtbl.create 64;
+    seen_rreq = Address.Seq_tbl.create 256;
+    pending = Address.Tbl.create 16;
+    queue = Address.Tbl.create 16;
+    in_flight = Address.Seq_tbl.create 32;
+    seen_data = Address.Seq_tbl.create 64;
   }
 
 let address t = t.identity.Identity.address
@@ -205,7 +202,7 @@ let sender_addr t src =
 (* --- routing table ------------------------------------------------------- *)
 
 let route_lookup t dst =
-  match Hashtbl.find_opt t.table (akey dst) with
+  match Address.Tbl.find_opt t.table dst with
   | Some e when e.valid && e.expires > now t -> Some e
   | _ -> None
 
@@ -214,9 +211,8 @@ let next_hop t ~dst = Option.map (fun e -> e.next) (route_lookup t dst)
 (* AODV route update rule: fresher sequence number wins; equal freshness
    prefers fewer hops; invalid/expired entries are always replaced. *)
 let route_update t ~dst ~next ~hops ~seq =
-  let k = akey dst in
   let expires = now t +. t.config.route_lifetime in
-  match Hashtbl.find_opt t.table k with
+  match Address.Tbl.find_opt t.table dst with
   | Some e when e.valid && e.expires > now t ->
       if seq > e.seq || (seq = e.seq && hops < e.hops) then begin
         e.next <- next;
@@ -230,11 +226,11 @@ let route_update t ~dst ~next ~hops ~seq =
         false
       end
   | _ ->
-      Hashtbl.replace t.table k { next; hops; seq; expires; valid = true };
+      Address.Tbl.replace t.table dst { next; hops; seq; expires; valid = true };
       true
 
 let invalidate_route t dst =
-  match Hashtbl.find_opt t.table (akey dst) with
+  match Address.Tbl.find_opt t.table dst with
   | Some e -> e.valid <- false
   | None -> ()
 
@@ -262,7 +258,9 @@ let rec transmit t packet =
       Queue.push packet (queue_for t packet.p_dst);
       start_discovery t packet.p_dst
   | Some entry ->
-      Hashtbl.replace t.in_flight (fkey packet.p_dst packet.p_seq) packet;
+      Address.Seq_tbl.replace t.in_flight
+        { Address.addr = packet.p_dst; seq = packet.p_seq }
+        packet;
       let m =
         Data
           {
@@ -277,10 +275,10 @@ let rec transmit t packet =
           invalidate_route t packet.p_dst);
       Engine.schedule t.engine ~label:"aodv" ~delay:t.config.ack_timeout
         (fun () ->
-          let k = fkey packet.p_dst packet.p_seq in
-          match Hashtbl.find_opt t.in_flight k with
+          let k = { Address.addr = packet.p_dst; seq = packet.p_seq } in
+          match Address.Seq_tbl.find_opt t.in_flight k with
           | Some p when p == packet ->
-              Hashtbl.remove t.in_flight k;
+              Address.Seq_tbl.remove t.in_flight k;
               stat t "data.timeout";
               invalidate_route t packet.p_dst;
               if packet.p_retries < t.config.max_send_retries then begin
@@ -291,19 +289,17 @@ let rec transmit t packet =
           | _ -> ())
 
 and queue_for t dst =
-  let k = akey dst in
-  match Hashtbl.find_opt t.queue k with
+  match Address.Tbl.find_opt t.queue dst with
   | Some q -> q
   | None ->
       let q = Queue.create () in
-      Hashtbl.add t.queue k q;
+      Address.Tbl.add t.queue dst q;
       q
 
 and start_discovery t dst =
-  let k = akey dst in
-  if not (Hashtbl.mem t.pending k) then begin
+  if not (Address.Tbl.mem t.pending dst) then begin
     let d = { d_dst = dst; d_attempts = 0; d_resolved = false } in
-    Hashtbl.add t.pending k d;
+    Address.Tbl.add t.pending dst d;
     send_rreq t d
   end
 
@@ -314,7 +310,7 @@ and send_rreq t d =
   stat t "route.discoveries";
   let src = address t in
   let dst_seq_known =
-    match Hashtbl.find_opt t.table (akey d.d_dst) with Some e -> e.seq | None -> 0
+    match Address.Tbl.find_opt t.table d.d_dst with Some e -> e.seq | None -> 0
   in
   let hash, top_hash =
     if t.config.secure then Hash_chain.generate t.rng ~max_hops:t.config.max_hops
@@ -329,7 +325,7 @@ and send_rreq t d =
         t.identity.Identity.rn )
     else ("", "", 0L)
   in
-  Hashtbl.replace t.seen_rreq (fkey src t.bcast_id) ();
+  Address.Seq_tbl.replace t.seen_rreq { Address.addr = src; seq = t.bcast_id } ();
   broadcast t
     (Rreq
        {
@@ -352,9 +348,9 @@ and send_rreq t d =
         if d.d_attempts < t.config.max_discovery_attempts then send_rreq t d
         else begin
           d.d_resolved <- true;
-          Hashtbl.remove t.pending (akey d.d_dst);
+          Address.Tbl.remove t.pending d.d_dst;
           stat t "route.discovery_failed";
-          match Hashtbl.find_opt t.queue (akey d.d_dst) with
+          match Address.Tbl.find_opt t.queue d.d_dst with
           | Some q ->
               Queue.iter (fun _ -> stat t "data.dropped") q;
               Queue.clear q
@@ -363,12 +359,12 @@ and send_rreq t d =
       end)
 
 and route_established t dst =
-  (match Hashtbl.find_opt t.pending (akey dst) with
+  (match Address.Tbl.find_opt t.pending dst with
   | Some d when not d.d_resolved ->
       d.d_resolved <- true;
-      Hashtbl.remove t.pending (akey dst)
+      Address.Tbl.remove t.pending dst
   | _ -> ());
-  match Hashtbl.find_opt t.queue (akey dst) with
+  match Address.Tbl.find_opt t.queue dst with
   | Some q ->
       let packets = List.of_seq (Queue.to_seq q) in
       Queue.clear q;
@@ -434,10 +430,10 @@ let handle_rreq t ~src m =
         top_hash;
         max_hops;
       } ->
-      let key = fkey origin bcast_id in
-      if Hashtbl.mem t.seen_rreq key then ()
+      let key = { Address.addr = origin; seq = bcast_id } in
+      if Address.Seq_tbl.mem t.seen_rreq key then ()
       else begin
-        Hashtbl.replace t.seen_rreq key ();
+        Address.Seq_tbl.replace t.seen_rreq key ();
         let chain_ok =
           (not t.config.secure)
           || Hash_chain.check ~hash ~top_hash ~max_hops ~hop_count
@@ -551,7 +547,7 @@ let handle_rerr t ~src m =
       let dropped =
         List.filter
           (fun (dst, seq) ->
-            match (Hashtbl.find_opt t.table (akey dst), prev) with
+            match (Address.Tbl.find_opt t.table dst, prev) with
             | Some e, Some p
               when e.valid && Address.equal e.next p && (seq = 0 || e.seq <= seq) ->
                 e.valid <- false;
@@ -567,9 +563,9 @@ let handle_data t ~src:_ m =
   match m with
   | Data { d_src; d_dst; d_seq; sent_at; _ } ->
       if Address.equal d_dst (address t) then begin
-        let k = fkey d_src d_seq in
-        if not (Hashtbl.mem t.seen_data k) then begin
-          Hashtbl.replace t.seen_data k ();
+        let k = { Address.addr = d_src; seq = d_seq } in
+        if not (Address.Seq_tbl.mem t.seen_data k) then begin
+          Address.Seq_tbl.replace t.seen_data k ();
           stat t "data.delivered";
           observe t "data.latency" (now t -. sent_at)
         end;
@@ -597,10 +593,10 @@ let handle_ack t ~src:_ m =
   match m with
   | Ack { a_src; a_dst; data_seq; sent_at } ->
       if Address.equal a_dst (address t) then begin
-        let k = fkey a_src data_seq in
-        match Hashtbl.find_opt t.in_flight k with
+        let k = { Address.addr = a_src; seq = data_seq } in
+        match Address.Seq_tbl.find_opt t.in_flight k with
         | Some _ ->
-            Hashtbl.remove t.in_flight k;
+            Address.Seq_tbl.remove t.in_flight k;
             stat t "data.acked";
             observe t "data.rtt" (now t -. sent_at)
         | None -> stat t "ack.unmatched"

@@ -58,9 +58,9 @@ type t = {
   behavior : behavior;
   secure : bool;
   delegate : src:int -> Messages.t -> unit;
-  seen_rreq : (string, unit) Hashtbl.t;
-  captured : (string, captured_rrep) Hashtbl.t; (* by destination address *)
-  flows : (string, Address.t * Address.t list) Hashtbl.t; (* data flows relayed *)
+  seen_rreq : unit Address.Seq_tbl.t; (* (sip, seq) *)
+  captured : captured_rrep Address.Tbl.t; (* by destination address *)
+  flows : Address.t list Address.Tbl.t; (* relayed data flows: source -> route *)
   mutable running : bool;
 }
 
@@ -70,9 +70,9 @@ let create ?(behavior = honest) ~secure ctx ~delegate =
     behavior;
     secure;
     delegate;
-    seen_rreq = Hashtbl.create 64;
-    captured = Hashtbl.create 16;
-    flows = Hashtbl.create 16;
+    seen_rreq = Address.Seq_tbl.create 64;
+    captured = Address.Tbl.create 16;
+    flows = Address.Tbl.create 16;
     running = false;
   }
 
@@ -94,14 +94,14 @@ let spam_rerrs t =
      genuinely on the route, so even the secure protocol must accept the
      report (§4) — until frequency tracking blames us. *)
   let flows =
-    (* Deterministic emission order: iterate flows sorted by key, not in
-       hash-bucket order. *)
+    (* Deterministic emission order: iterate flows sorted by source
+       address, not in hash-bucket order. *)
     List.sort
-      (fun (a, _) (b, _) -> String.compare a b)
-      (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.flows [])
+      (fun (a, _) (b, _) -> Address.compare a b)
+      (Address.Tbl.fold (fun src route acc -> (src, route) :: acc) t.flows [])
   in
   List.iter
-    (fun (_, (src, route)) ->
+    (fun (src, route) ->
       let me = address t in
       match split_route_at route me with
       | Some (before, after) ->
@@ -179,8 +179,6 @@ let start t =
 
 (* --- message interception ------------------------------------------------ *)
 
-let fkey a seq = Address.to_bytes a ^ Codec.u32 seq
-
 let forge_rrep t ~sip ~dip ~seq ~rr =
   (* Claim the destination is our direct neighbour: route S -> ... -> me
      -> D.  Under the secure protocol we cannot produce D's signature, so
@@ -230,7 +228,7 @@ let impersonate_relay t victim ~rreq =
   | _ -> ()
 
 let replay_captured t ~sip ~dip ~rr =
-  match Hashtbl.find_opt t.captured (Address.to_bytes dip) with
+  match Address.Tbl.find_opt t.captured dip with
   | None -> false
   | Some c ->
       (* Replay the old signed reply to the new requester, back along the
@@ -284,10 +282,10 @@ let handle t ~src msg =
      whatever it overhears to mount the §4 forgery/replay attacks. *)
   (* manetlint: allow security *)
   | Messages.Rreq { sip; dip; seq; srr; _ } ->
-      let key = fkey sip seq in
-      if Hashtbl.mem t.seen_rreq key then ()
+      let key = { Address.addr = sip; seq } in
+      if Address.Seq_tbl.mem t.seen_rreq key then ()
       else begin
-        Hashtbl.replace t.seen_rreq key ();
+        Address.Seq_tbl.replace t.seen_rreq key ();
         let me = address t in
         let rr = List.map (fun e -> e.Messages.ip) srr in
         if Address.equal dip me then t.delegate ~src msg
@@ -309,7 +307,7 @@ let handle t ~src msg =
   (* manetlint: allow security *)
   | Messages.Rrep { dip; rr; sig_; dpk; drn; _ } ->
       if t.behavior.replay_rrep then
-        Hashtbl.replace t.captured (Address.to_bytes dip)
+        Address.Tbl.replace t.captured dip
           { c_rr = rr; c_sig = sig_; c_dpk = dpk; c_drn = drn };
       t.delegate ~src msg
   | Messages.Data { src = flow_src; route; _ } -> (
@@ -317,7 +315,7 @@ let handle t ~src msg =
       | Some _ ->
           (* Transit data: remember the flow (for RERR fabrication), then
              apply the drop policy. *)
-          Hashtbl.replace t.flows (Address.to_bytes flow_src) (flow_src, route);
+          Address.Tbl.replace t.flows flow_src route;
           if should_drop t then
             Ctx.audit t.ctx ~kind:Audit.Attack_drop
               ~stats:[ "attack.data_dropped" ]

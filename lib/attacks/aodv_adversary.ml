@@ -14,11 +14,11 @@ type t = {
   behavior : behavior;
   delegate : Aodv.t;
   rng : Prng.t;
-  seen_rreq : (string, unit) Hashtbl.t;
+  seen_rreq : unit Address.Seq_tbl.t; (* (origin, bcast_id) *)
 }
 
 let create ?(behavior = blackhole) ~delegate ~rng () =
-  { behavior; delegate; rng; seen_rreq = Hashtbl.create 64 }
+  { behavior; delegate; rng; seen_rreq = Address.Seq_tbl.create 64 }
 
 let address t = Aodv.address t.delegate
 let stat t name = Stats.incr (Engine.stats (Net.engine (Aodv.net t.delegate))) name
@@ -37,9 +37,9 @@ let handle t ~src msg =
   (* manetlint: allow security *)
   | Aodv.Rreq { src = origin; bcast_id; dst; dst_seq_known; _ }
     when t.behavior.forge_rrep && not (Address.equal dst (address t)) ->
-      let key = Address.to_bytes origin ^ string_of_int bcast_id in
-      if not (Hashtbl.mem t.seen_rreq key) then begin
-        Hashtbl.replace t.seen_rreq key ();
+      let key = { Address.addr = origin; seq = bcast_id } in
+      if not (Address.Seq_tbl.mem t.seen_rreq key) then begin
+        Address.Seq_tbl.replace t.seen_rreq key ();
         (* Fabricate an irresistibly fresh one-hop reply.  We cannot sign
            as the destination, so under SAODV the sig/hash fields are
            junk and the reply dies at the first verifier. *)

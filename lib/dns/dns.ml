@@ -31,14 +31,14 @@ type t = {
   table : (string, Address.t) Hashtbl.t;
   permanent : (string, unit) Hashtbl.t;
   (* pending registrations, indexed both ways *)
-  pending_by_sip : (string, pending_reg) Hashtbl.t;
+  pending_by_sip : pending_reg Address.Tbl.t;
   pending_by_dn : (string, pending_reg) Hashtbl.t;
   pending_changes : (string, pending_change) Hashtbl.t;
   (* Duplicate warnings can outrun the flooded AREQ they refer to (the
      warning travels point-to-point while the AREQ sits in relay jitter
      queues), so unmatched warnings are stashed briefly and re-checked
      when the AREQ arrives. *)
-  stashed_warnings : (string, float * Messages.t) Hashtbl.t;
+  stashed_warnings : (float * Messages.t) Address.Tbl.t;
 }
 
 let create ?(config = default_config) ctx =
@@ -47,10 +47,10 @@ let create ?(config = default_config) ctx =
     config;
     table = Hashtbl.create 64;
     permanent = Hashtbl.create 16;
-    pending_by_sip = Hashtbl.create 16;
+    pending_by_sip = Address.Tbl.create 16;
     pending_by_dn = Hashtbl.create 16;
     pending_changes = Hashtbl.create 16;
-    stashed_warnings = Hashtbl.create 16;
+    stashed_warnings = Address.Tbl.create 16;
   }
 
 let preload t ~name addr =
@@ -62,9 +62,6 @@ let lookup t name = Hashtbl.find_opt t.table name
 let entries t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.table []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-
-let sip_key = Codec.addr
 
 let obs t = t.ctx.Ctx.obs
 
@@ -92,7 +89,7 @@ let send_drep t ~sip ~dn ~ch ~rr =
     (Messages.Drep { sip; dn; rr; remaining = back_path; sig_ })
 
 let drop_pending t reg =
-  Hashtbl.remove t.pending_by_sip (sip_key reg.reg_sip);
+  Address.Tbl.remove t.pending_by_sip reg.reg_sip;
   Hashtbl.remove t.pending_by_dn reg.reg_dn
 
 let commit_pending t reg =
@@ -121,17 +118,17 @@ let stash_warning t ~sip msg =
   let now = Engine.now t.ctx.Ctx.engine in
   (* Prune expired stashes opportunistically. *)
   let expired =
-    List.sort String.compare
-      (Hashtbl.fold
+    List.sort Address.compare
+      (Address.Tbl.fold
          (fun k (when_, _) acc ->
            if now -. when_ > stash_window t then k :: acc else acc)
          t.stashed_warnings [])
   in
-  List.iter (Hashtbl.remove t.stashed_warnings) expired;
-  Hashtbl.replace t.stashed_warnings (sip_key sip) (now, msg)
+  List.iter (Address.Tbl.remove t.stashed_warnings) expired;
+  Address.Tbl.replace t.stashed_warnings sip (now, msg)
 
 let stashed_warning_applies t ~sip ~ch =
-  match Hashtbl.find_opt t.stashed_warnings (sip_key sip) with
+  match Address.Tbl.find_opt t.stashed_warnings sip with
   | None -> false
   | Some (when_, Messages.Arep { sip = wsip; sig_; pk; rn; _ })
     when Engine.now t.ctx.Ctx.engine -. when_ <= stash_window t
@@ -154,7 +151,7 @@ let observe_areq t msg =
       | None, None when stashed_warning_applies t ~sip ~ch ->
           (* A verified duplicate warning already arrived for this
              address: refuse the registration outright. *)
-          Hashtbl.remove t.stashed_warnings (sip_key sip);
+          Address.Tbl.remove t.stashed_warnings sip;
           Ctx.audit t.ctx ~kind:Audit.Dns_conflict ~subject:sip
             ~stats:[ "dns.registration_cancelled" ]
             ~cause:"registration refused: verified duplicate warning on file"
@@ -180,7 +177,7 @@ let observe_areq t msg =
               reg_span = span;
             }
           in
-          Hashtbl.replace t.pending_by_sip (sip_key sip) reg;
+          Address.Tbl.replace t.pending_by_sip sip reg;
           Hashtbl.replace t.pending_by_dn dn reg;
           Ctx.stat t.ctx "dns.pending";
           Engine.schedule t.ctx.Ctx.engine ~label:"dns"
@@ -194,7 +191,7 @@ let observe_areq t msg =
 let consume_warning t msg =
   match msg with
   | Messages.Arep { sip; sig_; pk; rn; _ } -> (
-      match Hashtbl.find_opt t.pending_by_sip (sip_key sip) with
+      match Address.Tbl.find_opt t.pending_by_sip sip with
       | None ->
           (* Possibly ahead of its AREQ: keep it for a while. *)
           (* manetsem: allow taint — the stash is quarantine, not trust:

@@ -59,22 +59,19 @@ type t = {
   cache : unit Route_cache.t;
   mutable rreq_seq : int;
   mutable data_seq : int;
-  pending : (string, pending_discovery) Hashtbl.t; (* by dst *)
-  queue : (string, packet Queue.t) Hashtbl.t; (* packets awaiting a route *)
-  waiters : (string, (Address.t list option -> unit) list ref) Hashtbl.t;
+  pending : pending_discovery Address.Tbl.t; (* by dst *)
+  queue : packet Queue.t Address.Tbl.t; (* packets awaiting a route *)
+  waiters : (Address.t list option -> unit) list ref Address.Tbl.t;
   seen_rreq : unit Flood.Ktbl.t; (* sip + seq *)
   reply_counts : int Flood.Ktbl.t; (* replies sent per request, for route diversity *)
-  in_flight : (string, packet) Hashtbl.t; (* dst + seq *)
-  seen_data : (string, unit) Hashtbl.t; (* delivered (src, seq): retries must not double-count *)
+  in_flight : packet Address.Seq_tbl.t; (* (dst, seq) *)
+  seen_data : unit Address.Seq_tbl.t; (* delivered (src, seq): retries must not double-count *)
 }
-
-let akey = Address.to_bytes
-let fkey dst seq = akey dst ^ Codec.u32 seq
 
 (* Telemetry correlation keys, shared with [Manet_secure]: a flood
    attempt is (source, seq); replies are identified by the fields both
    the responder and the consumer can see. *)
-let rreq_corr ~sip ~seq = "rreq:" ^ akey sip ^ Codec.u32 seq
+let rreq_corr ~sip ~seq = "rreq:" ^ Address.to_bytes sip ^ Codec.u32 seq
 
 (* The RREQ dedup key (sip, seq), shared with [Manet_secure], doubles as
    the flood-provenance key. *)
@@ -91,9 +88,10 @@ let rreq_key sip seq =
   }
 
 let rrep_corr ~sip ~dip ~rr =
-  "rrep:" ^ akey sip ^ akey dip ^ String.concat "" (List.map akey rr)
+  "rrep:" ^ Address.to_bytes sip ^ Address.to_bytes dip
+  ^ String.concat "" (List.map Address.to_bytes rr)
 
-let crep_corr ~cacher ~seq = "crep:" ^ akey cacher ^ Codec.u32 seq
+let crep_corr ~cacher ~seq = "crep:" ^ Address.to_bytes cacher ^ Codec.u32 seq
 
 let create ?(config = default_config) ctx =
   {
@@ -102,13 +100,13 @@ let create ?(config = default_config) ctx =
     cache = Route_cache.create ~capacity_per_dst:config.cache_capacity_per_dst ();
     rreq_seq = 0;
     data_seq = 0;
-    pending = Hashtbl.create 16;
-    queue = Hashtbl.create 16;
-    waiters = Hashtbl.create 8;
+    pending = Address.Tbl.create 16;
+    queue = Address.Tbl.create 16;
+    waiters = Address.Tbl.create 8;
     seen_rreq = Flood.Ktbl.create 256;
     reply_counts = Flood.Ktbl.create 64;
-    in_flight = Hashtbl.create 32;
-    seen_data = Hashtbl.create 64;
+    in_flight = Address.Seq_tbl.create 32;
+    seen_data = Address.Seq_tbl.create 64;
   }
 
 let address t = Ctx.address t.ctx
@@ -117,12 +115,16 @@ let obs t = t.ctx.Ctx.obs
 
 let floods t = Obs.flood (obs t)
 
+(* Prefer the shortest known route, as DSR does. *)
+let shortest_first e =
+  (* manethot: allow hot-list — a cached route is as long as its hop
+     count, bounded by the discovery flood's hop radius. *)
+  -.float_of_int (List.length e.Route_cache.route)
+
 let cached_route t ~dst =
-  (* Prefer the shortest known route, as DSR does. *)
-  Option.map
-    (fun e -> e.Route_cache.route)
-    (Route_cache.best t.cache ~dst ~score:(fun e ->
-         -.float_of_int (List.length e.Route_cache.route)))
+  match Route_cache.best t.cache ~dst ~score:shortest_first with
+  | Some e -> Some e.Route_cache.route
+  | None -> None
 
 let cached_routes t ~dst =
   List.map (fun e -> e.Route_cache.route) (Route_cache.entries t.cache ~dst)
@@ -131,17 +133,16 @@ let cached_routes t ~dst =
 (* --- data transmission ------------------------------------------------ *)
 
 let queue_for t dst =
-  let k = akey dst in
-  match Hashtbl.find_opt t.queue k with
+  match Address.Tbl.find_opt t.queue dst with
   | Some q -> q
   | None ->
       let q = Queue.create () in
-      Hashtbl.add t.queue k q;
+      Address.Tbl.add t.queue dst q;
       q
 
 let rec transmit t packet route =
   let dst = packet.p_dst in
-  Hashtbl.replace t.in_flight (fkey dst packet.p_seq) packet;
+  Address.Seq_tbl.replace t.in_flight { Address.addr = dst; seq = packet.p_seq } packet;
   let path = route @ [ dst ] in
   let msg =
     Messages.Data
@@ -169,12 +170,12 @@ let rec transmit t packet route =
       (fun () -> ack_timeout t packet route)
 
 and ack_timeout t packet route =
-  let k = fkey packet.p_dst packet.p_seq in
-  match Hashtbl.find_opt t.in_flight k with
+  let k = { Address.addr = packet.p_dst; seq = packet.p_seq } in
+  match Address.Seq_tbl.find_opt t.in_flight k with
   | None -> () (* acked in time *)
   | Some p when p != packet -> ()
   | Some _ ->
-      Hashtbl.remove t.in_flight k;
+      Address.Seq_tbl.remove t.in_flight k;
       Ctx.stat t.ctx "data.timeout";
       (* This route failed silently (black hole or stale cache): forget
          it and retry over whatever is left. *)
@@ -195,8 +196,7 @@ and dispatch t packet =
 (* --- route discovery --------------------------------------------------- *)
 
 and start_discovery t dst =
-  let k = akey dst in
-  if not (Hashtbl.mem t.pending k) then begin
+  if not (Address.Tbl.mem t.pending dst) then begin
     let d =
       {
         d_dst = dst;
@@ -212,7 +212,7 @@ and start_discovery t dst =
         (Obs.start (obs t) ~kind:"route.discovery" ~node:(Ctx.node_id t.ctx)
            ~detail:("dst=" ^ Address.to_string dst)
            ());
-    Hashtbl.add t.pending k d;
+    Address.Tbl.add t.pending dst d;
     send_rreq t d
   end
 
@@ -250,14 +250,13 @@ and send_rreq t d =
       end)
 
 and discovery_failed t d =
-  let k = akey d.d_dst in
   d.d_resolved <- true;
-  Hashtbl.remove t.pending k;
+  Address.Tbl.remove t.pending d.d_dst;
   Ctx.stat t.ctx "route.discovery_failed";
   (match d.d_span with
   | Some id -> Obs.finish (obs t) id Obs.Timeout
   | None -> ());
-  (match Hashtbl.find_opt t.queue k with
+  (match Address.Tbl.find_opt t.queue d.d_dst with
   | None -> ()
   | Some q ->
       Queue.iter (fun _ -> Ctx.stat t.ctx "data.dropped") q;
@@ -265,20 +264,19 @@ and discovery_failed t d =
   notify_waiters t d.d_dst None
 
 and notify_waiters t dst result =
-  match Hashtbl.find_opt t.waiters (akey dst) with
+  match Address.Tbl.find_opt t.waiters dst with
   | None -> ()
   | Some l ->
       let callbacks = !l in
-      Hashtbl.remove t.waiters (akey dst);
+      Address.Tbl.remove t.waiters dst;
       List.iter (fun cb -> cb result) callbacks
 
 and route_found t ~dst ~route =
-  let k = akey dst in
   Route_cache.insert t.cache ~dst ~route ~meta:() ~now:(now t);
-  (match Hashtbl.find_opt t.pending k with
+  (match Address.Tbl.find_opt t.pending dst with
   | Some d when not d.d_resolved ->
       d.d_resolved <- true;
-      Hashtbl.remove t.pending k;
+      Address.Tbl.remove t.pending dst;
       (match d.d_flood with
       | Some id -> Obs.finish (obs t) id Obs.Ok
       | None -> ());
@@ -289,7 +287,7 @@ and route_found t ~dst ~route =
       Ctx.observe t.ctx "route.hops" (float_of_int (List.length route + 1))
   | _ -> ());
   (* Flush queued packets over the fresh route. *)
-  (match Hashtbl.find_opt t.queue k with
+  (match Address.Tbl.find_opt t.queue dst with
   | None -> ()
   | Some q ->
       let packets = List.of_seq (Queue.to_seq q) in
@@ -313,13 +311,12 @@ let discover t ~dst ~on_route =
   match cached_route t ~dst with
   | Some route -> on_route (Some route)
   | None ->
-      let k = akey dst in
       let l =
-        match Hashtbl.find_opt t.waiters k with
+        match Address.Tbl.find_opt t.waiters dst with
         | Some l -> l
         | None ->
             let l = ref [] in
-            Hashtbl.add t.waiters k l;
+            Address.Tbl.add t.waiters dst l;
             l
       in
       l := on_route :: !l;
@@ -541,17 +538,23 @@ let consume_data t msg =
   | Messages.Data { src; seq; route; sent_at; _ } ->
       (* Retransmissions of an already-delivered packet are re-acked but
          not re-counted. *)
-      let k = fkey src seq in
-      if not (Hashtbl.mem t.seen_data k) then begin
-        Hashtbl.replace t.seen_data k ();
+      (* manethot: allow hot-alloc — the 3-word (src, seq) key is the one
+         allocation the duplicate check makes. *)
+      let k = { Address.addr = src; seq } in
+      if not (Address.Seq_tbl.mem t.seen_data k) then begin
+        Address.Seq_tbl.replace t.seen_data k ();
         Ctx.stat t.ctx "data.delivered";
         Ctx.observe t.ctx "data.latency" (now t -. sent_at)
       end;
       if t.config.use_acks then begin
       let back_route = List.rev route in
+      (* manethot: allow hot-alloc hot-list — the ack's path is the
+         reversed route plus the source, one cell per hop it travels. *)
       let path = back_route @ [ src ] in
       Ctx.send_along t.ctx ~path
         (Messages.Ack
+           (* manethot: allow hot-alloc — the ack this handler exists to
+              send. *)
            {
              src = address t;
              dst = src;
@@ -568,13 +571,15 @@ let consume_ack t msg =
   | Messages.Ack { src = acker; data_seq; sent_at; _ } -> (
       (* The acker is the data's destination, so the in-flight key is
          (acker, data_seq). *)
-      let k = fkey acker data_seq in
-      match Hashtbl.find_opt t.in_flight k with
-      | Some _ ->
-          Hashtbl.remove t.in_flight k;
-          Ctx.stat t.ctx "data.acked";
-          Ctx.observe t.ctx "data.rtt" (now t -. sent_at)
-      | None -> Ctx.stat t.ctx "ack.unmatched")
+      (* manethot: allow hot-alloc — the 3-word (dst, seq) key is the one
+         allocation an ack's lookup makes. *)
+      let k = { Address.addr = acker; seq = data_seq } in
+      if Address.Seq_tbl.mem t.in_flight k then begin
+        Address.Seq_tbl.remove t.in_flight k;
+        Ctx.stat t.ctx "data.acked";
+        Ctx.observe t.ctx "data.rtt" (now t -. sent_at)
+      end
+      else Ctx.stat t.ctx "ack.unmatched")
   | _ -> ()
 
 (* DSR automatic route shortening: on a promiscuous radio we may

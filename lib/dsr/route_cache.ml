@@ -7,28 +7,22 @@ type 'a entry = {
   mutable last_used : float;
 }
 
-type 'a t = {
-  by_dst : (string, (Address.t * 'a entry list ref)) Hashtbl.t;
-  capacity_per_dst : int;
-}
-
-let key = Address.to_bytes
+type 'a t = { by_dst : 'a entry list ref Address.Tbl.t; capacity_per_dst : int }
 
 let create ?(capacity_per_dst = 4) () =
-  { by_dst = Hashtbl.create 32; capacity_per_dst }
+  { by_dst = Address.Tbl.create 32; capacity_per_dst }
 
 let same_route r1 r2 =
   List.length r1 = List.length r2 && List.for_all2 Address.equal r1 r2
 
 let insert t ~dst ~route ~meta ~now =
-  let k = key dst in
-  let _, entries =
-    match Hashtbl.find_opt t.by_dst k with
-    | Some pair -> pair
+  let entries =
+    match Address.Tbl.find_opt t.by_dst dst with
+    | Some l -> l
     | None ->
-        let pair = (dst, ref []) in
-        Hashtbl.add t.by_dst k pair;
-        pair
+        let l = ref [] in
+        Address.Tbl.add t.by_dst dst l;
+        l
   in
   match List.find_opt (fun e -> same_route e.route route) !entries with
   | Some e -> e.last_used <- now
@@ -47,25 +41,28 @@ let insert t ~dst ~route ~meta ~now =
       entries := e :: kept
 
 let entries t ~dst =
-  match Hashtbl.find_opt t.by_dst (key dst) with
+  match Address.Tbl.find_opt t.by_dst dst with
   | None -> []
-  | Some (_, l) -> List.sort (fun a b -> Float.compare b.last_used a.last_used) !l
+  | Some l -> List.sort (fun a b -> Float.compare b.last_used a.last_used) !l
+
+(* One pass over the stored order, picking what a stable sort by
+   [last_used] (newest first) followed by a strict-[>] left fold over
+   the scores would: the highest score; on equal scores the larger
+   [last_used]; on equal [last_used] the entry stored first.  A
+   top-level loop, so the only allocations are [score]'s results and
+   the returned option. *)
+let rec best_from ~score b bs = function
+  | [] -> Some b
+  | e :: rest ->
+      let s = score e in
+      if s > bs || (s = bs && e.last_used > b.last_used) then best_from ~score e s rest
+      else best_from ~score b bs rest
 
 let best t ~dst ~score =
-  match entries t ~dst with
-  | [] -> None
-  | all ->
-      let best =
-        List.fold_left
-          (fun acc e ->
-            match acc with
-            | None -> Some (e, score e)
-            | Some (_, s) ->
-                let s' = score e in
-                if s' > s then Some (e, s') else acc)
-          None all
-      in
-      Option.map fst best
+  match Address.Tbl.find t.by_dst dst with
+  | exception Not_found -> None
+  | l -> (
+      match !l with [] -> None | e :: rest -> best_from ~score e (score e) rest)
 
 let filter_entries t keep =
   (* Apply [keep dst entry] to every entry; count removals. *)
@@ -73,8 +70,8 @@ let filter_entries t keep =
   (* manetsem: allow determinism — order-insensitive: each bucket's ref
      cell is rewritten independently and the removal count is a
      commutative sum, so visiting order cannot leak anywhere. *)
-  Hashtbl.iter
-    (fun _ (dst, l) ->
+  Address.Tbl.iter
+    (fun dst l ->
       let kept = List.filter (fun e -> keep dst e) !l in
       removed := !removed + (List.length !l - List.length kept);
       l := kept)
@@ -98,9 +95,9 @@ let remove_containing t addr =
       not (Address.equal dst addr || List.exists (Address.equal addr) e.route))
 
 let remove_route t ~dst ~route =
-  match Hashtbl.find_opt t.by_dst (key dst) with
+  match Address.Tbl.find_opt t.by_dst dst with
   | None -> ()
-  | Some (_, l) -> l := List.filter (fun e -> not (same_route e.route route)) !l
+  | Some l -> l := List.filter (fun e -> not (same_route e.route route)) !l
 
-let size t = Hashtbl.fold (fun _ (_, l) acc -> acc + List.length !l) t.by_dst 0
+let size t = Address.Tbl.fold (fun _ l acc -> acc + List.length !l) t.by_dst 0
 

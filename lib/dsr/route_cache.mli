@@ -25,20 +25,25 @@ type 'a t
 
 val create : ?capacity_per_dst:int -> unit -> 'a t
 (** [capacity_per_dst] bounds routes kept per destination (default 4);
-    the oldest-used entry is evicted first. *)
+    the oldest-used entry is evicted first, where "used" means inserted
+    or refreshed by {!insert} ({!best} does not touch [last_used]). *)
 
 val insert :
   'a t -> dst:Address.t -> route:Address.t list -> meta:'a -> now:float -> unit
 (** Add a route; an identical route to the same destination refreshes the
-    existing entry instead of duplicating it. *)
+    existing entry's [last_used] instead of duplicating it. *)
 
 val entries : 'a t -> dst:Address.t -> 'a entry list
 (** Current routes for [dst], most recently used first. *)
 
 val best :
   'a t -> dst:Address.t -> score:('a entry -> float) -> 'a entry option
-(** Highest-scoring entry; marks it used.  [None] when the cache holds no
-    route for [dst]. *)
+(** Highest-scoring entry, [None] when the cache holds no route for
+    [dst].  Ties go to the larger [last_used], then to the entry first in
+    {!entries}' order — the entry a strict-[>] left fold over {!entries}
+    picks.  Scores are compared with [>] and [=], so they must not be
+    NaN.  [best] does not mark the entry used: only {!insert} refreshes
+    [last_used]. *)
 
 val remove_link :
   'a t -> owner:Address.t -> a:Address.t -> b:Address.t -> int

@@ -11,6 +11,31 @@ let equal a b = Int64.equal a.hi b.hi && Int64.equal a.lo b.lo
 let hash a =
   Int64.to_int (Int64.logxor a.hi (Int64.mul a.lo 0x9E3779B97F4A7C15L)) land max_int
 
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)
+
+type seq_key = { addr : t; seq : int }
+
+(* Monomorphic equality and hash, mixed like the flood keys: no
+   polymorphic primitive and no allocation per lookup.  The final shift
+   folds the multiplied high bits into the low bits the table indexes
+   by. *)
+module Seq_tbl = Hashtbl.Make (struct
+  type t = seq_key
+
+  let equal a b = Int.equal a.seq b.seq && equal a.addr b.addr
+
+  let mix h x = (h lxor x) * 0x100000001b3
+
+  let hash k =
+    let h = mix (mix (Int64.to_int k.addr.hi) (Int64.to_int k.addr.lo)) k.seq in
+    (h lxor (h lsr 31)) land max_int
+end)
+
 let unspecified = { hi = 0L; lo = 0L }
 let loopback = { hi = 0L; lo = 1L }
 

@@ -17,7 +17,25 @@ type t = { hi : int64; lo : int64 }
 val make : hi:int64 -> lo:int64 -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
+
+module Tbl : Hashtbl.S with type key = t
+(** Tables keyed by an address, over {!equal} and a multiplicative hash
+    of the two halves: a lookup allocates nothing and never reaches the
+    polymorphic hash.  Protocol state keyed by a peer or destination
+    address uses it rather than the address's byte string; {!compare}
+    orders addresses exactly as [String.compare] orders their
+    {!to_bytes}, so sorting a table's keys by it keeps a byte-sorted
+    order. *)
+
+type seq_key = { addr : t; seq : int }
+(** An address joined to a sequence number: a data flow's [(src, seq)]
+    or [(dst, seq)], a discovery's [(origin, seq)]. *)
+
+module Seq_tbl : Hashtbl.S with type key = seq_key
+(** Tables keyed by {!seq_key}, with a monomorphic, allocation-free
+    equality and hash mixed like [Flood.Ktbl]'s.  Two keys share a
+    binding exactly when their addresses are {!equal} and their
+    sequence numbers are equal. *)
 
 (* manetsem: allow dead-export — RFC 4291 constant; part of the
    address-type API surface even when no current caller needs it. *)

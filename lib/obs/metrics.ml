@@ -5,8 +5,10 @@ module Itbl = Hashtbl.Make (Int)
 
 let global_node = -1
 
+(* All-float, so each field is stored flat and adding a sample writes
+   unboxed doubles.  The count is exact up to 2^53 samples. *)
 type series = {
-  mutable s_count : int;
+  mutable s_count : float;
   mutable s_sum : float;
   mutable s_min : float;
   mutable s_max : float;
@@ -79,12 +81,14 @@ let add_sample cells key x =
     | s -> s
     | exception Not_found ->
         let s =
-          { s_count = 0; s_sum = 0.0; s_min = infinity; s_max = neg_infinity }
+          (* manethot: allow hot-alloc — one series cell per (name, node,
+             window), made on that cell's first sample only. *)
+          { s_count = 0.0; s_sum = 0.0; s_min = infinity; s_max = neg_infinity }
         in
         Itbl.add cells key s;
         s
   in
-  s.s_count <- s.s_count + 1;
+  s.s_count <- s.s_count +. 1.0;
   s.s_sum <- s.s_sum +. x;
   if x < s.s_min then s.s_min <- x;
   if x > s.s_max then s.s_max <- x
@@ -136,8 +140,8 @@ let to_csv ?stats t =
     (fun ((name, node, w), s) ->
       Buffer.add_string buf
         (Printf.sprintf "series,%s,%d,%s,%d,%s,,%s,%s\n" name node
-           (window_start t w) s.s_count
-           (Json.float_str (s.s_sum /. float_of_int s.s_count))
+           (window_start t w) (int_of_float s.s_count)
+           (Json.float_str (s.s_sum /. s.s_count))
            (Json.float_str s.s_min) (Json.float_str s.s_max)))
     (sorted_cells t.series);
   (match stats with
@@ -183,7 +187,7 @@ let to_prom ?stats t =
       (sorted_cells t.series)
   in
   Buffer.add_string buf "# TYPE manetsim_series_count gauge\n";
-  series_field "count" (fun s -> string_of_int s.s_count);
+  series_field "count" (fun s -> string_of_int (int_of_float s.s_count));
   Buffer.add_string buf "# TYPE manetsim_series_sum gauge\n";
   series_field "sum" (fun s -> Json.float_str s.s_sum);
   Buffer.add_string buf "# TYPE manetsim_series_min gauge\n";

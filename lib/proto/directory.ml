@@ -1,11 +1,6 @@
 module Address = Manet_ipv6.Address
 
-module Table = Hashtbl.Make (struct
-  type t = Address.t
-
-  let equal = Address.equal
-  let hash = Address.hash
-end)
+module Table = Address.Tbl
 
 type t = int list Table.t
 

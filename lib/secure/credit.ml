@@ -11,56 +11,83 @@ type config = {
 let default_config =
   { initial = 0.0; reward = 1.0; penalty = 100.0; rerr_window = 30.0; rerr_threshold = 5 }
 
+(* One cell per host the source has noted: scored, slashed or reported
+   by a RERR.  The record is all-float, so the score is stored flat and
+   a reward writes an unboxed double. *)
+type cell = { mutable score : float }
+
 type t = {
   config : config;
-  scores : (string, float) Hashtbl.t;
-  rerrs : (string, float list ref) Hashtbl.t; (* recent report times *)
-  addrs : (string, Address.t) Hashtbl.t; (* for snapshots *)
+  cells : cell Address.Tbl.t;
+  rerrs : float list ref Address.Tbl.t; (* recent report times *)
 }
 
 let create ?(config = default_config) () =
-  {
-    config;
-    scores = Hashtbl.create 64;
-    rerrs = Hashtbl.create 16;
-    addrs = Hashtbl.create 64;
-  }
+  { config; cells = Address.Tbl.create 64; rerrs = Address.Tbl.create 16 }
 
-let key = Address.to_bytes
+(* The host's cell, made at the initial credit the first time. *)
+let cell t a =
+  match Address.Tbl.find t.cells a with
+  | c -> c
+  | exception Not_found ->
+      (* manethot: allow hot-alloc — one cell per host, made the first
+         time it is scored, slashed or reported. *)
+      let c = { score = t.config.initial } in
+      Address.Tbl.add t.cells a c;
+      c
 
-let note_addr t a = Hashtbl.replace t.addrs (key a) a
+(* Inlined into [min_credit], so a hop's credit is read without being
+   boxed. *)
+let[@inline] get t a =
+  match Address.Tbl.find t.cells a with
+  | c -> c.score
+  | exception Not_found -> t.config.initial
 
-let get t a =
-  match Hashtbl.find_opt t.scores (key a) with
-  | Some v -> v
-  | None -> t.config.initial
+let rec reward_route t = function
+  | [] -> ()
+  | a :: rest ->
+      let c = cell t a in
+      c.score <- c.score +. t.config.reward;
+      reward_route t rest
 
-let set t a v =
-  note_addr t a;
-  Hashtbl.replace t.scores (key a) v
-
-let reward_route t route =
-  List.iter (fun a -> set t a (get t a +. t.config.reward)) route
-
-let slash t a = set t a (get t a -. t.config.penalty)
+let slash t a =
+  let c = cell t a in
+  c.score <- c.score -. t.config.penalty
 
 let record_rerr t reporter ~now =
-  let k = key reporter in
-  note_addr t reporter;
+  ignore (cell t reporter);
   let times =
-    match Hashtbl.find_opt t.rerrs k with
+    match Address.Tbl.find_opt t.rerrs reporter with
     | Some l -> l
     | None ->
         let l = ref [] in
-        Hashtbl.add t.rerrs k l;
+        Address.Tbl.add t.rerrs reporter l;
         l
   in
   times := now :: List.filter (fun w -> now -. w <= t.config.rerr_window) !times;
   List.length !times > t.config.rerr_threshold
 
+(* A loop over a local accumulator rather than a fold, so no closure and
+   no per-hop boxed float.  The choice is [Stdlib.min]'s,
+   [if acc <= x then acc else x], which [Float.min] is not on NaN and
+   signed zeros. *)
 let min_credit t route =
-  List.fold_left (fun acc a -> min acc (get t a)) infinity route
+  (* manethot: allow hot-alloc — neither ref escapes, so both compile to
+     mutable locals and no heap cell is made. *)
+  let acc = ref infinity and rest = ref route in
+  while
+    match !rest with
+    | [] -> false
+    | a :: tl ->
+        let x = get t a in
+        acc := if !acc <= x then !acc else x;
+        rest := tl;
+        true
+  do
+    ()
+  done;
+  !acc
 
 let snapshot t =
-  Hashtbl.fold (fun k a acc -> (a, Option.value ~default:t.config.initial (Hashtbl.find_opt t.scores k)) :: acc) t.addrs []
+  Address.Tbl.fold (fun a c acc -> (a, c.score) :: acc) t.cells []
   |> List.sort (fun (a, _) (b, _) -> Address.compare a b)

@@ -85,55 +85,66 @@ type t = {
   mutable rreq_seq : int;
   mutable data_seq : int;
   mutable probe_seq : int;
-  pending : (string, pending_discovery) Hashtbl.t;
-  queue : (string, packet Queue.t) Hashtbl.t;
-  waiters : (string, (Address.t list option -> unit) list ref) Hashtbl.t;
+  pending : pending_discovery Address.Tbl.t;
+  queue : packet Queue.t Address.Tbl.t;
+  waiters : (Address.t list option -> unit) list ref Address.Tbl.t;
   seen_rreq : unit Flood.Ktbl.t;
   reply_counts : int Flood.Ktbl.t; (* replies per request, for route diversity *)
-  in_flight : (string, packet) Hashtbl.t;
-  seen_data : (string, unit) Hashtbl.t; (* delivered (src, seq): retries must not double-count *)
-  last_rreq_seq : (string, int) Hashtbl.t; (* per-source replay window *)
+  in_flight : packet Address.Seq_tbl.t; (* (dst, seq) *)
+  seen_data : unit Address.Seq_tbl.t; (* delivered (src, seq): retries must not double-count *)
+  last_rreq_seq : int Address.Tbl.t; (* per-source replay window *)
   (* Per-destination memory of our own superseded discovery sequence
      numbers, with the time each stopped being current.  A reply whose
      signature verifies against one of these long after it was retired
      is a definite replay (§4) — an honest sibling can only trail the
      seq bump by a path latency. *)
-  old_rrep_seqs : (string, (int * float) list) Hashtbl.t;
+  old_rrep_seqs : (int * float) list Address.Tbl.t;
   probes : (int, probe_session * int) Hashtbl.t;
   (* Pre-distributed (address, public key) bindings.  The paper's only
      such binding is the DNS server: its well-known address is not a CGA,
      but every host holds its public key before joining, which identifies
      it just as strongly. *)
-  trusted : (string, string) Hashtbl.t;
+  trusted : string Address.Tbl.t;
+  (* [route_score] over this node's credits, built once. *)
+  score : endorsement option Route_cache.entry -> float;
 }
 
-let akey = Address.to_bytes
-let fkey dst seq = akey dst ^ Codec.u32 seq
+(* §3.4: under credits a route is as good as its weakest relay, the
+   shorter route winning near-ties; otherwise the shortest route wins. *)
+let route_score ~use_credits credits e =
+  (* manethot: allow hot-list — a cached route is as long as its hop
+     count, bounded by the discovery flood's hop radius. *)
+  let len = float_of_int (List.length e.Route_cache.route) in
+  if use_credits then
+    let mc = Credit.min_credit credits e.Route_cache.route in
+    let mc = if mc = infinity then 1e9 else mc in
+    mc -. (0.001 *. len)
+  else -.len
 
 let create ?(config = default_config) ?(trusted = []) ctx =
-  let trusted_tbl = Hashtbl.create 4 in
-  List.iter
-    (fun (addr, pk) -> Hashtbl.replace trusted_tbl (Address.to_bytes addr) pk)
-    trusted;
+  let trusted_tbl = Address.Tbl.create 4 in
+  List.iter (fun (addr, pk) -> Address.Tbl.replace trusted_tbl addr pk) trusted;
+  let credits = Credit.create ~config:config.credit () in
   {
     ctx;
     config;
     cache = Route_cache.create ~capacity_per_dst:config.cache_capacity_per_dst ();
-    credits = Credit.create ~config:config.credit ();
+    credits;
     rreq_seq = 0;
     data_seq = 0;
     probe_seq = 0;
-    pending = Hashtbl.create 16;
-    queue = Hashtbl.create 16;
-    waiters = Hashtbl.create 8;
+    pending = Address.Tbl.create 16;
+    queue = Address.Tbl.create 16;
+    waiters = Address.Tbl.create 8;
     seen_rreq = Flood.Ktbl.create 256;
     reply_counts = Flood.Ktbl.create 64;
-    in_flight = Hashtbl.create 32;
-    seen_data = Hashtbl.create 64;
-    last_rreq_seq = Hashtbl.create 32;
-    old_rrep_seqs = Hashtbl.create 16;
+    in_flight = Address.Seq_tbl.create 32;
+    seen_data = Address.Seq_tbl.create 64;
+    last_rreq_seq = Address.Tbl.create 32;
+    old_rrep_seqs = Address.Tbl.create 16;
     probes = Hashtbl.create 16;
     trusted = trusted_tbl;
+    score = route_score ~use_credits:config.use_credits credits;
   }
 
 let address t = Ctx.address t.ctx
@@ -161,7 +172,7 @@ let verify_host_r t ~ip ~pk ~rn ~payload ~signature =
      (Cga_mismatch), a failed signature under a good binding points at
      stale or tampered content. *)
   let binding_ok =
-    match Hashtbl.find_opt t.trusted (Address.to_bytes ip) with
+    match Address.Tbl.find_opt t.trusted ip with
     | Some known_pk -> String.equal known_pk pk
     | None ->
         Suite.count_hash (Ctx.suite t.ctx) ~bytes:(String.length pk + 8);
@@ -184,10 +195,9 @@ let stale_seq_grace = 3.0
 
 let note_superseded_seq t ~dst ~seq =
   if seq > 0 then begin
-    let k = akey dst in
-    let prior = Option.value ~default:[] (Hashtbl.find_opt t.old_rrep_seqs k) in
+    let prior = Option.value ~default:[] (Address.Tbl.find_opt t.old_rrep_seqs dst) in
     let keep l = if List.length l > 8 then List.filteri (fun i _ -> i < 8) l else l in
-    Hashtbl.replace t.old_rrep_seqs k (keep ((seq, now t) :: prior))
+    Address.Tbl.replace t.old_rrep_seqs dst (keep ((seq, now t) :: prior))
   end
 
 (* Does [payload_for seq_old] verify for any retired seq of [dst]?
@@ -195,7 +205,7 @@ let note_superseded_seq t ~dst ~seq =
    rejected replies, so the extra verifications stay off every honest
    path. *)
 let match_retired_seq t ~dst ~pk ~signature ~payload_for =
-  match Hashtbl.find_opt t.old_rrep_seqs (akey dst) with
+  match Address.Tbl.find_opt t.old_rrep_seqs dst with
   | None -> None
   | Some seqs ->
       List.find_map
@@ -205,20 +215,12 @@ let match_retired_seq t ~dst ~pk ~signature ~payload_for =
           else None)
         seqs
 
-let route_score t e =
-  let len = float_of_int (List.length e.Route_cache.route) in
-  if t.config.use_credits then
-    let mc = Credit.min_credit t.credits e.Route_cache.route in
-    let mc = if mc = infinity then 1e9 else mc in
-    mc -. (0.001 *. len)
-  else -.len
+let cached_entry t ~dst = Route_cache.best t.cache ~dst ~score:t.score
 
 let cached_route t ~dst =
-  Option.map
-    (fun e -> e.Route_cache.route)
-    (Route_cache.best t.cache ~dst ~score:(route_score t))
-
-let cached_entry t ~dst = Route_cache.best t.cache ~dst ~score:(route_score t)
+  match cached_entry t ~dst with
+  | Some e -> Some e.Route_cache.route
+  | None -> None
 
 let cached_routes t ~dst =
   List.map (fun e -> e.Route_cache.route) (Route_cache.entries t.cache ~dst)
@@ -226,17 +228,16 @@ let cached_routes t ~dst =
 (* --- data transmission ------------------------------------------------ *)
 
 let queue_for t dst =
-  let k = akey dst in
-  match Hashtbl.find_opt t.queue k with
+  match Address.Tbl.find_opt t.queue dst with
   | Some q -> q
   | None ->
       let q = Queue.create () in
-      Hashtbl.add t.queue k q;
+      Address.Tbl.add t.queue dst q;
       q
 
 let rec transmit t packet route =
   let dst = packet.p_dst in
-  Hashtbl.replace t.in_flight (fkey dst packet.p_seq) packet;
+  Address.Seq_tbl.replace t.in_flight { Address.addr = dst; seq = packet.p_seq } packet;
   let path = route @ [ dst ] in
   let msg =
     Messages.Data
@@ -263,12 +264,12 @@ let rec transmit t packet route =
     (fun () -> ack_timeout t packet route)
 
 and ack_timeout t packet route =
-  let k = fkey packet.p_dst packet.p_seq in
-  match Hashtbl.find_opt t.in_flight k with
+  let k = { Address.addr = packet.p_dst; seq = packet.p_seq } in
+  match Address.Seq_tbl.find_opt t.in_flight k with
   | None -> ()
   | Some p when p != packet -> ()
   | Some _ ->
-      Hashtbl.remove t.in_flight k;
+      Address.Seq_tbl.remove t.in_flight k;
       Ctx.stat t.ctx "data.timeout";
       Route_cache.remove_route t.cache ~dst:packet.p_dst ~route;
       if t.config.probe_on_timeout && route <> [] then start_probe t packet route
@@ -384,13 +385,12 @@ and dispatch t packet =
 (* --- route discovery --------------------------------------------------- *)
 
 and start_discovery t dst =
-  let k = akey dst in
   (* Resolved entries are kept so sibling replies of the same discovery
      can still be verified and cached; a fresh discovery replaces them. *)
-  match Hashtbl.find_opt t.pending k with
+  match Address.Tbl.find_opt t.pending dst with
   | Some d when not d.d_resolved -> ()
   | _ ->
-      (match Hashtbl.find_opt t.pending k with
+      (match Address.Tbl.find_opt t.pending dst with
       | Some old -> note_superseded_seq t ~dst ~seq:old.d_seq
       | None -> ());
       let d =
@@ -409,7 +409,7 @@ and start_discovery t dst =
           (Obs.start (obs t) ~kind:"route.discovery" ~node:(Ctx.node_id t.ctx)
              ~detail:("dst=" ^ Address.to_string dst)
              ());
-      Hashtbl.replace t.pending k d;
+      Address.Tbl.replace t.pending dst d;
       send_rreq t d
 
 and send_rreq t d =
@@ -457,14 +457,12 @@ and send_rreq t d =
       end)
 
 and discovery_failed t d =
-  let k = akey d.d_dst in
   d.d_resolved <- true;
-  ignore k;
   Ctx.stat t.ctx "route.discovery_failed";
   (match d.d_span with
   | Some id -> Obs.finish (obs t) id Obs.Timeout
   | None -> ());
-  (match Hashtbl.find_opt t.queue k with
+  (match Address.Tbl.find_opt t.queue d.d_dst with
   | None -> ()
   | Some q ->
       Queue.iter (fun _ -> Ctx.stat t.ctx "data.dropped") q;
@@ -472,17 +470,16 @@ and discovery_failed t d =
   notify_waiters t d.d_dst None
 
 and notify_waiters t dst result =
-  match Hashtbl.find_opt t.waiters (akey dst) with
+  match Address.Tbl.find_opt t.waiters dst with
   | None -> ()
   | Some l ->
       let callbacks = !l in
-      Hashtbl.remove t.waiters (akey dst);
+      Address.Tbl.remove t.waiters dst;
       List.iter (fun cb -> cb result) callbacks
 
 and route_found t ~dst ~route ~endorsement =
-  let k = akey dst in
   Route_cache.insert t.cache ~dst ~route ~meta:endorsement ~now:(now t);
-  (match Hashtbl.find_opt t.pending k with
+  (match Address.Tbl.find_opt t.pending dst with
   | Some d when not d.d_resolved ->
       d.d_resolved <- true;
       (match d.d_flood with
@@ -494,7 +491,7 @@ and route_found t ~dst ~route ~endorsement =
       Ctx.observe t.ctx "route.discovery_time" (now t -. d.d_started);
       Ctx.observe t.ctx "route.hops" (float_of_int (List.length route + 1))
   | _ -> ());
-  (match Hashtbl.find_opt t.queue k with
+  (match Address.Tbl.find_opt t.queue dst with
   | None -> ()
   | Some q ->
       let packets = List.of_seq (Queue.to_seq q) in
@@ -518,13 +515,12 @@ let discover t ~dst ~on_route =
   match cached_route t ~dst with
   | Some route -> on_route (Some route)
   | None ->
-      let k = akey dst in
       let l =
-        match Hashtbl.find_opt t.waiters k with
+        match Address.Tbl.find_opt t.waiters dst with
         | Some l -> l
         | None ->
             let l = ref [] in
-            Hashtbl.add t.waiters k l;
+            Address.Tbl.add t.waiters dst l;
             l
       in
       l := on_route :: !l;
@@ -619,7 +615,7 @@ let fresh_rreq_for_destination t ~sip ~seq =
      destination even across cache resets.  Copies of the *current*
      request (seq equal to the newest seen) are allowed: they arrive over
      distinct paths and earn distinct replies. *)
-  match Hashtbl.find_opt t.last_rreq_seq (akey sip) with
+  match Address.Tbl.find_opt t.last_rreq_seq sip with
   | Some last when seq < last ->
       (* A flood copy can outlive the next discovery's start, so the
          stale request is rejected but nobody stands accused: the radio
@@ -638,7 +634,7 @@ let max_replies_per_request = 3
 let note_rreq_seq t ~sip ~seq =
   (* Recorded only after the request verified: a forger must not be able
      to burn a victim's sequence space with junk requests. *)
-  Hashtbl.replace t.last_rreq_seq (akey sip) seq
+  Address.Tbl.replace t.last_rreq_seq sip seq
 
 (* Destination: every copy is considered (up to the diversity bound),
    each verified independently — a rushed poisoned copy must not mask an
@@ -745,7 +741,7 @@ let consume_rrep t ~src msg =
       (* Replies verify against the sequence number of our latest
          discovery for that destination; sibling copies of an
          already-resolved discovery still count (route diversity). *)
-      match Hashtbl.find_opt t.pending (akey dip) with
+      match Address.Tbl.find_opt t.pending dip with
       | Some d ->
           let payload = Codec.rrep_payload ~sip:(address t) ~seq:d.d_seq ~rr in
           let corr = Dsr.rrep_corr ~sip:(address t) ~dip ~rr in
@@ -824,7 +820,7 @@ let consume_crep t msg =
         dest_rn;
         _;
       } -> (
-      match Hashtbl.find_opt t.pending (akey dip) with
+      match Address.Tbl.find_opt t.pending dip with
       | Some d when d.d_seq = requester_seq ->
           let me = address t in
           let cacher_ok =
@@ -930,16 +926,22 @@ let consume_data t msg =
   | Messages.Data { src; seq; route; sent_at; _ } ->
       (* Retransmissions of an already-delivered packet are re-acked but
          not re-counted. *)
-      let k = fkey src seq in
-      if not (Hashtbl.mem t.seen_data k) then begin
-        Hashtbl.replace t.seen_data k ();
+      (* manethot: allow hot-alloc — the 3-word (src, seq) key is the one
+         allocation the duplicate check makes. *)
+      let k = { Address.addr = src; seq } in
+      if not (Address.Seq_tbl.mem t.seen_data k) then begin
+        Address.Seq_tbl.replace t.seen_data k ();
         Ctx.stat t.ctx "data.delivered";
         Ctx.observe t.ctx "data.latency" (now t -. sent_at)
       end;
       let back_route = List.rev route in
+      (* manethot: allow hot-alloc hot-list — the ack's path is the
+         reversed route plus the source, one cell per hop it travels. *)
       let path = back_route @ [ src ] in
       Ctx.send_along t.ctx ~path
         (Messages.Ack
+           (* manethot: allow hot-alloc — the ack this handler exists to
+              send. *)
            {
              src = address t;
              dst = src;
@@ -953,15 +955,17 @@ let consume_data t msg =
 let consume_ack t msg =
   match msg with
   | Messages.Ack { src = acker; data_seq; sent_at; route; _ } -> (
-      let k = fkey acker data_seq in
-      match Hashtbl.find_opt t.in_flight k with
-      | Some _ ->
-          Hashtbl.remove t.in_flight k;
-          Ctx.stat t.ctx "data.acked";
-          Ctx.observe t.ctx "data.rtt" (now t -. sent_at);
-          (* §3.4: every relay on the acknowledged route earns credit. *)
-          Credit.reward_route t.credits route
-      | None -> Ctx.stat t.ctx "ack.unmatched")
+      (* manethot: allow hot-alloc — the 3-word (dst, seq) key is the one
+         allocation an ack's lookup makes. *)
+      let k = { Address.addr = acker; seq = data_seq } in
+      if Address.Seq_tbl.mem t.in_flight k then begin
+        Address.Seq_tbl.remove t.in_flight k;
+        Ctx.stat t.ctx "data.acked";
+        Ctx.observe t.ctx "data.rtt" (now t -. sent_at);
+        (* §3.4: every relay on the acknowledged route earns credit. *)
+        Credit.reward_route t.credits route
+      end
+      else Ctx.stat t.ctx "ack.unmatched")
   | _ -> ()
 
 let consume_rerr t msg =

@@ -64,17 +64,14 @@ type t = {
   cache : unit Route_cache.t;
   mutable rreq_seq : int;
   mutable data_seq : int;
-  pending : (string, pending_discovery) Hashtbl.t;
-  queue : (string, packet Queue.t) Hashtbl.t;
-  waiters : (string, (Address.t list option -> unit) list ref) Hashtbl.t;
+  pending : pending_discovery Address.Tbl.t;
+  queue : packet Queue.t Address.Tbl.t;
+  waiters : (Address.t list option -> unit) list ref Address.Tbl.t;
   seen_rreq : unit Flood.Ktbl.t;
   reply_counts : int Flood.Ktbl.t;
-  in_flight : (string, packet) Hashtbl.t;
-  seen_data : (string, unit) Hashtbl.t;
+  in_flight : packet Address.Seq_tbl.t;
+  seen_data : unit Address.Seq_tbl.t;
 }
-
-let akey = Address.to_bytes
-let fkey dst seq = akey dst ^ Codec.u32 seq
 
 let create ?(config = default_config) ~master ctx =
   {
@@ -84,13 +81,13 @@ let create ?(config = default_config) ~master ctx =
     cache = Route_cache.create ~capacity_per_dst:config.cache_capacity_per_dst ();
     rreq_seq = 0;
     data_seq = 0;
-    pending = Hashtbl.create 16;
-    queue = Hashtbl.create 16;
-    waiters = Hashtbl.create 8;
+    pending = Address.Tbl.create 16;
+    queue = Address.Tbl.create 16;
+    waiters = Address.Tbl.create 8;
     seen_rreq = Flood.Ktbl.create 256;
     reply_counts = Flood.Ktbl.create 64;
-    in_flight = Hashtbl.create 32;
-    seen_data = Hashtbl.create 64;
+    in_flight = Address.Seq_tbl.create 32;
+    seen_data = Address.Seq_tbl.create 64;
   }
 
 let address t = Ctx.address t.ctx
@@ -109,17 +106,16 @@ let cached_routes t ~dst =
 (* --- data plane (same skeleton as the baseline) ------------------------ *)
 
 let queue_for t dst =
-  let k = akey dst in
-  match Hashtbl.find_opt t.queue k with
+  match Address.Tbl.find_opt t.queue dst with
   | Some q -> q
   | None ->
       let q = Queue.create () in
-      Hashtbl.add t.queue k q;
+      Address.Tbl.add t.queue dst q;
       q
 
 let rec transmit t packet route =
   let dst = packet.p_dst in
-  Hashtbl.replace t.in_flight (fkey dst packet.p_seq) packet;
+  Address.Seq_tbl.replace t.in_flight { Address.addr = dst; seq = packet.p_seq } packet;
   let path = route @ [ dst ] in
   Ctx.send_along t.ctx ~path
     ~on_fail:(fun () -> Route_cache.remove_route t.cache ~dst ~route)
@@ -135,10 +131,10 @@ let rec transmit t packet route =
        });
   Engine.schedule t.ctx.Ctx.engine ~label:"srp" ~delay:t.config.ack_timeout
     (fun () ->
-      let k = fkey dst packet.p_seq in
-      match Hashtbl.find_opt t.in_flight k with
+      let k = { Address.addr = dst; seq = packet.p_seq } in
+      match Address.Seq_tbl.find_opt t.in_flight k with
       | Some p when p == packet ->
-          Hashtbl.remove t.in_flight k;
+          Address.Seq_tbl.remove t.in_flight k;
           Ctx.stat t.ctx "data.timeout";
           Route_cache.remove_route t.cache ~dst ~route;
           if packet.p_retries < t.config.max_send_retries then begin
@@ -156,14 +152,13 @@ and dispatch t packet =
       start_discovery t packet.p_dst
 
 and start_discovery t dst =
-  let k = akey dst in
-  match Hashtbl.find_opt t.pending k with
+  match Address.Tbl.find_opt t.pending dst with
   | Some d when not d.d_resolved -> ()
   | _ ->
       let d =
         { d_dst = dst; d_seq = 0; d_attempts = 0; d_resolved = false; d_started = now t }
       in
-      Hashtbl.replace t.pending k d;
+      Address.Tbl.replace t.pending dst d;
       send_rreq t d
 
 and send_rreq t d =
@@ -189,7 +184,7 @@ and send_rreq t d =
         else begin
           d.d_resolved <- true;
           Ctx.stat t.ctx "route.discovery_failed";
-          (match Hashtbl.find_opt t.queue (akey d.d_dst) with
+          (match Address.Tbl.find_opt t.queue d.d_dst with
           | Some q ->
               Queue.iter (fun _ -> Ctx.stat t.ctx "data.dropped") q;
               Queue.clear q
@@ -199,22 +194,22 @@ and send_rreq t d =
       end)
 
 and notify_waiters t dst result =
-  match Hashtbl.find_opt t.waiters (akey dst) with
+  match Address.Tbl.find_opt t.waiters dst with
   | None -> ()
   | Some l ->
       let callbacks = !l in
-      Hashtbl.remove t.waiters (akey dst);
+      Address.Tbl.remove t.waiters dst;
       List.iter (fun cb -> cb result) callbacks
 
 and route_found t ~dst ~route =
   Route_cache.insert t.cache ~dst ~route ~meta:() ~now:(now t);
-  (match Hashtbl.find_opt t.pending (akey dst) with
+  (match Address.Tbl.find_opt t.pending dst with
   | Some d when not d.d_resolved ->
       d.d_resolved <- true;
       Ctx.observe t.ctx "route.discovery_time" (now t -. d.d_started);
       Ctx.observe t.ctx "route.hops" (float_of_int (List.length route + 1))
   | _ -> ());
-  (match Hashtbl.find_opt t.queue (akey dst) with
+  (match Address.Tbl.find_opt t.queue dst with
   | Some q ->
       let packets = List.of_seq (Queue.to_seq q) in
       Queue.clear q;
@@ -232,13 +227,12 @@ let discover t ~dst ~on_route =
   match cached_route t ~dst with
   | Some route -> on_route (Some route)
   | None ->
-      let k = akey dst in
       let l =
-        match Hashtbl.find_opt t.waiters k with
+        match Address.Tbl.find_opt t.waiters dst with
         | Some l -> l
         | None ->
             let l = ref [] in
-            Hashtbl.add t.waiters k l;
+            Address.Tbl.add t.waiters dst l;
             l
       in
       l := on_route :: !l;
@@ -327,7 +321,7 @@ let handle_rreq t ~src msg =
 let consume_rrep t msg =
   match msg with
   | Messages.Rrep { dip; rr; sig_; _ } -> (
-      match Hashtbl.find_opt t.pending (akey dip) with
+      match Address.Tbl.find_opt t.pending dip with
       | Some d ->
           let k_sd = key_with t dip in
           if
@@ -379,9 +373,9 @@ let forward_data t ~next msg =
 let consume_data t msg =
   match msg with
   | Messages.Data { src; seq; route; sent_at; _ } ->
-      let k = fkey src seq in
-      if not (Hashtbl.mem t.seen_data k) then begin
-        Hashtbl.replace t.seen_data k ();
+      let k = { Address.addr = src; seq } in
+      if not (Address.Seq_tbl.mem t.seen_data k) then begin
+        Address.Seq_tbl.replace t.seen_data k ();
         Ctx.stat t.ctx "data.delivered";
         Ctx.observe t.ctx "data.latency" (now t -. sent_at)
       end;
@@ -396,13 +390,13 @@ let consume_data t msg =
 let consume_ack t msg =
   match msg with
   | Messages.Ack { src = acker; data_seq; sent_at; _ } -> (
-      let k = fkey acker data_seq in
-      match Hashtbl.find_opt t.in_flight k with
-      | Some _ ->
-          Hashtbl.remove t.in_flight k;
-          Ctx.stat t.ctx "data.acked";
-          Ctx.observe t.ctx "data.rtt" (now t -. sent_at)
-      | None -> Ctx.stat t.ctx "ack.unmatched")
+      let k = { Address.addr = acker; seq = data_seq } in
+      if Address.Seq_tbl.mem t.in_flight k then begin
+        Address.Seq_tbl.remove t.in_flight k;
+        Ctx.stat t.ctx "data.acked";
+        Ctx.observe t.ctx "data.rtt" (now t -. sent_at)
+      end
+      else Ctx.stat t.ctx "ack.unmatched")
   | _ -> ()
 
 let consume_rerr t msg =

@@ -13,12 +13,18 @@ let fnv1a s =
     s;
   !h
 
+(* The running moments, all-float so each store writes an unboxed
+   double instead of a fresh box. *)
+type moments = {
+  mutable m_mean : float;
+  mutable m_m2 : float;
+  mutable m_min : float;
+  mutable m_max : float;
+}
+
 type acc = {
   mutable count : int;
-  mutable mean : float;
-  mutable m2 : float;
-  mutable min : float;
-  mutable max : float;
+  m : moments;
   reservoir : float array;
   mutable stored : int;
   (* Deterministic LCG for reservoir replacement (keeps runs replayable
@@ -60,13 +66,11 @@ let observe t name x =
     match Stbl.find_opt t.accs name with
     | Some a -> a
     | None ->
+        (* manethot: cold — once per series name, on its first sample *)
         let a =
           {
             count = 0;
-            mean = 0.0;
-            m2 = 0.0;
-            min = infinity;
-            max = neg_infinity;
+            m = { m_mean = 0.0; m_m2 = 0.0; m_min = infinity; m_max = neg_infinity };
             reservoir = Array.make reservoir_cap 0.0;
             stored = 0;
             lcg = 0x2545F491 + (fnv1a name land 0xFFFF);
@@ -76,11 +80,12 @@ let observe t name x =
         a
   in
   acc.count <- acc.count + 1;
-  let delta = x -. acc.mean in
-  acc.mean <- acc.mean +. (delta /. float_of_int acc.count);
-  acc.m2 <- acc.m2 +. (delta *. (x -. acc.mean));
-  if x < acc.min then acc.min <- x;
-  if x > acc.max then acc.max <- x;
+  let m = acc.m in
+  let dx = x -. m.m_mean in
+  m.m_mean <- m.m_mean +. (dx /. float_of_int acc.count);
+  m.m_m2 <- m.m_m2 +. (dx *. (x -. m.m_mean));
+  if x < m.m_min then m.m_min <- x;
+  if x > m.m_max then m.m_max <- x;
   (* Algorithm R reservoir update. *)
   if acc.stored < reservoir_cap then begin
     acc.reservoir.(acc.stored) <- x;
@@ -95,10 +100,10 @@ let observe t name x =
 let summary_of_acc (a : acc) =
   {
     count = a.count;
-    mean = a.mean;
-    stddev = (if a.count < 2 then 0.0 else sqrt (a.m2 /. float_of_int (a.count - 1)));
-    min = a.min;
-    max = a.max;
+    mean = a.m.m_mean;
+    stddev = (if a.count < 2 then 0.0 else sqrt (a.m.m_m2 /. float_of_int (a.count - 1)));
+    min = a.m.m_min;
+    max = a.m.m_max;
   }
 
 let summary t name =

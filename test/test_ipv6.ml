@@ -180,6 +180,47 @@ let prop_compare_consistent =
     QCheck.(pair arb_addr arb_addr)
     (fun (a, b) -> Address.equal a b = (Address.compare a b = 0))
 
+(* Tables key on [Address.t] and some emit in [Address.compare] order
+   where they once sorted byte strings: the two orders must agree.  Half
+   the pairs share their high half, so the low-half comparison is
+   exercised too. *)
+let prop_compare_is_byte_order =
+  qtest "address: compare has the sign of String.compare on to_bytes"
+    QCheck.(triple arb_addr arb_addr bool)
+    (fun (a, b, share_hi) ->
+      let b = if share_hi then Address.make ~hi:a.Address.hi ~lo:b.Address.lo else b in
+      let sign x = Int.compare x 0 in
+      sign (Address.compare a b)
+      = sign (String.compare (Address.to_bytes a) (Address.to_bytes b)))
+
+(* A flow key is its fields: equal fields share one binding, a key that
+   differs only in [seq] or only in the address (either half) gets its
+   own. *)
+let test_seq_key_identity () =
+  let a = parse "fec0::1:0:0:1" and a' = parse "fec0::1:0:0:1" in
+  let other_lo = parse "fec0::1:0:0:2" and other_hi = parse "fec1::1:0:0:1" in
+  let t = Address.Seq_tbl.create 8 in
+  Address.Seq_tbl.replace t { Address.addr = a; seq = 7 } "first";
+  Address.Seq_tbl.replace t { Address.addr = a'; seq = 7 } "second";
+  Alcotest.(check int) "equal fields share a binding" 1 (Address.Seq_tbl.length t);
+  Alcotest.(check (option string)) "the later replace wins" (Some "second")
+    (Address.Seq_tbl.find_opt t { Address.addr = a; seq = 7 });
+  List.iter
+    (fun (what, k) ->
+      Alcotest.(check bool) what false (Address.Seq_tbl.mem t k))
+    [
+      ("seq differs", { Address.addr = a; seq = 8 });
+      ("low half differs", { Address.addr = other_lo; seq = 7 });
+      ("high half differs", { Address.addr = other_hi; seq = 7 });
+    ];
+  let u = Address.Tbl.create 8 in
+  Address.Tbl.replace u a 1;
+  Address.Tbl.replace u a' 2;
+  Address.Tbl.replace u other_lo 3;
+  Alcotest.(check int) "address table: one binding per address" 2 (Address.Tbl.length u);
+  Alcotest.(check (option int)) "address table: equal address" (Some 2)
+    (Address.Tbl.find_opt u a)
+
 let test_bytes_layout () =
   let a = parse "0102:0304:0506:0708:090a:0b0c:0d0e:0f10" in
   Alcotest.(check string)
@@ -313,6 +354,8 @@ let suites =
         prop_bytes_roundtrip;
         prop_groups_roundtrip;
         prop_compare_consistent;
+        prop_compare_is_byte_order;
+        Alcotest.test_case "seq key identity" `Quick test_seq_key_identity;
         Alcotest.test_case "bytes layout" `Quick test_bytes_layout;
         Alcotest.test_case "prefixes" `Quick test_prefixes;
         Alcotest.test_case "dns constants" `Quick test_dns_constants;

@@ -103,6 +103,58 @@ let test_cache_remove_containing () =
   Alcotest.(check int) "dst purge" 1 removed;
   Alcotest.(check int) "empty" 0 (Route_cache.size c)
 
+(* [Route_cache.best] against its reference: the entry a strict-[>]
+   left fold over [entries] (newest first, stable) picks.  Capacity
+   evictions, few distinct [last_used] values and few distinct scores
+   make ties common, so the tie rule is what gets exercised. *)
+let prop_cache_best_matches_fold =
+  let routes = [| [ addr 1 ]; [ addr 2 ]; [ addr 1; addr 3 ]; [ addr 3 ]; [ addr 2; addr 4 ]; [ addr 4 ] |] in
+  let op =
+    QCheck.Gen.(
+      quad (int_bound 9) (int_bound 1) (int_bound (Array.length routes - 1)) (int_bound 2))
+  in
+  let gen = QCheck.Gen.(pair (array_size (return 6) (int_bound 1)) (list_size (int_range 1 40) op)) in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"route cache: best = fold over entries"
+       (QCheck.make gen) (fun (scores, ops) ->
+         let c = Route_cache.create ~capacity_per_dst:3 () in
+         let dsts = [| addr 8; addr 9 |] in
+         let score e = float_of_int scores.(e.Route_cache.meta) in
+         let reference dst =
+           List.fold_left
+             (fun acc e ->
+               match acc with
+               | None -> Some (e, score e)
+               | Some (_, s) ->
+                   let s' = score e in
+                   if s' > s then Some (e, s') else acc)
+             None (Route_cache.entries c ~dst)
+           |> Option.map fst
+         in
+         let rec newest_first = function
+           | a :: (b :: _ as rest) ->
+               a.Route_cache.last_used >= b.Route_cache.last_used && newest_first rest
+           | _ -> true
+         in
+         let agrees dst =
+           newest_first (Route_cache.entries c ~dst)
+           &&
+           match (Route_cache.best c ~dst ~score, reference dst) with
+           | None, None -> true
+           | Some a, Some b -> a == b
+           | _ -> false
+         in
+         List.for_all
+           (fun (kind, d, r, now) ->
+             let dst = dsts.(d) in
+             (if kind < 7 then
+                Route_cache.insert c ~dst ~route:routes.(r) ~meta:r
+                  ~now:(float_of_int now)
+              else if kind < 9 then Route_cache.remove_route c ~dst ~route:routes.(r)
+              else ignore (Route_cache.remove_containing c (addr (1 + r mod 4))));
+             agrees dsts.(0) && agrees dsts.(1))
+           ops))
+
 (* ------------------------------------------------------------------ *)
 (* Credit manager unit tests                                          *)
 (* ------------------------------------------------------------------ *)
@@ -132,6 +184,38 @@ let test_credit_rerr_threshold () =
   Alcotest.(check bool) "4th trips" true (Credit.record_rerr c r ~now:3.0);
   (* outside the window the counter decays *)
   Alcotest.(check bool) "after window" false (Credit.record_rerr c r ~now:50.0)
+
+(* Route selection rescores every cached route on every packet a
+   source sends, and every ack rewards each relay: neither may allocate
+   per hop.  [min_credit] allocates only the boxed float it returns. *)
+let test_credit_and_cache_allocation () =
+  let c = Credit.create () in
+  let route = [ addr 1; addr 2; addr 3; addr 4; addr 5 ] in
+  Credit.reward_route c route;
+  let per_min =
+    Test_crypto.minor_words_per_call 10_000 (fun () ->
+        ignore (Sys.opaque_identity (Credit.min_credit c route)))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "Credit.min_credit (5 hops): %.1f minor words <= 2" per_min)
+    true (per_min <= 2.0);
+  let per_reward =
+    Test_crypto.minor_words_per_call 10_000 (fun () -> Credit.reward_route c route)
+  in
+  Alcotest.(check (float 0.0)) "Credit.reward_route (5 scored hops) allocates nothing"
+    0.0 per_reward;
+  let rc = Route_cache.create () and dst = addr 9 in
+  List.iteri
+    (fun i r -> Route_cache.insert rc ~dst ~route:r ~meta:() ~now:(float_of_int i))
+    [ [ addr 1; addr 2 ]; [ addr 3 ]; [ addr 4; addr 5; addr 1 ]; [ addr 2; addr 3 ] ];
+  let score e = Credit.min_credit c e.Route_cache.route in
+  let per_best =
+    Test_crypto.minor_words_per_call 10_000 (fun () ->
+        ignore (Sys.opaque_identity (Route_cache.best rc ~dst ~score)))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "Route_cache.best (4 entries): %.1f minor words <= 20" per_best)
+    true (per_best <= 20.0)
 
 (* ------------------------------------------------------------------ *)
 (* Benign routing, both protocols                                     *)
@@ -585,11 +669,13 @@ let suites =
         Alcotest.test_case "eviction" `Quick test_cache_eviction;
         Alcotest.test_case "remove link" `Quick test_cache_remove_link;
         Alcotest.test_case "remove containing" `Quick test_cache_remove_containing;
+        prop_cache_best_matches_fold;
       ] );
     ( "secure.credit",
       [
         Alcotest.test_case "reward/slash" `Quick test_credit_reward_slash;
         Alcotest.test_case "rerr threshold" `Quick test_credit_rerr_threshold;
+        Alcotest.test_case "allocation budgets" `Quick test_credit_and_cache_allocation;
       ] );
     ( "routing.benign",
       [
