@@ -106,13 +106,28 @@ let sign_no_crt sk msg =
   let s = Bignum.mod_pow m sk.d sk.pn in
   Bignum.to_bytes_be ~pad:(modulus_bytes sk.pub) s
 
-let verify pk ~msg ~signature =
-  if String.length signature <> modulus_bytes pk then false
+type prepared = {
+  key : public_key;
+  size : int; (* modulus_bytes key *)
+  ctx : Bignum.mod_ctx option; (* None when n <= 0: no signature is < n *)
+}
+
+let prepare pk =
+  {
+    key = pk;
+    size = modulus_bytes pk;
+    ctx = (if Bignum.sign pk.n > 0 then Some (Bignum.mod_ctx pk.n) else None);
+  }
+
+let verify_prepared p ~msg ~signature =
+  if String.length signature <> p.size then false
   else begin
     let s = Bignum.of_bytes_be signature in
-    if Bignum.compare s pk.n >= 0 then false
-    else begin
-      let recovered = Bignum.mod_pow s pk.e pk.n in
-      Bignum.equal recovered (digest_as_int pk msg)
-    end
+    match p.ctx with
+    | Some ctx when Bignum.compare s p.key.n < 0 ->
+        let recovered = Bignum.mod_pow_ctx ctx s p.key.e in
+        Bignum.equal recovered (digest_as_int p.key msg)
+    | _ -> false
   end
+
+let verify pk = verify_prepared (prepare pk)

@@ -35,6 +35,24 @@ val sign_no_crt : private_key -> string -> string
     CRT speedup; produces identical signatures. *)
 
 val verify : public_key -> msg:string -> signature:string -> bool
+(** [verify pk ~msg ~signature] holds when [signature] is exactly
+    {!modulus_bytes} long, is below [n] read as a big-endian integer, and
+    raised to [e] modulo [n] equals [H(msg) mod n].  Same as
+    [verify_prepared (prepare pk)]. *)
+
+type prepared
+(** A public key with what every verify under it needs worked out once:
+    its modulus size and its Montgomery context (the [R^2 mod n]
+    division).  Holds no per-message state, so one value serves any
+    number of verifies. *)
+
+val prepare : public_key -> prepared
+(** [prepare pk] builds the verify context for [pk]. *)
+
+val verify_prepared : prepared -> msg:string -> signature:string -> bool
+(** [verify_prepared (prepare pk)] accepts exactly what [verify pk]
+    accepts: every call still runs the length check, the [s < n] check,
+    the modular exponentiation and the digest comparison. *)
 
 val modulus_bytes : public_key -> int
 (** Size of the modulus (and thus of signatures) in bytes. *)

@@ -11,6 +11,7 @@ type t = {
   mutable sign_count : int;
   mutable verify_count : int;
   mutable sha256_blocks : int;
+  mutable signs_reused : int;
   mutable on_op : (op:op -> bytes:int -> unit) option;
 }
 
@@ -28,7 +29,29 @@ let record t op ~bytes =
 
 let count_hash t ~bytes = record t Hash ~bytes
 
+let reuse_sign t ~bytes =
+  record t Sign ~bytes;
+  t.signs_reused <- t.signs_reused + 1
+
+module Stbl = Hashtbl.Make (String)
+
+(* Bound on the per-suite verify-context cache; reset when full, so keys
+   an adversary makes up cannot grow it without limit. *)
+let max_prepared_keys = 256
+
 let rsa ?(bits = 512) prng =
+  (* pk_bytes -> parsed key with its Montgomery context, or None for
+     bytes that do not parse. *)
+  let prepared = Stbl.create 64 in
+  let prepare pk_bytes =
+    match Stbl.find_opt prepared pk_bytes with
+    | Some p -> p
+    | None ->
+        let p = Option.map Rsa.prepare (Rsa.public_key_of_bytes pk_bytes) in
+        if Stbl.length prepared >= max_prepared_keys then Stbl.reset prepared;
+        Stbl.add prepared pk_bytes p;
+        p
+  in
   let rec suite =
     {
       scheme_name = Printf.sprintf "rsa-%d" bits;
@@ -45,9 +68,9 @@ let rsa ?(bits = 512) prng =
       verify =
         (fun ~pk_bytes ~msg ~signature ->
           record suite Verify ~bytes:(String.length msg);
-          match Rsa.public_key_of_bytes pk_bytes with
+          match prepare pk_bytes with
           | None -> false
-          | Some pk -> Rsa.verify pk ~msg ~signature);
+          | Some p -> Rsa.verify_prepared p ~msg ~signature);
       (* n is [bits] bits and e = 65537: 3 bytes, plus two 2-byte length
          prefixes. *)
       signature_size = (bits + 7) / 8;
@@ -55,6 +78,7 @@ let rsa ?(bits = 512) prng =
       sign_count = 0;
       verify_count = 0;
       sha256_blocks = 0;
+      signs_reused = 0;
       on_op = None;
     }
   in
@@ -84,6 +108,7 @@ let mock prng =
       sign_count = 0;
       verify_count = 0;
       sha256_blocks = 0;
+      signs_reused = 0;
       on_op = None;
     }
   in
@@ -94,4 +119,5 @@ let set_on_op t f = t.on_op <- f
 let reset_counters t =
   t.sign_count <- 0;
   t.verify_count <- 0;
-  t.sha256_blocks <- 0
+  t.sha256_blocks <- 0;
+  t.signs_reused <- 0

@@ -10,6 +10,7 @@
 module Address = Manet_ipv6.Address
 module Suite = Manet_crypto.Suite
 module Prng = Manet_crypto.Prng
+module Memo : Hashtbl.S with type key = string
 
 type t = {
   node_id : int;  (** simulator node id *)
@@ -18,6 +19,7 @@ type t = {
   mutable rn : int64;
   mutable address : Address.t;
   mutable domain_name : string option;
+  memo : string Memo.t;  (** payload -> signature, see {!sign} *)
 }
 
 val create :
@@ -32,6 +34,16 @@ val refresh_address : t -> Prng.t -> unit
 
 val sign : t -> string -> string
 (** Sign with the node's private key (counts into the suite's op
-    counters). *)
+    counters).
+
+    Signatures are memoised per identity: a payload this identity has
+    signed before is answered from its memo without a private-key
+    operation.  A hit is charged through {!Suite.reuse_sign}, so
+    [sign_count], [sha256_blocks] and the [on_op] notification move
+    exactly as for a computed signature; only [signs_reused] tells the
+    two apart.  The memo holds at most 64 payloads and is emptied when
+    full.  Signing is deterministic and the key pair never changes, and
+    an address is part of the payload bytes it names, so an entry never
+    goes stale, across {!refresh_address} included. *)
 
 val pk_bytes : t -> string

@@ -849,6 +849,128 @@ let test_suite_counters () =
   Alcotest.(check int) "reset signs" 0 suite.Suite.sign_count;
   Alcotest.(check int) "reset verifies" 0 suite.Suite.verify_count
 
+(* Per-key verify contexts.  The rsa suite caches each public key's
+   parse and Montgomery context; the reference parses the key afresh and
+   runs Rsa.verify.  Every input is asked of a fresh suite (cold) and
+   twice of one long-lived suite (warm), interleaved across real keys of
+   three sizes, tampered inputs and forged keys. *)
+let verify_keys =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun (seed, bits) ->
+            let pub, priv = Rsa.generate (Prng.create ~seed) ~bits in
+            (pub, priv, Rsa.public_key_to_bytes pub))
+          [ (211, 512); (223, 384); (227, 256) ]))
+
+let verify_msgs = [| ""; "a"; "route request 42"; String.make 100 'x' |]
+
+type verify_query = { vkey : int; vkind : int; vmsg : int; vpos : int; vmask : int }
+
+let flip s pos mask =
+  if s = "" then String.make 1 (Char.chr mask)
+  else
+    String.mapi
+      (fun i c -> if i = pos mod String.length s then Char.chr (Char.code c lxor mask) else c)
+      s
+
+(* An odd 512-bit modulus with e = 65537 and a signature-length string
+   under it, drawn from [seed]: a key nobody holds, built without key
+   generation. *)
+let forged_key seed =
+  let g = Prng.create ~seed in
+  let b = Bytes.init 64 (fun _ -> Char.chr (Prng.int g 256)) in
+  Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lor 0x80));
+  Bytes.set b 63 (Char.chr (Char.code (Bytes.get b 63) lor 1));
+  let n = Bignum.of_bytes_be (Bytes.to_string b) in
+  ( Rsa.public_key_to_bytes { Rsa.n; e = Bignum.of_int 65537 },
+    String.init 64 (fun _ -> Char.chr (Prng.int g 256)) )
+
+(* (pk_bytes, msg, signature) for one query. *)
+let verify_input q =
+  let keys = Lazy.force verify_keys in
+  let pub, priv, pk = keys.(q.vkey mod Array.length keys) in
+  let msg = verify_msgs.(q.vmsg mod Array.length verify_msgs) in
+  let signature = Rsa.sign priv msg in
+  let size = Rsa.modulus_bytes pub in
+  match q.vkind with
+  | 0 -> (pk, msg, signature)
+  | 1 -> (pk, msg, flip signature q.vpos q.vmask)
+  | 2 -> (pk, flip msg q.vpos q.vmask, signature)
+  | 3 -> (flip pk q.vpos q.vmask, msg, signature)
+  | 4 -> (String.sub pk 0 (q.vpos mod String.length pk), msg, signature)
+  | 5 ->
+      let wrong =
+        if q.vpos land 1 = 0 then String.sub signature 0 (size - 1) else signature ^ "\000"
+      in
+      (pk, msg, wrong)
+  | 6 ->
+      let at_least_n =
+        if q.vpos land 1 = 0 then Bignum.to_bytes_be ~pad:size pub.Rsa.n
+        else String.make size '\xff'
+      in
+      (pk, msg, at_least_n)
+  | 7 -> (String.init (q.vpos mod 80) (fun i -> Char.chr ((i * q.vmask) land 0xFF)), msg, signature)
+  | 8 ->
+      let _, other, _ = keys.((q.vkey + 1) mod Array.length keys) in
+      (pk, msg, Rsa.sign other msg)
+  | _ ->
+      let pk, signature = forged_key q.vpos in
+      (pk, msg, signature)
+
+let verify_reference ~pk_bytes ~msg ~signature =
+  match Rsa.public_key_of_bytes pk_bytes with
+  | None -> false
+  | Some pk -> Rsa.verify pk ~msg ~signature
+
+(* True when every cold and warm answer equals the reference; fails
+   loudly on an accept the reference rejects, ROADMAP item 8's bar. *)
+let check_verify_queries queries =
+  let warm = Suite.rsa (Prng.create ~seed:1) in
+  List.for_all
+    (fun q ->
+      let pk_bytes, msg, signature = verify_input q in
+      let want = verify_reference ~pk_bytes ~msg ~signature in
+      let cold = (Suite.rsa (Prng.create ~seed:1)).Suite.verify ~pk_bytes ~msg ~signature in
+      let w1 = warm.Suite.verify ~pk_bytes ~msg ~signature in
+      let w2 = warm.Suite.verify ~pk_bytes ~msg ~signature in
+      if (not want) && (cold || w1 || w2) then
+        QCheck.Test.fail_reportf "cached verify accepted kind %d that the reference rejects"
+          q.vkind;
+      cold = want && w1 = want && w2 = want)
+    queries
+  && warm.Suite.verify_count = 2 * List.length queries
+
+let arb_verify_queries =
+  let open QCheck.Gen in
+  let query =
+    map
+      (fun (vkey, vkind, (vmsg, vpos, vmask)) -> { vkey; vkind; vmsg; vpos; vmask })
+      (triple (int_bound 2) (int_bound 9) (triple (int_bound 3) (int_bound 10_000) (int_range 1 255)))
+  in
+  QCheck.make
+    ~print:(fun qs ->
+      String.concat "; "
+        (List.map
+           (fun q -> Printf.sprintf "key %d kind %d msg %d pos %d mask %d" q.vkey q.vkind q.vmsg q.vpos q.vmask)
+           qs))
+    (list_size (int_range 1 24) query)
+
+let prop_suite_verify_cache_sound =
+  qtest ~count:60 "rsa suite: cached verify = fresh parse + Rsa.verify" arb_verify_queries
+    check_verify_queries
+
+(* More forged keys than the cache holds, between real-key queries: the
+   cache empties itself mid-run and the answers do not change. *)
+let test_suite_verify_cache_reset () =
+  let real vkey vkind = { vkey; vkind; vmsg = 2; vpos = 7; vmask = 1 } in
+  let forged =
+    List.init 300 (fun i -> { vkey = 0; vkind = 9; vmsg = i; vpos = 1000 + i; vmask = 1 })
+  in
+  let before = List.concat_map (fun k -> [ real k 0; real k 1; real k 3 ]) [ 0; 1; 2 ] in
+  Alcotest.(check bool) "cold and warm agree with the reference" true
+    (check_verify_queries (before @ forged @ before))
+
 let suites =
   [
     ( "crypto.prng",
@@ -927,5 +1049,7 @@ let suites =
         Alcotest.test_case "rsa suite" `Quick test_suite_rsa;
         Alcotest.test_case "mock suite" `Quick test_suite_mock;
         Alcotest.test_case "op counters" `Quick test_suite_counters;
+        Alcotest.test_case "verify cache reset" `Quick test_suite_verify_cache_reset;
+        prop_suite_verify_cache_sound;
       ] );
   ]

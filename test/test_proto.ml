@@ -403,6 +403,100 @@ let test_identity_sign_roundtrip () =
   Alcotest.(check bool) "verifies" true
     (suite.Suite.verify ~pk_bytes:(Identity.pk_bytes id) ~msg:"payload" ~signature:sig_)
 
+(* The signature memo against a twin built from the same seeds that
+   signs through [keypair.Suite.sign] directly: same signatures byte for
+   byte, same op counters and [on_op] stream, and one private-key
+   operation per distinct payload since the memo last emptied. *)
+type sign_op = Sign of int * int | Refresh of int | Burst of int * int
+
+(* Payloads 0-3 name the signer's current address and share its 16-byte
+   prefix; 4-7 share a long constant prefix. *)
+let memo_payload id p =
+  if p < 4 then Codec.srr_entry_payload ~iip:id.Identity.address ~seq:p
+  else Printf.sprintf "route request source payload %d" p
+
+let check_sign_memo make_suite ops =
+  let world () =
+    let suite = make_suite () in
+    let g = Prng.create ~seed:31 in
+    let ids = Array.init 2 (fun node_id -> Identity.create suite g ~node_id) in
+    let log = ref [] in
+    Suite.set_on_op suite (Some (fun ~op ~bytes -> log := (op, bytes) :: !log));
+    (suite, g, ids, log)
+  in
+  let suite, g, ids, log = world () in
+  let twin, twin_g, twin_ids, twin_log = world () in
+  (* Model of each memo: the payloads held, emptied when 64 are held. *)
+  let held = Array.init 2 (fun _ -> Hashtbl.create 16) in
+  let computed = ref 0 in
+  let sign who msg =
+    let model = held.(who) in
+    if not (Hashtbl.mem model msg) then begin
+      incr computed;
+      if Hashtbl.length model >= 64 then Hashtbl.reset model;
+      Hashtbl.add model msg ()
+    end;
+    let got = Identity.sign ids.(who) msg in
+    let want = twin_ids.(who).Identity.keypair.Suite.sign msg in
+    if not (String.equal got want) then
+      QCheck.Test.fail_reportf "signature of %S by identity %d differs" msg who
+  in
+  List.iter
+    (function
+      | Sign (who, p) -> sign who (memo_payload ids.(who) p)
+      | Refresh who ->
+          Identity.refresh_address ids.(who) g;
+          Identity.refresh_address twin_ids.(who) twin_g
+      | Burst (who, n) -> for i = 1 to n do sign who (Printf.sprintf "burst %d" i) done)
+    ops;
+  suite.Suite.sign_count = twin.Suite.sign_count
+  && suite.Suite.sha256_blocks = twin.Suite.sha256_blocks
+  && !log = !twin_log
+  && twin.Suite.signs_reused = 0
+  && suite.Suite.sign_count - suite.Suite.signs_reused = !computed
+
+let arb_sign_ops =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (12, map2 (fun who p -> Sign (who, p)) (int_bound 1) (int_bound 7));
+        (1, map (fun who -> Refresh who) (int_bound 1));
+        (1, map2 (fun who n -> Burst (who, n)) (int_bound 1) (int_range 1 70));
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat "; "
+        (List.map
+           (function
+             | Sign (w, p) -> Printf.sprintf "sign %d %d" w p
+             | Refresh w -> Printf.sprintf "refresh %d" w
+             | Burst (w, n) -> Printf.sprintf "burst %d %d" w n)
+           ops))
+    (list_size (int_range 1 40) op)
+
+let mock_suite () = Suite.mock (Prng.create ~seed:29)
+let rsa_suite () = Suite.rsa ~bits:512 (Prng.create ~seed:29)
+
+let prop_sign_memo_mock =
+  qtest ~count:150 "sign memo = direct signing (mock)" arb_sign_ops
+    (check_sign_memo mock_suite)
+
+let prop_sign_memo_rsa =
+  qtest ~count:4 "sign memo = direct signing (rsa-512)" arb_sign_ops
+    (check_sign_memo rsa_suite)
+
+(* More distinct payloads than the memo holds, around an address
+   refresh: the memo empties itself and stays equivalent. *)
+let test_sign_memo_reset () =
+  let ops =
+    [ Sign (0, 0); Sign (0, 4); Sign (1, 0); Burst (0, 70); Sign (0, 0); Sign (0, 4);
+      Refresh 0; Sign (0, 0); Sign (1, 0); Burst (1, 65); Sign (1, 0); Sign (0, 0) ]
+  in
+  Alcotest.(check bool) "mock" true (check_sign_memo mock_suite ops);
+  Alcotest.(check bool) "rsa-512" true (check_sign_memo rsa_suite ops)
+
 (* ------------------------------------------------------------------ *)
 (* Node_ctx source-route transmission                                 *)
 (* ------------------------------------------------------------------ *)
@@ -614,6 +708,9 @@ let suites =
       [
         Alcotest.test_case "cga binding" `Quick test_identity_cga_binding;
         Alcotest.test_case "sign roundtrip" `Quick test_identity_sign_roundtrip;
+        Alcotest.test_case "sign memo reset" `Quick test_sign_memo_reset;
+        prop_sign_memo_mock;
+        prop_sign_memo_rsa;
       ] );
     ( "proto.node_ctx",
       [
