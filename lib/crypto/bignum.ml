@@ -617,47 +617,6 @@ module Mont = struct
     done;
     finish ctx out !carry
 
-  (* out := a^2 * R^-1 mod n.  As [mont_mul], but each column adds its
-     cross products a_j*a_(i-j), j < i-j, once and doubles them, so the
-     square half costs k(k+1)/2 products instead of k^2. *)
-  let mont_sqr ctx a out =
-    let k = ctx.k and n = ctx.n_limbs and n0' = ctx.n0' in
-    let carry = ref 0 in
-    for i = 0 to k - 1 do
-      let cross = ref 0 in
-      for j = 0 to (i - 1) asr 1 do
-        cross := !cross + (Array.unsafe_get a j * Array.unsafe_get a (i - j))
-      done;
-      let t = ref (!carry + (!cross lsl 1)) in
-      if i land 1 = 0 then begin
-        let h = Array.unsafe_get a (i lsr 1) in
-        t := !t + (h * h)
-      end;
-      for j = 0 to i - 1 do
-        t := !t + (Array.unsafe_get out j * Array.unsafe_get n (i - j))
-      done;
-      let q = (!t land limb_mask) * n0' land limb_mask in
-      Array.unsafe_set out i q;
-      carry := (!t + (q * Array.unsafe_get n 0)) lsr base_bits
-    done;
-    for i = k to (2 * k) - 2 do
-      let cross = ref 0 in
-      for j = i - k + 1 to (i - 1) asr 1 do
-        cross := !cross + (Array.unsafe_get a j * Array.unsafe_get a (i - j))
-      done;
-      let t = ref (!carry + (!cross lsl 1)) in
-      if i land 1 = 0 then begin
-        let h = Array.unsafe_get a (i lsr 1) in
-        t := !t + (h * h)
-      end;
-      for j = i - k + 1 to k - 1 do
-        t := !t + (Array.unsafe_get out j * Array.unsafe_get n (i - j))
-      done;
-      Array.unsafe_set out (i - k) (!t land limb_mask);
-      carry := !t lsr base_bits
-    done;
-    finish ctx out !carry
-
   let window = 4
 
   let bit e i =
@@ -709,7 +668,7 @@ module Mont = struct
     load k b !x;
     mont_mul ctx !x ctx.r2 table.(0);
     if Array.length table > 1 then begin
-      mont_sqr ctx table.(0) !spare;
+      mont_mul ctx table.(0) table.(0) !spare;
       for t = 1 to Array.length table - 1 do
         mont_mul ctx table.(t - 1) !spare table.(t)
       done
@@ -721,7 +680,7 @@ module Mont = struct
     while !i >= 0 do
       let l = if bit e !i then window_low e !i else !i in
       for _ = l to !i do
-        mont_sqr ctx !x !spare;
+        mont_mul ctx !x !x !spare;
         let y = !x in
         x := !spare;
         spare := y
@@ -759,17 +718,6 @@ let mod_pow_ctx c b e =
 let mod_pow b e m =
   if m.sign <= 0 then invalid_arg "Bignum.mod_pow: modulus must be positive";
   mod_pow_ctx (mod_ctx m) b e
-
-let mont_sqr_and_mul m x =
-  match mod_ctx m with
-  | Division _ -> invalid_arg "Bignum.mont_sqr_and_mul: not a Montgomery modulus"
-  | Montgomery ctx ->
-      let k = ctx.Mont.k in
-      let a = Array.make k 0 and s = Array.make k 0 and p = Array.make k 0 in
-      Mont.load k (mod_ x m) a;
-      Mont.mont_sqr ctx a s;
-      Mont.mont_mul ctx a a p;
-      (normalize 1 s, normalize 1 p)
 
 let random g ~bits =
   if bits <= 0 then invalid_arg "Bignum.random: bits <= 0";

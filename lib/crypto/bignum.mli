@@ -98,13 +98,6 @@ val mod_ctx : t -> mod_ctx
 val mod_pow_ctx : mod_ctx -> t -> t -> t
 (** [mod_pow_ctx (mod_ctx m) b e = mod_pow b e m]. *)
 
-val mont_sqr_and_mul : t -> t -> t * t
-(** [mont_sqr_and_mul m x] is [x^2 * R^-1 mod m], [R = 2^(26k)] for the
-    [k] limbs of [m], computed by the dedicated Montgomery squaring and by
-    the general Montgomery multiply, in that order; exposed so tests can
-    check that the two kernels agree.  [x] is reduced modulo [m] first.
-    Raises [Invalid_argument] unless [m] is odd and 2 to 500 limbs wide. *)
-
 val mod_pow_generic : t -> t -> t -> t
 (** The division-based path, exposed so tests and benchmarks can compare
     it against the Montgomery implementation.  Same contract as

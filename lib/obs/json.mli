@@ -30,6 +30,22 @@ val float_str : float -> string
     rather than emit unparseable bytes.  {!to_string} / {!to_buffer}
     inherit this behaviour for [Float] atoms. *)
 
+val add_float : Buffer.t -> float -> unit
+(** [add_float buf x] appends [float_str x] to [buf] without building
+    the string.  Values with [1e-4 <= |x| < 1e11] whose 12-digit
+    rounding is decided by one scaled multiply never reach [Printf];
+    the rest take [Printf.sprintf "%.12g"].  The bytes are the same
+    either way. *)
+
+val add_int : Buffer.t -> int -> unit
+(** [add_int buf n] appends [string_of_int n]. *)
+
+val escape_to : Buffer.t -> string -> unit
+(** [escape_to buf s] appends [s] as a quoted JSON string.  The double
+    quote and the backslash are backslash-escaped; newline, carriage
+    return and tab take their two-character escapes; other bytes below
+    0x20 become [\u00XX].  Every other byte is copied as is. *)
+
 val parse : string -> t
 (** Parse one complete JSON document.  Raises {!Parse_error}. *)
 

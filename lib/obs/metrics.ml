@@ -125,96 +125,145 @@ let sorted_cells tbl =
     tbl []
   |> List.sort (fun (a, _) (b, _) -> compare_key a b)
 
-let window_start t w = Json.float_str (float_of_int w *. t.win)
+(* Every row is written field by field into the export buffer.  Window
+   starts and float columns go through [Json.add_float], the canonical
+   formatter; Prometheus label values are quoted as Printf's %S quotes
+   them. *)
+
+let add_window_start buf t w = Json.add_float buf (float_of_int w *. t.win)
+
+(* "<kind>,<name>,<node>,<window start>," of a windowed cell's row. *)
+let add_cell_key buf t kind (name, node, w) =
+  Buffer.add_string buf kind;
+  Buffer.add_char buf ',';
+  Buffer.add_string buf name;
+  Buffer.add_char buf ',';
+  Json.add_int buf node;
+  Buffer.add_char buf ',';
+  add_window_start buf t w;
+  Buffer.add_char buf ','
+
+let add_counter_row buf t (key, r) =
+  add_cell_key buf t "counter" key;
+  Json.add_int buf !r;
+  Buffer.add_string buf ",,,,\n"
+
+let add_series_row buf t (key, s) =
+  add_cell_key buf t "series" key;
+  Json.add_int buf (int_of_float s.s_count);
+  Buffer.add_char buf ',';
+  Json.add_float buf (s.s_sum /. s.s_count);
+  Buffer.add_string buf ",,";
+  Json.add_float buf s.s_min;
+  Buffer.add_char buf ',';
+  Json.add_float buf s.s_max;
+  Buffer.add_char buf '\n'
+
+let add_stat_counter_row buf (name, v) =
+  Buffer.add_string buf "stat_counter,";
+  Buffer.add_string buf name;
+  Buffer.add_string buf ",,,";
+  Json.add_int buf v;
+  Buffer.add_string buf ",,,,\n"
+
+let add_stat_summary_row buf (name, (s : Stats.summary)) =
+  Buffer.add_string buf "stat_summary,";
+  Buffer.add_string buf name;
+  Buffer.add_string buf ",,,";
+  Json.add_int buf s.count;
+  Buffer.add_char buf ',';
+  Json.add_float buf s.mean;
+  Buffer.add_char buf ',';
+  Json.add_float buf s.stddev;
+  Buffer.add_char buf ',';
+  Json.add_float buf s.min;
+  Buffer.add_char buf ',';
+  Json.add_float buf s.max;
+  Buffer.add_char buf '\n'
 
 let to_csv ?stats t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "kind,name,node,window,count,mean,stddev,min,max\n";
-  List.iter
-    (fun ((name, node, w), r) ->
-      Buffer.add_string buf
-        (Printf.sprintf "counter,%s,%d,%s,%d,,,,\n" name node
-           (window_start t w) !r))
-    (sorted_cells t.counters);
-  List.iter
-    (fun ((name, node, w), s) ->
-      Buffer.add_string buf
-        (Printf.sprintf "series,%s,%d,%s,%d,%s,,%s,%s\n" name node
-           (window_start t w) (int_of_float s.s_count)
-           (Json.float_str (s.s_sum /. s.s_count))
-           (Json.float_str s.s_min) (Json.float_str s.s_max)))
-    (sorted_cells t.series);
+  List.iter (add_counter_row buf t) (sorted_cells t.counters);
+  List.iter (add_series_row buf t) (sorted_cells t.series);
   (match stats with
   | None -> ()
   | Some st ->
-      List.iter
-        (fun (name, v) ->
-          Buffer.add_string buf
-            (Printf.sprintf "stat_counter,%s,,,%d,,,,\n" name v))
-        (Stats.counters st);
-      List.iter
-        (fun (name, s) ->
-          Buffer.add_string buf
-            (Printf.sprintf "stat_summary,%s,,,%d,%s,%s,%s,%s\n" name
-               s.Stats.count
-               (Json.float_str s.Stats.mean)
-               (Json.float_str s.Stats.stddev)
-               (Json.float_str s.Stats.min)
-               (Json.float_str s.Stats.max)))
-        (Stats.summaries st));
+      List.iter (add_stat_counter_row buf) (Stats.counters st);
+      List.iter (add_stat_summary_row buf) (Stats.summaries st));
   Buffer.contents buf
+
+let add_quoted buf s =
+  Buffer.add_char buf '"';
+  Buffer.add_string buf (String.escaped s);
+  Buffer.add_char buf '"'
+
+(* "<metric>{name=..,node="..",window=".."} " of a windowed cell's
+   sample, up to its value.  A window start needs no escaping. *)
+let add_prom_cell buf t metric (name, node, w) =
+  Buffer.add_string buf metric;
+  Buffer.add_string buf "{name=";
+  add_quoted buf name;
+  Buffer.add_string buf ",node=\"";
+  Json.add_int buf node;
+  Buffer.add_string buf "\",window=\"";
+  add_window_start buf t w;
+  Buffer.add_string buf "\"} "
 
 let to_prom ?stats t =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "# manetsim windowed metrics, window=%ss\n"
-       (Json.float_str t.win));
-  Buffer.add_string buf "# TYPE manetsim_counter gauge\n";
+  Buffer.add_string buf "# manetsim windowed metrics, window=";
+  Json.add_float buf t.win;
+  Buffer.add_string buf "s\n# TYPE manetsim_counter gauge\n";
   List.iter
-    (fun ((name, node, w), r) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "manetsim_counter{name=%S,node=\"%d\",window=%S} %d\n" name node
-           (window_start t w) !r))
+    (fun (key, r) ->
+      add_prom_cell buf t "manetsim_counter" key;
+      Json.add_int buf !r;
+      Buffer.add_char buf '\n')
     (sorted_cells t.counters);
-  let series_field field value =
+  let series = sorted_cells t.series in
+  let series_field field add_value =
+    let metric = "manetsim_series_" ^ field in
+    Buffer.add_string buf ("# TYPE " ^ metric ^ " gauge\n");
     List.iter
-      (fun ((name, node, w), s) ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "manetsim_series_%s{name=%S,node=\"%d\",window=%S} %s\n" field
-             name node (window_start t w) (value s)))
-      (sorted_cells t.series)
+      (fun (key, s) ->
+        add_prom_cell buf t metric key;
+        add_value s;
+        Buffer.add_char buf '\n')
+      series
   in
-  Buffer.add_string buf "# TYPE manetsim_series_count gauge\n";
-  series_field "count" (fun s -> string_of_int (int_of_float s.s_count));
-  Buffer.add_string buf "# TYPE manetsim_series_sum gauge\n";
-  series_field "sum" (fun s -> Json.float_str s.s_sum);
-  Buffer.add_string buf "# TYPE manetsim_series_min gauge\n";
-  series_field "min" (fun s -> Json.float_str s.s_min);
-  Buffer.add_string buf "# TYPE manetsim_series_max gauge\n";
-  series_field "max" (fun s -> Json.float_str s.s_max);
+  series_field "count" (fun s -> Json.add_int buf (int_of_float s.s_count));
+  series_field "sum" (fun s -> Json.add_float buf s.s_sum);
+  series_field "min" (fun s -> Json.add_float buf s.s_min);
+  series_field "max" (fun s -> Json.add_float buf s.s_max);
   (match stats with
   | None -> ()
   | Some st ->
       Buffer.add_string buf "# TYPE manetsim_stat_total counter\n";
       List.iter
         (fun (name, v) ->
-          Buffer.add_string buf
-            (Printf.sprintf "manetsim_stat_total{name=%S} %d\n" name v))
+          Buffer.add_string buf "manetsim_stat_total{name=";
+          add_quoted buf name;
+          Buffer.add_string buf "} ";
+          Json.add_int buf v;
+          Buffer.add_char buf '\n')
         (Stats.counters st);
       Buffer.add_string buf "# TYPE manetsim_stat_summary gauge\n";
       List.iter
-        (fun (name, s) ->
-          let field f v =
-            Buffer.add_string buf
-              (Printf.sprintf "manetsim_stat_summary{name=%S,field=%S} %s\n"
-                 name f v)
+        (fun (name, (s : Stats.summary)) ->
+          let field f add_value =
+            Buffer.add_string buf "manetsim_stat_summary{name=";
+            add_quoted buf name;
+            Buffer.add_string buf ",field=\"";
+            Buffer.add_string buf f;
+            Buffer.add_string buf "\"} ";
+            add_value ();
+            Buffer.add_char buf '\n'
           in
-          field "count" (string_of_int s.Stats.count);
-          field "mean" (Json.float_str s.Stats.mean);
-          field "stddev" (Json.float_str s.Stats.stddev);
-          field "min" (Json.float_str s.Stats.min);
-          field "max" (Json.float_str s.Stats.max))
+          field "count" (fun () -> Json.add_int buf s.count);
+          field "mean" (fun () -> Json.add_float buf s.mean);
+          field "stddev" (fun () -> Json.add_float buf s.stddev);
+          field "min" (fun () -> Json.add_float buf s.min);
+          field "max" (fun () -> Json.add_float buf s.max))
         (Stats.summaries st));
   Buffer.contents buf

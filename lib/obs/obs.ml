@@ -49,6 +49,7 @@ type t = {
   perf : Perf.t;
   timeline : Timeline.t;
   flood : Flood.t;
+  detail : Buffer.t;
 }
 
 let create ?(event_capacity = 200_000) engine =
@@ -77,6 +78,7 @@ let create ?(event_capacity = 200_000) engine =
     perf = Perf.create ();
     timeline = Timeline.create engine;
     flood = Flood.create engine;
+    detail = Buffer.create 160;
   }
 
 let audit t = t.audit
@@ -153,67 +155,85 @@ let log t ~node ~event ~detail =
       t.events
   end
 
+let detail_buffer t =
+  Buffer.clear t.detail;
+  t.detail
+
 let events t = List.of_seq (Queue.to_seq t.events)
 let events_dropped t = t.events_dropped
 
 (* --- JSONL export ------------------------------------------------------- *)
 
-let json_of_span s =
-  let base =
-    [
-      ("type", Json.String "span");
-      ("id", Json.Int s.id);
-      ( "parent",
-        match s.parent with Some p -> Json.Int p | None -> Json.Null );
-      ("kind", Json.String s.kind);
-      ("node", Json.Int s.node);
-      ("detail", Json.String s.detail);
-      ("start", Json.Float s.start_time);
-      ( "end",
-        match s.end_time with Some e -> Json.Float e | None -> Json.Null );
-      ( "outcome",
-        match s.outcome with
-        | Some o -> Json.String (outcome_label o)
-        | None -> Json.Null );
-    ]
-  in
-  let reason =
-    match s.outcome with
-    | Some o -> (
-        match outcome_reason o with
-        | Some r -> [ ("reason", Json.String r) ]
-        | None -> [])
-    | None -> []
-  in
-  let notes =
-    match s.notes with
-    | [] -> []
-    | l ->
-        [
-          ( "notes",
-            Json.List
-              (List.rev_map
-                 (fun (time, node, text) ->
-                   Json.Obj
-                     [
-                       ("t", Json.Float time);
-                       ("node", Json.Int node);
-                       ("text", Json.String text);
-                     ])
-                 l) );
-        ]
-  in
-  Json.Obj (base @ reason @ notes)
+(* Span and event lines are written field by field straight into the
+   export buffer: the bytes are those [Json.to_buffer] gives the object
+   with the same fields in the same order, with no tree built per
+   line. *)
 
-let json_of_event (e : event) =
-  Json.Obj
-    [
-      ("type", Json.String "event");
-      ("t", Json.Float e.time);
-      ("node", Json.Int e.node);
-      ("name", Json.String e.name);
-      ("detail", Json.String e.detail);
-    ]
+let add_note buf (time, node, text) =
+  Buffer.add_string buf {|{"t":|};
+  Json.add_float buf time;
+  Buffer.add_string buf {|,"node":|};
+  Json.add_int buf node;
+  Buffer.add_string buf {|,"text":|};
+  Json.escape_to buf text;
+  Buffer.add_char buf '}'
+
+(* [notes] is newest first; the line lists them oldest first. *)
+let rec add_notes buf = function
+  | [] -> ()
+  | [ n ] -> add_note buf n
+  | n :: older ->
+      add_notes buf older;
+      Buffer.add_char buf ',';
+      add_note buf n
+
+let add_span_line buf s =
+  Buffer.add_string buf {|{"type":"span","id":|};
+  Json.add_int buf s.id;
+  Buffer.add_string buf {|,"parent":|};
+  (match s.parent with
+  | Some p -> Json.add_int buf p
+  | None -> Buffer.add_string buf "null");
+  Buffer.add_string buf {|,"kind":|};
+  Json.escape_to buf s.kind;
+  Buffer.add_string buf {|,"node":|};
+  Json.add_int buf s.node;
+  Buffer.add_string buf {|,"detail":|};
+  Json.escape_to buf s.detail;
+  Buffer.add_string buf {|,"start":|};
+  Json.add_float buf s.start_time;
+  Buffer.add_string buf {|,"end":|};
+  (match s.end_time with
+  | Some e -> Json.add_float buf e
+  | None -> Buffer.add_string buf "null");
+  Buffer.add_string buf {|,"outcome":|};
+  (match s.outcome with
+  | None -> Buffer.add_string buf "null"
+  | Some o -> (
+      Json.escape_to buf (outcome_label o);
+      match outcome_reason o with
+      | Some r ->
+          Buffer.add_string buf {|,"reason":|};
+          Json.escape_to buf r
+      | None -> ()));
+  (match s.notes with
+  | [] -> ()
+  | notes ->
+      Buffer.add_string buf {|,"notes":[|};
+      add_notes buf notes;
+      Buffer.add_char buf ']');
+  Buffer.add_string buf "}\n"
+
+let add_event_line buf (e : event) =
+  Buffer.add_string buf {|{"type":"event","t":|};
+  Json.add_float buf e.time;
+  Buffer.add_string buf {|,"node":|};
+  Json.add_int buf e.node;
+  Buffer.add_string buf {|,"name":|};
+  Json.escape_to buf e.name;
+  Buffer.add_string buf {|,"detail":|};
+  Json.escape_to buf e.detail;
+  Buffer.add_string buf "}\n"
 
 (* Typical bytes per JSONL line: event lines carry a rendered message
    detail (~180 bytes), span lines run a little longer.  Sizing the
@@ -223,11 +243,7 @@ let jsonl_line_bytes = 192
 let to_jsonl ?(meta = []) t =
   let lines = span_count t + Queue.length t.events in
   let buf = Buffer.create (256 + (jsonl_line_bytes * lines)) in
-  let line v =
-    Json.to_buffer buf v;
-    Buffer.add_char buf '\n'
-  in
-  line
+  Json.to_buffer buf
     (Json.Obj
        ([
           ("schema", Json.String schema);
@@ -237,6 +253,11 @@ let to_jsonl ?(meta = []) t =
           ("events_dropped", Json.Int t.events_dropped);
         ]
        @ meta));
-  List.iter (fun s -> line (json_of_span s)) (spans t);
-  Queue.iter (fun e -> line (json_of_event e)) t.events;
+  Buffer.add_char buf '\n';
+  for id = 1 to span_count t do
+    match Itbl.find_opt t.spans id with
+    | Some s -> add_span_line buf s
+    | None -> ()
+  done;
+  Queue.iter (add_event_line buf) t.events;
   Buffer.contents buf

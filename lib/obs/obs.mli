@@ -120,6 +120,11 @@ val wants_events : t -> bool
     before formatting an event's detail, so a run with both sinks off
     builds no detail strings. *)
 
+val detail_buffer : t -> Buffer.t
+(** The scenario's one scratch buffer for rendering an event detail,
+    cleared.  Its contents are valid until the next call, so a caller
+    takes [Buffer.contents] before logging. *)
+
 val events : t -> event list
 val events_dropped : t -> int
 

@@ -60,18 +60,15 @@ let count_tx t msg size =
   stat t (Messages.tx_key msg);
   stat_by t (Messages.txbytes_key msg) size
 
-(* Transmission details, rendered into one buffer sized for a typical
-   message so most never grow it. *)
-let detail_size = 160
-
-let broadcast_detail msg =
-  let buf = Buffer.create detail_size in
+(* Transmission details, rendered into the scenario's detail buffer. *)
+let broadcast_detail t msg =
+  let buf = Obs.detail_buffer t.obs in
   Buffer.add_string buf "broadcast ";
   Messages.add_to_buffer buf msg;
   Buffer.contents buf
 
-let unicast_detail next msg =
-  let buf = Buffer.create detail_size in
+let unicast_detail t next msg =
+  let buf = Obs.detail_buffer t.obs in
   Buffer.add_string buf "to ";
   Address.add_to_buffer buf next;
   Buffer.add_string buf ": ";
@@ -84,7 +81,7 @@ let broadcast t msg =
   if Obs.wants_events t.obs then
     (* manethot: cold — the detail is rendered only for a listening
        sink (capture or the trace ring); runs with both off skip it. *)
-    log t ~event:(Messages.tx_key msg) ~detail:(broadcast_detail msg);
+    log t ~event:(Messages.tx_key msg) ~detail:(broadcast_detail t msg);
   Net.broadcast t.net ~src:(node_id t) ~size msg
 
 let rec unicast_all t ~size ~on_fail msg = function
@@ -103,7 +100,7 @@ let send_along t ~path ?(on_fail = fun () -> ()) msg =
       if Obs.wants_events t.obs then
         (* manethot: cold — the detail is rendered only for a listening
            sink (capture or the trace ring); runs with both off skip it. *)
-        log t ~event:(Messages.tx_key msg) ~detail:(unicast_detail next msg);
+        log t ~event:(Messages.tx_key msg) ~detail:(unicast_detail t next msg);
       match Directory.lookup_all t.directory next with
       | [] ->
           (* The next-hop address resolves to nobody: the neighbour is

@@ -469,16 +469,18 @@ let prop_mod_pow_montgomery_matches_generic =
       Bignum.equal (Bignum.mod_pow b e m) want
       && Bignum.equal (Bignum.mod_pow_ctx (Bignum.mod_ctx m) b e) want)
 
-let prop_mont_sqr_matches_mul =
-  qtest ~count:300 "bignum: mont_sqr x = mont_mul x x" arb_mont_case
-    (fun (m, x, _) ->
-      let sqr, mul = Bignum.mont_sqr_and_mul m x in
-      (* x^2 * R^-1 mod m, R = 2^(26k), computed by division. *)
-      let limbs = (Bignum.numbits m + 25) / 26 in
-      let r = Bignum.shift_left Bignum.one (26 * limbs) in
-      let r_inv = Option.get (Bignum.mod_inverse r m) in
-      let want = Bignum.mod_ (Bignum.mul (Bignum.mul x x) r_inv) m in
-      Bignum.equal sqr mul && Bignum.equal sqr want)
+let prop_mod_pow_square_chains =
+  (* e = 2^j is a pure chain of squarings and e = 2^j - 1 alternates a
+     squaring with a multiply by g, so both pin the squaring step of the
+     Montgomery path to the division-based oracle. *)
+  qtest ~count:300 "bignum: mod_pow_ctx = generic on 2^j and 2^j - 1"
+    QCheck.(pair arb_mont_case (int_range 1 300))
+    (fun ((m, b, _), j) ->
+      let ctx = Bignum.mod_ctx m in
+      let p = Bignum.shift_left Bignum.one j in
+      List.for_all
+        (fun e -> Bignum.equal (Bignum.mod_pow_ctx ctx b e) (Bignum.mod_pow_generic b e m))
+        [ p; Bignum.sub p Bignum.one ])
 
 let test_mod_pow_even_modulus () =
   (* Even moduli must still work (generic path). *)
@@ -1011,7 +1013,7 @@ let suites =
         prop_mod_inverse;
         prop_mod_pow_matches_naive;
         prop_mod_pow_montgomery_matches_generic;
-        prop_mont_sqr_matches_mul;
+        prop_mod_pow_square_chains;
         prop_of_bytes_be_matches_fold;
         Alcotest.test_case "mod_pow allocation budget" `Quick test_mod_pow_allocation;
         Alcotest.test_case "mod_pow even modulus" `Quick test_mod_pow_even_modulus;

@@ -3,7 +3,9 @@
    byte-determinism across replays, and the report renderers. *)
 
 module Engine = Manet_sim.Engine
+module Stats = Manet_sim.Stats
 module Obs = Manetsec.Obs
+module Metrics = Manetsec.Metrics
 module Json = Manetsec.Obs_json
 module Report = Manetsec.Obs_report
 module Scenario = Manetsec.Scenario
@@ -178,6 +180,257 @@ let prop_json_string_roundtrip =
                [ string_size (int_bound 64); string_size ~gen:(map clean_char char) (int_bound 64) ]))
        (fun s -> Json.parse (Json.to_string (Json.String s)) = Json.String s))
 
+(* The formatter against its specification, [Float_cases.reference]
+   (%.1f for integral values below 1e15, %.12g otherwise), over random
+   bit patterns, clock readings, near-ties of the 12-digit rounding and
+   the boundaries.  CI runs the same comparison over 10M values
+   (test/floatcheck). *)
+let prop_float_str_matches_printf =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:20_000 ~name:"json: float_str = printf reference"
+       (QCheck.make ~print:(Printf.sprintf "%h") Float_cases.draw)
+       (fun x -> String.equal (Json.float_str x) (Float_cases.reference x)))
+
+(* ------------------------------------------------------------------ *)
+(* Export line writers against the Json.t / Printf renderings they     *)
+(* replaced                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* The span and event lines as a Json.t tree, the form the JSONL export
+   was rendered from before its direct line writers. *)
+let oracle_span (s : Obs.span) =
+  let opt f = function Some v -> f v | None -> Json.Null in
+  Json.Obj
+    ([
+       ("type", Json.String "span");
+       ("id", Json.Int s.id);
+       ("parent", opt (fun p -> Json.Int p) s.parent);
+       ("kind", Json.String s.kind);
+       ("node", Json.Int s.node);
+       ("detail", Json.String s.detail);
+       ("start", Json.Float s.start_time);
+       ("end", opt (fun e -> Json.Float e) s.end_time);
+       ("outcome", opt (fun o -> Json.String (Obs.outcome_label o)) s.outcome);
+     ]
+    @ (match Option.bind s.outcome Obs.outcome_reason with
+      | Some r -> [ ("reason", Json.String r) ]
+      | None -> [])
+    @
+    match s.notes with
+    | [] -> []
+    | l ->
+        [
+          ( "notes",
+            Json.List
+              (List.rev_map
+                 (fun (t, node, text) ->
+                   Json.Obj
+                     [
+                       ("t", Json.Float t);
+                       ("node", Json.Int node);
+                       ("text", Json.String text);
+                     ])
+                 l) );
+        ])
+
+let oracle_event (e : Obs.event) =
+  Json.Obj
+    [
+      ("type", Json.String "event");
+      ("t", Json.Float e.time);
+      ("node", Json.Int e.node);
+      ("name", Json.String e.name);
+      ("detail", Json.String e.detail);
+    ]
+
+let oracle_jsonl ~meta o =
+  let events = Obs.events o in
+  let header =
+    Json.Obj
+      ([
+         ("schema", Json.String Obs.schema);
+         ("version", Json.Int Obs.schema_version);
+         ("spans", Json.Int (Obs.span_count o));
+         ("events", Json.Int (List.length events));
+         ("events_dropped", Json.Int (Obs.events_dropped o));
+       ]
+      @ meta)
+  in
+  String.concat ""
+    (List.map
+       (fun v -> Json.to_string v ^ "\n")
+       ((header :: List.map oracle_span (Obs.spans o)) @ List.map oracle_event events))
+
+let check_lines what want got =
+  List.iter2
+    (fun w g -> Alcotest.(check string) what w g)
+    (String.split_on_char '\n' want)
+    (String.split_on_char '\n' got)
+
+(* Every span shape (parent or root, open or closed, each outcome, with
+   and without a reason and notes) and strings that need escaping. *)
+let test_jsonl_writers_match_tree () =
+  let e = Engine.create ~seed:1 () in
+  let o = Obs.create e in
+  Obs.set_capture o true;
+  let awkward = "q\"b\\s\nn\tt\r\001\031 \xc3\xa9 end" in
+  let root = Obs.start o ~kind:"route.discovery" ~node:(-1) ~detail:awkward () in
+  let outcomes =
+    [ Obs.Ok; Obs.Timeout; Obs.Rejected "bad \"sig\""; Obs.Failed awkward ]
+  in
+  List.iteri
+    (fun i outcome ->
+      Engine.schedule e ~delay:(0.1 *. float_of_int (i + 1)) (fun () ->
+          let id = Obs.start o ~parent:root ~kind:awkward ~node:i () in
+          for k = 1 to i do
+            Obs.note o id ~node:(k - 1) (Printf.sprintf "hop %d %s" k awkward)
+          done;
+          Obs.log o ~node:i ~event:awkward ~detail:(String.make (i * 9) '\n');
+          Obs.finish o id outcome))
+    outcomes;
+  ignore (Obs.start o ~kind:"open" ~node:7 ());
+  Engine.run e;
+  Obs.note o root ~node:3 "late";
+  let meta = [ ("seed", Json.Int 3) ] in
+  check_lines "line" (oracle_jsonl ~meta o) (Obs.to_jsonl ~meta o)
+
+(* The windowed metrics as a model: cell (name, node, window) -> counter
+   total, or the [| count; sum; min; max |] of a series. *)
+let oracle_metrics ~window ~stats script =
+  let counters = Hashtbl.create 16 and series = Hashtbl.create 16 in
+  let add name node w = function
+    | `By by ->
+        let r = Option.value (Hashtbl.find_opt counters (name, node, w)) ~default:0 in
+        Hashtbl.replace counters (name, node, w) (r + by)
+    | `Sample x -> (
+        match Hashtbl.find_opt series (name, node, w) with
+        | None -> Hashtbl.replace series (name, node, w) [| 1.0; x; x; x |]
+        | Some a ->
+            a.(0) <- a.(0) +. 1.0;
+            a.(1) <- a.(1) +. x;
+            if x < a.(2) then a.(2) <- x;
+            if x > a.(3) then a.(3) <- x)
+  in
+  List.iter
+    (fun (t, node, name, v) ->
+      let w = int_of_float (t /. window) in
+      add name node w v;
+      if node <> -1 then add name (-1) w v)
+    script;
+  let sorted tbl =
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+    |> List.sort (fun ((na, ia, wa), _) ((nb, ib, wb), _) ->
+           match String.compare na nb with
+           | 0 -> ( match Int.compare ia ib with 0 -> Int.compare wa wb | c -> c)
+           | c -> c)
+  in
+  let ws w = Json.float_str (float_of_int w *. window) in
+  let fs = Json.float_str in
+  let csv = Buffer.create 1024 and prom = Buffer.create 1024 in
+  Buffer.add_string csv "kind,name,node,window,count,mean,stddev,min,max\n";
+  Printf.bprintf prom "# manetsim windowed metrics, window=%ss\n" (fs window);
+  Buffer.add_string prom "# TYPE manetsim_counter gauge\n";
+  List.iter
+    (fun ((name, node, w), r) ->
+      Printf.bprintf csv "counter,%s,%d,%s,%d,,,,\n" name node (ws w) r;
+      Printf.bprintf prom "manetsim_counter{name=%S,node=\"%d\",window=%S} %d\n"
+        name node (ws w) r)
+    (sorted counters);
+  let series = sorted series in
+  List.iter
+    (fun ((name, node, w), a) ->
+      Printf.bprintf csv "series,%s,%d,%s,%d,%s,,%s,%s\n" name node (ws w)
+        (int_of_float a.(0))
+        (fs (a.(1) /. a.(0)))
+        (fs a.(2)) (fs a.(3)))
+    series;
+  List.iter
+    (fun (field, value) ->
+      Printf.bprintf prom "# TYPE manetsim_series_%s gauge\n" field;
+      List.iter
+        (fun ((name, node, w), a) ->
+          Printf.bprintf prom "manetsim_series_%s{name=%S,node=\"%d\",window=%S} %s\n"
+            field name node (ws w) (value a))
+        series)
+    [
+      ("count", fun a -> string_of_int (int_of_float a.(0)));
+      ("sum", fun a -> fs a.(1));
+      ("min", fun a -> fs a.(2));
+      ("max", fun a -> fs a.(3));
+    ];
+  List.iter
+    (fun (name, v) -> Printf.bprintf csv "stat_counter,%s,,,%d,,,,\n" name v)
+    (Stats.counters stats);
+  List.iter
+    (fun (name, s) ->
+      Printf.bprintf csv "stat_summary,%s,,,%d,%s,%s,%s,%s\n" name s.Stats.count
+        (fs s.Stats.mean) (fs s.Stats.stddev) (fs s.Stats.min) (fs s.Stats.max))
+    (Stats.summaries stats);
+  Buffer.add_string prom "# TYPE manetsim_stat_total counter\n";
+  List.iter
+    (fun (name, v) -> Printf.bprintf prom "manetsim_stat_total{name=%S} %d\n" name v)
+    (Stats.counters stats);
+  Buffer.add_string prom "# TYPE manetsim_stat_summary gauge\n";
+  List.iter
+    (fun (name, s) ->
+      List.iter
+        (fun (f, v) ->
+          Printf.bprintf prom "manetsim_stat_summary{name=%S,field=%S} %s\n" name f v)
+        [
+          ("count", string_of_int s.Stats.count);
+          ("mean", fs s.Stats.mean);
+          ("stddev", fs s.Stats.stddev);
+          ("min", fs s.Stats.min);
+          ("max", fs s.Stats.max);
+        ])
+    (Stats.summaries stats);
+  (Buffer.contents csv, Buffer.contents prom)
+
+let metric_names = [| "tx.data"; "rx.\"q\""; "lat\\ms"; "a\nb"; "z" |]
+
+let gen_metric_script =
+  QCheck.Gen.(
+    pair
+      (oneofl [ 0.1; 0.25; 1.0; 2.5 ])
+      (list_size (int_bound 60)
+         (map
+            (fun (t, node, name, by, x) ->
+              let v = if by = 0 then `Sample x else `By by in
+              (t, node, metric_names.(name), v))
+            (tup5 (float_bound_exclusive 20.0) (int_range (-1) 3)
+               (int_bound (Array.length metric_names - 1))
+               (int_bound 3)
+               (oneof [ float_range (-5.0) 5.0; map float_of_int (int_range (-9) 9) ])))))
+
+let prop_metrics_writers_match_printf =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:200 ~name:"metrics: csv/prom rows = printf renderings"
+       (QCheck.make gen_metric_script)
+       (fun (window, script) ->
+         let e = Engine.create ~seed:1 () in
+         let m = Metrics.create ~window e in
+         Metrics.set_enabled m true;
+         let stats = Stats.create () in
+         List.iter
+           (fun (t, node, name, v) ->
+             Engine.schedule e ~delay:t (fun () ->
+                 match v with
+                 | `By by ->
+                     Metrics.record m ~node ~by name;
+                     Stats.incr ~by stats name
+                 | `Sample x ->
+                     Metrics.observe m ~node name x;
+                     Stats.observe stats name x))
+           script;
+         Engine.run e;
+         (* The model sees each record at the time the engine ran it. *)
+         let script =
+           List.stable_sort (fun (a, _, _, _) (b, _, _, _) -> Float.compare a b) script
+         in
+         let csv, prom = oracle_metrics ~window ~stats script in
+         String.equal csv (Metrics.to_csv ~stats m)
+         && String.equal prom (Metrics.to_prom ~stats m)))
+
 (* ------------------------------------------------------------------ *)
 (* Scenario-level: parenting, determinism, report                      *)
 (* ------------------------------------------------------------------ *)
@@ -213,6 +466,12 @@ let test_jsonl_byte_determinism () =
   (* Wall-clock profiling must not leak into the deterministic export. *)
   let c = jsonl_of (run_once ~profile:true ()) in
   Alcotest.(check bool) "profiling changes no byte" true (String.equal a c)
+
+(* A whole run's export, line by line, against the tree rendering. *)
+let test_scenario_jsonl_matches_tree () =
+  let s = run_once () in
+  let meta = [ ("seed", Json.Int (Scenario.params s).Scenario.seed) ] in
+  check_lines "line" (oracle_jsonl ~meta (Scenario.obs s)) (jsonl_of s)
 
 let test_causal_parenting () =
   let s = run_once () in
@@ -419,6 +678,10 @@ let suites =
         tc "json float pinned bytes" test_json_float_pinned;
         tc "json escape pinned bytes" test_json_escape_pinned;
         prop_json_string_roundtrip;
+        prop_float_str_matches_printf;
+        tc "jsonl writers = json tree" test_jsonl_writers_match_tree;
+        tc "scenario jsonl = json tree" test_scenario_jsonl_matches_tree;
+        prop_metrics_writers_match_printf;
         tc "jsonl byte determinism" test_jsonl_byte_determinism;
         tc "causal parenting" test_causal_parenting;
         tc "arep on collision" test_arep_on_collision;
