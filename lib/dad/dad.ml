@@ -44,10 +44,10 @@ type t = {
   mutable seq : int;
   mutable on_complete : outcome -> unit;
   (* Flood dedup.  AREQ key: (sip, seq, ch) — seq alone can collide when
-     two initiators contest the same address — mapped to the flood's
-     provenance handle.  Warning-AREP key: the signature bytes, unique
-     per (signer, sip, ch). *)
-  seen_areq : Flood.handle Flood.Ktbl.t;
+     two initiators contest the same address; a lookup by key returns
+     the flood's provenance handle.  Warning-AREP key: the signature
+     bytes, unique per (signer, sip, ch). *)
+  seen_areq : Flood.Seen.t;
   seen_warning : (string, unit) Hashtbl.t;
   mutable areq_observer : Messages.t -> unit;
   mutable warning_sink : Messages.t -> unit;
@@ -76,7 +76,7 @@ let create ?(config = default_config) ?(dns_address = Address.dns_server_1)
     configured = false;
     seq = 0;
     on_complete = (fun _ -> ());
-    seen_areq = Flood.Ktbl.create 64;
+    seen_areq = Flood.Seen.create ();
     seen_warning = Hashtbl.create 16;
     areq_observer = (fun _ -> ());
     warning_sink = (fun _ -> ());
@@ -139,7 +139,7 @@ let rec begin_attempt t ~attempt ~dn =
   (* Ignore echoes of our own flood. *)
   let key = areq_key ~sip ~seq:t.seq ~ch in
   let flood = Flood.handle (floods t) ~key ~origin:(Ctx.node_id ctx) in
-  Flood.Ktbl.replace t.seen_areq key flood;
+  Flood.Seen.add t.seen_areq flood;
   Ctx.log ctx ~event:"dad.start"
     ~detail:
       (Printf.sprintf "sip=%s dn=%s attempt=%d" (Address.to_string sip)
@@ -291,7 +291,7 @@ let first_areq t ~src ~key ~hops msg ~sip ~seq ~dn ~ch ~rr =
   let ctx = t.ctx in
   let flood = Flood.handle (floods t) ~key ~origin:src in
   Flood.received (floods t) flood ~node:(Ctx.node_id ctx) ~src ~hops;
-  Flood.Ktbl.replace t.seen_areq key flood;
+  Flood.Seen.add t.seen_areq flood;
   t.areq_observer msg;
   if Address.equal sip (address t) then answer_duplicate t (sip, ch, rr);
   let rr' = rr @ [ address t ] in
@@ -310,7 +310,7 @@ let handle_areq t ~src msg =
       (* manethot: allow hot-list — the route record is as long as the
          copy's hop count, bounded by the flood's hop radius. *)
       let hops = List.length rr in
-      match Flood.Ktbl.find t.seen_areq key with
+      match Flood.Seen.find (floods t) t.seen_areq key with
       | flood ->
           Flood.received (floods t) flood ~node:(Ctx.node_id t.ctx) ~src ~hops;
           Flood.duplicate (floods t) flood

@@ -62,7 +62,7 @@ type t = {
   pending : pending_discovery Address.Tbl.t; (* by dst *)
   queue : packet Queue.t Address.Tbl.t; (* packets awaiting a route *)
   waiters : (Address.t list option -> unit) list ref Address.Tbl.t;
-  seen_rreq : unit Flood.Ktbl.t; (* sip + seq *)
+  seen_rreq : Flood.Seen.t; (* sip + seq *)
   reply_counts : int Flood.Ktbl.t; (* replies sent per request, for route diversity *)
   in_flight : packet Address.Seq_tbl.t; (* (dst, seq) *)
   seen_data : unit Address.Seq_tbl.t; (* delivered (src, seq): retries must not double-count *)
@@ -103,7 +103,7 @@ let create ?(config = default_config) ctx =
     pending = Address.Tbl.create 16;
     queue = Address.Tbl.create 16;
     waiters = Address.Tbl.create 8;
-    seen_rreq = Flood.Ktbl.create 256;
+    seen_rreq = Flood.Seen.create ();
     reply_counts = Flood.Ktbl.create 64;
     in_flight = Address.Seq_tbl.create 32;
     seen_data = Address.Seq_tbl.create 64;
@@ -234,10 +234,12 @@ and send_rreq t d =
   Obs.correlate (obs t) (rreq_corr ~sip:(address t) ~seq) fl;
   (* Plain DSR: route record carried in the SRR field with empty
      authentication. *)
-  let key = rreq_key (address t) seq in
-  Flood.Ktbl.replace t.seen_rreq key ();
-  Flood.sent (floods t)
-    (Flood.handle (floods t) ~key ~origin:(Ctx.node_id t.ctx));
+  let flood =
+    Flood.handle (floods t) ~key:(rreq_key (address t) seq)
+      ~origin:(Ctx.node_id t.ctx)
+  in
+  Flood.Seen.add t.seen_rreq flood;
+  Flood.sent (floods t) flood;
   Ctx.broadcast t.ctx
     (Messages.Rreq
        { sip = address t; dip = d.d_dst; seq; srr = []; sig_ = ""; spk = ""; srn = 0L });
@@ -394,8 +396,8 @@ let rreq_at_destination t ~key ~sip ~seq ~srr =
 
 (* First copy of a flood at a relay: answer from the route cache or
    rebroadcast with our address appended. *)
-let rreq_first_copy t ~flood ~key ~sip ~dip ~seq ~srr =
-  Flood.Ktbl.replace t.seen_rreq key ();
+let rreq_first_copy t ~flood ~sip ~dip ~seq ~srr =
+  Flood.Seen.add t.seen_rreq flood;
   let me = address t in
   let rr = srr_ips srr in
   if Address.equal sip me || List.exists (Address.equal me) rr then ()
@@ -438,13 +440,13 @@ let handle_rreq t ~src msg =
       let hops = List.length srr in
       Flood.received (floods t) flood ~node:(Ctx.node_id t.ctx) ~src ~hops;
       let at_dest = Address.equal dip (address t) in
-      if (not at_dest) && Flood.Ktbl.mem t.seen_rreq key then
+      if (not at_dest) && Flood.Seen.mem t.seen_rreq flood then
         Flood.duplicate (floods t) flood
       else
         (* manethot: cold — at most once per (flood, node) /
            max_replies_per_request answers *)
         if at_dest then rreq_at_destination t ~key ~sip ~seq ~srr
-        else rreq_first_copy t ~flood ~key ~sip ~dip ~seq ~srr
+        else rreq_first_copy t ~flood ~sip ~dip ~seq ~srr
   | _ -> ()
 
 (* --- source-routed message handling ------------------------------------ *)

@@ -23,6 +23,19 @@
     first-seen time / parent / hop distance, hop radius, and completion
     (last-activity) time.
 
+    {b Cost model.}  The tree is always kept; there is no switch.  Per
+    flood it is two arrays indexed by node id: a flat float array of
+    first-seen times and one packed int per node (parent, hop distance,
+    verify count), 0 for a node not reached — two words per (flood,
+    node) slot, against about a dozen for a boxed cell in a per-flood hash
+    table.  A flood's arrays are created as wide as the largest node id
+    any flood has recorded, so on a bootstrap of N nodes every flood
+    but the first costs 2N words plus its fixed record; a flood that
+    reaches few nodes of a wide network pays the same 2N.  Node ids and
+    parents are limited to [0 .. 2{^21} - 2], hop distances to
+    [2{^20} - 2] and per-node verify counts to [2{^21} - 1]; recording
+    past a limit raises [Invalid_argument].
+
     Two derived metrics are first-class because ROADMAP item 3's
     verification cache is driven by them:
 
@@ -51,7 +64,8 @@ type key = { kind : kind; hi : int64; lo : int64; seq : int; ch : int64 }
 
 module Ktbl : Hashtbl.S with type key = key
 (** Tables over flood keys with a monomorphic, allocation-free equality
-    and hash; the protocols' seen-tables use it too. *)
+    and hash, for state that stores a value per flood (the protocols'
+    per-request reply counts). *)
 
 val create : Engine.t -> t
 (** Fresh registry; sim times are read from the engine's clock. *)
@@ -81,6 +95,31 @@ val duplicate : t -> handle -> unit
 
 val verified : t -> handle -> node:int -> unit
 (** [node] cryptographically verified one received copy. *)
+
+(** {1 Seen sets} *)
+
+(** A protocol's per-node dedup state: the set of floods this node has
+    seen.  Open-addressed over one int array (the key's hash above the
+    flood id), at most 3/4 full, so an entry costs at most 8/3 words
+    right after a doubling; a lookup allocates nothing.  The set lives
+    in the protocol's node state, so a node that is rebuilt starts with
+    an empty one. *)
+module Seen : sig
+  type registry := t
+  type t
+
+  val create : unit -> t
+
+  val add : t -> handle -> unit
+  (** Idempotent. *)
+
+  val mem : t -> handle -> bool
+
+  val find : registry -> t -> key -> handle
+  (** The member flood registered under [key] in [registry] (which must
+      be the registry that returned every member's handle).  Raises
+      [Not_found] when no member has that key. *)
+end
 
 (** {1 Read side} *)
 

@@ -889,9 +889,14 @@ let wants_metrics t =
     (fun e -> match e with Metrics_csv | Metrics_prom -> true | _ -> false)
     t.exports
 
-let execute ?seed t =
+let wants_trace t =
+  List.exists (fun e -> match e with Trace_jsonl -> true | _ -> false) t.exports
+
+(* Event capture stores a rendered detail string per transmission, so it
+   is on only when an export reads the captured events. *)
+let run ~capture ?seed t =
   let s = Scenario.create (scenario_params ?seed t) in
-  Obs.set_capture (Scenario.obs s) true;
+  Obs.set_capture (Scenario.obs s) capture;
   if wants_metrics t then Metrics.set_enabled (Obs.metrics (Scenario.obs s)) true;
   (match t.faults with
   | [] -> ()
@@ -925,6 +930,8 @@ let execute ?seed t =
   in
   Scenario.run s ~until;
   s
+
+let execute ?seed t = run ~capture:(wants_trace t) ?seed t
 
 (* --- exports -------------------------------------------------------- *)
 
@@ -975,7 +982,7 @@ let render_exports t ~seed s =
 let sweep ~domains ~seeds t =
   if List.length seeds = 0 then invalid_arg "Scn.sweep: empty seed list";
   let run_one seed =
-    let s = execute ~seed t in
+    let s = run ~capture:true ~seed t in
     let m = meta t ~seed in
     {
       Merge.key = m;

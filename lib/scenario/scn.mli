@@ -105,10 +105,13 @@ val parse : string -> t
 
 val execute : ?seed:int -> t -> Manetsec.Scenario.t
 (** Compile and run the scenario: create the {!Manetsec.Scenario},
-    enable capture (and metrics when a metrics export was requested),
-    inject the fault plan, bootstrap when requested, start every traffic
-    flow in file order, and drive the engine to the horizon.  [seed]
-    overrides the file's seed (used by {!sweep}). *)
+    enable event capture when the file requests [trace-jsonl] (the one
+    export that reads captured events) and metrics when it requests a
+    metrics export, inject the fault plan, bootstrap when requested,
+    start every traffic flow in file order, and drive the engine to the
+    horizon.  [seed] overrides the file's seed.  Capture stores a
+    rendered detail string per transmission and changes no other
+    export. *)
 
 val meta : t -> seed:int -> (string * Manetsec.Obs_json.t) list
 (** The [(scenario, seed)] provenance attached to every export. *)
@@ -123,7 +126,8 @@ val render_exports :
 
 val sweep :
   domains:int -> seeds:int list -> t -> Manetsec.Merge.run list
-(** Run the scenario once per seed on {!Manetsec.Parallel.map} and
-    return the canonically sorted runs ({!Manetsec.Merge.sorted}) —
+(** Run the scenario once per seed on {!Manetsec.Parallel.map}, with
+    event capture on for every run since each carries a trace stream,
+    and return the canonically sorted runs ({!Manetsec.Merge.sorted}) —
     byte-deterministic in [domains].  Raises [Invalid_argument] on an
     empty seed list. *)

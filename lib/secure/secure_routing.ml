@@ -88,7 +88,7 @@ type t = {
   pending : pending_discovery Address.Tbl.t;
   queue : packet Queue.t Address.Tbl.t;
   waiters : (Address.t list option -> unit) list ref Address.Tbl.t;
-  seen_rreq : unit Flood.Ktbl.t;
+  seen_rreq : Flood.Seen.t;
   reply_counts : int Flood.Ktbl.t; (* replies per request, for route diversity *)
   in_flight : packet Address.Seq_tbl.t; (* (dst, seq) *)
   seen_data : unit Address.Seq_tbl.t; (* delivered (src, seq): retries must not double-count *)
@@ -136,7 +136,7 @@ let create ?(config = default_config) ?(trusted = []) ctx =
     pending = Address.Tbl.create 16;
     queue = Address.Tbl.create 16;
     waiters = Address.Tbl.create 8;
-    seen_rreq = Flood.Ktbl.create 256;
+    seen_rreq = Flood.Seen.create ();
     reply_counts = Flood.Ktbl.create 64;
     in_flight = Address.Seq_tbl.create 32;
     seen_data = Address.Seq_tbl.create 64;
@@ -433,10 +433,12 @@ and send_rreq t d =
   d.d_flood <- Some fl;
   Obs.correlate (obs t) (Dsr.rreq_corr ~sip ~seq) fl;
   let sig_ = Identity.sign id (Codec.rreq_source_payload ~sip ~seq) in
-  let key = Dsr.rreq_key sip seq in
-  Flood.Ktbl.replace t.seen_rreq key ();
-  Flood.sent (floods t)
-    (Flood.handle (floods t) ~key ~origin:(Ctx.node_id t.ctx));
+  let flood =
+    Flood.handle (floods t) ~key:(Dsr.rreq_key sip seq)
+      ~origin:(Ctx.node_id t.ctx)
+  in
+  Flood.Seen.add t.seen_rreq flood;
+  Flood.sent (floods t) flood;
   Ctx.broadcast t.ctx
     (Messages.Rreq
        {
@@ -668,8 +670,8 @@ let rreq_at_destination t ~flood ~key ~sip ~seq ~srr ~sig_ ~spk ~srn =
 
 (* First copy of a flood at a relay: answer from an endorsed cache
    entry, or sign our route-record entry and rebroadcast. *)
-let rreq_first_copy t ~flood ~key ~sip ~dip ~seq ~srr ~sig_ ~spk ~srn =
-  Flood.Ktbl.replace t.seen_rreq key ();
+let rreq_first_copy t ~flood ~sip ~dip ~seq ~srr ~sig_ ~spk ~srn =
+  Flood.Seen.add t.seen_rreq flood;
   let me = address t in
   let rr = srr_ips srr in
   if Address.equal sip me || List.exists (Address.equal me) rr then ()
@@ -723,14 +725,14 @@ let handle_rreq t ~src msg =
       let hops = List.length srr in
       Flood.received (floods t) flood ~node:(Ctx.node_id t.ctx) ~src ~hops;
       let at_dest = Address.equal dip (address t) in
-      if (not at_dest) && Flood.Ktbl.mem t.seen_rreq key then
+      if (not at_dest) && Flood.Seen.mem t.seen_rreq flood then
         Flood.duplicate (floods t) flood
       else
         (* manethot: cold — at most once per (flood, node) /
            max_replies_per_request answers *)
         if at_dest then
           rreq_at_destination t ~flood ~key ~sip ~seq ~srr ~sig_ ~spk ~srn
-        else rreq_first_copy t ~flood ~key ~sip ~dip ~seq ~srr ~sig_ ~spk ~srn
+        else rreq_first_copy t ~flood ~sip ~dip ~seq ~srr ~sig_ ~spk ~srn
   | _ -> ()
 
 (* --- replies ------------------------------------------------------------ *)

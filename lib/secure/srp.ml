@@ -67,7 +67,7 @@ type t = {
   pending : pending_discovery Address.Tbl.t;
   queue : packet Queue.t Address.Tbl.t;
   waiters : (Address.t list option -> unit) list ref Address.Tbl.t;
-  seen_rreq : unit Flood.Ktbl.t;
+  seen_rreq : Flood.Seen.t;
   reply_counts : int Flood.Ktbl.t;
   in_flight : packet Address.Seq_tbl.t;
   seen_data : unit Address.Seq_tbl.t;
@@ -84,7 +84,7 @@ let create ?(config = default_config) ~master ctx =
     pending = Address.Tbl.create 16;
     queue = Address.Tbl.create 16;
     waiters = Address.Tbl.create 8;
-    seen_rreq = Flood.Ktbl.create 256;
+    seen_rreq = Flood.Seen.create ();
     reply_counts = Flood.Ktbl.create 64;
     in_flight = Address.Seq_tbl.create 32;
     seen_data = Address.Seq_tbl.create 64;
@@ -171,10 +171,12 @@ and send_rreq t d =
   (* The end-to-end MAC rides in the message's signature field; no key
      material travels (both ends already share the association). *)
   let mac = rreq_mac ~key:(key_with t d.d_dst) ~sip ~dip:d.d_dst ~seq in
-  let key = Dsr.rreq_key sip seq in
-  Flood.Ktbl.replace t.seen_rreq key ();
   let fl = Obs.flood t.ctx.Ctx.obs in
-  Flood.sent fl (Flood.handle fl ~key ~origin:(Ctx.node_id t.ctx));
+  let flood =
+    Flood.handle fl ~key:(Dsr.rreq_key sip seq) ~origin:(Ctx.node_id t.ctx)
+  in
+  Flood.Seen.add t.seen_rreq flood;
+  Flood.sent fl flood;
   Ctx.broadcast t.ctx
     (Messages.Rreq { sip; dip = d.d_dst; seq; srr = []; sig_ = mac; spk = ""; srn = 0L });
   Engine.schedule t.ctx.Ctx.engine ~label:"srp"
@@ -277,8 +279,8 @@ let rreq_at_destination t ~flood ~key ~sip ~dip ~seq ~srr ~sig_ =
     end
   end
 
-let rreq_first_copy t ~flood ~key ~sip ~dip ~seq ~srr ~sig_ =
-  Flood.Ktbl.replace t.seen_rreq key ();
+let rreq_first_copy t ~flood ~sip ~dip ~seq ~srr ~sig_ =
+  Flood.Seen.add t.seen_rreq flood;
   let me = address t in
   let rr = srr_ips srr in
   if Address.equal sip me || List.exists (Address.equal me) rr then ()
@@ -308,14 +310,14 @@ let handle_rreq t ~src msg =
       let hops = List.length srr in
       Flood.received fl flood ~node:(Ctx.node_id t.ctx) ~src ~hops;
       let at_dest = Address.equal dip (address t) in
-      if (not at_dest) && Flood.Ktbl.mem t.seen_rreq key then
+      if (not at_dest) && Flood.Seen.mem t.seen_rreq flood then
         Flood.duplicate fl flood
       else
         (* manethot: cold — at most once per (flood, node) /
            max_replies_per_request answers *)
         if at_dest then
           rreq_at_destination t ~flood ~key ~sip ~dip ~seq ~srr ~sig_
-        else rreq_first_copy t ~flood ~key ~sip ~dip ~seq ~srr ~sig_
+        else rreq_first_copy t ~flood ~sip ~dip ~seq ~srr ~sig_
   | _ -> ()
 
 let consume_rrep t msg =

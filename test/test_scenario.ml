@@ -196,10 +196,14 @@ let golden_path =
   if Sys.file_exists "golden" then Filename.concat "golden" "scenario_exports.txt"
   else Filename.concat (Filename.concat "test" "golden") "scenario_exports.txt"
 
+(* The fixed spans stream carries every captured event, so the gate
+   turns capture on itself: it runs the file with [trace-jsonl] added to
+   its exports, the one export that switches capture on, and renders
+   the file's own requested exports from that run. *)
 let export_digests file =
   let scn = Scn.parse (read_scenario file) in
   let seed = scn.Scn.seed in
-  let s = Scn.execute scn in
+  let s = Scn.execute { scn with Scn.exports = Scn.Trace_jsonl :: scn.Scn.exports } in
   let meta = Scn.meta scn ~seed in
   let obs = Scenario.obs s in
   let fixed =
@@ -305,6 +309,35 @@ let test_file_equals_hand_coded () =
     (Obs.to_jsonl ~meta (Scenario.obs s))
     (contents_of Scn.Trace_jsonl)
 
+(* A run captures events only when an export reads them: counters-only
+   large_n.scn stores none, while blackhole_e1.scn, which requests
+   trace-jsonl, writes every captured event into that export. *)
+let test_capture_on_demand () =
+  let stats_only = Scn.execute (Scn.parse (read_scenario "large_n.scn")) in
+  Alcotest.(check int) "stats-csv run captures no events" 0
+    (List.length (Obs.events (Scenario.obs stats_only)));
+  let scn = Scn.parse (read_scenario "blackhole_e1.scn") in
+  let traced = Scn.execute scn in
+  let events = Obs.events (Scenario.obs traced) in
+  Alcotest.(check bool) "trace-jsonl run captures events" true (events <> []);
+  let trace =
+    List.find_map
+      (fun (kind, _, contents) ->
+        match kind with Scn.Trace_jsonl -> Some contents | _ -> None)
+      (Scn.render_exports scn ~seed:scn.Scn.seed traced)
+  in
+  let event_lines =
+    match trace with
+    | Some text ->
+        String.split_on_char '\n' text
+        |> List.filter (fun l ->
+               String.starts_with ~prefix:"{\"type\":\"event\"" l)
+        |> List.length
+    | None -> Alcotest.fail "no trace-jsonl export"
+  in
+  Alcotest.(check int) "one trace line per captured event"
+    (List.length events) event_lines
+
 (* Fanning one scenario across seeds is byte-deterministic in the
    domain count (the Parallel/Merge contract, end to end). *)
 let test_sweep_domain_invariant () =
@@ -347,6 +380,8 @@ let suites =
         Alcotest.test_case "defaults" `Quick test_defaults;
         Alcotest.test_case "examples validate" `Quick test_examples_validate;
         Alcotest.test_case "golden exports" `Quick test_golden_exports;
+        Alcotest.test_case "capture only on demand" `Quick
+          test_capture_on_demand;
         Alcotest.test_case "file run equals hand-coded run" `Slow
           test_file_equals_hand_coded;
         Alcotest.test_case "sweep domain-invariant" `Slow

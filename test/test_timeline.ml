@@ -437,6 +437,93 @@ let test_timeline_domain_invariant () =
         base (export domains))
     [ 2; 4 ]
 
+(* --- flood state: seen sets and the packed provenance tree --------------- *)
+
+(* Keys from a small pool, so a sequence repeats floods; the pool's two
+   kinds share every other field, so they must stay distinct members. *)
+let pool_key k =
+  {
+    Flood.kind = (if k land 1 = 0 then Flood.Areq else Flood.Rreq);
+    hi = 7L;
+    lo = Int64.of_int (k lsr 1);
+    seq = k lsr 1;
+    ch = 0L;
+  }
+
+(* The compact seen set against a [Flood.Ktbl] model.  Each op is
+   (op, k): 0 adds flood k, 1 finds it by key, 2 asks [mem] with its
+   handle.  Up to 600 ops over 400 keys take a set from 8 slots through
+   several doublings. *)
+let prop_seen_set_model =
+  qtest ~count:200 "seen set agrees with a Ktbl model"
+    QCheck.(list_of_size Gen.(int_range 0 600) (pair (int_bound 2) (int_bound 399)))
+    (fun ops ->
+      let fl = Flood.create (Engine.create ~seed:1 ()) in
+      let seen = Flood.Seen.create () in
+      let model = Flood.Ktbl.create 16 in
+      List.for_all
+        (fun (op, k) ->
+          let key = pool_key k in
+          match op with
+          | 0 ->
+              let h = Flood.handle fl ~key ~origin:0 in
+              Flood.Seen.add seen h;
+              Flood.Ktbl.replace model key h;
+              true
+          | 1 -> (
+              match
+                (Flood.Seen.find fl seen key, Flood.Ktbl.find_opt model key)
+              with
+              | h, Some h' -> h == h'
+              | _, None -> false
+              | exception Not_found -> not (Flood.Ktbl.mem model key))
+          | _ ->
+              Flood.Seen.mem seen (Flood.handle fl ~key ~origin:0)
+              = Flood.Ktbl.mem model key)
+        ops)
+
+(* Memory budgets, measured with [Obj.reachable_words]: a bootstrap's N
+   floods x N nodes of provenance cost about two words per pair (a first-
+   seen float and a packed int), and a seen set about one int slot per
+   entry at a load of at most 3/4.  The 300 floods are registered before
+   the baseline measurement, so the difference is the per-(flood, node)
+   state alone; the registry's engine is reachable in both. *)
+let test_flood_state_words () =
+  let n = 300 in
+  let words x = Obj.reachable_words (Obj.repr x) in
+  let fl = Flood.create (Engine.create ~seed:1 ()) in
+  let hs = Array.init n (fun k -> Flood.handle fl ~key:(rreq_key k) ~origin:0) in
+  let before = words fl in
+  Array.iter
+    (fun h ->
+      for node = 0 to n - 1 do
+        Flood.received fl h ~node ~src:(max 0 (node - 1)) ~hops:(node mod 20);
+        if node mod 7 = 0 then Flood.verified fl h ~node
+      done)
+    hs;
+  let per_pair = float_of_int (words fl - before) /. float_of_int (n * n) in
+  Alcotest.(check bool)
+    (Printf.sprintf "registry: %.2f words per (flood, node) <= 2.5" per_pair)
+    true (per_pair <= 2.5);
+  let seen = Flood.Seen.create () in
+  Array.iter (Flood.Seen.add seen) hs;
+  let per_entry = float_of_int (words seen) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "seen set: %.2f words per entry <= 3" per_entry)
+    true (per_entry <= 3.0);
+  let key = rreq_key 123 in
+  let per_find =
+    Test_crypto.minor_words_per_call 10_000 (fun () ->
+        ignore (Sys.opaque_identity (Flood.Seen.find fl seen key)))
+  in
+  Alcotest.(check (float 0.0)) "Seen.find allocates nothing" 0.0 per_find;
+  match Flood.summaries fl with
+  | s :: _ ->
+      Alcotest.(check int) "every node reached" n s.Flood.reached;
+      Alcotest.(check int) "verifying nodes" 43 s.Flood.verify_nodes;
+      Alcotest.(check int) "tree cells" n (List.length (Flood.tree fl ~id:0))
+  | [] -> Alcotest.fail "no floods"
+
 let suites =
   [
     ( "timeline",
@@ -463,5 +550,8 @@ let suites =
         prop_areq_rreq_disjoint;
         Alcotest.test_case "scenario flood trees respect causality" `Slow
           test_scenario_flood_trees;
+        prop_seen_set_model;
+        Alcotest.test_case "flood state memory budgets" `Quick
+          test_flood_state_words;
       ] );
   ]
