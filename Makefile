@@ -5,11 +5,10 @@ all: build lint test
 build:
 	dune build
 
-# All analyzers: manetlint (lexical), manetsem (AST-level semantic
-# dataflow), manetdom (domain safety), manethot (hot-path allocation &
-# complexity), plus `manetsim scenario check` over the committed
-# example scenarios.  Fails on any finding not pinned in the
-# analyzers' baselines.
+# manetcheck, the one static analyzer (security argument, domain
+# safety, hot path, project conventions), plus `manetsim scenario
+# check` over the committed example scenarios.  Fails on any finding
+# not pinned in tools/manetcheck/baseline and on any stale pin.
 lint:
 	dune build @lint
 

@@ -537,9 +537,9 @@ let handle_rrep t ~src m =
 
 let handle_rerr t ~src m =
   match m with
-  (* AODV/SAODV route errors carry no origin signature (only RREQ/RREP
-     are protected); error handling is inherently unauthenticated. *)
-  (* manetlint: allow security *)
+  (* manetcheck: allow security — AODV/SAODV route errors carry no origin
+     signature (only RREQ/RREP are protected); error handling is inherently
+     unauthenticated. *)
   | Rerr { unreachable } ->
       (* Invalidate every listed destination we route via the sender,
          and propagate once for the ones we actually dropped. *)

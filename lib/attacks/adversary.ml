@@ -278,9 +278,9 @@ let handle t ~src msg =
   else if impersonated_transit t msg <> None then ()
   else
   match msg with
-  (* The adversary deliberately skips all verification: it consumes
-     whatever it overhears to mount the §4 forgery/replay attacks. *)
-  (* manetlint: allow security *)
+  (* manetcheck: allow security — the adversary deliberately skips all
+     verification: it consumes whatever it overhears to mount the §4
+     forgery/replay attacks. *)
   | Messages.Rreq { sip; dip; seq; srr; _ } ->
       let key = { Address.addr = sip; seq } in
       if Address.Seq_tbl.mem t.seen_rreq key then ()
@@ -303,8 +303,8 @@ let handle t ~src msg =
           end
         end
       end
-  (* Captures reply signatures wholesale for later replay (§4). *)
-  (* manetlint: allow security *)
+  (* manetcheck: allow security — captures reply signatures wholesale for
+     later replay (§4). *)
   | Messages.Rrep { dip; rr; sig_; dpk; drn; _ } ->
       if t.behavior.replay_rrep then
         Address.Tbl.replace t.captured dip

@@ -38,7 +38,7 @@ type behavior = {
   mute : bool;  (** process nothing at all (a victim asleep or jammed) *)
 }
 
-(* manetsem: allow dead-export — public API: the documented base
+(* manetcheck: allow dead-export — public API: the documented base
    behavior callers override to build custom adversaries. *)
 val honest : behavior
 (** No deviation — useful as a base to override. *)

@@ -32,9 +32,9 @@ let send_rrep_back t ~src forged =
 
 let handle t ~src msg =
   match msg with
-  (* The adversary answers requests it has no business answering; by
-     design it verifies nothing before forging its reply. *)
-  (* manetlint: allow security *)
+  (* manetcheck: allow security — the adversary answers requests it has no
+     business answering; by design it verifies nothing before forging its
+     reply. *)
   | Aodv.Rreq { src = origin; bcast_id; dst; dst_seq_known; _ }
     when t.behavior.forge_rrep && not (Address.equal dst (address t)) ->
       let key = { Address.addr = origin; seq = bcast_id } in

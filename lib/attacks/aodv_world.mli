@@ -24,7 +24,7 @@ type t
 
 val create : params -> t
 
-(* manetsem: allow dead-export — public API: engine accessor kept for
+(* manetcheck: allow dead-export — public API: engine accessor kept for
    parity with Scenario.engine. *)
 val engine : t -> Engine.t
 val stats : t -> Manet_sim.Stats.t

@@ -112,8 +112,8 @@ val params : t -> params
 val node : t -> int -> node
 val nodes : t -> node array
 val dns_server : t -> Manet_dns.Dns.t option
-(* manetsem: allow dead-export — public API: exposes the shared crypto
-   suite so callers can read sign/verify counters directly. *)
+(* Public API: exposes the shared crypto suite so callers can read
+   sign/verify counters directly. *)
 val suite : t -> Manet_crypto.Suite.t
 
 val address_of : t -> int -> Address.t
@@ -125,7 +125,7 @@ val bootstrap : ?stagger:float -> t -> unit
     comes (an injected restart landed first) is skipped.  Also starts
     mobility and adversary timers. *)
 
-(* manetsem: allow dead-export — public API: documented lifecycle
+(* manetcheck: allow dead-export — public API: documented lifecycle
    entry point for experiments that skip bootstrap. *)
 val start : t -> unit
 (** Start mobility and adversary timers without DAD (addresses were

@@ -1,9 +1,10 @@
 (** Parameter sweeps over the E1 / E6 experiment grids, fanned across
     domains.
 
-    This is what the manetdom certificate buys: every {!point} is an
-    independent simulation (its own engine, PRNG streams, telemetry and
-    audit sinks — nothing shared at module level anywhere under [lib/]),
+    This is what manetcheck's domain-safety certificate buys: every
+    {!point} is an independent simulation (its own engine, PRNG streams,
+    telemetry and audit sinks — nothing shared at module level anywhere
+    under [lib/]),
     so replications can run on concurrent domains via
     {!Manet_sim.Parallel.map} and still merge into byte-identical
     exports at any [~domains] value.

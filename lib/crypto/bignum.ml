@@ -3,7 +3,7 @@
    double-limb dividends of Knuth division well inside OCaml's 63-bit
    native integers.
 
-   manethot: allow-file hot-alloc hot-poly — values are immutable, so
+   manetcheck: allow-file hot-alloc hot-poly — values are immutable, so
    each arithmetic result gets a fresh limb array by design.  The
    Montgomery kernel on the sign and verify paths allocates no limb
    array per multiply or square, only per exponentiation (its odd-power
@@ -41,13 +41,13 @@ let of_int i =
     { sign; mag = Array.of_list (List.rev !limbs) }
   end
 
-(* manetdom: allow toplevel-state — interned constants: a bignum's limb
+(* manetcheck: allow toplevel-state — interned constants: a bignum's limb
    array is never written after construction (every operation allocates
    a fresh magnitude), so sharing [one]/[two] across domains is
    read-only sharing. *)
 let one = of_int 1
 
-(* manetdom: allow toplevel-state — same read-only bignum-constant
+(* manetcheck: allow toplevel-state — same read-only bignum-constant
    argument as [one] above. *)
 let two = of_int 2
 
@@ -738,7 +738,7 @@ let random_below g n =
   in
   loop ()
 
-(* manetdom: allow toplevel-state escaping-memo — the sieve array is
+(* manetcheck: allow toplevel-state — the sieve array is
    local to this initialiser and the resulting prime table is only ever
    indexed, never written, after module init: read-only across
    domains. *)

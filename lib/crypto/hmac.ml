@@ -7,7 +7,7 @@ let block_size = 64
    both pads (ipad byte xor opad byte = 0x36 lxor 0x5c = 0x6a). *)
 let hmac_sha256 ~key msg =
   let key = if String.length key > block_size then Sha256.digest key else key in
-  (* manethot: allow hot-alloc — the one 64-byte pad buffer per HMAC;
+  (* manetcheck: allow hot-alloc — the one 64-byte pad buffer per HMAC;
      sharing it across calls would be cross-domain mutable state. *)
   let b = Bytes.make block_size '\x36' in
   for i = 0 to String.length key - 1 do

@@ -15,7 +15,7 @@ type private_key = {
   ctx_q : Bignum.mod_ctx;
 }
 
-(* manetdom: allow toplevel-state — F4 public-exponent constant; bignum
+(* manetcheck: allow toplevel-state — F4 public-exponent constant; bignum
    limb arrays are never written after construction, so cross-domain
    sharing is read-only. *)
 let default_e = Bignum.of_int 65537

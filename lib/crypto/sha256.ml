@@ -4,10 +4,9 @@
 
 let mask32 = 0xFFFFFFFF
 
-(* manetsem: allow determinism — FIPS round constants: the array is
-   created once and never written, only indexed.
-   manetdom: allow toplevel-state — same argument across domains:
-   read-only after module init. *)
+(* manetcheck: allow toplevel-state — FIPS round constants: the array is
+   created once and never written, only indexed, so it is read-only
+   across domains after module init. *)
 let k =
   [|
     0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
@@ -32,24 +31,24 @@ type ctx = {
 }
 
 let init () =
-  (* manethot: allow hot-alloc — one context per digest: this is the
+  (* manetcheck: allow hot-alloc — one context per digest: this is the
      streaming API's state, reused across every block of the message;
      sharing it across digests would be cross-domain mutable state. *)
   {
     h =
-      (* manethot: allow hot-alloc — initial chaining values of the same
+      (* manetcheck: allow hot-alloc — initial chaining values of the same
          per-digest context. *)
       [|
         0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
         0x9b05688c; 0x1f83d9ab; 0x5be0cd19;
       |];
-    (* manethot: allow hot-alloc — block buffer and message schedule of
+    (* manetcheck: allow hot-alloc — block buffer and message schedule of
        the same per-digest context, allocated once and reused for every
        block. *)
     buf = Bytes.create 64;
     buf_len = 0;
     total = 0;
-    (* manethot: allow hot-alloc — message schedule scratch of the same
+    (* manetcheck: allow hot-alloc — message schedule scratch of the same
        per-digest context. *)
     w = Array.make 64 0;
   }
@@ -154,7 +153,7 @@ let finalize ctx =
   done;
   compress ctx (Bytes.unsafe_to_string ctx.buf) 0;
   ctx.buf_len <- 0;
-  (* manethot: allow hot-alloc — the 32-byte digest is the return
+  (* manetcheck: allow hot-alloc — the 32-byte digest is the return
      value. *)
   let out = Bytes.create 32 in
   for i = 0 to 7 do

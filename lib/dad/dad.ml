@@ -95,7 +95,7 @@ let set_warning_sink t f = t.warning_sink <- f
 (* The AREQ dedup key doubles as the flood-provenance key: both are pure
    functions of (sip, seq, ch), so the registry needs no wire change. *)
 let areq_key ~sip ~seq ~ch =
-  (* manethot: allow hot-alloc — the 6-word lookup key (its int64 fields
+  (* manetcheck: allow hot-alloc — the 6-word lookup key (its int64 fields
      point at the message's own boxes) is the one allocation a duplicate
      copy makes. *)
   { Flood.kind = Flood.Areq; hi = sip.Address.hi; lo = sip.Address.lo; seq; ch }
@@ -278,7 +278,7 @@ let answer_duplicate t (m : (* areq fields *) Address.t * int64 * Address.t list
   in
   Hashtbl.replace t.seen_warning sig_ ();
   Ctx.stat ctx "dad.warning_sent";
-  (* manetlint: allow flood-origin-label — the warning AREP is flooded
+  (* manetcheck: allow flood-origin-label — the warning AREP is flooded
      towards the DNS but is not an AREQ/RREQ flood; provenance tracks
      address/route request storms only (§3.1). *)
   Ctx.broadcast ctx warning
@@ -307,7 +307,7 @@ let handle_areq t ~src msg =
   match msg with
   | Messages.Areq { sip; seq; dn; ch; rr } -> (
       let key = areq_key ~sip ~seq ~ch in
-      (* manethot: allow hot-list — the route record is as long as the
+      (* manetcheck: allow hot-list — the route record is as long as the
          copy's hop count, bounded by the flood's hop radius. *)
       let hops = List.length rr in
       match Flood.Seen.find (floods t) t.seen_areq key with
@@ -315,7 +315,7 @@ let handle_areq t ~src msg =
           Flood.received (floods t) flood ~node:(Ctx.node_id t.ctx) ~src ~hops;
           Flood.duplicate (floods t) flood
       | exception Not_found ->
-          (* manethot: cold — at most once per (flood, node) *)
+          (* manetcheck: cold — at most once per (flood, node) *)
           first_areq t ~src ~key ~hops msg ~sip ~seq ~dn ~ch ~rr)
   | _ -> ()
 
@@ -407,7 +407,7 @@ let relay_warning t msg =
         Hashtbl.replace t.seen_warning sig_ ();
         let delay = Prng.float t.ctx.Ctx.rng t.config.flood_jitter in
         Engine.schedule t.ctx.Ctx.engine ~label:"dad" ~delay (fun () ->
-            (* manetlint: allow flood-origin-label — warning AREP relay,
+            (* manetcheck: allow flood-origin-label — warning AREP relay,
                not an AREQ/RREQ flood (see answer_duplicate). *)
             Ctx.broadcast t.ctx msg)
       end
@@ -428,7 +428,7 @@ let handle t ~src msg =
         ~not_mine:(fun _ -> ())
   (* Routing, data and DNS-service traffic is not DAD's business; the
      arms are spelled out so that adding a Messages constructor forces a
-     decision here (manetsem dispatch rule). *)
+     decision here (manetcheck dispatch rule). *)
   | Messages.Rreq _ | Messages.Rrep _ | Messages.Crep _ | Messages.Rerr _
   | Messages.Data _ | Messages.Ack _ | Messages.Probe _
   | Messages.Probe_reply _ | Messages.Name_query _ | Messages.Name_reply _

@@ -83,7 +83,7 @@ val is_pending : t -> bool
 (** An attempt is in flight: {!start} would raise until it resolves or
     is {!abort}ed. *)
 
-(* manetsem: allow dead-export — uniform agent accessor; every protocol
+(* manetcheck: allow dead-export — uniform agent accessor; every protocol
    agent (Dad, Dsr, Srp, Secure_routing) exposes [address]. *)
 val address : t -> Address.t
 

@@ -172,7 +172,7 @@ let handle t ~src msg =
         ~forward:(fun ~next m -> Ctx.send_along t.ctx ~path:next m)
         ~not_mine:(fun _ -> ())
   (* The client only consumes lookup/IP-change replies; everything else
-     is enumerated so a new Messages constructor fails the manetsem
+     is enumerated so a new Messages constructor fails the manetcheck
      dispatch rule instead of being silently dropped. *)
   | Messages.Areq _ | Messages.Arep _ | Messages.Drep _ | Messages.Rreq _
   | Messages.Rrep _ | Messages.Crep _ | Messages.Rerr _ | Messages.Data _

@@ -194,10 +194,10 @@ let consume_warning t msg =
       match Address.Tbl.find_opt t.pending_by_sip sip with
       | None ->
           (* Possibly ahead of its AREQ: keep it for a while. *)
-          (* manetsem: allow taint — the stash is quarantine, not trust:
-             a stashed warning only affects a registration decision after
-             stashed_warning_applies re-checks its CGA binding and
-             signature against the later AREQ's challenge. *)
+          (* The stash is quarantine, not trust: a stashed warning only
+             affects a registration decision after stashed_warning_applies
+             re-checks its CGA binding and signature against the later
+             AREQ's challenge. *)
           stash_warning t ~sip msg;
           Ctx.stat t.ctx "dns.warning_stashed"
       | Some reg ->
@@ -317,8 +317,8 @@ let handle t ~src msg =
         ~not_mine:(fun _ -> ())
   (* AREQ observation and duplicate warnings arrive through observe_areq
      and consume_warning (wired by Scenario), not this dispatch; the
-     rest is enumerated so new constructors fail the manetsem dispatch
-     rule rather than vanish here. *)
+     rest is enumerated so new constructors fail the manetcheck
+     dispatch rule rather than vanish here. *)
   | Messages.Areq _ | Messages.Arep _ | Messages.Drep _ | Messages.Rreq _
   | Messages.Rrep _ | Messages.Crep _ | Messages.Rerr _ | Messages.Data _
   | Messages.Ack _ | Messages.Probe _ | Messages.Probe_reply _

@@ -26,7 +26,7 @@ type config = {
       (** seconds a registration stays pending, waiting for warnings *)
 }
 
-(* manetsem: allow dead-export — public API: the documented starting
+(* manetcheck: allow dead-export — public API: the documented starting
    point for customised configs, symmetric with Srp.default_config. *)
 val default_config : config
 

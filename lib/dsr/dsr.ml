@@ -76,7 +76,7 @@ let rreq_corr ~sip ~seq = "rreq:" ^ Address.to_bytes sip ^ Codec.u32 seq
 (* The RREQ dedup key (sip, seq), shared with [Manet_secure], doubles as
    the flood-provenance key. *)
 let rreq_key sip seq =
-  (* manethot: allow hot-alloc — the 6-word lookup key (its int64 fields
+  (* manetcheck: allow hot-alloc — the 6-word lookup key (its int64 fields
      point at the address's own boxes) is the one allocation a duplicate
      copy makes. *)
   {
@@ -117,7 +117,7 @@ let floods t = Obs.flood (obs t)
 
 (* Prefer the shortest known route, as DSR does. *)
 let shortest_first e =
-  (* manethot: allow hot-list — a cached route is as long as its hop
+  (* manetcheck: allow hot-list — a cached route is as long as its hop
      count, bounded by the discovery flood's hop radius. *)
   -.float_of_int (List.length e.Route_cache.route)
 
@@ -428,14 +428,14 @@ let rreq_first_copy t ~flood ~sip ~dip ~seq ~srr =
 
 let handle_rreq t ~src msg =
   match msg with
-  (* Plain DSR is the deliberately unauthenticated baseline (§3.3 uses
-     it as the point of comparison): requests carry signature fields on
-     the wire but this layer never checks them. *)
-  (* manetlint: allow security *)
+  (* manetcheck: allow security — plain DSR is the deliberately
+     unauthenticated baseline (§3.3 uses it as the point of comparison):
+     requests carry signature fields on the wire but this layer never checks
+     them. *)
   | Messages.Rreq { sip; dip; seq; srr; _ } ->
       let key = rreq_key sip seq in
       let flood = Flood.handle (floods t) ~key ~origin:src in
-      (* manethot: allow hot-list — the route record is as long as the
+      (* manetcheck: allow hot-list — the route record is as long as the
          copy's hop count, bounded by the flood's hop radius. *)
       let hops = List.length srr in
       Flood.received (floods t) flood ~node:(Ctx.node_id t.ctx) ~src ~hops;
@@ -443,7 +443,7 @@ let handle_rreq t ~src msg =
       if (not at_dest) && Flood.Seen.mem t.seen_rreq flood then
         Flood.duplicate (floods t) flood
       else
-        (* manethot: cold — at most once per (flood, node) /
+        (* manetcheck: cold — at most once per (flood, node) /
            max_replies_per_request answers *)
         if at_dest then rreq_at_destination t ~key ~sip ~seq ~srr
         else rreq_first_copy t ~flood ~sip ~dip ~seq ~srr
@@ -453,13 +453,13 @@ let handle_rreq t ~src msg =
 
 let consume_rrep t msg =
   match msg with
-  (* Unauthenticated baseline: replies accepted as-is (see handle_rreq). *)
-  (* manetlint: allow security *)
+  (* manetcheck: allow security — unauthenticated baseline: replies accepted
+     as-is (see handle_rreq). *)
   | Messages.Rrep { sip; dip; rr; _ } ->
       (match Obs.lookup (obs t) (rrep_corr ~sip ~dip ~rr) with
       | Some sid -> Obs.finish (obs t) sid Obs.Ok
       | None -> ());
-      (* manetsem: allow taint — plain DSR is the deliberately
+      (* manetcheck: allow taint — plain DSR is the deliberately
          unauthenticated §4 baseline; accepting the reply without any
          check is the vulnerability Secure_routing closes. *)
       route_found t ~dst:dip ~route:rr
@@ -467,15 +467,15 @@ let consume_rrep t msg =
 
 let consume_crep t msg =
   match msg with
-  (* Unauthenticated baseline: cached replies accepted as-is. *)
-  (* manetlint: allow security *)
+  (* manetcheck: allow security — unauthenticated baseline: cached replies
+     accepted as-is. *)
   | Messages.Crep { cacher; dip; requester_seq; rr_to_cacher; rr_to_dest; _ } ->
       (match Obs.lookup (obs t) (crep_corr ~cacher ~seq:requester_seq) with
       | Some sid -> Obs.finish (obs t) sid Obs.Ok
       | None -> ());
       (* Splice: requester -> ... -> cacher -> ... -> destination. *)
       let route = rr_to_cacher @ (cacher :: rr_to_dest) in
-      (* manetsem: allow taint — same unauthenticated §4 baseline as
+      (* manetcheck: allow taint — same unauthenticated §4 baseline as
          consume_rrep: cached replies are trusted verbatim by design. *)
       route_found t ~dst:dip ~route
   | _ -> ()
@@ -540,7 +540,7 @@ let consume_data t msg =
   | Messages.Data { src; seq; route; sent_at; _ } ->
       (* Retransmissions of an already-delivered packet are re-acked but
          not re-counted. *)
-      (* manethot: allow hot-alloc — the 3-word (src, seq) key is the one
+      (* manetcheck: allow hot-alloc — the 3-word (src, seq) key is the one
          allocation the duplicate check makes. *)
       let k = { Address.addr = src; seq } in
       if not (Address.Seq_tbl.mem t.seen_data k) then begin
@@ -550,12 +550,12 @@ let consume_data t msg =
       end;
       if t.config.use_acks then begin
       let back_route = List.rev route in
-      (* manethot: allow hot-alloc hot-list — the ack's path is the
+      (* manetcheck: allow hot-alloc hot-list — the ack's path is the
          reversed route plus the source, one cell per hop it travels. *)
       let path = back_route @ [ src ] in
       Ctx.send_along t.ctx ~path
         (Messages.Ack
-           (* manethot: allow hot-alloc — the ack this handler exists to
+           (* manetcheck: allow hot-alloc — the ack this handler exists to
               send. *)
            {
              src = address t;
@@ -573,7 +573,7 @@ let consume_ack t msg =
   | Messages.Ack { src = acker; data_seq; sent_at; _ } -> (
       (* The acker is the data's destination, so the in-flight key is
          (acker, data_seq). *)
-      (* manethot: allow hot-alloc — the 3-word (dst, seq) key is the one
+      (* manetcheck: allow hot-alloc — the 3-word (dst, seq) key is the one
          allocation an ack's lookup makes. *)
       let k = { Address.addr = acker; seq = data_seq } in
       if Address.Seq_tbl.mem t.in_flight k then begin
@@ -636,9 +636,9 @@ let overheard_data t msg =
 
 let consume_rerr t msg =
   match msg with
-  (* Plain DSR believes any error report — the exact weakness the §4
-     RERR-forgery adversary exploits and secure routing closes. *)
-  (* manetlint: allow security *)
+  (* manetcheck: allow security — plain DSR believes any error report — the
+     exact weakness the §4 RERR-forgery adversary exploits and secure routing
+     closes. *)
   | Messages.Rerr { reporter; broken_next; _ } ->
       Ctx.stat t.ctx "rerr.received";
       (* Plain DSR believes any error report.  The audit stream still
@@ -650,7 +650,7 @@ let consume_rerr t msg =
          ^ " believed")
         ();
       ignore
-        (* manetsem: allow taint — believing unauthenticated RERRs is the
+        (* manetcheck: allow taint — believing unauthenticated RERRs is the
            exact §4 forgery exposure the baseline exists to measure. *)
         (Route_cache.remove_link t.cache ~owner:(address t) ~a:reporter ~b:broken_next)
   | _ -> ()

@@ -69,7 +69,7 @@ val cached_route : t -> dst:Address.t -> Address.t list option
 val cached_routes : t -> dst:Address.t -> Address.t list list
 (** Every cached route for [dst] (inspection; most recently used first). *)
 
-(* manetsem: allow dead-export — uniform agent accessor; every protocol
+(* manetcheck: allow dead-export — uniform agent accessor; every protocol
    agent (Dad, Dsr, Srp, Secure_routing) exposes [address]. *)
 val address : t -> Address.t
 

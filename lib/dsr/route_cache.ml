@@ -67,9 +67,9 @@ let best t ~dst ~score =
 let filter_entries t keep =
   (* Apply [keep dst entry] to every entry; count removals. *)
   let removed = ref 0 in
-  (* manetsem: allow determinism — order-insensitive: each bucket's ref
-     cell is rewritten independently and the removal count is a
-     commutative sum, so visiting order cannot leak anywhere. *)
+  (* Order-insensitive: each bucket's ref cell is rewritten
+     independently and the removal count is a commutative sum, so
+     visiting order cannot leak anywhere. *)
   Address.Tbl.iter
     (fun dst l ->
       let kept = List.filter (fun e -> keep dst e) !l in

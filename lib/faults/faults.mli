@@ -39,12 +39,12 @@ type plan = step list
 
 val crash : at:float -> int -> plan
 
-(* manetsem: allow dead-export — plan-builder symmetry with [crash];
-   [outage] composes it internally and callers may schedule it alone. *)
+(* Plan-builder symmetry with [crash]; [outage] composes it internally
+   and callers may schedule it alone. *)
 val restart : at:float -> int -> plan
 val link_down : at:float -> int -> int -> plan
-(* manetsem: allow dead-export — plan-builder symmetry with
-   [link_down], same rationale as [restart]. *)
+(* Plan-builder symmetry with [link_down], same rationale as
+   [restart]. *)
 val link_up : at:float -> int -> int -> plan
 
 val outage : from:float -> until:float -> int -> plan

@@ -37,12 +37,12 @@ module Seq_tbl : Hashtbl.S with type key = seq_key
     binding exactly when their addresses are {!equal} and their
     sequence numbers are equal. *)
 
-(* manetsem: allow dead-export — RFC 4291 constant; part of the
+(* manetcheck: allow dead-export — RFC 4291 constant; part of the
    address-type API surface even when no current caller needs it. *)
 val unspecified : t
 (** [::] — the source of a host that does not yet have an address. *)
 
-(* manetsem: allow dead-export — RFC 4291 constant, same rationale as
+(* manetcheck: allow dead-export — RFC 4291 constant, same rationale as
    [unspecified]. *)
 val loopback : t
 (** [::1]. *)
@@ -75,7 +75,7 @@ val add_to_buffer : Buffer.t -> t -> unit
 
 val pp : Format.formatter -> t -> unit
 
-(* manetsem: allow dead-export — the paper's Figure 1 site prefix;
+(* manetcheck: allow dead-export — the paper's Figure 1 site prefix;
    kept as the documented constant behind the default topology. *)
 val site_local_prefix : t
 (** [fec0::] — the 10-bit prefix of the paper's Figure 1 layout. *)

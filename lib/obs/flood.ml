@@ -91,7 +91,7 @@ let create engine =
 
 let add_flood t f =
   if t.count = Array.length t.floods then
-    (* manethot: cold — doubling, so O(1) amortized per registration,
+    (* manetcheck: cold — doubling, so O(1) amortized per registration,
        itself once per distinct flood over the whole run. *)
     t.floods <- Array.append t.floods (Array.make (max 64 t.count) f);
   t.floods.(t.count) <- f;
@@ -101,7 +101,7 @@ let handle t ~key ~origin =
   match Ktbl.find t.by_key key with
   | f -> f
   | exception Not_found ->
-      (* manethot: cold — one registration per distinct flood over the
+      (* manetcheck: cold — one registration per distinct flood over the
          whole run, not per copy handled.  Its node arrays start at the
          widest node id any flood has recorded, so on a bootstrap only
          the first flood ever grows them. *)
@@ -163,11 +163,11 @@ let received t f ~node ~src ~hops =
   if hops > f.f_hop_radius then f.f_hop_radius <- hops;
   touch t f;
   if node >= Array.length f.f_cells then
-    (* manethot: cold — only the first flood to reach a node id grows
+    (* manetcheck: cold — only the first flood to reach a node id grows
        its arrays; later floods are created at full width. *)
     grow t f node;
   if f.f_cells.(node) = 0 then
-    (* manethot: cold — once per (flood, node) reached, not per copy *)
+    (* manetcheck: cold — once per (flood, node) reached, not per copy *)
     reach t f ~node ~parent:src ~hops ~verifies:0
 
 let duplicate t f =
@@ -178,7 +178,7 @@ let verified t f ~node =
   f.f_verifies <- f.f_verifies + 1;
   touch t f;
   if node >= Array.length f.f_cells then
-    (* manethot: cold — as in [received]. *)
+    (* manetcheck: cold — as in [received]. *)
     grow t f node;
   let c = f.f_cells.(node) in
   if c = 0 then begin
@@ -240,7 +240,7 @@ module Seen = struct
     if s.slots.(i) <> v then begin
       s.size <- s.size + 1;
       if 4 * s.size > 3 * Array.length s.slots then
-        (* manethot: cold — doubling, O(1) amortized per insert, and an
+        (* manetcheck: cold — doubling, O(1) amortized per insert, and an
            insert happens once per (flood, node). *)
         grow s v
       else s.slots.(i) <- v

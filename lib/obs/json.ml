@@ -27,7 +27,7 @@ let add_uint buf n = add_digits buf n (digit_count n) 0
 let add_int buf n =
   if n >= 0 then add_uint buf n
   else if n = min_int then
-    (* manethot: cold — min_int has no positive counterpart; it never
+    (* manetcheck: cold — min_int has no positive counterpart; it never
        reaches an export but must still print as string_of_int does. *)
     Buffer.add_string buf (string_of_int n)
   else begin
@@ -133,7 +133,7 @@ let add_float buf x =
     Buffer.add_string buf ".0"
   end
   else if not (a >= 1e-4 && a < 1e11 && add_g12 buf x) then
-    (* manethot: cold — magnitudes outside [1e-4, 1e11) and products
+    (* manetcheck: cold — magnitudes outside [1e-4, 1e11) and products
        within 1e-3 of a tie (one uniform fraction in 500); the fast path
        wrote nothing. *)
     Buffer.add_string buf (Printf.sprintf "%.12g" x)

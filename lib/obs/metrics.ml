@@ -63,7 +63,7 @@ let bump cells key by =
   match Itbl.find cells key with
   | r -> r := !r + by
   | exception Not_found ->
-      (* manethot: allow hot-alloc — one cell per (name, node, window),
+      (* manetcheck: allow hot-alloc — one cell per (name, node, window),
          made on that cell's first bump only. *)
       Itbl.add cells key (ref by)
 
@@ -81,7 +81,7 @@ let add_sample cells key x =
     | s -> s
     | exception Not_found ->
         let s =
-          (* manethot: allow hot-alloc — one series cell per (name, node,
+          (* manetcheck: allow hot-alloc — one series cell per (name, node,
              window), made on that cell's first sample only. *)
           { s_count = 0.0; s_sum = 0.0; s_min = infinity; s_max = neg_infinity }
         in

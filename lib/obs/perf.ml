@@ -65,7 +65,7 @@ let incr ?(n = 1) t name =
   match Stbl.find t.counters name with
   | r -> r := !r + n
   | exception Not_found ->
-      (* manethot: allow hot-alloc — one ref per distinct counter name
+      (* manetcheck: allow hot-alloc — one ref per distinct counter name
          over the whole run, not per recorded op. *)
       Stbl.add t.counters name (ref n)
 
@@ -79,7 +79,7 @@ let ensure_node t n =
   let len = Array.length t.node_signs in
   if n >= len then begin
     let nlen = if n + 1 > 2 * len then n + 1 else 2 * len in
-    (* manethot: allow hot-alloc — per-node counter arrays double
+    (* manetcheck: allow hot-alloc — per-node counter arrays double
        O(log n) times over a run, amortized to nothing per op. *)
     let signs = Array.make nlen 0 and verifies = Array.make nlen 0 in
     Array.blit t.node_signs 0 signs 0 len;
@@ -93,7 +93,7 @@ let kind_cell t kind =
   match Stbl.find t.by_kind kind with
   | c -> c
   | exception Not_found ->
-      (* manethot: allow hot-alloc — one cell per distinct message kind
+      (* manetcheck: allow hot-alloc — one cell per distinct message kind
          over the whole run, not per crypto op. *)
       let c = { k_signs = 0; k_verifies = 0; k_hash_blocks = 0 } in
       Stbl.add t.by_kind kind c;

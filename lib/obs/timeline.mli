@@ -18,7 +18,8 @@
     {!to_jsonl} export is byte-identical across same-seed replays and
     sweep domain counts (CI-gated), and recording perturbs nothing.
     The per-event fast path is an option match, one float divide and
-    two compares — no allocation (manethot-clean).
+    two compares — no allocation (clean under manetcheck's hot-path
+    rules).
 
     The one deliberately wall-clock feature is the {!enable_progress}
     heartbeat for minutes-long large-N runs: every [check_every] events

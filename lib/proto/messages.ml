@@ -1,4 +1,4 @@
-(* manethot: allow-file hot-alloc — messages are immutable values, so
+(* manetcheck: allow-file hot-alloc — messages are immutable values, so
    [with_remaining] builds the forwarded copy of a source-routed message
    on every send; that copy is the transmission itself.  Everything else
    this file puts on the send path returns constants. *)

@@ -15,15 +15,15 @@
 
 val ipv6_header : int
 
-(* manetsem: allow dead-export — wire-format contract: the per-field
+(* manetcheck: allow dead-export — wire-format contract: the per-field
    sizes are the documented vocabulary behind [size_of]; exporting them
    lets experiments compute overheads without re-deriving constants. *)
 val addr_size : int
-(* manetsem: allow dead-export — wire-format contract (see addr_size). *)
+(* manetcheck: allow dead-export — wire-format contract (see addr_size). *)
 val seq_size : int
-(* manetsem: allow dead-export — wire-format contract (see addr_size). *)
+(* manetcheck: allow dead-export — wire-format contract (see addr_size). *)
 val challenge_size : int
-(* manetsem: allow dead-export — wire-format contract (see addr_size). *)
+(* manetcheck: allow dead-export — wire-format contract (see addr_size). *)
 val rn_size : int
 
 val size_of : Messages.t -> int

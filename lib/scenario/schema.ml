@@ -1,4 +1,4 @@
-(* The single keyword table of the scenario format.  manetlint's
+(* The single keyword table of the scenario format.  manetcheck's
    scenario-keyword rule enforces that every keyword-shaped string
    literal under lib/scenario lives in this file: the parser, the
    validator and the CLI all reference these constants, so the concrete

@@ -2,7 +2,7 @@
     [manetsim-scenario] v1).
 
     Every keyword of the concrete grammar is a named constant here, and
-    manetlint's [scenario-keyword] rule rejects keyword-shaped string
+    manetcheck's [scenario-keyword] rule rejects keyword-shaped string
     literals anywhere else under [lib/scenario] — so this file {e is}
     the grammar's vocabulary, the same way [messages.mli] is the wire
     schema for the proto-schema rule. *)

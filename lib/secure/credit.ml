@@ -30,7 +30,7 @@ let cell t a =
   match Address.Tbl.find t.cells a with
   | c -> c
   | exception Not_found ->
-      (* manethot: allow hot-alloc — one cell per host, made the first
+      (* manetcheck: allow hot-alloc — one cell per host, made the first
          time it is scored, slashed or reported. *)
       let c = { score = t.config.initial } in
       Address.Tbl.add t.cells a c;
@@ -72,7 +72,7 @@ let record_rerr t reporter ~now =
    [if acc <= x then acc else x], which [Float.min] is not on NaN and
    signed zeros. *)
 let min_credit t route =
-  (* manethot: allow hot-alloc — neither ref escapes, so both compile to
+  (* manetcheck: allow hot-alloc — neither ref escapes, so both compile to
      mutable locals and no heap cell is made. *)
   let acc = ref infinity and rest = ref route in
   while

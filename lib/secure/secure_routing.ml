@@ -112,7 +112,7 @@ type t = {
 (* §3.4: under credits a route is as good as its weakest relay, the
    shorter route winning near-ties; otherwise the shortest route wins. *)
 let route_score ~use_credits credits e =
-  (* manethot: allow hot-list — a cached route is as long as its hop
+  (* manetcheck: allow hot-list — a cached route is as long as its hop
      count, bounded by the discovery flood's hop radius. *)
   let len = float_of_int (List.length e.Route_cache.route) in
   if use_credits then
@@ -720,7 +720,7 @@ let handle_rreq t ~src msg =
   | Messages.Rreq { sip; dip; seq; srr; sig_; spk; srn } ->
       let key = Dsr.rreq_key sip seq in
       let flood = Flood.handle (floods t) ~key ~origin:src in
-      (* manethot: allow hot-list — the route record is as long as the
+      (* manetcheck: allow hot-list — the route record is as long as the
          copy's hop count, bounded by the flood's hop radius. *)
       let hops = List.length srr in
       Flood.received (floods t) flood ~node:(Ctx.node_id t.ctx) ~src ~hops;
@@ -728,7 +728,7 @@ let handle_rreq t ~src msg =
       if (not at_dest) && Flood.Seen.mem t.seen_rreq flood then
         Flood.duplicate (floods t) flood
       else
-        (* manethot: cold — at most once per (flood, node) /
+        (* manetcheck: cold — at most once per (flood, node) /
            max_replies_per_request answers *)
         if at_dest then
           rreq_at_destination t ~flood ~key ~sip ~seq ~srr ~sig_ ~spk ~srn
@@ -928,7 +928,7 @@ let consume_data t msg =
   | Messages.Data { src; seq; route; sent_at; _ } ->
       (* Retransmissions of an already-delivered packet are re-acked but
          not re-counted. *)
-      (* manethot: allow hot-alloc — the 3-word (src, seq) key is the one
+      (* manetcheck: allow hot-alloc — the 3-word (src, seq) key is the one
          allocation the duplicate check makes. *)
       let k = { Address.addr = src; seq } in
       if not (Address.Seq_tbl.mem t.seen_data k) then begin
@@ -937,12 +937,12 @@ let consume_data t msg =
         Ctx.observe t.ctx "data.latency" (now t -. sent_at)
       end;
       let back_route = List.rev route in
-      (* manethot: allow hot-alloc hot-list — the ack's path is the
+      (* manetcheck: allow hot-alloc hot-list — the ack's path is the
          reversed route plus the source, one cell per hop it travels. *)
       let path = back_route @ [ src ] in
       Ctx.send_along t.ctx ~path
         (Messages.Ack
-           (* manethot: allow hot-alloc — the ack this handler exists to
+           (* manetcheck: allow hot-alloc — the ack this handler exists to
               send. *)
            {
              src = address t;
@@ -957,7 +957,7 @@ let consume_data t msg =
 let consume_ack t msg =
   match msg with
   | Messages.Ack { src = acker; data_seq; sent_at; route; _ } -> (
-      (* manethot: allow hot-alloc — the 3-word (dst, seq) key is the one
+      (* manetcheck: allow hot-alloc — the 3-word (dst, seq) key is the one
          allocation an ack's lookup makes. *)
       let k = { Address.addr = acker; seq = data_seq } in
       if Address.Seq_tbl.mem t.in_flight k then begin

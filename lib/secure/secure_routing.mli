@@ -71,7 +71,7 @@ val send : t -> dst:Address.t -> ?size:int -> unit -> unit
 val discover :
   t -> dst:Address.t -> on_route:(Address.t list option -> unit) -> unit
 
-(* manetsem: allow dead-export — inspection accessor kept for parity
+(* manetcheck: allow dead-export — inspection accessor kept for parity
    with Dsr.cached_route, so experiments can compare like for like. *)
 val cached_route : t -> dst:Address.t -> Address.t list option
 (** The route {!send} would pick now: highest minimum credit under
@@ -82,7 +82,7 @@ val cached_routes : t -> dst:Address.t -> Address.t list list
 
 val credits : t -> Credit.t
 
-(* manetsem: allow dead-export — uniform agent accessor; every protocol
+(* manetcheck: allow dead-export — uniform agent accessor; every protocol
    agent (Dad, Dsr, Srp, Secure_routing) exposes [address]. *)
 val address : t -> Address.t
 

@@ -285,10 +285,9 @@ let rreq_first_copy t ~flood ~sip ~dip ~seq ~srr ~sig_ =
   let rr = srr_ips srr in
   if Address.equal sip me || List.exists (Address.equal me) rr then ()
   else begin
-    (* Relay with a bare address record: intermediates neither sign
-       nor verify anything under SRP — this is a designated
-       unsigned site, not a forgotten signature. *)
-    (* manetlint: allow placeholder-sig *)
+    (* manetcheck: allow placeholder-sig — relay with a bare address record:
+       intermediates neither sign nor verify anything under SRP — this is a
+       designated unsigned site, not a forgotten signature. *)
     let entry = { Messages.ip = me; sig_ = ""; pk = ""; rn = 0L } in
     let relayed =
       Messages.Rreq { sip; dip; seq; srr = srr @ [ entry ]; sig_; spk = ""; srn = 0L }
@@ -305,7 +304,7 @@ let handle_rreq t ~src msg =
       let key = Dsr.rreq_key sip seq in
       let fl = Obs.flood t.ctx.Ctx.obs in
       let flood = Flood.handle fl ~key ~origin:src in
-      (* manethot: allow hot-list — the route record is as long as the
+      (* manetcheck: allow hot-list — the route record is as long as the
          copy's hop count, bounded by the flood's hop radius. *)
       let hops = List.length srr in
       Flood.received fl flood ~node:(Ctx.node_id t.ctx) ~src ~hops;
@@ -313,7 +312,7 @@ let handle_rreq t ~src msg =
       if (not at_dest) && Flood.Seen.mem t.seen_rreq flood then
         Flood.duplicate fl flood
       else
-        (* manethot: cold — at most once per (flood, node) /
+        (* manetcheck: cold — at most once per (flood, node) /
            max_replies_per_request answers *)
         if at_dest then
           rreq_at_destination t ~flood ~key ~sip ~dip ~seq ~srr ~sig_
@@ -368,7 +367,9 @@ let forward_data t ~next msg =
           Ctx.send_along t.ctx ~path:back
             (Messages.Rerr
                { reporter = me; broken_next; dst = src; remaining = back;
-                 (* manetlint: allow placeholder-sig *)
+                 (* manetcheck: allow placeholder-sig — the error report
+                    is necessarily unsigned: SRP has no association with
+                    intermediates (designated unsigned site, see above). *)
                  sig_ = ""; pk = ""; rn = 0L }))
   | _ -> ()
 
@@ -403,15 +404,14 @@ let consume_ack t msg =
 
 let consume_rerr t msg =
   match msg with
-  (* SRP cannot authenticate intermediate error reports (no security
-     association with relays), so it believes them — the documented
-     exposure the paper's full scheme removes. *)
-  (* manetlint: allow security *)
+  (* manetcheck: allow security — SRP cannot authenticate intermediate error
+     reports (no security association with relays), so it believes them — the
+     documented exposure the paper's full scheme removes. *)
   | Messages.Rerr { reporter; broken_next; _ } ->
       Ctx.stat t.ctx "rerr.received";
       (* Unauthenticated, so believed — SRP's documented exposure. *)
       ignore
-        (* manetsem: allow taint — SRP has no security association with
+        (* manetcheck: allow taint — SRP has no security association with
            relays, so RERR cannot be verified; acting on it unverified is
            the §3.4 exposure this module exists to exhibit as a baseline. *)
         (Route_cache.remove_link t.cache ~owner:(address t) ~a:reporter ~b:broken_next)

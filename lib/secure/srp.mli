@@ -35,7 +35,7 @@ type config = {
   flood_jitter : float;
 }
 
-(* manetsem: allow dead-export — public API: the documented starting
+(* manetcheck: allow dead-export — public API: the documented starting
    point for customised configs, symmetric with Dns.default_config. *)
 val default_config : config
 
@@ -50,11 +50,11 @@ val send : t -> dst:Address.t -> ?size:int -> unit -> unit
 val discover :
   t -> dst:Address.t -> on_route:(Address.t list option -> unit) -> unit
 
-(* manetsem: allow dead-export — inspection accessor kept for parity
+(* manetcheck: allow dead-export — inspection accessor kept for parity
    with Dsr.cached_route, so experiments can compare like for like. *)
 val cached_route : t -> dst:Address.t -> Address.t list option
 val cached_routes : t -> dst:Address.t -> Address.t list list
-(* manetsem: allow dead-export — uniform agent accessor; every protocol
+(* manetcheck: allow dead-export — uniform agent accessor; every protocol
    agent (Dad, Dsr, Srp, Secure_routing) exposes [address]. *)
 val address : t -> Address.t
 

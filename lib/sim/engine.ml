@@ -101,7 +101,7 @@ let rec find_equal names label n i =
   else find_equal names label n (i + 1)
 
 let extend a fill =
-  (* manethot: allow hot-alloc — the label tables double O(log labels)
+  (* manetcheck: allow hot-alloc — the label tables double O(log labels)
      times over a run, not per event. *)
   let b = Array.make (2 * Array.length a) fill in
   Array.blit a 0 b 0 (Array.length a);
@@ -187,14 +187,14 @@ let rec run_loop t until budget =
     | Some limit when time > limit ->
         (* Leave future events queued; advance the clock to the
            horizon so repeated bounded runs make progress. *)
-        (* manethot: allow hot-boxed-store — [limit] is the caller's
+        (* manetcheck: allow hot-boxed-store — [limit] is the caller's
            float, already boxed; the store copies the pointer. *)
         t.now <- limit
     | _ ->
         let id = Heap.min_fst t.queue in
         let f = Heap.min_snd t.queue in
         Heap.drop_min t.queue;
-        (* manethot: allow hot-boxed-store — [time] is the box
+        (* manetcheck: allow hot-boxed-store — [time] is the box
            Heap.min_prio returned; the store copies the pointer and
            allocates nothing. *)
         t.now <- time;
@@ -216,7 +216,7 @@ let run ?until ?max_events t =
   let run_t0 = if t.profiling then Mono_clock.now_s () else 0.0 in
   run_loop t until (match max_events with Some n -> n | None -> max_int);
   if t.profiling then
-    (* manethot: allow hot-boxed-store — one box per profiled call of
+    (* manetcheck: allow hot-boxed-store — one box per profiled call of
        run, not per event. *)
     t.wall_in_run <- t.wall_in_run +. (Mono_clock.now_s () -. run_t0)
 

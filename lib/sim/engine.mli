@@ -73,7 +73,7 @@ val set_on_event : t -> (float -> unit) option -> unit
     closing a time bucket at event [e] sees counter state that excludes
     [e] entirely.  The hook must be a pure function of the event
     sequence if its output feeds a deterministic export, and must not
-    allocate per event (it sits on the manethot hot path).  The timeline
+    allocate per event (it sits on the manetcheck hot path).  The timeline
     layer ([lib/obs/timeline.ml]) is the intended client. *)
 
 (** {1 Wall-clock profiling}

@@ -55,11 +55,11 @@ let size h = h.len
 let grow h a b =
   let cap = h.len in
   let ncap = if cap = 0 then 16 else cap * 2 in
-  (* manethot: allow hot-alloc — capacity doubling: the backing arrays
+  (* manetcheck: allow hot-alloc — capacity doubling: the backing arrays
      are reallocated O(log n) times over a run, amortized to nothing
      per push. *)
   let prios = Array.make ncap 0.0 and seqs = Array.make ncap 0 in
-  (* manethot: allow hot-alloc — slot and payload arrays of the same
+  (* manetcheck: allow hot-alloc — slot and payload arrays of the same
      amortized capacity doubling. *)
   let slots = Array.make ncap 0 and fsts = Array.make ncap a and snds = Array.make ncap b in
   Array.blit h.prios 0 prios 0 cap;
@@ -67,7 +67,7 @@ let grow h a b =
   Array.blit h.slots 0 slots 0 cap;
   Array.blit h.fsts 0 fsts 0 cap;
   Array.blit h.snds 0 snds 0 cap;
-  (* manethot: allow hot-alloc — one pair per heap, on its first
+  (* manetcheck: allow hot-alloc — one pair per heap, on its first
      growth. *)
   if cap = 0 then h.blank <- Some (a, b);
   for s = cap to ncap - 1 do
@@ -92,7 +92,7 @@ let push h prio a b =
   (* [seq] is the largest sequence number in the heap, so an equal
      priority never moves the new entry above an older one: comparing
      priorities alone keeps ties FIFO. *)
-  (* manethot: allow hot-alloc — the refs never escape the loop, so
+  (* manetcheck: allow hot-alloc — the refs never escape the loop, so
      ocamlopt turns them into mutable locals; nothing is allocated. *)
   let i = ref n and moving = ref true in
   while !moving && !i > 0 do
@@ -134,7 +134,7 @@ let drop_min h =
     let prio = Array.unsafe_get prios n
     and seq = Array.unsafe_get seqs n
     and slot = Array.unsafe_get slots n in
-    (* manethot: allow hot-alloc — the refs never escape the loop, so
+    (* manetcheck: allow hot-alloc — the refs never escape the loop, so
        ocamlopt turns them into mutable locals; nothing is allocated. *)
     let i = ref 0 and moving = ref true in
     while !moving do

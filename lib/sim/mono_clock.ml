@@ -8,8 +8,7 @@
    report, never into the deterministic JSONL trace — see DESIGN.md
    "Observability". *)
 
-(* manetsem: allow-file determinism — this module IS the designated
-   wall-clock boundary; its samples never enter the sim-time domain. *)
-(* manetlint: allow determinism — profiler wall clock, segregated from
-   the deterministic sim-time domain by construction (see above). *)
+(* manetcheck: allow determinism — profiler wall clock: this module IS
+   the designated wall-clock boundary, and its samples never enter the
+   deterministic sim-time domain (see above). *)
 let now_s () = Unix.gettimeofday ()

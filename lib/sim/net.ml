@@ -152,7 +152,7 @@ let channel_pass t a b =
 let tx_time t size = float_of_int (size * 8) /. t.cfg.bit_rate
 
 let deliver t ~src ~dst msg delay =
-  (* manethot: allow hot-alloc — the scheduled closure IS the delivery
+  (* manetcheck: allow hot-alloc — the scheduled closure IS the delivery
      event; the engine holds exactly one per in-flight frame and it
      dies when the frame lands. *)
   Engine.schedule t.engine ~label:"net" ~delay (fun () ->
@@ -212,7 +212,7 @@ let unicast t ~src ~dst ~size ?(on_fail = no_fail) msg =
      A sender that goes down mid-retry falls silent: no further
      transmissions, and no [on_fail] either -- its MAC state died with
      it. *)
-  (* manethot: allow hot-alloc — the retry state machine is one closure
+  (* manetcheck: allow hot-alloc — the retry state machine is one closure
      per unicast transmission, not per event; flattening it would mean
      threading every capture through each scheduled retry. *)
   let rec attempt k =
@@ -245,7 +245,7 @@ let unicast t ~src ~dst ~size ?(on_fail = no_fail) msg =
       end
       else if k + 1 < attempts then begin
         t.retries <- t.retries + 1;
-        (* manethot: allow hot-alloc — the scheduled closure carries the
+        (* manetcheck: allow hot-alloc — the scheduled closure carries the
            retry continuation; one per failed attempt by design. *)
         Engine.schedule t.engine ~label:"net" ~delay:ack_wait (fun () ->
             attempt (k + 1))

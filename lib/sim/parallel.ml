@@ -1,5 +1,5 @@
 (* The one sanctioned concurrency module (see parallel.mli and
-   manetdom's domain-primitive rule).  Shared data is limited to the
+   manetcheck's domain-primitive rule).  Shared data is limited to the
    read-only task array; every other value is owned by exactly one
    domain. *)
 

@@ -1,10 +1,10 @@
 (** Deterministic fan-out of independent tasks across OCaml 5 domains.
 
     This is the {e only} module in the tree sanctioned to touch the
-    [Domain] API — manetdom's ["domain-primitive"] rule pins concurrency
+    [Domain] API — manetcheck's ["domain-primitive"] rule pins concurrency
     primitives to this file so that the rest of the simulation core
     stays reviewable as strictly sequential code.  The contract that
-    makes the fan-out safe is certified by manetdom's other rules: no
+    makes the fan-out safe is certified by manetcheck's other domain rules: no
     top-level mutable state anywhere under [lib/], so tasks passed to
     {!map} share nothing unless the caller threads it in explicitly.
 

@@ -50,7 +50,7 @@ let incr ?(by = 1) t name =
   match Stbl.find t.counters name with
   | r -> r := !r + by
   | exception Not_found ->
-      (* manethot: allow hot-alloc — one cell per counter name, made on
+      (* manetcheck: allow hot-alloc — one cell per counter name, made on
          the name's first bump only. *)
       Stbl.add t.counters name (ref by)
 
@@ -66,7 +66,7 @@ let observe t name x =
     match Stbl.find_opt t.accs name with
     | Some a -> a
     | None ->
-        (* manethot: cold — once per series name, on its first sample *)
+        (* manetcheck: cold — once per series name, on its first sample *)
         let a =
           {
             count = 0;

@@ -165,7 +165,7 @@ let rebuild t range =
   ix.rows <- span (h /. f.cell) cap;
   let cells = ix.cols * ix.rows in
   if Array.length ix.first <= cells then
-    (* manethot: allow hot-alloc — the cell table only grows, to at most
+    (* manetcheck: allow hot-alloc — the cell table only grows, to at most
        max_cells + 1 entries; every later rebuild reuses it. *)
     ix.first <- Array.make (max_cells t + 1) 0
   else Array.fill ix.first 0 (cells + 1) 0;

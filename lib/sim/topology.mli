@@ -61,7 +61,7 @@ exception
     overwhelmingly unlikely.  Carries the node count, the radio range,
     and how many placements were tried. *)
 
-(* manetsem: allow dead-export — documented bound referenced by the
+(* manetcheck: allow dead-export — documented bound referenced by the
    [Disconnected] error message; part of the generator's contract. *)
 val max_placement_attempts : int
 (** Number of placements {!random_connected} samples before giving up. *)

@@ -1,9 +1,8 @@
-(* analyzer_common — the shared runtime of the AST analyzers
-   (manetsem, manetdom, manethot).  One comment scanner, one
-   allow-directive grammar (with per-tool strictness switches), one
-   parse/alias/binding toolkit over compiler-libs, and one baseline
-   fresh/stale/diff semantics, so every analyzer suppresses, pins and
-   reports findings identically.  See common.mli. *)
+(* analyzer_common — the runtime of manetcheck.  One comment scanner, one
+   allow-directive grammar, one parse/alias/binding toolkit over
+   compiler-libs, and one baseline fresh/stale/diff semantics, so every
+   rule suppresses, pins and reports findings identically.  See
+   common.mli. *)
 
 open Parsetree
 
@@ -25,6 +24,8 @@ let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
+
+let line_of loc = loc.Location.loc_start.Lexing.pos_lnum
 
 (* ------------------------------------------------------------------ *)
 (* Comment scanning.  The parser drops comments, so suppression
@@ -137,87 +138,81 @@ let words_of s =
   |> List.filter (fun w -> w <> "")
 
 (* ------------------------------------------------------------------ *)
-(* Allow directives.  Two grammars share this scanner:
-
-   - legacy (manetsem): the directive must open the comment and needs no
-     rationale ([anywhere = false], [require_rationale = false]);
-   - strict (manetdom, manethot): the directive may sit anywhere inside
-     a comment — so one block can carry several tools' allows — and the
-     prose after the rule names (up to the next [tool:] marker) is
-     mandatory; a directive without it lands in [a_bad] instead of
-     suppressing.
-
-   An [allow] suppresses on the comment's own lines and on the line
+(* Directives.  [manetcheck:] may sit anywhere inside a comment, so one
+   comment can carry several directives; each needs prose (a rationale)
+   between its keyword (and rule names) and the next marker.  An
+   [allow] suppresses on the comment's own lines and on the line
    directly below the comment's last line; [allow-file] suppresses
-   file-wide. *)
+   file-wide; [cold] marks branches for the hot-path rules.  A
+   directive that breaks the grammar, or a marker of one of the four
+   analyzers manetcheck replaced, lands in [a_bad]. *)
 
 type allows = {
-  a_ranges : (string * int * int) list; (* rule, first line, last line *)
-  a_whole : string list;
-  a_bad : int list; (* strict-mode directive lines missing their rationale *)
+  a_ranges : (string * int * int) list;
+  a_whole : (string * int) list;
+  a_cold : (int * int) list;
+  a_bad : (int * string) list;
 }
 
-let no_allows = { a_ranges = []; a_whole = []; a_bad = [] }
+let no_allows = { a_ranges = []; a_whole = []; a_cold = []; a_bad = [] }
+let marker = "manetcheck:"
 
-let rec drop n l =
-  if n <= 0 then l else match l with [] -> [] | _ :: t -> drop (n - 1) t
+let retired_markers =
+  List.map (fun t -> "manet" ^ t ^ ":") [ "lint"; "sem"; "dom"; "hot" ]
 
 let has_prose ws =
   List.exists
-    (fun w ->
-      String.exists (function 'a' .. 'z' | 'A' .. 'Z' -> true | _ -> false) w)
+    (String.exists (function 'a' .. 'z' | 'A' .. 'Z' -> true | _ -> false))
     ws
 
-let scan_allows ~tool ~rules ?(anywhere = false) ?(require_rationale = false)
-    src =
-  let marker = tool ^ ":" in
-  let rec take_rules = function
-    | w :: rest when List.mem w rules -> w :: take_rules rest
-    | _ -> []
+let scan_allows ~rules src =
+  let rec split_rules = function
+    | w :: rest when List.mem w rules ->
+        let rs, tail = split_rules rest in
+        (w :: rs, tail)
+    | tail -> ([], tail)
   in
-  let rec until_next acc = function
-    | [] -> List.rev acc
+  let rec rationale acc = function
     | w :: _ when w = marker -> List.rev acc
-    | w :: rest -> until_next (w :: acc) rest
+    | w :: rest -> rationale (w :: acc) rest
+    | [] -> List.rev acc
   in
-  let apply acc kw rest l0 l1 =
-    let rs = take_rules rest in
-    let tail = drop (List.length rs) rest in
-    let rationale = until_next [] tail in
-    if rs = [] || (require_rationale && not (has_prose rationale)) then
-      if require_rationale then { acc with a_bad = l0 :: acc.a_bad } else acc
-    else if kw = "allow-file" then { acc with a_whole = rs @ acc.a_whole }
-    else
-      {
-        acc with
-        a_ranges = List.map (fun r -> (r, l0, l1 + 1)) rs @ acc.a_ranges;
-      }
+  let bad acc l msg = { acc with a_bad = (l, msg) :: acc.a_bad } in
+  let directive acc kw rest l0 l1 =
+    let rs, tail = split_rules rest in
+    let ok = has_prose (rationale [] tail) in
+    match kw with
+    | "cold" when ok -> { acc with a_cold = (l0, l1) :: acc.a_cold }
+    | "cold" -> bad acc l0 "cold directive needs a rationale (prose after cold)"
+    | _ when rs = [] || not ok ->
+        bad acc l0
+          "allow directive needs at least one known rule name and a \
+           rationale (prose after the rule names)"
+    | "allow-file" ->
+        { acc with a_whole = List.map (fun r -> (r, l0)) rs @ acc.a_whole }
+    | _ ->
+        {
+          acc with
+          a_ranges = List.map (fun r -> (r, l0, l1 + 1)) rs @ acc.a_ranges;
+        }
   in
   List.fold_left
     (fun acc (text, l0, l1) ->
-      if anywhere then
-        let rec go acc = function
-          | [] -> acc
-          | w :: kw :: rest when w = marker && (kw = "allow" || kw = "allow-file")
-            ->
-              go (apply acc kw rest l0 l1) rest
-          | _ :: rest -> go acc rest
-        in
-        go acc (words_of text)
-      else
-        match words_of text with
-        | w :: kw :: rest when w = marker && (kw = "allow" || kw = "allow-file")
-          ->
-            apply acc kw rest l0 l1
-        | _ -> acc)
+      let rec go acc = function
+        | [] -> acc
+        | w :: kw :: rest
+          when w = marker
+               && (kw = "allow" || kw = "allow-file" || kw = "cold") ->
+            go (directive acc kw rest l0 l1) rest
+        | w :: rest when List.mem w retired_markers ->
+            go
+              (bad acc l0
+                 (w ^ " is a retired directive prefix; write " ^ marker))
+              rest
+        | _ :: rest -> go acc rest
+      in
+      go acc (words_of text))
     no_allows (scan_comments src)
-
-let suppressed ?(protect = []) allows f =
-  (not (List.mem f.rule protect))
-  && (List.mem f.rule allows.a_whole
-     || List.exists
-          (fun (r, a, b) -> r = f.rule && a <= f.line && f.line <= b)
-          allows.a_ranges)
 
 (* ------------------------------------------------------------------ *)
 (* Parsing and per-file units. *)
@@ -290,7 +285,7 @@ let rec collect_aliases str tbl =
       | _ -> ())
     str
 
-let mk_unit ?(analyzed = true) ~scan (path, content) =
+let mk_unit ~rules ~analyzed (path, content) =
   let parsed = parse_file path content in
   let aliases = Hashtbl.create 8 in
   (match parsed with Impl str -> collect_aliases str aliases | _ -> ());
@@ -301,9 +296,11 @@ let mk_unit ?(analyzed = true) ~scan (path, content) =
         (Filename.remove_extension (Filename.basename path));
     u_parsed = parsed;
     u_aliases = aliases;
-    u_allows = (if analyzed then scan content else no_allows);
+    u_allows = (if analyzed then scan_allows ~rules content else no_allows);
     u_analyzed = analyzed;
   }
+
+let in_lib u = u.u_analyzed && String.starts_with ~prefix:"lib/" u.u_path
 
 let parse_failures units =
   List.filter_map
@@ -320,22 +317,43 @@ let parse_failures units =
       | _ -> None)
     units
 
-let annotation_findings ~tool units =
-  List.concat_map
-    (fun u ->
-      List.map
-        (fun line ->
-          {
-            file = u.u_path;
-            line;
-            rule = "annotation";
-            msg =
-              tool
-              ^ " allow directive needs at least one known rule name and a \
-                 rationale (prose after the rule names)";
-          })
-        u.u_allows.a_bad)
-    units
+(* ------------------------------------------------------------------ *)
+(* Traversal helpers. *)
+
+let iterator f =
+  {
+    Ast_iterator.default_iterator with
+    expr =
+      (fun self x ->
+        f x;
+        Ast_iterator.default_iterator.expr self x);
+  }
+
+let walk_expr f e =
+  let it = iterator f in
+  it.expr it e
+
+let walk_unit f u =
+  let it = iterator f in
+  match u.u_parsed with Impl str -> it.structure it str | _ -> ()
+
+let rec is_function e =
+  match e.pexp_desc with
+  | Pexp_fun _ | Pexp_function _ | Pexp_newtype _ -> true
+  | Pexp_constraint (x, _) | Pexp_open (_, x) -> is_function x
+  | _ -> false
+
+let rec peel_funs e =
+  match e.pexp_desc with
+  | Pexp_fun (_, _, _, body) | Pexp_newtype (_, body) -> peel_funs body
+  | Pexp_constraint (x, _) -> peel_funs x
+  | _ -> e
+
+let rec peel_wrappers e =
+  match e.pexp_desc with
+  | Pexp_constraint (x, _) | Pexp_coerce (x, _, _) | Pexp_open (_, x) ->
+      peel_wrappers x
+  | _ -> e
 
 (* ------------------------------------------------------------------ *)
 (* Top-level bindings, nested modules included. *)
@@ -371,7 +389,7 @@ let collect_bindings u =
                         b_mod = modname;
                         b_name = name;
                         b_expr = vb.pvb_expr;
-                        b_line = vb.pvb_loc.Location.loc_start.Lexing.pos_lnum;
+                        b_line = line_of vb.pvb_loc;
                       }
                       :: !out
                 | None -> ())
@@ -389,6 +407,25 @@ let collect_bindings u =
   (match u.u_parsed with Impl str -> go u.u_mod str | _ -> ());
   List.rev !out
 
+(* The least set of (module, name) keys, starting from [init], that
+   holds every binding [step set b] admits. *)
+let fixpoint ?(init = []) bindings step =
+  let set = Hashtbl.create 32 in
+  List.iter (fun k -> Hashtbl.replace set k ()) init;
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun b ->
+        let k = (b.b_mod, b.b_name) in
+        if (not (Hashtbl.mem set k)) && step set b then begin
+          Hashtbl.replace set k ();
+          changed := true
+        end)
+      bindings
+  done;
+  set
+
 (* One-level expression children, for generic traversal cases. *)
 let sub_expressions e =
   let acc = ref [] in
@@ -401,31 +438,67 @@ let sub_expressions e =
   Ast_iterator.default_iterator.expr sub e;
   List.rev !acc
 
-let filter_suppressed ?protect units findings =
-  let tbl = Hashtbl.create 64 in
-  List.iter (fun u -> Hashtbl.replace tbl u.u_path u.u_allows) units;
-  let allows_for path =
-    match Hashtbl.find_opt tbl path with Some a -> a | None -> no_allows
+(* ------------------------------------------------------------------ *)
+(* Suppression.  Every allow must earn its place: one that suppresses
+   no finding is reported, like a grammar error, as an "annotation"
+   finding, which nothing can suppress. *)
+
+let finish units findings =
+  let used = Hashtbl.create 64 in
+  let allows = Hashtbl.create 64 in
+  List.iter (fun u -> Hashtbl.replace allows u.u_path u.u_allows) units;
+  let suppressed f =
+    f.rule <> "annotation"
+    &&
+    match Hashtbl.find_opt allows f.file with
+    | None -> false
+    | Some a -> (
+        let hit =
+          match List.find_opt (fun (r, _) -> r = f.rule) a.a_whole with
+          | Some (_, l) -> Some l
+          | None ->
+              List.find_map
+                (fun (r, lo, hi) ->
+                  if r = f.rule && lo <= f.line && f.line <= hi then Some lo
+                  else None)
+                a.a_ranges
+        in
+        match hit with
+        | Some l ->
+            Hashtbl.replace used (f.file, f.rule, l) ();
+            true
+        | None -> false)
   in
-  findings
-  |> List.filter (fun f -> not (suppressed ?protect (allows_for f.file) f))
-  |> List.sort_uniq compare_findings
+  let kept = List.filter (fun f -> not (suppressed f)) findings in
+  let annotation u line msg =
+    { file = u.u_path; line; rule = "annotation"; msg }
+  in
+  let unused u =
+    let a = u.u_allows in
+    List.map (fun (r, l, _) -> (r, l)) a.a_ranges @ a.a_whole
+    |> List.filter (fun (r, l) -> not (Hashtbl.mem used (u.u_path, r, l)))
+    |> List.map (fun (r, l) ->
+           annotation u l
+             (Printf.sprintf
+                "allow %s suppresses no finding; delete it or fix its rule \
+                 name"
+                r))
+  in
+  let bad u = List.map (fun (l, msg) -> annotation u l msg) u.u_allows.a_bad in
+  List.sort_uniq compare_findings
+    (kept @ List.concat_map (fun u -> bad u @ unused u) units)
 
 (* ------------------------------------------------------------------ *)
 (* Baseline. *)
 
 let finding_key f = f.file ^ "|" ^ f.rule ^ "|" ^ f.msg
 
-let render_baseline ~tool findings =
+let render_baseline findings =
   let keys = List.sort_uniq compare (List.map finding_key findings) in
-  let header =
-    Printf.sprintf
-      "# %s baseline — accepted pre-existing findings.\n\
-       # One key per line: file|rule|message.  Regenerate with:\n\
-       #   dune exec tools/%s/main.exe -- --write-baseline\n"
-      tool tool
-  in
-  header ^ String.concat "" (List.map (fun k -> k ^ "\n") keys)
+  "# manetcheck baseline — accepted pre-existing findings.\n\
+   # One key per line: file|rule|message.  Regenerate with:\n\
+   #   dune exec tools/manetcheck/main.exe -- --write-baseline\n"
+  ^ String.concat "" (List.map (fun k -> k ^ "\n") keys)
 
 let parse_baseline s =
   String.split_on_char '\n' s

@@ -1,71 +1,48 @@
-(** analyzer_common — shared runtime for the AST analyzers.
+(** analyzer_common — the runtime of manetcheck.
 
-    manetsem (PR 4), manetdom (PR 6) and manethot (PR 9) are all
-    compiler-libs analyzers with the same operational shape: parse
-    [lib/**/*.ml(i)], walk the AST, filter findings through in-source
-    allow directives, and diff against a committed baseline where both
-    fresh findings and stale pins fail the build.  This library owns
-    that shape once — the comment scanner, the allow grammar (with the
-    per-tool strictness switches), the parse/alias/binding toolkit and
-    the baseline machinery — so the analyzers contain only their rules.
+    manetcheck parses the tree once with compiler-libs, runs every rule
+    over the AST, filters findings through in-source directives, and
+    diffs against a committed baseline where both fresh findings and
+    stale pins fail the build.  This library owns that shape — the
+    comment scanner, the directive grammar, the parse/alias/binding
+    toolkit and the baseline machinery — so the rule modules contain
+    only their rules.
 
     {1 Findings} *)
 
 type finding = { file : string; line : int; rule : string; msg : string }
 
 val pp_finding : Format.formatter -> finding -> unit
-(** [file:line: [rule] msg] — one line, the format the CLIs print. *)
-
-val compare_findings : finding -> finding -> int
-(** Order by file, line, rule, msg — the order findings are reported. *)
+(** [file:line: [rule] msg] — one line, the format the CLI prints. *)
 
 val contains : string -> string -> bool
 (** [contains s sub] — naive substring test (analyzer-time only). *)
 
-(** {1 Comment scanning} *)
+val line_of : Location.t -> int
+(** First line of a location. *)
 
-val scan_comments : string -> (string * int * int) list
-(** Every comment of an OCaml source, as (text, first line, last line).
-    Strings (plain and [{id|...|id}]), char literals and nested comments
-    are tracked lexically so the line ranges are exact. *)
+(** {1 Directives}
 
-val words_of : string -> string list
-(** Whitespace-split words of a comment body. *)
-
-(** {1 Allow directives}
-
-    Two grammars share one scanner.  The legacy grammar (manetsem) puts
-    the directive at the start of the comment and needs no rationale.
-    The strict grammar (manetdom, manethot) finds the directive anywhere
-    inside a comment — one block can carry several tools' allows — and
-    requires prose after the rule names; a directive without it lands in
-    [a_bad] instead of suppressing. *)
+    The marker [manetcheck:] may appear anywhere inside a comment, so
+    one comment can carry several directives.  [allow <rules> why]
+    suppresses the named rules on the comment's lines plus the line
+    below its last line; [allow-file <rules> why] suppresses file-wide;
+    [cold why] marks branches off the hot path.  The rationale (prose
+    up to the next marker) is mandatory: a directive without it, one
+    naming no known rule, or the marker of a retired analyzer lands in
+    [a_bad] and suppresses nothing. *)
 
 type allows = {
-  a_ranges : (string * int * int) list;  (** rule, first, last line *)
-  a_whole : string list;  (** file-wide allows *)
-  a_bad : int list;  (** strict directives missing their rationale *)
+  a_ranges : (string * int * int) list;
+      (** rule, first (the directive's) and last covered line *)
+  a_whole : (string * int) list;  (** file-wide: rule, directive line *)
+  a_cold : (int * int) list;  (** cold directive comments' line ranges *)
+  a_bad : (int * string) list;  (** malformed directives: line, message *)
 }
 
-val no_allows : allows
-
-val scan_allows :
-  tool:string ->
-  rules:string list ->
-  ?anywhere:bool ->
-  ?require_rationale:bool ->
-  string ->
-  allows
-(** [scan_allows ~tool ~rules src] reads [tool:]-prefixed allow
-    directives from [src]'s comments.  [anywhere] (default [false])
-    selects the strict placement rule; [require_rationale] (default
-    [false]) the strict rationale rule.  An [allow] suppresses on the
-    comment's lines plus the line below its last line; [allow-file]
-    suppresses file-wide. *)
-
-val suppressed : ?protect:string list -> allows -> finding -> bool
-(** Whether [allows] suppresses the finding.  Rules in [protect]
-    (e.g. ["annotation"]) can never be suppressed. *)
+val scan_allows : rules:string list -> string -> allows
+(** [scan_allows ~rules src] reads every directive of [src]'s
+    comments; [rules] are the names an allow may list. *)
 
 (** {1 Parsing and per-file units} *)
 
@@ -83,26 +60,15 @@ type unit_ = {
   u_analyzed : bool;  (** false for reference-only (use-site) files *)
 }
 
-val parse_file : string -> string -> parsed
-(** Parse one source text; syntax errors become [Fail (line, msg)]. *)
+val mk_unit : rules:string list -> analyzed:bool -> string * string -> unit_
+(** Build a unit from (path, content).  Directives are only read from
+    analyzed units; reference files carry {!no_allows}. *)
 
-val mk_unit :
-  ?analyzed:bool -> scan:(string -> allows) -> string * string -> unit_
-(** Build a unit from (path, content).  [scan] is the tool's configured
-    {!scan_allows}; it only runs when [analyzed] (default [true]) —
-    reference files carry {!no_allows}. *)
+val in_lib : unit_ -> bool
+(** An analyzed unit under [lib/], the scope of most rules. *)
 
 val parse_failures : unit_ list -> finding list
 (** One ["parse"] finding per analyzed unit that failed to parse. *)
-
-val annotation_findings : tool:string -> unit_ list -> finding list
-(** One unsuppressible ["annotation"] finding per rationale-free strict
-    directive ([a_bad]) across the units. *)
-
-val filter_suppressed :
-  ?protect:string list -> unit_ list -> finding list -> finding list
-(** Filter findings through each unit's allows, then sort and de-dup —
-    the shared tail of every analyzer's [analyze]. *)
 
 val lid_last : Longident.t -> string
 (** Last component of a long identifier. *)
@@ -114,8 +80,22 @@ val resolve :
     basenames in this tree are distinct, so the last component
     identifies a module uniquely. *)
 
-val collect_aliases : Parsetree.structure -> (string, string) Hashtbl.t -> unit
-(** Record [module X = A.B] aliases (nested structures included). *)
+(** {1 Traversal} *)
+
+val walk_expr : (Parsetree.expression -> unit) -> Parsetree.expression -> unit
+(** Apply [f] to an expression and every expression nested in it. *)
+
+val walk_unit : (Parsetree.expression -> unit) -> unit_ -> unit
+(** {!walk_expr} over every expression of an implementation. *)
+
+val is_function : Parsetree.expression -> bool
+(** A [fun]/[function]/[newtype], looking through constraints. *)
+
+val peel_funs : Parsetree.expression -> Parsetree.expression
+(** The body under a function's parameters. *)
+
+val peel_wrappers : Parsetree.expression -> Parsetree.expression
+(** Strip type constraints, coercions and local opens. *)
 
 (** {1 Top-level bindings} *)
 
@@ -134,8 +114,25 @@ val collect_bindings : unit_ -> binding list
 (** Every top-level [let] of an implementation, nested [module struct]s
     included, in source order. *)
 
+val fixpoint :
+  ?init:(string * string) list ->
+  binding list ->
+  ((string * string, unit) Hashtbl.t -> binding -> bool) ->
+  (string * string, unit) Hashtbl.t
+(** [fixpoint ~init bindings step] is the least set of (module, name)
+    keys containing [init] and every binding that [step set] admits
+    given the set so far. *)
+
 val sub_expressions : Parsetree.expression -> Parsetree.expression list
 (** One-level expression children, for generic traversal cases. *)
+
+(** {1 Suppression} *)
+
+val finish : unit_ list -> finding list -> finding list
+(** The shared tail of [analyze]: drop the findings an allow
+    suppresses, add one unsuppressible ["annotation"] finding per
+    malformed directive and per allowed rule that suppressed nothing,
+    then sort and de-duplicate. *)
 
 (** {1 Baseline}
 
@@ -146,9 +143,8 @@ val sub_expressions : Parsetree.expression -> Parsetree.expression list
 val finding_key : finding -> string
 (** Stable identity of a finding: ["file|rule|msg"]. *)
 
-val render_baseline : tool:string -> finding list -> string
-(** Serialize findings as a sorted, de-duplicated baseline file; [tool]
-    names the regeneration command in the header comment. *)
+val render_baseline : finding list -> string
+(** Serialize findings as a sorted, de-duplicated baseline file. *)
 
 val parse_baseline : string -> string list
 (** Keys from a baseline file's contents ([#] comments, blanks skipped). *)
@@ -157,8 +153,6 @@ val diff_baseline :
   baseline:string list -> finding list -> finding list * string list
 (** [(fresh, stale)]: findings whose key is not pinned, and pinned keys
     that no longer fire.  Both are failures. *)
-
-val json_escape : string -> string
 
 val to_json : baseline:string list -> finding list -> string
 (** All findings as a JSON array (each with a ["baselined"] flag), for

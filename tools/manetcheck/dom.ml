@@ -1,25 +1,18 @@
-(* manetdom — domain-safety analyzer.  See dom.mli for the rule
-   catalogue.  Built on compiler-libs only (Parse + Parsetree +
-   Ast_iterator); the comment scanner, strict allow grammar and baseline
-   machinery come from tools/analyzer_common, shared with manetsem and
-   manethot, so all analyzers keep one suppression grammar and one
-   diff/stale semantics. *)
+(* Domain-safety rules: lib/ must hold no state that OCaml 5 domains
+   could share (top-level mutable values, lazy bindings, escaping memo
+   tables, the process-global Random) and must touch the concurrency
+   primitives only in the reviewed scheduler.  This is the certificate
+   [manetsim sweep] relies on to fan runs across domains.  See
+   check.mli for the catalogue. *)
 
 open Parsetree
 module C = Analyzer_common.Common
 open C
 
-type finding = C.finding = {
-  file : string;
-  line : int;
-  rule : string;
-  msg : string;
-}
-
 let rules =
   [
     "toplevel-state"; "toplevel-lazy"; "escaping-memo"; "global-rng";
-    "domain-primitive"; "parse";
+    "domain-primitive";
   ]
 
 (* The one module allowed to touch the domain primitives: the reviewed
@@ -30,17 +23,6 @@ let domain_allowlisted path =
 
 let domain_modules =
   [ "Domain"; "Atomic"; "Mutex"; "Condition"; "Semaphore"; "Thread" ]
-
-(* Strict allow grammar: the directive may sit anywhere inside a
-   comment — so one comment can carry both a manetsem and a manetdom
-   allow when both analyzers flag the same binding — and the rationale
-   (prose between the rule names and the next [manetdom:] marker) is
-   mandatory; a directive without one yields an unsuppressible
-   "annotation" finding instead. *)
-let scan_allows =
-  C.scan_allows ~tool:"manetdom" ~rules ~anywhere:true ~require_rationale:true
-
-let mk_unit = C.mk_unit ~scan:scan_allows
 
 (* ------------------------------------------------------------------ *)
 (* Record mutability: collect (label set, has mutable field) for every
@@ -150,28 +132,6 @@ let rec mutable_alloc ~decls ~aliases ~returns_mut e =
           else None)
   | _ -> None
 
-(* ------------------------------------------------------------------ *)
-(* Shape helpers over top-level bindings (Common.collect_bindings). *)
-
-let rec is_function e =
-  match e.pexp_desc with
-  | Pexp_fun _ | Pexp_function _ | Pexp_newtype _ -> true
-  | Pexp_constraint (x, _) | Pexp_open (_, x) -> is_function x
-  | _ -> false
-
-let rec peel_funs e =
-  match e.pexp_desc with
-  | Pexp_fun (_, _, _, body) -> peel_funs body
-  | Pexp_newtype (_, body) -> peel_funs body
-  | Pexp_constraint (x, _) -> peel_funs x
-  | _ -> e
-
-let rec peel_wrappers e =
-  match e.pexp_desc with
-  | Pexp_constraint (x, _) | Pexp_coerce (x, _, _) | Pexp_open (_, x) ->
-      peel_wrappers x
-  | _ -> e
-
 let rec strip_lets e =
   match e.pexp_desc with
   | Pexp_let (_, _, b) | Pexp_sequence (_, b) -> strip_lets b
@@ -184,31 +144,17 @@ let rec strip_lets e =
    function.  This lets [let make () = Hashtbl.create 64] taint
    [let registry = make ()] even across modules. *)
 let returns_mut_fixpoint decls tops =
-  let tbl = Hashtbl.create 32 in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun t ->
-        if (not (Hashtbl.mem tbl (t.b_mod, t.b_name))) && is_function t.b_expr
-        then begin
-          let member c =
-            match c with
-            | None, x -> Hashtbl.mem tbl (t.b_mod, x)
-            | Some m, x -> Hashtbl.mem tbl (m, x)
-          in
-          let ret = peel_funs t.b_expr in
-          match
-            mutable_alloc ~decls ~aliases:t.b_unit.u_aliases
-              ~returns_mut:member ret
-          with
-          | Some _ ->
-              Hashtbl.replace tbl (t.b_mod, t.b_name) ();
-              changed := true
-          | None -> ()
-        end)
-      tops
-  done;
+  let tbl =
+    fixpoint tops (fun tbl t ->
+        let member = function
+          | None, x -> Hashtbl.mem tbl (t.b_mod, x)
+          | Some m, x -> Hashtbl.mem tbl (m, x)
+        in
+        is_function t.b_expr
+        && mutable_alloc ~decls ~aliases:t.b_unit.u_aliases ~returns_mut:member
+             (peel_funs t.b_expr)
+           <> None)
+  in
   fun b_mod c ->
     match c with
     | None, x -> Hashtbl.mem tbl (b_mod, x)
@@ -249,7 +195,7 @@ let toplevel_findings decls returns_mut tops =
                       | Some n -> Hashtbl.replace mut_locals n what
                       | None -> ());
                       if body_is_closure then
-                        emit t vb.pvb_loc.Location.loc_start.Lexing.pos_lnum
+                        emit t (line_of vb.pvb_loc)
                           "escaping-memo"
                           (Printf.sprintf
                              "%s allocated at module init escapes into the \
@@ -310,27 +256,19 @@ let rng_ident aliases txt =
 
 let global_rng_direct u =
   let out = ref [] in
-  (match u.u_parsed with
-  | Impl str ->
-      let it =
-        {
-          Ast_iterator.default_iterator with
-          expr =
-            (fun self e ->
-              (match e.pexp_desc with
-              | Pexp_ident { txt; loc } -> (
-                  match rng_ident u.u_aliases txt with
-                  | Some msg ->
-                      out :=
-                        (loc.Location.loc_start.Lexing.pos_lnum, msg) :: !out
-                  | None -> ())
-              | _ -> ());
-              Ast_iterator.default_iterator.expr self e);
-        }
-      in
-      it.structure it str
-  | _ -> ());
-  List.rev !out
+  walk_unit
+    (fun e ->
+      match e.pexp_desc with
+      | Pexp_ident { txt; loc } ->
+          Option.iter
+            (fun msg ->
+              let line = line_of loc in
+              out :=
+                { file = u.u_path; line; rule = "global-rng"; msg } :: !out)
+            (rng_ident u.u_aliases txt)
+      | _ -> ())
+    u;
+  !out
 
 (* Call-graph reachability: exported functions that can reach a
    global-RNG user through local calls without using it directly
@@ -338,51 +276,33 @@ let global_rng_direct u =
 let rng_reach_findings units tops =
   let idents_of t =
     let acc = ref [] in
-    let it =
-      {
-        Ast_iterator.default_iterator with
-        expr =
-          (fun self e ->
-            (match e.pexp_desc with
-            | Pexp_ident { txt; _ } ->
-                acc := resolve t.b_unit.u_aliases txt :: !acc
-            | _ -> ());
-            Ast_iterator.default_iterator.expr self e);
-      }
-    in
-    it.expr it t.b_expr;
+    walk_expr
+      (fun e ->
+        match e.pexp_desc with
+        | Pexp_ident { txt; _ } -> acc := resolve t.b_unit.u_aliases txt :: !acc
+        | _ -> ())
+      t.b_expr;
     !acc
   in
-  let direct = Hashtbl.create 16 in
-  List.iter
-    (fun t ->
-      if
+  let direct =
+    fixpoint tops (fun _ t ->
         List.exists
           (function
             | Some "Random", _ | Some "State", "make_self_init" -> true
             | _ -> false)
-          (idents_of t)
-      then Hashtbl.replace direct (t.b_mod, t.b_name) ())
-    tops;
-  let reach = Hashtbl.copy direct in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun t ->
-        if
-          (not (Hashtbl.mem reach (t.b_mod, t.b_name)))
-          && List.exists
-               (function
-                 | None, x -> Hashtbl.mem reach (t.b_mod, x)
-                 | Some m, x -> Hashtbl.mem reach (m, x))
-               (idents_of t)
-        then begin
-          Hashtbl.replace reach (t.b_mod, t.b_name) ();
-          changed := true
-        end)
+          (idents_of t))
+  in
+  let reach =
+    fixpoint
+      ~init:(Hashtbl.fold (fun k () acc -> k :: acc) direct [])
       tops
-  done;
+      (fun reach t ->
+        List.exists
+          (function
+            | None, x -> Hashtbl.mem reach (t.b_mod, x)
+            | Some m, x -> Hashtbl.mem reach (m, x))
+          (idents_of t))
+  in
   let exported = Hashtbl.create 64 in
   List.iter
     (fun u ->
@@ -448,7 +368,7 @@ let domain_findings u =
             match Hashtbl.find_opt u.u_aliases m with Some r -> r | None -> m
           in
           if List.mem m domain_modules then
-            emit loc.Location.loc_start.Lexing.pos_lnum m None
+            emit (line_of loc) m None
         in
         let it =
           {
@@ -459,7 +379,7 @@ let domain_findings u =
                 | Pexp_ident { txt; loc } -> (
                     match resolve u.u_aliases txt with
                     | Some m, x when List.mem m domain_modules ->
-                        emit loc.Location.loc_start.Lexing.pos_lnum m (Some x)
+                        emit (line_of loc) m (Some x)
                     | _ -> ())
                 | _ -> ());
                 Ast_iterator.default_iterator.expr self e);
@@ -475,7 +395,7 @@ let domain_findings u =
                 | Some _, Pmod_ident { txt; _ } ->
                     let m = lid_last txt in
                     if List.mem m domain_modules then
-                      emit mb.pmb_loc.Location.loc_start.Lexing.pos_lnum m None
+                      emit (line_of mb.pmb_loc) m None
                 | _ -> ());
                 Ast_iterator.default_iterator.module_binding self mb);
           }
@@ -485,27 +405,13 @@ let domain_findings u =
     List.rev !out
 
 (* ------------------------------------------------------------------ *)
-(* Assembly. *)
+(* Assembly, over the analyzed lib units. *)
 
-let analyze files =
-  let units = List.map mk_unit files in
-  let decls = record_decls units in
-  let tops = List.concat_map collect_bindings units in
+let findings lib =
+  let decls = record_decls lib in
+  let tops = List.concat_map collect_bindings lib in
   let returns_mut = returns_mut_fixpoint decls tops in
-  let rng_direct =
-    List.concat_map
-      (fun u ->
-        List.map
-          (fun (line, msg) -> { file = u.u_path; line; rule = "global-rng"; msg })
-          (global_rng_direct u))
-      units
-  in
-  let findings =
-    parse_failures units
-    @ toplevel_findings decls returns_mut tops
-    @ rng_direct
-    @ rng_reach_findings units tops
-    @ List.concat_map domain_findings units
-    @ annotation_findings ~tool:"manetdom" units
-  in
-  filter_suppressed ~protect:[ "annotation" ] units findings
+  toplevel_findings decls returns_mut tops
+  @ List.concat_map global_rng_direct lib
+  @ rng_reach_findings lib tops
+  @ List.concat_map domain_findings lib

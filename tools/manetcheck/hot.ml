@@ -1,36 +1,18 @@
-(* manethot — hot-path allocation & complexity analyzer.  See hot.mli
-   for the rule catalogue.  Built on compiler-libs only, over the shared
-   analyzer runtime (tools/analyzer_common): hotness is declared in a
-   committed hotpaths.sexp roster and propagated to transitive callees;
-   the rules then flag scale-hostile patterns — per-call allocation,
-   polymorphic compare/hash, O(n) list lookups, per-event partial
-   application — inside the hot set only. *)
+(* Hot-path rules: per-call allocation, polymorphic compare/hash, O(n)
+   list walks, per-event partial application and boxed float stores,
+   flagged only inside the hot set — the roster's seed functions plus
+   everything they transitively reference.  See check.mli for the
+   catalogue. *)
 
 open Parsetree
 module C = Analyzer_common.Common
 open C
 
-type finding = C.finding = {
-  file : string;
-  line : int;
-  rule : string;
-  msg : string;
-}
-
 let rules =
   [
     "hot-alloc"; "hot-poly"; "hot-list"; "hot-partial"; "hot-boxed-store";
-    "roster"; "parse";
+    "roster";
   ]
-
-(* Strict allow grammar, like manetdom: the directive may sit anywhere
-   inside a comment and the rationale after the rule names is
-   mandatory; a directive without one yields an unsuppressible
-   "annotation" finding. *)
-let scan_allows =
-  C.scan_allows ~tool:"manethot" ~rules ~anywhere:true ~require_rationale:true
-
-let mk_unit = C.mk_unit ~scan:scan_allows
 
 (* ------------------------------------------------------------------ *)
 (* Roster: the committed hotpaths.sexp.  One (Module function) pair per
@@ -106,46 +88,13 @@ let parse_roster text =
   (List.rev !entries, List.rev !errors)
 
 (* ------------------------------------------------------------------ *)
-(* Cold directives: (* manethot: cold — rationale *) marks the branches
-   (an [if] arm, or a [match]/[function]/[try] case body) that start on
-   the comment's lines or on the line below it as off the hot path.
-   The rules skip such a branch and hotness does not propagate through
-   it.  Like an allow, the directive needs a rationale; one without, or
-   one that marks no branch, is an unsuppressible "annotation"
-   finding. *)
+(* Cold directives mark the branches (an [if] arm, or a
+   [match]/[function]/[try] case body) that start on the comment's
+   lines or on the line below it as off the hot path.  The rules skip
+   such a branch and hotness does not propagate through it.  One that
+   marks no branch is an unsuppressible "annotation" finding. *)
 
-let marker = "manethot:"
-
-type cold = { c_ranges : (int * int) list; c_bad : int list }
-
-let scan_cold src =
-  let prose ws =
-    List.exists
-      (String.exists (function 'a' .. 'z' | 'A' .. 'Z' -> true | _ -> false))
-      ws
-  in
-  let rec rationale acc = function
-    | w :: _ when w = marker -> List.rev acc
-    | w :: rest -> rationale (w :: acc) rest
-    | [] -> List.rev acc
-  in
-  List.fold_left
-    (fun acc (text, l0, l1) ->
-      let rec go acc = function
-        | w :: "cold" :: rest when w = marker ->
-            let acc =
-              if prose (rationale [] rest) then
-                { acc with c_ranges = (l0, l1) :: acc.c_ranges }
-              else { acc with c_bad = l0 :: acc.c_bad }
-            in
-            go acc rest
-        | _ :: rest -> go acc rest
-        | [] -> acc
-      in
-      go acc (words_of text))
-    { c_ranges = []; c_bad = [] } (scan_comments src)
-
-let start_line e = e.pexp_loc.Location.loc_start.Lexing.pos_lnum
+let start_line e = line_of e.pexp_loc
 
 let marks_line (l0, l1) s = l0 <= s && s <= l1 + 1
 let marks r e = marks_line r (start_line e)
@@ -169,40 +118,34 @@ let live_children ranges e =
 let branch_lines u =
   let out = ref [] in
   let add e = out := start_line e :: !out in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun self e ->
-          (match e.pexp_desc with
-          | Pexp_ifthenelse (_, a, b) ->
-              add a;
-              Option.iter add b
-          | Pexp_match (_, cs) | Pexp_try (_, cs) | Pexp_function cs ->
-              List.iter (fun c -> add c.pc_rhs) cs
-          | _ -> ());
-          Ast_iterator.default_iterator.expr self e);
-    }
-  in
-  (match u.u_parsed with Impl str -> it.structure it str | _ -> ());
+  walk_unit
+    (fun e ->
+      match e.pexp_desc with
+      | Pexp_ifthenelse (_, a, b) ->
+          add a;
+          Option.iter add b
+      | Pexp_match (_, cs) | Pexp_try (_, cs) | Pexp_function cs ->
+          List.iter (fun c -> add c.pc_rhs) cs
+      | _ -> ())
+    u;
   !out
 
-let cold_findings u cold =
+let cold_findings u =
   let lines = branch_lines u in
-  let finding line msg = { file = u.u_path; line; rule = "annotation"; msg } in
-  List.map
-    (fun l ->
-      finding l "manethot cold directive needs a rationale (prose after cold)")
-    cold.c_bad
-  @ List.filter_map
-      (fun ((l0, _) as r) ->
-        if List.exists (marks_line r) lines then None
-        else
-          Some
-            (finding l0
-               "manethot cold directive marks no branch; put it on the line \
-                before an if arm or a match case body"))
-      cold.c_ranges
+  List.filter_map
+    (fun ((l0, _) as r) ->
+      if List.exists (marks_line r) lines then None
+      else
+        Some
+          {
+            file = u.u_path;
+            line = l0;
+            rule = "annotation";
+            msg =
+              "cold directive marks no branch; put it on the line before an \
+               if arm or a match case body";
+          })
+    u.u_allows.a_cold
 
 (* ------------------------------------------------------------------ *)
 (* Hot set: roster seeds plus transitive callees.  A reference from a
@@ -210,22 +153,9 @@ let cold_findings u cold =
    hot too — calls, but also closures installed as callbacks, which is
    exactly how event handlers reach the engine. *)
 
-let rec is_function e =
-  match e.pexp_desc with
-  | Pexp_fun _ | Pexp_function _ | Pexp_newtype _ -> true
-  | Pexp_constraint (x, _) | Pexp_open (_, x) -> is_function x
-  | _ -> false
-
-let rec peel_params e =
-  match e.pexp_desc with
-  | Pexp_fun (_, _, _, body) -> peel_params body
-  | Pexp_newtype (_, body) -> peel_params body
-  | Pexp_constraint (x, _) -> peel_params x
-  | _ -> e
-
-let referenced_fns fn_tbl ~cold b =
+let referenced_fns fn_tbl b =
   let out = ref [] in
-  let ranges = cold b in
+  let ranges = b.b_unit.u_allows.a_cold in
   let rec go e =
     (match e.pexp_desc with
     | Pexp_ident { txt; _ } ->
@@ -241,7 +171,7 @@ let referenced_fns fn_tbl ~cold b =
   go b.b_expr;
   !out
 
-let hot_fixpoint fn_tbl ~cold bindings seeds =
+let hot_fixpoint fn_tbl bindings seeds =
   let hot = Hashtbl.create 64 in
   List.iter (fun k -> Hashtbl.replace hot k ()) seeds;
   let changed = ref true in
@@ -256,7 +186,7 @@ let hot_fixpoint fn_tbl ~cold bindings seeds =
                 Hashtbl.replace hot k ();
                 changed := true
               end)
-            (referenced_fns fn_tbl ~cold b))
+            (referenced_fns fn_tbl b))
       bindings
   done;
   hot
@@ -275,7 +205,7 @@ let list_linear =
    [module Stbl = Hashtbl.Make (String)]) resolve to the instance name
    and are silent by construction — which is exactly the fix. *)
 let generic_tbl_ops =
-  [ "find"; "find_opt"; "mem"; "replace"; "add"; "remove"; "hash" ]
+  [ "find"; "find_opt"; "mem"; "replace"; "add"; "remove" ]
 
 let alloc_builders =
   [
@@ -302,16 +232,10 @@ let hof_sinks =
     (("Option", "iter"), `First);
   ]
 
-let rec peel_wrap e =
-  match e.pexp_desc with
-  | Pexp_constraint (x, _) | Pexp_coerce (x, _, _) | Pexp_open (_, x) ->
-      peel_wrap x
-  | _ -> e
-
 (* A constructed operand makes [=]/[<>] a structural comparison for
    sure; identifiers of unknown type are left alone. *)
 let structured_operand e =
-  match (peel_wrap e).pexp_desc with
+  match (peel_wrappers e).pexp_desc with
   | Pexp_tuple _ | Pexp_record _ | Pexp_array _ -> true
   | Pexp_construct ({ txt; _ }, Some _) -> lid_last txt <> "()"
   | Pexp_construct ({ txt; _ }, None) ->
@@ -394,7 +318,6 @@ let boxed_fields units =
 let analyze_binding ~emit ~ranges ~boxed b =
   let who = b.b_mod ^ "." ^ b.b_name in
   let aliases = b.b_unit.u_aliases in
-  let line_of loc = loc.Location.loc_start.Lexing.pos_lnum in
   let alloc loc what advice =
     emit (line_of loc) "hot-alloc"
       (Printf.sprintf "%s allocates %s per call on the hot path; %s" who what
@@ -455,7 +378,7 @@ let analyze_binding ~emit ~ranges ~boxed b =
                     in
                     match cb with
                     | Some a when
-                        (match (peel_wrap a).pexp_desc with
+                        (match (peel_wrappers a).pexp_desc with
                         | Pexp_apply _ -> true
                         | _ -> false) ->
                         emit (line_of a.pexp_loc) "hot-partial"
@@ -533,10 +456,10 @@ let analyze_binding ~emit ~ranges ~boxed b =
   let rec walk e =
     check e;
     match e.pexp_desc with
-    | Pexp_fun _ | Pexp_newtype _ -> walk (peel_params e)
+    | Pexp_fun _ | Pexp_newtype _ -> walk (peel_funs e)
     | _ -> List.iter walk (live_children ranges e)
   in
-  let body = peel_params b.b_expr in
+  let body = peel_funs b.b_expr in
   match body.pexp_desc with
   | Pexp_function _ -> List.iter walk (live_children ranges body)
   | _ -> walk body
@@ -544,43 +467,23 @@ let analyze_binding ~emit ~ranges ~boxed b =
 (* ------------------------------------------------------------------ *)
 (* Assembly. *)
 
-let fn_table bindings =
-  let fn_tbl = Hashtbl.create 256 in
-  List.iter
-    (fun b ->
-      if is_function b.b_expr then
-        Hashtbl.replace fn_tbl (b.b_mod, b.b_name) ())
-    bindings;
-  fn_tbl
+let fn_table bindings = fixpoint bindings (fun _ b -> is_function b.b_expr)
 
 let seeds_of fn_tbl entries =
   List.filter_map
     (fun (m, f, _) -> if Hashtbl.mem fn_tbl (m, f) then Some (m, f) else None)
     entries
 
-(* Cold directives per file, and the lookup the walks take. *)
-let cold_table files =
-  let tbl = Hashtbl.create 64 in
-  List.iter (fun (path, src) -> Hashtbl.replace tbl path (scan_cold src)) files;
-  tbl
-
-let cold_ranges tbl b =
-  match Hashtbl.find_opt tbl b.b_unit.u_path with
-  | Some c -> c.c_ranges
-  | None -> []
-
-let analyze ~roster files =
+(* The hot set of [lib] under the roster [(path, text)], and the roster
+   findings. *)
+let hot_set ~roster lib =
   let roster_path, roster_text = roster in
-  let units = List.map mk_unit files in
-  let bindings = List.concat_map collect_bindings units in
+  let bindings = List.concat_map collect_bindings lib in
   let fn_tbl = fn_table bindings in
-  let colds = cold_table files in
-  let cold = cold_ranges colds in
   let entries, roster_errors = parse_roster roster_text in
   let roster_findings =
     List.map
-      (fun (line, msg) ->
-        { file = roster_path; line; rule = "roster"; msg })
+      (fun (line, msg) -> { file = roster_path; line; rule = "roster"; msg })
       roster_errors
     @ List.filter_map
         (fun (m, f, line) ->
@@ -599,8 +502,12 @@ let analyze ~roster files =
               })
         entries
   in
-  let hot = hot_fixpoint fn_tbl ~cold bindings (seeds_of fn_tbl entries) in
-  let boxed = boxed_fields units in
+  let hot = hot_fixpoint fn_tbl bindings (seeds_of fn_tbl entries) in
+  (bindings, hot, roster_findings)
+
+let findings ~roster lib =
+  let bindings, hot, roster_findings = hot_set ~roster lib in
+  let boxed = boxed_fields lib in
   let out = ref [] in
   List.iter
     (fun b ->
@@ -608,29 +515,14 @@ let analyze ~roster files =
         let emit line rule msg =
           out := { file = b.b_unit.u_path; line; rule; msg } :: !out
         in
-        analyze_binding ~emit ~ranges:(cold b) ~boxed b)
+        analyze_binding ~emit ~ranges:b.b_unit.u_allows.a_cold ~boxed b)
     bindings;
-  let findings =
-    parse_failures units
-    @ roster_findings
-    @ !out
-    @ annotation_findings ~tool:"manethot" units
+  ( roster_findings @ !out
     @ List.concat_map
         (fun u ->
           (* An interface has no branches to mark. *)
           match u.u_parsed with
-          | Impl _ -> cold_findings u (Hashtbl.find colds u.u_path)
+          | Impl _ -> cold_findings u
           | Intf _ | Fail _ -> [])
-        units
-  in
-  filter_suppressed ~protect:[ "annotation" ] units findings
-
-let hot_set ~roster files =
-  let units = List.map mk_unit files in
-  let bindings = List.concat_map collect_bindings units in
-  let fn_tbl = fn_table bindings in
-  let entries, _ = parse_roster roster in
-  let cold = cold_ranges (cold_table files) in
-  let hot = hot_fixpoint fn_tbl ~cold bindings (seeds_of fn_tbl entries) in
-  Hashtbl.fold (fun k () acc -> k :: acc) hot []
-  |> List.sort compare
+        lib,
+    hot )

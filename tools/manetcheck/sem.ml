@@ -1,31 +1,17 @@
-(* manetsem — AST-level semantic analyzer.  See sem.mli for the rule
-   catalogue.  Built on compiler-libs only (Parse + Parsetree +
-   Ast_iterator); the comment scanner, allow-directive grammar,
-   parse/alias/binding toolkit and baseline machinery live in
-   tools/analyzer_common, shared with manetdom and manethot. *)
+(* Security-argument rules: verify-before-use (taint, security),
+   dispatch coverage, codec sign/verify pairing, wire-schema
+   consistency, semantic determinism and dead exports.  See check.mli
+   for the catalogue. *)
 
 open Parsetree
 module C = Analyzer_common.Common
 open C
 
-type finding = C.finding = {
-  file : string;
-  line : int;
-  rule : string;
-  msg : string;
-}
-
 let rules =
-  [ "taint"; "dispatch"; "codec"; "determinism"; "dead-export"; "parse" ]
-
-let pp_finding = C.pp_finding
-let scan_comments = C.scan_comments
-
-(* manetsem keeps the legacy allow grammar: the directive opens the
-   comment and needs no rationale.  (manetdom and manethot use the
-   strict variant of the same scanner.) *)
-let scan_allows = C.scan_allows ~tool:"manetsem" ~rules
-let mk_unit ~analyzed = C.mk_unit ~analyzed ~scan:scan_allows
+  [
+    "taint"; "security"; "dispatch"; "codec"; "proto-schema"; "determinism";
+    "dead-export";
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Verify-before-use taint. *)
@@ -53,7 +39,14 @@ let state_fields =
 (* MAC recomputation counts as verification: SRP checks replies by
    recomputing [*_mac] over the received fields and comparing. *)
 let name_is_verifier n =
-  contains n "verify" || Filename.check_suffix n "_mac"
+  contains n "verify" || contains n "cga_check"
+  || Filename.check_suffix n "_mac"
+
+(* A callee verifies when its name does or it is in the verifier
+   fixpoint [vset]. *)
+let verifier vset = function
+  | Some m, x -> name_is_verifier x || Hashtbl.mem vset (m, x)
+  | None, x -> name_is_verifier x
 
 type scan_env = {
   sv_self : string;
@@ -62,6 +55,16 @@ type scan_env = {
   sv_is_sinky : string option * string -> bool;
   sv_sink : string -> Location.t -> string -> unit;
 }
+
+(* The environment of binding [f] with no verifier, sink or report. *)
+let plain_env f =
+  {
+    sv_self = f.b_mod;
+    sv_aliases = f.b_unit.u_aliases;
+    sv_is_verifier = (fun _ -> false);
+    sv_is_sinky = (fun _ -> false);
+    sv_sink = (fun _ _ _ -> ());
+  }
 
 let callee_of env head =
   match head.pexp_desc with
@@ -219,95 +222,40 @@ and scan_case env ~tainted v c =
    whose name contains "verify" (Suite.verify, Cga.verify, hand-rolled
    verify_* helpers) or another member of the set. *)
 let verifier_fixpoint fns =
-  let vset = Hashtbl.create 32 in
-  let member c =
-    match c with
-    | Some m, x -> name_is_verifier x || Hashtbl.mem vset (m, x)
-    | None, x -> name_is_verifier x
-  in
-  let body_verifies f =
-    let hit = ref false in
-    let env =
-      {
-        sv_self = f.b_mod;
-        sv_aliases = f.b_unit.u_aliases;
-        sv_is_verifier = member;
-        sv_is_sinky = (fun _ -> false);
-        sv_sink = (fun _ _ _ -> ());
-      }
-    in
-    let it =
-      {
-        Ast_iterator.default_iterator with
-        expr =
-          (fun self e ->
-            (match e.pexp_desc with
-            | Pexp_apply (head, _) -> (
-                match callee_of env head with
-                | Some c when member c -> hit := true
-                | _ -> ())
-            | _ -> ());
-            Ast_iterator.default_iterator.expr self e);
-      }
-    in
-    it.expr it f.b_expr;
-    !hit
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun f ->
-        if (not (Hashtbl.mem vset (f.b_mod, f.b_name))) && body_verifies f
-        then begin
-          Hashtbl.replace vset (f.b_mod, f.b_name) ();
-          changed := true
-        end)
-      fns
-  done;
-  vset
+  fixpoint fns (fun vset f ->
+      let env = plain_env f and hit = ref false in
+      walk_expr
+        (fun e ->
+          match e.pexp_desc with
+          | Pexp_apply (head, _) -> (
+              match callee_of env head with
+              | Some c when verifier vset c -> hit := true
+              | _ -> ())
+          | _ -> ())
+        f.b_expr;
+      !hit)
 
 (* Unguarded-sink fixpoint: a function is "sinky" when some path through
    its body reaches a state-mutating sink (or a sinky callee) without a
    verifier having run first.  Calling one of these from a taint arm
    without prior verification is exactly the bug class of §3.3/§3.4. *)
+let is_sinky sinky = function
+  | Some m, x -> Hashtbl.mem sinky (m, x)
+  | None, _ -> false
+
 let sinky_fixpoint fns vset =
-  let sinky = Hashtbl.create 32 in
-  let is_verifier c =
-    match c with
-    | Some m, x -> name_is_verifier x || Hashtbl.mem vset (m, x)
-    | None, x -> name_is_verifier x
-  in
-  let is_sinky c =
-    match c with Some m, x -> Hashtbl.mem sinky (m, x) | None, _ -> false
-  in
-  let body_sinks f =
-    let hit = ref false in
-    let env =
-      {
-        sv_self = f.b_mod;
-        sv_aliases = f.b_unit.u_aliases;
-        sv_is_verifier = is_verifier;
-        sv_is_sinky = is_sinky;
-        sv_sink = (fun _ _ _ -> hit := true);
-      }
-    in
-    ignore (scan env ~tainted:(Some "summary") false f.b_expr);
-    !hit
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun f ->
-        if (not (Hashtbl.mem sinky (f.b_mod, f.b_name))) && body_sinks f
-        then begin
-          Hashtbl.replace sinky (f.b_mod, f.b_name) ();
-          changed := true
-        end)
-      fns
-  done;
-  sinky
+  fixpoint fns (fun sinky f ->
+      let hit = ref false in
+      let env =
+        {
+          (plain_env f) with
+          sv_is_verifier = verifier vset;
+          sv_is_sinky = is_sinky sinky;
+          sv_sink = (fun _ _ _ -> hit := true);
+        }
+      in
+      ignore (scan env ~tainted:(Some "summary") false f.b_expr);
+      !hit)
 
 let taint_findings fns vset sinky =
   let out = ref [] in
@@ -315,24 +263,15 @@ let taint_findings fns vset sinky =
     (fun f ->
       let env =
         {
-          sv_self = f.b_mod;
-          sv_aliases = f.b_unit.u_aliases;
-          sv_is_verifier =
-            (fun c ->
-              match c with
-              | Some m, x -> name_is_verifier x || Hashtbl.mem vset (m, x)
-              | None, x -> name_is_verifier x);
-          sv_is_sinky =
-            (fun c ->
-              match c with
-              | Some m, x -> Hashtbl.mem sinky (m, x)
-              | None, _ -> false);
+          (plain_env f) with
+          sv_is_verifier = verifier vset;
+          sv_is_sinky = is_sinky sinky;
           sv_sink =
             (fun ctor loc desc ->
               out :=
                 {
                   file = f.b_unit.u_path;
-                  line = loc.Location.loc_start.Lexing.pos_lnum;
+                  line = line_of loc;
                   rule = "taint";
                   msg =
                     Printf.sprintf "unverified %s payload reaches %s" ctor
@@ -346,8 +285,88 @@ let taint_findings fns vset sinky =
   !out
 
 (* ------------------------------------------------------------------ *)
+(* Security: a handler arm that destructures a signed message's record
+   must mention a verifier — a verify/cga_check/_mac name or a member
+   of the verifier fixpoint — in its guard or body.  Unlike taint,
+   which follows the fields into state-mutating sinks, this holds every
+   arm of a handler to the check, whatever it does with the fields. *)
+
+let handler_prefixes =
+  [ "handle"; "consume"; "observe"; "serve"; "receive"; "on_" ]
+
+let signed_record p =
+  let found = ref None in
+  let it =
+    {
+      Ast_iterator.default_iterator with
+      pat =
+        (fun self q ->
+          (match q.ppat_desc with
+          | Ppat_construct
+              ({ txt; _ }, Some (_, { ppat_desc = Ppat_record _; _ }))
+            when List.mem (lid_last txt) signed_ctors && !found = None ->
+              found := Some (lid_last txt, line_of q.ppat_loc)
+          | _ -> ());
+          Ast_iterator.default_iterator.pat self q);
+    }
+  in
+  it.pat it p;
+  !found
+
+let security_findings fns vset =
+  List.concat_map
+    (fun f ->
+      let env = plain_env f and out = ref [] in
+      let mentions_verifier e =
+        let hit = ref false in
+        walk_expr
+          (fun x ->
+            match callee_of env x with
+            | Some c when verifier vset c -> hit := true
+            | _ -> ())
+          e;
+        !hit
+      in
+      let arm c =
+        match signed_record c.pc_lhs with
+        | Some (ctor, line)
+          when not
+                 (List.exists mentions_verifier
+                    (Option.to_list c.pc_guard @ [ c.pc_rhs ])) ->
+            out :=
+              {
+                file = f.b_unit.u_path;
+                line;
+                rule = "security";
+                msg =
+                  Printf.sprintf
+                    "handler %s destructures signed %s without calling a \
+                     verify/cga_check function in the arm"
+                    f.b_name ctor;
+              }
+              :: !out
+        | _ -> ()
+      in
+      if
+        List.exists
+          (fun p -> String.starts_with ~prefix:p f.b_name)
+          handler_prefixes
+      then
+        walk_expr
+          (fun e ->
+            match e.pexp_desc with
+            | Pexp_match (_, cs) | Pexp_try (_, cs) | Pexp_function cs ->
+                List.iter arm cs
+            | _ -> ())
+          f.b_expr;
+      !out)
+    fns
+
+(* ------------------------------------------------------------------ *)
 (* Dispatch coverage. *)
 
+(* The lib's messages.mli and the (name, line) of each constructor of
+   its [type t]. *)
 let messages_ctors units =
   let from_sig sg =
     List.find_map
@@ -358,7 +377,11 @@ let messages_ctors units =
               (fun d ->
                 match (d.ptype_name.Location.txt, d.ptype_kind) with
                 | "t", Ptype_variant cds ->
-                    Some (List.map (fun cd -> cd.pcd_name.Location.txt) cds)
+                    Some
+                      (List.map
+                         (fun cd ->
+                           (cd.pcd_name.Location.txt, line_of cd.pcd_loc))
+                         cds)
                 | _ -> None)
               decls
         | _ -> None)
@@ -366,9 +389,10 @@ let messages_ctors units =
   in
   List.find_map
     (fun u ->
-      if Filename.basename u.u_path = "messages.mli" then
-        match u.u_parsed with Intf sg -> from_sig sg | _ -> None
-      else None)
+      match u.u_parsed with
+      | Intf sg when Filename.basename u.u_path = "messages.mli" ->
+          Option.map (fun cs -> (u, cs)) (from_sig sg)
+      | _ -> None)
     units
 
 let dispatch_dirs = [ "dad"; "dns"; "dsr"; "secure" ]
@@ -427,7 +451,7 @@ let dispatch_findings fns ctors =
               List.concat_map (fun c -> pattern_ctors ctors c.pc_lhs) cases
             in
             if mentioned <> [] then begin
-              let line = loc.Location.loc_start.Lexing.pos_lnum in
+              let line = line_of loc in
               let catch_alls =
                 List.filter (fun c -> covers_all c.pc_lhs) cases
               in
@@ -436,8 +460,7 @@ let dispatch_findings fns ctors =
                   out :=
                     {
                       file = f.b_unit.u_path;
-                      line =
-                        c.pc_lhs.ppat_loc.Location.loc_start.Lexing.pos_lnum;
+                      line = line_of c.pc_lhs.ppat_loc;
                       rule = "dispatch";
                       msg =
                         "catch-all arm hides Messages.t constructors; \
@@ -491,9 +514,7 @@ let codec_payloads units =
                   when Filename.check_suffix vd.pval_name.Location.txt
                          "_payload" ->
                     Some
-                      ( vd.pval_name.Location.txt,
-                        u.u_path,
-                        vd.pval_loc.Location.loc_start.Lexing.pos_lnum )
+                      (vd.pval_name.Location.txt, u.u_path, line_of vd.pval_loc)
                 | _ -> None)
               sg
         | _ -> []
@@ -503,35 +524,20 @@ let codec_payloads units =
 let fn_payload_uses f =
   let out = ref [] in
   let has_sign = ref false in
-  let env =
-    {
-      sv_self = f.b_mod;
-      sv_aliases = f.b_unit.u_aliases;
-      sv_is_verifier = (fun _ -> false);
-      sv_is_sinky = (fun _ -> false);
-      sv_sink = (fun _ _ _ -> ());
-    }
-  in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun self e ->
-          (match e.pexp_desc with
-          | Pexp_ident { txt; _ } ->
-              let _, x = resolve f.b_unit.u_aliases txt in
-              if Filename.check_suffix x "_payload" then out := x :: !out
-          | Pexp_apply (head, _) -> (
-              match callee_of env head with
-              | Some (_, n) when contains n "sign" && not (contains n "verify")
-                ->
-                  has_sign := true
-              | _ -> ())
-          | _ -> ());
-          Ast_iterator.default_iterator.expr self e);
-    }
-  in
-  it.expr it f.b_expr;
+  let env = plain_env f in
+  walk_expr
+    (fun e ->
+      match e.pexp_desc with
+      | Pexp_ident { txt; _ } ->
+          let _, x = resolve f.b_unit.u_aliases txt in
+          if Filename.check_suffix x "_payload" then out := x :: !out
+      | Pexp_apply (head, _) -> (
+          match callee_of env head with
+          | Some (_, n) when contains n "sign" && not (contains n "verify") ->
+              has_sign := true
+          | _ -> ())
+      | _ -> ())
+    f.b_expr;
   (!out, !has_sign)
 
 let codec_findings fns vset units =
@@ -621,15 +627,24 @@ let head_is_sortish env e =
   | Pexp_ident { txt; _ } -> sortish (lid_last txt)
   | _ -> false
 
+(* Reads that differ from run to run: the wall clock, and
+   [Hashtbl.hash], whose values the stdlib leaves unspecified. *)
+let nondeterministic_read = function
+  | Some m, x when List.mem (m, x) clock_idents ->
+      Some
+        (Printf.sprintf "wall-clock read %s.%s is nondeterministic across runs"
+           m x)
+  | Some "Hashtbl", "hash" ->
+      Some
+        "Hashtbl.hash breaks simulation reproducibility; hash with an \
+         explicit function (FNV-1a, as Stats does)"
+  | _ -> None
+
 let rec dwalk env report ~sorted e =
   match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> (
-      match resolve env.sv_aliases txt with
-      | Some m, x when List.mem (m, x) clock_idents ->
-          report e.pexp_loc
-            (Printf.sprintf
-               "wall-clock read %s.%s is nondeterministic across runs" m x)
-      | _ -> ())
+  | Pexp_ident { txt; _ } ->
+      Option.iter (report e.pexp_loc)
+        (nondeterministic_read (resolve env.sv_aliases txt))
   | Pexp_apply (h, args) -> (
       match (callee_of env h, args) with
       | Some (_, "|>"), [ (_, l); (_, r) ] ->
@@ -644,11 +659,8 @@ let rec dwalk env report ~sorted e =
             || match callee with Some (_, n) -> sortish n | None -> false
           in
           (match callee with
-          | Some (Some m, x) when List.mem (m, x) clock_idents ->
-              report h.pexp_loc
-                (Printf.sprintf
-                   "wall-clock read %s.%s is nondeterministic across runs" m
-                   x)
+          | Some c when nondeterministic_read c <> None ->
+              Option.iter (report h.pexp_loc) (nondeterministic_read c)
           | Some (Some "Hashtbl", "iter") ->
               report h.pexp_loc
                 "Hashtbl.iter order is unspecified and can leak into \
@@ -670,50 +682,17 @@ let rec dwalk env report ~sorted e =
           | _ -> dwalk env report ~sorted h))
   | _ -> List.iter (dwalk env report ~sorted) (sub_expressions e)
 
-let rec mutable_creation e =
-  match e.pexp_desc with
-  | Pexp_constraint (x, _) | Pexp_coerce (x, _, _) -> mutable_creation x
-  | Pexp_array _ -> true
-  | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) -> (
-      match txt with
-      | Longident.Lident "ref" -> true
-      | Longident.Ldot (p, x) -> (
-          match (lid_last p, x) with
-          | ("Hashtbl" | "Queue" | "Buffer" | "Stack" | "Atomic"), "create" ->
-              true
-          | ("Array" | "Bytes"), ("make" | "create" | "init") -> true
-          | _ -> false)
-      | _ -> false)
-  | _ -> false
-
 let determinism_findings fns =
-  let out = ref [] in
-  List.iter
+  List.concat_map
     (fun f ->
-      let env =
-        {
-          sv_self = f.b_mod;
-          sv_aliases = f.b_unit.u_aliases;
-          sv_is_verifier = (fun _ -> false);
-          sv_is_sinky = (fun _ -> false);
-          sv_sink = (fun _ _ _ -> ());
-        }
-      in
-      let report_line line msg =
-        out :=
-          { file = f.b_unit.u_path; line; rule = "determinism"; msg } :: !out
-      in
+      let out = ref [] in
       let report loc msg =
-        report_line loc.Location.loc_start.Lexing.pos_lnum msg
+        let line = line_of loc and file = f.b_unit.u_path in
+        out := { file; line; rule = "determinism"; msg } :: !out
       in
-      if mutable_creation f.b_expr then
-        report_line f.b_line
-          (Printf.sprintf
-             "top-level mutable value %s is shared across simulation runs"
-             f.b_name);
-      dwalk env report ~sorted:false f.b_expr)
-    fns;
-  !out
+      dwalk (plain_env f) report ~sorted:false f.b_expr;
+      !out)
+    fns
 
 (* ------------------------------------------------------------------ *)
 (* Dead exports. *)
@@ -755,25 +734,15 @@ let collect_uses units =
   let used = Hashtbl.create 256 in
   List.iter
     (fun u ->
-      match u.u_parsed with
-      | Impl str ->
-          let it =
-            {
-              Ast_iterator.default_iterator with
-              expr =
-                (fun self e ->
-                  (match e.pexp_desc with
-                  | Pexp_ident { txt; _ } -> (
-                      match resolve u.u_aliases txt with
-                      | Some m, x ->
-                          Hashtbl.replace used (u.u_mod, chase m, x) ()
-                      | None, _ -> ())
-                  | _ -> ());
-                  Ast_iterator.default_iterator.expr self e);
-            }
-          in
-          List.iter (fun item -> it.structure_item it item) str
-      | _ -> ())
+      walk_unit
+        (fun e ->
+          match e.pexp_desc with
+          | Pexp_ident { txt; _ } -> (
+              match resolve u.u_aliases txt with
+              | Some m, x -> Hashtbl.replace used (u.u_mod, chase m, x) ()
+              | None, _ -> ())
+          | _ -> ())
+        u)
     units;
   used
 
@@ -781,9 +750,7 @@ let is_operator_name n =
   n = "" || match n.[0] with 'a' .. 'z' | '_' -> false | _ -> true
 
 let dead_export_findings units =
-  let used = Hashtbl.create 256 in
-  Hashtbl.iter (fun k () -> Hashtbl.replace used k ())
-    (collect_uses units);
+  let used = collect_uses units in
   let used_outside m x =
     Hashtbl.fold
       (fun (u, um, ux) () acc -> acc || (um = m && ux = x && u <> m))
@@ -791,7 +758,7 @@ let dead_export_findings units =
   in
   List.concat_map
     (fun u ->
-      if not u.u_analyzed then []
+      if not (in_lib u) then []
       else
         match u.u_parsed with
         | Intf sg ->
@@ -807,8 +774,7 @@ let dead_export_findings units =
                       Some
                         {
                           file = u.u_path;
-                          line =
-                            vd.pval_loc.Location.loc_start.Lexing.pos_lnum;
+                          line = line_of vd.pval_loc;
                           rule = "dead-export";
                           msg =
                             Printf.sprintf
@@ -823,35 +789,197 @@ let dead_export_findings units =
     units
 
 (* ------------------------------------------------------------------ *)
-(* Assembly. *)
+(* Wire schema: every Messages.t constructor has an encode arm in the
+   sibling binary.ml that writes a literal wire tag ([put_u8 buf <n>])
+   no other arm takes, a decode_body arm that decodes that tag back to
+   it, and a mention in test_binary.ml or test_proto.ml. *)
 
-let analyze ?(uses = []) files =
-  let analyzed = List.map (mk_unit ~analyzed:true) files in
-  let reference = List.map (mk_unit ~analyzed:false) uses in
-  let units = analyzed @ reference in
-  let fns = List.concat_map collect_bindings analyzed in
-  let vset = verifier_fixpoint fns in
-  let sinky = sinky_fixpoint fns vset in
-  let findings =
-    parse_failures analyzed
-    @ taint_findings fns vset sinky
-    @ (match messages_ctors analyzed with
-      | Some ctors -> dispatch_findings fns ctors
-      | None -> [])
-    @ codec_findings fns vset analyzed
-    @ determinism_findings fns
-    @ dead_export_findings units
-  in
-  filter_suppressed analyzed findings
+let int_const e =
+  match e.pexp_desc with
+  | Pexp_constant (Pconst_integer (s, None)) -> int_of_string_opt s
+  | _ -> None
+
+let cases_of e =
+  let out = ref [] in
+  walk_expr
+    (fun x ->
+      match x.pexp_desc with
+      | Pexp_match (_, cs) | Pexp_function cs -> out := !out @ cs
+      | _ -> ())
+    e;
+  !out
+
+let first_construct names e =
+  let r = ref None in
+  walk_expr
+    (fun x ->
+      match x.pexp_desc with
+      | Pexp_construct ({ txt; _ }, _)
+        when !r = None && List.mem (lid_last txt) names ->
+          r := Some (lid_last txt)
+      | _ -> ())
+    e;
+  !r
+
+(* The first literal wire tag [put_u8 buf <n>] an encode arm writes,
+   with its line. *)
+let wire_tag e =
+  let r = ref None in
+  walk_expr
+    (fun x ->
+      match x.pexp_desc with
+      | Pexp_apply
+          ({ pexp_desc = Pexp_ident { txt = Lident "put_u8"; _ }; _ }, args)
+        when !r = None ->
+          Option.iter
+            (fun v -> r := Some (v, line_of x.pexp_loc))
+            (List.find_map (fun (_, a) -> int_const a) args)
+      | _ -> ())
+    e;
+  !r
+
+let proto_schema_findings lib units =
+  match messages_ctors lib with
+  | None -> []
+  | Some (mu, ctors) -> (
+      let names = List.map fst ctors in
+      let finding file line msg = { file; line; rule = "proto-schema"; msg } in
+      let tested = Hashtbl.create 32 in
+      List.iter
+        (fun u ->
+          if
+            List.mem (Filename.basename u.u_path)
+              [ "test_binary.ml"; "test_proto.ml" ]
+          then
+            walk_unit
+              (fun e ->
+                match e.pexp_desc with
+                | Pexp_construct ({ txt; _ }, _) ->
+                    Hashtbl.replace tested (lid_last txt) ()
+                | _ -> ())
+              u)
+        units;
+      let untested =
+        List.filter_map
+          (fun (c, line) ->
+            if Hashtbl.mem tested c then None
+            else
+              Some
+                (finding mu.u_path line
+                   (Printf.sprintf
+                      "constructor %s has no roundtrip test mention in \
+                       test_binary.ml / test_proto.ml"
+                      c)))
+          ctors
+      in
+      let binary = Filename.concat (Filename.dirname mu.u_path) "binary.ml" in
+      match List.find_opt (fun u -> u.u_path = binary) lib with
+      | None -> untested
+      | Some bu ->
+          let top name =
+            match
+              List.find_opt (fun b -> b.b_name = name) (collect_bindings bu)
+            with
+            | Some b -> Ok b
+            | None ->
+                Error
+                  [
+                    finding binary 1
+                      ("binary.ml has no top-level " ^ name ^ " function");
+                  ]
+          in
+          (* tag -> constructor, in declaration order *)
+          let assigned = Hashtbl.create 32 in
+          let encode enc =
+            let arms =
+              List.filter_map
+                (fun c ->
+                  match c.pc_lhs.ppat_desc with
+                  | Ppat_construct ({ txt; _ }, Some _) ->
+                      Some (lid_last txt, c)
+                  | _ -> None)
+                (cases_of enc.b_expr)
+            in
+            List.filter_map
+              (fun (v, line) ->
+                match List.assoc_opt v arms with
+                | None ->
+                    Some
+                      (finding mu.u_path line
+                         ("constructor " ^ v
+                        ^ " has no encode branch in binary.ml"))
+                | Some c -> (
+                    match wire_tag c.pc_rhs with
+                    | None ->
+                        Some
+                          (finding binary (line_of c.pc_lhs.ppat_loc)
+                             (Printf.sprintf
+                                "encode branch for %s writes no literal wire \
+                                 tag (put_u8 buf <n>)"
+                                v))
+                    | Some (tag, tline) -> (
+                        match Hashtbl.find_opt assigned tag with
+                        | Some other ->
+                            Some
+                              (finding binary tline
+                                 (Printf.sprintf
+                                    "wire tag %d reused by %s (already taken \
+                                     by %s)"
+                                    tag v other))
+                        | None ->
+                            Hashtbl.replace assigned tag v;
+                            None)))
+              ctors
+          in
+          let decode dec =
+            let decoded = Hashtbl.create 32 in
+            List.iter
+              (fun c ->
+                match c.pc_lhs.ppat_desc with
+                | Ppat_constant (Pconst_integer (s, None)) -> (
+                    let line = line_of c.pc_lhs.ppat_loc in
+                    match
+                      (int_of_string_opt s, first_construct names c.pc_rhs)
+                    with
+                    | Some tag, Some v when not (Hashtbl.mem decoded tag) ->
+                        Hashtbl.replace decoded tag (v, line)
+                    | _ -> ())
+                | _ -> ())
+              (cases_of dec.b_expr);
+            Hashtbl.fold
+              (fun tag v acc ->
+                match Hashtbl.find_opt decoded tag with
+                | None ->
+                    finding binary dec.b_line
+                      (Printf.sprintf
+                         "decode_body has no arm for wire tag %d (%s)" tag v)
+                    :: acc
+                | Some (c, line) when c <> v ->
+                    finding binary line
+                      (Printf.sprintf "wire tag %d decodes to %s but encodes %s"
+                         tag c v)
+                    :: acc
+                | Some _ -> acc)
+              assigned []
+          in
+          let run fn check = match top fn with Ok b -> check b | Error e -> e in
+          let enc = run "encode" encode in
+          untested @ enc @ run "decode_body" decode)
 
 (* ------------------------------------------------------------------ *)
-(* Baseline (re-exported from the shared runtime for compatibility). *)
+(* Assembly: [lib] are the analyzed lib units, [units] every parsed
+   file, use-sites included. *)
 
-let finding_key = C.finding_key
-
-let render_baseline ?(tool = "manetsem") findings =
-  C.render_baseline ~tool findings
-
-let parse_baseline = C.parse_baseline
-let diff_baseline = C.diff_baseline
-let to_json = C.to_json
+let findings ~lib ~units =
+  let fns = List.concat_map collect_bindings lib in
+  let vset = verifier_fixpoint fns in
+  let sinky = sinky_fixpoint fns vset in
+  taint_findings fns vset sinky
+  @ security_findings fns vset
+  @ (match messages_ctors lib with
+    | Some (_, ctors) -> dispatch_findings fns (List.map fst ctors)
+    | None -> [])
+  @ codec_findings fns vset lib
+  @ proto_schema_findings lib units
+  @ determinism_findings fns
+  @ dead_export_findings units
