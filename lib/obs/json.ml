@@ -35,6 +35,13 @@ let add_int buf n =
     add_uint buf (-n)
   end
 
+let int_length n =
+  if n >= 0 then digit_count n
+  else if n = min_int then
+    (* manetcheck: cold — as in [add_int]. *)
+    String.length (string_of_int n)
+  else 1 + digit_count (-n)
+
 (* 10^s for the scales of the %.12g fast path; every one is exact in a
    double. *)
 let[@inline] pow10 = function
@@ -93,24 +100,28 @@ let rec add_trimmed buf d k int_digits =
     done
   end
 
-(* %.12g of [x], for 1e-4 <= a = |x| < 1e11, when its rounding is
-   decided; returns false, having written nothing, otherwise.  The
-   12 significant digits are round(a * 10^s) for s = [scale_of a], so
-   the decimal exponent is 11 - s, between -4 and 10: %g's fixed-point
-   form.  The one multiply is off by at most half an ulp of a value
-   below 2^40, i.e. 2^-14, so when its fraction is at least 1e-3 from
-   one half, the exact product rounds the same way.  A product that
-   rounds up to 10^12 has 13 digits and is left to the fallback. *)
-let add_g12 buf x =
-  let a = Float.abs x in
-  let s = scale_of a in
+(* The 12 significant digits of %.12g for 1e-4 <= a < 1e11 at scale
+   [s = scale_of a] when their rounding is decided, else -1.  They are
+   round(a * 10^s), and the decimal exponent is 11 - s, between -4 and
+   10: %g's fixed-point form.  The one multiply is off by at most half
+   an ulp of a value below 2^40, i.e. 2^-14, so when its fraction is at
+   least 1e-3 from one half, the exact product rounds the same way.  A
+   product that rounds up to 10^12 has 13 digits and is left to the
+   fallback. *)
+let[@inline] g12_digits a s =
   let y = a *. pow10 s in
   let n = int_of_float y in
   let frac = y -. float_of_int n in
-  let d =
-    if frac <= 0.499 then n else if frac >= 0.501 then n + 1 else 1_000_000_000_000
-  in
-  if d >= 1_000_000_000_000 then false
+  let d = if frac <= 0.499 then n else if frac >= 0.501 then n + 1 else -1 in
+  if d >= 1_000_000_000_000 then -1 else d
+
+(* %.12g of [x], for 1e-4 <= a = |x| < 1e11, when its rounding is
+   decided; returns false, having written nothing, otherwise. *)
+let add_g12 buf x =
+  let a = Float.abs x in
+  let s = scale_of a in
+  let d = g12_digits a s in
+  if d < 0 then false
   else begin
     if x < 0.0 then Buffer.add_char buf '-';
     add_trimmed buf d 12 (12 - s);
@@ -137,6 +148,28 @@ let add_float buf x =
        within 1e-3 of a tie (one uniform fraction in 500); the fast path
        wrote nothing. *)
     Buffer.add_string buf (Printf.sprintf "%.12g" x)
+
+(* The length [add_trimmed] writes. *)
+let rec trimmed_length d k int_digits =
+  if d mod 10 = 0 then trimmed_length (d / 10) (k - 1) int_digits
+  else if int_digits <= 0 then 2 - int_digits + k
+  else if int_digits < k then k + 1
+  else int_digits
+
+let float_length x =
+  if not (Float.is_finite x) then
+    invalid_arg "Json.float_str: non-finite floats have no JSON encoding";
+  let a = Float.abs x in
+  let sign = if Float.sign_bit x then 1 else 0 in
+  if a < 1e15 && Float.of_int (int_of_float a) = a then
+    sign + digit_count (int_of_float a) + 2
+  else
+    let s = scale_of a in
+    let d = if a >= 1e-4 && a < 1e11 then g12_digits a s else -1 in
+    if d >= 0 then sign + trimmed_length d 12 (12 - s)
+    else
+      (* manetcheck: cold — the values [add_float] hands to Printf. *)
+      String.length (Printf.sprintf "%.12g" x)
 
 let float_str x =
   let buf = Buffer.create 24 in
@@ -187,6 +220,19 @@ let rec escape_from buf s run i =
       escape_from buf s (i + 1) (i + 1)
     end
     else escape_from buf s run (i + 1)
+
+(* The bytes [escape_from] adds to [s], by the same scan. *)
+let rec escape_growth s extra i =
+  if i + 8 <= String.length s && clean7 (Int64.to_int (String.get_int64_le s i))
+  then escape_growth s extra (i + 7)
+  else if i = String.length s then extra
+  else
+    match String.unsafe_get s i with
+    | '"' | '\\' | '\n' | '\r' | '\t' -> escape_growth s (extra + 1) (i + 1)
+    | c when Char.code c < 0x20 -> escape_growth s (extra + 5) (i + 1)
+    | _ -> escape_growth s extra (i + 1)
+
+let escaped_length s = String.length s + 2 + escape_growth s 0 0
 
 let escape_to buf s =
   Buffer.add_char buf '"';

@@ -37,14 +37,27 @@ val add_float : Buffer.t -> float -> unit
     the rest take [Printf.sprintf "%.12g"].  The bytes are the same
     either way. *)
 
+val float_length : float -> int
+(** [float_length x] is [String.length (float_str x)], computed without
+    rendering [x] whenever {!add_float} would take its fast path.
+    Raises as {!float_str} does. *)
+
 val add_int : Buffer.t -> int -> unit
 (** [add_int buf n] appends [string_of_int n]. *)
+
+val int_length : int -> int
+(** [int_length n] is [String.length (string_of_int n)], without the
+    string. *)
 
 val escape_to : Buffer.t -> string -> unit
 (** [escape_to buf s] appends [s] as a quoted JSON string.  The double
     quote and the backslash are backslash-escaped; newline, carriage
     return and tab take their two-character escapes; other bytes below
     0x20 become [\u00XX].  Every other byte is copied as is. *)
+
+val escaped_length : string -> int
+(** The number of bytes {!escape_to} appends for a string, quotes
+    included, counted without rendering it. *)
 
 val parse : string -> t
 (** Parse one complete JSON document.  Raises {!Parse_error}. *)

@@ -1,4 +1,5 @@
 module Engine = Manet_sim.Engine
+module Trace = Manet_sim.Trace
 
 let schema = "manetsim-trace"
 let schema_version = 1
@@ -40,10 +41,7 @@ type t = {
   spans : span Itbl.t;
   mutable next_id : int;
   corr : int Stbl.t;
-  mutable capture : bool;
-  events : event Queue.t;
-  event_capacity : int;
-  mutable events_dropped : int;
+  trace : Trace.t; (* the engine's; its capture view is the event sink *)
   audit : Audit.t;
   metrics : Metrics.t;
   perf : Perf.t;
@@ -52,7 +50,9 @@ type t = {
   detail : Buffer.t;
 }
 
-let create ?(event_capacity = 200_000) engine =
+let create ?event_capacity engine =
+  let trace = Engine.trace engine in
+  Option.iter (Trace.set_capture_capacity trace) event_capacity;
   let audit = Audit.create engine in
   let metrics = Metrics.create engine in
   (* Every audit event also feeds the windowed metrics: once under the
@@ -69,10 +69,7 @@ let create ?(event_capacity = 200_000) engine =
     spans = Itbl.create 256;
     next_id = 1;
     corr = Stbl.create 256;
-    capture = false;
-    events = Queue.create ();
-    event_capacity;
-    events_dropped = 0;
+    trace;
     audit;
     metrics;
     perf = Perf.create ();
@@ -136,31 +133,22 @@ let lookup t key = Stbl.find_opt t.corr key
 
 (* --- event sink --------------------------------------------------------- *)
 
-let set_capture t on = t.capture <- on
-
-let wants_events t =
-  t.capture || Manet_sim.Trace.is_enabled (Engine.trace t.engine)
+let set_capture t on = Trace.set_capture t.trace on
+let wants_events t = Trace.is_enabled t.trace || Trace.is_capturing t.trace
 
 let log t ~node ~event ~detail =
-  (* The ring-buffer Trace stays one sink (honouring its own enable
-     switch); capture adds the JSONL sink on top. *)
-  Engine.log t.engine ~node ~event ~detail;
-  if t.capture then begin
-    if Queue.length t.events >= t.event_capacity then begin
-      ignore (Queue.pop t.events);
-      t.events_dropped <- t.events_dropped + 1
-    end;
-    Queue.push
-      { time = Engine.now t.engine; node; name = event; detail }
-      t.events
-  end
+  Trace.log_shared t.trace ~time:(Engine.now t.engine) ~node ~event ~detail
 
 let detail_buffer t =
   Buffer.clear t.detail;
   t.detail
 
-let events t = List.of_seq (Queue.to_seq t.events)
-let events_dropped t = t.events_dropped
+let events t =
+  List.rev
+    (Trace.fold_captured t.trace ~init:[] ~f:(fun acc (e : Trace.entry) ->
+         { time = e.time; node = e.node; name = e.event; detail = e.detail } :: acc))
+
+let events_dropped t = Trace.captured_dropped t.trace
 
 (* --- JSONL export ------------------------------------------------------- *)
 
@@ -224,40 +212,115 @@ let add_span_line buf s =
       Buffer.add_char buf ']');
   Buffer.add_string buf "}\n"
 
-let add_event_line buf (e : event) =
+let add_event_line buf (e : Trace.entry) =
   Buffer.add_string buf {|{"type":"event","t":|};
   Json.add_float buf e.time;
   Buffer.add_string buf {|,"node":|};
   Json.add_int buf e.node;
   Buffer.add_string buf {|,"name":|};
-  Json.escape_to buf e.name;
+  Json.escape_to buf e.event;
   Buffer.add_string buf {|,"detail":|};
   Json.escape_to buf e.detail;
   Buffer.add_string buf "}\n"
 
-(* Typical bytes per JSONL line: event lines carry a rendered message
-   detail (~180 bytes), span lines run a little longer.  Sizing the
-   buffer up front spares a large export its doubling copies. *)
-let jsonl_line_bytes = 192
+(* The byte count of each line above, computed without rendering it:
+   literal runs by their length, ints, floats and strings by the
+   {!Json} length helpers. *)
 
+let note_length (time, node, text) =
+  String.length {|{"t":|} + Json.float_length time
+  + String.length {|,"node":|} + Json.int_length node
+  + String.length {|,"text":|} + Json.escaped_length text + 1
+
+let rec notes_length = function
+  | [] -> 0
+  | [ n ] -> note_length n
+  | n :: older -> note_length n + 1 + notes_length older
+
+let null_length = String.length "null"
+
+let span_line_length s =
+  String.length {|{"type":"span","id":|} + Json.int_length s.id
+  + String.length {|,"parent":|}
+  + (match s.parent with Some p -> Json.int_length p | None -> null_length)
+  + String.length {|,"kind":|} + Json.escaped_length s.kind
+  + String.length {|,"node":|} + Json.int_length s.node
+  + String.length {|,"detail":|} + Json.escaped_length s.detail
+  + String.length {|,"start":|} + Json.float_length s.start_time
+  + String.length {|,"end":|}
+  + (match s.end_time with Some e -> Json.float_length e | None -> null_length)
+  + String.length {|,"outcome":|}
+  + (match s.outcome with
+    | None -> null_length
+    | Some o -> (
+        Json.escaped_length (outcome_label o)
+        +
+        match outcome_reason o with
+        | Some r -> String.length {|,"reason":|} + Json.escaped_length r
+        | None -> 0))
+  + (match s.notes with
+    | [] -> 0
+    | notes -> String.length {|,"notes":[|} + notes_length notes + 1)
+  + String.length "}\n"
+
+let event_line_length (e : Trace.entry) =
+  String.length {|{"type":"event","t":|} + Json.float_length e.time
+  + String.length {|,"node":|} + Json.int_length e.node
+  + String.length {|,"name":|} + Json.escaped_length e.event
+  + String.length {|,"detail":|} + Json.escaped_length e.detail
+  + String.length "}\n"
+
+(* Two passes: the length pass sizes the output exactly, then each line
+   is rendered into one scratch buffer and copied into place, so the
+   export allocates its result and nothing else of its size.  Raises
+   [Invalid_argument] if the lines do not fill the result exactly. *)
 let to_jsonl ?(meta = []) t =
-  let lines = span_count t + Queue.length t.events in
-  let buf = Buffer.create (256 + (jsonl_line_bytes * lines)) in
-  Json.to_buffer buf
-    (Json.Obj
-       ([
-          ("schema", Json.String schema);
-          ("version", Json.Int schema_version);
-          ("spans", Json.Int (span_count t));
-          ("events", Json.Int (Queue.length t.events));
-          ("events_dropped", Json.Int t.events_dropped);
-        ]
-       @ meta));
-  Buffer.add_char buf '\n';
+  let header =
+    Json.to_string
+      (Json.Obj
+         ([
+            ("schema", Json.String schema);
+            ("version", Json.Int schema_version);
+            ("spans", Json.Int (span_count t));
+            ("events", Json.Int (Trace.captured_length t.trace));
+            ("events_dropped", Json.Int (events_dropped t));
+          ]
+         @ meta))
+  in
+  let scratch = Buffer.create 512 in
+  let total = ref (String.length header + 1) in
   for id = 1 to span_count t do
     match Itbl.find_opt t.spans id with
-    | Some s -> add_span_line buf s
+    | Some s -> total := !total + span_line_length s
     | None -> ()
   done;
-  Queue.iter (add_event_line buf) t.events;
-  Buffer.contents buf
+  Trace.fold_captured t.trace ~init:() ~f:(fun () e ->
+      total := !total + event_line_length e);
+  let total = !total in
+  let out = Bytes.create total in
+  let pos = ref 0 in
+  let put () =
+    let n = Buffer.length scratch in
+    if !pos + n > total then
+      invalid_arg "Obs.to_jsonl: lines outgrew the length pass";
+    Buffer.blit scratch 0 out !pos n;
+    pos := !pos + n
+  in
+  Buffer.clear scratch;
+  Buffer.add_string scratch header;
+  Buffer.add_char scratch '\n';
+  put ();
+  for id = 1 to span_count t do
+    match Itbl.find_opt t.spans id with
+    | Some s ->
+        Buffer.clear scratch;
+        add_span_line scratch s;
+        put ()
+    | None -> ()
+  done;
+  Trace.fold_captured t.trace ~init:() ~f:(fun () e ->
+      Buffer.clear scratch;
+      add_event_line scratch e;
+      put ());
+  if !pos <> total then invalid_arg "Obs.to_jsonl: lines fell short of the length pass";
+  Bytes.unsafe_to_string out

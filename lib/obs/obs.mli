@@ -51,7 +51,11 @@ type t
 
 val create : ?event_capacity:int -> Engine.t -> t
 (** One per scenario, shared by all nodes.  [event_capacity] caps the
-    JSONL event sink (default 200_000, oldest dropped first).  Also
+    JSONL event capture (oldest dropped first).  The capture is the
+    capture view of the engine's {!Manet_sim.Trace} store, so every [t]
+    on one engine shares its events, switch and capacity: the capacity
+    starts at 200_000, and only an explicit [event_capacity] changes
+    it (dropping the oldest captured events down to it).  Also
     creates the scenario's {!Audit} stream and windowed {!Metrics}
     engine and wires every audit event into the metrics (under
     ["audit.<kind>"] for the emitter, ["accused.<kind>"] for the
@@ -107,12 +111,16 @@ val lookup : t -> string -> int option
 (** {1 Event sink} *)
 
 val log : t -> node:int -> event:string -> detail:string -> unit
-(** Fan out one telemetry event to the sinks: always to the engine's
-    ring-buffer {!Manet_sim.Trace} (subject to its enable switch), and
-    to the JSONL event sink when capture is on. *)
+(** Record one telemetry event at the current simulated time for both
+    sinks: the engine's {!Manet_sim.Trace} ring (subject to its enable
+    switch) and the JSONL event capture (when on).  The event is stored
+    once, in the trace's event store, whichever sinks take it: four
+    words plus the caller's strings, and nothing at all with both sinks
+    off.  Each sink keeps its own capacity and drop count. *)
 
 val set_capture : t -> bool -> unit
-(** JSONL event capture; default off (spans are always recorded). *)
+(** JSONL event capture; default off (spans are always recorded).
+    Turning it off keeps the events captured so far. *)
 
 val wants_events : t -> bool
 (** Whether a {!log} call would be recorded anywhere: capture is on, or
@@ -126,7 +134,10 @@ val detail_buffer : t -> Buffer.t
     takes [Buffer.contents] before logging. *)
 
 val events : t -> event list
+(** The captured events, oldest first. *)
+
 val events_dropped : t -> int
+(** How many oldest captured events were discarded at [event_capacity]. *)
 
 (** {1 Export} *)
 
@@ -134,4 +145,7 @@ val to_jsonl : ?meta:(string * Json.t) list -> t -> string
 (** Schema-versioned JSONL: one header object (extended with [meta],
     e.g. the run seed), then one line per span in id order, then one
     line per captured event in log order.  Byte-identical across
-    replays of the same seed and plan. *)
+    replays of the same seed and plan.  A length pass computes every
+    line's byte count first, so the result is written into a string of
+    exactly its size and the export allocates nothing else of that
+    size. *)

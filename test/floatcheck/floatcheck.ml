@@ -1,4 +1,5 @@
-(* Compares Json.float_str with its Printf specification over a long
+(* Compares Json.float_str with its Printf specification, and
+   Json.float_length with the length of that rendering, over a long
    seeded stream of inputs and stops at the first mismatch.
 
    Usage: floatcheck.exe [COUNT [SEED]]  (defaults: 10_000_000, 1) *)
@@ -15,6 +16,12 @@ let () =
     if got <> want then begin
       Printf.printf "mismatch at value %d of seed %d: %h: float_str %S, printf %S\n" i
         seed x got want;
+      exit 1
+    end;
+    let len = Manet_obs.Json.float_length x in
+    if len <> String.length want then begin
+      Printf.printf "mismatch at value %d of seed %d: %h: float_length %d, printf %S\n" i
+        seed x len want;
       exit 1
     end
   done;

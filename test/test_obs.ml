@@ -4,6 +4,7 @@
 
 module Engine = Manet_sim.Engine
 module Stats = Manet_sim.Stats
+module Trace = Manet_sim.Trace
 module Obs = Manetsec.Obs
 module Metrics = Manetsec.Metrics
 module Json = Manetsec.Obs_json
@@ -293,6 +294,396 @@ let test_jsonl_writers_match_tree () =
   Obs.note o root ~node:3 "late";
   let meta = [ ("seed", Json.Int 3) ] in
   check_lines "line" (oracle_jsonl ~meta o) (Obs.to_jsonl ~meta o)
+
+(* A to_jsonl export whose events were dropped at capacity, with meta,
+   span notes and a rejection reason: the length pass must size every
+   line, and the lines must be those of the tree. *)
+let test_jsonl_exact_size_with_drops () =
+  let e = Engine.create ~seed:1 () in
+  let o = Obs.create ~event_capacity:3 e in
+  Obs.set_capture o true;
+  let root = Obs.start o ~kind:"route.discovery" ~node:2 ~detail:"to \"fec0::9\"" () in
+  for i = 1 to 9 do
+    Engine.schedule e ~delay:(0.37 *. float_of_int i) (fun () ->
+        Obs.note o root ~node:i (Printf.sprintf "hop %d\t%c" i (Char.chr (i + 1)));
+        Obs.log o ~node:(i - 1) ~event:"tx.rreq" ~detail:(String.make (i * 7) '\\'))
+  done;
+  Engine.run e;
+  Obs.finish o root (Obs.Rejected "bad sig \001");
+  Alcotest.(check int) "events dropped at capacity" 6 (Obs.events_dropped o);
+  let meta = [ ("seed", Json.Int 5); ("label", Json.String "n\"1") ] in
+  let got = Obs.to_jsonl ~meta o in
+  let want = oracle_jsonl ~meta o in
+  Alcotest.(check int) "exact length" (String.length want) (String.length got);
+  check_lines "line" want got
+
+(* ------------------------------------------------------------------ *)
+(* The event log: Trace's one store behind the ring and the capture     *)
+(* ------------------------------------------------------------------ *)
+
+(* The two sinks as they were before they shared one store: the ring a
+   bounded Queue in Trace, the capture a bounded Queue in Obs. *)
+type model_sink = {
+  q : Trace.entry Queue.t;
+  cap : int;
+  mutable on : bool;
+  mutable dropped : int;
+}
+
+let model_push m (e : Trace.entry) =
+  if m.on then begin
+    if Queue.length m.q >= m.cap then begin
+      ignore (Queue.pop m.q);
+      m.dropped <- m.dropped + 1
+    end;
+    Queue.push e m.q
+  end
+
+type log_op =
+  | Obs_log of int * string * string  (** Obs.log: both sinks *)
+  | Engine_log of int * string * string  (** Engine.log: the ring only *)
+  | Ring of bool
+  | Capture of bool
+  | Clear  (** Trace.clear *)
+  | Check
+
+let pp_log_op = function
+  | Obs_log (n, ev, d) -> Printf.sprintf "obs %d %S %S" n ev d
+  | Engine_log (n, ev, d) -> Printf.sprintf "engine %d %S %S" n ev d
+  | Ring b -> Printf.sprintf "ring %b" b
+  | Capture b -> Printf.sprintf "capture %b" b
+  | Clear -> "clear"
+  | Check -> "check"
+
+(* Details mix clean text, escapes, control and high bytes, and long
+   runs; most ops log, so a script stores more than two chunks. *)
+let gen_log_script =
+  QCheck.Gen.(
+    let detail =
+      oneof
+        [
+          string_size ~gen:printable (int_bound 24);
+          string_size ~gen:(oneofl [ 'a'; '"'; '\\'; '\n'; '\001'; '\xc3'; '\xa9' ]) (int_bound 20);
+          map (fun n -> String.make n 'x') (int_bound 200);
+        ]
+    in
+    let name = oneofl [ "tx.areq"; "dad.configured"; "e"; "q\"t" ] in
+    let log k = map3 (fun n ev d -> k (n, ev, d)) (int_range (-1) 40) name detail in
+    let op =
+      frequency
+        [
+          (60, log (fun (n, ev, d) -> Obs_log (n, ev, d)));
+          (25, log (fun (n, ev, d) -> Engine_log (n, ev, d)));
+          (2, map (fun b -> Ring b) bool);
+          (2, map (fun b -> Capture b) bool);
+          (1, return Clear);
+          (1, return Check);
+        ]
+    in
+    let cap = oneofl [ 1; 2; 7; 300; 1500; 5000 ] in
+    let step = oneofl [ 0.0; 0.001; 0.25; 1.0 /. 3.0 ] in
+    quad cap cap bool (list_size (int_range 2600 3000) (pair step op)))
+
+let print_log_script (ring_cap, cap_cap, start_on, ops) =
+  Printf.sprintf "ring capacity %d, capture capacity %d, start on %b, %d ops:\n%s" ring_cap
+    cap_cap start_on (List.length ops)
+    (String.concat "\n"
+       (List.map (fun (dt, op) -> Printf.sprintf "+%g %s" dt (pp_log_op op)) ops))
+
+let model_render ring =
+  let buf = Buffer.create 256 in
+  if ring.dropped > 0 then
+    Buffer.add_string buf
+      (Printf.sprintf "[trace: %d oldest entries dropped at capacity %d]\n" ring.dropped
+         ring.cap);
+  Queue.iter (fun e -> Buffer.add_string buf (Format.asprintf "%a@." Trace.pp_entry e)) ring.q;
+  Buffer.contents buf
+
+let model_jsonl ~meta capture =
+  let line (e : Trace.entry) =
+    Json.to_string
+      (Json.Obj
+         [
+           ("type", Json.String "event");
+           ("t", Json.Float e.time);
+           ("node", Json.Int e.node);
+           ("name", Json.String e.event);
+           ("detail", Json.String e.detail);
+         ])
+    ^ "\n"
+  in
+  Json.to_string
+    (Json.Obj
+       ([
+          ("schema", Json.String Obs.schema);
+          ("version", Json.Int Obs.schema_version);
+          ("spans", Json.Int 0);
+          ("events", Json.Int (Queue.length capture.q));
+          ("events_dropped", Json.Int capture.dropped);
+        ]
+       @ meta))
+  ^ "\n"
+  ^ String.concat "" (List.map line (List.of_seq (Queue.to_seq capture.q)))
+
+let entry_list = Alcotest.(list (pair (pair (float 0.0) int) (pair string string)))
+let flat (e : Trace.entry) = ((e.time, e.node), (e.event, e.detail))
+
+(* One script against the model, twice: through an engine and its Obs
+   (the ring at its default capacity), and through a bare Trace with
+   both views at the script's capacities. *)
+let run_log_script (ring_cap, cap_cap, start_on, ops) =
+  let fail what = QCheck.Test.fail_reportf "%s differs from the two-queue model" what in
+  let same what eq a b = if not (eq a b) then fail what in
+  let run ~ring_cap ~engine =
+    let ring = { q = Queue.create (); cap = ring_cap; on = start_on; dropped = 0 } in
+    let capture = { q = Queue.create (); cap = cap_cap; on = start_on; dropped = 0 } in
+    let e = Engine.create ~seed:1 () in
+    let o = Obs.create ~event_capacity:cap_cap e in
+    let tr = if engine then Engine.trace e else Trace.create ~capacity:ring_cap () in
+    Trace.set_capture_capacity tr cap_cap;
+    let set_ring on = if on then Trace.enable tr else Trace.disable tr in
+    let set_capture on = if engine then Obs.set_capture o on else Trace.set_capture tr on in
+    set_ring start_on;
+    set_capture start_on;
+    let check () =
+      let model_entries = List.of_seq (Queue.to_seq ring.q) in
+      same "Trace.length" Int.equal (Trace.length tr) (Queue.length ring.q);
+      same "Trace.dropped" Int.equal (Trace.dropped tr) ring.dropped;
+      same "Trace.entries" ( = ) (List.map flat (Trace.entries tr)) (List.map flat model_entries);
+      List.iter
+        (fun tag ->
+          same ("Trace.find " ^ tag) ( = )
+            (List.map flat (Trace.find tr ~event:tag))
+            (List.filter_map
+               (fun (m : Trace.entry) -> if m.event = tag then Some (flat m) else None)
+               model_entries))
+        [ "e"; "tx.areq"; "absent" ];
+      same "Trace.render" String.equal (Trace.render tr) (model_render ring);
+      let captured = List.of_seq (Queue.to_seq capture.q) in
+      if engine then begin
+        same "Obs.events" ( = )
+          (List.map (fun (v : Obs.event) -> ((v.time, v.node), (v.name, v.detail))) (Obs.events o))
+          (List.map flat captured);
+        same "Obs.events_dropped" Int.equal (Obs.events_dropped o) capture.dropped;
+        let meta = [ ("seed", Json.Int 1) ] in
+        same "Obs.to_jsonl" String.equal (Obs.to_jsonl ~meta o) (model_jsonl ~meta capture)
+      end
+      else begin
+        same "Trace.fold_captured" ( = )
+          (List.rev (Trace.fold_captured tr ~init:[] ~f:(fun acc v -> flat v :: acc)))
+          (List.map flat captured);
+        same "Trace.captured_length" Int.equal (Trace.captured_length tr)
+          (Queue.length capture.q);
+        same "Trace.captured_dropped" Int.equal (Trace.captured_dropped tr) capture.dropped
+      end
+    in
+    (* Entries the store has taken; the full check also runs each time
+       this crosses a chunk boundary. *)
+    let stored = ref 0 in
+    let store_one () =
+      incr stored;
+      if !stored land 1023 = 0 then check ()
+    in
+    let time = ref 0.0 in
+    let apply = function
+      | Obs_log (node, event, detail) ->
+          let m = { Trace.time = !time; node; event; detail } in
+          model_push ring m;
+          model_push capture m;
+          if engine then Obs.log o ~node ~event ~detail
+          else Trace.log_shared tr ~time:!time ~node ~event ~detail;
+          if ring.on || capture.on then store_one ()
+      | Engine_log (node, event, detail) ->
+          model_push ring { Trace.time = !time; node; event; detail };
+          if engine then Engine.log e ~node ~event ~detail
+          else Trace.log tr ~time:!time ~node ~event ~detail;
+          if ring.on then store_one ()
+      | Ring on ->
+          ring.on <- on;
+          set_ring on
+      | Capture on ->
+          capture.on <- on;
+          set_capture on
+      | Clear ->
+          Queue.clear ring.q;
+          ring.dropped <- 0;
+          Trace.clear tr
+      | Check -> check ()
+    in
+    List.iter
+      (fun (dt, op) ->
+        time := !time +. dt;
+        Engine.schedule_at e ~time:!time (fun () -> apply op);
+        Engine.run e;
+        same "Trace.length" Int.equal (Trace.length tr) (Queue.length ring.q);
+        same "captured length" Int.equal (Trace.captured_length tr) (Queue.length capture.q))
+      ops;
+    check ()
+  in
+  run ~ring_cap:100_000 ~engine:true;
+  run ~ring_cap ~engine:false;
+  true
+
+let prop_event_log_matches_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:20 ~name:"event log = two-queue model"
+       (QCheck.make ~print:print_log_script gen_log_script)
+       run_log_script)
+
+(* Scripts of long phases: each sets both switches, maybe clears the
+   ring, then logs 500-2,500 entries, all through Obs.log or a mix with
+   Engine.log.  A view switched off while it holds entries pins the
+   store while the other logs on, so these runs cross the store's
+   compactions, which the short toggles above seldom reach. *)
+let gen_phase_script =
+  QCheck.Gen.(
+    let log ~mixed =
+      map3
+        (fun shared node detail ->
+          if shared || not mixed then Obs_log (node, "e", detail)
+          else Engine_log (node, "tx.areq", detail))
+        bool (int_range (-1) 9)
+        (oneofl [ ""; "d"; "q\"\n" ])
+    in
+    let phase =
+      quad bool bool (frequency [ (4, return false); (1, return true) ]) bool
+      >>= fun (ring, capture, clear, mixed) ->
+      map
+        (fun logs ->
+          [ Ring ring; Capture capture ] @ (if clear then [ Clear ] else []) @ logs @ [ Check ])
+        (list_size (int_range 500 2500) (log ~mixed))
+    in
+    let cap = oneofl [ 1; 2; 7; 300 ] in
+    map3
+      (fun ring_cap cap_cap phases ->
+        (ring_cap, cap_cap, true, List.map (fun op -> (0.5, op)) (List.concat phases)))
+      cap cap
+      (list_size (int_range 4 8) phase))
+
+let prop_event_log_phases_match_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:20 ~name:"event log = two-queue model over long phases"
+       (QCheck.make ~print:print_log_script gen_phase_script)
+       run_log_script)
+
+(* A view switched off keeps its entries; the other view logging on
+   past both capacities many times over must not keep the store
+   growing with it. *)
+let test_store_bounded_with_view_pinned () =
+  let t = Trace.create ~capacity:100 () in
+  Trace.set_capture_capacity t 100;
+  Trace.enable t;
+  Trace.set_capture t true;
+  for i = 1 to 50 do
+    Trace.log_shared t ~time:(float_of_int i) ~node:i ~event:"e" ~detail:"d"
+  done;
+  Trace.set_capture t false;
+  let words () = Obj.reachable_words (Obj.repr t) in
+  let peak = ref 0 in
+  for i = 51 to 50_000 do
+    Trace.log_shared t ~time:(float_of_int i) ~node:i ~event:"e" ~detail:"d";
+    if i land 1023 = 0 then peak := Int.max !peak (words ())
+  done;
+  Alcotest.(check int) "capture keeps its 50" 50 (Trace.captured_length t);
+  Alcotest.(check (list int)) "capture's entries"
+    (List.init 50 (fun i -> i + 1))
+    (List.rev (Trace.fold_captured t ~init:[] ~f:(fun acc e -> e.node :: acc)));
+  Alcotest.(check (list int)) "ring's newest 100"
+    (List.init 100 (fun i -> 49_901 + i))
+    (List.map (fun (e : Trace.entry) -> e.node) (Trace.entries t));
+  (* A chunk is about 4,100 words; the views hold 150 entries, so the
+     store spans at most 2 x 150 + 1,024 entries before it compacts,
+     over at most three chunks. *)
+  if !peak > 4 * 4_200 then
+    Alcotest.failf "store grew to %d words with 150 entries held" !peak
+
+(* Every Obs.t on one engine shares the engine's capture: its events,
+   its switch and its capacity, which only an explicit event_capacity
+   changes. *)
+let test_two_obs_share_capture () =
+  let e = Engine.create ~seed:1 () in
+  let a = Obs.create ~event_capacity:4 e in
+  Obs.set_capture a true;
+  let b = Obs.create e in
+  Alcotest.(check bool) "b sees a's switch" true (Obs.wants_events b);
+  for i = 1 to 6 do
+    Obs.log (if i mod 2 = 0 then a else b) ~node:i ~event:"e" ~detail:""
+  done;
+  let nodes o = List.map (fun (v : Obs.event) -> v.node) (Obs.events o) in
+  Alcotest.(check (list int)) "a default create keeps capacity 4" [ 3; 4; 5; 6 ] (nodes a);
+  Alcotest.(check (list int)) "b reads the same events" (nodes a) (nodes b);
+  Alcotest.(check int) "two dropped" 2 (Obs.events_dropped b);
+  let c = Obs.create ~event_capacity:2 e in
+  Alcotest.(check (list int)) "lowering drops down to the new capacity" [ 5; 6 ] (nodes c);
+  Alcotest.(check int) "four dropped" 4 (Obs.events_dropped a);
+  Obs.log c ~node:7 ~event:"e" ~detail:"";
+  Alcotest.(check (list int)) "and holds it" [ 6; 7 ] (nodes a);
+  Obs.set_capture b false;
+  Alcotest.(check bool) "b's switch is a's" false (Obs.wants_events a)
+
+(* Allocated words (minor + major - promoted) per call of [f]. *)
+let words_per_call n f =
+  let minor0, promoted0, major0 = Gc.counters () in
+  for _ = 1 to n do
+    f ()
+  done;
+  let minor1, promoted1, major1 = Gc.counters () in
+  (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)) /. float_of_int n
+
+let test_log_allocation_budget () =
+  (* Settle what earlier tests left behind: finishing their collection
+     runs code that allocates inside a measured window. *)
+  Gc.full_major ();
+  let e = Engine.create ~seed:1 () in
+  let o = Obs.create e in
+  let detail = String.make 120 'd' in
+  Alcotest.(check (float 0.0)) "both sinks off: Obs.log allocates nothing" 0.0
+    (Test_crypto.minor_words_per_call 10_000 (fun () ->
+         Obs.log o ~node:3 ~event:"tx.data" ~detail));
+  Trace.enable (Engine.trace e);
+  Obs.set_capture o true;
+  let per_event =
+    words_per_call 10_000 (fun () -> Obs.log o ~node:3 ~event:"tx.data" ~detail)
+  in
+  Alcotest.(check int) "every event stored" 10_000 (List.length (Obs.events o));
+  if per_event > 5.0 then
+    Alcotest.failf "both sinks on: %.2f words per event (budget 5)" per_event
+
+(* ------------------------------------------------------------------ *)
+(* The length pass's helpers against the renderings they size          *)
+(* ------------------------------------------------------------------ *)
+
+(* Strings of every escaping class, with lengths around the 7-byte scan
+   window the escaper reads 8 bytes at a time for. *)
+let gen_escape_string =
+  QCheck.Gen.(
+    string_size
+      ~gen:
+        (frequency
+           [
+             (8, printable);
+             (1, oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\000'; '\001'; '\031'; '\127' ]);
+             (2, map Char.chr (int_range 0x80 0xff));
+           ])
+      (oneof [ int_bound 24; int_range 6 9; int_range 13 16; int_bound 300 ]))
+
+let prop_escaped_length =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:2_000 ~name:"json: escaped_length = rendered length"
+       (QCheck.make ~print:(Printf.sprintf "%S") gen_escape_string)
+       (fun s -> Json.escaped_length s = String.length (Json.to_string (Json.String s))))
+
+let prop_float_length =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:20_000 ~name:"json: float_length = rendered length"
+       (QCheck.make ~print:(Printf.sprintf "%h") Float_cases.draw)
+       (fun x -> Json.float_length x = String.length (Json.float_str x)))
+
+let test_int_length () =
+  List.iter
+    (fun n ->
+      Alcotest.(check int) (string_of_int n) (String.length (string_of_int n)) (Json.int_length n))
+    [ 0; 1; 9; 10; 99; 100; -1; -9; -10; 123_456_789; max_int; min_int; min_int + 1 ]
 
 (* The windowed metrics as a model: cell (name, node, window) -> counter
    total, or the [| count; sum; min; max |] of a series. *)
@@ -681,6 +1072,15 @@ let suites =
         prop_float_str_matches_printf;
         tc "jsonl writers = json tree" test_jsonl_writers_match_tree;
         tc "scenario jsonl = json tree" test_scenario_jsonl_matches_tree;
+        tc "jsonl exact size with drops" test_jsonl_exact_size_with_drops;
+        prop_event_log_matches_model;
+        prop_event_log_phases_match_model;
+        tc "store bounded with a view pinned" test_store_bounded_with_view_pinned;
+        tc "two obs share the capture" test_two_obs_share_capture;
+        tc "log allocation budget" test_log_allocation_budget;
+        prop_escaped_length;
+        prop_float_length;
+        tc "json int_length" test_int_length;
         prop_metrics_writers_match_printf;
         tc "jsonl byte determinism" test_jsonl_byte_determinism;
         tc "causal parenting" test_causal_parenting;

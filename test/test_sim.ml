@@ -350,9 +350,8 @@ let test_trace_capacity_one () =
   Alcotest.(check int) "three dropped" 3 (Trace.dropped t);
   Alcotest.(check (list string)) "newest survives" [ "4" ]
     (List.map (fun e -> e.Trace.detail) (Trace.entries t));
-  (* The per-tag index must follow the ring: dropped entries are gone
-     from find too. *)
-  Alcotest.(check int) "index pruned with ring" 1
+  (* find scans the ring: dropped entries are gone from it too. *)
+  Alcotest.(check int) "find follows ring drops" 1
     (List.length (Trace.find t ~event:"e"))
 
 let test_trace_drops_across_clear () =
@@ -396,9 +395,9 @@ let test_trace_disabled_noop () =
   Alcotest.(check int) "fold sees nothing" 0
     (Trace.fold t ~init:0 ~f:(fun acc _ -> acc + 1))
 
-let test_trace_fold_and_index_consistency () =
-  (* After ring wraparound, fold order, entries and the per-tag index
-     must all agree. *)
+let test_trace_fold_and_find_consistency () =
+  (* After ring wraparound, fold order, entries and find must all
+     agree. *)
   let t = Trace.create ~capacity:4 () in
   Trace.enable t;
   for i = 1 to 10 do
@@ -1240,8 +1239,8 @@ let suites =
         Alcotest.test_case "render header gated on drops" `Quick
           test_trace_render_header_gated_on_drops;
         Alcotest.test_case "disabled no-op" `Quick test_trace_disabled_noop;
-        Alcotest.test_case "fold and index consistency" `Quick
-          test_trace_fold_and_index_consistency;
+        Alcotest.test_case "fold and find consistency" `Quick
+          test_trace_fold_and_find_consistency;
       ] );
     ( "sim.engine",
       [
