@@ -8,6 +8,33 @@ module Net = Manet_sim.Net
 module Directory = Manet_proto.Directory
 module Identity = Manet_proto.Identity
 
+(* Counter and series keys, bound once (see [Stats.key]). *)
+module Key = struct
+  let ack_unmatched = Stats.key "ack.unmatched"
+  let aodv_ack_no_route = Stats.key "aodv.ack_no_route"
+  let aodv_hash_chain_rejected = Stats.key "aodv.hash_chain_rejected"
+  let aodv_rrep_no_reverse_route = Stats.key "aodv.rrep_no_reverse_route"
+  let aodv_rrep_rejected = Stats.key "aodv.rrep_rejected"
+  let aodv_rreq_rejected = Stats.key "aodv.rreq_rejected"
+  let data_acked = Stats.key "data.acked"
+  let data_delivered = Stats.key "data.delivered"
+  let data_dropped = Stats.key "data.dropped"
+  let data_forwarded = Stats.key "data.forwarded"
+  let data_latency = Stats.key "data.latency"
+  let data_offered = Stats.key "data.offered"
+  let data_rtt = Stats.key "data.rtt"
+  let data_timeout = Stats.key "data.timeout"
+  let rerr_received = Stats.key "rerr.received"
+  let rerr_sent = Stats.key "rerr.sent"
+  let route_discoveries = Stats.key "route.discoveries"
+  let route_discovery_failed = Stats.key "route.discovery_failed"
+  let tx_aodv_rreq = Stats.key "tx.aodv_rreq"
+  let tx_aodv_rrep = Stats.key "tx.aodv_rrep"
+  let tx_aodv_rerr = Stats.key "tx.aodv_rerr"
+  let tx_aodv_data = Stats.key "tx.aodv_data"
+  let tx_aodv_ack = Stats.key "tx.aodv_ack"
+end
+
 type msg =
   | Rreq of {
       src : Address.t;
@@ -45,12 +72,13 @@ type msg =
     }
   | Ack of { a_src : Address.t; a_dst : Address.t; data_seq : int; sent_at : float }
 
-let tag = function
-  | Rreq _ -> "aodv_rreq"
-  | Rrep _ -> "aodv_rrep"
-  | Rerr _ -> "aodv_rerr"
-  | Data _ -> "aodv_data"
-  | Ack _ -> "aodv_ack"
+(* The transmission counter ["tx.aodv_<kind>"]'s key. *)
+let tx_key = function
+  | Rreq _ -> Key.tx_aodv_rreq
+  | Rrep _ -> Key.tx_aodv_rrep
+  | Rerr _ -> Key.tx_aodv_rerr
+  | Data _ -> Key.tx_aodv_data
+  | Ack _ -> Key.tx_aodv_ack
 
 let msg_size ~sig_size ~pk_size m =
   let header = 40 + 1 and addr = 16 and seq = 4 and hash = 32 in
@@ -170,8 +198,8 @@ let now t = Engine.now t.engine
 let node_id t = t.identity.Identity.node_id
 let net t = t.net
 let suite t = t.identity.Identity.suite
-let stat t name = Stats.incr (Engine.stats t.engine) name
-let observe t name v = Stats.observe (Engine.stats t.engine) name v
+let stat t k = Stats.incr (Engine.stats t.engine) k
+let observe t k v = Stats.observe (Engine.stats t.engine) k v
 
 let sig_sizes t =
   let s = suite t in
@@ -180,12 +208,12 @@ let sig_sizes t =
 
 let broadcast t m =
   let sig_size, pk_size = sig_sizes t in
-  stat t ("tx." ^ tag m);
+  stat t (tx_key m);
   Net.broadcast t.net ~src:(node_id t) ~size:(msg_size ~sig_size ~pk_size m) m
 
 let unicast_addr t ~next ?(on_fail = fun () -> ()) m =
   let sig_size, pk_size = sig_sizes t in
-  stat t ("tx." ^ tag m);
+  stat t (tx_key m);
   match Directory.lookup_all t.directory next with
   | [] -> Engine.schedule t.engine ~label:"aodv" ~delay:0.01 on_fail
   | claimants ->
@@ -279,13 +307,13 @@ let rec transmit t packet =
           match Address.Seq_tbl.find_opt t.in_flight k with
           | Some p when p == packet ->
               Address.Seq_tbl.remove t.in_flight k;
-              stat t "data.timeout";
+              stat t Key.data_timeout;
               invalidate_route t packet.p_dst;
               if packet.p_retries < t.config.max_send_retries then begin
                 packet.p_retries <- packet.p_retries + 1;
                 transmit t packet
               end
-              else stat t "data.dropped"
+              else stat t Key.data_dropped
           | _ -> ())
 
 and queue_for t dst =
@@ -307,7 +335,7 @@ and send_rreq t d =
   d.d_attempts <- d.d_attempts + 1;
   t.own_seq <- t.own_seq + 1;
   t.bcast_id <- t.bcast_id + 1;
-  stat t "route.discoveries";
+  stat t Key.route_discoveries;
   let src = address t in
   let dst_seq_known =
     match Address.Tbl.find_opt t.table d.d_dst with Some e -> e.seq | None -> 0
@@ -349,10 +377,10 @@ and send_rreq t d =
         else begin
           d.d_resolved <- true;
           Address.Tbl.remove t.pending d.d_dst;
-          stat t "route.discovery_failed";
+          stat t Key.route_discovery_failed;
           match Address.Tbl.find_opt t.queue d.d_dst with
           | Some q ->
-              Queue.iter (fun _ -> stat t "data.dropped") q;
+              Queue.iter (fun _ -> stat t Key.data_dropped) q;
               Queue.clear q
           | None -> ()
         end
@@ -373,7 +401,7 @@ and route_established t dst =
 
 let send t ~dst ?(size = 512) () =
   t.data_seq <- t.data_seq + 1;
-  stat t "data.offered";
+  stat t Key.data_offered;
   transmit t
     { p_dst = dst; p_size = size; p_seq = t.data_seq; p_first_sent = now t; p_retries = 0 }
 
@@ -446,8 +474,8 @@ let handle_rreq t ~src m =
                     ~max_hops)
                ~signature:sig_
         in
-        if not chain_ok then stat t "aodv.hash_chain_rejected"
-        else if not sig_ok then stat t "aodv.rreq_rejected"
+        if not chain_ok then stat t Key.aodv_hash_chain_rejected
+        else if not sig_ok then stat t Key.aodv_rreq_rejected
         else begin
           (* Install the reverse route toward the requester. *)
           (match sender_addr t src with
@@ -501,8 +529,8 @@ let handle_rrep t ~src m =
              ~payload:(rrep_payload ~rep_src ~rep_dst ~dst_seq ~top_hash ~max_hops)
              ~signature:sig_
       in
-      if not chain_ok then stat t "aodv.hash_chain_rejected"
-      else if not sig_ok then stat t "aodv.rrep_rejected"
+      if not chain_ok then stat t Key.aodv_hash_chain_rejected
+      else if not sig_ok then stat t Key.aodv_rrep_rejected
       else begin
         (* Install the forward route toward the reported destination. *)
         (match sender_addr t src with
@@ -530,7 +558,7 @@ let handle_rrep t ~src m =
                      top_hash;
                      max_hops;
                    })
-          | None -> stat t "aodv.rrep_no_reverse_route"
+          | None -> stat t Key.aodv_rrep_no_reverse_route
         end
       end
   | _ -> ()
@@ -555,7 +583,7 @@ let handle_rerr t ~src m =
             | _ -> false)
           unreachable
       in
-      stat t "rerr.received";
+      stat t Key.rerr_received;
       if dropped <> [] then broadcast t (Rerr { unreachable = dropped })
   | _ -> ()
 
@@ -566,25 +594,25 @@ let handle_data t ~src:_ m =
         let k = { Address.addr = d_src; seq = d_seq } in
         if not (Address.Seq_tbl.mem t.seen_data k) then begin
           Address.Seq_tbl.replace t.seen_data k ();
-          stat t "data.delivered";
-          observe t "data.latency" (now t -. sent_at)
+          stat t Key.data_delivered;
+          observe t Key.data_latency (now t -. sent_at)
         end;
         match route_lookup t d_src with
         | Some e ->
             unicast_addr t ~next:e.next
               (Ack { a_src = address t; a_dst = d_src; data_seq = d_seq; sent_at })
-        | None -> stat t "aodv.ack_no_route"
+        | None -> stat t Key.aodv_ack_no_route
       end
       else begin
         match route_lookup t d_dst with
         | Some e ->
-            stat t "data.forwarded";
+            stat t Key.data_forwarded;
             unicast_addr t ~next:e.next m ~on_fail:(fun () ->
                 invalidate_route t d_dst;
-                stat t "rerr.sent";
+                stat t Key.rerr_sent;
                 broadcast t (Rerr { unreachable = [ (d_dst, 0) ] }))
         | None ->
-            stat t "rerr.sent";
+            stat t Key.rerr_sent;
             broadcast t (Rerr { unreachable = [ (d_dst, 0) ] })
       end
   | _ -> ()
@@ -597,9 +625,9 @@ let handle_ack t ~src:_ m =
         match Address.Seq_tbl.find_opt t.in_flight k with
         | Some _ ->
             Address.Seq_tbl.remove t.in_flight k;
-            stat t "data.acked";
-            observe t "data.rtt" (now t -. sent_at)
-        | None -> stat t "ack.unmatched"
+            stat t Key.data_acked;
+            observe t Key.data_rtt (now t -. sent_at)
+        | None -> stat t Key.ack_unmatched
       end
       else begin
         match route_lookup t a_dst with

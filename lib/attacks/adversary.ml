@@ -7,6 +7,19 @@ module Directory = Manet_proto.Directory
 module Identity = Manet_proto.Identity
 module Audit = Manet_obs.Audit
 module Engine = Manet_sim.Engine
+module Stats = Manet_sim.Stats
+
+(* Counter and series keys, bound once (see [Stats.key]). *)
+module Key = struct
+  let attack_data_dropped = Stats.key "attack.data_dropped"
+  let attack_identity_changes = Stats.key "attack.identity_changes"
+  let attack_impersonations = Stats.key "attack.impersonations"
+  let attack_mitm_forwarded = Stats.key "attack.mitm_forwarded"
+  let attack_probes_dropped = Stats.key "attack.probes_dropped"
+  let attack_replayed = Stats.key "attack.replayed"
+  let attack_rerr_forged = Stats.key "attack.rerr_forged"
+  let attack_rrep_forged = Stats.key "attack.rrep_forged"
+end
 
 type behavior = {
   drop_data : [ `Never | `Always | `Prob of float ];
@@ -121,7 +134,7 @@ let spam_rerrs t =
              recorded under an [Attack_*] kind that the detector itself
              never weighs. *)
           Ctx.audit t.ctx ~kind:Audit.Attack_rerr
-            ~stats:[ "attack.rerr_forged" ]
+            ~stats:[ Key.attack_rerr_forged ]
             ~cause:
               ("fabricated break toward " ^ Address.to_string broken_next)
             ();
@@ -138,7 +151,7 @@ let churn_identity t =
   Identity.refresh_address id ctx.Ctx.rng;
   Directory.register ctx.Ctx.directory id.Identity.address (Ctx.node_id ctx);
   Ctx.audit ctx ~kind:Audit.Attack_churn
-    ~stats:[ "attack.identity_changes" ]
+    ~stats:[ Key.attack_identity_changes ]
     ~cause:("identity shed for " ^ Address.to_string id.Identity.address)
     ();
   Ctx.log ctx ~event:"attack.churn" ~detail:(Address.to_string id.Identity.address)
@@ -184,7 +197,7 @@ let forge_rrep t ~sip ~dip ~seq ~rr =
      -> D.  Under the secure protocol we cannot produce D's signature, so
      we attach junk; the baseline carries no signature at all. *)
   Ctx.audit t.ctx ~kind:Audit.Attack_forgery
-    ~stats:[ "attack.rrep_forged" ]
+    ~stats:[ Key.attack_rrep_forged ]
     ~cause:("forged one-hop route to " ^ Address.to_string dip)
     ();
   let claimed_rr = rr @ [ address t ] in
@@ -208,7 +221,7 @@ let impersonate_relay t victim ~rreq =
          key and attach our own key material — the CGA check at the
          destination is what catches the mismatch. *)
       Ctx.audit t.ctx ~kind:Audit.Attack_impersonation
-        ~stats:[ "attack.impersonations" ]
+        ~stats:[ Key.attack_impersonations ]
         ~cause:("appended victim " ^ Address.to_string victim ^ " to rreq")
         ();
       let entry =
@@ -235,7 +248,7 @@ let replay_captured t ~sip ~dip ~rr =
          live route record so it actually arrives.  The stale sequence
          binding is what the secure verification catches. *)
       Ctx.audit t.ctx ~kind:Audit.Attack_replay
-        ~stats:[ "attack.replayed" ]
+        ~stats:[ Key.attack_replayed ]
         ~cause:("captured rrep for " ^ Address.to_string dip ^ " re-sent")
         ();
       let back = List.rev rr @ [ sip ] in
@@ -268,7 +281,7 @@ let impersonated_transit t msg =
       | _, [] -> Some `Consumed (* addressed to the victim itself: swallow *)
       | Messages.Data _, _ when should_drop t -> Some `Consumed
       | _, _ ->
-          Ctx.stat t.ctx "attack.mitm_forwarded";
+          Ctx.stat t.ctx Key.attack_mitm_forwarded;
           Ctx.send_along t.ctx ~path:tail (Messages.with_remaining msg tail);
           Some `Forwarded)
   | _ -> None
@@ -318,7 +331,7 @@ let handle t ~src msg =
           Address.Tbl.replace t.flows flow_src route;
           if should_drop t then
             Ctx.audit t.ctx ~kind:Audit.Attack_drop
-              ~stats:[ "attack.data_dropped" ]
+              ~stats:[ Key.attack_data_dropped ]
               ~cause:"transit data silently dropped" ()
           else t.delegate ~src msg
       | None -> t.delegate ~src msg)
@@ -327,14 +340,14 @@ let handle t ~src msg =
       | Some _ ->
           if t.behavior.drop_probes then
             Ctx.audit t.ctx ~kind:Audit.Attack_drop
-              ~stats:[ "attack.probes_dropped" ]
+              ~stats:[ Key.attack_probes_dropped ]
               ~cause:"transit probe silently dropped" ()
           else t.delegate ~src msg
       | None ->
           if Address.equal target (address t) && not t.behavior.answer_probes
           then
             Ctx.audit t.ctx ~kind:Audit.Attack_drop
-              ~stats:[ "attack.probes_dropped" ]
+              ~stats:[ Key.attack_probes_dropped ]
               ~cause:("probe for " ^ Address.to_string target ^ " ignored")
               ()
           else t.delegate ~src msg)

@@ -5,6 +5,12 @@ module Net = Manet_sim.Net
 module Engine = Manet_sim.Engine
 module Stats = Manet_sim.Stats
 
+(* Counter and series keys, bound once (see [Stats.key]). *)
+module Key = struct
+  let attack_data_dropped = Stats.key "attack.data_dropped"
+  let attack_rrep_forged = Stats.key "attack.rrep_forged"
+end
+
 type behavior = { forge_rrep : bool; drop_data : bool }
 
 let blackhole = { forge_rrep = true; drop_data = true }
@@ -58,11 +64,11 @@ let handle t ~src msg =
               max_hops = 16;
             }
         in
-        stat t "attack.rrep_forged";
+        stat t Key.attack_rrep_forged;
         send_rrep_back t ~src forged
       end
       (* Do not relay: attract, don't help. *)
   | Aodv.Data { d_dst; _ }
     when t.behavior.drop_data && not (Address.equal d_dst (address t)) ->
-      stat t "attack.data_dropped"
+      stat t Key.attack_data_dropped
   | _ -> Aodv.handle t.delegate ~src msg

@@ -39,19 +39,25 @@ module Stbl = Hashtbl.Make (String)
    an adversary makes up cannot grow it without limit. *)
 let max_prepared_keys = 256
 
+(* The verify context of [pk_bytes] in [prepared]: the parsed key with
+   its Montgomery context, or None for bytes that do not parse. *)
+let prepare prepared pk_bytes =
+  (* manetcheck: allow hot-string-key — the cache is keyed by the
+     signer's public key bytes, which arrive in each message: the
+     content is the key, so there is no name to bind once, and one hash
+     of 70 bytes saves a key parse and a Montgomery set-up. *)
+  match Stbl.find_opt prepared pk_bytes with
+  | Some p -> p
+  | None ->
+      (* manetcheck: cold — a key's first verify since the cache was
+         last emptied. *)
+      let p = Option.map Rsa.prepare (Rsa.public_key_of_bytes pk_bytes) in
+      if Stbl.length prepared >= max_prepared_keys then Stbl.reset prepared;
+      Stbl.add prepared pk_bytes p;
+      p
+
 let rsa ?(bits = 512) prng =
-  (* pk_bytes -> parsed key with its Montgomery context, or None for
-     bytes that do not parse. *)
   let prepared = Stbl.create 64 in
-  let prepare pk_bytes =
-    match Stbl.find_opt prepared pk_bytes with
-    | Some p -> p
-    | None ->
-        let p = Option.map Rsa.prepare (Rsa.public_key_of_bytes pk_bytes) in
-        if Stbl.length prepared >= max_prepared_keys then Stbl.reset prepared;
-        Stbl.add prepared pk_bytes p;
-        p
-  in
   let rec suite =
     {
       scheme_name = Printf.sprintf "rsa-%d" bits;
@@ -68,7 +74,7 @@ let rsa ?(bits = 512) prng =
       verify =
         (fun ~pk_bytes ~msg ~signature ->
           record suite Verify ~bytes:(String.length msg);
-          match prepare pk_bytes with
+          match prepare prepared pk_bytes with
           | None -> false
           | Some p -> Rsa.verify_prepared p ~msg ~signature);
       (* n is [bits] bits and e = 65537: 3 bytes, plus two 2-byte length

@@ -11,6 +11,19 @@ module Audit = Manet_obs.Audit
 module Engine = Manet_sim.Engine
 module Obs = Manet_obs.Obs
 module Flood = Manet_obs.Flood
+module Stats = Manet_sim.Stats
+
+(* Counter and series keys, bound once (see [Stats.key]). *)
+module Key = struct
+  let dad_arep_rejected = Stats.key "dad.arep_rejected"
+  let dad_collision = Stats.key "dad.collision"
+  let dad_configured = Stats.key "dad.configured"
+  let dad_drep_rejected = Stats.key "dad.drep_rejected"
+  let dad_duplicate_detected = Stats.key "dad.duplicate_detected"
+  let dad_failed = Stats.key "dad.failed"
+  let dad_name_conflict = Stats.key "dad.name_conflict"
+  let dad_warning_sent = Stats.key "dad.warning_sent"
+end
 
 type config = {
   arep_wait : float;
@@ -140,11 +153,12 @@ let rec begin_attempt t ~attempt ~dn =
   let key = areq_key ~sip ~seq:t.seq ~ch in
   let flood = Flood.handle (floods t) ~key ~origin:(Ctx.node_id ctx) in
   Flood.Seen.add t.seen_areq flood;
-  Ctx.log ctx ~event:"dad.start"
-    ~detail:
-      (Printf.sprintf "sip=%s dn=%s attempt=%d" (Address.to_string sip)
-         (Option.value ~default:"-" dn)
-         attempt);
+  if Obs.wants_events (obs t) then
+    Ctx.log ctx ~event:"dad.start"
+      ~detail:
+        (Printf.sprintf "sip=%s dn=%s attempt=%d" (Address.to_string sip)
+           (Option.value ~default:"-" dn)
+           attempt);
   Flood.sent (floods t) flood;
   Ctx.broadcast ctx (Messages.Areq { sip; seq = t.seq; dn; ch; rr = [] });
   Engine.schedule ctx.Ctx.engine ~label:"dad" ~delay:t.config.arep_wait (fun () ->
@@ -156,9 +170,10 @@ let rec begin_attempt t ~attempt ~dn =
           (identity t).Identity.domain_name <- dn;
           finish_flood t Obs.Ok;
           finish_bootstrap t Obs.Ok;
-          Ctx.stat ctx "dad.configured";
-          Ctx.log ctx ~event:"dad.configured"
-            ~detail:(Address.to_string (address t));
+          Ctx.stat ctx Key.dad_configured;
+          if Obs.wants_events (obs t) then
+            Ctx.log ctx ~event:"dad.configured"
+              ~detail:(Address.to_string (address t));
           t.on_complete (Configured { address = address t; name = dn })
       | _ -> ())
 
@@ -169,19 +184,20 @@ and retry_with_new_address t p =
   (* The verified owner shares our tentative address; it is honest until
      something else says otherwise, so nobody stands accused here. *)
   Ctx.audit ctx ~kind:Audit.Dad_collision
-    ~stats:[ "dad.collision" ]
+    ~stats:[ Key.dad_collision ]
     ~cause:("tentative address already owned: " ^ Address.to_string (address t))
     ();
   finish_flood t (Obs.Rejected "address collision");
   if p.p_attempt + 1 >= t.config.max_attempts then begin
-    Ctx.stat ctx "dad.failed";
+    Ctx.stat ctx Key.dad_failed;
     finish_bootstrap t (Obs.Failed "address collisions exhausted retry budget");
     t.on_complete (Failed "address collisions exhausted retry budget")
   end
   else begin
     Directory.unregister ctx.Ctx.directory (address t) (Ctx.node_id ctx);
     Identity.refresh_address (identity t) ctx.Ctx.rng;
-    Ctx.log ctx ~event:"dad.retry" ~detail:(Address.to_string (address t));
+    if Obs.wants_events (obs t) then
+      Ctx.log ctx ~event:"dad.retry" ~detail:(Address.to_string (address t));
     begin_attempt t ~attempt:(p.p_attempt + 1) ~dn:p.p_dn
   end
 
@@ -190,7 +206,7 @@ and retry_with_new_name t p =
   p.p_resolved <- true;
   t.pending <- None;
   Ctx.audit ctx ~kind:Audit.Dns_conflict
-    ~stats:[ "dad.name_conflict" ]
+    ~stats:[ Key.dad_name_conflict ]
     ~cause:
       ("domain name already registered: "
       ^ Option.value ~default:"-" p.p_dn)
@@ -201,7 +217,7 @@ and retry_with_new_name t p =
     t.on_complete (Failed "domain name conflict")
   end
   else if p.p_attempt + 1 >= t.config.max_attempts then begin
-    Ctx.stat ctx "dad.failed";
+    Ctx.stat ctx Key.dad_failed;
     finish_bootstrap t
       (Obs.Failed "domain name conflicts exhausted retry budget");
     t.on_complete (Failed "domain name conflicts exhausted retry budget")
@@ -253,10 +269,11 @@ let answer_duplicate t (m : (* areq fields *) Address.t * int64 * Address.t list
   (* [sip] is also our address, so a directory lookup would name
      ourselves: the claimant has no resolvable identity yet. *)
   Ctx.audit ctx ~kind:Audit.Dad_collision
-    ~stats:[ "dad.duplicate_detected" ]
+    ~stats:[ Key.dad_duplicate_detected ]
     ~cause:("tentative claim of our address " ^ Address.to_string sip)
     ();
-  Ctx.log ctx ~event:"dad.duplicate" ~detail:(Address.to_string sip);
+  if Obs.wants_events (obs t) then
+    Ctx.log ctx ~event:"dad.duplicate" ~detail:(Address.to_string sip);
   (* AREP span: child of the initiator's flood span (shared Obs), open
      from here until the initiator accepts the reply. *)
   let o = obs t in
@@ -277,7 +294,7 @@ let answer_duplicate t (m : (* areq fields *) Address.t * int64 * Address.t list
     Messages.Arep { sip; rr = []; remaining = [ t.dns_address ]; sig_; pk; rn }
   in
   Hashtbl.replace t.seen_warning sig_ ();
-  Ctx.stat ctx "dad.warning_sent";
+  Ctx.stat ctx Key.dad_warning_sent;
   (* manetcheck: allow flood-origin-label — the warning AREP is flooded
      towards the DNS but is not an AREQ/RREQ flood; provenance tracks
      address/route request storms only (§3.1). *)
@@ -356,14 +373,15 @@ let consume_arep t msg =
               (match why with
               | Arep_bad_binding ->
                   Ctx.audit t.ctx ~kind:Audit.Cga_mismatch
-                    ~stats:[ "dad.arep_rejected" ]
+                    ~stats:[ Key.dad_arep_rejected ]
                     ~cause:"arep owner key/address binding" ()
               | Arep_bad_sig | Arep_ok ->
                   Ctx.audit t.ctx ~kind:Audit.Sig_verify_fail
-                    ~stats:[ "dad.arep_rejected" ]
+                    ~stats:[ Key.dad_arep_rejected ]
                     ~cause:"arep challenge signature" ());
-              Ctx.log t.ctx ~event:"dad.arep_rejected"
-                ~detail:(Address.to_string sip))
+              if Obs.wants_events (obs t) then
+                Ctx.log t.ctx ~event:"dad.arep_rejected"
+                  ~detail:(Address.to_string sip))
       | _ ->
           (* Not ours: if we host the DNS this is a duplicate warning. *)
           t.warning_sink msg)
@@ -387,7 +405,7 @@ let consume_drep t msg =
           end
           else begin
             Ctx.audit t.ctx ~kind:Audit.Sig_verify_fail
-              ~stats:[ "dad.drep_rejected" ]
+              ~stats:[ Key.dad_drep_rejected ]
               ~cause:"drep dns server signature" ();
             Ctx.log t.ctx ~event:"dad.drep_rejected" ~detail:dn
           end

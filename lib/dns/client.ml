@@ -9,6 +9,19 @@ module Directory = Manet_proto.Directory
 module Identity = Manet_proto.Identity
 module Audit = Manet_obs.Audit
 module Obs = Manet_obs.Obs
+module Stats = Manet_sim.Stats
+
+(* Counter and series keys, bound once (see [Stats.key]). *)
+module Key = struct
+  let dns_client_challenge_unmatched = Stats.key "dns_client.challenge_unmatched"
+  let dns_client_ip_change_rejected = Stats.key "dns_client.ip_change_rejected"
+  let dns_client_ip_change_requested = Stats.key "dns_client.ip_change_requested"
+  let dns_client_ip_changed = Stats.key "dns_client.ip_changed"
+  let dns_client_queries = Stats.key "dns_client.queries"
+  let dns_client_reply_rejected = Stats.key "dns_client.reply_rejected"
+  let dns_client_reply_unmatched = Stats.key "dns_client.reply_unmatched"
+  let dns_client_verified_replies = Stats.key "dns_client.verified_replies"
+end
 
 type pending_query = {
   q_name : string;
@@ -46,7 +59,7 @@ let query t ~route ~name ~callback =
   in
   Hashtbl.replace t.queries ch
     { q_name = name; q_ch = ch; q_cb = callback; q_span = span };
-  Ctx.stat ctx "dns_client.queries";
+  Ctx.stat ctx Key.dns_client_queries;
   let path = route @ [ t.dns_address ] in
   Ctx.send_along ctx ~path
     (Messages.Name_query
@@ -64,7 +77,7 @@ let consume_name_reply t (m : Messages.t) =
               ~signature:sig_
           then begin
             Hashtbl.remove t.queries ch;
-            Ctx.stat t.ctx "dns_client.verified_replies";
+            Ctx.stat t.ctx Key.dns_client_verified_replies;
             Obs.finish t.ctx.Ctx.obs q.q_span
               (match result with
               | Some _ -> Obs.Ok
@@ -73,9 +86,9 @@ let consume_name_reply t (m : Messages.t) =
           end
           else
             Ctx.audit t.ctx ~kind:Audit.Sig_verify_fail
-              ~stats:[ "dns_client.reply_rejected" ]
+              ~stats:[ Key.dns_client_reply_rejected ]
               ~cause:"name reply dns server signature" ()
-      | _ -> Ctx.stat t.ctx "dns_client.reply_unmatched")
+      | _ -> Ctx.stat t.ctx Key.dns_client_reply_unmatched)
   | _ -> ()
 
 let request_ip_change t ~route ~callback =
@@ -100,7 +113,7 @@ let request_ip_change t ~route ~callback =
         c_cb = callback;
         c_span = span;
       };
-  Ctx.stat ctx "dns_client.ip_change_requested";
+  Ctx.stat ctx Key.dns_client_ip_change_requested;
   let path = route @ [ t.dns_address ] in
   Ctx.send_along ctx ~path
     (Messages.Ip_change_request { old_ip; new_ip; route; remaining = path })
@@ -128,7 +141,7 @@ let consume_challenge t (m : Messages.t) =
                  route = c.c_route;
                  remaining = path;
                })
-      | _ -> Ctx.stat t.ctx "dns_client.challenge_unmatched")
+      | _ -> Ctx.stat t.ctx Key.dns_client_challenge_unmatched)
   | _ -> ()
 
 let consume_ack t (m : Messages.t) =
@@ -144,13 +157,14 @@ let consume_ack t (m : Messages.t) =
             id.Identity.rn <- c.c_new_rn;
             id.Identity.address <- new_ip;
             Directory.register ctx.Ctx.directory new_ip (Ctx.node_id ctx);
-            Ctx.stat ctx "dns_client.ip_changed";
-            Ctx.log ctx ~event:"dns_client.ip_changed"
-              ~detail:(Address.to_string new_ip)
+            Ctx.stat ctx Key.dns_client_ip_changed;
+            if Obs.wants_events ctx.Ctx.obs then
+              Ctx.log ctx ~event:"dns_client.ip_changed"
+                ~detail:(Address.to_string new_ip)
           end
           else
             Ctx.audit ctx ~kind:Audit.Dns_conflict
-              ~stats:[ "dns_client.ip_change_rejected" ]
+              ~stats:[ Key.dns_client_ip_change_rejected ]
               ~cause:"dns refused our ip change" ();
           Obs.finish ctx.Ctx.obs c.c_span
             (if accepted then Obs.Ok else Obs.Rejected "dns refused");

@@ -10,6 +10,21 @@ module Audit = Manet_obs.Audit
 module Engine = Manet_sim.Engine
 module Obs = Manet_obs.Obs
 module Dad = Manet_dad.Dad
+module Stats = Manet_sim.Stats
+
+(* Counter and series keys, bound once (see [Stats.key]). *)
+module Key = struct
+  let dns_drep_sent = Stats.key "dns.drep_sent"
+  let dns_ip_change_challenged = Stats.key "dns.ip_change_challenged"
+  let dns_ip_change_rejected = Stats.key "dns.ip_change_rejected"
+  let dns_ip_changed = Stats.key "dns.ip_changed"
+  let dns_pending = Stats.key "dns.pending"
+  let dns_queries = Stats.key "dns.queries"
+  let dns_registered = Stats.key "dns.registered"
+  let dns_registration_cancelled = Stats.key "dns.registration_cancelled"
+  let dns_warning_rejected = Stats.key "dns.warning_rejected"
+  let dns_warning_stashed = Stats.key "dns.warning_stashed"
+end
 
 type config = { commit_wait : float }
 
@@ -74,7 +89,7 @@ let send_drep t ~sip ~dn ~ch ~rr =
   let ctx = t.ctx in
   let sig_ = Identity.sign ctx.Ctx.identity (Codec.drep_payload ~dn ~ch) in
   let back_path = List.rev rr @ [ sip ] in
-  Ctx.stat ctx "dns.drep_sent";
+  Ctx.stat ctx Key.dns_drep_sent;
   Ctx.log ctx ~event:"dns.name_conflict" ~detail:dn;
   (* DREP span: child of the initiator's AREQ flood span (the DN rides
      the AREQ), open until the initiator verifies the reply. *)
@@ -95,10 +110,12 @@ let drop_pending t reg =
 let commit_pending t reg =
   if not reg.reg_cancelled then begin
     Hashtbl.replace t.table reg.reg_dn reg.reg_sip;
-    Ctx.stat t.ctx "dns.registered";
+    Ctx.stat t.ctx Key.dns_registered;
     finish_reg_span t reg Obs.Ok;
-    Ctx.log t.ctx ~event:"dns.registered"
-      ~detail:(Printf.sprintf "%s -> %s" reg.reg_dn (Address.to_string reg.reg_sip))
+    if Obs.wants_events (obs t) then
+      Ctx.log t.ctx ~event:"dns.registered"
+        ~detail:
+          (Printf.sprintf "%s -> %s" reg.reg_dn (Address.to_string reg.reg_sip))
   end;
   drop_pending t reg
 
@@ -153,11 +170,13 @@ let observe_areq t msg =
              address: refuse the registration outright. *)
           Address.Tbl.remove t.stashed_warnings sip;
           Ctx.audit t.ctx ~kind:Audit.Dns_conflict ~subject:sip
-            ~stats:[ "dns.registration_cancelled" ]
+            ~stats:[ Key.dns_registration_cancelled ]
             ~cause:"registration refused: verified duplicate warning on file"
             ();
-          Ctx.log t.ctx ~event:"dns.warning"
-            ~detail:(Printf.sprintf "stashed duplicate %s" (Address.to_string sip))
+          if Obs.wants_events (obs t) then
+            Ctx.log t.ctx ~event:"dns.warning"
+              ~detail:
+                (Printf.sprintf "stashed duplicate %s" (Address.to_string sip))
       | None, None ->
           let span =
             let o = obs t in
@@ -179,7 +198,7 @@ let observe_areq t msg =
           in
           Address.Tbl.replace t.pending_by_sip sip reg;
           Hashtbl.replace t.pending_by_dn dn reg;
-          Ctx.stat t.ctx "dns.pending";
+          Ctx.stat t.ctx Key.dns_pending;
           Engine.schedule t.ctx.Ctx.engine ~label:"dns"
             ~delay:t.config.commit_wait (fun () ->
               (* Only commit if this exact registration is still current. *)
@@ -199,7 +218,7 @@ let consume_warning t msg =
              re-checks its CGA binding and signature against the later
              AREQ's challenge. *)
           stash_warning t ~sip msg;
-          Ctx.stat t.ctx "dns.warning_stashed"
+          Ctx.stat t.ctx Key.dns_warning_stashed
       | Some reg ->
           let valid = verify_warning t ~sip ~sig_ ~pk ~rn ~ch:reg.reg_ch in
           if valid then begin
@@ -207,14 +226,15 @@ let consume_warning t msg =
             drop_pending t reg;
             finish_reg_span t reg (Obs.Rejected "duplicate warning");
             Ctx.audit t.ctx ~kind:Audit.Dns_conflict ~subject:sip
-              ~stats:[ "dns.registration_cancelled" ]
+              ~stats:[ Key.dns_registration_cancelled ]
               ~cause:"pending registration cancelled by duplicate warning" ();
-            Ctx.log t.ctx ~event:"dns.warning"
-              ~detail:(Printf.sprintf "duplicate %s" (Address.to_string sip))
+            if Obs.wants_events (obs t) then
+              Ctx.log t.ctx ~event:"dns.warning"
+                ~detail:(Printf.sprintf "duplicate %s" (Address.to_string sip))
           end
           else
             Ctx.audit t.ctx ~kind:Audit.Sig_verify_fail
-              ~stats:[ "dns.warning_rejected" ]
+              ~stats:[ Key.dns_warning_rejected ]
               ~cause:"duplicate-warning arep binding or signature" ())
   | _ -> ()
 
@@ -232,7 +252,7 @@ let serve_name_query t ~requester ~name ~ch ~route =
   let sig_ =
     Identity.sign ctx.Ctx.identity (Codec.name_reply_payload ~name ~result ~ch)
   in
-  Ctx.stat ctx "dns.queries";
+  Ctx.stat ctx Key.dns_queries;
   let path = reply_path ~route ~requester in
   Ctx.send_along ctx ~path
     (Messages.Name_reply { requester; name; result; ch; remaining = path; sig_ })
@@ -244,7 +264,7 @@ let serve_ip_change_request t ~old_ip ~new_ip ~route =
   let ch = Prng.bits64 ctx.Ctx.rng in
   Hashtbl.replace t.pending_changes (change_key ~old_ip ~new_ip)
     { chg_ch = ch; chg_old = old_ip; chg_new = new_ip };
-  Ctx.stat ctx "dns.ip_change_challenged";
+  Ctx.stat ctx Key.dns_ip_change_challenged;
   let path = reply_path ~route ~requester:old_ip in
   Ctx.send_along ctx ~path
     (Messages.Ip_change_challenge { old_ip; new_ip; ch; remaining = path })
@@ -278,15 +298,16 @@ let serve_ip_change_proof t ~old_ip ~new_ip ~old_rn ~new_rn ~pk ~sig_ ~route =
            t.table [])
     in
     List.iter (fun dn -> Hashtbl.replace t.table dn new_ip) renames;
-    Ctx.stat ctx "dns.ip_changed";
-    Ctx.log ctx ~event:"dns.ip_changed"
-      ~detail:
-        (Printf.sprintf "%s -> %s (%d names)" (Address.to_string old_ip)
-           (Address.to_string new_ip) (List.length renames))
+    Ctx.stat ctx Key.dns_ip_changed;
+    if Obs.wants_events (obs t) then
+      Ctx.log ctx ~event:"dns.ip_changed"
+        ~detail:
+          (Printf.sprintf "%s -> %s (%d names)" (Address.to_string old_ip)
+             (Address.to_string new_ip) (List.length renames))
   end
   else
     Ctx.audit ctx ~kind:Audit.Sig_verify_fail
-      ~stats:[ "dns.ip_change_rejected" ]
+      ~stats:[ Key.dns_ip_change_rejected ]
       ~cause:
         ("ip-change proof for "
         ^ Address.to_string old_ip

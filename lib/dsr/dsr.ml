@@ -7,6 +7,30 @@ module Audit = Manet_obs.Audit
 module Engine = Manet_sim.Engine
 module Obs = Manet_obs.Obs
 module Flood = Manet_obs.Flood
+module Stats = Manet_sim.Stats
+
+(* Counter and series keys, bound once (see [Stats.key]). *)
+module Key = struct
+  let ack_unmatched = Stats.key "ack.unmatched"
+  let data_acked = Stats.key "data.acked"
+  let data_delivered = Stats.key "data.delivered"
+  let data_dropped = Stats.key "data.dropped"
+  let data_forwarded = Stats.key "data.forwarded"
+  let data_latency = Stats.key "data.latency"
+  let data_offered = Stats.key "data.offered"
+  let data_rtt = Stats.key "data.rtt"
+  let data_salvaged = Stats.key "data.salvaged"
+  let data_timeout = Stats.key "data.timeout"
+  let rerr_received = Stats.key "rerr.received"
+  let rerr_sent = Stats.key "rerr.sent"
+  let route_cache_replies = Stats.key "route.cache_replies"
+  let route_discoveries = Stats.key "route.discoveries"
+  let route_discovery_failed = Stats.key "route.discovery_failed"
+  let route_discovery_time = Stats.key "route.discovery_time"
+  let route_hops = Stats.key "route.hops"
+  let route_replies = Stats.key "route.replies"
+  let route_shortened = Stats.key "route.shortened"
+end
 
 type config = {
   discovery_timeout : float;
@@ -176,7 +200,7 @@ and ack_timeout t packet route =
   | Some p when p != packet -> ()
   | Some _ ->
       Address.Seq_tbl.remove t.in_flight k;
-      Ctx.stat t.ctx "data.timeout";
+      Ctx.stat t.ctx Key.data_timeout;
       (* This route failed silently (black hole or stale cache): forget
          it and retry over whatever is left. *)
       Route_cache.remove_route t.cache ~dst:packet.p_dst ~route;
@@ -184,7 +208,7 @@ and ack_timeout t packet route =
         packet.p_retries <- packet.p_retries + 1;
         dispatch t packet
       end
-      else Ctx.stat t.ctx "data.dropped"
+      else Ctx.stat t.ctx Key.data_dropped
 
 and dispatch t packet =
   match cached_route t ~dst:packet.p_dst with
@@ -220,7 +244,7 @@ and send_rreq t d =
   t.rreq_seq <- t.rreq_seq + 1;
   let seq = t.rreq_seq in
   d.d_attempts <- d.d_attempts + 1;
-  Ctx.stat t.ctx "route.discoveries";
+  Ctx.stat t.ctx Key.route_discoveries;
   let fl =
     Obs.start (obs t) ?parent:d.d_span ~kind:"rreq.flood"
       ~node:(Ctx.node_id t.ctx)
@@ -254,14 +278,14 @@ and send_rreq t d =
 and discovery_failed t d =
   d.d_resolved <- true;
   Address.Tbl.remove t.pending d.d_dst;
-  Ctx.stat t.ctx "route.discovery_failed";
+  Ctx.stat t.ctx Key.route_discovery_failed;
   (match d.d_span with
   | Some id -> Obs.finish (obs t) id Obs.Timeout
   | None -> ());
   (match Address.Tbl.find_opt t.queue d.d_dst with
   | None -> ()
   | Some q ->
-      Queue.iter (fun _ -> Ctx.stat t.ctx "data.dropped") q;
+      Queue.iter (fun _ -> Ctx.stat t.ctx Key.data_dropped) q;
       Queue.clear q);
   notify_waiters t d.d_dst None
 
@@ -285,8 +309,8 @@ and route_found t ~dst ~route =
       (match d.d_span with
       | Some id -> Obs.finish (obs t) id Obs.Ok
       | None -> ());
-      Ctx.observe t.ctx "route.discovery_time" (now t -. d.d_started);
-      Ctx.observe t.ctx "route.hops" (float_of_int (List.length route + 1))
+      Ctx.observe t.ctx Key.route_discovery_time (now t -. d.d_started);
+      Ctx.observe t.ctx Key.route_hops (float_of_int (List.length route + 1))
   | _ -> ());
   (* Flush queued packets over the fresh route. *)
   (match Address.Tbl.find_opt t.queue dst with
@@ -299,7 +323,7 @@ and route_found t ~dst ~route =
 
 let send t ~dst ?(size = 512) () =
   t.data_seq <- t.data_seq + 1;
-  Ctx.stat t.ctx "data.offered";
+  Ctx.stat t.ctx Key.data_offered;
   dispatch t
     {
       p_dst = dst;
@@ -329,7 +353,7 @@ let discover t ~dst ~on_route =
 let srr_ips srr = List.map (fun e -> e.Messages.ip) srr
 
 let answer_as_destination t ~sip ~seq ~rr =
-  Ctx.stat t.ctx "route.replies";
+  Ctx.stat t.ctx Key.route_replies;
   let o = obs t in
   let sid =
     Obs.start o
@@ -346,7 +370,7 @@ let answer_as_destination t ~sip ~seq ~rr =
        { sip; dip = address t; rr; remaining = back; sig_ = ""; dpk = ""; drn = 0L })
 
 let answer_from_cache t ~sip ~seq ~dip ~rr cached =
-  Ctx.stat t.ctx "route.cache_replies";
+  Ctx.stat t.ctx Key.route_cache_replies;
   let o = obs t in
   let sid =
     Obs.start o
@@ -498,7 +522,7 @@ let try_salvage t msg =
       match cached_route t ~dst with
       | Some route
         when not (List.exists (Address.equal (address t)) route) ->
-          Ctx.stat t.ctx "data.salvaged";
+          Ctx.stat t.ctx Key.data_salvaged;
           let path = route @ [ dst ] in
           Ctx.send_along t.ctx ~path
             (Messages.Data { d with route; remaining = path });
@@ -509,7 +533,7 @@ let try_salvage t msg =
 let forward_data t ~next msg =
   match msg with
   | Messages.Data { src; route; _ } ->
-      Ctx.stat t.ctx "data.forwarded";
+      Ctx.stat t.ctx Key.data_forwarded;
       Ctx.send_along t.ctx ~path:next msg ~on_fail:(fun () ->
           (* Link break: report back to the source (§3.4 / DSR route
              maintenance). *)
@@ -520,7 +544,7 @@ let forward_data t ~next msg =
             | Some (before, _) -> List.rev before @ [ src ]
             | None -> [ src ]
           in
-          Ctx.stat t.ctx "rerr.sent";
+          Ctx.stat t.ctx Key.rerr_sent;
           Ctx.send_along t.ctx ~path:back
             (Messages.Rerr
                {
@@ -545,8 +569,8 @@ let consume_data t msg =
       let k = { Address.addr = src; seq } in
       if not (Address.Seq_tbl.mem t.seen_data k) then begin
         Address.Seq_tbl.replace t.seen_data k ();
-        Ctx.stat t.ctx "data.delivered";
-        Ctx.observe t.ctx "data.latency" (now t -. sent_at)
+        Ctx.stat t.ctx Key.data_delivered;
+        Ctx.observe t.ctx Key.data_latency (now t -. sent_at)
       end;
       if t.config.use_acks then begin
       let back_route = List.rev route in
@@ -578,10 +602,10 @@ let consume_ack t msg =
       let k = { Address.addr = acker; seq = data_seq } in
       if Address.Seq_tbl.mem t.in_flight k then begin
         Address.Seq_tbl.remove t.in_flight k;
-        Ctx.stat t.ctx "data.acked";
-        Ctx.observe t.ctx "data.rtt" (now t -. sent_at)
+        Ctx.stat t.ctx Key.data_acked;
+        Ctx.observe t.ctx Key.data_rtt (now t -. sent_at)
       end
-      else Ctx.stat t.ctx "ack.unmatched")
+      else Ctx.stat t.ctx Key.ack_unmatched)
   | _ -> ()
 
 (* DSR automatic route shortening: on a promiscuous radio we may
@@ -614,7 +638,7 @@ let overheard_data t msg =
               in
               let shortened = upto @ (me :: after_me) in
               if List.length shortened < List.length route then begin
-                Ctx.stat t.ctx "route.shortened";
+                Ctx.stat t.ctx Key.route_shortened;
                 (* Back to the source through the hops the packet already
                    used (we are in range of the last of them). *)
                 let back = List.rev upto @ [ src ] in
@@ -640,7 +664,7 @@ let consume_rerr t msg =
      exact weakness the §4 RERR-forgery adversary exploits and secure routing
      closes. *)
   | Messages.Rerr { reporter; broken_next; _ } ->
-      Ctx.stat t.ctx "rerr.received";
+      Ctx.stat t.ctx Key.rerr_received;
       (* Plain DSR believes any error report.  The audit stream still
          records the unverified acceptance so the exposure shows up in a
          timeline next to the secure stack's rejections. *)

@@ -119,6 +119,26 @@ let event_name = function
   | Heal -> "fault.heal"
   | Channel _ -> "fault.channel"
 
+(* [event_name]'s counter keys, bound once (see [Stats.key]). *)
+module Key = struct
+  let crash = Stats.key "fault.crash"
+  let restart = Stats.key "fault.restart"
+  let link_down = Stats.key "fault.link_down"
+  let link_up = Stats.key "fault.link_up"
+  let partition = Stats.key "fault.partition"
+  let heal = Stats.key "fault.heal"
+  let channel = Stats.key "fault.channel"
+end
+
+let event_key = function
+  | Crash _ -> Key.crash
+  | Restart _ -> Key.restart
+  | Link_down _ -> Key.link_down
+  | Link_up _ -> Key.link_up
+  | Partition _ -> Key.partition
+  | Heal -> Key.heal
+  | Channel _ -> Key.channel
+
 let event_node = function
   | Crash i | Restart i -> i
   | Link_down _ | Link_up _ | Partition _ | Heal | Channel _ -> -1
@@ -214,7 +234,7 @@ let schedule ?obs engine hooks plan =
   List.iter
     (fun { at; event } ->
       Engine.schedule_at engine ~label:"fault" ~time:at (fun () ->
-          Stats.incr stats (event_name event);
+          Stats.incr stats (event_key event);
           Engine.log engine ~node:(event_node event) ~event:(event_name event)
             ~detail:(event_detail event);
           (match obs with Some o -> record_span o event | None -> ());

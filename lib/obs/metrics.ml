@@ -1,6 +1,6 @@
 module Engine = Manet_sim.Engine
 module Stats = Manet_sim.Stats
-module Stbl = Hashtbl.Make (String)
+module Keyed = Stats.Keyed
 module Itbl = Hashtbl.Make (Int)
 
 let global_node = -1
@@ -14,8 +14,9 @@ type series = {
   mutable s_max : float;
 }
 
-(* Cells are keyed by metric name, then by (node, window index) packed
-   into one int, so recording builds no key tuple. *)
+(* Cells are keyed by metric (through its {!Stats.key}), then by (node,
+   window index) packed into one int, so recording builds no key
+   tuple. *)
 let node_bits = 24
 
 let pack ~node w =
@@ -26,12 +27,22 @@ let pack ~node w =
 let node_of k = (k land ((1 lsl node_bits) - 1)) - 1
 let window_of k = k lsr node_bits
 
+(* One counter metric: every (node, window) cell, and the cells of the
+   latest window recorded, by node + 1, so a record in that window finds
+   its cell in an array.  [none] marks a node with no cell there yet. *)
+type counter = {
+  cells : int ref Itbl.t;
+  mutable latest : int;
+  mutable by_node : int ref array;
+  none : int ref;
+}
+
 type t = {
   engine : Engine.t;
   win : float;
   mutable enabled : bool;
-  counters : int ref Itbl.t Stbl.t;
-  series : series Itbl.t Stbl.t;
+  counters : counter Keyed.t;
+  series : series Itbl.t Keyed.t;
 }
 
 let create ?(window = 1.0) engine =
@@ -40,8 +51,8 @@ let create ?(window = 1.0) engine =
     engine;
     win = window;
     enabled = false;
-    counters = Stbl.create 64;
-    series = Stbl.create 16;
+    counters = Keyed.create 64;
+    series = Keyed.create 16;
   }
 
 let window t = t.win
@@ -50,30 +61,71 @@ let enabled t = t.enabled
 
 let widx t = int_of_float (Engine.now t.engine /. t.win)
 
-(* The cells of one metric name, created on the name's first record. *)
-let cells_of tbl name =
-  match Stbl.find tbl name with
-  | cells -> cells
+(* The counter of [k]'s name, created on the name's first record. *)
+let counter_of tbl k =
+  match Keyed.find tbl k with
+  | c -> c
   | exception Not_found ->
-      let cells = Itbl.create 16 in
-      Stbl.add tbl name cells;
-      cells
+      (* manetcheck: cold — once per metric name, on its first record *)
+      let c = { cells = Itbl.create 16; latest = -1; by_node = [||]; none = ref 0 } in
+      Keyed.add tbl k c;
+      c
 
-let bump cells key by =
-  match Itbl.find cells key with
-  | r -> r := !r + by
-  | exception Not_found ->
-      (* manetcheck: allow hot-alloc — one cell per (name, node, window),
-         made on that cell's first bump only. *)
-      Itbl.add cells key (ref by)
+(* A cell's first bump, or a bump in a window later than [c.latest]:
+   find or make the cell and cache it in [by_node]. *)
+let bump_cell c ~node w by =
+  let key = pack ~node w in
+  if w <> c.latest then begin
+    c.latest <- w;
+    Array.fill c.by_node 0 (Array.length c.by_node) c.none
+  end;
+  let r =
+    match Itbl.find c.cells key with
+    | r -> r
+    | exception Not_found ->
+        let r = ref 0 in
+        Itbl.add c.cells key r;
+        r
+  in
+  let i = node + 1 in
+  if i >= Array.length c.by_node then begin
+    let grown = Array.make (max 16 (2 * i)) c.none in
+    Array.blit c.by_node 0 grown 0 (Array.length c.by_node);
+    c.by_node <- grown
+  end;
+  c.by_node.(i) <- r;
+  r := !r + by
 
-let record t ~node ?(by = 1) name =
+let bump c ~node w by =
+  let i = node + 1 in
+  if w = c.latest && i >= 0 && i < Array.length c.by_node && c.by_node.(i) != c.none
+  then begin
+    let r = c.by_node.(i) in
+    r := !r + by
+  end
+  else
+    (* manetcheck: cold — once per (name, node, window): the cell's first
+       bump, or the node's first in a later window. *)
+    bump_cell c ~node w by
+
+let record t ~node ~by k =
   if t.enabled then begin
     let w = widx t in
-    let cells = cells_of t.counters name in
-    bump cells (pack ~node w) by;
-    if node <> global_node then bump cells (pack ~node:global_node w) by
+    let c = counter_of t.counters k in
+    bump c ~node w by;
+    if node <> global_node then bump c ~node:global_node w by
   end
+
+(* The series cells of one metric name, created on the name's first
+   sample. *)
+let series_of tbl k =
+  match Keyed.find tbl k with
+  | cells -> cells
+  | exception Not_found ->
+      (* manetcheck: cold — once per metric name, on its first sample *)
+      let cells = Itbl.create 16 in
+      Keyed.add tbl k cells;
+      cells
 
 let add_sample cells key x =
   let s =
@@ -93,21 +145,21 @@ let add_sample cells key x =
   if x < s.s_min then s.s_min <- x;
   if x > s.s_max then s.s_max <- x
 
-let observe t ~node name x =
+let observe t ~node k x =
   if t.enabled then begin
     let w = widx t in
-    let cells = cells_of t.series name in
+    let cells = series_of t.series k in
     add_sample cells (pack ~node w) x;
     if node <> global_node then add_sample cells (pack ~node:global_node w) x
   end
 
 let counter_total t ~node name =
-  match Stbl.find_opt t.counters name with
+  match Keyed.find_name t.counters name with
   | None -> 0
-  | Some cells ->
+  | Some c ->
       Itbl.fold
         (fun k r acc -> if node_of k = node then acc + !r else acc)
-        cells 0
+        c.cells 0
 
 (* --- export -------------------------------------------------------------- *)
 
@@ -116,13 +168,13 @@ let compare_key (na, ia, wa) (nb, ib, wb) =
   | 0 -> ( match Int.compare ia ib with 0 -> Int.compare wa wb | c -> c)
   | c -> c
 
-let sorted_cells tbl =
-  Stbl.fold
-    (fun name cells acc ->
+let sorted_cells cells_of tbl =
+  List.fold_left
+    (fun acc (name, m) ->
       Itbl.fold
         (fun k v acc -> ((name, node_of k, window_of k), v) :: acc)
-        cells acc)
-    tbl []
+        (cells_of m) acc)
+    [] (Keyed.sorted tbl)
   |> List.sort (fun (a, _) (b, _) -> compare_key a b)
 
 (* Every row is written field by field into the export buffer.  Window
@@ -184,8 +236,8 @@ let add_stat_summary_row buf (name, (s : Stats.summary)) =
 let to_csv ?stats t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "kind,name,node,window,count,mean,stddev,min,max\n";
-  List.iter (add_counter_row buf t) (sorted_cells t.counters);
-  List.iter (add_series_row buf t) (sorted_cells t.series);
+  List.iter (add_counter_row buf t) (sorted_cells (fun c -> c.cells) t.counters);
+  List.iter (add_series_row buf t) (sorted_cells Fun.id t.series);
   (match stats with
   | None -> ()
   | Some st ->
@@ -220,8 +272,8 @@ let to_prom ?stats t =
       add_prom_cell buf t "manetsim_counter" key;
       Json.add_int buf !r;
       Buffer.add_char buf '\n')
-    (sorted_cells t.counters);
-  let series = sorted_cells t.series in
+    (sorted_cells (fun c -> c.cells) t.counters);
+  let series = sorted_cells Fun.id t.series in
   let series_field field add_value =
     let metric = "manetsim_series_" ^ field in
     Buffer.add_string buf ("# TYPE " ^ metric ^ " gauge\n");

@@ -38,14 +38,22 @@ val global_node : int
 
 (** {1 Recording} *)
 
-val record : t -> node:int -> ?by:int -> string -> unit
-(** Bump counter [name] for [node] (and the global aggregate) in the
-    window containing the current simulated time.  No-op while
-    disabled. *)
+val record : t -> node:int -> by:int -> Stats.key -> unit
+(** Add [by] to [k]'s counter for [node] (and the global aggregate) in
+    the window containing the current simulated time.  No-op while
+    disabled.
 
-val observe : t -> node:int -> string -> float -> unit
-(** Add one float sample to series [name] (count/sum/min/max per
-    window, per node and global).  No-op while disabled. *)
+    Cost: the metric is found by its {!Stats.key} (see {!Stats.Keyed}),
+    with no string hash or compare; the node's and the global cell of
+    the current window are then read from a per-metric array (an
+    int-keyed probe only for a cell's first record in a window).  No
+    allocation once both cells exist.  Disabled, the call is one field
+    test. *)
+
+val observe : t -> node:int -> Stats.key -> float -> unit
+(** Add one float sample to [k]'s series (count/sum/min/max per
+    window, per node and global).  No-op while disabled.  Found like
+    {!record}. *)
 
 (** {1 Reading} *)
 

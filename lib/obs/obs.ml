@@ -1,4 +1,6 @@
+module Address = Manet_ipv6.Address
 module Engine = Manet_sim.Engine
+module Stats = Manet_sim.Stats
 module Trace = Manet_sim.Trace
 
 let schema = "manetsim-trace"
@@ -36,6 +38,25 @@ type event = { time : float; node : int; name : string; detail : string }
 module Itbl = Hashtbl.Make (Int)
 module Stbl = Hashtbl.Make (String)
 
+(* Bound on the address-text memo; reset when full, so addresses an
+   adversary makes up cannot grow it without limit.  A scenario's own
+   addresses (one or a few per node) fit many times over. *)
+let max_address_texts = 4096
+
+(* The metric keys every audit kind counts under: ["audit.<kind>"] for
+   the emitter and ["accused.<kind>"] for the subject. *)
+let audit_keys =
+  List.map
+    (fun k ->
+      let label = Audit.kind_label k in
+      (k, Stats.key ("audit." ^ label), Stats.key ("accused." ^ label)))
+    Audit.all_kinds
+
+let rec audit_keys_of kind = function
+  | [] -> invalid_arg "Obs: audit kind missing from Audit.all_kinds"
+  | ((k, _, _) as keys) :: rest ->
+      if k == kind then keys else audit_keys_of kind rest
+
 type t = {
   engine : Engine.t;
   spans : span Itbl.t;
@@ -48,7 +69,24 @@ type t = {
   timeline : Timeline.t;
   flood : Flood.t;
   detail : Buffer.t;
+  address_texts : string Address.Tbl.t;
+  add_address : Buffer.t -> Address.t -> unit;
 }
+
+(* [Address.to_string], memoised.  The text is a pure function of the
+   address, so an entry never goes stale; the memo is only ever emptied
+   to bound it. *)
+let memo_text texts a =
+  match Address.Tbl.find texts a with
+  | s -> s
+  | exception Not_found ->
+      (* manetcheck: cold — an address's first rendering since the memo
+         was last emptied. *)
+      if Address.Tbl.length texts >= max_address_texts then
+        Address.Tbl.reset texts;
+      let s = Address.to_string a in
+      Address.Tbl.add texts a s;
+      s
 
 let create ?event_capacity engine =
   let trace = Engine.trace engine in
@@ -59,11 +97,12 @@ let create ?event_capacity engine =
      emitter's node and, when someone stands accused, once under the
      subject's.  Metrics themselves gate on their enabled switch. *)
   Audit.on_emit audit (fun e ->
-      let label = Audit.kind_label e.Audit.kind in
-      Metrics.record metrics ~node:e.Audit.node ("audit." ^ label);
+      let _, emitted, accused = audit_keys_of e.Audit.kind audit_keys in
+      Metrics.record metrics ~node:e.Audit.node ~by:1 emitted;
       match e.Audit.subject_node with
-      | Some s -> Metrics.record metrics ~node:s ("accused." ^ label)
+      | Some s -> Metrics.record metrics ~node:s ~by:1 accused
       | None -> ());
+  let address_texts = Address.Tbl.create 64 in
   {
     engine;
     spans = Itbl.create 256;
@@ -76,6 +115,8 @@ let create ?event_capacity engine =
     timeline = Timeline.create engine;
     flood = Flood.create engine;
     detail = Buffer.create 160;
+    address_texts;
+    add_address = (fun buf a -> Buffer.add_string buf (memo_text address_texts a));
   }
 
 let audit t = t.audit
@@ -127,8 +168,13 @@ let spans t =
 
 (* --- correlation registry ----------------------------------------------- *)
 
+(* manetcheck: allow hot-string-key — correlation keys are built per
+   flood or discovery from message content (an address, a challenge, a
+   signature), not fixed names, so there is no key to bind once. *)
 let correlate t key id = Stbl.replace t.corr key id
 
+(* manetcheck: allow hot-string-key — the same registry, read once per
+   first copy of a reply or flood. *)
 let lookup t key = Stbl.find_opt t.corr key
 
 (* --- event sink --------------------------------------------------------- *)
@@ -142,6 +188,9 @@ let log t ~node ~event ~detail =
 let detail_buffer t =
   Buffer.clear t.detail;
   t.detail
+
+let address_text t a = memo_text t.address_texts a
+let address_writer t = t.add_address
 
 let events t =
   List.rev

@@ -59,7 +59,7 @@ val create : ?event_capacity:int -> Engine.t -> t
     creates the scenario's {!Audit} stream and windowed {!Metrics}
     engine and wires every audit event into the metrics (under
     ["audit.<kind>"] for the emitter, ["accused.<kind>"] for the
-    subject). *)
+    subject, through keys made once at module initialisation). *)
 
 val audit : t -> Audit.t
 (** The scenario-wide security audit stream. *)
@@ -132,6 +132,22 @@ val detail_buffer : t -> Buffer.t
 (** The scenario's one scratch buffer for rendering an event detail,
     cleared.  Its contents are valid until the next call, so a caller
     takes [Buffer.contents] before logging. *)
+
+val address_text : t -> Manet_ipv6.Address.t -> string
+(** [Address.to_string a], memoised per scenario: the first call for an
+    address renders it, later calls return the same string.  A hit
+    costs one {!Manet_ipv6.Address.Tbl} probe and allocates nothing
+    (about 25 ns, against about 155 ns and a fresh string for
+    [Address.to_string]).  The text is
+    a pure function of the address, so the memo never goes stale; it is
+    emptied when it holds 4,096 addresses, so addresses an adversary
+    makes up cannot grow it without limit. *)
+
+val address_writer : t -> Buffer.t -> Manet_ipv6.Address.t -> unit
+(** Appends {!address_text}'s text to a buffer: the address writer
+    transmission details pass to {!Manet_proto.Messages.add_to_buffer}.
+    The closure is made once per [t], so passing it allocates
+    nothing. *)
 
 val events : t -> event list
 (** The captured events, oldest first. *)

@@ -2,6 +2,10 @@ module Address = Manet_ipv6.Address
 module Cga = Manet_ipv6.Cga
 module Suite = Manet_crypto.Suite
 module Prng = Manet_crypto.Prng
+(* manetcheck: allow-file hot-string-key — [Memo] is the signature
+   memo, keyed by the signed payload itself: the content is the key, so
+   there is no name to bind once, and one hash of the payload is far
+   cheaper than the signature a hit saves. *)
 module Memo = Hashtbl.Make (String)
 
 type t = {

@@ -4,6 +4,8 @@
    this file puts on the send path returns constants. *)
 
 module Address = Manet_ipv6.Address
+module Stats = Manet_sim.Stats
+module Json = Manet_obs.Json
 
 type srr_entry = { ip : Address.t; sig_ : string; pk : string; rn : int64 }
 
@@ -150,64 +152,54 @@ type t =
       remaining : Address.t list;
     }
 
-let tag = function
-  | Areq _ -> "areq"
-  | Arep _ -> "arep"
-  | Drep _ -> "drep"
-  | Rreq _ -> "rreq"
-  | Rrep _ -> "rrep"
-  | Crep _ -> "crep"
-  | Rerr _ -> "rerr"
-  | Data _ -> "data"
-  | Ack _ -> "ack"
-  | Probe _ -> "probe"
-  | Probe_reply _ -> "probe_reply"
-  | Name_query _ -> "name_query"
-  | Name_reply _ -> "name_reply"
-  | Ip_change_request _ -> "ip_change_request"
-  | Ip_change_challenge _ -> "ip_change_challenge"
-  | Ip_change_proof _ -> "ip_change_proof"
-  | Ip_change_ack _ -> "ip_change_ack"
+(* Per-constructor constants: the tag and the transmission counters'
+   keys, made once so a send bumps its counters without building or
+   hashing a string. *)
+type kind = { tag : string; tx : Stats.key; txbytes : Stats.key }
 
-(* Counter keys, one constant per constructor, so a send bumps its
-   counters without building a string. *)
-let tx_key = function
-  | Areq _ -> "tx.areq"
-  | Arep _ -> "tx.arep"
-  | Drep _ -> "tx.drep"
-  | Rreq _ -> "tx.rreq"
-  | Rrep _ -> "tx.rrep"
-  | Crep _ -> "tx.crep"
-  | Rerr _ -> "tx.rerr"
-  | Data _ -> "tx.data"
-  | Ack _ -> "tx.ack"
-  | Probe _ -> "tx.probe"
-  | Probe_reply _ -> "tx.probe_reply"
-  | Name_query _ -> "tx.name_query"
-  | Name_reply _ -> "tx.name_reply"
-  | Ip_change_request _ -> "tx.ip_change_request"
-  | Ip_change_challenge _ -> "tx.ip_change_challenge"
-  | Ip_change_proof _ -> "tx.ip_change_proof"
-  | Ip_change_ack _ -> "tx.ip_change_ack"
+let kind tag =
+  { tag; tx = Stats.key ("tx." ^ tag); txbytes = Stats.key ("txbytes." ^ tag) }
 
-let txbytes_key = function
-  | Areq _ -> "txbytes.areq"
-  | Arep _ -> "txbytes.arep"
-  | Drep _ -> "txbytes.drep"
-  | Rreq _ -> "txbytes.rreq"
-  | Rrep _ -> "txbytes.rrep"
-  | Crep _ -> "txbytes.crep"
-  | Rerr _ -> "txbytes.rerr"
-  | Data _ -> "txbytes.data"
-  | Ack _ -> "txbytes.ack"
-  | Probe _ -> "txbytes.probe"
-  | Probe_reply _ -> "txbytes.probe_reply"
-  | Name_query _ -> "txbytes.name_query"
-  | Name_reply _ -> "txbytes.name_reply"
-  | Ip_change_request _ -> "txbytes.ip_change_request"
-  | Ip_change_challenge _ -> "txbytes.ip_change_challenge"
-  | Ip_change_proof _ -> "txbytes.ip_change_proof"
-  | Ip_change_ack _ -> "txbytes.ip_change_ack"
+let k_areq = kind "areq"
+let k_arep = kind "arep"
+let k_drep = kind "drep"
+let k_rreq = kind "rreq"
+let k_rrep = kind "rrep"
+let k_crep = kind "crep"
+let k_rerr = kind "rerr"
+let k_data = kind "data"
+let k_ack = kind "ack"
+let k_probe = kind "probe"
+let k_probe_reply = kind "probe_reply"
+let k_name_query = kind "name_query"
+let k_name_reply = kind "name_reply"
+let k_ip_change_request = kind "ip_change_request"
+let k_ip_change_challenge = kind "ip_change_challenge"
+let k_ip_change_proof = kind "ip_change_proof"
+let k_ip_change_ack = kind "ip_change_ack"
+
+let kind_of = function
+  | Areq _ -> k_areq
+  | Arep _ -> k_arep
+  | Drep _ -> k_drep
+  | Rreq _ -> k_rreq
+  | Rrep _ -> k_rrep
+  | Crep _ -> k_crep
+  | Rerr _ -> k_rerr
+  | Data _ -> k_data
+  | Ack _ -> k_ack
+  | Probe _ -> k_probe
+  | Probe_reply _ -> k_probe_reply
+  | Name_query _ -> k_name_query
+  | Name_reply _ -> k_name_reply
+  | Ip_change_request _ -> k_ip_change_request
+  | Ip_change_challenge _ -> k_ip_change_challenge
+  | Ip_change_proof _ -> k_ip_change_proof
+  | Ip_change_ack _ -> k_ip_change_ack
+
+let tag m = (kind_of m).tag
+let tx_key m = (kind_of m).tx
+let txbytes_key m = (kind_of m).txbytes
 
 let remaining = function
   | Areq _ -> None
@@ -252,100 +244,101 @@ let with_remaining msg hops =
 
    The one text renderer for messages: trace and capture details and
    [pp] all go through it.  Each helper appends a field label and its
-   value; every constructor closes with ')'. *)
+   value; every constructor closes with ')'.  Addresses go through the
+   caller's writer [addr]. *)
 
-let add_addr buf label a =
+let add_addr addr buf label a =
   Buffer.add_string buf label;
-  Address.add_to_buffer buf a
+  addr buf a
 
 let add_int buf label n =
   Buffer.add_string buf label;
-  Buffer.add_string buf (string_of_int n)
+  Json.add_int buf n
 
 let add_str buf label s =
   Buffer.add_string buf label;
   Buffer.add_string buf s
 
-let rec add_hops buf = function
+let rec add_hops addr buf = function
   | [] -> ()
   | a :: rest ->
       Buffer.add_char buf ';';
-      Address.add_to_buffer buf a;
-      add_hops buf rest
+      addr buf a;
+      add_hops addr buf rest
 
 (* [a;b;c] *)
-let add_route buf label route =
+let add_route addr buf label route =
   Buffer.add_string buf label;
   Buffer.add_char buf '[';
   (match route with
   | [] -> ()
   | a :: rest ->
-      Address.add_to_buffer buf a;
-      add_hops buf rest);
+      addr buf a;
+      add_hops addr buf rest);
   Buffer.add_char buf ']'
 
-let add_to_buffer buf msg =
+let add_to_buffer addr buf msg =
   (match msg with
   | Areq m ->
-      add_addr buf "AREQ(sip=" m.sip;
+      add_addr addr buf "AREQ(sip=" m.sip;
       add_int buf ", seq=" m.seq;
       add_str buf ", dn=" (Option.value ~default:"-" m.dn);
-      add_route buf ", rr=" m.rr
+      add_route addr buf ", rr=" m.rr
   | Arep m ->
-      add_addr buf "AREP(sip=" m.sip;
-      add_route buf ", rr=" m.rr
+      add_addr addr buf "AREP(sip=" m.sip;
+      add_route addr buf ", rr=" m.rr
   | Drep m ->
-      add_addr buf "DREP(sip=" m.sip;
+      add_addr addr buf "DREP(sip=" m.sip;
       add_str buf ", dn=" m.dn
   | Rreq m ->
-      add_addr buf "RREQ(sip=" m.sip;
-      add_addr buf ", dip=" m.dip;
+      add_addr addr buf "RREQ(sip=" m.sip;
+      add_addr addr buf ", dip=" m.dip;
       add_int buf ", seq=" m.seq;
       add_int buf ", hops=" (List.length m.srr)
   | Rrep m ->
-      add_addr buf "RREP(sip=" m.sip;
-      add_addr buf ", dip=" m.dip;
-      add_route buf ", rr=" m.rr
+      add_addr addr buf "RREP(sip=" m.sip;
+      add_addr addr buf ", dip=" m.dip;
+      add_route addr buf ", rr=" m.rr
   | Crep m ->
-      add_addr buf "CREP(req=" m.requester;
-      add_addr buf ", cacher=" m.cacher;
-      add_addr buf ", dip=" m.dip
+      add_addr addr buf "CREP(req=" m.requester;
+      add_addr addr buf ", cacher=" m.cacher;
+      add_addr addr buf ", dip=" m.dip
   | Rerr m ->
-      add_addr buf "RERR(reporter=" m.reporter;
-      add_addr buf ", broken=" m.broken_next;
-      add_addr buf ", dst=" m.dst
+      add_addr addr buf "RERR(reporter=" m.reporter;
+      add_addr addr buf ", broken=" m.broken_next;
+      add_addr addr buf ", dst=" m.dst
   | Data m ->
-      add_addr buf "DATA(src=" m.src;
-      add_addr buf ", dst=" m.dst;
+      add_addr addr buf "DATA(src=" m.src;
+      add_addr addr buf ", dst=" m.dst;
       add_int buf ", seq=" m.seq
   | Ack m ->
-      add_addr buf "ACK(src=" m.src;
-      add_addr buf ", dst=" m.dst;
+      add_addr addr buf "ACK(src=" m.src;
+      add_addr addr buf ", dst=" m.dst;
       add_int buf ", seq=" m.data_seq
   | Probe m ->
-      add_addr buf "PROBE(origin=" m.origin;
-      add_addr buf ", target=" m.target;
+      add_addr addr buf "PROBE(origin=" m.origin;
+      add_addr addr buf ", target=" m.target;
       add_int buf ", seq=" m.seq
   | Probe_reply m ->
-      add_addr buf "PROBE_REPLY(responder=" m.responder;
+      add_addr addr buf "PROBE_REPLY(responder=" m.responder;
       add_int buf ", seq=" m.seq
   | Name_query m -> add_str buf "NAME_QUERY(name=" m.name
   | Name_reply m -> (
       add_str buf "NAME_REPLY(name=" m.name;
       match m.result with
-      | Some a -> add_addr buf ", result=" a
+      | Some a -> add_addr addr buf ", result=" a
       | None -> add_str buf ", result=" "-")
   | Ip_change_request m ->
-      add_addr buf "IP_CHANGE_REQUEST(old=" m.old_ip;
-      add_addr buf ", new=" m.new_ip
-  | Ip_change_challenge m -> add_addr buf "IP_CHANGE_CHALLENGE(old=" m.old_ip
+      add_addr addr buf "IP_CHANGE_REQUEST(old=" m.old_ip;
+      add_addr addr buf ", new=" m.new_ip
+  | Ip_change_challenge m -> add_addr addr buf "IP_CHANGE_CHALLENGE(old=" m.old_ip
   | Ip_change_proof m ->
-      add_addr buf "IP_CHANGE_PROOF(old=" m.old_ip;
-      add_addr buf ", new=" m.new_ip
+      add_addr addr buf "IP_CHANGE_PROOF(old=" m.old_ip;
+      add_addr addr buf ", new=" m.new_ip
   | Ip_change_ack m -> add_str buf "IP_CHANGE_ACK(accepted=" (Bool.to_string m.accepted));
   Buffer.add_char buf ')'
 
 let pp fmt msg =
   let buf = Buffer.create 128 in
-  add_to_buffer buf msg;
+  add_to_buffer Address.add_to_buffer buf msg;
   Format.pp_print_string fmt (Buffer.contents buf)

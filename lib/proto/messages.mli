@@ -169,13 +169,13 @@ type t =
 val tag : t -> string
 (** Short lowercase tag ("areq", "rrep", ...) for stats and traces. *)
 
-val tx_key : t -> string
-(** ["tx." ^ tag m], as a per-constructor constant: the transmission
-    counter's key. *)
+val tx_key : t -> Manet_sim.Stats.key
+(** The key of counter ["tx." ^ tag m], a per-constructor constant made
+    at module initialisation: the transmission counter. *)
 
-val txbytes_key : t -> string
-(** ["txbytes." ^ tag m], as a per-constructor constant: the transmitted
-    byte counter's key. *)
+val txbytes_key : t -> Manet_sim.Stats.key
+(** The key of counter ["txbytes." ^ tag m], a per-constructor constant:
+    the transmitted byte counter. *)
 
 val remaining : t -> Address.t list option
 (** The source-route hops left, or [None] for flooded messages (AREQ). *)
@@ -183,10 +183,15 @@ val remaining : t -> Address.t list option
 val with_remaining : t -> Address.t list -> t
 (** Replace the [remaining] field (identity on AREQ). *)
 
-val add_to_buffer : Buffer.t -> t -> unit
-(** Appends the one-line summary used in trace and capture details,
-    e.g. [DATA(src=fec0::1, dst=fec0::2, seq=3)]; source routes render
-    as [[a;b;c]]. *)
+val add_to_buffer : (Buffer.t -> Address.t -> unit) -> Buffer.t -> t -> unit
+(** [add_to_buffer addr buf m] appends the one-line summary used in
+    trace and capture details, e.g. [DATA(src=fec0::1, dst=fec0::2,
+    seq=3)]; source routes render as [[a;b;c]].  Every address is
+    written by [addr], which must append {!Address.to_string}'s text:
+    transmission details pass the memoised writer of
+    {!Manet_obs.Obs.address_writer}, {!pp} passes
+    {!Address.add_to_buffer}.  Integers are written by
+    {!Manet_obs.Json.add_int}, with no intermediate string. *)
 
 val pp : Format.formatter -> t -> unit
 (** The {!add_to_buffer} summary, for traces and debugging. *)

@@ -31,28 +31,26 @@ let now t = Engine.now t.engine
 
 let size_of _t msg = Wire.size_of msg
 
-let stat t name =
-  Stats.incr (Engine.stats t.engine) name;
-  Metrics.record (Obs.metrics t.obs) ~node:(node_id t) name
+let stat_by t k by =
+  Stats.add (Engine.stats t.engine) k by;
+  Metrics.record (Obs.metrics t.obs) ~node:(node_id t) ~by k
 
-let stat_by t name by =
-  Stats.incr ~by (Engine.stats t.engine) name;
-  Metrics.record (Obs.metrics t.obs) ~node:(node_id t) ~by name
+let stat t k = stat_by t k 1
 
-let observe t name v =
-  Stats.observe (Engine.stats t.engine) name v;
-  Metrics.observe (Obs.metrics t.obs) ~node:(node_id t) name v
+let observe t k v =
+  Stats.observe (Engine.stats t.engine) k v;
+  Metrics.observe (Obs.metrics t.obs) ~node:(node_id t) k v
 
 let log t ~event ~detail = Obs.log t.obs ~node:(node_id t) ~event ~detail
 
 let audit t ~kind ?subject ?subject_node ?(stats = []) ~cause () =
-  List.iter (fun name -> stat t name) stats;
+  List.iter (fun k -> stat t k) stats;
   let subject_node =
     match subject_node with
     | Some _ as s -> s
     | None -> Option.bind subject (fun a -> Directory.lookup t.directory a)
   in
-  let subject_addr = Option.map Address.to_string subject in
+  let subject_addr = Option.map (Obs.address_text t.obs) subject in
   Audit.emit (Obs.audit t.obs) ~kind ~node:(node_id t) ?subject_node
     ?subject_addr ~cause ()
 
@@ -60,19 +58,21 @@ let count_tx t msg size =
   stat t (Messages.tx_key msg);
   stat_by t (Messages.txbytes_key msg) size
 
-(* Transmission details, rendered into the scenario's detail buffer. *)
+(* Transmission details, rendered into the scenario's detail buffer with
+   memoised address text. *)
 let broadcast_detail t msg =
   let buf = Obs.detail_buffer t.obs in
   Buffer.add_string buf "broadcast ";
-  Messages.add_to_buffer buf msg;
+  Messages.add_to_buffer (Obs.address_writer t.obs) buf msg;
   Buffer.contents buf
 
 let unicast_detail t next msg =
   let buf = Obs.detail_buffer t.obs in
+  let addr = Obs.address_writer t.obs in
   Buffer.add_string buf "to ";
-  Address.add_to_buffer buf next;
+  addr buf next;
   Buffer.add_string buf ": ";
-  Messages.add_to_buffer buf msg;
+  Messages.add_to_buffer addr buf msg;
   Buffer.contents buf
 
 let broadcast t msg =
@@ -81,7 +81,8 @@ let broadcast t msg =
   if Obs.wants_events t.obs then
     (* manetcheck: cold — the detail is rendered only for a listening
        sink (capture or the trace ring); runs with both off skip it. *)
-    log t ~event:(Messages.tx_key msg) ~detail:(broadcast_detail t msg);
+    log t ~event:(Stats.key_name (Messages.tx_key msg))
+      ~detail:(broadcast_detail t msg);
   Net.broadcast t.net ~src:(node_id t) ~size msg
 
 let rec unicast_all t ~size ~on_fail msg = function
@@ -100,7 +101,8 @@ let send_along t ~path ?(on_fail = fun () -> ()) msg =
       if Obs.wants_events t.obs then
         (* manetcheck: cold — the detail is rendered only for a listening
            sink (capture or the trace ring); runs with both off skip it. *)
-        log t ~event:(Messages.tx_key msg) ~detail:(unicast_detail t next msg);
+        log t ~event:(Stats.key_name (Messages.tx_key msg))
+          ~detail:(unicast_detail t next msg);
       match Directory.lookup_all t.directory next with
       | [] ->
           (* The next-hop address resolves to nobody: the neighbour is

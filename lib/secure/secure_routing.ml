@@ -12,6 +12,42 @@ module Dsr = Manet_dsr.Dsr
 module Obs = Manet_obs.Obs
 module Audit = Manet_obs.Audit
 module Flood = Manet_obs.Flood
+module Stats = Manet_sim.Stats
+
+(* Counter and series keys, bound once (see [Stats.key]). *)
+module Key = struct
+  let ack_unmatched = Stats.key "ack.unmatched"
+  let data_acked = Stats.key "data.acked"
+  let data_delivered = Stats.key "data.delivered"
+  let data_dropped = Stats.key "data.dropped"
+  let data_forwarded = Stats.key "data.forwarded"
+  let data_latency = Stats.key "data.latency"
+  let data_offered = Stats.key "data.offered"
+  let data_rtt = Stats.key "data.rtt"
+  let data_salvaged = Stats.key "data.salvaged"
+  let data_timeout = Stats.key "data.timeout"
+  let probe_last_hop_suspected = Stats.key "probe.last_hop_suspected"
+  let probe_replied = Stats.key "probe.replied"
+  let probe_reply_rejected = Stats.key "probe.reply_rejected"
+  let probe_sent = Stats.key "probe.sent"
+  let probe_suspect_found = Stats.key "probe.suspect_found"
+  let rerr_received = Stats.key "rerr.received"
+  let rerr_sent = Stats.key "rerr.sent"
+  let route_cache_replies = Stats.key "route.cache_replies"
+  let route_discoveries = Stats.key "route.discoveries"
+  let route_discovery_failed = Stats.key "route.discovery_failed"
+  let route_discovery_time = Stats.key "route.discovery_time"
+  let route_hops = Stats.key "route.hops"
+  let route_replies = Stats.key "route.replies"
+  let secure_crep_rejected = Stats.key "secure.crep_rejected"
+  let secure_hostile_suspected = Stats.key "secure.hostile_suspected"
+  let secure_replayed_rreq = Stats.key "secure.replayed_rreq"
+  let secure_rerr_implausible = Stats.key "secure.rerr_implausible"
+  let secure_rerr_rejected = Stats.key "secure.rerr_rejected"
+  let secure_rrep_rejected = Stats.key "secure.rrep_rejected"
+  let secure_rreq_rejected = Stats.key "secure.rreq_rejected"
+  let secure_transit_rejected = Stats.key "secure.transit_rejected"
+end
 
 type config = {
   discovery_timeout : float;
@@ -270,7 +306,7 @@ and ack_timeout t packet route =
   | Some p when p != packet -> ()
   | Some _ ->
       Address.Seq_tbl.remove t.in_flight k;
-      Ctx.stat t.ctx "data.timeout";
+      Ctx.stat t.ctx Key.data_timeout;
       Route_cache.remove_route t.cache ~dst:packet.p_dst ~route;
       if t.config.probe_on_timeout && route <> [] then start_probe t packet route
       else retry_packet t packet
@@ -280,7 +316,7 @@ and retry_packet t packet =
     packet.p_retries <- packet.p_retries + 1;
     dispatch t packet
   end
-  else Ctx.stat t.ctx "data.dropped"
+  else Ctx.stat t.ctx Key.data_dropped
 
 (* §3.4: traverse the silent route and test the integrity of each host.
    One probe per hop prefix; the first hop that returns no verifiable
@@ -309,7 +345,7 @@ and start_probe t packet route =
       Hashtbl.replace t.probes seq (session, i);
       let prefix = Array.to_list (Array.sub hops 0 i) in
       let path = prefix @ [ target ] in
-      Ctx.stat t.ctx "probe.sent";
+      Ctx.stat t.ctx Key.probe_sent;
       Ctx.send_along t.ctx ~path
         (Messages.Probe
            { origin = address t; target; seq; route = prefix; remaining = path }))
@@ -327,7 +363,7 @@ and finish_probe t session =
     | Some i ->
         let suspect = session.pr_route.(i) in
         Ctx.audit t.ctx ~kind:Audit.Blackhole_probe_result ~subject:suspect
-          ~stats:[ "probe.suspect_found"; "secure.hostile_suspected" ]
+          ~stats:[ Key.probe_suspect_found; Key.secure_hostile_suspected ]
           ~cause:
             (Printf.sprintf "hop %d of %d silent on probed route to %s" (i + 1)
                n
@@ -335,7 +371,9 @@ and finish_probe t session =
           ();
         Obs.note (obs t) session.pr_span ~node:(Ctx.node_id t.ctx)
           ("suspect " ^ Address.to_string suspect);
-        Ctx.log t.ctx ~event:"secure.suspect" ~detail:(Address.to_string suspect);
+        if Obs.wants_events (obs t) then
+          Ctx.log t.ctx ~event:"secure.suspect"
+            ~detail:(Address.to_string suspect);
         Credit.slash t.credits suspect;
         ignore (Route_cache.remove_containing t.cache suspect);
         (* The hop before the suspect may be the one silently dropping;
@@ -357,7 +395,7 @@ and finish_probe t session =
         if n > 0 then begin
           let suspect = session.pr_route.(n - 1) in
           Ctx.audit t.ctx ~kind:Audit.Blackhole_probe_result ~subject:suspect
-            ~stats:[ "probe.last_hop_suspected"; "secure.hostile_suspected" ]
+            ~stats:[ Key.probe_last_hop_suspected; Key.secure_hostile_suspected ]
             ~cause:
               (Printf.sprintf
                  "all %d hops answered, destination %s never acked: last hop \
@@ -367,7 +405,9 @@ and finish_probe t session =
             ();
           Obs.note (obs t) session.pr_span ~node:(Ctx.node_id t.ctx)
             ("last-hop suspect " ^ Address.to_string suspect);
-          Ctx.log t.ctx ~event:"secure.suspect" ~detail:(Address.to_string suspect);
+          if Obs.wants_events (obs t) then
+            Ctx.log t.ctx ~event:"secure.suspect"
+              ~detail:(Address.to_string suspect);
           Credit.slash t.credits suspect;
           ignore (Route_cache.remove_containing t.cache suspect)
         end);
@@ -418,7 +458,7 @@ and send_rreq t d =
   note_superseded_seq t ~dst:d.d_dst ~seq:d.d_seq;
   d.d_seq <- seq;
   d.d_attempts <- d.d_attempts + 1;
-  Ctx.stat t.ctx "route.discoveries";
+  Ctx.stat t.ctx Key.route_discoveries;
   let id = identity t in
   let sip = address t in
   let fl =
@@ -460,14 +500,14 @@ and send_rreq t d =
 
 and discovery_failed t d =
   d.d_resolved <- true;
-  Ctx.stat t.ctx "route.discovery_failed";
+  Ctx.stat t.ctx Key.route_discovery_failed;
   (match d.d_span with
   | Some id -> Obs.finish (obs t) id Obs.Timeout
   | None -> ());
   (match Address.Tbl.find_opt t.queue d.d_dst with
   | None -> ()
   | Some q ->
-      Queue.iter (fun _ -> Ctx.stat t.ctx "data.dropped") q;
+      Queue.iter (fun _ -> Ctx.stat t.ctx Key.data_dropped) q;
       Queue.clear q);
   notify_waiters t d.d_dst None
 
@@ -490,8 +530,8 @@ and route_found t ~dst ~route ~endorsement =
       (match d.d_span with
       | Some id -> Obs.finish (obs t) id Obs.Ok
       | None -> ());
-      Ctx.observe t.ctx "route.discovery_time" (now t -. d.d_started);
-      Ctx.observe t.ctx "route.hops" (float_of_int (List.length route + 1))
+      Ctx.observe t.ctx Key.route_discovery_time (now t -. d.d_started);
+      Ctx.observe t.ctx Key.route_hops (float_of_int (List.length route + 1))
   | _ -> ());
   (match Address.Tbl.find_opt t.queue dst with
   | None -> ()
@@ -503,7 +543,7 @@ and route_found t ~dst ~route ~endorsement =
 
 let send t ~dst ?(size = 512) () =
   t.data_seq <- t.data_seq + 1;
-  Ctx.stat t.ctx "data.offered";
+  Ctx.stat t.ctx Key.data_offered;
   dispatch t
     {
       p_dst = dst;
@@ -550,7 +590,7 @@ let verify_rreq t ~sip ~seq ~srr ~sig_ ~spk ~srn =
       srr
 
 let answer_as_destination t ~sip ~seq ~rr =
-  Ctx.stat t.ctx "route.replies";
+  Ctx.stat t.ctx Key.route_replies;
   let o = obs t in
   let sid =
     Obs.start o
@@ -577,7 +617,7 @@ let answer_as_destination t ~sip ~seq ~rr =
        })
 
 let answer_from_cache t ~sip ~seq ~dip ~rr entry endo =
-  Ctx.stat t.ctx "route.cache_replies";
+  Ctx.stat t.ctx Key.route_cache_replies;
   let o = obs t in
   let sid =
     Obs.start o
@@ -623,7 +663,7 @@ let fresh_rreq_for_destination t ~sip ~seq =
          stale request is rejected but nobody stands accused: the radio
          transmitter of a flood copy is just the last honest relay. *)
       Ctx.audit t.ctx ~kind:Audit.Replay_rejected
-        ~stats:[ "secure.replayed_rreq" ]
+        ~stats:[ Key.secure_replayed_rreq ]
         ~cause:(Printf.sprintf "rreq seq %d behind newest %d" seq last)
         ();
       false
@@ -663,7 +703,7 @@ let rreq_at_destination t ~flood ~key ~sip ~seq ~srr ~sig_ ~spk ~srn =
            localizable from here (any relay may have tampered or
            appended a forged entry), so no subject. *)
         Ctx.audit t.ctx ~kind:Audit.Sig_verify_fail
-          ~stats:[ "secure.rreq_rejected" ]
+          ~stats:[ Key.secure_rreq_rejected ]
           ~cause:"rreq source or route-record signature chain" ()
     end
   end
@@ -762,7 +802,7 @@ let consume_rrep t ~src msg =
               | Some sid ->
                   Obs.finish (obs t) sid (Obs.Rejected "signature check failed")
               | None -> ());
-              let stats = [ "secure.rrep_rejected" ] in
+              let stats = [ Key.secure_rrep_rejected ] in
               (match why with
               | Bad_binding ->
                   (* The endorsement key does not bind to the claimed
@@ -799,7 +839,7 @@ let consume_rrep t ~src msg =
           (* No discovery ever asked for this: unsolicited or replayed,
              so reject (§4). *)
           Ctx.audit t.ctx ~kind:Audit.Replay_rejected
-            ~stats:[ "secure.rrep_rejected" ]
+            ~stats:[ Key.secure_rrep_rejected ]
             ~cause:"unsolicited rrep" ())
   | _ -> ()
 
@@ -855,7 +895,7 @@ let consume_crep t msg =
                replayed destination endorsement); neither failure
                localizes the forger from here. *)
             Ctx.audit t.ctx ~kind:Audit.Sig_verify_fail
-              ~stats:[ "secure.crep_rejected" ]
+              ~stats:[ Key.secure_crep_rejected ]
               ~cause:
                 (if not cacher_ok then "crep cacher attestation signature"
                  else "crep destination endorsement signature")
@@ -863,7 +903,7 @@ let consume_crep t msg =
           end
       | _ ->
           Ctx.audit t.ctx ~kind:Audit.Replay_rejected
-            ~stats:[ "secure.crep_rejected" ]
+            ~stats:[ Key.secure_crep_rejected ]
             ~cause:"crep for no live discovery attempt" ())
   | _ -> ()
 
@@ -885,7 +925,7 @@ let try_salvage t msg =
       match cached_route t ~dst with
       | Some route
         when not (List.exists (Address.equal (address t)) route) ->
-          Ctx.stat t.ctx "data.salvaged";
+          Ctx.stat t.ctx Key.data_salvaged;
           let path = route @ [ dst ] in
           Ctx.send_along t.ctx ~path
             (Messages.Data { d with route; remaining = path });
@@ -896,7 +936,7 @@ let try_salvage t msg =
 let forward_data t ~next msg =
   match msg with
   | Messages.Data { src; route; _ } ->
-      Ctx.stat t.ctx "data.forwarded";
+      Ctx.stat t.ctx Key.data_forwarded;
       Ctx.send_along t.ctx ~path:next msg ~on_fail:(fun () ->
           let me = address t in
           let id = identity t in
@@ -906,7 +946,7 @@ let forward_data t ~next msg =
             | Some (before, _) -> List.rev before @ [ src ]
             | None -> [ src ]
           in
-          Ctx.stat t.ctx "rerr.sent";
+          Ctx.stat t.ctx Key.rerr_sent;
           Ctx.send_along t.ctx ~path:back
             (Messages.Rerr
                {
@@ -933,8 +973,8 @@ let consume_data t msg =
       let k = { Address.addr = src; seq } in
       if not (Address.Seq_tbl.mem t.seen_data k) then begin
         Address.Seq_tbl.replace t.seen_data k ();
-        Ctx.stat t.ctx "data.delivered";
-        Ctx.observe t.ctx "data.latency" (now t -. sent_at)
+        Ctx.stat t.ctx Key.data_delivered;
+        Ctx.observe t.ctx Key.data_latency (now t -. sent_at)
       end;
       let back_route = List.rev route in
       (* manetcheck: allow hot-alloc hot-list — the ack's path is the
@@ -962,18 +1002,18 @@ let consume_ack t msg =
       let k = { Address.addr = acker; seq = data_seq } in
       if Address.Seq_tbl.mem t.in_flight k then begin
         Address.Seq_tbl.remove t.in_flight k;
-        Ctx.stat t.ctx "data.acked";
-        Ctx.observe t.ctx "data.rtt" (now t -. sent_at);
+        Ctx.stat t.ctx Key.data_acked;
+        Ctx.observe t.ctx Key.data_rtt (now t -. sent_at);
         (* §3.4: every relay on the acknowledged route earns credit. *)
         Credit.reward_route t.credits route
       end
-      else Ctx.stat t.ctx "ack.unmatched")
+      else Ctx.stat t.ctx Key.ack_unmatched)
   | _ -> ()
 
 let consume_rerr t msg =
   match msg with
   | Messages.Rerr { reporter; broken_next; sig_; pk; rn; _ } ->
-      Ctx.stat t.ctx "rerr.received";
+      Ctx.stat t.ctx Key.rerr_received;
       let authentic =
         verify_host t ~ip:reporter ~pk ~rn
           ~payload:(Codec.rerr_payload ~reporter ~broken_next)
@@ -981,7 +1021,7 @@ let consume_rerr t msg =
       in
       if not authentic then
         Ctx.audit t.ctx ~kind:Audit.Rerr_rejected
-          ~stats:[ "secure.rerr_rejected" ]
+          ~stats:[ Key.secure_rerr_rejected ]
           ~cause:"rerr reporter binding or signature" ()
       else begin
         (* Source routing lets us check plausibility: the reported link
@@ -992,7 +1032,7 @@ let consume_rerr t msg =
         in
         if removed = 0 then
           Ctx.audit t.ctx ~kind:Audit.Rerr_implausible ~subject:reporter
-            ~stats:[ "secure.rerr_implausible" ]
+            ~stats:[ Key.secure_rerr_implausible ]
             ~cause:
               ("reported link to "
               ^ Address.to_string broken_next
@@ -1002,7 +1042,7 @@ let consume_rerr t msg =
            their successors) as hostile. *)
         if Credit.record_rerr t.credits reporter ~now:(now t) then begin
           Ctx.audit t.ctx ~kind:Audit.Rerr_frequency ~subject:reporter
-            ~stats:[ "secure.hostile_suspected" ]
+            ~stats:[ Key.secure_hostile_suspected ]
             ~cause:"route-error reporting rate over the hostile threshold" ();
           Credit.slash t.credits reporter;
           ignore (Route_cache.remove_containing t.cache reporter)
@@ -1049,11 +1089,11 @@ let consume_probe_reply t msg =
           then begin
             session.pr_replies.(i) <- true;
             Hashtbl.remove t.probes seq;
-            Ctx.stat t.ctx "probe.replied"
+            Ctx.stat t.ctx Key.probe_replied
           end
           else
             Ctx.audit t.ctx ~kind:Audit.Sig_verify_fail
-              ~stats:[ "probe.reply_rejected" ]
+              ~stats:[ Key.probe_reply_rejected ]
               ~cause:"probe reply responder binding or signature" ()
       | _ -> ())
   | _ -> ()
@@ -1082,7 +1122,7 @@ let handle t ~src msg =
           then Ctx.send_along t.ctx ~path:next m
           else
             Ctx.audit t.ctx ~kind:Audit.Replay_rejected ~subject_node:src
-              ~stats:[ "secure.rrep_rejected"; "secure.transit_rejected" ]
+              ~stats:[ Key.secure_rrep_rejected; Key.secure_transit_rejected ]
               ~cause:"rrep in transit off its own reversed route record" ())
         ~not_mine:(fun _ -> ())
   | Messages.Crep _ ->

@@ -10,6 +10,29 @@ module Flood = Manet_obs.Flood
 module Engine = Manet_sim.Engine
 module Route_cache = Manet_dsr.Route_cache
 module Dsr = Manet_dsr.Dsr
+module Stats = Manet_sim.Stats
+
+(* Counter and series keys, bound once (see [Stats.key]). *)
+module Key = struct
+  let ack_unmatched = Stats.key "ack.unmatched"
+  let data_acked = Stats.key "data.acked"
+  let data_delivered = Stats.key "data.delivered"
+  let data_dropped = Stats.key "data.dropped"
+  let data_forwarded = Stats.key "data.forwarded"
+  let data_latency = Stats.key "data.latency"
+  let data_offered = Stats.key "data.offered"
+  let data_rtt = Stats.key "data.rtt"
+  let data_timeout = Stats.key "data.timeout"
+  let rerr_received = Stats.key "rerr.received"
+  let rerr_sent = Stats.key "rerr.sent"
+  let route_discoveries = Stats.key "route.discoveries"
+  let route_discovery_failed = Stats.key "route.discovery_failed"
+  let route_discovery_time = Stats.key "route.discovery_time"
+  let route_hops = Stats.key "route.hops"
+  let route_replies = Stats.key "route.replies"
+  let srp_rrep_rejected = Stats.key "srp.rrep_rejected"
+  let srp_rreq_rejected = Stats.key "srp.rreq_rejected"
+end
 
 type config = {
   discovery_timeout : float;
@@ -135,13 +158,13 @@ let rec transmit t packet route =
       match Address.Seq_tbl.find_opt t.in_flight k with
       | Some p when p == packet ->
           Address.Seq_tbl.remove t.in_flight k;
-          Ctx.stat t.ctx "data.timeout";
+          Ctx.stat t.ctx Key.data_timeout;
           Route_cache.remove_route t.cache ~dst ~route;
           if packet.p_retries < t.config.max_send_retries then begin
             packet.p_retries <- packet.p_retries + 1;
             dispatch t packet
           end
-          else Ctx.stat t.ctx "data.dropped"
+          else Ctx.stat t.ctx Key.data_dropped
       | _ -> ())
 
 and dispatch t packet =
@@ -166,7 +189,7 @@ and send_rreq t d =
   let seq = t.rreq_seq in
   d.d_seq <- seq;
   d.d_attempts <- d.d_attempts + 1;
-  Ctx.stat t.ctx "route.discoveries";
+  Ctx.stat t.ctx Key.route_discoveries;
   let sip = address t in
   (* The end-to-end MAC rides in the message's signature field; no key
      material travels (both ends already share the association). *)
@@ -185,10 +208,10 @@ and send_rreq t d =
         if d.d_attempts < t.config.max_discovery_attempts then send_rreq t d
         else begin
           d.d_resolved <- true;
-          Ctx.stat t.ctx "route.discovery_failed";
+          Ctx.stat t.ctx Key.route_discovery_failed;
           (match Address.Tbl.find_opt t.queue d.d_dst with
           | Some q ->
-              Queue.iter (fun _ -> Ctx.stat t.ctx "data.dropped") q;
+              Queue.iter (fun _ -> Ctx.stat t.ctx Key.data_dropped) q;
               Queue.clear q
           | None -> ());
           notify_waiters t d.d_dst None
@@ -208,8 +231,8 @@ and route_found t ~dst ~route =
   (match Address.Tbl.find_opt t.pending dst with
   | Some d when not d.d_resolved ->
       d.d_resolved <- true;
-      Ctx.observe t.ctx "route.discovery_time" (now t -. d.d_started);
-      Ctx.observe t.ctx "route.hops" (float_of_int (List.length route + 1))
+      Ctx.observe t.ctx Key.route_discovery_time (now t -. d.d_started);
+      Ctx.observe t.ctx Key.route_hops (float_of_int (List.length route + 1))
   | _ -> ());
   (match Address.Tbl.find_opt t.queue dst with
   | Some q ->
@@ -221,7 +244,7 @@ and route_found t ~dst ~route =
 
 let send t ~dst ?(size = 512) () =
   t.data_seq <- t.data_seq + 1;
-  Ctx.stat t.ctx "data.offered";
+  Ctx.stat t.ctx Key.data_offered;
   dispatch t
     { p_dst = dst; p_size = size; p_seq = t.data_seq; p_first_sent = now t; p_retries = 0 }
 
@@ -258,7 +281,7 @@ let rreq_at_destination t ~flood ~key ~sip ~dip ~seq ~srr ~sig_ =
       let k_sd = key_with t sip in
       if String.equal sig_ (rreq_mac ~key:k_sd ~sip ~dip ~seq) then begin
         Flood.Ktbl.replace t.reply_counts key (sent + 1);
-        Ctx.stat t.ctx "route.replies";
+        Ctx.stat t.ctx Key.route_replies;
         let back = List.rev rr @ [ sip ] in
         Ctx.send_along t.ctx ~path:back
           (Messages.Rrep
@@ -274,7 +297,7 @@ let rreq_at_destination t ~flood ~key ~sip ~dip ~seq ~srr ~sig_ =
       end
       else
         Ctx.audit t.ctx ~kind:Audit.Sig_verify_fail
-          ~stats:[ "srp.rreq_rejected" ]
+          ~stats:[ Key.srp_rreq_rejected ]
           ~cause:"rreq end-to-end MAC" ()
     end
   end
@@ -331,11 +354,11 @@ let consume_rrep t msg =
           then route_found t ~dst:dip ~route:rr
           else
             Ctx.audit t.ctx ~kind:Audit.Sig_verify_fail
-              ~stats:[ "srp.rrep_rejected" ]
+              ~stats:[ Key.srp_rrep_rejected ]
               ~cause:"rrep end-to-end MAC" ()
       | None ->
           Ctx.audit t.ctx ~kind:Audit.Replay_rejected
-            ~stats:[ "srp.rrep_rejected" ]
+            ~stats:[ Key.srp_rrep_rejected ]
             ~cause:"unsolicited rrep" ())
   | _ -> ()
 
@@ -352,7 +375,7 @@ let split_route_at route me =
 let forward_data t ~next msg =
   match msg with
   | Messages.Data { src; route; _ } ->
-      Ctx.stat t.ctx "data.forwarded";
+      Ctx.stat t.ctx Key.data_forwarded;
       Ctx.send_along t.ctx ~path:next msg ~on_fail:(fun () ->
           let me = address t in
           let broken_next = List.hd next in
@@ -361,7 +384,7 @@ let forward_data t ~next msg =
             | Some (before, _) -> List.rev before @ [ src ]
             | None -> [ src ]
           in
-          Ctx.stat t.ctx "rerr.sent";
+          Ctx.stat t.ctx Key.rerr_sent;
           (* SRP has no association with intermediates: the error report
              is necessarily unauthenticated (designated unsigned site). *)
           Ctx.send_along t.ctx ~path:back
@@ -379,8 +402,8 @@ let consume_data t msg =
       let k = { Address.addr = src; seq } in
       if not (Address.Seq_tbl.mem t.seen_data k) then begin
         Address.Seq_tbl.replace t.seen_data k ();
-        Ctx.stat t.ctx "data.delivered";
-        Ctx.observe t.ctx "data.latency" (now t -. sent_at)
+        Ctx.stat t.ctx Key.data_delivered;
+        Ctx.observe t.ctx Key.data_latency (now t -. sent_at)
       end;
       let back_route = List.rev route in
       let path = back_route @ [ src ] in
@@ -396,10 +419,10 @@ let consume_ack t msg =
       let k = { Address.addr = acker; seq = data_seq } in
       if Address.Seq_tbl.mem t.in_flight k then begin
         Address.Seq_tbl.remove t.in_flight k;
-        Ctx.stat t.ctx "data.acked";
-        Ctx.observe t.ctx "data.rtt" (now t -. sent_at)
+        Ctx.stat t.ctx Key.data_acked;
+        Ctx.observe t.ctx Key.data_rtt (now t -. sent_at)
       end
-      else Ctx.stat t.ctx "ack.unmatched")
+      else Ctx.stat t.ctx Key.ack_unmatched)
   | _ -> ()
 
 let consume_rerr t msg =
@@ -408,7 +431,7 @@ let consume_rerr t msg =
      reports (no security association with relays), so it believes them — the
      documented exposure the paper's full scheme removes. *)
   | Messages.Rerr { reporter; broken_next; _ } ->
-      Ctx.stat t.ctx "rerr.received";
+      Ctx.stat t.ctx Key.rerr_received;
       (* Unauthenticated, so believed — SRP's documented exposure. *)
       ignore
         (* manetcheck: allow taint — SRP has no security association with

@@ -137,13 +137,14 @@ let test_metrics_windows () =
   let m = Metrics.create ~window:2.0 e in
   Alcotest.(check (float 0.0)) "window length" 2.0 (Metrics.window m);
   Alcotest.(check bool) "disabled by default" false (Metrics.enabled m);
-  Metrics.record m ~node:1 "x";
+  let x = Stats.key "x" in
+  Metrics.record m ~node:1 ~by:1 x;
   (* no-op while disabled *)
   Metrics.set_enabled m true;
-  Metrics.record m ~node:1 "x";
+  Metrics.record m ~node:1 ~by:1 x;
   Engine.schedule e ~delay:3.0 (fun () ->
-      Metrics.record m ~node:1 ~by:2 "x";
-      Metrics.observe m ~node:2 "lat" 0.5);
+      Metrics.record m ~node:1 ~by:2 x;
+      Metrics.observe m ~node:2 (Stats.key "lat") 0.5);
   Engine.run e;
   Alcotest.(check int) "disabled call not counted, windows summed" 3
     (Metrics.counter_total m ~node:1 "x");
@@ -153,8 +154,8 @@ let test_metrics_windows () =
     (Metrics.counter_total m ~node:1 "y");
   let csv = Metrics.to_csv m in
   let stats = Stats.create () in
-  Stats.incr stats "c1";
-  Stats.observe stats "s1" 1.0;
+  Stats.incr stats (Stats.key "c1");
+  Stats.observe stats (Stats.key "s1") 1.0;
   let csv_with = Metrics.to_csv ~stats m in
   let prom = Metrics.to_prom ~stats m in
   Alcotest.(check bool) "csv has cells" true (String.length csv > 0);

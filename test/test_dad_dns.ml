@@ -297,6 +297,31 @@ let test_dad_flood_is_duplicate_suppressed () =
     true
     (areq_tx >= 3 && areq_tx <= 8)
 
+(* With the trace ring and event capture both off, completing DAD
+   formats no event detail: the configured address is rendered only for
+   a listening sink.  Node 2 completes first, so the counters and spans
+   node 1's completion touches already exist.  Its completion event then
+   allocates the two spans' end times and outcomes and its outcome
+   value, 17 words; rendering the address as well took 35. *)
+let test_dad_completion_allocation () =
+  let w = make_world ~n:3 () in
+  let o = w.ctxs.(1).Ctx.obs in
+  Alcotest.(check bool) "both sinks off" false (Obs.wants_events o);
+  Dad.start w.dads.(2) ~on_complete:ignore ();
+  Engine.schedule w.engine ~delay:1.0 (fun () ->
+      Dad.start w.dads.(1) ~on_complete:ignore ());
+  Engine.run w.engine ~until:2.9;
+  Alcotest.(check bool) "node 2 configured first" true (Dad.is_configured w.dads.(2));
+  Alcotest.(check bool) "node 1 still pending" true (Dad.is_pending w.dads.(1));
+  let words =
+    Test_crypto.minor_words_per_call 1 (fun () -> Engine.run w.engine ~max_events:1)
+  in
+  Alcotest.(check bool) "node 1 configured by that event" true
+    (Dad.is_configured w.dads.(1));
+  Alcotest.(check bool)
+    (Printf.sprintf "DAD completion: %.0f minor words <= 24" words)
+    true (words <= 24.0)
+
 (* Every host hears every AREQ copy its neighbours relay and drops all
    but the first, so a duplicate copy must stay cheap: one seen-table
    lookup and the flood counters, building no string.  The 6-word
@@ -483,6 +508,8 @@ let suites =
         Alcotest.test_case "forged arep rejected" `Quick test_dad_forged_arep_rejected;
         Alcotest.test_case "forged drep rejected" `Quick test_dad_forged_drep_rejected;
         Alcotest.test_case "flood dedup" `Quick test_dad_flood_is_duplicate_suppressed;
+        Alcotest.test_case "DAD completion allocation budget" `Quick
+          test_dad_completion_allocation;
         Alcotest.test_case "duplicate AREQ allocation budget" `Quick
           test_dad_duplicate_areq_allocation;
       ] );

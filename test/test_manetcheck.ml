@@ -228,6 +228,34 @@ module Lint = struct
         ( "lib/dns/x.ml",
           "let f t =\n  Ctx.stat t.ctx\n    \"dns.warning_rejected\"\n" );
       ];
+    (* Counters are bumped by key; the rule reads the name through the
+       key's binding. *)
+    fires "key bound in a submodule" "audit-counter"
+      [
+        ( "lib/secure/x.ml",
+          "module Key = struct
+          \  let rrep_rejected = Stats.key \"secure.rrep_rejected\"
+           end
+
+           let f t = Ctx.stat t.ctx Key.rrep_rejected
+" );
+      ];
+    fires "key bound at top level, bumped by Stats.add" "audit-counter"
+      [
+        ( "lib/dsr/x.ml",
+          "let replayed = Stats.key \"rrep.replayed\"
+let f s = Stats.add s replayed 2
+" );
+      ];
+    fires "inline key" "audit-counter"
+      [ ("lib/dad/x.ml", {|let f t = Ctx.stat_by t.ctx (Stats.key "dad.collision") 1|}) ];
+    clean "neutral key is fine" "audit-counter"
+      [
+        ( "lib/secure/x.ml",
+          "let delivered = Stats.key \"data.delivered\"
+let f t = Ctx.stat t.ctx delivered
+" );
+      ];
     clean "neutral counter name is fine" "audit-counter"
       [ ("lib/secure/x.ml", {|let f t = Ctx.stat t.ctx "data.delivered"|}) ];
     clean "out of scope outside the protocol dirs" "audit-counter"
@@ -1343,6 +1371,40 @@ module Hot = struct
     clean "equality between plain variables is left alone" "hot-poly"
       [ ("lib/x/m.ml", "let hot a b = a = b\n") ]
 
+  (* --- hot-string-key ------------------------------------------------------ *)
+
+  let test_hot_string_key () =
+    let stbl = "module Stbl = Hashtbl.Make (String)\n" in
+    fires "string-keyed table on the hot path" "hot-string-key"
+      [ ("lib/x/m.ml", stbl ^ "let hot tbl k = Stbl.replace tbl k 1\n") ];
+    fires "instance in a submodule, reached through a callee" "hot-string-key"
+      [
+        ( "lib/x/m.ml",
+          "module Inner = struct\n  module Names = Hashtbl.Make (String)\nend\n\n\
+           let count tbl k = Inner.Names.find tbl k\n\
+           let hot tbl = count tbl \"x\"\n" );
+      ];
+    clean "the same table off the hot path" "hot-string-key"
+      [ ("lib/x/m.ml", stbl ^ "let cold tbl k = Stbl.replace tbl k 1\nlet hot x = x\n") ];
+    clean "int-keyed instance" "hot-string-key"
+      [
+        ( "lib/x/m.ml",
+          "module Itbl = Hashtbl.Make (Int)\nlet hot tbl k = Itbl.replace tbl k 1\n" );
+      ];
+    clean "instance declared in another file" "hot-string-key"
+      [
+        ("lib/x/names.ml", stbl);
+        ("lib/x/m.ml", "let hot tbl k = Names.Stbl.find tbl k\n");
+      ];
+    clean "allowed with a rationale" "hot-string-key"
+      [
+        ( "lib/x/m.ml",
+          stbl
+          ^ "(* manetcheck: allow hot-string-key — keyed by message content, \
+             so no name can be bound once. *)\n\
+             let hot tbl k = Stbl.find tbl k\n" );
+      ]
+
   (* --- hot-list ------------------------------------------------------------ *)
 
   let test_hot_list () =
@@ -1653,6 +1715,7 @@ module Hot = struct
           tc "hot-alloc fires" test_hot_alloc_fires;
           tc "cold code is quiet" test_cold_code_is_quiet;
           tc "hot-poly" test_hot_poly;
+          tc "hot-string-key" test_hot_string_key;
           tc "hot-list" test_hot_list;
           tc "hot-partial" test_hot_partial;
           tc "hot-boxed-store" test_hot_boxed_store;

@@ -807,11 +807,13 @@ let prop_metrics_writers_match_printf =
              Engine.schedule e ~delay:t (fun () ->
                  match v with
                  | `By by ->
-                     Metrics.record m ~node ~by name;
-                     Stats.incr ~by stats name
+                     let k = Stats.key name in
+                     Metrics.record m ~node ~by k;
+                     Stats.add stats k by
                  | `Sample x ->
-                     Metrics.observe m ~node name x;
-                     Stats.observe stats name x))
+                     let k = Stats.key name in
+                     Metrics.observe m ~node k x;
+                     Stats.observe stats k x))
            script;
          Engine.run e;
          (* The model sees each record at the time the engine ran it. *)

@@ -175,9 +175,10 @@ let test_messages_counter_keys () =
   List.iter
     (fun msg ->
       let tag = Messages.tag msg in
-      Alcotest.(check string) ("tx key of " ^ tag) ("tx." ^ tag) (Messages.tx_key msg);
+      Alcotest.(check string) ("tx key of " ^ tag) ("tx." ^ tag)
+        (Stats.key_name (Messages.tx_key msg));
       Alcotest.(check string) ("txbytes key of " ^ tag) ("txbytes." ^ tag)
-        (Messages.txbytes_key msg))
+        (Stats.key_name (Messages.txbytes_key msg)))
     one_of_each
 
 let test_messages_with_remaining () =
@@ -633,6 +634,272 @@ let test_send_details_sinks_off () =
   Alcotest.(check int) "tx.data counted" 1 (Stats.get st "tx.data")
 
 (* ------------------------------------------------------------------ *)
+(* Counter keys                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Four nodes sharing one telemetry handle, as in a scenario. *)
+let shared_obs_world () =
+  let engine = Engine.create ~seed:7 () in
+  let topo = Topology.chain ~n:4 ~spacing:100.0 in
+  let net = Net.create ~config:{ Net.default_config with range = 150.0 } engine topo in
+  let directory = Directory.create () in
+  let suite = Suite.mock (Prng.create ~seed:8) in
+  let g = Prng.create ~seed:9 in
+  let ids = Array.init 4 (fun i -> Identity.create suite g ~node_id:i) in
+  Array.iteri (fun i id -> Directory.register directory id.Identity.address i) ids;
+  let obs = Obs.create engine in
+  let ctxs =
+    Array.map (fun id -> Ctx.create ~obs net directory id (Prng.create ~seed:10)) ids
+  in
+  (engine, obs, g, ids, ctxs)
+
+(* Names with characters both exports quote or escape. *)
+let key_names = [| "tx.data"; "rx.\"q\""; "lat\\ms"; "a\nb"; "z" |]
+
+(* Two keys per name, made separately from two distinct strings, so a
+   name's second key joins the cell its first one made. *)
+let keys_of_names () =
+  Array.map
+    (fun n -> [| Stats.key n; Stats.key (String.init (String.length n) (String.get n)) |])
+    key_names
+
+type key_op = Stat | Stat_by of int | Observe of float
+
+(* Calls at random times (metric windows are 1 s long), nodes and keys,
+   each made with the windowed metrics switched on or off. *)
+let gen_key_script =
+  QCheck.Gen.(
+    list_size (int_bound 80)
+      (map
+         (fun ((t, node, name, variant), (op, on)) -> (t, node, name, variant, op, on))
+         (pair
+            (quad (float_bound_exclusive 20.0) (int_bound 3)
+               (int_bound (Array.length key_names - 1))
+               (int_bound 1))
+            (pair
+               (frequency
+                  [
+                    (2, return Stat);
+                    (2, map (fun by -> Stat_by by) (int_bound 3));
+                    (1, map (fun x -> Observe x) (float_range (-5.0) 5.0));
+                  ])
+               bool))))
+
+let print_key_script script =
+  String.concat "\n"
+       (List.map
+          (fun (t, node, name, variant, op, on) ->
+            Printf.sprintf "%g node %d %S/%d %s metrics %b" t node key_names.(name) variant
+              (match op with
+              | Stat -> "stat"
+              | Stat_by by -> Printf.sprintf "stat_by %d" by
+              | Observe x -> Printf.sprintf "observe %g" x)
+              on)
+          script)
+
+(* Node_ctx's keyed counters against a string-keyed model: run totals by
+   name, windowed cells (only while metrics are on) and both exports. *)
+let prop_counter_keys_match_model =
+  qtest ~count:200 "counter keys: stat/stat_by/observe = string-keyed model"
+    (QCheck.make ~print:print_key_script gen_key_script)
+    (fun script ->
+      let engine, obs, _, _, ctxs = shared_obs_world () in
+      let m = Obs.metrics obs in
+      let keys = keys_of_names () in
+      List.iter
+        (fun (t, node, name, variant, op, on) ->
+          let k = keys.(name).(variant) in
+          Engine.schedule engine ~delay:t (fun () ->
+              Manet_obs.Metrics.set_enabled m on;
+              match op with
+              | Stat -> Ctx.stat ctxs.(node) k
+              | Stat_by by -> Ctx.stat_by ctxs.(node) k by
+              | Observe x -> Ctx.observe ctxs.(node) k x))
+        script;
+      Engine.run engine;
+      let stats = Engine.stats engine in
+      (* The model sees each call at the time the engine ran it. *)
+      let script =
+        List.stable_sort (fun (a, _, _, _, _, _) (b, _, _, _, _, _) -> Float.compare a b) script
+      in
+      let totals = Hashtbl.create 8 and samples = Hashtbl.create 8 in
+      let bump tbl name by =
+        Hashtbl.replace tbl name (by + Option.value ~default:0 (Hashtbl.find_opt tbl name))
+      in
+      List.iter
+        (fun (_, _, name, _, op, _) ->
+          let name = key_names.(name) in
+          match op with
+          | Stat -> bump totals name 1
+          | Stat_by by -> bump totals name by
+          | Observe _ -> bump samples name 1)
+        script;
+      let sorted tbl =
+        List.sort (fun (a, _) (b, _) -> String.compare a b)
+          (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+      in
+      let windowed =
+        List.filter_map
+          (fun (t, node, name, _, op, on) ->
+            if not on then None
+            else
+              Some
+                ( t,
+                  node,
+                  key_names.(name),
+                  match op with
+                  | Stat -> `By 1
+                  | Stat_by by -> `By by
+                  | Observe x -> `Sample x ))
+          script
+      in
+      let metric_total node name =
+        List.fold_left
+          (fun acc (_, n, nm, v) ->
+            match v with
+            | `By by when String.equal nm name && (node = -1 || n = node) -> acc + by
+            | _ -> acc)
+          0 windowed
+      in
+      let csv, prom = Test_obs.oracle_metrics ~window:1.0 ~stats windowed in
+      Array.for_all
+        (fun name ->
+          Stats.get stats name = Option.value ~default:0 (Hashtbl.find_opt totals name)
+          && List.for_all
+               (fun node ->
+                 Manet_obs.Metrics.counter_total m ~node name = metric_total node name)
+               [ -1; 0; 1; 2; 3 ])
+        key_names
+      && Stats.counters stats = sorted totals
+      && List.map (fun (n, (s : Stats.summary)) -> (n, s.Stats.count)) (Stats.summaries stats)
+         = sorted samples
+      && String.equal csv (Manet_obs.Metrics.to_csv ~stats m)
+      && String.equal prom (Manet_obs.Metrics.to_prom ~stats m))
+
+(* A bump of a counter whose cells exist allocates nothing, with the
+   windowed metrics off and on. *)
+let test_stat_allocation_budget () =
+  let _, obs, _, _, ctxs = shared_obs_world () in
+  let k = Stats.key "data.forwarded" in
+  let budget label =
+    Ctx.stat ctxs.(1) k;
+    Ctx.stat_by ctxs.(1) k 3;
+    let stat = Test_crypto.minor_words_per_call 10_000 (fun () -> Ctx.stat ctxs.(1) k) in
+    let stat_by =
+      Test_crypto.minor_words_per_call 10_000 (fun () -> Ctx.stat_by ctxs.(1) k 3)
+    in
+    Alcotest.(check (float 0.0)) ("Node_ctx.stat, " ^ label) 0.0 stat;
+    Alcotest.(check (float 0.0)) ("Node_ctx.stat_by, " ^ label) 0.0 stat_by
+  in
+  budget "metrics off";
+  Manet_obs.Metrics.set_enabled (Obs.metrics obs) true;
+  budget "metrics on"
+
+(* ------------------------------------------------------------------ *)
+(* Memoised address text                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Every detail of node 0's transmissions naming [x] (as a broadcast
+   AREQ's source and route, as a unicast's next hop and DATA endpoints),
+   and the audit subject [x], equal the renderings of Messages.pp and
+   Address.to_string. *)
+let check_rendered label (engine, obs, ids, ctxs) x =
+  ignore engine;
+  let pp = Format.asprintf "%a" Messages.pp in
+  let a1 = ids.(1).Identity.address in
+  let areq = Messages.Areq { sip = x; seq = 1; dn = None; ch = 2L; rr = [ a1; x ] } in
+  let data =
+    Messages.Data
+      { src = x; dst = a1; seq = 5; route = [ x ]; remaining = []; payload_size = 8;
+        sent_at = 0.0 }
+  in
+  let before = List.length (Obs.events obs) in
+  Ctx.broadcast ctxs.(0) areq;
+  Ctx.send_along ctxs.(0) ~path:[ x ] data;
+  let details =
+    List.filteri (fun i _ -> i >= before) (List.map (fun e -> e.Obs.detail) (Obs.events obs))
+  in
+  Alcotest.(check (list string)) (label ^ ": details")
+    [
+      "broadcast " ^ pp areq;
+      "to " ^ Address.to_string x ^ ": " ^ pp (Messages.with_remaining data [ x ]);
+    ]
+    details;
+  Ctx.audit ctxs.(0) ~kind:Manet_obs.Audit.Cga_mismatch ~subject:x ~cause:"test" ();
+  match List.rev (Manet_obs.Audit.events (Obs.audit obs)) with
+  | e :: _ ->
+      Alcotest.(check (option string)) (label ^ ": audit subject")
+        (Some (Address.to_string x)) e.Manet_obs.Audit.subject_addr
+  | [] -> Alcotest.fail "no audit event"
+
+let test_address_text_memo () =
+  let engine, obs, g, ids, ctxs = shared_obs_world () in
+  Obs.set_capture obs true;
+  let w = (engine, obs, ids, ctxs) in
+  let registered = ids.(2).Identity.address in
+  check_rendered "registered" w registered;
+  Alcotest.(check bool) "a second rendering returns the memoised string" true
+    (Obs.address_text obs registered == Obs.address_text obs registered);
+  Identity.refresh_address ids.(2) g;
+  let refreshed = ids.(2).Identity.address in
+  Alcotest.(check bool) "refresh changed the address" false
+    (Address.equal refreshed registered);
+  check_rendered "after refresh_address" w refreshed;
+  check_rendered "the old address, still memoised" w registered;
+  check_rendered "never registered (forged)" w (addr "fec0::dead:beef");
+  (* A zero run at every position and of every length. *)
+  for start = 0 to 7 do
+    for len = 1 to 8 - start do
+      let a =
+        Address.of_groups (Array.init 8 (fun i -> if i >= start && i < start + len then 0 else 0xfe80 + i))
+      in
+      Alcotest.(check string) "zero-run text" (Address.to_string a) (Obs.address_text obs a)
+    done
+  done;
+  (* Past the cap the memo is emptied and refilled: every text stays
+     equal to a fresh rendering, before and after. *)
+  let many = Array.init 10_000 (fun i -> Address.make ~hi:0xfec0_0000_0000_0000L ~lo:(Int64.of_int (i * 65_537))) in
+  Array.iter
+    (fun a ->
+      if not (String.equal (Obs.address_text obs a) (Address.to_string a)) then
+        Alcotest.failf "memo text of %s" (Address.to_string a))
+    many;
+  check_rendered "past the cap: first of many" w many.(0);
+  check_rendered "past the cap: registered again" w registered
+
+(* Eight 16-bit groups with one zero run at any position and length
+   (RFC 5952 compresses the longest), the other groups drawn from a mix
+   heavy in zeros and in single-digit values. *)
+let gen_address =
+  QCheck.Gen.(
+    map
+      (fun ((start, len), groups) ->
+        let g = Array.of_list groups in
+        for i = start to min 7 (start + len - 1) do
+          g.(i) <- 0
+        done;
+        Address.of_groups g)
+      (pair
+         (pair (int_bound 7) (int_bound 8))
+         (list_repeat 8 (frequency [ (3, return 0); (2, int_bound 15); (4, int_bound 0xffff) ]))))
+
+let prop_address_text_memo =
+  let _, obs, _, _, _ = shared_obs_world () in
+  let buf = Buffer.create 128 and direct = Buffer.create 128 in
+  qtest ~count:2000 "address text: memo = Address.to_string, in details too"
+    (QCheck.make ~print:Address.to_string gen_address)
+    (fun a ->
+      let m = Messages.Rerr { reporter = a; broken_next = a1; dst = a; remaining = [ a ];
+                              sig_ = ""; pk = ""; rn = 0L } in
+      Buffer.clear buf;
+      Buffer.clear direct;
+      Messages.add_to_buffer (Obs.address_writer obs) buf m;
+      Messages.add_to_buffer Address.add_to_buffer direct m;
+      String.equal (Obs.address_text obs a) (Address.to_string a)
+      && String.equal (Buffer.contents buf) (Buffer.contents direct)
+      && String.equal (Buffer.contents buf) (Format.asprintf "%a" Messages.pp m))
+
+(* ------------------------------------------------------------------ *)
 (* BSAR ablation: verify_at_destination = false                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -721,6 +988,10 @@ let suites =
         Alcotest.test_case "send details: trace ring" `Quick test_send_details_trace_ring;
         Alcotest.test_case "send details: capture" `Quick test_send_details_capture;
         Alcotest.test_case "send details: sinks off" `Quick test_send_details_sinks_off;
+        prop_counter_keys_match_model;
+        Alcotest.test_case "stat allocation budget" `Quick test_stat_allocation_budget;
+        Alcotest.test_case "address text memo" `Quick test_address_text_memo;
+        prop_address_text_memo;
       ] );
     ( "secure.ablation",
       [

@@ -153,19 +153,24 @@ let test_heap_releases_popped () =
 (* Stats                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Keys of the counters and series below. *)
+let k_x = Stats.key "x"
+let k_y = Stats.key "y"
+let k_v = Stats.key "v"
+
 let test_stats_counters () =
   let s = Stats.create () in
   Alcotest.(check int) "missing is 0" 0 (Stats.get s "x");
-  Stats.incr s "x";
-  Stats.incr s "x" ~by:4;
-  Stats.incr s "y";
+  Stats.incr s k_x;
+  Stats.add s k_x 4;
+  Stats.incr s k_y;
   Alcotest.(check int) "x" 5 (Stats.get s "x");
   Alcotest.(check (list (pair string int))) "sorted" [ ("x", 5); ("y", 1) ] (Stats.counters s)
 
 let test_stats_summary () =
   let s = Stats.create () in
   Alcotest.(check bool) "missing summary" true (Stats.summary s "lat" = None);
-  List.iter (Stats.observe s "lat") [ 1.0; 2.0; 3.0; 4.0 ];
+  List.iter (Stats.observe s (Stats.key "lat")) [ 1.0; 2.0; 3.0; 4.0 ];
   match Stats.summary s "lat" with
   | None -> Alcotest.fail "expected summary"
   | Some sm ->
@@ -188,9 +193,9 @@ let prop_stats_output_sorted =
       let s = Stats.create () in
       List.iter
         (fun k ->
-          let name = Printf.sprintf "k%03d" k in
-          Stats.incr s name;
-          Stats.observe s name (float_of_int k))
+          let key = Stats.key (Printf.sprintf "k%03d" k) in
+          Stats.incr s key;
+          Stats.observe s key (float_of_int k))
         keys;
       let is_sorted names =
         List.equal String.equal (List.sort String.compare names) names
@@ -203,7 +208,7 @@ let prop_stats_welford =
     QCheck.(list_of_size (QCheck.Gen.int_range 1 200) (float_bound_exclusive 1000.0))
     (fun xs ->
       let s = Stats.create () in
-      List.iter (Stats.observe s "v") xs;
+      List.iter (Stats.observe s k_v) xs;
       match Stats.summary s "v" with
       | None -> false
       | Some sm ->
@@ -213,7 +218,7 @@ let prop_stats_welford =
 let test_stats_percentiles_exact () =
   let s = Stats.create () in
   for i = 1 to 100 do
-    Stats.observe s "v" (float_of_int i)
+    Stats.observe s k_v (float_of_int i)
   done;
   let p q = Option.get (Stats.percentile s "v" q) in
   Alcotest.(check (float 1e-9)) "p0 = min" 1.0 (p 0.0);
@@ -228,7 +233,7 @@ let test_stats_percentiles_reservoir () =
   (* Beyond the reservoir cap the estimate stays in the right ballpark. *)
   let s = Stats.create () in
   for i = 1 to 50_000 do
-    Stats.observe s "v" (float_of_int (i mod 1000))
+    Stats.observe s k_v (float_of_int (i mod 1000))
   done;
   match Stats.percentile s "v" 0.5 with
   | Some p -> Alcotest.(check bool) "median near 500" true (p > 350.0 && p < 650.0)
@@ -244,7 +249,7 @@ let prop_percentile_exact_below_cap =
         (float_bound_inclusive 1.0))
     (fun (xs, q) ->
       let s = Stats.create () in
-      List.iter (Stats.observe s "v") xs;
+      List.iter (Stats.observe s k_v) xs;
       let sorted = Array.of_list xs in
       Array.sort Float.compare sorted;
       let n = Array.length sorted in
@@ -262,7 +267,7 @@ let prop_percentile_reservoir_deterministic =
         let s = Stats.create () in
         let g = Prng.create ~seed in
         for _ = 1 to 3000 do
-          Stats.observe s "v" (Prng.float g 100.0)
+          Stats.observe s k_v (Prng.float g 100.0)
         done;
         s
       in
@@ -276,7 +281,7 @@ let prop_percentile_out_of_range =
     QCheck.(float_bound_exclusive 50.0)
     (fun d ->
       let s = Stats.create () in
-      Stats.observe s "v" 1.0;
+      Stats.observe s k_v 1.0;
       let bad q =
         match Stats.percentile s "v" q with
         | (_ : float option) -> false
@@ -287,8 +292,8 @@ let prop_percentile_out_of_range =
 
 let test_stats_clear () =
   let s = Stats.create () in
-  Stats.incr s "x";
-  Stats.observe s "v" 1.0;
+  Stats.incr s k_x;
+  Stats.observe s k_v 1.0;
   Stats.clear s;
   Alcotest.(check int) "counter gone" 0 (Stats.get s "x");
   Alcotest.(check bool) "summary gone" true (Stats.summary s "v" = None)
@@ -959,11 +964,12 @@ let test_net_lossy_broadcast () =
 
 let test_stats_snapshot_delta () =
   let s = Stats.create () in
-  Stats.incr s "a";
-  Stats.incr ~by:3 s "b";
+  let a = Stats.key "a" and b = Stats.key "b" in
+  Stats.incr s a;
+  Stats.add s b 3;
   let before = Stats.snapshot s in
-  Stats.incr ~by:2 s "b";
-  Stats.incr s "c";
+  Stats.add s b 2;
+  Stats.incr s (Stats.key "c");
   let after = Stats.snapshot s in
   Alcotest.(check int) "snapshot_get present" 3 (Stats.snapshot_get before "b");
   Alcotest.(check int) "snapshot_get absent" 0 (Stats.snapshot_get before "c");

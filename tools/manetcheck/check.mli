@@ -57,6 +57,9 @@
       higher-order sink.
     - ["hot-boxed-store"] — a store into a mutable boxed-scalar field
       of a record that is not all-float.
+    - ["hot-string-key"] — any operation on a [Hashtbl.Make (String)]
+      instance declared in the same file: it hashes and compares the
+      key's characters per call.
     - ["roster"] — a malformed roster entry, or one naming no function.
 
     Conventions (conv.ml):
@@ -70,7 +73,9 @@
     - ["placeholder-sig"] — [sig_* = ""] in lib/secure, lib/dad,
       lib/dns.
     - ["audit-counter"] — a security-shaped counter bumped with
-      [Ctx.stat]/[Stats.incr] instead of the audit path.
+      [Ctx.stat]/[Ctx.stat_by]/[Stats.incr]/[Stats.add] instead of the
+      audit path; the counter's name is read from a literal or through
+      the [Stats.key "name"] binding of its key.
     - ["schedule-label"] — [Engine.schedule(_at)] without [~label].
     - ["flood-origin-label"] — [Ctx.broadcast] in a flooding protocol
       with no [Flood.] call before it in the same function.

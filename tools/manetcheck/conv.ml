@@ -49,7 +49,8 @@ let addr_fields =
    structure (subject, cause, an entry in the stream the misbehaviour
    detector reads).  Under the protocol layers such counters are bumped
    through [Node_ctx.audit] / [Audit.emit] with [~stats], never with a
-   raw [Ctx.stat] / [Stats.incr]. *)
+   raw [Ctx.stat] / [Stats.incr].  A counter is named by a key made once
+   ([Stats.key "name"]); the rule reads the name through the binding. *)
 let audit_markers =
   [
     "reject"; "replay"; "suspect"; "slash"; "forged"; "hostile"; "mismatch";
@@ -63,6 +64,31 @@ let string_const e =
 
 let is_ctx = function Some ("Ctx" | "Node_ctx") -> true | _ -> false
 
+let stats_key u e =
+  match e.pexp_desc with
+  | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, [ (_, a) ])
+    when callee u txt = (Some "Stats", "key") ->
+      string_const a
+  | _ -> None
+
+(* The counter name of each key a unit binds, at top level or in a
+   submodule, by (module, binding). *)
+let key_names u =
+  List.filter_map
+    (fun b -> Option.map (fun n -> ((b.b_mod, b.b_name), n)) (stats_key u b.b_expr))
+    (collect_bindings u)
+
+(* The counter name a [stat]/[incr] argument denotes: a literal, an
+   inline [Stats.key "name"], or a key bound in this unit. *)
+let counter_name u keys a =
+  match (string_const a, a.pexp_desc) with
+  | Some s, _ -> Some s
+  | None, Pexp_ident { txt; _ } -> (
+      match resolve u.u_aliases txt with
+      | Some m, x -> List.assoc_opt (m, x) keys
+      | None, x -> List.assoc_opt (u.u_mod, x) keys)
+  | None, _ -> stats_key u a
+
 (* The per-expression rules of one analyzed unit.  [hot] are the line
    ranges of the unit's hot functions, where hot-poly owns compares. *)
 let expr_findings ~hot u =
@@ -72,6 +98,7 @@ let expr_findings ~hot u =
   in
   let lib = in_lib u in
   let protocol = under [ "lib/dad"; "lib/dns"; "lib/dsr"; "lib/secure" ] u in
+  let keys = if protocol then key_names u else [] in
   let signing = under [ "lib/secure"; "lib/dad"; "lib/dns" ] u in
   let cold_compare loc =
     let l = line_of loc in
@@ -166,9 +193,9 @@ let expr_findings ~hot u =
                     the scheduling subsystem so perf counters and profiles \
                     can attribute it"
                    (name (callee u txt)))
-          | ((m, "stat") | ((Some "Stats" as m), "incr")), _
+          | ((m, ("stat" | "stat_by")) | ((Some "Stats" as m), ("incr" | "add"))), _
             when protocol && (is_ctx m || m = Some "Stats") -> (
-              match List.find_map (fun (_, a) -> string_const a) args with
+              match List.find_map (fun (_, a) -> counter_name u keys a) args with
               | Some counter
                 when List.exists
                        (contains (String.lowercase_ascii counter))

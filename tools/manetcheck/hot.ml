@@ -1,6 +1,6 @@
 (* Hot-path rules: per-call allocation, polymorphic compare/hash, O(n)
-   list walks, per-event partial application and boxed float stores,
-   flagged only inside the hot set — the roster's seed functions plus
+   list walks, per-event partial application, boxed float stores and
+   string-keyed table operations, flagged only inside the hot set — the roster's seed functions plus
    everything they transitively reference.  See check.mli for the
    catalogue. *)
 
@@ -11,7 +11,7 @@ open C
 let rules =
   [
     "hot-alloc"; "hot-poly"; "hot-list"; "hot-partial"; "hot-boxed-store";
-    "roster";
+    "hot-string-key"; "roster";
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -315,7 +315,35 @@ let boxed_fields units =
     boxed;
   boxed
 
-let analyze_binding ~emit ~ranges ~boxed b =
+(* ------------------------------------------------------------------ *)
+(* String-keyed tables.  An operation on a [Hashtbl.Make (String)]
+   instance hashes the key's characters and compares them on a hit; on
+   the hot path a name is bound once to a key ([Stats.key]) or the table
+   is keyed by an int or an address instead.  Instances are matched by
+   name within the file that declares them, at any module depth. *)
+
+let string_tables u =
+  let out = ref [] in
+  let rec go items =
+    List.iter
+      (fun item ->
+        match item.pstr_desc with
+        | Pstr_module { pmb_name = { txt = Some name; _ }; pmb_expr; _ } -> (
+            match pmb_expr.pmod_desc with
+            | Pmod_apply
+                ( { pmod_desc = Pmod_ident { txt = f; _ }; _ },
+                  { pmod_desc = Pmod_ident { txt = Longident.Lident "String"; _ }; _ } )
+              when Longident.flatten f = [ "Hashtbl"; "Make" ] ->
+                out := name :: !out
+            | Pmod_structure str -> go str
+            | _ -> ())
+        | _ -> ())
+      items
+  in
+  (match u.u_parsed with Impl str -> go str | _ -> ());
+  !out
+
+let analyze_binding ~emit ~ranges ~boxed ~string_tables b =
   let who = b.b_mod ^ "." ^ b.b_name in
   let aliases = b.b_unit.u_aliases in
   let alloc loc what advice =
@@ -325,6 +353,17 @@ let analyze_binding ~emit ~ranges ~boxed b =
   in
   let check e =
     match e.pexp_desc with
+    | Pexp_ident { txt; _ } -> (
+        match resolve aliases txt with
+        | Some m, op when List.mem m string_tables ->
+            emit (line_of e.pexp_loc) "hot-string-key"
+              (Printf.sprintf
+                 "%s calls %s.%s, a Hashtbl.Make (String) table, on the hot \
+                  path: every call hashes the key's characters and compares \
+                  them on a hit; bind the name to a key once (Stats.key) or \
+                  key the table by an int or an address"
+                 who m op)
+        | _ -> ())
     | Pexp_fun _ | Pexp_function _ | Pexp_newtype _ ->
         alloc e.pexp_loc "a closure"
           "hoist it out of the per-event path or flatten the event \
@@ -508,6 +547,8 @@ let hot_set ~roster lib =
 let findings ~roster lib =
   let bindings, hot, roster_findings = hot_set ~roster lib in
   let boxed = boxed_fields lib in
+  let tables = Hashtbl.create 16 in
+  List.iter (fun u -> Hashtbl.replace tables u.u_path (string_tables u)) lib;
   let out = ref [] in
   List.iter
     (fun b ->
@@ -515,7 +556,9 @@ let findings ~roster lib =
         let emit line rule msg =
           out := { file = b.b_unit.u_path; line; rule; msg } :: !out
         in
-        analyze_binding ~emit ~ranges:b.b_unit.u_allows.a_cold ~boxed b)
+        analyze_binding ~emit ~ranges:b.b_unit.u_allows.a_cold ~boxed
+          ~string_tables:(Hashtbl.find tables b.b_unit.u_path)
+          b)
     bindings;
   ( roster_findings @ !out
     @ List.concat_map
