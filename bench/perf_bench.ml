@@ -160,9 +160,14 @@ let sweep_spec =
     seeds = [ 1; 2; 3 ];
   }
 
+(* Every stream a sweep can merge, as every point rendered before
+   sweeps took the kind list. *)
+let sweep_exports =
+  Manetsec.Export.[ Stats_csv; Audit_jsonl; Trace_jsonl; Perf_json; Timeline_jsonl ]
+
 let sweep_wall ~domains =
   let t0 = Mono_clock.now_s () in
-  ignore (Sys.opaque_identity (Sweep.run ~domains sweep_spec));
+  ignore (Sys.opaque_identity (Sweep.run ~domains ~exports:sweep_exports sweep_spec));
   Mono_clock.now_s () -. t0
 
 let run () =

@@ -2,15 +2,17 @@
 
      manetsim run --nodes 30 --blackholes 3 --duration 60
      manetsim run --protocol dsr --mobility waypoint --trace
-     manetsim run --seed 1 --jsonl-trace run.jsonl --json-report run.json
+     manetsim run --seed 1 --export trace-jsonl --export report-json
+     manetsim run --scenario examples/scenarios/blackhole_e1.scn --out-dir out
      manetsim dad --nodes 12 --collide
      manetsim attacks --nodes 16
-     manetsim report run.jsonl
+     manetsim report run.trace.jsonl
 
    Prints scenario metrics; --trace additionally dumps the protocol
-   event trace; --jsonl-trace / --json-report export the telemetry
-   spans and the run report; the report subcommand queries an exported
-   trace offline. *)
+   event trace; each --export KIND writes one export into --out-dir
+   (the vocabulary of a scenario file's (exports ...) field); the
+   report, audit, perf and timeline subcommands query exports
+   offline. *)
 
 module Scenario = Manetsec.Scenario
 module Engine = Manetsec.Sim.Engine
@@ -26,9 +28,10 @@ module Obs_report = Manetsec.Obs_report
 module Perf = Manetsec.Perf
 module Timeline = Manetsec.Timeline
 module Audit = Manetsec.Audit
-module Metrics = Manetsec.Metrics
 module Detector = Manetsec.Detector
+module Export = Manetsec.Export
 module Scn = Manet_scenario.Scn
+module Schema = Manet_scenario.Schema
 module Sexp = Manet_scenario.Sexp
 
 open Cmdliner
@@ -105,25 +108,6 @@ let flows_t =
 let trace_t =
   Arg.(value & flag & info [ "trace" ] ~doc:"Dump the protocol event trace.")
 
-let jsonl_trace_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "jsonl-trace" ] ~docv:"FILE"
-        ~doc:
-          "Write the telemetry spans and events as schema-versioned JSONL \
-           (byte-identical across replays of the same seed).")
-
-let json_report_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json-report" ] ~docv:"FILE"
-        ~doc:
-          "Write a JSON run report: counters, latency summaries, per-kind \
-           span aggregates, per-phase percentiles and the wall-clock \
-           profile.")
-
 let profile_t =
   Arg.(
     value & flag
@@ -131,60 +115,6 @@ let profile_t =
         ~doc:
           "Measure host wall-clock time per event class (does not perturb \
            the simulation) and print the breakdown.")
-
-let audit_jsonl_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "audit-jsonl" ] ~docv:"FILE"
-        ~doc:
-          "Write the security audit event stream as schema-versioned JSONL \
-           (byte-identical across replays of the same seed).  Query it \
-           offline with the audit subcommand.")
-
-let metrics_csv_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics-csv" ] ~docv:"FILE"
-        ~doc:
-          "Write windowed per-node and global metrics as CSV (enables the \
-           metrics engine for the run).")
-
-let metrics_prom_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics-prom" ] ~docv:"FILE"
-        ~doc:
-          "Write windowed metrics in Prometheus exposition format (enables \
-           the metrics engine for the run).")
-
-let perf_json_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "perf-json" ] ~docv:"FILE"
-        ~doc:
-          "Write the performance telemetry export: a schema-versioned JSON \
-           document with a deterministic section (event-label counts, \
-           scheduler occupancy, neighbour-scan/fan-out histograms, crypto-op \
-           accounting — byte-identical across replays of the same seed) and \
-           a wall-clock section (timings, GC/alloc words; excluded from \
-           determinism gates).  Query it with the perf subcommand.")
-
-let timeline_jsonl_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "timeline-jsonl" ] ~docv:"FILE"
-        ~doc:
-          "Write time-resolved run telemetry as schema-versioned JSONL: one \
-           bucket line per active sim-second window (events, per-label \
-           rates, queue depth, deliveries/drops, per-kind crypto ops, audit \
-           rate) followed by per-flood propagation records — byte-identical \
-           across replays of the same seed.  Query it with the timeline \
-           subcommand.")
 
 let progress_t =
   Arg.(
@@ -196,20 +126,12 @@ let progress_t =
            a stall warning when sim time stops advancing.  Does not perturb \
            the simulation or any deterministic export.")
 
-(* --- telemetry plumbing -------------------------------------------------- *)
+(* --- exports ---------------------------------------------------------------- *)
 
 let write_file path contents =
   let oc = open_out_bin path in
   output_string oc contents;
   close_out oc
-
-(* Must run before any engine events fire: capture is append-only, the
-   profiler only samples the clock inside [Engine.run], and metric
-   windows only fill while the engine is enabled. *)
-let telemetry_begin ?(metrics = false) s ~profile ~jsonl_trace =
-  if profile then Engine.set_profiling (Scenario.engine s) true;
-  if metrics then Metrics.set_enabled (Obs.metrics (Scenario.obs s)) true;
-  if jsonl_trace <> None then Obs.set_capture (Scenario.obs s) true
 
 let print_profile s =
   let engine = Scenario.engine s in
@@ -225,59 +147,46 @@ let print_profile s =
     (Engine.wall_in_run engine *. 1000.0)
     (Engine.events_per_sec engine)
 
-let telemetry_end ?audit_jsonl ?metrics_csv ?metrics_prom ?perf_json
-    ?timeline_jsonl s ~seed ~profile ~jsonl_trace ~json_report =
-  (match timeline_jsonl with
-  | Some path ->
-      write_file path
-        (Scenario.timeline_jsonl ~meta:[ ("seed", Json.Int seed) ] s);
-      Printf.printf "timeline jsonl      %s\n" path
-  | None -> ());
-  (match perf_json with
-  | Some path ->
-      write_file path
-        (Json.to_string
-           (Scenario.perf_json ~meta:[ ("seed", Json.Int seed) ] s)
-        ^ "\n");
-      Printf.printf "perf json           %s\n" path
-  | None -> ());
-  (match audit_jsonl with
-  | Some path ->
-      write_file path
-        (Audit.to_jsonl
-           ~meta:[ ("seed", Json.Int seed) ]
-           (Obs.audit (Scenario.obs s)));
-      Printf.printf "audit jsonl         %s\n" path
-  | None -> ());
-  (match metrics_csv with
-  | Some path ->
-      write_file path
-        (Metrics.to_csv ~stats:(Scenario.stats s) (Obs.metrics (Scenario.obs s)));
-      Printf.printf "metrics csv         %s\n" path
-  | None -> ());
-  (match metrics_prom with
-  | Some path ->
-      write_file path
-        (Metrics.to_prom ~stats:(Scenario.stats s) (Obs.metrics (Scenario.obs s)));
-      Printf.printf "metrics prom        %s\n" path
-  | None -> ());
-  (match jsonl_trace with
-  | Some path ->
-      write_file path
-        (Obs.to_jsonl ~meta:[ ("seed", Json.Int seed) ] (Scenario.obs s));
-      Printf.printf "jsonl trace         %s\n" path
-  | None -> ());
-  (match json_report with
-  | Some path ->
-      let j =
-        Obs_report.run_report ~engine:(Scenario.engine s) ~obs:(Scenario.obs s)
-          ~extra:[ ("seed", Json.Int seed) ]
-          ()
-      in
-      write_file path (Json.to_string j ^ "\n");
-      Printf.printf "json report         %s\n" path
-  | None -> ());
-  if profile then print_profile s
+(* Every kind once, in first-mention order. *)
+let union kinds more =
+  List.fold_left
+    (fun acc kind -> if List.mem kind acc then acc else acc @ [ kind ])
+    kinds more
+
+let write_exports ~out_dir files =
+  List.iter
+    (fun (file, contents) ->
+      let path = Filename.concat out_dir file in
+      write_file path contents;
+      Printf.printf "export              %s\n" path)
+    files
+
+let render_exports ~out_dir ~name ~meta kinds s =
+  write_exports ~out_dir
+    (List.map (fun kind -> (Export.file ~name kind, Export.render ~meta s kind)) kinds)
+
+let export_t =
+  Arg.(
+    value
+    & opt_all (enum Schema.exports) []
+    & info [ "export" ] ~docv:"KIND"
+        ~doc:
+          ("Write the $(docv) export into --out-dir; repeatable.  $(docv) \
+            is "
+          ^ doc_alts Schema.export_kinds
+          ^ ": the keywords of a scenario file's (exports ...) field.  run \
+             and dad name their files after the subcommand \
+             ($(b,run.trace.jsonl)), run --scenario after the scenario, and \
+             sweep writes merged forms (see its description).  trace-jsonl \
+             switches event capture on and the metrics kinds the metrics \
+             engine.  Every export but report-json (which holds the \
+             wall-clock profile) and the wall-clock section of \
+             perf-json is byte-identical across replays of the same seed."))
+
+let out_dir_t =
+  Arg.(
+    value & opt dir "."
+    & info [ "out-dir" ] ~docv:"DIR" ~doc:"Directory that receives the exports.")
 
 let make_params ~nodes ~seed ~protocol ~suite ~mobility ~blackholes ~spammers =
   let g = Prng.create ~seed:(seed + 7777) in
@@ -333,7 +242,14 @@ let report s =
       "secure.rreq_rejected"; "secure.rrep_rejected"; "secure.rerr_rejected";
       "secure.hostile_suspected"; "probe.sent"; "attack.data_dropped";
       "attack.rrep_forged"; "attack.rerr_forged";
-    ]
+    ];
+  Printf.printf "audit events        %d\n"
+    (Audit.count (Obs.audit (Scenario.obs s)));
+  match Detector.suspects (Scenario.detector s) with
+  | [] -> ()
+  | suspects ->
+      Printf.printf "suspected nodes     %s\n"
+        (String.concat ", " (List.map string_of_int suspects))
 
 (* --- scenario files ------------------------------------------------------ *)
 
@@ -348,53 +264,20 @@ let load_scenario path =
           Error (Printf.sprintf "%s:%d:%d: %s" path pos.Sexp.line pos.Sexp.col msg))
   | exception Sys_error msg -> Error msg
 
-let scenario_run file out_dir perf_json timeline_jsonl =
+(* The file's exports plus the --export kinds, named and stamped like
+   the file's own. *)
+let scenario_run file ~out_dir ~exports =
   match load_scenario file with
   | Error msg -> `Error (false, msg)
   | Ok scn ->
       Printf.printf "scenario %s  (%d nodes, seed %d)\n%!" scn.Scn.name
         scn.Scn.nodes scn.Scn.seed;
-      let s = Scn.execute scn in
+      let kinds = union scn.Scn.exports exports in
+      let s = Scn.execute { scn with Scn.exports = kinds } in
       report s;
-      Printf.printf "audit events        %d\n"
-        (Audit.count (Obs.audit (Scenario.obs s)));
-      (match Detector.suspects (Scenario.detector s) with
-      | [] -> ()
-      | suspects ->
-          Printf.printf "suspected nodes     %s\n"
-            (String.concat ", " (List.map string_of_int suspects)));
-      List.iter
-        (fun (_, filename, contents) ->
-          let path = Filename.concat out_dir filename in
-          write_file path contents;
-          Printf.printf "export              %s\n" path)
-        (Scn.render_exports scn ~seed:scn.Scn.seed s);
-      (match perf_json with
-      | Some path ->
-          write_file path
-            (Json.to_string
-               (Scenario.perf_json
-                  ~meta:
-                    [
-                      ("scenario", Json.String scn.Scn.name);
-                      ("seed", Json.Int scn.Scn.seed);
-                    ]
-                  s)
-            ^ "\n");
-          Printf.printf "perf json           %s\n" path
-      | None -> ());
-      (match timeline_jsonl with
-      | Some path ->
-          write_file path
-            (Scenario.timeline_jsonl
-               ~meta:
-                 [
-                   ("scenario", Json.String scn.Scn.name);
-                   ("seed", Json.Int scn.Scn.seed);
-                 ]
-               s);
-          Printf.printf "timeline jsonl      %s\n" path
-      | None -> ());
+      render_exports ~out_dir ~name:scn.Scn.name
+        ~meta:(Scn.meta scn ~seed:scn.Scn.seed)
+        kinds s;
       `Ok ()
 
 let scenario_file_t =
@@ -404,28 +287,21 @@ let scenario_file_t =
     & info [ "scenario" ] ~docv:"FILE"
         ~doc:
           "Run a declarative scenario file (see examples/scenarios/) instead \
-           of a flag-built configuration; exports are the ones the file \
-           requests and every other run flag except --perf-json and \
-           --timeline-jsonl is ignored.")
-
-let out_dir_t =
-  Arg.(
-    value & opt dir "."
-    & info [ "out-dir" ] ~docv:"DIR"
-        ~doc:"Directory that receives the exports a scenario file requests.")
+           of a flag-built configuration; it writes the exports the file \
+           requests plus every --export kind, and every other run flag is \
+           ignored.")
 
 (* --- run ----------------------------------------------------------------- *)
 
-let run_flags_cmd ~nodes ~seed ~protocol ~suite ~mobility ~blackholes ~spammers
-    ~duration ~flows ~trace ~jsonl_trace ~json_report ~profile ~audit_jsonl
-    ~metrics_csv ~metrics_prom ~perf_json ~timeline_jsonl ~progress =
+let run_flags_cmd ~out_dir ~exports ~nodes ~seed ~protocol ~suite ~mobility
+    ~blackholes ~spammers ~duration ~flows ~trace ~profile ~progress =
   let params =
     make_params ~nodes ~seed ~protocol ~suite ~mobility ~blackholes ~spammers
   in
   let s = Scenario.create params in
   if trace then Trace.enable (Engine.trace (Scenario.engine s));
-  telemetry_begin s ~profile ~jsonl_trace
-    ~metrics:(metrics_csv <> None || metrics_prom <> None);
+  if profile then Engine.set_profiling (Scenario.engine s) true;
+  Export.prepare exports s;
   if progress then
     Timeline.enable_progress
       ~horizon:(duration +. 30.0)
@@ -450,50 +326,41 @@ let run_flags_cmd ~nodes ~seed ~protocol ~suite ~mobility ~blackholes ~spammers
   Scenario.start_cbr s ~flows:flow_list ~interval:0.5 ~duration ();
   Scenario.run s ~until:(Engine.now (Scenario.engine s) +. duration +. 30.0);
   report s;
-  Printf.printf "audit events        %d\n"
-    (Audit.count (Obs.audit (Scenario.obs s)));
-  (match Detector.suspects (Scenario.detector s) with
-  | [] -> ()
-  | suspects ->
-      Printf.printf "suspected nodes     %s\n"
-        (String.concat ", " (List.map string_of_int suspects)));
-  telemetry_end s ~seed ~profile ~jsonl_trace ~json_report ?audit_jsonl
-    ?metrics_csv ?metrics_prom ?perf_json ?timeline_jsonl;
+  render_exports ~out_dir ~name:"run" ~meta:[ ("seed", Json.Int seed) ] exports s;
+  if profile then print_profile s;
   if trace then begin
     Printf.printf "\n-- trace --------------------------------------------\n";
     print_string (Trace.render (Engine.trace (Scenario.engine s)))
   end
 
-let run_cmd scenario_file out_dir nodes seed protocol suite mobility blackholes
-    spammers duration flows trace jsonl_trace json_report profile audit_jsonl
-    metrics_csv metrics_prom perf_json timeline_jsonl progress =
+let run_cmd scenario_file out_dir exports nodes seed protocol suite mobility
+    blackholes spammers duration flows trace profile progress =
+  let exports = union [] exports in
   match scenario_file with
-  | Some file -> scenario_run file out_dir perf_json timeline_jsonl
+  | Some file -> scenario_run file ~out_dir ~exports
   | None ->
-      run_flags_cmd ~nodes ~seed ~protocol ~suite ~mobility ~blackholes
-        ~spammers ~duration ~flows ~trace ~jsonl_trace ~json_report ~profile
-        ~audit_jsonl ~metrics_csv ~metrics_prom ~perf_json ~timeline_jsonl
-        ~progress;
+      run_flags_cmd ~out_dir ~exports ~nodes ~seed ~protocol ~suite ~mobility
+        ~blackholes ~spammers ~duration ~flows ~trace ~profile ~progress;
       `Ok ()
 
 let run_term =
   Term.(
     ret
-      (const run_cmd $ scenario_file_t $ out_dir_t $ nodes_t $ seed_t
+      (const run_cmd $ scenario_file_t $ out_dir_t $ export_t $ nodes_t $ seed_t
      $ protocol_t $ suite_t $ mobility_t $ blackholes_t $ spammers_t
-     $ duration_t $ flows_t $ trace_t $ jsonl_trace_t $ json_report_t
-     $ profile_t $ audit_jsonl_t $ metrics_csv_t $ metrics_prom_t
-     $ perf_json_t $ timeline_jsonl_t $ progress_t))
+     $ duration_t $ flows_t $ trace_t $ profile_t $ progress_t))
 
 (* --- dad ------------------------------------------------------------------ *)
 
-let dad_cmd nodes seed collide trace jsonl_trace json_report profile =
+let dad_cmd out_dir exports nodes seed collide trace profile =
+  let exports = union [] exports in
   let params =
     make_params ~nodes ~seed ~protocol:Scenario.Secure ~suite:Scenario.Mock_suite
       ~mobility:Mobility.Static ~blackholes:0 ~spammers:0
   in
   let s = Scenario.create params in
-  telemetry_begin s ~profile ~jsonl_trace;
+  if profile then Engine.set_profiling (Scenario.engine s) true;
+  Export.prepare exports s;
   if collide && nodes >= 3 then begin
     (* Give the last node the first host's address before it joins. *)
     let victim = Scenario.address_of s 1 in
@@ -517,7 +384,8 @@ let dad_cmd nodes seed collide trace jsonl_trace json_report profile =
       Printf.printf "  node %-3d %s\n" node.Scenario.index
         (Address.to_string (Scenario.address_of s node.Scenario.index)))
     (Scenario.nodes s);
-  telemetry_end s ~seed ~profile ~jsonl_trace ~json_report;
+  render_exports ~out_dir ~name:"dad" ~meta:[ ("seed", Json.Int seed) ] exports s;
+  if profile then print_profile s;
   if trace then print_string (Trace.render (Engine.trace (Scenario.engine s)))
 
 let collide_t =
@@ -525,8 +393,8 @@ let collide_t =
 
 let dad_term =
   Term.(
-    const dad_cmd $ nodes_t $ seed_t $ collide_t $ trace_t $ jsonl_trace_t
-    $ json_report_t $ profile_t)
+    const dad_cmd $ out_dir_t $ export_t $ nodes_t $ seed_t $ collide_t
+    $ trace_t $ profile_t)
 
 (* --- attacks --------------------------------------------------------------- *)
 
@@ -602,7 +470,7 @@ let report_file_t =
   Arg.(
     required
     & pos 0 (some file) None
-    & info [] ~docv:"TRACE.jsonl" ~doc:"A trace written by --jsonl-trace.")
+    & info [] ~docv:"TRACE.jsonl" ~doc:"A trace written by $(b,--export trace-jsonl).")
 
 let top_t =
   Arg.(
@@ -655,7 +523,7 @@ let audit_file_t =
   Arg.(
     required
     & pos 0 (some file) None
-    & info [] ~docv:"AUDIT.jsonl" ~doc:"A stream written by --audit-jsonl.")
+    & info [] ~docv:"AUDIT.jsonl" ~doc:"A stream written by $(b,--export audit-jsonl).")
 
 let no_timeline_t =
   Arg.(
@@ -679,42 +547,14 @@ let run_field r name =
 let run_stat r name =
   match List.assoc_opt name r.Merge.stats with Some v -> v | None -> 0
 
-let write_merged ~stats_csv ~audit_out ~trace_out ~perf_out ~timeline_out runs =
-  (match stats_csv with
-  | Some path ->
-      write_file path (Merge.stats_csv runs);
-      Printf.printf "stats csv           %s\n" path
-  | None -> ());
-  (match audit_out with
-  | Some path ->
-      write_file path (Merge.stream_jsonl ~name:"audit" runs);
-      Printf.printf "audit jsonl         %s\n" path
-  | None -> ());
-  (match trace_out with
-  | Some path ->
-      write_file path (Merge.stream_jsonl ~name:"trace" runs);
-      Printf.printf "trace jsonl         %s\n" path
-  | None -> ());
-  (match perf_out with
-  | Some path ->
-      write_file path (Merge.stream_jsonl ~name:"perf" runs);
-      Printf.printf "perf jsonl          %s\n" path
-  | None -> ());
-  match timeline_out with
-  | Some path ->
-      write_file path (Merge.stream_jsonl ~name:"timeline" runs);
-      Printf.printf "timeline jsonl      %s\n" path
-  | None -> ()
-
-let sweep_scenario file ~domains ~seeds ~stats_csv ~audit_out ~trace_out
-    ~perf_out ~timeline_out =
+let sweep_scenario file ~domains ~seeds ~exports =
   match load_scenario file with
-  | Error msg -> `Error (false, msg)
+  | Error msg -> Error msg
   | Ok scn ->
       Printf.printf "sweep: scenario %s across %d seed(s) on %d domain(s)\n%!"
         scn.Scn.name (List.length seeds) domains;
       let t0 = Mono_clock.now_s () in
-      let runs = Scn.sweep ~domains ~seeds scn in
+      let runs = Scn.sweep ~domains ~seeds ~exports scn in
       let wall = Mono_clock.now_s () -. t0 in
       List.iter
         (fun r ->
@@ -725,43 +565,59 @@ let sweep_scenario file ~domains ~seeds ~stats_csv ~audit_out ~trace_out
             (run_stat r "attack.data_dropped"))
         runs;
       Printf.printf "wall clock          %.2f s\n" wall;
-      write_merged ~stats_csv ~audit_out ~trace_out ~perf_out ~timeline_out
-        runs;
-      `Ok ()
+      Ok runs
+
+let sweep_grid spec ~domains ~exports =
+  let points = Sweep.points spec in
+  Printf.printf "sweep: %d grid point(s) across %d domain(s)\n%!"
+    (List.length points) domains;
+  let t0 = Mono_clock.now_s () in
+  let runs = Sweep.run ~domains ~exports spec in
+  let wall = Mono_clock.now_s () -. t0 in
+  List.iter
+    (fun r ->
+      Printf.printf
+        "  %-4s n=%-3s fraction=%-4s seed=%-3s delivered %d/%d  configured \
+         %d  dropped %d\n"
+        (run_field r "experiment") (run_field r "n") (run_field r "fraction")
+        (run_field r "seed")
+        (run_stat r "data.delivered")
+        (run_stat r "data.offered")
+        (run_stat r "dad.configured")
+        (run_stat r "attack.data_dropped"))
+    runs;
+  Printf.printf "wall clock          %.2f s\n" wall;
+  runs
 
 let sweep_cmd scenario_file domains e1_fractions e1_nodes e1_duration e6_sizes
-    seeds stats_csv audit_out trace_out perf_out timeline_out =
+    seeds out_dir exports =
   let domains = if domains <= 0 then Parallel.default_domains () else domains in
-  match scenario_file with
-  | Some file ->
-      sweep_scenario file ~domains ~seeds ~stats_csv ~audit_out ~trace_out
-        ~perf_out ~timeline_out
-  | None ->
-      let spec =
-        { Sweep.e1_fractions; e1_nodes; e1_duration; e6_sizes; seeds }
+  let exports = union [] exports in
+  match
+    List.filter_map
+      (fun (keyword, kind) ->
+        if List.mem kind exports && not (Export.mergeable kind) then Some keyword
+        else None)
+      Schema.exports
+  with
+  | _ :: _ as unmerged ->
+      `Error
+        ( false,
+          "sweep has no merged form for " ^ String.concat ", " unmerged )
+  | [] -> (
+      let runs =
+        match scenario_file with
+        | Some file -> sweep_scenario file ~domains ~seeds ~exports
+        | None ->
+            Ok
+              (sweep_grid ~domains ~exports
+                 { Sweep.e1_fractions; e1_nodes; e1_duration; e6_sizes; seeds })
       in
-      let points = Sweep.points spec in
-      Printf.printf "sweep: %d grid point(s) across %d domain(s)\n%!"
-        (List.length points) domains;
-      let t0 = Mono_clock.now_s () in
-      let runs = Sweep.run ~domains spec in
-      let wall = Mono_clock.now_s () -. t0 in
-      List.iter
-        (fun r ->
-          Printf.printf
-            "  %-4s n=%-3s fraction=%-4s seed=%-3s delivered %d/%d  configured \
-             %d  dropped %d\n"
-            (run_field r "experiment") (run_field r "n") (run_field r "fraction")
-            (run_field r "seed")
-            (run_stat r "data.delivered")
-            (run_stat r "data.offered")
-            (run_stat r "dad.configured")
-            (run_stat r "attack.data_dropped"))
-        runs;
-      Printf.printf "wall clock          %.2f s\n" wall;
-      write_merged ~stats_csv ~audit_out ~trace_out ~perf_out ~timeline_out
-        runs;
-      `Ok ()
+      match runs with
+      | Error msg -> `Error (false, msg)
+      | Ok runs ->
+          write_exports ~out_dir (Export.merged ~name:"sweep" exports runs);
+          `Ok ())
 
 let domains_t =
   Arg.(
@@ -805,45 +661,6 @@ let seeds_t =
     & opt (list int) Sweep.default_spec.Sweep.seeds
     & info [ "seeds" ] ~docv:"S,..." ~doc:"Seed replications per grid point.")
 
-let sweep_stats_csv_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "stats-csv" ] ~docv:"FILE"
-        ~doc:"Write merged per-run counters as CSV.")
-
-let sweep_audit_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "audit-jsonl" ] ~docv:"FILE"
-        ~doc:"Write the merged audit streams of every run as JSONL.")
-
-let sweep_trace_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace-jsonl" ] ~docv:"FILE"
-        ~doc:"Write the merged telemetry traces of every run as JSONL.")
-
-let sweep_perf_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "perf-jsonl" ] ~docv:"FILE"
-        ~doc:
-          "Write the merged deterministic perf sections of every run as \
-           JSONL (byte-identical at any --domains value).")
-
-let sweep_timeline_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "timeline-jsonl" ] ~docv:"FILE"
-        ~doc:
-          "Write the merged time-resolved telemetry streams of every run as \
-           JSONL (byte-identical at any --domains value).")
-
 let sweep_scenario_t =
   Arg.(
     value
@@ -851,14 +668,15 @@ let sweep_scenario_t =
     & info [ "scenario" ] ~docv:"FILE"
         ~doc:
           "Fan a declarative scenario file across the --seeds list instead of \
-           the E1/E6 grids (the e1-*/e6-* flags are ignored).")
+           the E1/E6 grids (the e1-*/e6-* flags and the file's own exports \
+           are ignored).")
 
 let sweep_term =
   Term.(
     ret
       (const sweep_cmd $ sweep_scenario_t $ domains_t $ e1_fractions_t
-     $ e1_nodes_t $ e1_duration_t $ e6_sizes_t $ seeds_t $ sweep_stats_csv_t
-     $ sweep_audit_t $ sweep_trace_t $ sweep_perf_t $ sweep_timeline_t))
+     $ e1_nodes_t $ e1_duration_t $ e6_sizes_t $ seeds_t $ out_dir_t
+     $ export_t))
 
 (* --- scenario check --------------------------------------------------------- *)
 
@@ -1140,7 +958,7 @@ let perf_file_t =
   Arg.(
     required
     & pos 0 (some file) None
-    & info [] ~docv:"PERF.json" ~doc:"An export written by --perf-json.")
+    & info [] ~docv:"PERF.json" ~doc:"An export written by $(b,--export perf-json).")
 
 let det_t =
   Arg.(
@@ -1159,8 +977,8 @@ let parse_jsonl_lines contents =
   |> List.filter (fun l -> String.trim l <> "")
   |> List.map Json.parse
 
-(* Split a stream into runs.  A plain --timeline-jsonl file is one run
-   opened by its schema header; a sweep-merged file carries a stream
+(* Split a stream into runs.  A single run's timeline-jsonl export is
+   one run opened by its schema header; a sweep-merged file carries a stream
    wrapper line, then per-run lines of the form
    [{"run":N, <key...>, "source":<original header>}] — the embedded
    source (which already carries the run's meta) becomes that run's
@@ -1325,7 +1143,7 @@ let timeline_file_t =
     required
     & pos 0 (some file) None
     & info [] ~docv:"TIMELINE.jsonl"
-        ~doc:"A stream written by --timeline-jsonl (run or sweep).")
+        ~doc:"A stream written by $(b,--export timeline-jsonl) (run or sweep).")
 
 let timeline_term = Term.(ret (const timeline_cmd $ timeline_file_t $ top_t))
 
@@ -1346,9 +1164,12 @@ let cmds =
       (Cmd.info "sweep"
          ~doc:
            "Fan the E1/E6 experiment grids — or a scenario file across a \
-            seed list — over concurrent domains and merge stats, audit and \
-            telemetry exports deterministically (byte-identical at any \
-            --domains value).")
+            seed list — over concurrent domains and merge the --export \
+            kinds deterministically (byte-identical at any --domains \
+            value): stats-csv into sweep.stats.csv, and audit-jsonl, \
+            trace-jsonl, perf-json (its deterministic section) and \
+            timeline-jsonl into sweep.<stream>.jsonl.  The metrics kinds \
+            and report-json have no merged form and are rejected.")
       sweep_term;
     Cmd.group
       (Cmd.info "scenario"
@@ -1370,14 +1191,14 @@ let cmds =
     Cmd.v
       (Cmd.info "perf"
          ~doc:
-           "Query a --perf-json export: per-label event table, top-k hottest \
+           "Query a perf-json export: per-label event table, top-k hottest \
             labels, neighbour-scan and fan-out histograms, GC/alloc \
             accounting.")
       perf_term;
     Cmd.v
       (Cmd.info "timeline"
          ~doc:
-           "Query a --timeline-jsonl export: sparkline table per windowed \
+           "Query a timeline-jsonl export: sparkline table per windowed \
             series, top-k floods by propagation cost, flood aggregate \
             metrics (handles sweep-merged streams).")
       timeline_term;

@@ -56,4 +56,5 @@ module Aodv = Manet_aodv.Aodv
 module Aodv_adversary = Manet_attacks.Aodv_adversary
 module Aodv_world = Manet_attacks.Aodv_world
 module Scenario = Scenario
+module Export = Export
 module Sweep = Sweep

@@ -23,6 +23,8 @@
     - {!Faults} / {!Resilience}: deterministic fault injection (node
       churn, link flaps, partitions, bursty channels) and recovery
       metrics.
+    - {!Export}: the export kinds of a run — file names, the sinks each
+      needs and their renderers, single-run and merged.
     - {!Merge} / {!Sweep}: deterministic merging of per-run exports
       and the multicore E1/E6 parameter-sweep runner (fanned across
       domains via {!Sim}[.Parallel]).
@@ -62,4 +64,5 @@ module Aodv = Manet_aodv.Aodv
 module Aodv_adversary = Manet_attacks.Aodv_adversary
 module Aodv_world = Manet_attacks.Aodv_world
 module Scenario = Scenario
+module Export = Export
 module Sweep = Sweep

@@ -1,9 +1,6 @@
 module Prng = Manet_crypto.Prng
 module Mobility = Manet_sim.Mobility
 module Parallel = Manet_sim.Parallel
-module Stats = Manet_sim.Stats
-module Obs = Manet_obs.Obs
-module Audit = Manet_obs.Audit
 module Json = Manet_obs.Json
 module Merge = Manet_obs.Merge
 module Adversary = Manet_attacks.Adversary
@@ -83,7 +80,7 @@ let standard_flows ~n ~seed ~count =
       in
       (a, pick_b ()))
 
-let scenario_of_point = function
+let scenario_of_point ~exports = function
   | E1_blackhole { n; fraction; seed; duration } ->
       (* Scale flow count down with n so small CI grids keep unprotected
          candidate nodes available for adversary placement. *)
@@ -109,7 +106,7 @@ let scenario_of_point = function
         }
       in
       let s = Scenario.create params in
-      Obs.set_capture (Scenario.obs s) true;
+      Export.prepare exports s;
       Scenario.start_cbr s ~flows ~interval:0.5 ~duration ();
       Scenario.run s ~until:(duration *. 2.0);
       s
@@ -125,25 +122,14 @@ let scenario_of_point = function
         }
       in
       let s = Scenario.create params in
-      Obs.set_capture (Scenario.obs s) true;
+      Export.prepare exports s;
       Scenario.bootstrap ~stagger:0.3 s;
       s
 
-let run_point point =
-  let key = point_key point in
-  let s = scenario_of_point point in
-  let obs = Scenario.obs s in
-  {
-    Merge.key;
-    stats = Stats.counters (Scenario.stats s);
-    streams =
-      [
-        ("audit", Audit.to_jsonl ~meta:key (Obs.audit obs));
-        ("trace", Obs.to_jsonl ~meta:key obs);
-        ("perf", Scenario.perf_det_jsonl ~meta:key s);
-        ("timeline", Scenario.timeline_jsonl ~meta:key s);
-      ];
-  }
-
-let run ~domains spec =
+let run ~domains ~exports spec =
+  Export.check_mergeable exports;
+  let run_point point =
+    Export.merge_run ~key:(point_key point) exports
+      (scenario_of_point ~exports point)
+  in
   Merge.sorted (Parallel.map ~domains run_point (points spec))

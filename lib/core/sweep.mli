@@ -41,12 +41,14 @@ val points : spec -> point list
 (** The full grid in deterministic order (E1 fraction-major, then E6
     size-major; seeds innermost). *)
 
-val run : domains:int -> spec -> Manet_obs.Merge.run list
+val run :
+  domains:int -> exports:Export.kind list -> spec -> Manet_obs.Merge.run list
 (** Run every grid point, fanning across [domains] concurrent domains
     ([1] runs inline — the single-core fallback), and return the
-    per-run artefacts in canonical merged order.  Each run's [stats]
-    is the scenario's sorted counter list and its [streams] are
-    [("audit", ...)] and [("trace", ...)] JSONL exports.  The returned
-    list — and therefore {!Manet_obs.Merge.stream_jsonl} /
-    {!Manet_obs.Merge.stats_csv} over it — is independent of
-    [domains]. *)
+    per-run artefacts in canonical merged order.  Each point switches
+    on only the sinks [exports] read ({!Export.prepare}: event capture
+    only for [Trace_jsonl]); each run's [stats] is the scenario's
+    sorted counter list and its [streams] are one per requested stream
+    kind ({!Export.merge_run}).  The returned list — and therefore
+    {!Export.merged} over it — is independent of [domains].  Raises
+    [Invalid_argument] on a kind with no merged form. *)

@@ -152,16 +152,21 @@ let kw_trace_jsonl = "trace-jsonl"
 let kw_metrics_csv = "metrics-csv"
 let kw_metrics_prom = "metrics-prom"
 let kw_report_json = "report-json"
+let kw_perf_json = "perf-json"
+let kw_timeline_jsonl = "timeline-jsonl"
 
-let export_kinds =
+module Export = Manetsec.Export
+
+let exports =
   [
-    kw_stats_csv; kw_audit_jsonl; kw_trace_jsonl; kw_metrics_csv;
-    kw_metrics_prom; kw_report_json;
+    (kw_stats_csv, Export.Stats_csv);
+    (kw_audit_jsonl, Export.Audit_jsonl);
+    (kw_trace_jsonl, Export.Trace_jsonl);
+    (kw_metrics_csv, Export.Metrics_csv);
+    (kw_metrics_prom, Export.Metrics_prom);
+    (kw_report_json, Export.Report_json);
+    (kw_perf_json, Export.Perf_json);
+    (kw_timeline_jsonl, Export.Timeline_jsonl);
   ]
 
-(* --- merged-stream names (sweep exports) -------------------------- *)
-
-let stream_audit = "audit"
-let stream_trace = "trace"
-let stream_perf = "perf"
-let stream_timeline = "timeline"
+let export_kinds = List.map fst exports

@@ -129,17 +129,11 @@ val kw_mean_down : string
 
 (** {1 Exports} *)
 
-val kw_stats_csv : string
-val kw_audit_jsonl : string
-val kw_trace_jsonl : string
-val kw_metrics_csv : string
-val kw_metrics_prom : string
-val kw_report_json : string
+val exports : (string * Manetsec.Export.kind) list
+(** Every export kind under its keyword, the one name a kind has in a
+    scenario file's [(exports ...)] field and in [manetsim]'s
+    [--export] option.  File names, sinks and renderers are
+    {!Manetsec.Export}'s. *)
+
 val export_kinds : string list
-
-(** {1 Merged-stream names (sweep exports)} *)
-
-val stream_audit : string
-val stream_trace : string
-val stream_perf : string
-val stream_timeline : string
+(** The keywords of {!exports}, in the same order. *)

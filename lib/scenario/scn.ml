@@ -2,16 +2,12 @@ module Scenario = Manetsec.Scenario
 module Mobility = Manetsec.Sim.Mobility
 module Net = Manetsec.Sim.Net
 module Engine = Manetsec.Sim.Engine
-module Stats = Manetsec.Sim.Stats
 module Parallel = Manetsec.Sim.Parallel
 module Adversary = Manetsec.Adversary
 module Faults = Manetsec.Faults
-module Obs = Manetsec.Obs
 module Json = Manetsec.Obs_json
-module Audit = Manetsec.Audit
-module Metrics = Manetsec.Metrics
-module Report = Manetsec.Obs_report
 module Merge = Manetsec.Merge
+module Export = Manetsec.Export
 
 (* --- types --------------------------------------------------------- *)
 
@@ -72,14 +68,6 @@ type fault =
       mean_down : float;
     }
 
-type export =
-  | Stats_csv
-  | Audit_jsonl
-  | Trace_jsonl
-  | Metrics_csv
-  | Metrics_prom
-  | Report_json
-
 type t = {
   name : string;
   seed : int;
@@ -98,7 +86,7 @@ type t = {
   flows : flow list;
   adversaries : adversary list;
   faults : fault list;
-  exports : export list;
+  exports : Manetsec.Export.kind list;
 }
 
 (* --- positioned errors --------------------------------------------- *)
@@ -630,15 +618,11 @@ let decode_fault ~n ~dns form =
 
 let decode_export form =
   let p, s = atom "an export kind" form in
-  if String.equal s Schema.kw_stats_csv then Stats_csv
-  else if String.equal s Schema.kw_audit_jsonl then Audit_jsonl
-  else if String.equal s Schema.kw_trace_jsonl then Trace_jsonl
-  else if String.equal s Schema.kw_metrics_csv then Metrics_csv
-  else if String.equal s Schema.kw_metrics_prom then Metrics_prom
-  else if String.equal s Schema.kw_report_json then Report_json
-  else
-    err p "unknown export %s, expected one of: %s" s
-      (String.concat ", " Schema.export_kinds)
+  match List.assoc_opt s Schema.exports with
+  | Some kind -> kind
+  | None ->
+      err p "unknown export %s, expected one of: %s" s
+        (String.concat ", " Schema.export_kinds)
 
 (* --- the toplevel decoder ------------------------------------------- *)
 
@@ -884,20 +868,9 @@ let fault_plan t =
                ~mean_down)
        t.faults)
 
-let wants_metrics t =
-  List.exists
-    (fun e -> match e with Metrics_csv | Metrics_prom -> true | _ -> false)
-    t.exports
-
-let wants_trace t =
-  List.exists (fun e -> match e with Trace_jsonl -> true | _ -> false) t.exports
-
-(* Event capture stores a rendered detail string per transmission, so it
-   is on only when an export reads the captured events. *)
-let run ~capture ?seed t =
+let execute ?seed t =
   let s = Scenario.create (scenario_params ?seed t) in
-  Obs.set_capture (Scenario.obs s) capture;
-  if wants_metrics t then Metrics.set_enabled (Obs.metrics (Scenario.obs s)) true;
+  Export.prepare t.exports s;
   (match t.faults with
   | [] -> ()
   | _ -> Scenario.inject s (fault_plan t));
@@ -931,8 +904,6 @@ let run ~capture ?seed t =
   Scenario.run s ~until;
   s
 
-let execute ?seed t = run ~capture:(wants_trace t) ?seed t
-
 (* --- exports -------------------------------------------------------- *)
 
 let meta t ~seed =
@@ -940,60 +911,13 @@ let meta t ~seed =
     (Schema.kw_scenario, Json.String t.name); (Schema.kw_seed, Json.Int seed);
   ]
 
-let stats_csv s =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "counter,value\n";
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "%s,%d\n" k v))
-    (Stats.counters (Scenario.stats s));
-  Buffer.contents buf
-
-let export_filename t = function
-  | Stats_csv -> Printf.sprintf "%s.stats.csv" t.name
-  | Audit_jsonl -> Printf.sprintf "%s.audit.jsonl" t.name
-  | Trace_jsonl -> Printf.sprintf "%s.trace.jsonl" t.name
-  | Metrics_csv -> Printf.sprintf "%s.metrics.csv" t.name
-  | Metrics_prom -> Printf.sprintf "%s.metrics.prom" t.name
-  | Report_json -> Printf.sprintf "%s.report.json" t.name
-
-let render_exports t ~seed s =
-  let m = meta t ~seed in
-  let obs = Scenario.obs s in
-  List.map
-    (fun e ->
-      let contents =
-        match e with
-        | Stats_csv -> stats_csv s
-        | Audit_jsonl -> Audit.to_jsonl ~meta:m (Obs.audit obs)
-        | Trace_jsonl -> Obs.to_jsonl ~meta:m obs
-        | Metrics_csv -> Metrics.to_csv ~stats:(Scenario.stats s) (Obs.metrics obs)
-        | Metrics_prom ->
-            Metrics.to_prom ~stats:(Scenario.stats s) (Obs.metrics obs)
-        | Report_json ->
-            Json.to_string
-              (Report.run_report ~engine:(Scenario.engine s) ~obs ~extra:m ())
-            ^ "\n"
-      in
-      (e, export_filename t e, contents))
-    t.exports
-
 (* --- seed sweeps over one scenario ---------------------------------- *)
 
-let sweep ~domains ~seeds t =
+let sweep ~domains ~seeds ~exports t =
   if List.length seeds = 0 then invalid_arg "Scn.sweep: empty seed list";
+  Export.check_mergeable exports;
   let run_one seed =
-    let s = run ~capture:true ~seed t in
-    let m = meta t ~seed in
-    {
-      Merge.key = m;
-      stats = Stats.counters (Scenario.stats s);
-      streams =
-        [
-          (Schema.stream_audit, Audit.to_jsonl ~meta:m (Obs.audit (Scenario.obs s)));
-          (Schema.stream_trace, Obs.to_jsonl ~meta:m (Scenario.obs s));
-          (Schema.stream_perf, Scenario.perf_det_jsonl ~meta:m s);
-          (Schema.stream_timeline, Scenario.timeline_jsonl ~meta:m s);
-        ];
-    }
+    Export.merge_run ~key:(meta t ~seed) exports
+      (execute ~seed { t with exports })
   in
   Merge.sorted (Parallel.map ~domains run_one seeds)

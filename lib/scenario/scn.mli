@@ -66,14 +66,6 @@ type fault =
       mean_down : float;
     }
 
-type export =
-  | Stats_csv
-  | Audit_jsonl
-  | Trace_jsonl
-  | Metrics_csv
-  | Metrics_prom
-  | Report_json
-
 type t = {
   name : string;
   seed : int;
@@ -92,7 +84,7 @@ type t = {
   flows : flow list;
   adversaries : adversary list;
   faults : fault list;
-  exports : export list;
+  exports : Manetsec.Export.kind list;
 }
 
 exception Error of { pos : Sexp.pos; msg : string }
@@ -105,29 +97,21 @@ val parse : string -> t
 
 val execute : ?seed:int -> t -> Manetsec.Scenario.t
 (** Compile and run the scenario: create the {!Manetsec.Scenario},
-    enable event capture when the file requests [trace-jsonl] (the one
-    export that reads captured events) and metrics when it requests a
-    metrics export, inject the fault plan, bootstrap when requested,
-    start every traffic flow in file order, and drive the engine to the
-    horizon.  [seed] overrides the file's seed.  Capture stores a
-    rendered detail string per transmission and changes no other
-    export. *)
+    switch on the sinks its [exports] read ({!Manetsec.Export.prepare}),
+    inject the fault plan, bootstrap when requested, start every
+    traffic flow in file order, and drive the engine to the horizon.
+    [seed] overrides the file's seed.  Render the exports with
+    {!Manetsec.Export.render} and {!meta}. *)
 
 val meta : t -> seed:int -> (string * Manetsec.Obs_json.t) list
 (** The [(scenario, seed)] provenance attached to every export. *)
 
-val stats_csv : Manetsec.Scenario.t -> string
-(** The scenario's counters as a two-column CSV, sorted by name. *)
-
-val render_exports :
-  t -> seed:int -> Manetsec.Scenario.t -> (export * string * string) list
-(** [(kind, filename, contents)] for every export the file requested,
-    in file order.  Filenames are derived from the scenario name. *)
-
 val sweep :
-  domains:int -> seeds:int list -> t -> Manetsec.Merge.run list
+  domains:int -> seeds:int list -> exports:Manetsec.Export.kind list -> t -> Manetsec.Merge.run list
 (** Run the scenario once per seed on {!Manetsec.Parallel.map}, with
-    event capture on for every run since each carries a trace stream,
-    and return the canonically sorted runs ({!Manetsec.Merge.sorted}) —
-    byte-deterministic in [domains].  Raises [Invalid_argument] on an
-    empty seed list. *)
+    the sinks [exports] read switched on (the file's own exports are
+    not used), and return the canonically sorted runs
+    ({!Manetsec.Merge.sorted}), one stream per requested kind
+    ({!Manetsec.Export.merge_run}) — byte-deterministic in [domains].
+    Raises [Invalid_argument] on an empty seed list or a kind with no
+    merged form. *)

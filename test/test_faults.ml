@@ -265,6 +265,53 @@ let test_inject_guards () =
     (Invalid_argument "Faults.validate: crash node 7 outside [0,4)")
     (fun () -> Scenario.inject s (Faults.crash ~at:1.0 7))
 
+(* A fault step's trace detail is text for the ring alone: with the
+   ring off a scheduled link flap builds none (the sprintf alone is
+   dozens of words a step), and with it on the ring keeps the same
+   detail as before. *)
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.equal (String.sub s i m) sub || go (i + 1)) in
+  go 0
+
+let test_detail_only_with_ring () =
+  let noop =
+    {
+      Faults.crash = ignore;
+      restart = ignore;
+      set_link = (fun _ _ ~up:_ -> ());
+      partition = ignore;
+      heal = ignore;
+      set_channel = ignore;
+    }
+  in
+  let steps = 1000 in
+  let flap engine =
+    Faults.schedule engine noop
+      (Faults.seq
+         (List.init steps (fun i ->
+              let at = float_of_int (i + 1) in
+              if i mod 2 = 0 then Faults.link_down ~at 1 2
+              else Faults.link_up ~at 1 2)))
+  in
+  let off = Engine.create ~seed:1 () in
+  flap off;
+  let w0 = Gc.minor_words () in
+  Engine.run off;
+  let per_step = (Gc.minor_words () -. w0) /. float_of_int steps in
+  if per_step >= 4.0 then
+    Alcotest.failf "ring off: %.1f minor words per fault step (budget 4)"
+      per_step;
+  Alcotest.(check int) "every step counted" (steps / 2)
+    (Stats.get (Engine.stats off) "fault.link_down");
+  let on = Engine.create ~seed:1 () in
+  Trace.enable (Engine.trace on);
+  flap on;
+  Engine.run on;
+  let trace = Trace.render (Engine.trace on) in
+  Alcotest.(check bool) "ring on: detail logged" true
+    (contains trace "link 1-2 severed" && contains trace "link 1-2 restored")
+
 let suites =
   [
     ( "faults",
@@ -277,5 +324,7 @@ let suites =
           test_restart_before_bootstrap_slot;
         Alcotest.test_case "partition/heal recovery" `Quick test_partition_heal_recovery;
         Alcotest.test_case "inject guard rails" `Quick test_inject_guards;
+        Alcotest.test_case "fault detail only with the ring on" `Quick
+          test_detail_only_with_ring;
       ] );
   ]

@@ -249,7 +249,8 @@ let spec =
 
 let test_det_jsonl_domain_invariant () =
   let export domains =
-    Merge.stream_jsonl ~name:"perf" (Sweep.run ~domains spec)
+    Merge.stream_jsonl ~name:"perf"
+      (Sweep.run ~domains ~exports:[ Manetsec.Export.Perf_json ] spec)
   in
   let base = export 1 in
   Alcotest.(check bool) "perf stream non-empty" true (base <> "");

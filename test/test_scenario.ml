@@ -5,6 +5,8 @@
    in the domain count. *)
 
 module Scn = Manet_scenario.Scn
+module Schema = Manet_scenario.Schema
+module Export = Manetsec.Export
 module Sexp = Manet_scenario.Sexp
 module Scenario = Manetsec.Scenario
 module Mobility = Manetsec.Sim.Mobility
@@ -203,12 +205,12 @@ let golden_path =
 let export_digests file =
   let scn = Scn.parse (read_scenario file) in
   let seed = scn.Scn.seed in
-  let s = Scn.execute { scn with Scn.exports = Scn.Trace_jsonl :: scn.Scn.exports } in
+  let s = Scn.execute { scn with Scn.exports = Export.Trace_jsonl :: scn.Scn.exports } in
   let meta = Scn.meta scn ~seed in
   let obs = Scenario.obs s in
   let fixed =
     [
-      ("stats", Scn.stats_csv s);
+      ("stats", Export.render ~meta s Export.Stats_csv);
       ("spans", Obs.to_jsonl ~meta obs);
       ("audit", Audit.to_jsonl ~meta (Obs.audit obs));
       ("metrics", Metrics.to_csv ~stats:(Scenario.stats s) (Obs.metrics obs));
@@ -217,8 +219,9 @@ let export_digests file =
   in
   let requested =
     List.map
-      (fun (_, filename, contents) -> (filename, contents))
-      (Scn.render_exports scn ~seed s)
+      (fun kind ->
+        (Export.file ~name:scn.Scn.name kind, Export.render ~meta s kind))
+      scn.Scn.exports
   in
   List.map
     (fun (stream, text) -> (file, stream, Sha256.digest_hex text))
@@ -264,11 +267,9 @@ let test_golden_exports () =
 let test_file_equals_hand_coded () =
   let scn = Scn.parse (read_scenario "blackhole_e1.scn") in
   let file_side = Scn.execute scn in
-  let exports = Scn.render_exports scn ~seed:scn.Scn.seed file_side in
   let contents_of kind =
-    match List.find_opt (fun (k, _, _) -> k = kind) exports with
-    | Some (_, _, contents) -> contents
-    | None -> Alcotest.fail "missing export"
+    if not (List.mem kind scn.Scn.exports) then Alcotest.fail "missing export";
+    Export.render ~meta:(Scn.meta scn ~seed:scn.Scn.seed) file_side kind
   in
   (* Hand-coded equivalent of the file, step by step. *)
   let params =
@@ -300,14 +301,15 @@ let test_file_equals_hand_coded () =
       Alcotest.(check string) "meta name" "blackhole_e1" v;
       Alcotest.(check int) "meta seed" 1 seed
   | _ -> Alcotest.fail "unexpected meta shape");
-  Alcotest.(check string) "stats csv byte-identical" (Scn.stats_csv s)
-    (contents_of Scn.Stats_csv);
+  Alcotest.(check string) "stats csv byte-identical"
+    (Export.render ~meta s Export.Stats_csv)
+    (contents_of Export.Stats_csv);
   Alcotest.(check string) "audit jsonl byte-identical"
     (Audit.to_jsonl ~meta (Obs.audit (Scenario.obs s)))
-    (contents_of Scn.Audit_jsonl);
+    (contents_of Export.Audit_jsonl);
   Alcotest.(check string) "trace jsonl byte-identical"
     (Obs.to_jsonl ~meta (Scenario.obs s))
-    (contents_of Scn.Trace_jsonl)
+    (contents_of Export.Trace_jsonl)
 
 (* A run captures events only when an export reads them: counters-only
    large_n.scn stores none, while blackhole_e1.scn, which requests
@@ -320,20 +322,11 @@ let test_capture_on_demand () =
   let traced = Scn.execute scn in
   let events = Obs.events (Scenario.obs traced) in
   Alcotest.(check bool) "trace-jsonl run captures events" true (events <> []);
-  let trace =
-    List.find_map
-      (fun (kind, _, contents) ->
-        match kind with Scn.Trace_jsonl -> Some contents | _ -> None)
-      (Scn.render_exports scn ~seed:scn.Scn.seed traced)
-  in
   let event_lines =
-    match trace with
-    | Some text ->
-        String.split_on_char '\n' text
-        |> List.filter (fun l ->
-               String.starts_with ~prefix:"{\"type\":\"event\"" l)
-        |> List.length
-    | None -> Alcotest.fail "no trace-jsonl export"
+    Export.render ~meta:(Scn.meta scn ~seed:scn.Scn.seed) traced Export.Trace_jsonl
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> String.starts_with ~prefix:"{\"type\":\"event\"" l)
+    |> List.length
   in
   Alcotest.(check int) "one trace line per captured event"
     (List.length events) event_lines
@@ -354,8 +347,9 @@ let test_sweep_domain_invariant () =
       \  (traffic (cbr (src 1) (dst 4) (interval 1.0)))\n\
       \  (exports stats-csv))"
   in
-  let runs1 = Scn.sweep ~domains:1 ~seeds:[ 1; 2 ] scn in
-  let runs2 = Scn.sweep ~domains:2 ~seeds:[ 1; 2 ] scn in
+  let exports = [ Export.Stats_csv; Export.Audit_jsonl; Export.Trace_jsonl ] in
+  let runs1 = Scn.sweep ~domains:1 ~seeds:[ 1; 2 ] ~exports scn in
+  let runs2 = Scn.sweep ~domains:2 ~seeds:[ 1; 2 ] ~exports scn in
   (match runs1 with
   | r :: _ ->
       Alcotest.(check bool)
@@ -371,6 +365,140 @@ let test_sweep_domain_invariant () =
     (Merge.stream_jsonl ~name:"trace" runs1)
     (Merge.stream_jsonl ~name:"trace" runs2)
 
+(* --- the export vocabulary ------------------------------------------- *)
+
+let small_scenario ?(exports = "") () =
+  Printf.sprintf
+    "(scenario\n\
+    \  (schema manetsim-scenario 1)\n\
+    \  (name vocab)\n\
+    \  (seed 3)\n\
+    \  (nodes 5)\n\
+    \  (topology (chain (spacing 200.0)))\n\
+    \  (bootstrap (stagger 0.5))\n\
+    \  (duration 5.0)\n\
+    \  (run-until 30.0)\n\
+    \  (traffic (cbr (src 1) (dst 4) (interval 1.0)))%s)"
+    (if exports = "" then "" else "\n  (exports " ^ exports ^ ")")
+
+(* Every keyword names its own kind, and all eight kinds have one. *)
+let test_export_keywords () =
+  List.iter
+    (fun (keyword, kind) ->
+      let scn = Scn.parse (small_scenario ~exports:keyword ()) in
+      Alcotest.(check bool) (keyword ^ " decodes to its kind") true
+        (scn.Scn.exports = [ kind ]))
+    Schema.exports;
+  Alcotest.(check (list string)) "export_kinds are the table's keywords"
+    (List.map fst Schema.exports) Schema.export_kinds;
+  Alcotest.(check int) "eight kinds, each once" 8
+    (List.length (List.sort_uniq compare (List.map snd Schema.exports)))
+
+let every_kind = List.map snd Schema.exports
+
+(* The report's wall-clock profile differs between two renders of the
+   same run; everything else must match. *)
+let without_profile text =
+  match Json.parse text with
+  | Json.Obj fields -> Json.Obj (List.filter (fun (k, _) -> k <> "profile") fields)
+  | j -> j
+
+(* Each kind's rendering is the direct library call it stands for. *)
+let check_renders what ~meta s =
+  let obs = Scenario.obs s in
+  let render = Export.render ~meta s in
+  let same kind direct =
+    Alcotest.(check string)
+      (Printf.sprintf "%s: %s" what (Export.file ~name:"x" kind))
+      direct (render kind)
+  in
+  same Export.Audit_jsonl (Audit.to_jsonl ~meta (Obs.audit obs));
+  same Export.Trace_jsonl (Obs.to_jsonl ~meta obs);
+  same Export.Metrics_csv (Metrics.to_csv ~stats:(Scenario.stats s) (Obs.metrics obs));
+  same Export.Metrics_prom
+    (Metrics.to_prom ~stats:(Scenario.stats s) (Obs.metrics obs));
+  same Export.Timeline_jsonl (Scenario.timeline_jsonl ~meta s);
+  let det text = Json.member "deterministic" (Json.parse text) in
+  Alcotest.(check bool) (what ^ ": perf-json deterministic section") true
+    (det (Export.render ~meta s Export.Perf_json)
+    = det (Json.to_string (Scenario.perf_json ~meta s)));
+  Alcotest.(check bool) (what ^ ": perf-json ends with a newline") true
+    (String.ends_with ~suffix:"}\n" (render Export.Perf_json));
+  Alcotest.(check bool) (what ^ ": report-json without its profile") true
+    (without_profile (render Export.Report_json)
+    = without_profile
+        (Json.to_string
+           (Manetsec.Obs_report.run_report ~engine:(Scenario.engine s) ~obs
+              ~extra:meta ())))
+
+let test_export_renders () =
+  (* A flag-built run, as `manetsim run --export ...` makes one. *)
+  let s =
+    Scenario.create
+      {
+        Scenario.default_params with
+        n = 5;
+        seed = 3;
+        topology = Scenario.Chain { spacing = 200.0 };
+      }
+  in
+  Export.prepare every_kind s;
+  Scenario.bootstrap s;
+  Scenario.start_cbr s ~flows:[ (1, 4) ] ~interval:1.0 ~duration:5.0 ();
+  Scenario.run s ~until:30.0;
+  check_renders "flag-built run" ~meta:[ ("seed", Json.Int 3) ] s;
+  (* A file run asking for all eight kinds. *)
+  let scn =
+    Scn.parse (small_scenario ~exports:(String.concat " " Schema.export_kinds) ())
+  in
+  Alcotest.(check int) "the file asks for every kind" 8 (List.length scn.Scn.exports);
+  check_renders "file run" ~meta:(Scn.meta scn ~seed:3) (Scn.execute scn)
+
+let test_prepare_sinks () =
+  List.iter
+    (fun (keyword, kind) ->
+      let s = Scenario.create { Scenario.default_params with n = 3 } in
+      Export.prepare [ kind ] s;
+      let obs = Scenario.obs s in
+      Alcotest.(check bool) (keyword ^ ": capture")
+        (kind = Export.Trace_jsonl) (Obs.wants_events obs);
+      Alcotest.(check bool) (keyword ^ ": metrics")
+        (kind = Export.Metrics_csv || kind = Export.Metrics_prom)
+        (Metrics.enabled (Obs.metrics obs)))
+    Schema.exports
+
+let test_sweep_rejects_unmerged () =
+  let scn = Scn.parse (small_scenario ()) in
+  List.iter
+    (fun (keyword, kind) ->
+      let rejected f =
+        match f () with
+        | [] | _ :: _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      Alcotest.(check bool)
+        (keyword ^ ": Scn.sweep rejects it iff it has no merged form")
+        (not (Export.mergeable kind))
+        (rejected (fun () -> Scn.sweep ~domains:1 ~seeds:[ 1 ] ~exports:[ kind ] scn));
+      Alcotest.(check bool)
+        (keyword ^ ": Sweep.run rejects it iff it has no merged form")
+        (not (Export.mergeable kind))
+        (rejected (fun () ->
+             Manetsec.Sweep.run ~domains:1 ~exports:[ kind ]
+               {
+                 Manetsec.Sweep.e1_fractions = [];
+                 e1_nodes = 8;
+                 e1_duration = 1.0;
+                 e6_sizes = [ 4 ];
+                 seeds = [ 1 ];
+               })))
+    Schema.exports;
+  Alcotest.(check (list string)) "the three kinds with no merged form"
+    [ "metrics-csv"; "metrics-prom"; "report-json" ]
+    (List.filter_map
+       (fun (keyword, kind) -> if Export.mergeable kind then None else Some keyword)
+       Schema.exports)
+
 let suites =
   [
     ( "scenario",
@@ -384,6 +512,13 @@ let suites =
           test_capture_on_demand;
         Alcotest.test_case "file run equals hand-coded run" `Slow
           test_file_equals_hand_coded;
+        Alcotest.test_case "export keywords decode" `Quick test_export_keywords;
+        Alcotest.test_case "export renders = library calls" `Quick
+          test_export_renders;
+        Alcotest.test_case "prepare switches only the sinks read" `Quick
+          test_prepare_sinks;
+        Alcotest.test_case "sweep rejects unmerged kinds" `Quick
+          test_sweep_rejects_unmerged;
         Alcotest.test_case "sweep domain-invariant" `Slow
           test_sweep_domain_invariant;
       ] );

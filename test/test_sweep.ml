@@ -6,6 +6,7 @@
 module Parallel = Manet_sim.Parallel
 module Merge = Manetsec.Merge
 module Sweep = Manetsec.Sweep
+module Export = Manetsec.Export
 module Json = Manetsec.Obs_json
 
 let test_map_order () =
@@ -64,11 +65,12 @@ let test_sweep_deterministic () =
       Merge.stream_jsonl ~name:"audit" runs,
       Merge.stream_jsonl ~name:"trace" runs )
   in
-  let base = export (Sweep.run ~domains:1 spec) in
+  let exports = [ Export.Stats_csv; Export.Audit_jsonl; Export.Trace_jsonl ] in
+  let base = export (Sweep.run ~domains:1 ~exports spec) in
   List.iter
     (fun domains ->
       let s0, a0, t0 = base in
-      let s, a, t = export (Sweep.run ~domains spec) in
+      let s, a, t = export (Sweep.run ~domains ~exports spec) in
       let tag what =
         Printf.sprintf "%s byte-identical at %d domain(s)" what domains
       in
@@ -78,7 +80,9 @@ let test_sweep_deterministic () =
     [ 2; 4 ]
 
 let test_sweep_artifacts () =
-  let runs = Sweep.run ~domains:2 spec in
+  let runs =
+    Sweep.run ~domains:2 ~exports:[ Export.Audit_jsonl; Export.Trace_jsonl ] spec
+  in
   Alcotest.(check int) "one run per grid point"
     (List.length (Sweep.points spec))
     (List.length runs);

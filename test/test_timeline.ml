@@ -425,7 +425,8 @@ let spec =
 
 let test_timeline_domain_invariant () =
   let export domains =
-    Merge.stream_jsonl ~name:"timeline" (Sweep.run ~domains spec)
+    Merge.stream_jsonl ~name:"timeline"
+      (Sweep.run ~domains ~exports:[ Manetsec.Export.Timeline_jsonl ] spec)
   in
   let base = export 1 in
   Alcotest.(check bool) "timeline stream non-empty" true (base <> "");
