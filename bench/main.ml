@@ -22,10 +22,7 @@ let sections =
     ("e6", fun () -> Experiments.e6 ());
     ("e7", fun () -> Experiments.e7 ());
     ("resilience", fun () -> Resilience_bench.run ());
-    ("profile", fun () -> Profile_bench.run ());
-    ("audit", fun () -> Audit_bench.run ());
     ("micro", fun () -> Micro.run ());
-    ("perf", fun () -> Perf_bench.run ());
   ]
 
 let () =

@@ -163,8 +163,3 @@ let render_verdicts t =
            | None -> "-")))
     (verdicts t);
   Buffer.contents buf
-
-let render_assessment a =
-  Printf.sprintf
-    "tp %d  fp %d  fn %d  precision %.2f  recall %.2f\n" a.tp a.fp a.fn
-    a.precision a.recall

@@ -77,5 +77,3 @@ val score : t -> truth:int list -> assessment
 
 val render_verdicts : t -> string
 (** Human-readable verdict table. *)
-
-val render_assessment : assessment -> string

@@ -61,8 +61,9 @@ val create : ?width:float -> Engine.t -> t
 val width : t -> float
 
 val set_enabled : t -> bool -> unit
-(** Disable to freeze bucket recording (the bench uses this for the
-    off/on non-perturbation comparison); the heartbeat still runs. *)
+(** Disable to freeze bucket recording; the heartbeat still runs.
+    Recording never perturbs the run, so the deterministic perf export
+    and every counter are the same either way. *)
 
 val enabled : t -> bool
 

@@ -13,6 +13,8 @@
 #   scn-sweep-D/  partition_heal_r1.scn swept at D = 1 and 2 domains
 #   scn/     every committed scenario file run once (blackhole_e1 also
 #            with perf-json); their bytes are pinned by the golden test
+#   heap/    scale/n300.scn and blackhole_e1.scn run with the GC
+#            summary on: the heap gates
 #   *.txt    the report, audit, perf and timeline readers' output
 # a, b and c are compared with diff -r, leaving out report-json and
 # comparing perf-json through `perf --det` (its wall-clock section
@@ -66,6 +68,25 @@ for f in "$scenarios"/*.scn; do
   esac
   "$sim" run --scenario "$f" --out-dir scn $extra > "scn/$(basename "$f" .scn).out"
 done
+
+# Heap gates: the N = 300 point of the bootstrap N-curve (counters
+# only) must peak at no more than 2,000,000 heap words, and
+# blackhole_e1 (event capture on, spans rendered at their exact size)
+# at no more than 700,000.  The GC summary that OCAMLRUNPARAM=v=0x400
+# prints at exit is the simulator's own, since the binary runs directly.
+heap_gate() {
+  name=$(basename "$1" .scn)
+  OCAMLRUNPARAM=v=0x400 "$sim" run --scenario "$1" --out-dir heap \
+    > "heap/$name.out" 2> "heap/$name.gc"
+  top=$(awk '$1 == "top_heap_words:" { print $2 }' "heap/$name.gc")
+  [ -n "$top" ] && [ "$top" -le "$2" ] || {
+    echo "heap gate: $name top_heap_words '$top' > $2" >&2
+    exit 1
+  }
+}
+mkdir heap
+heap_gate "$scenarios/scale/n300.scn" 2000000
+heap_gate "$scenarios/blackhole_e1.scn" 700000
 
 "$sim" report a/run.trace.jsonl --top 5 > report.txt
 "$sim" audit a/run.audit.jsonl > audit.txt

@@ -332,17 +332,40 @@ let test_attacker_free_zero_flags () =
 (* Export byte-determinism and offline replay                         *)
 (* ------------------------------------------------------------------ *)
 
-let run_blackhole () =
+(* A black-hole chain run with span and event capture on; [observe]
+   switches audit retention and windowed metrics.  Emission itself has
+   no switch, so the detector sees every event either way. *)
+let run_blackhole ~observe =
   let adversaries = [ (2, { Adversary.blackhole with forge_rrep = false }) ] in
   let s = Scenario.create (chain_params ~adversaries ()) in
-  Metrics.set_enabled (Obs.metrics (Scenario.obs s)) true;
+  let obs = Scenario.obs s in
+  Obs.set_capture obs true;
+  Audit.set_recording (Obs.audit obs) observe;
+  Metrics.set_enabled (Obs.metrics obs) observe;
   Scenario.start_cbr s ~flows:[ (1, 4) ] ~interval:1.0 ~duration:10.0 ();
   Scenario.run s ~until:60.0;
   s
 
+(* Retention and metrics observe the run and never steer it: they draw
+   no randomness and schedule no events, so turning both off leaves the
+   span trace and the emission count exactly as they were. *)
+let test_observation_non_perturbing () =
+  let off = run_blackhole ~observe:false in
+  let on = run_blackhole ~observe:true in
+  let audit s = Obs.audit (Scenario.obs s) in
+  let trace s = Obs.to_jsonl ~meta:[ ("seed", Json.Int 7) ] (Scenario.obs s) in
+  Alcotest.(check bool) "span trace byte-identical" true
+    (String.equal (trace off) (trace on));
+  Alcotest.(check int) "same events emitted" (Audit.count (audit on))
+    (Audit.count (audit off));
+  Alcotest.(check bool) "the run emitted audit events" true
+    (Audit.count (audit on) > 0);
+  Alcotest.(check int) "retention off keeps nothing" 0
+    (List.length (Audit.events (audit off)))
+
 let test_export_byte_determinism () =
-  let s1 = run_blackhole () in
-  let s2 = run_blackhole () in
+  let s1 = run_blackhole ~observe:true in
+  let s2 = run_blackhole ~observe:true in
   let audit s =
     Audit.to_jsonl ~meta:[ ("seed", Json.Int 7) ] (Obs.audit (Scenario.obs s))
   in
@@ -383,5 +406,6 @@ let suites =
         tc "replayer flagged" test_replayer_flagged;
         tc "attacker-free zero flags" test_attacker_free_zero_flags;
         tc "export byte determinism" test_export_byte_determinism;
+        tc "observation non-perturbing" test_observation_non_perturbing;
       ] );
   ]

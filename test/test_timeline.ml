@@ -8,6 +8,7 @@
 
 module Engine = Manet_sim.Engine
 module Net = Manet_sim.Net
+module Stats = Manet_sim.Stats
 module Suite = Manet_crypto.Suite
 module Timeline = Manetsec.Timeline
 module Flood = Manetsec.Flood
@@ -327,7 +328,7 @@ let prop_areq_rreq_disjoint =
 
 (* --- end-to-end through a real scenario --------------------------------- *)
 
-let small_run seed =
+let small_run ?(setup = ignore) seed =
   let params =
     {
       Scenario.default_params with
@@ -337,6 +338,7 @@ let small_run seed =
     }
   in
   let s = Scenario.create params in
+  setup s;
   Scenario.bootstrap ~stagger:0.3 s;
   Scenario.send s ~src:1 ~dst:5 ();
   Scenario.run s ~until:30.0;
@@ -412,6 +414,45 @@ let test_timeline_jsonl_replay_identical () =
           Alcotest.(check int) "header version" Timeline.schema_version v
       | _ -> Alcotest.fail "exported header has no version")
   | [] -> Alcotest.fail "empty timeline export"
+
+(* Bucket recording observes the run: switched off, the deterministic
+   perf export and every counter come out exactly as with it on. *)
+let test_recording_non_perturbing () =
+  let off =
+    small_run 7 ~setup:(fun s ->
+        Timeline.set_enabled (Obs.timeline (Scenario.obs s)) false)
+  in
+  let on = small_run 7 in
+  Alcotest.(check int) "the off run recorded no bucket" 0
+    (Timeline.bucket_count (Obs.timeline (Scenario.obs off)));
+  Alcotest.(check string) "perf det export byte-identical"
+    (Scenario.perf_det_jsonl on) (Scenario.perf_det_jsonl off);
+  Alcotest.(check (list (pair string int))) "counters identical"
+    (Stats.counters (Scenario.stats on))
+    (Stats.counters (Scenario.stats off))
+
+(* The wall-clock heartbeat writes only to its sink.  Checked on every
+   event with no interval, it emits on this short run, and the
+   timeline, spans and perf det exports keep every byte. *)
+let test_progress_non_perturbing () =
+  let lines = Buffer.create 1024 in
+  let capture s = Obs.set_capture (Scenario.obs s) true in
+  let quiet = small_run 7 ~setup:capture in
+  let loud =
+    small_run 7 ~setup:(fun s ->
+        capture s;
+        Timeline.enable_progress ~interval:0.0 ~check_every:1
+          (Obs.timeline (Scenario.obs s))
+          ~emit:(Buffer.add_string lines) ())
+  in
+  Alcotest.(check bool) "the heartbeat emitted" true (Buffer.length lines > 0);
+  let check name export =
+    Alcotest.(check string) (name ^ " byte-identical") (export quiet)
+      (export loud)
+  in
+  check "timeline" Scenario.timeline_jsonl;
+  check "spans" (fun s -> Obs.to_jsonl (Scenario.obs s));
+  check "perf det" Scenario.perf_det_jsonl
 
 (* Small but genuinely fanning grid (4 points), as in test_perf. *)
 let spec =
@@ -541,6 +582,10 @@ let suites =
           test_scenario_window_sums;
         Alcotest.test_case "same-seed export byte-identical" `Slow
           test_timeline_jsonl_replay_identical;
+        Alcotest.test_case "recording off perturbs nothing" `Slow
+          test_recording_non_perturbing;
+        Alcotest.test_case "progress heartbeat perturbs nothing" `Slow
+          test_progress_non_perturbing;
         Alcotest.test_case "sweep export domain-invariant" `Slow
           test_timeline_domain_invariant;
       ] );

@@ -2,12 +2,12 @@
 
      main.exe [--write-baseline] [--json FILE]
 
-   Analyzes lib/, bin/ and test/ with bench/, examples/ and tools/ as
-   use-sites, against the roster tools/manetcheck/hotpaths.sexp.  Exits
-   1 on any finding not pinned in tools/manetcheck/baseline and on any
-   pinned key that no longer fires, so a fixed finding leaves the
-   baseline in the same commit.  --json writes every finding, pinned
-   or not, for the CI artifact. *)
+   Analyzes lib/, bin/ and test/ with bench/, examples/, layerbench/
+   and tools/ as use-sites, against the roster
+   tools/manetcheck/hotpaths.sexp.  Exits 1 on any finding not pinned
+   in tools/manetcheck/baseline and on any pinned key that no longer
+   fires, so a fixed finding leaves the baseline in the same commit.
+   --json writes every finding, pinned or not, for the CI artifact. *)
 
 module C = Analyzer_common.Common
 
@@ -53,7 +53,7 @@ let () =
     "main.exe [--write-baseline] [--json FILE]";
   let findings =
     Manetcheck.Check.analyze
-      ~uses:(gather [ "bench"; "examples"; "tools" ])
+      ~uses:(gather [ "bench"; "examples"; "layerbench"; "tools" ])
       ~roster:(roster_path, read_file roster_path)
       (gather [ "lib"; "bin"; "test" ])
   in
