@@ -4,6 +4,7 @@
      manetsim run --protocol dsr --mobility waypoint --trace
      manetsim run --seed 1 --export trace-jsonl --export report-json
      manetsim run --scenario examples/scenarios/blackhole_e1.scn --out-dir out
+     manetsim sweep examples/scenarios/*.scn --seeds 1,2 --export stats-csv
      manetsim dad --nodes 12 --collide
      manetsim attacks --nodes 16
      manetsim report run.trace.jsonl
@@ -534,149 +535,86 @@ let audit_term = Term.(ret (const audit_cmd $ audit_file_t $ no_timeline_t))
 
 (* --- sweep ------------------------------------------------------------------ *)
 
-module Sweep = Manetsec.Sweep
 module Merge = Manetsec.Merge
 module Parallel = Manetsec.Sim.Parallel
 module Mono_clock = Manetsec.Sim.Mono_clock
 
 let run_field r name =
   match List.assoc_opt name r.Merge.key with
+  | Some (Json.String s) -> s
   | Some j -> Json.to_string j
   | None -> "?"
 
 let run_stat r name =
   match List.assoc_opt name r.Merge.stats with Some v -> v | None -> 0
 
-let sweep_scenario file ~domains ~seeds ~exports =
-  match load_scenario file with
-  | Error msg -> Error msg
-  | Ok scn ->
-      Printf.printf "sweep: scenario %s across %d seed(s) on %d domain(s)\n%!"
-        scn.Scn.name (List.length seeds) domains;
-      let t0 = Mono_clock.now_s () in
-      let runs = Scn.sweep ~domains ~seeds ~exports scn in
-      let wall = Mono_clock.now_s () -. t0 in
-      List.iter
-        (fun r ->
-          Printf.printf "  %s seed=%-3s delivered %d/%d  dropped %d\n"
-            (run_field r "scenario") (run_field r "seed")
-            (run_stat r "data.delivered")
-            (run_stat r "data.offered")
-            (run_stat r "attack.data_dropped"))
-        runs;
-      Printf.printf "wall clock          %.2f s\n" wall;
-      Ok runs
-
-let sweep_grid spec ~domains ~exports =
-  let points = Sweep.points spec in
-  Printf.printf "sweep: %d grid point(s) across %d domain(s)\n%!"
-    (List.length points) domains;
-  let t0 = Mono_clock.now_s () in
-  let runs = Sweep.run ~domains ~exports spec in
-  let wall = Mono_clock.now_s () -. t0 in
-  List.iter
-    (fun r ->
-      Printf.printf
-        "  %-4s n=%-3s fraction=%-4s seed=%-3s delivered %d/%d  configured \
-         %d  dropped %d\n"
-        (run_field r "experiment") (run_field r "n") (run_field r "fraction")
-        (run_field r "seed")
-        (run_stat r "data.delivered")
-        (run_stat r "data.offered")
-        (run_stat r "dad.configured")
-        (run_stat r "attack.data_dropped"))
-    runs;
-  Printf.printf "wall clock          %.2f s\n" wall;
-  runs
-
-let sweep_cmd scenario_file domains e1_fractions e1_nodes e1_duration e6_sizes
-    seeds out_dir exports =
+(* Every file is parsed before any run, so a positioned error in the
+   last file does not wait for the others to finish. *)
+let sweep_cmd files domains seeds out_dir exports =
   let domains = if domains <= 0 then Parallel.default_domains () else domains in
   let exports = union [] exports in
+  let loaded = List.map load_scenario files in
   match
-    List.filter_map
-      (fun (keyword, kind) ->
-        if List.mem kind exports && not (Export.mergeable kind) then Some keyword
-        else None)
-      Schema.exports
+    ( List.filter_map (function Error msg -> Some msg | Ok _ -> None) loaded,
+      List.filter_map
+        (fun (keyword, kind) ->
+          if List.mem kind exports && not (Export.mergeable kind) then
+            Some keyword
+          else None)
+        Schema.exports )
   with
-  | _ :: _ as unmerged ->
-      `Error
-        ( false,
-          "sweep has no merged form for " ^ String.concat ", " unmerged )
-  | [] -> (
-      let runs =
-        match scenario_file with
-        | Some file -> sweep_scenario file ~domains ~seeds ~exports
-        | None ->
-            Ok
-              (sweep_grid ~domains ~exports
-                 { Sweep.e1_fractions; e1_nodes; e1_duration; e6_sizes; seeds })
-      in
-      match runs with
-      | Error msg -> `Error (false, msg)
-      | Ok runs ->
+  | (_ :: _ as errors), _ -> `Error (false, String.concat "\n" errors)
+  | [], (_ :: _ as unmerged) ->
+      `Error (false, "sweep has no merged form for " ^ String.concat ", " unmerged)
+  | [], [] -> (
+      let scns = List.filter_map Result.to_option loaded in
+      Printf.printf "sweep: %d scenario(s) across %d seed(s) on %d domain(s)\n%!"
+        (List.length scns) (List.length seeds) domains;
+      let t0 = Mono_clock.now_s () in
+      match Scn.sweep ~domains ~seeds ~exports scns with
+      | exception Invalid_argument msg -> `Error (false, msg)
+      | runs ->
+          let wall = Mono_clock.now_s () -. t0 in
+          List.iter
+            (fun r ->
+              Printf.printf "  %s seed=%-3s delivered %d/%d  dropped %d\n"
+                (run_field r Schema.kw_scenario) (run_field r Schema.kw_seed)
+                (run_stat r "data.delivered")
+                (run_stat r "data.offered")
+                (run_stat r "attack.data_dropped"))
+            runs;
+          Printf.printf "wall clock          %.2f s\n" wall;
           write_exports ~out_dir (Export.merged ~name:"sweep" exports runs);
           `Ok ())
+
+let sweep_files_t =
+  Arg.(
+    non_empty
+    & pos_all file []
+    & info [] ~docv:"FILE"
+        ~doc:
+          "Scenario files to fan across the --seeds list (their own seeds \
+           and exports are not used).  Every (file, seed) pair must have a \
+           distinct (scenario name, seed) key.")
 
 let domains_t =
   Arg.(
     value & opt int 0
     & info [ "domains" ] ~docv:"D"
         ~doc:
-          "Concurrent domains to fan grid points across; 1 runs inline \
+          "Concurrent domains to fan runs across; 1 runs inline \
            (single-core fallback), 0 uses the host's recommended domain \
            count.  Merged exports are byte-identical at any value.")
-
-let e1_fractions_t =
-  Arg.(
-    value
-    & opt (list float) Sweep.default_spec.Sweep.e1_fractions
-    & info [ "e1-fractions" ] ~docv:"F,..."
-        ~doc:"E1 black-hole fractions; empty disables the E1 grid.")
-
-let e1_nodes_t =
-  Arg.(
-    value
-    & opt int Sweep.default_spec.Sweep.e1_nodes
-    & info [ "e1-nodes" ] ~docv:"N" ~doc:"E1 network size.")
-
-let e1_duration_t =
-  Arg.(
-    value
-    & opt float Sweep.default_spec.Sweep.e1_duration
-    & info [ "e1-duration" ] ~docv:"SECONDS"
-        ~doc:"E1 CBR traffic duration (simulated).")
-
-let e6_sizes_t =
-  Arg.(
-    value
-    & opt (list int) Sweep.default_spec.Sweep.e6_sizes
-    & info [ "e6-sizes" ] ~docv:"N,..."
-        ~doc:"E6 network sizes; empty disables the E6 grid.")
 
 let seeds_t =
   Arg.(
     value
-    & opt (list int) Sweep.default_spec.Sweep.seeds
-    & info [ "seeds" ] ~docv:"S,..." ~doc:"Seed replications per grid point.")
-
-let sweep_scenario_t =
-  Arg.(
-    value
-    & opt (some file) None
-    & info [ "scenario" ] ~docv:"FILE"
-        ~doc:
-          "Fan a declarative scenario file across the --seeds list instead of \
-           the E1/E6 grids (the e1-*/e6-* flags and the file's own exports \
-           are ignored).")
+    & opt (list int) [ 1; 2; 3 ]
+    & info [ "seeds" ] ~docv:"S,..." ~doc:"Seeds to run every file at.")
 
 let sweep_term =
   Term.(
-    ret
-      (const sweep_cmd $ sweep_scenario_t $ domains_t $ e1_fractions_t
-     $ e1_nodes_t $ e1_duration_t $ e6_sizes_t $ seeds_t $ out_dir_t
-     $ export_t))
+    ret (const sweep_cmd $ sweep_files_t $ domains_t $ seeds_t $ out_dir_t $ export_t))
 
 (* --- scenario check --------------------------------------------------------- *)
 
@@ -1040,7 +978,7 @@ let render_timeline_run ~top header body =
         Option.map
           (fun v -> Printf.sprintf "%s=%s" name (Json.to_string v))
           (Json.member name header))
-      [ "scenario"; "experiment"; "n"; "fraction"; "seed" ]
+      [ Schema.kw_scenario; Schema.kw_seed ]
   in
   let bucketsj = List.filter (is_record "bucket") body in
   let floodsj = List.filter (is_record "flood") body in
@@ -1163,13 +1101,13 @@ let cmds =
     Cmd.v
       (Cmd.info "sweep"
          ~doc:
-           "Fan the E1/E6 experiment grids — or a scenario file across a \
-            seed list — over concurrent domains and merge the --export \
-            kinds deterministically (byte-identical at any --domains \
-            value): stats-csv into sweep.stats.csv, and audit-jsonl, \
-            trace-jsonl, perf-json (its deterministic section) and \
-            timeline-jsonl into sweep.<stream>.jsonl.  The metrics kinds \
-            and report-json have no merged form and are rejected.")
+           "Fan scenario files across a seed list over concurrent domains \
+            and merge the --export kinds deterministically (byte-identical \
+            at any --domains value), one run per (scenario, seed) key: \
+            stats-csv into sweep.stats.csv, and audit-jsonl, trace-jsonl, \
+            perf-json (its deterministic section) and timeline-jsonl into \
+            sweep.<stream>.jsonl.  The metrics kinds and report-json have \
+            no merged form and are rejected.")
       sweep_term;
     Cmd.group
       (Cmd.info "scenario"

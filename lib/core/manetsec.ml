@@ -17,9 +17,9 @@
     - {!Faults} / {!Resilience}: deterministic fault injection (node
       churn, link flaps, partitions, bursty channels) and recovery
       metrics.
-    - {!Merge} / {!Sweep}: deterministic merging of per-run exports
-      and the multicore E1/E6 parameter-sweep runner (fanned across
-      domains via {!Sim}[.Parallel]).
+    - {!Merge}: deterministic merging of per-run exports, which
+      [Manet_scenario.Scn.sweep] uses to fan scenario files across
+      seeds and domains (via {!Sim}[.Parallel]).
     - {!Adversary}: the §4 attack behaviours.
     - {!Aodv} / {!Aodv_adversary} / {!Aodv_world}: the AODV and
       SAODV-style comparison substrate (the paper's "other routing
@@ -57,4 +57,3 @@ module Aodv_adversary = Manet_attacks.Aodv_adversary
 module Aodv_world = Manet_attacks.Aodv_world
 module Scenario = Scenario
 module Export = Export
-module Sweep = Sweep

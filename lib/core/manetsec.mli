@@ -25,9 +25,9 @@
       metrics.
     - {!Export}: the export kinds of a run — file names, the sinks each
       needs and their renderers, single-run and merged.
-    - {!Merge} / {!Sweep}: deterministic merging of per-run exports
-      and the multicore E1/E6 parameter-sweep runner (fanned across
-      domains via {!Sim}[.Parallel]).
+    - {!Merge}: deterministic merging of per-run exports, which
+      [Manet_scenario.Scn.sweep] uses to fan scenario files across
+      seeds and domains (via {!Sim}[.Parallel]).
     - {!Adversary}: the §4 attack behaviours.
     - {!Aodv} / {!Aodv_adversary} / {!Aodv_world}: the AODV and
       SAODV-style comparison substrate (the paper's "other routing
@@ -65,4 +65,3 @@ module Aodv_adversary = Manet_attacks.Aodv_adversary
 module Aodv_world = Manet_attacks.Aodv_world
 module Scenario = Scenario
 module Export = Export
-module Sweep = Sweep

@@ -1,9 +1,9 @@
-(** Deterministic merging of per-run exports from a parameter sweep.
+(** Deterministic merging of per-run exports from a sweep.
 
-    A sweep runs many independent simulations (seed replications ×
-    parameter grid points), possibly across several domains, and each
-    run produces its own exports: counter snapshots, an audit JSONL
-    stream, a telemetry trace JSONL stream.  This module folds those
+    A sweep runs many independent simulations (scenario files × seeds),
+    possibly across several domains, and each run produces its own
+    exports: counter snapshots, an audit JSONL stream, a telemetry trace
+    JSONL stream.  This module folds those
     per-run artefacts into single documents whose bytes depend only on
     the set of runs — {e never} on the domain count, spawn order or
     completion order of the workers that produced them.
@@ -12,16 +12,16 @@
     (element-wise: ints and floats numerically, strings lexically),
     every merged document is generated from that canonical order, JSON
     is rendered by the canonical {!Json} printer, and each run's stream
-    lines are copied verbatim.  Two sweeps over the same grid with the
+    lines are copied verbatim.  Two sweeps over the same files with the
     same seeds therefore produce byte-identical merged exports at any
     [--domains] value. *)
 
 type run = {
   key : (string * Json.t) list;
       (** Identifying coordinates in canonical comparison order, e.g.
-          [("experiment", String "e1"); ("fraction", Float 0.2);
-          ("seed", Int 3)].  Every run in one merge must use the same
-          field names in the same order. *)
+          [("scenario", String "blackhole_e1"); ("seed", Int 3)].
+          Every run in one merge must use the same field names in the
+          same order. *)
   stats : (string * int) list;  (** Counter snapshot (name, value). *)
   streams : (string * string) list;
       (** Named JSONL exports, e.g. [("audit", Audit.to_jsonl ...)].

@@ -911,13 +911,26 @@ let meta t ~seed =
     (Schema.kw_scenario, Json.String t.name); (Schema.kw_seed, Json.Int seed);
   ]
 
-(* --- seed sweeps over one scenario ---------------------------------- *)
+(* --- sweeps: every (file, seed) pair -------------------------------- *)
 
-let sweep ~domains ~seeds ~exports t =
-  if List.length seeds = 0 then invalid_arg "Scn.sweep: empty seed list";
+let compare_run (a, sa) (b, sb) =
+  match String.compare a.name b.name with 0 -> Int.compare sa sb | c -> c
+
+let sweep ~domains ~seeds ~exports ts =
+  let jobs = List.concat_map (fun t -> List.map (fun seed -> (t, seed)) seeds) ts in
+  if jobs = [] then invalid_arg "Scn.sweep: empty scenario or seed list";
   Export.check_mergeable exports;
-  let run_one seed =
+  let rec check_unique = function
+    | ((t, seed) as a) :: (b :: _ as rest) ->
+        if compare_run a b = 0 then
+          invalid_arg
+            (Printf.sprintf "Scn.sweep: duplicate run key (%s, %d)" t.name seed);
+        check_unique rest
+    | [ _ ] | [] -> ()
+  in
+  check_unique (List.sort compare_run jobs);
+  let run_one (t, seed) =
     Export.merge_run ~key:(meta t ~seed) exports
       (execute ~seed { t with exports })
   in
-  Merge.sorted (Parallel.map ~domains run_one seeds)
+  Merge.sorted (Parallel.map ~domains run_one jobs)

@@ -107,11 +107,14 @@ val meta : t -> seed:int -> (string * Manetsec.Obs_json.t) list
 (** The [(scenario, seed)] provenance attached to every export. *)
 
 val sweep :
-  domains:int -> seeds:int list -> exports:Manetsec.Export.kind list -> t -> Manetsec.Merge.run list
-(** Run the scenario once per seed on {!Manetsec.Parallel.map}, with
-    the sinks [exports] read switched on (the file's own exports are
-    not used), and return the canonically sorted runs
-    ({!Manetsec.Merge.sorted}), one stream per requested kind
+  domains:int -> seeds:int list -> exports:Manetsec.Export.kind list -> t list -> Manetsec.Merge.run list
+(** Run every scenario once per seed, fanning the (scenario, seed)
+    pairs across {!Manetsec.Parallel.map}, with the sinks [exports]
+    read switched on (the files' own exports are not used), and return
+    the canonically sorted runs ({!Manetsec.Merge.sorted}), each keyed
+    by {!meta} and carrying one stream per requested kind
     ({!Manetsec.Export.merge_run}) — byte-deterministic in [domains].
-    Raises [Invalid_argument] on an empty seed list or a kind with no
-    merged form. *)
+    Raises [Invalid_argument], before any run, when there is no pair
+    to run, on a kind with no merged form, and on two pairs with the
+    same [(scenario, seed)] key (a repeated seed, or two files that
+    share a [(name ...)]), naming the key. *)

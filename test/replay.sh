@@ -9,8 +9,10 @@
 #   a/, b/   `run --seed 1 --nodes 12` with every export kind
 #   c/       the same run with every kind but report-json (wall time),
 #            plus --profile and --progress, which must not move a byte
-#   sweep-D/ the E1/E6 sweep grid at D = 1, 2 and 4 domains
-#   scn-sweep-D/  partition_heal_r1.scn swept at D = 1 and 2 domains
+#   sweep-D/ every top-level scenario file swept at seeds 1 and 2 on
+#            D = 1, 2 and 4 domains
+#   dup/     sweeps with a repeated run key and with a malformed file,
+#            which must fail before any run and write nothing
 #   scn/     every committed scenario file run once (blackhole_e1 also
 #            with perf-json); their bytes are pinned by the golden test
 #   heap/    scale/n300.scn and blackhole_e1.scn run with the GC
@@ -18,7 +20,7 @@
 #   *.txt    the report, audit, perf and timeline readers' output
 # a, b and c are compared with diff -r, leaving out report-json and
 # comparing perf-json through `perf --det` (its wall-clock section
-# varies between runs); each sweep is compared across domain counts.
+# varies between runs); the sweep is compared across domain counts.
 set -eu
 
 sim=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
@@ -42,23 +44,33 @@ done
 diff -r -x '*.perf.json' -x '*.report.json' a b
 diff -r -x '*.perf.json' -x '*.report.json' a c
 
-grid="--e1-fractions 0.0,0.2 --e1-nodes 16 --e1-duration 10 --e6-sizes 10 \
---seeds 1,2"
 merged="--export stats-csv --export audit-jsonl --export trace-jsonl \
 --export perf-json --export timeline-jsonl"
 for d in 1 2 4; do
   mkdir "sweep-$d"
-  "$sim" sweep --domains "$d" $grid $merged --out-dir "sweep-$d" > "sweep-$d.out"
+  "$sim" sweep "$scenarios"/*.scn --domains "$d" --seeds 1,2 $merged \
+    --out-dir "sweep-$d" > "sweep-$d.out"
 done
 diff -r sweep-1 sweep-2
 diff -r sweep-1 sweep-4
 
-for d in 1 2; do
-  mkdir "scn-sweep-$d"
-  "$sim" sweep --scenario "$scenarios/partition_heal_r1.scn" --domains "$d" \
-    --seeds 1,2 $merged --out-dir "scn-sweep-$d" > "scn-sweep-$d.out"
-done
-diff -r scn-sweep-1 scn-sweep-2
+# A repeated (scenario, seed) key is refused before any run, and a
+# malformed file after a good one before the good one runs.
+mkdir dup
+if "$sim" sweep "$scenarios/partition_heal_r1.scn" --seeds 1,1 \
+  --out-dir dup > dup.out 2> dup.err; then
+  echo "sweep accepted a repeated run key" >&2
+  exit 1
+fi
+grep -q "duplicate run key (partition_heal_r1, 1)" dup.err
+printf '(scenario\n  (nodes 3)' > dup/bad.scn
+if "$sim" sweep "$scenarios/blackhole_e1.scn" dup/bad.scn \
+  --out-dir dup > bad.out 2> bad.err; then
+  echo "sweep accepted a malformed file" >&2
+  exit 1
+fi
+grep -q "dup/bad.scn:1:1: " bad.err
+[ "$(ls dup)" = bad.scn ] && [ ! -s bad.out ]
 
 mkdir scn
 for f in "$scenarios"/*.scn; do

@@ -2,8 +2,8 @@
    mergeable representation (qcheck properties), the engine's always-on
    accounting is exact, and the deterministic export section is
    byte-identical across same-seed replays and sweep domain counts —
-   the property the CI determinism gates also check end-to-end through
-   the CLI. *)
+   the property test/replay.sh also checks end to end through the
+   CLI. *)
 
 module Engine = Manet_sim.Engine
 module Hist = Manet_sim.Hist
@@ -11,8 +11,6 @@ module Suite = Manet_crypto.Suite
 module Perf = Manetsec.Perf
 module Json = Manetsec.Obs_json
 module Obs = Manetsec.Obs
-module Merge = Manetsec.Merge
-module Sweep = Manetsec.Sweep
 module Scenario = Manetsec.Scenario
 
 let qtest ?(count = 200) name gen prop =
@@ -236,30 +234,10 @@ let test_det_jsonl_replay_identical () =
          in
          find 0)
 
-(* A grid small enough for the suite but fanning genuinely across
-   domains (4 points). *)
-let spec =
-  {
-    Sweep.e1_fractions = [ 0.2 ];
-    e1_nodes = 12;
-    e1_duration = 5.0;
-    e6_sizes = [ 8 ];
-    seeds = [ 1; 2 ];
-  }
-
+(* The merged perf stream of a sweep of every committed scenario file
+   is byte-identical at 1, 2 and 4 domains. *)
 let test_det_jsonl_domain_invariant () =
-  let export domains =
-    Merge.stream_jsonl ~name:"perf"
-      (Sweep.run ~domains ~exports:[ Manetsec.Export.Perf_json ] spec)
-  in
-  let base = export 1 in
-  Alcotest.(check bool) "perf stream non-empty" true (base <> "");
-  List.iter
-    (fun domains ->
-      Alcotest.(check string)
-        (Printf.sprintf "perf jsonl byte-identical at %d domain(s)" domains)
-        base (export domains))
-    [ 2; 4 ]
+  Test_sweep.check_domain_invariant "sweep.perf.jsonl"
 
 (* A handler that raises must not leak its attribution: the previous
    (kind, node) is back in force for the ops that follow. *)

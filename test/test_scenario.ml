@@ -1,8 +1,9 @@
 (* The scenario subsystem's contract: malformed files are rejected with
    positioned (line/col) errors, every committed example validates, a
    scenario-file run is byte-identical to the equivalent hand-coded
-   configuration, and fanning one file across seeds is byte-deterministic
-   in the domain count. *)
+   configuration, the parser survives hostile input, and fanning one
+   file across seeds is byte-deterministic in the domain count
+   (test_sweep.ml holds the multi-file sweep contract). *)
 
 module Scn = Manet_scenario.Scn
 module Schema = Manet_scenario.Schema
@@ -166,12 +167,17 @@ let read_scenario file =
   In_channel.with_open_bin (Filename.concat scenarios_dir file)
     In_channel.input_all
 
+(* The committed .scn files in [dir] (default: the top level), as
+   paths relative to [scenarios_dir], in name order. *)
+let scenario_files ?(dir = "") () =
+  Sys.readdir (Filename.concat scenarios_dir dir)
+  |> Array.to_list
+  |> List.filter (String.ends_with ~suffix:".scn")
+  |> List.sort String.compare
+  |> List.map (Filename.concat dir)
+
 let test_examples_validate () =
-  let files =
-    Sys.readdir scenarios_dir |> Array.to_list
-    |> List.filter (String.ends_with ~suffix:".scn")
-    |> List.sort String.compare
-  in
+  let files = scenario_files () in
   Alcotest.(check bool)
     "at least six committed scenarios" true
     (List.length files >= 6);
@@ -188,6 +194,61 @@ let test_examples_validate () =
       | exception Sexp.Parse_error { pos; msg } ->
           Alcotest.failf "%s:%d:%d: %s" file pos.Sexp.line pos.Sexp.col msg)
     files
+
+(* --- hostile input ---------------------------------------------------- *)
+
+(* Every committed scenario file, the scale curve included. *)
+let committed_texts =
+  lazy
+    (Array.of_list
+       (List.map read_scenario (scenario_files () @ scenario_files ~dir:"scale" ())))
+
+(* Scn.parse answers any text with a scenario or one of its two typed
+   errors; any other exception escapes and fails the caller. *)
+let parses_or_rejects text =
+  match Scn.parse text with
+  | (_ : Scn.t) -> true
+  | exception Scn.Error _ -> true
+  | exception Sexp.Parse_error _ -> true
+
+(* A committed file with 1-4 bytes replaced, the bytes drawn half from
+   the S-expression syntax and number spelling and half at random. *)
+let mutated_file =
+  let open QCheck.Gen in
+  let byte =
+    oneof
+      [
+        char;
+        oneofl [ '('; ')'; '"'; '\\'; ';'; ' '; '\n'; '-'; '.'; 'e'; '0'; '9' ];
+      ]
+  in
+  let gen =
+    let* file = int_bound (Array.length (Lazy.force committed_texts) - 1) in
+    let text = (Lazy.force committed_texts).(file) in
+    let+ edits =
+      list_size (int_range 1 4) (pair (int_bound (String.length text - 1)) byte)
+    in
+    let b = Bytes.of_string text in
+    List.iter (fun (i, c) -> Bytes.set b i c) edits;
+    Bytes.to_string b
+  in
+  QCheck.make ~print:(Printf.sprintf "%S") gen
+
+let prop_mutated_files =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:10_000 ~name:"mutated scenario files raise only typed errors"
+       mutated_file parses_or_rejects)
+
+let test_deep_nesting () =
+  let depth = 100_000 in
+  List.iter
+    (fun (what, text) ->
+      Alcotest.(check bool) (what ^ " raises only typed errors") true
+        (parses_or_rejects text))
+    [
+      ("unclosed nest", String.make depth '(');
+      ("closed nest", String.make depth '(' ^ String.make depth ')');
+    ]
 
 (* Golden exports: every committed scenario, run at its own seed, must
    reproduce the SHA-256 of each deterministic export pinned in
@@ -348,8 +409,8 @@ let test_sweep_domain_invariant () =
       \  (exports stats-csv))"
   in
   let exports = [ Export.Stats_csv; Export.Audit_jsonl; Export.Trace_jsonl ] in
-  let runs1 = Scn.sweep ~domains:1 ~seeds:[ 1; 2 ] ~exports scn in
-  let runs2 = Scn.sweep ~domains:2 ~seeds:[ 1; 2 ] ~exports scn in
+  let runs1 = Scn.sweep ~domains:1 ~seeds:[ 1; 2 ] ~exports [ scn ] in
+  let runs2 = Scn.sweep ~domains:2 ~seeds:[ 1; 2 ] ~exports [ scn ] in
   (match runs1 with
   | r :: _ ->
       Alcotest.(check bool)
@@ -479,19 +540,7 @@ let test_sweep_rejects_unmerged () =
       Alcotest.(check bool)
         (keyword ^ ": Scn.sweep rejects it iff it has no merged form")
         (not (Export.mergeable kind))
-        (rejected (fun () -> Scn.sweep ~domains:1 ~seeds:[ 1 ] ~exports:[ kind ] scn));
-      Alcotest.(check bool)
-        (keyword ^ ": Sweep.run rejects it iff it has no merged form")
-        (not (Export.mergeable kind))
-        (rejected (fun () ->
-             Manetsec.Sweep.run ~domains:1 ~exports:[ kind ]
-               {
-                 Manetsec.Sweep.e1_fractions = [];
-                 e1_nodes = 8;
-                 e1_duration = 1.0;
-                 e6_sizes = [ 4 ];
-                 seeds = [ 1 ];
-               })))
+        (rejected (fun () -> Scn.sweep ~domains:1 ~seeds:[ 1 ] ~exports:[ kind ] [ scn ])))
     Schema.exports;
   Alcotest.(check (list string)) "the three kinds with no merged form"
     [ "metrics-csv"; "metrics-prom"; "report-json" ]
@@ -507,6 +556,8 @@ let suites =
         Alcotest.test_case "vocabulary decode" `Quick test_vocabulary;
         Alcotest.test_case "defaults" `Quick test_defaults;
         Alcotest.test_case "examples validate" `Quick test_examples_validate;
+        prop_mutated_files;
+        Alcotest.test_case "deep nesting" `Quick test_deep_nesting;
         Alcotest.test_case "golden exports" `Quick test_golden_exports;
         Alcotest.test_case "capture only on demand" `Quick
           test_capture_on_demand;

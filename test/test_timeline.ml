@@ -2,9 +2,8 @@
    (window sums equal the unbucketed totals, windows are half-open),
    flood propagation trees respect causality (a parent is seen no later
    than any child it reaches), and the JSONL export is byte-identical
-   across same-seed replays and sweep domain counts — the property the
-   CI timeline determinism gates also check end-to-end through the
-   CLI. *)
+   across same-seed replays and sweep domain counts — the property
+   test/replay.sh also checks end to end through the CLI. *)
 
 module Engine = Manet_sim.Engine
 module Net = Manet_sim.Net
@@ -15,8 +14,6 @@ module Flood = Manetsec.Flood
 module Json = Manetsec.Obs_json
 module Obs = Manetsec.Obs
 module Audit = Manetsec.Audit
-module Merge = Manetsec.Merge
-module Sweep = Manetsec.Sweep
 module Scenario = Manetsec.Scenario
 
 let qtest ?(count = 100) name gen prop =
@@ -454,30 +451,10 @@ let test_progress_non_perturbing () =
   check "spans" (fun s -> Obs.to_jsonl (Scenario.obs s));
   check "perf det" Scenario.perf_det_jsonl
 
-(* Small but genuinely fanning grid (4 points), as in test_perf. *)
-let spec =
-  {
-    Sweep.e1_fractions = [ 0.2 ];
-    e1_nodes = 12;
-    e1_duration = 5.0;
-    e6_sizes = [ 8 ];
-    seeds = [ 1; 2 ];
-  }
-
+(* The merged timeline stream of a sweep of every committed scenario
+   file is byte-identical at 1, 2 and 4 domains. *)
 let test_timeline_domain_invariant () =
-  let export domains =
-    Merge.stream_jsonl ~name:"timeline"
-      (Sweep.run ~domains ~exports:[ Manetsec.Export.Timeline_jsonl ] spec)
-  in
-  let base = export 1 in
-  Alcotest.(check bool) "timeline stream non-empty" true (base <> "");
-  List.iter
-    (fun domains ->
-      Alcotest.(check string)
-        (Printf.sprintf "timeline jsonl byte-identical at %d domain(s)"
-           domains)
-        base (export domains))
-    [ 2; 4 ]
+  Test_sweep.check_domain_invariant "sweep.timeline.jsonl"
 
 (* --- flood state: seen sets and the packed provenance tree --------------- *)
 
