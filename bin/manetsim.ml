@@ -30,7 +30,7 @@ module Perf = Manetsec.Perf
 module Timeline = Manetsec.Timeline
 module Audit = Manetsec.Audit
 module Detector = Manetsec.Detector
-module Export = Manetsec.Export
+module Export = Manet_scenario.Export
 module Scn = Manet_scenario.Scn
 module Schema = Manet_scenario.Schema
 module Sexp = Manet_scenario.Sexp
@@ -976,7 +976,9 @@ let render_timeline_run ~top header body =
     List.filter_map
       (fun name ->
         Option.map
-          (fun v -> Printf.sprintf "%s=%s" name (Json.to_string v))
+          (fun v ->
+            Printf.sprintf "%s=%s" name
+              (match v with Json.String s -> s | v -> Json.to_string v))
           (Json.member name header))
       [ Schema.kw_scenario; Schema.kw_seed ]
   in

@@ -234,8 +234,6 @@ let route_lookup t dst =
   | Some e when e.valid && e.expires > now t -> Some e
   | _ -> None
 
-let next_hop t ~dst = Option.map (fun e -> e.next) (route_lookup t dst)
-
 (* AODV route update rule: fresher sequence number wins; equal freshness
    prefers fewer hops; invalid/expired entries are always replaced. *)
 let route_update t ~dst ~next ~hops ~seq =

@@ -95,7 +95,6 @@ val handle : t -> src:int -> msg -> unit
 val send : t -> dst:Address.t -> ?size:int -> unit -> unit
 (** Offer a data packet; discovery runs if no valid route exists. *)
 
-val next_hop : t -> dst:Address.t -> Address.t option
 val address : t -> Address.t
 val node_id : t -> int
 val net : t -> msg Manet_sim.Net.t

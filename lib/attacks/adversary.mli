@@ -38,11 +38,6 @@ type behavior = {
   mute : bool;  (** process nothing at all (a victim asleep or jammed) *)
 }
 
-(* manetcheck: allow dead-export — public API: the documented base
-   behavior callers override to build custom adversaries. *)
-val honest : behavior
-(** No deviation — useful as a base to override. *)
-
 val sleeper : behavior
 (** A node that processes no routing traffic at all; used to prove that a
     route naming it is fabricated. *)

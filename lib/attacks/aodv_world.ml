@@ -87,7 +87,6 @@ let create params =
     agents;
   { params; engine; net; agents; identities }
 
-let engine t = t.engine
 let stats t = Engine.stats t.engine
 let agent t i = t.agents.(i)
 let address_of t i = t.identities.(i).Identity.address

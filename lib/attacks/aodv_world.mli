@@ -3,8 +3,6 @@
     protocols: topology, radio, identities, one agent per node, optional
     black holes, CBR traffic and metric readers. *)
 
-module Address = Manet_ipv6.Address
-module Engine = Manet_sim.Engine
 module Topology = Manet_sim.Topology
 
 type params = {
@@ -24,14 +22,14 @@ type t
 
 val create : params -> t
 
-(* manetcheck: allow dead-export — public API: engine accessor kept for
-   parity with Scenario.engine. *)
-val engine : t -> Engine.t
+(* manetcheck: allow test-only-export — test_aodv.ml reads the AODV
+   counters (rerr.sent, data.dropped, the SAODV rejections) through it;
+   no export of this world carries them. *)
 val stats : t -> Manet_sim.Stats.t
-val agent : t -> int -> Manet_aodv.Aodv.t
-val address_of : t -> int -> Address.t
 
-val send : t -> src:int -> dst:int -> ?size:int -> unit -> unit
+(* manetcheck: allow test-only-export — test_aodv.ml reaches a node's
+   radio through its agent to fail the node mid-run. *)
+val agent : t -> int -> Manet_aodv.Aodv.t
 
 val start_cbr :
   t -> flows:(int * int) list -> interval:float -> ?size:int -> duration:float ->

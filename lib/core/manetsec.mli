@@ -23,8 +23,6 @@
     - {!Faults} / {!Resilience}: deterministic fault injection (node
       churn, link flaps, partitions, bursty channels) and recovery
       metrics.
-    - {!Export}: the export kinds of a run — file names, the sinks each
-      needs and their renderers, single-run and merged.
     - {!Merge}: deterministic merging of per-run exports, which
       [Manet_scenario.Scn.sweep] uses to fan scenario files across
       seeds and domains (via {!Sim}[.Parallel]).
@@ -64,4 +62,3 @@ module Aodv = Manet_aodv.Aodv
 module Aodv_adversary = Manet_attacks.Aodv_adversary
 module Aodv_world = Manet_attacks.Aodv_world
 module Scenario = Scenario
-module Export = Export

@@ -125,12 +125,6 @@ val bootstrap : ?stagger:float -> t -> unit
     comes (an injected restart landed first) is skipped.  Also starts
     mobility and adversary timers. *)
 
-(* manetcheck: allow dead-export — public API: documented lifecycle
-   entry point for experiments that skip bootstrap. *)
-val start : t -> unit
-(** Start mobility and adversary timers without DAD (addresses were
-    assigned at creation); for experiments that skip bootstrap. *)
-
 val send : t -> src:int -> dst:int -> ?size:int -> unit -> unit
 (** Offer one data packet from node [src] to node [dst]'s current
     address. *)

@@ -404,81 +404,8 @@ let to_bytes_be ?(pad = 0) n =
   done;
   Bytes.unsafe_to_string b
 
-let of_string s =
-  let len = String.length s in
-  if len = 0 then invalid_arg "Bignum.of_string: empty";
-  let negative = s.[0] = '-' in
-  let start = if negative || s.[0] = '+' then 1 else 0 in
-  if start = len then invalid_arg "Bignum.of_string: no digits";
-  let acc = ref zero in
-  let ten = of_int 10 in
-  for i = start to len - 1 do
-    let c = s.[i] in
-    if c < '0' || c > '9' then invalid_arg "Bignum.of_string: bad digit";
-    acc := add (mul !acc ten) (of_int (Char.code c - Char.code '0'))
-  done;
-  if negative then neg !acc else !acc
-
-let to_string n =
-  if n.sign = 0 then "0"
-  else begin
-    (* Peel 7 decimal digits at a time with single-limb division. *)
-    let chunk = 10_000_000 in
-    let buf = Buffer.create 32 in
-    let mag = ref (abs n) in
-    let parts = ref [] in
-    while !mag.sign <> 0 do
-      let q, r = divmod_mag !mag.mag [| chunk |] in
-      let r0 = if Array.length r = 0 then 0 else r.(0) in
-      parts := r0 :: !parts;
-      mag := normalize 1 q
-    done;
-    (match !parts with
-    | [] -> ()
-    | first :: rest ->
-        Buffer.add_string buf (string_of_int first);
-        List.iter (fun p -> Buffer.add_string buf (Printf.sprintf "%07d" p)) rest);
-    (if n.sign < 0 then "-" else "") ^ Buffer.contents buf
-  end
-
-let of_hex s =
-  let acc = ref zero in
-  String.iter
-    (fun c ->
-      let v =
-        match c with
-        | '0' .. '9' -> Char.code c - Char.code '0'
-        | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-        | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-        | _ -> invalid_arg "Bignum.of_hex: bad digit"
-      in
-      acc := add (shift_left !acc 4) (of_int v))
-    s;
-  !acc
-
-let to_hex n =
-  if n.sign = 0 then "0"
-  else begin
-    let nb = numbits n in
-    let digits = (nb + 3) / 4 in
-    let buf = Buffer.create digits in
-    for i = digits - 1 downto 0 do
-      let v = ref 0 in
-      for j = 3 downto 0 do
-        v := (!v lsl 1) lor (if testbit n ((i * 4) + j) then 1 else 0)
-      done;
-      Buffer.add_char buf "0123456789abcdef".[!v]
-    done;
-    Buffer.contents buf
-  end
-
-let pp fmt n = Format.pp_print_string fmt (to_string n)
 
 (* --- number theory ---------------------------------------------------- *)
-
-let rec gcd a b =
-  let a = abs a and b = abs b in
-  if b.sign = 0 then a else gcd b (rem a b)
 
 let egcd a b =
   (* Iterative extended Euclid on non-negative inputs. *)
@@ -843,3 +770,80 @@ let generate_prime g ~bits =
     end
   in
   attempt ()
+
+(* --- oracles ------------------------------------------------------------ *)
+
+(* The references tests and benchmarks compare against: the
+   division-based modular exponentiation, and the decimal and hex text
+   forms test vectors are written in. *)
+module Oracle = struct
+  let mod_pow_generic = mod_pow_generic
+
+  let of_string s =
+    let len = String.length s in
+    if len = 0 then invalid_arg "Bignum.of_string: empty";
+    let negative = s.[0] = '-' in
+    let start = if negative || s.[0] = '+' then 1 else 0 in
+    if start = len then invalid_arg "Bignum.of_string: no digits";
+    let acc = ref zero in
+    let ten = of_int 10 in
+    for i = start to len - 1 do
+      let c = s.[i] in
+      if c < '0' || c > '9' then invalid_arg "Bignum.of_string: bad digit";
+      acc := add (mul !acc ten) (of_int (Char.code c - Char.code '0'))
+    done;
+    if negative then neg !acc else !acc
+
+  let to_string n =
+    if n.sign = 0 then "0"
+    else begin
+      (* Peel 7 decimal digits at a time with single-limb division. *)
+      let chunk = 10_000_000 in
+      let buf = Buffer.create 32 in
+      let mag = ref (abs n) in
+      let parts = ref [] in
+      while !mag.sign <> 0 do
+        let q, r = divmod_mag !mag.mag [| chunk |] in
+        let r0 = if Array.length r = 0 then 0 else r.(0) in
+        parts := r0 :: !parts;
+        mag := normalize 1 q
+      done;
+      (match !parts with
+      | [] -> ()
+      | first :: rest ->
+          Buffer.add_string buf (string_of_int first);
+          List.iter (fun p -> Buffer.add_string buf (Printf.sprintf "%07d" p)) rest);
+      (if n.sign < 0 then "-" else "") ^ Buffer.contents buf
+    end
+
+  let of_hex s =
+    let acc = ref zero in
+    String.iter
+      (fun c ->
+        let v =
+          match c with
+          | '0' .. '9' -> Char.code c - Char.code '0'
+          | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+          | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+          | _ -> invalid_arg "Bignum.of_hex: bad digit"
+        in
+        acc := add (shift_left !acc 4) (of_int v))
+      s;
+    !acc
+
+  let to_hex n =
+    if n.sign = 0 then "0"
+    else begin
+      let nb = numbits n in
+      let digits = (nb + 3) / 4 in
+      let buf = Buffer.create digits in
+      for i = digits - 1 downto 0 do
+        let v = ref 0 in
+        for j = 3 downto 0 do
+          v := (!v lsl 1) lor (if testbit n ((i * 4) + j) then 1 else 0)
+        done;
+        Buffer.add_char buf "0123456789abcdef".[!v]
+      done;
+      Buffer.contents buf
+    end
+end

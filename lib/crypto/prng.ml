@@ -34,7 +34,6 @@ let of_splitmix seed =
   g
 
 let create ~seed = of_splitmix (Int64.of_int seed)
-let copy = Bytes.copy
 
 let[@inline] bits64 g =
   let s0 = Bytes.get_int64_ne g 0
@@ -74,7 +73,6 @@ let[@inline] float g bound =
   let raw = Int64.shift_right_logical (bits64 g) 11 in
   Int64.to_float raw /. 9007199254740992.0 *. bound
 
-let bool g = Int64.logand (bits64 g) 1L = 1L
 
 let bytes g n =
   let b = Bytes.create n in

@@ -15,9 +15,6 @@ val create : seed:int -> t
 (** [create ~seed] builds a generator whose entire future output is a
     function of [seed]. *)
 
-val copy : t -> t
-(** [copy g] is an independent generator that will replay [g]'s future. *)
-
 val split : t -> t
 (** [split g] advances [g] and returns a new generator statistically
     independent of [g]'s subsequent output.  Used to give each subsystem
@@ -31,9 +28,6 @@ val int : t -> int -> int
 
 val float : t -> float -> float
 (** [float g bound] is uniform in [\[0, bound)]. *)
-
-val bool : t -> bool
-(** [bool g] is a fair coin flip. *)
 
 val bytes : t -> int -> string
 (** [bytes g n] is an [n]-byte uniformly random string. *)

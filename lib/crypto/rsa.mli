@@ -53,6 +53,3 @@ val verify_prepared : prepared -> msg:string -> signature:string -> bool
 (** [verify_prepared (prepare pk)] accepts exactly what [verify pk]
     accepts: every call still runs the length check, the [s < n] check,
     the modular exponentiation and the digest comparison. *)
-
-val modulus_bytes : public_key -> int
-(** Size of the modulus (and thus of signatures) in bytes. *)

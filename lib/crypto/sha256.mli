@@ -23,9 +23,6 @@ val digest : string -> string
 val digest_hex : string -> string
 (** [digest_hex s] is [digest s] rendered as 64 lower-case hex digits. *)
 
-val hex : string -> string
-(** [hex s] renders an arbitrary byte string in lower-case hex. *)
-
 val blocks_of_len : int -> int
 (** Number of 64-byte compression blocks a one-shot digest of a
     [len]-byte message processes: [ceil ((len + 9) / 64)].  The perf

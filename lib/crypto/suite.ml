@@ -122,8 +122,3 @@ let mock prng =
 
 let set_on_op t f = t.on_op <- f
 
-let reset_counters t =
-  t.sign_count <- 0;
-  t.verify_count <- 0;
-  t.sha256_blocks <- 0;
-  t.signs_reused <- 0

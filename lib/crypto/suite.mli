@@ -70,7 +70,3 @@ val reuse_sign : t -> bytes:int -> unit
 
 val set_on_op : t -> (op:op -> bytes:int -> unit) option -> unit
 (** Install (or clear) the per-operation subscriber. *)
-
-val reset_counters : t -> unit
-(** Zero the sign/verify/hash-block and reused-sign counters before a
-    measured run. *)

@@ -83,10 +83,6 @@ val is_pending : t -> bool
 (** An attempt is in flight: {!start} would raise until it resolves or
     is {!abort}ed. *)
 
-(* manetcheck: allow dead-export — uniform agent accessor; every protocol
-   agent (Dad, Dsr, Srp, Secure_routing) exposes [address]. *)
-val address : t -> Address.t
-
 val set_areq_observer : t -> (Messages.t -> unit) -> unit
 (** DNS-server hook: called once per fresh (deduplicated) AREQ this node
     receives, before relaying. *)

@@ -26,10 +26,6 @@ type config = {
       (** seconds a registration stays pending, waiting for warnings *)
 }
 
-(* manetcheck: allow dead-export — public API: the documented starting
-   point for customised configs, symmetric with Srp.default_config. *)
-val default_config : config
-
 type t
 
 val create : ?config:config -> Manet_proto.Node_ctx.t -> t

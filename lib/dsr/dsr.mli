@@ -63,15 +63,8 @@ val discover :
     hops ([Some []] for a direct neighbour) or [None] when every attempt
     timed out.  If a route is already cached it fires immediately. *)
 
-val cached_route : t -> dst:Address.t -> Address.t list option
-(** Best cached route (intermediates) without triggering discovery. *)
-
 val cached_routes : t -> dst:Address.t -> Address.t list list
 (** Every cached route for [dst] (inspection; most recently used first). *)
-
-(* manetcheck: allow dead-export — uniform agent accessor; every protocol
-   agent (Dad, Dsr, Srp, Secure_routing) exposes [address]. *)
-val address : t -> Address.t
 
 (** Statistics written to the engine's {!Manet_sim.Stats} registry, all
     under these keys (shared with the secure protocol so experiments

@@ -99,5 +99,4 @@ let remove_route t ~dst ~route =
   | None -> ()
   | Some l -> l := List.filter (fun e -> not (same_route e.route route)) !l
 
-let size t = Address.Tbl.fold (fun _ l acc -> acc + List.length !l) t.by_dst 0
 

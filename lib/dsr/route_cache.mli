@@ -57,5 +57,3 @@ val remove_containing : 'a t -> Address.t -> int
 
 val remove_route : 'a t -> dst:Address.t -> route:Address.t list -> unit
 (** Drop one specific route (e.g. after an end-to-end ack timeout). *)
-
-val size : 'a t -> int

@@ -36,8 +36,6 @@ module Seq_tbl = Hashtbl.Make (struct
     (h lxor (h lsr 31)) land max_int
 end)
 
-let unspecified = { hi = 0L; lo = 0L }
-let loopback = { hi = 0L; lo = 1L }
 
 let of_groups g =
   if Array.length g <> 8 then invalid_arg "Address.of_groups: need 8 groups";
@@ -222,27 +220,9 @@ let to_string a =
   add_to_buffer buf a;
   Buffer.contents buf
 
-let pp fmt a = Format.pp_print_string fmt (to_string a)
 
 (* --- well-known constants and prefixes -------------------------------- *)
 
-let site_local_prefix = { hi = 0xFEC0_0000_0000_0000L; lo = 0L }
-
-let matches_prefix a ~prefix ~len =
-  if len < 0 || len > 128 then invalid_arg "Address.matches_prefix: bad length";
-  let mask64 bits =
-    if bits <= 0 then 0L
-    else if bits >= 64 then -1L
-    else Int64.shift_left (-1L) (64 - bits)
-  in
-  let hi_mask = mask64 len and lo_mask = mask64 (len - 64) in
-  Int64.equal (Int64.logand a.hi hi_mask) (Int64.logand prefix.hi hi_mask)
-  && Int64.equal (Int64.logand a.lo lo_mask) (Int64.logand prefix.lo lo_mask)
-
-let is_site_local a = matches_prefix a ~prefix:site_local_prefix ~len:10
-
 let dns_server_1 = of_string_exn "fec0:0:0:ffff::1"
-let dns_server_2 = of_string_exn "fec0:0:0:ffff::2"
-let dns_server_3 = of_string_exn "fec0:0:0:ffff::3"
 
 let interface_id a = a.lo

@@ -37,21 +37,6 @@ module Seq_tbl : Hashtbl.S with type key = seq_key
     binding exactly when their addresses are {!equal} and their
     sequence numbers are equal. *)
 
-(* manetcheck: allow dead-export — RFC 4291 constant; part of the
-   address-type API surface even when no current caller needs it. *)
-val unspecified : t
-(** [::] — the source of a host that does not yet have an address. *)
-
-(* manetcheck: allow dead-export — RFC 4291 constant, same rationale as
-   [unspecified]. *)
-val loopback : t
-(** [::1]. *)
-
-val of_groups : int array -> t
-(** [of_groups g] builds an address from eight 16-bit groups.
-    Raises [Invalid_argument] unless [g] has length 8 with all values in
-    [0, 0xffff]. *)
-
 val to_groups : t -> int array
 
 val of_bytes : string -> t
@@ -59,38 +44,16 @@ val of_bytes : string -> t
 
 val to_bytes : t -> string
 
-val of_string : string -> (t, string) result
-(** Parses RFC 4291 text (full form, [::] compression, IPv4-mapped
-    dotted-quad tail).  Returns [Error reason] on malformed input. *)
-
 val of_string_exn : string -> t
-(** Like {!of_string}; raises [Invalid_argument]. *)
+(** Parses RFC 4291 text (full form, [::] compression, IPv4-mapped
+    dotted-quad tail).  Raises [Invalid_argument] with the reason on
+    malformed input. *)
 
 val to_string : t -> string
 (** RFC 5952 canonical form, as described above. *)
 
-val add_to_buffer : Buffer.t -> t -> unit
-(** Appends {!to_string}'s text without building an intermediate
-    string; the renderer behind {!to_string} and {!pp}. *)
-
-val pp : Format.formatter -> t -> unit
-
-(* manetcheck: allow dead-export — the paper's Figure 1 site prefix;
-   kept as the documented constant behind the default topology. *)
-val site_local_prefix : t
-(** [fec0::] — the 10-bit prefix of the paper's Figure 1 layout. *)
-
-val is_site_local : t -> bool
-(** True when the top 10 bits are [1111 1110 11]. *)
-
-val matches_prefix : t -> prefix:t -> len:int -> bool
-(** [matches_prefix a ~prefix ~len] checks the first [len] bits. *)
-
 val dns_server_1 : t
-(** [fec0:0:0:ffff::1], the first well-known DNS discovery address. *)
-
-val dns_server_2 : t
-val dns_server_3 : t
+(** [fec0:0:0:ffff::1], the well-known DNS discovery address. *)
 
 val interface_id : t -> int64
 (** The low 64 bits — the CGA hash field of Figure 1. *)

@@ -3,15 +3,12 @@
     A node's site-local address is
     [fec0 :: H(PK, rn)]: a 10-bit site-local prefix, 38 zero bits, a
     16-bit subnet ID fixed to zero in a MANET, and a 64-bit interface
-    identifier equal to the leading 64 bits of [H(PK || rn)].  Because the
+    identifier equal to the leading 64 bits of [H(PK || rn)], with [H]
+    SHA-256 and [rn] encoded big-endian.  Because the
     interface identifier commits to the owner's public key, a host cannot
     claim an address without exhibiting a key pair that hashes to it, and
     ownership can be challenged by demanding a signature under the
     corresponding private key. *)
-
-val interface_id : pk_bytes:string -> rn:int64 -> int64
-(** [interface_id ~pk_bytes ~rn] is the top 64 bits of
-    [SHA-256 (pk_bytes || rn)] where [rn] is encoded big-endian. *)
 
 val generate : pk_bytes:string -> rn:int64 -> Address.t
 (** The full site-local CGA of Figure 1. *)

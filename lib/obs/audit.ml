@@ -57,16 +57,6 @@ let kind_label = function
 let kind_of_label l =
   List.find_opt (fun k -> String.equal (kind_label k) l) all_kinds
 
-let is_ground_truth = function
-  | Attack_forgery | Attack_replay | Attack_drop | Attack_impersonation
-  | Attack_rerr | Attack_churn ->
-      true
-  | Sig_verify_fail | Cga_mismatch | Replay_rejected | Credit_slash
-  | Rerr_rejected | Rerr_implausible | Rerr_frequency
-  | Blackhole_probe_result | Dns_conflict | Dad_collision
-  | Unverified_accept | Fault_crash | Fault_restart ->
-      false
-
 type event = {
   seq : int;
   time : float;
@@ -101,7 +91,6 @@ let create ?(capacity = 200_000) engine =
 let on_emit t f = t.subscribers <- f :: t.subscribers
 
 let set_recording t on = t.recording <- on
-let recording t = t.recording
 let count t = t.next_seq - 1
 
 let emit t ~kind ~node ?subject_node ?subject_addr ~cause () =
@@ -126,8 +115,6 @@ let emit t ~kind ~node ?subject_node ?subject_addr ~cause () =
   end;
   List.iter (fun f -> f e) (List.rev t.subscribers)
 
-let events t = List.of_seq (Queue.to_seq t.events)
-let dropped t = t.dropped
 
 let counts_by_kind evs =
   List.filter_map

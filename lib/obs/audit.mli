@@ -23,11 +23,6 @@
 
 module Engine = Manet_sim.Engine
 
-val schema : string
-val schema_version : int
-(** Schema identifier (["manetsim-audit"]) and version stamped into the
-    JSONL header line; consumers must check both. *)
-
 (** Event classification.  The [Attack_*] constructors are {e ground
     truth}: they are emitted by the adversary implementations in
     [lib/attacks] alongside their existing counters, and exist so a run
@@ -60,11 +55,6 @@ val all_kinds : kind list
 
 val kind_label : kind -> string
 (** Stable snake_case label used in exports (e.g. ["replay_rejected"]). *)
-
-val kind_of_label : string -> kind option
-
-val is_ground_truth : kind -> bool
-(** True for the [Attack_*] family only. *)
 
 type event = {
   seq : int;  (** dense, starting at 1, in emission order *)
@@ -105,22 +95,16 @@ val set_recording : t -> bool -> unit
 (** In-memory retention switch; default on.  Off, {!emit} still counts
     and notifies but stores nothing. *)
 
-val recording : t -> bool
 val count : t -> int
 (** Total events emitted (including unretained ones). *)
-
-val events : t -> event list
-val dropped : t -> int
-
-val counts_by_kind : event list -> (kind * int) list
-(** Histogram over [all_kinds], zero entries omitted. *)
 
 (** {1 Export / import} *)
 
 val to_jsonl : ?meta:(string * Json.t) list -> t -> string
-(** One header line (schema, version, counts, extended with [meta]),
-    then one line per retained event in seq order.  Byte-identical
-    across replays of the same seed. *)
+(** One header line (schema ["manetsim-audit"], version, counts — the
+    number of retained events dropped to the cap among them — extended
+    with [meta]), then one line per retained event in seq order.
+    Byte-identical across replays of the same seed. *)
 
 type parsed = { header : Json.t; parsed_events : event list }
 

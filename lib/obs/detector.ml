@@ -104,33 +104,15 @@ let feed t (e : Audit.event) =
 
 let attach t audit = Audit.on_emit audit (feed t)
 
-type verdict = {
-  v_node : int;
-  v_evidence : float;
-  v_events : int;
-  v_ewma_peak : float;
-  v_suspect : bool;
-  v_flagged_at : float option;
-}
-
-let verdicts t =
-  Hashtbl.fold
-    (fun node s acc ->
-      {
-        v_node = node;
-        v_evidence = s.s_evidence;
-        v_events = s.s_events;
-        v_ewma_peak = s.s_ewma_peak;
-        v_suspect = s.s_flagged_at <> None;
-        v_flagged_at = s.s_flagged_at;
-      }
-      :: acc)
-    t.states []
-  |> List.sort (fun a b -> Int.compare a.v_node b.v_node)
+(* Every node that ever had evidence, with its state, sorted by node. *)
+let states t =
+  Hashtbl.fold (fun node s acc -> (node, s) :: acc) t.states []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let suspects t =
-  List.filter_map (fun v -> if v.v_suspect then Some v.v_node else None)
-    (verdicts t)
+  List.filter_map
+    (fun (node, s) -> if s.s_flagged_at <> None then Some node else None)
+    (states t)
 
 type assessment = {
   tp : int;
@@ -153,13 +135,13 @@ let render_verdicts t =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "node   suspect  evidence  events  ewma-peak  flagged-at\n";
   List.iter
-    (fun v ->
+    (fun (node, s) ->
       Buffer.add_string buf
-        (Printf.sprintf "%-6d %-8s %8.2f  %6d  %9.3f  %s\n" v.v_node
-           (if v.v_suspect then "YES" else "-")
-           v.v_evidence v.v_events v.v_ewma_peak
-           (match v.v_flagged_at with
+        (Printf.sprintf "%-6d %-8s %8.2f  %6d  %9.3f  %s\n" node
+           (if s.s_flagged_at <> None then "YES" else "-")
+           s.s_evidence s.s_events s.s_ewma_peak
+           (match s.s_flagged_at with
            | Some time -> Printf.sprintf "%.3f" time
            | None -> "-")))
-    (verdicts t);
+    (states t);
   Buffer.contents buf

@@ -32,24 +32,11 @@ type config = {
   evidence_threshold : float;  (** flag when cumulative weight reaches this *)
 }
 
-val default_config : config
-(** 5 s windows, alpha 0.3, EWMA threshold 0.5, evidence threshold 1.0. *)
-
-val weight : Audit.event -> float
-(** Evidence contributed by one event (0.0 without a subject). *)
-
-type verdict = {
-  v_node : int;
-  v_evidence : float;  (** cumulative weight accused against the node *)
-  v_events : int;  (** number of contributing events *)
-  v_ewma_peak : float;
-  v_suspect : bool;
-  v_flagged_at : float option;  (** sim time of the first flag *)
-}
-
 type t
 
 val create : ?config:config -> unit -> t
+(** The default [config] is 5 s windows, alpha 0.3, EWMA threshold 0.5
+    and evidence threshold 1.0. *)
 
 val attach : t -> Audit.t -> unit
 (** Subscribe to a live audit stream ({!Audit.on_emit}). *)
@@ -57,9 +44,6 @@ val attach : t -> Audit.t -> unit
 val feed : t -> Audit.event -> unit
 (** Offline path: score one event (e.g. replayed from a parsed JSONL
     export).  Events must arrive in non-decreasing time order. *)
-
-val verdicts : t -> verdict list
-(** One verdict per node that ever had evidence, sorted by node. *)
 
 val suspects : t -> int list
 (** Flagged nodes, ascending. *)
@@ -76,4 +60,7 @@ val score : t -> truth:int list -> assessment
 (** Compare {!suspects} against the ground-truth adversary node list. *)
 
 val render_verdicts : t -> string
-(** Human-readable verdict table. *)
+(** Human-readable verdict table: one row per node that ever had
+    evidence, sorted by node, with whether it is a suspect, its
+    cumulative evidence weight, the number of contributing events, the
+    EWMA peak and the sim time of its first flag. *)

@@ -262,37 +262,6 @@ end
 
 (* --- read side ---------------------------------------------------------- *)
 
-type summary = {
-  id : int;
-  kind : kind;
-  origin : int;
-  start : float;
-  last : float;
-  sent : int;
-  received : int;
-  duplicates : int;
-  verifies : int;
-  verify_nodes : int;
-  reached : int;
-  hop_radius : int;
-}
-
-let summary_of f =
-  {
-    id = f.f_id;
-    kind = f.f_key.kind;
-    origin = f.f_origin;
-    start = f.f_start;
-    last = f.f_last.last;
-    sent = f.f_sent;
-    received = f.f_received;
-    duplicates = f.f_dup_suppressed;
-    verifies = f.f_verifies;
-    verify_nodes = f.f_verify_nodes;
-    reached = f.f_reached;
-    hop_radius = f.f_hop_radius;
-  }
-
 (* Floods in id order. *)
 let fold t f acc =
   let acc = ref acc in
@@ -300,8 +269,6 @@ let fold t f acc =
     acc := f !acc t.floods.(i)
   done;
   !acc
-
-let summaries t = List.init t.count (fun i -> summary_of t.floods.(i))
 
 let tree t ~id =
   if id < 0 || id >= t.count then []
@@ -320,8 +287,6 @@ let tree t ~id =
           :: !cells
     done;
     !cells
-
-let flood_count t = t.count
 
 (* Mean extra verifications a flood costs beyond one per verifying node:
    the exact work the item-3 verification cache can eliminate. *)
@@ -365,22 +330,21 @@ let summary_json t =
     ]
 
 let record_json f =
-  let s = summary_of f in
   Json.Obj
     [
       ("type", Json.String "flood");
-      ("id", Json.Int s.id);
-      ("kind", Json.String (kind_str s.kind));
-      ("origin", Json.Int s.origin);
-      ("start", Json.Float s.start);
-      ("last", Json.Float s.last);
-      ("sent", Json.Int s.sent);
-      ("received", Json.Int s.received);
-      ("duplicates", Json.Int s.duplicates);
-      ("verifies", Json.Int s.verifies);
-      ("verify_nodes", Json.Int s.verify_nodes);
-      ("reached", Json.Int s.reached);
-      ("hop_radius", Json.Int s.hop_radius);
+      ("id", Json.Int f.f_id);
+      ("kind", Json.String (kind_str f.f_key.kind));
+      ("origin", Json.Int f.f_origin);
+      ("start", Json.Float f.f_start);
+      ("last", Json.Float f.f_last.last);
+      ("sent", Json.Int f.f_sent);
+      ("received", Json.Int f.f_received);
+      ("duplicates", Json.Int f.f_dup_suppressed);
+      ("verifies", Json.Int f.f_verifies);
+      ("verify_nodes", Json.Int f.f_verify_nodes);
+      ("reached", Json.Int f.f_reached);
+      ("hop_radius", Json.Int f.f_hop_radius);
     ]
 
 (* One line per flood in id order, then the aggregate summary line —

@@ -54,8 +54,6 @@ type t
 
 type kind = Areq | Rreq
 
-val kind_str : kind -> string
-
 type key = { kind : kind; hi : int64; lo : int64; seq : int; ch : int64 }
 (** A flood's dedup key: the source address's two halves ([hi], [lo]),
     its sequence number and, for an AREQ, the attempt's challenge
@@ -123,30 +121,15 @@ end
 
 (** {1 Read side} *)
 
-type summary = {
-  id : int;
-  kind : kind;
-  origin : int;
-  start : float;
-  last : float;
-  sent : int;
-  received : int;
-  duplicates : int;
-  verifies : int;
-  verify_nodes : int;
-  reached : int;
-  hop_radius : int;
-}
-
-val summaries : t -> summary list
-(** All floods in id order. *)
-
+(* manetcheck: allow test-only-export — no export carries the
+   propagation tree; test_timeline.ml's flood-tree causality property
+   reads it until that check runs on every run (ROADMAP item 1(a)). *)
 val tree : t -> id:int -> (int * (float * int * int * int)) list
 (** Propagation-tree cells of one flood, sorted by node:
     [(node, (first_seen, parent, hops, verifies))].  [parent = -1] when
-    the sender was unknown. *)
+    the sender was unknown.  Flood ids are dense from 0 in registration
+    order, as in the ["flood"] lines of {!append_jsonl}. *)
 
-val flood_count : t -> int
 val duplicate_verifies_per_flood : t -> float
 val flood_redundancy_ratio : t -> float
 
@@ -156,5 +139,8 @@ val summary_json : t -> Json.t
     ["floods"] member. *)
 
 val append_jsonl : Buffer.t -> t -> unit
-(** One ["flood"] record line per flood in id order, then one
-    ["flood_summary"] line — the flood tail of the timeline JSONL. *)
+(** One ["flood"] record line per flood in id order (id, kind, origin,
+    start and last sim time, copies sent and received, duplicates
+    suppressed, verifies, verifying nodes, nodes reached, hop radius),
+    then one ["flood_summary"] line carrying {!summary_json} — the flood
+    tail of the timeline JSONL. *)

@@ -55,9 +55,7 @@ let create ?(window = 1.0) engine =
     series = Keyed.create 16;
   }
 
-let window t = t.win
 let set_enabled t on = t.enabled <- on
-let enabled t = t.enabled
 
 let widx t = int_of_float (Engine.now t.engine /. t.win)
 
@@ -152,14 +150,6 @@ let observe t ~node k x =
     add_sample cells (pack ~node w) x;
     if node <> global_node then add_sample cells (pack ~node:global_node w) x
   end
-
-let counter_total t ~node name =
-  match Keyed.find_name t.counters name with
-  | None -> 0
-  | Some c ->
-      Itbl.fold
-        (fun k r acc -> if node_of k = node then acc + !r else acc)
-        c.cells 0
 
 (* --- export -------------------------------------------------------------- *)
 

@@ -28,18 +28,14 @@ val create : ?window:float -> Engine.t -> t
 (** [window] is the bucket length in simulated seconds (default 1.0).
     Raises [Invalid_argument] if [window <= 0]. *)
 
-val window : t -> float
 val set_enabled : t -> bool -> unit
-val enabled : t -> bool
-
-val global_node : int
-(** The pseudo-node index ([-1]) under which every sample is also
-    aggregated. *)
+(** Recording switch; off by default. *)
 
 (** {1 Recording} *)
 
 val record : t -> node:int -> by:int -> Stats.key -> unit
-(** Add [by] to [k]'s counter for [node] (and the global aggregate) in
+(** Add [by] to [k]'s counter for [node] (and the global aggregate,
+    exported as pseudo-node [-1]) in
     the window containing the current simulated time.  No-op while
     disabled.
 
@@ -54,12 +50,6 @@ val observe : t -> node:int -> Stats.key -> float -> unit
 (** Add one float sample to [k]'s series (count/sum/min/max per
     window, per node and global).  No-op while disabled.  Found like
     {!record}. *)
-
-(** {1 Reading} *)
-
-val counter_total : t -> node:int -> string -> int
-(** Sum of [name]'s windows for [node] ({!global_node} for the run
-    total). *)
 
 (** {1 Export} *)
 

@@ -37,7 +37,6 @@ type gc_phase = {
 let no_kind = "none"
 
 type t = {
-  counters : int ref Stbl.t;
   by_kind : kind_ops Stbl.t;
   mutable node_signs : int array;
   mutable node_verifies : int array;
@@ -49,7 +48,6 @@ type t = {
 
 let create () =
   {
-    counters = Stbl.create 16;
     by_kind = Stbl.create 16;
     node_signs = Array.make 16 0;
     node_verifies = Array.make 16 0;
@@ -58,20 +56,6 @@ let create () =
     cur_node = -1;
     phases = Stbl.create 4;
   }
-
-(* --- generic counters --------------------------------------------------- *)
-
-let incr ?(n = 1) t name =
-  match Stbl.find t.counters name with
-  | r -> r := !r + n
-  | exception Not_found ->
-      (* manetcheck: allow hot-alloc — one ref per distinct counter name
-         over the whole run, not per recorded op. *)
-      Stbl.add t.counters name (ref n)
-
-let counters t =
-  Stbl.fold (fun name r acc -> (name, !r) :: acc) t.counters []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* --- crypto attribution ------------------------------------------------- *)
 
@@ -237,7 +221,7 @@ let by_kind_json t =
    words between same-process replays on the multicore runtime — the
    runtime's own internal allocations leak into [Gc.minor_words] — so
    every [Gc.quick_stat]-derived quantity is quarantined in
-   {!wall_json}; only the per-phase *event* counts stay here. *)
+   [wall_json]; only the per-phase *event* counts stay here. *)
 (* [extra_det] lets callers append further deterministic members (the
    flood-provenance summary) without coupling this registry to the
    modules that compute them; every appended value must obey the same
@@ -292,8 +276,8 @@ let deterministic_json ?(extra_det = []) t ~engine ~net ~suite =
             ("node_signs_hist", hist_json (hist_of_array t.node_signs n));
             ("node_verifies_hist", hist_json (hist_of_array t.node_verifies n));
           ] );
-      ( "counters",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counters t)) );
+      (* The export schema keeps its empty named-counter member. *)
+      ("counters", Json.Obj []);
       ( "phases",
         Json.Obj
           (List.map

@@ -18,14 +18,15 @@
 
     Exports split in two, following the Audit/Metrics precedent:
 
-    - the {e deterministic} section ({!deterministic_json},
-      {!det_jsonl}) holds only pure functions of the sim domain —
-      counts, scan lengths, queue depths, per-phase event counts.  It
-      is byte-identical across replays of the same seed and across
-      sweep domain counts, and is gated by the CI determinism cmp.
-    - the {e wall-clock} section ({!wall_json}) holds host timings and
-      every [Gc.quick_stat]-derived quantity (allocation words,
-      collection counts, promotion volumes, heap sizes) and is
+    - the {e deterministic} section (the ["deterministic"] member of
+      {!to_json}, and {!det_jsonl}) holds only pure functions of the
+      sim domain — counts, scan lengths, queue depths, per-phase event
+      counts.  It is byte-identical across replays of the same seed
+      and across sweep domain counts, and is gated by the CI
+      determinism cmp.
+    - the {e wall-clock} section (the ["wall_clock"] member) holds host
+      timings and every [Gc.quick_stat]-derived quantity (allocation
+      words, collection counts, promotion volumes, heap sizes) and is
       explicitly excluded from determinism gates.
 
     Allocation volume ([minor_words] deltas) lives in the wall-clock
@@ -44,21 +45,9 @@ module Suite = Manet_crypto.Suite
 val schema : string
 val schema_version : int
 
-val no_kind : string
-(** The message-kind bucket charged for crypto ops performed outside any
-    {!dispatch} scope (node-initiated sends, timer work). *)
-
 type t
 
 val create : unit -> t
-
-(** {1 Generic deterministic counters} *)
-
-val incr : ?n:int -> t -> string -> unit
-(** Bump a named counter (default 1). *)
-
-val counters : t -> (string * int) list
-(** All counters, sorted by name. *)
 
 (** {1 Crypto attribution} *)
 
@@ -67,15 +56,14 @@ val dispatch :
 (** [dispatch t ~kind ~node handler ~src msg] runs [handler ~src msg]
     with crypto ops attributed to message kind [kind] on node [node],
     then restores the previous attribution, also when [handler] raises.
+    Ops outside any dispatch (node-initiated sends, timer work) are
+    charged to the ["none"] kind.
     It allocates nothing.  The scenario routes every delivery through
     it, with a per-node handler built once at set-up. *)
 
-val crypto_op : t -> op:Suite.op -> bytes:int -> unit
-(** Record one suite operation under the current attribution.  Normally
-    invoked via the {!subscribe} hook rather than directly. *)
-
 val subscribe : t -> Suite.t -> unit
-(** Install this registry as the suite's per-operation subscriber. *)
+(** Install this registry as the suite's per-operation subscriber: each
+    operation is recorded under the current attribution. *)
 
 val kind_totals : t -> (string * (int * int * int)) list
 (** Per message kind [(signs, verifies, hash_blocks)] totals, sorted by
@@ -91,24 +79,17 @@ val phase : t -> engine:Engine.t -> string -> (unit -> 'a) -> 'a
 
 (** {1 Export} *)
 
-val deterministic_json :
-  ?extra_det:(string * Json.t) list ->
-  t -> engine:Engine.t -> net:_ Net.t -> suite:Suite.t -> Json.t
-(** The deterministic section: byte-identical across same-seed replays
-    and domain counts.  [extra_det] members (e.g. the flood-provenance
-    summary) are appended verbatim and must obey the same purity
-    contract. *)
-
-val wall_json : t -> engine:Engine.t -> Json.t
-(** The wall-clock section: host timings and GC scheduling artefacts;
-    never byte-stable, never determinism-gated. *)
-
 val to_json :
   ?meta:(string * Json.t) list ->
   ?extra_det:(string * Json.t) list ->
   t -> engine:Engine.t -> net:_ Net.t -> suite:Suite.t -> Json.t
 (** The full schema-versioned export: header fields, [meta], then
-    ["deterministic"] and ["wall_clock"] members. *)
+    ["deterministic"] and ["wall_clock"] members.  The deterministic
+    member is byte-identical across same-seed replays and domain
+    counts; [extra_det] members (e.g. the flood-provenance summary) are
+    appended to it verbatim and must obey the same purity contract.
+    The wall-clock member holds host timings and GC scheduling
+    artefacts; it is never byte-stable and never determinism-gated. *)
 
 val det_jsonl :
   ?meta:(string * Json.t) list ->

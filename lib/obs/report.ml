@@ -61,9 +61,6 @@ let sorted_durations spans pred =
 
 (* --- phase extraction ----------------------------------------------------- *)
 
-let phase_names =
-  [ "dad.convergence"; "re_dad.convergence"; "route.discovery_rtt" ]
-
 let phase_durations spans =
   let by_id = Hashtbl.create 64 in
   List.iter (fun s -> Hashtbl.replace by_id s.i_id s) spans;

@@ -7,8 +7,6 @@
     percentiles and top-k slow spans as plain text.  Nothing here
     prints; every renderer returns a string. *)
 
-val report_schema : string
-
 (** {1 Neutral span representation} *)
 
 type span_info = {
@@ -23,12 +21,6 @@ type span_info = {
   i_reason : string option;
   i_notes : (float * int * string) list;  (** oldest first *)
 }
-
-(** {1 Phases} *)
-
-val phase_names : string list
-(** The derived phases the run report aggregates latency over:
-    [dad.convergence], [re_dad.convergence] and [route.discovery_rtt]. *)
 
 (** {1 JSON run report} *)
 
@@ -65,7 +57,8 @@ val render_tree : parsed -> string
     durations and outcomes. *)
 
 val render_phases : parsed -> string
-(** Per-phase count/min/p50/p90/p99/max table. *)
+(** Per-phase count/min/p50/p90/p99/max table over [dad.convergence],
+    [re_dad.convergence] and [route.discovery_rtt]. *)
 
 val render_top : ?k:int -> parsed -> string
 (** The [k] (default 10) longest finished spans, slowest first. *)

@@ -66,7 +66,6 @@ type t = {
   mutable sources : sources option;
   mutable cur : int;
   mutable rev_buckets : bucket list;
-  mutable bucket_count : int;
   (* cumulative snapshots at the last close *)
   mutable last_events : int;
   last_labels : int Stbl.t;
@@ -90,7 +89,6 @@ let create ?(width = default_width) engine =
     sources = None;
     cur = 0;
     rev_buckets = [];
-    bucket_count = 0;
     last_events = 0;
     last_labels = Stbl.create 16;
     last_kinds = Stbl.create 16;
@@ -104,9 +102,7 @@ let create ?(width = default_width) engine =
     progress = None;
   }
 
-let width t = t.width
 let set_enabled t on = t.enabled <- on
-let enabled t = t.enabled
 
 let attach t ~net ~suite ~perf ~audit =
   t.sources <-
@@ -206,8 +202,7 @@ let close t =
         b_audit = da;
       }
     in
-    t.rev_buckets <- b :: t.rev_buckets;
-    t.bucket_count <- t.bucket_count + 1
+    t.rev_buckets <- b :: t.rev_buckets
   end
 
 (* --- the per-event hook -------------------------------------------------- *)
@@ -290,9 +285,6 @@ let enable_progress ?horizon ?(interval = 2.0) ?(check_every = 4096) t ~emit ()
    bucket — so exporting twice yields identical bytes. *)
 let flush t = if t.enabled then close t
 
-let buckets t = List.rev t.rev_buckets
-let bucket_count t = t.bucket_count
-
 let bucket_json b =
   Json.Obj
     [
@@ -344,6 +336,6 @@ let to_jsonl ?meta t ~flood =
     (fun b ->
       Json.to_buffer buf (bucket_json b);
       Buffer.add_char buf '\n')
-    (buckets t);
+    (List.rev t.rev_buckets);
   Flood.append_jsonl buf flood;
   Buffer.contents buf

@@ -1,7 +1,7 @@
 (** Time-resolved run telemetry: sim-time-bucketed windowed series over
     the always-on cumulative counters.
 
-    The engine fires {!tick} once per processed event (via
+    Once {!install}ed, the engine fires the per-event hook (via
     {!Engine.set_on_event}) with the event's timestamp.  When the
     timestamp crosses a bucket boundary the open bucket closes: the
     registry snapshots deltas of the cumulative counters it was
@@ -33,39 +33,18 @@ module Net = Manet_sim.Net
 module Suite = Manet_crypto.Suite
 
 val schema : string
-val schema_version : int
-val default_width : float
 
 type t
 
-type bucket = {
-  b_index : int;
-  b_events : int;
-  b_pending : int;
-  b_labels : (string * int) list;
-  b_deliveries : int;
-  b_transmissions : int;
-  b_drops : int;
-  b_signs : int;
-  b_verifies : int;
-  b_hash_blocks : int;
-  b_kinds : (string * (int * int * int)) list;
-  b_audit : int;
-}
-
 val create : ?width:float -> Engine.t -> t
 (** Fresh timeline with bucket width [width] sim seconds (default
-    {!default_width}).  Raises [Invalid_argument] on a non-positive
-    width.  Recording is enabled by default. *)
-
-val width : t -> float
+    1.0).  Raises [Invalid_argument] on a non-positive width.
+    Recording is enabled by default. *)
 
 val set_enabled : t -> bool -> unit
 (** Disable to freeze bucket recording; the heartbeat still runs.
     Recording never perturbs the run, so the deterministic perf export
     and every counter are the same either way. *)
-
-val enabled : t -> bool
 
 val attach :
   t -> net:_ Net.t -> suite:Suite.t -> perf:Perf.t -> audit:Audit.t -> unit
@@ -73,10 +52,7 @@ val attach :
     Without sources only engine-derived series are recorded. *)
 
 val install : t -> unit
-(** Install {!tick} as the engine's per-event observer. *)
-
-val tick : t -> float -> unit
-(** The per-event hook; exposed for tests driving a bare engine. *)
+(** Install the per-event hook as the engine's per-event observer. *)
 
 val enable_progress :
   ?horizon:float ->
@@ -93,20 +69,11 @@ val enable_progress :
     [horizon] when given, or a STALL warning when sim time has not
     advanced since the last line. *)
 
-val flush : t -> unit
-(** Close the trailing partial bucket.  Idempotent. *)
-
-val buckets : t -> bucket list
-(** Materialised buckets, oldest first (does not flush). *)
-
-val bucket_count : t -> int
-
-val header : ?meta:(string * Json.t) list -> t -> Json.t
-val bucket_json : bucket -> Json.t
-
 val to_jsonl : ?meta:(string * Json.t) list -> t -> flood:Flood.t -> string
-(** The schema-versioned export: header line, one ["bucket"] line per
-    materialised window oldest-first, then the flood provenance tail
-    ({!Flood.append_jsonl}).  Flushes first.  Byte-identical across
+(** The schema-versioned export: a header line (schema, version,
+    width), one ["bucket"] line per materialised window oldest-first,
+    then the flood provenance tail ({!Flood.append_jsonl}).  Closes the
+    trailing partial bucket first, idempotently: a second export with
+    no new activity is byte-identical.  Byte-identical across
     same-seed replays and domain counts; the ["timeline"] stream
     {!Merge.stream_jsonl} folds across sweep runs. *)

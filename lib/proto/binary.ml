@@ -666,3 +666,9 @@ let equal_message (a : M.t) (b : M.t) =
       && x.accepted = y.accepted
       && equal_route x.remaining y.remaining
   | _ -> false
+
+module Oracle = struct
+  let encode = encode
+  let decode = decode
+  let equal_message = equal_message
+end

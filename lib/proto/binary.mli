@@ -1,10 +1,10 @@
 (** Binary wire codec for {!Messages}.
 
     The simulator itself passes messages by value and only charges
-    modelled sizes ({!Wire}), but a deployable implementation needs a
-    concrete encoding; this module provides one so the message set is
-    demonstrably serializable and so fuzz/property tests can exercise a
-    real parser.
+    modelled sizes ({!Wire}) through {!encoded_size}.  The encoder and
+    decoder behind it are the {!Oracle}: the property tests pin
+    {!encoded_size} to the length of a real encoding, and fuzz the
+    parser.
 
     Format: a 1-byte message tag, then the fields of the variant in
     declaration order — addresses as 16 network-order bytes, integers
@@ -18,16 +18,22 @@
     [Error reason] on truncation, trailing garbage, unknown tags or
     out-of-range counts. *)
 
-val encode : Messages.t -> string
-(** Raises [Invalid_argument] when a string or list is too long for its
-    u16 length prefix (more than 0xFFFF bytes or elements). *)
-
 val encoded_size : Messages.t -> int
-(** [String.length (encode m)], summed from the field lengths without
-    building the encoding, so it allocates nothing.  Raises the same
-    [Invalid_argument] as {!encode} on an over-long field. *)
+(** [String.length (Oracle.encode m)], summed from the field lengths
+    without building the encoding, so it allocates nothing.  Raises the
+    same [Invalid_argument] as {!Oracle.encode} on an over-long
+    field. *)
 
-val decode : string -> (Messages.t, string) result
+(** The references {!encoded_size} and the wire format are tested
+    against. *)
+module Oracle : sig
+  val encode : Messages.t -> string
+  (** Raises [Invalid_argument] when a string or list is too long for
+      its u16 length prefix (more than 0xFFFF bytes or elements). *)
 
-val equal_message : Messages.t -> Messages.t -> bool
-(** Structural equality over messages (addresses compared by value). *)
+  val decode : string -> (Messages.t, string) result
+
+  val equal_message : Messages.t -> Messages.t -> bool
+  (** Structural equality over messages (addresses compared by
+      value). *)
+end

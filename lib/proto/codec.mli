@@ -14,9 +14,6 @@ val addr : Address.t -> string
 
 val u32 : int -> string
 val u64 : int64 -> string
-val lstring : string -> string
-(** 2-byte length prefix + bytes. *)
-
 val route : Address.t list -> string
 (** Count-prefixed concatenation of addresses. *)
 

@@ -337,8 +337,3 @@ let add_to_buffer addr buf msg =
       add_addr addr buf ", new=" m.new_ip
   | Ip_change_ack m -> add_str buf "IP_CHANGE_ACK(accepted=" (Bool.to_string m.accepted));
   Buffer.add_char buf ')'
-
-let pp fmt msg =
-  let buf = Buffer.create 128 in
-  add_to_buffer Address.add_to_buffer buf msg;
-  Format.pp_print_string fmt (Buffer.contents buf)

@@ -189,9 +189,5 @@ val add_to_buffer : (Buffer.t -> Address.t -> unit) -> Buffer.t -> t -> unit
     seq=3)]; source routes render as [[a;b;c]].  Every address is
     written by [addr], which must append {!Address.to_string}'s text:
     transmission details pass the memoised writer of
-    {!Manet_obs.Obs.address_writer}, {!pp} passes
-    {!Address.add_to_buffer}.  Integers are written by
+    {!Manet_obs.Obs.address_writer}.  Integers are written by
     {!Manet_obs.Json.add_int}, with no intermediate string. *)
-
-val pp : Format.formatter -> t -> unit
-(** The {!add_to_buffer} summary, for traces and debugging. *)

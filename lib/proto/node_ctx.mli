@@ -61,9 +61,6 @@ val stat : t -> Manet_sim.Stats.key -> unit
     metrics off and 49 ns with them on (48 and 132 ns when the tables
     hashed the name). *)
 
-val stat_by : t -> Manet_sim.Stats.key -> int -> unit
-(** [stat_by t k by] adds [by] where {!stat} adds 1; same cost. *)
-
 val observe : t -> Manet_sim.Stats.key -> float -> unit
 (** One sample of [k]'s summary in the engine's stats and, when
     enabled, of this node's windowed series. *)

@@ -1,14 +1,6 @@
 module M = Messages
 
 let ipv6_header = 40
-let addr_size = 16
-let seq_size = 4
-let challenge_size = 8
-let rn_size = 8
-
-let srr_entry_size ~sig_size ~pk_size =
-  (* address + two u16 length prefixes + signature + key + modifier *)
-  addr_size + 2 + sig_size + 2 + pk_size + rn_size
 
 (* Simulation-only metadata carried inside the encoding but not charged
    on the wire: the [sent_at] float of Data and Ack. *)

@@ -1,3 +1,4 @@
+module Scenario = Manetsec.Scenario
 module Stats = Manet_sim.Stats
 module Obs = Manet_obs.Obs
 module Audit = Manet_obs.Audit

@@ -5,8 +5,9 @@
     Every path to an export goes through this module: a flag-built
     [manetsim run] or [dad], a scenario file's [(exports ...)] field,
     [run --scenario] and [sweep].  The keyword that names each kind in
-    a scenario file and on the command line is {!Manet_scenario}'s
-    [Schema.exports]. *)
+    a scenario file and on the command line is {!Schema.exports}. *)
+
+module Scenario = Manetsec.Scenario
 
 type kind =
   | Stats_csv  (** counters, two-column CSV *)

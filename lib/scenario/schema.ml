@@ -155,7 +155,6 @@ let kw_report_json = "report-json"
 let kw_perf_json = "perf-json"
 let kw_timeline_jsonl = "timeline-jsonl"
 
-module Export = Manetsec.Export
 
 let exports =
   [

@@ -129,11 +129,11 @@ val kw_mean_down : string
 
 (** {1 Exports} *)
 
-val exports : (string * Manetsec.Export.kind) list
+val exports : (string * Export.kind) list
 (** Every export kind under its keyword, the one name a kind has in a
     scenario file's [(exports ...)] field and in [manetsim]'s
     [--export] option.  File names, sinks and renderers are
-    {!Manetsec.Export}'s. *)
+    {!Export}'s. *)
 
 val export_kinds : string list
 (** The keywords of {!exports}, in the same order. *)

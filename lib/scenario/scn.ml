@@ -7,7 +7,6 @@ module Adversary = Manetsec.Adversary
 module Faults = Manetsec.Faults
 module Json = Manetsec.Obs_json
 module Merge = Manetsec.Merge
-module Export = Manetsec.Export
 
 (* --- types --------------------------------------------------------- *)
 
@@ -86,7 +85,7 @@ type t = {
   flows : flow list;
   adversaries : adversary list;
   faults : fault list;
-  exports : Manetsec.Export.kind list;
+  exports : Export.kind list;
 }
 
 (* --- positioned errors --------------------------------------------- *)

@@ -84,7 +84,7 @@ type t = {
   flows : flow list;
   adversaries : adversary list;
   faults : fault list;
-  exports : Manetsec.Export.kind list;
+  exports : Export.kind list;
 }
 
 exception Error of { pos : Sexp.pos; msg : string }
@@ -97,23 +97,27 @@ val parse : string -> t
 
 val execute : ?seed:int -> t -> Manetsec.Scenario.t
 (** Compile and run the scenario: create the {!Manetsec.Scenario},
-    switch on the sinks its [exports] read ({!Manetsec.Export.prepare}),
+    switch on the sinks its [exports] read ({!Export.prepare}),
     inject the fault plan, bootstrap when requested, start every
     traffic flow in file order, and drive the engine to the horizon.
     [seed] overrides the file's seed.  Render the exports with
-    {!Manetsec.Export.render} and {!meta}. *)
+    {!Export.render} and {!meta}. *)
 
 val meta : t -> seed:int -> (string * Manetsec.Obs_json.t) list
 (** The [(scenario, seed)] provenance attached to every export. *)
 
 val sweep :
-  domains:int -> seeds:int list -> exports:Manetsec.Export.kind list -> t list -> Manetsec.Merge.run list
+  domains:int ->
+  seeds:int list ->
+  exports:Export.kind list ->
+  t list ->
+  Manetsec.Merge.run list
 (** Run every scenario once per seed, fanning the (scenario, seed)
     pairs across {!Manetsec.Parallel.map}, with the sinks [exports]
     read switched on (the files' own exports are not used), and return
     the canonically sorted runs ({!Manetsec.Merge.sorted}), each keyed
     by {!meta} and carrying one stream per requested kind
-    ({!Manetsec.Export.merge_run}) — byte-deterministic in [domains].
+    ({!Export.merge_run}) — byte-deterministic in [domains].
     Raises [Invalid_argument], before any run, when there is no pair
     to run, on a kind with no merged form, and on two pairs with the
     same [(scenario, seed)] key (a repeated seed, or two files that

@@ -71,20 +71,12 @@ val send : t -> dst:Address.t -> ?size:int -> unit -> unit
 val discover :
   t -> dst:Address.t -> on_route:(Address.t list option -> unit) -> unit
 
-(* manetcheck: allow dead-export — inspection accessor kept for parity
-   with Dsr.cached_route, so experiments can compare like for like. *)
-val cached_route : t -> dst:Address.t -> Address.t list option
-(** The route {!send} would pick now: highest minimum credit under
-    [use_credits], shortest otherwise. *)
-
 val cached_routes : t -> dst:Address.t -> Address.t list list
-(** Every cached route for [dst] (inspection). *)
+(** Every cached route for [dst] (inspection).  {!send} picks the one
+    with the highest minimum credit under [use_credits], the shortest
+    otherwise. *)
 
 val credits : t -> Credit.t
-
-(* manetcheck: allow dead-export — uniform agent accessor; every protocol
-   agent (Dad, Dsr, Srp, Secure_routing) exposes [address]. *)
-val address : t -> Address.t
 
 (** Statistics share the baseline's keys (see {!Manet_dsr.Dsr}) plus:
     counters [secure.rreq_rejected], [secure.rrep_rejected],

@@ -30,18 +30,13 @@ let bounds i =
   else if i = 0 then (0, 0)
   else (1 lsl (i - 1), (1 lsl i) - 1)
 
-let add_n t v n =
-  if n < 0 then invalid_arg "Hist.add_n: negative count";
-  if n > 0 then begin
-    let b = bucket_of_value v in
-    t.buckets.(b) <- t.buckets.(b) + n;
-    t.count <- t.count + n;
-    t.sum <- t.sum + (v * n);
-    if v < t.vmin then t.vmin <- v;
-    if v > t.vmax then t.vmax <- v
-  end
-
-let add t v = add_n t v 1
+let add t v =
+  let b = bucket_of_value v in
+  t.buckets.(b) <- t.buckets.(b) + 1;
+  t.count <- t.count + 1;
+  t.sum <- t.sum + v;
+  if v < t.vmin then t.vmin <- v;
+  if v > t.vmax then t.vmax <- v
 
 let count t = t.count
 let sum t = t.sum
@@ -52,21 +47,12 @@ let mean t =
   if t.count = 0 then None
   else Some (float_of_int t.sum /. float_of_int t.count)
 
-let merge a b =
-  let m = create () in
-  m.count <- a.count + b.count;
-  m.sum <- a.sum + b.sum;
-  m.vmin <- min a.vmin b.vmin;
-  m.vmax <- max a.vmax b.vmax;
-  Array.iteri (fun i v -> m.buckets.(i) <- v + b.buckets.(i)) a.buckets;
-  m
-
 (* Nearest-rank percentile estimated from the bucket table: walk the
    cumulative counts to the bucket containing rank ceil(q * count), then
    interpolate linearly across that bucket's [lo, hi] range by the rank's
    position inside it.  Integer arithmetic only, so the estimate is a
    pure function of the bucket counts — byte-stable across replays,
-   domain counts and merge orders. *)
+   domain counts and arrival orders. *)
 let percentile t q =
   if q < 0.0 || q > 1.0 then invalid_arg "Hist.percentile: q outside [0, 1]";
   if t.count = 0 then None
@@ -99,10 +85,3 @@ let nonzero_buckets t =
     end
   done;
   !acc
-
-let reset t =
-  t.count <- 0;
-  t.sum <- 0;
-  t.vmin <- max_int;
-  t.vmax <- 0;
-  Array.fill t.buckets 0 bucket_count 0

@@ -4,10 +4,7 @@
     bucket [k >= 1] holds the range [2^(k-1) .. 2^k - 1], so every
     possible sample has one home bucket and exports are byte-stable —
     the same multiset of samples renders identically regardless of
-    arrival order or how a sweep was split across domains.  {!merge} is
-    associative and commutative (it is a pointwise sum plus min/max),
-    which is what lets per-domain histograms fold into one without
-    caring about the fan-out.
+    arrival order or how a sweep was split across domains.
 
     Used by the perf registry (lib/obs/perf.ml) for neighbour-scan
     lengths, delivery fan-out and per-node crypto-op distributions.
@@ -22,11 +19,6 @@ val create : unit -> t
 val add : t -> int -> unit
 (** Record one sample.  Raises [Invalid_argument] on a negative value. *)
 
-val add_n : t -> int -> int -> unit
-(** [add_n t v n] records [n] occurrences of [v].  Raises
-    [Invalid_argument] on a negative value or count; [n = 0] is a
-    no-op. *)
-
 val count : t -> int
 (** Total samples recorded. *)
 
@@ -37,27 +29,13 @@ val max_value : t -> int option
 val mean : t -> float option
 (** [None] when empty. *)
 
-val merge : t -> t -> t
-(** Fresh histogram holding both inputs' samples.  Associative and
-    commutative; inputs are not mutated. *)
-
-val bucket_of_value : int -> int
-(** Home bucket index of a sample: 0 for 0, [1 + floor(log2 v)]
-    otherwise.  Raises [Invalid_argument] on a negative value. *)
-
-val bounds : int -> int * int
-(** Inclusive [(lo, hi)] range of a bucket index.  Raises
-    [Invalid_argument] outside [0 .. 62]. *)
-
 val percentile : t -> float -> int option
 (** [percentile t q] estimates the [q]-quantile ([0.0 .. 1.0]) by
     nearest rank over the bucket table, interpolating linearly inside
     the crossing bucket.  Integer arithmetic only, so the estimate is
-    byte-stable across replays and merge orders.  [None] when empty;
+    byte-stable across replays and arrival orders.  [None] when empty;
     raises [Invalid_argument] when [q] is outside [0, 1]. *)
 
 val nonzero_buckets : t -> (int * int * int) list
 (** [(lo, hi, count)] for every non-empty bucket, in ascending value
     order — the stable wire form the exports render. *)
-
-val reset : t -> unit

@@ -84,25 +84,23 @@ let step_walk t i st ~speed ~turn_interval =
   Topology.set_position t.topo i (rx, ry)
 
 let rec tick t =
-  if t.running then begin
-    (match t.model with
-    | Static -> ()
-    | Random_waypoint { min_speed; max_speed; pause } ->
-        Array.iteri
-          (fun i st ->
-            match st with
-            | Wp wp -> step_waypoint t i wp ~min_speed ~max_speed ~pause
-            | Walk _ | Still -> ())
-          t.nodes
-    | Random_walk { speed; turn_interval } ->
-        Array.iteri
-          (fun i st ->
-            match st with
-            | Walk w -> step_walk t i w ~speed ~turn_interval
-            | Wp _ | Still -> ())
-          t.nodes);
-    Engine.schedule t.engine ~label:"mobility" ~delay:t.tick (fun () -> tick t)
-  end
+  (match t.model with
+  | Static -> ()
+  | Random_waypoint { min_speed; max_speed; pause } ->
+      Array.iteri
+        (fun i st ->
+          match st with
+          | Wp wp -> step_waypoint t i wp ~min_speed ~max_speed ~pause
+          | Walk _ | Still -> ())
+        t.nodes
+  | Random_walk { speed; turn_interval } ->
+      Array.iteri
+        (fun i st ->
+          match st with
+          | Walk w -> step_walk t i w ~speed ~turn_interval
+          | Wp _ | Still -> ())
+        t.nodes);
+  Engine.schedule t.engine ~label:"mobility" ~delay:t.tick (fun () -> tick t)
 
 let start t =
   if not t.running then begin
@@ -114,4 +112,3 @@ let start t =
             tick t)
   end
 
-let stop t = t.running <- false

@@ -20,7 +20,5 @@ val create :
     to 0.5 simulated seconds). *)
 
 val start : t -> unit
-(** Schedule the first movement tick.  Idempotent. *)
-
-val stop : t -> unit
-(** Stop scheduling further ticks (in-flight ticks fall out naturally). *)
+(** Schedule the first movement tick; every tick schedules the next, for
+    the rest of the run.  Idempotent. *)

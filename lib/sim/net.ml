@@ -100,7 +100,6 @@ let engine t = t.engine
 let size t = Array.length t.handlers
 let set_handler t i f = t.handlers.(i) <- f
 let set_down t i b = t.down.(i) <- b
-let is_down t i = t.down.(i)
 
 (* --- fault state -------------------------------------------------------- *)
 
@@ -268,11 +267,3 @@ let scan_hist t = t.scan_hist
 let fanout_hist t = t.fanout_hist
 let retries t = t.retries
 
-let reset_counters t =
-  t.bytes_sent <- 0;
-  t.transmissions <- 0;
-  t.deliveries <- 0;
-  t.unicast_failures <- 0;
-  Hist.reset t.scan_hist;
-  Hist.reset t.fanout_hist;
-  t.retries <- 0

@@ -68,17 +68,11 @@ val set_handler : 'msg t -> int -> (src:int -> 'msg -> unit) -> unit
 val set_down : 'msg t -> int -> bool -> unit
 (** A down node neither sends, receives, nor acknowledges. *)
 
-val is_down : 'msg t -> int -> bool
-
 val set_link : 'msg t -> int -> int -> up:bool -> unit
 (** Administratively sever ([up:false]) or restore ([up:true]) the
     (unordered) link between two nodes.  A severed link blocks frames in
     both directions regardless of radio range.  Raises [Invalid_argument]
     on a self-link. *)
-
-val link_up : 'msg t -> int -> int -> bool
-(** Whether the link is neither severed nor cut by a partition.  Does
-    not consider radio range or node down-state. *)
 
 val set_partition : 'msg t -> int list -> unit
 (** Cut the network in two: the listed nodes on one side, everyone else
@@ -124,5 +118,3 @@ val fanout_hist : 'msg t -> Hist.t
 val retries : 'msg t -> int
 (** MAC-level unicast retransmission attempts (beyond each first
     attempt).  Deterministic; read by the perf registry. *)
-
-val reset_counters : 'msg t -> unit

@@ -109,11 +109,6 @@ module Keyed = struct
     match named name t.by_name with v -> Some v | exception Not_found -> None
 
   let sorted t = List.sort (fun (a, _) (b, _) -> String.compare a b) t.by_name
-
-  let reset t =
-    Array.fill t.slots 0 (Array.length t.slots) Empty;
-    t.bound <- 0;
-    t.by_name <- []
 end
 
 type t = { counters : int ref Keyed.t; accs : acc Keyed.t }
@@ -208,14 +203,3 @@ let snapshot t : snapshot = counters t
 let snapshot_get (s : snapshot) name =
   match List.assoc_opt name s with Some v -> v | None -> 0
 
-let delta ~(before : snapshot) ~(after : snapshot) : snapshot =
-  (* Counters only grow, so every name in [before] is in [after]. *)
-  List.filter_map
-    (fun (k, v) ->
-      let d = v - snapshot_get before k in
-      if d <> 0 then Some (k, d) else None)
-    after
-
-let clear t =
-  Keyed.reset t.counters;
-  Keyed.reset t.accs

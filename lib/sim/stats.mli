@@ -52,13 +52,8 @@ module Keyed : sig
   val add : 'a t -> key -> 'a -> unit
   (** Binds the key's name, which must have no value yet. *)
 
-  val find_name : 'a t -> string -> 'a option
-  (** By name, for readers: a walk over the names. *)
-
   val sorted : 'a t -> (string * 'a) list
   (** Every name with its value, sorted by name ([String.compare]). *)
-
-  val reset : 'a t -> unit
 end
 
 val incr : t -> key -> unit
@@ -91,9 +86,6 @@ val snapshot : t -> snapshot
 val snapshot_get : snapshot -> string -> int
 (** Counter value in a snapshot; 0 when absent. *)
 
-val delta : before:snapshot -> after:snapshot -> snapshot
-(** Per-counter difference [after - before], omitting zero entries. *)
-
 val observe : t -> key -> float -> unit
 (** Add one sample to [k]'s summary. *)
 
@@ -122,5 +114,3 @@ val percentile : t -> string -> float -> float option
     whose value is unspecified across OCaml versions), so for a fixed
     observation sequence the estimate is bit-for-bit reproducible
     everywhere. *)
-
-val clear : t -> unit

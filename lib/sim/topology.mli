@@ -11,9 +11,6 @@ type t
 val create : n:int -> width:float -> height:float -> t
 (** [n] nodes, all at the origin, on a [width] x [height] field. *)
 
-val random : Manet_crypto.Prng.t -> n:int -> width:float -> height:float -> t
-(** Uniformly random placement. *)
-
 val chain : n:int -> spacing:float -> t
 (** Nodes in a line at [spacing] intervals: node [i] at [(i*spacing, 0)].
     With range in [(spacing, 2*spacing)) this forces an [n-1]-hop path. *)
@@ -28,16 +25,15 @@ val height : t -> float
 val position : t -> int -> float * float
 val set_position : t -> int -> float * float -> unit
 
-val distance : t -> int -> int -> float
-
 val neighbors : t -> range:float -> int -> int list
 (** Nodes within [range] of the given node (excluding itself), in
     ascending id order.  Allocates the list; the per-frame radio path
     uses {!candidates} instead. *)
 
 val in_range : t -> range:float -> int -> int -> bool
-(** [in_range t ~range i j]: [i <> j] and [distance t i j <= range],
-    computed without allocating. *)
+(** [in_range t ~range i j]: [i <> j] and the Euclidean distance
+    between the two positions is at most [range], computed without
+    allocating. *)
 
 val candidates : t -> range:float -> int -> int array -> int
 (** [candidates t ~range src buf] writes into [buf] every node of the
@@ -51,9 +47,6 @@ val candidates : t -> range:float -> int -> int array -> int
     costs O(nodes in the block) and allocates nothing between
     rebuilds.  A negative or NaN [range] yields no candidates. *)
 
-val is_connected : t -> range:float -> bool
-(** Whether the unit-disk graph over all nodes is a single component. *)
-
 exception
   No_connected_placement of { n : int; range : float; attempts : int }
 (** Raised by {!random_connected} when no connected placement was found:
@@ -61,12 +54,8 @@ exception
     overwhelmingly unlikely.  Carries the node count, the radio range,
     and how many placements were tried. *)
 
-(* manetcheck: allow dead-export — documented bound referenced by the
-   [Disconnected] error message; part of the generator's contract. *)
-val max_placement_attempts : int
-(** Number of placements {!random_connected} samples before giving up. *)
-
 val random_connected :
   Manet_crypto.Prng.t -> n:int -> width:float -> height:float -> range:float -> t
-(** Resamples random placements until connected.  Raises
-    {!No_connected_placement} after {!max_placement_attempts} failures. *)
+(** Resamples uniformly random placements until the unit-disk graph
+    over all nodes is a single component.  Raises
+    {!No_connected_placement} after 1,000 failed placements. *)

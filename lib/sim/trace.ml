@@ -204,18 +204,11 @@ let fold_view t v ~init ~f =
 let fold t ~init ~f = fold_view t t.ring ~init ~f
 let entries t = List.rev (fold t ~init:[] ~f:(fun acc e -> e :: acc))
 
-let find t ~event =
-  List.rev
-    (fold t ~init:[] ~f:(fun acc e ->
-         if String.equal e.event event then e :: acc else acc))
-
 let clear t =
   t.ring.len <- 0;
   t.ring.dropped <- 0;
   release t
 
-let length t = t.ring.len
-let dropped t = t.ring.dropped
 let fold_captured t ~init ~f = fold_view t t.capture ~init ~f
 let captured_length t = t.capture.len
 let captured_dropped t = t.capture.dropped

@@ -42,29 +42,16 @@ val log : t -> time:float -> node:int -> event:string -> detail:string -> unit
 val entries : t -> entry list
 (** Oldest first. *)
 
-val find : t -> event:string -> entry list
-(** Entries whose [event] tag equals the argument, oldest first.  A
-    scan of the ring: O(n) in the retained entries. *)
-
-val fold : t -> init:'a -> f:('a -> entry -> 'a) -> 'a
-(** Single pass over all entries, oldest first, without materialising
-    the {!entries} list — what report generators should use. *)
-
 val clear : t -> unit
-(** Empties the ring and resets the {!dropped} count.  The capture view
-    keeps its entries. *)
-
-val length : t -> int
-
-val dropped : t -> int
-(** How many oldest entries the ring buffer has discarded since creation
-    (or the last {!clear}) because [capacity] was reached. *)
+(** Empties the ring and resets its drop count.  The capture view keeps
+    its entries. *)
 
 val pp_entry : Format.formatter -> entry -> unit
 
 val render : t -> string
-(** Whole trace, one line per entry, preceded by a drop-count header
-    line when any entries were discarded. *)
+(** Whole trace, one line per entry, oldest first, preceded by a
+    drop-count header line when the ring has discarded oldest entries
+    at capacity since creation or the last {!clear}. *)
 
 (** {1 Capture view}
 

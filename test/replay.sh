@@ -107,3 +107,5 @@ heap_gate "$scenarios/blackhole_e1.scn" 700000
 "$sim" perf scn/blackhole_e1.perf.json --det > scn-perf.det
 "$sim" timeline a/run.timeline.jsonl > timeline.txt
 "$sim" timeline sweep-1/sweep.timeline.jsonl --top 3 > sweep-timeline.txt
+# A run's key reads as the sweep's per-run line writes it: plain text.
+grep -q '^run scenario=baseline_bootstrap seed=1 ' sweep-timeline.txt

@@ -23,7 +23,7 @@ let srr g =
   List.init (Prng.int g 4) (fun _ ->
       { Messages.ip = addr g; sig_ = str g; pk = str g; rn = Prng.bits64 g })
 
-let opt g f = if Prng.bool g then Some (f g) else None
+let opt g f = if Test_crypto.coin g then Some (f g) else None
 let i32 g = Prng.int g 1000000
 let fl g = Prng.float g 1000.0
 
@@ -120,7 +120,7 @@ let variant_gens : (string * (Prng.t -> Messages.t)) list =
     ( "Ip_change_ack",
       fun g ->
         Messages.Ip_change_ack
-          { old_ip = addr g; new_ip = addr g; accepted = Prng.bool g;
+          { old_ip = addr g; new_ip = addr g; accepted = Test_crypto.coin g;
             remaining = route g } );
   ]
 
@@ -130,7 +130,7 @@ let gen_of mk =
     return (mk (Prng.create ~seed)))
 
 let arb_of mk =
-  QCheck.make ~print:(fun m -> Format.asprintf "%a" Messages.pp m) (gen_of mk)
+  QCheck.make ~print:Test_proto.msg_text (gen_of mk)
 
 (* Mixture over all variants, for the whole-space properties below. *)
 let gen_message =
@@ -141,13 +141,13 @@ let gen_message =
     return (mk g))
 
 let arb_message =
-  QCheck.make ~print:(fun m -> Format.asprintf "%a" Messages.pp m) gen_message
+  QCheck.make ~print:Test_proto.msg_text gen_message
 
 (* --- per-variant roundtrips -------------------------------------------- *)
 
 let roundtrips m =
-  match Binary.decode (Binary.encode m) with
-  | Ok m' -> Binary.equal_message m m'
+  match Binary.Oracle.decode (Binary.Oracle.encode m) with
+  | Ok m' -> Binary.Oracle.equal_message m m'
   | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e
 
 let per_variant_roundtrips =
@@ -163,7 +163,7 @@ let test_wire_tags_distinct () =
      per variant and check the leading tag bytes are pairwise distinct. *)
   let g = Prng.create ~seed:1312 in
   let tags =
-    List.map (fun (name, mk) -> (name, Char.code (Binary.encode (mk g)).[0]))
+    List.map (fun (name, mk) -> (name, Char.code (Binary.Oracle.encode (mk g)).[0]))
       variant_gens
   in
   let distinct =
@@ -184,7 +184,7 @@ let prop_roundtrip =
 
 let prop_encoded_size =
   qtest "binary: encoded_size m = length (encode m)" arb_message (fun m ->
-      Binary.encoded_size m = String.length (Binary.encode m))
+      Binary.encoded_size m = String.length (Binary.Oracle.encode m))
 
 let test_encoded_size_overflow () =
   (* A field past its u16 length prefix makes both functions raise the
@@ -207,7 +207,7 @@ let test_encoded_size_overflow () =
   List.iter
     (fun (name, m) ->
       Alcotest.check_raises (name ^ ": encode") overflow (fun () ->
-          ignore (Binary.encode m));
+          ignore (Binary.Oracle.encode m));
       Alcotest.check_raises (name ^ ": encoded_size") overflow (fun () ->
           ignore (Binary.encoded_size m)))
     [ ("string", long_string); ("route", long_route); ("srr", long_srr) ];
@@ -216,26 +216,26 @@ let test_encoded_size_overflow () =
     Messages.Drep { sip = a; dn = String.make 0xFFFF 'd'; rr = []; remaining = []; sig_ = "" }
   in
   Alcotest.(check int) "0xFFFF-byte field fits"
-    (String.length (Binary.encode at_limit))
+    (String.length (Binary.Oracle.encode at_limit))
     (Binary.encoded_size at_limit)
 
 let prop_truncation_rejected =
   qtest ~count:200 "binary: every strict prefix is rejected"
     QCheck.(pair arb_message (float_bound_exclusive 1.0))
     (fun (m, frac) ->
-      let enc = Binary.encode m in
+      let enc = Binary.Oracle.encode m in
       let n = int_of_float (frac *. float_of_int (String.length enc)) in
       QCheck.assume (n < String.length enc);
-      match Binary.decode (String.sub enc 0 n) with
+      match Binary.Oracle.decode (String.sub enc 0 n) with
       | Error _ -> true
       | Ok m' ->
           (* A prefix that still parses must not silently equal the
              original (it can only happen if we truncated zero bytes). *)
-          not (Binary.equal_message m m'))
+          not (Binary.Oracle.equal_message m m'))
 
 let prop_trailing_garbage_rejected =
   qtest ~count:200 "binary: trailing bytes are rejected" arb_message (fun m ->
-      match Binary.decode (Binary.encode m ^ "\x00") with
+      match Binary.Oracle.decode (Binary.Oracle.encode m ^ "\x00") with
       | Error _ -> true
       | Ok _ -> false)
 
@@ -245,7 +245,7 @@ let prop_random_bytes_never_crash =
   qtest ~count:2000 "binary: decoding random bytes never raises"
     QCheck.(string_of_size QCheck.Gen.(int_bound 200))
     (fun s ->
-      match Binary.decode s with Ok _ | Error _ -> true)
+      match Binary.Oracle.decode s with Ok _ | Error _ -> true)
 
 let prop_bitflip_detected_or_valid =
   (* Flipping one byte of a valid encoding must yield Error or a
@@ -253,20 +253,20 @@ let prop_bitflip_detected_or_valid =
   qtest ~count:300 "binary: single byte flips never alias the original"
     QCheck.(pair arb_message (pair small_nat small_nat))
     (fun (m, (pos0, delta0)) ->
-      let enc = Bytes.of_string (Binary.encode m) in
+      let enc = Bytes.of_string (Binary.Oracle.encode m) in
       let pos = pos0 mod Bytes.length enc in
       let delta = 1 + (delta0 mod 255) in
       Bytes.set enc pos
         (Char.chr ((Char.code (Bytes.get enc pos) + delta) land 0xFF));
-      match Binary.decode (Bytes.unsafe_to_string enc) with
+      match Binary.Oracle.decode (Bytes.unsafe_to_string enc) with
       | Error _ -> true
-      | Ok m' -> not (Binary.equal_message m m'))
+      | Ok m' -> not (Binary.Oracle.equal_message m m'))
 
 let test_unknown_tag_rejected () =
-  (match Binary.decode "\xff" with
+  (match Binary.Oracle.decode "\xff" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "tag 255 accepted");
-  match Binary.decode "" with
+  match Binary.Oracle.decode "" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "empty input accepted"
 
@@ -279,7 +279,7 @@ let test_oversized_route_rejected () =
   Buffer.add_string buf "\x00\x00\x00\x01";
   (* route count = 65535 *)
   Buffer.add_string buf "\xff\xff";
-  match Binary.decode (Buffer.contents buf) with
+  match Binary.Oracle.decode (Buffer.contents buf) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "oversized route accepted"
 
@@ -290,7 +290,7 @@ let test_known_encoding_stable () =
   let m =
     Messages.Ip_change_challenge { old_ip = a; new_ip = b; ch = 0x1122L; remaining = [ a ] }
   in
-  let enc = Binary.encode m in
+  let enc = Binary.Oracle.encode m in
   Alcotest.(check int) "length" (1 + 16 + 16 + 8 + 2 + 16) (String.length enc);
   Alcotest.(check char) "tag" '\x0f' enc.[0];
   Alcotest.(check string) "ch bytes" "\x00\x00\x00\x00\x00\x00\x11\x22"

@@ -43,11 +43,14 @@ let test_prng_float_bounds () =
     Alcotest.(check bool) "in range" true (v >= 0.0 && v < 2.5)
   done
 
-let test_prng_copy_replays () =
-  let g = Prng.create ~seed:3 in
-  let _ = Prng.bits64 g in
-  let h = Prng.copy g in
-  Alcotest.(check int64) "copy replays" (Prng.bits64 g) (Prng.bits64 h)
+(* A fair coin from the raw stream, for generators of test inputs. *)
+let coin g = Int64.logand (Prng.bits64 g) 1L = 1L
+
+(* Lower-case hex of a byte string. *)
+let hex s =
+  String.to_seq s
+  |> Seq.map (fun c -> Printf.sprintf "%02x" (Char.code c))
+  |> List.of_seq |> String.concat ""
 
 let test_prng_split_independent () =
   let g = Prng.create ~seed:5 in
@@ -102,14 +105,13 @@ let prng_render seed stream =
   | "bits64" -> each (fun () -> Printf.sprintf "%016Lx" (Prng.bits64 g))
   | "float" -> each (fun () -> Printf.sprintf "%h" (Prng.float g 1.0))
   | "int" -> each (fun () -> string_of_int (Prng.int g 1_000_003))
-  | "bytes" -> each (fun () -> Sha256.hex (Prng.bytes g 13))
+  | "bytes" -> each (fun () -> hex (Prng.bytes g 13))
   | "split" ->
       let h = Prng.split g in
       each (fun () -> Printf.sprintf "%016Lx %016Lx" (Prng.bits64 h) (Prng.bits64 g))
-  | "copy" ->
+  | "skip" ->
       ignore (Prng.bits64 g);
-      let h = Prng.copy g in
-      each (fun () -> Printf.sprintf "%016Lx" (Prng.bits64 h))
+      each (fun () -> Printf.sprintf "%016Lx" (Prng.bits64 g))
   | _ -> invalid_arg stream);
   Buffer.contents b
 
@@ -120,25 +122,25 @@ let prng_golden =
     (0, "int", "1f4d1b6b5d33b4a2bf8e0bdd6fad1909");
     (0, "bytes", "e9a769d5eccdec4e5641a39e60ed3d94");
     (0, "split", "d27c0dea72686da532693e1b8d2b56e8");
-    (0, "copy", "5fdec180329bced95bc37fa7e2c249ec");
+    (0, "skip", "5fdec180329bced95bc37fa7e2c249ec");
     (1, "bits64", "52a2df0ca6ca9c75c51673b11fd9c1b8");
     (1, "float", "574d0aebae5fa9ef558d6b6caeb8e417");
     (1, "int", "8e17351d894ce5a52325fa206ba1de5d");
     (1, "bytes", "0cf90b8e9a1404b6b9c6e5372330b25f");
     (1, "split", "d4c49871a6d348eec01c25d80ec2afbd");
-    (1, "copy", "003338a52ff414811a21023777e590ba");
+    (1, "skip", "003338a52ff414811a21023777e590ba");
     (42, "bits64", "edf178e2b14ce60550bc6e879386eb16");
     (42, "float", "ac61708f630da729d6f7d087e51340ee");
     (42, "int", "7ea1c4fe4617885848ff14824853c54b");
     (42, "bytes", "c6e72493d80b137078f80d33ee658090");
     (42, "split", "06006c8533678672456b1a27ca942315");
-    (42, "copy", "3d7b6c072bfede8cc2855728ca98b062");
+    (42, "skip", "3d7b6c072bfede8cc2855728ca98b062");
     (-1, "bits64", "fcb7102f0710bb9fb2a189f6e16a2c77");
     (-1, "float", "b068a0bab5ef3dec29af0cfdc65d908f");
     (-1, "int", "6ac07863ec2416a979f18718724082bc");
     (-1, "bytes", "fdafaeccf7123aac40f8add7e5cd63af");
     (-1, "split", "98c102ccdc5e2765a87b3b7b98f38141");
-    (-1, "copy", "40de35a8f02c197e119da5f75207df1d");
+    (-1, "skip", "40de35a8f02c197e119da5f75207df1d");
   ]
 
 let test_prng_golden () =
@@ -205,27 +207,36 @@ let test_prng_allocation () =
 (* ------------------------------------------------------------------ *)
 
 let bn = Bignum.of_int
-let bn_testable = Alcotest.testable Bignum.pp Bignum.equal
+let zero = bn 0
+let two = bn 2
+let neg v = Bignum.sub zero v
+let abs v = if Bignum.sign v < 0 then neg v else v
+let to_string = Bignum.Oracle.to_string
+let of_string = Bignum.Oracle.of_string
+
+let bn_testable =
+  Alcotest.testable
+    (fun fmt n -> Format.pp_print_string fmt (to_string n))
+    Bignum.equal
 
 (* Generator of arbitrary-size integers via decimal strings. *)
 let gen_bignum_of_bits bits =
   QCheck.Gen.(
     map2
-      (fun seed neg ->
+      (fun seed negative ->
         let g = Prng.create ~seed in
         let v = Bignum.random g ~bits in
-        if neg then Bignum.neg v else v)
+        if negative then neg v else v)
       int bool)
 
 let arb_bignum ?(bits = 300) () =
-  QCheck.make ~print:Bignum.to_string (gen_bignum_of_bits bits)
+  QCheck.make ~print:to_string (gen_bignum_of_bits bits)
 
 let test_bignum_small_roundtrip () =
   List.iter
     (fun i ->
-      Alcotest.(check (option int))
-        (string_of_int i) (Some i)
-        (Bignum.to_int_opt (bn i)))
+      Alcotest.(check string) (string_of_int i) (string_of_int i)
+        (to_string (bn i)))
     [ 0; 1; -1; 42; -42; 67108863; 67108864; -67108865; max_int / 2 ]
 
 let test_bignum_decimal_known () =
@@ -238,32 +249,32 @@ let test_bignum_decimal_known () =
   in
   List.iter
     (fun (s, i) ->
-      Alcotest.check bn_testable s (bn i) (Bignum.of_string s);
-      Alcotest.(check string) s s (Bignum.to_string (bn i)))
+      Alcotest.check bn_testable s (bn i) (of_string s);
+      Alcotest.(check string) s s (to_string (bn i)))
     cases
 
 let test_bignum_decimal_large () =
   let s = "123456789012345678901234567890123456789012345678901234567890" in
-  Alcotest.(check string) "roundtrip" s (Bignum.to_string (Bignum.of_string s));
+  Alcotest.(check string) "roundtrip" s (to_string (of_string s));
   let neg = "-" ^ s in
-  Alcotest.(check string) "negative" neg (Bignum.to_string (Bignum.of_string neg))
+  Alcotest.(check string) "negative" neg (to_string (of_string neg))
 
 let test_bignum_of_string_invalid () =
   List.iter
     (fun s ->
       Alcotest.check_raises s (Invalid_argument "Bignum.of_string: bad digit")
-        (fun () -> ignore (Bignum.of_string s)))
+        (fun () -> ignore (of_string s)))
     [ "12a"; "1.5" ];
   Alcotest.check_raises "empty" (Invalid_argument "Bignum.of_string: empty")
-    (fun () -> ignore (Bignum.of_string ""))
+    (fun () -> ignore (of_string ""))
 
 let test_bignum_hex () =
-  Alcotest.(check string) "hex" "deadbeef" (Bignum.to_hex (Bignum.of_hex "DEADBEEF"));
-  Alcotest.check bn_testable "hex value" (bn 0xdeadbeef) (Bignum.of_hex "deadbeef");
-  Alcotest.(check string) "zero" "0" (Bignum.to_hex Bignum.zero)
+  Alcotest.(check string) "hex" "deadbeef" (Bignum.Oracle.to_hex (Bignum.Oracle.of_hex "DEADBEEF"));
+  Alcotest.check bn_testable "hex value" (bn 0xdeadbeef) (Bignum.Oracle.of_hex "deadbeef");
+  Alcotest.(check string) "zero" "0" (Bignum.Oracle.to_hex zero)
 
 let test_bignum_bytes_be () =
-  let v = Bignum.of_hex "0102030405060708090a" in
+  let v = Bignum.Oracle.of_hex "0102030405060708090a" in
   Alcotest.(check string)
     "to_bytes" "\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a"
     (Bignum.to_bytes_be v);
@@ -274,7 +285,7 @@ let test_bignum_bytes_be () =
 (* The quadratic shift-and-add fold [of_bytes_be] replaced, kept as the
    reference for the limb-packing version. *)
 let of_bytes_be_fold s =
-  let acc = ref Bignum.zero in
+  let acc = ref zero in
   String.iter
     (fun c ->
       acc := Bignum.add (Bignum.shift_left !acc 8) (bn (Char.code c)))
@@ -319,11 +330,11 @@ let prop_karatsuba_matches_school =
   qtest ~count:20 "bignum: karatsuba consistent with division"
     QCheck.(pair (arb_bignum ~bits:2000 ()) (arb_bignum ~bits:1800 ()))
     (fun (a, b) ->
-      let a = Bignum.abs a and b = Bignum.abs b in
+      let a = abs a and b = abs b in
       QCheck.assume (Bignum.sign a > 0);
       let exact b =
         let q, r = Bignum.divmod (Bignum.mul a b) a in
-        Bignum.equal q b && Bignum.equal r Bignum.zero
+        Bignum.equal q b && Bignum.equal r zero
       in
       (* Also an unbalanced pair (~77 x ~33 limbs), whose middle product
          carries zero high limbs past the end of the result. *)
@@ -336,7 +347,7 @@ let prop_divmod_invariant =
       QCheck.assume (Bignum.sign b <> 0);
       let q, r = Bignum.divmod a b in
       Bignum.equal a (Bignum.add (Bignum.mul b q) r)
-      && Bignum.compare (Bignum.abs r) (Bignum.abs b) < 0
+      && Bignum.compare (abs r) (abs b) < 0
       && (Bignum.sign r = 0 || Bignum.sign r = Bignum.sign a))
 
 let prop_divmod_matches_int =
@@ -353,7 +364,7 @@ let prop_mod_nonneg =
   qtest "bignum: mod_ is in [0, m)"
     QCheck.(pair (arb_bignum ()) (arb_bignum ~bits:100 ()))
     (fun (a, m) ->
-      let m = Bignum.abs m in
+      let m = abs m in
       QCheck.assume (Bignum.sign m > 0);
       let r = Bignum.mod_ a m in
       Bignum.sign r >= 0 && Bignum.compare r m < 0)
@@ -378,31 +389,35 @@ let prop_numbits =
       let nb = Bignum.numbits n in
       let lo = Bignum.shift_left Bignum.one (nb - 1) in
       let hi = Bignum.shift_left Bignum.one nb in
-      let a = Bignum.abs n in
+      let a = abs n in
       Bignum.compare lo a <= 0 && Bignum.compare a hi < 0)
 
 let prop_string_roundtrip =
   qtest "bignum: of_string (to_string n) = n"
     (arb_bignum ~bits:400 ())
-    (fun n -> Bignum.equal n (Bignum.of_string (Bignum.to_string n)))
+    (fun n -> Bignum.equal n (of_string (to_string n)))
 
 let prop_egcd =
   qtest "bignum: egcd bezout identity"
     QCheck.(pair (arb_bignum ~bits:200 ()) (arb_bignum ~bits:200 ()))
     (fun (a, b) ->
-      let a = Bignum.abs a and b = Bignum.abs b in
+      let a = abs a and b = abs b in
       let g, x, y = Bignum.egcd a b in
       Bignum.equal g (Bignum.add (Bignum.mul a x) (Bignum.mul b y))
-      && Bignum.equal g (Bignum.gcd a b))
+      (* g divides both, so with Bezout it is their greatest divisor. *)
+      && (Bignum.sign g = 0
+         || Bignum.sign (Bignum.mod_ a g) = 0 && Bignum.sign (Bignum.mod_ b g) = 0))
 
 let prop_mod_inverse =
   qtest "bignum: a * inv(a) = 1 (mod m)"
     QCheck.(pair (arb_bignum ~bits:200 ()) (arb_bignum ~bits:200 ()))
     (fun (a, m) ->
-      let m = Bignum.abs m in
-      QCheck.assume (Bignum.compare m Bignum.two > 0);
+      let m = abs m in
+      QCheck.assume (Bignum.compare m two > 0);
       match Bignum.mod_inverse a m with
-      | None -> not (Bignum.equal (Bignum.gcd (Bignum.abs a) m) Bignum.one)
+      | None ->
+          let g, _, _ = Bignum.egcd (abs a) m in
+          not (Bignum.equal g Bignum.one)
       | Some inv -> Bignum.equal (Bignum.mod_ (Bignum.mul a inv) m) Bignum.one)
 
 let naive_mod_pow b e m =
@@ -416,7 +431,7 @@ let prop_mod_pow_matches_naive =
   qtest ~count:50 "bignum: mod_pow matches naive oracle"
     QCheck.(triple (arb_bignum ~bits:60 ()) (int_bound 40) (arb_bignum ~bits:60 ()))
     (fun (b, e, m) ->
-      let m = Bignum.abs m in
+      let m = abs m in
       QCheck.assume (Bignum.sign m > 0);
       Bignum.equal (Bignum.mod_pow b (bn e) m) (naive_mod_pow b e m))
 
@@ -437,15 +452,15 @@ let gen_mont_case =
         let m = if Bignum.testbit m 0 then m else Bignum.add m Bignum.one in
         let b =
           match base_kind with
-          | 0 -> Bignum.zero
+          | 0 -> zero
           | 1 -> Bignum.sub m Bignum.one
           | 2 -> Bignum.add m (Bignum.random g ~bits:(bits + 40))
-          | 3 -> Bignum.neg (Bignum.random g ~bits)
+          | 3 -> neg (Bignum.random g ~bits)
           | _ -> Bignum.random_below g m
         in
         let e =
           match exp_kind with
-          | 0 -> Bignum.zero
+          | 0 -> zero
           | 1 -> Bignum.one
           | 2 -> Bignum.sub (Bignum.shift_left Bignum.one (1 + Prng.int g 300)) Bignum.one
           | _ -> Bignum.random g ~bits:(1 + Prng.int g 300)
@@ -456,7 +471,7 @@ let gen_mont_case =
 let arb_mont_case =
   QCheck.make
     ~print:(fun (m, b, e) ->
-      Printf.sprintf "m=%s b=%s e=%s" (Bignum.to_hex m) (Bignum.to_string b) (Bignum.to_hex e))
+      Printf.sprintf "m=%s b=%s e=%s" (Bignum.Oracle.to_hex m) (to_string b) (Bignum.Oracle.to_hex e))
     gen_mont_case
 
 let prop_mod_pow_montgomery_matches_generic =
@@ -465,7 +480,7 @@ let prop_mod_pow_montgomery_matches_generic =
      without a prebuilt context. *)
   qtest ~count:300 "bignum: montgomery mod_pow = generic mod_pow" arb_mont_case
     (fun (m, b, e) ->
-      let want = Bignum.mod_pow_generic b e m in
+      let want = Bignum.Oracle.mod_pow_generic b e m in
       Bignum.equal (Bignum.mod_pow b e m) want
       && Bignum.equal (Bignum.mod_pow_ctx (Bignum.mod_ctx m) b e) want)
 
@@ -479,14 +494,14 @@ let prop_mod_pow_square_chains =
       let ctx = Bignum.mod_ctx m in
       let p = Bignum.shift_left Bignum.one j in
       List.for_all
-        (fun e -> Bignum.equal (Bignum.mod_pow_ctx ctx b e) (Bignum.mod_pow_generic b e m))
+        (fun e -> Bignum.equal (Bignum.mod_pow_ctx ctx b e) (Bignum.Oracle.mod_pow_generic b e m))
         [ p; Bignum.sub p Bignum.one ])
 
 let test_mod_pow_even_modulus () =
   (* Even moduli must still work (generic path). *)
-  let b = Bignum.of_string "123456789123456789" in
+  let b = of_string "123456789123456789" in
   let e = Bignum.of_int 65537 in
-  let m = Bignum.shift_left (Bignum.of_string "987654321987654321") 1 in
+  let m = Bignum.shift_left (of_string "987654321987654321") 1 in
   Alcotest.check bn_testable "even modulus" (naive_mod_pow b 7 m)
     (Bignum.mod_pow b (bn 7) m);
   Alcotest.(check bool) "big even exponentiation runs" true
@@ -494,7 +509,7 @@ let test_mod_pow_even_modulus () =
 
 let test_mod_pow_fermat () =
   (* Fermat's little theorem at a known 61-bit Mersenne prime. *)
-  let p = Bignum.of_string "2305843009213693951" in
+  let p = of_string "2305843009213693951" in
   let g = Prng.create ~seed:23 in
   for _ = 1 to 10 do
     let a = Bignum.add Bignum.one (Bignum.random_below g (Bignum.sub p Bignum.one)) in
@@ -509,12 +524,12 @@ let test_primality_known () =
   List.iter
     (fun s ->
       Alcotest.(check bool) ("prime " ^ s) true
-        (Bignum.is_probable_prime g (Bignum.of_string s)))
+        (Bignum.is_probable_prime g (of_string s)))
     primes;
   List.iter
     (fun s ->
       Alcotest.(check bool) ("composite " ^ s) false
-        (Bignum.is_probable_prime g (Bignum.of_string s)))
+        (Bignum.is_probable_prime g (of_string s)))
     composites
 
 let test_generate_prime () =
@@ -529,7 +544,7 @@ let test_generate_prime () =
 
 let test_random_below () =
   let g = Prng.create ~seed:37 in
-  let n = Bignum.of_string "1000000007" in
+  let n = of_string "1000000007" in
   for _ = 1 to 200 do
     let v = Bignum.random_below g n in
     Alcotest.(check bool) "in range" true
@@ -549,7 +564,7 @@ let test_mod_pow_allocation () =
   let b = Bignum.random_below g m in
   let k = 10 in
   let ctx = Bignum.mod_ctx m in
-  Alcotest.check bn_testable "agrees with division" (Bignum.mod_pow_generic b e m)
+  Alcotest.check bn_testable "agrees with division" (Bignum.Oracle.mod_pow_generic b e m)
     (Bignum.mod_pow_ctx ctx b e);
   let per_call =
     minor_words_per_call 100 (fun () ->
@@ -567,7 +582,7 @@ let test_mod_pow_allocation () =
   in
   Alcotest.(check (float 0.0)) "rem_int allocates nothing" 0.0 per_rem;
   Alcotest.(check int) "rem_int value"
-    (Option.get (Bignum.to_int_opt (Bignum.mod_ m (bn 997))))
+    (int_of_string (to_string (Bignum.mod_ m (bn 997))))
     (Bignum.rem_int m 997)
 
 (* ------------------------------------------------------------------ *)
@@ -623,7 +638,7 @@ let test_sha256_block_boundaries () =
       Alcotest.(check string)
         (Printf.sprintf "len %d" n)
         (Sha256.digest_hex s)
-        (Sha256.hex (Sha256.finalize ctx)))
+        (hex (Sha256.finalize ctx)))
     [ 54; 55; 56; 57; 63; 64; 65; 119; 120; 127; 128; 129 ]
 
 (* ------------------------------------------------------------------ *)
@@ -661,7 +676,7 @@ let test_hmac_rfc4231 () =
   List.iter
     (fun (key, msg, expected) ->
       Alcotest.(check string) "tag" expected
-        (Sha256.hex (Hmac.hmac_sha256 ~key msg)))
+        (hex (Hmac.hmac_sha256 ~key msg)))
     cases
 
 let test_hmac_verify () =
@@ -683,7 +698,7 @@ let test_rsa_sign_verify () =
   let pub, priv = Rsa.generate g ~bits:256 in
   let msg = "route request 42" in
   let signature = Rsa.sign priv msg in
-  Alcotest.(check int) "sig size" (Rsa.modulus_bytes pub) (String.length signature);
+  Alcotest.(check int) "sig size" ((Bignum.numbits pub.Rsa.n + 7) / 8) (String.length signature);
   Alcotest.(check bool) "accepts" true (Rsa.verify pub ~msg ~signature);
   Alcotest.(check bool) "rejects other msg" false
     (Rsa.verify pub ~msg:"route request 43" ~signature)
@@ -775,14 +790,14 @@ let test_rsa_golden () =
     (fun (seed, want) ->
       let pub, _ = Rsa.generate (Prng.create ~seed) ~bits:512 in
       Alcotest.(check string) (Printf.sprintf "seed %d modulus" seed) want
-        (Bignum.to_hex pub.Rsa.n))
+        (Bignum.Oracle.to_hex pub.Rsa.n))
     rsa_golden_moduli;
   let pub, priv = Rsa.generate (Prng.create ~seed:1) ~bits:512 in
   List.iter
     (fun (msg, want) ->
       let signature = Rsa.sign priv msg in
       let label = Printf.sprintf "sign %S" msg in
-      Alcotest.(check string) label want (Sha256.hex signature);
+      Alcotest.(check string) label want (hex signature);
       Alcotest.(check string) (label ^ " = sign_no_crt") signature
         (Rsa.sign_no_crt priv msg);
       Alcotest.(check bool) (label ^ " verifies") true
@@ -846,10 +861,7 @@ let test_suite_counters () =
   ignore (suite.Suite.verify ~pk_bytes:kp.Suite.pk_bytes ~msg:"a" ~signature:s);
   ignore (suite.Suite.verify ~pk_bytes:kp.Suite.pk_bytes ~msg:"b" ~signature:s);
   Alcotest.(check int) "signs" 1 suite.Suite.sign_count;
-  Alcotest.(check int) "verifies" 2 suite.Suite.verify_count;
-  Suite.reset_counters suite;
-  Alcotest.(check int) "reset signs" 0 suite.Suite.sign_count;
-  Alcotest.(check int) "reset verifies" 0 suite.Suite.verify_count
+  Alcotest.(check int) "verifies" 2 suite.Suite.verify_count
 
 (* Per-key verify contexts.  The rsa suite caches each public key's
    parse and Montgomery context; the reference parses the key afresh and
@@ -894,7 +906,7 @@ let verify_input q =
   let pub, priv, pk = keys.(q.vkey mod Array.length keys) in
   let msg = verify_msgs.(q.vmsg mod Array.length verify_msgs) in
   let signature = Rsa.sign priv msg in
-  let size = Rsa.modulus_bytes pub in
+  let size = (Bignum.numbits pub.Rsa.n + 7) / 8 in
   match q.vkind with
   | 0 -> (pk, msg, signature)
   | 1 -> (pk, msg, flip signature q.vpos q.vmask)
@@ -981,7 +993,6 @@ let suites =
         Alcotest.test_case "seed sensitivity" `Quick test_prng_seed_sensitivity;
         Alcotest.test_case "int bounds" `Quick test_prng_int_bounds;
         Alcotest.test_case "float bounds" `Quick test_prng_float_bounds;
-        Alcotest.test_case "copy replays" `Quick test_prng_copy_replays;
         Alcotest.test_case "split independent" `Quick test_prng_split_independent;
         Alcotest.test_case "shuffle permutes" `Quick test_prng_shuffle_permutes;
         Alcotest.test_case "bytes length" `Quick test_prng_bytes_length;

@@ -104,7 +104,7 @@ let expect_configured = function
 let test_dad_unique_address_succeeds () =
   let w = make_world () in
   let addr, name = expect_configured (run_dad w 2 ~dn:"host2") in
-  Alcotest.(check bool) "site local CGA" true (Address.is_site_local addr);
+  Alcotest.(check bool) "site local CGA" true (Test_ipv6.is_site_local addr);
   Alcotest.(check (option string)) "name kept" (Some "host2") name;
   Alcotest.(check int) "no collision" 0 (stat w "dad.collision");
   Alcotest.(check bool) "configured" true (Dad.is_configured w.dads.(2))
@@ -264,7 +264,7 @@ let test_dad_forged_arep_rejected () =
       | _ -> ());
   let addr, _ = expect_configured (run_dad w 1) in
   Alcotest.(check bool) "configured despite forgery" true
-    (Address.is_site_local addr);
+    (Test_ipv6.is_site_local addr);
   Alcotest.(check bool) "forgery was rejected" true (stat w "dad.arep_rejected" >= 1);
   Alcotest.(check int) "no collision recorded" 0 (stat w "dad.collision")
 
@@ -347,12 +347,12 @@ let test_dad_duplicate_areq_allocation () =
   Alcotest.(check bool)
     (Printf.sprintf "duplicate AREQ copy: %.2f minor words <= 8" per_copy)
     true (per_copy <= 8.0);
-  match Flood.summaries (Obs.flood w.ctxs.(2).Ctx.obs) with
+  match Test_timeline.floods (Obs.flood w.ctxs.(2).Ctx.obs) with
   | [ s ] ->
-      Alcotest.(check int) "every copy received" 10_001 s.Flood.received;
+      Alcotest.(check int) "every copy received" 10_001 s.Test_timeline.received;
       Alcotest.(check int) "all but the first suppressed" 10_000
-        s.Flood.duplicates;
-      Alcotest.(check int) "one node reached" 1 s.Flood.reached
+        s.Test_timeline.duplicates;
+      Alcotest.(check int) "one node reached" 1 s.Test_timeline.reached
   | l -> Alcotest.failf "expected one flood, got %d" (List.length l)
 
 (* ------------------------------------------------------------------ *)

@@ -7,12 +7,31 @@ module Cga = Manet_ipv6.Cga
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
 
-let addr_testable = Alcotest.testable Address.pp Address.equal
+let addr_testable =
+  Alcotest.testable
+    (fun fmt a -> Format.pp_print_string fmt (Address.to_string a))
+    Address.equal
+
+(* The parser's verdict, with the reason it gives on malformed text. *)
+let of_string s =
+  match Address.of_string_exn s with
+  | a -> Ok a
+  | exception Invalid_argument e -> Error e
 
 let parse s =
-  match Address.of_string s with
+  match of_string s with
   | Ok a -> a
   | Error e -> Alcotest.failf "parse %s: %s" s e
+
+(* An address from eight 16-bit groups, through its network-order
+   bytes. *)
+let of_groups g =
+  Address.of_bytes
+    (String.init 16 (fun i ->
+         Char.chr ((g.(i / 2) lsr if i mod 2 = 0 then 8 else 0) land 0xff)))
+
+(* Whether the top 10 bits are the fec0::/10 site-local prefix. *)
+let is_site_local a = (Address.to_groups a).(0) land 0xffc0 = 0xfec0
 
 (* ------------------------------------------------------------------ *)
 (* Address parsing and printing                                       *)
@@ -48,7 +67,7 @@ let test_parse_ipv4_mapped () =
 let test_parse_errors () =
   List.iter
     (fun s ->
-      match Address.of_string s with
+      match of_string s with
       | Ok _ -> Alcotest.failf "expected failure for %s" s
       | Error _ -> ())
     [
@@ -92,12 +111,12 @@ let arb_addr =
             if sparse then if Prng.int g 3 = 0 then Prng.int g 0x10000 else 0
             else Prng.int g 0x10000
           in
-          Address.of_groups (Array.init 8 group))
+          of_groups (Array.init 8 group))
         int bool)
 
 let prop_string_roundtrip =
   qtest "address: of_string (to_string a) = a" arb_addr (fun a ->
-      match Address.of_string (Address.to_string a) with
+      match of_string (Address.to_string a) with
       | Ok b -> Address.equal a b
       | Error _ -> false)
 
@@ -107,7 +126,7 @@ let prop_bytes_roundtrip =
 
 let prop_groups_roundtrip =
   qtest "address: of_groups (to_groups a) = a" arb_addr (fun a ->
-      Address.equal a (Address.of_groups (Address.to_groups a)))
+      Address.equal a (of_groups (Address.to_groups a)))
 
 (* The [to_groups]/[Printf]-based [to_string] the Buffer renderer
    replaced, kept verbatim as the oracle: addresses appear in every
@@ -157,7 +176,7 @@ let prop_to_string_matches_oracle =
 let test_print_edge_cases () =
   List.iter
     (fun (groups, expected) ->
-      let a = Address.of_groups groups in
+      let a = of_groups groups in
       Alcotest.(check string) expected expected (Address.to_string a);
       Alcotest.(check string) (expected ^ " (oracle)") (ref_to_string a) (Address.to_string a))
     [
@@ -228,29 +247,28 @@ let test_bytes_layout () =
     "\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c\x0d\x0e\x0f\x10"
     (Address.to_bytes a)
 
+(* The prefixes the simulator puts on the wire: every CGA sits in
+   fec0::/64 (Figure 1) and the DNS discovery address in
+   fec0:0:0:ffff::/64, and a CGA's interface id under any other prefix
+   does not verify. *)
 let test_prefixes () =
-  Alcotest.(check bool) "fec0 is site local" true
-    (Address.is_site_local (parse "fec0::1"));
-  Alcotest.(check bool) "febf is site local (10-bit prefix)" true
-    (Address.is_site_local (parse "fecf::1"));
-  Alcotest.(check bool) "fe80 is not site local" false
-    (Address.is_site_local (parse "fe80::1"));
-  Alcotest.(check bool) "2001 is not site local" false
-    (Address.is_site_local (parse "2001:db8::1"));
-  Alcotest.(check bool) "prefix len 0 matches all" true
-    (Address.matches_prefix (parse "1::") ~prefix:(parse "2::") ~len:0);
-  Alcotest.(check bool) "full 128 match" true
-    (Address.matches_prefix (parse "1::2") ~prefix:(parse "1::2") ~len:128);
-  Alcotest.(check bool) "full 128 mismatch" false
-    (Address.matches_prefix (parse "1::2") ~prefix:(parse "1::3") ~len:128);
-  Alcotest.(check bool) "mismatch beyond 64 detected" false
-    (Address.matches_prefix (parse "1::2") ~prefix:(parse "1::3") ~len:128)
+  let top4 a = Array.sub (Address.to_groups a) 0 4 in
+  let cga = Cga.generate ~pk_bytes:"pk" ~rn:9L in
+  Alcotest.(check (array int)) "CGA prefix" [| 0xfec0; 0; 0; 0 |] (top4 cga);
+  Alcotest.(check bool) "CGA is site local" true (is_site_local cga);
+  Alcotest.(check (array int)) "DNS discovery prefix" [| 0xfec0; 0; 0; 0xffff |]
+    (top4 Address.dns_server_1);
+  List.iter
+    (fun hi ->
+      Alcotest.(check bool)
+        (Printf.sprintf "interface id under %Lx rejected" hi)
+        false
+        (Cga.verify (Address.make ~hi ~lo:cga.Address.lo) ~pk_bytes:"pk" ~rn:9L))
+    [ 0xFE80_0000_0000_0000L; 0xFEC0_0000_0000_0001L; 0x2001_0DB8_0000_0000L ]
 
 let test_dns_constants () =
   Alcotest.(check string) "dns1" "fec0:0:0:ffff::1" (Address.to_string Address.dns_server_1);
-  Alcotest.(check string) "dns2" "fec0:0:0:ffff::2" (Address.to_string Address.dns_server_2);
-  Alcotest.(check string) "dns3" "fec0:0:0:ffff::3" (Address.to_string Address.dns_server_3);
-  Alcotest.(check bool) "dns1 site local" true (Address.is_site_local Address.dns_server_1)
+  Alcotest.(check bool) "dns1 site local" true (is_site_local Address.dns_server_1)
 
 (* ------------------------------------------------------------------ *)
 (* CGA                                                                *)
@@ -259,7 +277,7 @@ let test_dns_constants () =
 let test_cga_layout () =
   let addr = Cga.generate ~pk_bytes:"some public key" ~rn:42L in
   (* Figure 1: site-local prefix, 38 zero bits, zero subnet ID. *)
-  Alcotest.(check bool) "site local" true (Address.is_site_local addr);
+  Alcotest.(check bool) "site local" true (is_site_local addr);
   let groups = Address.to_groups addr in
   Alcotest.(check int) "group 0 = fec0" 0xfec0 groups.(0);
   Alcotest.(check int) "group 1 zero" 0 groups.(1);
@@ -290,7 +308,7 @@ let test_cga_verify_rejects_wrong_rn () =
 let test_cga_verify_rejects_non_site_local () =
   (* The right hash in the wrong prefix must fail: an adversary cannot
      smuggle a CGA outside fec0::/10. *)
-  let iid = Cga.interface_id ~pk_bytes:"alice" ~rn:1L in
+  let iid = (Cga.generate ~pk_bytes:"alice" ~rn:1L).Address.lo in
   let addr = Address.make ~hi:0x2001_0db8_0000_0000L ~lo:iid in
   Alcotest.(check bool) "wrong prefix" false (Cga.verify addr ~pk_bytes:"alice" ~rn:1L)
 

@@ -12,17 +12,18 @@ module C = Analyzer_common.Common
 (* The hot-path roster the fixtures run under: [M.hot] is the seed. *)
 let roster = ("tools/manetcheck/hotpaths.sexp", "(M hot)\n")
 
-let analyze ?uses ?(roster = roster) files = Check.analyze ?uses ~roster files
+let analyze ?uses ?tests ?(roster = roster) files =
+  Check.analyze ?uses ?tests ~roster files
 
-let count ?uses ?roster rule files =
+let count ?uses ?tests ?roster rule files =
   List.length
-    (List.filter (fun f -> f.C.rule = rule) (analyze ?uses ?roster files))
+    (List.filter (fun f -> f.C.rule = rule) (analyze ?uses ?tests ?roster files))
 
-let fires ?uses ?roster name rule files =
-  Alcotest.(check bool) name true (count ?uses ?roster rule files > 0)
+let fires ?uses ?tests ?roster name rule files =
+  Alcotest.(check bool) name true (count ?uses ?tests ?roster rule files > 0)
 
-let clean ?uses ?roster name rule files =
-  Alcotest.(check int) name 0 (count ?uses ?roster rule files)
+let clean ?uses ?tests ?roster name rule files =
+  Alcotest.(check int) name 0 (count ?uses ?tests ?roster rule files)
 
 module Lint = struct
   (* --- determinism ------------------------------------------------------- *)
@@ -979,6 +980,53 @@ module Sem = struct
       (util @ [ ("lib/other.ml", "let y = Util.helper 3\n") ])
       ~uses:[ ("bin/main.ml", "module Util = Manetsec.Helpers\nlet () = ()\n") ]
 
+  (* --- test-only exports ---------------------------------------------------- *)
+
+  let test_use = [ ("test/test_util.ml", "let () = assert (Util.helper 1 = 2)\n") ]
+
+  let test_test_only_export () =
+    fires "called only from a test root" "test-only-export" util ~tests:test_use;
+    clean "a test-only value is not dead" "dead-export" util ~tests:test_use;
+    List.iter
+      (fun path ->
+        clean ("also called from " ^ path) "test-only-export" util ~tests:test_use
+          ~uses:[ (path, "let () = print_int (Util.helper 1)\n") ])
+      [ "bin/main.ml"; "bench/b.ml"; "layerbench/w.ml" ];
+    clean "also called from a sibling lib module" "test-only-export"
+      (util @ [ ("lib/other.ml", "let y = Util.helper 3\n") ])
+      ~tests:test_use;
+    (* A [let module] alias counts like a structure-level one. *)
+    clean "called through a local module alias" "test-only-export" util
+      ~tests:test_use
+      ~uses:[ ("bench/b.ml", "let f () = let module U = Util in U.helper 1\n") ];
+    (* A reference a test compares against lives in [Oracle]: exempt. *)
+    let oracle =
+      [
+        ("lib/util.mli", "module Oracle : sig val helper : int -> int end\n");
+        ("lib/util.ml", "module Oracle = struct let helper x = x + 1 end\n");
+      ]
+    and oracle_use =
+      [ ("test/test_util.ml", "let () = assert (Util.Oracle.helper 1 = 2)\n") ]
+    in
+    clean "an Oracle value is exempt" "test-only-export" oracle ~tests:oracle_use;
+    clean "an Oracle value is not dead either" "dead-export" oracle
+      ~tests:oracle_use;
+    (* An allow keeps a value whose rationale names its caller; without a
+       rationale it is an annotation finding and suppresses nothing. *)
+    let allowed why =
+      [
+        ( "lib/util.mli",
+          "(* manetcheck: allow test-only-export" ^ why ^ " *)\n\
+           val helper : int -> int\n" );
+        ("lib/util.ml", "let helper x = x + 1\n");
+      ]
+    in
+    clean "allow naming the caller" "test-only-export"
+      (allowed " — test_util.ml checks it") ~tests:test_use;
+    fires "allow without a rationale" "annotation" (allowed "") ~tests:test_use;
+    fires "a bare allow suppresses nothing" "test-only-export" (allowed "")
+      ~tests:test_use
+
   (* --- suppression -------------------------------------------------------- *)
 
   let test_suppression () =
@@ -1093,6 +1141,7 @@ module Sem = struct
           tc "codec" test_codec;
           tc "determinism" test_determinism;
           tc "dead-export" test_dead_export;
+          tc "test-only-export" test_test_only_export;
           tc "suppression" test_suppression;
           tc "baseline" test_baseline;
           tc "json" test_json;
@@ -1700,6 +1749,10 @@ module Hot = struct
 
   let test_rule_catalogue () =
     Alcotest.(check bool) "rule catalogue non-empty" true (Check.rules <> []);
+    (* The README table documents every one; a new rule moves this pin.
+       [parse] is the parser's own finding, not an analysis rule. *)
+    Alcotest.(check int) "rule count" 31
+      (List.length (List.filter (fun r -> r <> "parse") Check.rules));
     List.iter
       (fun r ->
         Alcotest.(check bool) "annotation is not an allowable rule" true

@@ -20,21 +20,27 @@ let qtest ?(count = 200) name gen prop =
 
 let nat_gen = QCheck.map (fun i -> abs (i land max_int)) QCheck.int
 
+let of_list vs =
+  let h = Hist.create () in
+  List.iter (Hist.add h) vs;
+  h
+
+(* The inclusive range of the bucket a lone sample [v] lands in. *)
+let home v =
+  match Hist.nonzero_buckets (of_list [ v ]) with
+  | [ (lo, hi, 1) ] -> (lo, hi)
+  | _ -> QCheck.Test.fail_reportf "%d did not land in exactly one bucket" v
+
 let prop_bucket_contains =
   qtest "bounds (bucket_of_value v) contains v" nat_gen (fun v ->
-      let lo, hi = Hist.bounds (Hist.bucket_of_value v) in
+      let lo, hi = home v in
       lo <= v && v <= hi)
 
 let prop_bucket_monotone =
   qtest "bucket_of_value is monotone" (QCheck.pair nat_gen nat_gen)
     (fun (a, b) ->
       let lo, hi = (min a b, max a b) in
-      Hist.bucket_of_value lo <= Hist.bucket_of_value hi)
-
-let of_list vs =
-  let h = Hist.create () in
-  List.iter (Hist.add h) vs;
-  h
+      fst (home lo) <= fst (home hi))
 
 (* The exported representation: everything the wire form renders. *)
 let repr h =
@@ -54,30 +60,14 @@ let prop_count_preserved =
       && List.fold_left (fun acc (_, _, c) -> acc + c) 0 (Hist.nonzero_buckets h)
          = List.length vs)
 
-let prop_merge_commutative =
-  qtest "merge is commutative" (QCheck.pair small_nats small_nats)
-    (fun (a, b) ->
-      repr (Hist.merge (of_list a) (of_list b))
-      = repr (Hist.merge (of_list b) (of_list a)))
-
-let prop_merge_associative =
-  qtest "merge is associative"
-    (QCheck.triple small_nats small_nats small_nats)
-    (fun (a, b, c) ->
-      let ha () = of_list a and hb () = of_list b and hc () = of_list c in
-      repr (Hist.merge (ha ()) (Hist.merge (hb ()) (hc ())))
-      = repr (Hist.merge (Hist.merge (ha ()) (hb ())) (hc ())))
-
-let prop_merge_is_concat =
-  qtest "merge equals histogram of concatenation"
+(* The same multiset renders identically in any arrival order. *)
+let prop_order_irrelevant =
+  qtest "arrival order is irrelevant"
     (QCheck.pair small_nats small_nats) (fun (a, b) ->
-      repr (Hist.merge (of_list a) (of_list b)) = repr (of_list (a @ b)))
+      repr (of_list (a @ b)) = repr (of_list (b @ a)))
 
 let test_hist_add_n () =
-  let h = Hist.create () in
-  Hist.add_n h 7 3;
-  Hist.add_n h 0 2;
-  Hist.add_n h 9 0;
+  let h = of_list [ 7; 0; 7; 0; 7 ] in
   Alcotest.(check int) "count" 5 (Hist.count h);
   Alcotest.(check int) "sum" 21 (Hist.sum h);
   Alcotest.(check (option int)) "min" (Some 0) (Hist.min_value h);
@@ -87,8 +77,7 @@ let test_hist_add_n () =
     "mean" (Some 4.2) (Hist.mean h);
   Alcotest.check_raises "negative value rejected"
     (Invalid_argument "Hist.add: negative value") (fun () -> Hist.add h (-1));
-  Hist.reset h;
-  Alcotest.(check int) "reset" 0 (Hist.count h)
+  Alcotest.(check int) "a rejected sample is not counted" 5 (Hist.count h)
 
 (* --- engine accounting ------------------------------------------------- *)
 
@@ -146,52 +135,56 @@ let test_engine_occupancy () =
         (i mod stride))
     occ
 
-(* --- registry counters and attribution --------------------------------- *)
+(* --- crypto attribution --------------------------------------------------- *)
 
-let test_counters_and_attribution () =
+(* A mock suite whose every operation [p] records: [verify ()] is one
+   Verify op, [sign ()] one Sign op. *)
+let subscribed p =
+  let suite = Suite.mock (Manet_crypto.Prng.create ~seed:1) in
+  let kp = suite.Suite.generate () in
+  Perf.subscribe p suite;
+  let verify () =
+    ignore (suite.Suite.verify ~pk_bytes:kp.Suite.pk_bytes ~msg:"m" ~signature:"s")
+  in
+  (suite, (fun () -> ignore (kp.Suite.sign "m")), verify)
+
+let test_crypto_attribution () =
   let p = Perf.create () in
-  Perf.incr p "cache_miss";
-  Perf.incr ~n:3 p "cache_hit";
-  Perf.incr p "cache_miss";
-  Alcotest.(check (list (pair string int)))
-    "counters sorted"
-    [ ("cache_hit", 3); ("cache_miss", 2) ]
-    (Perf.counters p);
+  let suite, sign, verify = subscribed p in
   Perf.dispatch p ~kind:"rreq" ~node:2
     (fun ~src:_ () ->
-      Perf.crypto_op p ~op:Suite.Verify ~bytes:100;
-      Perf.crypto_op p ~op:Suite.Hash ~bytes:64)
+      verify ();
+      Suite.count_hash suite ~bytes:64)
     ~src:1 ();
-  Perf.crypto_op p ~op:Suite.Sign ~bytes:10;
-  (* Render through a real (tiny, idle) scenario's engine/net/suite so
-     the export paths are exercised directly. *)
+  sign ();
+  (* Render through a real (tiny, idle) scenario's engine/net so the
+     export path is exercised directly. *)
   let s = Scenario.create { Scenario.default_params with n = 2; seed = 1 } in
-  let det =
-    Perf.deterministic_json p ~engine:(Scenario.engine s)
-      ~net:(Scenario.net s) ~suite:(Scenario.suite s)
+  let j =
+    Perf.to_json p ~engine:(Scenario.engine s) ~net:(Scenario.net s) ~suite
   in
-  let wall = Perf.wall_json p ~engine:(Scenario.engine s) in
-  let at path j =
+  let at path =
     List.fold_left
       (fun acc name -> Option.bind acc (Json.member name))
       (Some j) path
   in
+  let det = "deterministic" in
   Alcotest.(check (option int))
     "rreq verify attributed" (Some 1)
     (Option.bind
-       (at [ "crypto"; "by_kind"; "rreq"; "verifies" ] det)
+       (at [ det; "crypto"; "by_kind"; "rreq"; "verifies" ])
        Json.to_int_opt);
   Alcotest.(check (option int))
     "unattributed sign under the none kind" (Some 1)
     (Option.bind
-       (at [ "crypto"; "by_kind"; Perf.no_kind; "signs" ] det)
+       (at [ det; "crypto"; "by_kind"; "none"; "signs" ])
        Json.to_int_opt);
-  Alcotest.(check (option int))
-    "named counter exported" (Some 3)
-    (Option.bind (at [ "counters"; "cache_hit" ] det) Json.to_int_opt);
+  Alcotest.(check (option string))
+    "counters member stays an empty object" (Some "{}")
+    (Option.map Json.to_string (at [ det; "counters" ]));
   Alcotest.(check bool)
     "wall section carries gc member" true
-    (at [ "gc" ] wall <> None)
+    (at [ "wall_clock"; "gc" ] <> None)
 
 (* --- deterministic-section byte-identity -------------------------------- *)
 
@@ -243,6 +236,7 @@ let test_det_jsonl_domain_invariant () =
    (kind, node) is back in force for the ops that follow. *)
 let test_dispatch_restores_on_raise () =
   let p = Perf.create () in
+  let _, _, verify = subscribed p in
   let verifies kind =
     match List.assoc_opt kind (Perf.kind_totals p) with
     | Some (_, v, _) -> v
@@ -253,20 +247,20 @@ let test_dispatch_restores_on_raise () =
       (match
          Perf.dispatch p ~kind:"rreq" ~node:4
            (fun ~src:_ () ->
-             Perf.crypto_op p ~op:Suite.Verify ~bytes:10;
+             verify ();
              failwith "handler failed")
            ~src:0 ()
        with
       | () -> Alcotest.fail "the handler's exception was swallowed"
       | exception Failure msg ->
           Alcotest.(check string) "exception re-raised" "handler failed" msg);
-      Perf.crypto_op p ~op:Suite.Verify ~bytes:10)
+      verify ())
     ~src:0 ();
-  Perf.crypto_op p ~op:Suite.Verify ~bytes:10;
+  verify ();
   Alcotest.(check int) "inner op under rreq" 1 (verifies "rreq");
   Alcotest.(check int) "op after the raise back under rrep" 1 (verifies "rrep");
   Alcotest.(check int) "op outside any dispatch under none" 1
-    (verifies Perf.no_kind)
+    (verifies "none")
 
 (* Every delivery goes through dispatch, so the attribution itself must
    not allocate. *)
@@ -289,16 +283,14 @@ let suites =
         prop_bucket_contains;
         prop_bucket_monotone;
         prop_count_preserved;
-        prop_merge_commutative;
-        prop_merge_associative;
-        prop_merge_is_concat;
+        prop_order_irrelevant;
         Alcotest.test_case "hist add_n / reset" `Quick test_hist_add_n;
         Alcotest.test_case "engine label counts" `Quick
           test_engine_label_counts;
         Alcotest.test_case "engine occupancy series" `Quick
           test_engine_occupancy;
         Alcotest.test_case "counters and crypto attribution" `Quick
-          test_counters_and_attribution;
+          test_crypto_attribution;
         Alcotest.test_case "dispatch restores attribution on raise" `Quick
           test_dispatch_restores_on_raise;
         Alcotest.test_case "dispatch allocates nothing" `Quick

@@ -34,7 +34,9 @@ let a3 = addr "fec0::3"
 let test_codec_primitives () =
   Alcotest.(check string) "u32" "\x00\x00\x01\x02" (Codec.u32 0x102);
   Alcotest.(check string) "u64" "\x00\x00\x00\x00\x00\x00\x01\x02" (Codec.u64 0x102L);
-  Alcotest.(check string) "lstring" "\x00\x03abc" (Codec.lstring "abc");
+  (* Strings are u16-length-prefixed. *)
+  Alcotest.(check string) "lstring" ("DREP|\x00\x03abc" ^ Codec.u64 7L)
+    (Codec.drep_payload ~dn:"abc" ~ch:7L);
   Alcotest.(check int) "addr is 16 bytes" 16 (String.length (Codec.addr a1));
   Alcotest.(check string) "route counts" (Codec.u32 2 ^ Codec.addr a1 ^ Codec.addr a2)
     (Codec.route [ a1; a2 ])
@@ -114,7 +116,7 @@ let test_wire_rreq_srr_cost () =
   let s1 = Wire.size_of (mk 1) in
   let s2 = Wire.size_of (mk 2) in
   Alcotest.(check int) "per-hop SRR cost matches model"
-    (Wire.srr_entry_size ~sig_size ~pk_size)
+    (16 + 2 + sig_size + 2 + pk_size + 8)
     (s2 - s1)
 
 let test_wire_crypto_fields_scale () =
@@ -136,7 +138,7 @@ let test_wire_matches_binary_codec () =
         payload_size = 100; sent_at = 1.25 }
   in
   Alcotest.(check int) "identity"
-    (Wire.ipv6_header + String.length (Manet_proto.Binary.encode msg) - 8)
+    (40 + String.length (Manet_proto.Binary.Oracle.encode msg) - 8)
     (Wire.size_of msg)
 
 (* One value of every message variant. *)
@@ -168,7 +170,7 @@ let test_wire_all_messages_positive () =
   List.iter
     (fun msg ->
       let size = Wire.size_of msg in
-      Alcotest.(check bool) (Messages.tag msg) true (size > Wire.ipv6_header))
+      Alcotest.(check bool) (Messages.tag msg) true (size > 40))
     one_of_each
 
 let test_messages_counter_keys () =
@@ -195,57 +197,68 @@ let test_messages_with_remaining () =
 (* Message rendering: the Buffer renderer against the Format oracle    *)
 (* ------------------------------------------------------------------ *)
 
-(* The Format-based [Messages.pp] and [pp_route] the Buffer renderer
+(* The Format-based message and route printers the Buffer renderer
    replaced, kept verbatim: every trace and capture detail must match
    them byte for byte. *)
+let pp_addr fmt a = Format.pp_print_string fmt (Address.to_string a)
+
+(* The plain address writer: [Address.to_string]'s text. *)
+let add_addr buf a = Buffer.add_string buf (Address.to_string a)
+
+(* A message's one-line summary, with the plain address writer. *)
+let msg_text m =
+  let buf = Buffer.create 128 in
+  Messages.add_to_buffer add_addr buf m;
+  Buffer.contents buf
+
 let ref_pp_route fmt route =
   Format.fprintf fmt "[%s]" (String.concat ";" (List.map Address.to_string route))
 
 let ref_pp fmt msg =
   match msg with
   | Messages.Areq m ->
-      Format.fprintf fmt "AREQ(sip=%a, seq=%d, dn=%s, rr=%a)" Address.pp m.sip
+      Format.fprintf fmt "AREQ(sip=%a, seq=%d, dn=%s, rr=%a)" pp_addr m.sip
         m.seq
         (Option.value ~default:"-" m.dn)
         ref_pp_route m.rr
-  | Arep m -> Format.fprintf fmt "AREP(sip=%a, rr=%a)" Address.pp m.sip ref_pp_route m.rr
-  | Drep m -> Format.fprintf fmt "DREP(sip=%a, dn=%s)" Address.pp m.sip m.dn
+  | Arep m -> Format.fprintf fmt "AREP(sip=%a, rr=%a)" pp_addr m.sip ref_pp_route m.rr
+  | Drep m -> Format.fprintf fmt "DREP(sip=%a, dn=%s)" pp_addr m.sip m.dn
   | Rreq m ->
-      Format.fprintf fmt "RREQ(sip=%a, dip=%a, seq=%d, hops=%d)" Address.pp m.sip
-        Address.pp m.dip m.seq (List.length m.srr)
+      Format.fprintf fmt "RREQ(sip=%a, dip=%a, seq=%d, hops=%d)" pp_addr m.sip
+        pp_addr m.dip m.seq (List.length m.srr)
   | Rrep m ->
-      Format.fprintf fmt "RREP(sip=%a, dip=%a, rr=%a)" Address.pp m.sip Address.pp
+      Format.fprintf fmt "RREP(sip=%a, dip=%a, rr=%a)" pp_addr m.sip pp_addr
         m.dip ref_pp_route m.rr
   | Crep m ->
-      Format.fprintf fmt "CREP(req=%a, cacher=%a, dip=%a)" Address.pp m.requester
-        Address.pp m.cacher Address.pp m.dip
+      Format.fprintf fmt "CREP(req=%a, cacher=%a, dip=%a)" pp_addr m.requester
+        pp_addr m.cacher pp_addr m.dip
   | Rerr m ->
-      Format.fprintf fmt "RERR(reporter=%a, broken=%a, dst=%a)" Address.pp
-        m.reporter Address.pp m.broken_next Address.pp m.dst
+      Format.fprintf fmt "RERR(reporter=%a, broken=%a, dst=%a)" pp_addr
+        m.reporter pp_addr m.broken_next pp_addr m.dst
   | Data m ->
-      Format.fprintf fmt "DATA(src=%a, dst=%a, seq=%d)" Address.pp m.src Address.pp
+      Format.fprintf fmt "DATA(src=%a, dst=%a, seq=%d)" pp_addr m.src pp_addr
         m.dst m.seq
   | Ack m ->
-      Format.fprintf fmt "ACK(src=%a, dst=%a, seq=%d)" Address.pp m.src Address.pp
+      Format.fprintf fmt "ACK(src=%a, dst=%a, seq=%d)" pp_addr m.src pp_addr
         m.dst m.data_seq
   | Probe m ->
-      Format.fprintf fmt "PROBE(origin=%a, target=%a, seq=%d)" Address.pp m.origin
-        Address.pp m.target m.seq
+      Format.fprintf fmt "PROBE(origin=%a, target=%a, seq=%d)" pp_addr m.origin
+        pp_addr m.target m.seq
   | Probe_reply m ->
-      Format.fprintf fmt "PROBE_REPLY(responder=%a, seq=%d)" Address.pp m.responder
+      Format.fprintf fmt "PROBE_REPLY(responder=%a, seq=%d)" pp_addr m.responder
         m.seq
   | Name_query m -> Format.fprintf fmt "NAME_QUERY(name=%s)" m.name
   | Name_reply m ->
       Format.fprintf fmt "NAME_REPLY(name=%s, result=%s)" m.name
         (match m.result with Some a -> Address.to_string a | None -> "-")
   | Ip_change_request m ->
-      Format.fprintf fmt "IP_CHANGE_REQUEST(old=%a, new=%a)" Address.pp m.old_ip
-        Address.pp m.new_ip
+      Format.fprintf fmt "IP_CHANGE_REQUEST(old=%a, new=%a)" pp_addr m.old_ip
+        pp_addr m.new_ip
   | Ip_change_challenge m ->
-      Format.fprintf fmt "IP_CHANGE_CHALLENGE(old=%a)" Address.pp m.old_ip
+      Format.fprintf fmt "IP_CHANGE_CHALLENGE(old=%a)" pp_addr m.old_ip
   | Ip_change_proof m ->
-      Format.fprintf fmt "IP_CHANGE_PROOF(old=%a, new=%a)" Address.pp m.old_ip
-        Address.pp m.new_ip
+      Format.fprintf fmt "IP_CHANGE_PROOF(old=%a, new=%a)" pp_addr m.old_ip
+        pp_addr m.new_ip
   | Ip_change_ack m ->
       Format.fprintf fmt "IP_CHANGE_ACK(accepted=%b)" m.accepted
 
@@ -255,8 +268,8 @@ let ref_pp fmt msg =
    included; optional fields and [accepted] take both values. *)
 let every_message g =
   let addr g =
-    if Prng.bool g then
-      Address.of_groups
+    if Test_crypto.coin g then
+      Test_ipv6.of_groups
         (Array.init 8 (fun _ -> if Prng.int g 3 = 0 then Prng.int g 0x10000 else 0))
     else Address.of_bytes (Prng.bytes g 16)
   in
@@ -268,7 +281,7 @@ let every_message g =
   in
   let str g = Prng.bytes g (Prng.int g 40) in
   let int g = Prng.int g 2_000_000 - 1_000_000 in
-  let opt g f = if Prng.bool g then Some (f g) else None in
+  let opt g f = if Test_crypto.coin g then Some (f g) else None in
   let srr g =
     List.init (Prng.int g 6) (fun _ ->
         { Messages.ip = addr g; sig_ = str g; pk = str g; rn = Prng.bits64 g })
@@ -320,7 +333,7 @@ let every_message g =
       { old_ip = addr g; new_ip = addr g; old_rn = r64 g; new_rn = r64 g;
         pk = str g; sig_ = str g; route = route g; remaining = route g };
     Ip_change_ack
-      { old_ip = addr g; new_ip = addr g; accepted = Prng.bool g; remaining = route g };
+      { old_ip = addr g; new_ip = addr g; accepted = Test_crypto.coin g; remaining = route g };
   ]
 
 let prop_pp_matches_format_oracle =
@@ -330,10 +343,10 @@ let prop_pp_matches_format_oracle =
         ~print:(fun ms -> String.concat "\n" (List.map (Format.asprintf "%a" ref_pp) ms))
         Gen.(map (fun seed -> every_message (Prng.create ~seed)) int))
     (List.for_all (fun m ->
-         String.equal (Format.asprintf "%a" Messages.pp m) (Format.asprintf "%a" ref_pp m)))
+         String.equal (msg_text m) (Format.asprintf "%a" ref_pp m)))
 
 let test_pp_pinned () =
-  let render m = Format.asprintf "%a" Messages.pp m in
+  let render = msg_text in
   Alcotest.(check string) "empty route, dn = None"
     "AREQ(sip=fec0::1, seq=7, dn=-, rr=[])"
     (render (Messages.Areq { sip = a1; seq = 7; dn = None; ch = 0L; rr = [] }));
@@ -621,12 +634,12 @@ let test_send_details_capture () =
        (fun e -> (e.Obs.name, e.Obs.detail))
        (Obs.events obs));
   Alcotest.(check int) "ring stays off" 0
-    (Trace.length (Engine.trace engine))
+    (Test_sim.trace_length (Engine.trace engine))
 
 let test_send_details_sinks_off () =
   let engine, obs = sink_run (fun _ _ -> ()) in
   Alcotest.(check bool) "no sink wants events" false (Obs.wants_events obs);
-  Alcotest.(check int) "ring empty" 0 (Trace.length (Engine.trace engine));
+  Alcotest.(check int) "ring empty" 0 (Test_sim.trace_length (Engine.trace engine));
   Alcotest.(check int) "no captured events" 0 (List.length (Obs.events obs));
   (* The counters do not depend on the sinks. *)
   let st = Engine.stats engine in
@@ -680,7 +693,7 @@ let gen_key_script =
                (frequency
                   [
                     (2, return Stat);
-                    (2, map (fun by -> Stat_by by) (int_bound 3));
+                    (2, map (fun by -> Stat_by by) (int_range 1 3));
                     (1, map (fun x -> Observe x) (float_range (-5.0) 5.0));
                   ])
                bool))))
@@ -713,7 +726,10 @@ let prop_counter_keys_match_model =
               Manet_obs.Metrics.set_enabled m on;
               match op with
               | Stat -> Ctx.stat ctxs.(node) k
-              | Stat_by by -> Ctx.stat_by ctxs.(node) k by
+              | Stat_by by ->
+                  for _ = 1 to by do
+                    Ctx.stat ctxs.(node) k
+                  done
               | Observe x -> Ctx.observe ctxs.(node) k x))
         script;
       Engine.run engine;
@@ -753,22 +769,10 @@ let prop_counter_keys_match_model =
                   | Observe x -> `Sample x ))
           script
       in
-      let metric_total node name =
-        List.fold_left
-          (fun acc (_, n, nm, v) ->
-            match v with
-            | `By by when String.equal nm name && (node = -1 || n = node) -> acc + by
-            | _ -> acc)
-          0 windowed
-      in
       let csv, prom = Test_obs.oracle_metrics ~window:1.0 ~stats windowed in
       Array.for_all
         (fun name ->
-          Stats.get stats name = Option.value ~default:0 (Hashtbl.find_opt totals name)
-          && List.for_all
-               (fun node ->
-                 Manet_obs.Metrics.counter_total m ~node name = metric_total node name)
-               [ -1; 0; 1; 2; 3 ])
+          Stats.get stats name = Option.value ~default:0 (Hashtbl.find_opt totals name))
         key_names
       && Stats.counters stats = sorted totals
       && List.map (fun (n, (s : Stats.summary)) -> (n, s.Stats.count)) (Stats.summaries stats)
@@ -783,13 +787,8 @@ let test_stat_allocation_budget () =
   let k = Stats.key "data.forwarded" in
   let budget label =
     Ctx.stat ctxs.(1) k;
-    Ctx.stat_by ctxs.(1) k 3;
     let stat = Test_crypto.minor_words_per_call 10_000 (fun () -> Ctx.stat ctxs.(1) k) in
-    let stat_by =
-      Test_crypto.minor_words_per_call 10_000 (fun () -> Ctx.stat_by ctxs.(1) k 3)
-    in
-    Alcotest.(check (float 0.0)) ("Node_ctx.stat, " ^ label) 0.0 stat;
-    Alcotest.(check (float 0.0)) ("Node_ctx.stat_by, " ^ label) 0.0 stat_by
+    Alcotest.(check (float 0.0)) ("Node_ctx.stat, " ^ label) 0.0 stat
   in
   budget "metrics off";
   Manet_obs.Metrics.set_enabled (Obs.metrics obs) true;
@@ -801,11 +800,11 @@ let test_stat_allocation_budget () =
 
 (* Every detail of node 0's transmissions naming [x] (as a broadcast
    AREQ's source and route, as a unicast's next hop and DATA endpoints),
-   and the audit subject [x], equal the renderings of Messages.pp and
+   and the audit subject [x], equal the renderings of msg_text and
    Address.to_string. *)
 let check_rendered label (engine, obs, ids, ctxs) x =
   ignore engine;
-  let pp = Format.asprintf "%a" Messages.pp in
+  let pp = msg_text in
   let a1 = ids.(1).Identity.address in
   let areq = Messages.Areq { sip = x; seq = 1; dn = None; ch = 2L; rr = [ a1; x ] } in
   let data =
@@ -825,8 +824,10 @@ let check_rendered label (engine, obs, ids, ctxs) x =
       "to " ^ Address.to_string x ^ ": " ^ pp (Messages.with_remaining data [ x ]);
     ]
     details;
+  let last = ref [] in
+  Manet_obs.Audit.on_emit (Obs.audit obs) (fun e -> last := [ e ]);
   Ctx.audit ctxs.(0) ~kind:Manet_obs.Audit.Cga_mismatch ~subject:x ~cause:"test" ();
-  match List.rev (Manet_obs.Audit.events (Obs.audit obs)) with
+  match !last with
   | e :: _ ->
       Alcotest.(check (option string)) (label ^ ": audit subject")
         (Some (Address.to_string x)) e.Manet_obs.Audit.subject_addr
@@ -851,7 +852,7 @@ let test_address_text_memo () =
   for start = 0 to 7 do
     for len = 1 to 8 - start do
       let a =
-        Address.of_groups (Array.init 8 (fun i -> if i >= start && i < start + len then 0 else 0xfe80 + i))
+        Test_ipv6.of_groups (Array.init 8 (fun i -> if i >= start && i < start + len then 0 else 0xfe80 + i))
       in
       Alcotest.(check string) "zero-run text" (Address.to_string a) (Obs.address_text obs a)
     done
@@ -878,7 +879,7 @@ let gen_address =
         for i = start to min 7 (start + len - 1) do
           g.(i) <- 0
         done;
-        Address.of_groups g)
+        Test_ipv6.of_groups g)
       (pair
          (pair (int_bound 7) (int_bound 8))
          (list_repeat 8 (frequency [ (3, return 0); (2, int_bound 15); (4, int_bound 0xffff) ]))))
@@ -894,10 +895,10 @@ let prop_address_text_memo =
       Buffer.clear buf;
       Buffer.clear direct;
       Messages.add_to_buffer (Obs.address_writer obs) buf m;
-      Messages.add_to_buffer Address.add_to_buffer direct m;
+      Messages.add_to_buffer add_addr direct m;
       String.equal (Obs.address_text obs a) (Address.to_string a)
       && String.equal (Buffer.contents buf) (Buffer.contents direct)
-      && String.equal (Buffer.contents buf) (Format.asprintf "%a" Messages.pp m))
+      && String.equal (Buffer.contents buf) (msg_text m))
 
 (* ------------------------------------------------------------------ *)
 (* BSAR ablation: verify_at_destination = false                       *)

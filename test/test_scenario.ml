@@ -7,7 +7,7 @@
 
 module Scn = Manet_scenario.Scn
 module Schema = Manet_scenario.Schema
-module Export = Manetsec.Export
+module Export = Manet_scenario.Export
 module Sexp = Manet_scenario.Sexp
 module Scenario = Manetsec.Scenario
 module Mobility = Manetsec.Sim.Mobility
@@ -523,9 +523,13 @@ let test_prepare_sinks () =
       let obs = Scenario.obs s in
       Alcotest.(check bool) (keyword ^ ": capture")
         (kind = Export.Trace_jsonl) (Obs.wants_events obs);
+      (* A record lands in the export only while metrics are on. *)
+      let m = Obs.metrics obs in
+      let before = Metrics.to_csv m in
+      Metrics.record m ~node:0 ~by:1 (Manet_sim.Stats.key "probe");
       Alcotest.(check bool) (keyword ^ ": metrics")
         (kind = Export.Metrics_csv || kind = Export.Metrics_prom)
-        (Metrics.enabled (Obs.metrics obs)))
+        (not (String.equal before (Metrics.to_csv m))))
     Schema.exports
 
 let test_sweep_rejects_unmerged () =

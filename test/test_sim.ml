@@ -66,7 +66,7 @@ let test_heap_interleaved () =
   let g = Prng.create ~seed:5 in
   let reference = ref [] in
   for _ = 1 to 1000 do
-    if Prng.bool g || !reference = [] then begin
+    if Test_crypto.coin g || !reference = [] then begin
       let p = Prng.float g 100.0 in
       Heap.push h p () ();
       reference := List.merge compare [ p ] !reference
@@ -290,22 +290,27 @@ let prop_percentile_out_of_range =
       QCheck.assume (d > 0.0);
       bad (1.0 +. d) && bad (-.d))
 
-let test_stats_clear () =
-  let s = Stats.create () in
-  Stats.incr s k_x;
-  Stats.observe s k_v 1.0;
-  Stats.clear s;
-  Alcotest.(check int) "counter gone" 0 (Stats.get s "x");
-  Alcotest.(check bool) "summary gone" true (Stats.summary s "v" = None)
-
 (* ------------------------------------------------------------------ *)
 (* Trace                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The ring's reads, through [Trace.entries] and the drop-count header
+   of [Trace.render]. *)
+let trace_length t = List.length (Trace.entries t)
+
+let trace_find t ~event =
+  List.filter (fun e -> String.equal e.Trace.event event) (Trace.entries t)
+
+let trace_dropped t =
+  let r = Trace.render t in
+  if String.starts_with ~prefix:"[trace: " r then
+    Scanf.sscanf r "[trace: %d oldest" Fun.id
+  else 0
+
 let test_trace_disabled_by_default () =
   let t = Trace.create () in
   Trace.log t ~time:1.0 ~node:0 ~event:"e" ~detail:"d";
-  Alcotest.(check int) "nothing recorded" 0 (Trace.length t)
+  Alcotest.(check int) "nothing recorded" 0 (trace_length t)
 
 let test_trace_record_and_find () =
   let t = Trace.create () in
@@ -313,8 +318,8 @@ let test_trace_record_and_find () =
   Trace.log t ~time:1.0 ~node:0 ~event:"areq" ~detail:"first";
   Trace.log t ~time:2.0 ~node:1 ~event:"arep" ~detail:"second";
   Trace.log t ~time:3.0 ~node:2 ~event:"areq" ~detail:"third";
-  Alcotest.(check int) "length" 3 (Trace.length t);
-  let areqs = Trace.find t ~event:"areq" in
+  Alcotest.(check int) "length" 3 (trace_length t);
+  let areqs = trace_find t ~event:"areq" in
   Alcotest.(check int) "two areqs" 2 (List.length areqs);
   Alcotest.(check string) "order" "first" (List.hd areqs).Trace.detail
 
@@ -330,17 +335,17 @@ let test_trace_capacity () =
 let test_trace_dropped () =
   let t = Trace.create ~capacity:3 () in
   Trace.enable t;
-  Alcotest.(check int) "no drops yet" 0 (Trace.dropped t);
+  Alcotest.(check int) "no drops yet" 0 (trace_dropped t);
   for i = 1 to 5 do
     Trace.log t ~time:(float_of_int i) ~node:0 ~event:"e" ~detail:(string_of_int i)
   done;
-  Alcotest.(check int) "two drops counted" 2 (Trace.dropped t);
+  Alcotest.(check int) "two drops counted" 2 (trace_dropped t);
   let rendered = Trace.render t in
   Alcotest.(check bool) "render reports drops" true
     (String.length rendered > 0
     && String.sub rendered 0 8 = "[trace: ");
   Trace.clear t;
-  Alcotest.(check int) "clear resets drops" 0 (Trace.dropped t);
+  Alcotest.(check int) "clear resets drops" 0 (trace_dropped t);
   Trace.log t ~time:1.0 ~node:0 ~event:"e" ~detail:"x";
   Alcotest.(check bool) "no header below capacity" true
     (String.sub (Trace.render t) 0 1 <> "[")
@@ -351,13 +356,13 @@ let test_trace_capacity_one () =
   for i = 1 to 4 do
     Trace.log t ~time:(float_of_int i) ~node:0 ~event:"e" ~detail:(string_of_int i)
   done;
-  Alcotest.(check int) "length stays 1" 1 (Trace.length t);
-  Alcotest.(check int) "three dropped" 3 (Trace.dropped t);
+  Alcotest.(check int) "length stays 1" 1 (trace_length t);
+  Alcotest.(check int) "three dropped" 3 (trace_dropped t);
   Alcotest.(check (list string)) "newest survives" [ "4" ]
     (List.map (fun e -> e.Trace.detail) (Trace.entries t));
   (* find scans the ring: dropped entries are gone from it too. *)
   Alcotest.(check int) "find follows ring drops" 1
-    (List.length (Trace.find t ~event:"e"))
+    (List.length (trace_find t ~event:"e"))
 
 let test_trace_drops_across_clear () =
   let t = Trace.create ~capacity:2 () in
@@ -365,16 +370,16 @@ let test_trace_drops_across_clear () =
   for i = 1 to 5 do
     Trace.log t ~time:(float_of_int i) ~node:0 ~event:"e" ~detail:(string_of_int i)
   done;
-  Alcotest.(check int) "drops before clear" 3 (Trace.dropped t);
+  Alcotest.(check int) "drops before clear" 3 (trace_dropped t);
   Trace.clear t;
-  Alcotest.(check int) "clear resets the counter" 0 (Trace.dropped t);
-  Alcotest.(check int) "clear empties the buffer" 0 (Trace.length t);
+  Alcotest.(check int) "clear resets the counter" 0 (trace_dropped t);
+  Alcotest.(check int) "clear empties the buffer" 0 (trace_length t);
   Alcotest.(check int) "find empty after clear" 0
-    (List.length (Trace.find t ~event:"e"));
+    (List.length (trace_find t ~event:"e"));
   for i = 1 to 3 do
     Trace.log t ~time:(float_of_int i) ~node:0 ~event:"e" ~detail:(string_of_int i)
   done;
-  Alcotest.(check int) "counting resumes from zero" 1 (Trace.dropped t)
+  Alcotest.(check int) "counting resumes from zero" 1 (trace_dropped t)
 
 let test_trace_render_header_gated_on_drops () =
   let t = Trace.create ~capacity:3 () in
@@ -394,11 +399,9 @@ let test_trace_disabled_noop () =
     Trace.log t ~time:(float_of_int i) ~node:0 ~event:"e" ~detail:"d"
   done;
   Alcotest.(check bool) "disabled" false (Trace.is_enabled t);
-  Alcotest.(check int) "no entries" 0 (Trace.length t);
-  Alcotest.(check int) "no drops either" 0 (Trace.dropped t);
-  Alcotest.(check int) "find empty" 0 (List.length (Trace.find t ~event:"e"));
-  Alcotest.(check int) "fold sees nothing" 0
-    (Trace.fold t ~init:0 ~f:(fun acc _ -> acc + 1))
+  Alcotest.(check int) "no entries" 0 (trace_length t);
+  Alcotest.(check int) "no drops either" 0 (trace_dropped t);
+  Alcotest.(check string) "render sees nothing" "" (Trace.render t)
 
 let test_trace_fold_and_find_consistency () =
   (* After ring wraparound, fold order, entries and find must all
@@ -410,18 +413,16 @@ let test_trace_fold_and_find_consistency () =
     Trace.log t ~time:(float_of_int i) ~node:0 ~event ~detail:(string_of_int i)
   done;
   let entries = Trace.entries t in
-  Alcotest.(check (list string)) "fold = entries, oldest first"
-    (List.map (fun e -> e.Trace.detail) entries)
-    (List.rev (Trace.fold t ~init:[] ~f:(fun acc e -> e.Trace.detail :: acc)));
-  List.iter
-    (fun tag ->
-      Alcotest.(check (list string))
-        (Printf.sprintf "find %s = filtered entries" tag)
-        (List.filter_map
-           (fun e -> if e.Trace.event = tag then Some e.Trace.detail else None)
-           entries)
-        (List.map (fun e -> e.Trace.detail) (Trace.find t ~event:tag)))
-    [ "even"; "odd" ]
+  Alcotest.(check (list string)) "entries keep the newest, oldest first"
+    [ "7"; "8"; "9"; "10" ]
+    (List.map (fun e -> e.Trace.detail) entries);
+  (* render folds the same ring: after the drop header, one line per
+     entry in the same order. *)
+  Alcotest.(check (list string)) "render = entries, oldest first"
+    (List.map (fun e -> Format.asprintf "%a" Trace.pp_entry e) entries)
+    (match String.split_on_char '\n' (Trace.render t) with
+    | _header :: lines -> List.filter (fun l -> l <> "") lines
+    | [] -> [])
 
 (* ------------------------------------------------------------------ *)
 (* Engine                                                             *)
@@ -616,16 +617,45 @@ let test_engine_occupancy_reference () =
 (* Topology                                                           *)
 (* ------------------------------------------------------------------ *)
 
+let distance t i j =
+  let (xi, yi), (xj, yj) = (Topology.position t i, Topology.position t j) in
+  Float.hypot (xi -. xj) (yi -. yj)
+
+(* Whether the unit-disk graph is one component, by exhaustive search. *)
+let brute_connected t ~range =
+  let n = Topology.size t in
+  let seen = Array.make n false in
+  let rec visit i =
+    if not seen.(i) then begin
+      seen.(i) <- true;
+      for j = 0 to n - 1 do
+        if Topology.in_range t ~range i j then visit j
+      done
+    end
+  in
+  visit 0;
+  Array.for_all Fun.id seen
+
+(* A uniformly random placement, drawn as the placement generator
+   draws it. *)
+let random_topology g ~n ~width ~height =
+  let t = Topology.create ~n ~width ~height in
+  for i = 0 to n - 1 do
+    let x = Prng.float g width in
+    Topology.set_position t i (x, Prng.float g height)
+  done;
+  t
+
 let test_topology_chain () =
   let t = Topology.chain ~n:5 ~spacing:100.0 in
   Alcotest.(check int) "size" 5 (Topology.size t);
-  Alcotest.(check (float 1e-9)) "distance" 100.0 (Topology.distance t 0 1);
-  Alcotest.(check (float 1e-9)) "distance 0-4" 400.0 (Topology.distance t 0 4);
+  Alcotest.(check (float 1e-9)) "distance" 100.0 (distance t 0 1);
+  Alcotest.(check (float 1e-9)) "distance 0-4" 400.0 (distance t 0 4);
   Alcotest.(check (list int)) "middle neighbors" [ 1; 3 ]
     (Topology.neighbors t ~range:150.0 2);
   Alcotest.(check (list int)) "end neighbors" [ 1 ] (Topology.neighbors t ~range:150.0 0);
-  Alcotest.(check bool) "connected at 150" true (Topology.is_connected t ~range:150.0);
-  Alcotest.(check bool) "disconnected at 50" false (Topology.is_connected t ~range:50.0)
+  Alcotest.(check (list int)) "no neighbors at 50" []
+    (Topology.neighbors t ~range:50.0 2)
 
 let test_topology_grid () =
   let t = Topology.grid ~rows:3 ~cols:4 ~spacing:10.0 in
@@ -637,7 +667,7 @@ let test_topology_grid () =
 let test_topology_random_connected () =
   let g = Prng.create ~seed:3 in
   let t = Topology.random_connected g ~n:30 ~width:500.0 ~height:500.0 ~range:150.0 in
-  Alcotest.(check bool) "connected" true (Topology.is_connected t ~range:150.0);
+  Alcotest.(check bool) "connected" true (brute_connected t ~range:150.0);
   for i = 0 to 29 do
     let x, y = Topology.position t i in
     Alcotest.(check bool) "in field" true (x >= 0.0 && x < 500.0 && y >= 0.0 && y < 500.0)
@@ -646,7 +676,7 @@ let test_topology_random_connected () =
 let test_topology_set_position () =
   let t = Topology.create ~n:2 ~width:10.0 ~height:10.0 in
   Topology.set_position t 1 (3.0, 4.0);
-  Alcotest.(check (float 1e-9)) "distance 3-4-5" 5.0 (Topology.distance t 0 1);
+  Alcotest.(check (float 1e-9)) "distance 3-4-5" 5.0 (distance t 0 1);
   Alcotest.(check bool) "in range" true (Topology.in_range t ~range:5.0 0 1);
   Alcotest.(check bool) "self never in range" false (Topology.in_range t ~range:5.0 0 0)
 
@@ -738,24 +768,20 @@ let prop_index_matches_brute_force =
              index_agrees t w.ranges)
            w.moves)
 
+(* The placement generator's connectivity test, through its one
+   caller: what [random_connected] returns is connected by exhaustive
+   search, and on a 100 x 100 field a range past the diagonal never
+   exhausts the attempts. *)
 let prop_is_connected_matches_brute_force =
-  qtest ~count:200 "is_connected = brute-force search" arb_world (fun w ->
-      let t = topology_of w in
-      let n = Topology.size t in
-      List.for_all
-        (fun range ->
-          let seen = Array.make n false in
-          let rec visit i =
-            if not seen.(i) then begin
-              seen.(i) <- true;
-              for j = 0 to n - 1 do
-                if Topology.in_range t ~range i j then visit j
-              done
-            end
-          in
-          visit 0;
-          Topology.is_connected t ~range = Array.for_all Fun.id seen)
-        w.ranges)
+  qtest ~count:200 "is_connected = brute-force search"
+    QCheck.(triple (int_range 2 12) small_nat (float_range 5.0 200.0))
+    (fun (n, seed, range) ->
+      let g = Prng.create ~seed in
+      match
+        Topology.random_connected g ~n ~width:100.0 ~height:100.0 ~range
+      with
+      | t -> brute_connected t ~range
+      | exception Topology.No_connected_placement _ -> range < 142.0)
 
 (* ------------------------------------------------------------------ *)
 (* Mobility                                                           *)
@@ -767,7 +793,7 @@ let positions topo =
 let test_mobility_static () =
   let e = Engine.create ~seed:1 () in
   let g = Prng.create ~seed:2 in
-  let topo = Topology.random g ~n:5 ~width:100.0 ~height:100.0 in
+  let topo = random_topology g ~n:5 ~width:100.0 ~height:100.0 in
   let before = positions topo in
   let m = Mobility.create e topo g Mobility.Static in
   Mobility.start m;
@@ -777,7 +803,7 @@ let test_mobility_static () =
 let test_mobility_waypoint_moves_and_stays_in_field () =
   let e = Engine.create ~seed:1 () in
   let g = Prng.create ~seed:2 in
-  let topo = Topology.random g ~n:10 ~width:100.0 ~height:100.0 in
+  let topo = random_topology g ~n:10 ~width:100.0 ~height:100.0 in
   let before = positions topo in
   let m =
     Mobility.create e topo g
@@ -791,15 +817,12 @@ let test_mobility_waypoint_moves_and_stays_in_field () =
     (fun (x, y) ->
       Alcotest.(check bool) "within field" true
         (x >= 0.0 && x <= 100.0 && y >= 0.0 && y <= 100.0))
-    after;
-  Mobility.stop m;
-  Engine.run e;
-  Alcotest.(check int) "queue drains after stop" 0 (Engine.pending e)
+    after
 
 let test_mobility_walk_bounded () =
   let e = Engine.create ~seed:7 () in
   let g = Prng.create ~seed:8 in
-  let topo = Topology.random g ~n:10 ~width:50.0 ~height:50.0 in
+  let topo = random_topology g ~n:10 ~width:50.0 ~height:50.0 in
   let m =
     Mobility.create e topo g (Mobility.Random_walk { speed = 10.0; turn_interval = 2.0 })
   in
@@ -809,14 +832,13 @@ let test_mobility_walk_bounded () =
     (fun (x, y) ->
       Alcotest.(check bool) "within field" true
         (x >= 0.0 && x <= 50.0 && y >= 0.0 && y <= 50.0))
-    (positions topo);
-  Mobility.stop m
+    (positions topo)
 
 let test_mobility_speed_bound () =
   (* Max displacement per tick must respect the speed limit. *)
   let e = Engine.create ~seed:9 () in
   let g = Prng.create ~seed:10 in
-  let topo = Topology.random g ~n:5 ~width:1000.0 ~height:1000.0 in
+  let topo = random_topology g ~n:5 ~width:1000.0 ~height:1000.0 in
   let m =
     Mobility.create ~tick:1.0 e topo g
       (Mobility.Random_waypoint { min_speed = 2.0; max_speed = 4.0; pause = 0.0 })
@@ -835,7 +857,6 @@ let test_mobility_speed_bound () =
       cur;
     prev := cur
   done;
-  Mobility.stop m;
   Alcotest.(check int) "no speed violations" 0 !violations
 
 (* ------------------------------------------------------------------ *)
@@ -915,7 +936,6 @@ let test_net_down_node () =
   let got = ref false and failed = ref false in
   Net.set_handler net 1 (fun ~src:_ _ -> got := true);
   Net.set_down net 1 true;
-  Alcotest.(check bool) "is_down" true (Net.is_down net 1);
   Net.unicast net ~src:0 ~dst:1 ~size:50 ~on_fail:(fun () -> failed := true) "data";
   Engine.run e;
   Alcotest.(check bool) "down node got nothing" false !got;
@@ -923,10 +943,11 @@ let test_net_down_node () =
   (* down sender transmits nothing *)
   Net.set_down net 1 false;
   Net.set_down net 0 true;
-  Net.reset_counters net;
+  let before = Net.transmissions net in
   Net.broadcast net ~src:0 ~size:10 "x";
   Engine.run e;
-  Alcotest.(check int) "no transmission from down node" 0 (Net.transmissions net)
+  Alcotest.(check int) "no transmission from down node" before
+    (Net.transmissions net)
 
 let test_net_loss_retries () =
   (* loss = 0.5 with 3 retries: most unicasts still get through; failures
@@ -974,8 +995,7 @@ let test_stats_snapshot_delta () =
   Alcotest.(check int) "snapshot_get present" 3 (Stats.snapshot_get before "b");
   Alcotest.(check int) "snapshot_get absent" 0 (Stats.snapshot_get before "c");
   Alcotest.(check (list (pair string int)))
-    "delta omits unchanged" [ ("b", 2); ("c", 1) ]
-    (Stats.delta ~before ~after)
+    "a snapshot is a copy" [ ("a", 1); ("b", 5); ("c", 1) ] after
 
 let test_net_counters_invariant () =
   (* Seeded loss + retries + promiscuous overhear: whatever the channel
@@ -1034,7 +1054,6 @@ let test_net_link_fault () =
   let got = ref 0 and failed = ref 0 in
   Net.set_handler net 1 (fun ~src:_ _ -> incr got);
   Net.set_link net 0 1 ~up:false;
-  Alcotest.(check bool) "link reported down" false (Net.link_up net 0 1);
   Net.unicast net ~src:0 ~dst:1 ~size:10 ~on_fail:(fun () -> incr failed) "x";
   Net.broadcast net ~src:0 ~size:10 "y";
   Engine.run e;
@@ -1053,8 +1072,6 @@ let test_net_partition () =
     Net.set_handler net i (fun ~src:_ _ -> got.(i) <- got.(i) + 1)
   done;
   Net.set_partition net [ 2; 3 ];
-  Alcotest.(check bool) "cross-cut link down" false (Net.link_up net 1 2);
-  Alcotest.(check bool) "same-side link up" true (Net.link_up net 2 3);
   Net.broadcast net ~src:1 ~size:10 "x";
   Engine.run e;
   Alcotest.(check int) "same side heard" 1 got.(0);
@@ -1163,7 +1180,7 @@ let prop_net_matches_reference =
         {
           topo;
           cfg;
-          rng = Prng.split (Prng.copy (Engine.rng e));
+          rng = Prng.split (Engine.rng (Engine.create ~seed:(Array.length w.pts) ()));
           down = Array.init n (fun i -> i mod 5 = 4);
           blocked = (0, 1);
           log = [];
@@ -1231,7 +1248,6 @@ let suites =
         prop_percentile_exact_below_cap;
         prop_percentile_reservoir_deterministic;
         prop_percentile_out_of_range;
-        Alcotest.test_case "clear" `Quick test_stats_clear;
         Alcotest.test_case "snapshot delta" `Quick test_stats_snapshot_delta;
       ] );
     ( "sim.trace",

@@ -6,7 +6,7 @@
 
 module Parallel = Manet_sim.Parallel
 module Merge = Manetsec.Merge
-module Export = Manetsec.Export
+module Export = Manet_scenario.Export
 module Json = Manetsec.Obs_json
 
 let test_map_order () =

@@ -21,38 +21,62 @@ let qtest ?(count = 100) name gen prop =
 
 (* --- bare-engine bucket mechanics --------------------------------------- *)
 
+(* The parsed header and ["bucket"] lines of a timeline export. *)
+let parse_export text =
+  match
+    String.split_on_char '\n' text
+    |> List.filter (fun l -> l <> "")
+    |> List.map Json.parse
+  with
+  | [] -> Alcotest.fail "empty timeline export"
+  | header :: rest ->
+      ( header,
+        List.filter
+          (fun j -> Json.member "type" j = Some (Json.String "bucket"))
+          rest )
+
+let int_field name j =
+  match Option.bind (Json.member name j) Json.to_int_opt with
+  | Some v -> v
+  | None -> Alcotest.failf "timeline line has no integer %s" name
+
 (* Drive a bare engine through the installed per-event hook: schedule
-   one no-op event per timestamp and let the engine fire the tick. *)
-let run_times ~width times =
+   one no-op event per timestamp and let the engine fire the hook; the
+   export closes the trailing bucket. *)
+let run_times ?width ?(setup = ignore) times =
   let e = Engine.create ~seed:1 () in
-  let tl = Timeline.create ~width e in
+  let tl = Timeline.create ?width e in
   Timeline.install tl;
+  setup tl;
   List.iter (fun t -> Engine.schedule_at e ~time:t (fun () -> ())) times;
   Engine.run e;
-  Timeline.flush tl;
-  (e, tl)
+  let fl = Flood.create e in
+  let text = Timeline.to_jsonl tl ~flood:fl in
+  (e, text, parse_export text, fun () -> Timeline.to_jsonl tl ~flood:fl)
+
+let windows buckets =
+  List.map (fun b -> (int_field "i" b, int_field "events" b)) buckets
 
 let test_half_open_boundaries () =
-  Alcotest.(check int) "schema version pinned" 1 Timeline.schema_version;
-  Alcotest.(check (float 0.0)) "default width" 1.0 Timeline.default_width;
-  let e, tl = run_times ~width:2.0 [ 0.5; 1.99; 2.0 ] in
-  Alcotest.(check (float 0.0)) "width recorded" 2.0 (Timeline.width tl);
-  Alcotest.(check bool) "recording on by default" true (Timeline.enabled tl);
+  let _, _, (header, buckets), _ = run_times ~width:2.0 [ 0.5; 1.99; 2.0 ] in
+  Alcotest.(check (option int)) "schema version pinned" (Some 1)
+    (Option.bind (Json.member "version" header) Json.to_int_opt);
+  Alcotest.(check (option (float 0.0))) "width recorded" (Some 2.0)
+    (Option.bind (Json.member "width" header) Json.to_float_opt);
+  let _, _, (header, _), _ = run_times [] in
+  Alcotest.(check (option (float 0.0))) "default width" (Some 1.0)
+    (Option.bind (Json.member "width" header) Json.to_float_opt);
   (* [0, 2) holds 0.5 and 1.99; the boundary event 2.0 opens bucket 1. *)
   Alcotest.(check (list (pair int int)))
     "half-open windows: boundary event falls in the next bucket"
     [ (0, 2); (1, 1) ]
-    (List.map
-       (fun b -> (b.Timeline.b_index, b.Timeline.b_events))
-       (Timeline.buckets tl));
-  Alcotest.(check int) "bucket_count agrees" 2 (Timeline.bucket_count tl);
-  (* Ticks with no new activity (driven directly, as the mli allows)
-     materialise nothing: only windows that saw work exist. *)
-  Timeline.tick tl 10.0;
-  Timeline.flush tl;
-  Alcotest.(check int) "idle windows materialise no bucket" 2
-    (Timeline.bucket_count tl);
-  ignore (Sys.opaque_identity (Engine.events_processed e))
+    (windows buckets);
+  (* The windows between 1 and 10 saw no work: none materialises. *)
+  let _, _, (_, buckets), _ = run_times ~width:2.0 [ 0.5; 1.99; 2.0; 20.5 ] in
+  Alcotest.(check (list (pair int int)))
+    "idle windows materialise no bucket"
+    [ (0, 2); (1, 1); (10, 1) ]
+    (windows buckets)
 
 let test_width_validated () =
   let e = Engine.create ~seed:1 () in
@@ -61,37 +85,24 @@ let test_width_validated () =
       ignore (Timeline.create ~width:0.0 e))
 
 let test_disabled_records_nothing () =
-  let e = Engine.create ~seed:1 () in
-  let tl = Timeline.create e in
-  Timeline.install tl;
-  Timeline.set_enabled tl false;
-  List.iter
-    (fun t -> Engine.schedule_at e ~time:t (fun () -> ()))
-    [ 0.5; 3.0; 7.5 ];
-  Engine.run e;
-  Timeline.flush tl;
-  Alcotest.(check bool) "switch reads back" false (Timeline.enabled tl);
-  Alcotest.(check int) "disabled timeline stays empty" 0
-    (Timeline.bucket_count tl)
+  let _, _, (_, buckets), _ =
+    run_times
+      ~setup:(fun tl -> Timeline.set_enabled tl false)
+      [ 0.5; 3.0; 7.5 ]
+  in
+  Alcotest.(check int) "disabled timeline stays empty" 0 (List.length buckets)
 
 let test_export_shape_and_idempotent_flush () =
-  let e, tl = run_times ~width:1.0 [ 0.25; 1.5; 1.75 ] in
-  let fl = Flood.create e in
-  (match Json.member "schema" (Timeline.header tl) with
-  | Some (Json.String s) ->
-      Alcotest.(check string) "header carries the schema" Timeline.schema s
-  | _ -> Alcotest.fail "timeline header has no schema member");
-  List.iter
-    (fun b ->
-      match Json.member "type" (Timeline.bucket_json b) with
-      | Some (Json.String "bucket") -> ()
-      | _ -> Alcotest.fail "bucket line is not typed \"bucket\"")
-    (Timeline.buckets tl);
-  (* to_jsonl flushes; a second export may only close zero-delta
-     windows, which materialise nothing — bytes must not change. *)
-  let a = Timeline.to_jsonl tl ~flood:fl in
-  let b = Timeline.to_jsonl tl ~flood:fl in
-  Alcotest.(check string) "double export is byte-identical" a b
+  let _, a, (header, buckets), again = run_times ~width:1.0 [ 0.25; 1.5; 1.75 ] in
+  Alcotest.(check (option string)) "header carries the schema"
+    (Some Timeline.schema)
+    (Option.bind (Json.member "schema" header) Json.to_string_opt);
+  Alcotest.(check (list (pair int int))) "one typed bucket line per window"
+    [ (0, 1); (1, 2) ] (windows buckets);
+  (* The export closes the trailing window; a second export may only
+     close zero-delta windows, which materialise nothing — bytes must
+     not change. *)
+  Alcotest.(check string) "double export is byte-identical" a (again ())
 
 (* Window sums = unbucketed totals, at any width, for any event-time
    sequence; bucket indices are exactly the half-open window indices of
@@ -105,8 +116,7 @@ let prop_bucket_aggregation =
   qtest "bucket sums = totals; indices = half-open window ids" times_gen
     (fun (width, raw) ->
       let times = List.map (fun k -> float_of_int k /. 100.0) raw in
-      let e, tl = run_times ~width times in
-      let buckets = Timeline.buckets tl in
+      let e, _, (_, buckets), _ = run_times ~width times in
       (* Expected tally with the hook's own index arithmetic. *)
       let tally = Hashtbl.create 16 in
       List.iter
@@ -119,20 +129,16 @@ let prop_bucket_aggregation =
         Hashtbl.fold (fun i c acc -> (i, c) :: acc) tally []
         |> List.sort compare
       in
-      let got =
-        List.map (fun b -> (b.Timeline.b_index, b.Timeline.b_events)) buckets
-      in
+      let got = windows buckets in
       let rec increasing = function
-        | a :: (b :: _ as rest) ->
-            a.Timeline.b_index < b.Timeline.b_index && increasing rest
+        | (a, _) :: ((b, _) :: _ as rest) -> a < b && increasing rest
         | _ -> true
       in
       got = expected
-      && List.fold_left (fun acc b -> acc + b.Timeline.b_events) 0 buckets
+      && List.fold_left (fun acc (_, n) -> acc + n) 0 got
          = Engine.events_processed e
-      && List.for_all (fun b -> b.Timeline.b_events > 0) buckets
-      && increasing buckets
-      && Timeline.bucket_count tl = List.length buckets)
+      && List.for_all (fun (_, n) -> n > 0) got
+      && increasing got)
 
 (* --- flood-tree invariants ---------------------------------------------- *)
 
@@ -189,36 +195,106 @@ let flood_ops_gen =
                (pair (int_bound 9) (int_bound 9))
                (pair (int_bound 4) (pair bool bool))))))
 
+(* One ["flood"] line of the provenance tail. *)
+type flood = {
+  id : int;
+  kind : string;
+  origin : int;
+  start : float;
+  last : float;
+  sent : int;
+  received : int;
+  duplicates : int;
+  verifies : int;
+  verify_nodes : int;
+  reached : int;
+  hop_radius : int;
+}
+
+let flood_tail fl =
+  let buf = Buffer.create 256 in
+  Flood.append_jsonl buf fl;
+  String.split_on_char '\n' (Buffer.contents buf)
+  |> List.filter (fun l -> l <> "")
+  |> List.map Json.parse
+
+let typed t j = Json.member "type" j = Some (Json.String t)
+
+(* The flood records of [fl]'s JSONL tail, in id order. *)
+let floods fl =
+  let num name j =
+    match Option.bind (Json.member name j) Json.to_float_opt with
+    | Some v -> v
+    | None -> Alcotest.failf "flood line has no number %s" name
+  in
+  List.filter_map
+    (fun j ->
+      if not (typed "flood" j) then None
+      else
+        let int name = int_field name j in
+        Some
+          {
+            id = int "id";
+            kind =
+              Option.value ~default:""
+                (Option.bind (Json.member "kind" j) Json.to_string_opt);
+            origin = int "origin";
+            start = num "start" j;
+            last = num "last" j;
+            sent = int "sent";
+            received = int "received";
+            duplicates = int "duplicates";
+            verifies = int "verifies";
+            verify_nodes = int "verify_nodes";
+            reached = int "reached";
+            hop_radius = int "hop_radius";
+          })
+    (flood_tail fl)
+
+(* The flood count the tail's summary line reports. *)
+let flood_count fl =
+  match List.filter (typed "flood_summary") (flood_tail fl) with
+  | [ j ] -> (
+      match Json.member "floods" j with
+      | Some f -> int_field "count" f
+      | None -> Alcotest.fail "flood_summary has no floods member")
+  | _ -> Alcotest.fail "expected one flood_summary line"
+
+(* The export prints times through the canonical 12-digit formatter;
+   rounding is monotone, so comparing a raw time rounded the same way
+   against an exported one keeps every order. *)
+let canon x = float_of_string (Json.float_str x)
+
 let summary_invariants s =
-  s.Flood.duplicates <= s.Flood.received
-  && s.Flood.reached <= s.Flood.received
-  && s.Flood.verify_nodes <= s.Flood.reached
-  && s.Flood.verify_nodes <= s.Flood.verifies
-  && s.Flood.start <= s.Flood.last
-  && String.equal (Flood.kind_str s.Flood.kind) "rreq"
+  s.duplicates <= s.received
+  && s.reached <= s.received
+  && s.verify_nodes <= s.reached
+  && s.verify_nodes <= s.verifies
+  && s.start <= s.last
+  && String.equal s.kind "rreq"
 
 let tree_invariants fl s =
-  let cells = Flood.tree fl ~id:s.Flood.id in
+  let cells = Flood.tree fl ~id:s.id in
   let rec sorted = function
     | (a, _) :: ((b, _) :: _ as rest) -> a < b && sorted rest
     | _ -> true
   in
-  List.length cells = s.Flood.reached
+  List.length cells = s.reached
   && sorted cells
   && List.fold_left (fun acc (_, (_, _, _, v)) -> acc + v) 0 cells
-     = s.Flood.verifies
+     = s.verifies
   && List.for_all
        (fun (_, (first_seen, parent, hops, verifies)) ->
-         first_seen >= s.Flood.start
-         && first_seen <= s.Flood.last
-         && hops <= s.Flood.hop_radius
+         canon first_seen >= s.start
+         && canon first_seen <= s.last
+         && hops <= s.hop_radius
          && verifies >= 0
          &&
          (* Causality: a parent that was itself reached was reached no
             later than its child.  The origin is exempt — it holds the
             flood from the start, and its own cell (if any) records when
             its flood echoed back, which can postdate its children. *)
-         parent = s.Flood.origin
+         parent = s.origin
          ||
          match List.assoc_opt parent cells with
          | None -> true (* an unknown sender *)
@@ -229,15 +305,15 @@ let prop_flood_tree_invariants =
   qtest ~count:150 "flood summaries and trees respect the protocol bounds"
     flood_ops_gen (fun ops ->
       let fl, ops = apply_flood_ops ops in
-      let summaries = Flood.summaries fl in
+      let summaries = floods fl in
       let distinct_keys =
         List.sort_uniq compare (List.map (fun (_, k, _, _, _, _, _) -> k) ops)
       in
-      Flood.flood_count fl = List.length distinct_keys
-      && List.length summaries = Flood.flood_count fl
+      flood_count fl = List.length distinct_keys
+      && List.length summaries = flood_count fl
       (* Ids are dense in first-origination order. *)
       && List.for_all2
-           (fun i s -> s.Flood.id = i)
+           (fun i s -> s.id = i)
            (List.init (List.length summaries) Fun.id)
            summaries
       && List.for_all summary_invariants summaries
@@ -247,14 +323,14 @@ let prop_flood_tree_invariants =
       &&
       let extra =
         List.fold_left
-          (fun acc s -> acc + max 0 (s.Flood.verifies - s.Flood.verify_nodes))
+          (fun acc s -> acc + max 0 (s.verifies - s.verify_nodes))
           0 summaries
       in
       let recv =
-        List.fold_left (fun acc s -> acc + s.Flood.received) 0 summaries
+        List.fold_left (fun acc s -> acc + s.received) 0 summaries
       in
       let reached =
-        List.fold_left (fun acc s -> acc + s.Flood.reached) 0 summaries
+        List.fold_left (fun acc s -> acc + s.reached) 0 summaries
       in
       Float.equal
         (Flood.duplicate_verifies_per_flood fl)
@@ -300,13 +376,13 @@ let prop_flood_key_identity =
       let fl = Flood.create (Engine.create ~seed:1 ()) in
       let id_of key =
         ignore (Flood.handle fl ~key ~origin:0);
-        (List.nth (List.rev (Flood.summaries fl)) 0).Flood.id
+        (List.nth (List.rev (floods fl)) 0).id
       in
       let a = id_of k in
       let copy x = Int64.of_string (Int64.to_string x) in
       let a' = id_of { k with hi = copy k.hi; lo = copy k.lo; ch = copy k.ch } in
       let b = id_of (List.nth (variants k) which) in
-      a = a' && b <> a && Flood.flood_count fl = 2)
+      a = a' && b <> a && flood_count fl = 2)
 
 let prop_areq_rreq_disjoint =
   qtest ~count:300 "flood keys: an AREQ and an RREQ never share a flood"
@@ -316,11 +392,11 @@ let prop_areq_rreq_disjoint =
       let key kind = { Flood.kind; hi; lo; seq; ch = 0L } in
       Flood.sent fl (Flood.handle fl ~key:(key Flood.Areq) ~origin:1);
       Flood.sent fl (Flood.handle fl ~key:(key Flood.Rreq) ~origin:2);
-      match Flood.summaries fl with
+      match floods fl with
       | [ a; r ] ->
-          Flood.flood_count fl = 2
-          && a.Flood.kind = Flood.Areq && a.Flood.origin = 1 && a.Flood.sent = 1
-          && r.Flood.kind = Flood.Rreq && r.Flood.origin = 2 && r.Flood.sent = 1
+          flood_count fl = 2
+          && a.kind = "areq" && a.origin = 1 && a.sent = 1
+          && r.kind = "rreq" && r.origin = 2 && r.sent = 1
       | _ -> false)
 
 (* --- end-to-end through a real scenario --------------------------------- *)
@@ -345,54 +421,53 @@ let small_run ?(setup = ignore) seed =
    flush each windowed series must sum back to its cumulative total. *)
 let test_scenario_window_sums () =
   let s = small_run 7 in
-  let tl = Obs.timeline (Scenario.obs s) in
-  Timeline.flush tl;
-  let buckets = Timeline.buckets tl in
+  let _, buckets = parse_export (Scenario.timeline_jsonl s) in
   Alcotest.(check bool) "the run produced buckets" true (buckets <> []);
-  let sum get = List.fold_left (fun acc b -> acc + get b) 0 buckets in
+  let sum name =
+    List.fold_left (fun acc b -> acc + int_field name b) 0 buckets
+  in
   let net = Scenario.net s and suite = Scenario.suite s in
   Alcotest.(check int) "event windows sum to events_processed"
     (Engine.events_processed (Scenario.engine s))
-    (sum (fun b -> b.Timeline.b_events));
+    (sum "events");
   Alcotest.(check int) "delivery windows sum to Net.deliveries"
     (Net.deliveries net)
-    (sum (fun b -> b.Timeline.b_deliveries));
+    (sum "deliveries");
   Alcotest.(check int) "transmission windows sum to Net.transmissions"
     (Net.transmissions net)
-    (sum (fun b -> b.Timeline.b_transmissions));
+    (sum "transmissions");
   Alcotest.(check int) "drop windows sum to Net.unicast_failures"
     (Net.unicast_failures net)
-    (sum (fun b -> b.Timeline.b_drops));
+    (sum "drops");
   Alcotest.(check int) "sign windows sum to the suite total"
     suite.Suite.sign_count
-    (sum (fun b -> b.Timeline.b_signs));
+    (sum "signs");
   Alcotest.(check int) "verify windows sum to the suite total"
     suite.Suite.verify_count
-    (sum (fun b -> b.Timeline.b_verifies));
+    (sum "verifies");
   Alcotest.(check int) "hash-block windows sum to the suite total"
     suite.Suite.sha256_blocks
-    (sum (fun b -> b.Timeline.b_hash_blocks));
+    (sum "hash_blocks");
   Alcotest.(check int) "audit windows sum to Audit.count"
     (Audit.count (Obs.audit (Scenario.obs s)))
-    (sum (fun b -> b.Timeline.b_audit));
+    (sum "audit");
   (* And the secure bootstrap actually flooded something. *)
   Alcotest.(check bool) "floods were recorded" true
-    (Flood.flood_count (Obs.flood (Scenario.obs s)) > 0)
+    (flood_count (Obs.flood (Scenario.obs s)) > 0)
 
 let test_scenario_flood_trees () =
   let s = small_run 11 in
   let fl = Obs.flood (Scenario.obs s) in
-  let summaries = Flood.summaries fl in
+  let summaries = floods fl in
   Alcotest.(check bool) "bootstrap + discovery produced floods" true
     (summaries <> []);
   List.iter
     (fun s ->
-      if not (s.Flood.duplicates <= s.Flood.received) then
-        Alcotest.failf "flood %d: duplicates %d > received %d" s.Flood.id
-          s.Flood.duplicates s.Flood.received;
+      if not (s.duplicates <= s.received) then
+        Alcotest.failf "flood %d: duplicates %d > received %d" s.id
+          s.duplicates s.received;
       if not (tree_invariants fl s) then
-        Alcotest.failf "flood %d (%s): tree invariants violated" s.Flood.id
-          (Flood.kind_str s.Flood.kind))
+        Alcotest.failf "flood %d (%s): tree invariants violated" s.id s.kind)
     summaries
 
 let test_timeline_jsonl_replay_identical () =
@@ -408,7 +483,7 @@ let test_timeline_jsonl_replay_identical () =
       | _ -> Alcotest.fail "exported header has no schema");
       match Json.member "version" j with
       | Some (Json.Int v) ->
-          Alcotest.(check int) "header version" Timeline.schema_version v
+          Alcotest.(check int) "header version" 1 v
       | _ -> Alcotest.fail "exported header has no version")
   | [] -> Alcotest.fail "empty timeline export"
 
@@ -421,7 +496,7 @@ let test_recording_non_perturbing () =
   in
   let on = small_run 7 in
   Alcotest.(check int) "the off run recorded no bucket" 0
-    (Timeline.bucket_count (Obs.timeline (Scenario.obs off)));
+    (List.length (snd (parse_export (Scenario.timeline_jsonl off))));
   Alcotest.(check string) "perf det export byte-identical"
     (Scenario.perf_det_jsonl on) (Scenario.perf_det_jsonl off);
   Alcotest.(check (list (pair string int))) "counters identical"
@@ -536,10 +611,10 @@ let test_flood_state_words () =
         ignore (Sys.opaque_identity (Flood.Seen.find fl seen key)))
   in
   Alcotest.(check (float 0.0)) "Seen.find allocates nothing" 0.0 per_find;
-  match Flood.summaries fl with
+  match floods fl with
   | s :: _ ->
-      Alcotest.(check int) "every node reached" n s.Flood.reached;
-      Alcotest.(check int) "verifying nodes" 43 s.Flood.verify_nodes;
+      Alcotest.(check int) "every node reached" n s.reached;
+      Alcotest.(check int) "verifying nodes" 43 s.verify_nodes;
       Alcotest.(check int) "tree cells" n (List.length (Flood.tree fl ~id:0))
   | [] -> Alcotest.fail "no floods"
 

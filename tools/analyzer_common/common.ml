@@ -285,10 +285,34 @@ let rec collect_aliases str tbl =
       | _ -> ())
     str
 
+(* A [let module X = A.B in ...] aliases too; like a structure-level
+   alias it is recorded for the whole unit. *)
+let collect_local_aliases str tbl =
+  let it =
+    {
+      Ast_iterator.default_iterator with
+      expr =
+        (fun self e ->
+          (match e.pexp_desc with
+          | Pexp_letmodule
+              ( { txt = Some name; _ },
+                { pmod_desc = Pmod_ident { txt; _ }; _ },
+                _ ) ->
+              Hashtbl.replace tbl name (lid_last txt)
+          | _ -> ());
+          Ast_iterator.default_iterator.expr self e);
+    }
+  in
+  it.structure it str
+
 let mk_unit ~rules ~analyzed (path, content) =
   let parsed = parse_file path content in
   let aliases = Hashtbl.create 8 in
-  (match parsed with Impl str -> collect_aliases str aliases | _ -> ());
+  (match parsed with
+  | Impl str ->
+      collect_aliases str aliases;
+      collect_local_aliases str aliases
+  | _ -> ());
   {
     u_path = path;
     u_mod =

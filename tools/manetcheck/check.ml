@@ -8,14 +8,15 @@ let units ?(uses = []) files =
   List.map (C.mk_unit ~rules ~analyzed:true) files
   @ List.map (C.mk_unit ~rules ~analyzed:false) uses
 
-let analyze ?uses ?(roster = ("", "")) files =
-  let units = units ?uses files in
+let analyze ?uses ?(tests = []) ?(roster = ("", "")) files =
+  let tests = List.map (C.mk_unit ~rules ~analyzed:true) tests in
+  let units = units ?uses files @ tests in
   let analyzed = List.filter (fun u -> u.C.u_analyzed) units in
   let lib = List.filter C.in_lib units in
   let hot_findings, hot = Hot.findings ~roster lib in
   C.finish analyzed
     (C.parse_failures analyzed
-    @ Sem.findings ~lib ~units
+    @ Sem.findings ~lib ~tests ~units
     @ Dom.findings lib
     @ hot_findings
     @ Conv.findings ~hot analyzed)

@@ -4,9 +4,11 @@
     walks the AST, and the findings go through the directives of
     {!Analyzer_common.Common} and the committed baseline.  Scopes:
     every rule analyzes [lib/]; [obj-magic] and [catch-all] also cover
-    [bin/] and [test/].  Use-site files (bench, examples, tools, and
-    bin/test for the rules that skip them) only feed [dead-export] and
-    [proto-schema].
+    [bin/] and [test/].  Use-site files (bench, examples, layerbench,
+    tools, and bin/test for the rules that skip them) only feed the
+    two export rules and [proto-schema].  The test roots ([test/]) are
+    analyzed like [bin/], but a reference from them does not make a
+    lib value live: it makes it a [test-only-export].
 
     Security argument (sem.ml):
     - ["taint"] — a value destructured from a signed {!Messages.t}
@@ -29,8 +31,12 @@
     - ["determinism"] — wall-clock reads, [Hashtbl.hash], and
       [Hashtbl.iter] / unordered [Hashtbl.fold] whose order can leak
       into outputs.
-    - ["dead-export"] — an [.mli] val never referenced outside its own
-      module anywhere in the tree.
+    - ["dead-export"] — a top-level lib [.mli] val never referenced
+      outside its own module anywhere in the tree.
+    - ["test-only-export"] — a top-level lib [.mli] val referenced
+      outside its own module only from the test roots.  A reference a
+      test compares against belongs in a submodule named [Oracle],
+      which neither rule reads.
 
     Domain safety (dom.ml):
     - ["toplevel-state"] — a top-level binding whose initialiser
@@ -93,11 +99,13 @@ val rules : string list
 
 val analyze :
   ?uses:(string * string) list ->
+  ?tests:(string * string) list ->
   ?roster:string * string ->
   (string * string) list ->
   Analyzer_common.Common.finding list
-(** [analyze ~uses ~roster files] runs every rule over [files] (path,
-    content pairs).  [uses] are parsed as use-sites only; [roster] is
+(** [analyze ~uses ~tests ~roster files] runs every rule over [files]
+    and [tests] (path, content pairs).  [uses] are parsed as use-sites
+    only; a reference from [tests] counts only as a test use; [roster] is
     the hot-path roster as (path, text), empty by default.  Findings
     are sorted and already filtered through the directives. *)
 

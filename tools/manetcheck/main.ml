@@ -3,7 +3,8 @@
      main.exe [--write-baseline] [--json FILE]
 
    Analyzes lib/, bin/ and test/ with bench/, examples/, layerbench/
-   and tools/ as use-sites, against the roster
+   and tools/ as use-sites and test/ as the test roots (a lib value
+   only they reference is a test-only export), against the roster
    tools/manetcheck/hotpaths.sexp.  Exits 1 on any finding not pinned
    in tools/manetcheck/baseline and on any pinned key that no longer
    fires, so a fixed finding leaves the baseline in the same commit.
@@ -54,8 +55,9 @@ let () =
   let findings =
     Manetcheck.Check.analyze
       ~uses:(gather [ "bench"; "examples"; "layerbench"; "tools" ])
+      ~tests:(gather [ "test" ])
       ~roster:(roster_path, read_file roster_path)
-      (gather [ "lib"; "bin"; "test" ])
+      (gather [ "lib"; "bin" ])
   in
   if !write_baseline then begin
     write baseline_path (C.render_baseline findings);

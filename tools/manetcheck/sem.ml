@@ -1,7 +1,7 @@
 (* Security-argument rules: verify-before-use (taint, security),
    dispatch coverage, codec sign/verify pairing, wire-schema
-   consistency, semantic determinism and dead exports.  See check.mli
-   for the catalogue. *)
+   consistency, semantic determinism, and dead and test-only exports.
+   See check.mli for the catalogue. *)
 
 open Parsetree
 module C = Analyzer_common.Common
@@ -10,7 +10,7 @@ open C
 let rules =
   [
     "taint"; "security"; "dispatch"; "codec"; "proto-schema"; "determinism";
-    "dead-export";
+    "dead-export"; "test-only-export";
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -729,8 +729,9 @@ let global_chase units =
   in
   fun n -> chase [] n
 
-let collect_uses units =
-  let chase = global_chase units in
+(* The (module, name) pairs [units] reference from outside that
+   module. *)
+let collect_uses chase units =
   let used = Hashtbl.create 256 in
   List.iter
     (fun u ->
@@ -739,8 +740,9 @@ let collect_uses units =
           match e.pexp_desc with
           | Pexp_ident { txt; _ } -> (
               match resolve u.u_aliases txt with
-              | Some m, x -> Hashtbl.replace used (u.u_mod, chase m, x) ()
-              | None, _ -> ())
+              | Some m, x when chase m <> u.u_mod ->
+                  Hashtbl.replace used (chase m, x) ()
+              | _ -> ())
           | _ -> ())
         u)
     units;
@@ -749,13 +751,16 @@ let collect_uses units =
 let is_operator_name n =
   n = "" || match n.[0] with 'a' .. 'z' | '_' -> false | _ -> true
 
-let dead_export_findings units =
-  let used = collect_uses units in
-  let used_outside m x =
-    Hashtbl.fold
-      (fun (u, um, ux) () acc -> acc || (um = m && ux = x && u <> m))
-      used false
-  in
+(* An exported value is live when a unit other than its own references
+   it.  References from [tests] (the test roots) do not make it live: a
+   value only tests call is a test-only export.  Values inside a
+   submodule (an [Oracle] a test compares against) are not top-level
+   and are never flagged. *)
+let dead_export_findings ~tests units =
+  let is_test u = List.memq u tests in
+  let chase = global_chase units in
+  let used = collect_uses chase (List.filter (fun u -> not (is_test u)) units)
+  and tested = collect_uses chase tests in
   List.concat_map
     (fun u ->
       if not (in_lib u) then []
@@ -765,24 +770,27 @@ let dead_export_findings units =
             List.filter_map
               (fun item ->
                 match item.psig_desc with
-                | Psig_value vd ->
+                | Psig_value vd
+                  when not (is_operator_name vd.pval_name.Location.txt) ->
                     let name = vd.pval_name.Location.txt in
-                    if
-                      (not (is_operator_name name))
-                      && not (used_outside u.u_mod name)
-                    then
+                    let outside tbl = Hashtbl.mem tbl (u.u_mod, name) in
+                    let finding rule what =
                       Some
                         {
                           file = u.u_path;
                           line = line_of vd.pval_loc;
-                          rule = "dead-export";
+                          rule;
                           msg =
-                            Printf.sprintf
-                              "val %s.%s is never referenced outside its \
-                               module"
-                              u.u_mod name;
+                            Printf.sprintf "val %s.%s is %s" u.u_mod name what;
                         }
-                    else None
+                    in
+                    if outside used then None
+                    else if outside tested then
+                      finding "test-only-export"
+                        "referenced outside its module only by tests"
+                    else
+                      finding "dead-export"
+                        "never referenced outside its module"
                 | _ -> None)
               sg
         | _ -> [])
@@ -967,10 +975,10 @@ let proto_schema_findings lib units =
           untested @ enc @ run "decode_body" decode)
 
 (* ------------------------------------------------------------------ *)
-(* Assembly: [lib] are the analyzed lib units, [units] every parsed
-   file, use-sites included. *)
+(* Assembly: [lib] are the analyzed lib units, [tests] the test-root
+   units, [units] every parsed file, use-sites and tests included. *)
 
-let findings ~lib ~units =
+let findings ~lib ~tests ~units =
   let fns = List.concat_map collect_bindings lib in
   let vset = verifier_fixpoint fns in
   let sinky = sinky_fixpoint fns vset in
@@ -982,4 +990,4 @@ let findings ~lib ~units =
   @ codec_findings fns vset lib
   @ proto_schema_findings lib units
   @ determinism_findings fns
-  @ dead_export_findings units
+  @ dead_export_findings ~tests units
