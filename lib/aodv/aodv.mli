@@ -107,12 +107,19 @@ val net : t -> msg Manet_sim.Net.t
 module Hash_chain : sig
   (** SAODV hop-count protection, exposed for tests. *)
 
+  (* manetcheck: allow test-only-export — test_aodv.ml's three hash
+     chain tests start their chains here. *)
   val generate : Manet_crypto.Prng.t -> max_hops:int -> string * string
   (** [(seed, top_hash)] with [top_hash = H^max_hops(seed)]. *)
 
+  (* manetcheck: allow test-only-export — test_aodv.ml's hash chain
+     tests advance a relay's hash through it. *)
   val advance : string -> string
   (** One application of [H] — what each relay does. *)
 
+  (* manetcheck: allow test-only-export — test_aodv.ml's hash chain
+     tests pin that an honest advance verifies and a shrunk hop count
+     or a forged hash does not. *)
   val check : hash:string -> top_hash:string -> max_hops:int -> hop_count:int -> bool
   (** Does [H^(max_hops - hop_count)(hash) = top_hash] hold? *)
 end

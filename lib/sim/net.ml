@@ -59,16 +59,25 @@ type 'msg t = {
   mutable transmissions : int;
   mutable deliveries : int;
   mutable unicast_failures : int;
-  (* Deterministic cost accounting for the perf registry: how many
-     candidates each neighbour lookup examined (the nodes of the 3x3
-     index block around the sender, so it follows node degree), how
+  (* Deterministic cost accounting for the perf registry: the index
+     block size behind each neighbour lookup (the nodes of the 3x3
+     cells around the sender, so it follows node degree), how
      many deliveries each broadcast fanned out to, and how many
      MAC-level retries unicast needed. *)
   scan_hist : Hist.t;
   fanout_hist : Hist.t;
   mutable retries : int;
   mutable fanout_tmp : int; (* scratch counter for the broadcast loop *)
-  scan : int array; (* candidate buffer of one lookup, [size] entries *)
+  scan : int array; (* candidate buffer of one fill, [size] entries *)
+  (* Neighbour cache, one slot per node, filled at the node's first
+     lookup after a move: the first [nbr_len.(i)] entries of [nbrs.(i)]
+     are the nodes within range of [i], ascending, as of topology move
+     epoch [nbr_epoch.(i)] (-1: never filled), and [nbr_scan.(i)] is
+     the size of the 3x3 index block that fill examined. *)
+  nbrs : int array array;
+  nbr_len : int array;
+  nbr_scan : int array;
+  nbr_epoch : int array;
 }
 
 let create ?(config = default_config) engine topo =
@@ -93,6 +102,10 @@ let create ?(config = default_config) engine topo =
     retries = 0;
     fanout_tmp = 0;
     scan = Array.make n 0;
+    nbrs = Array.make n [||];
+    nbr_len = Array.make n 0;
+    nbr_scan = Array.make n 0;
+    nbr_epoch = Array.make n (-1);
   }
 
 let topology t = t.topo
@@ -119,8 +132,10 @@ let set_partition t group =
 
 let clear_partition t = t.partition <- None
 
+(* Most runs sever no link, so the table probe is skipped while it is
+   empty. *)
 let link_up t a b =
-  (not (Link.mem t.blocked (link_key a b)))
+  (Link.length t.blocked = 0 || not (Link.mem t.blocked (link_key a b)))
   && match t.partition with None -> true | Some side -> side.(a) = side.(b)
 
 let set_channel t c = t.channel <- c
@@ -160,18 +175,43 @@ let deliver t ~src ~dst msg delay =
         t.handlers.(dst) ~src msg
       end)
 
-(* One neighbour lookup: record how many candidates it examined. *)
-let note_scan t m = Hist.add t.scan_hist m
+(* Compact the in-range candidates among [t.scan.(k)] ..
+   [t.scan.(m - 1)] to the front of [t.scan] from [d] on, keeping their
+   ascending order; return how many there are. *)
+let rec keep_in_range t src m k d =
+  if k = m then d
+  else
+    let j = t.scan.(k) in
+    if Topology.in_range t.topo ~range:t.cfg.range src j then begin
+      t.scan.(d) <- j;
+      keep_in_range t src m (k + 1) (d + 1)
+    end
+    else keep_in_range t src m (k + 1) d
 
-(* Fill [t.scan] with the index candidates around [src], in ascending
-   id order, and return how many there are.  Every node in radio range
-   is among them and the loops below test them in ascending id order,
-   so each loss and jitter draw lands on the same frame as in a scan
-   over all N ids, at the cost of the sender's degree. *)
-let scan t src =
+(* Refill [src]'s slot from the index at move epoch [epoch]. *)
+let fill t src epoch =
   let m = Topology.candidates t.topo ~range:t.cfg.range src t.scan in
-  note_scan t m;
-  m
+  let d = keep_in_range t src m 0 0 in
+  if Array.length t.nbrs.(src) < d then
+    (* manetcheck: cold — a node's buffer only grows, doubling, so it is
+       reallocated a handful of times per run, not per frame. *)
+    t.nbrs.(src) <- Array.make (max d (2 * Array.length t.nbrs.(src))) 0;
+  Array.blit t.scan 0 t.nbrs.(src) 0 d;
+  t.nbr_len.(src) <- d;
+  t.nbr_scan.(src) <- m;
+  t.nbr_epoch.(src) <- epoch
+
+(* One neighbour lookup: returns [d] such that the first [d] entries
+   of [t.nbrs.(src)] are the nodes within range of [src], in ascending
+   id order.  The callers test them in that order, so each loss and
+   jitter draw lands on the same frame as in a scan over all N ids.
+   The set is recomputed from the index only after a move; the scan
+   histogram records the block size of that fill at every lookup. *)
+let neighbours t src =
+  let epoch = Topology.epoch t.topo in
+  if t.nbr_epoch.(src) <> epoch then fill t src epoch;
+  Hist.add t.scan_hist t.nbr_scan.(src);
+  t.nbr_len.(src)
 
 let broadcast t ~src ~size msg =
   if not t.down.(src) then begin
@@ -179,11 +219,12 @@ let broadcast t ~src ~size msg =
     t.transmissions <- t.transmissions + 1;
     let base = tx_time t size +. t.cfg.prop_delay in
     t.fanout_tmp <- 0;
-    for k = 0 to scan t src - 1 do
-      let dst = t.scan.(k) in
+    let d = neighbours t src in
+    let nbrs = t.nbrs.(src) in
+    for k = 0 to d - 1 do
+      let dst = nbrs.(k) in
       if
-        Topology.in_range t.topo ~range:t.cfg.range src dst
-        && (not t.down.(dst))
+        (not t.down.(dst))
         && link_up t src dst
         && channel_pass t src dst
       then begin
@@ -228,12 +269,13 @@ let unicast t ~src ~dst ~size ?(on_fail = no_fail) msg =
         deliver t ~src ~dst msg delay;
         (* Promiscuous radios overhear unicast frames addressed to
            others (each overhearing subject to its own channel draw). *)
-        if t.cfg.promiscuous then
-          for c = 0 to scan t src - 1 do
-            let other = t.scan.(c) in
+        if t.cfg.promiscuous then begin
+          let d = neighbours t src in
+          let nbrs = t.nbrs.(src) in
+          for c = 0 to d - 1 do
+            let other = nbrs.(c) in
             if
               other <> dst
-              && Topology.in_range t.topo ~range:t.cfg.range src other
               && (not t.down.(other))
               && link_up t src other
               && channel_pass t src other
@@ -241,6 +283,7 @@ let unicast t ~src ~dst ~size ?(on_fail = no_fail) msg =
               deliver t ~src ~dst:other msg
                 (delay +. Prng.float t.rng t.cfg.jitter)
           done
+        end
       end
       else if k + 1 < attempts then begin
         t.retries <- t.retries + 1;

@@ -9,7 +9,10 @@
 
     Semantics:
     - [broadcast] reaches every node currently within range, each
-      delivery independently subject to the loss probability.
+      delivery independently subject to the loss probability.  The
+      in-range set of each sender is cached between moves and tested
+      in ascending id order, so the random draws land on the same
+      frames as a scan over every node would put them.
     - [unicast] models a MAC with link-level acknowledgements: up to
       [1 + mac_retries] attempts, each evaluated at its own transmission
       time so mid-retry faults are honoured; if every attempt is lost or
@@ -105,11 +108,15 @@ val deliveries : 'msg t -> int
 val unicast_failures : 'msg t -> int
 
 val scan_hist : 'msg t -> Hist.t
-(** Candidates examined per neighbour lookup (one sample per broadcast
-    or promiscuous overhear scan): the nodes of the 3x3 block of
-    {!Topology.candidates} cells around the sender, so the samples
-    follow node degree, not N.  Deterministic; read by the perf
-    registry. *)
+(** One sample per neighbour lookup (each broadcast and each
+    promiscuous overhear): the size of the 3x3 block of
+    {!Topology.candidates} cells around the sender as of the last move,
+    so the samples follow node degree, not N.  The radio caches each
+    node's in-range set and refills it only at the node's first lookup
+    after a {!Topology.set_position} (it is keyed by
+    {!Topology.epoch}); the sample is the block count of that fill,
+    recorded at every lookup, hit or fill.  Deterministic; read by the
+    perf registry. *)
 
 val fanout_hist : 'msg t -> Hist.t
 (** Deliveries actually scheduled per broadcast (after down/link/loss

@@ -12,12 +12,12 @@ type frame = {
 }
 
 (* Uniform-grid neighbour index over the current positions, built at
-   the first query and rebuilt at the first query after a move or a
-   change of range.  Cells are [frame.cell] wide and numbered row-major;
-   the nodes of cell [c] are [members.(first.(c))] ..
-   [members.(first.(c + 1) - 1)], in ascending id order. *)
+   the first query and rebuilt at the first query after a move (a new
+   move epoch) or a change of range.  Cells are [frame.cell] wide and
+   numbered row-major; the nodes of cell [c] are [members.(first.(c))]
+   .. [members.(first.(c + 1) - 1)], in ascending id order. *)
 type index = {
-  mutable stale : bool;
+  mutable built : int;  (* move epoch it was built at; -1: never *)
   frame : frame;
   mutable cols : int;
   mutable rows : int;
@@ -34,6 +34,7 @@ type t = {
   width : float;
   height : float;
   ix : index;
+  mutable epoch : int;  (* [set_position] calls so far *)
 }
 
 let create ~n ~width ~height =
@@ -45,7 +46,7 @@ let create ~n ~width ~height =
     height;
     ix =
       {
-        stale = true;
+        built = -1;
         frame =
           { range = nan; cell = 0.0; x0 = 0.0; y0 = 0.0; x1 = 0.0; y1 = 0.0 };
         cols = 1;
@@ -56,6 +57,7 @@ let create ~n ~width ~height =
         heads = Array.make 9 0;
         ends = Array.make 9 0;
       };
+    epoch = 0;
   }
 
 let random g ~n ~width ~height =
@@ -97,7 +99,9 @@ let position t i = (t.xs.(i), t.ys.(i))
 let set_position t i (x, y) =
   t.xs.(i) <- x;
   t.ys.(i) <- y;
-  t.ix.stale <- true
+  t.epoch <- t.epoch + 1
+
+let epoch t = t.epoch
 
 (* Inlined into [in_range], so the square root stays an unboxed float
    instead of crossing a call as a box. *)
@@ -193,7 +197,7 @@ let rebuild t range =
     ix.first.(c) <- ix.first.(c - 1)
   done;
   ix.first.(0) <- 0;
-  ix.stale <- false
+  ix.built <- t.epoch
 
 (* Record the non-empty cells [c] .. [hi] of one block row as runs. *)
 let rec add_runs ix c hi k =
@@ -251,7 +255,7 @@ let candidates t ~range src buf =
   if not (range >= 0.0) then 0
   else begin
     let ix = t.ix in
-    if ix.stale || range <> ix.frame.range then rebuild t range;
+    if ix.built <> t.epoch || range <> ix.frame.range then rebuild t range;
     let c = ix.cell_of.(src) in
     let cx = c mod ix.cols and cy = c / ix.cols in
     let k =

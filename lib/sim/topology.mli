@@ -25,6 +25,11 @@ val height : t -> float
 val position : t -> int -> float * float
 val set_position : t -> int -> float * float -> unit
 
+val epoch : t -> int
+(** The move epoch: how many {!set_position} calls this topology has
+    seen.  Any neighbour set computed at one epoch holds until it
+    changes, so a cache keyed by it (as {!Net}'s is) stays exact. *)
+
 val neighbors : t -> range:float -> int -> int list
 (** Nodes within [range] of the given node (excluding itself), in
     ascending id order.  Allocates the list; the per-frame radio path

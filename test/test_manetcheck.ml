@@ -1011,6 +1011,24 @@ module Sem = struct
     clean "an Oracle value is exempt" "test-only-export" oracle ~tests:oracle_use;
     clean "an Oracle value is not dead either" "dead-export" oracle
       ~tests:oracle_use;
+    (* Any other submodule's values are read like top-level ones; its own
+       module calling it (unqualified, as [Chain.step]) is no use. *)
+    let chain =
+      [
+        ("lib/util.mli", "module Chain : sig val step : int -> int end\n");
+        ( "lib/util.ml",
+          "module Chain = struct let step x = x + 1 end\n\
+           let twice x = Chain.step (Chain.step x)\n" );
+      ]
+    and chain_use =
+      [ ("test/test_util.ml", "let () = assert (Util.Chain.step 1 = 2)\n") ]
+    in
+    fires "a submodule value called only from a test root" "test-only-export"
+      chain ~tests:chain_use;
+    fires "a submodule value its module alone calls is dead" "dead-export" chain;
+    clean "a submodule value called from bin" "test-only-export" chain
+      ~tests:chain_use
+      ~uses:[ ("bin/main.ml", "let () = print_int (Util.Chain.step 1)\n") ];
     (* An allow keeps a value whose rationale names its caller; without a
        rationale it is an annotation finding and suppresses nothing. *)
     let allowed why =
@@ -1178,6 +1196,11 @@ module Dom = struct
         ( "lib/x/m.ml",
           "type cell = { mutable v : int }\nlet make n = { v = n }\nlet shared = make 0\n"
         );
+      ];
+    fires "mutable inline constructor record" "toplevel-state"
+      [
+        ( "lib/x/m.ml",
+          "type s = Box of { mutable v : int }\nlet shared = Box { v = 0 }\n" );
       ]
 
   let test_toplevel_state_clean () =
@@ -1189,6 +1212,18 @@ module Dom = struct
       [
         ( "lib/x/m.ml",
           "type t = { hits : int }\nlet zero = { hits = 0 }\n" );
+      ];
+    (* An inline record is a declaration of its own: a literal whose
+       labels also fit a mutable record elsewhere (the
+       Scenario.default_params shape against Topology.t) is immutable. *)
+    clean "inline record shares labels with a mutable record" "toplevel-state"
+      [
+        ( "lib/x/t.ml",
+          "type t = { xs : float array; width : float; height : float; mutable epoch : int }\n"
+        );
+        ( "lib/x/m.ml",
+          "type placement = Random of { width : float; height : float } | Fixed\n\
+           let default = Random { width = 1.0; height = 2.0 }\n" );
       ];
     clean "functions allocate per call, not at init" "toplevel-state"
       [

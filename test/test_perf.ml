@@ -32,7 +32,7 @@ let home v =
   | _ -> QCheck.Test.fail_reportf "%d did not land in exactly one bucket" v
 
 let prop_bucket_contains =
-  qtest "bounds (bucket_of_value v) contains v" nat_gen (fun v ->
+  qtest "lone sample's bucket holds it" nat_gen (fun v ->
       let lo, hi = home v in
       lo <= v && v <= hi)
 
@@ -66,7 +66,7 @@ let prop_order_irrelevant =
     (QCheck.pair small_nats small_nats) (fun (a, b) ->
       repr (of_list (a @ b)) = repr (of_list (b @ a)))
 
-let test_hist_add_n () =
+let test_hist_add () =
   let h = of_list [ 7; 0; 7; 0; 7 ] in
   Alcotest.(check int) "count" 5 (Hist.count h);
   Alcotest.(check int) "sum" 21 (Hist.sum h);
@@ -284,7 +284,7 @@ let suites =
         prop_bucket_monotone;
         prop_count_preserved;
         prop_order_irrelevant;
-        Alcotest.test_case "hist add_n / reset" `Quick test_hist_add_n;
+        Alcotest.test_case "hist add and negative samples" `Quick test_hist_add;
         Alcotest.test_case "engine label counts" `Quick
           test_engine_label_counts;
         Alcotest.test_case "engine occupancy series" `Quick

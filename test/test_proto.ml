@@ -336,8 +336,8 @@ let every_message g =
       { old_ip = addr g; new_ip = addr g; accepted = Test_crypto.coin g; remaining = route g };
   ]
 
-let prop_pp_matches_format_oracle =
-  qtest ~count:300 "messages: pp matches the Format oracle, every constructor"
+let prop_add_to_buffer_matches_oracle =
+  qtest ~count:300 "add_to_buffer = Format oracle"
     QCheck.(
       make
         ~print:(fun ms -> String.concat "\n" (List.map (Format.asprintf "%a" ref_pp) ms))
@@ -345,7 +345,7 @@ let prop_pp_matches_format_oracle =
     (List.for_all (fun m ->
          String.equal (msg_text m) (Format.asprintf "%a" ref_pp m)))
 
-let test_pp_pinned () =
+let test_add_to_buffer_pinned () =
   let render = msg_text in
   Alcotest.(check string) "empty route, dn = None"
     "AREQ(sip=fec0::1, seq=7, dn=-, rr=[])"
@@ -964,8 +964,8 @@ let suites =
         Alcotest.test_case "all messages sized" `Quick test_wire_all_messages_positive;
         Alcotest.test_case "counter keys" `Quick test_messages_counter_keys;
         Alcotest.test_case "with_remaining" `Quick test_messages_with_remaining;
-        Alcotest.test_case "pp pinned details" `Quick test_pp_pinned;
-        prop_pp_matches_format_oracle;
+        Alcotest.test_case "add_to_buffer pinned details" `Quick test_add_to_buffer_pinned;
+        prop_add_to_buffer_matches_oracle;
       ] );
     ( "proto.directory",
       [

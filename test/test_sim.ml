@@ -8,6 +8,7 @@ module Engine = Manet_sim.Engine
 module Topology = Manet_sim.Topology
 module Mobility = Manet_sim.Mobility
 module Net = Manet_sim.Net
+module Hist = Manet_sim.Hist
 
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
@@ -403,9 +404,9 @@ let test_trace_disabled_noop () =
   Alcotest.(check int) "no drops either" 0 (trace_dropped t);
   Alcotest.(check string) "render sees nothing" "" (Trace.render t)
 
-let test_trace_fold_and_find_consistency () =
-  (* After ring wraparound, fold order, entries and find must all
-     agree. *)
+let test_trace_entries_render_after_wrap () =
+  (* After ring wraparound, entries and render keep the newest
+     entries, oldest first. *)
   let t = Trace.create ~capacity:4 () in
   Trace.enable t;
   for i = 1 to 10 do
@@ -758,14 +759,49 @@ let index_agrees t ranges =
         (List.init n Fun.id))
     ranges
 
+(* The radio's neighbour cache, through the one place it shows: on a
+   lossless, jitter-free radio every delivery of a frame lands at one
+   instant, in the order the radio scheduled it, so a broadcast from
+   [src] is heard by exactly the brute-force neighbour set, ascending.
+   Each lookup adds the size of the 3x3 index block around [src] to the
+   scan histogram. *)
+type radio = { e : Engine.t; net : unit Net.t; heard : int list ref }
+
+let radio_on t range =
+  let e = Engine.create ~seed:1 () in
+  let cfg = { Net.default_config with range; jitter = 0.0 } in
+  let net = Net.create ~config:cfg e t in
+  let heard = ref [] in
+  for i = 0 to Topology.size t - 1 do
+    Net.set_handler net i (fun ~src:_ () -> heard := i :: !heard)
+  done;
+  { e; net; heard }
+
+let radio_agrees t (range, r) =
+  let n = Topology.size t in
+  let buf = Array.make n 0 in
+  List.for_all
+    (fun src ->
+      let scans = Hist.sum (Net.scan_hist r.net) in
+      r.heard := [];
+      Net.broadcast r.net ~src ~size:1 ();
+      Engine.run r.e;
+      List.rev !(r.heard)
+      = List.filter (Topology.in_range t ~range src) (List.init n Fun.id)
+      && Hist.sum (Net.scan_hist r.net) - scans
+         = Topology.candidates t ~range src buf)
+    (List.init n Fun.id)
+
 let prop_index_matches_brute_force =
   qtest ~count:300 "neighbour index = brute force" arb_world (fun w ->
       let t = topology_of w in
-      index_agrees t w.ranges
+      let radios = List.map (fun range -> (range, radio_on t range)) w.ranges in
+      let agrees () = index_agrees t w.ranges && List.for_all (radio_agrees t) radios in
+      agrees ()
       && List.for_all
            (fun (i, p) ->
              Topology.set_position t i p;
-             index_agrees t w.ranges)
+             agrees ())
            w.moves)
 
 (* The placement generator's connectivity test, through its one
@@ -1114,6 +1150,44 @@ let test_net_gilbert_elliott () =
   Engine.run e;
   Alcotest.(check int) "uniform zero-loss delivers" (before + 1) !delivered
 
+(* A neighbour lookup that hits the radio's cache allocates nothing, so
+   a broadcast on a static topology allocates only its deliveries: one
+   scheduled closure per receiver, with the boxed delay and time it
+   carries into the engine queue, and nothing per frame.  The queue is
+   warmed to capacity first, so its growth does not count. *)
+let test_net_broadcast_allocation () =
+  let e = Engine.create ~seed:1 () in
+  let topo = Topology.grid ~rows:5 ~cols:5 ~spacing:100.0 in
+  let cfg = { Net.default_config with range = 150.0 } in
+  let net = Net.create ~config:cfg e topo in
+  let frames = 1_000 in
+  let words src =
+    for _ = 1 to frames do
+      Net.broadcast net ~src ~size:64 ()
+    done;
+    Engine.run e;
+    let w =
+      Test_crypto.minor_words_per_call frames (fun () ->
+          Net.broadcast net ~src ~size:64 ())
+    in
+    Engine.run e;
+    w
+  in
+  (* Node 12 is the centre of the grid (8 neighbours), node 0 a corner
+     (3 neighbours). *)
+  let centre = words 12 and corner = words 0 in
+  for i = 0 to 24 do
+    if i <> 12 then Net.set_down net i true
+  done;
+  let quiet = words 12 in
+  Alcotest.(check (float 0.0)) "cache hit, no receiver up: 0 words" 0.0 quiet;
+  Alcotest.(check (float 0.0)) "same words per receiver at any fan-out"
+    (centre /. 8.0) (corner /. 3.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per delivery <= 16" (centre /. 8.0))
+    true
+    (centre /. 8.0 <= 16.0)
+
 (* The radio against a reference: the loops [Net.broadcast] and the
    promiscuous [Net.unicast] ran before the neighbour index, walking
    every node id in ascending order and drawing from a copy of the
@@ -1121,7 +1195,10 @@ let test_net_gilbert_elliott () =
    so a delivery's time is the engine clock plus the delay the radio
    drew.  The whole (dst, time) sequence must match, and since every
    later draw depends on how many numbers the earlier frames consumed,
-   so must the stream position after each frame. *)
+   so must the stream position after each frame.  Moves land halfway
+   through a round, between the frames of nodes whose neighbour sets
+   the radio has already cached, and every lookup's scan sample is the
+   3x3 index block size around the sender at that moment. *)
 
 type ref_radio = {
   topo : Topology.t;
@@ -1130,7 +1207,14 @@ type ref_radio = {
   down : bool array;
   blocked : int * int;  (* the one severed link, smaller id first *)
   mutable log : (int * float) list;  (* (dst, delivery time), newest first *)
+  mutable lookups : int;
+  mutable scans : int;  (* block sizes summed over the lookups *)
 }
+
+let ref_lookup r src =
+  let buf = Array.make (Topology.size r.topo) 0 in
+  r.lookups <- r.lookups + 1;
+  r.scans <- r.scans + Topology.candidates r.topo ~range:r.cfg.Net.range src buf
 
 let ref_hears r src dst =
   Topology.in_range r.topo ~range:r.cfg.Net.range src dst
@@ -1140,6 +1224,7 @@ let ref_hears r src dst =
 
 let ref_broadcast r ~now ~src ~size =
   if not r.down.(src) then begin
+    ref_lookup r src;
     let base = (float_of_int (size * 8) /. r.cfg.Net.bit_rate) +. r.cfg.Net.prop_delay in
     for dst = 0 to Topology.size r.topo - 1 do
       if ref_hears r src dst then
@@ -1156,6 +1241,7 @@ let ref_unicast r ~now ~src ~dst ~size =
       if ref_hears r src dst then begin
         let delay = tx +. cfg.Net.prop_delay +. Prng.float r.rng cfg.Net.jitter in
         r.log <- (dst, now +. delay) :: r.log;
+        ref_lookup r src;
         for other = 0 to Topology.size r.topo - 1 do
           if other <> dst && ref_hears r src other then
             r.log <-
@@ -1184,6 +1270,8 @@ let prop_net_matches_reference =
           down = Array.init n (fun i -> i mod 5 = 4);
           blocked = (0, 1);
           log = [];
+          lookups = 0;
+          scans = 0;
         }
       in
       let net = Net.create ~config:cfg e topo in
@@ -1204,9 +1292,15 @@ let prop_net_matches_reference =
         Engine.run e;
         List.rev !heard = by_time r.log
       in
-      let round () =
+      let scans_agree () =
+        let h = Net.scan_hist net in
+        Hist.count h = r.lookups && Hist.sum h = r.scans
+      in
+      let round ?move () =
         List.for_all
           (fun src ->
+            if src = n / 2 then
+              Option.iter (fun (i, p) -> Topology.set_position topo i p) move;
             step
               (fun () -> Net.broadcast net ~src ~size:64 ())
               (fun ~now -> ref_broadcast r ~now ~src ~size:64)
@@ -1217,13 +1311,9 @@ let prop_net_matches_reference =
                  (fun () -> Net.unicast net ~src ~dst ~size:128 ())
                  (fun ~now -> ref_unicast r ~now ~src ~dst ~size:128))
           (List.init n Fun.id)
+        && scans_agree ()
       in
-      round ()
-      && List.for_all
-           (fun (i, p) ->
-             Topology.set_position topo i p;
-             round ())
-           w.moves)
+      round () && List.for_all (fun move -> round ~move ()) w.moves)
 
 let suites =
   [
@@ -1261,8 +1351,8 @@ let suites =
         Alcotest.test_case "render header gated on drops" `Quick
           test_trace_render_header_gated_on_drops;
         Alcotest.test_case "disabled no-op" `Quick test_trace_disabled_noop;
-        Alcotest.test_case "fold and find consistency" `Quick
-          test_trace_fold_and_find_consistency;
+        Alcotest.test_case "entries and render after wrap" `Quick
+          test_trace_entries_render_after_wrap;
       ] );
     ( "sim.engine",
       [
@@ -1312,6 +1402,8 @@ let suites =
         Alcotest.test_case "link fault" `Quick test_net_link_fault;
         Alcotest.test_case "partition" `Quick test_net_partition;
         Alcotest.test_case "gilbert-elliott" `Quick test_net_gilbert_elliott;
+        Alcotest.test_case "broadcast allocation" `Quick
+          test_net_broadcast_allocation;
         prop_net_matches_reference;
       ] );
   ]

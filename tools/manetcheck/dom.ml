@@ -26,26 +26,36 @@ let domain_modules =
 
 (* ------------------------------------------------------------------ *)
 (* Record mutability: collect (label set, has mutable field) for every
-   record type declared anywhere in the analyzed tree (.ml and .mli).
-   A record literal is judged mutable only when at least one declaration
-   matches its labels and every matching declaration has a mutable
-   field, so label collisions between mutable and immutable types do
-   not produce false positives. *)
+   record type declared anywhere in the analyzed tree (.ml and .mli),
+   inline constructor records included.  A record literal is judged
+   mutable only when at least one declaration matches its labels and
+   every matching declaration has a mutable field, so label collisions
+   between mutable and immutable types do not produce false
+   positives. *)
 
 let record_decls units =
   let out = ref [] in
+  let record lds =
+    let labels = List.map (fun ld -> ld.pld_name.Location.txt) lds in
+    let has_mut =
+      List.exists (fun ld -> ld.pld_mutable = Asttypes.Mutable) lds
+    in
+    out := (labels, has_mut) :: !out
+  in
   let it =
     {
       Ast_iterator.default_iterator with
       type_declaration =
         (fun self d ->
           (match d.ptype_kind with
-          | Ptype_record lds ->
-              let labels = List.map (fun ld -> ld.pld_name.Location.txt) lds in
-              let has_mut =
-                List.exists (fun ld -> ld.pld_mutable = Asttypes.Mutable) lds
-              in
-              out := (labels, has_mut) :: !out
+          | Ptype_record lds -> record lds
+          | Ptype_variant cs ->
+              List.iter
+                (fun c ->
+                  match c.pcd_args with
+                  | Pcstr_record lds -> record lds
+                  | Pcstr_tuple _ -> ())
+                cs
           | _ -> ());
           Ast_iterator.default_iterator.type_declaration self d);
     }

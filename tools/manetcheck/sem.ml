@@ -729,8 +729,8 @@ let global_chase units =
   in
   fun n -> chase [] n
 
-(* The (module, name) pairs [units] reference from outside that
-   module. *)
+(* For each (module, name) pair [units] reference, the modules of the
+   units that reference it. *)
 let collect_uses chase units =
   let used = Hashtbl.create 256 in
   List.iter
@@ -740,9 +740,12 @@ let collect_uses chase units =
           match e.pexp_desc with
           | Pexp_ident { txt; _ } -> (
               match resolve u.u_aliases txt with
-              | Some m, x when chase m <> u.u_mod ->
-                  Hashtbl.replace used (chase m, x) ()
-              | _ -> ())
+              | Some m, x ->
+                  let key = (chase m, x) in
+                  let by = Option.value ~default:[] (Hashtbl.find_opt used key) in
+                  if not (List.mem u.u_mod by) then
+                    Hashtbl.replace used key (u.u_mod :: by)
+              | None, _ -> ())
           | _ -> ())
         u)
     units;
@@ -753,45 +756,62 @@ let is_operator_name n =
 
 (* An exported value is live when a unit other than its own references
    it.  References from [tests] (the test roots) do not make it live: a
-   value only tests call is a test-only export.  Values inside a
-   submodule (an [Oracle] a test compares against) are not top-level
-   and are never flagged. *)
+   value only tests call is a test-only export.  The values of a
+   top-level submodule signature are read too, keyed by the submodule's
+   name (references resolve to their last module component), except an
+   [Oracle]: a reference implementation tests compare against. *)
 let dead_export_findings ~tests units =
   let is_test u = List.memq u tests in
   let chase = global_chase units in
   let used = collect_uses chase (List.filter (fun u -> not (is_test u)) units)
   and tested = collect_uses chase tests in
+  let value u ~key ~qualified vd =
+    let name = vd.pval_name.Location.txt in
+    let outside tbl =
+      match Hashtbl.find_opt tbl (key, name) with
+      | Some by -> List.exists (fun m -> m <> u.u_mod) by
+      | None -> false
+    in
+    let finding rule what =
+      Some
+        {
+          file = u.u_path;
+          line = line_of vd.pval_loc;
+          rule;
+          msg = Printf.sprintf "val %s.%s is %s" qualified name what;
+        }
+    in
+    if is_operator_name name || outside used then None
+    else if outside tested then
+      finding "test-only-export" "referenced outside its module only by tests"
+    else finding "dead-export" "never referenced outside its module"
+  in
   List.concat_map
     (fun u ->
       if not (in_lib u) then []
       else
         match u.u_parsed with
         | Intf sg ->
-            List.filter_map
+            List.concat_map
               (fun item ->
                 match item.psig_desc with
-                | Psig_value vd
-                  when not (is_operator_name vd.pval_name.Location.txt) ->
-                    let name = vd.pval_name.Location.txt in
-                    let outside tbl = Hashtbl.mem tbl (u.u_mod, name) in
-                    let finding rule what =
-                      Some
-                        {
-                          file = u.u_path;
-                          line = line_of vd.pval_loc;
-                          rule;
-                          msg =
-                            Printf.sprintf "val %s.%s is %s" u.u_mod name what;
-                        }
-                    in
-                    if outside used then None
-                    else if outside tested then
-                      finding "test-only-export"
-                        "referenced outside its module only by tests"
-                    else
-                      finding "dead-export"
-                        "never referenced outside its module"
-                | _ -> None)
+                | Psig_value vd ->
+                    Option.to_list (value u ~key:u.u_mod ~qualified:u.u_mod vd)
+                | Psig_module
+                    {
+                      pmd_name = { txt = Some sub; _ };
+                      pmd_type = { pmty_desc = Pmty_signature items; _ };
+                      _;
+                    }
+                  when sub <> "Oracle" ->
+                    List.filter_map
+                      (fun i ->
+                        match i.psig_desc with
+                        | Psig_value vd ->
+                            value u ~key:sub ~qualified:(u.u_mod ^ "." ^ sub) vd
+                        | _ -> None)
+                      items
+                | _ -> [])
               sg
         | _ -> [])
     units
