@@ -67,7 +67,7 @@ let tests () =
       (Staged.stage (fun () ->
            let h = Heap.create () in
            for k = 1 to 100 do
-             Heap.push h (float_of_int ((k * 37) mod 100)) () k
+             Heap.push h (float_of_int ((k * 37) mod 100)) k () k
            done;
            let rec drain () =
              if not (Heap.is_empty h) then begin

@@ -20,9 +20,38 @@ let occ_capacity = 512
    and double when full. *)
 let label_capacity = 8
 
+(* A fan-out frame: the receivers of one transmission, each its own
+   event, held in one pooled record behind one queue entry.  The first
+   [len] entries of [times], [seqs] and [rcvs] are the receivers sorted
+   by (time, seq); [next] is the first undelivered one, and the queue
+   entry is keyed at its (time, seq).  [deliver] is the frame's one
+   handler, called with each receiver in turn. *)
+type frame = {
+  mutable times : float array;
+  mutable seqs : int array;
+  mutable rcvs : int array;
+  mutable len : int;
+  mutable next : int;
+  mutable label : int;
+  mutable deliver : int -> unit;
+}
+
 type t = {
   mutable now : float;
-  queue : (int, unit -> unit) Heap.t; (* label id, event closure *)
+  (* An ordinary event's entry carries its label id and closure; a
+     frame's carries [-1 - id] of its pool record and [no_event]. *)
+  queue : (int, unit -> unit) Heap.t;
+  (* The next sequence number: one per scheduled event, a consecutive
+     block per frame, so (time, seq) is the order the events would
+     have if every receiver were scheduled on its own. *)
+  mutable seq : int;
+  (* Undelivered events, counting every receiver of a queued frame. *)
+  mutable pending : int;
+  (* The frame pool: [frames.(id)] is record [id]; the first [n_free]
+     entries of [free] are the ids no queued frame owns. *)
+  mutable frames : frame array;
+  mutable free : int array;
+  mutable n_free : int;
   rng : Prng.t;
   stats : Stats.t;
   trace : Trace.t;
@@ -59,6 +88,11 @@ let create ~seed () =
   {
     now = 0.0;
     queue = Heap.create ();
+    seq = 0;
+    pending = 0;
+    frames = [||];
+    free = [||];
+    n_free = 0;
     rng = Prng.create ~seed;
     stats = Stats.create ();
     trace = Trace.create ();
@@ -87,8 +121,7 @@ let trace t = t.trace
 let default_label = "other"
 
 let note_push t =
-  let depth = Heap.size t.queue in
-  if depth > t.max_pending then t.max_pending <- depth
+  if t.pending > t.max_pending then t.max_pending <- t.pending
 
 let rec find_phys names label n i =
   if i >= n then -1
@@ -137,17 +170,137 @@ let intern t label =
     end
   end
 
+let[@inline] push t time label f =
+  Heap.push t.queue time t.seq (intern t label) f;
+  t.seq <- t.seq + 1;
+  t.pending <- t.pending + 1;
+  note_push t
+
 (* Both guards are written so that a NaN time fails them too: a NaN
    priority would break the heap order for every later sift. *)
 let schedule t ?(label = default_label) ~delay f =
   if not (delay >= 0.0) then invalid_arg "Engine.schedule: negative delay";
-  Heap.push t.queue (t.now +. delay) (intern t label) f;
-  note_push t
+  push t (t.now +. delay) label f
 
 let schedule_at t ?(label = default_label) ~time f =
   if not (time >= t.now) then invalid_arg "Engine.schedule_at: time in the past";
-  Heap.push t.queue time (intern t label) f;
-  note_push t
+  push t time label f
+
+(* --- fan-out frames ------------------------------------------------- *)
+
+let no_event () = ()
+let no_deliver (_ : int) = ()
+
+let new_frame () =
+  {
+    times = [||];
+    seqs = [||];
+    rcvs = [||];
+    len = 0;
+    next = 0;
+    label = 0;
+    deliver = no_deliver;
+  }
+
+(* Every record is owned by a queued frame: double the pool and hand
+   out the first new id, leaving the rest free. *)
+let grow_pool t =
+  let n = Array.length t.frames in
+  let cap = max 8 (2 * n) in
+  t.frames <- Array.init cap (fun i -> if i < n then t.frames.(i) else new_frame ());
+  t.free <- Array.make cap 0;
+  for i = 0 to cap - n - 2 do
+    t.free.(i) <- cap - 1 - i
+  done;
+  t.n_free <- cap - n - 1;
+  n
+
+let grow_frame fr k =
+  let cap = max k (2 * Array.length fr.times) in
+  fr.times <- Array.make cap 0.0;
+  fr.seqs <- Array.make cap 0;
+  fr.rcvs <- Array.make cap 0
+
+(* A free record with room for [k] receivers. *)
+let acquire t k =
+  let id =
+    if t.n_free = 0 then
+      (* manetcheck: cold — the pool only grows, doubling, to the most
+         frames ever queued at once. *)
+      grow_pool t
+    else begin
+      t.n_free <- t.n_free - 1;
+      t.free.(t.n_free)
+    end
+  in
+  let fr = t.frames.(id) in
+  if Array.length fr.times < k then
+    (* manetcheck: cold — a record's buffers only grow, doubling, to
+       the widest frame it has held. *)
+    grow_frame fr k;
+  id
+
+(* The record stops holding the handler, so a delivered frame's
+   closure and message can be collected. *)
+let release t id =
+  t.frames.(id).deliver <- no_deliver;
+  t.free.(t.n_free) <- id;
+  t.n_free <- t.n_free + 1
+
+(* The receivers are inserted one by one in index order, which is seq
+   order, and an insertion moves only past strictly later times, so
+   the record ends sorted by (time, seq).  A radio frame has as many
+   receivers as its sender has neighbours, so the quadratic worst case
+   of insertion is bounded by the node degree. *)
+let schedule_frame t ?(label = default_label) k rcvs delays f =
+  if k > 0 then begin
+    let id = acquire t k in
+    let fr = t.frames.(id) in
+    let times = fr.times and seqs = fr.seqs and rs = fr.rcvs in
+    let now = t.now and base = t.seq in
+    for i = 0 to k - 1 do
+      let delay = delays.(i) and r = rcvs.(i) in
+      if not (delay >= 0.0) then begin
+        release t id;
+        invalid_arg "Engine.schedule_frame: negative delay"
+      end;
+      let time = now +. delay in
+      (* manetcheck: allow hot-alloc — the ref never escapes the loop,
+         so ocamlopt turns it into a mutable local. *)
+      let j = ref i in
+      while !j > 0 && times.(!j - 1) > time do
+        times.(!j) <- times.(!j - 1);
+        seqs.(!j) <- seqs.(!j - 1);
+        rs.(!j) <- rs.(!j - 1);
+        decr j
+      done;
+      times.(!j) <- time;
+      seqs.(!j) <- base + i;
+      rs.(!j) <- r
+    done;
+    fr.len <- k;
+    fr.next <- 0;
+    fr.label <- intern t label;
+    fr.deliver <- f;
+    t.seq <- base + k;
+    Heap.push t.queue times.(0) seqs.(0) (-1 - id) no_event;
+    t.pending <- t.pending + k;
+    note_push t
+  end
+
+(* Take the current receiver off the frame at the top of the queue:
+   re-key the entry at the next receiver, or drop it after the last
+   one. *)
+let advance t id fr =
+  let next = fr.next + 1 in
+  if next < fr.len then begin
+    fr.next <- next;
+    Heap.replace_min t.queue fr.times.(next) fr.seqs.(next)
+  end
+  else begin
+    Heap.drop_min t.queue;
+    release t id
+  end
 
 (* In-place decimation: keep samples whose processed index is a
    multiple of the doubled stride, preserving order.  Returns the new
@@ -167,7 +320,7 @@ let rec occ_compact t stride r w =
 let sample_occupancy t =
   let p = t.processed in
   t.occ_idx.(t.occ_len) <- p;
-  t.occ_pend.(t.occ_len) <- Heap.size t.queue;
+  t.occ_pend.(t.occ_len) <- t.pending;
   t.occ_len <- t.occ_len + 1;
   if t.occ_len > occ_capacity then begin
     let stride = t.occ_stride * 2 in
@@ -177,9 +330,28 @@ let sample_occupancy t =
   end
   else t.occ_next <- p + t.occ_stride
 
+(* Everything a processed event does before its handler runs. *)
+let[@inline] start_event t time id =
+  (* manetcheck: allow hot-boxed-store — [time] is the box
+     Heap.min_prio returned; the store copies the pointer and
+     allocates nothing. *)
+  t.now <- time;
+  t.pending <- t.pending - 1;
+  (match t.on_event with Some hook -> hook time | None -> ());
+  t.processed <- t.processed + 1;
+  t.counts.(id) <- t.counts.(id) + 1;
+  if t.processed = t.occ_next then sample_occupancy t
+
+let[@inline] charge t id t0 =
+  t.prof_count.(id) <- t.prof_count.(id) + 1;
+  t.prof_wall.(id) <- t.prof_wall.(id) +. (Mono_clock.now_s () -. t0)
+
 (* The event loop proper, as a top-level tail recursion so a run
    allocates nothing of its own: the budget rides in an argument and
-   the top entry is read field by field out of the SoA heap. *)
+   the top entry is read field by field out of the SoA heap.  A frame
+   is advanced before its receiver's handler runs, so whatever the
+   handler schedules meets a queue that no longer holds that
+   receiver. *)
 let rec run_loop t until budget =
   if budget > 0 && not (Heap.is_empty t.queue) then begin
     let time = Heap.min_prio t.queue in
@@ -192,23 +364,30 @@ let rec run_loop t until budget =
         t.now <- limit
     | _ ->
         let id = Heap.min_fst t.queue in
-        let f = Heap.min_snd t.queue in
-        Heap.drop_min t.queue;
-        (* manetcheck: allow hot-boxed-store — [time] is the box
-           Heap.min_prio returned; the store copies the pointer and
-           allocates nothing. *)
-        t.now <- time;
-        (match t.on_event with Some hook -> hook time | None -> ());
-        t.processed <- t.processed + 1;
-        t.counts.(id) <- t.counts.(id) + 1;
-        if t.processed = t.occ_next then sample_occupancy t;
-        if t.profiling then begin
-          let t0 = Mono_clock.now_s () in
-          f ();
-          t.prof_count.(id) <- t.prof_count.(id) + 1;
-          t.prof_wall.(id) <- t.prof_wall.(id) +. (Mono_clock.now_s () -. t0)
+        if id >= 0 then begin
+          let f = Heap.min_snd t.queue in
+          Heap.drop_min t.queue;
+          start_event t time id;
+          if t.profiling then begin
+            let t0 = Mono_clock.now_s () in
+            f ();
+            charge t id t0
+          end
+          else f ()
         end
-        else f ();
+        else begin
+          let fid = -1 - id in
+          let fr = t.frames.(fid) in
+          let r = fr.rcvs.(fr.next) and f = fr.deliver and label = fr.label in
+          advance t fid fr;
+          start_event t time label;
+          if t.profiling then begin
+            let t0 = Mono_clock.now_s () in
+            f r;
+            charge t label t0
+          end
+          else f r
+        end;
         run_loop t until (budget - 1)
   end
 
@@ -220,7 +399,7 @@ let run ?until ?max_events t =
        run, not per event. *)
     t.wall_in_run <- t.wall_in_run +. (Mono_clock.now_s () -. run_t0)
 
-let pending t = Heap.size t.queue
+let pending t = t.pending
 let events_processed t = t.processed
 
 (* The labels with a nonzero [counts] cell, as [(name, cell)] sorted

@@ -3,7 +3,16 @@
     Time is a float in seconds.  Events are closures ordered by firing
     time (FIFO among equal times).  The engine owns the run's PRNG root,
     the {!Stats} registry and the {!Trace} buffer so every protocol
-    module can reach them through the one engine value. *)
+    module can reach them through the one engine value.
+
+    Every event takes a sequence number when it is scheduled, and the
+    queue orders events by (time, sequence number).  A fan-out frame
+    ({!schedule_frame}) is one event per receiver: it takes a block of
+    consecutive numbers, in receiver order, and so runs its receivers
+    exactly where scheduling each on its own would have run them, but
+    it sits in the queue as one entry keyed at its next undelivered
+    receiver.  Counts of events, {!pending} included, are per
+    receiver. *)
 
 type t
 
@@ -31,13 +40,27 @@ val schedule : t -> ?label:string -> delay:float -> (unit -> unit) -> unit
 val schedule_at : t -> ?label:string -> time:float -> (unit -> unit) -> unit
 (** Absolute-time variant; [time] must not be in the past or NaN. *)
 
+val schedule_frame :
+  t -> ?label:string -> int -> int array -> float array -> (int -> unit) -> unit
+(** [schedule_frame t k rcvs delays f] schedules [k] events, one per
+    receiver: the [i]-th runs [f rcvs.(i)] at [now t +. delays.(i)],
+    for [i < k].  The events run in the order [k] calls of {!schedule}
+    in index order would give them, and each is counted, labelled,
+    observed and profiled as its own event; only the queue holds them
+    as one entry, so a frame allocates nothing per receiver.  The
+    engine copies what it needs, so the caller may reuse both arrays
+    at once.  [f] is released after the last receiver runs.  Does
+    nothing when [k] is 0.  Raises [Invalid_argument] on a negative or
+    NaN delay, scheduling none of the receivers. *)
+
 val run : ?until:float -> ?max_events:int -> t -> unit
 (** Process events in order until the queue is empty, simulated time
     would pass [until], or [max_events] have fired.  Events scheduled
     beyond [until] remain queued, so [run] can be called again. *)
 
 val pending : t -> int
-(** Number of queued events. *)
+(** Number of queued events: every undelivered receiver of a frame
+    counts as one. *)
 
 val events_processed : t -> int
 
@@ -64,7 +87,7 @@ val occupancy_stride : t -> int
 (** Current sampling stride (starts at 1, doubles on decimation). *)
 
 val max_pending : t -> int
-(** High-water mark of the event queue depth. *)
+(** High-water mark of {!pending}. *)
 
 val set_on_event : t -> (float -> unit) option -> unit
 (** Install (or clear) a per-event observer.  The hook fires once per

@@ -18,18 +18,18 @@
    Both sifts are [while] loops over locals that carry the migrating
    entry in a hole: each level shifts one entry into the hole and the
    migrating entry is written once at its final position, so neither
-   [push] nor [drop_min] allocates.  Indices are bounded by [len]
-   (itself bounded by capacity), so the accesses use the unsafe
-   primitives. *)
+   [push], [drop_min] nor [replace_min] allocates.  Every sift compares
+   (priority, seq): a caller-supplied seq need not be the largest in
+   the heap.  Indices are bounded by [len] (itself bounded by
+   capacity), so the accesses use the unsafe primitives. *)
 
 type ('a, 'b) t = {
   mutable prios : float array; (* by heap position *)
-  mutable seqs : int array; (* by heap position: FIFO tie-break *)
+  mutable seqs : int array; (* by heap position: the tie-break *)
   mutable slots : int array; (* by heap position; free stack past [len] *)
   mutable fsts : 'a array; (* by slot *)
   mutable snds : 'b array; (* by slot *)
   mutable len : int;
-  mutable next_seq : int;
   (* The payload of the first push, kept to fill free slots: the
      payload arrays need some value of each type. *)
   mutable blank : ('a * 'b) option;
@@ -43,12 +43,10 @@ let create () =
     fsts = [||];
     snds = [||];
     len = 0;
-    next_seq = 0;
     blank = None;
   }
 
 let is_empty h = h.len = 0
-let size h = h.len
 
 (* Called only when [len] = capacity, so every old slot is live and
    the new slots [cap .. ncap) form the whole free stack. *)
@@ -79,26 +77,21 @@ let grow h a b =
   h.fsts <- fsts;
   h.snds <- snds
 
-let push h prio a b =
+let push h prio seq a b =
   if h.len = Array.length h.prios then grow h a b;
   let prios = h.prios and seqs = h.seqs and slots = h.slots in
   let n = h.len in
   let slot = Array.unsafe_get slots n in
   Array.unsafe_set h.fsts slot a;
   Array.unsafe_set h.snds slot b;
-  let seq = h.next_seq in
-  h.next_seq <- seq + 1;
   h.len <- n + 1;
-  (* [seq] is the largest sequence number in the heap, so an equal
-     priority never moves the new entry above an older one: comparing
-     priorities alone keeps ties FIFO. *)
   (* manetcheck: allow hot-alloc — the refs never escape the loop, so
      ocamlopt turns them into mutable locals; nothing is allocated. *)
   let i = ref n and moving = ref true in
   while !moving && !i > 0 do
     let parent = (!i - 1) / 2 in
     let pp = Array.unsafe_get prios parent in
-    if prio < pp then begin
+    if prio < pp || (prio = pp && seq < Array.unsafe_get seqs parent) then begin
       Array.unsafe_set prios !i pp;
       Array.unsafe_set seqs !i (Array.unsafe_get seqs parent);
       Array.unsafe_set slots !i (Array.unsafe_get slots parent);
@@ -122,54 +115,68 @@ let min_snd h =
   if h.len = 0 then invalid_arg "Heap.min_snd: empty heap";
   h.snds.(h.slots.(0))
 
+(* Sift the entry at position [src] into the root's hole and down over
+   positions [0, n); the root's old entry is overwritten.  It takes
+   only ints, so no priority is boxed if it is not inlined. *)
+let[@inline] sift_down h n src =
+  let prios = h.prios and seqs = h.seqs and slots = h.slots in
+  let prio = Array.unsafe_get prios src
+  and seq = Array.unsafe_get seqs src
+  and slot = Array.unsafe_get slots src in
+  (* manetcheck: allow hot-alloc — the refs never escape the loop, so
+     ocamlopt turns them into mutable locals; nothing is allocated. *)
+  let i = ref 0 and moving = ref true in
+  while !moving do
+    let l = (2 * !i) + 1 in
+    if l >= n then moving := false
+    else begin
+      let r = l + 1 in
+      let c =
+        if r < n then begin
+          let pl = Array.unsafe_get prios l and pr = Array.unsafe_get prios r in
+          if
+            pr < pl
+            || (pr = pl && Array.unsafe_get seqs r < Array.unsafe_get seqs l)
+          then r
+          else l
+        end
+        else l
+      in
+      let pc = Array.unsafe_get prios c in
+      if pc < prio || (pc = prio && Array.unsafe_get seqs c < seq) then begin
+        Array.unsafe_set prios !i pc;
+        Array.unsafe_set seqs !i (Array.unsafe_get seqs c);
+        Array.unsafe_set slots !i (Array.unsafe_get slots c);
+        i := c
+      end
+      else moving := false
+    end
+  done;
+  Array.unsafe_set prios !i prio;
+  Array.unsafe_set seqs !i seq;
+  Array.unsafe_set slots !i slot
+
 let drop_min h =
   if h.len = 0 then invalid_arg "Heap.drop_min: empty heap";
-  let prios = h.prios and seqs = h.seqs and slots = h.slots in
   let n = h.len - 1 in
   h.len <- n;
-  let freed = Array.unsafe_get slots 0 in
-  if n > 0 then begin
-    (* The last entry fills the root's hole and sifts down over the
-       remaining [n] positions. *)
-    let prio = Array.unsafe_get prios n
-    and seq = Array.unsafe_get seqs n
-    and slot = Array.unsafe_get slots n in
-    (* manetcheck: allow hot-alloc — the refs never escape the loop, so
-       ocamlopt turns them into mutable locals; nothing is allocated. *)
-    let i = ref 0 and moving = ref true in
-    while !moving do
-      let l = (2 * !i) + 1 in
-      if l >= n then moving := false
-      else begin
-        let r = l + 1 in
-        let c =
-          if r < n then begin
-            let pl = Array.unsafe_get prios l and pr = Array.unsafe_get prios r in
-            if
-              pr < pl
-              || (pr = pl && Array.unsafe_get seqs r < Array.unsafe_get seqs l)
-            then r
-            else l
-          end
-          else l
-        in
-        let pc = Array.unsafe_get prios c in
-        if pc < prio || (pc = prio && Array.unsafe_get seqs c < seq) then begin
-          Array.unsafe_set prios !i pc;
-          Array.unsafe_set seqs !i (Array.unsafe_get seqs c);
-          Array.unsafe_set slots !i (Array.unsafe_get slots c);
-          i := c
-        end
-        else moving := false
-      end
-    done;
-    Array.unsafe_set prios !i prio;
-    Array.unsafe_set seqs !i seq;
-    Array.unsafe_set slots !i slot
-  end;
-  Array.unsafe_set slots n freed;
+  let freed = Array.unsafe_get h.slots 0 in
+  (* The last entry fills the root's hole and sifts down over the
+     remaining [n] positions. *)
+  if n > 0 then sift_down h n n;
+  Array.unsafe_set h.slots n freed;
   match h.blank with
   | Some (a, b) ->
       Array.unsafe_set h.fsts freed a;
       Array.unsafe_set h.snds freed b
   | None -> ()
+
+(* The guard is written so that a NaN priority fails it too. *)
+let replace_min h prio seq =
+  if h.len = 0 then invalid_arg "Heap.replace_min: empty heap";
+  let p0 = h.prios.(0) in
+  if not (prio > p0 || (prio = p0 && seq >= h.seqs.(0))) then
+    invalid_arg "Heap.replace_min: smaller key";
+  h.prios.(0) <- prio;
+  h.seqs.(0) <- seq;
+  sift_down h h.len 0

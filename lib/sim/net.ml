@@ -67,7 +67,11 @@ type 'msg t = {
   scan_hist : Hist.t;
   fanout_hist : Hist.t;
   mutable retries : int;
-  mutable fanout_tmp : int; (* scratch counter for the broadcast loop *)
+  (* The frame being drawn: its first [rx_len] receivers and their
+     delays, in draw order, handed to the engine as one frame. *)
+  rx : int array;
+  rx_delay : float array;
+  mutable rx_len : int;
   scan : int array; (* candidate buffer of one fill, [size] entries *)
   (* Neighbour cache, one slot per node, filled at the node's first
      lookup after a move: the first [nbr_len.(i)] entries of [nbrs.(i)]
@@ -100,7 +104,9 @@ let create ?(config = default_config) engine topo =
     scan_hist = Hist.create ();
     fanout_hist = Hist.create ();
     retries = 0;
-    fanout_tmp = 0;
+    rx = Array.make n 0;
+    rx_delay = Array.make n 0.0;
+    rx_len = 0;
     scan = Array.make n 0;
     nbrs = Array.make n [||];
     nbr_len = Array.make n 0;
@@ -165,15 +171,39 @@ let channel_pass t a b =
 
 let tx_time t size = float_of_int (size * 8) /. t.cfg.bit_rate
 
-let deliver t ~src ~dst msg delay =
-  (* manetcheck: allow hot-alloc — the scheduled closure IS the delivery
-     event; the engine holds exactly one per in-flight frame and it
-     dies when the frame lands. *)
-  Engine.schedule t.engine ~label:"net" ~delay (fun () ->
-      if not t.down.(dst) then begin
-        t.deliveries <- t.deliveries + 1;
-        t.handlers.(dst) ~src msg
-      end)
+let[@inline] add_receiver t dst delay =
+  t.rx.(t.rx_len) <- dst;
+  t.rx_delay.(t.rx_len) <- delay;
+  t.rx_len <- t.rx_len + 1
+
+(* One delivery: a receiver that went down while the frame was in the
+   air hears nothing. *)
+let hear t ~src msg dst =
+  if not t.down.(dst) then begin
+    t.deliveries <- t.deliveries + 1;
+    t.handlers.(dst) ~src msg
+  end
+
+(* Every delivery is scheduled here, the receivers in draw order.  Two
+   or more become one engine frame with one closure; a lone receiver
+   is one ordinary event, because a one-receiver frame cost the
+   unicast data plane about 7% of its event rate against a closure
+   that captures the receiver.  Both take the same sequence numbers,
+   so the order of events is the same either way. *)
+let send_frame t ~src msg =
+  if t.rx_len = 1 then begin
+    let dst = t.rx.(0) in
+    (* manetcheck: allow hot-alloc — the delivery event of a lone
+       receiver is its closure, as one frame's closure is for many. *)
+    Engine.schedule t.engine ~label:"net" ~delay:t.rx_delay.(0) (fun () ->
+        hear t ~src msg dst)
+  end
+  else if t.rx_len > 1 then
+    (* manetcheck: allow hot-alloc — one delivery closure per frame,
+       shared by all its receivers; the engine drops it after the
+       last one. *)
+    Engine.schedule_frame t.engine ~label:"net" t.rx_len t.rx t.rx_delay (fun dst ->
+        hear t ~src msg dst)
 
 (* Compact the in-range candidates among [t.scan.(k)] ..
    [t.scan.(m - 1)] to the front of [t.scan] from [d] on, keeping their
@@ -218,7 +248,7 @@ let broadcast t ~src ~size msg =
     t.bytes_sent <- t.bytes_sent + size;
     t.transmissions <- t.transmissions + 1;
     let base = tx_time t size +. t.cfg.prop_delay in
-    t.fanout_tmp <- 0;
+    t.rx_len <- 0;
     let d = neighbours t src in
     let nbrs = t.nbrs.(src) in
     for k = 0 to d - 1 do
@@ -227,12 +257,10 @@ let broadcast t ~src ~size msg =
         (not t.down.(dst))
         && link_up t src dst
         && channel_pass t src dst
-      then begin
-        t.fanout_tmp <- t.fanout_tmp + 1;
-        deliver t ~src ~dst msg (base +. Prng.float t.rng t.cfg.jitter)
-      end
+      then add_receiver t dst (base +. Prng.float t.rng t.cfg.jitter)
     done;
-    Hist.add t.fanout_hist t.fanout_tmp
+    Hist.add t.fanout_hist t.rx_len;
+    send_frame t ~src msg
   end
 
 let no_fail () = ()
@@ -266,7 +294,8 @@ let unicast t ~src ~dst ~size ?(on_fail = no_fail) msg =
       in
       if reachable && channel_pass t src dst then begin
         let delay = tx +. t.cfg.prop_delay +. Prng.float t.rng t.cfg.jitter in
-        deliver t ~src ~dst msg delay;
+        t.rx_len <- 0;
+        add_receiver t dst delay;
         (* Promiscuous radios overhear unicast frames addressed to
            others (each overhearing subject to its own channel draw). *)
         if t.cfg.promiscuous then begin
@@ -279,11 +308,10 @@ let unicast t ~src ~dst ~size ?(on_fail = no_fail) msg =
               && (not t.down.(other))
               && link_up t src other
               && channel_pass t src other
-            then
-              deliver t ~src ~dst:other msg
-                (delay +. Prng.float t.rng t.cfg.jitter)
+            then add_receiver t other (delay +. Prng.float t.rng t.cfg.jitter)
           done
-        end
+        end;
+        send_frame t ~src msg
       end
       else if k + 1 < attempts then begin
         t.retries <- t.retries + 1;

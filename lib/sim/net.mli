@@ -21,6 +21,14 @@
       DSR's route maintenance learns a link broke.  A sender that
       crashes mid-retry simply falls silent: no further transmissions
       and no [on_fail].
+    - The receivers of one transmission — a broadcast's neighbours, or
+      a unicast's target and, with [promiscuous], its overhearers — are
+      one delivery event each, run in the order scheduling each on its
+      own would give.  Two or more are one engine frame
+      ({!Engine.schedule_frame}) behind one queue entry and one
+      closure; a lone receiver is one ordinary event.
+      {!Engine.pending} counts every undelivered receiver either way.
+      A receiver that is down when its delivery runs hears nothing.
 
     Fault state (driven by [lib/faults]): individual links can be
     administratively severed with {!set_link}, the network can be cut in

@@ -37,7 +37,7 @@ let prop_bucket_contains =
       lo <= v && v <= hi)
 
 let prop_bucket_monotone =
-  qtest "bucket_of_value is monotone" (QCheck.pair nat_gen nat_gen)
+  qtest "bucket lower bound is monotone in the sample" (QCheck.pair nat_gen nat_gen)
     (fun (a, b) ->
       let lo, hi = (min a b, max a b) in
       fst (home lo) <= fst (home hi))
