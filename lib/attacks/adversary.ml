@@ -8,6 +8,7 @@ module Identity = Manet_proto.Identity
 module Audit = Manet_obs.Audit
 module Engine = Manet_sim.Engine
 module Stats = Manet_sim.Stats
+module Source_route = Manet_dsr.Source_route
 
 (* Counter and series keys, bound once (see [Stats.key]). *)
 module Key = struct
@@ -94,14 +95,6 @@ let identity t = t.ctx.Ctx.identity
 
 (* --- periodic behaviours ------------------------------------------------ *)
 
-let split_route_at route me =
-  let rec go before = function
-    | [] -> None
-    | x :: rest when Address.equal x me -> Some (List.rev before, rest)
-    | x :: rest -> go (x :: before) rest
-  in
-  go [] route
-
 let spam_rerrs t =
   (* For every flow we relay, fabricate a break of our next hop.  We are
      genuinely on the route, so even the secure protocol must accept the
@@ -116,7 +109,7 @@ let spam_rerrs t =
   List.iter
     (fun (src, route) ->
       let me = address t in
-      match split_route_at route me with
+      match Source_route.split_route_at route me with
       | Some (before, after) ->
           let broken_next =
             match after with a :: _ -> a | [] -> src (* claim dst itself *)

@@ -6,33 +6,29 @@
     a cached route, when cache replies are enabled) returns the recorded
     route.  Data is source-routed; a node that cannot reach its next hop
     reports a [RERR] back to the source, which purges matching cache
-    entries.  End-to-end acknowledgements drive bounded retransmission
-    and give the delivery/latency metrics the experiments report.
+    entries, and salvages the packet over its own cache.  End-to-end
+    acknowledgements drive bounded retransmission and give the
+    delivery/latency metrics the experiments report.
 
     Nothing is authenticated: any node can claim any route, reply from a
     fabricated cache, or report errors for links it never carried — the
-    attack surface the secure protocol closes. *)
+    attack surface the secure protocol closes.
+
+    The data plane (send buffer, acks and retries, discovery timing,
+    forwarding, RERR and salvaging) is {!Source_route}'s, shared with the
+    secure protocol and SRP; DESIGN.md ("Source-route data plane") lists
+    what DSR supplies to it. *)
 
 module Address = Manet_ipv6.Address
 module Messages = Manet_proto.Messages
 
 type config = {
-  discovery_timeout : float;  (** seconds to wait for a RREP per attempt *)
-  max_discovery_attempts : int;
   use_cache_replies : bool;  (** answer RREQs from the route cache (CREP) *)
-  ack_timeout : float;  (** end-to-end ack wait before resending *)
-  max_send_retries : int;  (** resends per data packet *)
-  cache_capacity_per_dst : int;
-  flood_jitter : float;
   use_acks : bool;
       (** classical DSR has no end-to-end acknowledgements; enable them
           for like-for-like comparison with the secure protocol, disable
           them to reproduce the undefended baseline the attack
           experiments measure *)
-  salvage : bool;
-      (** DSR packet salvaging: an intermediate that cannot reach its
-          next hop re-routes the packet over its own cache (the RERR is
-          still reported) *)
   route_shortening : bool;
       (** DSR automatic route shortening: a node overhearing (on a
           promiscuous radio) a data frame that will reach it in several
@@ -70,24 +66,8 @@ val cached_routes : t -> dst:Address.t -> Address.t list list
     under these keys (shared with the secure protocol so experiments
     compare like for like):
     - counters: [data.offered], [data.delivered], [data.acked],
-      [data.dropped], [data.forwarded], [route.discoveries],
-      [route.replies], [route.cache_replies], [rerr.sent],
-      [rerr.received]
+      [data.dropped], [data.forwarded], [data.salvaged],
+      [route.discoveries], [route.replies], [route.cache_replies],
+      [route.shortened], [rerr.sent], [rerr.received]
     - summaries: [data.latency] (one-way, seconds), [data.rtt],
       [route.discovery_time], [route.hops] *)
-
-(** {1 Telemetry correlation keys}
-
-    Shared vocabulary for the {!Manet_obs.Obs} correlation registry —
-    [Manet_secure] uses the same keys so responder-side reply spans can
-    attach to the initiating flood span regardless of which protocol
-    variant runs.  A flood attempt is identified by (source, seq);
-    replies by the fields both the responder and the consumer can see. *)
-
-val rreq_corr : sip:Address.t -> seq:int -> string
-val rrep_corr : sip:Address.t -> dip:Address.t -> rr:Address.t list -> string
-val crep_corr : cacher:Address.t -> seq:int -> string
-
-val rreq_key : Address.t -> int -> Manet_obs.Flood.key
-(** [rreq_key sip seq] is the RREQ dedup key, shared by every routing
-    agent's seen-table and by the flood-provenance registry. *)

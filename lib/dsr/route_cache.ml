@@ -65,18 +65,16 @@ let best t ~dst ~score =
       match !l with [] -> None | e :: rest -> best_from ~score e (score e) rest)
 
 let filter_entries t keep =
-  (* Apply [keep dst entry] to every entry; count removals. *)
-  let removed = ref 0 in
-  (* Order-insensitive: each bucket's ref cell is rewritten
+  (* Apply [keep dst entry] to every entry; count removals.
+     Order-insensitive: each bucket's ref cell is rewritten
      independently and the removal count is a commutative sum, so
      visiting order cannot leak anywhere. *)
-  Address.Tbl.iter
-    (fun dst l ->
-      let kept = List.filter (fun e -> keep dst e) !l in
-      removed := !removed + (List.length !l - List.length kept);
-      l := kept)
-    t.by_dst;
-  !removed
+  Address.Tbl.fold
+    (fun dst l removed ->
+      let before = List.length !l in
+      l := List.filter (fun e -> keep dst e) !l;
+      removed + (before - List.length !l))
+    t.by_dst 0
 
 let path_has_link ~owner ~dst route ~a ~b =
   let full = (owner :: route) @ [ dst ] in

@@ -8,37 +8,20 @@ module Ctx = Manet_proto.Node_ctx
 module Identity = Manet_proto.Identity
 module Engine = Manet_sim.Engine
 module Route_cache = Manet_dsr.Route_cache
-module Dsr = Manet_dsr.Dsr
+module Sr = Manet_dsr.Source_route
 module Obs = Manet_obs.Obs
 module Audit = Manet_obs.Audit
 module Flood = Manet_obs.Flood
 module Stats = Manet_sim.Stats
 
-(* Counter and series keys, bound once (see [Stats.key]). *)
+(* Counter keys, bound once (see [Stats.key]); the shared data-plane
+   keys live in [Source_route]. *)
 module Key = struct
-  let ack_unmatched = Stats.key "ack.unmatched"
-  let data_acked = Stats.key "data.acked"
-  let data_delivered = Stats.key "data.delivered"
-  let data_dropped = Stats.key "data.dropped"
-  let data_forwarded = Stats.key "data.forwarded"
-  let data_latency = Stats.key "data.latency"
-  let data_offered = Stats.key "data.offered"
-  let data_rtt = Stats.key "data.rtt"
-  let data_salvaged = Stats.key "data.salvaged"
-  let data_timeout = Stats.key "data.timeout"
   let probe_last_hop_suspected = Stats.key "probe.last_hop_suspected"
   let probe_replied = Stats.key "probe.replied"
   let probe_reply_rejected = Stats.key "probe.reply_rejected"
   let probe_sent = Stats.key "probe.sent"
   let probe_suspect_found = Stats.key "probe.suspect_found"
-  let rerr_received = Stats.key "rerr.received"
-  let rerr_sent = Stats.key "rerr.sent"
-  let route_cache_replies = Stats.key "route.cache_replies"
-  let route_discoveries = Stats.key "route.discoveries"
-  let route_discovery_failed = Stats.key "route.discovery_failed"
-  let route_discovery_time = Stats.key "route.discovery_time"
-  let route_hops = Stats.key "route.hops"
-  let route_replies = Stats.key "route.replies"
   let secure_crep_rejected = Stats.key "secure.crep_rejected"
   let secure_hostile_suspected = Stats.key "secure.hostile_suspected"
   let secure_replayed_rreq = Stats.key "secure.replayed_rreq"
@@ -50,16 +33,9 @@ module Key = struct
 end
 
 type config = {
-  discovery_timeout : float;
-  max_discovery_attempts : int;
   use_cache_replies : bool;
-  ack_timeout : float;
-  max_send_retries : int;
-  cache_capacity_per_dst : int;
-  flood_jitter : float;
   use_credits : bool;
   probe_on_timeout : bool;
-  probe_timeout : float;
   verify_at_destination : bool;
   salvage : bool;
   credit : Credit.config;
@@ -67,67 +43,34 @@ type config = {
 
 let default_config =
   {
-    discovery_timeout = 1.0;
-    max_discovery_attempts = 3;
     use_cache_replies = true;
-    ack_timeout = 1.5;
-    max_send_retries = 2;
-    cache_capacity_per_dst = 4;
-    flood_jitter = 0.01;
     use_credits = true;
     probe_on_timeout = true;
-    probe_timeout = 1.0;
     verify_at_destination = true;
     salvage = true;
     credit = Credit.default_config;
   }
 
+(* How long a black-hole probe waits for every hop's signed reply. *)
+let probe_timeout = 1.0
+
 type endorsement = { e_sig : string; e_pk : string; e_rn : int64; e_seq : int }
 (* The destination's [SIP, seq, RR]_DSK over a route this node
    discovered: replayed in CREPs as proof of provenance. *)
 
-type packet = {
-  p_dst : Address.t;
-  p_size : int;
-  p_seq : int;
-  p_first_sent : float;
-  mutable p_retries : int;
-}
-
-type pending_discovery = {
-  d_dst : Address.t;
-  mutable d_seq : int; (* seq of the current attempt, binds the RREP *)
-  mutable d_attempts : int;
-  mutable d_resolved : bool;
-  d_started : float;
-  (* Telemetry: the whole discovery and the current attempt's flood. *)
-  mutable d_span : int option;
-  mutable d_flood : int option;
-}
-
 type probe_session = {
   pr_route : Address.t array;
   pr_replies : bool array;
-  pr_packet : packet;
+  pr_packet : Sr.packet;
   mutable pr_done : bool;
   pr_span : int; (* secure.probe telemetry span *)
 }
 
-type t = {
-  ctx : Ctx.t;
+(* The agent's own state, next to the shared data plane's. *)
+type state = {
   config : config;
-  cache : endorsement option Route_cache.t;
   credits : Credit.t;
-  mutable rreq_seq : int;
-  mutable data_seq : int;
   mutable probe_seq : int;
-  pending : pending_discovery Address.Tbl.t;
-  queue : packet Queue.t Address.Tbl.t;
-  waiters : (Address.t list option -> unit) list ref Address.Tbl.t;
-  seen_rreq : Flood.Seen.t;
-  reply_counts : int Flood.Ktbl.t; (* replies per request, for route diversity *)
-  in_flight : packet Address.Seq_tbl.t; (* (dst, seq) *)
-  seen_data : unit Address.Seq_tbl.t; (* delivered (src, seq): retries must not double-count *)
   last_rreq_seq : int Address.Tbl.t; (* per-source replay window *)
   (* Per-destination memory of our own superseded discovery sequence
      numbers, with the time each stopped being current.  A reply whose
@@ -141,9 +84,9 @@ type t = {
      but every host holds its public key before joining, which identifies
      it just as strongly. *)
   trusted : string Address.Tbl.t;
-  (* [route_score] over this node's credits, built once. *)
-  score : endorsement option Route_cache.entry -> float;
 }
+
+type t = (state, endorsement option) Sr.t
 
 (* §3.4: under credits a route is as good as its weakest relay, the
    shorter route winning near-ties; otherwise the shortest route wins. *)
@@ -157,42 +100,14 @@ let route_score ~use_credits credits e =
     mc -. (0.001 *. len)
   else -.len
 
-let create ?(config = default_config) ?(trusted = []) ctx =
-  let trusted_tbl = Address.Tbl.create 4 in
-  List.iter (fun (addr, pk) -> Address.Tbl.replace trusted_tbl addr pk) trusted;
-  let credits = Credit.create ~config:config.credit () in
-  {
-    ctx;
-    config;
-    cache = Route_cache.create ~capacity_per_dst:config.cache_capacity_per_dst ();
-    credits;
-    rreq_seq = 0;
-    data_seq = 0;
-    probe_seq = 0;
-    pending = Address.Tbl.create 16;
-    queue = Address.Tbl.create 16;
-    waiters = Address.Tbl.create 8;
-    seen_rreq = Flood.Seen.create ();
-    reply_counts = Flood.Ktbl.create 64;
-    in_flight = Address.Seq_tbl.create 32;
-    seen_data = Address.Seq_tbl.create 64;
-    last_rreq_seq = Address.Tbl.create 32;
-    old_rrep_seqs = Address.Tbl.create 16;
-    probes = Hashtbl.create 16;
-    trusted = trusted_tbl;
-    score = route_score ~use_credits:config.use_credits credits;
-  }
+let address = Sr.address
+let now = Sr.now
+let obs (t : t) = t.Sr.ctx.Ctx.obs
 
-let address t = Ctx.address t.ctx
-let now t = Ctx.now t.ctx
-let obs t = t.ctx.Ctx.obs
-
-(* The RREQ dedup key (sip, seq) doubles as the flood-provenance id;
-   secured and plain RREQs share one key space by construction. *)
 let floods t = Obs.flood (obs t)
-let credits t = t.credits
-let identity t = t.ctx.Ctx.identity
-let suite t = Ctx.suite t.ctx
+let credits (t : t) = t.Sr.ext.credits
+let identity t = t.Sr.ctx.Ctx.identity
+let suite t = Ctx.suite t.Sr.ctx
 
 let verify t ~pk_bytes ~msg ~signature =
   (suite t).Suite.verify ~pk_bytes ~msg ~signature
@@ -208,10 +123,10 @@ let verify_host_r t ~ip ~pk ~rn ~payload ~signature =
      (Cga_mismatch), a failed signature under a good binding points at
      stale or tampered content. *)
   let binding_ok =
-    match Address.Tbl.find_opt t.trusted ip with
+    match Address.Tbl.find_opt t.Sr.ext.trusted ip with
     | Some known_pk -> String.equal known_pk pk
     | None ->
-        Suite.count_hash (Ctx.suite t.ctx) ~bytes:(String.length pk + 8);
+        Suite.count_hash (Ctx.suite t.Sr.ctx) ~bytes:(String.length pk + 8);
         Cga.verify ip ~pk_bytes:pk ~rn
   in
   if not binding_ok then Bad_binding
@@ -231,9 +146,9 @@ let stale_seq_grace = 3.0
 
 let note_superseded_seq t ~dst ~seq =
   if seq > 0 then begin
-    let prior = Option.value ~default:[] (Address.Tbl.find_opt t.old_rrep_seqs dst) in
+    let prior = Option.value ~default:[] (Address.Tbl.find_opt t.Sr.ext.old_rrep_seqs dst) in
     let keep l = if List.length l > 8 then List.filteri (fun i _ -> i < 8) l else l in
-    Address.Tbl.replace t.old_rrep_seqs dst (keep ((seq, now t) :: prior))
+    Address.Tbl.replace t.Sr.ext.old_rrep_seqs dst (keep ((seq, now t) :: prior))
   end
 
 (* Does [payload_for seq_old] verify for any retired seq of [dst]?
@@ -241,7 +156,7 @@ let note_superseded_seq t ~dst ~seq =
    rejected replies, so the extra verifications stay off every honest
    path. *)
 let match_retired_seq t ~dst ~pk ~signature ~payload_for =
-  match Address.Tbl.find_opt t.old_rrep_seqs dst with
+  match Address.Tbl.find_opt t.Sr.ext.old_rrep_seqs dst with
   | None -> None
   | Some seqs ->
       List.find_map
@@ -251,110 +166,37 @@ let match_retired_seq t ~dst ~pk ~signature ~payload_for =
           else None)
         seqs
 
-let cached_entry t ~dst = Route_cache.best t.cache ~dst ~score:t.score
+(* --- what the data plane asks of the protocol ------------------------------ *)
 
-let cached_route t ~dst =
-  match cached_entry t ~dst with
-  | Some e -> Some e.Route_cache.route
-  | None -> None
+(* Every retired discovery seq is remembered (see [old_rrep_seqs]); the
+   source signs its own [(SIP, seq)]. *)
+let rreq t ~dst ~seq ~superseded =
+  note_superseded_seq t ~dst ~seq:superseded;
+  let id = identity t in
+  let sip = address t in
+  let sig_ = Identity.sign id (Codec.rreq_source_payload ~sip ~seq) in
+  Messages.Rreq
+    { sip; dip = dst; seq; srr = []; sig_; spk = Identity.pk_bytes id; srn = id.Identity.rn }
 
-let cached_routes t ~dst =
-  List.map (fun e -> e.Route_cache.route) (Route_cache.entries t.cache ~dst)
-
-(* --- data transmission ------------------------------------------------ *)
-
-let queue_for t dst =
-  match Address.Tbl.find_opt t.queue dst with
-  | Some q -> q
-  | None ->
-      let q = Queue.create () in
-      Address.Tbl.add t.queue dst q;
-      q
-
-let rec transmit t packet route =
-  let dst = packet.p_dst in
-  Address.Seq_tbl.replace t.in_flight { Address.addr = dst; seq = packet.p_seq } packet;
-  let path = route @ [ dst ] in
-  let msg =
-    Messages.Data
-      {
-        src = address t;
-        dst;
-        seq = packet.p_seq;
-        route;
-        remaining = path;
-        payload_size = packet.p_size;
-        sent_at = packet.p_first_sent;
-      }
-  in
-  Ctx.send_along t.ctx ~path
-    ~on_fail:(fun () ->
-      match route with
-      | next :: _ ->
-          ignore
-            (Route_cache.remove_link t.cache ~owner:(address t) ~a:(address t)
-               ~b:next)
-      | [] -> ignore (Route_cache.remove_route t.cache ~dst ~route))
-    msg;
-  Engine.schedule t.ctx.Ctx.engine ~label:"secure" ~delay:t.config.ack_timeout
-    (fun () -> ack_timeout t packet route)
-
-and ack_timeout t packet route =
-  let k = { Address.addr = packet.p_dst; seq = packet.p_seq } in
-  match Address.Seq_tbl.find_opt t.in_flight k with
-  | None -> ()
-  | Some p when p != packet -> ()
-  | Some _ ->
-      Address.Seq_tbl.remove t.in_flight k;
-      Ctx.stat t.ctx Key.data_timeout;
-      Route_cache.remove_route t.cache ~dst:packet.p_dst ~route;
-      if t.config.probe_on_timeout && route <> [] then start_probe t packet route
-      else retry_packet t packet
-
-and retry_packet t packet =
-  if packet.p_retries < t.config.max_send_retries then begin
-    packet.p_retries <- packet.p_retries + 1;
-    dispatch t packet
-  end
-  else Ctx.stat t.ctx Key.data_dropped
-
-(* §3.4: traverse the silent route and test the integrity of each host.
-   One probe per hop prefix; the first hop that returns no verifiable
-   signed reply is the suspect. *)
-and start_probe t packet route =
-  let hops = Array.of_list route in
-  let session =
+(* The reporter signs the link it claims is broken. *)
+let rerr t ~broken_next ~dst ~remaining =
+  let me = address t in
+  let id = identity t in
+  Messages.Rerr
     {
-      pr_route = hops;
-      pr_replies = Array.make (Array.length hops) false;
-      pr_packet = packet;
-      pr_done = false;
-      pr_span =
-        Obs.start (obs t) ~kind:"secure.probe" ~node:(Ctx.node_id t.ctx)
-          ~detail:
-            (Printf.sprintf "dst=%s hops=%d"
-               (Address.to_string packet.p_dst)
-               (Array.length hops))
-          ();
+      reporter = me;
+      broken_next;
+      dst;
+      remaining;
+      sig_ = Identity.sign id (Codec.rerr_payload ~reporter:me ~broken_next);
+      pk = Identity.pk_bytes id;
+      rn = id.Identity.rn;
     }
-  in
-  Array.iteri
-    (fun i target ->
-      t.probe_seq <- t.probe_seq + 1;
-      let seq = t.probe_seq in
-      Hashtbl.replace t.probes seq (session, i);
-      let prefix = Array.to_list (Array.sub hops 0 i) in
-      let path = prefix @ [ target ] in
-      Ctx.stat t.ctx Key.probe_sent;
-      Ctx.send_along t.ctx ~path
-        (Messages.Probe
-           { origin = address t; target; seq; route = prefix; remaining = path }))
-    hops;
-  Engine.schedule t.ctx.Ctx.engine ~label:"secure" ~delay:t.config.probe_timeout
-    (fun () ->
-      finish_probe t session)
 
-and finish_probe t session =
+(* §3.4: every relay on the acknowledged route earns credit. *)
+let reward_acked_route t route = Credit.reward_route t.Sr.ext.credits route
+
+let finish_probe t session =
   if not session.pr_done then begin
     session.pr_done <- true;
     let n = Array.length session.pr_route in
@@ -362,29 +204,29 @@ and finish_probe t session =
     (match first_missing 0 with
     | Some i ->
         let suspect = session.pr_route.(i) in
-        Ctx.audit t.ctx ~kind:Audit.Blackhole_probe_result ~subject:suspect
+        Ctx.audit t.Sr.ctx ~kind:Audit.Blackhole_probe_result ~subject:suspect
           ~stats:[ Key.probe_suspect_found; Key.secure_hostile_suspected ]
           ~cause:
             (Printf.sprintf "hop %d of %d silent on probed route to %s" (i + 1)
                n
-               (Address.to_string session.pr_packet.p_dst))
+               (Address.to_string session.pr_packet.Sr.p_dst))
           ();
-        Obs.note (obs t) session.pr_span ~node:(Ctx.node_id t.ctx)
+        Obs.note (obs t) session.pr_span ~node:(Ctx.node_id t.Sr.ctx)
           ("suspect " ^ Address.to_string suspect);
         if Obs.wants_events (obs t) then
-          Ctx.log t.ctx ~event:"secure.suspect"
+          Ctx.log t.Sr.ctx ~event:"secure.suspect"
             ~detail:(Address.to_string suspect);
-        Credit.slash t.credits suspect;
-        ignore (Route_cache.remove_containing t.cache suspect);
+        Credit.slash t.Sr.ext.credits suspect;
+        ignore (Route_cache.remove_containing t.Sr.cache suspect);
         (* The hop before the suspect may be the one silently dropping;
            under credits it simply stops earning until proven useful. *)
         if i > 0 then begin
           let before = session.pr_route.(i - 1) in
-          Ctx.audit t.ctx ~kind:Audit.Credit_slash ~subject:before
+          Ctx.audit t.Sr.ctx ~kind:Audit.Credit_slash ~subject:before
             ~cause:
               ("predecessor of silent hop " ^ Address.to_string suspect)
             ();
-          Credit.slash t.credits before
+          Credit.slash t.Sr.ext.credits before
         end
     | None ->
         (* Every hop answered the probe, yet the destination never acked
@@ -394,179 +236,101 @@ and finish_probe t session =
            caught — the forger happily proves its own liveness). *)
         if n > 0 then begin
           let suspect = session.pr_route.(n - 1) in
-          Ctx.audit t.ctx ~kind:Audit.Blackhole_probe_result ~subject:suspect
+          Ctx.audit t.Sr.ctx ~kind:Audit.Blackhole_probe_result ~subject:suspect
             ~stats:[ Key.probe_last_hop_suspected; Key.secure_hostile_suspected ]
             ~cause:
               (Printf.sprintf
                  "all %d hops answered, destination %s never acked: last hop \
                   claims the dead link"
                  n
-                 (Address.to_string session.pr_packet.p_dst))
+                 (Address.to_string session.pr_packet.Sr.p_dst))
             ();
-          Obs.note (obs t) session.pr_span ~node:(Ctx.node_id t.ctx)
+          Obs.note (obs t) session.pr_span ~node:(Ctx.node_id t.Sr.ctx)
             ("last-hop suspect " ^ Address.to_string suspect);
           if Obs.wants_events (obs t) then
-            Ctx.log t.ctx ~event:"secure.suspect"
+            Ctx.log t.Sr.ctx ~event:"secure.suspect"
               ~detail:(Address.to_string suspect);
-          Credit.slash t.credits suspect;
-          ignore (Route_cache.remove_containing t.cache suspect)
+          Credit.slash t.Sr.ext.credits suspect;
+          ignore (Route_cache.remove_containing t.Sr.cache suspect)
         end);
     Obs.finish (obs t) session.pr_span Obs.Ok;
-    retry_packet t session.pr_packet
+    Sr.retry t session.pr_packet
   end
 
-and dispatch t packet =
-  match cached_route t ~dst:packet.p_dst with
-  | Some route -> transmit t packet route
-  | None ->
-      Queue.push packet (queue_for t packet.p_dst);
-      start_discovery t packet.p_dst
-
-(* --- route discovery --------------------------------------------------- *)
-
-and start_discovery t dst =
-  (* Resolved entries are kept so sibling replies of the same discovery
-     can still be verified and cached; a fresh discovery replaces them. *)
-  match Address.Tbl.find_opt t.pending dst with
-  | Some d when not d.d_resolved -> ()
-  | _ ->
-      (match Address.Tbl.find_opt t.pending dst with
-      | Some old -> note_superseded_seq t ~dst ~seq:old.d_seq
-      | None -> ());
-      let d =
-        {
-          d_dst = dst;
-          d_seq = 0;
-          d_attempts = 0;
-          d_resolved = false;
-          d_started = now t;
-          d_span = None;
-          d_flood = None;
-        }
-      in
-      d.d_span <-
-        Some
-          (Obs.start (obs t) ~kind:"route.discovery" ~node:(Ctx.node_id t.ctx)
-             ~detail:("dst=" ^ Address.to_string dst)
-             ());
-      Address.Tbl.replace t.pending dst d;
-      send_rreq t d
-
-and send_rreq t d =
-  t.rreq_seq <- t.rreq_seq + 1;
-  let seq = t.rreq_seq in
-  note_superseded_seq t ~dst:d.d_dst ~seq:d.d_seq;
-  d.d_seq <- seq;
-  d.d_attempts <- d.d_attempts + 1;
-  Ctx.stat t.ctx Key.route_discoveries;
-  let id = identity t in
-  let sip = address t in
-  let fl =
-    Obs.start (obs t) ?parent:d.d_span ~kind:"rreq.flood"
-      ~node:(Ctx.node_id t.ctx)
-      ~detail:
-        (Printf.sprintf "dst=%s attempt=%d"
-           (Address.to_string d.d_dst)
-           d.d_attempts)
-      ()
-  in
-  d.d_flood <- Some fl;
-  Obs.correlate (obs t) (Dsr.rreq_corr ~sip ~seq) fl;
-  let sig_ = Identity.sign id (Codec.rreq_source_payload ~sip ~seq) in
-  let flood =
-    Flood.handle (floods t) ~key:(Dsr.rreq_key sip seq)
-      ~origin:(Ctx.node_id t.ctx)
-  in
-  Flood.Seen.add t.seen_rreq flood;
-  Flood.sent (floods t) flood;
-  Ctx.broadcast t.ctx
-    (Messages.Rreq
-       {
-         sip;
-         dip = d.d_dst;
-         seq;
-         srr = [];
-         sig_;
-         spk = Identity.pk_bytes id;
-         srn = id.Identity.rn;
-       });
-  Engine.schedule t.ctx.Ctx.engine ~label:"secure"
-    ~delay:t.config.discovery_timeout (fun () ->
-      if not d.d_resolved then begin
-        Obs.finish (obs t) fl Obs.Timeout;
-        if d.d_attempts < t.config.max_discovery_attempts then send_rreq t d
-        else discovery_failed t d
-      end)
-
-and discovery_failed t d =
-  d.d_resolved <- true;
-  Ctx.stat t.ctx Key.route_discovery_failed;
-  (match d.d_span with
-  | Some id -> Obs.finish (obs t) id Obs.Timeout
-  | None -> ());
-  (match Address.Tbl.find_opt t.queue d.d_dst with
-  | None -> ()
-  | Some q ->
-      Queue.iter (fun _ -> Ctx.stat t.ctx Key.data_dropped) q;
-      Queue.clear q);
-  notify_waiters t d.d_dst None
-
-and notify_waiters t dst result =
-  match Address.Tbl.find_opt t.waiters dst with
-  | None -> ()
-  | Some l ->
-      let callbacks = !l in
-      Address.Tbl.remove t.waiters dst;
-      List.iter (fun cb -> cb result) callbacks
-
-and route_found t ~dst ~route ~endorsement =
-  Route_cache.insert t.cache ~dst ~route ~meta:endorsement ~now:(now t);
-  (match Address.Tbl.find_opt t.pending dst with
-  | Some d when not d.d_resolved ->
-      d.d_resolved <- true;
-      (match d.d_flood with
-      | Some id -> Obs.finish (obs t) id Obs.Ok
-      | None -> ());
-      (match d.d_span with
-      | Some id -> Obs.finish (obs t) id Obs.Ok
-      | None -> ());
-      Ctx.observe t.ctx Key.route_discovery_time (now t -. d.d_started);
-      Ctx.observe t.ctx Key.route_hops (float_of_int (List.length route + 1))
-  | _ -> ());
-  (match Address.Tbl.find_opt t.queue dst with
-  | None -> ()
-  | Some q ->
-      let packets = List.of_seq (Queue.to_seq q) in
-      Queue.clear q;
-      List.iter (fun p -> dispatch t p) packets);
-  notify_waiters t dst (Some route)
-
-let send t ~dst ?(size = 512) () =
-  t.data_seq <- t.data_seq + 1;
-  Ctx.stat t.ctx Key.data_offered;
-  dispatch t
+(* §3.4: traverse the silent route and test the integrity of each host.
+   One probe per hop prefix; the first hop that returns no verifiable
+   signed reply is the suspect. *)
+let start_probe t packet route =
+  let hops = Array.of_list route in
+  let session =
     {
-      p_dst = dst;
-      p_size = size;
-      p_seq = t.data_seq;
-      p_first_sent = now t;
-      p_retries = 0;
+      pr_route = hops;
+      pr_replies = Array.make (Array.length hops) false;
+      pr_packet = packet;
+      pr_done = false;
+      pr_span =
+        Obs.start (obs t) ~kind:"secure.probe" ~node:(Ctx.node_id t.Sr.ctx)
+          ~detail:
+            (Printf.sprintf "dst=%s hops=%d"
+               (Address.to_string packet.Sr.p_dst)
+               (Array.length hops))
+          ();
     }
+  in
+  Array.iteri
+    (fun i target ->
+      t.Sr.ext.probe_seq <- t.Sr.ext.probe_seq + 1;
+      let seq = t.Sr.ext.probe_seq in
+      Hashtbl.replace t.Sr.ext.probes seq (session, i);
+      let prefix = Array.to_list (Array.sub hops 0 i) in
+      let path = prefix @ [ target ] in
+      Ctx.stat t.Sr.ctx Key.probe_sent;
+      Ctx.send_along t.Sr.ctx ~path
+        (Messages.Probe
+           { origin = address t; target; seq; route = prefix; remaining = path }))
+    hops;
+  Engine.schedule t.Sr.ctx.Ctx.engine ~label:"secure" ~delay:probe_timeout
+    (fun () -> finish_probe t session)
 
-let discover t ~dst ~on_route =
-  match cached_route t ~dst with
-  | Some route -> on_route (Some route)
-  | None ->
-      let l =
-        match Address.Tbl.find_opt t.waiters dst with
-        | Some l -> l
-        | None ->
-            let l = ref [] in
-            Address.Tbl.add t.waiters dst l;
-            l
-      in
-      l := on_route :: !l;
-      start_discovery t dst
+(* A silent route is probed before the packet is resent. *)
+let probe_on_ack_timeout t packet route =
+  if t.Sr.ext.config.probe_on_timeout && route <> [] then begin
+    start_probe t packet route;
+    true
+  end
+  else false
+
+let create ?(config = default_config) ?(trusted = []) ctx =
+  let trusted_tbl = Address.Tbl.create 4 in
+  List.iter (fun (addr, pk) -> Address.Tbl.replace trusted_tbl addr pk) trusted;
+  let credits = Credit.create ~config:config.credit () in
+  Sr.create ctx
+    ~ext:
+      {
+        config;
+        credits;
+        probe_seq = 0;
+        last_rreq_seq = Address.Tbl.create 32;
+        old_rrep_seqs = Address.Tbl.create 16;
+        probes = Hashtbl.create 16;
+        trusted = trusted_tbl;
+      }
+    ~hooks:
+      {
+        Sr.label = "secure";
+        score = route_score ~use_credits:config.use_credits credits;
+        rreq;
+        on_ack_timeout = probe_on_ack_timeout;
+        on_ack = reward_acked_route;
+        rerr;
+        first_hop_purge = Sr.Purge_link;
+        use_acks = true;
+        salvage = config.salvage;
+      }
+
+let send = Sr.send
+let discover = Sr.discover
+let cached_routes = Sr.cached_routes
 
 (* --- RREQ handling ------------------------------------------------------ *)
 
@@ -580,7 +344,7 @@ let verify_rreq t ~sip ~seq ~srr ~sig_ ~spk ~srn =
       ~signature:sig_
   in
   if not source_ok then false
-  else if not t.config.verify_at_destination then true
+  else if not t.Sr.ext.config.verify_at_destination then true
   else
     List.for_all
       (fun e ->
@@ -590,21 +354,21 @@ let verify_rreq t ~sip ~seq ~srr ~sig_ ~spk ~srn =
       srr
 
 let answer_as_destination t ~sip ~seq ~rr =
-  Ctx.stat t.ctx Key.route_replies;
+  Ctx.stat t.Sr.ctx Sr.Key.route_replies;
   let o = obs t in
   let sid =
     Obs.start o
-      ?parent:(Obs.lookup o (Dsr.rreq_corr ~sip ~seq))
+      ?parent:(Obs.lookup o (Sr.rreq_corr ~sip ~seq))
       ~kind:"route.rrep"
-      ~node:(Ctx.node_id t.ctx)
+      ~node:(Ctx.node_id t.Sr.ctx)
       ~detail:("to " ^ Address.to_string sip)
       ()
   in
-  Obs.correlate o (Dsr.rrep_corr ~sip ~dip:(address t) ~rr) sid;
+  Obs.correlate o (Sr.rrep_corr ~sip ~dip:(address t) ~rr) sid;
   let id = identity t in
   let sig_ = Identity.sign id (Codec.rrep_payload ~sip ~seq ~rr) in
   let back = List.rev rr @ [ sip ] in
-  Ctx.send_along t.ctx ~path:back
+  Ctx.send_along t.Sr.ctx ~path:back
     (Messages.Rrep
        {
          sip;
@@ -617,23 +381,23 @@ let answer_as_destination t ~sip ~seq ~rr =
        })
 
 let answer_from_cache t ~sip ~seq ~dip ~rr entry endo =
-  Ctx.stat t.ctx Key.route_cache_replies;
+  Ctx.stat t.Sr.ctx Sr.Key.route_cache_replies;
   let o = obs t in
   let sid =
     Obs.start o
-      ?parent:(Obs.lookup o (Dsr.rreq_corr ~sip ~seq))
+      ?parent:(Obs.lookup o (Sr.rreq_corr ~sip ~seq))
       ~kind:"route.crep"
-      ~node:(Ctx.node_id t.ctx)
+      ~node:(Ctx.node_id t.Sr.ctx)
       ~detail:("to " ^ Address.to_string sip)
       ()
   in
-  Obs.correlate o (Dsr.crep_corr ~cacher:(address t) ~seq) sid;
+  Obs.correlate o (Sr.crep_corr ~cacher:(address t) ~seq) sid;
   let id = identity t in
   let sig_cacher =
     Identity.sign id (Codec.crep_cacher_payload ~requester:sip ~seq ~rr)
   in
   let back = List.rev rr @ [ sip ] in
-  Ctx.send_along t.ctx ~path:back
+  Ctx.send_along t.Sr.ctx ~path:back
     (Messages.Crep
        {
          requester = sip;
@@ -657,12 +421,12 @@ let fresh_rreq_for_destination t ~sip ~seq =
      destination even across cache resets.  Copies of the *current*
      request (seq equal to the newest seen) are allowed: they arrive over
      distinct paths and earn distinct replies. *)
-  match Address.Tbl.find_opt t.last_rreq_seq sip with
+  match Address.Tbl.find_opt t.Sr.ext.last_rreq_seq sip with
   | Some last when seq < last ->
       (* A flood copy can outlive the next discovery's start, so the
          stale request is rejected but nobody stands accused: the radio
          transmitter of a flood copy is just the last honest relay. *)
-      Ctx.audit t.ctx ~kind:Audit.Replay_rejected
+      Ctx.audit t.Sr.ctx ~kind:Audit.Replay_rejected
         ~stats:[ Key.secure_replayed_rreq ]
         ~cause:(Printf.sprintf "rreq seq %d behind newest %d" seq last)
         ();
@@ -676,7 +440,7 @@ let max_replies_per_request = 3
 let note_rreq_seq t ~sip ~seq =
   (* Recorded only after the request verified: a forger must not be able
      to burn a victim's sequence space with junk requests. *)
-  Address.Tbl.replace t.last_rreq_seq sip seq
+  Address.Tbl.replace t.Sr.ext.last_rreq_seq sip seq
 
 (* Destination: every copy is considered (up to the diversity bound),
    each verified independently — a rushed poisoned copy must not mask an
@@ -685,24 +449,24 @@ let rreq_at_destination t ~flood ~key ~sip ~seq ~srr ~sig_ ~spk ~srn =
   let me = address t in
   let rr = srr_ips srr in
   if not (Address.equal sip me || List.exists (Address.equal me) rr) then begin
-    let sent = Option.value ~default:0 (Flood.Ktbl.find_opt t.reply_counts key) in
+    let sent = Option.value ~default:0 (Flood.Ktbl.find_opt t.Sr.reply_counts key) in
     if sent < max_replies_per_request && fresh_rreq_for_destination t ~sip ~seq
     then begin
       (* Each verified copy — including duplicates of a flood the
          destination already answered — is charged to the flood's
          provenance: this is the duplicate-verification work the
          item-3 cache is meant to eliminate. *)
-      Flood.verified (floods t) flood ~node:(Ctx.node_id t.ctx);
+      Flood.verified (floods t) flood ~node:(Ctx.node_id t.Sr.ctx);
       if verify_rreq t ~sip ~seq ~srr ~sig_ ~spk ~srn then begin
         note_rreq_seq t ~sip ~seq;
-        Flood.Ktbl.replace t.reply_counts key (sent + 1);
+        Flood.Ktbl.replace t.Sr.reply_counts key (sent + 1);
         answer_as_destination t ~sip ~seq ~rr
       end
       else
         (* The broken link of the signature chain is not
            localizable from here (any relay may have tampered or
            appended a forged entry), so no subject. *)
-        Ctx.audit t.ctx ~kind:Audit.Sig_verify_fail
+        Ctx.audit t.Sr.ctx ~kind:Audit.Sig_verify_fail
           ~stats:[ Key.secure_rreq_rejected ]
           ~cause:"rreq source or route-record signature chain" ()
     end
@@ -711,14 +475,14 @@ let rreq_at_destination t ~flood ~key ~sip ~seq ~srr ~sig_ ~spk ~srn =
 (* First copy of a flood at a relay: answer from an endorsed cache
    entry, or sign our route-record entry and rebroadcast. *)
 let rreq_first_copy t ~flood ~sip ~dip ~seq ~srr ~sig_ ~spk ~srn =
-  Flood.Seen.add t.seen_rreq flood;
+  Flood.Seen.add t.Sr.seen_rreq flood;
   let me = address t in
   let rr = srr_ips srr in
   if Address.equal sip me || List.exists (Address.equal me) rr then ()
   else begin
     let cache_answer =
-      if t.config.use_cache_replies then
-        match cached_entry t ~dst:dip with
+      if t.Sr.ext.config.use_cache_replies then
+        match Sr.cached_entry t ~dst:dip with
         | Some ({ Route_cache.meta = Some endo; _ } as entry)
           when (not (List.exists (Address.equal sip) entry.Route_cache.route))
                && not
@@ -732,9 +496,9 @@ let rreq_first_copy t ~flood ~sip ~dip ~seq ~srr ~sig_ ~spk ~srn =
     match cache_answer with
     | Some (entry, endo) -> answer_from_cache t ~sip ~seq ~dip ~rr entry endo
     | None ->
-        (match Obs.lookup (obs t) (Dsr.rreq_corr ~sip ~seq) with
+        (match Obs.lookup (obs t) (Sr.rreq_corr ~sip ~seq) with
         | Some sid ->
-            Obs.note (obs t) sid ~node:(Ctx.node_id t.ctx)
+            Obs.note (obs t) sid ~node:(Ctx.node_id t.Sr.ctx)
               ("relay " ^ Address.to_string me)
         | None -> ());
         let id = identity t in
@@ -749,23 +513,23 @@ let rreq_first_copy t ~flood ~sip ~dip ~seq ~srr ~sig_ ~spk ~srn =
         let relayed =
           Messages.Rreq { sip; dip; seq; srr = srr @ [ entry ]; sig_; spk; srn }
         in
-        let delay = Prng.float t.ctx.Ctx.rng t.config.flood_jitter in
-        Engine.schedule t.ctx.Ctx.engine ~label:"secure" ~delay (fun () ->
+        let delay = Prng.float t.Sr.ctx.Ctx.rng Sr.flood_jitter in
+        Engine.schedule t.Sr.ctx.Ctx.engine ~label:"secure" ~delay (fun () ->
             Flood.sent (floods t) flood;
-            Ctx.broadcast t.ctx relayed)
+            Ctx.broadcast t.Sr.ctx relayed)
   end
 
 let handle_rreq t ~src msg =
   match msg with
   | Messages.Rreq { sip; dip; seq; srr; sig_; spk; srn } ->
-      let key = Dsr.rreq_key sip seq in
+      let key = Sr.rreq_key sip seq in
       let flood = Flood.handle (floods t) ~key ~origin:src in
       (* manetcheck: allow hot-list — the route record is as long as the
          copy's hop count, bounded by the flood's hop radius. *)
       let hops = List.length srr in
-      Flood.received (floods t) flood ~node:(Ctx.node_id t.ctx) ~src ~hops;
+      Flood.received (floods t) flood ~node:(Ctx.node_id t.Sr.ctx) ~src ~hops;
       let at_dest = Address.equal dip (address t) in
-      if (not at_dest) && Flood.Seen.mem t.seen_rreq flood then
+      if (not at_dest) && Flood.Seen.mem t.Sr.seen_rreq flood then
         Flood.duplicate (floods t) flood
       else
         (* manetcheck: cold — at most once per (flood, node) /
@@ -783,10 +547,10 @@ let consume_rrep t ~src msg =
       (* Replies verify against the sequence number of our latest
          discovery for that destination; sibling copies of an
          already-resolved discovery still count (route diversity). *)
-      match Address.Tbl.find_opt t.pending dip with
+      match Address.Tbl.find_opt t.Sr.pending dip with
       | Some d ->
-          let payload = Codec.rrep_payload ~sip:(address t) ~seq:d.d_seq ~rr in
-          let corr = Dsr.rrep_corr ~sip:(address t) ~dip ~rr in
+          let payload = Codec.rrep_payload ~sip:(address t) ~seq:d.Sr.d_seq ~rr in
+          let corr = Sr.rrep_corr ~sip:(address t) ~dip ~rr in
           (match
              verify_host_r t ~ip:dip ~pk:dpk ~rn:drn ~payload ~signature:sig_
            with
@@ -794,9 +558,9 @@ let consume_rrep t ~src msg =
               (match Obs.lookup (obs t) corr with
               | Some sid -> Obs.finish (obs t) sid Obs.Ok
               | None -> ());
-              route_found t ~dst:dip ~route:rr
-                ~endorsement:
-                  (Some { e_sig = sig_; e_pk = dpk; e_rn = drn; e_seq = d.d_seq })
+              Sr.route_found t ~dst:dip ~route:rr
+                ~meta:
+                  (Some { e_sig = sig_; e_pk = dpk; e_rn = drn; e_seq = d.Sr.d_seq })
           | (Bad_binding | Bad_sig) as why ->
               (match Obs.lookup (obs t) corr with
               | Some sid ->
@@ -809,7 +573,7 @@ let consume_rrep t ~src msg =
                      destination address: forged identity material.  The
                      forger is not localizable from here — probes and
                      credits take over. *)
-                  Ctx.audit t.ctx ~kind:Audit.Cga_mismatch ~subject:dip
+                  Ctx.audit t.Sr.ctx ~kind:Audit.Cga_mismatch ~subject:dip
                     ~stats ~cause:"rrep endorsement key/address binding" ()
               | Bad_sig | Host_ok -> (
                   match
@@ -822,23 +586,23 @@ let consume_rrep t ~src msg =
                          retired long ago: a replay, and whoever radioed
                          it to us either mounted it or relayed a message
                          no honest route carries. *)
-                      Ctx.audit t.ctx ~kind:Audit.Replay_rejected
+                      Ctx.audit t.Sr.ctx ~kind:Audit.Replay_rejected
                         ~subject_node:src ~stats
                         ~cause:
                           (Printf.sprintf
                              "rrep bound to seq retired %.1fs ago" age)
                         ()
                   | Some _ ->
-                      Ctx.audit t.ctx ~kind:Audit.Replay_rejected ~stats
+                      Ctx.audit t.Sr.ctx ~kind:Audit.Replay_rejected ~stats
                         ~cause:"late sibling of a just-superseded attempt"
                         ()
                   | None ->
-                      Ctx.audit t.ctx ~kind:Audit.Sig_verify_fail ~stats
+                      Ctx.audit t.Sr.ctx ~kind:Audit.Sig_verify_fail ~stats
                         ~cause:"rrep endorsement signature" ())))
       | None ->
           (* No discovery ever asked for this: unsolicited or replayed,
              so reject (§4). *)
-          Ctx.audit t.ctx ~kind:Audit.Replay_rejected
+          Ctx.audit t.Sr.ctx ~kind:Audit.Replay_rejected
             ~stats:[ Key.secure_rrep_rejected ]
             ~cause:"unsolicited rrep" ())
   | _ -> ()
@@ -862,8 +626,8 @@ let consume_crep t msg =
         dest_rn;
         _;
       } -> (
-      match Address.Tbl.find_opt t.pending dip with
-      | Some d when d.d_seq = requester_seq ->
+      match Address.Tbl.find_opt t.Sr.pending dip with
+      | Some d when d.Sr.d_seq = requester_seq ->
           let me = address t in
           let cacher_ok =
             verify_host t ~ip:cacher ~pk:cacher_pk ~rn:cacher_rn
@@ -878,13 +642,13 @@ let consume_crep t msg =
                 (Codec.rrep_payload ~sip:cacher ~seq:cacher_seq ~rr:rr_to_dest)
               ~signature:sig_dest
           in
-          let corr = Dsr.crep_corr ~cacher ~seq:requester_seq in
+          let corr = Sr.crep_corr ~cacher ~seq:requester_seq in
           if cacher_ok && dest_ok then begin
             (match Obs.lookup (obs t) corr with
             | Some sid -> Obs.finish (obs t) sid Obs.Ok
             | None -> ());
             let route = rr_to_cacher @ (cacher :: rr_to_dest) in
-            route_found t ~dst:dip ~route ~endorsement:None
+            Sr.route_found t ~dst:dip ~route ~meta:None
           end
           else begin
             (match Obs.lookup (obs t) corr with
@@ -894,7 +658,7 @@ let consume_crep t msg =
             (* Either half may be at fault (cacher attestation or the
                replayed destination endorsement); neither failure
                localizes the forger from here. *)
-            Ctx.audit t.ctx ~kind:Audit.Sig_verify_fail
+            Ctx.audit t.Sr.ctx ~kind:Audit.Sig_verify_fail
               ~stats:[ Key.secure_crep_rejected ]
               ~cause:
                 (if not cacher_ok then "crep cacher attestation signature"
@@ -902,136 +666,33 @@ let consume_crep t msg =
               ()
           end
       | _ ->
-          Ctx.audit t.ctx ~kind:Audit.Replay_rejected
+          Ctx.audit t.Sr.ctx ~kind:Audit.Replay_rejected
             ~stats:[ Key.secure_crep_rejected ]
             ~cause:"crep for no live discovery attempt" ())
-  | _ -> ()
-
-(* --- data plane ---------------------------------------------------------- *)
-
-let split_route_at route me =
-  let rec go before = function
-    | [] -> None
-    | x :: rest when Address.equal x me -> Some (List.rev before, rest)
-    | x :: rest -> go (x :: before) rest
-  in
-  go [] route
-
-(* Salvaging, as in the baseline: push the stuck packet over our own
-   cached (verified) route after reporting the break. *)
-let try_salvage t msg =
-  match msg with
-  | Messages.Data ({ dst; _ } as d) when t.config.salvage -> (
-      match cached_route t ~dst with
-      | Some route
-        when not (List.exists (Address.equal (address t)) route) ->
-          Ctx.stat t.ctx Key.data_salvaged;
-          let path = route @ [ dst ] in
-          Ctx.send_along t.ctx ~path
-            (Messages.Data { d with route; remaining = path });
-          true
-      | _ -> false)
-  | _ -> false
-
-let forward_data t ~next msg =
-  match msg with
-  | Messages.Data { src; route; _ } ->
-      Ctx.stat t.ctx Key.data_forwarded;
-      Ctx.send_along t.ctx ~path:next msg ~on_fail:(fun () ->
-          let me = address t in
-          let id = identity t in
-          let broken_next = List.hd next in
-          let back =
-            match split_route_at route me with
-            | Some (before, _) -> List.rev before @ [ src ]
-            | None -> [ src ]
-          in
-          Ctx.stat t.ctx Key.rerr_sent;
-          Ctx.send_along t.ctx ~path:back
-            (Messages.Rerr
-               {
-                 reporter = me;
-                 broken_next;
-                 dst = src;
-                 remaining = back;
-                 sig_ =
-                   Identity.sign id
-                     (Codec.rerr_payload ~reporter:me ~broken_next);
-                 pk = Identity.pk_bytes id;
-                 rn = id.Identity.rn;
-               });
-          ignore (try_salvage t msg))
-  | _ -> ()
-
-let consume_data t msg =
-  match msg with
-  | Messages.Data { src; seq; route; sent_at; _ } ->
-      (* Retransmissions of an already-delivered packet are re-acked but
-         not re-counted. *)
-      (* manetcheck: allow hot-alloc — the 3-word (src, seq) key is the one
-         allocation the duplicate check makes. *)
-      let k = { Address.addr = src; seq } in
-      if not (Address.Seq_tbl.mem t.seen_data k) then begin
-        Address.Seq_tbl.replace t.seen_data k ();
-        Ctx.stat t.ctx Key.data_delivered;
-        Ctx.observe t.ctx Key.data_latency (now t -. sent_at)
-      end;
-      let back_route = List.rev route in
-      (* manetcheck: allow hot-alloc hot-list — the ack's path is the
-         reversed route plus the source, one cell per hop it travels. *)
-      let path = back_route @ [ src ] in
-      Ctx.send_along t.ctx ~path
-        (Messages.Ack
-           (* manetcheck: allow hot-alloc — the ack this handler exists to
-              send. *)
-           {
-             src = address t;
-             dst = src;
-             data_seq = seq;
-             route = back_route;
-             remaining = path;
-             sent_at;
-           })
-  | _ -> ()
-
-let consume_ack t msg =
-  match msg with
-  | Messages.Ack { src = acker; data_seq; sent_at; route; _ } -> (
-      (* manetcheck: allow hot-alloc — the 3-word (dst, seq) key is the one
-         allocation an ack's lookup makes. *)
-      let k = { Address.addr = acker; seq = data_seq } in
-      if Address.Seq_tbl.mem t.in_flight k then begin
-        Address.Seq_tbl.remove t.in_flight k;
-        Ctx.stat t.ctx Key.data_acked;
-        Ctx.observe t.ctx Key.data_rtt (now t -. sent_at);
-        (* §3.4: every relay on the acknowledged route earns credit. *)
-        Credit.reward_route t.credits route
-      end
-      else Ctx.stat t.ctx Key.ack_unmatched)
   | _ -> ()
 
 let consume_rerr t msg =
   match msg with
   | Messages.Rerr { reporter; broken_next; sig_; pk; rn; _ } ->
-      Ctx.stat t.ctx Key.rerr_received;
+      Ctx.stat t.Sr.ctx Sr.Key.rerr_received;
       let authentic =
         verify_host t ~ip:reporter ~pk ~rn
           ~payload:(Codec.rerr_payload ~reporter ~broken_next)
           ~signature:sig_
       in
       if not authentic then
-        Ctx.audit t.ctx ~kind:Audit.Rerr_rejected
+        Ctx.audit t.Sr.ctx ~kind:Audit.Rerr_rejected
           ~stats:[ Key.secure_rerr_rejected ]
           ~cause:"rerr reporter binding or signature" ()
       else begin
         (* Source routing lets us check plausibility: the reported link
            must lie on a route we actually hold. *)
         let removed =
-          Route_cache.remove_link t.cache ~owner:(address t) ~a:reporter
+          Route_cache.remove_link t.Sr.cache ~owner:(address t) ~a:reporter
             ~b:broken_next
         in
         if removed = 0 then
-          Ctx.audit t.ctx ~kind:Audit.Rerr_implausible ~subject:reporter
+          Ctx.audit t.Sr.ctx ~kind:Audit.Rerr_implausible ~subject:reporter
             ~stats:[ Key.secure_rerr_implausible ]
             ~cause:
               ("reported link to "
@@ -1040,12 +701,12 @@ let consume_rerr t msg =
             ();
         (* Track reporting frequency; §3.4 treats chronic reporters (or
            their successors) as hostile. *)
-        if Credit.record_rerr t.credits reporter ~now:(now t) then begin
-          Ctx.audit t.ctx ~kind:Audit.Rerr_frequency ~subject:reporter
+        if Credit.record_rerr t.Sr.ext.credits reporter ~now:(now t) then begin
+          Ctx.audit t.Sr.ctx ~kind:Audit.Rerr_frequency ~subject:reporter
             ~stats:[ Key.secure_hostile_suspected ]
             ~cause:"route-error reporting rate over the hostile threshold" ();
-          Credit.slash t.credits reporter;
-          ignore (Route_cache.remove_containing t.cache reporter)
+          Credit.slash t.Sr.ext.credits reporter;
+          ignore (Route_cache.remove_containing t.Sr.cache reporter)
         end
       end
   | _ -> ()
@@ -1058,7 +719,7 @@ let consume_probe t msg =
       if Address.equal target (address t) then begin
         let id = identity t in
         let back = List.rev route @ [ origin ] in
-        Ctx.send_along t.ctx ~path:back
+        Ctx.send_along t.Sr.ctx ~path:back
           (Messages.Probe_reply
              {
                responder = address t;
@@ -1077,7 +738,7 @@ let consume_probe t msg =
 let consume_probe_reply t msg =
   match msg with
   | Messages.Probe_reply { responder; origin; seq; sig_; pk; rn; _ } -> (
-      match Hashtbl.find_opt t.probes seq with
+      match Hashtbl.find_opt t.Sr.ext.probes seq with
       | Some (session, i) when not session.pr_done ->
           if
             Address.equal origin (address t)
@@ -1088,11 +749,11 @@ let consume_probe_reply t msg =
                  ~signature:sig_
           then begin
             session.pr_replies.(i) <- true;
-            Hashtbl.remove t.probes seq;
-            Ctx.stat t.ctx Key.probe_replied
+            Hashtbl.remove t.Sr.ext.probes seq;
+            Ctx.stat t.Sr.ctx Key.probe_replied
           end
           else
-            Ctx.audit t.ctx ~kind:Audit.Sig_verify_fail
+            Ctx.audit t.Sr.ctx ~kind:Audit.Sig_verify_fail
               ~stats:[ Key.probe_reply_rejected ]
               ~cause:"probe reply responder binding or signature" ()
       | _ -> ())
@@ -1109,7 +770,7 @@ let handle t ~src msg =
   match msg with
   | Messages.Rreq _ -> handle_rreq t ~src msg
   | Messages.Rrep { sip; rr; _ } ->
-      Ctx.deliver_up t.ctx ~src msg ~consume:(consume_rrep t ~src)
+      Ctx.deliver_up t.Sr.ctx ~src msg ~consume:(consume_rrep t ~src)
         ~forward:(fun ~next m ->
           (* Transit consistency (§4): an honest reply only ever travels
              the reversed route record back toward its requester, so the
@@ -1119,38 +780,20 @@ let handle t ~src msg =
              it here and point at the radio transmitter, before relays
              further down can be fooled into accusing each other. *)
           if is_addr_suffix ~of_:(List.rev rr @ [ sip ]) (address t :: next)
-          then Ctx.send_along t.ctx ~path:next m
+          then Sr.relay t ~next m
           else
-            Ctx.audit t.ctx ~kind:Audit.Replay_rejected ~subject_node:src
+            Ctx.audit t.Sr.ctx ~kind:Audit.Replay_rejected ~subject_node:src
               ~stats:[ Key.secure_rrep_rejected; Key.secure_transit_rejected ]
               ~cause:"rrep in transit off its own reversed route record" ())
         ~not_mine:(fun _ -> ())
-  | Messages.Crep _ ->
-      Ctx.deliver_up t.ctx ~src msg ~consume:(consume_crep t)
-        ~forward:(fun ~next m -> Ctx.send_along t.ctx ~path:next m)
-        ~not_mine:(fun _ -> ())
-  | Messages.Data _ ->
-      Ctx.deliver_up t.ctx ~src msg ~consume:(consume_data t)
-        ~forward:(fun ~next m -> forward_data t ~next m)
-        ~not_mine:(fun _ -> ())
-  | Messages.Ack _ ->
-      Ctx.deliver_up t.ctx ~src msg ~consume:(consume_ack t)
-        ~forward:(fun ~next m -> Ctx.send_along t.ctx ~path:next m)
-        ~not_mine:(fun _ -> ())
-  | Messages.Rerr _ ->
-      Ctx.deliver_up t.ctx ~src msg ~consume:(consume_rerr t)
-        ~forward:(fun ~next m -> Ctx.send_along t.ctx ~path:next m)
-        ~not_mine:(fun _ -> ())
-  | Messages.Probe _ ->
-      Ctx.deliver_up t.ctx ~src msg ~consume:(consume_probe t)
-        ~forward:(fun ~next m -> Ctx.send_along t.ctx ~path:next m)
-        ~not_mine:(fun _ -> ())
-  | Messages.Probe_reply _ ->
-      Ctx.deliver_up t.ctx ~src msg ~consume:(consume_probe_reply t)
-        ~forward:(fun ~next m -> Ctx.send_along t.ctx ~path:next m)
-        ~not_mine:(fun _ -> ())
+  | Messages.Crep _ -> Sr.deliver t ~src msg ~consume:(consume_crep t)
+  | Messages.Data _ -> Sr.deliver_data t ~src msg ~overheard:(fun _ -> ())
+  | Messages.Ack _ -> Sr.deliver_ack t ~src msg
+  | Messages.Rerr _ -> Sr.deliver t ~src msg ~consume:(consume_rerr t)
+  | Messages.Probe _ -> Sr.deliver t ~src msg ~consume:(consume_probe t)
+  | Messages.Probe_reply _ -> Sr.deliver t ~src msg ~consume:(consume_probe_reply t)
   | Messages.Name_query _ | Messages.Name_reply _ | Messages.Ip_change_request _
   | Messages.Ip_change_challenge _ | Messages.Ip_change_proof _
   | Messages.Ip_change_ack _ ->
-      Ctx.forward_transit t.ctx ~src msg
+      Ctx.forward_transit t.Sr.ctx ~src msg
   | Messages.Areq _ | Messages.Arep _ | Messages.Drep _ -> ()

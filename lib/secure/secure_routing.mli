@@ -29,22 +29,22 @@
     The [verify_at_destination] switch exists for the BSAR ablation
     (E4): with it off, the destination checks only the source's
     identity, as BSAR does, and intermediate impersonation goes
-    undetected. *)
+    undetected.
+
+    The data plane (send buffer, acks and retries, discovery timing,
+    forwarding, RERR and salvaging) is {!Manet_dsr.Source_route}'s,
+    shared with DSR and SRP; DESIGN.md ("Source-route data plane") lists
+    what the secure protocol supplies to it: the credit route score, the
+    signed RREQ and RERR, a probe on ack timeout, credit on each ack,
+    and the memory of superseded discovery seqs. *)
 
 module Address = Manet_ipv6.Address
 module Messages = Manet_proto.Messages
 
 type config = {
-  discovery_timeout : float;
-  max_discovery_attempts : int;
-  use_cache_replies : bool;
-  ack_timeout : float;
-  max_send_retries : int;
-  cache_capacity_per_dst : int;
-  flood_jitter : float;
+  use_cache_replies : bool;  (** answer RREQs from endorsed cache entries (CREP) *)
   use_credits : bool;  (** §3.4 credit-weighted route selection *)
   probe_on_timeout : bool;  (** §3.4 black-hole probing *)
-  probe_timeout : float;
   verify_at_destination : bool;  (** false = BSAR-style source-only check *)
   salvage : bool;  (** DSR-style packet salvaging at intermediates *)
   credit : Credit.config;

@@ -21,24 +21,21 @@
     The pairwise associations are modelled by key derivation from a
     network-wide master secret ([k_sd = HMAC(master, a || b)] with the
     address pair sorted), standing in for the out-of-band establishment
-    SRP presupposes. *)
+    SRP presupposes.
+
+    The data plane (send buffer, acks and retries, discovery timing,
+    forwarding and RERR) is {!Manet_dsr.Source_route}'s, shared with DSR
+    and the secure protocol; DESIGN.md ("Source-route data plane") lists
+    what SRP supplies to it and where it differs: it never salvages, a
+    failed first hop drops only the route used, and its RERR is
+    unsigned. *)
 
 module Address = Manet_ipv6.Address
 module Messages = Manet_proto.Messages
 
-type config = {
-  discovery_timeout : float;
-  max_discovery_attempts : int;
-  ack_timeout : float;
-  max_send_retries : int;
-  cache_capacity_per_dst : int;
-  flood_jitter : float;
-}
-
 type t
 
-val create :
-  ?config:config -> master:string -> Manet_proto.Node_ctx.t -> t
+val create : master:string -> Manet_proto.Node_ctx.t -> t
 
 val handle : t -> src:int -> Messages.t -> unit
 val send : t -> dst:Address.t -> ?size:int -> unit -> unit

@@ -358,10 +358,13 @@ let rec run_loop t until budget =
     match until with
     | Some limit when time > limit ->
         (* Leave future events queued; advance the clock to the
-           horizon so repeated bounded runs make progress. *)
-        (* manetcheck: allow hot-boxed-store — [limit] is the caller's
-           float, already boxed; the store copies the pointer. *)
-        t.now <- limit
+           horizon so repeated bounded runs make progress.  A horizon
+           already behind the clock leaves it alone: time never runs
+           backwards. *)
+        if limit > t.now then
+          (* manetcheck: allow hot-boxed-store — [limit] is the caller's
+             float, already boxed; the store copies the pointer. *)
+          t.now <- limit
     | _ ->
         let id = Heap.min_fst t.queue in
         if id >= 0 then begin

@@ -56,7 +56,10 @@ val schedule_frame :
 val run : ?until:float -> ?max_events:int -> t -> unit
 (** Process events in order until the queue is empty, simulated time
     would pass [until], or [max_events] have fired.  Events scheduled
-    beyond [until] remain queued, so [run] can be called again. *)
+    beyond [until] remain queued, so [run] can be called again.  When
+    events remain past [until], the clock advances to [until]; it never
+    moves backwards, so a horizon earlier than {!now} leaves it
+    unchanged. *)
 
 val pending : t -> int
 (** Number of queued events: every undelivered receiver of a frame

@@ -956,7 +956,62 @@ module Sem = struct
     clean "top-level mutable state is not determinism" "determinism"
       [ ("lib/a.ml", {|let cache = Hashtbl.create 16|}) ];
     clean "function-local mutable state" "determinism"
-      [ ("lib/a.ml", {|let f () = let h = Hashtbl.create 16 in Hashtbl.length h|}) ]
+      [ ("lib/a.ml", {|let f () = let h = Hashtbl.create 16 in Hashtbl.length h|}) ];
+    (* A Hashtbl.Make instance iterates in bucket order too, reached
+       directly, through another file's module, or through an alias. *)
+    let address =
+      ( "lib/ipv6/address.ml",
+        {|module Tbl = Hashtbl.Make (struct
+  type t = int
+  let equal = Int.equal
+  let hash x = x
+end)|} )
+    in
+    fires "iter over a local instance" "determinism"
+      [
+        ( "lib/a.ml",
+          {|module Itbl = Hashtbl.Make (Int)
+let dump t = Itbl.iter (fun k _ -> print_int k) t|} );
+      ];
+    fires "fold over another file's instance" "determinism"
+      [ address; ("lib/b.ml", {|let keys t = Address.Tbl.fold (fun k _ acc -> k :: acc) t []|}) ];
+    fires "iter through an alias" "determinism"
+      [
+        address;
+        ("lib/c.ml", {|module Table = Address.Tbl
+let dump t = Table.iter (fun k _ -> print_int k) t|});
+      ];
+    fires "fold through another file's alias" "determinism"
+      [
+        address;
+        ("lib/c.ml", {|module Table = Address.Tbl|});
+        ("lib/d.ml", {|let keys t = C.Table.fold (fun k _ acc -> k :: acc) t []|});
+      ];
+    fires "iter over a let-module instance" "determinism"
+      [
+        ( "lib/a.ml",
+          {|let dump () =
+  let module T = Hashtbl.Make (Int) in
+  let t = T.create 8 in
+  T.iter (fun k _ -> print_int k) t|} );
+      ];
+    clean "instance fold into a sort" "determinism"
+      [
+        address;
+        ( "lib/b.ml",
+          {|let keys t = Address.Tbl.fold (fun k _ acc -> k :: acc) t [] |> List.sort Int.compare|}
+        );
+      ];
+    clean "commutative instance fold" "determinism"
+      [ address; ("lib/b.ml", {|let total t = Address.Tbl.fold (fun _ v acc -> v + acc) t 0|}) ];
+    clean "instance lookups" "determinism"
+      [ address; ("lib/b.ml", {|let get t k = Address.Tbl.find_opt t k|}) ];
+    clean "Map.Make iterates in key order" "determinism"
+      [
+        ( "lib/a.ml",
+          {|module M = Map.Make (Int)
+let dump m = M.iter (fun k _ -> print_int k) m|} );
+      ]
 
   (* --- dead exports ------------------------------------------------------- *)
 

@@ -502,6 +502,23 @@ let test_engine_until () =
   Alcotest.(check int) "drained" 0 (Engine.pending e);
   Alcotest.(check (list (float 1e-9))) "all events" [ 1.0; 2.0; 3.0; 4.0 ] (List.rev !fired)
 
+(* A horizon behind the clock must not rewind it: an event scheduled
+   after such a run fires after everything that already ran. *)
+let test_engine_until_monotone () =
+  let e = Engine.create ~seed:1 () in
+  let fired = ref [] in
+  let record () = fired := Engine.now e :: !fired in
+  Engine.schedule e ~delay:5.0 record;
+  Engine.schedule e ~delay:10.0 record;
+  Engine.run ~until:6.0 e;
+  Alcotest.(check (float 1e-9)) "clock at horizon" 6.0 (Engine.now e);
+  Engine.run ~until:2.0 e;
+  Alcotest.(check (float 1e-9)) "earlier horizon keeps the clock" 6.0 (Engine.now e);
+  Engine.schedule e ~delay:1.0 record;
+  Engine.run e;
+  Alcotest.(check (list (float 1e-9)))
+    "fire times never go backwards" [ 5.0; 7.0; 10.0 ] (List.rev !fired)
+
 let test_engine_max_events () =
   let e = Engine.create ~seed:1 () in
   for i = 1 to 10 do
@@ -1585,6 +1602,8 @@ let suites =
         Alcotest.test_case "ordering" `Quick test_engine_ordering;
         Alcotest.test_case "nested scheduling" `Quick test_engine_nested_scheduling;
         Alcotest.test_case "until" `Quick test_engine_until;
+        Alcotest.test_case "until never rewinds the clock" `Quick
+          test_engine_until_monotone;
         Alcotest.test_case "max events" `Quick test_engine_max_events;
         Alcotest.test_case "negative delay" `Quick test_engine_negative_delay;
         Alcotest.test_case "same time fifo" `Quick test_engine_same_time_fifo;

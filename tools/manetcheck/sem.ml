@@ -640,7 +640,63 @@ let nondeterministic_read = function
          explicit function (FNV-1a, as Stats does)"
   | _ -> None
 
-let rec dwalk env report ~sorted e =
+(* Module names bound to a [Hashtbl.Make] instance in [units] — at any
+   module depth, or by a [let module] — closed under the aliases that
+   name one ([module Table = Address.Tbl]).  Like [resolve], this keys
+   a module by its last component: an instance is reached as [Tbl] in
+   [Address.Tbl.iter] and as [Table] through the alias. *)
+let hashtbl_instances units =
+  let names = Hashtbl.create 16 in
+  let rec is_make me =
+    match me.pmod_desc with
+    | Pmod_apply ({ pmod_desc = Pmod_ident { txt; _ }; _ }, _) -> (
+        match Longident.flatten txt with
+        | [ "Hashtbl"; ("Make" | "MakeSeeded") ] -> true
+        | _ -> false)
+    | Pmod_constraint (me, _) -> is_make me
+    | _ -> false
+  in
+  let bind name me = if is_make me then Hashtbl.replace names name () in
+  let it =
+    {
+      Ast_iterator.default_iterator with
+      module_binding =
+        (fun self mb ->
+          Option.iter (fun name -> bind name mb.pmb_expr) mb.pmb_name.txt;
+          Ast_iterator.default_iterator.module_binding self mb);
+      expr =
+        (fun self e ->
+          (match e.pexp_desc with
+          | Pexp_letmodule ({ txt = Some name; _ }, me, _) -> bind name me
+          | _ -> ());
+          Ast_iterator.default_iterator.expr self e);
+    }
+  in
+  List.iter
+    (fun u -> match u.u_parsed with Impl str -> it.structure it str | _ -> ())
+    units;
+  let rec close () =
+    let grew = ref false in
+    List.iter
+      (fun u ->
+        Hashtbl.iter
+          (fun alias target ->
+            if Hashtbl.mem names target && not (Hashtbl.mem names alias) then begin
+              Hashtbl.replace names alias ();
+              grew := true
+            end)
+          u.u_aliases)
+      units;
+    if !grew then close ()
+  in
+  close ();
+  names
+
+let rec dwalk ~tables env report ~sorted e =
+  let table = function
+    | Some m -> m = "Hashtbl" || Hashtbl.mem tables m
+    | None -> false
+  in
   match e.pexp_desc with
   | Pexp_ident { txt; _ } ->
       Option.iter (report e.pexp_loc)
@@ -648,11 +704,11 @@ let rec dwalk env report ~sorted e =
   | Pexp_apply (h, args) -> (
       match (callee_of env h, args) with
       | Some (_, "|>"), [ (_, l); (_, r) ] ->
-          dwalk env report ~sorted:(sorted || head_is_sortish env r) l;
-          dwalk env report ~sorted r
+          dwalk ~tables env report ~sorted:(sorted || head_is_sortish env r) l;
+          dwalk ~tables env report ~sorted r
       | Some (_, "@@"), [ (_, fn); (_, x) ] ->
-          dwalk env report ~sorted fn;
-          dwalk env report ~sorted:(sorted || head_is_sortish env fn) x
+          dwalk ~tables env report ~sorted fn;
+          dwalk ~tables env report ~sorted:(sorted || head_is_sortish env fn) x
       | callee, _ ->
           let sorted_args =
             sorted
@@ -661,11 +717,12 @@ let rec dwalk env report ~sorted e =
           (match callee with
           | Some c when nondeterministic_read c <> None ->
               Option.iter (report h.pexp_loc) (nondeterministic_read c)
-          | Some (Some "Hashtbl", "iter") ->
+          | Some ((Some m as tbl), "iter") when table tbl ->
               report h.pexp_loc
-                "Hashtbl.iter order is unspecified and can leak into \
-                 traces; fold to a list and sort instead"
-          | Some (Some "Hashtbl", "fold") ->
+                (m
+                ^ ".iter order is unspecified and can leak into traces; fold \
+                   to a list and sort instead")
+          | Some ((Some m as tbl), "fold") when table tbl ->
               let comm =
                 match first_positional args with
                 | Some f0 -> commutative_fold_fn f0
@@ -673,16 +730,18 @@ let rec dwalk env report ~sorted e =
               in
               if not (sorted || comm) then
                 report h.pexp_loc
-                  "Hashtbl.fold order is unspecified; sort the result or \
-                   use a commutative accumulator"
+                  (m
+                  ^ ".fold order is unspecified; sort the result or use a \
+                     commutative accumulator")
           | _ -> ());
-          List.iter (fun (_, a) -> dwalk env report ~sorted:sorted_args a) args;
+          List.iter (fun (_, a) -> dwalk ~tables env report ~sorted:sorted_args a) args;
           (match h.pexp_desc with
           | Pexp_ident _ -> ()
-          | _ -> dwalk env report ~sorted h))
-  | _ -> List.iter (dwalk env report ~sorted) (sub_expressions e)
+          | _ -> dwalk ~tables env report ~sorted h))
+  | _ -> List.iter (dwalk ~tables env report ~sorted) (sub_expressions e)
 
-let determinism_findings fns =
+let determinism_findings fns units =
+  let tables = hashtbl_instances units in
   List.concat_map
     (fun f ->
       let out = ref [] in
@@ -690,7 +749,7 @@ let determinism_findings fns =
         let line = line_of loc and file = f.b_unit.u_path in
         out := { file; line; rule = "determinism"; msg } :: !out
       in
-      dwalk (plain_env f) report ~sorted:false f.b_expr;
+      dwalk ~tables (plain_env f) report ~sorted:false f.b_expr;
       !out)
     fns
 
@@ -1009,5 +1068,5 @@ let findings ~lib ~tests ~units =
     | None -> [])
   @ codec_findings fns vset lib
   @ proto_schema_findings lib units
-  @ determinism_findings fns
+  @ determinism_findings fns lib
   @ dead_export_findings ~tests units
