@@ -10,8 +10,6 @@ module Engine = Manetsec.Sim.Engine
 module Stats = Manetsec.Sim.Stats
 module Net = Manetsec.Sim.Net
 module Mobility = Manetsec.Sim.Mobility
-module Identity = Manetsec.Proto.Identity
-module Directory = Manetsec.Proto.Directory
 module Adversary = Manetsec.Adversary
 module Credit = Manetsec.Credit
 module Scenario = Manetsec.Scenario
@@ -521,15 +519,8 @@ let e6_run ~n ~seed ~force_collision =
     }
   in
   let s = Scenario.create params in
-  if force_collision then begin
-    (* The last node joins with the first host's address. *)
-    let victim = Scenario.address_of s 1 in
-    let joiner = Scenario.node s (n - 1) in
-    let dir = joiner.Scenario.ctx.Manetsec.Proto.Node_ctx.directory in
-    Directory.unregister dir (Scenario.address_of s (n - 1)) (n - 1);
-    joiner.Scenario.identity.Identity.address <- victim;
-    Directory.register dir victim (n - 1)
-  end;
+  (* The last node joins with the first host's address. *)
+  if force_collision then Scenario.duplicate_address s ~joiner:(n - 1) ~owner:1;
   let t0 = Engine.now (Scenario.engine s) in
   Scenario.bootstrap ~stagger:0.3 s;
   let t1 = Engine.now (Scenario.engine s) in

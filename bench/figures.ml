@@ -13,8 +13,6 @@ module Engine = Manetsec.Sim.Engine
 module Trace = Manetsec.Sim.Trace
 module Stats = Manetsec.Sim.Stats
 module Net = Manetsec.Sim.Net
-module Identity = Manetsec.Proto.Identity
-module Directory = Manetsec.Proto.Directory
 module Scenario = Manetsec.Scenario
 
 (* --- Figure 1 ---------------------------------------------------------- *)
@@ -80,15 +78,9 @@ let fig2 () =
     ();
   Scenario.run s ~until:10.0;
   (* S = node 5 is forced into both collisions. *)
-  let dup = Scenario.address_of s 2 in
-  let snode = Scenario.node s 5 in
-  Directory.unregister
-    snode.Scenario.ctx.Manetsec.Proto.Node_ctx.directory
-    (Scenario.address_of s 5) 5;
-  snode.Scenario.identity.Identity.address <- dup;
-  Directory.register snode.Scenario.ctx.Manetsec.Proto.Node_ctx.directory dup 5;
+  Scenario.duplicate_address s ~joiner:5 ~owner:2;
   Trace.enable (Engine.trace engine);
-  Manetsec.Dad.start snode.Scenario.dad ~dn:"printer"
+  Manetsec.Dad.start (Scenario.node s 5).Scenario.dad ~dn:"printer"
     ~on_complete:(fun _ -> ())
     ();
   Scenario.run s ~until:30.0;

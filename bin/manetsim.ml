@@ -1,28 +1,21 @@
 (* manetsim: command-line front end for the simulator.
 
-     manetsim run --nodes 30 --blackholes 3 --duration 60
-     manetsim run --protocol dsr --mobility waypoint --trace
-     manetsim run --seed 1 --export trace-jsonl --export report-json
-     manetsim run --scenario examples/scenarios/blackhole_e1.scn --out-dir out
+     manetsim run examples/scenarios/secure_n12.scn --export trace-jsonl
+     manetsim run examples/scenarios/dad_collision.scn --profile
+     manetsim run examples/scenarios/blackhole_e1.scn --out-dir out
      manetsim sweep examples/scenarios/*.scn --seeds 1,2 --export stats-csv
-     manetsim dad --nodes 12 --collide
-     manetsim attacks --nodes 16
-     manetsim report run.trace.jsonl
+     manetsim scenario check examples/scenarios/*.scn
+     manetsim report secure_n12.trace.jsonl
 
-   Prints scenario metrics; --trace additionally dumps the protocol
-   event trace; each --export KIND writes one export into --out-dir
-   (the vocabulary of a scenario file's (exports ...) field); the
+   Every run is a scenario file (examples/scenarios/): run prints its
+   results and writes the file's exports plus each --export KIND into
+   --out-dir (the vocabulary of a file's (exports ...) field); the
    report, audit, perf and timeline subcommands query exports
    offline. *)
 
 module Scenario = Manetsec.Scenario
 module Engine = Manetsec.Sim.Engine
 module Stats = Manetsec.Sim.Stats
-module Trace = Manetsec.Sim.Trace
-module Mobility = Manetsec.Sim.Mobility
-module Address = Manetsec.Ipv6.Address
-module Adversary = Manetsec.Adversary
-module Prng = Manetsec.Crypto.Prng
 module Obs = Manetsec.Obs
 module Json = Manetsec.Obs_json
 module Obs_report = Manetsec.Obs_report
@@ -37,77 +30,7 @@ module Sexp = Manet_scenario.Sexp
 
 open Cmdliner
 
-(* --- shared flags ------------------------------------------------------- *)
-
-let nodes_t =
-  Arg.(value & opt int 20 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of nodes.")
-
-let seed_t = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
-
-let protocol_t =
-  let chosen_conv =
-    Arg.enum [ ("secure", Scenario.Secure); ("dsr", Scenario.Plain_dsr) ]
-  in
-  Arg.(
-    value & opt chosen_conv Scenario.Secure
-    & info [ "protocol" ] ~docv:"PROTO" ~doc:"Routing protocol: secure or dsr.")
-
-let suite_t =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "mock" -> Ok Scenario.Mock_suite
-    | s -> (
-        match String.split_on_char '-' s with
-        | [ "rsa"; bits ] -> (
-            match int_of_string_opt bits with
-            | Some b when b >= 64 -> Ok (Scenario.Rsa_suite b)
-            | _ -> Error (`Msg "rsa-<bits> with bits >= 64"))
-        | _ -> Error (`Msg "expected mock or rsa-<bits>"))
-  in
-  let print fmt = function
-    | Scenario.Mock_suite -> Format.pp_print_string fmt "mock"
-    | Scenario.Rsa_suite b -> Format.fprintf fmt "rsa-%d" b
-  in
-  Arg.(
-    value
-    & opt (conv (parse, print)) Scenario.Mock_suite
-    & info [ "suite" ] ~docv:"SUITE" ~doc:"Signature suite: mock or rsa-<bits>.")
-
-let mobility_t =
-  let chosen_conv =
-    Arg.enum
-      [
-        ("static", Mobility.Static);
-        ( "waypoint",
-          Mobility.Random_waypoint { min_speed = 1.0; max_speed = 10.0; pause = 2.0 } );
-        ("walk", Mobility.Random_walk { speed = 5.0; turn_interval = 4.0 });
-      ]
-  in
-  Arg.(
-    value & opt chosen_conv Mobility.Static
-    & info [ "mobility" ] ~docv:"MODEL" ~doc:"Mobility: static, waypoint or walk.")
-
-let blackholes_t =
-  Arg.(
-    value & opt int 0
-    & info [ "blackholes" ] ~docv:"K" ~doc:"Number of black-hole adversaries.")
-
-let spammers_t =
-  Arg.(
-    value & opt int 0
-    & info [ "rerr-spammers" ] ~docv:"K" ~doc:"Number of RERR-fabricating adversaries.")
-
-let duration_t =
-  Arg.(
-    value & opt float 60.0
-    & info [ "duration" ] ~docv:"SECONDS" ~doc:"Traffic duration (simulated).")
-
-let flows_t =
-  Arg.(
-    value & opt int 6 & info [ "flows" ] ~docv:"K" ~doc:"Number of CBR flows.")
-
-let trace_t =
-  Arg.(value & flag & info [ "trace" ] ~doc:"Dump the protocol event trace.")
+(* --- run ------------------------------------------------------------------- *)
 
 let profile_t =
   Arg.(
@@ -123,11 +46,10 @@ let progress_t =
     & info [ "progress" ]
         ~doc:
           "Emit a wall-clock heartbeat to stderr every ~2 seconds while the \
-           engine runs: events/sec, sim-time rate, queue depth and ETA, with \
-           a stall warning when sim time stops advancing.  Does not perturb \
-           the simulation or any deterministic export.")
-
-(* --- exports ---------------------------------------------------------------- *)
+           engine runs: events/sec, sim-time rate, queue depth, an ETA when \
+           the file sets (run-until ...), and a stall warning when sim time \
+           stops advancing.  Does not perturb the simulation or any \
+           deterministic export.")
 
 let write_file path contents =
   let oc = open_out_bin path in
@@ -162,10 +84,6 @@ let write_exports ~out_dir files =
       Printf.printf "export              %s\n" path)
     files
 
-let render_exports ~out_dir ~name ~meta kinds s =
-  write_exports ~out_dir
-    (List.map (fun kind -> (Export.file ~name kind, Export.render ~meta s kind)) kinds)
-
 let export_t =
   Arg.(
     value
@@ -176,45 +94,18 @@ let export_t =
             is "
           ^ doc_alts Schema.export_kinds
           ^ ": the keywords of a scenario file's (exports ...) field.  run \
-             and dad name their files after the subcommand \
-             ($(b,run.trace.jsonl)), run --scenario after the scenario, and \
-             sweep writes merged forms (see its description).  trace-jsonl \
-             switches event capture on and the metrics kinds the metrics \
-             engine.  Every export but report-json (which holds the \
-             wall-clock profile) and the wall-clock section of \
-             perf-json is byte-identical across replays of the same seed."))
+             writes them besides the file's own kinds, named after the \
+             scenario ($(b,<name>.trace.jsonl)); sweep writes merged forms \
+             (see its description).  trace-jsonl switches event capture on \
+             and the metrics kinds the metrics engine.  Every export but \
+             report-json (which holds the wall-clock profile) and the \
+             wall-clock section of perf-json is byte-identical across \
+             replays of the same seed."))
 
 let out_dir_t =
   Arg.(
     value & opt dir "."
     & info [ "out-dir" ] ~docv:"DIR" ~doc:"Directory that receives the exports.")
-
-let make_params ~nodes ~seed ~protocol ~suite ~mobility ~blackholes ~spammers =
-  let g = Prng.create ~seed:(seed + 7777) in
-  let pool = Array.init (nodes - 1) (fun i -> i + 1) in
-  Prng.shuffle g pool;
-  let take k off = Array.to_list (Array.sub pool off (min k (nodes - 1 - off))) in
-  let adversaries =
-    List.map (fun i -> (i, Adversary.blackhole)) (take blackholes 0)
-    @ List.map
-        (fun i -> (i, Adversary.rerr_spammer ~every:1.0))
-        (take spammers blackholes)
-  in
-  {
-    Scenario.default_params with
-    n = nodes;
-    seed;
-    protocol;
-    suite;
-    mobility;
-    adversaries;
-    topology =
-      Scenario.Random
-        {
-          width = 220.0 *. sqrt (float_of_int nodes);
-          height = 220.0 *. sqrt (float_of_int nodes);
-        };
-  }
 
 let report s =
   let st = Scenario.stats s in
@@ -240,19 +131,25 @@ let report s =
       let v = Stats.get st key in
       if v > 0 then Printf.printf "%-19s %d\n" key v)
     [
-      "secure.rreq_rejected"; "secure.rrep_rejected"; "secure.rerr_rejected";
-      "secure.hostile_suspected"; "probe.sent"; "attack.data_dropped";
-      "attack.rrep_forged"; "attack.rerr_forged";
+      "dad.collision"; "secure.rreq_rejected"; "secure.rrep_rejected";
+      "secure.rerr_rejected"; "secure.hostile_suspected"; "probe.sent";
+      "attack.data_dropped"; "attack.rrep_forged"; "attack.rerr_forged";
     ];
   Printf.printf "audit events        %d\n"
     (Audit.count (Obs.audit (Scenario.obs s)));
-  match Detector.suspects (Scenario.detector s) with
+  let det = Scenario.detector s in
+  (match Detector.suspects det with
   | [] -> ()
   | suspects ->
       Printf.printf "suspected nodes     %s\n"
-        (String.concat ", " (List.map string_of_int suspects))
-
-(* --- scenario files ------------------------------------------------------ *)
+        (String.concat ", " (List.map string_of_int suspects)));
+  (* The detector's verdicts scored against the planted adversaries. *)
+  match Scenario.adversary_ids s with
+  | [] -> ()
+  | truth ->
+      let a = Detector.score det ~truth in
+      Printf.printf "detector score      precision %.2f recall %.2f\n"
+        a.Detector.precision a.Detector.recall
 
 let load_scenario path =
   match In_channel.with_open_bin path In_channel.input_all with
@@ -266,177 +163,41 @@ let load_scenario path =
   | exception Sys_error msg -> Error msg
 
 (* The file's exports plus the --export kinds, named and stamped like
-   the file's own. *)
-let scenario_run file ~out_dir ~exports =
+   the file's own.  The profiler and the heartbeat start with the
+   scenario and perturb nothing. *)
+let run_cmd file out_dir exports profile progress =
   match load_scenario file with
   | Error msg -> `Error (false, msg)
   | Ok scn ->
       Printf.printf "scenario %s  (%d nodes, seed %d)\n%!" scn.Scn.name
         scn.Scn.nodes scn.Scn.seed;
       let kinds = union scn.Scn.exports exports in
-      let s = Scn.execute { scn with Scn.exports = kinds } in
+      let on_create s =
+        if profile then Engine.set_profiling (Scenario.engine s) true;
+        if progress then
+          Timeline.enable_progress ?horizon:scn.Scn.run_until
+            (Obs.timeline (Scenario.obs s))
+            ~emit:(fun line -> Printf.eprintf "%s\n%!" line)
+            ()
+      in
+      let s = Scn.execute ~on_create { scn with Scn.exports = kinds } in
       report s;
-      render_exports ~out_dir ~name:scn.Scn.name
-        ~meta:(Scn.meta scn ~seed:scn.Scn.seed)
-        kinds s;
+      let meta = Scn.meta scn ~seed:scn.Scn.seed in
+      write_exports ~out_dir
+        (List.map
+           (fun kind -> (Export.file ~name:scn.Scn.name kind, Export.render ~meta s kind))
+           kinds);
+      if profile then print_profile s;
       `Ok ()
 
-let scenario_file_t =
+let run_file_t =
   Arg.(
-    value
-    & opt (some file) None
-    & info [ "scenario" ] ~docv:"FILE"
-        ~doc:
-          "Run a declarative scenario file (see examples/scenarios/) instead \
-           of a flag-built configuration; it writes the exports the file \
-           requests plus every --export kind, and every other run flag is \
-           ignored.")
-
-(* --- run ----------------------------------------------------------------- *)
-
-let run_flags_cmd ~out_dir ~exports ~nodes ~seed ~protocol ~suite ~mobility
-    ~blackholes ~spammers ~duration ~flows ~trace ~profile ~progress =
-  let params =
-    make_params ~nodes ~seed ~protocol ~suite ~mobility ~blackholes ~spammers
-  in
-  let s = Scenario.create params in
-  if trace then Trace.enable (Engine.trace (Scenario.engine s));
-  if profile then Engine.set_profiling (Scenario.engine s) true;
-  Export.prepare exports s;
-  if progress then
-    Timeline.enable_progress
-      ~horizon:(duration +. 30.0)
-      (Obs.timeline (Scenario.obs s))
-      ~emit:(fun line -> Printf.eprintf "%s\n%!" line)
-      ();
-  Printf.printf "bootstrapping %d nodes...\n%!" nodes;
-  Scenario.bootstrap s;
-  let g = Prng.create ~seed:(seed + 99) in
-  let flow_list =
-    List.init flows (fun _ ->
-        let a = 1 + Prng.int g (nodes - 1) in
-        let rec other () =
-          let b = 1 + Prng.int g (nodes - 1) in
-          if b = a then other () else b
-        in
-        (a, other ()))
-  in
-  Printf.printf "flows: %s\n"
-    (String.concat ", "
-       (List.map (fun (a, b) -> Printf.sprintf "%d->%d" a b) flow_list));
-  Scenario.start_cbr s ~flows:flow_list ~interval:0.5 ~duration ();
-  Scenario.run s ~until:(Engine.now (Scenario.engine s) +. duration +. 30.0);
-  report s;
-  render_exports ~out_dir ~name:"run" ~meta:[ ("seed", Json.Int seed) ] exports s;
-  if profile then print_profile s;
-  if trace then begin
-    Printf.printf "\n-- trace --------------------------------------------\n";
-    print_string (Trace.render (Engine.trace (Scenario.engine s)))
-  end
-
-let run_cmd scenario_file out_dir exports nodes seed protocol suite mobility
-    blackholes spammers duration flows trace profile progress =
-  let exports = union [] exports in
-  match scenario_file with
-  | Some file -> scenario_run file ~out_dir ~exports
-  | None ->
-      run_flags_cmd ~out_dir ~exports ~nodes ~seed ~protocol ~suite ~mobility
-        ~blackholes ~spammers ~duration ~flows ~trace ~profile ~progress;
-      `Ok ()
+    required
+    & pos 0 (some file) None
+    & info [] ~docv:"FILE" ~doc:"The scenario file to run (see examples/scenarios/).")
 
 let run_term =
-  Term.(
-    ret
-      (const run_cmd $ scenario_file_t $ out_dir_t $ export_t $ nodes_t $ seed_t
-     $ protocol_t $ suite_t $ mobility_t $ blackholes_t $ spammers_t
-     $ duration_t $ flows_t $ trace_t $ profile_t $ progress_t))
-
-(* --- dad ------------------------------------------------------------------ *)
-
-let dad_cmd out_dir exports nodes seed collide trace profile =
-  let exports = union [] exports in
-  let params =
-    make_params ~nodes ~seed ~protocol:Scenario.Secure ~suite:Scenario.Mock_suite
-      ~mobility:Mobility.Static ~blackholes:0 ~spammers:0
-  in
-  let s = Scenario.create params in
-  if profile then Engine.set_profiling (Scenario.engine s) true;
-  Export.prepare exports s;
-  if collide && nodes >= 3 then begin
-    (* Give the last node the first host's address before it joins. *)
-    let victim = Scenario.address_of s 1 in
-    let joiner = Scenario.node s (nodes - 1) in
-    let dir = joiner.Scenario.ctx.Manetsec.Proto.Node_ctx.directory in
-    Manetsec.Proto.Directory.unregister dir (Scenario.address_of s (nodes - 1)) (nodes - 1);
-    joiner.Scenario.identity.Manetsec.Proto.Identity.address <- victim;
-    Manetsec.Proto.Directory.register dir victim (nodes - 1);
-    Printf.printf "forced duplicate: node %d joins with node 1's address %s\n"
-      (nodes - 1) (Address.to_string victim)
-  end;
-  if trace then Trace.enable (Engine.trace (Scenario.engine s));
-  Scenario.bootstrap s;
-  let st = Scenario.stats s in
-  Printf.printf "configured %d, collisions detected %d, names registered %d\n"
-    (Stats.get st "dad.configured")
-    (Stats.get st "dad.collision")
-    (Stats.get st "dns.registered");
-  Array.iter
-    (fun node ->
-      Printf.printf "  node %-3d %s\n" node.Scenario.index
-        (Address.to_string (Scenario.address_of s node.Scenario.index)))
-    (Scenario.nodes s);
-  render_exports ~out_dir ~name:"dad" ~meta:[ ("seed", Json.Int seed) ] exports s;
-  if profile then print_profile s;
-  if trace then print_string (Trace.render (Engine.trace (Scenario.engine s)))
-
-let collide_t =
-  Arg.(value & flag & info [ "collide" ] ~doc:"Force an address collision.")
-
-let dad_term =
-  Term.(
-    const dad_cmd $ out_dir_t $ export_t $ nodes_t $ seed_t $ collide_t
-    $ trace_t $ profile_t)
-
-(* --- attacks --------------------------------------------------------------- *)
-
-let attacks_cmd nodes seed =
-  (* Run each canned attack against both protocols and summarize. *)
-  List.iter
-    (fun (name, behavior) ->
-      List.iter
-        (fun (pname, protocol) ->
-          let params =
-            make_params ~nodes ~seed ~protocol ~suite:Scenario.Mock_suite
-              ~mobility:Mobility.Static ~blackholes:0 ~spammers:0
-          in
-          let params = { params with Scenario.adversaries = [ (2, behavior) ] } in
-          let s = Scenario.create params in
-          Scenario.bootstrap s;
-          Scenario.start_cbr s
-            ~flows:[ (1, nodes - 1); (nodes - 1, 1) ]
-            ~interval:0.5 ~duration:30.0 ();
-          Scenario.run s ~until:(Engine.now (Scenario.engine s) +. 60.0);
-          let det = Scenario.detector s in
-          let a = Detector.score det ~truth:(Scenario.adversary_ids s) in
-          Printf.printf
-            "%-16s vs %-7s delivery %.2f  suspected %d  rejected %d  flagged \
-             [%s]  precision %.2f recall %.2f\n"
-            name pname (Scenario.delivery_ratio s)
-            (Stats.get (Scenario.stats s) "secure.hostile_suspected")
-            (Stats.get (Scenario.stats s) "secure.rreq_rejected"
-            + Stats.get (Scenario.stats s) "secure.rrep_rejected")
-            (String.concat ","
-               (List.map string_of_int (Detector.suspects det)))
-            a.Detector.precision a.Detector.recall)
-        [ ("dsr", Scenario.Plain_dsr); ("secure", Scenario.Secure) ])
-    [
-      ("blackhole", Adversary.blackhole);
-      ("grayhole-50", Adversary.grayhole 0.5);
-      ("rerr-spam", Adversary.rerr_spammer ~every:1.0);
-      ("churn", Adversary.identity_churner ~every:10.0);
-    ]
-
-let attacks_term = Term.(const attacks_cmd $ nodes_t $ seed_t)
+  Term.(ret (const run_cmd $ run_file_t $ out_dir_t $ export_t $ profile_t $ progress_t))
 
 (* --- report ---------------------------------------------------------------- *)
 
@@ -1092,14 +853,12 @@ let timeline_term = Term.(ret (const timeline_cmd $ timeline_file_t $ top_t))
 let cmds =
   [
     Cmd.v
-      (Cmd.info "run" ~doc:"Bootstrap a MANET and run CBR traffic, with optional adversaries.")
+      (Cmd.info "run"
+         ~doc:
+           "Run a scenario file: bootstrap, traffic, adversaries and faults \
+            as the file declares them, then print the results and write the \
+            file's exports plus the --export kinds.")
       run_term;
-    Cmd.v
-      (Cmd.info "dad" ~doc:"Run secure bootstrapping only; optionally force a duplicate address.")
-      dad_term;
-    Cmd.v
-      (Cmd.info "attacks" ~doc:"Run the canned attack behaviours against both protocols.")
-      attacks_term;
     Cmd.v
       (Cmd.info "sweep"
          ~doc:

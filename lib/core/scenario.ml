@@ -301,6 +301,15 @@ let dns_server t = t.dns
 let suite t = t.suite
 let address_of t i = t.nodes.(i).identity.Identity.address
 
+let duplicate_address t ~joiner ~owner =
+  let valid i = i >= 0 && i < t.params.n in
+  if joiner = owner || not (valid joiner && valid owner) then
+    invalid_arg "Scenario.duplicate_address: joiner and owner must be two nodes";
+  let taken = address_of t owner in
+  Directory.unregister t.directory (address_of t joiner) joiner;
+  t.nodes.(joiner).identity.Identity.address <- taken;
+  Directory.register t.directory taken joiner
+
 let start t =
   if not t.started then begin
     t.started <- true;

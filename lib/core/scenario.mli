@@ -118,6 +118,13 @@ val suite : t -> Manet_crypto.Suite.t
 
 val address_of : t -> int -> Address.t
 
+val duplicate_address : t -> joiner:int -> owner:int -> unit
+(** Force a §3.1 address collision: node [joiner] takes node [owner]'s
+    current address (the directory moves with it), so its next DAD
+    floods an AREQ for an address already in use.  Call it before the
+    joiner bootstraps.  Raises [Invalid_argument] unless [joiner] and
+    [owner] are two distinct nodes of the scenario. *)
+
 val bootstrap : ?stagger:float -> t -> unit
 (** Run secure DAD for every non-DNS node, started [stagger] seconds
     apart (default 0.5), then run the engine until the network is quiet.

@@ -181,7 +181,6 @@ let first_hop_failed t ~dst route =
 
 let rec transmit t packet route =
   let dst = packet.p_dst in
-  Address.Seq_tbl.replace t.in_flight { Address.addr = dst; seq = packet.p_seq } packet;
   let path = path_via route dst in
   Ctx.send_along t.ctx ~path
     ~on_fail:(fun () -> first_hop_failed t ~dst route)
@@ -195,9 +194,13 @@ let rec transmit t packet route =
          payload_size = packet.p_size;
          sent_at = packet.p_first_sent;
        });
-  if t.hooks.use_acks then
+  (* Only an ack or its timer takes a packet out of the in-flight
+     table, so without acks it is never put in. *)
+  if t.hooks.use_acks then begin
+    Address.Seq_tbl.replace t.in_flight { Address.addr = dst; seq = packet.p_seq } packet;
     Engine.schedule t.ctx.Ctx.engine ~label:t.hooks.label ~delay:ack_timeout
       (fun () -> ack_timed_out t packet route)
+  end
 
 and ack_timed_out t packet route =
   let k = { Address.addr = packet.p_dst; seq = packet.p_seq } in

@@ -2,9 +2,9 @@
     sinks it needs switched on before the run, and how it is rendered —
     for one run and, where a merged form exists, for a sweep.
 
-    Every path to an export goes through this module: a flag-built
-    [manetsim run] or [dad], a scenario file's [(exports ...)] field,
-    [run --scenario] and [sweep].  The keyword that names each kind in
+    Every path to an export goes through this module: a scenario
+    file's [(exports ...)] field, [manetsim run]'s [--export] and
+    [sweep].  The keyword that names each kind in
     a scenario file and on the command line is {!Schema.exports}. *)
 
 module Scenario = Manetsec.Scenario

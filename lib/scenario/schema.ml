@@ -88,6 +88,7 @@ let kw_turn_interval = "turn-interval"
 (* --- bootstrap / traffic ------------------------------------------ *)
 
 let kw_stagger = "stagger"
+let kw_duplicate_address = "duplicate-address"
 
 let kw_cbr = "cbr"
 let kw_src = "src"

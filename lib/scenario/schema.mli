@@ -84,6 +84,11 @@ val kw_turn_interval : string
 (** {1 Bootstrap and traffic} *)
 
 val kw_stagger : string
+
+val kw_duplicate_address : string
+(** [(bootstrap (stagger S) (duplicate-address JOINER OWNER) ...)]: the
+    joiner bootstraps with the owner's address (§3.1's collision). *)
+
 val kw_cbr : string
 val kw_src : string
 val kw_dst : string

@@ -43,6 +43,10 @@ type adversary_kind =
 
 type adversary = { adv_node : int; adv_kind : adversary_kind }
 
+type duplicate = { joiner : int; owner : int }
+
+type bootstrap = { stagger : float; duplicates : duplicate list }
+
 type fault =
   | Crash of { node : int; at : float }
   | Restart of { node : int; at : float }
@@ -79,7 +83,7 @@ type t = {
   dns : bool;
   topology : topology;
   mobility : mobility;
-  bootstrap : float option;
+  bootstrap : bootstrap option;
   duration : float;
   run_until : float option;
   flows : flow list;
@@ -455,6 +459,39 @@ let decode_adversary ~n ~dns form =
   in
   { adv_node; adv_kind }
 
+(* A forced collision needs its timing stated: the joiner meets the
+   owner's address only if the owner has configured it by then. *)
+let decode_bootstrap ~n ~dns f =
+  let fs =
+    subfields ~what:Schema.kw_bootstrap ~multi:[ Schema.kw_duplicate_address ]
+      [ Schema.kw_stagger; Schema.kw_duplicate_address ]
+      f.f_args
+  in
+  let stagger_stated = Option.is_some (find_param fs Schema.kw_stagger) in
+  let add_duplicate acc d =
+    if not (String.equal d.f_key Schema.kw_duplicate_address) then acc
+    else
+      match d.f_args with
+      | [ j; o ] ->
+          let joiner = non_dns_node ~n ~dns "a duplicate-address joiner" j in
+          let owner = node_idx ~n "a duplicate-address owner" o in
+          if Int.equal joiner owner then
+            err d.f_pos "duplicate-address joiner and owner are both node %d" joiner;
+          if List.exists (fun prev -> Int.equal prev.joiner joiner) acc then
+            err (Sexp.pos_of j) "node %d joins with two duplicate addresses" joiner;
+          if not stagger_stated then
+            err d.f_pos "(%s ...) needs the bootstrap's (%s ...) stated"
+              Schema.kw_duplicate_address Schema.kw_stagger;
+          { joiner; owner } :: acc
+      | _ ->
+          err d.f_pos "expected (%s <joiner> <owner>) in bootstrap"
+            Schema.kw_duplicate_address
+  in
+  {
+    stagger = opt fs Schema.kw_stagger ~decode:(non_negative Schema.kw_stagger) ~default:0.5;
+    duplicates = List.rev (List.fold_left add_duplicate [] fs);
+  }
+
 let decode_fault ~n ~dns form =
   let f = field_of form in
   if not (List.exists (String.equal f.f_key) Schema.fault_kinds) then
@@ -711,13 +748,7 @@ let of_sexp form =
   let mobility =
     single Schema.kw_mobility ~decode:decode_mobility ~default:Static
   in
-  let bootstrap =
-    match find Schema.kw_bootstrap with
-    | None -> None
-    | Some f ->
-        let fs = subfields ~what:Schema.kw_bootstrap [ Schema.kw_stagger ] f.f_args in
-        Some (opt fs Schema.kw_stagger ~decode:(non_negative Schema.kw_stagger) ~default:0.5)
-  in
+  let bootstrap = Option.map (decode_bootstrap ~n:nodes ~dns) (find Schema.kw_bootstrap) in
   let duration =
     single Schema.kw_duration ~decode:(non_negative Schema.kw_duration) ~default:60.0
   in
@@ -867,14 +898,19 @@ let fault_plan t =
                ~mean_down)
        t.faults)
 
-let execute ?seed t =
+let execute ?seed ?(on_create = ignore) t =
   let s = Scenario.create (scenario_params ?seed t) in
+  on_create s;
   Export.prepare t.exports s;
   (match t.faults with
   | [] -> ()
   | _ -> Scenario.inject s (fault_plan t));
   (match t.bootstrap with
-  | Some stagger -> Scenario.bootstrap ~stagger s
+  | Some { stagger; duplicates } ->
+      List.iter
+        (fun { joiner; owner } -> Scenario.duplicate_address s ~joiner ~owner)
+        duplicates;
+      Scenario.bootstrap ~stagger s
   | None -> ());
   let engine = Scenario.engine s in
   (* Flow starts are absolute but the bootstrap horizon isn't knowable

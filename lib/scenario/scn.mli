@@ -42,6 +42,16 @@ type adversary_kind =
 
 type adversary = { adv_node : int; adv_kind : adversary_kind }
 
+type duplicate = { joiner : int; owner : int }
+(** [joiner] bootstraps with [owner]'s address. *)
+
+type bootstrap = {
+  stagger : float;  (** DAD start spacing *)
+  duplicates : duplicate list;
+      (** forced address collisions, applied in file order before the
+          first node bootstraps *)
+}
+
 type fault =
   | Crash of { node : int; at : float }
   | Restart of { node : int; at : float }
@@ -78,7 +88,7 @@ type t = {
   dns : bool;
   topology : topology;
   mobility : mobility;
-  bootstrap : float option;  (** DAD stagger, when bootstrap is requested *)
+  bootstrap : bootstrap option;  (** when bootstrap is requested *)
   duration : float;  (** default flow duration *)
   run_until : float option;  (** absolute horizon; default derived from flows *)
   flows : flow list;
@@ -95,13 +105,17 @@ val parse : string -> t
     violations (unknown/duplicate fields, out-of-range values, bad node
     ids, ...) and {!Sexp.Parse_error} on lexical errors. *)
 
-val execute : ?seed:int -> t -> Manetsec.Scenario.t
+val execute :
+  ?seed:int -> ?on_create:(Manetsec.Scenario.t -> unit) -> t -> Manetsec.Scenario.t
 (** Compile and run the scenario: create the {!Manetsec.Scenario},
-    switch on the sinks its [exports] read ({!Export.prepare}),
-    inject the fault plan, bootstrap when requested, start every
-    traffic flow in file order, and drive the engine to the horizon.
-    [seed] overrides the file's seed.  Render the exports with
-    {!Export.render} and {!meta}. *)
+    call [on_create] on it (default: nothing), switch on the sinks its
+    [exports] read ({!Export.prepare}), inject the fault plan, force the
+    bootstrap's duplicate addresses ({!Manetsec.Scenario.duplicate_address})
+    and bootstrap when requested, start every traffic flow in file
+    order, and drive the engine to the horizon.  [seed] overrides the
+    file's seed.  [on_create] is for observers that must not perturb
+    the run (the wall-clock profiler, the progress heartbeat).  Render
+    the exports with {!Export.render} and {!meta}. *)
 
 val meta : t -> seed:int -> (string * Manetsec.Obs_json.t) list
 (** The [(scenario, seed)] provenance attached to every export. *)

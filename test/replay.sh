@@ -6,7 +6,7 @@
 #
 # Writes everything under ./replay (run from _build/default/test by
 # `dune runtest`):
-#   a/, b/   `run --seed 1 --nodes 12` with every export kind
+#   a/, b/   `run secure_n12.scn` with every export kind
 #   c/       the same run with every kind but report-json (wall time),
 #            plus --profile and --progress, which must not move a byte
 #   sweep-D/ every top-level scenario file swept at seeds 1 and 2 on
@@ -14,7 +14,8 @@
 #   dup/     sweeps with a repeated run key and with a malformed file,
 #            which must fail before any run and write nothing
 #   scn/     every committed scenario file run once (blackhole_e1 also
-#            with perf-json); their bytes are pinned by the golden test
+#            with perf-json); their bytes are pinned by the golden test,
+#            and mixed_adversaries must print the detector's score
 #   heap/    scale/n300.scn and blackhole_e1.scn run with the GC
 #            summary on: the heap gates
 #   *.txt    the report, audit, perf and timeline readers' output
@@ -34,12 +35,12 @@ det="--export stats-csv --export audit-jsonl --export trace-jsonl \
 --export timeline-jsonl"
 
 mkdir a b c
-"$sim" run --seed 1 --nodes 12 --out-dir a $det --export report-json > a.out
-"$sim" run --seed 1 --nodes 12 --out-dir b $det --export report-json > b.out
-"$sim" run --seed 1 --nodes 12 --out-dir c $det --profile --progress \
-  > c.out 2> c.err
+n12="$scenarios/secure_n12.scn"
+"$sim" run "$n12" --out-dir a $det --export report-json > a.out
+"$sim" run "$n12" --out-dir b $det --export report-json > b.out
+"$sim" run "$n12" --out-dir c $det --profile --progress > c.out 2> c.err
 for r in a b c; do
-  "$sim" perf "$r/run.perf.json" --det > "$r/run.perf.det"
+  "$sim" perf "$r/secure_n12.perf.json" --det > "$r/secure_n12.perf.det"
 done
 diff -r -x '*.perf.json' -x '*.report.json' a b
 diff -r -x '*.perf.json' -x '*.report.json' a c
@@ -78,8 +79,9 @@ for f in "$scenarios"/*.scn; do
   */blackhole_e1.scn) extra="--export perf-json" ;;
   *) extra="" ;;
   esac
-  "$sim" run --scenario "$f" --out-dir scn $extra > "scn/$(basename "$f" .scn).out"
+  "$sim" run "$f" --out-dir scn $extra > "scn/$(basename "$f" .scn).out"
 done
+grep -q '^detector score      precision ' scn/mixed_adversaries.out
 
 # Heap gates: the N = 300 point of the bootstrap N-curve (counters
 # only) must peak at no more than 2,000,000 heap words, and
@@ -88,7 +90,7 @@ done
 # prints at exit is the simulator's own, since the binary runs directly.
 heap_gate() {
   name=$(basename "$1" .scn)
-  OCAMLRUNPARAM=v=0x400 "$sim" run --scenario "$1" --out-dir heap \
+  OCAMLRUNPARAM=v=0x400 "$sim" run "$1" --out-dir heap \
     > "heap/$name.out" 2> "heap/$name.gc"
   top=$(awk '$1 == "top_heap_words:" { print $2 }' "heap/$name.gc")
   [ -n "$top" ] && [ "$top" -le "$2" ] || {
@@ -100,12 +102,12 @@ mkdir heap
 heap_gate "$scenarios/scale/n300.scn" 2000000
 heap_gate "$scenarios/blackhole_e1.scn" 700000
 
-"$sim" report a/run.trace.jsonl --top 5 > report.txt
-"$sim" audit a/run.audit.jsonl > audit.txt
-"$sim" perf a/run.perf.json > perf.txt
+"$sim" report a/secure_n12.trace.jsonl --top 5 > report.txt
+"$sim" audit a/secure_n12.audit.jsonl > audit.txt
+"$sim" perf a/secure_n12.perf.json > perf.txt
 "$sim" perf scn/blackhole_e1.perf.json > scn-perf.txt
 "$sim" perf scn/blackhole_e1.perf.json --det > scn-perf.det
-"$sim" timeline a/run.timeline.jsonl > timeline.txt
+"$sim" timeline a/secure_n12.timeline.jsonl > timeline.txt
 "$sim" timeline sweep-1/sweep.timeline.jsonl --top 3 > sweep-timeline.txt
 # A run's key reads as the sweep's per-run line writes it: plain text.
 grep -q '^run scenario=baseline_bootstrap seed=1 ' sweep-timeline.txt

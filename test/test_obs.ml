@@ -11,8 +11,6 @@ module Json = Manetsec.Obs_json
 module Report = Manetsec.Obs_report
 module Scenario = Manetsec.Scenario
 module Faults = Manetsec.Faults
-module Directory = Manetsec.Proto.Directory
-module Identity = Manetsec.Proto.Identity
 
 (* ------------------------------------------------------------------ *)
 (* Span primitives                                                    *)
@@ -911,13 +909,7 @@ let test_arep_on_collision () =
   let params = { small_params with seed = 5 } in
   let s = Scenario.create params in
   Obs.set_capture (Scenario.obs s) true;
-  let n = params.Scenario.n in
-  let victim = Scenario.address_of s 1 in
-  let joiner = Scenario.node s (n - 1) in
-  let dir = joiner.Scenario.ctx.Manetsec.Proto.Node_ctx.directory in
-  Directory.unregister dir (Scenario.address_of s (n - 1)) (n - 1);
-  joiner.Scenario.identity.Identity.address <- victim;
-  Directory.register dir victim (n - 1);
+  Scenario.duplicate_address s ~joiner:(params.Scenario.n - 1) ~owner:1;
   Scenario.bootstrap s;
   let parsed = Report.parse_jsonl (jsonl_of s) in
   let by_id = Hashtbl.create 64 in

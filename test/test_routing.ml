@@ -402,6 +402,32 @@ let test_blackhole_kills_plain_dsr () =
     true
     (Scenario.delivery_ratio s < 0.3)
 
+(* Only an ack or its timer takes a sent packet out of the in-flight
+   table, so plain DSR without acks must never put one in: with every
+   packet swallowed by a black hole (and the audit stream, which keeps
+   one event per drop, not recording), what a run retains must not grow
+   with the number of packets sent. *)
+let test_no_ack_dsr_retains_no_packets () =
+  let adversaries = [ (4, Adversary.blackhole) ] in
+  let params = grid_params ~protocol:Scenario.Plain_dsr ~adversaries () in
+  let params =
+    { params with
+      Scenario.dsr_config = { params.Scenario.dsr_config with use_acks = false } }
+  in
+  let retained ~interval =
+    let s = Scenario.create params in
+    Manetsec.Audit.set_recording (Manetsec.Obs.audit (Scenario.obs s)) false;
+    Scenario.start_cbr s ~flows:[ (0, 8) ] ~interval ~duration:100.0 ();
+    Scenario.run s ~until:100.0;
+    (Obj.reachable_words (Obj.repr s), stat s "attack.data_dropped")
+  in
+  let few, _ = retained ~interval:1.0 in
+  let many, dropped = retained ~interval:0.1 in
+  Alcotest.(check bool) "every packet swallowed" true (dropped >= 990);
+  if many - few > 2_000 then
+    Alcotest.failf "ten times the packets retained %d words more (%d against %d)"
+      (many - few) many few
+
 let test_blackhole_foiled_by_secure () =
   let adversaries = [ (4, Adversary.blackhole) ] in
   let s = Scenario.create (grid_params ~protocol:Scenario.Secure ~adversaries ()) in
@@ -701,6 +727,8 @@ let suites =
     ( "routing.attacks",
       [
         Alcotest.test_case "blackhole kills plain dsr" `Quick test_blackhole_kills_plain_dsr;
+        Alcotest.test_case "no-ack dsr retains no packets" `Quick
+          test_no_ack_dsr_retains_no_packets;
         Alcotest.test_case "blackhole foiled by secure" `Quick test_blackhole_foiled_by_secure;
         Alcotest.test_case "impersonation rejected (secure)" `Quick
           test_impersonation_rejected_by_secure;

@@ -80,7 +80,29 @@ let test_error_positions () =
   check_err "node index out of range"
     "(scenario\n  (schema manetsim-scenario 1)\n  (name ok)\n  (nodes 4)\n\
     \  (faults (crash 9 (at 5.0))))"
-    ~line:5 ~col:18 ~needle:"not in [0, 4)"
+    ~line:5 ~col:18 ~needle:"not in [0, 4)";
+  let bootstrap forms =
+    "(scenario\n  (schema manetsim-scenario 1)\n  (name ok)\n  (nodes 4)\n\
+    \  (bootstrap " ^ forms ^ "))"
+  in
+  check_err "duplicate-address joiner out of range"
+    (bootstrap "(stagger 0.5) (duplicate-address 9 1)")
+    ~line:5 ~col:47 ~needle:"joiner out of range: 9 is not in [0, 4)";
+  check_err "duplicate-address owner out of range"
+    (bootstrap "(stagger 0.5) (duplicate-address 2 7)")
+    ~line:5 ~col:49 ~needle:"owner out of range: 7 is not in [0, 4)";
+  check_err "duplicate-address onto itself"
+    (bootstrap "(stagger 0.5) (duplicate-address 2 2)")
+    ~line:5 ~col:28 ~needle:"joiner and owner are both node 2";
+  check_err "duplicate-address joiner on the DNS node"
+    (bootstrap "(stagger 0.5) (duplicate-address 0 1)")
+    ~line:5 ~col:47 ~needle:"node 0 hosts the DNS";
+  check_err "duplicate-address joiner repeated"
+    (bootstrap "(stagger 0.5) (duplicate-address 3 1) (duplicate-address 3 2)")
+    ~line:5 ~col:71 ~needle:"node 3 joins with two duplicate addresses";
+  check_err "duplicate-address without a stagger"
+    (bootstrap "(duplicate-address 3 1)")
+    ~line:5 ~col:14 ~needle:"needs the bootstrap's (stagger ...) stated"
 
 (* The full vocabulary decodes to the expected typed form. *)
 let test_vocabulary () =
@@ -99,7 +121,7 @@ let test_vocabulary () =
       \  (dns false)\n\
       \  (topology (grid (cols 4) (spacing 150.0)))\n\
       \  (mobility (walk (speed 3.0) (turn-interval 2.0)))\n\
-      \  (bootstrap (stagger 0.25))\n\
+      \  (bootstrap (stagger 0.25) (duplicate-address 7 2) (duplicate-address 0 7))\n\
       \  (duration 10.0)\n\
       \  (run-until 40.0)\n\
       \  (traffic (cbr (src 0) (dst 7) (interval 0.25) (size 256) (start 12.0)\n\
@@ -132,6 +154,14 @@ let test_vocabulary () =
       Alcotest.(check int) "size" 256 f.Scn.flow_size;
       Alcotest.(check (option (float 1e-9))) "start" (Some 12.0) f.Scn.flow_start
   | _ -> Alcotest.fail "expected one flow");
+  (match scn.Scn.bootstrap with
+  | Some { Scn.stagger; duplicates } ->
+      Alcotest.(check (float 1e-9)) "stagger" 0.25 stagger;
+      Alcotest.(check (list (pair int int)))
+        "duplicate addresses, in file order, node 0 allowed without DNS"
+        [ (7, 2); (0, 7) ]
+        (List.map (fun d -> (d.Scn.joiner, d.Scn.owner)) duplicates)
+  | None -> Alcotest.fail "expected a bootstrap");
   Alcotest.(check int) "adversaries" 4 (List.length scn.Scn.adversaries);
   Alcotest.(check int) "faults" 6 (List.length scn.Scn.faults);
   Alcotest.(check int) "exports" 2 (List.length scn.Scn.exports)
@@ -493,7 +523,7 @@ let check_renders what ~meta s =
               ~extra:meta ())))
 
 let test_export_renders () =
-  (* A flag-built run, as `manetsim run --export ...` makes one. *)
+  (* A run built directly on the Manetsec API, with no scenario file. *)
   let s =
     Scenario.create
       {
