@@ -96,8 +96,10 @@ let export_t =
           ^ ": the keywords of a scenario file's (exports ...) field.  run \
              writes them besides the file's own kinds, named after the \
              scenario ($(b,<name>.trace.jsonl)); sweep writes merged forms \
-             (see its description).  trace-jsonl switches event capture on \
-             and the metrics kinds the metrics engine.  Every export but \
+             (see its description).  Each kind switches on the sink it \
+             reads: trace-jsonl event capture, audit-jsonl audit \
+             retention, timeline-jsonl timeline buckets and the metrics \
+             kinds the metrics engine.  Every export but \
              report-json (which holds the wall-clock profile) and the \
              wall-clock section of perf-json is byte-identical across \
              replays of the same seed."))
@@ -170,7 +172,7 @@ let run_cmd file out_dir exports profile progress =
   | Error msg -> `Error (false, msg)
   | Ok scn ->
       Printf.printf "scenario %s  (%d nodes, seed %d)\n%!" scn.Scn.name
-        scn.Scn.nodes scn.Scn.seed;
+        scn.Scn.params.n scn.Scn.params.seed;
       let kinds = union scn.Scn.exports exports in
       let on_create s =
         if profile then Engine.set_profiling (Scenario.engine s) true;
@@ -182,7 +184,7 @@ let run_cmd file out_dir exports profile progress =
       in
       let s = Scn.execute ~on_create { scn with Scn.exports = kinds } in
       report s;
-      let meta = Scn.meta scn ~seed:scn.Scn.seed in
+      let meta = Scn.meta scn ~seed:scn.Scn.params.seed in
       write_exports ~out_dir
         (List.map
            (fun kind -> (Export.file ~name:scn.Scn.name kind, Export.render ~meta s kind))
@@ -388,9 +390,9 @@ let scenario_check_cmd files =
             Printf.printf
               "ok %s  (%s: %d nodes, %d flow(s), %d adversar(ies), %d \
                fault(s), %d export(s))\n"
-              file scn.Scn.name scn.Scn.nodes
+              file scn.Scn.name scn.Scn.params.n
               (List.length scn.Scn.flows)
-              (List.length scn.Scn.adversaries)
+              (List.length scn.Scn.params.adversaries)
               (List.length scn.Scn.faults)
               (List.length scn.Scn.exports);
             None

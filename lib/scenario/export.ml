@@ -3,6 +3,7 @@ module Stats = Manet_sim.Stats
 module Obs = Manet_obs.Obs
 module Audit = Manet_obs.Audit
 module Metrics = Manet_obs.Metrics
+module Timeline = Manet_obs.Timeline
 module Report = Manet_obs.Report
 module Json = Manet_obs.Json
 module Merge = Manet_obs.Merge
@@ -31,9 +32,11 @@ let file ~name kind = name ^ "." ^ suffix kind
 
 let prepare kinds s =
   let obs = Scenario.obs s in
-  if List.mem Trace_jsonl kinds then Obs.set_capture obs true;
-  if List.mem Metrics_csv kinds || List.mem Metrics_prom kinds then
-    Metrics.set_enabled (Obs.metrics obs) true
+  let wants kind = List.mem kind kinds in
+  Obs.set_capture obs (wants Trace_jsonl);
+  Metrics.set_enabled (Obs.metrics obs) (wants Metrics_csv || wants Metrics_prom);
+  Audit.set_recording (Obs.audit obs) (wants Audit_jsonl);
+  Timeline.set_enabled (Obs.timeline obs) (wants Timeline_jsonl)
 
 let stats_csv s =
   let buf = Buffer.create 512 in

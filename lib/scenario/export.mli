@@ -24,11 +24,15 @@ val file : name:string -> kind -> string
     [blackhole_e1.metrics.prom]. *)
 
 val prepare : kind list -> Scenario.t -> unit
-(** Switch on the sinks the kinds read: event capture only for
-    [Trace_jsonl] (it stores a detail string per transmission), the
-    metrics engine only for [Metrics_csv] and [Metrics_prom].  Call it
-    before any engine event fires; every other kind reads sinks that
-    are always on. *)
+(** Switch on exactly the sinks the kinds read and every other one
+    off: event capture only for [Trace_jsonl] (it stores a detail
+    string per transmission), the metrics engine only for
+    [Metrics_csv] and [Metrics_prom], audit retention only for
+    [Audit_jsonl] (up to 200,000 events) and the timeline's bucket
+    list only for [Timeline_jsonl].  Call it before any engine event
+    fires.  Audit subscribers (the detector) and {!Manet_obs.Audit.count}
+    see every event either way; the other kinds read sinks that are
+    always on. *)
 
 val render : meta:(string * Manet_obs.Json.t) list -> Scenario.t -> kind -> string
 (** The export's contents.  [meta] is the provenance (seed, scenario

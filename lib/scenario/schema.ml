@@ -5,6 +5,8 @@
    grammar is enumerable in one place (and the docs table in README.md
    can be checked against it by eye). *)
 
+module Scenario = Manetsec.Scenario
+
 let schema_name = "manetsim-scenario"
 let version = 1
 
@@ -52,11 +54,21 @@ let kw_false = "false"
 let kw_secure = "secure"
 let kw_dsr = "dsr"
 let kw_srp = "srp"
-let protocols = [ kw_secure; kw_dsr; kw_srp ]
+
+let protocols =
+  [
+    (kw_secure, Scenario.Secure);
+    (kw_dsr, Scenario.Plain_dsr);
+    (kw_srp, Scenario.Srp_protocol);
+  ]
 
 let kw_mock = "mock"
 let kw_rsa = "rsa"
-let suites = [ kw_mock; kw_rsa ]
+
+type suite_form = Bare of Scenario.suite_spec | Sized of (int -> Scenario.suite_spec)
+
+let suites =
+  [ (kw_mock, Bare Scenario.Mock_suite); (kw_rsa, Sized (fun bits -> Scenario.Rsa_suite bits)) ]
 
 (* --- topology ----------------------------------------------------- *)
 
@@ -106,12 +118,6 @@ let kw_rerr_spammer = "rerr-spammer"
 let kw_identity_churner = "identity-churner"
 let kw_sleeper = "sleeper"
 
-let adversary_kinds =
-  [
-    kw_blackhole; kw_grayhole; kw_replayer; kw_rerr_spammer;
-    kw_identity_churner; kw_sleeper;
-  ]
-
 let kw_prob = "prob"
 let kw_every = "every"
 
@@ -126,12 +132,6 @@ let kw_flap = "flap"
 let kw_partition = "partition"
 let kw_degrade = "degrade"
 let kw_churn = "churn"
-
-let fault_kinds =
-  [
-    kw_crash; kw_restart; kw_outage; kw_link_down; kw_link_up; kw_flap;
-    kw_partition; kw_degrade; kw_churn;
-  ]
 
 let kw_at = "at"
 let kw_from = "from"

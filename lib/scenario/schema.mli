@@ -48,13 +48,18 @@ val kw_false : string
 
 (** {1 Protocol and crypto suite} *)
 
-val kw_secure : string
-val kw_dsr : string
-val kw_srp : string
-val protocols : string list
-val kw_mock : string
-val kw_rsa : string
-val suites : string list
+val protocols : (string * Manetsec.Scenario.protocol) list
+(** Every protocol under its keyword, the value of the [(protocol ...)]
+    field. *)
+
+type suite_form =
+  | Bare of Manetsec.Scenario.suite_spec  (** written as the keyword alone *)
+  | Sized of (int -> Manetsec.Scenario.suite_spec)
+      (** written [(keyword BITS)], with the modulus size *)
+
+val suites : (string * suite_form) list
+(** Every crypto suite under its keyword, the value of the [(suite ...)]
+    field. *)
 
 (** {1 Topology} *)
 
@@ -104,7 +109,6 @@ val kw_replayer : string
 val kw_rerr_spammer : string
 val kw_identity_churner : string
 val kw_sleeper : string
-val adversary_kinds : string list
 val kw_prob : string
 val kw_every : string
 
@@ -119,7 +123,6 @@ val kw_flap : string
 val kw_partition : string
 val kw_degrade : string
 val kw_churn : string
-val fault_kinds : string list
 val kw_at : string
 val kw_from : string
 val kw_until : string

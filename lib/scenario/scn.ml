@@ -10,20 +10,6 @@ module Merge = Manetsec.Merge
 
 (* --- types --------------------------------------------------------- *)
 
-type topology =
-  | Chain of { spacing : float }
-  | Grid of { cols : int; spacing : float }
-  | Random of { width : float; height : float }
-  | Explicit of { width : float; height : float; positions : (float * float) list }
-
-type mobility =
-  | Static
-  | Waypoint of { min_speed : float; max_speed : float; pause : float }
-  | Walk of { speed : float; turn_interval : float }
-
-type protocol = Secure | Dsr | Srp
-type suite = Mock | Rsa of int
-
 type flow = {
   flow_src : int;
   flow_dst : int;
@@ -32,16 +18,6 @@ type flow = {
   flow_start : float option;
   flow_duration : float option;
 }
-
-type adversary_kind =
-  | Blackhole
-  | Grayhole of float
-  | Replayer
-  | Rerr_spammer of float
-  | Identity_churner of float
-  | Sleeper
-
-type adversary = { adv_node : int; adv_kind : adversary_kind }
 
 type duplicate = { joiner : int; owner : int }
 
@@ -73,21 +49,11 @@ type fault =
 
 type t = {
   name : string;
-  seed : int;
-  nodes : int;
-  range : float;
-  loss : float;
-  promiscuous : bool;
-  protocol : protocol;
-  suite : suite;
-  dns : bool;
-  topology : topology;
-  mobility : mobility;
+  params : Scenario.params;
   bootstrap : bootstrap option;
   duration : float;
   run_until : float option;
   flows : flow list;
-  adversaries : adversary list;
   faults : fault list;
   exports : Export.kind list;
 }
@@ -195,6 +161,21 @@ let req ~what pos fs key =
 let opt fs key ~decode ~default =
   match find_param fs key with Some f -> decode (one f) | None -> default
 
+(* The value [key] names in a keyword table, or a positioned error
+   listing the table's keywords. *)
+let lookup ~what table pos key =
+  match List.assoc_opt key table with
+  | Some v -> v
+  | None ->
+      err pos "unknown %s %s, expected one of: %s" what key
+        (String.concat ", " (List.map fst table))
+
+(* The leading node of a [(kind NODE params...)] form, and the rest. *)
+let node_then ~what f =
+  match f.f_args with
+  | node :: rest -> (node, rest)
+  | [] -> err f.f_pos "%s (%s ...) names no node" what f.f_key
+
 (* --- node-index checks ---------------------------------------------- *)
 
 let node_idx ~n what form =
@@ -223,7 +204,7 @@ let decode_topology ~n form =
     let spacing =
       positive Schema.kw_spacing (req ~what:"chain topology" f.f_pos fs Schema.kw_spacing)
     in
-    Chain { spacing }
+    Scenario.Chain { spacing }
   end
   else if String.equal f.f_key Schema.kw_grid then begin
     let fs =
@@ -235,7 +216,7 @@ let decode_topology ~n form =
     let spacing =
       positive Schema.kw_spacing (req ~what:"grid topology" f.f_pos fs Schema.kw_spacing)
     in
-    Grid { cols; spacing }
+    Scenario.Grid { cols; spacing }
   end
   else if String.equal f.f_key Schema.kw_random then begin
     let fs =
@@ -248,7 +229,7 @@ let decode_topology ~n form =
     let height =
       positive Schema.kw_height (req ~what:"random topology" f.f_pos fs Schema.kw_height)
     in
-    Random { width; height }
+    Scenario.Random { width; height }
   end
   else if String.equal f.f_key Schema.kw_explicit then begin
     let fs =
@@ -291,14 +272,14 @@ let decode_topology ~n form =
       err f.f_pos "explicit topology places %d node(s), expected %d (one per node)"
         (List.length placements) n;
     let by_id = List.sort (fun (i, _, _) (j, _, _) -> Int.compare i j) placements in
-    Explicit { width; height; positions = List.map (fun (_, _, xy) -> xy) by_id }
+    Scenario.Explicit { width; height; positions = List.map (fun (_, _, xy) -> xy) by_id }
   end
   else bad ()
 
 let decode_mobility form =
   match form with
   | Sexp.Atom (p, s) ->
-      if String.equal s Schema.kw_static then Static
+      if String.equal s Schema.kw_static then Mobility.Static
       else
         err p "unknown mobility %s, expected one of: %s" s
           (String.concat ", " Schema.mobilities)
@@ -321,7 +302,7 @@ let decode_mobility form =
         let pause =
           opt fs Schema.kw_pause ~decode:(non_negative Schema.kw_pause) ~default:2.0
         in
-        Waypoint { min_speed; max_speed; pause }
+        Mobility.Random_waypoint { min_speed; max_speed; pause }
       end
       else if String.equal f.f_key Schema.kw_walk then begin
         let fs =
@@ -336,7 +317,7 @@ let decode_mobility form =
           opt fs Schema.kw_turn_interval ~decode:(positive Schema.kw_turn_interval)
             ~default:4.0
         in
-        Walk { speed; turn_interval }
+        Mobility.Random_walk { speed; turn_interval }
       end
       else
         err f.f_kpos "unknown mobility %s, expected one of: %s" f.f_key
@@ -344,34 +325,26 @@ let decode_mobility form =
 
 let decode_protocol form =
   let p, s = atom "the protocol" form in
-  if String.equal s Schema.kw_secure then Secure
-  else if String.equal s Schema.kw_dsr then Dsr
-  else if String.equal s Schema.kw_srp then Srp
-  else
-    err p "unknown protocol %s, expected one of: %s" s
-      (String.concat ", " Schema.protocols)
+  lookup ~what:Schema.kw_protocol Schema.protocols p s
 
 let decode_suite form =
-  match form with
-  | Sexp.Atom (p, s) ->
-      if String.equal s Schema.kw_mock then Mock
-      else if String.equal s Schema.kw_rsa then
-        err p "the rsa suite needs a modulus size: write (%s <bits>)"
-          Schema.kw_rsa
-      else
-        err p "unknown suite %s, expected one of: %s" s
-          (String.concat ", " Schema.suites)
-  | Sexp.List _ ->
-      let f = field_of form in
-      if String.equal f.f_key Schema.kw_rsa then begin
-        let bits = int_v "the rsa modulus bits" (one f) in
-        if bits < 64 then
-          err f.f_pos "the rsa modulus must be at least 64 bits, got %d" bits;
-        Rsa bits
-      end
-      else
-        err f.f_kpos "unknown suite %s, expected one of: %s" f.f_key
-          (String.concat ", " Schema.suites)
+  let p, s, size =
+    match form with
+    | Sexp.Atom (p, s) -> (p, s, None)
+    | Sexp.List _ ->
+        let f = field_of form in
+        (f.f_kpos, f.f_key, Some f)
+  in
+  match (lookup ~what:Schema.kw_suite Schema.suites p s, size) with
+  | Schema.Bare suite, None -> suite
+  | Schema.Sized make, Some f ->
+      let bits = int_v (Printf.sprintf "the %s modulus bits" s) (one f) in
+      if bits < 64 then
+        err f.f_pos "the %s modulus must be at least 64 bits, got %d" s bits;
+      make bits
+  | Schema.Sized _, None ->
+      err p "the %s suite needs a modulus size: write (%s <bits>)" s s
+  | Schema.Bare _, Some _ -> err p "the %s suite takes no modulus size: write %s" s s
 
 let decode_flow ~n form =
   let f = field_of form in
@@ -414,50 +387,38 @@ let decode_flow ~n form =
   in
   { flow_src; flow_dst; flow_interval; flow_size; flow_start; flow_duration }
 
+(* Each adversary kind with the behaviour its parameters build; a kind
+   accepts only its own parameter. *)
+let adversary_kinds =
+  let fixed behavior kind params =
+    (match List.map field_of params with
+    | [] -> ()
+    | p :: _ -> err p.f_kpos "adversary %s takes no parameters" kind);
+    behavior
+  in
+  let with_param key ~decode ~default make kind params =
+    make (opt (subfields ~what:(kind ^ " adversary") [ key ] params) key ~decode ~default)
+  in
+  let every ~default make =
+    with_param Schema.kw_every ~decode:(positive Schema.kw_every) ~default (fun every ->
+        make ~every)
+  in
+  [
+    (Schema.kw_blackhole, fixed Adversary.blackhole);
+    ( Schema.kw_grayhole,
+      with_param Schema.kw_prob ~decode:(fraction Schema.kw_prob) ~default:0.5
+        Adversary.grayhole );
+    (Schema.kw_replayer, fixed Adversary.replayer);
+    (Schema.kw_rerr_spammer, every ~default:1.0 Adversary.rerr_spammer);
+    (Schema.kw_identity_churner, every ~default:10.0 Adversary.identity_churner);
+    (Schema.kw_sleeper, fixed Adversary.sleeper);
+  ]
+
 let decode_adversary ~n ~dns form =
   let f = field_of form in
-  if not (List.exists (String.equal f.f_key) Schema.adversary_kinds) then
-    err f.f_kpos "unknown adversary kind %s, expected one of: %s" f.f_key
-      (String.concat ", " Schema.adversary_kinds);
-  let node_form, params =
-    match f.f_args with
-    | node :: rest -> (node, rest)
-    | [] -> err f.f_pos "adversary (%s ...) names no node" f.f_key
-  in
-  let adv_node = non_dns_node ~n ~dns "an adversary" node_form in
-  let fs =
-    subfields ~what:"adversary" [ Schema.kw_prob; Schema.kw_every ] params
-  in
-  let no_params () =
-    match fs with
-    | [] -> ()
-    | p :: _ -> err p.f_kpos "adversary %s takes no parameters" f.f_key
-  in
-  let every ~default = opt fs Schema.kw_every ~decode:(positive Schema.kw_every) ~default in
-  let adv_kind =
-    if String.equal f.f_key Schema.kw_blackhole then begin
-      no_params ();
-      Blackhole
-    end
-    else if String.equal f.f_key Schema.kw_grayhole then
-      Grayhole (opt fs Schema.kw_prob ~decode:(fraction Schema.kw_prob) ~default:0.5)
-    else if String.equal f.f_key Schema.kw_replayer then begin
-      no_params ();
-      Replayer
-    end
-    else if String.equal f.f_key Schema.kw_rerr_spammer then
-      Rerr_spammer (every ~default:1.0)
-    else if String.equal f.f_key Schema.kw_identity_churner then
-      Identity_churner (every ~default:10.0)
-    else if String.equal f.f_key Schema.kw_sleeper then begin
-      no_params ();
-      Sleeper
-    end
-    else
-      err f.f_kpos "unknown adversary kind %s, expected one of: %s" f.f_key
-        (String.concat ", " Schema.adversary_kinds)
-  in
-  { adv_node; adv_kind }
+  let behavior = lookup ~what:"adversary kind" adversary_kinds f.f_kpos f.f_key in
+  let node_form, params = node_then ~what:"adversary" f in
+  (non_dns_node ~n ~dns "an adversary" node_form, behavior f.f_key params)
 
 (* A forced collision needs its timing stated: the joiner meets the
    owner's address only if the owner has configured it by then. *)
@@ -494,10 +455,6 @@ let decode_bootstrap ~n ~dns f =
 
 let decode_fault ~n ~dns form =
   let f = field_of form in
-  if not (List.exists (String.equal f.f_key) Schema.fault_kinds) then
-    err f.f_kpos "unknown fault kind %s, expected one of: %s" f.f_key
-      (String.concat ", " Schema.fault_kinds);
-  let churn_target what form = non_dns_node ~n ~dns what form in
   let window ~what fs =
     let from_ =
       non_negative Schema.kw_from (req ~what f.f_pos fs Schema.kw_from)
@@ -508,157 +465,128 @@ let decode_fault ~n ~dns form =
         from_;
     (from_, until)
   in
-  if String.equal f.f_key Schema.kw_crash || String.equal f.f_key Schema.kw_restart
-  then begin
-    let node_form, params =
-      match f.f_args with
-      | node :: rest -> (node, rest)
-      | [] -> err f.f_pos "fault (%s ...) names no node" f.f_key
-    in
-    let node = churn_target "a crash/restart fault" node_form in
-    let fs = subfields ~what:"fault" [ Schema.kw_at ] params in
-    let at = non_negative Schema.kw_at (req ~what:"the fault" f.f_pos fs Schema.kw_at) in
-    if String.equal f.f_key Schema.kw_crash then Crash { node; at }
-    else Restart { node; at }
-  end
-  else if String.equal f.f_key Schema.kw_outage then begin
-    let node_form, params =
-      match f.f_args with
-      | node :: rest -> (node, rest)
-      | [] -> err f.f_pos "fault (%s ...) names no node" f.f_key
-    in
-    let node = churn_target "an outage fault" node_form in
-    let fs = subfields ~what:Schema.kw_outage [ Schema.kw_from; Schema.kw_until ] params in
-    let down_from, down_until = window ~what:"the outage" fs in
-    Outage { node; down_from; down_until }
-  end
-  else if
-    String.equal f.f_key Schema.kw_link_down
-    || String.equal f.f_key Schema.kw_link_up
-  then begin
-    let a_form, b_form, params =
-      match f.f_args with
-      | a :: b :: rest -> (a, b, rest)
-      | _ -> err f.f_pos "fault (%s ...) needs two link endpoints" f.f_key
-    in
-    let a = node_idx ~n "a link endpoint" a_form in
-    let b = node_idx ~n "a link endpoint" b_form in
-    if Int.equal a b then
-      err f.f_pos "link fault endpoints are both node %d" a;
-    let fs = subfields ~what:"link fault" [ Schema.kw_at ] params in
-    let at = non_negative Schema.kw_at (req ~what:"the link fault" f.f_pos fs Schema.kw_at) in
-    if String.equal f.f_key Schema.kw_link_down then Link_down { a; b; at }
-    else Link_up { a; b; at }
-  end
-  else if String.equal f.f_key Schema.kw_flap then begin
-    let a_form, b_form, params =
-      match f.f_args with
-      | a :: b :: rest -> (a, b, rest)
-      | _ -> err f.f_pos "fault (%s ...) needs two link endpoints" f.f_key
-    in
-    let a = node_idx ~n "a link endpoint" a_form in
-    let b = node_idx ~n "a link endpoint" b_form in
-    if Int.equal a b then err f.f_pos "link fault endpoints are both node %d" a;
-    let fs =
-      subfields ~what:Schema.kw_flap
-        [ Schema.kw_from; Schema.kw_until; Schema.kw_period ]
-        params
-    in
-    let flap_from, flap_until = window ~what:"the flap" fs in
-    let period =
-      positive Schema.kw_period (req ~what:"the flap" f.f_pos fs Schema.kw_period)
-    in
-    Flap { a; b; flap_from; flap_until; period }
-  end
-  else if String.equal f.f_key Schema.kw_partition then begin
-    let fs =
-      subfields ~what:Schema.kw_partition
-        [ Schema.kw_from; Schema.kw_until; Schema.kw_nodes ]
-        f.f_args
-    in
-    let cut_from, cut_until = window ~what:"the partition" fs in
-    let members =
-      match find_param fs Schema.kw_nodes with
-      | None ->
-          err f.f_pos "the partition is missing its (%s ...) member list"
-            Schema.kw_nodes
-      | Some mf ->
-          if List.length mf.f_args = 0 then
-            err mf.f_pos "the partition member list is empty";
-          List.map (node_idx ~n "a partition member") mf.f_args
-    in
-    Partition { cut_from; cut_until; members }
-  end
-  else if String.equal f.f_key Schema.kw_degrade then begin
-    let fs =
-      subfields ~what:Schema.kw_degrade
-        [
-          Schema.kw_from; Schema.kw_until; Schema.kw_loss_good;
-          Schema.kw_loss_bad; Schema.kw_p_good_to_bad; Schema.kw_p_bad_to_good;
-        ]
-        f.f_args
-    in
-    let bad_from, bad_until = window ~what:"the degrade" fs in
-    let loss_good =
-      opt fs Schema.kw_loss_good ~decode:(fraction Schema.kw_loss_good) ~default:0.01
-    in
-    let loss_bad =
-      opt fs Schema.kw_loss_bad ~decode:(fraction Schema.kw_loss_bad) ~default:0.8
-    in
-    let p_good_to_bad =
-      fraction Schema.kw_p_good_to_bad
-        (req ~what:"the degrade" f.f_pos fs Schema.kw_p_good_to_bad)
-    in
-    let p_bad_to_good =
-      fraction Schema.kw_p_bad_to_good
-        (req ~what:"the degrade" f.f_pos fs Schema.kw_p_bad_to_good)
-    in
-    Degrade { bad_from; bad_until; loss_good; loss_bad; p_good_to_bad; p_bad_to_good }
-  end
-  else if String.equal f.f_key Schema.kw_churn then begin
-    let fs =
-      subfields ~what:Schema.kw_churn
-        [
-          Schema.kw_seed; Schema.kw_nodes; Schema.kw_horizon; Schema.kw_mean_up;
-          Schema.kw_mean_down;
-        ]
-        f.f_args
-    in
-    let churn_seed =
-      int_v "the churn seed" (req ~what:"the churn" f.f_pos fs Schema.kw_seed)
-    in
-    let churn_nodes =
-      match find_param fs Schema.kw_nodes with
-      | None ->
-          err f.f_pos "the churn is missing its (%s ...) node list"
-            Schema.kw_nodes
-      | Some mf ->
-          if List.length mf.f_args = 0 then
-            err mf.f_pos "the churn node list is empty";
-          List.map (churn_target "a churning node") mf.f_args
-    in
-    let horizon =
-      positive Schema.kw_horizon (req ~what:"the churn" f.f_pos fs Schema.kw_horizon)
-    in
-    let mean_up =
-      positive Schema.kw_mean_up (req ~what:"the churn" f.f_pos fs Schema.kw_mean_up)
-    in
-    let mean_down =
-      positive Schema.kw_mean_down (req ~what:"the churn" f.f_pos fs Schema.kw_mean_down)
-    in
-    Churn { churn_seed; churn_nodes; horizon; mean_up; mean_down }
-  end
-  else
-    err f.f_kpos "unknown fault kind %s, expected one of: %s" f.f_key
-      (String.concat ", " Schema.fault_kinds)
+  let at ~what fs = non_negative Schema.kw_at (req ~what f.f_pos fs Schema.kw_at) in
+  (* crash, restart, outage: (kind NODE params...) *)
+  let on_node ~what ~params allowed build () =
+    let node_form, rest = node_then ~what:"fault" f in
+    let node = non_dns_node ~n ~dns what node_form in
+    build node (subfields ~what:params allowed rest)
+  in
+  (* link-down, link-up, flap: (kind A B params...) *)
+  let on_link ~what allowed build () =
+    match f.f_args with
+    | a_form :: b_form :: rest ->
+        let a = node_idx ~n "a link endpoint" a_form in
+        let b = node_idx ~n "a link endpoint" b_form in
+        if Int.equal a b then err f.f_pos "link fault endpoints are both node %d" a;
+        build a b (subfields ~what allowed rest)
+    | _ -> err f.f_pos "fault (%s ...) needs two link endpoints" f.f_key
+  in
+  (* partition members, churning nodes: a non-empty (nodes ...) list *)
+  let nodes ~what ~list decode fs =
+    match find_param fs Schema.kw_nodes with
+    | None -> err f.f_pos "%s is missing its (%s ...) %s" what Schema.kw_nodes list
+    | Some mf ->
+        if List.length mf.f_args = 0 then err mf.f_pos "%s %s is empty" what list;
+        List.map decode mf.f_args
+  in
+  let fault_kinds =
+    [
+      ( Schema.kw_crash,
+        on_node ~what:"a crash/restart fault" ~params:"fault" [ Schema.kw_at ]
+          (fun node fs -> Crash { node; at = at ~what:"the fault" fs }) );
+      ( Schema.kw_restart,
+        on_node ~what:"a crash/restart fault" ~params:"fault" [ Schema.kw_at ]
+          (fun node fs -> Restart { node; at = at ~what:"the fault" fs }) );
+      ( Schema.kw_outage,
+        on_node ~what:"an outage fault" ~params:Schema.kw_outage
+          [ Schema.kw_from; Schema.kw_until ]
+          (fun node fs ->
+            let down_from, down_until = window ~what:"the outage" fs in
+            Outage { node; down_from; down_until }) );
+      ( Schema.kw_link_down,
+        on_link ~what:"link fault" [ Schema.kw_at ] (fun a b fs ->
+            Link_down { a; b; at = at ~what:"the link fault" fs }) );
+      ( Schema.kw_link_up,
+        on_link ~what:"link fault" [ Schema.kw_at ] (fun a b fs ->
+            Link_up { a; b; at = at ~what:"the link fault" fs }) );
+      ( Schema.kw_flap,
+        on_link ~what:Schema.kw_flap
+          [ Schema.kw_from; Schema.kw_until; Schema.kw_period ]
+          (fun a b fs ->
+            let flap_from, flap_until = window ~what:"the flap" fs in
+            let period =
+              positive Schema.kw_period (req ~what:"the flap" f.f_pos fs Schema.kw_period)
+            in
+            Flap { a; b; flap_from; flap_until; period }) );
+      ( Schema.kw_partition,
+        fun () ->
+          let fs =
+            subfields ~what:Schema.kw_partition
+              [ Schema.kw_from; Schema.kw_until; Schema.kw_nodes ]
+              f.f_args
+          in
+          let cut_from, cut_until = window ~what:"the partition" fs in
+          let members =
+            nodes ~what:"the partition" ~list:"member list"
+              (node_idx ~n "a partition member") fs
+          in
+          Partition { cut_from; cut_until; members } );
+      ( Schema.kw_degrade,
+        fun () ->
+          let fs =
+            subfields ~what:Schema.kw_degrade
+              [
+                Schema.kw_from; Schema.kw_until; Schema.kw_loss_good;
+                Schema.kw_loss_bad; Schema.kw_p_good_to_bad; Schema.kw_p_bad_to_good;
+              ]
+              f.f_args
+          in
+          let bad_from, bad_until = window ~what:"the degrade" fs in
+          let loss_good =
+            opt fs Schema.kw_loss_good ~decode:(fraction Schema.kw_loss_good) ~default:0.01
+          in
+          let loss_bad =
+            opt fs Schema.kw_loss_bad ~decode:(fraction Schema.kw_loss_bad) ~default:0.8
+          in
+          let p_good_to_bad =
+            fraction Schema.kw_p_good_to_bad
+              (req ~what:"the degrade" f.f_pos fs Schema.kw_p_good_to_bad)
+          in
+          let p_bad_to_good =
+            fraction Schema.kw_p_bad_to_good
+              (req ~what:"the degrade" f.f_pos fs Schema.kw_p_bad_to_good)
+          in
+          Degrade { bad_from; bad_until; loss_good; loss_bad; p_good_to_bad; p_bad_to_good } );
+      ( Schema.kw_churn,
+        fun () ->
+          let fs =
+            subfields ~what:Schema.kw_churn
+              [
+                Schema.kw_seed; Schema.kw_nodes; Schema.kw_horizon; Schema.kw_mean_up;
+                Schema.kw_mean_down;
+              ]
+              f.f_args
+          in
+          let churn_seed =
+            int_v "the churn seed" (req ~what:"the churn" f.f_pos fs Schema.kw_seed)
+          in
+          let churn_nodes =
+            nodes ~what:"the churn" ~list:"node list"
+              (non_dns_node ~n ~dns "a churning node") fs
+          in
+          let positive_req key = positive key (req ~what:"the churn" f.f_pos fs key) in
+          let horizon = positive_req Schema.kw_horizon in
+          let mean_up = positive_req Schema.kw_mean_up in
+          let mean_down = positive_req Schema.kw_mean_down in
+          Churn { churn_seed; churn_nodes; horizon; mean_up; mean_down } );
+    ]
+  in
+  lookup ~what:"fault kind" fault_kinds f.f_kpos f.f_key ()
 
 let decode_export form =
   let p, s = atom "an export kind" form in
-  match List.assoc_opt s Schema.exports with
-  | Some kind -> kind
-  | None ->
-      err p "unknown export %s, expected one of: %s" s
-        (String.concat ", " Schema.export_kinds)
+  lookup ~what:"export" Schema.exports p s
 
 (* --- the toplevel decoder ------------------------------------------- *)
 
@@ -671,6 +599,8 @@ let name_ok s =
          || c = '-' || c = '_')
        s
 
+(* Every field the file leaves out keeps its value from
+   [Scenario.default_params]. *)
 let of_sexp form =
   let top_pos, body =
     match form with
@@ -721,34 +651,31 @@ let of_sexp form =
         s;
     s
   in
-  let nodes =
+  let n =
     let f = require Schema.kw_nodes in
     let v = int_v "the node count" (one f) in
     if v < 2 then err (Sexp.pos_of (one f)) "need at least 2 nodes, got %d" v;
     v
   in
+  let d = Scenario.default_params in
   let single key ~decode ~default =
     match find key with Some f -> decode (one f) | None -> default
   in
-  let seed = single Schema.kw_seed ~decode:(int_v "the seed") ~default:1 in
-  let range = single Schema.kw_range ~decode:(positive Schema.kw_range) ~default:250.0 in
-  let loss = single Schema.kw_loss ~decode:(fraction Schema.kw_loss) ~default:0.0 in
+  let seed = single Schema.kw_seed ~decode:(int_v "the seed") ~default:d.seed in
+  let range = single Schema.kw_range ~decode:(positive Schema.kw_range) ~default:d.range in
+  let loss = single Schema.kw_loss ~decode:(fraction Schema.kw_loss) ~default:d.loss in
   let promiscuous =
-    single Schema.kw_promiscuous ~decode:(bool_v Schema.kw_promiscuous) ~default:false
+    single Schema.kw_promiscuous ~decode:(bool_v Schema.kw_promiscuous)
+      ~default:d.promiscuous
   in
-  let protocol =
-    single Schema.kw_protocol ~decode:decode_protocol ~default:Secure
-  in
-  let suite = single Schema.kw_suite ~decode:decode_suite ~default:Mock in
-  let dns = single Schema.kw_dns ~decode:(bool_v Schema.kw_dns) ~default:true in
+  let protocol = single Schema.kw_protocol ~decode:decode_protocol ~default:d.protocol in
+  let suite = single Schema.kw_suite ~decode:decode_suite ~default:d.suite in
+  let dns = single Schema.kw_dns ~decode:(bool_v Schema.kw_dns) ~default:d.with_dns in
   let topology =
-    single Schema.kw_topology ~decode:(decode_topology ~n:nodes)
-      ~default:(Random { width = 1000.0; height = 1000.0 })
+    single Schema.kw_topology ~decode:(decode_topology ~n) ~default:d.topology
   in
-  let mobility =
-    single Schema.kw_mobility ~decode:decode_mobility ~default:Static
-  in
-  let bootstrap = Option.map (decode_bootstrap ~n:nodes ~dns) (find Schema.kw_bootstrap) in
+  let mobility = single Schema.kw_mobility ~decode:decode_mobility ~default:d.mobility in
+  let bootstrap = Option.map (decode_bootstrap ~n ~dns) (find Schema.kw_bootstrap) in
   let duration =
     single Schema.kw_duration ~decode:(non_negative Schema.kw_duration) ~default:60.0
   in
@@ -760,27 +687,27 @@ let of_sexp form =
   let flows =
     match find Schema.kw_traffic with
     | None -> []
-    | Some f -> List.map (decode_flow ~n:nodes) f.f_args
+    | Some f -> List.map (decode_flow ~n) f.f_args
   in
   let adversaries =
     match find Schema.kw_adversaries with
-    | None -> []
+    | None -> d.adversaries
     | Some f ->
-        let advs = List.map (decode_adversary ~n:nodes ~dns) f.f_args in
+        let advs = List.map (decode_adversary ~n ~dns) f.f_args in
         let nodes_seen = ref [] in
         List.iteri
-          (fun i a ->
-            if List.exists (Int.equal a.adv_node) !nodes_seen then
+          (fun i (node, _) ->
+            if List.exists (Int.equal node) !nodes_seen then
               err (Sexp.pos_of (List.nth f.f_args i))
-                "node %d is given two adversary behaviours" a.adv_node;
-            nodes_seen := a.adv_node :: !nodes_seen)
+                "node %d is given two adversary behaviours" node;
+            nodes_seen := node :: !nodes_seen)
           advs;
         advs
   in
   let faults =
     match find Schema.kw_faults with
     | None -> []
-    | Some f -> List.map (decode_fault ~n:nodes ~dns) f.f_args
+    | Some f -> List.map (decode_fault ~n ~dns) f.f_args
   in
   let exports =
     match find Schema.kw_exports with
@@ -801,11 +728,14 @@ let of_sexp form =
           exs;
         exs
   in
-  {
-    name; seed; nodes; range; loss; promiscuous; protocol; suite; dns;
-    topology; mobility; bootstrap; duration; run_until; flows; adversaries;
-    faults; exports;
-  }
+  let params =
+    {
+      d with
+      n; seed; range; loss; promiscuous; protocol; suite; with_dns = dns;
+      topology; mobility; adversaries;
+    }
+  in
+  { name; params; bootstrap; duration; run_until; flows; faults; exports }
 
 let parse text =
   match Sexp.parse text with
@@ -825,51 +755,6 @@ let parse text =
         Schema.kw_scenario
 
 (* --- compilation into the Engine/Net/Faults/Attacks wiring ---------- *)
-
-let behavior_of = function
-  | Blackhole -> Adversary.blackhole
-  | Grayhole p -> Adversary.grayhole p
-  | Replayer -> Adversary.replayer
-  | Rerr_spammer every -> Adversary.rerr_spammer ~every
-  | Identity_churner every -> Adversary.identity_churner ~every
-  | Sleeper -> Adversary.sleeper
-
-let scenario_params ?seed t =
-  let seed = Option.value seed ~default:t.seed in
-  {
-    Scenario.default_params with
-    n = t.nodes;
-    seed;
-    range = t.range;
-    loss = t.loss;
-    promiscuous = t.promiscuous;
-    topology =
-      (match t.topology with
-      | Chain { spacing } -> Scenario.Chain { spacing }
-      | Grid { cols; spacing } -> Scenario.Grid { cols; spacing }
-      | Random { width; height } -> Scenario.Random { width; height }
-      | Explicit { width; height; positions } ->
-          Scenario.Explicit { width; height; positions });
-    mobility =
-      (match t.mobility with
-      | Static -> Mobility.Static
-      | Waypoint { min_speed; max_speed; pause } ->
-          Mobility.Random_waypoint { min_speed; max_speed; pause }
-      | Walk { speed; turn_interval } ->
-          Mobility.Random_walk { speed; turn_interval });
-    protocol =
-      (match t.protocol with
-      | Secure -> Scenario.Secure
-      | Dsr -> Scenario.Plain_dsr
-      | Srp -> Scenario.Srp_protocol);
-    suite =
-      (match t.suite with
-      | Mock -> Scenario.Mock_suite
-      | Rsa bits -> Scenario.Rsa_suite bits);
-    with_dns = t.dns;
-    adversaries =
-      List.map (fun a -> (a.adv_node, behavior_of a.adv_kind)) t.adversaries;
-  }
 
 let fault_plan t =
   Faults.seq
@@ -892,14 +777,15 @@ let fault_plan t =
                ~channel:
                  (Faults.gilbert_elliott ~loss_good ~loss_bad ~p_good_to_bad
                     ~p_bad_to_good ())
-               ~baseline:(Net.Uniform { loss = t.loss })
+               ~baseline:(Net.Uniform { loss = t.params.loss })
          | Churn { churn_seed; churn_nodes; horizon; mean_up; mean_down } ->
              Faults.churn ~seed:churn_seed ~nodes:churn_nodes ~horizon ~mean_up
                ~mean_down)
        t.faults)
 
 let execute ?seed ?(on_create = ignore) t =
-  let s = Scenario.create (scenario_params ?seed t) in
+  let seed = Option.value seed ~default:t.params.seed in
+  let s = Scenario.create { t.params with seed } in
   on_create s;
   Export.prepare t.exports s;
   (match t.faults with

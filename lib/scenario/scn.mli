@@ -3,23 +3,14 @@
     A scenario file is one [(scenario ...)] S-expression (concrete
     syntax in {!Sexp}, vocabulary in {!Schema}).  {!parse} decodes and
     validates it into {!t}, rejecting malformed input with positioned
-    errors; {!execute} compiles {!t} onto the existing
-    Engine/Net/Faults/Attacks wiring so that running a file is
+    errors.  {!t} holds the run in the library's own terms: the network
+    is a {!Manetsec.Scenario.params} (topology, mobility, protocol,
+    suite and adversaries as {!Manetsec.Scenario},
+    {!Manetsec.Sim.Mobility} and {!Manetsec.Adversary} values), and
+    every field the file leaves out keeps its
+    {!Manetsec.Scenario.default_params} value.  {!execute} runs {!t} on
+    the existing Engine/Net/Faults/Attacks wiring, so running a file is
     byte-identical to the equivalent hand-coded configuration. *)
-
-type topology =
-  | Chain of { spacing : float }
-  | Grid of { cols : int; spacing : float }
-  | Random of { width : float; height : float }
-  | Explicit of { width : float; height : float; positions : (float * float) list }
-
-type mobility =
-  | Static
-  | Waypoint of { min_speed : float; max_speed : float; pause : float }
-  | Walk of { speed : float; turn_interval : float }
-
-type protocol = Secure | Dsr | Srp
-type suite = Mock | Rsa of int
 
 type flow = {
   flow_src : int;
@@ -32,16 +23,6 @@ type flow = {
   flow_duration : float option;  (** default: the scenario duration *)
 }
 
-type adversary_kind =
-  | Blackhole
-  | Grayhole of float  (** drop probability *)
-  | Replayer
-  | Rerr_spammer of float  (** period *)
-  | Identity_churner of float  (** period *)
-  | Sleeper
-
-type adversary = { adv_node : int; adv_kind : adversary_kind }
-
 type duplicate = { joiner : int; owner : int }
 (** [joiner] bootstraps with [owner]'s address. *)
 
@@ -52,6 +33,11 @@ type bootstrap = {
           first node bootstraps *)
 }
 
+(** One form of the [(faults ...)] field, as written.  The forms stay
+    symbolic until {!execute} builds the {!Manetsec.Faults} plan: a
+    flap or a churn expands into one step per event, so decoding them
+    into a plan would make {!parse} cost O(events) on a hostile file
+    ([(period 1e-6)] over a long window) where it is O(forms). *)
 type fault =
   | Crash of { node : int; at : float }
   | Restart of { node : int; at : float }
@@ -78,21 +64,11 @@ type fault =
 
 type t = {
   name : string;
-  seed : int;
-  nodes : int;
-  range : float;
-  loss : float;
-  promiscuous : bool;
-  protocol : protocol;
-  suite : suite;
-  dns : bool;
-  topology : topology;
-  mobility : mobility;
+  params : Manetsec.Scenario.params;  (** the network and its adversaries *)
   bootstrap : bootstrap option;  (** when bootstrap is requested *)
   duration : float;  (** default flow duration *)
   run_until : float option;  (** absolute horizon; default derived from flows *)
   flows : flow list;
-  adversaries : adversary list;
   faults : fault list;
   exports : Export.kind list;
 }
@@ -112,8 +88,8 @@ val execute :
     [exports] read ({!Export.prepare}), inject the fault plan, force the
     bootstrap's duplicate addresses ({!Manetsec.Scenario.duplicate_address})
     and bootstrap when requested, start every traffic flow in file
-    order, and drive the engine to the horizon.  [seed] overrides the
-    file's seed.  [on_create] is for observers that must not perturb
+    order, and drive the engine to the horizon.  [seed] overrides
+    [params.seed].  [on_create] is for observers that must not perturb
     the run (the wall-clock profiler, the progress heartbeat).  Render
     the exports with {!Export.render} and {!meta}. *)
 

@@ -18,6 +18,8 @@
 #            and mixed_adversaries must print the detector's score
 #   heap/    scale/n300.scn and blackhole_e1.scn run with the GC
 #            summary on: the heap gates
+#   check.txt  `scenario check` over every committed file, scale/
+#            included, which must equal test/golden/scenario_check.txt
 #   *.txt    the report, audit, perf and timeline readers' output
 # a, b and c are compared with diff -r, leaving out report-json and
 # comparing perf-json through `perf --det` (its wall-clock section
@@ -26,6 +28,7 @@ set -eu
 
 sim=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
 scenarios=$(cd "$2" && pwd)
+golden=$(cd "$(dirname "$0")" && pwd)/golden
 rm -rf replay
 mkdir replay
 cd replay
@@ -101,6 +104,11 @@ heap_gate() {
 mkdir heap
 heap_gate "$scenarios/scale/n300.scn" 2000000
 heap_gate "$scenarios/blackhole_e1.scn" 700000
+
+# What `scenario check` reports of each committed file (node, flow,
+# adversary, fault and export counts) is pinned line for line.
+(cd "$scenarios" && "$sim" scenario check *.scn scale/*.scn) > check.txt
+diff "$golden/scenario_check.txt" check.txt
 
 "$sim" report a/secure_n12.trace.jsonl --top 5 > report.txt
 "$sim" audit a/secure_n12.audit.jsonl > audit.txt

@@ -66,6 +66,10 @@ let test_error_positions () =
     "(scenario\n  (schema manetsim-scenario 1)\n  (name ok)\n  (nodes 4)\n\
     \  (adversaries (wormhole 2)))"
     ~line:5 ~col:17 ~needle:"unknown adversary kind wormhole";
+  check_err "another kind's adversary parameter"
+    "(scenario\n  (schema manetsim-scenario 1)\n  (name ok)\n  (nodes 4)\n\
+    \  (adversaries (grayhole 2 (every 2.0))))"
+    ~line:5 ~col:29 ~needle:"unknown grayhole adversary parameter every";
   check_err "unsupported schema version"
     "(scenario\n  (schema manetsim-scenario 2)\n  (name ok)\n  (nodes 4))"
     ~line:2 ~col:29 ~needle:"unsupported schema version 2";
@@ -134,20 +138,21 @@ let test_vocabulary () =
       \    (outage 3 (from 22.0) (until 28.0)))\n\
       \  (exports metrics-prom report-json))"
   in
-  Alcotest.(check int) "seed" 9 scn.Scn.seed;
-  Alcotest.(check bool) "promiscuous" true scn.Scn.promiscuous;
-  Alcotest.(check bool) "dns off" false scn.Scn.dns;
-  (match scn.Scn.protocol with
-  | Scn.Dsr -> ()
-  | Scn.Secure | Scn.Srp -> Alcotest.fail "expected the dsr protocol");
-  (match scn.Scn.suite with
-  | Scn.Rsa 512 -> ()
-  | Scn.Rsa _ | Scn.Mock -> Alcotest.fail "expected (rsa 512)");
-  (match scn.Scn.topology with
-  | Scn.Grid { cols = 4; _ } -> ()
+  let p = scn.Scn.params in
+  Alcotest.(check int) "seed" 9 p.Scenario.seed;
+  Alcotest.(check bool) "promiscuous" true p.Scenario.promiscuous;
+  Alcotest.(check bool) "dns off" false p.Scenario.with_dns;
+  (match p.Scenario.protocol with
+  | Scenario.Plain_dsr -> ()
+  | Scenario.Secure | Scenario.Srp_protocol -> Alcotest.fail "expected the dsr protocol");
+  (match p.Scenario.suite with
+  | Scenario.Rsa_suite 512 -> ()
+  | Scenario.Rsa_suite _ | Scenario.Mock_suite -> Alcotest.fail "expected (rsa 512)");
+  (match p.Scenario.topology with
+  | Scenario.Grid { cols = 4; _ } -> ()
   | _ -> Alcotest.fail "expected a 4-column grid");
-  (match scn.Scn.mobility with
-  | Scn.Walk { speed; _ } -> Alcotest.(check (float 1e-9)) "speed" 3.0 speed
+  (match p.Scenario.mobility with
+  | Mobility.Random_walk { speed; _ } -> Alcotest.(check (float 1e-9)) "speed" 3.0 speed
   | _ -> Alcotest.fail "expected walk mobility");
   (match scn.Scn.flows with
   | [ f ] ->
@@ -162,29 +167,43 @@ let test_vocabulary () =
         [ (7, 2); (0, 7) ]
         (List.map (fun d -> (d.Scn.joiner, d.Scn.owner)) duplicates)
   | None -> Alcotest.fail "expected a bootstrap");
-  Alcotest.(check int) "adversaries" 4 (List.length scn.Scn.adversaries);
+  Alcotest.(check bool) "each adversary's behaviour, in file order" true
+    (p.Scenario.adversaries
+    = [
+        (3, Adversary.grayhole 0.25);
+        (5, Adversary.rerr_spammer ~every:2.0);
+        (0, Adversary.identity_churner ~every:5.0);
+        (6, Adversary.sleeper);
+      ]);
   Alcotest.(check int) "faults" 6 (List.length scn.Scn.faults);
-  Alcotest.(check int) "exports" 2 (List.length scn.Scn.exports)
+  Alcotest.(check int) "exports" 2 (List.length scn.Scn.exports);
+  (* A flap every microsecond and a churn over 1e9 s decode to two
+     symbolic forms, never to their events (so this is never run). *)
+  let hostile =
+    Scn.parse
+      "(scenario (schema manetsim-scenario 1) (name hostile) (nodes 4)\n\
+      \  (faults (flap 1 2 (from 0) (until 1e9) (period 1e-6))\n\
+      \    (churn (seed 7) (nodes 1 2 3) (horizon 1e9) (mean-up 1e-6)\n\
+      \      (mean-down 1e-6))))"
+  in
+  match hostile.Scn.faults with
+  | [ Scn.Flap { period; _ }; Scn.Churn { horizon; _ } ] ->
+      Alcotest.(check (float 0.0)) "flap period" 1e-6 period;
+      Alcotest.(check (float 0.0)) "churn horizon" 1e9 horizon
+  | _ -> Alcotest.fail "expected exactly a flap form and a churn form"
 
+(* Every field a file leaves out takes its Scenario.default_params
+   value: the decoder holds no second set of run defaults. *)
 let test_defaults () =
   let scn =
     Scn.parse "(scenario (schema manetsim-scenario 1) (name mini) (nodes 4))"
   in
-  Alcotest.(check int) "default seed" 1 scn.Scn.seed;
+  Alcotest.(check bool) "params are default_params with n = 4" true
+    (scn.Scn.params = { Scenario.default_params with n = 4 });
   Alcotest.(check (float 1e-9)) "default duration" 60.0 scn.Scn.duration;
-  Alcotest.(check (float 1e-9)) "default range" 250.0 scn.Scn.range;
-  Alcotest.(check bool) "dns on" true scn.Scn.dns;
-  (match scn.Scn.protocol with
-  | Scn.Secure -> ()
-  | Scn.Dsr | Scn.Srp -> Alcotest.fail "default protocol is secure");
-  (match scn.Scn.topology with
-  | Scn.Random { width; height } ->
-      Alcotest.(check (float 1e-9)) "width" 1000.0 width;
-      Alcotest.(check (float 1e-9)) "height" 1000.0 height
-  | _ -> Alcotest.fail "default topology is random 1000x1000");
-  match scn.Scn.mobility with
-  | Scn.Static -> ()
-  | _ -> Alcotest.fail "default mobility is static"
+  Alcotest.(check bool) "no bootstrap, horizon, flows, faults or exports" true
+    (scn.Scn.bootstrap = None && scn.Scn.run_until = None && scn.Scn.flows = []
+    && scn.Scn.faults = [] && scn.Scn.exports = [])
 
 (* Under `dune runtest` the cwd is _build/default/test; under
    `dune exec` it is the project root. *)
@@ -289,14 +308,16 @@ let golden_path =
   if Sys.file_exists "golden" then Filename.concat "golden" "scenario_exports.txt"
   else Filename.concat (Filename.concat "test" "golden") "scenario_exports.txt"
 
-(* The fixed spans stream carries every captured event, so the gate
-   turns capture on itself: it runs the file with [trace-jsonl] added to
-   its exports, the one export that switches capture on, and renders
-   the file's own requested exports from that run. *)
+(* The fixed spans, audit and timeline streams each read a sink that
+   only its own export switches on, so the gate turns them on itself:
+   it runs the file with [trace-jsonl], [audit-jsonl] and
+   [timeline-jsonl] added to its exports, and renders the file's own
+   requested exports from that run. *)
 let export_digests file =
   let scn = Scn.parse (read_scenario file) in
-  let seed = scn.Scn.seed in
-  let s = Scn.execute { scn with Scn.exports = Export.Trace_jsonl :: scn.Scn.exports } in
+  let seed = scn.Scn.params.Scenario.seed in
+  let sinks = [ Export.Trace_jsonl; Export.Audit_jsonl; Export.Timeline_jsonl ] in
+  let s = Scn.execute { scn with Scn.exports = sinks @ scn.Scn.exports } in
   let meta = Scn.meta scn ~seed in
   let obs = Scenario.obs s in
   let fixed =
@@ -360,7 +381,7 @@ let test_file_equals_hand_coded () =
   let file_side = Scn.execute scn in
   let contents_of kind =
     if not (List.mem kind scn.Scn.exports) then Alcotest.fail "missing export";
-    Export.render ~meta:(Scn.meta scn ~seed:scn.Scn.seed) file_side kind
+    Export.render ~meta:(Scn.meta scn ~seed:scn.Scn.params.Scenario.seed) file_side kind
   in
   (* Hand-coded equivalent of the file, step by step. *)
   let params =
@@ -404,17 +425,29 @@ let test_file_equals_hand_coded () =
 
 (* A run captures events only when an export reads them: counters-only
    large_n.scn stores none, while blackhole_e1.scn, which requests
-   trace-jsonl, writes every captured event into that export. *)
+   trace-jsonl, writes every captured event into that export.  Audit
+   retention and timeline buckets are on demand the same way:
+   dsr_faults.scn plants adversaries but reads neither stream. *)
 let test_capture_on_demand () =
   let stats_only = Scn.execute (Scn.parse (read_scenario "large_n.scn")) in
   Alcotest.(check int) "stats-csv run captures no events" 0
     (List.length (Obs.events (Scenario.obs stats_only)));
+  let faulted = Scn.execute (Scn.parse (read_scenario "dsr_faults.scn")) in
+  let lines text = List.filter (( <> ) "") (String.split_on_char '\n' text) in
+  Alcotest.(check bool) "the unread run emits audit events" true
+    (Audit.count (Obs.audit (Scenario.obs faulted)) > 0);
+  Alcotest.(check int) "unread audit stream: the header line only" 1
+    (List.length (lines (Export.render ~meta:[] faulted Export.Audit_jsonl)));
+  Alcotest.(check bool) "unread timeline: no bucket line" false
+    (List.exists
+       (fun l -> contains l "\"type\":\"bucket\"")
+       (lines (Export.render ~meta:[] faulted Export.Timeline_jsonl)));
   let scn = Scn.parse (read_scenario "blackhole_e1.scn") in
   let traced = Scn.execute scn in
   let events = Obs.events (Scenario.obs traced) in
   Alcotest.(check bool) "trace-jsonl run captures events" true (events <> []);
   let event_lines =
-    Export.render ~meta:(Scn.meta scn ~seed:scn.Scn.seed) traced Export.Trace_jsonl
+    Export.render ~meta:(Scn.meta scn ~seed:scn.Scn.params.Scenario.seed) traced Export.Trace_jsonl
     |> String.split_on_char '\n'
     |> List.filter (fun l -> String.starts_with ~prefix:"{\"type\":\"event\"" l)
     |> List.length
