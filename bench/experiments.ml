@@ -1,4 +1,4 @@
-(* E1-E6: the simulation evaluation.  The paper publishes no measurement
+(* E1-E7: the simulation evaluation.  The paper publishes no measurement
    tables, so these are the community-standard experiments for
    secure-MANET-routing papers of its era (delivery/overhead/latency
    under attack), as laid out in DESIGN.md; EXPERIMENTS.md records the
@@ -346,6 +346,7 @@ let e4_impersonation protocol =
           (Manetsec.Secure_routing.cached_routes agent ~dst:(Scenario.address_of s 7))
     | Scenario.Srp_agent agent ->
         has_victim (Manetsec.Srp.cached_routes agent ~dst:(Scenario.address_of s 7))
+    | Scenario.Aodv_agent _ -> false (* no route records *)
   in
   {
     attacked = stat s "attack.impersonations" >= 1;
@@ -555,10 +556,25 @@ let e6 () =
 
 (* --- E7: beyond source routing -- AODV / SAODV comparison ---------------- *)
 
-module Aodv_world = Manetsec.Aodv_world
-module Aodv_adversary = Manetsec.Aodv_adversary
+(* One E7 run on a static field: the delivery ratio and how many hosts
+   the protocol itself named as hostile. *)
+let e7_run ~seed ~protocol ~with_dns ~flows ~adversaries =
+  let s =
+    Scenario.create
+      {
+        Scenario.default_params with
+        n = 36; seed; range = 250.0; protocol; with_dns;
+        topology = Scenario.Random { width = 900.0; height = 900.0 };
+        adversaries;
+      }
+  in
+  Scenario.start_cbr s ~flows ~interval:0.5 ~duration:60.0 ();
+  Scenario.run s ~until:120.0;
+  (Scenario.delivery_ratio s, stat s "secure.hostile_suspected")
 
-let e7_aodv_run ~seed ~fraction ~secure ~forge =
+(* AODV and SAODV draw flows and adversaries from all 36 nodes, node 0
+   included, so they run without the DNS that node 0 would host. *)
+let e7_aodv_run ~seed ~fraction ~protocol ~forge =
   let n = 36 in
   let g = Prng.create ~seed:(seed * 131) in
   let flows =
@@ -569,9 +585,7 @@ let e7_aodv_run ~seed ~fraction ~secure ~forge =
   in
   let protect = List.concat_map (fun (a, b) -> [ a; b ]) flows in
   let k = int_of_float (Float.round (fraction *. float_of_int n)) in
-  let behavior =
-    if forge then Aodv_adversary.blackhole else Aodv_adversary.silent_dropper
-  in
+  let behavior = { Adversary.blackhole with forge_rrep = forge } in
   let adversaries =
     List.filter (fun x -> not (List.mem x protect)) (List.init n Fun.id)
     |> (fun pool ->
@@ -580,29 +594,9 @@ let e7_aodv_run ~seed ~fraction ~secure ~forge =
          Array.to_list (Array.sub arr 0 (min k (Array.length arr))))
     |> List.map (fun i -> (i, behavior))
   in
-  let w =
-    Aodv_world.create
-      {
-        Aodv_world.default_params with
-        n;
-        seed;
-        range = 250.0;
-        secure;
-        topology = `Random (900.0, 900.0);
-        adversaries;
-      }
-  in
-  Aodv_world.start_cbr w ~flows ~interval:0.5 ~duration:60.0 ();
-  Aodv_world.run w ~until:120.0;
-  Aodv_world.delivery_ratio w
+  e7_run ~seed ~protocol ~with_dns:false ~flows ~adversaries
 
 let e7_secure_dsr_run ~seed ~fraction ~forge =
-  let variant =
-    { v_name = ""; v_protocol = Scenario.Secure; v_use_acks = true;
-      v_credits = true; v_probes = true; v_forge = forge }
-  in
-  (* reuse the E1 machinery but on a static field, like the AODV runs *)
-  ignore variant;
   let n = 36 in
   let flows = standard_flows ~n ~seed ~count:8 in
   let protect = List.concat_map (fun (a, b) -> [ a; b ]) flows in
@@ -611,18 +605,7 @@ let e7_secure_dsr_run ~seed ~fraction ~forge =
   let adversaries =
     List.map (fun idx -> (idx, behavior)) (pick_adversaries ~seed ~n ~k ~protect)
   in
-  let params =
-    {
-      Scenario.default_params with
-      n; seed; range = 250.0;
-      topology = Scenario.Random { width = 900.0; height = 900.0 };
-      adversaries;
-    }
-  in
-  let s = Scenario.create params in
-  Scenario.start_cbr s ~flows ~interval:0.5 ~duration:60.0 ();
-  Scenario.run s ~until:120.0;
-  (Scenario.delivery_ratio s, stat s "secure.hostile_suspected")
+  e7_run ~seed ~protocol:Scenario.Secure ~with_dns:true ~flows ~adversaries
 
 let e7 () =
   Util.heading "E7 -- beyond source routing: AODV vs SAODV vs secure DSR";
@@ -633,22 +616,21 @@ let e7 () =
     \ source routing, and loses in a distance-vector translation.)";
   let seeds = [ 1; 2; 3 ] in
   let fraction = 0.2 in
-  let mean f = Util.mean (List.map f seeds) in
-  let aodv_forge = mean (fun seed -> e7_aodv_run ~seed ~fraction ~secure:false ~forge:true) in
-  let saodv_forge = mean (fun seed -> e7_aodv_run ~seed ~fraction ~secure:true ~forge:true) in
-  let aodv_drop = mean (fun seed -> e7_aodv_run ~seed ~fraction ~secure:false ~forge:false) in
-  let saodv_drop = mean (fun seed -> e7_aodv_run ~seed ~fraction ~secure:true ~forge:false) in
-  let dsr_forge = List.map (fun seed -> e7_secure_dsr_run ~seed ~fraction ~forge:true) seeds in
-  let dsr_drop = List.map (fun seed -> e7_secure_dsr_run ~seed ~fraction ~forge:false) seeds in
-  let mean_fst l = Util.mean (List.map fst l) in
-  let any_suspects l = List.exists (fun (_, s) -> s > 0) l in
+  let row name run =
+    let forge = List.map (fun seed -> run ~seed ~forge:true) seeds in
+    let drop = List.map (fun seed -> run ~seed ~forge:false) seeds in
+    let mean_fst l = Util.mean (List.map fst l) in
+    let any_suspects l = List.exists (fun (_, s) -> s > 0) l in
+    [ name; Util.f2 (mean_fst forge); Util.f2 (mean_fst drop);
+      (if any_suspects forge || any_suspects drop then "yes" else "no") ]
+  in
+  let aodv protocol ~seed ~forge = e7_aodv_run ~seed ~fraction ~protocol ~forge in
   Util.print_table
     ~header:[ "protocol"; "forging black holes"; "silent droppers"; "names culprits" ]
     [
-      [ "AODV"; Util.f2 aodv_forge; Util.f2 aodv_drop; "no" ];
-      [ "SAODV-style"; Util.f2 saodv_forge; Util.f2 saodv_drop; "no" ];
-      [ "secure DSR (paper)"; Util.f2 (mean_fst dsr_forge); Util.f2 (mean_fst dsr_drop);
-        (if any_suspects dsr_forge || any_suspects dsr_drop then "yes" else "no") ];
+      row "AODV" (aodv Scenario.Aodv);
+      row "SAODV-style" (aodv Scenario.Saodv);
+      row "secure DSR (paper)" (e7_secure_dsr_run ~fraction);
     ]
 
 let run () =

@@ -4,9 +4,11 @@ module Sha256 = Manet_crypto.Sha256
 module Suite = Manet_crypto.Suite
 module Engine = Manet_sim.Engine
 module Stats = Manet_sim.Stats
-module Net = Manet_sim.Net
+module Messages = Manet_proto.Messages
+module Ctx = Manet_proto.Node_ctx
 module Directory = Manet_proto.Directory
 module Identity = Manet_proto.Identity
+module Audit = Manet_obs.Audit
 
 (* Counter and series keys, bound once (see [Stats.key]). *)
 module Key = struct
@@ -28,74 +30,16 @@ module Key = struct
   let rerr_sent = Stats.key "rerr.sent"
   let route_discoveries = Stats.key "route.discoveries"
   let route_discovery_failed = Stats.key "route.discovery_failed"
-  let tx_aodv_rreq = Stats.key "tx.aodv_rreq"
-  let tx_aodv_rrep = Stats.key "tx.aodv_rrep"
-  let tx_aodv_rerr = Stats.key "tx.aodv_rerr"
-  let tx_aodv_data = Stats.key "tx.aodv_data"
-  let tx_aodv_ack = Stats.key "tx.aodv_ack"
 end
 
-type msg =
-  | Rreq of {
-      src : Address.t;
-      src_seq : int;
-      bcast_id : int;
-      dst : Address.t;
-      dst_seq_known : int;
-      hop_count : int;
-      sig_ : string;
-      spk : string;
-      srn : int64;
-      hash : string;
-      top_hash : string;
-      max_hops : int;
-    }
-  | Rrep of {
-      rep_src : Address.t;
-      rep_dst : Address.t;
-      dst_seq : int;
-      hop_count : int;
-      sig_ : string;
-      dpk : string;
-      drn : int64;
-      hash : string;
-      top_hash : string;
-      max_hops : int;
-    }
-  | Rerr of { unreachable : (Address.t * int) list }
-  | Data of {
-      d_src : Address.t;
-      d_dst : Address.t;
-      d_seq : int;
-      payload_size : int;
-      sent_at : float;
-    }
-  | Ack of { a_src : Address.t; a_dst : Address.t; data_seq : int; sent_at : float }
-
-(* The transmission counter ["tx.aodv_<kind>"]'s key. *)
-let tx_key = function
-  | Rreq _ -> Key.tx_aodv_rreq
-  | Rrep _ -> Key.tx_aodv_rrep
-  | Rerr _ -> Key.tx_aodv_rerr
-  | Data _ -> Key.tx_aodv_data
-  | Ack _ -> Key.tx_aodv_ack
-
-let msg_size ~sig_size ~pk_size m =
-  let header = 40 + 1 and addr = 16 and seq = 4 and hash = 32 in
-  let body =
-    match m with
-    | Rreq { sig_; _ } ->
-        (2 * addr) + (4 * seq)
-        + (if sig_ = "" then 0 else sig_size + pk_size + 8 + (2 * hash) + 1)
-        + 1
-    | Rrep { sig_; _ } ->
-        (2 * addr) + (2 * seq)
-        + (if sig_ = "" then 0 else sig_size + pk_size + 8 + (2 * hash) + 1)
-    | Rerr { unreachable } -> 1 + (List.length unreachable * (addr + seq))
-    | Data { payload_size; _ } -> (2 * addr) + seq + payload_size
-    | Ack _ -> (2 * addr) + seq
-  in
-  header + body
+(* Timings and bounds. *)
+let discovery_timeout = 1.0
+let max_discovery_attempts = 3
+let route_lifetime = 30.0 (* entries expire without use *)
+let ack_timeout = 1.5
+let max_send_retries = 2
+let flood_jitter = 0.01
+let max_hops = 16 (* hash-chain length bound *)
 
 module Hash_chain = struct
   let advance h = Sha256.digest h
@@ -110,29 +54,6 @@ module Hash_chain = struct
     hop_count >= 0 && hop_count <= max_hops
     && String.equal (iterate hash (max_hops - hop_count)) top_hash
 end
-
-type config = {
-  secure : bool;
-  discovery_timeout : float;
-  max_discovery_attempts : int;
-  route_lifetime : float;
-  ack_timeout : float;
-  max_send_retries : int;
-  flood_jitter : float;
-  max_hops : int;
-}
-
-let default_config =
-  {
-    secure = false;
-    discovery_timeout = 1.0;
-    max_discovery_attempts = 3;
-    route_lifetime = 30.0;
-    ack_timeout = 1.5;
-    max_send_retries = 2;
-    flood_jitter = 0.01;
-    max_hops = 16;
-  }
 
 type route_entry = {
   mutable next : Address.t;
@@ -157,12 +78,8 @@ type pending_discovery = {
 }
 
 type t = {
-  config : config;
-  net : msg Net.t;
-  directory : Directory.t;
-  identity : Identity.t;
-  rng : Prng.t;
-  engine : Engine.t;
+  ctx : Ctx.t;
+  secure : bool;
   table : route_entry Address.Tbl.t;
   mutable own_seq : int;
   mutable bcast_id : int;
@@ -174,14 +91,10 @@ type t = {
   seen_data : unit Address.Seq_tbl.t; (* (src, seq) *)
 }
 
-let create ?(config = default_config) ~net ~directory ~identity ~rng () =
+let create ~secure ctx =
   {
-    config;
-    net;
-    directory;
-    identity;
-    rng;
-    engine = Net.engine net;
+    ctx;
+    secure;
     table = Address.Tbl.create 32;
     own_seq = 0;
     bcast_id = 0;
@@ -193,39 +106,19 @@ let create ?(config = default_config) ~net ~directory ~identity ~rng () =
     seen_data = Address.Seq_tbl.create 64;
   }
 
-let address t = t.identity.Identity.address
-let now t = Engine.now t.engine
-let node_id t = t.identity.Identity.node_id
-let net t = t.net
-let suite t = t.identity.Identity.suite
-let stat t k = Stats.incr (Engine.stats t.engine) k
-let observe t k v = Stats.observe (Engine.stats t.engine) k v
-
-let sig_sizes t =
-  let s = suite t in
-  if t.config.secure then (s.Suite.signature_size, s.Suite.public_key_size)
-  else (0, 0)
-
-let broadcast t m =
-  let sig_size, pk_size = sig_sizes t in
-  stat t (tx_key m);
-  Net.broadcast t.net ~src:(node_id t) ~size:(msg_size ~sig_size ~pk_size m) m
-
-let unicast_addr t ~next ?(on_fail = fun () -> ()) m =
-  let sig_size, pk_size = sig_sizes t in
-  stat t (tx_key m);
-  match Directory.lookup_all t.directory next with
-  | [] -> Engine.schedule t.engine ~label:"aodv" ~delay:0.01 on_fail
-  | claimants ->
-      let size = msg_size ~sig_size ~pk_size m in
-      List.iter
-        (fun dst -> Net.unicast t.net ~src:(node_id t) ~dst ~size ~on_fail m)
-        claimants
+let address t = Ctx.address t.ctx
+let now t = Ctx.now t.ctx
+let identity t = t.ctx.Ctx.identity
+let schedule t ~delay f = Engine.schedule t.ctx.Ctx.engine ~label:"aodv" ~delay f
+let unicast t ~next ?on_fail m = Ctx.send_along t.ctx ~path:[ next ] ?on_fail (Messages.Aodv m)
+let broadcast t m = Ctx.broadcast t.ctx (Messages.Aodv m)
 
 (* The MAC-layer sender's address: AODV installs it as the next hop of
    reverse/forward routes. *)
 let sender_addr t src =
-  match Directory.addresses_of t.directory src with a :: _ -> Some a | [] -> None
+  match Directory.addresses_of t.ctx.Ctx.directory src with
+  | a :: _ -> Some a
+  | [] -> None
 
 (* --- routing table ------------------------------------------------------- *)
 
@@ -237,23 +130,17 @@ let route_lookup t dst =
 (* AODV route update rule: fresher sequence number wins; equal freshness
    prefers fewer hops; invalid/expired entries are always replaced. *)
 let route_update t ~dst ~next ~hops ~seq =
-  let expires = now t +. t.config.route_lifetime in
+  let expires = now t +. route_lifetime in
   match Address.Tbl.find_opt t.table dst with
   | Some e when e.valid && e.expires > now t ->
       if seq > e.seq || (seq = e.seq && hops < e.hops) then begin
         e.next <- next;
         e.hops <- hops;
         e.seq <- seq;
-        e.expires <- expires;
-        true
+        e.expires <- expires
       end
-      else begin
-        e.expires <- max e.expires expires;
-        false
-      end
-  | _ ->
-      Address.Tbl.replace t.table dst { next; hops; seq; expires; valid = true };
-      true
+      else e.expires <- max e.expires expires
+  | _ -> Address.Tbl.replace t.table dst { next; hops; seq; expires; valid = true }
 
 let invalidate_route t dst =
   match Address.Tbl.find_opt t.table dst with
@@ -262,19 +149,34 @@ let invalidate_route t dst =
 
 (* --- SAODV signatures ----------------------------------------------------- *)
 
-let rreq_payload ~src ~src_seq ~bcast_id ~dst ~top_hash ~max_hops =
-  "AORQ|" ^ Address.to_bytes src ^ string_of_int src_seq ^ "|"
+let rreq_payload ~origin ~origin_seq ~bcast_id ~dst ~top_hash ~max_hops =
+  "AORQ|" ^ Address.to_bytes origin ^ string_of_int origin_seq ^ "|"
   ^ string_of_int bcast_id ^ Address.to_bytes dst ^ top_hash
   ^ string_of_int max_hops
 
-let rrep_payload ~rep_src ~rep_dst ~dst_seq ~top_hash ~max_hops =
-  "AORP|" ^ Address.to_bytes rep_src ^ Address.to_bytes rep_dst
+let rrep_payload ~requester ~dst ~dst_seq ~top_hash ~max_hops =
+  "AORP|" ^ Address.to_bytes requester ^ Address.to_bytes dst
   ^ string_of_int dst_seq ^ top_hash ^ string_of_int max_hops
 
 let verify_origin t ~ip ~pk ~rn ~payload ~signature =
-  Suite.count_hash (suite t) ~bytes:(String.length pk + 8);
+  let suite = (identity t).Identity.suite in
+  Suite.count_hash suite ~bytes:(String.length pk + 8);
   Manet_ipv6.Cga.verify ip ~pk_bytes:pk ~rn
-  && (suite t).Suite.verify ~pk_bytes:pk ~msg:payload ~signature
+  && suite.Suite.verify ~pk_bytes:pk ~msg:payload ~signature
+
+(* A fresh hash chain and the signature over [payload ~top_hash] under
+   SAODV; empty fields under plain AODV. *)
+let saodv_fields t payload =
+  if t.secure then begin
+    let id = identity t in
+    let hash, top_hash = Hash_chain.generate t.ctx.Ctx.rng ~max_hops in
+    (hash, top_hash, Identity.sign id (payload ~top_hash), Identity.pk_bytes id, id.Identity.rn)
+  end
+  else ("", "", "", "", 0L)
+
+(* A rejected SAODV check: the counter and an audit record. *)
+let reject t key cause =
+  Ctx.audit t.ctx ~kind:Audit.Sig_verify_fail ~stats:[ key ] ~cause ()
 
 (* --- data plane ------------------------------------------------------------ *)
 
@@ -287,31 +189,23 @@ let rec transmit t packet =
       Address.Seq_tbl.replace t.in_flight
         { Address.addr = packet.p_dst; seq = packet.p_seq }
         packet;
-      let m =
-        Data
-          {
-            d_src = address t;
-            d_dst = packet.p_dst;
-            d_seq = packet.p_seq;
-            payload_size = packet.p_size;
-            sent_at = packet.p_first_sent;
-          }
-      in
-      unicast_addr t ~next:entry.next m ~on_fail:(fun () ->
-          invalidate_route t packet.p_dst);
-      Engine.schedule t.engine ~label:"aodv" ~delay:t.config.ack_timeout
-        (fun () ->
+      unicast t ~next:entry.next
+        (Messages.Aodv_data
+           { src = address t; dst = packet.p_dst; seq = packet.p_seq;
+             payload_size = packet.p_size; sent_at = packet.p_first_sent })
+        ~on_fail:(fun () -> invalidate_route t packet.p_dst);
+      schedule t ~delay:ack_timeout (fun () ->
           let k = { Address.addr = packet.p_dst; seq = packet.p_seq } in
           match Address.Seq_tbl.find_opt t.in_flight k with
           | Some p when p == packet ->
               Address.Seq_tbl.remove t.in_flight k;
-              stat t Key.data_timeout;
+              Ctx.stat t.ctx Key.data_timeout;
               invalidate_route t packet.p_dst;
-              if packet.p_retries < t.config.max_send_retries then begin
+              if packet.p_retries < max_send_retries then begin
                 packet.p_retries <- packet.p_retries + 1;
                 transmit t packet
               end
-              else stat t Key.data_dropped
+              else Ctx.stat t.ctx Key.data_dropped
           | _ -> ())
 
 and queue_for t dst =
@@ -333,52 +227,31 @@ and send_rreq t d =
   d.d_attempts <- d.d_attempts + 1;
   t.own_seq <- t.own_seq + 1;
   t.bcast_id <- t.bcast_id + 1;
-  stat t Key.route_discoveries;
-  let src = address t in
+  Ctx.stat t.ctx Key.route_discoveries;
+  let origin = address t in
   let dst_seq_known =
     match Address.Tbl.find_opt t.table d.d_dst with Some e -> e.seq | None -> 0
   in
-  let hash, top_hash =
-    if t.config.secure then Hash_chain.generate t.rng ~max_hops:t.config.max_hops
-    else ("", "")
+  let hash, top_hash, sig_, spk, srn =
+    saodv_fields t
+      (rreq_payload ~origin ~origin_seq:t.own_seq ~bcast_id:t.bcast_id ~dst:d.d_dst
+         ~max_hops)
   in
-  let sig_, spk, srn =
-    if t.config.secure then
-      ( Identity.sign t.identity
-          (rreq_payload ~src ~src_seq:t.own_seq ~bcast_id:t.bcast_id ~dst:d.d_dst
-             ~top_hash ~max_hops:t.config.max_hops),
-        Identity.pk_bytes t.identity,
-        t.identity.Identity.rn )
-    else ("", "", 0L)
-  in
-  Address.Seq_tbl.replace t.seen_rreq { Address.addr = src; seq = t.bcast_id } ();
+  Address.Seq_tbl.replace t.seen_rreq { Address.addr = origin; seq = t.bcast_id } ();
   broadcast t
-    (Rreq
-       {
-         src;
-         src_seq = t.own_seq;
-         bcast_id = t.bcast_id;
-         dst = d.d_dst;
-         dst_seq_known;
-         hop_count = 0;
-         sig_;
-         spk;
-         srn;
-         hash;
-         top_hash;
-         max_hops = t.config.max_hops;
-       });
-  Engine.schedule t.engine ~label:"aodv" ~delay:t.config.discovery_timeout
-    (fun () ->
+    (Messages.Aodv_rreq
+       { origin; origin_seq = t.own_seq; bcast_id = t.bcast_id; dst = d.d_dst;
+         dst_seq_known; hop_count = 0; sig_; spk; srn; hash; top_hash; max_hops });
+  schedule t ~delay:discovery_timeout (fun () ->
       if not d.d_resolved then begin
-        if d.d_attempts < t.config.max_discovery_attempts then send_rreq t d
+        if d.d_attempts < max_discovery_attempts then send_rreq t d
         else begin
           d.d_resolved <- true;
           Address.Tbl.remove t.pending d.d_dst;
-          stat t Key.route_discovery_failed;
+          Ctx.stat t.ctx Key.route_discovery_failed;
           match Address.Tbl.find_opt t.queue d.d_dst with
           | Some q ->
-              Queue.iter (fun _ -> stat t Key.data_dropped) q;
+              Queue.iter (fun _ -> Ctx.stat t.ctx Key.data_dropped) q;
               Queue.clear q
           | None -> ()
         end
@@ -399,245 +272,184 @@ and route_established t dst =
 
 let send t ~dst ?(size = 512) () =
   t.data_seq <- t.data_seq + 1;
-  stat t Key.data_offered;
+  Ctx.stat t.ctx Key.data_offered;
   transmit t
     { p_dst = dst; p_size = size; p_seq = t.data_seq; p_first_sent = now t; p_retries = 0 }
 
 (* --- message handling -------------------------------------------------------- *)
 
-let answer_as_destination t ~src =
+let answer_as_destination t ~requester =
   t.own_seq <- t.own_seq + 1;
-  let hash, top_hash =
-    if t.config.secure then Hash_chain.generate t.rng ~max_hops:t.config.max_hops
-    else ("", "")
+  let dst = address t and dst_seq = t.own_seq in
+  let hash, top_hash, sig_, dpk, drn =
+    saodv_fields t (rrep_payload ~requester ~dst ~dst_seq ~max_hops)
   in
-  let sig_, dpk, drn =
-    if t.config.secure then
-      ( Identity.sign t.identity
-          (rrep_payload ~rep_src:src ~rep_dst:(address t) ~dst_seq:t.own_seq
-             ~top_hash ~max_hops:t.config.max_hops),
-        Identity.pk_bytes t.identity,
-        t.identity.Identity.rn )
-    else ("", "", 0L)
-  in
-  let m =
-    Rrep
-      {
-        rep_src = src;
-        rep_dst = address t;
-        dst_seq = t.own_seq;
-        hop_count = 0;
-        sig_;
-        dpk;
-        drn;
-        hash;
-        top_hash;
-        max_hops = t.config.max_hops;
-      }
-  in
-  match route_lookup t src with
-  | Some e -> unicast_addr t ~next:e.next m
+  match route_lookup t requester with
+  | Some e ->
+      unicast t ~next:e.next
+        (Messages.Aodv_rrep
+           { requester; dst; dst_seq; hop_count = 0; sig_; dpk; drn; hash; top_hash; max_hops })
   | None -> () (* reverse route vanished; the requester will retry *)
 
-let handle_rreq t ~src m =
-  match m with
-  | Rreq
-      {
-        src = origin;
-        src_seq;
-        bcast_id;
-        dst;
-        dst_seq_known;
-        hop_count;
-        sig_;
-        spk;
-        srn;
-        hash;
-        top_hash;
-        max_hops;
-      } ->
-      let key = { Address.addr = origin; seq = bcast_id } in
-      if Address.Seq_tbl.mem t.seen_rreq key then ()
-      else begin
+let handle_rreq t ~src = function
+  | Messages.Aodv_rreq r ->
+      let key = { Address.addr = r.origin; seq = r.bcast_id } in
+      if not (Address.Seq_tbl.mem t.seen_rreq key) then begin
         Address.Seq_tbl.replace t.seen_rreq key ();
         let chain_ok =
-          (not t.config.secure)
-          || Hash_chain.check ~hash ~top_hash ~max_hops ~hop_count
+          (not t.secure)
+          || Hash_chain.check ~hash:r.hash ~top_hash:r.top_hash ~max_hops:r.max_hops
+               ~hop_count:r.hop_count
         in
         let sig_ok =
-          (not t.config.secure)
-          || verify_origin t ~ip:origin ~pk:spk ~rn:srn
+          (not t.secure)
+          || verify_origin t ~ip:r.origin ~pk:r.spk ~rn:r.srn
                ~payload:
-                 (rreq_payload ~src:origin ~src_seq ~bcast_id ~dst ~top_hash
-                    ~max_hops)
-               ~signature:sig_
+                 (rreq_payload ~origin:r.origin ~origin_seq:r.origin_seq
+                    ~bcast_id:r.bcast_id ~dst:r.dst ~top_hash:r.top_hash
+                    ~max_hops:r.max_hops)
+               ~signature:r.sig_
         in
-        if not chain_ok then stat t Key.aodv_hash_chain_rejected
-        else if not sig_ok then stat t Key.aodv_rreq_rejected
+        if not chain_ok then
+          reject t Key.aodv_hash_chain_rejected "saodv rreq hash chain"
+        else if not sig_ok then
+          reject t Key.aodv_rreq_rejected "saodv rreq origin signature"
         else begin
           (* Install the reverse route toward the requester. *)
-          (match sender_addr t src with
-          | Some prev ->
-              ignore
-                (route_update t ~dst:origin ~next:prev ~hops:(hop_count + 1)
-                   ~seq:src_seq)
-          | None -> ());
-          if Address.equal dst (address t) then begin
-            t.own_seq <- max t.own_seq dst_seq_known;
-            answer_as_destination t ~src:origin
+          Option.iter
+            (fun prev ->
+              route_update t ~dst:r.origin ~next:prev ~hops:(r.hop_count + 1)
+                ~seq:r.origin_seq)
+            (sender_addr t src);
+          if Address.equal r.dst (address t) then begin
+            t.own_seq <- max t.own_seq r.dst_seq_known;
+            answer_as_destination t ~requester:r.origin
           end
-          else if hop_count + 1 < max_hops then begin
-            let relayed =
-              Rreq
-                {
-                  src = origin;
-                  src_seq;
-                  bcast_id;
-                  dst;
-                  dst_seq_known;
-                  hop_count = hop_count + 1;
-                  sig_;
-                  spk;
-                  srn;
-                  hash = (if t.config.secure then Hash_chain.advance hash else hash);
-                  top_hash;
-                  max_hops;
-                }
-            in
-            let delay = Prng.float t.rng t.config.flood_jitter in
-            Engine.schedule t.engine ~label:"aodv" ~delay (fun () ->
-                broadcast t relayed)
+          else if r.hop_count + 1 < r.max_hops then begin
+            let hash = if t.secure then Hash_chain.advance r.hash else r.hash in
+            let relayed = Messages.Aodv_rreq { r with hop_count = r.hop_count + 1; hash } in
+            let delay = Prng.float t.ctx.Ctx.rng flood_jitter in
+            schedule t ~delay (fun () -> broadcast t relayed)
           end
         end
       end
   | _ -> ()
 
-let handle_rrep t ~src m =
-  match m with
-  | Rrep
-      { rep_src; rep_dst; dst_seq; hop_count; sig_; dpk; drn; hash; top_hash; max_hops }
-    ->
+let handle_rrep t ~src = function
+  | Messages.Aodv_rrep r ->
       let chain_ok =
-        (not t.config.secure)
-        || Hash_chain.check ~hash ~top_hash ~max_hops ~hop_count
+        (not t.secure)
+        || Hash_chain.check ~hash:r.hash ~top_hash:r.top_hash ~max_hops:r.max_hops
+             ~hop_count:r.hop_count
       in
       let sig_ok =
-        (not t.config.secure)
-        || verify_origin t ~ip:rep_dst ~pk:dpk ~rn:drn
-             ~payload:(rrep_payload ~rep_src ~rep_dst ~dst_seq ~top_hash ~max_hops)
-             ~signature:sig_
+        (not t.secure)
+        || verify_origin t ~ip:r.dst ~pk:r.dpk ~rn:r.drn
+             ~payload:
+               (rrep_payload ~requester:r.requester ~dst:r.dst ~dst_seq:r.dst_seq
+                  ~top_hash:r.top_hash ~max_hops:r.max_hops)
+             ~signature:r.sig_
       in
-      if not chain_ok then stat t Key.aodv_hash_chain_rejected
-      else if not sig_ok then stat t Key.aodv_rrep_rejected
+      if not chain_ok then
+        reject t Key.aodv_hash_chain_rejected "saodv rrep hash chain"
+      else if not sig_ok then
+        reject t Key.aodv_rrep_rejected "saodv rrep destination signature"
       else begin
         (* Install the forward route toward the reported destination. *)
-        (match sender_addr t src with
-        | Some prev ->
-            ignore
-              (route_update t ~dst:rep_dst ~next:prev ~hops:(hop_count + 1)
-                 ~seq:dst_seq)
-        | None -> ());
-        if Address.equal rep_src (address t) then route_established t rep_dst
-        else begin
-          match route_lookup t rep_src with
+        Option.iter
+          (fun prev ->
+            route_update t ~dst:r.dst ~next:prev ~hops:(r.hop_count + 1) ~seq:r.dst_seq)
+          (sender_addr t src);
+        if Address.equal r.requester (address t) then route_established t r.dst
+        else if r.hop_count + 1 < r.max_hops then begin
+          (* The hop bound ends an RREP caught in a loop of routes to its
+             requester, as it ends an RREQ flood. *)
+          match route_lookup t r.requester with
           | Some e ->
-              unicast_addr t ~next:e.next
-                (Rrep
-                   {
-                     rep_src;
-                     rep_dst;
-                     dst_seq;
-                     hop_count = hop_count + 1;
-                     sig_;
-                     dpk;
-                     drn;
-                     hash =
-                       (if t.config.secure then Hash_chain.advance hash else hash);
-                     top_hash;
-                     max_hops;
-                   })
-          | None -> stat t Key.aodv_rrep_no_reverse_route
+              let hash = if t.secure then Hash_chain.advance r.hash else r.hash in
+              unicast t ~next:e.next
+                (Messages.Aodv_rrep { r with hop_count = r.hop_count + 1; hash })
+          | None -> Ctx.stat t.ctx Key.aodv_rrep_no_reverse_route
         end
       end
   | _ -> ()
 
-let handle_rerr t ~src m =
+let rerr_for t dst =
+  Ctx.stat t.ctx Key.rerr_sent;
+  broadcast t (Messages.Aodv_rerr { unreachable = [ (dst, 0) ] })
+
+(* AODV/SAODV route errors carry no origin signature (only RREQ/RREP are
+   protected): error handling is unauthenticated.  Invalidate every
+   listed destination routed via the sender, and propagate once for the
+   ones actually dropped. *)
+let handle_rerr t ~src unreachable =
+  let prev = sender_addr t src in
+  let dropped =
+    List.filter
+      (fun (dst, seq) ->
+        match (Address.Tbl.find_opt t.table dst, prev) with
+        | Some e, Some p
+          when e.valid && Address.equal e.next p && (seq = 0 || e.seq <= seq) ->
+            e.valid <- false;
+            true
+        | _ -> false)
+      unreachable
+  in
+  Ctx.stat t.ctx Key.rerr_received;
+  if dropped <> [] then broadcast t (Messages.Aodv_rerr { unreachable = dropped })
+
+let handle_data t m =
   match m with
-  (* manetcheck: allow security — AODV/SAODV route errors carry no origin
-     signature (only RREQ/RREP are protected); error handling is inherently
-     unauthenticated. *)
-  | Rerr { unreachable } ->
-      (* Invalidate every listed destination we route via the sender,
-         and propagate once for the ones we actually dropped. *)
-      let prev = sender_addr t src in
-      let dropped =
-        List.filter
-          (fun (dst, seq) ->
-            match (Address.Tbl.find_opt t.table dst, prev) with
-            | Some e, Some p
-              when e.valid && Address.equal e.next p && (seq = 0 || e.seq <= seq) ->
-                e.valid <- false;
-                true
-            | _ -> false)
-          unreachable
-      in
-      stat t Key.rerr_received;
-      if dropped <> [] then broadcast t (Rerr { unreachable = dropped })
+  | Messages.Aodv_data { src; dst; seq; sent_at; _ } when Address.equal dst (address t) -> (
+      let k = { Address.addr = src; seq } in
+      if not (Address.Seq_tbl.mem t.seen_data k) then begin
+        Address.Seq_tbl.replace t.seen_data k ();
+        Ctx.stat t.ctx Key.data_delivered;
+        Ctx.observe t.ctx Key.data_latency (now t -. sent_at)
+      end;
+      match route_lookup t src with
+      | Some e ->
+          unicast t ~next:e.next
+            (Messages.Aodv_ack { src = address t; dst = src; data_seq = seq; sent_at })
+      | None -> Ctx.stat t.ctx Key.aodv_ack_no_route)
+  | Messages.Aodv_data { dst; _ } -> (
+      match route_lookup t dst with
+      | Some e ->
+          Ctx.stat t.ctx Key.data_forwarded;
+          unicast t ~next:e.next m ~on_fail:(fun () ->
+              invalidate_route t dst;
+              rerr_for t dst)
+      | None -> rerr_for t dst)
   | _ -> ()
 
-let handle_data t ~src:_ m =
+let handle_ack t m =
   match m with
-  | Data { d_src; d_dst; d_seq; sent_at; _ } ->
-      if Address.equal d_dst (address t) then begin
-        let k = { Address.addr = d_src; seq = d_seq } in
-        if not (Address.Seq_tbl.mem t.seen_data k) then begin
-          Address.Seq_tbl.replace t.seen_data k ();
-          stat t Key.data_delivered;
-          observe t Key.data_latency (now t -. sent_at)
-        end;
-        match route_lookup t d_src with
-        | Some e ->
-            unicast_addr t ~next:e.next
-              (Ack { a_src = address t; a_dst = d_src; data_seq = d_seq; sent_at })
-        | None -> stat t Key.aodv_ack_no_route
-      end
-      else begin
-        match route_lookup t d_dst with
-        | Some e ->
-            stat t Key.data_forwarded;
-            unicast_addr t ~next:e.next m ~on_fail:(fun () ->
-                invalidate_route t d_dst;
-                stat t Key.rerr_sent;
-                broadcast t (Rerr { unreachable = [ (d_dst, 0) ] }))
-        | None ->
-            stat t Key.rerr_sent;
-            broadcast t (Rerr { unreachable = [ (d_dst, 0) ] })
-      end
+  | Messages.Aodv_ack { src; dst; data_seq; sent_at } when Address.equal dst (address t) -> (
+      let k = { Address.addr = src; seq = data_seq } in
+      match Address.Seq_tbl.find_opt t.in_flight k with
+      | Some _ ->
+          Address.Seq_tbl.remove t.in_flight k;
+          Ctx.stat t.ctx Key.data_acked;
+          Ctx.observe t.ctx Key.data_rtt (now t -. sent_at)
+      | None -> Ctx.stat t.ctx Key.ack_unmatched)
+  | Messages.Aodv_ack { dst; _ } -> (
+      match route_lookup t dst with
+      | Some e -> unicast t ~next:e.next m
+      | None -> ())
   | _ -> ()
 
-let handle_ack t ~src:_ m =
-  match m with
-  | Ack { a_src; a_dst; data_seq; sent_at } ->
-      if Address.equal a_dst (address t) then begin
-        let k = { Address.addr = a_src; seq = data_seq } in
-        match Address.Seq_tbl.find_opt t.in_flight k with
-        | Some _ ->
-            Address.Seq_tbl.remove t.in_flight k;
-            stat t Key.data_acked;
-            observe t Key.data_rtt (now t -. sent_at)
-        | None -> stat t Key.ack_unmatched
-      end
-      else begin
-        match route_lookup t a_dst with
-        | Some e -> unicast_addr t ~next:e.next m
-        | None -> ()
-      end
-  | _ -> ()
-
-let handle t ~src m =
-  match m with
-  | Rreq _ -> handle_rreq t ~src m
-  | Rrep _ -> handle_rrep t ~src m
-  | Rerr _ -> handle_rerr t ~src m
-  | Data _ -> handle_data t ~src m
-  | Ack _ -> handle_ack t ~src m
+let handle t ~src msg =
+  match msg with
+  | Messages.Aodv (Messages.Aodv_rreq _ as m) -> handle_rreq t ~src m
+  | Messages.Aodv (Messages.Aodv_rrep _ as m) -> handle_rrep t ~src m
+  | Messages.Aodv (Messages.Aodv_rerr { unreachable }) -> handle_rerr t ~src unreachable
+  | Messages.Aodv (Messages.Aodv_data _ as m) -> handle_data t m
+  | Messages.Aodv (Messages.Aodv_ack _ as m) -> handle_ack t m
+  (* AODV runs without the source-routed protocols; DAD, DNS and their
+     own traffic reach their agents before the routing dispatch. *)
+  | Messages.Areq _ | Messages.Arep _ | Messages.Drep _ | Messages.Rreq _
+  | Messages.Rrep _ | Messages.Crep _ | Messages.Rerr _ | Messages.Data _
+  | Messages.Ack _ | Messages.Probe _ | Messages.Probe_reply _
+  | Messages.Name_query _ | Messages.Name_reply _ | Messages.Ip_change_request _
+  | Messages.Ip_change_challenge _ | Messages.Ip_change_proof _
+  | Messages.Ip_change_ack _ -> ()

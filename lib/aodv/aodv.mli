@@ -25,84 +25,32 @@
 
 module Address = Manet_ipv6.Address
 
-(** AODV's own wire messages (it does not share the DSR message set). *)
-type msg =
-  | Rreq of {
-      src : Address.t;
-      src_seq : int;
-      bcast_id : int;
-      dst : Address.t;
-      dst_seq_known : int;  (** 0 = unknown *)
-      hop_count : int;
-      sig_ : string;  (** SAODV: originator's signature over immutables *)
-      spk : string;
-      srn : int64;
-      hash : string;  (** SAODV hash-chain element *)
-      top_hash : string;
-      max_hops : int;
-    }
-  | Rrep of {
-      rep_src : Address.t;  (** the requester the reply travels to *)
-      rep_dst : Address.t;  (** the destination being reported *)
-      dst_seq : int;
-      hop_count : int;
-      sig_ : string;
-      dpk : string;
-      drn : int64;
-      hash : string;
-      top_hash : string;
-      max_hops : int;
-    }
-  | Rerr of { unreachable : (Address.t * int) list  (** (dst, seq) pairs *) }
-  | Data of {
-      d_src : Address.t;
-      d_dst : Address.t;
-      d_seq : int;
-      payload_size : int;
-      sent_at : float;
-    }
-  | Ack of { a_src : Address.t; a_dst : Address.t; data_seq : int; sent_at : float }
-
-val msg_size : sig_size:int -> pk_size:int -> msg -> int
-(** Wire-size model, same conventions as {!Manet_proto.Wire}. *)
-
-type config = {
-  secure : bool;  (** SAODV signatures + hash chains *)
-  discovery_timeout : float;
-  max_discovery_attempts : int;
-  route_lifetime : float;  (** entries expire without use *)
-  ack_timeout : float;
-  max_send_retries : int;
-  flood_jitter : float;
-  max_hops : int;  (** hash-chain length bound *)
-}
-
-val default_config : config
+val max_hops : int
+(** The hop bound every RREQ and RREP carries (16): the SAODV hash
+    chain's length.  A relay drops an RREQ or RREP whose hop count would
+    reach it, which also ends an RREP caught in a loop of routes. *)
 
 type t
 
-val create :
-  ?config:config ->
-  net:msg Manet_sim.Net.t ->
-  directory:Manet_proto.Directory.t ->
-  identity:Manet_proto.Identity.t ->
-  rng:Manet_crypto.Prng.t ->
-  unit ->
-  t
+val create : secure:bool -> Manet_proto.Node_ctx.t -> t
+(** One node's agent.  [secure] applies SAODV's signatures and hash
+    chains.  Sends, counters and randomness go through the node
+    context. *)
 
-val handle : t -> src:int -> msg -> unit
+val handle : t -> src:int -> Manet_proto.Messages.t -> unit
+(** Process a received message; only {!Manet_proto.Messages.Aodv}
+    traffic concerns the agent. *)
 
 val send : t -> dst:Address.t -> ?size:int -> unit -> unit
 (** Offer a data packet; discovery runs if no valid route exists. *)
 
-val address : t -> Address.t
-val node_id : t -> int
-val net : t -> msg Manet_sim.Net.t
-
-(** Stats (shared engine registry): [data.offered], [data.delivered],
-    [data.acked], [data.dropped], [route.discoveries], plus
-    [aodv.rrep_rejected] (SAODV verification failures),
-    [aodv.hash_chain_rejected], and [tx.aodv_*] counters. *)
+(** Stats: [data.offered], [data.delivered], [data.acked],
+    [data.dropped], [data.forwarded], [route.discoveries],
+    [rerr.sent], plus [aodv.rreq_rejected]/[aodv.rrep_rejected] (SAODV
+    signature failures) and [aodv.hash_chain_rejected], each also an
+    audit [Sig_verify_fail].  Transmissions count under
+    [tx.aodv_rreq], [tx.aodv_rrep], [tx.aodv_rerr], [tx.data] and
+    [tx.ack]. *)
 
 module Hash_chain : sig
   (** SAODV hop-count protection, exposed for tests. *)

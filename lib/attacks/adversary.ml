@@ -250,6 +250,35 @@ let replay_captured t ~sip ~dip ~rr =
            { sip; dip; rr = c.c_rr; remaining = back; sig_ = c.c_sig; dpk = c.c_dpk; drn = c.c_drn });
       true
 
+(* AODV's black hole: an irresistibly fresh one-hop reply, unicast to
+   the RREQ's link-layer sender, whose fresh reverse route carries it on.
+   It cannot sign as the destination, so the SAODV fields are junk and
+   the reply dies at the first SAODV verifier. *)
+let forge_aodv_rrep t ~src ~origin ~dst ~dst_seq_known =
+  match Directory.addresses_of t.ctx.Ctx.directory src with
+  | [] -> ()
+  | prev :: _ ->
+      Ctx.audit t.ctx ~kind:Audit.Attack_forgery
+        ~stats:[ Key.attack_rrep_forged ]
+        ~cause:("forged one-hop route to " ^ Address.to_string dst)
+        ();
+      let g = t.ctx.Ctx.rng in
+      Ctx.send_along t.ctx ~path:[ prev ]
+        (Messages.Aodv
+           (Messages.Aodv_rrep
+              {
+                requester = origin;
+                dst;
+                dst_seq = dst_seq_known + 1000;
+                hop_count = 0;
+                sig_ = Prng.bytes g 32;
+                dpk = Prng.bytes g 32;
+                drn = Prng.bits64 g;
+                hash = Prng.bytes g 32;
+                top_hash = Prng.bytes g 32;
+                max_hops = Manet_aodv.Aodv.max_hops;
+              }))
+
 let should_drop t =
   match t.behavior.drop_data with
   | `Never -> false
@@ -278,6 +307,14 @@ let impersonated_transit t msg =
           Ctx.send_along t.ctx ~path:tail (Messages.with_remaining msg tail);
           Some `Forwarded)
   | _ -> None
+
+(* Transit data: drop it under the drop policy, else relay honestly. *)
+let drop_or_delegate t ~src msg =
+  if should_drop t then
+    Ctx.audit t.ctx ~kind:Audit.Attack_drop
+      ~stats:[ Key.attack_data_dropped ]
+      ~cause:"transit data silently dropped" ()
+  else t.delegate ~src msg
 
 let handle t ~src msg =
   if t.behavior.mute then ()
@@ -322,12 +359,23 @@ let handle t ~src msg =
           (* Transit data: remember the flow (for RERR fabrication), then
              apply the drop policy. *)
           Address.Tbl.replace t.flows flow_src route;
-          if should_drop t then
-            Ctx.audit t.ctx ~kind:Audit.Attack_drop
-              ~stats:[ Key.attack_data_dropped ]
-              ~cause:"transit data silently dropped" ()
-          else t.delegate ~src msg
+          drop_or_delegate t ~src msg
       | None -> t.delegate ~src msg)
+  (* manetcheck: allow security — the AODV black hole answers requests
+     it has no business answering; by design it verifies nothing before
+     forging its reply, and does not relay: attract, don't help. *)
+  | Messages.Aodv (Messages.Aodv_rreq { origin; bcast_id; dst; dst_seq_known; _ })
+    when t.behavior.forge_rrep && not (Address.equal dst (address t)) ->
+      let key = { Address.addr = origin; seq = bcast_id } in
+      if not (Address.Seq_tbl.mem t.seen_rreq key) then begin
+        Address.Seq_tbl.replace t.seen_rreq key ();
+        forge_aodv_rrep t ~src ~origin ~dst ~dst_seq_known
+      end
+  | Messages.Aodv (Messages.Aodv_data { dst; _ })
+    when not (Address.equal dst (address t)) ->
+      (* AODV data reaches us only as its next hop (AODV refuses a
+         promiscuous radio): transit data. *)
+      drop_or_delegate t ~src msg
   | Messages.Probe { target; _ } -> (
       match transit_tail t msg with
       | Some _ ->

@@ -21,7 +21,12 @@
       which is exactly the §3.4 case the credit/frequency tracking
       handles;
     - {b identity churn}: periodically abandon the current CGA for a
-      fresh one, resetting any per-address blame. *)
+      fresh one, resetting any per-address blame.
+
+    Against AODV and SAODV two behaviours act: [forge_rrep] answers an
+    RREQ for another node with a forged fresh one-hop RREP (junk SAODV
+    fields) and does not relay it, and [drop_data] drops transit data.
+    Replay, RERR spam and identity churn have no AODV action. *)
 
 module Address = Manet_ipv6.Address
 module Messages = Manet_proto.Messages

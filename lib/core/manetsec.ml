@@ -20,10 +20,10 @@
     - {!Merge}: deterministic merging of per-run exports, which
       [Manet_scenario.Scn.sweep] uses to fan scenario files across
       seeds and domains (via {!Sim}[.Parallel]).
-    - {!Adversary}: the §4 attack behaviours.
-    - {!Aodv} / {!Aodv_adversary} / {!Aodv_world}: the AODV and
-      SAODV-style comparison substrate (the paper's "other routing
-      protocols" future work).
+    - {!Adversary}: the §4 attack behaviours, against every protocol.
+    - {!Aodv}: the AODV and SAODV-style comparison protocol (the
+      paper's "other routing protocols" future work), run like the
+      others through {!Scenario}.
     - {!Scenario}: whole-network orchestration for experiments and
       examples. *)
 
@@ -53,6 +53,4 @@ module Faults = Manet_faults.Faults
 module Resilience = Manet_faults.Resilience
 module Adversary = Manet_attacks.Adversary
 module Aodv = Manet_aodv.Aodv
-module Aodv_adversary = Manet_attacks.Aodv_adversary
-module Aodv_world = Manet_attacks.Aodv_world
 module Scenario = Scenario

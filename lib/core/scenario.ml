@@ -16,6 +16,7 @@ module Dns_client = Manet_dns.Client
 module Dsr = Manet_dsr.Dsr
 module Secure = Manet_secure.Secure_routing
 module Srp = Manet_secure.Srp
+module Aodv = Manet_aodv.Aodv
 module Adversary = Manet_attacks.Adversary
 module Faults = Manet_faults.Faults
 module Obs = Manet_obs.Obs
@@ -31,7 +32,7 @@ type topology_spec =
   | Explicit of { width : float; height : float; positions : (float * float) list }
 
 type suite_spec = Mock_suite | Rsa_suite of int
-type protocol = Plain_dsr | Secure | Srp_protocol
+type protocol = Plain_dsr | Secure | Srp_protocol | Aodv | Saodv
 
 type params = {
   n : int;
@@ -68,7 +69,11 @@ let default_params =
     dad_config = Dad.default_config;
   }
 
-type routing_agent = Dsr_agent of Dsr.t | Secure_agent of Secure.t | Srp_agent of Srp.t
+type routing_agent =
+  | Dsr_agent of Dsr.t
+  | Secure_agent of Secure.t
+  | Srp_agent of Srp.t
+  | Aodv_agent of Aodv.t
 
 type node = {
   index : int;
@@ -124,6 +129,10 @@ let create params =
         invalid_arg "Scenario.create: node 0 hosts the DNS and must stay honest";
       if i < 0 || i >= params.n then invalid_arg "Scenario.create: adversary index")
     params.adversaries;
+  (match params.protocol with
+  | (Aodv | Saodv) when params.promiscuous ->
+      invalid_arg "Scenario.create: AODV names no next hop, so it needs a non-promiscuous radio"
+  | Aodv | Saodv | Plain_dsr | Secure | Srp_protocol -> ());
   let engine = Engine.create ~seed:params.seed () in
   let root = Engine.rng engine in
   let topo_rng = Prng.split root in
@@ -210,12 +219,15 @@ let create params =
               in
               Secure_agent (Secure.create ~config:params.secure_config ~trusted ctx)
           | Srp_protocol -> Srp_agent (Srp.create ~master:srp_master ctx)
+          | Aodv -> Aodv_agent (Aodv.create ~secure:false ctx)
+          | Saodv -> Aodv_agent (Aodv.create ~secure:true ctx)
         in
         let honest_handle ~src msg =
           match routing with
           | Dsr_agent a -> Dsr.handle a ~src msg
           | Secure_agent a -> Secure.handle a ~src msg
           | Srp_agent a -> Srp.handle a ~src msg
+          | Aodv_agent a -> Aodv.handle a ~src msg
         in
         let adversary =
           match Hashtbl.find_opt behaviors i with
@@ -264,7 +276,8 @@ let create params =
                 match node.routing with
                 | Dsr_agent a -> Dsr.handle a ~src msg
                 | Secure_agent a -> Secure.handle a ~src msg
-                | Srp_agent a -> Srp.handle a ~src msg))
+                | Srp_agent a -> Srp.handle a ~src msg
+                | Aodv_agent a -> Aodv.handle a ~src msg))
       in
       Net.set_handler net i (fun ~src msg ->
           Perf.dispatch perf ~kind:(Messages.tag msg) ~node:i dispatch_i ~src
@@ -338,23 +351,33 @@ let bootstrap ?(stagger = 0.5) t =
   (* Let DAD, registration commits and warnings settle. *)
   let horizon =
     (stagger *. float_of_int t.params.n)
-    +. (2.0 *. t.params.dad_config.Dad.arep_wait)
+    +. (2.0 *. Dad.arep_wait)
     +. 10.0
   in
   Perf.phase (Obs.perf t.obs) ~engine:t.engine "bootstrap" (fun () ->
       Engine.run ~until:(Engine.now t.engine +. horizon) t.engine)
 
+(* Node 0's DNS address is no CGA, so SAODV refuses its route messages. *)
+let check_endpoints t ~src ~dst =
+  match t.params.protocol with
+  | Saodv when t.params.with_dns && (src = 0 || dst = 0) ->
+      invalid_arg "Scenario.send: under SAODV with the DNS, node 0 can neither send nor receive"
+  | Saodv | Aodv | Plain_dsr | Secure | Srp_protocol -> ()
+
 let send t ~src ~dst ?(size = 512) () =
+  check_endpoints t ~src ~dst;
   let dst_addr = address_of t dst in
   match t.nodes.(src).routing with
   | Dsr_agent a -> Dsr.send a ~dst:dst_addr ~size ()
   | Secure_agent a -> Secure.send a ~dst:dst_addr ~size ()
   | Srp_agent a -> Srp.send a ~dst:dst_addr ~size ()
+  | Aodv_agent a -> Aodv.send a ~dst:dst_addr ~size ()
 
 let start_cbr t ~flows ~interval ?(size = 512) ?start_at ~duration () =
   let t0 = match start_at with Some x -> x | None -> Engine.now t.engine in
   List.iter
     (fun (src, dst) ->
+      check_endpoints t ~src ~dst;
       let rec tick at =
         if at <= t0 +. duration then
           Engine.schedule_at t.engine ~label:"traffic" ~time:at (fun () ->
@@ -370,6 +393,8 @@ let discover t ~src ~dst on_route =
   | Dsr_agent a -> Dsr.discover a ~dst:dst_addr ~on_route
   | Secure_agent a -> Secure.discover a ~dst:dst_addr ~on_route
   | Srp_agent a -> Srp.discover a ~dst:dst_addr ~on_route
+  | Aodv_agent _ ->
+      invalid_arg "Scenario.discover: AODV learns next hops, not routes"
 
 let run ?until t =
   start t;

@@ -3,8 +3,8 @@
     A scenario wires together everything the lower layers provide — the
     event engine, a topology with optional mobility, the lossy radio, one
     identity per node, the DAD bootstrapping agents, the DNS server on
-    node 0, a routing agent per node (plain DSR or the paper's secure
-    protocol), and any adversaries — and exposes the traffic generators
+    node 0, a routing agent per node (plain DSR, the paper's secure
+    protocol, SRP, AODV or SAODV), and any adversaries — and exposes the traffic generators
     and metric readers the experiments and examples need.
 
     Typical use:
@@ -41,6 +41,13 @@ type protocol =
   | Srp_protocol
       (** SRP-style comparison: end-to-end MACs under pre-established
           pairwise associations, no per-hop verification *)
+  | Aodv  (** hop-by-hop distance-vector comparison ({!Manet_aodv.Aodv}) *)
+  | Saodv
+      (** AODV with SAODV's origin signatures and hop-count hash chains.
+          Node 0's well-known DNS address is no CGA, so its route
+          messages fail SAODV's check: {!send} and {!start_cbr} raise
+          [Invalid_argument] for a flow to or from node 0 unless
+          [with_dns = false]. *)
 
 type params = {
   n : int;  (** node count, including the DNS server at node 0 *)
@@ -68,6 +75,7 @@ type routing_agent =
   | Dsr_agent of Manet_dsr.Dsr.t
   | Secure_agent of Manet_secure.Secure_routing.t
   | Srp_agent of Manet_secure.Srp.t
+  | Aodv_agent of Manet_aodv.Aodv.t  (** [Aodv] and [Saodv] *)
 
 type node = {
   index : int;
@@ -82,6 +90,10 @@ type node = {
 type t
 
 val create : params -> t
+(** Build the network.  Raises [Invalid_argument] on fewer than two
+    nodes, on an adversary at a bad index or on the DNS node, and on a promiscuous radio under
+    [Aodv] or [Saodv]: AODV messages name no next hop, so every
+    neighbour that overheard a unicast would act on it. *)
 
 val engine : t -> Engine.t
 val net : t -> Manet_proto.Messages.t Manet_sim.Net.t
@@ -149,6 +161,9 @@ val start_cbr :
     [interval] seconds from [start_at] (default: now) for [duration]. *)
 
 val discover : t -> src:int -> dst:int -> (Address.t list option -> unit) -> unit
+(** Run one route discovery and pass the route found (or [None]).
+    Raises [Invalid_argument] under [Aodv] and [Saodv], which learn next
+    hops, not routes. *)
 
 val run : ?until:float -> t -> unit
 (** Drive the engine ([until] is absolute simulated time). *)

@@ -25,15 +25,13 @@ module Key = struct
   let dad_warning_sent = Stats.key "dad.warning_sent"
 end
 
-type config = {
-  arep_wait : float;
-  flood_jitter : float;
-  max_attempts : int;
-  auto_rename : bool;
-}
+let arep_wait = 2.0
+let flood_jitter = 0.02
+let max_attempts = 4
 
-let default_config =
-  { arep_wait = 2.0; flood_jitter = 0.02; max_attempts = 4; auto_rename = true }
+type config = { auto_rename : bool }
+
+let default_config = { auto_rename = true }
 
 type outcome =
   | Configured of { address : Address.t; name : string option }
@@ -161,7 +159,7 @@ let rec begin_attempt t ~attempt ~dn =
            attempt);
   Flood.sent (floods t) flood;
   Ctx.broadcast ctx (Messages.Areq { sip; seq = t.seq; dn; ch; rr = [] });
-  Engine.schedule ctx.Ctx.engine ~label:"dad" ~delay:t.config.arep_wait (fun () ->
+  Engine.schedule ctx.Ctx.engine ~label:"dad" ~delay:arep_wait (fun () ->
       match t.pending with
       | Some p when p == pending && not p.p_resolved ->
           p.p_resolved <- true;
@@ -188,7 +186,7 @@ and retry_with_new_address t p =
     ~cause:("tentative address already owned: " ^ Address.to_string (address t))
     ();
   finish_flood t (Obs.Rejected "address collision");
-  if p.p_attempt + 1 >= t.config.max_attempts then begin
+  if p.p_attempt + 1 >= max_attempts then begin
     Ctx.stat ctx Key.dad_failed;
     finish_bootstrap t (Obs.Failed "address collisions exhausted retry budget");
     t.on_complete (Failed "address collisions exhausted retry budget")
@@ -216,7 +214,7 @@ and retry_with_new_name t p =
     finish_bootstrap t (Obs.Failed "domain name conflict");
     t.on_complete (Failed "domain name conflict")
   end
-  else if p.p_attempt + 1 >= t.config.max_attempts then begin
+  else if p.p_attempt + 1 >= max_attempts then begin
     Ctx.stat ctx Key.dad_failed;
     finish_bootstrap t
       (Obs.Failed "domain name conflicts exhausted retry budget");
@@ -312,7 +310,7 @@ let first_areq t ~src ~key ~hops msg ~sip ~seq ~dn ~ch ~rr =
   t.areq_observer msg;
   if Address.equal sip (address t) then answer_duplicate t (sip, ch, rr);
   let rr' = rr @ [ address t ] in
-  let delay = Prng.float ctx.Ctx.rng t.config.flood_jitter in
+  let delay = Prng.float ctx.Ctx.rng flood_jitter in
   Engine.schedule ctx.Ctx.engine ~label:"dad" ~delay (fun () ->
       Flood.sent (floods t) flood;
       Ctx.broadcast ctx (Messages.Areq { sip; seq; dn; ch; rr = rr' }))
@@ -423,7 +421,7 @@ let relay_warning t msg =
          && not (Address.equal (address t) t.dns_address) ->
       if not (Hashtbl.mem t.seen_warning sig_) then begin
         Hashtbl.replace t.seen_warning sig_ ();
-        let delay = Prng.float t.ctx.Ctx.rng t.config.flood_jitter in
+        let delay = Prng.float t.ctx.Ctx.rng flood_jitter in
         Engine.schedule t.ctx.Ctx.engine ~label:"dad" ~delay (fun () ->
             (* manetcheck: allow flood-origin-label — warning AREP relay,
                not an AREQ/RREQ flood (see answer_duplicate). *)
@@ -451,4 +449,4 @@ let handle t ~src msg =
   | Messages.Data _ | Messages.Ack _ | Messages.Probe _
   | Messages.Probe_reply _ | Messages.Name_query _ | Messages.Name_reply _
   | Messages.Ip_change_request _ | Messages.Ip_change_challenge _
-  | Messages.Ip_change_proof _ | Messages.Ip_change_ack _ -> ()
+  | Messages.Ip_change_proof _ | Messages.Ip_change_ack _ | Messages.Aodv _ -> ()

@@ -31,12 +31,12 @@
 module Address = Manet_ipv6.Address
 module Messages = Manet_proto.Messages
 
-type config = {
-  arep_wait : float;  (** seconds of silence that mean success *)
-  flood_jitter : float;  (** max extra delay before rebroadcasting an AREQ *)
-  max_attempts : int;  (** address regenerations before giving up *)
-  auto_rename : bool;  (** derive "name-2" etc. on a DN conflict *)
-}
+val arep_wait : float
+(** Seconds of silence that mean success (2.0).  An AREQ relay waits up
+    to 0.02 s before rebroadcasting, and an initiator regenerates its
+    address at most four times before giving up. *)
+
+type config = { auto_rename : bool  (** derive "name-2" etc. on a DN conflict *) }
 
 val default_config : config
 

@@ -192,4 +192,4 @@ let handle t ~src msg =
   | Messages.Rrep _ | Messages.Crep _ | Messages.Rerr _ | Messages.Data _
   | Messages.Ack _ | Messages.Probe _ | Messages.Probe_reply _
   | Messages.Name_query _ | Messages.Ip_change_request _
-  | Messages.Ip_change_proof _ -> ()
+  | Messages.Ip_change_proof _ | Messages.Aodv _ -> ()

@@ -26,9 +26,8 @@ module Key = struct
   let dns_warning_stashed = Stats.key "dns.warning_stashed"
 end
 
-type config = { commit_wait : float }
-
-let default_config = { commit_wait = 1.5 }
+(* Seconds a registration stays pending, waiting for warnings. *)
+let commit_wait = 1.5
 
 type pending_reg = {
   reg_dn : string;
@@ -42,7 +41,6 @@ type pending_change = { chg_ch : int64; chg_old : Address.t; chg_new : Address.t
 
 type t = {
   ctx : Ctx.t;
-  config : config;
   table : (string, Address.t) Hashtbl.t;
   permanent : (string, unit) Hashtbl.t;
   (* pending registrations, indexed both ways *)
@@ -56,10 +54,9 @@ type t = {
   stashed_warnings : (float * Messages.t) Address.Tbl.t;
 }
 
-let create ?(config = default_config) ctx =
+let create ctx =
   {
     ctx;
-    config;
     table = Hashtbl.create 64;
     permanent = Hashtbl.create 16;
     pending_by_sip = Address.Tbl.create 16;
@@ -129,7 +126,7 @@ let verify_warning t ~sip ~sig_ ~pk ~rn ~ch =
        ~msg:(Codec.arep_payload ~sip ~ch)
        ~signature:sig_
 
-let stash_window t = 4.0 *. t.config.commit_wait
+let stash_window = 4.0 *. commit_wait
 
 let stash_warning t ~sip msg =
   let now = Engine.now t.ctx.Ctx.engine in
@@ -138,7 +135,7 @@ let stash_warning t ~sip msg =
     List.sort Address.compare
       (Address.Tbl.fold
          (fun k (when_, _) acc ->
-           if now -. when_ > stash_window t then k :: acc else acc)
+           if now -. when_ > stash_window then k :: acc else acc)
          t.stashed_warnings [])
   in
   List.iter (Address.Tbl.remove t.stashed_warnings) expired;
@@ -148,7 +145,7 @@ let stashed_warning_applies t ~sip ~ch =
   match Address.Tbl.find_opt t.stashed_warnings sip with
   | None -> false
   | Some (when_, Messages.Arep { sip = wsip; sig_; pk; rn; _ })
-    when Engine.now t.ctx.Ctx.engine -. when_ <= stash_window t
+    when Engine.now t.ctx.Ctx.engine -. when_ <= stash_window
          && Address.equal wsip sip ->
       verify_warning t ~sip ~sig_ ~pk ~rn ~ch
   | Some _ -> false
@@ -200,7 +197,7 @@ let observe_areq t msg =
           Hashtbl.replace t.pending_by_dn dn reg;
           Ctx.stat t.ctx Key.dns_pending;
           Engine.schedule t.ctx.Ctx.engine ~label:"dns"
-            ~delay:t.config.commit_wait (fun () ->
+            ~delay:commit_wait (fun () ->
               (* Only commit if this exact registration is still current. *)
               match Hashtbl.find_opt t.pending_by_dn dn with
               | Some r when r == reg -> commit_pending t reg
@@ -344,4 +341,4 @@ let handle t ~src msg =
   | Messages.Rrep _ | Messages.Crep _ | Messages.Rerr _ | Messages.Data _
   | Messages.Ack _ | Messages.Probe _ | Messages.Probe_reply _
   | Messages.Name_reply _ | Messages.Ip_change_challenge _
-  | Messages.Ip_change_ack _ -> ()
+  | Messages.Ip_change_ack _ | Messages.Aodv _ -> ()

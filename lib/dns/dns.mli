@@ -8,7 +8,7 @@
 
     - it observes every fresh AREQ; a conflicting name draws a signed
       [DREP] back along the AREQ's route record, otherwise the
-      registration is held pending for [commit_wait] seconds;
+      registration is held pending for 1.5 seconds;
     - a verified duplicate-address warning (an AREP arriving at the DNS)
       cancels the pending registration, so a host whose DAD failed never
       gets a name bound to the contested address;
@@ -21,14 +21,9 @@
 module Address = Manet_ipv6.Address
 module Messages = Manet_proto.Messages
 
-type config = {
-  commit_wait : float;
-      (** seconds a registration stays pending, waiting for warnings *)
-}
-
 type t
 
-val create : ?config:config -> Manet_proto.Node_ctx.t -> t
+val create : Manet_proto.Node_ctx.t -> t
 (** The node's identity must already hold the DNS's well-known address
     and key pair. *)
 

@@ -61,6 +61,14 @@ let put_srr buf srr =
       put_u64 buf e.M.rn)
     srr
 
+let put_unreachable buf unreachable =
+  put_u16 buf (List.length unreachable);
+  List.iter
+    (fun (a, seq) ->
+      put_addr buf a;
+      put_u32 buf seq)
+    unreachable
+
 let encode msg =
   let buf = Buffer.create 128 in
   (match msg with
@@ -221,7 +229,67 @@ let encode msg =
       put_addr buf old_ip;
       put_addr buf new_ip;
       put_bool buf accepted;
-      put_route buf remaining);
+      put_route buf remaining
+  | M.Aodv
+      (M.Aodv_rreq
+        {
+          origin;
+          origin_seq;
+          bcast_id;
+          dst;
+          dst_seq_known;
+          hop_count;
+          sig_;
+          spk;
+          srn;
+          hash;
+          top_hash;
+          max_hops;
+        }) ->
+      put_u8 buf 18;
+      put_addr buf origin;
+      put_u32 buf origin_seq;
+      put_u32 buf bcast_id;
+      put_addr buf dst;
+      put_u32 buf dst_seq_known;
+      put_u8 buf hop_count;
+      put_string buf sig_;
+      put_string buf spk;
+      put_u64 buf srn;
+      put_string buf hash;
+      put_string buf top_hash;
+      put_u8 buf max_hops
+  | M.Aodv
+      (M.Aodv_rrep
+        { requester; dst; dst_seq; hop_count; sig_; dpk; drn; hash; top_hash; max_hops })
+    ->
+      put_u8 buf 19;
+      put_addr buf requester;
+      put_addr buf dst;
+      put_u32 buf dst_seq;
+      put_u8 buf hop_count;
+      put_string buf sig_;
+      put_string buf dpk;
+      put_u64 buf drn;
+      put_string buf hash;
+      put_string buf top_hash;
+      put_u8 buf max_hops
+  | M.Aodv (M.Aodv_rerr { unreachable }) ->
+      put_u8 buf 20;
+      put_unreachable buf unreachable
+  | M.Aodv (M.Aodv_data { src; dst; seq; payload_size; sent_at }) ->
+      put_u8 buf 21;
+      put_addr buf src;
+      put_addr buf dst;
+      put_u32 buf seq;
+      put_u32 buf payload_size;
+      put_float buf sent_at
+  | M.Aodv (M.Aodv_ack { src; dst; data_seq; sent_at }) ->
+      put_u8 buf 22;
+      put_addr buf src;
+      put_addr buf dst;
+      put_u32 buf data_seq;
+      put_float buf sent_at);
   Buffer.contents buf
 
 (* --- encoded size -------------------------------------------------------- *)
@@ -250,6 +318,14 @@ let rec srr_entries_size acc = function
 let srr_size srr =
   ignore (u16_checked (count 0 srr));
   srr_entries_size 2 srr
+
+let unreachable_size u = 2 + ((addr_bytes + 4) * u16_checked (count 0 u))
+
+(* The SAODV fields an AODV RREQ/RREP carries: signature, key, CGA
+   modifier, the two hash-chain strings and the one-byte hop bound. *)
+let saodv_size ~sig_ ~pk ~hash ~top_hash =
+  string_size sig_ + string_size pk + 8 + string_size hash
+  + string_size top_hash + 1
 
 let tag_byte = 1
 
@@ -300,6 +376,15 @@ let encoded_size msg =
       (2 * addr_bytes) + 8 + 8 + string_size m.pk + string_size m.sig_
       + route_size m.route + route_size m.remaining
   | M.Ip_change_ack m -> (2 * addr_bytes) + 1 + route_size m.remaining
+  | M.Aodv (M.Aodv_rreq m) ->
+      (2 * addr_bytes) + 4 + 4 + 4 + 1
+      + saodv_size ~sig_:m.sig_ ~pk:m.spk ~hash:m.hash ~top_hash:m.top_hash
+  | M.Aodv (M.Aodv_rrep m) ->
+      (2 * addr_bytes) + 4 + 1
+      + saodv_size ~sig_:m.sig_ ~pk:m.dpk ~hash:m.hash ~top_hash:m.top_hash
+  | M.Aodv (M.Aodv_rerr m) -> unreachable_size m.unreachable
+  | M.Aodv (M.Aodv_data _) -> (2 * addr_bytes) + 4 + 4 + 8
+  | M.Aodv (M.Aodv_ack _) -> (2 * addr_bytes) + 4 + 8
 
 (* --- decoding ------------------------------------------------------------ *)
 
@@ -384,6 +469,14 @@ let get_srr r =
       let pk = get_string r in
       let rn = get_u64 r in
       { M.ip; sig_; pk; rn })
+
+let get_unreachable r =
+  let n = get_u16 r in
+  if n > max_list then raise (Bad "unreachable list too long");
+  List.init n (fun _ ->
+      let a = get_addr r in
+      let seq = get_u32 r in
+      (a, seq))
 
 let decode_body r =
   match get_u8 r with
@@ -544,6 +637,65 @@ let decode_body r =
       let accepted = get_bool r in
       let remaining = get_route r in
       M.Ip_change_ack { old_ip; new_ip; accepted; remaining }
+  | 18 ->
+      let origin = get_addr r in
+      let origin_seq = get_u32 r in
+      let bcast_id = get_u32 r in
+      let dst = get_addr r in
+      let dst_seq_known = get_u32 r in
+      let hop_count = get_u8 r in
+      let sig_ = get_string r in
+      let spk = get_string r in
+      let srn = get_u64 r in
+      let hash = get_string r in
+      let top_hash = get_string r in
+      let max_hops = get_u8 r in
+      M.Aodv
+        (M.Aodv_rreq
+           {
+             origin;
+             origin_seq;
+             bcast_id;
+             dst;
+             dst_seq_known;
+             hop_count;
+             sig_;
+             spk;
+             srn;
+             hash;
+             top_hash;
+             max_hops;
+           })
+  | 19 ->
+      let requester = get_addr r in
+      let dst = get_addr r in
+      let dst_seq = get_u32 r in
+      let hop_count = get_u8 r in
+      let sig_ = get_string r in
+      let dpk = get_string r in
+      let drn = get_u64 r in
+      let hash = get_string r in
+      let top_hash = get_string r in
+      let max_hops = get_u8 r in
+      M.Aodv
+        (M.Aodv_rrep
+           { requester; dst; dst_seq; hop_count; sig_; dpk; drn; hash; top_hash; max_hops })
+  | 20 ->
+      let unreachable = get_unreachable r in
+      M.Aodv (M.Aodv_rerr { unreachable })
+  | 21 ->
+      let src = get_addr r in
+      let dst = get_addr r in
+      let seq = get_u32 r in
+      let payload_size = get_u32 r in
+      let sent_at = get_float r in
+      M.Aodv (M.Aodv_data { src; dst; seq; payload_size; sent_at })
+  | 22 ->
+      let src = get_addr r in
+      let dst = get_addr r in
+      let data_seq = get_u32 r in
+      let sent_at = get_float r in
+      M.Aodv (M.Aodv_ack { src; dst; data_seq; sent_at })
   | tag -> raise (Bad (Printf.sprintf "unknown message tag %d" tag))
 
 let decode data =
@@ -665,6 +817,30 @@ let equal_message (a : M.t) (b : M.t) =
       Address.equal x.old_ip y.old_ip && Address.equal x.new_ip y.new_ip
       && x.accepted = y.accepted
       && equal_route x.remaining y.remaining
+  | M.Aodv (M.Aodv_rreq x), M.Aodv (M.Aodv_rreq y) ->
+      Address.equal x.origin y.origin && x.origin_seq = y.origin_seq
+      && x.bcast_id = y.bcast_id && Address.equal x.dst y.dst
+      && x.dst_seq_known = y.dst_seq_known && x.hop_count = y.hop_count
+      && String.equal x.sig_ y.sig_ && String.equal x.spk y.spk
+      && Int64.equal x.srn y.srn && String.equal x.hash y.hash
+      && String.equal x.top_hash y.top_hash && x.max_hops = y.max_hops
+  | M.Aodv (M.Aodv_rrep x), M.Aodv (M.Aodv_rrep y) ->
+      Address.equal x.requester y.requester && Address.equal x.dst y.dst
+      && x.dst_seq = y.dst_seq && x.hop_count = y.hop_count
+      && String.equal x.sig_ y.sig_ && String.equal x.dpk y.dpk
+      && Int64.equal x.drn y.drn && String.equal x.hash y.hash
+      && String.equal x.top_hash y.top_hash && x.max_hops = y.max_hops
+  | M.Aodv (M.Aodv_rerr x), M.Aodv (M.Aodv_rerr y) ->
+      List.length x.unreachable = List.length y.unreachable
+      && List.for_all2
+           (fun (a, s) (b, t) -> Address.equal a b && s = t)
+           x.unreachable y.unreachable
+  | M.Aodv (M.Aodv_data x), M.Aodv (M.Aodv_data y) ->
+      Address.equal x.src y.src && Address.equal x.dst y.dst && x.seq = y.seq
+      && x.payload_size = y.payload_size && x.sent_at = y.sent_at
+  | M.Aodv (M.Aodv_ack x), M.Aodv (M.Aodv_ack y) ->
+      Address.equal x.src y.src && Address.equal x.dst y.dst
+      && x.data_seq = y.data_seq && x.sent_at = y.sent_at
   | _ -> false
 
 module Oracle = struct

@@ -9,7 +9,7 @@
     Format: a 1-byte message tag, then the fields of the variant in
     declaration order — addresses as 16 network-order bytes, integers
     big-endian (u32 for sequence numbers and sizes, u64 for challenges
-    and CGA modifiers), strings and signatures u16-length-prefixed,
+    and CGA modifiers, one byte for AODV hop counts and bounds), strings and signatures u16-length-prefixed,
     routes and SRRs u16-count-prefixed, options as a presence byte.
     [sent_at] timestamps are carried as IEEE-754 bits so decode is the
     exact inverse of encode (a field a real deployment would drop).

@@ -9,6 +9,43 @@ module Json = Manet_obs.Json
 
 type srr_entry = { ip : Address.t; sig_ : string; pk : string; rn : int64 }
 
+type aodv =
+  | Aodv_rreq of {
+      origin : Address.t;
+      origin_seq : int;
+      bcast_id : int;
+      dst : Address.t;
+      dst_seq_known : int;
+      hop_count : int;
+      sig_ : string;
+      spk : string;
+      srn : int64;
+      hash : string;
+      top_hash : string;
+      max_hops : int;
+    }
+  | Aodv_rrep of {
+      requester : Address.t;
+      dst : Address.t;
+      dst_seq : int;
+      hop_count : int;
+      sig_ : string;
+      dpk : string;
+      drn : int64;
+      hash : string;
+      top_hash : string;
+      max_hops : int;
+    }
+  | Aodv_rerr of { unreachable : (Address.t * int) list }
+  | Aodv_data of {
+      src : Address.t;
+      dst : Address.t;
+      seq : int;
+      payload_size : int;
+      sent_at : float;
+    }
+  | Aodv_ack of { src : Address.t; dst : Address.t; data_seq : int; sent_at : float }
+
 type t =
   | Areq of {
       sip : Address.t;
@@ -151,6 +188,7 @@ type t =
       accepted : bool;
       remaining : Address.t list;
     }
+  | Aodv of aodv
 
 (* Per-constructor constants: the tag and the transmission counters'
    keys, made once so a send bumps its counters without building or
@@ -177,6 +215,9 @@ let k_ip_change_request = kind "ip_change_request"
 let k_ip_change_challenge = kind "ip_change_challenge"
 let k_ip_change_proof = kind "ip_change_proof"
 let k_ip_change_ack = kind "ip_change_ack"
+let k_aodv_rreq = kind "aodv_rreq"
+let k_aodv_rrep = kind "aodv_rrep"
+let k_aodv_rerr = kind "aodv_rerr"
 
 let kind_of = function
   | Areq _ -> k_areq
@@ -196,6 +237,13 @@ let kind_of = function
   | Ip_change_challenge _ -> k_ip_change_challenge
   | Ip_change_proof _ -> k_ip_change_proof
   | Ip_change_ack _ -> k_ip_change_ack
+  | Aodv (Aodv_rreq _) -> k_aodv_rreq
+  | Aodv (Aodv_rrep _) -> k_aodv_rrep
+  | Aodv (Aodv_rerr _) -> k_aodv_rerr
+  (* AODV data and acks count with the source-routed ones, so the
+     control-traffic readers leave them out alike. *)
+  | Aodv (Aodv_data _) -> k_data
+  | Aodv (Aodv_ack _) -> k_ack
 
 let tag m = (kind_of m).tag
 let tx_key m = (kind_of m).tx
@@ -219,6 +267,7 @@ let remaining = function
   | Ip_change_challenge m -> Some m.remaining
   | Ip_change_proof m -> Some m.remaining
   | Ip_change_ack m -> Some m.remaining
+  | Aodv _ -> None
 
 let with_remaining msg hops =
   match msg with
@@ -239,6 +288,7 @@ let with_remaining msg hops =
   | Ip_change_challenge m -> Ip_change_challenge { m with remaining = hops }
   | Ip_change_proof m -> Ip_change_proof { m with remaining = hops }
   | Ip_change_ack m -> Ip_change_ack { m with remaining = hops }
+  | Aodv _ -> msg
 
 (* --- rendering ---------------------------------------------------------
 
@@ -335,5 +385,25 @@ let add_to_buffer addr buf msg =
   | Ip_change_proof m ->
       add_addr addr buf "IP_CHANGE_PROOF(old=" m.old_ip;
       add_addr addr buf ", new=" m.new_ip
-  | Ip_change_ack m -> add_str buf "IP_CHANGE_ACK(accepted=" (Bool.to_string m.accepted));
+  | Ip_change_ack m -> add_str buf "IP_CHANGE_ACK(accepted=" (Bool.to_string m.accepted)
+  | Aodv (Aodv_rreq m) ->
+      add_addr addr buf "AODV_RREQ(origin=" m.origin;
+      add_addr addr buf ", dst=" m.dst;
+      add_int buf ", id=" m.bcast_id;
+      add_int buf ", hops=" m.hop_count
+  | Aodv (Aodv_rrep m) ->
+      add_addr addr buf "AODV_RREP(requester=" m.requester;
+      add_addr addr buf ", dst=" m.dst;
+      add_int buf ", seq=" m.dst_seq;
+      add_int buf ", hops=" m.hop_count
+  | Aodv (Aodv_rerr m) ->
+      add_route addr buf "AODV_RERR(unreachable=" (List.map fst m.unreachable)
+  | Aodv (Aodv_data m) ->
+      add_addr addr buf "AODV_DATA(src=" m.src;
+      add_addr addr buf ", dst=" m.dst;
+      add_int buf ", seq=" m.seq
+  | Aodv (Aodv_ack m) ->
+      add_addr addr buf "AODV_ACK(src=" m.src;
+      add_addr addr buf ", dst=" m.dst;
+      add_int buf ", seq=" m.data_seq);
   Buffer.add_char buf ')'

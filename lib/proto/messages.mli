@@ -23,6 +23,51 @@ type srr_entry = {
 }
 (** One hop of the secure route record of §3.3. *)
 
+(** AODV's messages ({!Manet_aodv.Aodv}): hop-by-hop routing, so none
+    carries a route.  Under plain AODV the SAODV fields (signature, key,
+    modifier and hash chain) are empty. *)
+type aodv =
+  | Aodv_rreq of {
+      origin : Address.t;  (** the requester *)
+      origin_seq : int;
+      bcast_id : int;  (** with [origin], the flood's dedup key *)
+      dst : Address.t;
+      dst_seq_known : int;  (** 0 = unknown *)
+      hop_count : int;
+      sig_ : string;  (** SAODV: the origin's signature over the immutable fields *)
+      spk : string;
+      srn : int64;
+      hash : string;  (** SAODV hash-chain element *)
+      top_hash : string;
+      max_hops : int;
+    }
+  | Aodv_rrep of {
+      requester : Address.t;  (** the node the reply travels to *)
+      dst : Address.t;  (** the destination being reported *)
+      dst_seq : int;
+      hop_count : int;
+      sig_ : string;  (** SAODV: [dst]'s signature over the immutable fields *)
+      dpk : string;
+      drn : int64;
+      hash : string;
+      top_hash : string;
+      max_hops : int;
+    }
+  | Aodv_rerr of { unreachable : (Address.t * int) list  (** (dst, seq) pairs *) }
+  | Aodv_data of {
+      src : Address.t;
+      dst : Address.t;
+      seq : int;
+      payload_size : int;
+      sent_at : float;  (** simulation metadata for latency; not on the wire *)
+    }
+  | Aodv_ack of {
+      src : Address.t;  (** the data's destination *)
+      dst : Address.t;  (** the data's source *)
+      data_seq : int;
+      sent_at : float;  (** when the acknowledged data left its source *)
+    }
+
 type t =
   | Areq of {
       sip : Address.t;  (** tentative address under test *)
@@ -165,9 +210,12 @@ type t =
       accepted : bool;
       remaining : Address.t list;
     }
+  | Aodv of aodv  (** the AODV/SAODV comparison protocol's traffic *)
 
 val tag : t -> string
-(** Short lowercase tag ("areq", "rrep", ...) for stats and traces. *)
+(** Short lowercase tag ("areq", "rrep", "aodv_rreq", ...) for stats and
+    traces.  AODV data and acks share ["data"] and ["ack"] with the
+    source-routed ones. *)
 
 val tx_key : t -> Manet_sim.Stats.key
 (** The key of counter ["tx." ^ tag m], a per-constructor constant made
@@ -178,10 +226,12 @@ val txbytes_key : t -> Manet_sim.Stats.key
     the transmitted byte counter. *)
 
 val remaining : t -> Address.t list option
-(** The source-route hops left, or [None] for flooded messages (AREQ). *)
+(** The source-route hops left, or [None] for flooded messages (AREQ,
+    RREQ) and for AODV's hop-by-hop messages. *)
 
 val with_remaining : t -> Address.t list -> t
-(** Replace the [remaining] field (identity on AREQ). *)
+(** Replace the [remaining] field (identity where {!remaining} is
+    [None]). *)
 
 val add_to_buffer : (Buffer.t -> Address.t -> unit) -> Buffer.t -> t -> unit
 (** [add_to_buffer addr buf m] appends the one-line summary used in

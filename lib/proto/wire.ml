@@ -5,7 +5,7 @@ let ipv6_header = 40
 (* Simulation-only metadata carried inside the encoding but not charged
    on the wire: the [sent_at] float of Data and Ack. *)
 let sim_metadata_bytes = function
-  | M.Data _ | M.Ack _ -> 8
+  | M.Data _ | M.Ack _ | M.Aodv (M.Aodv_data _ | M.Aodv_ack _) -> 8
   | _ -> 0
 
 let size_of msg =

@@ -54,12 +54,16 @@ let kw_false = "false"
 let kw_secure = "secure"
 let kw_dsr = "dsr"
 let kw_srp = "srp"
+let kw_aodv = "aodv"
+let kw_saodv = "saodv"
 
 let protocols =
   [
     (kw_secure, Scenario.Secure);
     (kw_dsr, Scenario.Plain_dsr);
     (kw_srp, Scenario.Srp_protocol);
+    (kw_aodv, Scenario.Aodv);
+    (kw_saodv, Scenario.Saodv);
   ]
 
 let kw_mock = "mock"

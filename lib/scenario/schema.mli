@@ -50,7 +50,7 @@ val kw_false : string
 
 val protocols : (string * Manetsec.Scenario.protocol) list
 (** Every protocol under its keyword, the value of the [(protocol ...)]
-    field. *)
+    field: [secure], [dsr], [srp], [aodv] and [saodv]. *)
 
 type suite_form =
   | Bare of Manetsec.Scenario.suite_spec  (** written as the keyword alone *)

@@ -346,7 +346,10 @@ let decode_suite form =
       err p "the %s suite needs a modulus size: write (%s <bits>)" s s
   | Schema.Bare _, Some _ -> err p "the %s suite takes no modulus size: write %s" s s
 
-let decode_flow ~n form =
+(* Under SAODV node 0 keeps the DNS's well-known address, which is no
+   CGA, so every route message it originates fails the origin check: a
+   flow to or from it while the DNS runs would deliver nothing. *)
+let decode_flow ~n ~saodv_dns form =
   let f = field_of form in
   if not (String.equal f.f_key Schema.kw_cbr) then
     err f.f_kpos "unknown traffic generator %s, expected (%s ...)" f.f_key
@@ -359,13 +362,18 @@ let decode_flow ~n form =
       ]
       f.f_args
   in
-  let flow_src =
-    node_idx ~n "the flow source" (req ~what:"cbr flow" f.f_pos fs Schema.kw_src)
+  let endpoint what key =
+    let form = req ~what:"cbr flow" f.f_pos fs key in
+    let i = node_idx ~n what form in
+    if saodv_dns && Int.equal i 0 then
+      err (Sexp.pos_of form)
+        "%s is node 0, whose DNS address is no CGA, so SAODV refuses its \
+         route messages: set (%s false)"
+        what Schema.kw_dns;
+    i
   in
-  let flow_dst =
-    node_idx ~n "the flow destination"
-      (req ~what:"cbr flow" f.f_pos fs Schema.kw_dst)
-  in
+  let flow_src = endpoint "the flow source" Schema.kw_src in
+  let flow_dst = endpoint "the flow destination" Schema.kw_dst in
   if Int.equal flow_src flow_dst then
     err f.f_pos "cbr flow source and destination are both node %d" flow_src;
   let flow_interval =
@@ -387,8 +395,10 @@ let decode_flow ~n form =
   in
   { flow_src; flow_dst; flow_interval; flow_size; flow_start; flow_duration }
 
-(* Each adversary kind with the behaviour its parameters build; a kind
-   accepts only its own parameter. *)
+(* Each adversary kind with whether it acts under AODV and SAODV, and
+   the behaviour its parameters build; a kind accepts only its own
+   parameter.  The replayer and the RERR spammer act only on
+   source-routed messages, so under AODV they would do nothing. *)
 let adversary_kinds =
   let fixed behavior kind params =
     (match List.map field_of params with
@@ -404,19 +414,32 @@ let adversary_kinds =
         make ~every)
   in
   [
-    (Schema.kw_blackhole, fixed Adversary.blackhole);
+    (Schema.kw_blackhole, (true, fixed Adversary.blackhole));
     ( Schema.kw_grayhole,
-      with_param Schema.kw_prob ~decode:(fraction Schema.kw_prob) ~default:0.5
-        Adversary.grayhole );
-    (Schema.kw_replayer, fixed Adversary.replayer);
-    (Schema.kw_rerr_spammer, every ~default:1.0 Adversary.rerr_spammer);
-    (Schema.kw_identity_churner, every ~default:10.0 Adversary.identity_churner);
-    (Schema.kw_sleeper, fixed Adversary.sleeper);
+      ( true,
+        with_param Schema.kw_prob ~decode:(fraction Schema.kw_prob) ~default:0.5
+          Adversary.grayhole ) );
+    (Schema.kw_replayer, (false, fixed Adversary.replayer));
+    (Schema.kw_rerr_spammer, (false, every ~default:1.0 Adversary.rerr_spammer));
+    (Schema.kw_identity_churner, (true, every ~default:10.0 Adversary.identity_churner));
+    (Schema.kw_sleeper, (true, fixed Adversary.sleeper));
   ]
 
-let decode_adversary ~n ~dns form =
+let is_aodv = function
+  | Scenario.Aodv | Scenario.Saodv -> true
+  | Scenario.Plain_dsr | Scenario.Secure | Scenario.Srp_protocol -> false
+
+let protocol_keyword protocol =
+  fst (List.find (fun (_, p) -> p = protocol) Schema.protocols)
+
+let decode_adversary ~n ~dns ~protocol form =
   let f = field_of form in
-  let behavior = lookup ~what:"adversary kind" adversary_kinds f.f_kpos f.f_key in
+  let acts_under_aodv, behavior =
+    lookup ~what:"adversary kind" adversary_kinds f.f_kpos f.f_key
+  in
+  if is_aodv protocol && not acts_under_aodv then
+    err f.f_kpos "adversary %s has no action under protocol %s" f.f_key
+      (protocol_keyword protocol);
   let node_form, params = node_then ~what:"adversary" f in
   (non_dns_node ~n ~dns "an adversary" node_form, behavior f.f_key params)
 
@@ -669,6 +692,13 @@ let of_sexp form =
       ~default:d.promiscuous
   in
   let protocol = single Schema.kw_protocol ~decode:decode_protocol ~default:d.protocol in
+  (* AODV messages name no next hop, so under a promiscuous radio every
+     neighbour that overhears a unicast would act on it as the next hop. *)
+  (match find Schema.kw_promiscuous with
+  | Some f when promiscuous && is_aodv protocol ->
+      err f.f_kpos "%s radios are not supported under protocol %s"
+        Schema.kw_promiscuous (protocol_keyword protocol)
+  | Some _ | None -> ());
   let suite = single Schema.kw_suite ~decode:decode_suite ~default:d.suite in
   let dns = single Schema.kw_dns ~decode:(bool_v Schema.kw_dns) ~default:d.with_dns in
   let topology =
@@ -687,13 +717,16 @@ let of_sexp form =
   let flows =
     match find Schema.kw_traffic with
     | None -> []
-    | Some f -> List.map (decode_flow ~n) f.f_args
+    | Some f ->
+        List.map
+          (decode_flow ~n ~saodv_dns:(dns && protocol = Scenario.Saodv))
+          f.f_args
   in
   let adversaries =
     match find Schema.kw_adversaries with
     | None -> d.adversaries
     | Some f ->
-        let advs = List.map (decode_adversary ~n ~dns) f.f_args in
+        let advs = List.map (decode_adversary ~n ~dns ~protocol) f.f_args in
         let nodes_seen = ref [] in
         List.iteri
           (fun i (node, _) ->

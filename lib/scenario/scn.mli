@@ -79,7 +79,11 @@ exception Error of { pos : Sexp.pos; msg : string }
 val parse : string -> t
 (** Decode and validate one scenario file.  Raises {!Error} on schema
     violations (unknown/duplicate fields, out-of-range values, bad node
-    ids, ...) and {!Sexp.Parse_error} on lexical errors. *)
+    ids, an adversary kind with no action under the file's protocol
+    ([replayer] and [rerr-spammer] under [aodv] and [saodv]), a
+    promiscuous radio under [aodv] or [saodv], a flow to or from node 0
+    under [saodv] while the DNS runs, ...) and {!Sexp.Parse_error} on
+    lexical errors. *)
 
 val execute :
   ?seed:int -> ?on_create:(Manetsec.Scenario.t -> unit) -> t -> Manetsec.Scenario.t

@@ -1,15 +1,14 @@
 module Address = Manet_ipv6.Address
 
-type config = {
-  initial : float;
-  reward : float;
-  penalty : float;
-  rerr_window : float;
-  rerr_threshold : int;
-}
+(* A never-seen host's credit, the per-host increment on an acked
+   delivery, and what detected misbehaviour subtracts. *)
+let initial = 0.0
+let reward = 1.0
+let penalty = 100.0
 
-let default_config =
-  { initial = 0.0; reward = 1.0; penalty = 100.0; rerr_window = 30.0; rerr_threshold = 5 }
+type config = { rerr_window : float; rerr_threshold : int }
+
+let default_config = { rerr_window = 30.0; rerr_threshold = 5 }
 
 (* One cell per host the source has noted: scored, slashed or reported
    by a RERR.  The record is all-float, so the score is stored flat and
@@ -32,7 +31,7 @@ let cell t a =
   | exception Not_found ->
       (* manetcheck: allow hot-alloc — one cell per host, made the first
          time it is scored, slashed or reported. *)
-      let c = { score = t.config.initial } in
+      let c = { score = initial } in
       Address.Tbl.add t.cells a c;
       c
 
@@ -41,18 +40,18 @@ let cell t a =
 let[@inline] get t a =
   match Address.Tbl.find t.cells a with
   | c -> c.score
-  | exception Not_found -> t.config.initial
+  | exception Not_found -> initial
 
 let rec reward_route t = function
   | [] -> ()
   | a :: rest ->
       let c = cell t a in
-      c.score <- c.score +. t.config.reward;
+      c.score <- c.score +. reward;
       reward_route t rest
 
 let slash t a =
   let c = cell t a in
-  c.score <- c.score -. t.config.penalty
+  c.score <- c.score -. penalty
 
 let record_rerr t reporter ~now =
   ignore (cell t reporter);

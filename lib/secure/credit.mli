@@ -8,14 +8,14 @@
     against identity churn: an adversary who keeps changing its CGA
     keeps returning to the bottom of the trust scale.  In hostile
     environments the source prefers routes whose {e minimum} member
-    credit is highest. *)
+    credit is highest.
+
+    A never-seen host starts at 0, an acked delivery adds 1 to each
+    host on the route, and a slash subtracts 100. *)
 
 module Address = Manet_ipv6.Address
 
 type config = {
-  initial : float;  (** credit of a never-seen host *)
-  reward : float;  (** per-host increment on an acked delivery *)
-  penalty : float;  (** subtracted on detected misbehaviour *)
   rerr_window : float;  (** seconds of RERR-frequency history *)
   rerr_threshold : int;  (** RERRs per window that mark a reporter hostile *)
 }

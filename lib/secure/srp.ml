@@ -204,3 +204,4 @@ let handle t ~src msg =
   | Messages.Ip_change_challenge _ | Messages.Ip_change_proof _
   | Messages.Ip_change_ack _ ->
       Ctx.forward_transit t.Sr.ctx ~src msg
+  | Messages.Aodv _ -> ()

@@ -27,6 +27,9 @@ let opt g f = if Test_crypto.coin g then Some (f g) else None
 let i32 g = Prng.int g 1000000
 let fl g = Prng.float g 1000.0
 
+(* AODV hop counts and bounds travel in one byte. *)
+let u8 g = Prng.int g 256
+
 (* One named generator per constructor; the list is the authoritative
    per-variant coverage table. *)
 let variant_gens : (string * (Prng.t -> Messages.t)) list =
@@ -122,6 +125,36 @@ let variant_gens : (string * (Prng.t -> Messages.t)) list =
         Messages.Ip_change_ack
           { old_ip = addr g; new_ip = addr g; accepted = Test_crypto.coin g;
             remaining = route g } );
+    ( "Aodv_rreq",
+      fun g ->
+        Messages.Aodv
+          (Aodv_rreq
+             { origin = addr g; origin_seq = i32 g; bcast_id = i32 g; dst = addr g;
+               dst_seq_known = i32 g; hop_count = u8 g; sig_ = str g; spk = str g;
+               srn = Prng.bits64 g; hash = str g; top_hash = str g; max_hops = u8 g })
+    );
+    ( "Aodv_rrep",
+      fun g ->
+        Messages.Aodv
+          (Aodv_rrep
+             { requester = addr g; dst = addr g; dst_seq = i32 g; hop_count = u8 g;
+               sig_ = str g; dpk = str g; drn = Prng.bits64 g; hash = str g;
+               top_hash = str g; max_hops = u8 g }) );
+    ( "Aodv_rerr",
+      fun g ->
+        Messages.Aodv
+          (Aodv_rerr { unreachable = List.map (fun a -> (a, i32 g)) (route g) }) );
+    ( "Aodv_data",
+      fun g ->
+        Messages.Aodv
+          (Aodv_data
+             { src = addr g; dst = addr g; seq = i32 g; payload_size = i32 g;
+               sent_at = fl g }) );
+    ( "Aodv_ack",
+      fun g ->
+        Messages.Aodv
+          (Aodv_ack { src = addr g; dst = addr g; data_seq = i32 g; sent_at = fl g })
+    );
   ]
 
 let gen_of mk =
@@ -296,6 +329,29 @@ let test_known_encoding_stable () =
   Alcotest.(check string) "ch bytes" "\x00\x00\x00\x00\x00\x00\x11\x22"
     (String.sub enc 33 8)
 
+let test_saodv_rreq_encoding_stable () =
+  (* The SAODV RREQ's layout, field by field: tag 18, origin, origin
+     seq, broadcast id, destination, known destination seq, one-byte hop
+     count, signature, key, modifier, hash, top hash, one-byte bound. *)
+  let a = Address.of_string_exn "fec0::1" in
+  let b = Address.of_string_exn "fec0::2" in
+  let m =
+    Messages.Aodv
+      (Aodv_rreq
+         { origin = a; origin_seq = 3; bcast_id = 0x0102; dst = b; dst_seq_known = 0;
+           hop_count = 2; sig_ = "SIG"; spk = "PK"; srn = 0x0aL; hash = "h";
+           top_hash = "top"; max_hops = 16 })
+  in
+  let expected =
+    String.concat ""
+      [ "\x12"; Address.to_bytes a; "\x00\x00\x00\x03"; "\x00\x00\x01\x02";
+        Address.to_bytes b; "\x00\x00\x00\x00"; "\x02"; "\x00\x03SIG";
+        "\x00\x02PK"; "\x00\x00\x00\x00\x00\x00\x00\x0a"; "\x00\x01h";
+        "\x00\x03top"; "\x10" ]
+  in
+  Alcotest.(check string) "bytes" expected (Binary.Oracle.encode m);
+  Alcotest.(check int) "encoded_size" (String.length expected) (Binary.encoded_size m)
+
 let suites =
   [
     ( "proto.binary",
@@ -312,5 +368,7 @@ let suites =
           Alcotest.test_case "unknown tag" `Quick test_unknown_tag_rejected;
           Alcotest.test_case "oversized route" `Quick test_oversized_route_rejected;
           Alcotest.test_case "stable encoding" `Quick test_known_encoding_stable;
+          Alcotest.test_case "stable SAODV RREQ encoding" `Quick
+            test_saodv_rreq_encoding_stable;
         ] );
   ]

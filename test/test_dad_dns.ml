@@ -210,7 +210,7 @@ let test_dad_name_conflict_renames () =
 let test_dad_name_conflict_fails_without_rename () =
   let w = make_world () in
   ignore (expect_configured (run_dad w 1 ~dn:"server"));
-  let config = { Dad.default_config with auto_rename = false } in
+  let config = { Dad.auto_rename = false } in
   let dad = Dad.create ~config ~dns_pk:w.dns_pk w.ctxs.(2) in
   (* Swap in the stricter agent for node 2. *)
   let result = ref None in

@@ -261,6 +261,21 @@ let ref_pp fmt msg =
         pp_addr m.new_ip
   | Ip_change_ack m ->
       Format.fprintf fmt "IP_CHANGE_ACK(accepted=%b)" m.accepted
+  | Aodv (Aodv_rreq m) ->
+      Format.fprintf fmt "AODV_RREQ(origin=%a, dst=%a, id=%d, hops=%d)" pp_addr
+        m.origin pp_addr m.dst m.bcast_id m.hop_count
+  | Aodv (Aodv_rrep m) ->
+      Format.fprintf fmt "AODV_RREP(requester=%a, dst=%a, seq=%d, hops=%d)"
+        pp_addr m.requester pp_addr m.dst m.dst_seq m.hop_count
+  | Aodv (Aodv_rerr m) ->
+      Format.fprintf fmt "AODV_RERR(unreachable=%a)" ref_pp_route
+        (List.map fst m.unreachable)
+  | Aodv (Aodv_data m) ->
+      Format.fprintf fmt "AODV_DATA(src=%a, dst=%a, seq=%d)" pp_addr m.src
+        pp_addr m.dst m.seq
+  | Aodv (Aodv_ack m) ->
+      Format.fprintf fmt "AODV_ACK(src=%a, dst=%a, seq=%d)" pp_addr m.src
+        pp_addr m.dst m.data_seq
 
 (* One message of every constructor per sample.  Addresses are sparse
    (zero runs, so '::' in every position) or dense; routes are empty,
@@ -334,6 +349,22 @@ let every_message g =
         pk = str g; sig_ = str g; route = route g; remaining = route g };
     Ip_change_ack
       { old_ip = addr g; new_ip = addr g; accepted = Test_crypto.coin g; remaining = route g };
+    Aodv
+      (Aodv_rreq
+         { origin = addr g; origin_seq = int g; bcast_id = int g; dst = addr g;
+           dst_seq_known = int g; hop_count = int g; sig_ = str g; spk = str g;
+           srn = r64 g; hash = str g; top_hash = str g; max_hops = int g });
+    Aodv
+      (Aodv_rrep
+         { requester = addr g; dst = addr g; dst_seq = int g; hop_count = int g;
+           sig_ = str g; dpk = str g; drn = r64 g; hash = str g; top_hash = str g;
+           max_hops = int g });
+    Aodv (Aodv_rerr { unreachable = List.map (fun a -> (a, int g)) (route g) });
+    Aodv
+      (Aodv_data
+         { src = addr g; dst = addr g; seq = int g; payload_size = int g;
+           sent_at = fl g });
+    Aodv (Aodv_ack { src = addr g; dst = addr g; data_seq = int g; sent_at = fl g });
   ]
 
 let prop_add_to_buffer_matches_oracle =

@@ -179,7 +179,7 @@ let test_credit_reward_slash () =
     (Credit.min_credit c [] = infinity)
 
 let test_credit_rerr_threshold () =
-  let config = { Credit.default_config with rerr_threshold = 3; rerr_window = 10.0 } in
+  let config = { Credit.rerr_threshold = 3; rerr_window = 10.0 } in
   let c = Credit.create ~config () in
   let r = addr 5 in
   Alcotest.(check bool) "1st" false (Credit.record_rerr c r ~now:0.0);

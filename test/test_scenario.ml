@@ -106,7 +106,53 @@ let test_error_positions () =
     ~line:5 ~col:71 ~needle:"node 3 joins with two duplicate addresses";
   check_err "duplicate-address without a stagger"
     (bootstrap "(duplicate-address 3 1)")
-    ~line:5 ~col:14 ~needle:"needs the bootstrap's (stagger ...) stated"
+    ~line:5 ~col:14 ~needle:"needs the bootstrap's (stagger ...) stated";
+  (* AODV gives the source-routed attacks nothing to do. *)
+  let aodv_file protocol body =
+    Printf.sprintf
+      "(scenario\n  (schema manetsim-scenario 1)\n  (name ok)\n  (nodes 4)\n\
+       \  (protocol %s)\n  %s)"
+      protocol body
+  in
+  List.iter
+    (fun (protocol, kind) ->
+      check_err
+        (Printf.sprintf "%s adversary under %s" kind protocol)
+        (aodv_file protocol (Printf.sprintf "(adversaries (blackhole 1) (%s 2))" kind))
+        ~line:6 ~col:31
+        ~needle:(Printf.sprintf "adversary %s has no action under protocol %s" kind protocol))
+    [
+      ("aodv", "replayer"); ("aodv", "rerr-spammer");
+      ("saodv", "replayer"); ("saodv", "rerr-spammer");
+    ];
+  (* AODV names no next hop: every overhearing neighbour would act as one. *)
+  List.iter
+    (fun protocol ->
+      check_err
+        (Printf.sprintf "promiscuous radio under %s" protocol)
+        (aodv_file protocol "(promiscuous true)")
+        ~line:6 ~col:4
+        ~needle:(Printf.sprintf "promiscuous radios are not supported under protocol %s" protocol))
+    [ "aodv"; "saodv" ];
+  (* Under SAODV node 0's DNS address is no CGA: its flows deliver nothing. *)
+  check_err "saodv flow from the DNS node"
+    (aodv_file "saodv" "(traffic (cbr (src 0) (dst 3)))")
+    ~line:6 ~col:22 ~needle:"the flow source is node 0, whose DNS address is no CGA";
+  check_err "saodv flow to the DNS node"
+    (aodv_file "saodv" "(traffic (cbr (src 2) (dst 0)))")
+    ~line:6 ~col:30 ~needle:"the flow destination is node 0";
+  List.iter
+    (fun (protocol, body) ->
+      match Scn.parse (aodv_file protocol body) with
+      | _decoded -> ()
+      | exception Scn.Error { msg; _ } ->
+          Alcotest.failf "%s %s: unexpected error %s" protocol body msg)
+    [
+      ("aodv", "(adversaries (identity-churner 2) (sleeper 3))");
+      ("aodv", "(promiscuous false)");
+      ("aodv", "(traffic (cbr (src 0) (dst 3)))");
+      ("saodv", "(dns false)\n  (traffic (cbr (src 0) (dst 3)))");
+    ]
 
 (* The full vocabulary decodes to the expected typed form. *)
 let test_vocabulary () =
@@ -144,7 +190,8 @@ let test_vocabulary () =
   Alcotest.(check bool) "dns off" false p.Scenario.with_dns;
   (match p.Scenario.protocol with
   | Scenario.Plain_dsr -> ()
-  | Scenario.Secure | Scenario.Srp_protocol -> Alcotest.fail "expected the dsr protocol");
+  | Scenario.Secure | Scenario.Srp_protocol | Scenario.Aodv | Scenario.Saodv ->
+      Alcotest.fail "expected the dsr protocol");
   (match p.Scenario.suite with
   | Scenario.Rsa_suite 512 -> ()
   | Scenario.Rsa_suite _ | Scenario.Mock_suite -> Alcotest.fail "expected (rsa 512)");
@@ -177,6 +224,16 @@ let test_vocabulary () =
       ]);
   Alcotest.(check int) "faults" 6 (List.length scn.Scn.faults);
   Alcotest.(check int) "exports" 2 (List.length scn.Scn.exports);
+  List.iter
+    (fun (keyword, expected) ->
+      let p =
+        (Scn.parse
+           ("(scenario (schema manetsim-scenario 1) (name hop) (nodes 4) (protocol "
+          ^ keyword ^ "))"))
+          .Scn.params
+      in
+      Alcotest.(check bool) ("protocol " ^ keyword) true (p.Scenario.protocol = expected))
+    [ ("aodv", Scenario.Aodv); ("saodv", Scenario.Saodv) ];
   (* A flap every microsecond and a churn over 1e9 s decode to two
      symbolic forms, never to their events (so this is never run). *)
   let hostile =

@@ -19,7 +19,7 @@ let rules =
 let signed_ctors =
   [
     "Arep"; "Drep"; "Rreq"; "Rrep"; "Crep"; "Rerr"; "Probe_reply";
-    "Name_reply"; "Ip_change_proof";
+    "Name_reply"; "Ip_change_proof"; "Aodv_rreq"; "Aodv_rrep";
   ]
 
 let named_sinks =
