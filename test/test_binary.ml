@@ -329,6 +329,42 @@ let test_known_encoding_stable () =
   Alcotest.(check string) "ch bytes" "\x00\x00\x00\x00\x00\x00\x11\x22"
     (String.sub enc 33 8)
 
+(* A fixed-seed sample of every constructor: twenty rounds over
+   [variant_gens], drawn from one generator. *)
+let golden_sample =
+  let g = Prng.create ~seed:36 in
+  List.concat (List.init 20 (fun _ -> List.map (fun (_, mk) -> mk g) variant_gens))
+
+(* The sample's bytes, sizes and text, recorded from the hand-written
+   codec, before the field table replaced it: the SHA-256 of the concatenated
+   encodings, the sum of [encoded_size], and the SHA-256 of the
+   rendered summaries, one per line. *)
+let encoding_golden = "174c1570fc7a72e38a8d61e6b0ea9e52698650fe4006ade088dab5f474633596"
+let size_golden = 52002
+let text_golden = "02a4f056095698ffb8abf1d2cf02c146587b22e438b44e39403de839988f2d6b"
+
+let test_encoding_golden () =
+  let hex s = Manet_crypto.Sha256.digest_hex s in
+  Alcotest.(check int) "sample covers every constructor" (20 * List.length variant_gens)
+    (List.length golden_sample);
+  Alcotest.(check string) "encodings" encoding_golden
+    (hex (String.concat "" (List.map Binary.Oracle.encode golden_sample)));
+  Alcotest.(check int) "encoded_size sum" size_golden
+    (List.fold_left (fun acc m -> acc + Binary.encoded_size m) 0 golden_sample);
+  Alcotest.(check string) "rendered text" text_golden
+    (hex (String.concat "\n" (List.map Test_proto.msg_text golden_sample)))
+
+let test_encoded_size_allocation () =
+  (* [encoded_size] runs on every send: it reads the message and
+     allocates nothing. *)
+  let sample = Array.of_list golden_sample in
+  let per_call =
+    Test_crypto.minor_words_per_call 1_000 (fun () ->
+        Array.iter (fun m -> ignore (Sys.opaque_identity (Binary.encoded_size m))) sample)
+  in
+  Alcotest.(check (float 0.0)) "minor words per encoded_size" 0.0
+    (per_call /. float_of_int (Array.length sample))
+
 let test_saodv_rreq_encoding_stable () =
   (* The SAODV RREQ's layout, field by field: tag 18, origin, origin
      seq, broadcast id, destination, known destination seq, one-byte hop
@@ -370,5 +406,8 @@ let suites =
           Alcotest.test_case "stable encoding" `Quick test_known_encoding_stable;
           Alcotest.test_case "stable SAODV RREQ encoding" `Quick
             test_saodv_rreq_encoding_stable;
+          Alcotest.test_case "encoding golden" `Quick test_encoding_golden;
+          Alcotest.test_case "encoded_size allocation" `Quick
+            test_encoded_size_allocation;
         ] );
   ]
