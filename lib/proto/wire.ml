@@ -3,10 +3,9 @@ module M = Messages
 let ipv6_header = 40
 
 (* Simulation-only metadata carried inside the encoding but not charged
-   on the wire: the [sent_at] float of Data and Ack. *)
-let sim_metadata_bytes = function
-  | M.Data _ | M.Ack _ | M.Aodv (M.Aodv_data _ | M.Aodv_ack _) -> 8
-  | _ -> 0
+   on the wire: the entry's [Sent_at] bytes. *)
+let uncharged = { M.run = (fun d _ () () -> d.M.uncharged) }
+let sim_metadata_bytes msg = M.view uncharged () () msg
 
 let size_of msg =
   (* The modelled wire size is exactly what the binary codec emits (so

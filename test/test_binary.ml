@@ -252,6 +252,50 @@ let test_encoded_size_overflow () =
     (String.length (Binary.Oracle.encode at_limit))
     (Binary.encoded_size at_limit)
 
+let test_fixed_width_overflow () =
+  (* A u8 or u32 field out of its range makes encode raise, as a u16
+     prefix does, rather than wrap to a message that decodes unequal.
+     [encoded_size] reads no fixed-width value, so it does not check. *)
+  let a = Address.of_string_exn "fec0::1" in
+  let data seq =
+    Messages.Data
+      { src = a; dst = a; seq; route = []; remaining = []; payload_size = 0; sent_at = 0.0 }
+  in
+  let rreq =
+    Messages.Aodv
+      (Aodv_rreq
+         { origin = a; origin_seq = 1; bcast_id = 1; dst = a; dst_seq_known = 0;
+           hop_count = 256; sig_ = ""; spk = ""; srn = 0L; hash = ""; top_hash = "";
+           max_hops = 16 })
+  in
+  List.iter
+    (fun (name, m, what) ->
+      Alcotest.check_raises (name ^ ": encode")
+        (Invalid_argument ("Binary: " ^ what ^ " out of range"))
+        (fun () -> ignore (Binary.Oracle.encode m)))
+    [ ("seq 2^32", data (1 lsl 32), "u32"); ("seq -1", data (-1), "u32");
+      ("hop count 256", rreq, "u8") ];
+  (* The largest values still roundtrip. *)
+  let top = data 0xFFFF_FFFF in
+  Alcotest.(check bool) "u32 max roundtrips" true
+    (match Binary.Oracle.decode (Binary.Oracle.encode top) with
+    | Ok m -> Binary.Oracle.equal_message top m
+    | Error _ -> false)
+
+let test_long_route_roundtrips () =
+  (* Encode, size and decode share one list bound (the u16 count): a
+     4,097-hop route, past the decoder's old 4,096 cap, roundtrips. *)
+  let a = Address.of_string_exn "fec0::1" in
+  let m =
+    Messages.Probe
+      { origin = a; target = a; seq = 1; route = List.init 4097 (fun _ -> a); remaining = [] }
+  in
+  let enc = Binary.Oracle.encode m in
+  Alcotest.(check int) "encoded_size" (String.length enc) (Binary.encoded_size m);
+  match Binary.Oracle.decode enc with
+  | Ok m' -> Alcotest.(check bool) "equal" true (Binary.Oracle.equal_message m m')
+  | Error e -> Alcotest.fail e
+
 let prop_truncation_rejected =
   qtest ~count:200 "binary: every strict prefix is rejected"
     QCheck.(pair arb_message (float_bound_exclusive 1.0))
@@ -397,6 +441,8 @@ let suites =
           prop_roundtrip;
           prop_encoded_size;
           Alcotest.test_case "encoded_size overflow" `Quick test_encoded_size_overflow;
+          Alcotest.test_case "fixed-width overflow" `Quick test_fixed_width_overflow;
+          Alcotest.test_case "long route roundtrips" `Quick test_long_route_roundtrips;
           prop_truncation_rejected;
           prop_trailing_garbage_rejected;
           prop_random_bytes_never_crash;

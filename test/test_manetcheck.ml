@@ -391,140 +391,82 @@ let f t = Ctx.stat t.ctx delivered
 
   (* --- proto-schema ------------------------------------------------------- *)
 
+  (* [Wrapped] carries a variant of its own: its constructor [Pang]
+     needs an entry, the wrapper none. *)
   let messages_mli =
-    {|type t =
-    | Ping of { x : int }
-    | Pong of { y : int }
+    {|type ping = { x : int }
+  type pong = { y : int }
+  type pang = { z : int }
+  type inner = Pang of pang
+
+  type t =
+    | Ping of ping
+    | Pong of pong
+    | Wrapped of inner
 
   val tag : t -> int
   |}
 
-  let binary_good =
-    {|let encode m =
-    let buf = Buffer.create 16 in
-    match m with
-    | M.Ping { x } ->
-        put_u8 buf 1;
-        put_int buf x
-    | M.Pong { y } ->
-        put_u8 buf 2;
-        put_int buf y
-
-  let decode_body tag buf =
-    match tag with
-    | 1 -> M.Ping { x = get_int buf }
-    | 2 -> M.Pong { y = get_int buf }
-    | _ -> fail buf
+  (* One entry: [make] builds the message from its field [v]. *)
+  let entry name wire make =
+    Printf.sprintf
+      {|let %s =
+    desc ~wire:%s ~label:"%s" Fields.[ ("v", U32, fun r -> r.v) ] (fun v -> %s)
   |}
+      name wire (String.uppercase_ascii name) make
 
-  let tests_good = {|let roundtrip = [ check Ping; check Pong ]|}
+  let ping = entry "ping" "1" "Ping { v }"
+  let pong = entry "pong" "2" "Pong { v }"
+  let pang = entry "pang" "3" "Wrapped (Pang { v })"
+  let messages_good = ping ^ pong ^ pang
 
-  let proto_files ?(messages = messages_mli) ?(binary = binary_good)
+  let tests_good = {|let roundtrip = [ check Ping; check Pong; check (Wrapped (Pang 1)) ]|}
+
+  let proto_files ?(messages = messages_mli) ?(table = messages_good)
       ?(tests = tests_good) () =
     [
       ("lib/proto/messages.mli", messages);
-      ("lib/proto/binary.ml", binary);
+      ("lib/proto/messages.ml", table);
       ("test/test_binary.ml", tests);
     ]
 
   let test_proto_schema_clean () =
     clean "consistent schema" "proto-schema" (proto_files ())
 
-  let test_proto_schema_missing_encode () =
-    let binary =
-      {|let encode m =
-    let buf = Buffer.create 16 in
-    match m with
-    | M.Ping { x } ->
-        put_u8 buf 1;
-        put_int buf x
-
-  let decode_body tag buf =
-    match tag with
-    | 1 -> M.Ping { x = get_int buf }
-    | _ -> fail buf
-  |}
-    in
-    fires "missing encode branch" "proto-schema" (proto_files ~binary ())
+  let test_proto_schema_missing_entry () =
+    fires "constructor without an entry" "proto-schema"
+      (proto_files ~table:(ping ^ pang) ());
+    fires "wrapped constructor without an entry" "proto-schema"
+      (proto_files ~table:(ping ^ pong) ())
 
   let test_proto_schema_duplicate_tag () =
-    let binary =
-      {|let encode m =
-    let buf = Buffer.create 16 in
-    match m with
-    | M.Ping { x } ->
-        put_u8 buf 1;
-        put_int buf x
-    | M.Pong { y } ->
-        put_u8 buf 1;
-        put_int buf y
-
-  let decode_body tag buf =
-    match tag with
-    | 1 -> M.Ping { x = get_int buf }
-    | _ -> fail buf
-  |}
-    in
-    fires "duplicate wire tag" "proto-schema" (proto_files ~binary ())
-
-  let test_proto_schema_decode_mismatch () =
-    let binary =
-      {|let encode m =
-    let buf = Buffer.create 16 in
-    match m with
-    | M.Ping { x } ->
-        put_u8 buf 1;
-        put_int buf x
-    | M.Pong { y } ->
-        put_u8 buf 2;
-        put_int buf y
-
-  let decode_body tag buf =
-    match tag with
-    | 1 -> M.Ping { x = get_int buf }
-    | 2 -> M.Ping { x = get_int buf }
-    | _ -> fail buf
-  |}
-    in
-    fires "decode yields the wrong constructor" "proto-schema"
-      (proto_files ~binary ())
-
-  let test_proto_schema_missing_decode () =
-    let binary =
-      {|let encode m =
-    let buf = Buffer.create 16 in
-    match m with
-    | M.Ping { x } ->
-        put_u8 buf 1;
-        put_int buf x
-    | M.Pong { y } ->
-        put_u8 buf 2;
-        put_int buf y
-
-  let decode_body tag buf =
-    match tag with
-    | 1 -> M.Ping { x = get_int buf }
-    | _ -> fail buf
-  |}
-    in
-    fires "missing decode arm" "proto-schema" (proto_files ~binary ())
+    fires "duplicate wire tag" "proto-schema"
+      (proto_files ~table:(ping ^ entry "pong" "1" "Pong { v }" ^ pang) ());
+    fires "computed wire tag" "proto-schema"
+      (proto_files ~table:(ping ^ entry "pong" "(1 + 1)" "Pong { v }" ^ pang) ());
+    fires "second entry for one constructor" "proto-schema"
+      (proto_files ~table:(messages_good ^ entry "ping2" "4" "Ping { v }") ())
 
   let test_proto_schema_missing_test () =
     fires "constructor without roundtrip test" "proto-schema"
-      (proto_files ~tests:{|let roundtrip = [ check Ping ]|} ())
+      (proto_files ~tests:{|let roundtrip = [ check Ping; check (Wrapped (Pang 1)) ]|} ())
 
   let test_proto_schema_suppression () =
     let messages =
-      {|type t =
-    | Ping of { x : int }
+      {|type ping = { x : int }
+  type pong = { y : int }
+
+  type t =
+    | Ping of ping
     (* manetcheck: allow proto-schema — reviewed site. *)
-    | Pong of { y : int }
+    | Pong of pong
 
   val tag : t -> int
   |}
     in
     clean "annotated constructor" "proto-schema"
-      (proto_files ~messages ~tests:{|let roundtrip = [ check Ping ]|} ())
+      (proto_files ~messages ~table:ping
+         ~tests:{|let roundtrip = [ check Ping ]|} ())
 
   (* --- scenario-keyword --------------------------------------------------- *)
 
@@ -705,10 +647,8 @@ let f t = Ctx.stat t.ctx delivered
           tc "security scoping" test_security_scoping;
           tc "security suppression" test_security_suppression;
           tc "proto-schema clean" test_proto_schema_clean;
-          tc "proto-schema missing encode" test_proto_schema_missing_encode;
+          tc "proto-schema missing entry" test_proto_schema_missing_entry;
           tc "proto-schema duplicate tag" test_proto_schema_duplicate_tag;
-          tc "proto-schema decode mismatch" test_proto_schema_decode_mismatch;
-          tc "proto-schema missing decode" test_proto_schema_missing_decode;
           tc "proto-schema missing test" test_proto_schema_missing_test;
           tc "proto-schema suppression" test_proto_schema_suppression;
           tc "scenario-keyword fires" test_scenario_keyword_fires;

@@ -24,10 +24,11 @@
       [Messages.t] constructor.
     - ["codec"] — a [Codec.*_payload] builder never used, or never used
       in both a signing and a verification context.
-    - ["proto-schema"] — a [Messages.t] constructor without an encode
-      arm writing a unique literal wire tag, a [decode_body] arm that
-      decodes the tag back, or a mention in test_binary.ml /
-      test_proto.ml.
+    - ["proto-schema"] — a message constructor ([Messages.t]'s, or
+      those of a variant one of them carries) without exactly one
+      entry in messages.ml's table (a [desc] binding with a literal
+      [~wire:<n>] no other entry takes), or without a mention in
+      test_binary.ml / test_proto.ml.
     - ["determinism"] — wall-clock reads, [Hashtbl.hash], and
       [Hashtbl.iter] / unordered [Hashtbl.fold] whose order can leak
       into outputs.

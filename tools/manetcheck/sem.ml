@@ -876,60 +876,92 @@ let dead_export_findings ~tests units =
     units
 
 (* ------------------------------------------------------------------ *)
-(* Wire schema: every Messages.t constructor has an encode arm in the
-   sibling binary.ml that writes a literal wire tag ([put_u8 buf <n>])
-   no other arm takes, a decode_body arm that decodes that tag back to
-   it, and a mention in test_binary.ml or test_proto.ml. *)
+(* Wire schema: every message constructor -- each constructor of
+   Messages.t, a constructor that carries another variant of the file
+   ([Aodv of aodv]) standing for that variant's -- has exactly one entry
+   in the sibling messages.ml: a top-level binding that applies [desc]
+   to a literal [~wire:<n>] no other entry takes and builds that
+   constructor's record.  Encode, size, decode and equality all
+   interpret those entries, so decode cannot disagree with encode.  Each
+   constructor is also mentioned in test_binary.ml or test_proto.ml. *)
 
 let int_const e =
   match e.pexp_desc with
   | Pexp_constant (Pconst_integer (s, None)) -> int_of_string_opt s
   | _ -> None
 
-let cases_of e =
-  let out = ref [] in
-  walk_expr
-    (fun x ->
-      match x.pexp_desc with
-      | Pexp_match (_, cs) | Pexp_function cs -> out := !out @ cs
+(* The message constructors of interface [sg] with their lines, and the
+   wrappers that stand for a carried variant's. *)
+let wire_ctors sg =
+  let variants = Hashtbl.create 8 in
+  List.iter
+    (fun item ->
+      match item.psig_desc with
+      | Psig_type (_, decls) ->
+          List.iter
+            (fun d ->
+              match d.ptype_kind with
+              | Ptype_variant cds -> Hashtbl.replace variants d.ptype_name.Location.txt cds
+              | _ -> ())
+            decls
       | _ -> ())
-    e;
-  !out
+    sg;
+  let carried cd =
+    match cd.pcd_args with
+    | Pcstr_tuple [ { ptyp_desc = Ptyp_constr ({ txt = Longident.Lident n; _ }, []); _ } ]
+      when Hashtbl.mem variants n ->
+        Some n
+    | _ -> None
+  in
+  let rec go seen name =
+    List.fold_right
+      (fun cd (leaves, wrappers) ->
+        let c = (cd.pcd_name.Location.txt, line_of cd.pcd_loc) in
+        match carried cd with
+        | Some n when not (List.mem n seen) ->
+            let l, w = go (n :: seen) n in
+            (l @ leaves, (c :: w) @ wrappers)
+        | _ -> (c :: leaves, wrappers))
+      (Option.value ~default:[] (Hashtbl.find_opt variants name))
+      ([], [])
+  in
+  go [ "t" ] "t"
 
-let first_construct names e =
-  let r = ref None in
-  walk_expr
-    (fun x ->
-      match x.pexp_desc with
-      | Pexp_construct ({ txt; _ }, _)
-        when !r = None && List.mem (lid_last txt) names ->
-          r := Some (lid_last txt)
-      | _ -> ())
-    e;
-  !r
-
-(* The first literal wire tag [put_u8 buf <n>] an encode arm writes,
-   with its line. *)
-let wire_tag e =
-  let r = ref None in
-  walk_expr
-    (fun x ->
-      match x.pexp_desc with
-      | Pexp_apply
-          ({ pexp_desc = Pexp_ident { txt = Lident "put_u8"; _ }; _ }, args)
-        when !r = None ->
-          Option.iter
-            (fun v -> r := Some (v, line_of x.pexp_loc))
-            (List.find_map (fun (_, a) -> int_const a) args)
-      | _ -> ())
-    e;
-  !r
+(* The entries of [u]: (binding, constructor built, literal wire tag,
+   line of the tag). *)
+let desc_entries u =
+  List.filter_map
+    (fun b ->
+      let wire = ref None and ctor = ref None in
+      walk_expr
+        (fun e ->
+          match e.pexp_desc with
+          | Pexp_apply ({ pexp_desc = Pexp_ident { txt = Lident "desc"; _ }; _ }, args) ->
+              List.iter
+                (fun (lbl, a) ->
+                  if lbl = Asttypes.Labelled "wire" then
+                    wire := Some (int_const a, line_of a.pexp_loc))
+                args
+          | Pexp_construct ({ txt; _ }, Some { pexp_desc = Pexp_record _; _ })
+            when !ctor = None ->
+              ctor := Some (lid_last txt)
+          | _ -> ())
+        b.b_expr;
+      Option.map (fun (tag, line) -> (b, !ctor, tag, line)) !wire)
+    (collect_bindings u)
 
 let proto_schema_findings lib units =
-  match messages_ctors lib with
+  match
+    List.find_map
+      (fun u ->
+        match u.u_parsed with
+        | Intf sg when Filename.basename u.u_path = "messages.mli" -> Some (u, sg)
+        | _ -> None)
+      lib
+  with
   | None -> []
-  | Some (mu, ctors) -> (
-      let names = List.map fst ctors in
+  | Some (mu, sg) -> (
+      let leaves, wrappers = wire_ctors sg in
       let finding file line msg = { file; line; rule = "proto-schema"; msg } in
       let tested = Hashtbl.create 32 in
       List.iter
@@ -957,101 +989,65 @@ let proto_schema_findings lib units =
                       "constructor %s has no roundtrip test mention in \
                        test_binary.ml / test_proto.ml"
                       c)))
-          ctors
+          (leaves @ wrappers)
       in
-      let binary = Filename.concat (Filename.dirname mu.u_path) "binary.ml" in
-      match List.find_opt (fun u -> u.u_path = binary) lib with
+      let ml = Filename.concat (Filename.dirname mu.u_path) "messages.ml" in
+      match List.find_opt (fun u -> u.u_path = ml) lib with
       | None -> untested
-      | Some bu ->
-          let top name =
-            match
-              List.find_opt (fun b -> b.b_name = name) (collect_bindings bu)
-            with
-            | Some b -> Ok b
-            | None ->
-                Error
-                  [
-                    finding binary 1
-                      ("binary.ml has no top-level " ^ name ^ " function");
-                  ]
+      | Some tu ->
+          let taken = Hashtbl.create 32 and covered = Hashtbl.create 32 in
+          let entry_findings =
+            List.concat_map
+              (fun (b, ctor, tag, line) ->
+                let second =
+                  match ctor with
+                  | Some c when Hashtbl.mem covered c ->
+                      [
+                        finding ml b.b_line
+                          (Printf.sprintf "constructor %s has a second entry %s" c
+                             b.b_name);
+                      ]
+                  | Some c ->
+                      Hashtbl.replace covered c ();
+                      []
+                  | None -> []
+                in
+                let reused =
+                  match tag with
+                  | None ->
+                      [
+                        finding ml line
+                          (Printf.sprintf "entry %s has no literal wire tag (~wire:<n>)"
+                             b.b_name);
+                      ]
+                  | Some tag -> (
+                      match Hashtbl.find_opt taken tag with
+                      | Some other ->
+                          [
+                            finding ml line
+                              (Printf.sprintf
+                                 "wire tag %d of entry %s is already taken by %s" tag
+                                 b.b_name other);
+                          ]
+                      | None ->
+                          Hashtbl.replace taken tag b.b_name;
+                          [])
+                in
+                second @ reused)
+              (desc_entries tu)
           in
-          (* tag -> constructor, in declaration order *)
-          let assigned = Hashtbl.create 32 in
-          let encode enc =
-            let arms =
-              List.filter_map
-                (fun c ->
-                  match c.pc_lhs.ppat_desc with
-                  | Ppat_construct ({ txt; _ }, Some _) ->
-                      Some (lid_last txt, c)
-                  | _ -> None)
-                (cases_of enc.b_expr)
-            in
+          let missing =
             List.filter_map
-              (fun (v, line) ->
-                match List.assoc_opt v arms with
-                | None ->
-                    Some
-                      (finding mu.u_path line
-                         ("constructor " ^ v
-                        ^ " has no encode branch in binary.ml"))
-                | Some c -> (
-                    match wire_tag c.pc_rhs with
-                    | None ->
-                        Some
-                          (finding binary (line_of c.pc_lhs.ppat_loc)
-                             (Printf.sprintf
-                                "encode branch for %s writes no literal wire \
-                                 tag (put_u8 buf <n>)"
-                                v))
-                    | Some (tag, tline) -> (
-                        match Hashtbl.find_opt assigned tag with
-                        | Some other ->
-                            Some
-                              (finding binary tline
-                                 (Printf.sprintf
-                                    "wire tag %d reused by %s (already taken \
-                                     by %s)"
-                                    tag v other))
-                        | None ->
-                            Hashtbl.replace assigned tag v;
-                            None)))
-              ctors
+              (fun (c, line) ->
+                if Hashtbl.mem covered c then None
+                else
+                  Some
+                    (finding mu.u_path line
+                       ("constructor " ^ c
+                      ^ " has no entry (desc ~wire:<n>) in messages.ml")))
+              leaves
           in
-          let decode dec =
-            let decoded = Hashtbl.create 32 in
-            List.iter
-              (fun c ->
-                match c.pc_lhs.ppat_desc with
-                | Ppat_constant (Pconst_integer (s, None)) -> (
-                    let line = line_of c.pc_lhs.ppat_loc in
-                    match
-                      (int_of_string_opt s, first_construct names c.pc_rhs)
-                    with
-                    | Some tag, Some v when not (Hashtbl.mem decoded tag) ->
-                        Hashtbl.replace decoded tag (v, line)
-                    | _ -> ())
-                | _ -> ())
-              (cases_of dec.b_expr);
-            Hashtbl.fold
-              (fun tag v acc ->
-                match Hashtbl.find_opt decoded tag with
-                | None ->
-                    finding binary dec.b_line
-                      (Printf.sprintf
-                         "decode_body has no arm for wire tag %d (%s)" tag v)
-                    :: acc
-                | Some (c, line) when c <> v ->
-                    finding binary line
-                      (Printf.sprintf "wire tag %d decodes to %s but encodes %s"
-                         tag c v)
-                    :: acc
-                | Some _ -> acc)
-              assigned []
-          in
-          let run fn check = match top fn with Ok b -> check b | Error e -> e in
-          let enc = run "encode" encode in
-          untested @ enc @ run "decode_body" decode)
+          untested @ missing @ entry_findings)
 
 (* ------------------------------------------------------------------ *)
 (* Assembly: [lib] are the analyzed lib units, [tests] the test-root
