@@ -72,18 +72,21 @@ let encode m =
    variable-width ones are read, and only for their lengths and counts. *)
 
 let rec count n = function [] -> n | _ :: tl -> count (n + 1) tl
+let addr_width = M.width M.Addr
+
+(* An SRR entry without its two strings' bytes: its fewest bytes. *)
+let srr_fixed = addr_width + 2 + 2 + M.width M.U64
 
 let rec size : type a. a M.codec -> a -> int =
  fun c v ->
   match c with
   | M.Str -> 2 + u16_checked (String.length v)
   | M.Opt c -> ( match v with None -> 1 | Some x -> 1 + size c x)
-  | M.List M.Addr -> 2 + (M.width M.Addr * u16_checked (count 0 v))
+  | M.List M.Addr -> 2 + (addr_width * u16_checked (count 0 v))
   | M.List c ->
-      let n = u16_checked (count 0 v) in
-      let w = M.width c in
-      if w > 0 then 2 + (w * n) else elements_size c 2 v
-  | M.Srr -> M.width M.Addr + size M.Str v.sig_ + size M.Str v.pk + M.width M.U64
+      ignore (u16_checked (count 0 v));
+      elements_size c 2 v
+  | M.Srr -> srr_fixed + u16_checked (String.length v.sig_) + u16_checked (String.length v.pk)
   | M.U8 | M.U32 | M.U64 | M.Bool | M.Addr | M.Addr_u32 | M.Sent_at -> M.width c
 
 and elements_size : type a. a M.codec -> int -> a list -> int =
@@ -118,7 +121,7 @@ let get_u16 r = String.get_uint16_be r.data (take r 2)
 let min_size : type a. a M.codec -> int = function
   | M.Str | M.List _ -> 2
   | M.Opt _ -> 1
-  | M.Srr -> M.width M.Addr + 2 + 2 + M.width M.U64
+  | M.Srr -> srr_fixed
   | c -> M.width c
 
 let rec get : type a. reader -> a M.codec -> a =

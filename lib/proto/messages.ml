@@ -653,11 +653,15 @@ let remaining_of =
 
 let remaining m = view remaining_of () () m
 
+(* A forwarded message usually already holds the hops it is sent
+   along (the receiver stripped itself off), so it is sent as is. *)
 let with_remaining_of =
   {
     run =
       (fun d r m hops ->
-        match d.routed with None -> m | Some p -> p.set_remaining r hops);
+        match d.routed with
+        | Some p when p.get_remaining r != hops -> p.set_remaining r hops
+        | _ -> m);
   }
 
 let with_remaining m hops = view with_remaining_of m hops m

@@ -290,8 +290,9 @@ val remaining : t -> Address.t list option
     RREQ) and for AODV's hop-by-hop messages. *)
 
 val with_remaining : t -> Address.t list -> t
-(** Replace the [remaining] field (identity where {!remaining} is
-    [None]). *)
+(** [with_remaining m hops] replaces the [remaining] field: a copy, or
+    [m] itself where {!remaining} is [None] or already the very list
+    [hops] (a relay sending on the tail it was handed). *)
 
 val add_to_buffer : (Buffer.t -> Address.t -> unit) -> Buffer.t -> t -> unit
 (** [add_to_buffer addr buf m] appends the one-line summary used in
