@@ -92,8 +92,11 @@ let rec size : type a. a M.codec -> a -> int =
 and elements_size : type a. a M.codec -> int -> a list -> int =
  fun c acc -> function [] -> acc | x :: tl -> elements_size c (acc + size c x) tl
 
+(* Source routes, in nearly every message, are sized in place. *)
 let rec var_size r acc = function
   | [] -> acc
+  | M.Field { codec = M.List M.Addr; get = route; _ } :: rest ->
+      var_size r (acc + 2 + (addr_width * u16_checked (count 0 (route r)))) rest
   | M.Field f :: rest -> var_size r (acc + size f.codec (f.get r)) rest
 
 let entry_size d r () () = var_size r d.M.fixed d.var
