@@ -82,7 +82,6 @@ let rec size : type a. a M.codec -> a -> int =
   match c with
   | M.Str -> 2 + u16_checked (String.length v)
   | M.Opt c -> ( match v with None -> 1 | Some x -> 1 + size c x)
-  | M.List M.Addr -> 2 + (addr_width * u16_checked (count 0 v))
   | M.List c ->
       ignore (u16_checked (count 0 v));
       elements_size c 2 v

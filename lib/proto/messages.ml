@@ -324,7 +324,7 @@ let desc ?counts_as ?set_remaining name ~wire ~show fields make =
   let sum f = List.fold_left (fun acc x -> acc + f x) 0 all in
   {
     wire;
-    kind = Option.value counts_as ~default:(kind name);
+    kind = (match counts_as with Some k -> k | None -> kind name);
     show =
       List.mapi
         (fun i (l, n) -> ((if i = 0 then label ^ "(" else ", ") ^ l ^ "=", named n))
