@@ -1,11 +1,8 @@
 module Address = Manet_ipv6.Address
-module Prng = Manet_crypto.Prng
 module Messages = Manet_proto.Messages
 module Ctx = Manet_proto.Node_ctx
 module Audit = Manet_obs.Audit
-module Engine = Manet_sim.Engine
 module Obs = Manet_obs.Obs
-module Flood = Manet_obs.Flood
 module Stats = Manet_sim.Stats
 module Sr = Source_route
 
@@ -28,7 +25,6 @@ type t = (config, unit) Sr.t
 
 let address = Sr.address
 let obs (t : t) = t.Sr.ctx.Ctx.obs
-let floods t = Obs.flood (obs t)
 
 (* Plain DSR: route record carried in the SRR field with empty
    authentication. *)
@@ -58,137 +54,55 @@ let send = Sr.send
 let discover = Sr.discover
 let cached_routes = Sr.cached_routes
 
-(* --- RREQ handling (flood side) ---------------------------------------- *)
+(* --- route requests --------------------------------------------------------- *)
 
-let srr_ips srr = List.map (fun e -> e.Messages.ip) srr
+(* Plain DSR checks nothing: every copy at the destination is answered,
+   up to the diversity bound. *)
+let accept_any _ _ _ = true
 
-let answer_as_destination t ~sip ~seq ~rr =
-  Ctx.stat t.Sr.ctx Sr.Key.route_replies;
-  let o = obs t in
-  let sid =
-    Obs.start o
-      ?parent:(Obs.lookup o (Sr.rreq_corr ~sip ~seq))
-      ~kind:"route.rrep"
-      ~node:(Ctx.node_id t.Sr.ctx)
-      ~detail:("to " ^ Address.to_string sip)
-      ()
-  in
-  Obs.correlate o (Sr.rrep_corr ~sip ~dip:(address t) ~rr) sid;
-  let back = List.rev rr @ [ sip ] in
-  Ctx.send_along t.Sr.ctx ~path:back
-    (Messages.Rrep
-       { sip; dip = address t; rr; remaining = back; sig_ = ""; dpk = ""; drn = 0L })
+let rrep t (r : Messages.rreq) ~rr ~back =
+  let dip = address t in
+  Sr.reply_span t ~kind:"route.rrep" ~sip:r.sip ~seq:r.seq (Sr.rrep_corr ~sip:r.sip ~dip ~rr);
+  Messages.Rrep { sip = r.sip; dip; rr; remaining = back; sig_ = ""; dpk = ""; drn = 0L }
 
-let answer_from_cache t ~sip ~seq ~dip ~rr cached =
-  Ctx.stat t.Sr.ctx Sr.Key.route_cache_replies;
-  let o = obs t in
-  let sid =
-    Obs.start o
-      ?parent:(Obs.lookup o (Sr.rreq_corr ~sip ~seq))
-      ~kind:"route.crep"
-      ~node:(Ctx.node_id t.Sr.ctx)
-      ~detail:("to " ^ Address.to_string sip)
-      ()
-  in
-  Obs.correlate o (Sr.crep_corr ~cacher:(address t) ~seq) sid;
-  let back = List.rev rr @ [ sip ] in
-  Ctx.send_along t.Sr.ctx ~path:back
-    (Messages.Crep
-       {
-         requester = sip;
-         cacher = address t;
-         dip;
-         requester_seq = seq;
-         cacher_seq = 0;
-         rr_to_cacher = rr;
-         rr_to_dest = cached;
-         remaining = back;
-         sig_cacher = "";
-         cacher_pk = "";
-         cacher_rn = 0L;
-         sig_dest = "";
-         dest_pk = "";
-         dest_rn = 0L;
-       })
+(* Any cached route may answer, when cache replies are on. *)
+let crep t (r : Messages.rreq) ~rr ~back =
+  match if t.Sr.ext.use_cache_replies then Sr.cached_route t ~dst:r.dip else None with
+  | Some route when Sr.avoids r ~rr route ->
+      let cacher = address t in
+      Sr.reply_span t ~kind:"route.crep" ~sip:r.sip ~seq:r.seq
+        (Sr.crep_corr ~cacher ~seq:r.seq);
+      Some
+        (Messages.Crep
+           {
+             requester = r.sip;
+             cacher;
+             dip = r.dip;
+             requester_seq = r.seq;
+             cacher_seq = 0;
+             rr_to_cacher = rr;
+             rr_to_dest = route;
+             remaining = back;
+             sig_cacher = "";
+             cacher_pk = "";
+             cacher_rn = 0L;
+             sig_dest = "";
+             dest_pk = "";
+             dest_rn = 0L;
+           })
+  | _ -> None
 
-(* DSR destinations answer several copies of the same request (each
-   arrives over a different path), giving the source route diversity. *)
-let max_replies_per_request = 3
-
-(* Every copy that reaches the destination is considered, up to the
-   diversity bound. *)
-let rreq_at_destination t ~key ~sip ~seq ~srr =
-  let me = address t in
-  let rr = srr_ips srr in
-  if not (Address.equal sip me || List.exists (Address.equal me) rr) then begin
-    let sent = Option.value ~default:0 (Flood.Ktbl.find_opt t.Sr.reply_counts key) in
-    if sent < max_replies_per_request then begin
-      Flood.Ktbl.replace t.Sr.reply_counts key (sent + 1);
-      answer_as_destination t ~sip ~seq ~rr
-    end
-  end
-
-(* First copy of a flood at a relay: answer from the route cache or
-   rebroadcast with our address appended. *)
-let rreq_first_copy t ~flood ~sip ~dip ~seq ~srr =
-  Flood.Seen.add t.Sr.seen_rreq flood;
-  let me = address t in
-  let rr = srr_ips srr in
-  if Address.equal sip me || List.exists (Address.equal me) rr then ()
-  else begin
-    match
-      if t.Sr.ext.use_cache_replies then Sr.cached_route t ~dst:dip else None
-    with
-    | Some cached
-      when (not (List.exists (Address.equal sip) cached))
-           && not (List.exists (fun a -> List.exists (Address.equal a) rr) cached) ->
-        answer_from_cache t ~sip ~seq ~dip ~rr cached
-    | _ ->
-        (match Obs.lookup (obs t) (Sr.rreq_corr ~sip ~seq) with
-        | Some id ->
-            Obs.note (obs t) id ~node:(Ctx.node_id t.Sr.ctx)
-              ("relay " ^ Address.to_string me)
-        | None -> ());
-        let entry = { Messages.ip = me; sig_ = ""; pk = ""; rn = 0L } in
-        let relayed =
-          Messages.Rreq
-            { sip; dip; seq; srr = srr @ [ entry ]; sig_ = ""; spk = ""; srn = 0L }
-        in
-        let delay = Prng.float t.Sr.ctx.Ctx.rng Sr.flood_jitter in
-        Engine.schedule t.Sr.ctx.Ctx.engine ~label:"dsr" ~delay (fun () ->
-            Flood.sent (floods t) flood;
-            Ctx.broadcast t.Sr.ctx relayed)
-  end
-
-let handle_rreq t ~src msg =
-  match msg with
-  (* manetcheck: allow security — plain DSR is the deliberately
-     unauthenticated baseline (§3.3 uses it as the point of comparison):
-     requests carry signature fields on the wire but this layer never checks
-     them. *)
-  | Messages.Rreq { sip; dip; seq; srr; _ } ->
-      let key = Sr.rreq_key sip seq in
-      let flood = Flood.handle (floods t) ~key ~origin:src in
-      (* manetcheck: allow hot-list — the route record is as long as the
-         copy's hop count, bounded by the flood's hop radius. *)
-      let hops = List.length srr in
-      Flood.received (floods t) flood ~node:(Ctx.node_id t.Sr.ctx) ~src ~hops;
-      let at_dest = Address.equal dip (address t) in
-      if (not at_dest) && Flood.Seen.mem t.Sr.seen_rreq flood then
-        Flood.duplicate (floods t) flood
-      else
-        (* manetcheck: cold — at most once per (flood, node) /
-           max_replies_per_request answers *)
-        if at_dest then rreq_at_destination t ~key ~sip ~seq ~srr
-        else rreq_first_copy t ~flood ~sip ~dip ~seq ~srr
-  | _ -> ()
+(* A bare address entry; the copy carries no source signature. *)
+let relay t (r : Messages.rreq) =
+  ( { r with sig_ = ""; spk = ""; srn = 0L },
+    { Messages.ip = address t; sig_ = ""; pk = ""; rn = 0L } )
 
 (* --- source-routed message handling ------------------------------------ *)
 
 let consume_rrep t msg =
   match msg with
   (* manetcheck: allow security — unauthenticated baseline: replies accepted
-     as-is (see handle_rreq). *)
+     as-is (see handle). *)
   | Messages.Rrep { sip; dip; rr; _ } ->
       (match Obs.lookup (obs t) (Sr.rrep_corr ~sip ~dip ~rr) with
       | Some sid -> Obs.finish (obs t) sid Obs.Ok
@@ -287,7 +201,11 @@ let consume_rerr t msg =
 
 let handle t ~src msg =
   match msg with
-  | Messages.Rreq _ -> handle_rreq t ~src msg
+  (* manetcheck: allow security — plain DSR is the deliberately
+     unauthenticated baseline (§3.3 uses it as the point of comparison):
+     requests carry signature fields on the wire but this layer never checks
+     them. *)
+  | Messages.Rreq r -> Sr.handle_rreq t ~src r ~accept:accept_any ~rrep ~crep ~relay
   | Messages.Rrep _ -> Sr.deliver t ~src msg ~consume:(consume_rrep t)
   | Messages.Crep _ -> Sr.deliver t ~src msg ~consume:(consume_crep t)
   | Messages.Data _ -> Sr.deliver_data t ~src msg ~overheard:(fun m -> overheard_data t m)

@@ -1,4 +1,5 @@
 module Address = Manet_ipv6.Address
+module Prng = Manet_crypto.Prng
 module Messages = Manet_proto.Messages
 module Codec = Manet_proto.Codec
 module Ctx = Manet_proto.Node_ctx
@@ -137,6 +138,19 @@ let rrep_corr ~sip ~dip ~rr =
   ^ String.concat "" (List.map Address.to_bytes rr)
 
 let crep_corr ~cacher ~seq = "crep:" ^ Address.to_bytes cacher ^ Codec.u32 seq
+
+(* The responder's span of a reply to [sip]'s request [seq]: a child of
+   the request's flood span, findable by the consumer under [corr]. *)
+let reply_span t ~kind ~sip ~seq corr =
+  let o = obs t in
+  let sid =
+    Obs.start o
+      ?parent:(Obs.lookup o (rreq_corr ~sip ~seq))
+      ~kind ~node:(Ctx.node_id t.ctx)
+      ~detail:("to " ^ Address.to_string sip)
+      ()
+  in
+  Obs.correlate o corr sid
 
 (* Prefer the shortest known route, as DSR does. *)
 let shortest_first e =
@@ -466,3 +480,76 @@ let deliver_data t ~src msg ~overheard =
     ~not_mine:overheard
 
 let deliver_ack t ~src msg = deliver t ~src msg ~consume:(consume_ack t)
+
+(* --- route requests ------------------------------------------------------- *)
+
+(* A destination answers several copies of one request (each arrives
+   over a different path), giving the source route diversity. *)
+let max_replies_per_request = 3
+
+let srr_ips srr = List.map (fun e -> e.Messages.ip) srr
+
+(* [me] sent the copy or is already on its record: it has looped. *)
+let looped me ~sip rr = Address.equal sip me || List.exists (Address.equal me) rr
+
+(* Every copy that reaches the destination is considered, up to the
+   diversity bound, and checked on its own: a rushed poisoned copy must
+   not mask an honest one. *)
+let rreq_at_destination t ~flood ~key (r : Messages.rreq) ~accept ~rrep =
+  let rr = srr_ips r.srr in
+  if not (looped (address t) ~sip:r.sip rr) then begin
+    let sent = Option.value ~default:0 (Flood.Ktbl.find_opt t.reply_counts key) in
+    if sent < max_replies_per_request && accept t flood r then begin
+      Flood.Ktbl.replace t.reply_counts key (sent + 1);
+      Ctx.stat t.ctx Key.route_replies;
+      let back = List.rev rr @ [ r.sip ] in
+      Ctx.send_along t.ctx ~path:back (rrep t r ~rr ~back)
+    end
+  end
+
+(* A cached route may answer a request only if it leads neither back
+   to the source nor through a hop the copy already took. *)
+let avoids (r : Messages.rreq) ~rr route =
+  (not (List.exists (Address.equal r.sip) route))
+  && not (List.exists (fun a -> List.exists (Address.equal a) rr) route)
+
+(* The first copy at a relay: answer from the cache, or append the
+   relay's route-record entry and rebroadcast. *)
+let rreq_first_copy t ~flood (r : Messages.rreq) ~crep ~relay =
+  Flood.Seen.add t.seen_rreq flood;
+  let me = address t in
+  let rr = srr_ips r.srr in
+  if not (looped me ~sip:r.sip rr) then begin
+    let back = List.rev rr @ [ r.sip ] in
+    match crep t r ~rr ~back with
+    | Some reply ->
+        Ctx.stat t.ctx Key.route_cache_replies;
+        Ctx.send_along t.ctx ~path:back reply
+    | None ->
+        (match Obs.lookup (obs t) (rreq_corr ~sip:r.sip ~seq:r.seq) with
+        | Some id ->
+            Obs.note (obs t) id ~node:(Ctx.node_id t.ctx) ("relay " ^ Address.to_string me)
+        | None -> ());
+        let fields, entry = relay t r in
+        let copy = Messages.Rreq { fields with srr = r.srr @ [ entry ] } in
+        let delay = Prng.float t.ctx.Ctx.rng flood_jitter in
+        Engine.schedule t.ctx.Ctx.engine ~label:t.hooks.label ~delay (fun () ->
+            Flood.sent (Obs.flood (obs t)) flood;
+            Ctx.broadcast t.ctx copy)
+  end
+
+let handle_rreq t ~src (r : Messages.rreq) ~accept ~rrep ~crep ~relay =
+  let key = rreq_key r.sip r.seq in
+  let floods = Obs.flood (obs t) in
+  let flood = Flood.handle floods ~key ~origin:src in
+  (* manetcheck: allow hot-list — the route record is as long as the
+     copy's hop count, bounded by the flood's hop radius. *)
+  let hops = List.length r.srr in
+  Flood.received floods flood ~node:(Ctx.node_id t.ctx) ~src ~hops;
+  let at_dest = Address.equal r.dip (address t) in
+  if (not at_dest) && Flood.Seen.mem t.seen_rreq flood then Flood.duplicate floods flood
+  else
+    (* manetcheck: cold — at most once per (flood, node) /
+       max_replies_per_request answers *)
+    if at_dest then rreq_at_destination t ~flood ~key r ~accept ~rrep
+    else rreq_first_copy t ~flood r ~crep ~relay

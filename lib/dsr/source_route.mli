@@ -1,41 +1,43 @@
-(** The source-route data plane shared by plain DSR ({!Dsr}), the
-    paper's secure routing and SRP ([Manet_secure]).
+(** The source-route data plane and route-request receive path shared by
+    plain DSR ({!Dsr}), the paper's secure routing and SRP
+    ([Manet_secure]).
 
-    The three protocols discover, verify and choose routes differently,
-    but data follows a source route the same way in all of them (as in
-    RFC 4728, where the send buffer and route maintenance sit apart from
-    discovery).  This module owns that one copy:
+    The three protocols verify and choose routes differently, but data
+    follows a source route the same way in all of them (as in RFC 4728,
+    where the send buffer and route maintenance sit apart from
+    discovery), and a route request is relayed and answered by one
+    procedure (§3.3).  This module owns that one copy:
 
     - the send buffer (packets queued behind a discovery), the in-flight
       table, the end-to-end ack timer and the bounded retry;
     - the discovery record: attempts, timeout, telemetry spans, waiters,
       and the RREQ flood's bookkeeping (the protocol builds the RREQ);
+    - the RREQ receive path ({!handle_rreq}): flood accounting, the
+      duplicate and loop tests, the destination's reply bound, the
+      choice between a cache reply and a relay, the route-record append
+      and the jittered rebroadcast;
     - the relay side: forwarding, the link-break RERR back to the
       source, salvaging, and delivery with its ack;
     - the shared [data.*], [route.*] and [rerr.*] statistics, with one
       function that gives a packet up ([data.dropped]).
 
     A protocol supplies the rest through one {!hooks} record built once
-    per node, and keeps its own state in the [ext] slot.  DESIGN.md
-    ("Source-route data plane") lists what each protocol supplies and
-    which differences between them this module keeps. *)
+    per node, and keeps its own state in the [ext] slot; its RREQ check,
+    replies and route-record entry are arguments of {!handle_rreq}.
+    The timings are constants: a discovery waits 1.0 s per attempt over
+    3 attempts, a packet waits 1.5 s for its ack over 2 resends, the
+    cache keeps 4 routes per destination, and a relay delays its RREQ
+    rebroadcast by a random 0 to 0.01 s.  DESIGN.md ("Source-route data
+    plane") lists what each protocol supplies and which differences
+    between them this module keeps. *)
 
 module Address = Manet_ipv6.Address
 module Messages = Manet_proto.Messages
 
-(** The shared keys a protocol's own handlers bump. *)
+(** The shared key a protocol's own RERR handler bumps. *)
 module Key : sig
   val rerr_received : Manet_sim.Stats.key
-  val route_replies : Manet_sim.Stats.key
-  val route_cache_replies : Manet_sim.Stats.key
 end
-
-val flood_jitter : float
-(** Upper bound, in seconds, of the random delay before a relay
-    rebroadcasts an RREQ (0.01).  The other timings are fixed too: a
-    discovery waits 1.0 s per attempt over 3 attempts, a packet waits
-    1.5 s for its ack over 2 resends, and the cache keeps 4 routes per
-    destination. *)
 
 type packet = private {
   p_dst : Address.t;
@@ -167,6 +169,44 @@ val deliver_data :
 
 val deliver_ack : ('x, 'm) t -> src:int -> Messages.t -> unit
 
+(** {1 Route requests} *)
+
+val handle_rreq :
+  ('x, 'm) t ->
+  src:int ->
+  Messages.rreq ->
+  accept:(('x, 'm) t -> Manet_obs.Flood.handle -> Messages.rreq -> bool) ->
+  rrep:
+    (('x, 'm) t -> Messages.rreq -> rr:Address.t list -> back:Address.t list -> Messages.t) ->
+  crep:
+    (('x, 'm) t ->
+    Messages.rreq ->
+    rr:Address.t list ->
+    back:Address.t list ->
+    Messages.t option) ->
+  relay:(('x, 'm) t -> Messages.rreq -> Messages.rreq * Messages.srr_entry) ->
+  unit
+(** Receive one copy of an RREQ flood (§3.3).  Every copy is counted in
+    the flood's provenance; a relay drops all but the first copy, and
+    any node drops a copy it sent or whose record already names it.
+    The protocol supplies what differs, with [rr] the addresses on the
+    copy's route record and [back] the path to its source:
+
+    - [accept t flood r] checks a copy at the destination while fewer
+      than 3 copies of the flood have been answered; an accepted copy
+      is answered with [rrep t r ~rr ~back];
+    - [crep t r ~rr ~back] is the relay's answer from its cache, [None]
+      when no cached route may answer (see {!avoids});
+    - otherwise [relay t r] gives the copy's fields as the protocol
+      forwards them and the route-record entry it appends, and the
+      extended copy is rebroadcast after a random delay of up to
+      0.01 s. *)
+
+val avoids : Messages.rreq -> rr:Address.t list -> Address.t list -> bool
+(** [avoids r ~rr route]: the cached [route] leads neither back to the
+    request's source nor through a hop on its record [rr], so it may
+    answer the request. *)
+
 (** {1 Telemetry correlation keys}
 
     Shared by every routing agent, so responder-side reply spans attach
@@ -174,10 +214,10 @@ val deliver_ack : ('x, 'm) t -> src:int -> Messages.t -> unit
     attempt is identified by (source, seq); replies by the fields both
     the responder and the consumer can see. *)
 
-val rreq_corr : sip:Address.t -> seq:int -> string
 val rrep_corr : sip:Address.t -> dip:Address.t -> rr:Address.t list -> string
 val crep_corr : cacher:Address.t -> seq:int -> string
 
-val rreq_key : Address.t -> int -> Manet_obs.Flood.key
-(** [rreq_key sip seq] is the RREQ dedup key, shared by every routing
-    agent's seen-table and by the flood-provenance registry. *)
+val reply_span : ('x, 'm) t -> kind:string -> sip:Address.t -> seq:int -> string -> unit
+(** [reply_span t ~kind ~sip ~seq corr] opens the responder's span of a
+    reply to [sip]'s request [seq], under the request's flood span, and
+    files it under the consumer-visible key [corr]. *)

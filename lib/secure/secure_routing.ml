@@ -1,6 +1,5 @@
 module Address = Manet_ipv6.Address
 module Cga = Manet_ipv6.Cga
-module Prng = Manet_crypto.Prng
 module Suite = Manet_crypto.Suite
 module Messages = Manet_proto.Messages
 module Codec = Manet_proto.Codec
@@ -332,12 +331,10 @@ let send = Sr.send
 let discover = Sr.discover
 let cached_routes = Sr.cached_routes
 
-(* --- RREQ handling ------------------------------------------------------ *)
-
-let srr_ips srr = List.map (fun e -> e.Messages.ip) srr
+(* --- route requests --------------------------------------------------------- *)
 
 (* §3.3 verification at the destination: source first, then every hop. *)
-let verify_rreq t ~sip ~seq ~srr ~sig_ ~spk ~srn =
+let verify_rreq t ({ sip; seq; srr; sig_; spk; srn; _ } : Messages.rreq) =
   let source_ok =
     verify_host t ~ip:sip ~pk:spk ~rn:srn
       ~payload:(Codec.rreq_source_payload ~sip ~seq)
@@ -352,69 +349,6 @@ let verify_rreq t ~sip ~seq ~srr ~sig_ ~spk ~srn =
           ~payload:(Codec.srr_entry_payload ~iip:e.Messages.ip ~seq)
           ~signature:e.Messages.sig_)
       srr
-
-let answer_as_destination t ~sip ~seq ~rr =
-  Ctx.stat t.Sr.ctx Sr.Key.route_replies;
-  let o = obs t in
-  let sid =
-    Obs.start o
-      ?parent:(Obs.lookup o (Sr.rreq_corr ~sip ~seq))
-      ~kind:"route.rrep"
-      ~node:(Ctx.node_id t.Sr.ctx)
-      ~detail:("to " ^ Address.to_string sip)
-      ()
-  in
-  Obs.correlate o (Sr.rrep_corr ~sip ~dip:(address t) ~rr) sid;
-  let id = identity t in
-  let sig_ = Identity.sign id (Codec.rrep_payload ~sip ~seq ~rr) in
-  let back = List.rev rr @ [ sip ] in
-  Ctx.send_along t.Sr.ctx ~path:back
-    (Messages.Rrep
-       {
-         sip;
-         dip = address t;
-         rr;
-         remaining = back;
-         sig_;
-         dpk = Identity.pk_bytes id;
-         drn = id.Identity.rn;
-       })
-
-let answer_from_cache t ~sip ~seq ~dip ~rr entry endo =
-  Ctx.stat t.Sr.ctx Sr.Key.route_cache_replies;
-  let o = obs t in
-  let sid =
-    Obs.start o
-      ?parent:(Obs.lookup o (Sr.rreq_corr ~sip ~seq))
-      ~kind:"route.crep"
-      ~node:(Ctx.node_id t.Sr.ctx)
-      ~detail:("to " ^ Address.to_string sip)
-      ()
-  in
-  Obs.correlate o (Sr.crep_corr ~cacher:(address t) ~seq) sid;
-  let id = identity t in
-  let sig_cacher =
-    Identity.sign id (Codec.crep_cacher_payload ~requester:sip ~seq ~rr)
-  in
-  let back = List.rev rr @ [ sip ] in
-  Ctx.send_along t.Sr.ctx ~path:back
-    (Messages.Crep
-       {
-         requester = sip;
-         cacher = address t;
-         dip;
-         requester_seq = seq;
-         cacher_seq = endo.e_seq;
-         rr_to_cacher = rr;
-         rr_to_dest = entry.Route_cache.route;
-         remaining = back;
-         sig_cacher;
-         cacher_pk = Identity.pk_bytes id;
-         cacher_rn = id.Identity.rn;
-         sig_dest = endo.e_sig;
-         dest_pk = endo.e_pk;
-         dest_rn = endo.e_rn;
-       })
 
 let fresh_rreq_for_destination t ~sip ~seq =
   (* Monotone per-source sequence numbers close the replay window at the
@@ -433,111 +367,89 @@ let fresh_rreq_for_destination t ~sip ~seq =
       false
   | _ -> true
 
-(* Like DSR, the destination answers several copies of a request for
-   route diversity. *)
-let max_replies_per_request = 3
+(* A copy at the destination must be fresh and verify.  Its seq is
+   recorded only after the request verified: a forger must not be able
+   to burn a victim's sequence space with junk requests. *)
+let accept_rreq t flood (r : Messages.rreq) =
+  fresh_rreq_for_destination t ~sip:r.sip ~seq:r.seq
+  && begin
+       (* Each verified copy — including duplicates of a flood the
+          destination already answered — is charged to the flood's
+          provenance: this is the duplicate-verification work the
+          item-3 cache is meant to eliminate. *)
+       Flood.verified (floods t) flood ~node:(Ctx.node_id t.Sr.ctx);
+       if verify_rreq t r then begin
+         Address.Tbl.replace t.Sr.ext.last_rreq_seq r.sip r.seq;
+         true
+       end
+       else begin
+         (* The broken link of the signature chain is not localizable
+            from here (any relay may have tampered or appended a forged
+            entry), so no subject. *)
+         Ctx.audit t.Sr.ctx ~kind:Audit.Sig_verify_fail
+           ~stats:[ Key.secure_rreq_rejected ]
+           ~cause:"rreq source or route-record signature chain" ();
+         false
+       end
+     end
 
-let note_rreq_seq t ~sip ~seq =
-  (* Recorded only after the request verified: a forger must not be able
-     to burn a victim's sequence space with junk requests. *)
-  Address.Tbl.replace t.Sr.ext.last_rreq_seq sip seq
+let rrep t (r : Messages.rreq) ~rr ~back =
+  let dip = address t in
+  Sr.reply_span t ~kind:"route.rrep" ~sip:r.sip ~seq:r.seq (Sr.rrep_corr ~sip:r.sip ~dip ~rr);
+  let id = identity t in
+  Messages.Rrep
+    {
+      sip = r.sip;
+      dip;
+      rr;
+      remaining = back;
+      sig_ = Identity.sign id (Codec.rrep_payload ~sip:r.sip ~seq:r.seq ~rr);
+      dpk = Identity.pk_bytes id;
+      drn = id.Identity.rn;
+    }
 
-(* Destination: every copy is considered (up to the diversity bound),
-   each verified independently — a rushed poisoned copy must not mask an
-   honest one. *)
-let rreq_at_destination t ~flood ~key ~sip ~seq ~srr ~sig_ ~spk ~srn =
+(* Only a cached route the destination endorsed may answer. *)
+let crep t (r : Messages.rreq) ~rr ~back =
+  match if t.Sr.ext.config.use_cache_replies then Sr.cached_entry t ~dst:r.dip else None with
+  | Some { Route_cache.route; meta = Some endo; _ } when Sr.avoids r ~rr route ->
+      let cacher = address t in
+      Sr.reply_span t ~kind:"route.crep" ~sip:r.sip ~seq:r.seq
+        (Sr.crep_corr ~cacher ~seq:r.seq);
+      let id = identity t in
+      Some
+        (Messages.Crep
+           {
+             requester = r.sip;
+             cacher;
+             dip = r.dip;
+             requester_seq = r.seq;
+             cacher_seq = endo.e_seq;
+             rr_to_cacher = rr;
+             rr_to_dest = route;
+             remaining = back;
+             sig_cacher =
+               Identity.sign id
+                 (Codec.crep_cacher_payload ~requester:r.sip ~seq:r.seq ~rr);
+             cacher_pk = Identity.pk_bytes id;
+             cacher_rn = id.Identity.rn;
+             sig_dest = endo.e_sig;
+             dest_pk = endo.e_pk;
+             dest_rn = endo.e_rn;
+           })
+  | _ -> None
+
+(* The relay signs its own route-record entry; the source's signature
+   travels on unchanged. *)
+let relay t (r : Messages.rreq) =
   let me = address t in
-  let rr = srr_ips srr in
-  if not (Address.equal sip me || List.exists (Address.equal me) rr) then begin
-    let sent = Option.value ~default:0 (Flood.Ktbl.find_opt t.Sr.reply_counts key) in
-    if sent < max_replies_per_request && fresh_rreq_for_destination t ~sip ~seq
-    then begin
-      (* Each verified copy — including duplicates of a flood the
-         destination already answered — is charged to the flood's
-         provenance: this is the duplicate-verification work the
-         item-3 cache is meant to eliminate. *)
-      Flood.verified (floods t) flood ~node:(Ctx.node_id t.Sr.ctx);
-      if verify_rreq t ~sip ~seq ~srr ~sig_ ~spk ~srn then begin
-        note_rreq_seq t ~sip ~seq;
-        Flood.Ktbl.replace t.Sr.reply_counts key (sent + 1);
-        answer_as_destination t ~sip ~seq ~rr
-      end
-      else
-        (* The broken link of the signature chain is not
-           localizable from here (any relay may have tampered or
-           appended a forged entry), so no subject. *)
-        Ctx.audit t.Sr.ctx ~kind:Audit.Sig_verify_fail
-          ~stats:[ Key.secure_rreq_rejected ]
-          ~cause:"rreq source or route-record signature chain" ()
-    end
-  end
-
-(* First copy of a flood at a relay: answer from an endorsed cache
-   entry, or sign our route-record entry and rebroadcast. *)
-let rreq_first_copy t ~flood ~sip ~dip ~seq ~srr ~sig_ ~spk ~srn =
-  Flood.Seen.add t.Sr.seen_rreq flood;
-  let me = address t in
-  let rr = srr_ips srr in
-  if Address.equal sip me || List.exists (Address.equal me) rr then ()
-  else begin
-    let cache_answer =
-      if t.Sr.ext.config.use_cache_replies then
-        match Sr.cached_entry t ~dst:dip with
-        | Some ({ Route_cache.meta = Some endo; _ } as entry)
-          when (not (List.exists (Address.equal sip) entry.Route_cache.route))
-               && not
-                    (List.exists
-                       (fun a -> List.exists (Address.equal a) rr)
-                       entry.Route_cache.route) ->
-            Some (entry, endo)
-        | _ -> None
-      else None
-    in
-    match cache_answer with
-    | Some (entry, endo) -> answer_from_cache t ~sip ~seq ~dip ~rr entry endo
-    | None ->
-        (match Obs.lookup (obs t) (Sr.rreq_corr ~sip ~seq) with
-        | Some sid ->
-            Obs.note (obs t) sid ~node:(Ctx.node_id t.Sr.ctx)
-              ("relay " ^ Address.to_string me)
-        | None -> ());
-        let id = identity t in
-        let entry =
-          {
-            Messages.ip = me;
-            sig_ = Identity.sign id (Codec.srr_entry_payload ~iip:me ~seq);
-            pk = Identity.pk_bytes id;
-            rn = id.Identity.rn;
-          }
-        in
-        let relayed =
-          Messages.Rreq { sip; dip; seq; srr = srr @ [ entry ]; sig_; spk; srn }
-        in
-        let delay = Prng.float t.Sr.ctx.Ctx.rng Sr.flood_jitter in
-        Engine.schedule t.Sr.ctx.Ctx.engine ~label:"secure" ~delay (fun () ->
-            Flood.sent (floods t) flood;
-            Ctx.broadcast t.Sr.ctx relayed)
-  end
-
-let handle_rreq t ~src msg =
-  match msg with
-  | Messages.Rreq { sip; dip; seq; srr; sig_; spk; srn } ->
-      let key = Sr.rreq_key sip seq in
-      let flood = Flood.handle (floods t) ~key ~origin:src in
-      (* manetcheck: allow hot-list — the route record is as long as the
-         copy's hop count, bounded by the flood's hop radius. *)
-      let hops = List.length srr in
-      Flood.received (floods t) flood ~node:(Ctx.node_id t.Sr.ctx) ~src ~hops;
-      let at_dest = Address.equal dip (address t) in
-      if (not at_dest) && Flood.Seen.mem t.Sr.seen_rreq flood then
-        Flood.duplicate (floods t) flood
-      else
-        (* manetcheck: cold — at most once per (flood, node) /
-           max_replies_per_request answers *)
-        if at_dest then
-          rreq_at_destination t ~flood ~key ~sip ~seq ~srr ~sig_ ~spk ~srn
-        else rreq_first_copy t ~flood ~sip ~dip ~seq ~srr ~sig_ ~spk ~srn
-  | _ -> ()
+  let id = identity t in
+  ( r,
+    {
+      Messages.ip = me;
+      sig_ = Identity.sign id (Codec.srr_entry_payload ~iip:me ~seq:r.seq);
+      pk = Identity.pk_bytes id;
+      rn = id.Identity.rn;
+    } )
 
 (* --- replies ------------------------------------------------------------ *)
 
@@ -768,7 +680,8 @@ let is_addr_suffix ~of_:full part =
 
 let handle t ~src msg =
   match msg with
-  | Messages.Rreq _ -> handle_rreq t ~src msg
+  | Messages.Rreq r ->
+      Sr.handle_rreq t ~src r ~accept:accept_rreq ~rrep ~crep ~relay
   | Messages.Rrep { sip; rr; _ } ->
       Ctx.deliver_up t.Sr.ctx ~src msg ~consume:(consume_rrep t ~src)
         ~forward:(fun ~next m ->

@@ -1,5 +1,4 @@
 module Address = Manet_ipv6.Address
-module Prng = Manet_crypto.Prng
 module Hmac = Manet_crypto.Hmac
 module Messages = Manet_proto.Messages
 module Codec = Manet_proto.Codec
@@ -7,7 +6,6 @@ module Ctx = Manet_proto.Node_ctx
 module Audit = Manet_obs.Audit
 module Obs = Manet_obs.Obs
 module Flood = Manet_obs.Flood
-module Engine = Manet_sim.Engine
 module Route_cache = Manet_dsr.Route_cache
 module Sr = Manet_dsr.Source_route
 module Stats = Manet_sim.Stats
@@ -75,84 +73,45 @@ let send = Sr.send
 let discover = Sr.discover
 let cached_routes = Sr.cached_routes
 
-(* --- discovery handling -------------------------------------------------- *)
+(* --- route requests --------------------------------------------------------- *)
 
-let srr_ips srr = List.map (fun e -> e.Messages.ip) srr
-let max_replies_per_request = 3
+(* End-to-end verification only: the pair MAC proves the request's
+   origin; the collected hops are taken on faith — SRP's deliberate
+   trade-off. *)
+let accept_rreq t flood (r : Messages.rreq) =
+  Flood.verified (Obs.flood t.Sr.ctx.Ctx.obs) flood ~node:(Ctx.node_id t.Sr.ctx);
+  String.equal r.sig_ (rreq_mac ~key:(key_with t r.sip) ~sip:r.sip ~dip:r.dip ~seq:r.seq)
+  || begin
+       Ctx.audit t.Sr.ctx ~kind:Audit.Sig_verify_fail
+         ~stats:[ Key.srp_rreq_rejected ]
+         ~cause:"rreq end-to-end MAC" ();
+       false
+     end
 
-let rreq_at_destination t ~flood ~key ~sip ~dip ~seq ~srr ~sig_ =
-  let me = address t in
-  let rr = srr_ips srr in
-  if not (Address.equal sip me || List.exists (Address.equal me) rr) then begin
-    let sent = Option.value ~default:0 (Flood.Ktbl.find_opt t.Sr.reply_counts key) in
-    if sent < max_replies_per_request then begin
-      (* End-to-end verification only: the pair MAC proves the
-         request's origin; the collected hops are taken on faith —
-         SRP's deliberate trade-off. *)
-      Flood.verified (Obs.flood t.Sr.ctx.Ctx.obs) flood ~node:(Ctx.node_id t.Sr.ctx);
-      let k_sd = key_with t sip in
-      if String.equal sig_ (rreq_mac ~key:k_sd ~sip ~dip ~seq) then begin
-        Flood.Ktbl.replace t.Sr.reply_counts key (sent + 1);
-        Ctx.stat t.Sr.ctx Sr.Key.route_replies;
-        let back = List.rev rr @ [ sip ] in
-        Ctx.send_along t.Sr.ctx ~path:back
-          (Messages.Rrep
-             {
-               sip;
-               dip = me;
-               rr;
-               remaining = back;
-               sig_ = rrep_mac ~key:k_sd ~sip ~seq ~rr;
-               dpk = "";
-               drn = 0L;
-             })
-      end
-      else
-        Ctx.audit t.Sr.ctx ~kind:Audit.Sig_verify_fail
-          ~stats:[ Key.srp_rreq_rejected ]
-          ~cause:"rreq end-to-end MAC" ()
-    end
-  end
+let rrep t (r : Messages.rreq) ~rr ~back =
+  Messages.Rrep
+    {
+      sip = r.sip;
+      dip = address t;
+      rr;
+      remaining = back;
+      sig_ = rrep_mac ~key:(key_with t r.sip) ~sip:r.sip ~seq:r.seq ~rr;
+      dpk = "";
+      drn = 0L;
+    }
 
-let rreq_first_copy t ~flood ~sip ~dip ~seq ~srr ~sig_ =
-  Flood.Seen.add t.Sr.seen_rreq flood;
-  let me = address t in
-  let rr = srr_ips srr in
-  if Address.equal sip me || List.exists (Address.equal me) rr then ()
-  else begin
-    (* manetcheck: allow placeholder-sig — relay with a bare address record:
-       intermediates neither sign nor verify anything under SRP — this is a
-       designated unsigned site, not a forgotten signature. *)
-    let entry = { Messages.ip = me; sig_ = ""; pk = ""; rn = 0L } in
-    let relayed =
-      Messages.Rreq { sip; dip; seq; srr = srr @ [ entry ]; sig_; spk = ""; srn = 0L }
-    in
-    let delay = Prng.float t.Sr.ctx.Ctx.rng Sr.flood_jitter in
-    Engine.schedule t.Sr.ctx.Ctx.engine ~label:"srp" ~delay (fun () ->
-        Flood.sent (Obs.flood t.Sr.ctx.Ctx.obs) flood;
-        Ctx.broadcast t.Sr.ctx relayed)
-  end
+(* SRP relays never answer from their cache. *)
+let no_crep _ _ ~rr:_ ~back:_ = None
 
-let handle_rreq t ~src msg =
-  match msg with
-  | Messages.Rreq { sip; dip; seq; srr; sig_; _ } ->
-      let key = Sr.rreq_key sip seq in
-      let fl = Obs.flood t.Sr.ctx.Ctx.obs in
-      let flood = Flood.handle fl ~key ~origin:src in
-      (* manetcheck: allow hot-list — the route record is as long as the
-         copy's hop count, bounded by the flood's hop radius. *)
-      let hops = List.length srr in
-      Flood.received fl flood ~node:(Ctx.node_id t.Sr.ctx) ~src ~hops;
-      let at_dest = Address.equal dip (address t) in
-      if (not at_dest) && Flood.Seen.mem t.Sr.seen_rreq flood then
-        Flood.duplicate fl flood
-      else
-        (* manetcheck: cold — at most once per (flood, node) /
-           max_replies_per_request answers *)
-        if at_dest then
-          rreq_at_destination t ~flood ~key ~sip ~dip ~seq ~srr ~sig_
-        else rreq_first_copy t ~flood ~sip ~dip ~seq ~srr ~sig_
-  | _ -> ()
+(* The copy keeps the source's MAC; no key material travels. *)
+let relay t (r : Messages.rreq) =
+  ( { r with spk = ""; srn = 0L },
+    { Messages.ip = address t;
+      (* manetcheck: allow placeholder-sig — relay with a bare address
+         record: intermediates neither sign nor verify anything under
+         SRP — this is a designated unsigned site, not a forgotten
+         signature. *)
+      sig_ = ""; pk = ""; rn = 0L } )
 
 let consume_rrep t msg =
   match msg with
@@ -191,7 +150,7 @@ let consume_rerr t msg =
 
 let handle t ~src msg =
   match msg with
-  | Messages.Rreq _ -> handle_rreq t ~src msg
+  | Messages.Rreq r -> Sr.handle_rreq t ~src r ~accept:accept_rreq ~rrep ~crep:no_crep ~relay
   | Messages.Rrep _ -> Sr.deliver t ~src msg ~consume:(consume_rrep t)
   | Messages.Data _ -> Sr.deliver_data t ~src msg ~overheard:(fun _ -> ())
   | Messages.Ack _ -> Sr.deliver_ack t ~src msg

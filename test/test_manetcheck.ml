@@ -307,6 +307,28 @@ let f t = Ctx.stat t.ctx delivered
     | _ -> ()
   |}
         );
+      ];
+    (* Binding the whole record reads every field through the name, so
+       an arm that passes it on unchecked is held to the rule too. *)
+    fires "record bound whole" "security"
+      [
+        ( "lib/fake/handler.ml",
+          {|let handle t ~src msg =
+    match msg with
+    | Messages.Rreq r -> Sr.handle_rreq t ~src r ~accept:accept_any
+    | _ -> ()
+  |}
+        );
+      ];
+    fires "record bound whole under an alias" "security"
+      [
+        ( "lib/fake/handler.ml",
+          {|let handle t msg =
+    match msg with
+    | Messages.Rreq ({ sip; _ } as r) -> relay t sip r
+    | _ -> ()
+  |}
+        );
       ]
 
   let test_security_verified_ok () =
@@ -327,6 +349,18 @@ let f t = Ctx.stat t.ctx delivered
           {|let handle_rreq t msg =
     match msg with
     | Messages.Rreq { sip; srr; _ } when rreq_mac t srr -> relay t sip
+    | _ -> ()
+  |}
+        );
+      ];
+    clean "record bound whole, handed a verifying check" "security"
+      [
+        ( "lib/fake/handler.ml",
+          {|let accept_rreq t r = Suite.verify t r
+
+  let handle t ~src msg =
+    match msg with
+    | Messages.Rreq r -> Sr.handle_rreq t ~src r ~accept:accept_rreq
     | _ -> ()
   |}
         );
@@ -1415,6 +1449,18 @@ module Hot = struct
        reachable from) the roster: no findings at all. *)
     clean "cold tuple" "hot-alloc"
       [ ("lib/x/m.ml", "let cold x = (x, x + 1)\nlet hot x = x + 1\n") ];
+    (* A local that shares a top-level function's name is not that
+       function: a parameter, a [let] or a case pattern named [get]
+       leaves the allocating top-level [get] cold. *)
+    let get = "let get x = (x, x + 1)\n" in
+    clean "parameter shadows a top-level function" "hot-alloc"
+      [ ("lib/x/m.ml", get ^ "let hot get x = get x + 1\n") ];
+    clean "let-bound local shadows a top-level function" "hot-alloc"
+      [ ("lib/x/m.ml", get ^ "let hot x = let get = succ in get x\n") ];
+    clean "case-bound local shadows a top-level function" "hot-alloc"
+      [ ("lib/x/m.ml", get ^ "let hot f x = match f with Some get -> get x | None -> x\n") ];
+    fires "the top-level function past the local's scope" "hot-alloc"
+      [ ("lib/x/m.ml", get ^ "let hot x = (let get = succ in get x) + fst (get x)\n") ];
     clean "no roster match means nothing is hot" "hot-alloc"
       ~roster:("tools/manetcheck/hotpaths.sexp", "")
       [ ("lib/x/m.ml", "let f x = (x, x)\n") ];

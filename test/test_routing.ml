@@ -691,6 +691,117 @@ let test_full_stack_bootstrap_and_query () =
         (Address.equal a (Scenario.address_of s 2))
   | _ -> Alcotest.fail "query failed"
 
+(* ------------------------------------------------------------------ *)
+(* The shared RREQ receive path (Source_route.handle_rreq), driven     *)
+(* copy by copy                                                       *)
+(* ------------------------------------------------------------------ *)
+
+module Ctx = Manet_proto.Node_ctx
+module Identity = Manet_proto.Identity
+module Messages = Manet_proto.Messages
+module Obs = Manet_obs.Obs
+
+(* Four nodes on a chain, each with an agent of one protocol; [handle i]
+   is node [i]'s receive function. *)
+let rreq_world protocol =
+  let engine = Engine.create ~seed:7 () in
+  let net =
+    Net.create
+      ~config:{ Net.default_config with range = 150.0 }
+      engine
+      (Manet_sim.Topology.chain ~n:4 ~spacing:100.0)
+  in
+  let directory = Manet_proto.Directory.create () in
+  let suite = Manet_crypto.Suite.mock (Prng.create ~seed:8) in
+  let id_rng = Prng.create ~seed:9 in
+  let ids = Array.init 4 (fun i -> Identity.create suite id_rng ~node_id:i) in
+  Array.iteri
+    (fun i id -> Manet_proto.Directory.register directory id.Identity.address i)
+    ids;
+  let ctxs =
+    Array.init 4 (fun i -> Ctx.create net directory ids.(i) (Prng.create ~seed:(100 + i)))
+  in
+  let handlers =
+    Array.map
+      (fun ctx ->
+        match protocol with
+        | `Dsr -> Manetsec.Dsr.handle (Manetsec.Dsr.create ctx)
+        | `Secure -> Manetsec.Secure_routing.handle (Manetsec.Secure_routing.create ctx)
+        | `Srp -> Manetsec.Srp.handle (Manetsec.Srp.create ~master:"pair keys" ctx))
+      ctxs
+  in
+  let node i = ids.(i).Identity.address in
+  (engine, ctxs, node, fun i -> handlers.(i))
+
+(* A copy of node 0's request [seq] for node [dst] whose route record
+   holds [hops]. *)
+let rreq_copy node ~dst ?(seq = 1) hops =
+  Messages.Rreq
+    {
+      sip = node 0;
+      dip = node dst;
+      seq;
+      srr = List.map (fun i -> { Messages.ip = node i; sig_ = ""; pk = ""; rn = 0L }) hops;
+      sig_ = "";
+      spk = "";
+      srn = 0L;
+    }
+
+let protocols = [ ("dsr", `Dsr); ("secure", `Secure); ("srp", `Srp) ]
+
+(* A relay hears each flood once from every neighbour and drops all but
+   the first copy, so a duplicate must stay as cheap as a duplicate
+   AREQ: the 6-word lookup key is its one allocation. *)
+let test_duplicate_rreq_allocation () =
+  List.iter
+    (fun (name, protocol) ->
+      let _, ctxs, node, handle = rreq_world protocol in
+      let msg = rreq_copy node ~dst:3 [ 1 ] in
+      handle 2 ~src:1 msg;
+      let per_copy =
+        Test_crypto.minor_words_per_call 10_000 (fun () -> handle 2 ~src:1 msg)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: duplicate RREQ copy %.2f minor words <= 8" name per_copy)
+        true (per_copy <= 8.0);
+      match Test_timeline.floods (Obs.flood ctxs.(2).Ctx.obs) with
+      | [ f ] ->
+          Alcotest.(check int) (name ^ ": every copy received") 10_001
+            f.Test_timeline.received;
+          Alcotest.(check int) (name ^ ": all but the first suppressed") 10_000
+            f.Test_timeline.duplicates
+      | l -> Alcotest.failf "%s: expected one flood, got %d" name (List.length l))
+    protocols
+
+(* The destination answers the first 3 copies of one flood, each over
+   its own path, and no more; the bound is per flood. *)
+let test_destination_answers_three_copies () =
+  let engine, _, node, handle = rreq_world `Dsr in
+  List.iter
+    (fun hops -> handle 3 ~src:2 (rreq_copy node ~dst:3 hops))
+    [ [ 1; 2 ]; [ 2 ]; [ 2; 1 ]; [ 1 ]; [] ];
+  Alcotest.(check int) "3 of 5 copies answered" 3
+    (Stats.get (Engine.stats engine) "route.replies");
+  handle 3 ~src:2 (rreq_copy node ~dst:3 ~seq:2 [ 2 ]);
+  Alcotest.(check int) "the next flood is answered" 4
+    (Stats.get (Engine.stats engine) "route.replies")
+
+(* A relay neither relays nor answers a first copy whose record already
+   names it, nor one of its own requests. *)
+let test_relay_drops_looped_copy () =
+  List.iter
+    (fun (name, protocol) ->
+      let engine, _, node, handle = rreq_world protocol in
+      let tx () = Stats.get (Engine.stats engine) "tx.rreq" in
+      handle 2 ~src:1 (rreq_copy node ~dst:3 [ 2; 1 ]);
+      handle 0 ~src:1 (rreq_copy node ~dst:3 ~seq:2 [ 1 ]);
+      Engine.run engine;
+      Alcotest.(check int) (name ^ ": looped copies dropped") 0 (tx ());
+      handle 2 ~src:1 (rreq_copy node ~dst:3 ~seq:3 [ 1 ]);
+      Engine.run engine;
+      Alcotest.(check int) (name ^ ": a clean copy is relayed") 1 (tx ()))
+    protocols
+
 let suites =
   [
     ( "dsr.cache",
@@ -741,6 +852,14 @@ let suites =
           test_credits_route_around_grayhole;
         Alcotest.test_case "identity churn distrusted" `Quick
           test_identity_churn_stays_distrusted;
+      ] );
+    ( "routing.rreq",
+      [
+        Alcotest.test_case "duplicate RREQ allocation budget" `Quick
+          test_duplicate_rreq_allocation;
+        Alcotest.test_case "destination answers three copies" `Quick
+          test_destination_answers_three_copies;
+        Alcotest.test_case "relay drops looped copy" `Quick test_relay_drops_looped_copy;
       ] );
     ( "routing.fullstack",
       [

@@ -17,8 +17,9 @@
       [verify]/CGA check guards, directly or through a helper.
     - ["security"] — a handler ([handle*], [consume*], [observe*],
       [serve*], [receive*], [on_*]) arm destructures a signed message's
-      record without mentioning a verifier (a verify/cga_check/_mac
-      name or a function that calls one) in its guard or body.
+      record, or binds it whole ([Rreq r]), without mentioning a
+      verifier (a verify/cga_check/_mac name or a function that calls
+      one) in its guard or body.
     - ["dispatch"] — a protocol [handle] dispatch in [lib/dad],
       [lib/dns], [lib/dsr] or [lib/secure] hides or misses a
       [Messages.t] constructor.
@@ -54,7 +55,8 @@
 
     Hot path (hot.ml).  The roster [tools/manetcheck/hotpaths.sexp]
     names seed functions, one [(Module function)] per entry; every
-    function they reference becomes hot, to a fixpoint:
+    function they reference becomes hot, to a fixpoint (a local that
+    shares a top-level function's name is not a reference to it):
     - ["hot-alloc"] — per-call allocation (closures, tuples, records,
       literals, list cells, [ref], string building, builders).
     - ["hot-poly"] — polymorphic [compare]/[min]/[max], structural

@@ -151,13 +151,33 @@ let cold_findings u =
 (* Hot set: roster seeds plus transitive callees.  A reference from a
    hot function to another analyzed top-level function makes the callee
    hot too — calls, but also closures installed as callbacks, which is
-   exactly how event handlers reach the engine. *)
+   exactly how event handlers reach the engine.  A name bound by a
+   parameter, a [let] or a case pattern shadows a top-level function of
+   the same name inside its scope. *)
+
+let pattern_vars p =
+  let out = ref [] in
+  let it =
+    {
+      Ast_iterator.default_iterator with
+      pat =
+        (fun self q ->
+          (match q.ppat_desc with
+          | Ppat_var { txt; _ } | Ppat_alias (_, { txt; _ }) -> out := txt :: !out
+          | _ -> ());
+          Ast_iterator.default_iterator.pat self q);
+    }
+  in
+  it.pat it p;
+  !out
 
 let referenced_fns fn_tbl b =
   let out = ref [] in
   let ranges = b.b_unit.u_allows.a_cold in
-  let rec go e =
-    (match e.pexp_desc with
+  let live x = not (List.exists (fun r -> marks r x) ranges) in
+  let rec go locals e =
+    match e.pexp_desc with
+    | Pexp_ident { txt = Longident.Lident x; _ } when List.mem x locals -> ()
     | Pexp_ident { txt; _ } ->
         let key =
           match resolve b.b_unit.u_aliases txt with
@@ -165,10 +185,29 @@ let referenced_fns fn_tbl b =
           | None, x -> (b.b_mod, x)
         in
         if Hashtbl.mem fn_tbl key then out := key :: !out
-    | _ -> ());
-    List.iter go (live_children ranges e)
+    | Pexp_let (rf, vbs, body) ->
+        let inner = List.concat_map (fun vb -> pattern_vars vb.pvb_pat) vbs @ locals in
+        let rhs = if rf = Asttypes.Recursive then inner else locals in
+        List.iter (fun vb -> go rhs vb.pvb_expr) vbs;
+        go inner body
+    | Pexp_fun (_, dflt, p, body) ->
+        Option.iter (go locals) dflt;
+        go (pattern_vars p @ locals) body
+    | Pexp_function cs -> List.iter (case locals) cs
+    | Pexp_match (s, cs) | Pexp_try (s, cs) ->
+        go locals s;
+        List.iter (case locals) cs
+    | Pexp_for (p, lo, hi, _, body) ->
+        go locals lo;
+        go locals hi;
+        go (pattern_vars p @ locals) body
+    | _ -> List.iter (go locals) (live_children ranges e)
+  and case locals c =
+    let locals = pattern_vars c.pc_lhs @ locals in
+    Option.iter (go locals) c.pc_guard;
+    if live c.pc_rhs then go locals c.pc_rhs
   in
-  go b.b_expr;
+  go [] b.b_expr;
   !out
 
 let hot_fixpoint fn_tbl bindings seeds =

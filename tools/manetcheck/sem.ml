@@ -286,13 +286,22 @@ let taint_findings fns vset sinky =
 
 (* ------------------------------------------------------------------ *)
 (* Security: a handler arm that destructures a signed message's record
-   must mention a verifier — a verify/cga_check/_mac name or a member
+   (or binds it whole) must mention a verifier — a verify/cga_check/_mac name or a member
    of the verifier fixpoint — in its guard or body.  Unlike taint,
    which follows the fields into state-mutating sinks, this holds every
    arm of a handler to the check, whatever it does with the fields. *)
 
 let handler_prefixes =
   [ "handle"; "consume"; "observe"; "serve"; "receive"; "on_" ]
+
+(* A payload pattern that reads the record: its fields, or the whole
+   record under a name (an [Rreq r] arm reads every field through
+   [r]). *)
+let rec reads_record p =
+  match p.ppat_desc with
+  | Ppat_record _ | Ppat_var _ | Ppat_alias _ -> true
+  | Ppat_constraint (q, _) -> reads_record q
+  | _ -> false
 
 let signed_record p =
   let found = ref None in
@@ -302,9 +311,10 @@ let signed_record p =
       pat =
         (fun self q ->
           (match q.ppat_desc with
-          | Ppat_construct
-              ({ txt; _ }, Some (_, { ppat_desc = Ppat_record _; _ }))
-            when List.mem (lid_last txt) signed_ctors && !found = None ->
+          | Ppat_construct ({ txt; _ }, Some (_, arg))
+            when reads_record arg
+                 && List.mem (lid_last txt) signed_ctors
+                 && !found = None ->
               found := Some (lid_last txt, line_of q.ppat_loc)
           | _ -> ());
           Ast_iterator.default_iterator.pat self q);
