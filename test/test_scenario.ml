@@ -361,9 +361,41 @@ let test_deep_nesting () =
    test/golden/scenario_exports.txt.  This holds a speed-only change to
    byte-identity with the code that recorded the digests, not just with
    a replay of itself. *)
-let golden_path =
-  if Sys.file_exists "golden" then Filename.concat "golden" "scenario_exports.txt"
-  else Filename.concat (Filename.concat "test" "golden") "scenario_exports.txt"
+let golden_file name =
+  if Sys.file_exists "golden" then Filename.concat "golden" name
+  else Filename.concat (Filename.concat "test" "golden") name
+
+let golden_path = golden_file "scenario_exports.txt"
+
+(* Who the audit stream accuses: per audit kind with a subject, how
+   many subjects are planted adversaries and how many are other nodes.
+   The ground-truth [attack_*] and [fault_*] kinds are left out.  A file
+   with no accusation reads "none". *)
+let accusations file s audit_text =
+  let adversaries = List.map fst (Scenario.params s).Scenario.adversaries in
+  let events = (Audit.parse_jsonl audit_text).Audit.parsed_events in
+  let lines =
+    List.filter_map
+      (fun kind ->
+        let label = Audit.kind_label kind in
+        let planted, other =
+          List.fold_left
+            (fun (p, o) (ev : Audit.event) ->
+              match ev.subject_node with
+              | Some n when ev.kind = kind ->
+                  if List.mem n adversaries then (p + 1, o) else (p, o + 1)
+              | _ -> (p, o))
+            (0, 0) events
+        in
+        if
+          String.starts_with ~prefix:"attack_" label
+          || String.starts_with ~prefix:"fault_" label
+          || planted + other = 0
+        then None
+        else Some (Printf.sprintf "%s %s adversaries %d others %d" file label planted other))
+      Audit.all_kinds
+  in
+  if lines = [] then [ file ^ " none" ] else lines
 
 (* The fixed spans, audit and timeline streams each read a sink that
    only its own export switches on, so the gate turns them on itself:
@@ -377,11 +409,12 @@ let export_digests file =
   let s = Scn.execute { scn with Scn.exports = sinks @ scn.Scn.exports } in
   let meta = Scn.meta scn ~seed in
   let obs = Scenario.obs s in
+  let audit = Audit.to_jsonl ~meta (Obs.audit obs) in
   let fixed =
     [
       ("stats", Export.render ~meta s Export.Stats_csv);
       ("spans", Obs.to_jsonl ~meta obs);
-      ("audit", Audit.to_jsonl ~meta (Obs.audit obs));
+      ("audit", audit);
       ("metrics", Metrics.to_csv ~stats:(Scenario.stats s) (Obs.metrics obs));
       ("timeline", Scenario.timeline_jsonl ~meta s);
     ]
@@ -392,9 +425,10 @@ let export_digests file =
         (Export.file ~name:scn.Scn.name kind, Export.render ~meta s kind))
       scn.Scn.exports
   in
-  List.map
-    (fun (stream, text) -> (file, stream, Sha256.digest_hex text))
-    (fixed @ requested)
+  ( List.map
+      (fun (stream, text) -> (file, stream, Sha256.digest_hex text))
+      (fixed @ requested),
+    accusations file s audit )
 
 let test_golden_exports () =
   let golden =
@@ -412,7 +446,8 @@ let test_golden_exports () =
     |> List.filter (String.ends_with ~suffix:".scn")
     |> List.sort String.compare
   in
-  let actual = List.concat_map export_digests files in
+  let runs = List.map export_digests files in
+  let actual = List.concat_map fst runs in
   List.iter
     (fun (file, stream, digest) ->
       match List.assoc_opt (file, stream) golden with
@@ -428,7 +463,16 @@ let test_golden_exports () =
     (fun ((file, stream), _) ->
       if not (List.exists (fun (f, s, _) -> f = file && s = stream) actual) then
         Alcotest.failf "%s: golden digest for %s matches no export" file stream)
-    golden
+    golden;
+  let pinned =
+    In_channel.with_open_bin (golden_file "accusations.txt") In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && not (String.starts_with ~prefix:"#" l))
+  in
+  let now = List.concat_map snd runs in
+  if pinned <> now then
+    Alcotest.failf "the accusations changed; test/golden/accusations.txt now reads:\n%s"
+      (String.concat "\n" now)
 
 (* The acceptance property: running blackhole_e1.scn produces exports
    byte-identical to the equivalent configuration written directly
