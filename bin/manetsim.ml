@@ -22,7 +22,6 @@ module Obs_report = Manetsec.Obs_report
 module Perf = Manetsec.Perf
 module Timeline = Manetsec.Timeline
 module Audit = Manetsec.Audit
-module Detector = Manetsec.Detector
 module Export = Manet_scenario.Export
 module Scn = Manet_scenario.Scn
 module Schema = Manet_scenario.Schema
@@ -138,20 +137,7 @@ let report s =
       "attack.data_dropped"; "attack.rrep_forged"; "attack.rerr_forged";
     ];
   Printf.printf "audit events        %d\n"
-    (Audit.count (Obs.audit (Scenario.obs s)));
-  let det = Scenario.detector s in
-  (match Detector.suspects det with
-  | [] -> ()
-  | suspects ->
-      Printf.printf "suspected nodes     %s\n"
-        (String.concat ", " (List.map string_of_int suspects)));
-  (* The detector's verdicts scored against the planted adversaries. *)
-  match Scenario.adversary_ids s with
-  | [] -> ()
-  | truth ->
-      let a = Detector.score det ~truth in
-      Printf.printf "detector score      precision %.2f recall %.2f\n"
-        a.Detector.precision a.Detector.recall
+    (Audit.count (Obs.audit (Scenario.obs s)))
 
 let load_scenario path =
   match In_channel.with_open_bin path In_channel.input_all with
@@ -271,13 +257,6 @@ let audit_cmd file no_timeline =
       end;
       Printf.printf "\n-- per-node scorecards ------------------------------\n";
       print_string (Audit.render_scorecards evs);
-      (* Replaying the stream through a fresh detector reproduces the
-         online verdicts exactly: the detector is a pure fold over the
-         event sequence. *)
-      let det = Detector.create () in
-      List.iter (Detector.feed det) evs;
-      Printf.printf "\n-- detector verdicts --------------------------------\n";
-      print_string (Detector.render_verdicts det);
       `Ok ()
   | exception Json.Parse_error msg ->
       `Error (false, Printf.sprintf "%s: %s" file msg)
@@ -906,8 +885,8 @@ let cmds =
     Cmd.v
       (Cmd.info "audit"
          ~doc:
-           "Query an exported security audit stream: event timeline, \
-            per-node scorecards, offline detector verdicts.")
+           "Query an exported security audit stream: event timeline and \
+            per-node scorecards.")
       audit_term;
   ]
 

@@ -123,9 +123,9 @@ let spam_rerrs t =
                 id.Identity.rn )
             else ("", "", 0L)
           in
-          (* Ground truth for detector scoring: every mounted attack is
-             recorded under an [Attack_*] kind that the detector itself
-             never weighs. *)
+          (* Ground truth for blame scoring: every mounted attack is
+             recorded under an [Attack_*] kind, which is never evidence
+             against its subject. *)
           Ctx.audit t.ctx ~kind:Audit.Attack_rerr
             ~stats:[ Key.attack_rerr_forged ]
             ~cause:

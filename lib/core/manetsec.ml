@@ -39,7 +39,6 @@ module Flood = Manet_obs.Flood
 module Merge = Manet_obs.Merge
 module Audit = Manet_obs.Audit
 module Metrics = Manet_obs.Metrics
-module Detector = Manet_obs.Detector
 module Proto = Manet_proto
 module Dad = Manet_dad.Dad
 module Dns = Manet_dns.Dns

@@ -10,9 +10,8 @@
     - {!Obs} / {!Obs_json} / {!Obs_report}: causal telemetry spans,
       the hand-rolled JSON codec, and JSONL / run-report export and
       querying.
-    - {!Audit} / {!Metrics} / {!Detector}: the security observability
-      layer — the typed audit event stream, windowed metrics, and the
-      online misbehaviour detector.
+    - {!Audit} / {!Metrics}: the security observability layer — the
+      typed audit event stream and windowed metrics.
     - {!Proto}: Table 1 message types, wire-size model, node identity.
     - {!Dad}: secure duplicate address detection (§3.1).
     - {!Dns} / {!Dns_client}: the DNS server and host-side services
@@ -45,7 +44,6 @@ module Flood = Manet_obs.Flood
 module Merge = Manet_obs.Merge
 module Audit = Manet_obs.Audit
 module Metrics = Manet_obs.Metrics
-module Detector = Manet_obs.Detector
 module Proto = Manet_proto
 module Dad = Manet_dad.Dad
 module Dns = Manet_dns.Dns

@@ -23,7 +23,6 @@ module Obs = Manet_obs.Obs
 module Perf = Manet_obs.Perf
 module Timeline = Manet_obs.Timeline
 module Flood = Manet_obs.Flood
-module Detector = Manet_obs.Detector
 
 type topology_spec =
   | Chain of { spacing : float }
@@ -96,7 +95,6 @@ type t = {
   dns : Dns.t option;
   mobility : Mobility.t;
   obs : Obs.t;
-  detector : Detector.t;
   mutable started : bool;
 }
 
@@ -182,12 +180,6 @@ let create params =
   Timeline.attach (Obs.timeline obs) ~net ~suite ~perf:(Obs.perf obs)
     ~audit:(Obs.audit obs);
   Timeline.install (Obs.timeline obs);
-  (* The misbehaviour detector rides the audit stream online: every
-     event any node emits feeds it at emission time, so verdicts are
-     available the moment the run stops (and are deterministic, being a
-     pure fold over the deterministic stream). *)
-  let detector = Detector.create () in
-  Detector.attach detector (Obs.audit obs);
   let ctxs =
     Array.map
       (fun id -> Ctx.create ~obs net directory id (Prng.split root))
@@ -295,16 +287,11 @@ let create params =
     dns;
     mobility;
     obs;
-    detector;
     started = false;
   }
 
 let engine t = t.engine
 let obs t = t.obs
-let detector t = t.detector
-
-let adversary_ids t =
-  List.sort_uniq Int.compare (List.map fst t.params.adversaries)
 let net t = t.net
 let stats t = Engine.stats t.engine
 let params t = t.params

@@ -110,16 +110,6 @@ val obs : t -> Manet_obs.Obs.t
     forced it.  Use {!Manet_obs.Obs.to_jsonl} or
     {!Manet_obs.Report.run_report} to export it. *)
 
-val detector : t -> Manet_obs.Detector.t
-(** The online misbehaviour detector, subscribed to the scenario's audit
-    stream from creation: by the time {!run} returns, its verdicts cover
-    every security event of the run.  Score them against
-    {!adversary_ids} with {!Manet_obs.Detector.score}. *)
-
-val adversary_ids : t -> int list
-(** Ground truth: the node indices given hostile behaviours in
-    {!params}[.adversaries], sorted, deduplicated. *)
-
 val params : t -> params
 val node : t -> int -> node
 val nodes : t -> node array

@@ -24,7 +24,6 @@ let default_config =
 type t = (config, unit) Sr.t
 
 let address = Sr.address
-let obs (t : t) = t.Sr.ctx.Ctx.obs
 
 (* Plain DSR: route record carried in the SRR field with empty
    authentication. *)
@@ -104,9 +103,7 @@ let consume_rrep t msg =
   (* manetcheck: allow security — unauthenticated baseline: replies accepted
      as-is (see handle). *)
   | Messages.Rrep { sip; dip; rr; _ } ->
-      (match Obs.lookup (obs t) (Sr.rrep_corr ~sip ~dip ~rr) with
-      | Some sid -> Obs.finish (obs t) sid Obs.Ok
-      | None -> ());
+      Sr.finish_reply t (Sr.rrep_corr ~sip ~dip ~rr) Obs.Ok;
       (* manetcheck: allow taint — plain DSR is the deliberately
          unauthenticated §4 baseline; accepting the reply without any
          check is the vulnerability Secure_routing closes. *)
@@ -118,9 +115,7 @@ let consume_crep t msg =
   (* manetcheck: allow security — unauthenticated baseline: cached replies
      accepted as-is. *)
   | Messages.Crep { cacher; dip; requester_seq; rr_to_cacher; rr_to_dest; _ } ->
-      (match Obs.lookup (obs t) (Sr.crep_corr ~cacher ~seq:requester_seq) with
-      | Some sid -> Obs.finish (obs t) sid Obs.Ok
-      | None -> ());
+      Sr.finish_reply t (Sr.crep_corr ~cacher ~seq:requester_seq) Obs.Ok;
       (* Splice: requester -> ... -> cacher -> ... -> destination. *)
       let route = rr_to_cacher @ (cacher :: rr_to_dest) in
       (* manetcheck: allow taint — same unauthenticated §4 baseline as

@@ -152,6 +152,10 @@ let reply_span t ~kind ~sip ~seq corr =
   in
   Obs.correlate o corr sid
 
+let finish_reply t corr outcome =
+  let o = obs t in
+  match Obs.lookup o corr with Some sid -> Obs.finish o sid outcome | None -> ()
+
 (* Prefer the shortest known route, as DSR does. *)
 let shortest_first e =
   (* manetcheck: allow hot-list — a cached route is as long as its hop

@@ -221,3 +221,7 @@ val reply_span : ('x, 'm) t -> kind:string -> sip:Address.t -> seq:int -> string
 (** [reply_span t ~kind ~sip ~seq corr] opens the responder's span of a
     reply to [sip]'s request [seq], under the request's flood span, and
     files it under the consumer-visible key [corr]. *)
+
+val finish_reply : ('x, 'm) t -> string -> Manet_obs.Obs.outcome -> unit
+(** [finish_reply t corr outcome] finishes the reply span filed under
+    [corr], if there is one: the consumer's verdict on the reply. *)

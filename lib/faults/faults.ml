@@ -235,13 +235,13 @@ let schedule ?obs engine hooks plan =
     (fun { at; event } ->
       Engine.schedule_at engine ~label:"fault" ~time:at (fun () ->
           Stats.incr stats (event_key event);
-          (* The ring drops the detail while it is off: build it only
+          (* The log drops the detail while it is off: build it only
              when it is kept. *)
           if Trace.is_enabled (Engine.trace engine) then
             Engine.log engine ~node:(event_node event) ~event:(event_name event)
               ~detail:(event_detail event);
           (match obs with Some o -> record_span o event | None -> ());
-          (* Injected outages land in the audit stream too: the detector
+          (* Injected outages land in the audit stream too: a reader
              must not mistake a crashed relay's silence for hostility,
              and the ground truth for that distinction lives here. *)
           (match (obs, event) with

@@ -116,7 +116,7 @@ val net_hooks : 'msg Net.t -> hooks
 val schedule : ?obs:Manet_obs.Obs.t -> Engine.t -> hooks -> plan -> unit
 (** Sort the plan by time (stable, so same-time steps keep plan order)
     and schedule each step on the engine.  Every step bumps the matching
-    stats counter when it fires and, while the engine's trace ring is
+    stats counter when it fires and, while the engine's trace log is
     on, logs a [fault.*] trace event (its detail is built only then).
 
     With [obs], Crash..Restart pairs become [fault.outage] spans and

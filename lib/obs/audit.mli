@@ -10,7 +10,7 @@
 
     One [Audit.t] is shared by every node of a scenario (it lives inside
     {!Obs.t}).  Emission is always on: instrumented sites call
-    {!emit} unconditionally, subscribers (metrics, detector) always see
+    {!emit} unconditionally, subscribers (the metrics engine) always see
     every event, and the [recording] switch only controls whether events
     are additionally retained in memory for {!to_jsonl}.  [emit] never
     draws randomness, never schedules engine events and never touches
@@ -26,7 +26,7 @@ module Engine = Manet_sim.Engine
 (** Event classification.  The [Attack_*] constructors are {e ground
     truth}: they are emitted by the adversary implementations in
     [lib/attacks] alongside their existing counters, and exist so a run
-    can score a detector against what the adversaries actually did.
+    can score blame against what the adversaries actually did.
     [Fault_*] likewise records injected churn.  Neither family is ever
     evidence of misbehaviour by its subject. *)
 type kind =
@@ -88,7 +88,7 @@ val emit :
     notifies subscribers; retains the event only while [recording]. *)
 
 val on_emit : t -> (event -> unit) -> unit
-(** Subscribe to every subsequent emission (metrics, detector).
+(** Subscribe to every subsequent emission (the metrics engine).
     Subscribers run synchronously in subscription order. *)
 
 val set_recording : t -> bool -> unit

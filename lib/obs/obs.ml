@@ -62,7 +62,7 @@ type t = {
   spans : span Itbl.t;
   mutable next_id : int;
   corr : int Stbl.t;
-  trace : Trace.t; (* the engine's; its capture view is the event sink *)
+  trace : Trace.t; (* the engine's: the event sink *)
   audit : Audit.t;
   metrics : Metrics.t;
   perf : Perf.t;
@@ -90,7 +90,7 @@ let memo_text texts a =
 
 let create ?event_capacity engine =
   let trace = Engine.trace engine in
-  Option.iter (Trace.set_capture_capacity trace) event_capacity;
+  Option.iter (Trace.set_capacity trace) event_capacity;
   let audit = Audit.create engine in
   let metrics = Metrics.create engine in
   (* Every audit event also feeds the windowed metrics: once under the
@@ -179,11 +179,11 @@ let lookup t key = Stbl.find_opt t.corr key
 
 (* --- event sink --------------------------------------------------------- *)
 
-let set_capture t on = Trace.set_capture t.trace on
-let wants_events t = Trace.is_enabled t.trace || Trace.is_capturing t.trace
+let set_capture t on = if on then Trace.enable t.trace else Trace.disable t.trace
+let wants_events t = Trace.is_enabled t.trace
 
 let log t ~node ~event ~detail =
-  Trace.log_shared t.trace ~time:(Engine.now t.engine) ~node ~event ~detail
+  Trace.log t.trace ~time:(Engine.now t.engine) ~node ~event ~detail
 
 let detail_buffer t =
   Buffer.clear t.detail;
@@ -194,10 +194,10 @@ let address_writer t = t.add_address
 
 let events t =
   List.rev
-    (Trace.fold_captured t.trace ~init:[] ~f:(fun acc (e : Trace.entry) ->
+    (Trace.fold t.trace ~init:[] ~f:(fun acc (e : Trace.entry) ->
          { time = e.time; node = e.node; name = e.event; detail = e.detail } :: acc))
 
-let events_dropped t = Trace.captured_dropped t.trace
+let events_dropped t = Trace.dropped t.trace
 
 (* --- JSONL export ------------------------------------------------------- *)
 
@@ -331,7 +331,7 @@ let to_jsonl ?(meta = []) t =
             ("schema", Json.String schema);
             ("version", Json.Int schema_version);
             ("spans", Json.Int (span_count t));
-            ("events", Json.Int (Trace.captured_length t.trace));
+            ("events", Json.Int (Trace.length t.trace));
             ("events_dropped", Json.Int (events_dropped t));
           ]
          @ meta))
@@ -343,7 +343,7 @@ let to_jsonl ?(meta = []) t =
     | Some s -> total := !total + span_line_length s
     | None -> ()
   done;
-  Trace.fold_captured t.trace ~init:() ~f:(fun () e ->
+  Trace.fold t.trace ~init:() ~f:(fun () e ->
       total := !total + event_line_length e);
   let total = !total in
   let out = Bytes.create total in
@@ -367,7 +367,7 @@ let to_jsonl ?(meta = []) t =
         put ()
     | None -> ()
   done;
-  Trace.fold_captured t.trace ~init:() ~f:(fun () e ->
+  Trace.fold t.trace ~init:() ~f:(fun () e ->
       Buffer.clear scratch;
       add_event_line scratch e;
       put ());

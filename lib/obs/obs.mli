@@ -51,11 +51,11 @@ type t
 
 val create : ?event_capacity:int -> Engine.t -> t
 (** One per scenario, shared by all nodes.  [event_capacity] caps the
-    JSONL event capture (oldest dropped first).  The capture is the
-    capture view of the engine's {!Manet_sim.Trace} store, so every [t]
-    on one engine shares its events, switch and capacity: the capacity
-    starts at 200_000, and only an explicit [event_capacity] changes
-    it (dropping the oldest captured events down to it).  Also
+    event capture (oldest dropped first).  The capture is the engine's
+    {!Manet_sim.Trace} log, so every [t] on one engine shares its
+    events, switch and capacity: the capacity starts at 200_000, and
+    only an explicit [event_capacity] changes it (dropping the oldest
+    captured events down to it).  Also
     creates the scenario's {!Audit} stream and windowed {!Metrics}
     engine and wires every audit event into the metrics (under
     ["audit.<kind>"] for the emitter, ["accused.<kind>"] for the
@@ -111,22 +111,20 @@ val lookup : t -> string -> int option
 (** {1 Event sink} *)
 
 val log : t -> node:int -> event:string -> detail:string -> unit
-(** Record one telemetry event at the current simulated time for both
-    sinks: the engine's {!Manet_sim.Trace} ring (subject to its enable
-    switch) and the JSONL event capture (when on).  The event is stored
-    once, in the trace's event store, whichever sinks take it: four
-    words plus the caller's strings, and nothing at all with both sinks
-    off.  Each sink keeps its own capacity and drop count. *)
+(** Record one telemetry event at the current simulated time in the
+    engine's {!Manet_sim.Trace} log, which {!Manet_sim.Engine.log} also
+    writes: four words plus the caller's strings while capture is on,
+    and nothing at all while it is off. *)
 
 val set_capture : t -> bool -> unit
-(** JSONL event capture; default off (spans are always recorded).
-    Turning it off keeps the events captured so far. *)
+(** Event capture; default off (spans are always recorded).  It is the
+    engine trace's one switch, so [Trace.enable] and [Trace.disable]
+    set it too.  Turning it off keeps the events captured so far. *)
 
 val wants_events : t -> bool
-(** Whether a {!log} call would be recorded anywhere: capture is on, or
-    the engine's trace ring is enabled.  Per-packet callers test it
-    before formatting an event's detail, so a run with both sinks off
-    builds no detail strings. *)
+(** Whether a {!log} call would be recorded: capture is on.  Per-packet
+    callers test it before formatting an event's detail, so a run with
+    capture off builds no detail strings. *)
 
 val detail_buffer : t -> Buffer.t
 (** The scenario's one scratch buffer for rendering an event detail,

@@ -79,8 +79,8 @@ let broadcast t msg =
   let size = Wire.size_of msg in
   count_tx t msg size;
   if Obs.wants_events t.obs then
-    (* manetcheck: cold — the detail is rendered only for a listening
-       sink (capture or the trace ring); runs with both off skip it. *)
+    (* manetcheck: cold — the detail is rendered only while the event
+       log is on; runs with it off skip it. *)
     log t ~event:(Stats.key_name (Messages.tx_key msg))
       ~detail:(broadcast_detail t msg);
   Net.broadcast t.net ~src:(node_id t) ~size msg
@@ -99,8 +99,8 @@ let send_along t ~path ?(on_fail = fun () -> ()) msg =
       let size = Wire.size_of msg in
       count_tx t msg size;
       if Obs.wants_events t.obs then
-        (* manetcheck: cold — the detail is rendered only for a listening
-           sink (capture or the trace ring); runs with both off skip it. *)
+        (* manetcheck: cold — the detail is rendered only while the event
+           log is on; runs with it off skip it. *)
         log t ~event:(Stats.key_name (Messages.tx_key msg))
           ~detail:(unicast_detail t next msg);
       match Directory.lookup_all t.directory next with

@@ -30,7 +30,7 @@ val prepare : kind list -> Scenario.t -> unit
     [Metrics_csv] and [Metrics_prom], audit retention only for
     [Audit_jsonl] (up to 200,000 events) and the timeline's bucket
     list only for [Timeline_jsonl].  Call it before any engine event
-    fires.  Audit subscribers (the detector) and {!Manet_obs.Audit.count}
+    fires.  Audit subscribers (the metrics engine) and {!Manet_obs.Audit.count}
     see every event either way; the other kinds read sinks that are
     always on. *)
 

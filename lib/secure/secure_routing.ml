@@ -467,17 +467,12 @@ let consume_rrep t ~src msg =
              verify_host_r t ~ip:dip ~pk:dpk ~rn:drn ~payload ~signature:sig_
            with
           | Host_ok ->
-              (match Obs.lookup (obs t) corr with
-              | Some sid -> Obs.finish (obs t) sid Obs.Ok
-              | None -> ());
+              Sr.finish_reply t corr Obs.Ok;
               Sr.route_found t ~dst:dip ~route:rr
                 ~meta:
                   (Some { e_sig = sig_; e_pk = dpk; e_rn = drn; e_seq = d.Sr.d_seq })
           | (Bad_binding | Bad_sig) as why ->
-              (match Obs.lookup (obs t) corr with
-              | Some sid ->
-                  Obs.finish (obs t) sid (Obs.Rejected "signature check failed")
-              | None -> ());
+              Sr.finish_reply t corr (Obs.Rejected "signature check failed");
               let stats = [ Key.secure_rrep_rejected ] in
               (match why with
               | Bad_binding ->
@@ -556,17 +551,12 @@ let consume_crep t msg =
           in
           let corr = Sr.crep_corr ~cacher ~seq:requester_seq in
           if cacher_ok && dest_ok then begin
-            (match Obs.lookup (obs t) corr with
-            | Some sid -> Obs.finish (obs t) sid Obs.Ok
-            | None -> ());
+            Sr.finish_reply t corr Obs.Ok;
             let route = rr_to_cacher @ (cacher :: rr_to_dest) in
             Sr.route_found t ~dst:dip ~route ~meta:None
           end
           else begin
-            (match Obs.lookup (obs t) corr with
-            | Some sid ->
-                Obs.finish (obs t) sid (Obs.Rejected "signature check failed")
-            | None -> ());
+            Sr.finish_reply t corr (Obs.Rejected "signature check failed");
             (* Either half may be at fault (cacher attestation or the
                replayed destination endorsement); neither failure
                localizes the forger from here. *)

@@ -15,7 +15,8 @@
 #            which must fail before any run and write nothing
 #   scn/     every committed scenario file run once (blackhole_e1 also
 #            with perf-json); their bytes are pinned by the golden test,
-#            and mixed_adversaries must print the detector's score
+#            and `audit` must read mixed_adversaries' stream into its
+#            per-node scorecards
 #   heap/    scale/n300.scn and blackhole_e1.scn run with the GC
 #            summary on: the heap gates
 #   check.txt  `scenario check` over every committed file, scale/
@@ -84,7 +85,9 @@ for f in "$scenarios"/*.scn; do
   esac
   "$sim" run "$f" --out-dir scn $extra > "scn/$(basename "$f" .scn).out"
 done
-grep -q '^detector score      precision ' scn/mixed_adversaries.out
+"$sim" audit scn/mixed_adversaries.audit.jsonl --no-timeline > scn/mixed_adversaries.audit.txt
+grep -q '^-- per-node scorecards ' scn/mixed_adversaries.audit.txt
+grep -q '^node [0-9]*: [0-9]* emitted, [0-9]* accusations$' scn/mixed_adversaries.audit.txt
 
 # Heap gates: the N = 300 point of the bootstrap N-curve (counters
 # only) must peak at no more than 2,000,000 heap words, and

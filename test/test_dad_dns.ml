@@ -297,16 +297,16 @@ let test_dad_flood_is_duplicate_suppressed () =
     true
     (areq_tx >= 3 && areq_tx <= 8)
 
-(* With the trace ring and event capture both off, completing DAD
-   formats no event detail: the configured address is rendered only for
-   a listening sink.  Node 2 completes first, so the counters and spans
-   node 1's completion touches already exist.  Its completion event then
-   allocates the two spans' end times and outcomes and its outcome
-   value, 17 words; rendering the address as well took 35. *)
+(* With the event log off, completing DAD formats no event detail: the
+   configured address is rendered only while the log is on.  Node 2
+   completes first, so the counters and spans node 1's completion
+   touches already exist.  Its completion event then allocates the two
+   spans' end times and outcomes and its outcome value, 17 words;
+   rendering the address as well took 35. *)
 let test_dad_completion_allocation () =
   let w = make_world ~n:3 () in
   let o = w.ctxs.(1).Ctx.obs in
-  Alcotest.(check bool) "both sinks off" false (Obs.wants_events o);
+  Alcotest.(check bool) "event log off" false (Obs.wants_events o);
   Dad.start w.dads.(2) ~on_complete:ignore ();
   Engine.schedule w.engine ~delay:1.0 (fun () ->
       Dad.start w.dads.(1) ~on_complete:ignore ());

@@ -265,9 +265,9 @@ let test_inject_guards () =
     (Invalid_argument "Faults.validate: crash node 7 outside [0,4)")
     (fun () -> Scenario.inject s (Faults.crash ~at:1.0 7))
 
-(* A fault step's trace detail is text for the ring alone: with the
-   ring off a scheduled link flap builds none (the sprintf alone is
-   dozens of words a step), and with it on the ring keeps the same
+(* A fault step's trace detail is text for the event log alone: with
+   the log off a scheduled link flap builds none (the sprintf alone is
+   dozens of words a step), and with it on the log keeps the same
    detail as before. *)
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -300,7 +300,7 @@ let test_detail_only_with_ring () =
   Engine.run off;
   let per_step = (Gc.minor_words () -. w0) /. float_of_int steps in
   if per_step >= 4.0 then
-    Alcotest.failf "ring off: %.1f minor words per fault step (budget 4)"
+    Alcotest.failf "log off: %.1f minor words per fault step (budget 4)"
       per_step;
   Alcotest.(check int) "every step counted" (steps / 2)
     (Stats.get (Engine.stats off) "fault.link_down");
@@ -309,7 +309,7 @@ let test_detail_only_with_ring () =
   flap on;
   Engine.run on;
   let trace = Trace.render (Engine.trace on) in
-  Alcotest.(check bool) "ring on: detail logged" true
+  Alcotest.(check bool) "log on: detail logged" true
     (contains trace "link 1-2 severed" && contains trace "link 1-2 restored")
 
 let suites =

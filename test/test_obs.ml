@@ -316,12 +316,12 @@ let test_jsonl_exact_size_with_drops () =
   check_lines "line" want got
 
 (* ------------------------------------------------------------------ *)
-(* The event log: Trace's one store behind the ring and the capture     *)
+(* The event log: Trace's one bounded FIFO behind Obs and Engine        *)
 (* ------------------------------------------------------------------ *)
 
-(* The two sinks as they were before they shared one store: the ring a
-   bounded Queue in Trace, the capture a bounded Queue in Obs. *)
-type model_sink = {
+(* The log as a bounded Queue: one switch, one capacity, one drop
+   count. *)
+type model_log = {
   q : Trace.entry Queue.t;
   cap : int;
   mutable on : bool;
@@ -338,18 +338,16 @@ let model_push m (e : Trace.entry) =
   end
 
 type log_op =
-  | Obs_log of int * string * string  (** Obs.log: both sinks *)
-  | Engine_log of int * string * string  (** Engine.log: the ring only *)
-  | Ring of bool
-  | Capture of bool
+  | Obs_log of int * string * string  (** Obs.log *)
+  | Engine_log of int * string * string  (** Engine.log *)
+  | Switch of bool * bool  (** on, and whether through Obs.set_capture *)
   | Clear  (** Trace.clear *)
   | Check
 
 let pp_log_op = function
   | Obs_log (n, ev, d) -> Printf.sprintf "obs %d %S %S" n ev d
   | Engine_log (n, ev, d) -> Printf.sprintf "engine %d %S %S" n ev d
-  | Ring b -> Printf.sprintf "ring %b" b
-  | Capture b -> Printf.sprintf "capture %b" b
+  | Switch (on, via_obs) -> Printf.sprintf "switch %b%s" on (if via_obs then " (obs)" else "")
   | Clear -> "clear"
   | Check -> "check"
 
@@ -372,32 +370,29 @@ let gen_log_script =
         [
           (60, log (fun (n, ev, d) -> Obs_log (n, ev, d)));
           (25, log (fun (n, ev, d) -> Engine_log (n, ev, d)));
-          (2, map (fun b -> Ring b) bool);
-          (2, map (fun b -> Capture b) bool);
+          (4, map2 (fun on via_obs -> Switch (on, via_obs)) bool bool);
           (1, return Clear);
           (1, return Check);
         ]
     in
     let cap = oneofl [ 1; 2; 7; 300; 1500; 5000 ] in
     let step = oneofl [ 0.0; 0.001; 0.25; 1.0 /. 3.0 ] in
-    quad cap cap bool (list_size (int_range 2600 3000) (pair step op)))
+    triple cap bool (list_size (int_range 2600 3000) (pair step op)))
 
-let print_log_script (ring_cap, cap_cap, start_on, ops) =
-  Printf.sprintf "ring capacity %d, capture capacity %d, start on %b, %d ops:\n%s" ring_cap
-    cap_cap start_on (List.length ops)
+let print_log_script (cap, start_on, ops) =
+  Printf.sprintf "capacity %d, start on %b, %d ops:\n%s" cap start_on (List.length ops)
     (String.concat "\n"
        (List.map (fun (dt, op) -> Printf.sprintf "+%g %s" dt (pp_log_op op)) ops))
 
-let model_render ring =
+let model_render m =
   let buf = Buffer.create 256 in
-  if ring.dropped > 0 then
+  if m.dropped > 0 then
     Buffer.add_string buf
-      (Printf.sprintf "[trace: %d oldest entries dropped at capacity %d]\n" ring.dropped
-         ring.cap);
-  Queue.iter (fun e -> Buffer.add_string buf (Format.asprintf "%a@." Trace.pp_entry e)) ring.q;
+      (Printf.sprintf "[trace: %d oldest entries dropped at capacity %d]\n" m.dropped m.cap);
+  Queue.iter (fun e -> Buffer.add_string buf (Format.asprintf "%a@." Trace.pp_entry e)) m.q;
   Buffer.contents buf
 
-let model_jsonl ~meta capture =
+let model_jsonl ~meta m =
   let line (e : Trace.entry) =
     Json.to_string
       (Json.Obj
@@ -416,57 +411,49 @@ let model_jsonl ~meta capture =
           ("schema", Json.String Obs.schema);
           ("version", Json.Int Obs.schema_version);
           ("spans", Json.Int 0);
-          ("events", Json.Int (Queue.length capture.q));
-          ("events_dropped", Json.Int capture.dropped);
+          ("events", Json.Int (Queue.length m.q));
+          ("events_dropped", Json.Int m.dropped);
         ]
        @ meta))
   ^ "\n"
-  ^ String.concat "" (List.map line (List.of_seq (Queue.to_seq capture.q)))
+  ^ String.concat "" (List.map line (List.of_seq (Queue.to_seq m.q)))
 
-let entry_list = Alcotest.(list (pair (pair (float 0.0) int) (pair string string)))
 let flat (e : Trace.entry) = ((e.time, e.node), (e.event, e.detail))
 
-(* One script against the model, twice: through an engine and its Obs
-   (the ring at its default capacity), and through a bare Trace with
-   both views at the script's capacities. *)
-let run_log_script (ring_cap, cap_cap, start_on, ops) =
-  let fail what = QCheck.Test.fail_reportf "%s differs from the two-queue model" what in
+(* One script against the model, twice: through an engine and its Obs,
+   with Obs.log and Engine.log mixed and the switch set through either
+   side, and through a bare Trace. *)
+let run_log_script (cap, start_on, ops) =
+  let fail what = QCheck.Test.fail_reportf "%s differs from the one-queue model" what in
   let same what eq a b = if not (eq a b) then fail what in
-  let run ~ring_cap ~engine =
-    let ring = { q = Queue.create (); cap = ring_cap; on = start_on; dropped = 0 } in
-    let capture = { q = Queue.create (); cap = cap_cap; on = start_on; dropped = 0 } in
+  let run ~engine =
+    let m = { q = Queue.create (); cap; on = start_on; dropped = 0 } in
     let e = Engine.create ~seed:1 () in
-    let o = Obs.create ~event_capacity:cap_cap e in
-    let tr = if engine then Engine.trace e else Trace.create ~capacity:ring_cap () in
-    Trace.set_capture_capacity tr cap_cap;
-    let set_ring on = if on then Trace.enable tr else Trace.disable tr in
-    let set_capture on = if engine then Obs.set_capture o on else Trace.set_capture tr on in
-    set_ring start_on;
-    set_capture start_on;
+    let o = Obs.create ~event_capacity:cap e in
+    let tr = if engine then Engine.trace e else Trace.create ~capacity:cap () in
+    let switch on ~via_obs =
+      if engine && via_obs then Obs.set_capture o on
+      else if on then Trace.enable tr
+      else Trace.disable tr
+    in
+    switch start_on ~via_obs:false;
     let check () =
-      let model_entries = List.of_seq (Queue.to_seq ring.q) in
-      same "Trace.entries" ( = ) (List.map flat (Trace.entries tr)) (List.map flat model_entries);
-      (* The render's header carries the ring's drop count. *)
-      same "Trace.render" String.equal (Trace.render tr) (model_render ring);
-      let captured = List.of_seq (Queue.to_seq capture.q) in
+      same "Trace.entries" ( = ) (List.map flat (Trace.entries tr))
+        (List.map flat (List.of_seq (Queue.to_seq m.q)));
+      (* The render's header carries the drop count. *)
+      same "Trace.render" String.equal (Trace.render tr) (model_render m);
+      same "Trace.dropped" Int.equal (Trace.dropped tr) m.dropped;
       if engine then begin
+        same "Obs.wants_events" Bool.equal (Obs.wants_events o) m.on;
         same "Obs.events" ( = )
           (List.map (fun (v : Obs.event) -> ((v.time, v.node), (v.name, v.detail))) (Obs.events o))
-          (List.map flat captured);
-        same "Obs.events_dropped" Int.equal (Obs.events_dropped o) capture.dropped;
+          (List.map flat (List.of_seq (Queue.to_seq m.q)));
+        same "Obs.events_dropped" Int.equal (Obs.events_dropped o) m.dropped;
         let meta = [ ("seed", Json.Int 1) ] in
-        same "Obs.to_jsonl" String.equal (Obs.to_jsonl ~meta o) (model_jsonl ~meta capture)
-      end
-      else begin
-        same "Trace.fold_captured" ( = )
-          (List.rev (Trace.fold_captured tr ~init:[] ~f:(fun acc v -> flat v :: acc)))
-          (List.map flat captured);
-        same "Trace.captured_length" Int.equal (Trace.captured_length tr)
-          (Queue.length capture.q);
-        same "Trace.captured_dropped" Int.equal (Trace.captured_dropped tr) capture.dropped
+        same "Obs.to_jsonl" String.equal (Obs.to_jsonl ~meta o) (model_jsonl ~meta m)
       end
     in
-    (* Entries the store has taken; the full check also runs each time
+    (* Entries the log has taken; the full check also runs each time
        this crosses a chunk boundary. *)
     let stored = ref 0 in
     let store_one () =
@@ -476,26 +463,21 @@ let run_log_script (ring_cap, cap_cap, start_on, ops) =
     let time = ref 0.0 in
     let apply = function
       | Obs_log (node, event, detail) ->
-          let m = { Trace.time = !time; node; event; detail } in
-          model_push ring m;
-          model_push capture m;
+          model_push m { Trace.time = !time; node; event; detail };
           if engine then Obs.log o ~node ~event ~detail
-          else Trace.log_shared tr ~time:!time ~node ~event ~detail;
-          if ring.on || capture.on then store_one ()
+          else Trace.log tr ~time:!time ~node ~event ~detail;
+          if m.on then store_one ()
       | Engine_log (node, event, detail) ->
-          model_push ring { Trace.time = !time; node; event; detail };
+          model_push m { Trace.time = !time; node; event; detail };
           if engine then Engine.log e ~node ~event ~detail
           else Trace.log tr ~time:!time ~node ~event ~detail;
-          if ring.on then store_one ()
-      | Ring on ->
-          ring.on <- on;
-          set_ring on
-      | Capture on ->
-          capture.on <- on;
-          set_capture on
+          if m.on then store_one ()
+      | Switch (on, via_obs) ->
+          m.on <- on;
+          switch on ~via_obs
       | Clear ->
-          Queue.clear ring.q;
-          ring.dropped <- 0;
+          Queue.clear m.q;
+          m.dropped <- 0;
           Trace.clear tr
       | Check -> check ()
     in
@@ -504,25 +486,25 @@ let run_log_script (ring_cap, cap_cap, start_on, ops) =
         time := !time +. dt;
         Engine.schedule_at e ~time:!time (fun () -> apply op);
         Engine.run e;
-        same "captured length" Int.equal (Trace.captured_length tr) (Queue.length capture.q))
+        same "Trace.length" Int.equal (Trace.length tr) (Queue.length m.q))
       ops;
     check ()
   in
-  run ~ring_cap:100_000 ~engine:true;
-  run ~ring_cap ~engine:false;
+  run ~engine:true;
+  run ~engine:false;
   true
 
 let prop_event_log_matches_model =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:20 ~name:"event log = two-queue model"
+    (QCheck.Test.make ~count:20 ~name:"event log = one-queue model"
        (QCheck.make ~print:print_log_script gen_log_script)
        run_log_script)
 
-(* Scripts of long phases: each sets both switches, maybe clears the
-   ring, then logs 500-2,500 entries, all through Obs.log or a mix with
-   Engine.log.  A view switched off while it holds entries pins the
-   store while the other logs on, so these runs cross the store's
-   compactions, which the short toggles above seldom reach. *)
+(* Scripts of long phases: each sets the switch, maybe clears the log,
+   then logs 500-2,500 entries, all through Obs.log or a mix with
+   Engine.log.  A phase with the switch off logs nothing while the log
+   keeps its entries, and one with it on runs past small capacities many
+   times over, letting go of chunks as it drops. *)
 let gen_phase_script =
   QCheck.Gen.(
     let log ~mixed =
@@ -535,57 +517,24 @@ let gen_phase_script =
     in
     let phase =
       quad bool bool (frequency [ (4, return false); (1, return true) ]) bool
-      >>= fun (ring, capture, clear, mixed) ->
+      >>= fun (on, via_obs, clear, mixed) ->
       map
         (fun logs ->
-          [ Ring ring; Capture capture ] @ (if clear then [ Clear ] else []) @ logs @ [ Check ])
+          [ Switch (on, via_obs) ] @ (if clear then [ Clear ] else []) @ logs @ [ Check ])
         (list_size (int_range 500 2500) (log ~mixed))
     in
-    let cap = oneofl [ 1; 2; 7; 300 ] in
-    map3
-      (fun ring_cap cap_cap phases ->
-        (ring_cap, cap_cap, true, List.map (fun op -> (0.5, op)) (List.concat phases)))
-      cap cap
+    map2
+      (fun cap phases -> (cap, true, List.map (fun op -> (0.5, op)) (List.concat phases)))
+      (oneofl [ 1; 2; 7; 300 ])
       (list_size (int_range 4 8) phase))
 
 let prop_event_log_phases_match_model =
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:20 ~name:"event log = two-queue model over long phases"
+    (QCheck.Test.make ~count:20 ~name:"event log = one-queue model over long phases"
        (QCheck.make ~print:print_log_script gen_phase_script)
        run_log_script)
 
-(* A view switched off keeps its entries; the other view logging on
-   past both capacities many times over must not keep the store
-   growing with it. *)
-let test_store_bounded_with_view_pinned () =
-  let t = Trace.create ~capacity:100 () in
-  Trace.set_capture_capacity t 100;
-  Trace.enable t;
-  Trace.set_capture t true;
-  for i = 1 to 50 do
-    Trace.log_shared t ~time:(float_of_int i) ~node:i ~event:"e" ~detail:"d"
-  done;
-  Trace.set_capture t false;
-  let words () = Obj.reachable_words (Obj.repr t) in
-  let peak = ref 0 in
-  for i = 51 to 50_000 do
-    Trace.log_shared t ~time:(float_of_int i) ~node:i ~event:"e" ~detail:"d";
-    if i land 1023 = 0 then peak := Int.max !peak (words ())
-  done;
-  Alcotest.(check int) "capture keeps its 50" 50 (Trace.captured_length t);
-  Alcotest.(check (list int)) "capture's entries"
-    (List.init 50 (fun i -> i + 1))
-    (List.rev (Trace.fold_captured t ~init:[] ~f:(fun acc e -> e.node :: acc)));
-  Alcotest.(check (list int)) "ring's newest 100"
-    (List.init 100 (fun i -> 49_901 + i))
-    (List.map (fun (e : Trace.entry) -> e.node) (Trace.entries t));
-  (* A chunk is about 4,100 words; the views hold 150 entries, so the
-     store spans at most 2 x 150 + 1,024 entries before it compacts,
-     over at most three chunks. *)
-  if !peak > 4 * 4_200 then
-    Alcotest.failf "store grew to %d words with 150 entries held" !peak
-
-(* Every Obs.t on one engine shares the engine's capture: its events,
+(* Every Obs.t on one engine shares the engine's trace log: its events,
    its switch and its capacity, which only an explicit event_capacity
    changes. *)
 let test_two_obs_share_capture () =
@@ -607,7 +556,11 @@ let test_two_obs_share_capture () =
   Obs.log c ~node:7 ~event:"e" ~detail:"";
   Alcotest.(check (list int)) "and holds it" [ 6; 7 ] (nodes a);
   Obs.set_capture b false;
-  Alcotest.(check bool) "b's switch is a's" false (Obs.wants_events a)
+  Alcotest.(check bool) "b's switch is a's" false (Obs.wants_events a);
+  Trace.enable (Engine.trace e);
+  Alcotest.(check bool) "the trace's switch is the capture's" true (Obs.wants_events a);
+  Engine.log e ~node:8 ~event:"e" ~detail:"";
+  Alcotest.(check (list int)) "engine events are captured" [ 7; 8 ] (nodes b)
 
 (* Allocated words (minor + major - promoted) per call of [f]. *)
 let words_per_call n f =
@@ -625,17 +578,16 @@ let test_log_allocation_budget () =
   let e = Engine.create ~seed:1 () in
   let o = Obs.create e in
   let detail = String.make 120 'd' in
-  Alcotest.(check (float 0.0)) "both sinks off: Obs.log allocates nothing" 0.0
+  Alcotest.(check (float 0.0)) "capture off: Obs.log allocates nothing" 0.0
     (Test_crypto.minor_words_per_call 10_000 (fun () ->
          Obs.log o ~node:3 ~event:"tx.data" ~detail));
-  Trace.enable (Engine.trace e);
   Obs.set_capture o true;
   let per_event =
     words_per_call 10_000 (fun () -> Obs.log o ~node:3 ~event:"tx.data" ~detail)
   in
   Alcotest.(check int) "every event stored" 10_000 (List.length (Obs.events o));
   if per_event > 5.0 then
-    Alcotest.failf "both sinks on: %.2f words per event (budget 5)" per_event
+    Alcotest.failf "capture on: %.2f words per event (budget 5)" per_event
 
 (* ------------------------------------------------------------------ *)
 (* The length pass's helpers against the renderings they size          *)
@@ -1059,7 +1011,6 @@ let suites =
         tc "jsonl exact size with drops" test_jsonl_exact_size_with_drops;
         prop_event_log_matches_model;
         prop_event_log_phases_match_model;
-        tc "store bounded with a view pinned" test_store_bounded_with_view_pinned;
         tc "two obs share the capture" test_two_obs_share_capture;
         tc "log allocation budget" test_log_allocation_budget;
         prop_escaped_length;

@@ -619,7 +619,7 @@ let test_ctx_byte_accounting () =
 
 (* Node 0 sends one broadcast and one source-routed unicast; [fec0::2]
    resolves to node 1.  Returns the engine and the shared telemetry
-   handle after [setup] has switched sinks on or off. *)
+   handle after [setup] has switched the event log on or left it off. *)
 let sink_run setup =
   let engine = Engine.create ~seed:7 () in
   let topo = Topology.chain ~n:2 ~spacing:100.0 in
@@ -639,7 +639,8 @@ let sink_run setup =
          sent_at = 0.5 });
   (engine, obs)
 
-(* The details as rendered before formatting became sink-gated. *)
+(* The details as rendered before formatting became gated on the log's
+   switch. *)
 let golden_details =
   [
     ("tx.areq", "broadcast AREQ(sip=fec0::1, seq=3, dn=node1, rr=[fec0::3])");
@@ -656,7 +657,9 @@ let test_send_details_trace_ring () =
     (List.map
        (fun e -> (e.Trace.event, e.Trace.detail))
        (Trace.entries (Engine.trace engine)));
-  Alcotest.(check int) "capture stays off" 0 (List.length (Obs.events obs))
+  (* The trace's switch is the capture's: both read one log. *)
+  Alcotest.check details "captured details" golden_details
+    (List.map (fun e -> (e.Obs.name, e.Obs.detail)) (Obs.events obs))
 
 let test_send_details_capture () =
   let engine, obs = sink_run (fun _ obs -> Obs.set_capture obs true) in
@@ -664,12 +667,14 @@ let test_send_details_capture () =
     (List.map
        (fun e -> (e.Obs.name, e.Obs.detail))
        (Obs.events obs));
-  Alcotest.(check int) "ring stays off" 0
-    (Test_sim.trace_length (Engine.trace engine))
+  Alcotest.check details "ring details" golden_details
+    (List.map
+       (fun e -> (e.Trace.event, e.Trace.detail))
+       (Trace.entries (Engine.trace engine)))
 
 let test_send_details_sinks_off () =
   let engine, obs = sink_run (fun _ _ -> ()) in
-  Alcotest.(check bool) "no sink wants events" false (Obs.wants_events obs);
+  Alcotest.(check bool) "capture off wants no events" false (Obs.wants_events obs);
   Alcotest.(check int) "ring empty" 0 (Test_sim.trace_length (Engine.trace engine));
   Alcotest.(check int) "no captured events" 0 (List.length (Obs.events obs));
   (* The counters do not depend on the sinks. *)

@@ -628,6 +628,31 @@ let test_srp_benign_delivery () =
   Alcotest.(check (float 0.01)) "full delivery" 1.0 (Scenario.delivery_ratio s);
   Alcotest.(check int) "nothing rejected" 0 (stat s "srp.rrep_rejected")
 
+(* The destination opens a route.rrep span under the discovery's flood
+   span, and the source finishes it once the reply's MAC checks out. *)
+let test_srp_reply_span () =
+  let s = Scenario.create (chain_params ~protocol:Scenario.Srp_protocol ()) in
+  let got = ref None in
+  Scenario.discover s ~src:1 ~dst:4 (fun r -> got := Some r);
+  Scenario.run s ~until:10.0;
+  Alcotest.(check bool) "route found" true
+    (match !got with Some (Some _) -> true | _ -> false);
+  let spans = Manetsec.Obs.spans (Scenario.obs s) in
+  let kind_of id =
+    List.find_map
+      (fun (sp : Manetsec.Obs.span) -> if sp.id = id then Some sp.kind else None)
+      spans
+  in
+  let replies =
+    List.filter
+      (fun (sp : Manetsec.Obs.span) ->
+        sp.kind = "route.rrep" && Option.bind sp.parent kind_of = Some "rreq.flood")
+      spans
+  in
+  Alcotest.(check bool) "a reply span under the flood" true (replies <> []);
+  Alcotest.(check bool) "finished ok" true
+    (List.exists (fun (sp : Manetsec.Obs.span) -> sp.outcome = Some Manetsec.Obs.Ok) replies)
+
 let test_srp_rejects_forged_rrep () =
   (* The black hole cannot produce the pair MAC, so its forged replies
      die at the source; delivery survives via honest routes. *)
@@ -833,6 +858,7 @@ let suites =
       [
         Alcotest.test_case "benign delivery" `Quick test_srp_benign_delivery;
         Alcotest.test_case "rejects forged rrep" `Quick test_srp_rejects_forged_rrep;
+        Alcotest.test_case "reply span under the flood" `Quick test_srp_reply_span;
         Alcotest.test_case "accepts impersonation" `Quick test_srp_accepts_impersonation;
       ] );
     ( "routing.attacks",

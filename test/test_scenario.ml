@@ -365,8 +365,6 @@ let golden_file name =
   if Sys.file_exists "golden" then Filename.concat "golden" name
   else Filename.concat (Filename.concat "test" "golden") name
 
-let golden_path = golden_file "scenario_exports.txt"
-
 (* Who the audit stream accuses: per audit kind with a subject, how
    many subjects are planted adversaries and how many are other nodes.
    The ground-truth [attack_*] and [fault_*] kinds are left out.  A file
@@ -432,7 +430,7 @@ let export_digests file =
 
 let test_golden_exports () =
   let golden =
-    In_channel.with_open_bin golden_path In_channel.input_all
+    In_channel.with_open_bin (golden_file "scenario_exports.txt") In_channel.input_all
     |> String.split_on_char '\n'
     |> List.filter_map (fun line ->
            match String.split_on_char ' ' line with

@@ -329,7 +329,7 @@ let prop_percentile_out_of_range =
 (* Trace                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* The ring's reads, through [Trace.entries] and the drop-count header
+(* The log's reads, through [Trace.entries] and the drop-count header
    of [Trace.render]. *)
 let trace_length t = List.length (Trace.entries t)
 
@@ -395,7 +395,7 @@ let test_trace_capacity_one () =
   Alcotest.(check int) "three dropped" 3 (trace_dropped t);
   Alcotest.(check (list string)) "newest survives" [ "4" ]
     (List.map (fun e -> e.Trace.detail) (Trace.entries t));
-  (* find scans the ring: dropped entries are gone from it too. *)
+  (* find scans the log: dropped entries are gone from it too. *)
   Alcotest.(check int) "find follows ring drops" 1
     (List.length (trace_find t ~event:"e"))
 

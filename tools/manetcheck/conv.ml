@@ -46,8 +46,8 @@ let addr_fields =
 
 (* A counter whose name says "rejected", "replayed", "suspected", ...
    carries the information of a security audit event with none of its
-   structure (subject, cause, an entry in the stream the misbehaviour
-   detector reads).  Under the protocol layers such counters are bumped
+   structure (subject, cause, an entry in the audit stream that
+   [manetsim audit] reads).  Under the protocol layers such counters are bumped
    through [Node_ctx.audit] / [Audit.emit] with [~stats], never with a
    raw [Ctx.stat] / [Stats.incr].  A counter is named by a key made once
    ([Stats.key "name"]); the rule reads the name through the binding. *)
