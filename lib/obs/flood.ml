@@ -1,4 +1,5 @@
 module Engine = Manet_sim.Engine
+module Trace = Manet_sim.Trace
 
 (* Flood keys are the protocols' own dedup keys as typed records: AREQ
    (sip, seq, ch), RREQ (sip, seq) with [ch = 0L].  [kind] is part of
@@ -35,12 +36,23 @@ module Ktbl = Hashtbl.Make (struct
   let hash = key_hash
 end)
 
-(* The propagation tree is stored per flood as two arrays indexed by
-   node id: the first-seen times (a flat float array) and one packed
-   int per node, 0 for a node not reached.  A reached node's int holds
-   its verify count in bits 0-20, its hop distance plus one in bits
-   21-40 and its parent plus one in bits 41-61; the [+ 1]s keep a
-   reached node's int non-zero and let the parent be -1 (unknown). *)
+(* Each flood keeps two bits per node, indexed by node id, four nodes to
+   a byte: [reached_bit] once a copy (or a verify) has reached the node
+   and [verified_bit] once the node has verified a copy.  They are what
+   [f_reached] and [f_verify_nodes] count, and all the per-node state a
+   flood registered with the event log off keeps. *)
+let reached_bit = 1
+let verified_bit = 2
+let mark_byte node = node lsr 2
+let mark_shift node = (node land 3) lsl 1
+
+(* The propagation tree, kept only for a flood registered while the
+   event log is on: the first-seen times (a flat float array) and one
+   packed int per node, 0 for a node not reached, indexed by node id.  A
+   reached node's int holds its verify count in bits 0-20, its hop
+   distance plus one in bits 21-40 and its parent plus one in bits
+   41-61; the [+ 1]s keep a reached node's int non-zero and let the
+   parent be -1 (unknown). *)
 let verify_mask = (1 lsl 21) - 1
 let hops_shift = 21
 let hops_mask = (1 lsl 20) - 1
@@ -54,6 +66,8 @@ let pack ~parent ~hops ~verifies =
 let cell_verifies c = c land verify_mask
 let cell_hops c = ((c lsr hops_shift) land hops_mask) - 1
 let cell_parent c = (c lsr parent_shift) - 1
+
+type tree = { first_seen : Float.Array.t; cells : int array }
 
 (* The last-activity time lives in an all-float record, stored flat, so
    touching a flood on every copy stores an unboxed double. *)
@@ -72,8 +86,8 @@ type flood = {
   mutable f_verify_nodes : int;
   mutable f_reached : int;
   mutable f_hop_radius : int;
-  mutable f_first_seen : Float.Array.t;
-  mutable f_cells : int array;
+  mutable f_marks : Bytes.t; (* room for [4 * length] nodes *)
+  mutable f_tree : tree option;
 }
 
 type handle = flood
@@ -97,6 +111,14 @@ let add_flood t f =
   t.floods.(t.count) <- f;
   t.count <- t.count + 1
 
+(* Node arrays with room for [n] nodes: [n] rounded up to whole mark
+   bytes. *)
+let marks_for n = Bytes.make ((n + 3) lsr 2) '\000'
+
+let tree_for n =
+  let n = 4 * ((n + 3) lsr 2) in
+  { first_seen = Float.Array.make n 0.0; cells = Array.make n 0 }
+
 let handle t ~key ~origin =
   match Ktbl.find t.by_key key with
   | f -> f
@@ -119,8 +141,11 @@ let handle t ~key ~origin =
           f_verify_nodes = 0;
           f_reached = 0;
           f_hop_radius = 0;
-          f_first_seen = Float.Array.make t.width 0.0;
-          f_cells = Array.make t.width 0;
+          f_marks = marks_for t.width;
+          f_tree =
+            (if Trace.is_enabled (Engine.trace t.engine) then
+               Some (tree_for t.width)
+             else None);
         }
       in
       Ktbl.add t.by_key key f;
@@ -128,29 +153,45 @@ let handle t ~key ~origin =
       f
 
 (* Make [node] a valid index of [f]'s node arrays.  Up to the registry's
-   width the arrays grow straight to it; past it (a node id no flood has
+   width they grow straight to it; past it (a node id no flood has
    recorded yet) they double, so the flood that first reaches a new node
    range grows O(log N) times. *)
 let grow t f node =
   if node < 0 || node > max_node then invalid_arg "Flood: node id out of range";
-  let len = Array.length f.f_cells in
+  let len = 4 * Bytes.length f.f_marks in
   let n = if node < t.width then t.width else max (node + 1) (2 * len) in
-  let cells = Array.make n 0 in
-  Array.blit f.f_cells 0 cells 0 len;
-  let first_seen = Float.Array.make n 0.0 in
-  Float.Array.blit f.f_first_seen 0 first_seen 0 len;
-  f.f_cells <- cells;
-  f.f_first_seen <- first_seen
+  let marks = marks_for n in
+  Bytes.blit f.f_marks 0 marks 0 (Bytes.length f.f_marks);
+  f.f_marks <- marks;
+  match f.f_tree with
+  | None -> ()
+  | Some tr ->
+      let grown = tree_for n in
+      Array.blit tr.cells 0 grown.cells 0 len;
+      Float.Array.blit tr.first_seen 0 grown.first_seen 0 len;
+      f.f_tree <- Some grown
 
-(* The tree edge of [node]'s first copy (or of a verify with no recorded
-   reception, [parent = -1]). *)
-let reach t f ~node ~parent ~hops ~verifies =
+let marks f node =
+  (Bytes.get_uint8 f.f_marks (mark_byte node) lsr mark_shift node) land 3
+
+let set_mark f node bit =
+  let i = mark_byte node in
+  Bytes.set_uint8 f.f_marks i
+    (Bytes.get_uint8 f.f_marks i lor (bit lsl mark_shift node))
+
+(* [node]'s first copy (or a verify with no recorded reception,
+   [parent = -1]): its reached mark and, with a tree, its tree edge. *)
+let reach t f ~node ~parent ~hops =
   if parent < -1 || parent > max_node || hops < 0 || hops > max_hops then
     invalid_arg "Flood: parent or hop count out of range";
-  f.f_cells.(node) <- pack ~parent ~hops ~verifies;
-  Float.Array.set f.f_first_seen node (Engine.now t.engine);
+  set_mark f node reached_bit;
   f.f_reached <- f.f_reached + 1;
-  if node >= t.width then t.width <- node + 1
+  if node >= t.width then t.width <- node + 1;
+  match f.f_tree with
+  | None -> ()
+  | Some tr ->
+      tr.cells.(node) <- pack ~parent ~hops ~verifies:0;
+      Float.Array.set tr.first_seen node (Engine.now t.engine)
 
 let touch t f = f.f_last.last <- Engine.now t.engine
 
@@ -162,13 +203,13 @@ let received t f ~node ~src ~hops =
   f.f_received <- f.f_received + 1;
   if hops > f.f_hop_radius then f.f_hop_radius <- hops;
   touch t f;
-  if node >= Array.length f.f_cells then
+  if mark_byte node >= Bytes.length f.f_marks then
     (* manetcheck: cold — only the first flood to reach a node id grows
        its arrays; later floods are created at full width. *)
     grow t f node;
-  if f.f_cells.(node) = 0 then
+  if marks f node land reached_bit = 0 then
     (* manetcheck: cold — once per (flood, node) reached, not per copy *)
-    reach t f ~node ~parent:src ~hops ~verifies:0
+    reach t f ~node ~parent:src ~hops
 
 let duplicate t f =
   f.f_dup_suppressed <- f.f_dup_suppressed + 1;
@@ -177,87 +218,61 @@ let duplicate t f =
 let verified t f ~node =
   f.f_verifies <- f.f_verifies + 1;
   touch t f;
-  if node >= Array.length f.f_cells then
+  if mark_byte node >= Bytes.length f.f_marks then
     (* manetcheck: cold — as in [received]. *)
     grow t f node;
-  let c = f.f_cells.(node) in
-  if c = 0 then begin
-    (* A verify without a recorded reception gets a defensive cell. *)
+  let m = marks f node in
+  if m land verified_bit = 0 then begin
     f.f_verify_nodes <- f.f_verify_nodes + 1;
-    reach t f ~node ~parent:(-1) ~hops:0 ~verifies:1
-  end
-  else begin
-    let v = cell_verifies c in
-    if v = 0 then f.f_verify_nodes <- f.f_verify_nodes + 1;
-    if v = verify_mask then invalid_arg "Flood: verify count out of range";
-    f.f_cells.(node) <- c + 1
-  end
+    (* A verify without a recorded reception reaches the node too. *)
+    if m land reached_bit = 0 then reach t f ~node ~parent:(-1) ~hops:0;
+    set_mark f node verified_bit
+  end;
+  match f.f_tree with
+  | None -> ()
+  | Some tr ->
+      let c = tr.cells.(node) in
+      if cell_verifies c = verify_mask then
+        invalid_arg "Flood: verify count out of range";
+      tr.cells.(node) <- c + 1
 
 (* --- seen sets ----------------------------------------------------------- *)
 
-(* Per-node dedup set of floods, open-addressed with linear probing.
-   Each slot holds one int: -1 when empty, else the key's hash (31
-   bits) above the flood id (31 bits).  The hash bits let a probe skip
-   other floods without touching their records, [mem] compare whole
-   slots and growth rehash without the registry; only [find], which
-   starts from a bare key, reads a candidate's key back through the
-   registry.  The load factor stays at most 3/4, so a slot array costs
-   at most 8/3 words per entry right after it doubles. *)
+(* Per-node dedup set of floods: a bitset over the registry's dense
+   flood ids, bit [id land 7] of byte [id lsr 3].  It grows by doubling
+   to cover the largest id added, so a node that sees most floods of a
+   run pays about one bit per flood.  [find] looks the key up in the
+   registry's key index and then tests the flood's bit. *)
 module Seen = struct
   type registry = t
-  type t = { mutable slots : int array; mutable size : int }
+  type t = { mutable bits : Bytes.t }
 
-  let id_bits = 31
-  let id_mask = (1 lsl id_bits) - 1
-
-  let create () = { slots = Array.make 8 (-1); size = 0 }
-  let slot_of f = ((key_hash f.f_key land id_mask) lsl id_bits) lor f.f_id
-
-  (* Index of [v]'s slot, or of the empty slot that ends its probe run. *)
-  let rec probe slots mask v i =
-    let x = slots.(i) in
-    if x = v || x < 0 then i else probe slots mask v ((i + 1) land mask)
-
-  let index slots v =
-    let mask = Array.length slots - 1 in
-    probe slots mask v ((v lsr id_bits) land mask)
+  let create () = { bits = Bytes.empty }
 
   let mem s f =
-    let v = slot_of f in
-    s.slots.(index s.slots v) = v
+    let i = f.f_id lsr 3 in
+    i < Bytes.length s.bits
+    && Bytes.get_uint8 s.bits i land (1 lsl (f.f_id land 7)) <> 0
 
-  (* Double the slot array, rehashing from the stored hash bits, and
-     insert [v]. *)
-  let grow s v =
-    let slots = Array.make (2 * Array.length s.slots) (-1) in
-    Array.iter (fun x -> if x >= 0 then slots.(index slots x) <- x) s.slots;
-    slots.(index slots v) <- v;
-    s.slots <- slots
+  (* Double the bitset until byte [i] is in it. *)
+  let grow s i =
+    let n = max (i + 1) (max 8 (2 * Bytes.length s.bits)) in
+    let bits = Bytes.make n '\000' in
+    Bytes.blit s.bits 0 bits 0 (Bytes.length s.bits);
+    s.bits <- bits
 
   let add s f =
-    let v = slot_of f in
-    let i = index s.slots v in
-    if s.slots.(i) <> v then begin
-      s.size <- s.size + 1;
-      if 4 * s.size > 3 * Array.length s.slots then
-        (* manetcheck: cold — doubling, O(1) amortized per insert, and an
-           insert happens once per (flood, node). *)
-        grow s v
-      else s.slots.(i) <- v
-    end
+    let i = f.f_id lsr 3 in
+    if i >= Bytes.length s.bits then
+      (* manetcheck: cold — doubling, O(1) amortized per insert, and an
+         insert happens once per (flood, node). *)
+      grow s i;
+    Bytes.set_uint8 s.bits i
+      (Bytes.get_uint8 s.bits i lor (1 lsl (f.f_id land 7)))
 
-  let rec find_from (reg : registry) slots mask h key i =
-    let x = slots.(i) in
-    if x < 0 then raise Not_found
-    else if x lsr id_bits = h && key_equal reg.floods.(x land id_mask).f_key key
-    then reg.floods.(x land id_mask)
-    else find_from reg slots mask h key ((i + 1) land mask)
-
-  let find reg s key =
-    let h = key_hash key land id_mask in
-    let slots = s.slots in
-    let mask = Array.length slots - 1 in
-    find_from reg slots mask h key (h land mask)
+  let find (reg : registry) s key =
+    let f = Ktbl.find reg.by_key key in
+    if mem s f then f else raise Not_found
 end
 
 (* --- read side ---------------------------------------------------------- *)
@@ -273,20 +288,22 @@ let fold t f acc =
 let tree t ~id =
   if id < 0 || id >= t.count then []
   else
-    let f = t.floods.(id) in
-    let cells = ref [] in
-    for node = Array.length f.f_cells - 1 downto 0 do
-      let c = f.f_cells.(node) in
-      if c <> 0 then
-        cells :=
-          ( node,
-            ( Float.Array.get f.f_first_seen node,
-              cell_parent c,
-              cell_hops c,
-              cell_verifies c ) )
-          :: !cells
-    done;
-    !cells
+    match t.floods.(id).f_tree with
+    | None -> []
+    | Some tr ->
+        let cells = ref [] in
+        for node = Array.length tr.cells - 1 downto 0 do
+          let c = tr.cells.(node) in
+          if c <> 0 then
+            cells :=
+              ( node,
+                ( Float.Array.get tr.first_seen node,
+                  cell_parent c,
+                  cell_hops c,
+                  cell_verifies c ) )
+              :: !cells
+        done;
+        !cells
 
 (* Mean extra verifications a flood costs beyond one per verifying node:
    the exact work the item-3 verification cache can eliminate. *)

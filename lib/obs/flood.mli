@@ -16,25 +16,30 @@
     records a duplicate copy without a second registry lookup, and no
     recording point builds a string.
 
-    Per flood the registry accounts the propagation tree: copies sent
-    (origin + rebroadcasts), copies received, duplicates suppressed by
-    the protocols' seen-tables, verification events (secure RREQ copies
-    cryptographically checked, per node), distinct nodes reached with
-    first-seen time / parent / hop distance, hop radius, and completion
-    (last-activity) time.
+    Per flood the registry accounts copies sent (origin + rebroadcasts),
+    copies received, duplicates suppressed by the protocols'
+    seen-tables, verification events (secure RREQ copies
+    cryptographically checked), distinct nodes reached and verifying
+    nodes, hop radius, and completion (last-activity) time.  A flood
+    registered while the event log is on ({!Engine.trace} enabled, as
+    [Obs.set_capture] and [Trace.enable] set it) also keeps its
+    propagation tree: per node reached, first-seen time, parent, hop
+    distance and verify count.
 
-    {b Cost model.}  The tree is always kept; there is no switch.  Per
-    flood it is two arrays indexed by node id: a flat float array of
-    first-seen times and one packed int per node (parent, hop distance,
-    verify count), 0 for a node not reached — two words per (flood,
-    node) slot, against about a dozen for a boxed cell in a per-flood hash
-    table.  A flood's arrays are created as wide as the largest node id
-    any flood has recorded, so on a bootstrap of N nodes every flood
-    but the first costs 2N words plus its fixed record; a flood that
-    reaches few nodes of a wide network pays the same 2N.  Node ids and
-    parents are limited to [0 .. 2{^21} - 2], hop distances to
-    [2{^20} - 2] and per-node verify counts to [2{^21} - 1]; recording
-    past a limit raises [Invalid_argument].
+    {b Cost model.}  Every flood keeps two mark bits per node, indexed
+    by node id ("reached" and "verified at least once"): a quarter of a
+    byte per (flood, node) slot.  They are the flood's only per-node
+    state with the event log off, and what the reached and
+    verifying-node counts count.  A flood with a tree adds two words
+    per slot: a flat float array of first-seen times and one packed int
+    per node (parent, hop distance, verify count), 0 for a node not
+    reached.  A flood's node arrays are created as wide as the largest
+    node id any flood has recorded, so on a bootstrap of N nodes every
+    flood but the first costs N/4 bytes (2N more words with a tree)
+    plus its fixed record.  Node ids and parents are limited to
+    [0 .. 2{^21} - 2], hop distances to [2{^20} - 2] and, in a tree,
+    per-node verify counts to [2{^21} - 1]; recording past a limit
+    raises [Invalid_argument].
 
     Two derived metrics are first-class because ROADMAP item 3's
     verification cache is driven by them:
@@ -85,8 +90,9 @@ val sent : t -> handle -> unit
 
 val received : t -> handle -> node:int -> src:int -> hops:int -> unit
 (** One copy delivered to [node] from [src] at hop distance [hops],
-    counted before any dedup decision.  The first copy per node records
-    the propagation-tree edge (first-seen time, parent, hops). *)
+    counted before any dedup decision.  The first copy per node marks it
+    reached and, in a flood with a tree, records its edge (first-seen
+    time, parent, hops). *)
 
 val duplicate : t -> handle -> unit
 (** The protocol's seen-table suppressed a received copy. *)
@@ -97,11 +103,12 @@ val verified : t -> handle -> node:int -> unit
 (** {1 Seen sets} *)
 
 (** A protocol's per-node dedup state: the set of floods this node has
-    seen.  Open-addressed over one int array (the key's hash above the
-    flood id), at most 3/4 full, so an entry costs at most 8/3 words
-    right after a doubling; a lookup allocates nothing.  The set lives
-    in the protocol's node state, so a node that is rebuilt starts with
-    an empty one. *)
+    seen, as a bitset over the registry's dense flood ids that doubles
+    to cover the largest id added.  A node that sees most of a run's
+    floods pays about one bit per flood; {!mem}, {!find} and an {!add}
+    that does not grow the bitset allocate nothing.  The set lives in
+    the protocol's node state, so a node that is rebuilt starts with an
+    empty one. *)
 module Seen : sig
   type registry := t
   type t
@@ -115,8 +122,9 @@ module Seen : sig
 
   val find : registry -> t -> key -> handle
   (** The member flood registered under [key] in [registry] (which must
-      be the registry that returned every member's handle).  Raises
-      [Not_found] when no member has that key. *)
+      be the registry that returned every member's handle): a lookup in
+      the registry's key index, then {!mem}.  Raises [Not_found] when
+      no member has that key. *)
 end
 
 (** {1 Read side} *)
@@ -127,8 +135,10 @@ end
 val tree : t -> id:int -> (int * (float * int * int * int)) list
 (** Propagation-tree cells of one flood, sorted by node:
     [(node, (first_seen, parent, hops, verifies))].  [parent = -1] when
-    the sender was unknown.  Flood ids are dense from 0 in registration
-    order, as in the ["flood"] lines of {!append_jsonl}. *)
+    the sender was unknown.  [[]] for a flood registered while the
+    event log was off, which keeps no tree.  Flood ids are dense from 0
+    in registration order, as in the ["flood"] lines of
+    {!append_jsonl}. *)
 
 val duplicate_verifies_per_flood : t -> float
 val flood_redundancy_ratio : t -> float

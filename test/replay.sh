@@ -90,7 +90,8 @@ grep -q '^-- per-node scorecards ' scn/mixed_adversaries.audit.txt
 grep -q '^node [0-9]*: [0-9]* emitted, [0-9]* accusations$' scn/mixed_adversaries.audit.txt
 
 # Heap gates: the N = 300 point of the bootstrap N-curve (counters
-# only) must peak at no more than 2,000,000 heap words, and
+# only, so no flood keeps a propagation tree) must peak at no more than
+# 600,000 heap words, and
 # blackhole_e1 (event capture on, spans rendered at their exact size)
 # at no more than 700,000.  The GC summary that OCAMLRUNPARAM=v=0x400
 # prints at exit is the simulator's own, since the binary runs directly.
@@ -105,7 +106,7 @@ heap_gate() {
   }
 }
 mkdir heap
-heap_gate "$scenarios/scale/n300.scn" 2000000
+heap_gate "$scenarios/scale/n300.scn" 600000
 heap_gate "$scenarios/blackhole_e1.scn" 700000
 
 # What `scenario check` reports of each committed file (node, flow,

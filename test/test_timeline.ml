@@ -8,6 +8,7 @@
 module Engine = Manet_sim.Engine
 module Net = Manet_sim.Net
 module Stats = Manet_sim.Stats
+module Trace = Manet_sim.Trace
 module Suite = Manet_crypto.Suite
 module Timeline = Manetsec.Timeline
 module Flood = Manetsec.Flood
@@ -15,6 +16,7 @@ module Json = Manetsec.Obs_json
 module Obs = Manetsec.Obs
 module Audit = Manetsec.Audit
 module Scenario = Manetsec.Scenario
+module Scn = Manet_scenario.Scn
 
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
@@ -146,7 +148,7 @@ let prop_bucket_aggregation =
    with causality enforced the way the protocols guarantee it: a copy's
    sender is always a node that already holds the flood (or the
    origin).  Each op is (time-ticks, key, node, src, hops, dup?,
-   verify?). *)
+   verify?).  The event log is on, so every flood keeps its tree. *)
 let origin_node = 1000
 
 let rreq_key k =
@@ -154,6 +156,7 @@ let rreq_key k =
 
 let apply_flood_ops ops =
   let e = Engine.create ~seed:1 () in
+  Trace.enable (Engine.trace e);
   let fl = Flood.create e in
   let holders : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 8 in
   List.iter
@@ -455,8 +458,10 @@ let test_scenario_window_sums () =
   Alcotest.(check bool) "floods were recorded" true
     (flood_count (Obs.flood (Scenario.obs s)) > 0)
 
+let capture s = Obs.set_capture (Scenario.obs s) true
+
 let test_scenario_flood_trees () =
-  let s = small_run 11 in
+  let s = small_run 11 ~setup:capture in
   let fl = Obs.flood (Scenario.obs s) in
   let summaries = floods fl in
   Alcotest.(check bool) "bootstrap + discovery produced floods" true
@@ -508,7 +513,6 @@ let test_recording_non_perturbing () =
    timeline, spans and perf det exports keep every byte. *)
 let test_progress_non_perturbing () =
   let lines = Buffer.create 1024 in
-  let capture s = Obs.set_capture (Scenario.obs s) true in
   let quiet = small_run 7 ~setup:capture in
   let loud =
     small_run 7 ~setup:(fun s ->
@@ -576,16 +580,18 @@ let prop_seen_set_model =
               = Flood.Ktbl.mem model key)
         ops)
 
-(* Memory budgets, measured with [Obj.reachable_words]: a bootstrap's N
-   floods x N nodes of provenance cost about two words per pair (a first-
-   seen float and a packed int), and a seen set about one int slot per
-   entry at a load of at most 3/4.  The 300 floods are registered before
-   the baseline measurement, so the difference is the per-(flood, node)
-   state alone; the registry's engine is reachable in both. *)
-let test_flood_state_words () =
-  let n = 300 in
+(* Memory budgets, measured with [Obj.reachable_words].  With the event
+   log off a flood keeps two mark bits per node, and a seen set one bit
+   per flood id; with it on, the propagation tree adds about two words
+   per (flood, node) (a first-seen float and a packed int).  The 300
+   floods are registered before the baseline measurement, so the
+   difference is the per-(flood, node) state alone; the registry's
+   engine is reachable in both. *)
+let flood_pair_words ~log n =
   let words x = Obj.reachable_words (Obj.repr x) in
-  let fl = Flood.create (Engine.create ~seed:1 ()) in
+  let e = Engine.create ~seed:1 () in
+  if log then Trace.enable (Engine.trace e);
+  let fl = Flood.create e in
   let hs = Array.init n (fun k -> Flood.handle fl ~key:(rreq_key k) ~origin:0) in
   let before = words fl in
   Array.iter
@@ -595,28 +601,80 @@ let test_flood_state_words () =
         if node mod 7 = 0 then Flood.verified fl h ~node
       done)
     hs;
-  let per_pair = float_of_int (words fl - before) /. float_of_int (n * n) in
-  Alcotest.(check bool)
-    (Printf.sprintf "registry: %.2f words per (flood, node) <= 2.5" per_pair)
-    true (per_pair <= 2.5);
+  (fl, hs, float_of_int (words fl - before) /. float_of_int (n * n))
+
+let test_flood_state_words () =
+  let n = 300 in
+  let budget what per bound =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.3f words <= %g" what per bound)
+      true (per <= bound)
+  in
+  let logged, _, per_pair = flood_pair_words ~log:true n in
+  budget "registry, log on, per (flood, node)" per_pair 2.5;
+  Alcotest.(check int) "tree cells" n (List.length (Flood.tree logged ~id:0));
+  let fl, hs, per_pair = flood_pair_words ~log:false n in
+  budget "registry, log off, per (flood, node)" per_pair 0.25;
   let seen = Flood.Seen.create () in
   Array.iter (Flood.Seen.add seen) hs;
-  let per_entry = float_of_int (words seen) /. float_of_int n in
-  Alcotest.(check bool)
-    (Printf.sprintf "seen set: %.2f words per entry <= 3" per_entry)
-    true (per_entry <= 3.0);
+  budget "seen set, per entry"
+    (float_of_int (Obj.reachable_words (Obj.repr seen)) /. float_of_int n)
+    0.25;
   let key = rreq_key 123 in
-  let per_find =
-    Test_crypto.minor_words_per_call 10_000 (fun () ->
-        ignore (Sys.opaque_identity (Flood.Seen.find fl seen key)))
+  let zero what f =
+    Alcotest.(check (float 0.0)) (what ^ " allocates nothing") 0.0
+      (Test_crypto.minor_words_per_call 10_000 f)
   in
-  Alcotest.(check (float 0.0)) "Seen.find allocates nothing" 0.0 per_find;
+  zero "Seen.find" (fun () ->
+      ignore (Sys.opaque_identity (Flood.Seen.find fl seen key)));
+  zero "Seen.mem" (fun () ->
+      ignore (Sys.opaque_identity (Flood.Seen.mem seen hs.(123))));
+  zero "Seen.add of a member" (fun () -> Flood.Seen.add seen hs.(123));
+  (* A set already as wide as the largest id takes a new member in
+     place. *)
+  let wide = Flood.Seen.create () in
+  Flood.Seen.add wide hs.(n - 1);
+  zero "Seen.add of a new member" (fun () -> Flood.Seen.add wide hs.(0));
+  Alcotest.(check bool) "the new member is in" true (Flood.Seen.mem wide hs.(0));
   match floods fl with
   | s :: _ ->
       Alcotest.(check int) "every node reached" n s.reached;
-      Alcotest.(check int) "verifying nodes" 43 s.verify_nodes;
-      Alcotest.(check int) "tree cells" n (List.length (Flood.tree fl ~id:0))
+      Alcotest.(check int) "verifying nodes" 43 s.verify_nodes
   | [] -> Alcotest.fail "no floods"
+
+(* The tree is kept only for floods registered with the event log on,
+   and keeping it changes no export and no counter: on a small secure
+   run and on the N = 300 bootstrap curve point, the timeline export
+   (flood tail included), the deterministic perf export and the
+   counters come out byte-identical with the log on and off. *)
+let test_trees_non_perturbing () =
+  let same what ~off ~on =
+    Alcotest.(check string)
+      (what ^ ": timeline byte-identical")
+      (Scenario.timeline_jsonl off) (Scenario.timeline_jsonl on);
+    Alcotest.(check string)
+      (what ^ ": perf det byte-identical")
+      (Scenario.perf_det_jsonl off) (Scenario.perf_det_jsonl on);
+    Alcotest.(check (list (pair string int)))
+      (what ^ ": counters identical")
+      (Stats.counters (Scenario.stats off))
+      (Stats.counters (Scenario.stats on))
+  in
+  let off = small_run 7 and on = small_run 7 ~setup:capture in
+  same "small_run 7" ~off ~on;
+  let fl = Obs.flood (Scenario.obs off) in
+  Alcotest.(check bool) "the off run registered floods" true
+    (flood_count fl > 0);
+  Alcotest.(check bool) "no tree for a flood registered with the log off"
+    true
+    (List.for_all (fun s -> Flood.tree fl ~id:s.id = []) (floods fl));
+  Alcotest.(check bool) "the on run kept trees" true
+    (List.exists
+       (fun s -> Flood.tree (Obs.flood (Scenario.obs on)) ~id:s.id <> [])
+       (floods (Obs.flood (Scenario.obs on))));
+  let scn = Test_sweep.scenario "scale/n300.scn" in
+  same "scale/n300.scn" ~off:(Scn.execute scn)
+    ~on:(Scn.execute ~on_create:capture scn)
 
 let suites =
   [
@@ -651,5 +709,7 @@ let suites =
         prop_seen_set_model;
         Alcotest.test_case "flood state memory budgets" `Quick
           test_flood_state_words;
+        Alcotest.test_case "keeping trees perturbs nothing" `Slow
+          test_trees_non_perturbing;
       ] );
   ]
