@@ -428,7 +428,10 @@ let inject t plan =
           in
           (* Parent the re-DAD bootstrap span to the outage that forced
              it, making fault -> recovery causality queryable. *)
-          let parent = Obs.lookup t.obs (Faults.outage_key i) in
+          let parent =
+            if Obs.wants_events t.obs then Obs.lookup t.obs (Faults.outage_key i)
+            else None
+          in
           Dad.start n.dad ?parent ~dn ~on_complete:(fun _ -> ()) ());
     }
   in

@@ -121,6 +121,15 @@ let finish_flood t outcome =
       t.span_flood <- None
   | None -> ()
 
+(* The reply span filed under [corr sig_] was accepted.  The key is
+   built only while the event log is on. *)
+let finish_reply t corr sig_ =
+  let o = obs t in
+  if Obs.wants_events o then
+    match Obs.lookup o (corr sig_) with
+    | Some sid -> Obs.finish o sid Obs.Ok
+    | None -> ()
+
 let finish_bootstrap t outcome =
   match t.span_bootstrap with
   | Some id ->
@@ -130,6 +139,8 @@ let finish_bootstrap t outcome =
 
 let rec begin_attempt t ~attempt ~dn =
   let ctx = t.ctx in
+  let o = obs t in
+  let keep = Obs.wants_events o in
   t.seq <- t.seq + 1;
   let ch = Prng.bits64 ctx.Ctx.rng in
   let sip = address t in
@@ -139,19 +150,20 @@ let rec begin_attempt t ~attempt ~dn =
   let pending = { p_ch = ch; p_seq = t.seq; p_dn = dn; p_attempt = attempt; p_resolved = false } in
   t.pending <- Some pending;
   let fl =
-    Obs.start (obs t) ?parent:t.span_bootstrap ~kind:"dad.flood"
+    Obs.start o ?parent:t.span_bootstrap ~kind:"dad.flood"
       ~node:(Ctx.node_id ctx)
       ~detail:
-        (Printf.sprintf "sip=%s attempt=%d" (Address.to_string sip) attempt)
+        (if keep then Printf.sprintf "sip=%s attempt=%d" (Address.to_string sip) attempt
+         else "")
       ()
   in
   t.span_flood <- Some fl;
-  Obs.correlate (obs t) (flood_key ~sip ~ch) fl;
+  if keep then Obs.correlate o (flood_key ~sip ~ch) fl;
   (* Ignore echoes of our own flood. *)
   let key = areq_key ~sip ~seq:t.seq ~ch in
   let flood = Flood.handle (floods t) ~key ~origin:(Ctx.node_id ctx) in
   Flood.Seen.add t.seen_areq flood;
-  if Obs.wants_events (obs t) then
+  if keep then
     Ctx.log ctx ~event:"dad.start"
       ~detail:
         (Printf.sprintf "sip=%s dn=%s attempt=%d" (Address.to_string sip)
@@ -235,7 +247,10 @@ let start t ?dn ?parent ~on_complete () =
   let sb =
     Obs.start (obs t) ?parent ~kind:"dad.bootstrap"
       ~node:(Ctx.node_id t.ctx)
-      ~detail:(match dn with Some d -> "dn=" ^ d | None -> "")
+      ~detail:
+        (match dn with
+        | Some d when Obs.wants_events (obs t) -> "dn=" ^ d
+        | Some _ | None -> "")
       ()
   in
   t.span_bootstrap <- Some sb;
@@ -270,18 +285,20 @@ let answer_duplicate t (m : (* areq fields *) Address.t * int64 * Address.t list
     ~stats:[ Key.dad_duplicate_detected ]
     ~cause:("tentative claim of our address " ^ Address.to_string sip)
     ();
-  if Obs.wants_events (obs t) then
-    Ctx.log ctx ~event:"dad.duplicate" ~detail:(Address.to_string sip);
   (* AREP span: child of the initiator's flood span (shared Obs), open
      from here until the initiator accepts the reply. *)
   let o = obs t in
-  let parent = Obs.lookup o (flood_key ~sip ~ch) in
-  let arep_span =
-    Obs.start o ?parent ~kind:"dad.arep" ~node:(Ctx.node_id ctx)
-      ~detail:("sip=" ^ Address.to_string sip)
-      ()
-  in
-  Obs.correlate o (arep_corr sig_) arep_span;
+  if not (Obs.wants_events o) then
+    ignore (Obs.start o ~kind:"dad.arep" ~node:(Ctx.node_id ctx) ())
+  else begin
+    Ctx.log ctx ~event:"dad.duplicate" ~detail:(Address.to_string sip);
+    Obs.correlate o (arep_corr sig_)
+      (Obs.start o
+         ?parent:(Obs.lookup o (flood_key ~sip ~ch))
+         ~kind:"dad.arep" ~node:(Ctx.node_id ctx)
+         ~detail:("sip=" ^ Address.to_string sip)
+         ())
+  end;
   (* AREP back to the initiator along the reverse route record. *)
   let back_path = List.rev rr @ [ sip ] in
   Ctx.send_along ctx ~path:back_path
@@ -358,9 +375,7 @@ let consume_arep t msg =
       | Some p when (not p.p_resolved) && Address.equal sip (address t) -> (
           match verify_arep_r t ~sip ~sig_ ~pk ~rn ~ch:p.p_ch with
           | Arep_ok ->
-              (match Obs.lookup (obs t) (arep_corr sig_) with
-              | Some sid -> Obs.finish (obs t) sid Obs.Ok
-              | None -> ());
+              finish_reply t arep_corr sig_;
               retry_with_new_address t p
           | (Arep_bad_binding | Arep_bad_sig) as why ->
               (* An AREP for our pending address that fails verification
@@ -396,9 +411,7 @@ let consume_drep t msg =
               ~msg:(Codec.drep_payload ~dn ~ch:p.p_ch)
               ~signature:sig_
           then begin
-            (match Obs.lookup (obs t) (drep_corr sig_) with
-            | Some sid -> Obs.finish (obs t) sid Obs.Ok
-            | None -> ());
+            finish_reply t drep_corr sig_;
             retry_with_new_name t p
           end
           else begin

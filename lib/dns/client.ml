@@ -55,7 +55,8 @@ let query t ~route ~name ~callback =
   let ch = Prng.bits64 ctx.Ctx.rng in
   let span =
     Obs.start ctx.Ctx.obs ~kind:"dns.query" ~node:(Ctx.node_id ctx)
-      ~detail:("name=" ^ name) ()
+      ~detail:(if Obs.wants_events ctx.Ctx.obs then "name=" ^ name else "")
+      ()
   in
   Hashtbl.replace t.queries ch
     { q_name = name; q_ch = ch; q_cb = callback; q_span = span };
@@ -99,8 +100,10 @@ let request_ip_change t ~route ~callback =
   let span =
     Obs.start ctx.Ctx.obs ~kind:"dns.ip_change" ~node:(Ctx.node_id ctx)
       ~detail:
-        (Printf.sprintf "%s -> %s" (Address.to_string old_ip)
-           (Address.to_string new_ip))
+        (if Obs.wants_events ctx.Ctx.obs then
+           Printf.sprintf "%s -> %s" (Address.to_string old_ip)
+             (Address.to_string new_ip)
+         else "")
       ()
   in
   t.change <-

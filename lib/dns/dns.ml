@@ -91,12 +91,14 @@ let send_drep t ~sip ~dn ~ch ~rr =
   (* DREP span: child of the initiator's AREQ flood span (the DN rides
      the AREQ), open until the initiator verifies the reply. *)
   let o = obs t in
-  let parent = Obs.lookup o (Dad.flood_key ~sip ~ch) in
-  let drep_span =
-    Obs.start o ?parent ~kind:"dns.drep" ~node:(Ctx.node_id ctx)
-      ~detail:("dn=" ^ dn) ()
-  in
-  Obs.correlate o (Dad.drep_corr sig_) drep_span;
+  if not (Obs.wants_events o) then
+    ignore (Obs.start o ~kind:"dns.drep" ~node:(Ctx.node_id ctx) ())
+  else
+    Obs.correlate o (Dad.drep_corr sig_)
+      (Obs.start o
+         ?parent:(Obs.lookup o (Dad.flood_key ~sip ~ch))
+         ~kind:"dns.drep" ~node:(Ctx.node_id ctx)
+         ~detail:("dn=" ^ dn) ());
   Ctx.send_along ctx ~path:back_path
     (Messages.Drep { sip; dn; rr; remaining = back_path; sig_ })
 
@@ -177,12 +179,13 @@ let observe_areq t msg =
       | None, None ->
           let span =
             let o = obs t in
+            let node = Ctx.node_id t.ctx in
             Some
-              (Obs.start o
-                 ?parent:(Obs.lookup o (Dad.flood_key ~sip ~ch))
-                 ~kind:"dns.registration"
-                 ~node:(Ctx.node_id t.ctx)
-                 ~detail:("dn=" ^ dn) ())
+              (if Obs.wants_events o then
+                 Obs.start o
+                   ?parent:(Obs.lookup o (Dad.flood_key ~sip ~ch))
+                   ~kind:"dns.registration" ~node ~detail:("dn=" ^ dn) ()
+               else Obs.start o ~kind:"dns.registration" ~node ())
           in
           let reg =
             {

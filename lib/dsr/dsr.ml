@@ -61,7 +61,7 @@ let accept_any _ _ _ = true
 
 let rrep t (r : Messages.rreq) ~rr ~back =
   let dip = address t in
-  Sr.reply_span t ~kind:"route.rrep" ~sip:r.sip ~seq:r.seq (Sr.rrep_corr ~sip:r.sip ~dip ~rr);
+  Sr.reply_span t ~sip:r.sip ~seq:r.seq (Sr.Rrep { sip = r.sip; dip; rr });
   Messages.Rrep { sip = r.sip; dip; rr; remaining = back; sig_ = ""; dpk = ""; drn = 0L }
 
 (* Any cached route may answer, when cache replies are on. *)
@@ -69,8 +69,7 @@ let crep t (r : Messages.rreq) ~rr ~back =
   match if t.Sr.ext.use_cache_replies then Sr.cached_route t ~dst:r.dip else None with
   | Some route when Sr.avoids r ~rr route ->
       let cacher = address t in
-      Sr.reply_span t ~kind:"route.crep" ~sip:r.sip ~seq:r.seq
-        (Sr.crep_corr ~cacher ~seq:r.seq);
+      Sr.reply_span t ~sip:r.sip ~seq:r.seq (Sr.Crep { cacher; seq = r.seq });
       Some
         (Messages.Crep
            {
@@ -103,7 +102,7 @@ let consume_rrep t msg =
   (* manetcheck: allow security — unauthenticated baseline: replies accepted
      as-is (see handle). *)
   | Messages.Rrep { sip; dip; rr; _ } ->
-      Sr.finish_reply t (Sr.rrep_corr ~sip ~dip ~rr) Obs.Ok;
+      Sr.finish_reply t (Sr.Rrep { sip; dip; rr }) Obs.Ok;
       (* manetcheck: allow taint — plain DSR is the deliberately
          unauthenticated §4 baseline; accepting the reply without any
          check is the vulnerability Secure_routing closes. *)
@@ -115,7 +114,7 @@ let consume_crep t msg =
   (* manetcheck: allow security — unauthenticated baseline: cached replies
      accepted as-is. *)
   | Messages.Crep { cacher; dip; requester_seq; rr_to_cacher; rr_to_dest; _ } ->
-      Sr.finish_reply t (Sr.crep_corr ~cacher ~seq:requester_seq) Obs.Ok;
+      Sr.finish_reply t (Sr.Crep { cacher; seq = requester_seq }) Obs.Ok;
       (* Splice: requester -> ... -> cacher -> ... -> destination. *)
       let route = rr_to_cacher @ (cacher :: rr_to_dest) in
       (* manetcheck: allow taint — same unauthenticated §4 baseline as

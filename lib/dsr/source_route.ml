@@ -116,7 +116,8 @@ let no_ack _ _ = ()
 
 (* Telemetry correlation keys, shared by every routing agent: a flood
    attempt is (source, seq); replies are identified by the fields both
-   the responder and the consumer can see. *)
+   the responder and the consumer can see.  Built only while the event
+   log is on ([Obs.wants_events]). *)
 let rreq_corr ~sip ~seq = "rreq:" ^ Address.to_bytes sip ^ Codec.u32 seq
 
 (* The RREQ dedup key (sip, seq), shared by every routing agent's
@@ -133,28 +134,38 @@ let rreq_key sip seq =
     ch = 0L;
   }
 
-let rrep_corr ~sip ~dip ~rr =
-  "rrep:" ^ Address.to_bytes sip ^ Address.to_bytes dip
-  ^ String.concat "" (List.map Address.to_bytes rr)
+type reply =
+  | Rrep of { sip : Address.t; dip : Address.t; rr : Address.t list }
+  | Crep of { cacher : Address.t; seq : int }
 
-let crep_corr ~cacher ~seq = "crep:" ^ Address.to_bytes cacher ^ Codec.u32 seq
+let reply_corr = function
+  | Rrep { sip; dip; rr } ->
+      "rrep:" ^ Address.to_bytes sip ^ Address.to_bytes dip
+      ^ String.concat "" (List.map Address.to_bytes rr)
+  | Crep { cacher; seq } -> "crep:" ^ Address.to_bytes cacher ^ Codec.u32 seq
 
 (* The responder's span of a reply to [sip]'s request [seq]: a child of
-   the request's flood span, findable by the consumer under [corr]. *)
-let reply_span t ~kind ~sip ~seq corr =
+   the request's flood span, findable by the consumer under the reply's
+   key.  With the log off it only takes its id. *)
+let reply_span t ~sip ~seq reply =
   let o = obs t in
-  let sid =
-    Obs.start o
-      ?parent:(Obs.lookup o (rreq_corr ~sip ~seq))
-      ~kind ~node:(Ctx.node_id t.ctx)
-      ~detail:("to " ^ Address.to_string sip)
-      ()
-  in
-  Obs.correlate o corr sid
+  let kind = match reply with Rrep _ -> "route.rrep" | Crep _ -> "route.crep" in
+  let node = Ctx.node_id t.ctx in
+  if not (Obs.wants_events o) then ignore (Obs.start o ~kind ~node ())
+  else
+    Obs.correlate o (reply_corr reply)
+      (Obs.start o
+         ?parent:(Obs.lookup o (rreq_corr ~sip ~seq))
+         ~kind ~node
+         ~detail:("to " ^ Address.to_string sip)
+         ())
 
-let finish_reply t corr outcome =
+let finish_reply t reply outcome =
   let o = obs t in
-  match Obs.lookup o corr with Some sid -> Obs.finish o sid outcome | None -> ()
+  if Obs.wants_events o then
+    match Obs.lookup o (reply_corr reply) with
+    | Some sid -> Obs.finish o sid outcome
+    | None -> ()
 
 (* Prefer the shortest known route, as DSR does. *)
 let shortest_first e =
@@ -256,9 +267,10 @@ and start_discovery t dst =
   match Address.Tbl.find_opt t.pending dst with
   | Some d when not d.d_resolved -> ()
   | prior ->
+      let o = obs t in
       let d_span =
-        Obs.start (obs t) ~kind:"route.discovery" ~node:(Ctx.node_id t.ctx)
-          ~detail:("dst=" ^ Address.to_string dst)
+        Obs.start o ~kind:"route.discovery" ~node:(Ctx.node_id t.ctx)
+          ~detail:(if Obs.wants_events o then "dst=" ^ Address.to_string dst else "")
           ()
       in
       let d =
@@ -283,17 +295,19 @@ and send_rreq t d =
   d.d_attempts <- d.d_attempts + 1;
   Ctx.stat t.ctx Key.route_discoveries;
   let sip = address t in
+  let o = obs t in
+  let keep = Obs.wants_events o in
   let fl =
-    Obs.start (obs t) ~parent:d.d_span ~kind:"rreq.flood"
+    Obs.start o ~parent:d.d_span ~kind:"rreq.flood"
       ~node:(Ctx.node_id t.ctx)
       ~detail:
-        (Printf.sprintf "dst=%s attempt=%d"
-           (Address.to_string d.d_dst)
-           d.d_attempts)
+        (if keep then
+           Printf.sprintf "dst=%s attempt=%d" (Address.to_string d.d_dst) d.d_attempts
+         else "")
       ()
   in
   d.d_flood <- Some fl;
-  Obs.correlate (obs t) (rreq_corr ~sip ~seq) fl;
+  if keep then Obs.correlate o (rreq_corr ~sip ~seq) fl;
   let rreq = t.hooks.rreq t ~dst:d.d_dst ~seq ~superseded in
   let floods = Obs.flood (obs t) in
   let flood = Flood.handle floods ~key:(rreq_key sip seq) ~origin:(Ctx.node_id t.ctx) in
@@ -530,10 +544,11 @@ let rreq_first_copy t ~flood (r : Messages.rreq) ~crep ~relay =
         Ctx.stat t.ctx Key.route_cache_replies;
         Ctx.send_along t.ctx ~path:back reply
     | None ->
-        (match Obs.lookup (obs t) (rreq_corr ~sip:r.sip ~seq:r.seq) with
-        | Some id ->
-            Obs.note (obs t) id ~node:(Ctx.node_id t.ctx) ("relay " ^ Address.to_string me)
-        | None -> ());
+        (if Obs.wants_events (obs t) then
+           match Obs.lookup (obs t) (rreq_corr ~sip:r.sip ~seq:r.seq) with
+           | Some id ->
+               Obs.note (obs t) id ~node:(Ctx.node_id t.ctx) ("relay " ^ Address.to_string me)
+           | None -> ());
         let fields, entry = relay t r in
         let copy = Messages.Rreq { fields with srr = r.srr @ [ entry ] } in
         let delay = Prng.float t.ctx.Ctx.rng flood_jitter in

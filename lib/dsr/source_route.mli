@@ -212,16 +212,24 @@ val avoids : Messages.rreq -> rr:Address.t list -> Address.t list -> bool
     Shared by every routing agent, so responder-side reply spans attach
     to the initiating flood span whichever protocol runs.  A flood
     attempt is identified by (source, seq); replies by the fields both
-    the responder and the consumer can see. *)
+    the responder and the consumer can see.  A key is built only while
+    the event log is on ({!Manet_obs.Obs.wants_events}); with it off
+    these calls format nothing and look nothing up. *)
 
-val rrep_corr : sip:Address.t -> dip:Address.t -> rr:Address.t list -> string
-val crep_corr : cacher:Address.t -> seq:int -> string
+(** A reply, by the fields its key is made of: a route reply to [sip]
+    from [dip] over the record [rr], or a cache reply from [cacher] to
+    the request [seq]. *)
+type reply =
+  | Rrep of { sip : Address.t; dip : Address.t; rr : Address.t list }
+  | Crep of { cacher : Address.t; seq : int }
 
-val reply_span : ('x, 'm) t -> kind:string -> sip:Address.t -> seq:int -> string -> unit
-(** [reply_span t ~kind ~sip ~seq corr] opens the responder's span of a
-    reply to [sip]'s request [seq], under the request's flood span, and
-    files it under the consumer-visible key [corr]. *)
+val reply_span : ('x, 'm) t -> sip:Address.t -> seq:int -> reply -> unit
+(** [reply_span t ~sip ~seq reply] opens the responder's span of a
+    reply to [sip]'s request [seq] (kind ["route.rrep"] or
+    ["route.crep"]), under the request's flood span, and files it under
+    the reply's consumer-visible key. *)
 
-val finish_reply : ('x, 'm) t -> string -> Manet_obs.Obs.outcome -> unit
-(** [finish_reply t corr outcome] finishes the reply span filed under
-    [corr], if there is one: the consumer's verdict on the reply. *)
+val finish_reply : ('x, 'm) t -> reply -> Manet_obs.Obs.outcome -> unit
+(** [finish_reply t reply outcome] finishes the span filed under the
+    reply's key, if there is one: the consumer's verdict on the
+    reply. *)

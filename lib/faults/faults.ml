@@ -201,23 +201,26 @@ let partition_key = "partition"
    one [fault.outage] span (correlated under [outage_key], so a restart
    hook can parent the node's re-DAD to it) and a Partition..Heal pair
    one [fault.partition] span. *)
-let record_span o = function
+let record_span o event =
+  let keep = Obs.wants_events o in
+  match event with
   | Crash i ->
       let sid =
         Obs.start o ~kind:"fault.outage" ~node:i
-          ~detail:(Printf.sprintf "node %d" i)
+          ~detail:(if keep then Printf.sprintf "node %d" i else "")
           ()
       in
-      Obs.correlate o (outage_key i) sid
+      if keep then Obs.correlate o (outage_key i) sid
   | Restart i -> (
-      match Obs.lookup o (outage_key i) with
-      | Some sid -> Obs.finish o sid Obs.Ok
-      | None -> ())
+      if keep then
+        match Obs.lookup o (outage_key i) with
+        | Some sid -> Obs.finish o sid Obs.Ok
+        | None -> ())
   | Partition group ->
       let sid =
         Obs.start o ~kind:"fault.partition" ~node:(-1)
           ~detail:
-            (String.concat "," (List.map string_of_int group))
+            (if keep then String.concat "," (List.map string_of_int group) else "")
           ()
       in
       Obs.correlate o partition_key sid

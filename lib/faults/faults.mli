@@ -120,9 +120,10 @@ val schedule : ?obs:Manet_obs.Obs.t -> Engine.t -> hooks -> plan -> unit
     on, logs a [fault.*] trace event (its detail is built only then).
 
     With [obs], Crash..Restart pairs become [fault.outage] spans and
-    Partition..Heal pairs [fault.partition] spans.  An open outage span
-    is registered under {!outage_key}, so a restart hook can parent the
-    node's re-DAD bootstrap span to the outage that caused it. *)
+    Partition..Heal pairs [fault.partition] spans.  While the event
+    log is on, an open outage span is registered under {!outage_key},
+    so a restart hook can parent the node's re-DAD bootstrap span to
+    the outage that caused it; with it off no key is built. *)
 
 val outage_key : int -> string
 (** Correlation-registry key of node [i]'s most recent outage span. *)

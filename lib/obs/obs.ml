@@ -128,37 +128,39 @@ let flood t = t.flood
 
 (* --- spans -------------------------------------------------------------- *)
 
+(* A span is kept only while the event log is on; with it off [start]
+   issues the id and stores nothing, so [note] and [finish] find no
+   record and do nothing. *)
 let start t ?parent ~kind ~node ?(detail = "") () =
   let id = t.next_id in
   t.next_id <- id + 1;
-  let span =
-    {
-      id;
-      parent;
-      kind;
-      node;
-      detail;
-      start_time = Engine.now t.engine;
-      end_time = None;
-      outcome = None;
-      notes = [];
-    }
-  in
-  Itbl.replace t.spans id span;
+  if Trace.is_enabled t.trace then
+    Itbl.replace t.spans id
+      {
+        id;
+        parent;
+        kind;
+        node;
+        detail;
+        start_time = Engine.now t.engine;
+        end_time = None;
+        outcome = None;
+        notes = [];
+      };
   id
 
-
 let finish t id outcome =
-  match Itbl.find_opt t.spans id with
-  | Some span when span.outcome = None ->
+  match Itbl.find t.spans id with
+  | span when span.outcome = None ->
       span.end_time <- Some (Engine.now t.engine);
       span.outcome <- Some outcome
-  | Some _ | None -> () (* double finish / unknown id: first verdict wins *)
+  | _ -> () (* double finish: first verdict wins *)
+  | exception Not_found -> ()
 
 let note t id ~node text =
-  match Itbl.find_opt t.spans id with
-  | Some span -> span.notes <- (Engine.now t.engine, node, text) :: span.notes
-  | None -> ()
+  match Itbl.find t.spans id with
+  | span -> span.notes <- (Engine.now t.engine, node, text) :: span.notes
+  | exception Not_found -> ()
 
 let span_count t = t.next_id - 1
 
@@ -171,11 +173,11 @@ let spans t =
 (* manetcheck: allow hot-string-key — correlation keys are built per
    flood or discovery from message content (an address, a challenge, a
    signature), not fixed names, so there is no key to bind once. *)
-let correlate t key id = Stbl.replace t.corr key id
+let correlate t key id = if Trace.is_enabled t.trace then Stbl.replace t.corr key id
 
 (* manetcheck: allow hot-string-key — the same registry, read once per
    first copy of a reply or flood. *)
-let lookup t key = Stbl.find_opt t.corr key
+let lookup t key = if Trace.is_enabled t.trace then Stbl.find_opt t.corr key else None
 
 (* --- event sink --------------------------------------------------------- *)
 
@@ -330,7 +332,7 @@ let to_jsonl ?(meta = []) t =
          ([
             ("schema", Json.String schema);
             ("version", Json.Int schema_version);
-            ("spans", Json.Int (span_count t));
+            ("spans", Json.Int (Itbl.length t.spans));
             ("events", Json.Int (Trace.length t.trace));
             ("events_dropped", Json.Int (events_dropped t));
           ]

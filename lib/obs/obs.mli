@@ -15,7 +15,20 @@
     sim domain — simulated clock, seeded PRNG — so {!to_jsonl} is
     byte-identical across replays of the same seed.  Wall-clock
     profiling data deliberately lives elsewhere ({!Manet_sim.Engine}
-    profile) and never enters this export. *)
+    profile) and never enters this export.
+
+    {b The event-log switch.}  One switch, the engine's
+    {!Manet_sim.Trace} log ({!set_capture}, [Trace.enable]; read with
+    {!wants_events}), governs every per-event telemetry store: event
+    lines, transmission details, flood propagation trees
+    ({!Flood.tree}), and spans, span notes and the correlation
+    registry.  While it is off {!start} only issues the next id,
+    {!note}, {!finish} and {!correlate} store nothing, {!lookup}
+    answers [None], and callers build no detail text, note text or
+    correlation key (they test {!wants_events} first), so a run that
+    no export reads spans from keeps none and allocates nothing for
+    them.  A span opened while the log was on stays kept: it can be
+    noted and finished by id after the log is switched off. *)
 
 module Engine = Manet_sim.Engine
 
@@ -84,29 +97,41 @@ val flood : t -> Flood.t
 
 val start :
   t -> ?parent:int -> kind:string -> node:int -> ?detail:string -> unit -> int
-(** Open a span at the current simulated time; returns its id. *)
+(** Open a span at the current simulated time; returns its id.  Ids are
+    issued in start order whether or not the event log is on, so
+    {!span_count} does not depend on the switch; the span itself is
+    kept only while the log is on (the module preamble), and with it
+    off the call allocates nothing. *)
 
 val finish : t -> int -> outcome -> unit
 (** Close a span with its outcome.  Idempotent: only the first call
     takes effect, so a discovery resolved by a reply can safely race its
-    own timeout closure. *)
+    own timeout closure.  An id that was never kept (unknown, or
+    issued while the event log was off) is ignored. *)
 
 val note : t -> int -> node:int -> string -> unit
 (** Attach a timestamped annotation (e.g. a relay hop) to an open or
-    closed span. *)
+    closed span.  An id that was never kept is ignored; callers build
+    the text only when {!wants_events} is true. *)
 
 val span_count : t -> int
+(** How many ids {!start} has issued, kept or not. *)
 
 val spans : t -> span list
-(** All spans in id (= start) order. *)
+(** The kept spans in id (= start) order: those opened while the event
+    log was on, so [[]] for a run that never turned it on. *)
 
 (** {1 Correlation registry} *)
 
 val correlate : t -> string -> int -> unit
 (** Bind a protocol-level key (flood id, discovery id, outage id) to a
-    span so other nodes can parent to it.  Rebinding replaces. *)
+    span so other nodes can parent to it.  Rebinding replaces.  Stores
+    nothing while the event log is off; callers build the key only
+    when {!wants_events} is true. *)
 
 val lookup : t -> string -> int option
+(** The span bound to a key.  [None], without hashing the key, while
+    the event log is off, even for a key bound while it was on. *)
 
 (** {1 Event sink} *)
 
@@ -117,14 +142,16 @@ val log : t -> node:int -> event:string -> detail:string -> unit
     and nothing at all while it is off. *)
 
 val set_capture : t -> bool -> unit
-(** Event capture; default off (spans are always recorded).  It is the
-    engine trace's one switch, so [Trace.enable] and [Trace.disable]
-    set it too.  Turning it off keeps the events captured so far. *)
+(** Event capture; default off.  It is the engine trace's one switch,
+    so [Trace.enable] and [Trace.disable] set it too, and it also
+    governs spans and the correlation registry (the module preamble).
+    Turning it off keeps the events and spans captured so far. *)
 
 val wants_events : t -> bool
-(** Whether a {!log} call would be recorded: capture is on.  Per-packet
-    callers test it before formatting an event's detail, so a run with
-    capture off builds no detail strings. *)
+(** Whether a {!log} call would be recorded, and a span or correlation
+    key kept: capture is on.  Per-packet callers test it before
+    formatting an event's detail, a span's detail or note, or a
+    correlation key, so a run with capture off builds none of them. *)
 
 val detail_buffer : t -> Buffer.t
 (** The scenario's one scratch buffer for rendering an event detail,
@@ -157,8 +184,10 @@ val events_dropped : t -> int
 
 val to_jsonl : ?meta:(string * Json.t) list -> t -> string
 (** Schema-versioned JSONL: one header object (extended with [meta],
-    e.g. the run seed), then one line per span in id order, then one
-    line per captured event in log order.  Byte-identical across
+    e.g. the run seed), then one line per kept span in id order, then
+    one line per captured event in log order.  The header's ["spans"]
+    counts the span lines written: {!span_count} when the event log
+    was on from the start, fewer when it was switched on mid-run.  Byte-identical across
     replays of the same seed and plan.  A length pass computes every
     line's byte count first, so the result is written into a string of
     exactly its size and the export allocates nothing else of that

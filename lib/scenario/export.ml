@@ -33,7 +33,7 @@ let file ~name kind = name ^ "." ^ suffix kind
 let prepare kinds s =
   let obs = Scenario.obs s in
   let wants kind = List.mem kind kinds in
-  Obs.set_capture obs (wants Trace_jsonl);
+  Obs.set_capture obs (wants Trace_jsonl || wants Report_json);
   Metrics.set_enabled (Obs.metrics obs) (wants Metrics_csv || wants Metrics_prom);
   Audit.set_recording (Obs.audit obs) (wants Audit_jsonl);
   Timeline.set_enabled (Obs.timeline obs) (wants Timeline_jsonl)

@@ -25,8 +25,10 @@ val file : name:string -> kind -> string
 
 val prepare : kind list -> Scenario.t -> unit
 (** Switch on exactly the sinks the kinds read and every other one
-    off: event capture only for [Trace_jsonl] (it stores a detail
-    string per transmission), the metrics engine only for
+    off: the event log only for [Trace_jsonl] and [Report_json] (it
+    keeps the spans both read, and also captures events and a detail
+    string per transmission, so a report-only run captures events too),
+    the metrics engine only for
     [Metrics_csv] and [Metrics_prom], audit retention only for
     [Audit_jsonl] (up to 200,000 events) and the timeline's bucket
     list only for [Timeline_jsonl].  Call it before any engine event

@@ -210,11 +210,12 @@ let finish_probe t session =
                n
                (Address.to_string session.pr_packet.Sr.p_dst))
           ();
-        Obs.note (obs t) session.pr_span ~node:(Ctx.node_id t.Sr.ctx)
-          ("suspect " ^ Address.to_string suspect);
-        if Obs.wants_events (obs t) then
+        if Obs.wants_events (obs t) then begin
+          Obs.note (obs t) session.pr_span ~node:(Ctx.node_id t.Sr.ctx)
+            ("suspect " ^ Address.to_string suspect);
           Ctx.log t.Sr.ctx ~event:"secure.suspect"
-            ~detail:(Address.to_string suspect);
+            ~detail:(Address.to_string suspect)
+        end;
         Credit.slash t.Sr.ext.credits suspect;
         ignore (Route_cache.remove_containing t.Sr.cache suspect);
         (* The hop before the suspect may be the one silently dropping;
@@ -244,11 +245,12 @@ let finish_probe t session =
                  n
                  (Address.to_string session.pr_packet.Sr.p_dst))
             ();
-          Obs.note (obs t) session.pr_span ~node:(Ctx.node_id t.Sr.ctx)
-            ("last-hop suspect " ^ Address.to_string suspect);
-          if Obs.wants_events (obs t) then
+          if Obs.wants_events (obs t) then begin
+            Obs.note (obs t) session.pr_span ~node:(Ctx.node_id t.Sr.ctx)
+              ("last-hop suspect " ^ Address.to_string suspect);
             Ctx.log t.Sr.ctx ~event:"secure.suspect"
-              ~detail:(Address.to_string suspect);
+              ~detail:(Address.to_string suspect)
+          end;
           Credit.slash t.Sr.ext.credits suspect;
           ignore (Route_cache.remove_containing t.Sr.cache suspect)
         end);
@@ -270,9 +272,11 @@ let start_probe t packet route =
       pr_span =
         Obs.start (obs t) ~kind:"secure.probe" ~node:(Ctx.node_id t.Sr.ctx)
           ~detail:
-            (Printf.sprintf "dst=%s hops=%d"
-               (Address.to_string packet.Sr.p_dst)
-               (Array.length hops))
+            (if Obs.wants_events (obs t) then
+               Printf.sprintf "dst=%s hops=%d"
+                 (Address.to_string packet.Sr.p_dst)
+                 (Array.length hops)
+             else "")
           ();
     }
   in
@@ -395,7 +399,7 @@ let accept_rreq t flood (r : Messages.rreq) =
 
 let rrep t (r : Messages.rreq) ~rr ~back =
   let dip = address t in
-  Sr.reply_span t ~kind:"route.rrep" ~sip:r.sip ~seq:r.seq (Sr.rrep_corr ~sip:r.sip ~dip ~rr);
+  Sr.reply_span t ~sip:r.sip ~seq:r.seq (Sr.Rrep { sip = r.sip; dip; rr });
   let id = identity t in
   Messages.Rrep
     {
@@ -413,8 +417,7 @@ let crep t (r : Messages.rreq) ~rr ~back =
   match if t.Sr.ext.config.use_cache_replies then Sr.cached_entry t ~dst:r.dip else None with
   | Some { Route_cache.route; meta = Some endo; _ } when Sr.avoids r ~rr route ->
       let cacher = address t in
-      Sr.reply_span t ~kind:"route.crep" ~sip:r.sip ~seq:r.seq
-        (Sr.crep_corr ~cacher ~seq:r.seq);
+      Sr.reply_span t ~sip:r.sip ~seq:r.seq (Sr.Crep { cacher; seq = r.seq });
       let id = identity t in
       Some
         (Messages.Crep
@@ -462,17 +465,17 @@ let consume_rrep t ~src msg =
       match Address.Tbl.find_opt t.Sr.pending dip with
       | Some d ->
           let payload = Codec.rrep_payload ~sip:(address t) ~seq:d.Sr.d_seq ~rr in
-          let corr = Sr.rrep_corr ~sip:(address t) ~dip ~rr in
+          let reply = Sr.Rrep { sip = address t; dip; rr } in
           (match
              verify_host_r t ~ip:dip ~pk:dpk ~rn:drn ~payload ~signature:sig_
            with
           | Host_ok ->
-              Sr.finish_reply t corr Obs.Ok;
+              Sr.finish_reply t reply Obs.Ok;
               Sr.route_found t ~dst:dip ~route:rr
                 ~meta:
                   (Some { e_sig = sig_; e_pk = dpk; e_rn = drn; e_seq = d.Sr.d_seq })
           | (Bad_binding | Bad_sig) as why ->
-              Sr.finish_reply t corr (Obs.Rejected "signature check failed");
+              Sr.finish_reply t reply (Obs.Rejected "signature check failed");
               let stats = [ Key.secure_rrep_rejected ] in
               (match why with
               | Bad_binding ->
@@ -549,14 +552,14 @@ let consume_crep t msg =
                 (Codec.rrep_payload ~sip:cacher ~seq:cacher_seq ~rr:rr_to_dest)
               ~signature:sig_dest
           in
-          let corr = Sr.crep_corr ~cacher ~seq:requester_seq in
+          let reply = Sr.Crep { cacher; seq = requester_seq } in
           if cacher_ok && dest_ok then begin
-            Sr.finish_reply t corr Obs.Ok;
+            Sr.finish_reply t reply Obs.Ok;
             let route = rr_to_cacher @ (cacher :: rr_to_dest) in
             Sr.route_found t ~dst:dip ~route ~meta:None
           end
           else begin
-            Sr.finish_reply t corr (Obs.Rejected "signature check failed");
+            Sr.finish_reply t reply (Obs.Rejected "signature check failed");
             (* Either half may be at fault (cacher attestation or the
                replayed destination endorsement); neither failure
                localizes the forger from here. *)

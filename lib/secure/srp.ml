@@ -90,7 +90,7 @@ let accept_rreq t flood (r : Messages.rreq) =
 
 let rrep t (r : Messages.rreq) ~rr ~back =
   let dip = address t in
-  Sr.reply_span t ~kind:"route.rrep" ~sip:r.sip ~seq:r.seq (Sr.rrep_corr ~sip:r.sip ~dip ~rr);
+  Sr.reply_span t ~sip:r.sip ~seq:r.seq (Sr.Rrep { sip = r.sip; dip; rr });
   Messages.Rrep
     {
       sip = r.sip;
@@ -121,16 +121,16 @@ let consume_rrep t msg =
       match Address.Tbl.find_opt t.Sr.pending dip with
       | Some d ->
           let k_sd = key_with t dip in
-          let corr = Sr.rrep_corr ~sip:(address t) ~dip ~rr in
+          let reply = Sr.Rrep { sip = address t; dip; rr } in
           if
             String.equal sig_
               (rrep_mac ~key:k_sd ~sip:(address t) ~seq:d.Sr.d_seq ~rr)
           then begin
-            Sr.finish_reply t corr Obs.Ok;
+            Sr.finish_reply t reply Obs.Ok;
             Sr.route_found t ~dst:dip ~route:rr ~meta:()
           end
           else begin
-            Sr.finish_reply t corr (Obs.Rejected "signature check failed");
+            Sr.finish_reply t reply (Obs.Rejected "signature check failed");
             Ctx.audit t.Sr.ctx ~kind:Audit.Sig_verify_fail
               ~stats:[ Key.srp_rrep_rejected ]
               ~cause:"rrep end-to-end MAC" ()

@@ -19,6 +19,7 @@ module Faults = Manetsec.Faults
 let test_span_lifecycle () =
   let e = Engine.create ~seed:1 () in
   let o = Obs.create e in
+  Obs.set_capture o true;
   let root = Obs.start o ~kind:"route.discovery" ~node:1 ~detail:"d" () in
   Engine.schedule e ~delay:2.0 (fun () ->
       let child = Obs.start o ~parent:root ~kind:"rreq.flood" ~node:1 () in
@@ -46,6 +47,7 @@ let test_span_lifecycle () =
 let test_correlation_registry () =
   let e = Engine.create ~seed:1 () in
   let o = Obs.create e in
+  Obs.set_capture o true;
   let a = Obs.start o ~kind:"k" ~node:0 () in
   let b = Obs.start o ~kind:"k" ~node:1 () in
   Alcotest.(check bool) "missing key" true (Obs.lookup o "x" = None);
@@ -53,6 +55,77 @@ let test_correlation_registry () =
   Alcotest.(check bool) "bound" true (Obs.lookup o "x" = Some a);
   Obs.correlate o "x" b;
   Alcotest.(check bool) "rebinding replaces" true (Obs.lookup o "x" = Some b)
+
+(* Spans and the registry follow the event log: with it off an id is
+   issued and nothing is kept; a span kept while it was on can still be
+   noted and finished after it goes off, though its key no longer
+   resolves. *)
+let test_spans_follow_the_log () =
+  let e = Engine.create ~seed:1 () in
+  let o = Obs.create e in
+  let a = Obs.start o ~kind:"k" ~node:0 ~detail:"d" () in
+  Obs.note o a ~node:0 "n";
+  Obs.finish o a Obs.Ok;
+  Obs.correlate o "a" a;
+  Alcotest.(check int) "ids issued with the log off" 1 a;
+  Alcotest.(check int) "no span kept" 0 (List.length (Obs.spans o));
+  Alcotest.(check bool) "no key kept" true (Obs.lookup o "a" = None);
+  Obs.set_capture o true;
+  let b = Obs.start o ~kind:"k" ~node:1 () in
+  Obs.correlate o "b" b;
+  Alcotest.(check int) "the next id" 2 b;
+  Alcotest.(check bool) "bound while on" true (Obs.lookup o "b" = Some b);
+  Obs.set_capture o false;
+  Alcotest.(check bool) "lookup answers None while off" true (Obs.lookup o "b" = None);
+  Obs.note o b ~node:2 "late";
+  Obs.finish o b Obs.Timeout;
+  Alcotest.(check int) "span_count counts ids" 2 (Obs.span_count o);
+  match Obs.spans o with
+  | [ s ] ->
+      Alcotest.(check int) "the kept span" b s.Obs.id;
+      Alcotest.(check bool) "finished after the log went off" true
+        (s.Obs.outcome = Some Obs.Timeout);
+      Alcotest.(check bool) "noted after the log went off" true
+        (s.Obs.notes = [ (0.0, 2, "late") ])
+  | l -> Alcotest.failf "expected 1 span, got %d" (List.length l)
+
+(* The trace header counts the span lines it writes: a log switched on
+   mid-run writes only the spans opened after that, and says so. *)
+let test_header_counts_written_spans () =
+  let e = Engine.create ~seed:1 () in
+  let o = Obs.create e in
+  for _ = 1 to 3 do
+    ignore (Obs.start o ~kind:"before" ~node:0 ())
+  done;
+  Obs.set_capture o true;
+  let root = Obs.start o ~kind:"after" ~node:1 () in
+  ignore (Obs.start o ~parent:root ~kind:"after" ~node:2 ());
+  let lines = String.split_on_char '\n' (Obs.to_jsonl o) in
+  let header = Json.parse (List.hd lines) in
+  Alcotest.(check bool) "header spans = span lines" true
+    (Json.member "spans" header = Some (Json.Int 2));
+  Alcotest.(check int) "two span lines" 2
+    (List.length
+       (List.filter (String.starts_with ~prefix:{|{"type":"span"|}) lines));
+  Alcotest.(check int) "five ids issued" 5 (Obs.span_count o)
+
+(* With the log off the span calls are free: no record, no option, no
+   hashing of a key. *)
+let test_spans_off_allocate_nothing () =
+  Gc.full_major ();
+  let e = Engine.create ~seed:1 () in
+  let o = Obs.create e in
+  let zero what f =
+    Alcotest.(check (float 0.0)) (what ^ " allocates nothing with the log off") 0.0
+      (Test_crypto.minor_words_per_call 10_000 f)
+  in
+  let id = Obs.start o ~kind:"k" ~node:0 () in
+  zero "Obs.start" (fun () -> ignore (Sys.opaque_identity (Obs.start o ~kind:"k" ~node:0 ())));
+  zero "Obs.note" (fun () -> Obs.note o id ~node:0 "relay");
+  zero "Obs.finish" (fun () -> Obs.finish o id Obs.Ok);
+  zero "Obs.correlate" (fun () -> Obs.correlate o "key" id);
+  zero "Obs.lookup" (fun () -> ignore (Sys.opaque_identity (Obs.lookup o "key")));
+  Alcotest.(check int) "nothing kept" 0 (List.length (Obs.spans o))
 
 let test_event_capture_ring () =
   let e = Engine.create ~seed:1 () in
@@ -249,7 +322,7 @@ let oracle_jsonl ~meta o =
       ([
          ("schema", Json.String Obs.schema);
          ("version", Json.Int Obs.schema_version);
-         ("spans", Json.Int (Obs.span_count o));
+         ("spans", Json.Int (List.length (Obs.spans o)));
          ("events", Json.Int (List.length events));
          ("events_dropped", Json.Int (Obs.events_dropped o));
        ]
@@ -989,6 +1062,45 @@ let test_renderers () =
     (List.length
        (List.filter (fun l -> l <> "") (String.split_on_char '\n' top)))
 
+(* Keeping spans observes the run: on a small secure run and on
+   dsr_faults.scn, the counters and the deterministic perf, audit,
+   metrics and timeline exports are byte-identical with the event log
+   on and off, and the log-off run issues as many span ids but keeps no
+   span. *)
+let test_spans_non_perturbing () =
+  let module Export = Manet_scenario.Export in
+  let module Scn = Manet_scenario.Scn in
+  let kinds = [ Export.Audit_jsonl; Export.Metrics_csv; Export.Timeline_jsonl ] in
+  let same what ~off ~on =
+    let check name export =
+      Alcotest.(check string) (Printf.sprintf "%s: %s byte-identical" what name)
+        (export off) (export on)
+    in
+    Alcotest.(check (list (pair string int)))
+      (what ^ ": counters identical")
+      (Stats.counters (Scenario.stats off))
+      (Stats.counters (Scenario.stats on));
+    check "perf det" (fun s -> Scenario.perf_det_jsonl s);
+    List.iter
+      (fun kind ->
+        check (Export.file ~name:"run" kind) (fun s -> Export.render ~meta:[] s kind))
+      kinds;
+    Alcotest.(check bool) (what ^ ": the on run kept spans") true
+      (Obs.spans (Scenario.obs on) <> []);
+    Alcotest.(check int) (what ^ ": the off run kept no span") 0
+      (List.length (Obs.spans (Scenario.obs off)));
+    Alcotest.(check int) (what ^ ": span ids issued alike")
+      (Obs.span_count (Scenario.obs on))
+      (Obs.span_count (Scenario.obs off))
+  in
+  let off = Test_timeline.small_run 7 ~setup:(Export.prepare kinds) in
+  let on = Test_timeline.small_run 7 ~setup:(Export.prepare (Export.Trace_jsonl :: kinds)) in
+  same "small_run 7" ~off ~on;
+  let scn = Test_sweep.scenario "dsr_faults.scn" in
+  same "dsr_faults.scn"
+    ~off:(Scn.execute { scn with Scn.exports = kinds })
+    ~on:(Scn.execute { scn with Scn.exports = Export.Trace_jsonl :: kinds })
+
 let tc name f = Alcotest.test_case name `Quick f
 
 let suites =
@@ -997,6 +1109,10 @@ let suites =
       [
         tc "span lifecycle" test_span_lifecycle;
         tc "correlation registry" test_correlation_registry;
+        tc "spans follow the event log" test_spans_follow_the_log;
+        tc "trace header counts span lines written" test_header_counts_written_spans;
+        tc "span calls with the log off allocate nothing" test_spans_off_allocate_nothing;
+        Alcotest.test_case "keeping spans perturbs nothing" `Slow test_spans_non_perturbing;
         tc "event capture ring" test_event_capture_ring;
         tc "json roundtrip" test_json_roundtrip;
         tc "json parse errors" test_json_parse_errors;

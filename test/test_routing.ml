@@ -629,9 +629,11 @@ let test_srp_benign_delivery () =
   Alcotest.(check int) "nothing rejected" 0 (stat s "srp.rrep_rejected")
 
 (* The destination opens a route.rrep span under the discovery's flood
-   span, and the source finishes it once the reply's MAC checks out. *)
+   span, and the source finishes it once the reply's MAC checks out.
+   Spans are kept only while the event log is on. *)
 let test_srp_reply_span () =
   let s = Scenario.create (chain_params ~protocol:Scenario.Srp_protocol ()) in
+  Manetsec.Obs.set_capture (Scenario.obs s) true;
   let got = ref None in
   Scenario.discover s ~src:1 ~dst:4 (fun r -> got := Some r);
   Scenario.run s ~until:10.0;
@@ -798,6 +800,35 @@ let test_duplicate_rreq_allocation () =
       | l -> Alcotest.failf "%s: expected one flood, got %d" name (List.length l))
     protocols
 
+(* A first copy at a relay appends the relay's entry and schedules the
+   rebroadcast.  With the event log off it builds no telemetry (no
+   relay note text, no correlation key), so what it allocates is the
+   protocol's own: the flood's registration, the copy with its longer
+   route record, the jitter draw and the scheduled rebroadcast. *)
+let test_first_copy_relay_allocation () =
+  List.iter
+    (fun (name, protocol, budget) ->
+      let _, ctxs, node, handle = rreq_world protocol in
+      let n = 10_000 in
+      let copies = Array.init (n + 1) (fun i -> rreq_copy node ~dst:3 ~seq:(i + 1) [ 1 ]) in
+      handle 2 ~src:1 copies.(0);
+      let next = ref 1 in
+      let per_copy =
+        Test_crypto.minor_words_per_call n (fun () ->
+            handle 2 ~src:1 copies.(!next);
+            incr next)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: first-copy relay %.2f minor words <= %.0f" name per_copy budget)
+        true (per_copy <= budget);
+      Alcotest.(check int) (name ^ ": every copy a new flood") (n + 1)
+        (List.length (Test_timeline.floods (Obs.flood ctxs.(2).Ctx.obs)));
+      Alcotest.(check int) (name ^ ": no span kept") 0
+        (List.length (Obs.spans ctxs.(2).Ctx.obs)))
+    (* 90.4, 313.9 and 90.4 words today; 114.4, 337.9 and 114.4 while
+       every relay built the request's correlation key. *)
+    [ ("dsr", `Dsr, 96.0); ("secure", `Secure, 320.0); ("srp", `Srp, 96.0) ]
+
 (* The destination answers the first 3 copies of one flood, each over
    its own path, and no more; the bound is per flood. *)
 let test_destination_answers_three_copies () =
@@ -883,6 +914,8 @@ let suites =
       [
         Alcotest.test_case "duplicate RREQ allocation budget" `Quick
           test_duplicate_rreq_allocation;
+        Alcotest.test_case "first-copy relay allocation budget" `Quick
+          test_first_copy_relay_allocation;
         Alcotest.test_case "destination answers three copies" `Quick
           test_destination_answers_three_copies;
         Alcotest.test_case "relay drops looped copy" `Quick test_relay_drops_looped_copy;

@@ -554,6 +554,23 @@ let test_capture_on_demand () =
   Alcotest.(check int) "one trace line per captured event"
     (List.length events) event_lines
 
+(* A report-only run keeps the spans its report reads: baseline_bootstrap
+   run with only its own exports writes the report pinned in
+   test/golden/baseline_bootstrap.report.json (57 spans, 19 of them
+   dad.bootstrap), as [manetsim run] does. *)
+let test_report_only_run_keeps_spans () =
+  let scn = Scn.parse (read_scenario "baseline_bootstrap.scn") in
+  Alcotest.(check bool) "the file asks for report-json" true
+    (List.mem Export.Report_json scn.Scn.exports);
+  let s = Scn.execute scn in
+  let want =
+    In_channel.with_open_bin (golden_file "baseline_bootstrap.report.json")
+      In_channel.input_all
+  in
+  Alcotest.(check string) "report-json bytes" want
+    (Export.render ~meta:(Scn.meta scn ~seed:scn.Scn.params.Scenario.seed) s
+       Export.Report_json)
+
 (* Fanning one scenario across seeds is byte-deterministic in the
    domain count (the Parallel/Merge contract, end to end). *)
 let test_sweep_domain_invariant () =
@@ -684,7 +701,8 @@ let test_prepare_sinks () =
       Export.prepare [ kind ] s;
       let obs = Scenario.obs s in
       Alcotest.(check bool) (keyword ^ ": capture")
-        (kind = Export.Trace_jsonl) (Obs.wants_events obs);
+        (kind = Export.Trace_jsonl || kind = Export.Report_json)
+        (Obs.wants_events obs);
       (* A record lands in the export only while metrics are on. *)
       let m = Obs.metrics obs in
       let before = Metrics.to_csv m in
@@ -727,6 +745,8 @@ let suites =
         Alcotest.test_case "golden exports" `Quick test_golden_exports;
         Alcotest.test_case "capture only on demand" `Quick
           test_capture_on_demand;
+        Alcotest.test_case "report-only run keeps its spans" `Quick
+          test_report_only_run_keeps_spans;
         Alcotest.test_case "file run equals hand-coded run" `Slow
           test_file_equals_hand_coded;
         Alcotest.test_case "export keywords decode" `Quick test_export_keywords;

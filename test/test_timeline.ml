@@ -672,9 +672,14 @@ let test_trees_non_perturbing () =
     (List.exists
        (fun s -> Flood.tree (Obs.flood (Scenario.obs on)) ~id:s.id <> [])
        (floods (Obs.flood (Scenario.obs on))));
+  (* A file run's exports decide the log's switch, so the on run asks
+     for the trace export ([on_create] runs before the exports'
+     switches are set). *)
   let scn = Test_sweep.scenario "scale/n300.scn" in
   same "scale/n300.scn" ~off:(Scn.execute scn)
-    ~on:(Scn.execute ~on_create:capture scn)
+    ~on:
+      (Scn.execute
+         { scn with Scn.exports = Manet_scenario.Export.Trace_jsonl :: scn.Scn.exports })
 
 let suites =
   [
