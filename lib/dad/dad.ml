@@ -1,5 +1,4 @@
 module Address = Manet_ipv6.Address
-module Cga = Manet_ipv6.Cga
 module Prng = Manet_crypto.Prng
 module Suite = Manet_crypto.Suite
 module Messages = Manet_proto.Messages
@@ -7,6 +6,7 @@ module Codec = Manet_proto.Codec
 module Ctx = Manet_proto.Node_ctx
 module Directory = Manet_proto.Directory
 module Identity = Manet_proto.Identity
+module Verdict = Manet_proto.Verdict
 module Audit = Manet_obs.Audit
 module Engine = Manet_sim.Engine
 module Obs = Manet_obs.Obs
@@ -120,15 +120,6 @@ let finish_flood t outcome =
       Obs.finish (obs t) id outcome;
       t.span_flood <- None
   | None -> ()
-
-(* The reply span filed under [corr sig_] was accepted.  The key is
-   built only while the event log is on. *)
-let finish_reply t corr sig_ =
-  let o = obs t in
-  if Obs.wants_events o then
-    match Obs.lookup o (corr sig_) with
-    | Some sid -> Obs.finish o sid Obs.Ok
-    | None -> ()
 
 let finish_bootstrap t outcome =
   match t.span_bootstrap with
@@ -353,75 +344,66 @@ let handle_areq t ~src msg =
 
 (* --- initiator verification ------------------------------------------- *)
 
-type arep_check = Arep_ok | Arep_bad_binding | Arep_bad_sig
+(* A reply the pending attempt [p] waits for: an AREP for its address,
+   or a DREP for its name. *)
+type reply = Arep of Messages.arep | Drep of Messages.drep
 
-let verify_arep_r t ~sip ~sig_ ~pk ~rn ~ch =
-  let suite = Ctx.suite t.ctx in
-  Suite.count_hash suite ~bytes:(String.length pk + 8);
-  (* Check 1: R generated SIP by the CGA rule. *)
-  if not (Cga.verify sip ~pk_bytes:pk ~rn) then Arep_bad_binding
-    (* Check 2: R owns the private key — it answered our challenge. *)
-  else if
-    suite.Suite.verify ~pk_bytes:pk
-      ~msg:(Codec.arep_payload ~sip ~ch)
-      ~signature:sig_
-  then Arep_ok
-  else Arep_bad_sig
+let awaited t msg =
+  match (t.pending, msg) with
+  | Some p, Messages.Arep a when (not p.p_resolved) && Address.equal a.sip (address t) ->
+      Some (p, Arep a)
+  | Some p, Messages.Drep d when (not p.p_resolved) && p.p_dn = Some d.dn -> Some (p, Drep d)
+  | _ -> None
 
-let consume_arep t msg =
-  match msg with
-  | Messages.Arep { sip; sig_; pk; rn; _ } -> (
-      match t.pending with
-      | Some p when (not p.p_resolved) && Address.equal sip (address t) -> (
-          match verify_arep_r t ~sip ~sig_ ~pk ~rn ~ch:p.p_ch with
-          | Arep_ok ->
-              finish_reply t arep_corr sig_;
-              retry_with_new_address t p
-          | (Arep_bad_binding | Arep_bad_sig) as why ->
-              (* An AREP for our pending address that fails verification
-                 is a forgery or replay: ignore it (§4).  A bad CGA
-                 binding means the claimed owner fabricated its identity
-                 material; a bad signature, that the challenge was never
-                 really answered. *)
-              (match why with
-              | Arep_bad_binding ->
-                  Ctx.audit t.ctx ~kind:Audit.Cga_mismatch
-                    ~stats:[ Key.dad_arep_rejected ]
-                    ~cause:"arep owner key/address binding" ()
-              | Arep_bad_sig | Arep_ok ->
-                  Ctx.audit t.ctx ~kind:Audit.Sig_verify_fail
-                    ~stats:[ Key.dad_arep_rejected ]
-                    ~cause:"arep challenge signature" ());
-              if Obs.wants_events (obs t) then
-                Ctx.log t.ctx ~event:"dad.arep_rejected"
-                  ~detail:(Address.to_string sip))
-      | _ ->
-          (* Not ours: if we host the DNS this is a duplicate warning. *)
-          t.warning_sink msg)
-  | _ -> ()
+let reply_corr = function Arep a -> arep_corr a.sig_ | Drep d -> drep_corr d.sig_
 
-let consume_drep t msg =
-  match msg with
-  | Messages.Drep { dn; sig_; _ } -> (
-      match t.pending with
-      | Some p when (not p.p_resolved) && p.p_dn = Some dn ->
-          let suite = Ctx.suite t.ctx in
-          if
-            suite.Suite.verify ~pk_bytes:t.dns_pk
-              ~msg:(Codec.drep_payload ~dn ~ch:p.p_ch)
-              ~signature:sig_
-          then begin
-            finish_reply t drep_corr sig_;
-            retry_with_new_name t p
-          end
-          else begin
-            Ctx.audit t.ctx ~kind:Audit.Sig_verify_fail
-              ~stats:[ Key.dad_drep_rejected ]
-              ~cause:"drep dns server signature" ();
-            Ctx.log t.ctx ~event:"dad.drep_rejected" ~detail:dn
-          end
-      | _ -> ())
-  | _ -> ()
+(* An AREP proves our address taken: R generated SIP by the CGA rule,
+   and it owns the private key — it answered our challenge.  A DREP,
+   under the pre-distributed DNS key, proves our name taken.  A reply
+   that fails is a forgery or replay, and is ignored (§4): a bad CGA
+   binding means the claimed owner fabricated its identity material, a
+   bad signature that the challenge was never really answered. *)
+let check t p = function
+  | Arep { sip; sig_; pk; rn; _ } -> (
+      let reject = Verdict.reject Key.dad_arep_rejected in
+      match
+        Verdict.host t.ctx ~ip:sip ~pk ~rn
+          ~payload:(Codec.arep_payload ~sip ~ch:p.p_ch)
+          ~signature:sig_
+      with
+      | Ok c -> Verdict.Accepted { checks = [ c ]; value = () }
+      | Error Verdict.Bad_binding -> reject Audit.Cga_mismatch "arep owner key/address binding"
+      | Error Verdict.Bad_sig -> reject Audit.Sig_verify_fail "arep challenge signature")
+  | Drep { dn; sig_; _ } ->
+      if
+        (Ctx.suite t.ctx).Suite.verify ~pk_bytes:t.dns_pk
+          ~msg:(Codec.drep_payload ~dn ~ch:p.p_ch)
+          ~signature:sig_
+      then Verdict.Accepted { checks = [ Verdict.Sig ]; value = () }
+      else Verdict.reject Key.dad_drep_rejected Audit.Sig_verify_fail "drep dns server signature"
+
+let log_rejected t = function
+  | Arep a -> Ctx.log t.ctx ~event:"dad.arep_rejected" ~detail:(Address.to_string a.sip)
+  | Drep d -> Ctx.log t.ctx ~event:"dad.drep_rejected" ~detail:d.dn
+
+(* The initiator's one acceptance path: a reply its pending attempt
+   waits for is judged by [check].  An accepted one finishes the
+   responder's span and ends the attempt; a rejected one is audited and
+   leaves the span open.  Any other AREP that ends here is, if we host
+   the DNS, a duplicate warning. *)
+let consume_reply t ~src msg ~check =
+  match awaited t msg with
+  | Some (p, reply) -> (
+      match check t p reply with
+      | Verdict.Accepted _ as v -> (
+          Verdict.finish_span t.ctx reply_corr reply v;
+          match reply with
+          | Arep _ -> retry_with_new_address t p
+          | Drep _ -> retry_with_new_name t p)
+      | Verdict.Rejected r ->
+          Verdict.audit t.ctx ~src r;
+          if Obs.wants_events (obs t) then log_rejected t reply)
+  | None -> ( match msg with Messages.Arep _ -> t.warning_sink msg | _ -> ())
 
 (* --- reception dispatch ------------------------------------------------ *)
 
@@ -447,12 +429,12 @@ let handle t ~src msg =
   | Messages.Areq _ -> handle_areq t ~src msg
   | Messages.Arep _ ->
       Ctx.deliver_up t.ctx ~src msg
-        ~consume:(fun m -> consume_arep t m)
+        ~consume:(fun m -> consume_reply t ~src m ~check)
         ~forward:(fun ~next m -> Ctx.send_along t.ctx ~path:next m)
         ~not_mine:(fun m -> relay_warning t m)
   | Messages.Drep _ ->
       Ctx.deliver_up t.ctx ~src msg
-        ~consume:(fun m -> consume_drep t m)
+        ~consume:(fun m -> consume_reply t ~src m ~check)
         ~forward:(fun ~next m -> Ctx.send_along t.ctx ~path:next m)
         ~not_mine:(fun _ -> ())
   (* Routing, data and DNS-service traffic is not DAD's business; the

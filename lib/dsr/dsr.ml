@@ -1,8 +1,6 @@
 module Address = Manet_ipv6.Address
 module Messages = Manet_proto.Messages
 module Ctx = Manet_proto.Node_ctx
-module Audit = Manet_obs.Audit
-module Obs = Manet_obs.Obs
 module Stats = Manet_sim.Stats
 module Sr = Source_route
 
@@ -60,67 +58,38 @@ let cached_routes = Sr.cached_routes
 let accept_any _ _ _ = true
 
 let rrep t (r : Messages.rreq) ~rr ~back =
-  let dip = address t in
-  Sr.reply_span t ~sip:r.sip ~seq:r.seq (Sr.Rrep { sip = r.sip; dip; rr });
-  Messages.Rrep { sip = r.sip; dip; rr; remaining = back; sig_ = ""; dpk = ""; drn = 0L }
+  Sr.answer t ~seq:r.seq
+    (Sr.Rrep { sip = r.sip; dip = address t; rr; remaining = back; sig_ = ""; dpk = ""; drn = 0L })
 
 (* Any cached route may answer, when cache replies are on. *)
 let crep t (r : Messages.rreq) ~rr ~back =
   match if t.Sr.ext.use_cache_replies then Sr.cached_route t ~dst:r.dip else None with
   | Some route when Sr.avoids r ~rr route ->
-      let cacher = address t in
-      Sr.reply_span t ~sip:r.sip ~seq:r.seq (Sr.Crep { cacher; seq = r.seq });
       Some
-        (Messages.Crep
-           {
-             requester = r.sip;
-             cacher;
-             dip = r.dip;
-             requester_seq = r.seq;
-             cacher_seq = 0;
-             rr_to_cacher = rr;
-             rr_to_dest = route;
-             remaining = back;
-             sig_cacher = "";
-             cacher_pk = "";
-             cacher_rn = 0L;
-             sig_dest = "";
-             dest_pk = "";
-             dest_rn = 0L;
-           })
+        (Sr.answer t ~seq:r.seq
+           (Sr.Crep
+              {
+                requester = r.sip;
+                cacher = address t;
+                dip = r.dip;
+                requester_seq = r.seq;
+                cacher_seq = 0;
+                rr_to_cacher = rr;
+                rr_to_dest = route;
+                remaining = back;
+                sig_cacher = "";
+                cacher_pk = "";
+                cacher_rn = 0L;
+                sig_dest = "";
+                dest_pk = "";
+                dest_rn = 0L;
+              }))
   | _ -> None
 
 (* A bare address entry; the copy carries no source signature. *)
 let relay t (r : Messages.rreq) =
   ( { r with sig_ = ""; spk = ""; srn = 0L },
     { Messages.ip = address t; sig_ = ""; pk = ""; rn = 0L } )
-
-(* --- source-routed message handling ------------------------------------ *)
-
-let consume_rrep t msg =
-  match msg with
-  (* manetcheck: allow security — unauthenticated baseline: replies accepted
-     as-is (see handle). *)
-  | Messages.Rrep { sip; dip; rr; _ } ->
-      Sr.finish_reply t (Sr.Rrep { sip; dip; rr }) Obs.Ok;
-      (* manetcheck: allow taint — plain DSR is the deliberately
-         unauthenticated §4 baseline; accepting the reply without any
-         check is the vulnerability Secure_routing closes. *)
-      Sr.route_found t ~dst:dip ~route:rr ~meta:()
-  | _ -> ()
-
-let consume_crep t msg =
-  match msg with
-  (* manetcheck: allow security — unauthenticated baseline: cached replies
-     accepted as-is. *)
-  | Messages.Crep { cacher; dip; requester_seq; rr_to_cacher; rr_to_dest; _ } ->
-      Sr.finish_reply t (Sr.Crep { cacher; seq = requester_seq }) Obs.Ok;
-      (* Splice: requester -> ... -> cacher -> ... -> destination. *)
-      let route = rr_to_cacher @ (cacher :: rr_to_dest) in
-      (* manetcheck: allow taint — same unauthenticated §4 baseline as
-         consume_rrep: cached replies are trusted verbatim by design. *)
-      Sr.route_found t ~dst:dip ~route ~meta:()
-  | _ -> ()
 
 (* DSR automatic route shortening: on a promiscuous radio we may
    overhear a data frame whose remaining hops include us further down the
@@ -172,27 +141,6 @@ let overheard_data t msg =
       | _ -> ())
   | _ -> ()
 
-let consume_rerr t msg =
-  match msg with
-  (* manetcheck: allow security — plain DSR believes any error report — the
-     exact weakness the §4 RERR-forgery adversary exploits and secure routing
-     closes. *)
-  | Messages.Rerr { reporter; broken_next; _ } ->
-      Ctx.stat t.Sr.ctx Sr.Key.rerr_received;
-      (* Plain DSR believes any error report.  The audit stream still
-         records the unverified acceptance so the exposure shows up in a
-         timeline next to the secure stack's rejections. *)
-      Ctx.audit t.Sr.ctx ~kind:Audit.Unverified_accept
-        ~cause:
-          ("unauthenticated rerr from " ^ Address.to_string reporter
-         ^ " believed")
-        ();
-      ignore
-        (* manetcheck: allow taint — believing unauthenticated RERRs is the
-           exact §4 forgery exposure the baseline exists to measure. *)
-        (Route_cache.remove_link t.Sr.cache ~owner:(address t) ~a:reporter ~b:broken_next)
-  | _ -> ()
-
 let handle t ~src msg =
   match msg with
   (* manetcheck: allow security — plain DSR is the deliberately
@@ -200,11 +148,13 @@ let handle t ~src msg =
      requests carry signature fields on the wire but this layer never checks
      them. *)
   | Messages.Rreq r -> Sr.handle_rreq t ~src r ~accept:accept_any ~rrep ~crep ~relay
-  | Messages.Rrep _ -> Sr.deliver t ~src msg ~consume:(consume_rrep t)
-  | Messages.Crep _ -> Sr.deliver t ~src msg ~consume:(consume_crep t)
+  | Messages.Rrep _ | Messages.Crep _ ->
+      Sr.deliver t ~src msg ~consume:(fun m -> Sr.consume_reply t ~src m ~check:Sr.unchecked)
   | Messages.Data _ -> Sr.deliver_data t ~src msg ~overheard:(fun m -> overheard_data t m)
   | Messages.Ack _ -> Sr.deliver_ack t ~src msg
-  | Messages.Rerr _ -> Sr.deliver t ~src msg ~consume:(consume_rerr t)
+  | Messages.Rerr _ ->
+      Sr.deliver t ~src msg ~consume:(fun m ->
+          Sr.consume_rerr t ~src m ~check:Sr.unchecked ~credit:Sr.no_credit)
   | Messages.Probe _ | Messages.Probe_reply _ | Messages.Name_query _
   | Messages.Name_reply _ | Messages.Ip_change_request _
   | Messages.Ip_change_challenge _ | Messages.Ip_change_proof _

@@ -3,6 +3,7 @@ module Prng = Manet_crypto.Prng
 module Messages = Manet_proto.Messages
 module Codec = Manet_proto.Codec
 module Ctx = Manet_proto.Node_ctx
+module Verdict = Manet_proto.Verdict
 module Engine = Manet_sim.Engine
 module Obs = Manet_obs.Obs
 module Flood = Manet_obs.Flood
@@ -134,22 +135,27 @@ let rreq_key sip seq =
     ch = 0L;
   }
 
-type reply =
-  | Rrep of { sip : Address.t; dip : Address.t; rr : Address.t list }
-  | Crep of { cacher : Address.t; seq : int }
+(* A reply to a discovery, keyed for telemetry by the fields both its
+   responder and its consumer can see. *)
+type reply = Rrep of Messages.rrep | Crep of Messages.crep
 
 let reply_corr = function
-  | Rrep { sip; dip; rr } ->
+  | Rrep { sip; dip; rr; _ } ->
       "rrep:" ^ Address.to_bytes sip ^ Address.to_bytes dip
       ^ String.concat "" (List.map Address.to_bytes rr)
-  | Crep { cacher; seq } -> "crep:" ^ Address.to_bytes cacher ^ Codec.u32 seq
+  | Crep { cacher; requester_seq; _ } ->
+      "crep:" ^ Address.to_bytes cacher ^ Codec.u32 requester_seq
 
-(* The responder's span of a reply to [sip]'s request [seq]: a child of
-   the request's flood span, findable by the consumer under the reply's
+(* The responder's span of a reply to request [seq]: a child of the
+   request's flood span, findable by the consumer under the reply's
    key.  With the log off it only takes its id. *)
-let reply_span t ~sip ~seq reply =
+let answer t ~seq reply =
   let o = obs t in
-  let kind = match reply with Rrep _ -> "route.rrep" | Crep _ -> "route.crep" in
+  let kind, sip, msg =
+    match reply with
+    | Rrep r -> ("route.rrep", r.sip, Messages.Rrep r)
+    | Crep c -> ("route.crep", c.requester, Messages.Crep c)
+  in
   let node = Ctx.node_id t.ctx in
   if not (Obs.wants_events o) then ignore (Obs.start o ~kind ~node ())
   else
@@ -158,14 +164,8 @@ let reply_span t ~sip ~seq reply =
          ?parent:(Obs.lookup o (rreq_corr ~sip ~seq))
          ~kind ~node
          ~detail:("to " ^ Address.to_string sip)
-         ())
-
-let finish_reply t reply outcome =
-  let o = obs t in
-  if Obs.wants_events o then
-    match Obs.lookup o (reply_corr reply) with
-    | Some sid -> Obs.finish o sid outcome
-    | None -> ()
+         ());
+  msg
 
 (* Prefer the shortest known route, as DSR does. *)
 let shortest_first e =
@@ -498,6 +498,61 @@ let deliver_data t ~src msg ~overheard =
     ~not_mine:overheard
 
 let deliver_ack t ~src msg = deliver t ~src msg ~consume:(consume_ack t)
+
+(* --- replies and route errors --------------------------------------------- *)
+
+(* manetcheck: allow security — the one check of the unauthenticated
+   protocols: plain DSR's replies and errors, and SRP's errors (it has no
+   association with relays), are believed as they come — the §4 exposure
+   the baselines exist to measure and the paper's checks close. *)
+let unchecked _ _ = Verdict.Accepted { checks = [ Verdict.Unchecked ]; value = () }
+
+let no_credit _ _ ~removed:_ = ()
+
+let reply_of = function
+  | Messages.Rrep r -> Some (Rrep r)
+  | Messages.Crep c -> Some (Crep c)
+  | _ -> None
+
+(* The destination a reply offers a route to, and the route; a cache
+   reply splices requester -> ... -> cacher -> ... -> destination. *)
+let offer = function
+  | Rrep r -> (r.dip, r.rr)
+  | Crep c -> (c.dip, c.rr_to_cacher @ (c.cacher :: c.rr_to_dest))
+
+let consume_reply t ~src msg ~check =
+  match reply_of msg with
+  | None -> ()
+  | Some reply -> (
+      let v = check t reply in
+      Verdict.finish_span t.ctx reply_corr reply v;
+      match v with
+      | Verdict.Accepted { value = meta; _ } ->
+          let dst, route = offer reply in
+          route_found t ~dst ~route ~meta
+      | Verdict.Rejected r -> Verdict.audit t.ctx ~src r)
+
+(* An unchecked report is audited as believed, so the exposure shows in
+   a timeline next to the secure stack's rejections.  Unchecked replies
+   are not: the audit log always records, and replies are many. *)
+let consume_rerr t ~src msg ~check ~credit =
+  match msg with
+  | Messages.Rerr r -> (
+      Ctx.stat t.ctx Key.rerr_received;
+      match check t r with
+      | Verdict.Accepted { checks; _ } ->
+          (match checks with
+          | [ Verdict.Unchecked ] ->
+              Ctx.audit t.ctx ~kind:Manet_obs.Audit.Unverified_accept
+                ~cause:("unauthenticated rerr from " ^ Address.to_string r.reporter ^ " believed")
+                ()
+          | _ -> ());
+          let removed =
+            Route_cache.remove_link t.cache ~owner:(address t) ~a:r.reporter ~b:r.broken_next
+          in
+          credit t r ~removed
+      | Verdict.Rejected rejection -> Verdict.audit t.ctx ~src rejection)
+  | _ -> ()
 
 (* --- route requests ------------------------------------------------------- *)
 

@@ -34,11 +34,6 @@
 module Address = Manet_ipv6.Address
 module Messages = Manet_proto.Messages
 
-(** The shared key a protocol's own RERR handler bumps. *)
-module Key : sig
-  val rerr_received : Manet_sim.Stats.key
-end
-
 type packet = private {
   p_dst : Address.t;
   p_size : int;
@@ -130,11 +125,6 @@ val discover :
     hops ([Some []] for a direct neighbour) or [None] when every attempt
     timed out.  If a route is already cached it fires at once. *)
 
-val route_found : ('x, 'm) t -> dst:Address.t -> route:Address.t list -> meta:'m -> unit
-(** A reply the protocol accepted: cache the route, resolve the
-    discovery, flush the packets queued for [dst] and tell the
-    waiters. *)
-
 val retry : ('x, 'm) t -> packet -> unit
 (** Resend a packet whose ack timed out, or give it up once its resends
     are spent. *)
@@ -207,29 +197,56 @@ val avoids : Messages.rreq -> rr:Address.t list -> Address.t list -> bool
     request's source nor through a hop on its record [rr], so it may
     answer the request. *)
 
-(** {1 Telemetry correlation keys}
+(** {1 Replies and route errors}
 
-    Shared by every routing agent, so responder-side reply spans attach
-    to the initiating flood span whichever protocol runs.  A flood
-    attempt is identified by (source, seq); replies by the fields both
-    the responder and the consumer can see.  A key is built only while
-    the event log is on ({!Manet_obs.Obs.wants_events}); with it off
-    these calls format nothing and look nothing up. *)
+    A protocol's check judges a reply or route error and returns a
+    {!Manet_proto.Verdict.t}; it changes no state.  These two functions
+    act on the verdict, the same way for every protocol. *)
 
-(** A reply, by the fields its key is made of: a route reply to [sip]
-    from [dip] over the record [rr], or a cache reply from [cacher] to
-    the request [seq]. *)
-type reply =
-  | Rrep of { sip : Address.t; dip : Address.t; rr : Address.t list }
-  | Crep of { cacher : Address.t; seq : int }
+(** A reply to a discovery: a route reply, or a cache reply. *)
+type reply = Rrep of Messages.rrep | Crep of Messages.crep
 
-val reply_span : ('x, 'm) t -> sip:Address.t -> seq:int -> reply -> unit
-(** [reply_span t ~sip ~seq reply] opens the responder's span of a
-    reply to [sip]'s request [seq] (kind ["route.rrep"] or
-    ["route.crep"]), under the request's flood span, and files it under
-    the reply's consumer-visible key. *)
+val answer : ('x, 'm) t -> seq:int -> reply -> Messages.t
+(** [answer t ~seq reply] is [reply] as the message to send back for
+    request [seq].  It opens the responder's span of the reply (kind
+    ["route.rrep"] or ["route.crep"]) under the request's flood span,
+    filed under a key made of the fields both ends see: for a route
+    reply its [sip], [dip] and [rr], for a cache reply its cacher and
+    request seq.  The key is built only while the event log is on
+    ({!Manet_obs.Obs.wants_events}). *)
 
-val finish_reply : ('x, 'm) t -> reply -> Manet_obs.Obs.outcome -> unit
-(** [finish_reply t reply outcome] finishes the span filed under the
-    reply's key, if there is one: the consumer's verdict on the
-    reply. *)
+val consume_reply :
+  ('x, 'm) t ->
+  src:int ->
+  Messages.t ->
+  check:(('x, 'm) t -> reply -> 'm Manet_proto.Verdict.t) ->
+  unit
+(** [consume_reply t ~src msg ~check] acts on an RREP or CREP that
+    ended here ([src] is its radio sender; other messages are ignored).
+    It finishes the responder's span with the verdict of [check].  An
+    accepted reply's route is cached with the verdict's value as its
+    metadata: the discovery resolves, the packets queued for the
+    destination are sent and the waiters are told.  A rejected reply
+    is audited, with [src] as the accountable [Sender], and its reject
+    counter bumped. *)
+
+val consume_rerr :
+  ('x, 'm) t ->
+  src:int ->
+  Messages.t ->
+  check:(('x, 'm) t -> Messages.rerr -> unit Manet_proto.Verdict.t) ->
+  credit:(('x, 'm) t -> Messages.rerr -> removed:int -> unit) ->
+  unit
+(** [consume_rerr t ~src msg ~check ~credit] acts on a RERR that ended
+    here, counting it under [rerr.received].  An accepted report removes
+    every cached route over the reported link, then [credit t r
+    ~removed] does the protocol's bookkeeping, with [removed] the
+    number of routes dropped.  An accepted unchecked report is also
+    audited as [Unverified_accept].  A rejected report is audited and
+    its reject counter bumped. *)
+
+val unchecked : ('x, 'm) t -> 'a -> unit Manet_proto.Verdict.t
+(** The check of an unauthenticated protocol: accepted, unchecked. *)
+
+val no_credit : ('x, 'm) t -> Messages.rerr -> removed:int -> unit
+(** The [credit] of a protocol with nothing to add. *)

@@ -1,10 +1,10 @@
 module Address = Manet_ipv6.Address
-module Cga = Manet_ipv6.Cga
 module Suite = Manet_crypto.Suite
 module Messages = Manet_proto.Messages
 module Codec = Manet_proto.Codec
 module Ctx = Manet_proto.Node_ctx
 module Identity = Manet_proto.Identity
+module Verdict = Manet_proto.Verdict
 module Engine = Manet_sim.Engine
 module Route_cache = Manet_dsr.Route_cache
 module Sr = Manet_dsr.Source_route
@@ -111,31 +111,13 @@ let suite t = Ctx.suite t.Sr.ctx
 let verify t ~pk_bytes ~msg ~signature =
   (suite t).Suite.verify ~pk_bytes ~msg ~signature
 
-type host_check = Host_ok | Bad_binding | Bad_sig
-
-let verify_host_r t ~ip ~pk ~rn ~payload ~signature =
-  (* The two checks of §3: the address-to-key binding and the
-     challenge/sequence signature.  The binding is the CGA rule for
-     ordinary hosts; for pre-distributed identities (the DNS server) it
-     is exact equality with the known public key.  The split verdict
-     feeds the audit stream: a failed binding is a forged identity
-     (Cga_mismatch), a failed signature under a good binding points at
-     stale or tampered content. *)
-  let binding_ok =
-    match Address.Tbl.find_opt t.Sr.ext.trusted ip with
-    | Some known_pk -> String.equal known_pk pk
-    | None ->
-        Suite.count_hash (Ctx.suite t.Sr.ctx) ~bytes:(String.length pk + 8);
-        Cga.verify ip ~pk_bytes:pk ~rn
-  in
-  if not binding_ok then Bad_binding
-  else if verify t ~pk_bytes:pk ~msg:payload ~signature then Host_ok
-  else Bad_sig
-
+(* The two checks of §3 on one host (see [Verdict.host]).  The binding
+   is the CGA rule for ordinary hosts, and for the pre-distributed
+   identities (the DNS server) equality with the known public key.  A
+   failed binding is a forged identity, a failed signature under a good
+   binding stale or tampered content. *)
 let verify_host t ~ip ~pk ~rn ~payload ~signature =
-  match verify_host_r t ~ip ~pk ~rn ~payload ~signature with
-  | Host_ok -> true
-  | Bad_binding | Bad_sig -> false
+  Verdict.host ~trusted:t.Sr.ext.trusted t.Sr.ctx ~ip ~pk ~rn ~payload ~signature
 
 (* How long an honest sibling reply may trail its discovery attempt's
    supersession before a match against the retired seq counts as a
@@ -340,18 +322,20 @@ let cached_routes = Sr.cached_routes
 (* §3.3 verification at the destination: source first, then every hop. *)
 let verify_rreq t ({ sip; seq; srr; sig_; spk; srn; _ } : Messages.rreq) =
   let source_ok =
-    verify_host t ~ip:sip ~pk:spk ~rn:srn
-      ~payload:(Codec.rreq_source_payload ~sip ~seq)
-      ~signature:sig_
+    Result.is_ok
+      (verify_host t ~ip:sip ~pk:spk ~rn:srn
+         ~payload:(Codec.rreq_source_payload ~sip ~seq)
+         ~signature:sig_)
   in
   if not source_ok then false
   else if not t.Sr.ext.config.verify_at_destination then true
   else
     List.for_all
       (fun e ->
-        verify_host t ~ip:e.Messages.ip ~pk:e.Messages.pk ~rn:e.Messages.rn
-          ~payload:(Codec.srr_entry_payload ~iip:e.Messages.ip ~seq)
-          ~signature:e.Messages.sig_)
+        Result.is_ok
+          (verify_host t ~ip:e.Messages.ip ~pk:e.Messages.pk ~rn:e.Messages.rn
+             ~payload:(Codec.srr_entry_payload ~iip:e.Messages.ip ~seq)
+             ~signature:e.Messages.sig_))
       srr
 
 let fresh_rreq_for_destination t ~sip ~seq =
@@ -398,47 +382,45 @@ let accept_rreq t flood (r : Messages.rreq) =
      end
 
 let rrep t (r : Messages.rreq) ~rr ~back =
-  let dip = address t in
-  Sr.reply_span t ~sip:r.sip ~seq:r.seq (Sr.Rrep { sip = r.sip; dip; rr });
   let id = identity t in
-  Messages.Rrep
-    {
-      sip = r.sip;
-      dip;
-      rr;
-      remaining = back;
-      sig_ = Identity.sign id (Codec.rrep_payload ~sip:r.sip ~seq:r.seq ~rr);
-      dpk = Identity.pk_bytes id;
-      drn = id.Identity.rn;
-    }
+  Sr.answer t ~seq:r.seq
+    (Sr.Rrep
+       {
+         sip = r.sip;
+         dip = address t;
+         rr;
+         remaining = back;
+         sig_ = Identity.sign id (Codec.rrep_payload ~sip:r.sip ~seq:r.seq ~rr);
+         dpk = Identity.pk_bytes id;
+         drn = id.Identity.rn;
+       })
 
 (* Only a cached route the destination endorsed may answer. *)
 let crep t (r : Messages.rreq) ~rr ~back =
   match if t.Sr.ext.config.use_cache_replies then Sr.cached_entry t ~dst:r.dip else None with
   | Some { Route_cache.route; meta = Some endo; _ } when Sr.avoids r ~rr route ->
-      let cacher = address t in
-      Sr.reply_span t ~sip:r.sip ~seq:r.seq (Sr.Crep { cacher; seq = r.seq });
       let id = identity t in
       Some
-        (Messages.Crep
-           {
-             requester = r.sip;
-             cacher;
-             dip = r.dip;
-             requester_seq = r.seq;
-             cacher_seq = endo.e_seq;
-             rr_to_cacher = rr;
-             rr_to_dest = route;
-             remaining = back;
-             sig_cacher =
-               Identity.sign id
-                 (Codec.crep_cacher_payload ~requester:r.sip ~seq:r.seq ~rr);
-             cacher_pk = Identity.pk_bytes id;
-             cacher_rn = id.Identity.rn;
-             sig_dest = endo.e_sig;
-             dest_pk = endo.e_pk;
-             dest_rn = endo.e_rn;
-           })
+        (Sr.answer t ~seq:r.seq
+           (Sr.Crep
+              {
+                requester = r.sip;
+                cacher = address t;
+                dip = r.dip;
+                requester_seq = r.seq;
+                cacher_seq = endo.e_seq;
+                rr_to_cacher = rr;
+                rr_to_dest = route;
+                remaining = back;
+                sig_cacher =
+                  Identity.sign id
+                    (Codec.crep_cacher_payload ~requester:r.sip ~seq:r.seq ~rr);
+                cacher_pk = Identity.pk_bytes id;
+                cacher_rn = id.Identity.rn;
+                sig_dest = endo.e_sig;
+                dest_pk = endo.e_pk;
+                dest_rn = endo.e_rn;
+              }))
   | _ -> None
 
 (* The relay signs its own route-record entry; the source's signature
@@ -456,72 +438,50 @@ let relay t (r : Messages.rreq) =
 
 (* --- replies ------------------------------------------------------------ *)
 
-let consume_rrep t ~src msg =
-  match msg with
-  | Messages.Rrep { dip; rr; sig_; dpk; drn; _ } -> (
-      (* Replies verify against the sequence number of our latest
-         discovery for that destination; sibling copies of an
-         already-resolved discovery still count (route diversity). *)
+(* §3.3 at the source.  A route reply must carry the destination's
+   endorsement of our latest discovery's seq and the route; a cache
+   reply, for the attempt still current, that endorsement replayed by
+   the cacher (for the cached half) and the cacher's own attestation of
+   the half it vouches for.  A reply no discovery of ours asked for is
+   unsolicited or replayed (§4). *)
+let check_reply t reply =
+  match reply with
+  | Sr.Rrep { dip; rr; sig_; dpk; drn; _ } -> (
+      let reject = Verdict.reject Key.secure_rrep_rejected in
+      (* Sibling replies of an already-resolved discovery still count
+         (route diversity). *)
       match Address.Tbl.find_opt t.Sr.pending dip with
-      | Some d ->
-          let payload = Codec.rrep_payload ~sip:(address t) ~seq:d.Sr.d_seq ~rr in
-          let reply = Sr.Rrep { sip = address t; dip; rr } in
-          (match
-             verify_host_r t ~ip:dip ~pk:dpk ~rn:drn ~payload ~signature:sig_
-           with
-          | Host_ok ->
-              Sr.finish_reply t reply Obs.Ok;
-              Sr.route_found t ~dst:dip ~route:rr
-                ~meta:
-                  (Some { e_sig = sig_; e_pk = dpk; e_rn = drn; e_seq = d.Sr.d_seq })
-          | (Bad_binding | Bad_sig) as why ->
-              Sr.finish_reply t reply (Obs.Rejected "signature check failed");
-              let stats = [ Key.secure_rrep_rejected ] in
-              (match why with
-              | Bad_binding ->
-                  (* The endorsement key does not bind to the claimed
-                     destination address: forged identity material.  The
-                     forger is not localizable from here — probes and
-                     credits take over. *)
-                  Ctx.audit t.Sr.ctx ~kind:Audit.Cga_mismatch ~subject:dip
-                    ~stats ~cause:"rrep endorsement key/address binding" ()
-              | Bad_sig | Host_ok -> (
-                  match
-                    match_retired_seq t ~dst:dip ~pk:dpk ~signature:sig_
-                      ~payload_for:(fun ~seq ->
-                        Codec.rrep_payload ~sip:(address t) ~seq ~rr)
-                  with
-                  | Some age when age > stale_seq_grace ->
-                      (* A once-valid endorsement bound to a discovery
-                         retired long ago: a replay, and whoever radioed
-                         it to us either mounted it or relayed a message
-                         no honest route carries. *)
-                      Ctx.audit t.Sr.ctx ~kind:Audit.Replay_rejected
-                        ~subject_node:src ~stats
-                        ~cause:
-                          (Printf.sprintf
-                             "rrep bound to seq retired %.1fs ago" age)
-                        ()
-                  | Some _ ->
-                      Ctx.audit t.Sr.ctx ~kind:Audit.Replay_rejected ~stats
-                        ~cause:"late sibling of a just-superseded attempt"
-                        ()
-                  | None ->
-                      Ctx.audit t.Sr.ctx ~kind:Audit.Sig_verify_fail ~stats
-                        ~cause:"rrep endorsement signature" ())))
-      | None ->
-          (* No discovery ever asked for this: unsolicited or replayed,
-             so reject (§4). *)
-          Ctx.audit t.Sr.ctx ~kind:Audit.Replay_rejected
-            ~stats:[ Key.secure_rrep_rejected ]
-            ~cause:"unsolicited rrep" ())
-  | _ -> ()
-
-let consume_crep t msg =
-  match msg with
-  | Messages.Crep
+      | None -> reject Audit.Replay_rejected "unsolicited rrep"
+      | Some d -> (
+          let seq = d.Sr.d_seq in
+          let payload = Codec.rrep_payload ~sip:(address t) ~seq ~rr in
+          match verify_host t ~ip:dip ~pk:dpk ~rn:drn ~payload ~signature:sig_ with
+          | Ok c ->
+              Verdict.Accepted
+                { checks = [ c ]; value = Some { e_sig = sig_; e_pk = dpk; e_rn = drn; e_seq = seq } }
+          | Error Verdict.Bad_binding ->
+              (* The endorsement key does not bind to the claimed
+                 destination: forged identity material.  The forger is
+                 not localizable from here — probes and credits take
+                 over. *)
+              reject ~party:(Verdict.Node dip) Audit.Cga_mismatch
+                "rrep endorsement key/address binding"
+          | Error Verdict.Bad_sig -> (
+              match
+                match_retired_seq t ~dst:dip ~pk:dpk ~signature:sig_ ~payload_for:(fun ~seq ->
+                    Codec.rrep_payload ~sip:(address t) ~seq ~rr)
+              with
+              | Some age when age > stale_seq_grace ->
+                  (* A once-valid endorsement bound to a discovery retired
+                     long ago: a replay, and whoever radioed it to us
+                     either mounted it or relayed a message no honest
+                     route carries. *)
+                  reject ~party:Verdict.Sender Audit.Replay_rejected
+                    (Printf.sprintf "rrep bound to seq retired %.1fs ago" age)
+              | Some _ -> reject Audit.Replay_rejected "late sibling of a just-superseded attempt"
+              | None -> reject Audit.Sig_verify_fail "rrep endorsement signature")))
+  | Sr.Crep
       {
-        requester = _;
         cacher;
         dip;
         requester_seq;
@@ -536,85 +496,59 @@ let consume_crep t msg =
         dest_rn;
         _;
       } -> (
+      let reject = Verdict.reject Key.secure_crep_rejected in
       match Address.Tbl.find_opt t.Sr.pending dip with
-      | Some d when d.Sr.d_seq = requester_seq ->
-          let me = address t in
-          let cacher_ok =
+      | Some d when d.Sr.d_seq = requester_seq -> (
+          let cacher_check =
             verify_host t ~ip:cacher ~pk:cacher_pk ~rn:cacher_rn
               ~payload:
-                (Codec.crep_cacher_payload ~requester:me ~seq:requester_seq
+                (Codec.crep_cacher_payload ~requester:(address t) ~seq:requester_seq
                    ~rr:rr_to_cacher)
               ~signature:sig_cacher
           in
-          let dest_ok =
+          let dest_check =
             verify_host t ~ip:dip ~pk:dest_pk ~rn:dest_rn
-              ~payload:
-                (Codec.rrep_payload ~sip:cacher ~seq:cacher_seq ~rr:rr_to_dest)
+              ~payload:(Codec.rrep_payload ~sip:cacher ~seq:cacher_seq ~rr:rr_to_dest)
               ~signature:sig_dest
           in
-          let reply = Sr.Crep { cacher; seq = requester_seq } in
-          if cacher_ok && dest_ok then begin
-            Sr.finish_reply t reply Obs.Ok;
-            let route = rr_to_cacher @ (cacher :: rr_to_dest) in
-            Sr.route_found t ~dst:dip ~route ~meta:None
-          end
-          else begin
-            Sr.finish_reply t reply (Obs.Rejected "signature check failed");
-            (* Either half may be at fault (cacher attestation or the
-               replayed destination endorsement); neither failure
-               localizes the forger from here. *)
-            Ctx.audit t.Sr.ctx ~kind:Audit.Sig_verify_fail
-              ~stats:[ Key.secure_crep_rejected ]
-              ~cause:
-                (if not cacher_ok then "crep cacher attestation signature"
-                 else "crep destination endorsement signature")
-              ()
-          end
-      | _ ->
-          Ctx.audit t.Sr.ctx ~kind:Audit.Replay_rejected
-            ~stats:[ Key.secure_crep_rejected ]
-            ~cause:"crep for no live discovery attempt" ())
-  | _ -> ()
+          (* Either half may be at fault; neither failure localizes the
+             forger from here. *)
+          match (cacher_check, dest_check) with
+          | Ok a, Ok b -> Verdict.Accepted { checks = [ a; b ]; value = None }
+          | Error _, _ -> reject Audit.Sig_verify_fail "crep cacher attestation signature"
+          | Ok _, Error _ -> reject Audit.Sig_verify_fail "crep destination endorsement signature")
+      | _ -> reject Audit.Replay_rejected "crep for no live discovery attempt")
 
-let consume_rerr t msg =
-  match msg with
-  | Messages.Rerr { reporter; broken_next; sig_; pk; rn; _ } ->
-      Ctx.stat t.Sr.ctx Sr.Key.rerr_received;
-      let authentic =
-        verify_host t ~ip:reporter ~pk ~rn
-          ~payload:(Codec.rerr_payload ~reporter ~broken_next)
-          ~signature:sig_
-      in
-      if not authentic then
-        Ctx.audit t.Sr.ctx ~kind:Audit.Rerr_rejected
-          ~stats:[ Key.secure_rerr_rejected ]
-          ~cause:"rerr reporter binding or signature" ()
-      else begin
-        (* Source routing lets us check plausibility: the reported link
-           must lie on a route we actually hold. *)
-        let removed =
-          Route_cache.remove_link t.Sr.cache ~owner:(address t) ~a:reporter
-            ~b:broken_next
-        in
-        if removed = 0 then
-          Ctx.audit t.Sr.ctx ~kind:Audit.Rerr_implausible ~subject:reporter
-            ~stats:[ Key.secure_rerr_implausible ]
-            ~cause:
-              ("reported link to "
-              ^ Address.to_string broken_next
-              ^ " lies on no route we hold")
-            ();
-        (* Track reporting frequency; §3.4 treats chronic reporters (or
-           their successors) as hostile. *)
-        if Credit.record_rerr t.Sr.ext.credits reporter ~now:(now t) then begin
-          Ctx.audit t.Sr.ctx ~kind:Audit.Rerr_frequency ~subject:reporter
-            ~stats:[ Key.secure_hostile_suspected ]
-            ~cause:"route-error reporting rate over the hostile threshold" ();
-          Credit.slash t.Sr.ext.credits reporter;
-          ignore (Route_cache.remove_containing t.Sr.cache reporter)
-        end
-      end
-  | _ -> ()
+(* §3.4: a route error must be signed by its reporter over the link it
+   claims is broken. *)
+let check_rerr t ({ reporter; broken_next; sig_; pk; rn; _ } : Messages.rerr) =
+  match
+    verify_host t ~ip:reporter ~pk ~rn
+      ~payload:(Codec.rerr_payload ~reporter ~broken_next)
+      ~signature:sig_
+  with
+  | Ok c -> Verdict.Accepted { checks = [ c ]; value = () }
+  | Error _ ->
+      Verdict.reject Key.secure_rerr_rejected Audit.Rerr_rejected
+        "rerr reporter binding or signature"
+
+(* A believed report.  Source routing lets us check plausibility: the
+   reported link must lie on a route we actually held.  And §3.4 treats
+   chronic reporters (or their successors) as hostile. *)
+let rerr_credit t ({ reporter; broken_next; _ } : Messages.rerr) ~removed =
+  if removed = 0 then
+    Ctx.audit t.Sr.ctx ~kind:Audit.Rerr_implausible ~subject:reporter
+      ~stats:[ Key.secure_rerr_implausible ]
+      ~cause:
+        ("reported link to " ^ Address.to_string broken_next ^ " lies on no route we hold")
+      ();
+  if Credit.record_rerr t.Sr.ext.credits reporter ~now:(now t) then begin
+    Ctx.audit t.Sr.ctx ~kind:Audit.Rerr_frequency ~subject:reporter
+      ~stats:[ Key.secure_hostile_suspected ]
+      ~cause:"route-error reporting rate over the hostile threshold" ();
+    Credit.slash t.Sr.ext.credits reporter;
+    ignore (Route_cache.remove_containing t.Sr.cache reporter)
+  end
 
 (* --- probes --------------------------------------------------------------- *)
 
@@ -648,10 +582,11 @@ let consume_probe_reply t msg =
           if
             Address.equal origin (address t)
             && Address.equal responder session.pr_route.(i)
-            && verify_host t ~ip:responder ~pk ~rn
-                 ~payload:
-                   (Codec.probe_reply_payload ~responder ~origin:(address t) ~seq)
-                 ~signature:sig_
+            && Result.is_ok
+                 (verify_host t ~ip:responder ~pk ~rn
+                    ~payload:
+                      (Codec.probe_reply_payload ~responder ~origin:(address t) ~seq)
+                    ~signature:sig_)
           then begin
             session.pr_replies.(i) <- true;
             Hashtbl.remove t.Sr.ext.probes seq;
@@ -676,7 +611,8 @@ let handle t ~src msg =
   | Messages.Rreq r ->
       Sr.handle_rreq t ~src r ~accept:accept_rreq ~rrep ~crep ~relay
   | Messages.Rrep { sip; rr; _ } ->
-      Ctx.deliver_up t.Sr.ctx ~src msg ~consume:(consume_rrep t ~src)
+      Ctx.deliver_up t.Sr.ctx ~src msg
+        ~consume:(fun m -> Sr.consume_reply t ~src m ~check:check_reply)
         ~forward:(fun ~next m ->
           (* Transit consistency (§4): an honest reply only ever travels
              the reversed route record back toward its requester, so the
@@ -692,10 +628,13 @@ let handle t ~src msg =
               ~stats:[ Key.secure_rrep_rejected; Key.secure_transit_rejected ]
               ~cause:"rrep in transit off its own reversed route record" ())
         ~not_mine:(fun _ -> ())
-  | Messages.Crep _ -> Sr.deliver t ~src msg ~consume:(consume_crep t)
+  | Messages.Crep _ ->
+      Sr.deliver t ~src msg ~consume:(fun m -> Sr.consume_reply t ~src m ~check:check_reply)
   | Messages.Data _ -> Sr.deliver_data t ~src msg ~overheard:(fun _ -> ())
   | Messages.Ack _ -> Sr.deliver_ack t ~src msg
-  | Messages.Rerr _ -> Sr.deliver t ~src msg ~consume:(consume_rerr t)
+  | Messages.Rerr _ ->
+      Sr.deliver t ~src msg ~consume:(fun m ->
+          Sr.consume_rerr t ~src m ~check:check_rerr ~credit:rerr_credit)
   | Messages.Probe _ -> Sr.deliver t ~src msg ~consume:(consume_probe t)
   | Messages.Probe_reply _ -> Sr.deliver t ~src msg ~consume:(consume_probe_reply t)
   | Messages.Name_query _ | Messages.Name_reply _ | Messages.Ip_change_request _

@@ -3,10 +3,10 @@ module Hmac = Manet_crypto.Hmac
 module Messages = Manet_proto.Messages
 module Codec = Manet_proto.Codec
 module Ctx = Manet_proto.Node_ctx
+module Verdict = Manet_proto.Verdict
 module Audit = Manet_obs.Audit
 module Obs = Manet_obs.Obs
 module Flood = Manet_obs.Flood
-module Route_cache = Manet_dsr.Route_cache
 module Sr = Manet_dsr.Source_route
 module Stats = Manet_sim.Stats
 
@@ -89,18 +89,17 @@ let accept_rreq t flood (r : Messages.rreq) =
      end
 
 let rrep t (r : Messages.rreq) ~rr ~back =
-  let dip = address t in
-  Sr.reply_span t ~sip:r.sip ~seq:r.seq (Sr.Rrep { sip = r.sip; dip; rr });
-  Messages.Rrep
-    {
-      sip = r.sip;
-      dip;
-      rr;
-      remaining = back;
-      sig_ = rrep_mac ~key:(key_with t r.sip) ~sip:r.sip ~seq:r.seq ~rr;
-      dpk = "";
-      drn = 0L;
-    }
+  Sr.answer t ~seq:r.seq
+    (Sr.Rrep
+       {
+         sip = r.sip;
+         dip = address t;
+         rr;
+         remaining = back;
+         sig_ = rrep_mac ~key:(key_with t r.sip) ~sip:r.sip ~seq:r.seq ~rr;
+         dpk = "";
+         drn = 0L;
+       })
 
 (* SRP relays never answer from their cache. *)
 let no_crep _ _ ~rr:_ ~back:_ = None
@@ -115,54 +114,37 @@ let relay t (r : Messages.rreq) =
          signature. *)
       sig_ = ""; pk = ""; rn = 0L } )
 
-let consume_rrep t msg =
-  match msg with
-  | Messages.Rrep { dip; rr; sig_; _ } -> (
+(* A route reply must carry the destination's pair MAC over our latest
+   discovery's seq and the route; one no discovery of ours asked for is
+   unsolicited or replayed.  SRP relays never answer from their cache,
+   so a cache reply is unsolicited too. *)
+let check_reply t reply =
+  let reject = Verdict.reject Key.srp_rrep_rejected in
+  match reply with
+  | Sr.Rrep { dip; rr; sig_; _ } -> (
       match Address.Tbl.find_opt t.Sr.pending dip with
       | Some d ->
-          let k_sd = key_with t dip in
-          let reply = Sr.Rrep { sip = address t; dip; rr } in
-          if
-            String.equal sig_
-              (rrep_mac ~key:k_sd ~sip:(address t) ~seq:d.Sr.d_seq ~rr)
-          then begin
-            Sr.finish_reply t reply Obs.Ok;
-            Sr.route_found t ~dst:dip ~route:rr ~meta:()
-          end
-          else begin
-            Sr.finish_reply t reply (Obs.Rejected "signature check failed");
-            Ctx.audit t.Sr.ctx ~kind:Audit.Sig_verify_fail
-              ~stats:[ Key.srp_rrep_rejected ]
-              ~cause:"rrep end-to-end MAC" ()
-          end
-      | None ->
-          Ctx.audit t.Sr.ctx ~kind:Audit.Replay_rejected
-            ~stats:[ Key.srp_rrep_rejected ]
-            ~cause:"unsolicited rrep" ())
-  | _ -> ()
+          if String.equal sig_ (rrep_mac ~key:(key_with t dip) ~sip:(address t) ~seq:d.Sr.d_seq ~rr)
+          then Verdict.Accepted { checks = [ Verdict.Sig ]; value = () }
+          else reject Audit.Sig_verify_fail "rrep end-to-end MAC"
+      | None -> reject Audit.Replay_rejected "unsolicited rrep")
+  | Sr.Crep _ -> reject Audit.Replay_rejected "unsolicited crep"
 
-let consume_rerr t msg =
-  match msg with
-  (* manetcheck: allow security — SRP cannot authenticate intermediate error
-     reports (no security association with relays), so it believes them — the
-     documented exposure the paper's full scheme removes. *)
-  | Messages.Rerr { reporter; broken_next; _ } ->
-      Ctx.stat t.Sr.ctx Sr.Key.rerr_received;
-      (* Unauthenticated, so believed — SRP's documented exposure. *)
-      ignore
-        (* manetcheck: allow taint — SRP has no security association with
-           relays, so RERR cannot be verified; acting on it unverified is
-           the §3.4 exposure this module exists to exhibit as a baseline. *)
-        (Route_cache.remove_link t.Sr.cache ~owner:(address t) ~a:reporter ~b:broken_next)
-  | _ -> ()
+(* manetcheck: allow security — SRP cannot authenticate intermediate error
+   reports (no security association with relays), so it believes them —
+   the documented exposure the paper's full scheme removes. *)
+let believe _ _ = Verdict.Accepted { checks = []; value = () }
 
 let handle t ~src msg =
   match msg with
   | Messages.Rreq r -> Sr.handle_rreq t ~src r ~accept:accept_rreq ~rrep ~crep:no_crep ~relay
-  | Messages.Rrep _ -> Sr.deliver t ~src msg ~consume:(consume_rrep t)
+  | Messages.Rrep _ ->
+      Sr.deliver t ~src msg ~consume:(fun m -> Sr.consume_reply t ~src m ~check:check_reply)
   | Messages.Data _ -> Sr.deliver_data t ~src msg ~overheard:(fun _ -> ())
   | Messages.Ack _ -> Sr.deliver_ack t ~src msg
-  | Messages.Rerr _ -> Sr.deliver t ~src msg ~consume:(consume_rerr t)
+  | Messages.Rerr _ ->
+      Sr.deliver t ~src msg ~consume:(fun m ->
+          Sr.consume_rerr t ~src m ~check:believe ~credit:Sr.no_credit)
   (* SRP is routing-plane only: DAD/DNS traffic is transit to relay,
      enumerated so a new Messages constructor forces a decision here. *)
   | Messages.Areq _ | Messages.Arep _ | Messages.Drep _ | Messages.Crep _

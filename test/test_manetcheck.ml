@@ -836,6 +836,170 @@ module Sem = struct
     fires "same handler, verify deleted" "taint"
       [ ("lib/dad/h.ml", without_verify) ]
 
+  (* --- checks handed to the shared acceptance path ------------------------- *)
+
+  let checked_by check =
+    Printf.sprintf
+      {|let handle t ~src msg =
+    match msg with
+    | Messages.Rrep _ -> Sr.consume_reply t ~src msg ~check:%s
+    | _ -> ()|}
+      check
+
+  let test_check_rule () =
+    fires "check that accepts without verifying" "security"
+      [
+        ( "lib/x/h.ml",
+          {|let check_reply _ _ = Verdict.Accepted { checks = []; value = () }
+  |}
+          ^ checked_by "check_reply" );
+      ];
+    clean "check that verifies before it accepts" "security"
+      [
+        ( "lib/x/h.ml",
+          {|let check_reply t r =
+    match verify_host t r with
+    | Ok c -> Verdict.Accepted { checks = [ c ]; value = () }
+    | Error _ -> Verdict.reject k Audit.Sig_verify_fail "bad"
+  |}
+          ^ checked_by "check_reply" );
+      ];
+    (* A verify on a sibling branch (the replay classification of a
+       rejected reply) does not bless the branch that accepts. *)
+    fires "accepted on a branch no verifier guards" "security"
+      [
+        ( "lib/x/h.ml",
+          {|let check_reply t r =
+    match lookup t r with
+    | Ok c -> Verdict.Accepted { checks = [ c ]; value = () }
+    | Error _ -> if verify_retired t r then Verdict.reject k Audit.Replay_rejected "old" else Verdict.reject k Audit.Sig_verify_fail "bad"
+  |}
+          ^ checked_by "check_reply" );
+      ];
+    fires "an anonymous check" "security"
+      [ ("lib/x/h.ml", checked_by "(fun _ _ -> Verdict.Accepted { checks = []; value = () })") ];
+    fires "a check the analyzer cannot read" "security"
+      [
+        ( "lib/x/h.ml",
+          {|let handle t ~src ~f msg = Sr.consume_rerr t ~src msg ~check:f ~credit:no_credit|} );
+      ];
+    (* The finding sits on the check, so a check defined in one module
+       and passed from another is found where it is defined, and one
+       allow there covers every site that passes it. *)
+    fires "check defined in another module" "security"
+      [
+        ( "lib/dsr/source_route.ml",
+          {|let unchecked _ _ = Verdict.Accepted { checks = [ Verdict.Unchecked ]; value = () }|} );
+        ("lib/dsr/dsr.ml", "module Sr = Source_route\n" ^ checked_by "Sr.unchecked");
+      ];
+    clean "allow on the check covers every site" "security"
+      [
+        ( "lib/dsr/source_route.ml",
+          {|(* manetcheck: allow security — the unauthenticated baseline. *)
+let unchecked _ _ = Verdict.Accepted { checks = [ Verdict.Unchecked ]; value = () }|} );
+        ( "lib/dsr/dsr.ml",
+          {|module Sr = Source_route
+let handle t ~src msg =
+  match msg with
+  | Messages.Rrep _ -> Sr.consume_reply t ~src msg ~check:Sr.unchecked
+  | Messages.Rerr _ -> Sr.consume_rerr t ~src msg ~check:Sr.unchecked ~credit:Sr.no_credit
+  | _ -> ()|} );
+      ]
+
+  (* Inside a check taker the call of [check] is the verification, and
+     the message is tainted from entry: nothing may act before it. *)
+  let test_check_taker () =
+    let taker body = "let consume_rerr t ~src msg ~check ~credit =\n" ^ body in
+    clean "acts on the verdict of its check" "taint"
+      [
+        ( "lib/x/h.ml",
+          taker
+            {|  match msg with
+  | Messages.Rerr r -> (
+      match check t r with
+      | Verdict.Accepted _ -> credit t r ~removed:(Route_cache.remove_link t.cache ~a:r ~b:r)
+      | Verdict.Rejected x -> Verdict.audit t.ctx ~src x)
+  | _ -> ()|} );
+      ];
+    clean "its arm mentions the check" "security"
+      [
+        ( "lib/x/h.ml",
+          taker
+            {|  match msg with
+  | Messages.Rerr r -> (match check t r with Verdict.Accepted _ -> credit t r ~removed:0 | _ -> ())
+  | _ -> ()|} );
+      ];
+    fires "acts before its check" "taint"
+      [
+        ( "lib/x/h.ml",
+          taker
+            {|  ignore (Route_cache.remove_link t.cache ~a:msg ~b:msg);
+  ignore (check t msg);
+  credit t msg ~removed:0; ignore src|} );
+      ];
+    fires "a [check] outside a check taker verifies nothing" "taint"
+      [
+        ( "lib/x/h.ml",
+          {|let consume t msg ~check =
+    match msg with
+    | Messages.Rerr r -> ignore (check t r); Route_cache.remove_link t.cache ~a:r ~b:r
+    | _ -> 0|} );
+      ]
+
+  (* The live gate on the committed sources: secure routing's and DAD's
+     checks pass as they stand, and deleting the host check from any one
+     of them is a finding. *)
+  let test_live_checks () =
+    let read path = ("lib/" ^ path, In_channel.with_open_bin ("../lib/" ^ path) In_channel.input_all) in
+    let secure = read "secure/secure_routing.ml" and dad = read "dad/dad.ml" in
+    let tree = [ read "proto/verdict.ml"; read "dsr/source_route.ml" ] in
+    let gate files =
+      List.length
+        (List.filter
+           (fun f -> f.C.rule = "security" || f.C.rule = "taint")
+           (analyze (tree @ files)))
+    in
+    (* Every occurrence of [sub] in [text] replaced by [by]. *)
+    let rec replace text sub by =
+      let n = String.length sub in
+      let rec find i =
+        if i + n > String.length text then None
+        else if String.sub text i n = sub then Some i
+        else find (i + 1)
+      in
+      match find 0 with
+      | None -> text
+      | Some i ->
+          String.sub text 0 i ^ by
+          ^ replace (String.sub text (i + n) (String.length text - i - n)) sub by
+    in
+    let mutate (path, text) swaps =
+      ( path,
+        List.fold_left
+          (fun text (sub, by) ->
+            if not (C.contains text sub) then Alcotest.failf "%s no longer contains %S" path sub;
+            replace text sub by)
+          text swaps )
+    in
+    Alcotest.(check int) "committed checks are clean" 0 (gate [ secure; dad ]);
+    List.iter
+      (fun (name, files) ->
+        Alcotest.(check bool) (name ^ " without its host check is a finding") true (gate files > 0))
+      [
+        ("secure RREP check", [ mutate secure [ ("verify_host t ~ip:dip ~pk:dpk", "no_host t ~ip:dip ~pk:dpk") ]; dad ]);
+        ( "secure CREP check",
+          [
+            mutate secure
+              [
+                ("verify_host t ~ip:cacher", "no_host t ~ip:cacher");
+                ("verify_host t ~ip:dip ~pk:dest_pk", "no_host t ~ip:dip ~pk:dest_pk");
+              ];
+            dad;
+          ] );
+        ("secure RERR check", [ mutate secure [ ("verify_host t ~ip:reporter", "no_host t ~ip:reporter") ]; dad ]);
+        ("DAD AREP check", [ secure; mutate dad [ ("Verdict.host t.ctx ~ip:sip", "no_host t.ctx ~ip:sip") ] ]);
+      ]
+
   (* --- dispatch coverage -------------------------------------------------- *)
 
   let msgs_mli =
@@ -1184,6 +1348,9 @@ let dump m = M.iter (fun k _ -> print_int k) m|} );
           tc "taint verified ok" test_taint_verified_ok;
           tc "taint verify-deletion regression"
             test_taint_verify_deletion_regression;
+          tc "check rule" test_check_rule;
+          tc "check takers" test_check_taker;
+          tc "live checks" test_live_checks;
           tc "dispatch" test_dispatch;
           tc "codec" test_codec;
           tc "determinism" test_determinism;

@@ -728,9 +728,9 @@ module Identity = Manet_proto.Identity
 module Messages = Manet_proto.Messages
 module Obs = Manet_obs.Obs
 
-(* Four nodes on a chain, each with an agent of one protocol; [handle i]
-   is node [i]'s receive function. *)
-let rreq_world protocol =
+(* Four nodes on a chain with their contexts: no agent is attached to
+   the radio, so a test hands each node its messages. *)
+let chain_world () =
   let engine = Engine.create ~seed:7 () in
   let net =
     Net.create
@@ -748,6 +748,12 @@ let rreq_world protocol =
   let ctxs =
     Array.init 4 (fun i -> Ctx.create net directory ids.(i) (Prng.create ~seed:(100 + i)))
   in
+  (engine, ctxs, fun i -> ids.(i).Identity.address)
+
+(* Four nodes on a chain, each with an agent of one protocol; [handle i]
+   is node [i]'s receive function. *)
+let rreq_world protocol =
+  let engine, ctxs, node = chain_world () in
   let handlers =
     Array.map
       (fun ctx ->
@@ -757,7 +763,6 @@ let rreq_world protocol =
         | `Srp -> Manetsec.Srp.handle (Manetsec.Srp.create ~master:"pair keys" ctx))
       ctxs
   in
-  let node i = ids.(i).Identity.address in
   (engine, ctxs, node, fun i -> handlers.(i))
 
 (* A copy of node 0's request [seq] for node [dst] whose route record
@@ -858,6 +863,158 @@ let test_relay_drops_looped_copy () =
       Alcotest.(check int) (name ^ ": a clean copy is relayed") 1 (tx ()))
     protocols
 
+(* ------------------------------------------------------------------ *)
+(* Who each rejection holds accountable                               *)
+(* ------------------------------------------------------------------ *)
+
+module Audit = Manet_obs.Audit
+module Codec = Manet_proto.Codec
+
+(* Every reject reason of every acceptance check, by the audit event it
+   emits: kind, cause and accountable party — nobody, the radio sender
+   (node 1 hands node 0 every message here) or the reply's destination
+   (node 3).  A change to who a rejection blames is a change to this
+   table. *)
+let test_rejection_table () =
+  let engine, ctxs, node = chain_world () in
+  let id i = ctxs.(i).Ctx.identity in
+  let pk i = Identity.pk_bytes (id i) and rn i = (id i).Identity.rn in
+  let secure = Manetsec.Secure_routing.create ctxs.(0)
+  and srp = Manetsec.Srp.create ~master:"pair keys" ctxs.(0)
+  and dad = Manetsec.Dad.create ~dns_pk:(pk 2) ctxs.(0) in
+  let last = ref None in
+  Audit.on_emit (Obs.audit ctxs.(0).Ctx.obs) (fun e -> last := Some e);
+  let row label handle msg =
+    last := None;
+    handle ~src:1 msg;
+    match !last with
+    | None -> Alcotest.failf "%s: no audit event" label
+    | Some (e : Audit.event) ->
+        let party =
+          match (e.subject_node, e.subject_addr) with
+          | None, None -> "nobody"
+          | Some 1, None -> "sender"
+          | _, Some a when a = Address.to_string (node 3) -> "destination"
+          | _ -> "someone else"
+        in
+        (label, Audit.kind_label e.kind, e.cause, party)
+  in
+  let rr = [ node 1; node 2 ] in
+  let rrep ?(sig_ = "forged") ?(dpk = "junk") ?(drn = 0L) () =
+    Messages.Rrep { sip = node 0; dip = node 3; rr; remaining = [ node 0 ]; sig_; dpk; drn }
+  in
+  let endorsed seq = Identity.sign (id 3) (Codec.rrep_payload ~sip:(node 0) ~seq ~rr) in
+  let crep ~seq ?(sig_cacher = "forged") () =
+    Messages.Crep
+      {
+        requester = node 0;
+        cacher = node 1;
+        dip = node 3;
+        requester_seq = seq;
+        cacher_seq = 1;
+        rr_to_cacher = [];
+        rr_to_dest = [ node 2 ];
+        remaining = [ node 0 ];
+        sig_cacher;
+        cacher_pk = pk 1;
+        cacher_rn = rn 1;
+        sig_dest = "forged";
+        dest_pk = pk 3;
+        dest_rn = rn 3;
+      }
+  in
+  let secure_handle = Manetsec.Secure_routing.handle secure
+  and srp_handle = Manetsec.Srp.handle srp
+  and dad_handle = Manetsec.Dad.handle dad in
+  let discover_from_0 discover = discover ~dst:(node 3) ~on_route:ignore in
+  let unsolicited = row "secure rrep, no discovery" secure_handle (rrep ()) in
+  discover_from_0 (Manetsec.Secure_routing.discover secure);
+  let bad_binding = row "secure rrep, forged key" secure_handle (rrep ()) in
+  let bad_sig = row "secure rrep, bad signature" secure_handle (rrep ~dpk:(pk 3) ~drn:(rn 3) ()) in
+  (* Attempt 2 supersedes seq 1 at t = 1.0, attempt 3 seq 2 at 2.0; the
+     discovery gives up at 3.0.  A later event keeps the clock moving. *)
+  Engine.schedule engine ~label:"test" ~delay:10.0 ignore;
+  Engine.run engine ~until:1.5;
+  let sibling =
+    row "secure rrep, late sibling" secure_handle
+      (rrep ~sig_:(endorsed 1) ~dpk:(pk 3) ~drn:(rn 3) ())
+  in
+  Engine.run engine ~until:5.0;
+  let replay =
+    row "secure rrep, stale replay" secure_handle
+      (rrep ~sig_:(endorsed 1) ~dpk:(pk 3) ~drn:(rn 3) ())
+  in
+  let valid_cacher =
+    Identity.sign (id 1) (Codec.crep_cacher_payload ~requester:(node 0) ~seq:3 ~rr:[])
+  in
+  let secure_rows =
+    [
+      unsolicited;
+      bad_binding;
+      bad_sig;
+      sibling;
+      replay;
+      row "secure crep, superseded attempt" secure_handle (crep ~seq:1 ());
+      row "secure crep, bad cacher signature" secure_handle (crep ~seq:3 ());
+      row "secure crep, bad destination signature" secure_handle
+        (crep ~seq:3 ~sig_cacher:valid_cacher ());
+      row "secure rerr, bad signature" secure_handle
+        (Messages.Rerr
+           {
+             reporter = node 1;
+             broken_next = node 2;
+             dst = node 0;
+             remaining = [ node 0 ];
+             sig_ = "forged";
+             pk = pk 1;
+             rn = rn 1;
+           });
+    ]
+  in
+  let srp_unsolicited = row "srp rrep, no discovery" srp_handle (rrep ()) in
+  discover_from_0 (Manetsec.Srp.discover srp);
+  let srp_rows = [ srp_unsolicited; row "srp rrep, bad mac" srp_handle (rrep ()) ] in
+  Manetsec.Dad.start dad ~dn:"alpha" ~on_complete:ignore ();
+  let arep ~pk ~rn =
+    Messages.Arep { sip = node 0; rr = []; remaining = [ node 0 ]; sig_ = "forged"; pk; rn }
+  in
+  let dad_rows =
+    [
+      row "dad arep, forged key" dad_handle (arep ~pk:"junk" ~rn:0L);
+      row "dad arep, bad signature" dad_handle (arep ~pk:(pk 0) ~rn:(rn 0));
+      row "dad drep, bad signature" dad_handle
+        (Messages.Drep
+           { sip = node 0; dn = "alpha"; rr = []; remaining = [ node 0 ]; sig_ = "forged" });
+    ]
+  in
+  let table = Alcotest.(list (pair string (triple string string string))) in
+  let as_pairs = List.map (fun (l, k, c, p) -> (l, (k, c, p))) in
+  Alcotest.check table "kind, cause and accountable party of every rejection"
+    [
+      ("secure rrep, no discovery", ("replay_rejected", "unsolicited rrep", "nobody"));
+      ( "secure rrep, forged key",
+        ("cga_mismatch", "rrep endorsement key/address binding", "destination") );
+      ("secure rrep, bad signature", ("sig_verify_fail", "rrep endorsement signature", "nobody"));
+      ( "secure rrep, late sibling",
+        ("replay_rejected", "late sibling of a just-superseded attempt", "nobody") );
+      ( "secure rrep, stale replay",
+        ("replay_rejected", "rrep bound to seq retired 4.0s ago", "sender") );
+      ( "secure crep, superseded attempt",
+        ("replay_rejected", "crep for no live discovery attempt", "nobody") );
+      ( "secure crep, bad cacher signature",
+        ("sig_verify_fail", "crep cacher attestation signature", "nobody") );
+      ( "secure crep, bad destination signature",
+        ("sig_verify_fail", "crep destination endorsement signature", "nobody") );
+      ( "secure rerr, bad signature",
+        ("rerr_rejected", "rerr reporter binding or signature", "nobody") );
+      ("srp rrep, no discovery", ("replay_rejected", "unsolicited rrep", "nobody"));
+      ("srp rrep, bad mac", ("sig_verify_fail", "rrep end-to-end MAC", "nobody"));
+      ("dad arep, forged key", ("cga_mismatch", "arep owner key/address binding", "nobody"));
+      ("dad arep, bad signature", ("sig_verify_fail", "arep challenge signature", "nobody"));
+      ("dad drep, bad signature", ("sig_verify_fail", "drep dns server signature", "nobody"));
+    ]
+    (as_pairs (secure_rows @ srp_rows @ dad_rows))
+
 let suites =
   [
     ( "dsr.cache",
@@ -920,6 +1077,8 @@ let suites =
           test_destination_answers_three_copies;
         Alcotest.test_case "relay drops looped copy" `Quick test_relay_drops_looped_copy;
       ] );
+    ( "routing.verdict",
+      [ Alcotest.test_case "rejection table" `Quick test_rejection_table ] );
     ( "routing.fullstack",
       [
         Alcotest.test_case "bootstrap then dns query" `Quick

@@ -48,12 +48,24 @@ let verifier vset = function
   | Some m, x -> name_is_verifier x || Hashtbl.mem vset (m, x)
   | None, x -> name_is_verifier x
 
+(* The shared acceptance path: [consume_reply] and [consume_rerr] act
+   on the verdict of the [~check] they are handed, so inside them a call
+   of [check] is the verification, and every function passed as [~check]
+   is held to the check rule below. *)
+let check_takers = [ "consume_reply"; "consume_rerr" ]
+let is_check_taker f = List.mem f.b_name check_takers
+
+(* [verifier] inside binding [f]. *)
+let verifier_in f vset c =
+  verifier vset c || (is_check_taker f && c = (Some f.b_mod, "check"))
+
 type scan_env = {
   sv_self : string;
   sv_aliases : (string, string) Hashtbl.t;
   sv_is_verifier : string option * string -> bool;
   sv_is_sinky : string option * string -> bool;
   sv_sink : string -> Location.t -> string -> unit;
+  sv_accepts : bool;  (** building an [Accepted] verdict is a sink *)
 }
 
 (* The environment of binding [f] with no verifier, sink or report. *)
@@ -64,6 +76,7 @@ let plain_env f =
     sv_is_verifier = (fun _ -> false);
     sv_is_sinky = (fun _ -> false);
     sv_sink = (fun _ _ _ -> ());
+    sv_accepts = false;
   }
 
 let callee_of env head =
@@ -162,7 +175,8 @@ let rec scan env ~tainted v e =
       vc || vt || ve
   | Pexp_match (s, cases) | Pexp_try (s, cases) ->
       let vs = scan env ~tainted v s in
-      List.fold_left (fun acc c -> acc || scan_case env ~tainted vs c) vs cases
+      (* Every arm is scanned, whatever the arms before it verified. *)
+      List.fold_left (fun acc c -> scan_case env ~tainted vs c || acc) vs cases
   | Pexp_function cases ->
       List.iter (fun c -> ignore (scan_case env ~tainted v c)) cases;
       v
@@ -205,6 +219,13 @@ let rec scan env ~tainted v e =
           env.sv_sink ctor e.pexp_loc ("mutation of state field " ^ fname)
       | _ -> ());
       v'
+  | Pexp_construct ({ txt; _ }, Some arg)
+    when env.sv_accepts && lid_last txt = "Accepted" ->
+      let v' = scan env ~tainted v arg in
+      (match tainted with
+      | Some ctor when not v' -> env.sv_sink ctor e.pexp_loc "an Accepted verdict"
+      | _ -> ());
+      v'
   | _ -> List.fold_left (fun v x -> scan env ~tainted v x) v (sub_expressions e)
 
 and scan_case env ~tainted v c =
@@ -229,7 +250,7 @@ let verifier_fixpoint fns =
           match e.pexp_desc with
           | Pexp_apply (head, _) -> (
               match callee_of env head with
-              | Some c when verifier vset c -> hit := true
+              | Some c when verifier_in f vset c -> hit := true
               | _ -> ())
           | _ -> ())
         f.b_expr;
@@ -249,7 +270,7 @@ let sinky_fixpoint fns vset =
       let env =
         {
           (plain_env f) with
-          sv_is_verifier = verifier vset;
+          sv_is_verifier = verifier_in f vset;
           sv_is_sinky = is_sinky sinky;
           sv_sink = (fun _ _ _ -> hit := true);
         }
@@ -257,6 +278,8 @@ let sinky_fixpoint fns vset =
       ignore (scan env ~tainted:(Some "summary") false f.b_expr);
       !hit)
 
+(* A check taker's input is tainted from its entry: it may act only
+   after its [check] ran. *)
 let taint_findings fns vset sinky =
   let out = ref [] in
   List.iter
@@ -264,7 +287,7 @@ let taint_findings fns vset sinky =
       let env =
         {
           (plain_env f) with
-          sv_is_verifier = verifier vset;
+          sv_is_verifier = verifier_in f vset;
           sv_is_sinky = is_sinky sinky;
           sv_sink =
             (fun ctor loc desc ->
@@ -280,7 +303,8 @@ let taint_findings fns vset sinky =
                 :: !out);
         }
       in
-      ignore (scan env ~tainted:None false f.b_expr))
+      let tainted = if is_check_taker f then Some "message" else None in
+      ignore (scan env ~tainted false f.b_expr))
     fns;
   !out
 
@@ -332,7 +356,7 @@ let security_findings fns vset =
         walk_expr
           (fun x ->
             match callee_of env x with
-            | Some c when verifier vset c -> hit := true
+            | Some c when verifier_in f vset c -> hit := true
             | _ -> ())
           e;
         !hit
@@ -371,6 +395,79 @@ let security_findings fns vset =
           f.b_expr;
       !out)
     fns
+
+(* Checks: a function passed as [~check] to a check taker may build an
+   [Accepted] verdict only on a path where a verifier already ran.  The
+   finding sits on the [Accepted] it builds, so one allow on a
+   deliberately unchecked check covers every site that passes it. *)
+let check_findings fns vset =
+  let out = ref [] and judged = Hashtbl.create 8 in
+  let judge b name e =
+    let report _ loc desc =
+      out :=
+        {
+          file = b.b_unit.u_path;
+          line = line_of loc;
+          rule = "security";
+          msg =
+            Printf.sprintf
+              "check %s builds %s before any verify/cga_check call" name desc;
+        }
+        :: !out
+    in
+    let env =
+      {
+        (plain_env b) with
+        sv_is_verifier = verifier vset;
+        sv_sink = report;
+        sv_accepts = true;
+      }
+    in
+    ignore (scan env ~tainted:(Some "check") false e)
+  in
+  let takes_check env head =
+    match callee_of env head with
+    | Some (_, n) -> List.mem n check_takers
+    | None -> false
+  in
+  List.iter
+    (fun f ->
+      let env = plain_env f in
+      walk_expr
+        (fun e ->
+          match e.pexp_desc with
+          | Pexp_apply (head, args) when takes_check env head ->
+              List.iter
+                (fun (lbl, a) ->
+                  if lbl = Asttypes.Labelled "check" then
+                    match (a.pexp_desc, callee_of env a) with
+                    | Pexp_ident _, Some (m, x) -> (
+                        let key = (Option.value m ~default:f.b_mod, x) in
+                        match List.find_opt (fun b -> (b.b_mod, b.b_name) = key) fns with
+                        | Some b ->
+                            if not (Hashtbl.mem judged key) then begin
+                              Hashtbl.replace judged key ();
+                              judge b x b.b_expr
+                            end
+                        | None ->
+                            out :=
+                              {
+                                file = f.b_unit.u_path;
+                                line = line_of a.pexp_loc;
+                                rule = "security";
+                                msg =
+                                  Printf.sprintf
+                                    "check %s is no top-level function of the \
+                                     analyzed tree, so nothing holds it to verify"
+                                    (callee_str (m, x));
+                              }
+                              :: !out)
+                    | _ -> judge f "argument" a)
+                args
+          | _ -> ())
+        f.b_expr)
+    fns;
+  !out
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch coverage. *)
@@ -1069,6 +1166,7 @@ let findings ~lib ~tests ~units =
   let sinky = sinky_fixpoint fns vset in
   taint_findings fns vset sinky
   @ security_findings fns vset
+  @ check_findings fns vset
   @ (match messages_ctors lib with
     | Some (_, ctors) -> dispatch_findings fns (List.map fst ctors)
     | None -> [])
