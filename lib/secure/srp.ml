@@ -130,11 +130,6 @@ let check_reply t reply =
       | None -> reject Audit.Replay_rejected "unsolicited rrep")
   | Sr.Crep _ -> reject Audit.Replay_rejected "unsolicited crep"
 
-(* manetcheck: allow security — SRP cannot authenticate intermediate error
-   reports (no security association with relays), so it believes them —
-   the documented exposure the paper's full scheme removes. *)
-let believe _ _ = Verdict.Accepted { checks = []; value = () }
-
 let handle t ~src msg =
   match msg with
   | Messages.Rreq r -> Sr.handle_rreq t ~src r ~accept:accept_rreq ~rrep ~crep:no_crep ~relay
@@ -144,7 +139,7 @@ let handle t ~src msg =
   | Messages.Ack _ -> Sr.deliver_ack t ~src msg
   | Messages.Rerr _ ->
       Sr.deliver t ~src msg ~consume:(fun m ->
-          Sr.consume_rerr t ~src m ~check:believe ~credit:Sr.no_credit)
+          Sr.consume_rerr t ~src m ~check:Sr.unchecked ~credit:Sr.no_credit)
   (* SRP is routing-plane only: DAD/DNS traffic is transit to relay,
      enumerated so a new Messages constructor forces a decision here. *)
   | Messages.Areq _ | Messages.Arep _ | Messages.Drep _ | Messages.Crep _
