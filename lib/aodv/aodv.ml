@@ -1,7 +1,6 @@
 module Address = Manet_ipv6.Address
 module Prng = Manet_crypto.Prng
 module Sha256 = Manet_crypto.Sha256
-module Suite = Manet_crypto.Suite
 module Engine = Manet_sim.Engine
 module Stats = Manet_sim.Stats
 module Messages = Manet_proto.Messages
@@ -159,10 +158,7 @@ let rrep_payload ~requester ~dst ~dst_seq ~top_hash ~max_hops =
   ^ string_of_int dst_seq ^ top_hash ^ string_of_int max_hops
 
 let verify_origin t ~ip ~pk ~rn ~payload ~signature =
-  let suite = (identity t).Identity.suite in
-  Suite.count_hash suite ~bytes:(String.length pk + 8);
-  Manet_ipv6.Cga.verify ip ~pk_bytes:pk ~rn
-  && suite.Suite.verify ~pk_bytes:pk ~msg:payload ~signature
+  Result.is_ok (Manet_proto.Verdict.host t.ctx ~ip ~pk ~rn ~payload ~signature)
 
 (* A fresh hash chain and the signature over [payload ~top_hash] under
    SAODV; empty fields under plain AODV. *)

@@ -429,12 +429,12 @@ let handle t ~src msg =
   | Messages.Areq _ -> handle_areq t ~src msg
   | Messages.Arep _ ->
       Ctx.deliver_up t.ctx ~src msg
-        ~consume:(fun m -> consume_reply t ~src m ~check)
+        ~consume:(consume_reply t ~src ~check)
         ~forward:(fun ~next m -> Ctx.send_along t.ctx ~path:next m)
         ~not_mine:(fun m -> relay_warning t m)
   | Messages.Drep _ ->
       Ctx.deliver_up t.ctx ~src msg
-        ~consume:(fun m -> consume_reply t ~src m ~check)
+        ~consume:(consume_reply t ~src ~check)
         ~forward:(fun ~next m -> Ctx.send_along t.ctx ~path:next m)
         ~not_mine:(fun _ -> ())
   (* Routing, data and DNS-service traffic is not DAD's business; the

@@ -6,6 +6,7 @@ module Messages = Manet_proto.Messages
 module Codec = Manet_proto.Codec
 module Ctx = Manet_proto.Node_ctx
 module Identity = Manet_proto.Identity
+module Verdict = Manet_proto.Verdict
 module Audit = Manet_obs.Audit
 module Engine = Manet_sim.Engine
 module Obs = Manet_obs.Obs
@@ -121,12 +122,8 @@ let commit_pending t reg =
 (* --- §3.1 integration: AREQ observation and duplicate warnings -------- *)
 
 let verify_warning t ~sip ~sig_ ~pk ~rn ~ch =
-  let suite = Ctx.suite t.ctx in
-  Suite.count_hash suite ~bytes:(String.length pk + 8);
-  Cga.verify sip ~pk_bytes:pk ~rn
-  && suite.Suite.verify ~pk_bytes:pk
-       ~msg:(Codec.arep_payload ~sip ~ch)
-       ~signature:sig_
+  Result.is_ok
+    (Verdict.host t.ctx ~ip:sip ~pk ~rn ~payload:(Codec.arep_payload ~sip ~ch) ~signature:sig_)
 
 let stash_window = 4.0 *. commit_wait
 

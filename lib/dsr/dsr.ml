@@ -57,9 +57,8 @@ let cached_routes = Sr.cached_routes
    up to the diversity bound. *)
 let accept_any _ _ _ = true
 
-let rrep t (r : Messages.rreq) ~rr ~back =
-  Sr.answer t ~seq:r.seq
-    (Sr.Rrep { sip = r.sip; dip = address t; rr; remaining = back; sig_ = ""; dpk = ""; drn = 0L })
+(* Replies carry no endorsement. *)
+let endorse _ _ ~rr:_ = ("", "", 0L)
 
 (* Any cached route may answer, when cache replies are on. *)
 let crep t (r : Messages.rreq) ~rr ~back =
@@ -147,14 +146,14 @@ let handle t ~src msg =
      unauthenticated baseline (§3.3 uses it as the point of comparison):
      requests carry signature fields on the wire but this layer never checks
      them. *)
-  | Messages.Rreq r -> Sr.handle_rreq t ~src r ~accept:accept_any ~rrep ~crep ~relay
+  | Messages.Rreq r -> Sr.handle_rreq t ~src r ~accept:accept_any ~endorse ~crep ~relay
   | Messages.Rrep _ | Messages.Crep _ ->
-      Sr.deliver t ~src msg ~consume:(fun m -> Sr.consume_reply t ~src m ~check:Sr.unchecked)
+      Sr.deliver t ~src msg ~consume:(Sr.consume_reply t ~src ~check:Sr.unchecked)
   | Messages.Data _ -> Sr.deliver_data t ~src msg ~overheard:(fun m -> overheard_data t m)
   | Messages.Ack _ -> Sr.deliver_ack t ~src msg
   | Messages.Rerr _ ->
-      Sr.deliver t ~src msg ~consume:(fun m ->
-          Sr.consume_rerr t ~src m ~check:Sr.unchecked ~credit:Sr.no_credit)
+      Sr.deliver t ~src msg
+        ~consume:(Sr.consume_rerr t ~src ~check:Sr.unchecked ~credit:(fun _ _ ~removed:_ -> ()))
   | Messages.Probe _ | Messages.Probe_reply _ | Messages.Name_query _
   | Messages.Name_reply _ | Messages.Ip_change_request _
   | Messages.Ip_change_challenge _ | Messages.Ip_change_proof _

@@ -15,9 +15,9 @@
     attack surface the secure protocol closes.
 
     The data plane (send buffer, acks and retries, discovery timing,
-    forwarding, RERR and salvaging) is {!Source_route}'s, shared with the
-    secure protocol and SRP; DESIGN.md ("Source-route data plane") lists
-    what DSR supplies to it. *)
+    forwarding, RERR and salvaging) and the reply and RERR acceptance
+    path are {!Source_route}'s, shared with the secure protocol and SRP;
+    DESIGN.md ("Source-route data plane") lists what DSR supplies. *)
 
 module Address = Manet_ipv6.Address
 module Messages = Manet_proto.Messages

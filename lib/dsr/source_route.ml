@@ -501,35 +501,26 @@ let deliver_ack t ~src msg = deliver t ~src msg ~consume:(consume_ack t)
 
 (* --- replies and route errors --------------------------------------------- *)
 
-(* manetcheck: allow security — the one check of the unauthenticated
-   protocols: plain DSR's replies and errors, and SRP's errors (it has no
-   association with relays), are believed as they come — the §4 exposure
-   the baselines exist to measure and the paper's checks close. *)
+(* manetcheck: allow taint — plain DSR's replies and errors, and SRP's
+   errors (no association with relays), are believed as they come: the
+   §4 exposure the baselines exist to measure and the paper's checks close. *)
 let unchecked _ _ = Verdict.Accepted { checks = [ Verdict.Unchecked ]; value = () }
 
-let no_credit _ _ ~removed:_ = ()
-
-let reply_of = function
-  | Messages.Rrep r -> Some (Rrep r)
-  | Messages.Crep c -> Some (Crep c)
-  | _ -> None
-
-(* The destination a reply offers a route to, and the route; a cache
+(* A reply, the destination it offers a route to, and the route; a cache
    reply splices requester -> ... -> cacher -> ... -> destination. *)
 let offer = function
-  | Rrep r -> (r.dip, r.rr)
-  | Crep c -> (c.dip, c.rr_to_cacher @ (c.cacher :: c.rr_to_dest))
+  | Messages.Rrep r -> Some (Rrep r, r.dip, r.rr)
+  | Messages.Crep c -> Some (Crep c, c.dip, c.rr_to_cacher @ (c.cacher :: c.rr_to_dest))
+  | _ -> None
 
 let consume_reply t ~src msg ~check =
-  match reply_of msg with
+  match offer msg with
   | None -> ()
-  | Some reply -> (
+  | Some (reply, dst, route) -> (
       let v = check t reply in
       Verdict.finish_span t.ctx reply_corr reply v;
       match v with
-      | Verdict.Accepted { value = meta; _ } ->
-          let dst, route = offer reply in
-          route_found t ~dst ~route ~meta
+      | Verdict.Accepted { value = meta; _ } -> route_found t ~dst ~route ~meta
       | Verdict.Rejected r -> Verdict.audit t.ctx ~src r)
 
 (* An unchecked report is audited as believed, so the exposure shows in
@@ -540,18 +531,15 @@ let consume_rerr t ~src msg ~check ~credit =
   | Messages.Rerr r -> (
       Ctx.stat t.ctx Key.rerr_received;
       match check t r with
+      | Verdict.Rejected rejection -> Verdict.audit t.ctx ~src rejection
       | Verdict.Accepted { checks; _ } ->
-          (match checks with
-          | [ Verdict.Unchecked ] ->
-              Ctx.audit t.ctx ~kind:Manet_obs.Audit.Unverified_accept
-                ~cause:("unauthenticated rerr from " ^ Address.to_string r.reporter ^ " believed")
-                ()
-          | _ -> ());
-          let removed =
-            Route_cache.remove_link t.cache ~owner:(address t) ~a:r.reporter ~b:r.broken_next
-          in
-          credit t r ~removed
-      | Verdict.Rejected rejection -> Verdict.audit t.ctx ~src rejection)
+          if checks = [ Verdict.Unchecked ] then
+            Ctx.audit t.ctx ~kind:Manet_obs.Audit.Unverified_accept
+              ~cause:("unauthenticated rerr from " ^ Address.to_string r.reporter ^ " believed")
+              ();
+          credit t r
+            ~removed:
+              (Route_cache.remove_link t.cache ~owner:(address t) ~a:r.reporter ~b:r.broken_next))
   | _ -> ()
 
 (* --- route requests ------------------------------------------------------- *)
@@ -568,7 +556,7 @@ let looped me ~sip rr = Address.equal sip me || List.exists (Address.equal me) r
 (* Every copy that reaches the destination is considered, up to the
    diversity bound, and checked on its own: a rushed poisoned copy must
    not mask an honest one. *)
-let rreq_at_destination t ~flood ~key (r : Messages.rreq) ~accept ~rrep =
+let rreq_at_destination t ~flood ~key (r : Messages.rreq) ~accept ~endorse =
   let rr = srr_ips r.srr in
   if not (looped (address t) ~sip:r.sip rr) then begin
     let sent = Option.value ~default:0 (Flood.Ktbl.find_opt t.reply_counts key) in
@@ -576,7 +564,10 @@ let rreq_at_destination t ~flood ~key (r : Messages.rreq) ~accept ~rrep =
       Flood.Ktbl.replace t.reply_counts key (sent + 1);
       Ctx.stat t.ctx Key.route_replies;
       let back = List.rev rr @ [ r.sip ] in
-      Ctx.send_along t.ctx ~path:back (rrep t r ~rr ~back)
+      let sig_, dpk, drn = endorse t r ~rr in
+      Ctx.send_along t.ctx ~path:back
+        (answer t ~seq:r.seq
+           (Rrep { sip = r.sip; dip = address t; rr; remaining = back; sig_; dpk; drn }))
     end
   end
 
@@ -612,7 +603,7 @@ let rreq_first_copy t ~flood (r : Messages.rreq) ~crep ~relay =
             Ctx.broadcast t.ctx copy)
   end
 
-let handle_rreq t ~src (r : Messages.rreq) ~accept ~rrep ~crep ~relay =
+let handle_rreq t ~src (r : Messages.rreq) ~accept ~endorse ~crep ~relay =
   let key = rreq_key r.sip r.seq in
   let floods = Obs.flood (obs t) in
   let flood = Flood.handle floods ~key ~origin:src in
@@ -625,5 +616,5 @@ let handle_rreq t ~src (r : Messages.rreq) ~accept ~rrep ~crep ~relay =
   else
     (* manetcheck: cold — at most once per (flood, node) /
        max_replies_per_request answers *)
-    if at_dest then rreq_at_destination t ~flood ~key r ~accept ~rrep
+    if at_dest then rreq_at_destination t ~flood ~key r ~accept ~endorse
     else rreq_first_copy t ~flood r ~crep ~relay

@@ -1,12 +1,13 @@
-(** The source-route data plane and route-request receive path shared by
-    plain DSR ({!Dsr}), the paper's secure routing and SRP
-    ([Manet_secure]).
+(** The source-route data plane and the route-request, reply and
+    route-error receive paths shared by plain DSR ({!Dsr}), the paper's
+    secure routing and SRP ([Manet_secure]).
 
     The three protocols verify and choose routes differently, but data
     follows a source route the same way in all of them (as in RFC 4728,
     where the send buffer and route maintenance sit apart from
-    discovery), and a route request is relayed and answered by one
-    procedure (§3.3).  This module owns that one copy:
+    discovery), and route requests, replies and errors are handled by
+    one procedure around each protocol's own checks (§3.3–§3.4).  This
+    module owns that one copy:
 
     - the send buffer (packets queued behind a discovery), the in-flight
       table, the end-to-end ack timer and the bounded retry;
@@ -18,12 +19,15 @@
       and the jittered rebroadcast;
     - the relay side: forwarding, the link-break RERR back to the
       source, salvaging, and delivery with its ack;
+    - acting on a judged reply or RERR ({!consume_reply},
+      {!consume_rerr});
     - the shared [data.*], [route.*] and [rerr.*] statistics, with one
       function that gives a packet up ([data.dropped]).
 
     A protocol supplies the rest through one {!hooks} record built once
-    per node, and keeps its own state in the [ext] slot; its RREQ check,
-    replies and route-record entry are arguments of {!handle_rreq}.
+    per node, and keeps its own state in the [ext] slot; its checks,
+    replies and route-record entry are arguments of the receive
+    paths.
     The timings are constants: a discovery waits 1.0 s per attempt over
     3 attempts, a packet waits 1.5 s for its ack over 2 resends, the
     cache keeps 4 routes per destination, and a relay delays its RREQ
@@ -166,8 +170,7 @@ val handle_rreq :
   src:int ->
   Messages.rreq ->
   accept:(('x, 'm) t -> Manet_obs.Flood.handle -> Messages.rreq -> bool) ->
-  rrep:
-    (('x, 'm) t -> Messages.rreq -> rr:Address.t list -> back:Address.t list -> Messages.t) ->
+  endorse:(('x, 'm) t -> Messages.rreq -> rr:Address.t list -> string * string * int64) ->
   crep:
     (('x, 'm) t ->
     Messages.rreq ->
@@ -184,7 +187,9 @@ val handle_rreq :
 
     - [accept t flood r] checks a copy at the destination while fewer
       than 3 copies of the flood have been answered; an accepted copy
-      is answered with [rrep t r ~rr ~back];
+      is answered with an RREP back along the record, carrying
+      [endorse t r ~rr]: the destination's signature, public key and
+      CGA modifier (see {!answer});
     - [crep t r ~rr ~back] is the relay's answer from its cache, [None]
       when no cached route may answer (see {!avoids});
     - otherwise [relay t r] gives the copy's fields as the protocol
@@ -199,21 +204,20 @@ val avoids : Messages.rreq -> rr:Address.t list -> Address.t list -> bool
 
 (** {1 Replies and route errors}
 
-    A protocol's check judges a reply or route error and returns a
-    {!Manet_proto.Verdict.t}; it changes no state.  These two functions
-    act on the verdict, the same way for every protocol. *)
+    A protocol's check judges a reply or route error and changes no
+    state; these functions act on its {!Manet_proto.Verdict.t} the same
+    way for every protocol. *)
 
-(** A reply to a discovery: a route reply, or a cache reply. *)
+(** A reply to a discovery. *)
 type reply = Rrep of Messages.rrep | Crep of Messages.crep
 
 val answer : ('x, 'm) t -> seq:int -> reply -> Messages.t
-(** [answer t ~seq reply] is [reply] as the message to send back for
-    request [seq].  It opens the responder's span of the reply (kind
-    ["route.rrep"] or ["route.crep"]) under the request's flood span,
-    filed under a key made of the fields both ends see: for a route
-    reply its [sip], [dip] and [rr], for a cache reply its cacher and
-    request seq.  The key is built only while the event log is on
-    ({!Manet_obs.Obs.wants_events}). *)
+(** [answer t ~seq reply] is [reply] as the message that answers request
+    [seq].  It opens the responder's span (["route.rrep"] or
+    ["route.crep"]) under the request's flood span, filed under the
+    fields both ends see: a route reply's [sip], [dip] and [rr], a cache
+    reply's cacher and request seq.  The key is built only while the
+    event log is on. *)
 
 val consume_reply :
   ('x, 'm) t ->
@@ -221,14 +225,11 @@ val consume_reply :
   Messages.t ->
   check:(('x, 'm) t -> reply -> 'm Manet_proto.Verdict.t) ->
   unit
-(** [consume_reply t ~src msg ~check] acts on an RREP or CREP that
-    ended here ([src] is its radio sender; other messages are ignored).
-    It finishes the responder's span with the verdict of [check].  An
-    accepted reply's route is cached with the verdict's value as its
-    metadata: the discovery resolves, the packets queued for the
-    destination are sent and the waiters are told.  A rejected reply
-    is audited, with [src] as the accountable [Sender], and its reject
-    counter bumped. *)
+(** [consume_reply t ~src msg ~check] acts on an RREP or CREP that ended
+    here, radioed by [src]: the verdict of [check] finishes the
+    responder's span; an accepted reply's route is cached with the
+    verdict's value as metadata (the discovery resolves, queued packets
+    are sent, the waiters told); a rejected one is audited. *)
 
 val consume_rerr :
   ('x, 'm) t ->
@@ -238,15 +239,10 @@ val consume_rerr :
   credit:(('x, 'm) t -> Messages.rerr -> removed:int -> unit) ->
   unit
 (** [consume_rerr t ~src msg ~check ~credit] acts on a RERR that ended
-    here, counting it under [rerr.received].  An accepted report removes
-    every cached route over the reported link, then [credit t r
-    ~removed] does the protocol's bookkeeping, with [removed] the
-    number of routes dropped.  An accepted unchecked report is also
-    audited as [Unverified_accept].  A rejected report is audited and
-    its reject counter bumped. *)
+    here, counted under [rerr.received]: an accepted report drops every
+    cached route over the reported link and [credit] is told how many;
+    an unchecked one is also audited as [Unverified_accept]; a rejected
+    one is audited. *)
 
 val unchecked : ('x, 'm) t -> 'a -> unit Manet_proto.Verdict.t
 (** The check of an unauthenticated protocol: accepted, unchecked. *)
-
-val no_credit : ('x, 'm) t -> Messages.rerr -> removed:int -> unit
-(** The [credit] of a protocol with nothing to add. *)

@@ -33,17 +33,14 @@ let host ?trusted ctx ~ip ~pk ~rn ~payload ~signature =
   | Some c -> if suite.Suite.verify ~pk_bytes:pk ~msg:payload ~signature then Ok c else Error Bad_sig
 
 let audit ctx ~src r =
-  let stats = [ r.counter ] in
-  match r.party with
-  | Nobody -> Node_ctx.audit ctx ~kind:r.kind ~stats ~cause:r.cause ()
-  | Sender -> Node_ctx.audit ctx ~kind:r.kind ~subject_node:src ~stats ~cause:r.cause ()
-  | Node a -> Node_ctx.audit ctx ~kind:r.kind ~subject:a ~stats ~cause:r.cause ()
+  let subject, subject_node =
+    match r.party with Nobody -> (None, None) | Sender -> (None, Some src) | Node a -> (Some a, None)
+  in
+  Node_ctx.audit ctx ~kind:r.kind ?subject ?subject_node ~stats:[ r.counter ] ~cause:r.cause ()
 
 let finish_span ctx key k v =
   let o = ctx.Node_ctx.obs in
-  if Obs.wants_events o then
-    match Obs.lookup o (key k) with
-    | Some sid ->
-        Obs.finish o sid
-          (match v with Accepted _ -> Obs.Ok | Rejected _ -> Obs.Rejected "signature check failed")
-    | None -> ()
+  let outcome =
+    match v with Accepted _ -> Obs.Ok | Rejected _ -> Obs.Rejected "signature check failed"
+  in
+  if Obs.wants_events o then Option.iter (fun sid -> Obs.finish o sid outcome) (Obs.lookup o (key k))

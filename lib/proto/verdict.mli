@@ -1,35 +1,20 @@
-(** The verdict of an acceptance check: what a node decided about a
-    signed reply or route error (§3.3–§3.4), and why.
-
-    A protocol's check judges one message and returns a verdict; it
-    changes no state.  One shared path acts on it: a routing agent's
-    replies and route errors go through
-    [Manet_dsr.Source_route.consume_reply] and [consume_rerr], DAD's
-    AREPs and DREPs through [Manet_dad.Dad]'s initiator.  That path
-    finishes the reply's span, installs the route, removes the link or
-    ends the attempt, and audits a rejection, bumping the protocol's
-    reject counter.
-
-    An accepted verdict records the checks that were run, one per signed
-    part of the message in message order: a reply's endorsement, a cache
-    reply's two halves, a route error's reporter.  A rejected one names
-    the audit kind, the cause and the party it holds accountable. *)
+(** The verdict of an acceptance check on a signed reply or route error
+    (§3.3–§3.4).  A protocol's check judges one message and changes no
+    state; one shared path acts on the verdict
+    ([Manet_dsr.Source_route.consume_reply] and [consume_rerr], DAD's
+    initiator). *)
 
 module Address = Manet_ipv6.Address
 
 (** What was checked of one signed part of a message. *)
 type check =
-  | Cga
-      (** the address is the CGA of the attached key and the signature
-          verifies under that key *)
+  | Cga  (** the address is the CGA of the attached key, and the signature verifies *)
   | Sig  (** a signature or MAC verifies under a key held in advance *)
   | Unchecked  (** nothing: the unauthenticated baseline *)
 
-(** Who a rejection holds accountable. *)
-type party =
-  | Nobody  (** the culprit is not localizable from here *)
-  | Sender  (** the radio sender of the copy *)
-  | Node of Address.t  (** a named address *)
+(** Who a rejection holds accountable: nobody, the radio sender of the
+    copy, or a named address. *)
+type party = Nobody | Sender | Node of Address.t
 
 type rejection = {
   kind : Manet_obs.Audit.kind;
@@ -40,17 +25,16 @@ type rejection = {
 
 type 'a t =
   | Accepted of { checks : check list; value : 'a }
-      (** [value] is what acting on the message needs (a reply's route
-          metadata) *)
+      (** [checks]: one per signed part, in message order; [value]: what
+          acting on it needs, such as a reply's route metadata *)
   | Rejected of rejection
 
 val reject : Manet_sim.Stats.key -> ?party:party -> Manet_obs.Audit.kind -> string -> 'a t
 (** [reject counter kind cause]; [party] defaults to [Nobody]. *)
 
-(** Why a host check failed. *)
-type failure =
-  | Bad_binding  (** the address does not bind to the key: forged identity material *)
-  | Bad_sig  (** the binding holds but the signature does not: stale or tampered content *)
+(** Why a host check failed: forged identity material, or stale or
+    tampered content under a good binding. *)
+type failure = Bad_binding | Bad_sig
 
 val host :
   ?trusted:string Address.Tbl.t ->
@@ -61,16 +45,16 @@ val host :
   payload:string ->
   signature:string ->
   (check, failure) result
-(** The two checks of §3 on one host, in this order: the address-to-key
-    binding, then the signature over [payload].  The binding is the CGA
-    rule ([Ok Cga]), or for an address in [trusted] (a pre-distributed
-    key such as the DNS server's) equality with that key ([Ok Sig]). *)
+(** The two checks of §3 on one host, in this order: the binding, by the
+    CGA rule ([Ok Cga]) or, for an address in [trusted], by equality
+    with its pre-distributed key ([Ok Sig]); then the signature over
+    [payload]. *)
 
 val audit : Node_ctx.t -> src:int -> rejection -> unit
-(** Emit the rejection's audit event, bumping its counter; [src] is the
-    radio sender a [Sender] party names. *)
+(** Emit the audit event and bump the counter; [src] is the radio
+    sender a [Sender] party names. *)
 
 val finish_span : Node_ctx.t -> ('k -> string) -> 'k -> 'a t -> unit
 (** [finish_span ctx key k v] finishes the span filed under [key k], if
-    there is one, with the verdict: [Ok], or [Rejected "signature check
-    failed"].  The key is built only while the event log is on. *)
+    any, as [Ok] or [Rejected "signature check failed"].  The key is
+    built only while the event log is on. *)

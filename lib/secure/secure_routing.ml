@@ -106,16 +106,8 @@ let obs (t : t) = t.Sr.ctx.Ctx.obs
 let floods t = Obs.flood (obs t)
 let credits (t : t) = t.Sr.ext.credits
 let identity t = t.Sr.ctx.Ctx.identity
-let suite t = Ctx.suite t.Sr.ctx
-
-let verify t ~pk_bytes ~msg ~signature =
-  (suite t).Suite.verify ~pk_bytes ~msg ~signature
-
-(* The two checks of §3 on one host (see [Verdict.host]).  The binding
-   is the CGA rule for ordinary hosts, and for the pre-distributed
-   identities (the DNS server) equality with the known public key.  A
-   failed binding is a forged identity, a failed signature under a good
-   binding stale or tampered content. *)
+(* The two checks of §3 on one host; the DNS server's pre-distributed
+   key stands in for its CGA binding. *)
 let verify_host t ~ip ~pk ~rn ~payload ~signature =
   Verdict.host ~trusted:t.Sr.ext.trusted t.Sr.ctx ~ip ~pk ~rn ~payload ~signature
 
@@ -142,7 +134,7 @@ let match_retired_seq t ~dst ~pk ~signature ~payload_for =
   | Some seqs ->
       List.find_map
         (fun (seq, retired_at) ->
-          if verify t ~pk_bytes:pk ~msg:(payload_for ~seq) ~signature then
+          if (Ctx.suite t.Sr.ctx).Suite.verify ~pk_bytes:pk ~msg:(payload_for ~seq) ~signature then
             Some (now t -. retired_at)
           else None)
         seqs
@@ -381,19 +373,12 @@ let accept_rreq t flood (r : Messages.rreq) =
        end
      end
 
-let rrep t (r : Messages.rreq) ~rr ~back =
+(* The destination signs [SIP, seq, RR] with its own key. *)
+let endorse t (r : Messages.rreq) ~rr =
   let id = identity t in
-  Sr.answer t ~seq:r.seq
-    (Sr.Rrep
-       {
-         sip = r.sip;
-         dip = address t;
-         rr;
-         remaining = back;
-         sig_ = Identity.sign id (Codec.rrep_payload ~sip:r.sip ~seq:r.seq ~rr);
-         dpk = Identity.pk_bytes id;
-         drn = id.Identity.rn;
-       })
+  ( Identity.sign id (Codec.rrep_payload ~sip:r.sip ~seq:r.seq ~rr),
+    Identity.pk_bytes id,
+    id.Identity.rn )
 
 (* Only a cached route the destination endorsed may answer. *)
 let crep t (r : Messages.rreq) ~rr ~back =
@@ -452,8 +437,7 @@ let check_reply t reply =
          (route diversity). *)
       match Address.Tbl.find_opt t.Sr.pending dip with
       | None -> reject Audit.Replay_rejected "unsolicited rrep"
-      | Some d -> (
-          let seq = d.Sr.d_seq in
+      | Some { Sr.d_seq = seq; _ } -> (
           let payload = Codec.rrep_payload ~sip:(address t) ~seq ~rr in
           match verify_host t ~ip:dip ~pk:dpk ~rn:drn ~payload ~signature:sig_ with
           | Ok c ->
@@ -461,9 +445,9 @@ let check_reply t reply =
                 { checks = [ c ]; value = Some { e_sig = sig_; e_pk = dpk; e_rn = drn; e_seq = seq } }
           | Error Verdict.Bad_binding ->
               (* The endorsement key does not bind to the claimed
-                 destination: forged identity material.  The forger is
-                 not localizable from here — probes and credits take
-                 over. *)
+                 destination: forged identity material.  The audit
+                 names that destination, whose identity was forged; the
+                 forger is not localizable from here. *)
               reject ~party:(Verdict.Node dip) Audit.Cga_mismatch
                 "rrep endorsement key/address binding"
           | Error Verdict.Bad_sig -> (
@@ -480,36 +464,21 @@ let check_reply t reply =
                     (Printf.sprintf "rrep bound to seq retired %.1fs ago" age)
               | Some _ -> reject Audit.Replay_rejected "late sibling of a just-superseded attempt"
               | None -> reject Audit.Sig_verify_fail "rrep endorsement signature")))
-  | Sr.Crep
-      {
-        cacher;
-        dip;
-        requester_seq;
-        cacher_seq;
-        rr_to_cacher;
-        rr_to_dest;
-        sig_cacher;
-        cacher_pk;
-        cacher_rn;
-        sig_dest;
-        dest_pk;
-        dest_rn;
-        _;
-      } -> (
+  | Sr.Crep c -> (
       let reject = Verdict.reject Key.secure_crep_rejected in
-      match Address.Tbl.find_opt t.Sr.pending dip with
-      | Some d when d.Sr.d_seq = requester_seq -> (
+      match Address.Tbl.find_opt t.Sr.pending c.dip with
+      | Some d when d.Sr.d_seq = c.requester_seq -> (
           let cacher_check =
-            verify_host t ~ip:cacher ~pk:cacher_pk ~rn:cacher_rn
+            verify_host t ~ip:c.cacher ~pk:c.cacher_pk ~rn:c.cacher_rn
               ~payload:
-                (Codec.crep_cacher_payload ~requester:(address t) ~seq:requester_seq
-                   ~rr:rr_to_cacher)
-              ~signature:sig_cacher
+                (Codec.crep_cacher_payload ~requester:(address t) ~seq:c.requester_seq
+                   ~rr:c.rr_to_cacher)
+              ~signature:c.sig_cacher
           in
           let dest_check =
-            verify_host t ~ip:dip ~pk:dest_pk ~rn:dest_rn
-              ~payload:(Codec.rrep_payload ~sip:cacher ~seq:cacher_seq ~rr:rr_to_dest)
-              ~signature:sig_dest
+            verify_host t ~ip:c.dip ~pk:c.dest_pk ~rn:c.dest_rn
+              ~payload:(Codec.rrep_payload ~sip:c.cacher ~seq:c.cacher_seq ~rr:c.rr_to_dest)
+              ~signature:c.sig_dest
           in
           (* Either half may be at fault; neither failure localizes the
              forger from here. *)
@@ -609,10 +578,9 @@ let is_addr_suffix ~of_:full part =
 let handle t ~src msg =
   match msg with
   | Messages.Rreq r ->
-      Sr.handle_rreq t ~src r ~accept:accept_rreq ~rrep ~crep ~relay
+      Sr.handle_rreq t ~src r ~accept:accept_rreq ~endorse ~crep ~relay
   | Messages.Rrep { sip; rr; _ } ->
-      Ctx.deliver_up t.Sr.ctx ~src msg
-        ~consume:(fun m -> Sr.consume_reply t ~src m ~check:check_reply)
+      Ctx.deliver_up t.Sr.ctx ~src msg ~consume:(Sr.consume_reply t ~src ~check:check_reply)
         ~forward:(fun ~next m ->
           (* Transit consistency (§4): an honest reply only ever travels
              the reversed route record back toward its requester, so the
@@ -628,13 +596,11 @@ let handle t ~src msg =
               ~stats:[ Key.secure_rrep_rejected; Key.secure_transit_rejected ]
               ~cause:"rrep in transit off its own reversed route record" ())
         ~not_mine:(fun _ -> ())
-  | Messages.Crep _ ->
-      Sr.deliver t ~src msg ~consume:(fun m -> Sr.consume_reply t ~src m ~check:check_reply)
+  | Messages.Crep _ -> Sr.deliver t ~src msg ~consume:(Sr.consume_reply t ~src ~check:check_reply)
   | Messages.Data _ -> Sr.deliver_data t ~src msg ~overheard:(fun _ -> ())
   | Messages.Ack _ -> Sr.deliver_ack t ~src msg
   | Messages.Rerr _ ->
-      Sr.deliver t ~src msg ~consume:(fun m ->
-          Sr.consume_rerr t ~src m ~check:check_rerr ~credit:rerr_credit)
+      Sr.deliver t ~src msg ~consume:(Sr.consume_rerr t ~src ~check:check_rerr ~credit:rerr_credit)
   | Messages.Probe _ -> Sr.deliver t ~src msg ~consume:(consume_probe t)
   | Messages.Probe_reply _ -> Sr.deliver t ~src msg ~consume:(consume_probe_reply t)
   | Messages.Name_query _ | Messages.Name_reply _ | Messages.Ip_change_request _

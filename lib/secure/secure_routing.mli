@@ -32,11 +32,12 @@
     undetected.
 
     The data plane (send buffer, acks and retries, discovery timing,
-    forwarding, RERR and salvaging) is {!Manet_dsr.Source_route}'s,
-    shared with DSR and SRP; DESIGN.md ("Source-route data plane") lists
-    what the secure protocol supplies to it: the credit route score, the
-    signed RREQ and RERR, a probe on ack timeout, credit on each ack,
-    and the memory of superseded discovery seqs. *)
+    forwarding, RERR and salvaging) and the reply and RERR acceptance
+    path are {!Manet_dsr.Source_route}'s, shared with DSR and SRP;
+    DESIGN.md ("Source-route data plane") lists what the secure
+    protocol supplies to it: the credit route score, the signed RREQ,
+    RREP and RERR, the reply and RERR checks, a probe on ack timeout,
+    credit on each ack, and the memory of superseded discovery seqs. *)
 
 module Address = Manet_ipv6.Address
 module Messages = Manet_proto.Messages

@@ -88,18 +88,9 @@ let accept_rreq t flood (r : Messages.rreq) =
        false
      end
 
-let rrep t (r : Messages.rreq) ~rr ~back =
-  Sr.answer t ~seq:r.seq
-    (Sr.Rrep
-       {
-         sip = r.sip;
-         dip = address t;
-         rr;
-         remaining = back;
-         sig_ = rrep_mac ~key:(key_with t r.sip) ~sip:r.sip ~seq:r.seq ~rr;
-         dpk = "";
-         drn = 0L;
-       })
+(* The destination MACs the collected route under the pair key. *)
+let endorse t (r : Messages.rreq) ~rr =
+  (rrep_mac ~key:(key_with t r.sip) ~sip:r.sip ~seq:r.seq ~rr, "", 0L)
 
 (* SRP relays never answer from their cache. *)
 let no_crep _ _ ~rr:_ ~back:_ = None
@@ -114,10 +105,9 @@ let relay t (r : Messages.rreq) =
          signature. *)
       sig_ = ""; pk = ""; rn = 0L } )
 
-(* A route reply must carry the destination's pair MAC over our latest
-   discovery's seq and the route; one no discovery of ours asked for is
-   unsolicited or replayed.  SRP relays never answer from their cache,
-   so a cache reply is unsolicited too. *)
+(* An RREP must carry the destination's pair MAC over our latest
+   discovery's seq and the route; one no discovery of ours asked for,
+   or a cache reply (SRP relays never send one), is unsolicited. *)
 let check_reply t reply =
   let reject = Verdict.reject Key.srp_rrep_rejected in
   match reply with
@@ -132,14 +122,13 @@ let check_reply t reply =
 
 let handle t ~src msg =
   match msg with
-  | Messages.Rreq r -> Sr.handle_rreq t ~src r ~accept:accept_rreq ~rrep ~crep:no_crep ~relay
-  | Messages.Rrep _ ->
-      Sr.deliver t ~src msg ~consume:(fun m -> Sr.consume_reply t ~src m ~check:check_reply)
+  | Messages.Rreq r -> Sr.handle_rreq t ~src r ~accept:accept_rreq ~endorse ~crep:no_crep ~relay
+  | Messages.Rrep _ -> Sr.deliver t ~src msg ~consume:(Sr.consume_reply t ~src ~check:check_reply)
   | Messages.Data _ -> Sr.deliver_data t ~src msg ~overheard:(fun _ -> ())
   | Messages.Ack _ -> Sr.deliver_ack t ~src msg
   | Messages.Rerr _ ->
-      Sr.deliver t ~src msg ~consume:(fun m ->
-          Sr.consume_rerr t ~src m ~check:Sr.unchecked ~credit:Sr.no_credit)
+      Sr.deliver t ~src msg
+        ~consume:(Sr.consume_rerr t ~src ~check:Sr.unchecked ~credit:(fun _ _ ~removed:_ -> ()))
   (* SRP is routing-plane only: DAD/DNS traffic is transit to relay,
      enumerated so a new Messages constructor forces a decision here. *)
   | Messages.Areq _ | Messages.Arep _ | Messages.Drep _ | Messages.Crep _

@@ -24,11 +24,11 @@
     SRP presupposes.
 
     The data plane (send buffer, acks and retries, discovery timing,
-    forwarding and RERR) is {!Manet_dsr.Source_route}'s, shared with DSR
-    and the secure protocol; DESIGN.md ("Source-route data plane") lists
-    what SRP supplies to it and where it differs: it never salvages, a
-    failed first hop drops only the route used, and its RERR is
-    unsigned. *)
+    forwarding and RERR) and the reply and RERR acceptance path are
+    {!Manet_dsr.Source_route}'s, shared with DSR and the secure
+    protocol; DESIGN.md ("Source-route data plane") lists what SRP
+    supplies to it and where it differs: it never salvages, a failed
+    first hop drops only the route used, and its RERR is unsigned. *)
 
 module Address = Manet_ipv6.Address
 module Messages = Manet_proto.Messages

@@ -847,14 +847,14 @@ module Sem = struct
       check
 
   let test_check_rule () =
-    fires "check that accepts without verifying" "security"
+    fires "check that accepts without verifying" "taint"
       [
         ( "lib/x/h.ml",
           {|let check_reply _ _ = Verdict.Accepted { checks = []; value = () }
   |}
           ^ checked_by "check_reply" );
       ];
-    clean "check that verifies before it accepts" "security"
+    clean "check that verifies before it accepts" "taint"
       [
         ( "lib/x/h.ml",
           {|let check_reply t r =
@@ -866,7 +866,7 @@ module Sem = struct
       ];
     (* A verify on a sibling branch (the replay classification of a
        rejected reply) does not bless the branch that accepts. *)
-    fires "accepted on a branch no verifier guards" "security"
+    fires "accepted on a branch no verifier guards" "taint"
       [
         ( "lib/x/h.ml",
           {|let check_reply t r =
@@ -876,9 +876,9 @@ module Sem = struct
   |}
           ^ checked_by "check_reply" );
       ];
-    fires "an anonymous check" "security"
+    fires "an anonymous check" "taint"
       [ ("lib/x/h.ml", checked_by "(fun _ _ -> Verdict.Accepted { checks = []; value = () })") ];
-    fires "a check the analyzer cannot read" "security"
+    fires "a check the analyzer cannot read" "taint"
       [
         ( "lib/x/h.ml",
           {|let handle t ~src ~f msg = Sr.consume_rerr t ~src msg ~check:f ~credit:no_credit|} );
@@ -886,16 +886,16 @@ module Sem = struct
     (* The finding sits on the check, so a check defined in one module
        and passed from another is found where it is defined, and one
        allow there covers every site that passes it. *)
-    fires "check defined in another module" "security"
+    fires "check defined in another module" "taint"
       [
         ( "lib/dsr/source_route.ml",
           {|let unchecked _ _ = Verdict.Accepted { checks = [ Verdict.Unchecked ]; value = () }|} );
         ("lib/dsr/dsr.ml", "module Sr = Source_route\n" ^ checked_by "Sr.unchecked");
       ];
-    clean "allow on the check covers every site" "security"
+    clean "allow on the check covers every site" "taint"
       [
         ( "lib/dsr/source_route.ml",
-          {|(* manetcheck: allow security — the unauthenticated baseline. *)
+          {|(* manetcheck: allow taint — the unauthenticated baseline. *)
 let unchecked _ _ = Verdict.Accepted { checks = [ Verdict.Unchecked ]; value = () }|} );
         ( "lib/dsr/dsr.ml",
           {|module Sr = Source_route
@@ -991,8 +991,8 @@ let handle t ~src msg =
           [
             mutate secure
               [
-                ("verify_host t ~ip:cacher", "no_host t ~ip:cacher");
-                ("verify_host t ~ip:dip ~pk:dest_pk", "no_host t ~ip:dip ~pk:dest_pk");
+                ("verify_host t ~ip:c.cacher", "no_host t ~ip:c.cacher");
+                ("verify_host t ~ip:c.dip", "no_host t ~ip:c.dip");
               ];
             dad;
           ] );

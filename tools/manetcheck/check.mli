@@ -14,7 +14,9 @@
     - ["taint"] — a value destructured from a signed {!Messages.t}
       constructor reaches a state-mutating sink (routing table, DNS
       directory, credit store, protocol state fields) on a path no
-      [verify]/CGA check guards, directly or through a helper.
+      [verify]/CGA check guards, directly or through a helper; the input
+      of [consume_reply]/[consume_rerr], and of a [~check] passed to
+      them, is tainted from entry, and building [Accepted] is a sink.
     - ["security"] — a handler ([handle*], [consume*], [observe*],
       [serve*], [receive*], [on_*]) arm destructures a signed message's
       record, or binds it whole ([Rreq r]), without mentioning a

@@ -48,16 +48,12 @@ let verifier vset = function
   | Some m, x -> name_is_verifier x || Hashtbl.mem vset (m, x)
   | None, x -> name_is_verifier x
 
-(* The shared acceptance path: [consume_reply] and [consume_rerr] act
-   on the verdict of the [~check] they are handed, so inside them a call
-   of [check] is the verification, and every function passed as [~check]
-   is held to the check rule below. *)
+(* The shared acceptance path acts on the verdict of the [~check] it is
+   handed: inside it, calling [check] is the verification. *)
 let check_takers = [ "consume_reply"; "consume_rerr" ]
-let is_check_taker f = List.mem f.b_name check_takers
 
-(* [verifier] inside binding [f]. *)
 let verifier_in f vset c =
-  verifier vset c || (is_check_taker f && c = (Some f.b_mod, "check"))
+  verifier vset c || (List.mem f.b_name check_takers && c = (Some f.b_mod, "check"))
 
 type scan_env = {
   sv_self : string;
@@ -65,7 +61,6 @@ type scan_env = {
   sv_is_verifier : string option * string -> bool;
   sv_is_sinky : string option * string -> bool;
   sv_sink : string -> Location.t -> string -> unit;
-  sv_accepts : bool;  (** building an [Accepted] verdict is a sink *)
 }
 
 (* The environment of binding [f] with no verifier, sink or report. *)
@@ -76,7 +71,6 @@ let plain_env f =
     sv_is_verifier = (fun _ -> false);
     sv_is_sinky = (fun _ -> false);
     sv_sink = (fun _ _ _ -> ());
-    sv_accepts = false;
   }
 
 let callee_of env head =
@@ -219,8 +213,7 @@ let rec scan env ~tainted v e =
           env.sv_sink ctor e.pexp_loc ("mutation of state field " ^ fname)
       | _ -> ());
       v'
-  | Pexp_construct ({ txt; _ }, Some arg)
-    when env.sv_accepts && lid_last txt = "Accepted" ->
+  | Pexp_construct ({ txt; _ }, Some arg) when lid_last txt = "Accepted" ->
       let v' = scan env ~tainted v arg in
       (match tainted with
       | Some ctor when not v' -> env.sv_sink ctor e.pexp_loc "an Accepted verdict"
@@ -278,10 +271,37 @@ let sinky_fixpoint fns vset =
       ignore (scan env ~tainted:(Some "summary") false f.b_expr);
       !hit)
 
-(* A check taker's input is tainted from its entry: it may act only
-   after its [check] ran. *)
+(* A check taker's input is tainted from its entry, so it acts only
+   after its [check] ran; so is the input of each function passed to it
+   as [~check], so that one builds an [Accepted] verdict only after a
+   verifier ran.  The finding sits on the check: one allow there covers
+   every site that passes it. *)
 let taint_findings fns vset sinky =
-  let out = ref [] in
+  let out = ref [] and held = Hashtbl.create 8 in
+  let report f loc msg =
+    out := { file = f.b_unit.u_path; line = line_of loc; rule = "taint"; msg } :: !out
+  in
+  let hold f env (lbl, a) =
+    match (lbl, a.pexp_desc, callee_of env a) with
+    | Asttypes.Labelled "check", Pexp_ident _, Some (Some m, x)
+      when List.exists (fun b -> b.b_mod = m && b.b_name = x) fns ->
+        Hashtbl.replace held (m, x) ()
+    | Asttypes.Labelled "check", _, _ ->
+        report f a.pexp_loc "a check that is no top-level function is never held to verify"
+    | _ -> ()
+  in
+  List.iter
+    (fun f ->
+      let env = plain_env f in
+      walk_expr
+        (fun e ->
+          match e.pexp_desc with
+          | Pexp_apply (head, args)
+            when List.mem (Option.fold ~none:"" ~some:snd (callee_of env head)) check_takers ->
+              List.iter (hold f env) args
+          | _ -> ())
+        f.b_expr)
+    fns;
   List.iter
     (fun f ->
       let env =
@@ -291,20 +311,11 @@ let taint_findings fns vset sinky =
           sv_is_sinky = is_sinky sinky;
           sv_sink =
             (fun ctor loc desc ->
-              out :=
-                {
-                  file = f.b_unit.u_path;
-                  line = line_of loc;
-                  rule = "taint";
-                  msg =
-                    Printf.sprintf "unverified %s payload reaches %s" ctor
-                      desc;
-                }
-                :: !out);
+              report f loc (Printf.sprintf "unverified %s payload reaches %s" ctor desc));
         }
       in
-      let tainted = if is_check_taker f then Some "message" else None in
-      ignore (scan env ~tainted false f.b_expr))
+      let entry = Hashtbl.mem held (f.b_mod, f.b_name) || List.mem f.b_name check_takers in
+      ignore (scan env ~tainted:(if entry then Some "message" else None) false f.b_expr))
     fns;
   !out
 
@@ -395,79 +406,6 @@ let security_findings fns vset =
           f.b_expr;
       !out)
     fns
-
-(* Checks: a function passed as [~check] to a check taker may build an
-   [Accepted] verdict only on a path where a verifier already ran.  The
-   finding sits on the [Accepted] it builds, so one allow on a
-   deliberately unchecked check covers every site that passes it. *)
-let check_findings fns vset =
-  let out = ref [] and judged = Hashtbl.create 8 in
-  let judge b name e =
-    let report _ loc desc =
-      out :=
-        {
-          file = b.b_unit.u_path;
-          line = line_of loc;
-          rule = "security";
-          msg =
-            Printf.sprintf
-              "check %s builds %s before any verify/cga_check call" name desc;
-        }
-        :: !out
-    in
-    let env =
-      {
-        (plain_env b) with
-        sv_is_verifier = verifier vset;
-        sv_sink = report;
-        sv_accepts = true;
-      }
-    in
-    ignore (scan env ~tainted:(Some "check") false e)
-  in
-  let takes_check env head =
-    match callee_of env head with
-    | Some (_, n) -> List.mem n check_takers
-    | None -> false
-  in
-  List.iter
-    (fun f ->
-      let env = plain_env f in
-      walk_expr
-        (fun e ->
-          match e.pexp_desc with
-          | Pexp_apply (head, args) when takes_check env head ->
-              List.iter
-                (fun (lbl, a) ->
-                  if lbl = Asttypes.Labelled "check" then
-                    match (a.pexp_desc, callee_of env a) with
-                    | Pexp_ident _, Some (m, x) -> (
-                        let key = (Option.value m ~default:f.b_mod, x) in
-                        match List.find_opt (fun b -> (b.b_mod, b.b_name) = key) fns with
-                        | Some b ->
-                            if not (Hashtbl.mem judged key) then begin
-                              Hashtbl.replace judged key ();
-                              judge b x b.b_expr
-                            end
-                        | None ->
-                            out :=
-                              {
-                                file = f.b_unit.u_path;
-                                line = line_of a.pexp_loc;
-                                rule = "security";
-                                msg =
-                                  Printf.sprintf
-                                    "check %s is no top-level function of the \
-                                     analyzed tree, so nothing holds it to verify"
-                                    (callee_str (m, x));
-                              }
-                              :: !out)
-                    | _ -> judge f "argument" a)
-                args
-          | _ -> ())
-        f.b_expr)
-    fns;
-  !out
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch coverage. *)
@@ -1166,7 +1104,6 @@ let findings ~lib ~tests ~units =
   let sinky = sinky_fixpoint fns vset in
   taint_findings fns vset sinky
   @ security_findings fns vset
-  @ check_findings fns vset
   @ (match messages_ctors lib with
     | Some (_, ctors) -> dispatch_findings fns (List.map fst ctors)
     | None -> [])
